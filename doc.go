@@ -201,6 +201,28 @@
 // bytes; -pull-delta=false on a coordinator is the operational escape
 // hatch back to legacy full-frame pulls.
 //
+// A moved component need not ship whole either. Every state blob is a
+// two-byte header plus minimal uvarints, and B more reports move at most
+// B counters of a sampling or Hadamard aggregator, so a puller adds
+// diff=1 to the handshake and the exporter — which keeps the blobs of
+// its latest export, by reference — ships a moved component as the
+// per-counter difference from the version the puller holds whenever
+// that is the smaller payload (encoding byte bit0: deflated, bit1:
+// diff; a diff also carries the component version minus its base's,
+// the crc32c of the state it rebuilds, and its own raw length). Every
+// payload, whole or diff, takes the smaller of flate.BestSpeed and
+// flate.HuffmanOnly. The puller rebuilds the canonical blob from its
+// own copy and checks length and checksum before anything else sees
+// it, so validation, folding, persistence and pass-through are the
+// ones whole components go through. The ladder below a diff, each rung
+// chosen per component or per pull with no flag: the whole component
+// (puller did not ask, the retained blob is not the base's, the diff is
+// not smaller, or the protocol is randomized response, where a report
+// moves half the counters); one full re-fetch within the same pull (a
+// diff that names a version the puller does not hold, or does not
+// rebuild to the declared checksum, like any other stale base); a full
+// frame outright (unknown base, restart).
+//
 // Component ids are globally unique and flow through coordinators
 // unchanged, which is what makes fan-in *hierarchical* rather than
 // merely stackable: a root coordinator pulling a mid-tier coordinator
@@ -211,9 +233,12 @@
 // the real decomposition, and its delta pulls re-ship only the
 // components that moved anywhere below it. BENCH_cluster.json records
 // the wire savings (an 88x reduction at 1% shard churn for InpPS d=16;
-// 145 bytes for an unchanged peer); TestClusterDeltaVsFullBitIdentity
-// and TestClusterTwoTierBitIdentity pin delta-pulled and tree-pulled
-// marginals byte-identical to flat full pulls.
+// 145 bytes for an unchanged peer) and bench/ the diff's (one
+// 1,024-report batch on an 8-shard InpPS d=16 edge: 31,230 wire bytes
+// as a whole shard, 2,541 as a diff); TestClusterDeltaVsFullBitIdentity
+// and TestClusterTwoTierBitIdentity pin delta-, diff- and tree-pulled
+// coordinators to the marginals of flat full pulls and to the component
+// blobs of a coordinator that just started, byte for byte.
 //
 // # Observability
 //

@@ -29,12 +29,29 @@ type ShardExport struct {
 // without ever shipping empty blobs; an importer missing an omitted
 // shard simply holds nothing for it, which is what empty means.
 func (s *ShardedAggregator) ExportShards() ([]ShardExport, []uint64, error) {
+	return s.ExportShardsReusing(nil)
+}
+
+// ExportShardsReusing is ExportShards for a caller that kept the exports
+// of an earlier call: a shard whose version still equals the one in prev
+// is not marshaled again and its earlier export is returned, so the work
+// is proportional to the shards that moved. prev must be the unmodified
+// result of an export of this aggregator (ordered by Index).
+func (s *ShardedAggregator) ExportShardsReusing(prev []ShardExport) ([]ShardExport, []uint64, error) {
 	exps := make([]ShardExport, 0, len(s.shards))
 	vers := make([]uint64, len(s.shards))
 	for i := range s.shards {
+		for len(prev) > 0 && prev[0].Index < i {
+			prev = prev[1:]
+		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		vers[i] = sh.ver
+		if len(prev) > 0 && prev[0].Index == i && prev[0].Version == sh.ver {
+			sh.mu.Unlock()
+			exps = append(exps, prev[0])
+			continue
+		}
 		n := sh.agg.N()
 		var (
 			blob []byte

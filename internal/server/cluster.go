@@ -670,16 +670,18 @@ func (f *fleet) acceptDelta(url string, cf wire.ComponentFrame) (changed bool, e
 	return changed, nil
 }
 
-// peerTop returns the peer's accepted export version label — the delta
-// base the next pull acknowledges.
-func (f *fleet) peerTop(url string) (uint64, bool) {
+// peerBase returns the peer's accepted export version label — the delta
+// base the next pull acknowledges — and the components held under it,
+// which a diff in the reply is applied to. The map is replaced, never
+// mutated, on accept, so the caller reads it without the lock.
+func (f *fleet) peerBase(url string) (top uint64, comps map[string]peerComp, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	pe := f.findPeer(url)
 	if pe == nil || pe.comps == nil {
-		return 0, false
+		return 0, nil, false
 	}
-	return pe.top, true
+	return pe.top, pe.comps, true
 }
 
 // sameTop reports whether a frame's (node id, version) label matches the
@@ -766,6 +768,7 @@ type peerInstruments struct {
 	fullPulls   *metrics.Counter   // pulls answered with a full frame
 	notModified *metrics.Counter   // pulls answered 304 (handshake hit)
 	bytesSaved  *metrics.Counter   // estimated bytes the delta path avoided
+	diffComps   *metrics.Counter   // components that arrived as diffs
 
 	// lastFullBytes is the wire size of the peer's most recent full
 	// frame — the baseline the bytes-saved estimate compares deltas and
@@ -874,6 +877,7 @@ func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, noDelt
 			fullPulls:   metrics.NewCounter(),
 			notModified: metrics.NewCounter(),
 			bytesSaved:  metrics.NewCounter(),
+			diffComps:   metrics.NewCounter(),
 		}
 	}
 	return &puller{
@@ -993,7 +997,7 @@ func (pl *puller) pull(ctx context.Context, url string) (changed bool) {
 	ctx, span := trace.StartSpan(ctx, "cluster.pull")
 	span.SetAttr("peer", url)
 	t0 := time.Now()
-	changed, mode, err := pl.fetch(ctx, span, url, !pl.noDelta)
+	changed, mode, err := pl.fetch(ctx, span, url, true)
 	if ins := pl.ins[url]; ins != nil {
 		ins.latency.Observe(time.Since(t0).Seconds())
 		switch {
@@ -1084,30 +1088,34 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 }
 
 // fetch performs the HTTP GET, frame validation, and accept for one
-// peer. With allowDelta set it negotiates the componentized delta
-// exchange: the request acknowledges the held base version (?since=
-// plus If-None-Match), and the reply is a 304 (nothing moved), a delta
-// frame, or a full frame. A delta whose base no longer matches what
-// this coordinator holds (peer restart re-salted the labels, an epoch
-// gap, a diverged fold) recurses once with allowDelta=false, which
-// forces a clean full-frame fetch. The pull span's trace context rides
-// along as a W3C traceparent header, so the edge's request span joins
-// this coordinator's trace — one fleet pull is one cross-process trace
-// id.
-func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, allowDelta bool) (changed bool, mode string, err error) {
-	base, haveBase := pl.f.peerTop(url)
+// peer. With ack set it acknowledges the held base version (?since= plus
+// If-None-Match, and diff=1 on the componentized exchange), and the
+// reply is a 304 (nothing moved), a delta frame whose components may be
+// diffs against the held ones, or a full frame. A delta whose base no
+// longer matches what this coordinator holds (peer restart re-salted the
+// labels, an epoch gap, a diverged fold), or a diff component against a
+// version this coordinator does not hold, recurses once with ack unset:
+// a request that names no base can only be answered with a full frame
+// of whole components. The pull span's trace context rides along as a
+// W3C traceparent header, so the edge's request span joins this
+// coordinator's trace — one fleet pull is one cross-process trace id.
+func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack bool) (changed bool, mode string, err error) {
+	base, held, haveBase := pl.f.peerBase(url)
+	ack = ack && haveBase
 	target := url + "/state"
-	if allowDelta {
+	if !pl.noDelta {
 		target += "?components=1"
-		if haveBase {
-			target += "&since=" + strconv.FormatUint(base, 10)
+		if ack {
+			// diff=1: components of a delta may arrive as differences from
+			// the versions held. Exporters that predate it ignore it.
+			target += "&since=" + strconv.FormatUint(base, 10) + "&diff=1"
 		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return false, "", err
 	}
-	if haveBase {
+	if ack {
 		// The handshake rides on both channels: If-None-Match gives
 		// intermediaries standard 304 semantics, ?since= names the delta
 		// base explicitly.
@@ -1156,8 +1164,28 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, allow
 	if wire.IsComponentFrame(body) {
 		// maxState bounds the decompressed component total too: flate in
 		// a hostile frame must not inflate past the configured budget.
-		if cf, err = wire.DecodeComponentFrame(body, pl.maxState); err != nil {
+		cf, err = wire.DecodeComponentFrameWith(body, pl.maxState, func(id string) (wire.ComponentBase, bool) {
+			c, ok := held[id]
+			return wire.ComponentBase{Version: c.version, State: c.state}, ok
+		})
+		if errors.Is(err, wire.ErrDiffBase) && ack {
+			// A diff against a version of the component this coordinator
+			// does not hold: stale like any other delta base.
+			return pl.fetch(ctx, span, url, false)
+		}
+		if err != nil {
 			return false, "", poison(err)
+		}
+		diffs := 0
+		for _, c := range cf.Components {
+			if c.Base != nil {
+				diffs++
+			}
+		}
+		span.SetAttr("diff_components", diffs)
+		span.SetAttr("whole_components", len(cf.Components)-diffs)
+		if ins != nil {
+			ins.diffComps.Add(uint64(diffs))
 		}
 	} else {
 		sf, err := wire.DecodeStateFrame(body)
@@ -1167,7 +1195,7 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, allow
 		cf = componentFrameFromState(sf)
 	}
 	if cf.Delta {
-		if !allowDelta {
+		if !ack {
 			return false, "", poison(fmt.Errorf("GET /state: peer answered a delta frame to a full-frame request"))
 		}
 		mode = pullModeDelta

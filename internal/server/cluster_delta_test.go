@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,14 @@ import (
 // X-LDP-Frame mode header.
 func getState(t *testing.T, url string, base string) (int, []byte, string, string) {
 	t.Helper()
-	target := url + "/state?components=1"
+	return getStateQuery(t, url, "components=1", base)
+}
+
+// getStateQuery is getState with the query spelled out, for the diff=1
+// handshake.
+func getStateQuery(t *testing.T, url, query, base string) (int, []byte, string, string) {
+	t.Helper()
+	target := url + "/state?" + query
 	req, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +61,13 @@ func TestStateDeltaHandshake(t *testing.T) {
 	// One ingest worker keeps a POSTed batch a single ConsumeBatch call,
 	// which (round-robin) lands on exactly one shard.
 	_, ts := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 8, IngestWorkers: 1})
-	postBatchOK(t, ts.URL, p, makeClusterReports(t, p, 160, 21))
+	// Eight batches, one per shard: a big one, then seven single reports
+	// that bring the round-robin back to the big one's shard.
+	first := makeClusterReports(t, p, 160, 21)
+	postBatchOK(t, ts.URL, p, first[:153])
+	for i := 153; i < 160; i++ {
+		postBatchOK(t, ts.URL, p, first[i:i+1])
+	}
 
 	status, body, etag, mode := getState(t, ts.URL, "")
 	if status != http.StatusOK || mode != "full" {
@@ -95,9 +110,30 @@ func TestStateDeltaHandshake(t *testing.T) {
 		t.Fatalf("legacy endpoint with acknowledged version: status %d, want 304", resp.StatusCode)
 	}
 
-	// One more batch moves one shard; a pull acknowledging the old base
-	// gets a delta carrying only the moved component(s).
+	// One more batch moves one shard. A puller that asks for diffs gets
+	// the moved component as its difference from the blob the base export
+	// shipped, which only a decoder holding that blob can read...
 	postBatchOK(t, ts.URL, p, makeClusterReports(t, p, 20, 22))
+	status, diffBody, _, mode := getStateQuery(t, ts.URL, "components=1&diff=1", etag)
+	if status != http.StatusOK || mode != "delta" {
+		t.Fatalf("moved state, diffs asked for: status %d mode %q, want 200 delta", status, mode)
+	}
+	if _, err := wire.DecodeComponentFrame(diffBody, 1<<24); err == nil {
+		t.Fatal("diff=1 reply decodes without a base: no component shipped as a diff")
+	}
+	diffed, err := wire.DecodeComponentFrameWith(diffBody, 1<<24, func(id string) (wire.ComponentBase, bool) {
+		for _, c := range full.Components {
+			if c.ID == id {
+				return wire.ComponentBase{Version: c.Version, State: c.State}, true
+			}
+		}
+		return wire.ComponentBase{}, false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ...and one that does not (an older coordinator: components=1 and a
+	// base, nothing else) still gets whole components, the same blobs.
 	status, body, etag2, mode := getState(t, ts.URL, etag)
 	if status != http.StatusOK || mode != "delta" {
 		t.Fatalf("moved state: status %d mode %q, want 200 delta", status, mode)
@@ -112,6 +148,16 @@ func TestStateDeltaHandshake(t *testing.T) {
 	if len(delta.Components) == 0 || len(delta.Components) >= len(full.Components)+1 {
 		t.Fatalf("delta ships %d components over a %d-component full frame, want a strict subset of moved shards",
 			len(delta.Components), len(full.Components))
+	}
+	if len(diffBody) >= len(body) || len(diffed.Components) != len(delta.Components) {
+		t.Fatalf("diff reply: %d bytes, %d components; whole-component reply: %d bytes, %d components",
+			len(diffBody), len(diffed.Components), len(body), len(delta.Components))
+	}
+	for i, c := range delta.Components {
+		d := diffed.Components[i]
+		if c.Base != nil || d.ID != c.ID || d.Version != c.Version || d.N != c.N || !bytes.Equal(d.State, c.State) {
+			t.Fatalf("component %s: the diff rebuilds something other than the whole component", c.ID)
+		}
 	}
 	// Folding the delta over the base must reproduce a fresh full pull
 	// exactly — the invariant the coordinator's accept path relies on.
@@ -173,10 +219,21 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reps := makeClusterReports(t, p, 360, 31)
+			reps := makeClusterReports(t, p, 576, 31)
 			var split [2][]core.Report
 			for i, rep := range reps {
 				split[i%2] = append(split[i%2], rep)
+			}
+			// spread posts the next n reports of an edge's stream as four
+			// equal batches: batches are dealt to the four shards in turn,
+			// so every shard moves, by a quarter of n.
+			var sent [2]int
+			spread := func(url string, edge, n int) {
+				t.Helper()
+				for i := 0; i < 4; i++ {
+					postBatchOK(t, url, p, split[edge][sent[edge]:sent[edge]+n/4])
+					sent[edge] += n / 4
+				}
 			}
 			edge1Dir := t.TempDir()
 			st, err := store.Open(edge1Dir, p, store.Options{})
@@ -214,17 +271,28 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 						t.Fatalf("%s beta=%d: delta-pulled marginal differs from full-pulled", round, beta)
 					}
 				}
+				// What the deltas and diffs left the coordinator holding is,
+				// component for component, what one full frame of whole
+				// components installs in a coordinator that just started.
+				fresh, freshTS := newClusterNode(t, p, Options{
+					Role: RoleCoordinator, NodeID: "coord-fresh",
+					Peers: peers, PullInterval: time.Minute,
+				})
+				postPull(t, freshTS.URL)
+				sameHeldComponents(t, round, deltaCoord, fresh)
 			}
+			diffsFrom := func(url string) uint64 { return deltaCoord.puller.ins[url].diffComps.Value() }
 
 			// Round 1: first full pulls. Rounds 2-3: incremental growth,
-			// served as deltas to the delta coordinator.
-			postBatchOK(t, edge1TS.URL, p, split[0][:60])
-			postBatchOK(t, edge2TS.URL, p, split[1][:60])
-			compare("round 1", 120)
-			postBatchOK(t, edge1TS.URL, p, split[0][60:90])
-			compare("round 2", 150)
-			postBatchOK(t, edge2TS.URL, p, split[1][60:120])
-			compare("round 3", 210)
+			// served to the delta coordinator as deltas whose components
+			// are small next to the shards they moved.
+			spread(edge1TS.URL, 0, 240)
+			spread(edge2TS.URL, 1, 240)
+			compare("round 1", 480)
+			spread(edge1TS.URL, 0, 16)
+			compare("round 2", 496)
+			spread(edge2TS.URL, 1, 16)
+			compare("round 3", 512)
 
 			// Edge 1 crashes and recovers from its WAL at the same URL:
 			// the new process serves fresh (re-salted) version labels, so
@@ -245,10 +313,24 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 			}
 			t.Cleanup(func() { _ = edge1b.Close() })
 			edge1bTS := newServerAt(t, addr, edge1b)
-			postBatchOK(t, edge1bTS, p, split[0][90:180])
-			compare("post-recovery", 300)
-			postBatchOK(t, edge2TS.URL, p, split[1][120:180])
-			compare("round 5", 360)
+			spread(edge1bTS, 0, 16)
+			beforeRestart := diffsFrom(edge1TS.URL)
+			compare("post-recovery", 528)
+			if got := diffsFrom(edge1TS.URL); got != beforeRestart {
+				t.Fatalf("pull across the edge restart applied %d diffs to blobs of the dead process", got-beforeRestart)
+			}
+			spread(edge2TS.URL, 1, 16)
+			compare("round 5", 544)
+			// The full frame re-based the coordinator: diffs resume.
+			spread(edge1bTS, 0, 16)
+			compare("round 6", 560)
+			// One report moves one counter under the sampling and Hadamard
+			// protocols; under randomized response it moves half of them,
+			// and the whole component stays the smaller payload.
+			wantDiffs := kind != core.InpRR && kind != core.MargRR
+			if wantDiffs && diffsFrom(edge1TS.URL) == beforeRestart {
+				t.Error("no component of the restarted edge arrived as a diff once the coordinator held its new blobs")
+			}
 
 			// The delta path must actually have been exercised: at least
 			// one delta-mode pull per edge peer across the rounds.
@@ -259,6 +341,9 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 				}
 				if ins.bytesSaved.Value() == 0 {
 					t.Errorf("peer %s: delta pulls saved no bytes", url)
+				}
+				if wantDiffs && ins.diffComps.Value() == 0 {
+					t.Errorf("peer %s: no component arrived as a diff", url)
 				}
 			}
 		})
@@ -276,8 +361,10 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := makeClusterReports(t, p, 300, 41)
-	_, edge1TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 4})
-	_, edge2TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-2", Shards: 4})
+	// One shard each: the second batch moves the component the first one
+	// made, which is what a diff is taken of.
+	_, edge1TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
+	_, edge2TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-2", Shards: 1})
 	_, midTS := newClusterNode(t, p, Options{
 		Role: RoleCoordinator, NodeID: "mid",
 		Peers: []string{edge1TS.URL, edge2TS.URL}, PullInterval: time.Minute,
@@ -286,7 +373,7 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 		Role: RoleCoordinator, NodeID: "root",
 		Peers: []string{midTS.URL}, PullInterval: time.Minute,
 	})
-	_, flatTS := newClusterNode(t, p, Options{
+	flat, flatTS := newClusterNode(t, p, Options{
 		Role: RoleCoordinator, NodeID: "flat",
 		Peers: []string{edge1TS.URL, edge2TS.URL}, PullInterval: time.Minute,
 	})
@@ -307,14 +394,18 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 				t.Fatalf("%s beta=%d: two-tier marginal differs from flat coordinator", round, beta)
 			}
 		}
+		// The mid tier passes blobs through by reference and diffs them
+		// for the root like an edge would: the root ends up holding the
+		// edges' own components, byte for byte.
+		sameHeldComponents(t, round, root, flat)
 	}
 
-	postBatchOK(t, edge1TS.URL, p, reps[:100])
-	postBatchOK(t, edge2TS.URL, p, reps[100:200])
-	converge("round 1", 200)
+	postBatchOK(t, edge1TS.URL, p, reps[:140])
+	postBatchOK(t, edge2TS.URL, p, reps[140:280])
+	converge("round 1", 280)
 	// Incremental: the root's second pull of the mid tier is a delta of
-	// the mid's pass-through components.
-	postBatchOK(t, edge1TS.URL, p, reps[200:300])
+	// the mid's pass-through components, the moved one as a diff.
+	postBatchOK(t, edge1TS.URL, p, reps[280:300])
 	converge("round 2", 300)
 
 	cs := postPull(t, rootTS.URL)
@@ -338,6 +429,132 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 	ins := root.puller.ins[midTS.URL]
 	if ins.deltaPulls.Value() == 0 {
 		t.Errorf("root never pulled a delta through the mid tier (full=%d)", ins.fullPulls.Value())
+	}
+	if ins.diffComps.Value() == 0 {
+		t.Error("no pass-through component reached the root as a diff")
+	}
+}
+
+// heldComponents flattens what a coordinator holds across its peers.
+func heldComponents(s *Server) map[string]peerComp {
+	s.fleet.mu.Lock()
+	defer s.fleet.mu.Unlock()
+	all := make(map[string]peerComp)
+	for _, pe := range s.fleet.peers {
+		for id, c := range pe.comps {
+			all[id] = c
+		}
+	}
+	return all
+}
+
+// sameHeldComponents fails unless two coordinators hold the same
+// components: ids, version labels, report counts and blob bytes.
+func sameHeldComponents(t *testing.T, round string, got, want *Server) {
+	t.Helper()
+	g, w := heldComponents(got), heldComponents(want)
+	if len(g) != len(w) || len(w) == 0 {
+		t.Fatalf("%s: %s holds %d components, %s holds %d", round, got.nodeID, len(g), want.nodeID, len(w))
+	}
+	for id, wc := range w {
+		gc, ok := g[id]
+		if !ok || gc.version != wc.version || gc.n != wc.n || !bytes.Equal(gc.state, wc.state) {
+			t.Fatalf("%s: component %s differs between %s and %s", round, id, got.nodeID, want.nodeID)
+		}
+	}
+}
+
+// TestDiffFallbackLadder walks the rungs below "diff": a retained blob
+// that is not the puller's base ships the component whole, and a diff
+// that does not rebuild on what the puller holds costs exactly one more
+// request, a full frame, in the same pull — after which diffs resume.
+func TestDiffFallbackLadder(t *testing.T) {
+	p, err := core.New(core.InpPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := makeClusterReports(t, p, 300, 71)
+	// One shard: every batch moves the same component.
+	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stateGets atomic.Int64
+	inner := edge.Handler()
+	edgeTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/state" {
+			stateGets.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { edgeTS.Close(); _ = edge.Close() })
+	newCoord := func(id string) (*Server, string, *peerInstruments) {
+		c, ts := newClusterNode(t, p, Options{
+			Role: RoleCoordinator, NodeID: id, Peers: []string{edgeTS.URL}, PullInterval: time.Minute,
+		})
+		return c, ts.URL, c.puller.ins[edgeTS.URL]
+	}
+	a, aURL, aIns := newCoord("coord-a")
+	b, bURL, _ := newCoord("coord-b")
+	type counts struct{ gets, full, delta, diffs uint64 }
+	pullA := func() counts {
+		t.Helper()
+		before := counts{uint64(stateGets.Load()), aIns.fullPulls.Value(), aIns.deltaPulls.Value(), aIns.diffComps.Value()}
+		if cs := postPull(t, aURL); cs.Peers[0].LastError != "" {
+			t.Fatalf("pull failed: %s", cs.Peers[0].LastError)
+		}
+		return counts{uint64(stateGets.Load()) - before.gets, aIns.fullPulls.Value() - before.full,
+			aIns.deltaPulls.Value() - before.delta, aIns.diffComps.Value() - before.diffs}
+	}
+
+	postBatchOK(t, edgeTS.URL, p, reps[:100])
+	if got := pullA(); got != (counts{gets: 1, full: 1}) {
+		t.Fatalf("first pull: %+v, want one full frame", got)
+	}
+	postBatchOK(t, edgeTS.URL, p, reps[100:150])
+	if got := pullA(); got != (counts{gets: 1, delta: 1, diffs: 1}) {
+		t.Fatalf("second pull: %+v, want one delta with the component as a diff", got)
+	}
+
+	// Another puller's export replaces the retained blob: the edge knows
+	// a's base from its history ring but no longer has the blob a holds.
+	postBatchOK(t, edgeTS.URL, p, reps[150:200])
+	postPull(t, bURL)
+	postBatchOK(t, edgeTS.URL, p, reps[200:250])
+	if got := pullA(); got != (counts{gets: 1, delta: 1}) {
+		t.Fatalf("pull against a stale retained blob: %+v, want one delta of whole components", got)
+	}
+	postPull(t, bURL)
+	sameHeldComponents(t, "after the whole-component delta", a, b)
+
+	// a's copy of its base goes bad under an unchanged label (the races
+	// the one-directional version guarantee allows end here too): the
+	// rebuilt blob fails its checksum, and the pull recovers on its own.
+	a.fleet.mu.Lock()
+	pe := a.fleet.peers[0]
+	bad := make(map[string]peerComp, len(pe.comps))
+	for id, c := range pe.comps {
+		c.state = append([]byte(nil), c.state...)
+		c.state[len(c.state)-1] ^= 1
+		bad[id] = c
+	}
+	pe.comps = bad
+	a.fleet.mu.Unlock()
+	postBatchOK(t, edgeTS.URL, p, reps[250:275])
+	if got := pullA(); got != (counts{gets: 2, full: 1}) {
+		t.Fatalf("pull onto a mismatched base: %+v, want the diff reply plus exactly one full re-fetch", got)
+	}
+	postPull(t, bURL)
+	sameHeldComponents(t, "after the full re-fetch", a, b)
+
+	postBatchOK(t, edgeTS.URL, p, reps[275:])
+	if got := pullA(); got != (counts{gets: 1, delta: 1, diffs: 1}) {
+		t.Fatalf("pull after the re-fetch: %+v, want diffs to have resumed", got)
+	}
+	postPull(t, bURL)
+	sameHeldComponents(t, "at the end", a, b)
+	if a.N() != len(reps) {
+		t.Fatalf("coordinator holds %d reports, %d were posted", a.N(), len(reps))
 	}
 }
 
@@ -471,4 +688,79 @@ func newServerAt(t *testing.T, addr string, s *Server) string {
 	ts.Start()
 	t.Cleanup(ts.Close)
 	return ts.URL
+}
+
+// TestConcurrentDiffPullsConverge has two coordinators pull one edge as
+// fast as they can while it ingests: their exports race for the edge's
+// retained blobs and each other's bases, so every rung of the fallback
+// ladder gets taken in some order. Whatever the order, once the edge is
+// quiet one more pull leaves both holding exactly what a coordinator
+// that just started pulls.
+func TestConcurrentDiffPullsConverge(t *testing.T) {
+	p, err := core.New(core.InpPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
+	reps := makeClusterReports(t, p, 1200, 81)
+	postBatchOK(t, edgeTS.URL, p, reps[:400])
+	var coords [2]*Server
+	var urls [2]string
+	for i := range coords {
+		c, ts := newClusterNode(t, p, Options{
+			Role: RoleCoordinator, NodeID: "coord-" + string(rune('a'+i)),
+			Peers: []string{edgeTS.URL}, PullInterval: time.Minute,
+		})
+		coords[i], urls[i] = c, ts.URL
+	}
+	stop := make(chan struct{})
+	var pullers sync.WaitGroup
+	for _, url := range urls {
+		pullers.Add(1)
+		go func(url string) {
+			defer pullers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(url+"/pull", "", nil)
+				if err != nil {
+					t.Errorf("POST /pull: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("POST /pull: status %d", resp.StatusCode)
+					return
+				}
+			}
+		}(url)
+	}
+	for lo := 400; lo < len(reps); lo += 10 {
+		postBatchOK(t, edgeTS.URL, p, reps[lo:lo+10])
+	}
+	close(stop)
+	pullers.Wait()
+
+	fresh, freshTS := newClusterNode(t, p, Options{
+		Role: RoleCoordinator, NodeID: "coord-fresh", Peers: []string{edgeTS.URL}, PullInterval: time.Minute,
+	})
+	postPull(t, freshTS.URL)
+	diffs := uint64(0)
+	for i, c := range coords {
+		if cs := postPull(t, urls[i]); cs.Peers[0].LastError != "" || cs.Peers[0].N != len(reps) {
+			t.Fatalf("%s after the run: %+v", c.nodeID, cs.Peers[0])
+		}
+		sameHeldComponents(t, "after the run", c, fresh)
+		ins := c.puller.ins[edgeTS.URL]
+		if ins.failed.Value() != 0 {
+			t.Errorf("%s: %d pulls failed", c.nodeID, ins.failed.Value())
+		}
+		diffs += ins.diffComps.Value()
+	}
+	if diffs == 0 {
+		t.Error("no component arrived as a diff in the whole run")
+	}
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/wire"
 )
 
@@ -20,7 +22,11 @@ import (
 // the components whose version moved since that base, plus removed ids),
 // or a full frame when the base is unknown — too old for the history
 // ring, from before a restart (the version salt changed), or never
-// served by this process.
+// served by this process. A puller that adds diff=1 lets the components
+// of a delta frame arrive as counter differences from the versions it
+// holds (wire/diff.go): the node keeps the blobs of its latest export,
+// and a moved component whose blob at the base is still among them
+// ships as a diff when that is the smaller payload.
 
 // exportHistorySize bounds the per-node ring of remembered export
 // labels. A coordinator pulls each peer once per interval, so 64 entries
@@ -101,54 +107,86 @@ func shardComponentID(nodeID string, shard int) string {
 	return nodeID + "/" + strconv.Itoa(shard)
 }
 
-// exportComponents captures the node's state as components plus the
-// version vector a delta base against this export must be diffed with.
-// The returned top label is read before any component state is captured,
+// stateExport is one componentized export: the top label, the components
+// sorted by id, and the version vector a delta base against this export
+// must be diffed with. The node keeps its latest one, so that the next
+// export can reuse the blobs of shards that did not move and diff the
+// ones that did against what the puller holds; blobs are shared with the
+// fleet or the previous export, never copied.
+type stateExport struct {
+	top   uint64
+	comps []wire.StateComponent
+	vec   map[string]uint64
+	// shards holds the blobs of comps the way ExportShardsReusing takes
+	// them back (sharded nodes only).
+	shards []core.ShardExport
+}
+
+// component returns the export's component of that id.
+func (e *stateExport) component(id string) (wire.StateComponent, bool) {
+	i := sort.Search(len(e.comps), func(i int) bool { return e.comps[i].ID >= id })
+	if i == len(e.comps) || e.comps[i].ID != id {
+		return wire.StateComponent{}, false
+	}
+	return e.comps[i], true
+}
+
+// exportComponents captures the node's state as components, marshaling
+// only the shards that moved since prev (the node's previous export, or
+// nil). The top label is read before any component state is captured,
 // so it can only trail the content (re-transfer, never skip). Component
 // versions from the local pipeline are offset by the process version
 // salt, exactly like the top label; a coordinator's pass-through
 // components keep their origin's (already salted) labels.
-func (s *Server) exportComponents() (top uint64, comps []wire.StateComponent, vec map[string]uint64, err error) {
-	if s.fleet != nil {
-		top, comps, vec = s.fleet.exportComponents()
-		return s.verSalt + top, comps, vec, nil
-	}
-	if s.win != nil {
+func (s *Server) exportComponents(prev *stateExport) (*stateExport, error) {
+	exp := &stateExport{}
+	switch {
+	case s.fleet != nil:
+		exp.top, exp.comps, exp.vec = s.fleet.exportComponents()
+		exp.top += s.verSalt
+	case s.win != nil:
 		// The window is one component: expiry shrinks its state, so
 		// per-shard deltas would need exact removal tracking; shipping
-		// the (already bounded) window whole when it moved is simpler
-		// and still skips the transfer entirely when it didn't.
-		top = s.verSalt + s.win.Version()
+		// the (already bounded) window as one component when it moved is
+		// simpler and still skips the transfer entirely when it didn't.
+		exp.top = s.verSalt + s.win.Version()
 		snap, err := s.win.Snapshot()
 		if err != nil {
-			return 0, nil, nil, err
+			return nil, err
 		}
 		blob, err := snap.MarshalState()
 		if err != nil {
-			return 0, nil, nil, err
+			return nil, err
 		}
-		comps = []wire.StateComponent{{ID: s.nodeID, Version: top, N: snap.N(), State: blob}}
-		return top, comps, map[string]uint64{s.nodeID: top}, nil
+		exp.comps = []wire.StateComponent{{ID: s.nodeID, Version: exp.top, N: snap.N(), State: blob}}
+		exp.vec = map[string]uint64{s.nodeID: exp.top}
+	default:
+		exp.top = s.verSalt + s.agg.Version()
+		var held []core.ShardExport
+		if prev != nil {
+			held = prev.shards
+		}
+		exps, vers, err := s.agg.ExportShardsReusing(held)
+		if err != nil {
+			return nil, err
+		}
+		exp.shards = exps
+		exp.comps = make([]wire.StateComponent, 0, len(exps))
+		for _, e := range exps {
+			exp.comps = append(exp.comps, wire.StateComponent{
+				ID:      shardComponentID(s.nodeID, e.Index),
+				Version: s.verSalt + e.Version,
+				N:       e.N,
+				State:   e.State,
+			})
+		}
+		exp.vec = make(map[string]uint64, len(vers))
+		for i, v := range vers {
+			exp.vec[shardComponentID(s.nodeID, i)] = s.verSalt + v
+		}
 	}
-	top = s.verSalt + s.agg.Version()
-	exps, vers, err := s.agg.ExportShards()
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	comps = make([]wire.StateComponent, 0, len(exps))
-	for _, e := range exps {
-		comps = append(comps, wire.StateComponent{
-			ID:      shardComponentID(s.nodeID, e.Index),
-			Version: s.verSalt + e.Version,
-			N:       e.N,
-			State:   e.State,
-		})
-	}
-	vec = make(map[string]uint64, len(vers))
-	for i, v := range vers {
-		vec[shardComponentID(s.nodeID, i)] = s.verSalt + v
-	}
-	return top, comps, vec, nil
+	wire.SortComponents(exp.comps)
+	return exp, nil
 }
 
 // exportComponents passes the coordinator's held peer components through
@@ -199,18 +237,27 @@ func parseStateBase(etag, since string) (uint64, bool) {
 // against the base vector: only components whose label moved (or are
 // new) ship, and ids present at the base but gone now are listed as
 // removed. The frame keeps the full export's top label and total count,
-// so the importer can cross-check the fold.
-func deltaAgainst(full wire.ComponentFrame, baseVec, curVec map[string]uint64) wire.ComponentFrame {
+// so the importer can cross-check the fold. With held set (the node's
+// previous export, for a puller that asked for diffs), a shipped
+// component whose blob at the base version is still in it is offered to
+// the encoder as that base.
+func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[string]uint64, held *stateExport) wire.ComponentFrame {
 	delta := wire.ComponentFrame{
 		NodeID:      full.NodeID,
 		Version:     full.Version,
 		Delta:       true,
-		BaseVersion: 0, // set by caller
+		BaseVersion: base,
 		N:           full.N,
 	}
 	for _, c := range full.Components {
-		if v, ok := baseVec[c.ID]; ok && v == c.Version {
+		v, atBase := baseVec[c.ID]
+		if atBase && v == c.Version {
 			continue
+		}
+		if atBase && held != nil {
+			if old, ok := held.component(c.ID); ok && old.Version == v {
+				c.Base = &wire.ComponentBase{Version: v, State: old.State}
+			}
 		}
 		delta.Components = append(delta.Components, c)
 	}
@@ -219,6 +266,7 @@ func deltaAgainst(full wire.ComponentFrame, baseVec, curVec map[string]uint64) w
 			delta.Removed = append(delta.Removed, id)
 		}
 	}
+	sort.Strings(delta.Removed)
 	return delta
 }
 

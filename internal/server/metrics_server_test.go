@@ -138,6 +138,7 @@ func TestMetricsAllRoles(t *testing.T) {
 		"ldp_cluster_peers_with_state 1",
 		"ldp_cluster_fleet_reports 1",
 		`ldp_cluster_pulls_total{peer="`+edgeTS.URL+`",result="changed"} 1`,
+		`ldp_cluster_pull_diff_components_total{peer="`+edgeTS.URL+`"} 0`,
 	)
 }
 

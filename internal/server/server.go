@@ -102,7 +102,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -369,7 +368,10 @@ type Server struct {
 	// reached the same counter value could be skipped by a coordinator
 	// as "unchanged". Consumers compare version labels only for
 	// equality, so the salt costs nothing and makes cross-restart
-	// collisions vanishingly unlikely.
+	// collisions vanishingly unlikely. It is drawn from [2^62, 2^63):
+	// 62 random bits, and every label is a nine-byte uvarint that no
+	// realistic mutation count carries into a tenth, so a frame's size
+	// is a function of its content alone.
 	verSalt uint64
 
 	ingest *ingestPipeline // nil when the role doesn't ingest (coordinator)
@@ -383,6 +385,12 @@ type Server struct {
 	// label anyway) empties it, and pullers then fall back to one full
 	// frame.
 	stateHist exportHistory
+	// lastExport is the latest componentized /state export: the blobs the
+	// next one reuses for shards that did not move and takes diffs
+	// against. Concurrent exports may store in either order; each is a
+	// consistent set of (version, blob) pairs, which is all a reader
+	// relies on.
+	lastExport atomic.Pointer[stateExport]
 
 	ins    *serverInstruments // always non-nil; hot paths update unconditionally
 	adm    *admission         // ingest load shedding; nil when disabled or not ingesting
@@ -452,7 +460,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 	if _, err := rand.Read(salt[:]); err != nil {
 		return fail(fmt.Errorf("server: generating version salt: %w", err))
 	}
-	s.verSalt = binary.LittleEndian.Uint64(salt[:])
+	s.verSalt = 1<<62 | binary.LittleEndian.Uint64(salt[:])>>2
 	if opts.Window > 0 {
 		win, err := window.NewRing(p, window.Options{
 			Window: opts.Window,
@@ -1311,7 +1319,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 //   - Either form answers 304 Not Modified when the caller's
 //     If-None-Match (or ?since=) base equals the current version; with
 //     ?components=1 a known, non-current base narrows the reply to a
-//     delta frame shipping only the components that moved since it.
+//     delta frame shipping only the components that moved since it,
+//     and with &diff=1 on top a moved component ships as its counter
+//     difference from the base's blob when this node still has that
+//     blob and the difference is the smaller payload.
 //
 // An unknown base — expired from the history ring, or from before a
 // restart (the version salt changed) — falls back to a full frame.
@@ -1334,25 +1345,28 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		s.serveLegacyState(w, r)
 		return
 	}
-	top, comps, vec, err := s.exportComponents()
+	prev := s.lastExport.Load()
+	exp, err := s.exportComponents(prev)
 	if err != nil {
 		httpError(w, r, "exporting state components: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.stateHist.record(top, vec)
-	total, err := sumComponentReports(comps)
+	s.lastExport.Store(exp)
+	s.stateHist.record(exp.top, exp.vec)
+	total, err := sumComponentReports(exp.comps)
 	if err != nil {
 		httpError(w, r, "exporting state components: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	wire.SortComponents(comps)
-	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: comps}
+	top := exp.top
+	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps}
 	mode := "full"
 	if haveBase && base != top {
 		if baseVec, ok := s.stateHist.lookup(base); ok {
-			frame = deltaAgainst(frame, baseVec, vec)
-			frame.BaseVersion = base
-			sort.Strings(frame.Removed)
+			if q.Get("diff") != "1" {
+				prev = nil
+			}
+			frame = deltaAgainst(frame, base, baseVec, exp.vec, prev)
 			mode = "delta"
 		}
 	}

@@ -113,6 +113,21 @@ func TestCrossProcessPullTrace(t *testing.T) {
 		}
 	}
 
+	// The pull span says how the components arrived: a first pull has no
+	// base to take a diff against.
+	for _, sp := range coordTrace.Spans {
+		if sp.Name != "cluster.pull" {
+			continue
+		}
+		attrs := make(map[string]string, len(sp.Attrs))
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["diff_components"] != "0" || attrs["whole_components"] != "1" {
+			t.Errorf("cluster.pull span attrs %v, want diff_components=0 whole_components=1", attrs)
+		}
+	}
+
 	// The SAME trace id on the edge: its GET /state request span joined
 	// the coordinator's trace via the injected traceparent, and is
 	// marked remote-rooted.

@@ -161,6 +161,53 @@ func TestCompactAfterShrinkPrunesBucketSegments(t *testing.T) {
 	}
 }
 
+// TestCompactTwiceKeepsActiveSegment: two compactions with no append
+// between (a windowed node compacts on every expiry, busy or idle) must
+// not record the still-active segment as covered. Recovery skips covered
+// segments and prune unlinks them, so reports acked into one would be
+// gone after a restart.
+func TestCompactTwiceKeepsActiveSegment(t *testing.T) {
+	p := testProtocol(t)
+	dir := t.TempDir()
+	st, err := Open(dir, p, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, frames := makeFrames(t, p, 300, 46)
+	agg := core.NewSharded(p, 2)
+	st.SetSource(agg.Snapshot)
+
+	ingestAll(t, st, agg, reps[:100], frames[:100])
+	for i := 0; i < 2; i++ {
+		if err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingestAll(t, st, agg, reps[100:200], frames[100:200])
+	// A third compaction prunes up to what the second one recorded, with
+	// the committer appending beside it.
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, st, agg, reps[200:], frames[200:])
+	st.crash()
+
+	re, err := Open(dir, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec, _ := re.Recovered(); rec.N() != len(reps) {
+		t.Fatalf("recovered %d reports, %d were acked", rec.N(), len(reps))
+	}
+	if !bytes.Equal(recoveredState(t, re), referenceState(t, p, reps)) {
+		t.Fatal("recovered state differs from the reference")
+	}
+}
+
 // TestCrashRecoveryAcrossBucketedSegments: a crash (no final snapshot,
 // no shutdown bookkeeping) with the WAL spread across bucket-aligned
 // segments recovers the full window byte-identically — the durable half

@@ -637,10 +637,12 @@ func (s *Store) Compact() error {
 }
 
 // Rotate closes the active WAL segment (synced) and opens the next
-// one, returning the closed segment's index. A windowed deployment
-// rotates on every bucket seal, so segment boundaries line up with
-// bucket boundaries: the log becomes time-bucketed, and expiry-time
-// compaction prunes whole buckets from disk at once.
+// one, returning the closed segment's index; an active segment that
+// holds no record stays, and the reply is the segment before it. A
+// windowed deployment rotates on every bucket seal, so segment
+// boundaries line up with bucket boundaries: the log becomes
+// time-bucketed, and expiry-time compaction prunes whole buckets from
+// disk at once.
 func (s *Store) Rotate() (uint64, error) {
 	s.barrier.RLock()
 	defer s.barrier.RUnlock()

@@ -22,7 +22,10 @@ import (
 // path fail, for chaos tests and the -fault-spec dev flag; disarmed,
 // each costs one atomic load.
 const (
-	// FaultWALAppend fails the committer's coalesced segment write.
+	// FaultWALAppend fails the committer's segment write. It is consulted
+	// once per appended group, not once per write syscall, so a schedule
+	// counts groups however the committer happened to coalesce them; a
+	// group that fires fails the whole coalesced write it is part of.
 	FaultWALAppend = "store.wal.append"
 	// FaultWALFsync fails the committer's fsync (group commit, interval
 	// tick, and pre-rotation syncs).
@@ -342,8 +345,15 @@ func (s *Store) committer(f *os.File, idx uint64, size int64) {
 			return
 		}
 		t0 := time.Now()
-		var n int
-		err := fault.Hit(FaultWALAppend)
+		var (
+			n   int
+			err error
+		)
+		for range inFlight {
+			if e := fault.Hit(FaultWALAppend); err == nil {
+				err = e
+			}
+		}
 		if err == nil {
 			n, err = cur.Write(scratch)
 		}
@@ -454,8 +464,11 @@ func (s *Store) committer(f *os.File, idx uint64, size int64) {
 					// The active segment holds nothing but its header: rotating
 					// would just litter the directory with empty files (a
 					// windowed deployment rotates on every bucket seal, ingest
-					// or not). Report the active segment as already current.
-					results[i] = walRes{seg: curIdx}
+					// or not). Report the newest closed segment, never the
+					// active one: a snapshot records the reply as covered, and
+					// a covered segment is skipped by recovery and unlinked by
+					// prune while appends still go to it.
+					results[i] = walRes{seg: curIdx - 1}
 					continue
 				}
 				old := curIdx

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Componentized state-exchange frame: the delta-capable successor of the
@@ -31,7 +32,10 @@ import (
 //	repeat (ids strictly increasing):
 //	  uvarint id length, id bytes,
 //	  uvarint component version, uvarint component report count,
-//	  encoding byte (0 raw, 1 flate), uvarint raw state length,
+//	  encoding byte (bit0: flate, bit1: diff), uvarint raw state length,
+//	  diff components only:
+//	    uvarint component version minus base component version,
+//	    crc32c of the raw state (4 bytes LE), uvarint raw diff length,
 //	  uvarint payload length, payload bytes,
 //	uvarint removed-id count        (delta frames only),
 //	repeat (ids strictly increasing): uvarint id length, id bytes,
@@ -41,8 +45,16 @@ import (
 // prefixes its own node id ("edge-1/17" for shard 17), and coordinators
 // pass ids through unchanged, so a root coordinator can deduplicate and
 // cycle-check constituents through any number of mid tiers. Components
-// are sorted by id and each blob is flate-compressed only when that
-// shrinks it, so an encoded frame is canonical for its logical content.
+// are sorted by id and each payload takes the smallest of its raw,
+// flate.BestSpeed and flate.HuffmanOnly forms (earlier wins a tie), so an
+// encoded frame is canonical for its logical content. A *diff* component
+// (diff.go) carries, instead of the state, its per-counter difference
+// from the version of that component the puller said it holds; the
+// decoder rebuilds the state from its own copy of that version and
+// checks it against the declared length and checksum, so everything
+// past the decoder sees whole canonical blobs either way. An exporter
+// ships one only to a puller that asked (the encoding bit is unknown to
+// older decoders) and only when it makes the component smaller.
 // Version labels carry the same one-directional guarantee as LDPX (see
 // exchange.go): equal labels may rarely hide a racing mutation for one
 // pull round, but the exporter's delta bases are recorded conservatively
@@ -55,8 +67,9 @@ const (
 
 	deltaFlagDelta = 0x01
 
-	compEncRaw   = 0
-	compEncFlate = 1
+	// Component encoding bits.
+	compEncFlate = 0x01 // payload is a deflate stream
+	compEncDiff  = 0x02 // payload is a state diff, not a state
 
 	// MaxComponentIDLen bounds one component id: an originating node id
 	// plus a "/"-separated local suffix (shard index).
@@ -83,6 +96,11 @@ type StateComponent struct {
 	N int
 	// State is the component's canonical Aggregator.MarshalState blob.
 	State []byte
+	// Base, on a component to encode, is the version of it the puller
+	// holds: the encoder ships State as a diff against Base.State when
+	// that is smaller than State whole. On a decoded component it is the
+	// base a shipped diff was applied to, nil when State arrived whole.
+	Base *ComponentBase
 }
 
 // ComponentFrame is a componentized state export: full, or a delta
@@ -123,8 +141,89 @@ func validComponentID(id string) error {
 	return nil
 }
 
-// EncodeComponentFrame serializes one componentized frame, compressing
-// each component blob with flate when that shrinks it. Components and
+// packer deflates component payloads, reusing its two compressors (about
+// a megabyte of tables each) across components and, through packers,
+// across frames.
+type packer struct {
+	zw  [2]*flate.Writer
+	out [2]bytes.Buffer
+}
+
+var packers = sync.Pool{New: func() any { return new(packer) }}
+
+// packLevels are tried in order and the first smallest result wins.
+// BestSpeed's matcher finds spurious matches in small-alphabet counter
+// bytes, which HuffmanOnly then beats; on wider alphabets the two tie.
+var packLevels = [2]int{flate.BestSpeed, flate.HuffmanOnly}
+
+// pack returns the smallest encoding of raw and whether it is deflated;
+// raw itself wins unless a deflate is strictly smaller. The result
+// aliases raw or the packer and is valid until the next call.
+func (p *packer) pack(raw []byte) (payload []byte, deflated bool, err error) {
+	payload = raw
+	if len(raw) == 0 {
+		return payload, false, nil
+	}
+	for i, level := range packLevels {
+		p.out[i].Reset()
+		if p.zw[i] == nil {
+			if p.zw[i], err = flate.NewWriter(&p.out[i], level); err != nil {
+				return nil, false, err
+			}
+		} else {
+			p.zw[i].Reset(&p.out[i])
+		}
+		if _, err := p.zw[i].Write(raw); err != nil {
+			return nil, false, err
+		}
+		if err := p.zw[i].Close(); err != nil {
+			return nil, false, err
+		}
+		if p.out[i].Len() < len(payload) {
+			payload, deflated = p.out[i].Bytes(), true
+		}
+	}
+	return payload, deflated, nil
+}
+
+// component picks how c ships: the encoding byte, the fields a diff
+// component carries between its raw length and its payload (nil for a
+// whole one), and the payload. A diff wins only when it makes the
+// component strictly smaller on the wire, those fields included.
+func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte, err error) {
+	// The diff is packed first and copied aside: it is the small one.
+	var diffPayload []byte
+	var diffDeflated bool
+	if c.Base != nil {
+		if diff, ok := diffState(c.Base.State, c.State); ok {
+			packed, deflated, err := p.pack(diff)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			diffPayload, diffDeflated = append([]byte(nil), packed...), deflated
+			diffHead = binary.AppendUvarint(diffHead, c.Version-c.Base.Version)
+			diffHead = binary.LittleEndian.AppendUint32(diffHead, crc32.Checksum(c.State, exchangeCRC))
+			diffHead = binary.AppendUvarint(diffHead, uint64(len(diff)))
+		}
+	}
+	payload, deflated, err := p.pack(c.State)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if diffHead != nil && len(diffHead)+len(diffPayload) < len(payload) {
+		payload, deflated, enc = diffPayload, diffDeflated, compEncDiff
+	} else {
+		diffHead = nil
+	}
+	if deflated {
+		enc |= compEncFlate
+	}
+	return enc, diffHead, payload, nil
+}
+
+// EncodeComponentFrame serializes one componentized frame, deflating
+// each component payload when that shrinks it and shipping a component
+// that names a Base as a diff when that is smaller still. Components and
 // removed ids must be sorted strictly increasing by id.
 func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	if len(f.NodeID) == 0 || len(f.NodeID) > MaxNodeIDLen {
@@ -154,7 +253,8 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(f.N))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Components)))
-	var comp bytes.Buffer
+	pk := packers.Get().(*packer)
+	defer packers.Put(pk)
 	for i, c := range f.Components {
 		if err := validComponentID(c.ID); err != nil {
 			return nil, err
@@ -169,25 +269,14 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 		buf = append(buf, c.ID...)
 		buf = binary.AppendUvarint(buf, c.Version)
 		buf = binary.AppendUvarint(buf, uint64(c.N))
-		payload, enc := c.State, byte(compEncRaw)
-		if len(c.State) > 0 {
-			comp.Reset()
-			zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-			if err != nil {
-				return nil, fmt.Errorf("wire: component %q: %w", c.ID, err)
-			}
-			if _, err := zw.Write(c.State); err != nil {
-				return nil, fmt.Errorf("wire: component %q: %w", c.ID, err)
-			}
-			if err := zw.Close(); err != nil {
-				return nil, fmt.Errorf("wire: component %q: %w", c.ID, err)
-			}
-			if comp.Len() < len(c.State) {
-				payload, enc = comp.Bytes(), compEncFlate
-			}
+
+		enc, diffHead, payload, err := pk.component(c)
+		if err != nil {
+			return nil, fmt.Errorf("wire: component %q: %w", c.ID, err)
 		}
 		buf = append(buf, enc)
 		buf = binary.AppendUvarint(buf, uint64(len(c.State)))
+		buf = append(buf, diffHead...)
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
@@ -257,12 +346,47 @@ func (r *componentReader) id(what string) string {
 	return string(r.bytes(n, what))
 }
 
-// DecodeComponentFrame parses and CRC-verifies one componentized frame.
-// maxRaw bounds the total decompressed component state bytes the decoder
-// will materialize, so a hostile frame cannot compress-bomb the puller
-// past its configured state budget. Decoded component states are fresh
-// allocations (never aliasing buf); ids alias nothing either.
+// unpack returns a fresh copy of the n raw bytes a component payload
+// holds, inflating it when deflated.
+func unpack(payload []byte, deflated bool, n uint64) ([]byte, error) {
+	if !deflated {
+		if uint64(len(payload)) != n {
+			return nil, fmt.Errorf("raw payload of %d bytes declares %d raw", len(payload), n)
+		}
+		return append([]byte(nil), payload...), nil
+	}
+	// A deflate at least as large as what it holds is non-canonical: the
+	// encoder would have stored it raw.
+	if uint64(len(payload)) >= n {
+		return nil, fmt.Errorf("flate payload of %d bytes for %d raw is non-canonical", len(payload), n)
+	}
+	raw := make([]byte, n)
+	zr := flate.NewReader(bytes.NewReader(payload))
+	if _, err := io.ReadFull(zr, raw); err != nil {
+		return nil, fmt.Errorf("inflating: %w", err)
+	}
+	// The stream must end exactly at the declared raw length.
+	if n, err := zr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		return nil, fmt.Errorf("inflates past declared %d bytes", len(raw))
+	}
+	return raw, nil
+}
+
+// DecodeComponentFrame parses and CRC-verifies one componentized frame
+// whose components all arrive whole; a diff component is an error (see
+// DecodeComponentFrameWith). maxRaw bounds the total decompressed bytes
+// the decoder will materialize, so a hostile frame cannot compress-bomb
+// the puller past its configured state budget. Decoded component states
+// are fresh allocations (never aliasing buf); ids alias nothing either.
 func DecodeComponentFrame(buf []byte, maxRaw int64) (ComponentFrame, error) {
+	return DecodeComponentFrameWith(buf, maxRaw, nil)
+}
+
+// DecodeComponentFrameWith is DecodeComponentFrame for a puller that
+// asked for diffs: base returns what it holds for a component id. A diff
+// against any other version of the component, or whose result fails the
+// declared length or checksum, fails with an error wrapping ErrDiffBase.
+func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (ComponentBase, bool)) (ComponentFrame, error) {
 	var f ComponentFrame
 	if maxRaw < 0 {
 		maxRaw = 0
@@ -312,7 +436,7 @@ func DecodeComponentFrame(buf []byte, maxRaw int64) (ComponentFrame, error) {
 	if count > 0 {
 		f.Components = make([]StateComponent, 0, min(count, uint64(len(r.rest))))
 	}
-	var rawTotal int64
+	budget := uint64(maxRaw)
 	for i := uint64(0); i < count && r.err == nil; i++ {
 		var c StateComponent
 		c.ID = r.id("component id")
@@ -320,6 +444,16 @@ func DecodeComponentFrame(buf []byte, maxRaw int64) (ComponentFrame, error) {
 		cn := r.uvarint("component report count")
 		enc := r.byteVal("component encoding")
 		rawLen := r.uvarint("component raw length")
+		isDiff := enc&compEncDiff != 0
+		var (
+			verDelta, diffLen uint64
+			sum               []byte
+		)
+		if isDiff {
+			verDelta = r.uvarint("component base version")
+			sum = r.bytes(4, "component state checksum")
+			diffLen = r.uvarint("component raw diff length")
+		}
 		payLen := r.uvarint("component payload length")
 		payload := r.bytes(payLen, "component payload")
 		if r.err != nil {
@@ -331,35 +465,46 @@ func DecodeComponentFrame(buf []byte, maxRaw int64) (ComponentFrame, error) {
 		if cn > uint64(math.MaxInt) {
 			return f, fmt.Errorf("wire: component %q report count overflows int", c.ID)
 		}
-		rawTotal += int64(rawLen)
-		if rawTotal < 0 || rawTotal > maxRaw {
-			return f, fmt.Errorf("wire: component frame raw state exceeds %d byte budget", maxRaw)
+		if enc&^(compEncFlate|compEncDiff) != 0 {
+			return f, fmt.Errorf("wire: component %q encoding %d unknown", c.ID, enc)
+		}
+		// Both the state and a diff's own raw form are materialized.
+		for _, n := range [2]uint64{rawLen, diffLen} {
+			if n > budget {
+				return f, fmt.Errorf("wire: component frame raw state exceeds %d byte budget", maxRaw)
+			}
+			budget -= n
 		}
 		c.Version, c.N = ver, int(cn)
-		switch enc {
-		case compEncRaw:
-			if payLen != rawLen {
-				return f, fmt.Errorf("wire: component %q raw payload of %d bytes declares %d raw", c.ID, payLen, rawLen)
-			}
-			c.State = append([]byte(nil), payload...)
-		case compEncFlate:
-			// A flate payload at least as large as the raw state is
-			// non-canonical: the encoder would have stored it raw.
+		unpackLen := rawLen
+		if isDiff {
+			// A diff no smaller than the state it stands for is
+			// non-canonical: the encoder would have shipped the state.
 			if payLen >= rawLen {
-				return f, fmt.Errorf("wire: component %q flate payload of %d bytes for %d raw is non-canonical", c.ID, payLen, rawLen)
+				return f, fmt.Errorf("wire: component %q diff payload of %d bytes for %d raw is non-canonical", c.ID, payLen, rawLen)
 			}
-			raw := make([]byte, rawLen)
-			zr := flate.NewReader(bytes.NewReader(payload))
-			if _, err := io.ReadFull(zr, raw); err != nil {
-				return f, fmt.Errorf("wire: component %q: inflating: %w", c.ID, err)
+			unpackLen = diffLen
+		}
+		raw, err := unpack(payload, enc&compEncFlate != 0, unpackLen)
+		if err != nil {
+			return f, fmt.Errorf("wire: component %q: %w", c.ID, err)
+		}
+		c.State = raw
+		if isDiff {
+			if base == nil {
+				return f, fmt.Errorf("wire: component %q arrived as a diff, which was not asked for", c.ID)
 			}
-			// The stream must end exactly at the declared raw length.
-			if n, err := zr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-				return f, fmt.Errorf("wire: component %q inflates past declared %d bytes", c.ID, rawLen)
+			held, ok := base(c.ID)
+			if !ok || held.Version != ver-verDelta {
+				return f, fmt.Errorf("wire: component %q is a diff against version %d: %w", c.ID, ver-verDelta, ErrDiffBase)
 			}
-			c.State = raw
-		default:
-			return f, fmt.Errorf("wire: component %q encoding %d unknown", c.ID, enc)
+			if c.State, err = applyDiff(held.State, raw, rawLen); err != nil {
+				return f, fmt.Errorf("wire: component %q: %w", c.ID, err)
+			}
+			if crc32.Checksum(c.State, exchangeCRC) != binary.LittleEndian.Uint32(sum) {
+				return f, fmt.Errorf("wire: component %q rebuilt state fails its checksum: %w", c.ID, ErrDiffBase)
+			}
+			c.Base = &held
 		}
 		f.Components = append(f.Components, c)
 	}

@@ -229,6 +229,24 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 	})
 	f.Add(full)
 	f.Add(delta)
+	// Diff components, honest and not: the target offers diffFixture's
+	// base, so these reach the rebuild and its checks.
+	base, _, good := diffFixture()
+	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" }
+	f.Add(good.frame())
+	for _, mutate := range []func(*diffFields){
+		func(d *diffFields) { d.verDelta++ },              // another base version
+		func(d *diffFields) { d.sum ^= 1 },                // wrong result checksum
+		func(d *diffFields) { d.rawLen++ },                // length mismatch
+		func(d *diffFields) { d.rawLen = testMaxRaw + 1 }, // over the raw budget
+		func(d *diffFields) { d.rawLen = d.diffLen },      // diff not smaller than raw
+		func(d *diffFields) { d.enc |= compEncFlate },     // raw payload declared deflated
+		func(d *diffFields) { d.payload = d.payload[:len(d.payload)-1]; d.diffLen-- },
+	} {
+		d := good
+		mutate(&d)
+		f.Add(d.frame())
+	}
 	f.Add([]byte("LDPD"))
 	f.Add([]byte{})
 	// Hand-corrupted seeds: truncated compressed payload, stale base
@@ -242,19 +260,21 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 		f.Add(d)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cf, err := DecodeComponentFrame(data, testMaxRaw)
+		cf, err := DecodeComponentFrameWith(data, testMaxRaw, lookup)
 		if err != nil {
 			return
 		}
 		// Anything accepted must survive a re-encode/re-decode cycle with
 		// identical logical content. (Byte identity is not required: a
 		// hostile frame may store a compressible blob raw, or use a
-		// different flate packing, and still be structurally valid.)
+		// different flate packing, and still be structurally valid.) A
+		// component that arrived as a diff keeps its Base, so the
+		// re-encode takes the diff path again.
 		again, err := EncodeComponentFrame(cf)
 		if err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
-		cf2, err := DecodeComponentFrame(again, testMaxRaw)
+		cf2, err := DecodeComponentFrameWith(again, testMaxRaw, lookup)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
