@@ -194,12 +194,10 @@ func BenchmarkSnapshotFullBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchDecode measures the /report/batch decode stage with and
-// without the pooled buffers (allocs/op is the point: the pooled path
-// reuses the record slices across requests).
-func BenchmarkBatchDecode(b *testing.B) {
-	cfg := core.Config{D: 16, K: 3, Epsilon: 1.0986, OptimizedPRR: true}
-	p, err := core.New(core.InpHT, cfg)
+// batchDecodeBody is a 1024-report /report/batch body of the protocol.
+func batchDecodeBody(b *testing.B, kind core.Kind, cfg core.Config) []byte {
+	b.Helper()
+	p, err := core.New(kind, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -207,16 +205,40 @@ func BenchmarkBatchDecode(b *testing.B) {
 	r := rng.New(7)
 	reps := make([]core.Report, 1024)
 	for i := range reps {
-		rep, err := client.Perturb(uint64(i), r)
-		if err != nil {
+		if reps[i], err = client.Perturb(uint64(i)&(1<<cfg.D-1), r); err != nil {
 			b.Fatal(err)
 		}
-		reps[i] = rep
 	}
 	body, err := encoding.MarshalBatch(p.Name(), reps)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return body
+}
+
+// BenchmarkBatchDecode measures the /report/batch decode stage: with and
+// without the pooled buffers (allocs/op is the point: the pooled path
+// reuses the record slices across requests), then pooled once per wire
+// shape the decoder reads inline (InpPS index, InpHT index+sign, MargPS
+// beta+index, MargHT beta+index+sign, all d=8 k=2) and for InpRR, which
+// takes the general per-frame decode.
+func BenchmarkBatchDecode(b *testing.B) {
+	pooled := func(body []byte) func(b *testing.B) {
+		return func(b *testing.B) {
+			_, rs, es, err := encoding.UnmarshalBatchEndsInto(body, 1<<20, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, rs, es, err = encoding.UnmarshalBatchEndsInto(body, 1<<20, rs, es); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	body := batchDecodeBody(b, core.InpHT, core.Config{D: 16, K: 3, Epsilon: 1.0986, OptimizedPRR: true})
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -225,21 +247,9 @@ func BenchmarkBatchDecode(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
-		var (
-			rs []core.Report
-			es []int
-		)
-		_, rs, es, err := encoding.UnmarshalBatchEndsInto(body, 1<<20, rs, es)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, rs, es, err = encoding.UnmarshalBatchEndsInto(body, 1<<20, rs, es); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("pooled", pooled(body))
+	for _, kind := range []core.Kind{core.InpPS, core.InpHT, core.MargPS, core.MargHT, core.InpRR} {
+		body := batchDecodeBody(b, kind, core.Config{D: 8, K: 2, Epsilon: 1.0986, OptimizedPRR: true})
+		b.Run(kind.String(), pooled(body))
+	}
 }

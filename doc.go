@@ -42,6 +42,29 @@
 // per-marginal estimator scans) likewise parallelize across goroutines
 // for large d, deterministically.
 //
+// A /report/batch body goes from wire bytes to shard counters in two
+// passes with no call per report. The batch decoder
+// (encoding.UnmarshalBatchEndsInto — the only one; WAL replay uses it
+// too) reads the first frame through the general per-frame decode and
+// from its tag picks the batch's wire shape: index (InpPS), index+sign
+// (InpHT), beta+index (MargPS), beta+index+sign (MargHT). Later frames
+// in the shape's common form — one-byte length prefix, the same tag,
+// uvarints of at most three bytes — are read inline into pooled record
+// slices; any other frame, and every frame of the bitmap (InpRR, MargRR)
+// and OLH shapes, falls back to the general decode for that frame. The
+// inline path never rejects and never accepts what the general path
+// would not: the accepted byte strings, the decoded reports and the
+// error texts are exactly those of a frame-at-a-time decoder, which a
+// differential fuzzer (FuzzBatchDecodeMatchesFrames) enforces, because
+// decodable-but-invalid reports are how an LDP aggregator is attacked.
+// The four index protocols then validate and count a chunk of up to
+// 1,024 reports in one loop under one shard lock (InpHT and the Marg
+// protocols resolve a report's mask through a dense 2^d position table
+// up to d = 20), stopping at the first invalid report with exactly the
+// prefix before it consumed. A batch of one chunk is ingested on the
+// request's own goroutine under its worker-pool slot; only larger
+// batches fan out across shards.
+//
 // # Epochs and the materialized view
 //
 // The paper's key property — one round of reports answers every k-way

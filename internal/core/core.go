@@ -171,11 +171,13 @@ func (e *BatchError) Unwrap() error { return e.Err }
 
 // ConsumeAll is the reference ConsumeBatch implementation: it feeds the
 // reports to Consume in order, wrapping the first rejection in a
-// *BatchError. Out-of-package aggregators delegate to it; the six core
-// protocol aggregators intentionally inline the same loop with their
-// concrete receivers instead, so Consume devirtualizes (and inlines) in
-// the batch ingestion hot path rather than dispatching through the
-// interface once per report.
+// *BatchError. Out-of-package aggregators delegate to it, and the two
+// bitmap protocols (InpRR, MargRR) run the same loop over their concrete
+// receivers; the four index protocols (InpPS, InpHT, MargPS, MargHT)
+// replace it with a validate-and-increment loop that makes no call per
+// report and must stay indistinguishable from this one: same state, same
+// N, same BatchError.Index, same consumed prefix
+// (TestConsumeBatchMatchesConsume).
 func ConsumeAll(a Aggregator, reps []Report) error {
 	for i := range reps {
 		if err := a.Consume(reps[i]); err != nil {
@@ -225,16 +227,55 @@ func New(kind Kind, cfg Config) (Protocol, error) {
 // list C of all C(d,k) k-way marginals and the inverse lookup.
 type margIndex struct {
 	masks []uint64
-	pos   map[uint64]int
+	pos   maskPos
 }
 
 func newMargIndex(d, k int) *margIndex {
 	masks := bitops.MasksWithExactlyK(d, k)
-	pos := make(map[uint64]int, len(masks))
-	for i, m := range masks {
-		pos[m] = i
+	return &margIndex{masks: masks, pos: newMaskPos(d, masks)}
+}
+
+// maskPos maps a collected attribute mask — a marginal of C, a Hadamard
+// coefficient of T — to its position in the collection: the lookup
+// every report of the sampled-mask protocols pays once. Up to
+// denseMaskBits attributes it is a direct table over all 2^d masks
+// (one load, no hashing); above that, where such a table would not fit,
+// a hash map. Exactly one of the two is non-nil.
+type maskPos struct {
+	dense  []int32 // position+1 by mask; 0 = not collected
+	sparse map[uint64]int
+}
+
+// denseMaskBits is the largest d with a dense maskPos: 2^20 int32s,
+// 4 MiB per protocol instance.
+const denseMaskBits = MaxInputAttributes
+
+func newMaskPos(d int, masks []uint64) maskPos {
+	if d <= denseMaskBits {
+		dense := make([]int32, 1<<uint(d))
+		for i, m := range masks {
+			dense[m] = int32(i + 1)
+		}
+		return maskPos{dense: dense}
 	}
-	return &margIndex{masks: masks, pos: pos}
+	sparse := make(map[uint64]int, len(masks))
+	for i, m := range masks {
+		sparse[m] = i
+	}
+	return maskPos{sparse: sparse}
+}
+
+// lookup returns mask's position and whether it is collected.
+func (mp *maskPos) lookup(mask uint64) (int, bool) {
+	if mp.dense != nil {
+		if mask >= uint64(len(mp.dense)) {
+			return 0, false
+		}
+		p := mp.dense[mask]
+		return int(p) - 1, p != 0
+	}
+	p, ok := mp.sparse[mask]
+	return p, ok
 }
 
 // supersetsOf returns the positions in C of the k-way marginals
@@ -262,7 +303,7 @@ func (mi *margIndex) supersetsOf(beta uint64) []int {
 // safe for concurrent calls with distinct positions (the aggregators'
 // reconstructions only read accumulator state).
 func (mi *margIndex) estimateFromKWay(beta uint64, kWay func(pos int) (*marginal.Table, int, error)) (*marginal.Table, error) {
-	if p, ok := mi.pos[beta]; ok {
+	if p, ok := mi.pos.lookup(beta); ok {
 		t, _, err := kWay(p)
 		return t, err
 	}

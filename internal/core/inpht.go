@@ -19,8 +19,8 @@ import (
 type inpHT struct {
 	cfg    Config
 	rr     *mech.RR
-	coeffs []uint64       // T, the collected coefficient masks
-	pos    map[uint64]int // coefficient mask -> position in coeffs
+	coeffs []uint64 // T, the collected coefficient masks
+	pos    maskPos  // coefficient mask -> position in coeffs
 }
 
 // NewInpHT constructs the InpHT protocol. Any d up to
@@ -35,11 +35,7 @@ func NewInpHT(cfg Config) (Protocol, error) {
 		return nil, err
 	}
 	coeffs := hadamard.CoefficientSet(cfg.D, cfg.K)
-	pos := make(map[uint64]int, len(coeffs))
-	for i, alpha := range coeffs {
-		pos[alpha] = i
-	}
-	return &inpHT{cfg: cfg, rr: rr, coeffs: coeffs, pos: pos}, nil
+	return &inpHT{cfg: cfg, rr: rr, coeffs: coeffs, pos: newMaskPos(cfg.D, coeffs)}, nil
 }
 
 func (p *inpHT) Name() string   { return "InpHT" }
@@ -93,7 +89,7 @@ func (a *inpHTAgg) SetNormalizeByExpected(v bool) { a.normalizeByExpected = v }
 func (a *inpHTAgg) N() int { return a.n }
 
 func (a *inpHTAgg) Consume(rep Report) error {
-	i, ok := a.p.pos[rep.Index]
+	i, ok := a.p.pos.lookup(rep.Index)
 	if !ok {
 		return fmt.Errorf("core: InpHT report for coefficient %b outside T", rep.Index)
 	}
@@ -106,13 +102,30 @@ func (a *inpHTAgg) Consume(rep Report) error {
 	return nil
 }
 
-// ConsumeBatch incorporates reps in order; see Aggregator.
+// ConsumeBatch incorporates reps in order; see Aggregator. A report
+// whose coefficient the dense position table resolves and whose sign is
+// +-1 is counted in the loop; any other — invalid, or valid at a d too
+// large for the table — goes through Consume, which counts or rejects
+// it. n moves once for the reports counted here.
 func (a *inpHTAgg) ConsumeBatch(reps []Report) error {
+	dense, sums, counts := a.p.pos.dense, a.sums, a.counts
+	fast := 0
 	for i := range reps {
-		if err := a.Consume(reps[i]); err != nil {
+		r := &reps[i]
+		if r.Index < uint64(len(dense)) && (r.Sign == 1 || r.Sign == -1) {
+			if p := dense[r.Index]; p != 0 {
+				sums[p-1] += int64(r.Sign)
+				counts[p-1]++
+				fast++
+				continue
+			}
+		}
+		if err := a.Consume(*r); err != nil {
+			a.n += fast
 			return &BatchError{Index: i, Err: err}
 		}
 	}
+	a.n += fast
 	return nil
 }
 
@@ -181,7 +194,7 @@ func (a *inpHTAgg) ScaledCoefficient(alpha uint64) float64 {
 	if alpha == 0 {
 		return 1
 	}
-	i, ok := a.p.pos[alpha]
+	i, ok := a.p.pos.lookup(alpha)
 	if !ok || a.counts[i] == 0 {
 		return 0
 	}

@@ -77,13 +77,20 @@ func (a *inpPSAgg) Consume(rep Report) error {
 	return nil
 }
 
-// ConsumeBatch incorporates reps in order; see Aggregator.
+// ConsumeBatch incorporates reps in order; see Aggregator. One bounds
+// check and one increment per report; the first report that fails the
+// check goes to Consume for its error, and n moves once.
 func (a *inpPSAgg) ConsumeBatch(reps []Report) error {
+	counts := a.counts
 	for i := range reps {
-		if err := a.Consume(reps[i]); err != nil {
-			return &BatchError{Index: i, Err: err}
+		idx := reps[i].Index
+		if idx >= uint64(len(counts)) {
+			a.n += i
+			return &BatchError{Index: i, Err: a.Consume(reps[i])}
 		}
+		counts[idx]++
 	}
+	a.n += len(reps)
 	return nil
 }
 

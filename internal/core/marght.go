@@ -90,7 +90,7 @@ type margHTAgg struct {
 func (a *margHTAgg) N() int { return a.n }
 
 func (a *margHTAgg) Consume(rep Report) error {
-	pos, ok := a.p.idx.pos[rep.Beta]
+	pos, ok := a.p.idx.pos.lookup(rep.Beta)
 	if !ok {
 		return fmt.Errorf("core: MargHT report for unknown marginal %b", rep.Beta)
 	}
@@ -107,13 +107,31 @@ func (a *margHTAgg) Consume(rep Report) error {
 	return nil
 }
 
-// ConsumeBatch incorporates reps in order; see Aggregator.
+// ConsumeBatch incorporates reps in order; see Aggregator. Same shape
+// as inpHTAgg.ConsumeBatch: dense-table hits with a non-constant
+// in-range coefficient and a +-1 sign are counted in the loop,
+// everything else goes through Consume.
 func (a *margHTAgg) ConsumeBatch(reps []Report) error {
+	dense, sums, counts, users := a.p.idx.pos.dense, a.sums, a.counts, a.users
+	cells := uint64(a.p.cells)
+	fast := 0
 	for i := range reps {
-		if err := a.Consume(reps[i]); err != nil {
+		r := &reps[i]
+		if r.Beta < uint64(len(dense)) && r.Index != 0 && r.Index < cells && (r.Sign == 1 || r.Sign == -1) {
+			if p := dense[r.Beta]; p != 0 {
+				sums[p-1][r.Index] += int64(r.Sign)
+				counts[p-1][r.Index]++
+				users[p-1]++
+				fast++
+				continue
+			}
+		}
+		if err := a.Consume(*r); err != nil {
+			a.n += fast
 			return &BatchError{Index: i, Err: err}
 		}
 	}
+	a.n += fast
 	return nil
 }
 

@@ -73,7 +73,7 @@ type margPSAgg struct {
 func (a *margPSAgg) N() int { return a.n }
 
 func (a *margPSAgg) Consume(rep Report) error {
-	pos, ok := a.p.idx.pos[rep.Beta]
+	pos, ok := a.p.idx.pos.lookup(rep.Beta)
 	if !ok {
 		return fmt.Errorf("core: MargPS report for unknown marginal %b", rep.Beta)
 	}
@@ -86,13 +86,28 @@ func (a *margPSAgg) Consume(rep Report) error {
 	return nil
 }
 
-// ConsumeBatch incorporates reps in order; see Aggregator.
+// ConsumeBatch incorporates reps in order; see Aggregator. Same shape
+// as inpHTAgg.ConsumeBatch: dense-table hits with an in-range cell are
+// counted in the loop, everything else goes through Consume.
 func (a *margPSAgg) ConsumeBatch(reps []Report) error {
+	dense, counts, users := a.p.idx.pos.dense, a.counts, a.users
+	fast := 0
 	for i := range reps {
-		if err := a.Consume(reps[i]); err != nil {
+		r := &reps[i]
+		if r.Beta < uint64(len(dense)) && r.Index < a.p.cells {
+			if p := dense[r.Beta]; p != 0 {
+				counts[p-1][r.Index]++
+				users[p-1]++
+				fast++
+				continue
+			}
+		}
+		if err := a.Consume(*r); err != nil {
+			a.n += fast
 			return &BatchError{Index: i, Err: err}
 		}
 	}
+	a.n += fast
 	return nil
 }
 

@@ -80,7 +80,7 @@ type margRRAgg struct {
 func (a *margRRAgg) N() int { return a.n }
 
 func (a *margRRAgg) Consume(rep Report) error {
-	pos, ok := a.p.idx.pos[rep.Beta]
+	pos, ok := a.p.idx.pos.lookup(rep.Beta)
 	if !ok {
 		return fmt.Errorf("core: MargRR report for unknown marginal %b", rep.Beta)
 	}

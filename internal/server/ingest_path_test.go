@@ -1,0 +1,293 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/encoding"
+	"ldpmarginals/internal/store"
+)
+
+// tryPostBatch posts body to url's /report/batch and returns the status
+// and the decoded reply.
+func tryPostBatch(url string, body []byte) (int, BatchResponse, error) {
+	resp, err := http.Post(url+"/report/batch", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		return 0, BatchResponse{}, err
+	}
+	defer resp.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		return resp.StatusCode, br, fmt.Errorf("status %d: reply is not a BatchResponse: %w", resp.StatusCode, err)
+	}
+	return resp.StatusCode, br, nil
+}
+
+// postBatchBody is tryPostBatch for the test's own goroutine.
+func postBatchBody(t *testing.T, url string, body []byte) (int, BatchResponse) {
+	t.Helper()
+	status, br, err := tryPostBatch(url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, br
+}
+
+// TestBatchInvalidReportAcceptsExactPrefix is the end-to-end form of the
+// ingest path's accept-set contract: a report the wire codec decodes but
+// the protocol does not allow — an index past 2^d, a beta that is not a
+// collected marginal or has the wrong number of attributes, a bitmap of
+// the wrong length — stops the batch exactly there. The reply is a 400
+// with accepted == j, and the node's state is byte-for-byte that of a
+// twin aggregator fed the first j reports and nothing else.
+func TestBatchInvalidReportAcceptsExactPrefix(t *testing.T) {
+	const n = 16
+	d, k := clusterCfg.D, clusterCfg.K
+	kway := uint64(1)<<uint(k) - 1
+	invalid := map[core.Kind]map[string]core.Report{
+		core.InpRR:  {"short bitmap": {Bits: []uint64{}}, "long bitmap": {Bits: make([]uint64, 1<<uint(d)/64+1)}},
+		core.InpPS:  {"index = 2^d": {Index: 1 << uint(d)}, "index needs a 4-byte varint": {Index: 1 << 21}},
+		core.InpHT:  {"coefficient of k+1 attributes": {Index: kway<<1 | 1, Sign: 1}, "coefficient 0": {Index: 0, Sign: -1}, "coefficient past 2^d": {Index: 1 << uint(d), Sign: 1}},
+		core.MargRR: {"beta of k+1 attributes": {Beta: kway<<1 | 1, Bits: []uint64{0}}, "long bitmap": {Beta: kway, Bits: []uint64{0, 0}}},
+		core.MargPS: {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1}, "beta of k-1 attributes": {Beta: 1, Index: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1}, "cell = 2^k": {Beta: kway, Index: 1 << uint(k)}},
+		core.MargHT: {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1, Sign: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1, Sign: 1}, "constant coefficient": {Beta: kway, Index: 0, Sign: 1}, "coefficient = 2^k": {Beta: kway, Index: 1 << uint(k), Sign: -1}},
+	}
+	for _, kind := range core.AllKinds() {
+		p, err := core.New(kind, clusterCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := makeClusterReports(t, p, n, 5)
+		for what, bad := range invalid[kind] {
+			for _, j := range []int{0, n / 2, n - 1} {
+				t.Run(fmt.Sprintf("%v/%s/at %d", kind, what, j), func(t *testing.T) {
+					s, ts := newClusterNode(t, p, Options{})
+					reps := append([]core.Report(nil), good...)
+					reps[j] = bad
+					body, err := encoding.MarshalBatch(p.Name(), reps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					status, br := postBatchBody(t, ts.URL, body)
+					if status != http.StatusBadRequest || br.Accepted != j || !strings.Contains(br.Error, fmt.Sprintf("batch report %d:", j)) {
+						t.Fatalf("status %d accepted %d error %q; want 400, %d accepted, naming batch report %d", status, br.Accepted, br.Error, j, j)
+					}
+					if s.N() != j {
+						t.Fatalf("node holds %d reports, want %d", s.N(), j)
+					}
+					if got, _ := stateBytes(t, ts.URL); !bytes.Equal(got, referenceBytes(t, p, good[:j])) {
+						t.Fatalf("node state differs from a twin fed exactly the first %d reports", j)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOneChunkBatchRunsUnderOneSlot pins the dispatch contract of a
+// batch that fits one chunk, which the handler ingests on its own
+// goroutine: it still waits for, takes and gives back exactly one slot
+// of the bounded pool, and a rejection inside it still names the
+// lowest-index invalid report.
+func TestOneChunkBatchRunsUnderOneSlot(t *testing.T) {
+	p, err := core.New(core.InpHT, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newClusterNode(t, p, Options{IngestWorkers: 1})
+	reps := makeClusterReports(t, p, batchChunk, 9)
+	body, err := encoding.MarshalBatch(p.Name(), reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// With the only slot taken, a one-chunk batch must wait for it.
+	s.ingest.slots <- struct{}{}
+	done := make(chan int, 1)
+	go func() {
+		status, _, err := tryPostBatch(ts.URL, body)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- status
+	}()
+	select {
+	case status := <-done:
+		t.Fatalf("one-chunk batch finished (status %d) while the only pool slot was taken", status)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if s.N() != 0 {
+		t.Fatalf("%d reports ingested without a slot", s.N())
+	}
+	<-s.ingest.slots
+	if status := <-done; status != http.StatusOK {
+		t.Fatalf("one-chunk batch status %d after the slot was freed", status)
+	}
+
+	// Two concurrent one-chunk batches share the single slot and both
+	// complete; a third after them is not starved.
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, br, err := tryPostBatch(ts.URL, body); err != nil || status != http.StatusOK || br.Accepted != len(reps) {
+				t.Errorf("concurrent one-chunk batch: status %d accepted %d error %v", status, br.Accepted, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if status, _ := postBatchBody(t, ts.URL, body); status != http.StatusOK {
+		t.Fatalf("third one-chunk batch status %d", status)
+	}
+	if s.N() != 4*len(reps) {
+		t.Fatalf("node holds %d reports, want %d", s.N(), 4*len(reps))
+	}
+
+	// Two invalid reports in one chunk: the lower index is reported.
+	bad := append([]core.Report(nil), reps[:16]...)
+	bad[3], bad[9] = core.Report{Index: 0, Sign: 1}, core.Report{Index: 0, Sign: 1}
+	badBody, err := encoding.MarshalBatch(p.Name(), bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, br := postBatchBody(t, ts.URL, badBody); status != http.StatusBadRequest || br.Accepted != 3 || !strings.Contains(br.Error, "batch report 3:") {
+		t.Fatalf("status %d accepted %d error %q; want 400, 3 accepted, naming batch report 3", status, br.Accepted, br.Error)
+	}
+	if held := len(s.ingest.slots); held != 0 {
+		t.Fatalf("%d pool slots still held after every request returned", held)
+	}
+}
+
+// recordingBody is a request body that remembers where the handler read
+// it to: the start of every distinct buffer a Read was handed, and the
+// buffers themselves, so the allocator cannot hand the same address out
+// twice while the test runs.
+type recordingBody struct {
+	r     io.Reader
+	reads int
+	bufs  map[*byte][]byte
+}
+
+func (b *recordingBody) Read(p []byte) (int, error) {
+	b.reads++
+	if b.bufs == nil {
+		b.bufs = map[*byte][]byte{}
+	}
+	// The handler reads into buf[len:cap]; the last byte of capacity is
+	// the same for every window onto one backing array.
+	whole := p[:cap(p)]
+	b.bufs[unsafe.SliceData(whole[len(whole)-1:])] = whole
+	return b.r.Read(p)
+}
+
+func (b *recordingBody) Close() error { return nil }
+
+// serveBatch runs one /report/batch request through the handler in
+// process, with the given declared Content-Length (-1: undeclared, as
+// under chunked transfer encoding).
+func serveBatch(s *Server, body []byte, contentLength int64) (*httptest.ResponseRecorder, *recordingBody) {
+	rb := &recordingBody{r: bytes.NewReader(body)}
+	req := httptest.NewRequest(http.MethodPost, "/report/batch", rb)
+	req.ContentLength = contentLength
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	return rec, rb
+}
+
+// TestDurableBatchBodyBuffer covers the body buffer of a durable node,
+// which starts every request without one because the previous request's
+// went to the WAL: a declared Content-Length sizes it in one allocation;
+// an undeclared length still works through the growth loop; an
+// over-limit body is refused with 413 whether or not its length was
+// declared; and the buffer a durable one-chunk batch was read into is
+// never handed to a later request, as it would be had it gone back to
+// the pool.
+func TestDurableBatchBodyBuffer(t *testing.T) {
+	p, err := core.New(core.MargPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), p, store.Options{Fsync: store.FsyncInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := encoding.MarshalBatch(p.Name(), makeClusterReports(t, p, 16, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newClusterNode(t, p, Options{Store: st, MaxBatchBytes: int64(len(body))})
+
+	seen := map[*byte]bool{} // holding the addresses keeps the buffers from being collected and reallocated
+	for i := range 8 {
+		rec, rb := serveBatch(s, body, int64(len(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		if len(rb.bufs) != 1 || rb.reads > 2 {
+			t.Fatalf("request %d: a %d-byte body with a declared length was read into %d buffers by %d reads, want 1 buffer and at most 2 reads", i, len(body), len(rb.bufs), rb.reads)
+		}
+		for at := range rb.bufs {
+			if seen[at] {
+				t.Fatalf("request %d was read into a buffer an earlier durable request handed to the WAL", i)
+			}
+			seen[at] = true
+		}
+	}
+
+	rec, rb := serveBatch(s, body, -1)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("undeclared length: status %d: %s", rec.Code, rec.Body)
+	}
+	if len(rb.bufs) < 2 {
+		t.Fatalf("undeclared length: %d-byte body read into %d buffer(s); expected the growth loop", len(body), len(rb.bufs))
+	}
+	if s.N() != 9*16 {
+		t.Fatalf("node holds %d reports, want %d", s.N(), 9*16)
+	}
+
+	over := append(append([]byte(nil), body...), body...)
+	for _, declared := range []int64{int64(len(over)), -1} {
+		if rec, _ := serveBatch(s, over, declared); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("over-limit body, declared length %d: status %d, want 413", declared, rec.Code)
+		}
+	}
+	if s.N() != 9*16 {
+		t.Fatalf("an over-limit body was ingested: node holds %d reports", s.N())
+	}
+}
+
+// TestBatchBufPoolDropsOversizedBuffers serves one batch larger than the
+// pool keeps — on this goroutine, so its workspace would be the first
+// thing the pool hands back — and checks the pool never hands it out.
+func TestBatchBufPoolDropsOversizedBuffers(t *testing.T) {
+	p, err := core.New(core.InpHT, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newClusterNode(t, p, Options{})
+	body, err := encoding.MarshalBatch(p.Name(), makeClusterReports(t, p, maxPooledReports+batchChunk, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := serveBatch(s, body, int64(len(body))); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	for range 64 {
+		b := batchBufPool.Get().(*batchBuffers)
+		if cap(b.reps) > maxPooledReports || cap(b.ends) > maxPooledReports || cap(b.body) > maxPooledBodyBytes {
+			t.Fatalf("pool handed out a workspace of %d reports, %d ends, %d body bytes; it keeps at most %d reports and %d bytes",
+				cap(b.reps), cap(b.ends), cap(b.body), maxPooledReports, maxPooledBodyBytes)
+		}
+	}
+}

@@ -884,6 +884,102 @@ func startOf(ends []int, lo int) int {
 	return 0
 }
 
+// anchorChunkError turns the error of the chunk that began at batch
+// index lo into the batch's terms: a report rejection is re-anchored
+// from its chunk-relative index to the batch (idx is the rejected
+// report's batch index); anything else is the WAL (or store shutdown)
+// failing, reported at the chunk's start with persist set. In that case
+// the consumed reports are in the aggregator — the accepted count stays
+// accurate — but the durability promise of a 200 cannot be made; it is
+// a server fault, not a client one.
+func anchorChunkError(lo int, err error) (idx int, persist bool, anchored error) {
+	var be *core.BatchError
+	if errors.As(err, &be) {
+		idx = lo + be.Index
+		return idx, false, fmt.Errorf("batch report %d: %w", idx, be.Err)
+	}
+	return lo, true, err
+}
+
+// ingestChunkReleasing is ingestChunk for a caller that has taken a slot
+// of the bounded pool: it gives the slot back when the chunk is done.
+func (in *ingestPipeline) ingestChunkReleasing(ctx context.Context, reps []core.Report, body []byte, ends []int, lo, hi int) (int, error) {
+	defer func() { <-in.slots }()
+	return in.ingestChunk(ctx, reps, body, ends, lo, hi)
+}
+
+// ingestBatch feeds a decoded batch to the sink in chunks of batchChunk,
+// each under one slot of the bounded pool and one shard lock, and
+// returns once all of it is ingested — so a 200 means the reports are
+// counted. accepted is summed per chunk (not read back from the shared
+// aggregator counter, which concurrent requests also move); err is the
+// failure with the lowest batch index, anchored to the batch, and
+// persistFailed says a chunk failed in the store rather than on a
+// report.
+//
+// A batch of one chunk runs on the calling goroutine: it takes its slot
+// and holds it for exactly the chunk, as a spawned chunk does, without
+// the spawn, the WaitGroup and the hand-off. Larger batches fan out so
+// their chunks land on distinct shards in parallel.
+func (in *ingestPipeline) ingestBatch(ctx context.Context, reps []core.Report, body []byte, ends []int) (accepted int, persistFailed bool, err error) {
+	if len(reps) <= batchChunk {
+		in.slots <- struct{}{}
+		accepted, err = in.ingestChunkReleasing(ctx, reps, body, ends, 0, len(reps))
+		if err != nil {
+			_, persistFailed, err = anchorChunkError(0, err)
+		}
+		return accepted, persistFailed, err
+	}
+	return in.fanOutChunks(ctx, reps, body, ends)
+}
+
+// fanOutChunks is ingestBatch for a batch of more than one chunk.
+func (in *ingestPipeline) fanOutChunks(ctx context.Context, reps []core.Report, body []byte, ends []int) (accepted int, persistFailed bool, err error) {
+	var (
+		wg       sync.WaitGroup
+		total    atomic.Int64
+		failed   atomic.Bool
+		errMu    sync.Mutex
+		firstIdx int
+	)
+	for lo := 0; lo < len(reps); lo += batchChunk {
+		// A rejected chunk stops further dispatch; only chunks already
+		// in flight can still land after it.
+		if failed.Load() {
+			break
+		}
+		in.slots <- struct{}{}
+		// Re-check after the (possibly long) wait for a pool slot: a
+		// rejection may have landed while this chunk was queued.
+		if failed.Load() {
+			<-in.slots
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			consumed, chunkErr := in.ingestChunkReleasing(ctx, reps, body, ends, lo, hi)
+			total.Add(int64(consumed))
+			if chunkErr == nil {
+				return
+			}
+			idx, persist, chunkErr := anchorChunkError(lo, chunkErr)
+			failed.Store(true)
+			// Chunks fail in arbitrary wall-clock order; keep the
+			// rejection with the lowest batch index, matching the
+			// "first rejected report" contract.
+			errMu.Lock()
+			if err == nil || idx < firstIdx {
+				err, firstIdx = chunkErr, idx
+			}
+			persistFailed = persistFailed || persist
+			errMu.Unlock()
+		}(lo, min(lo+batchChunk, len(reps)))
+	}
+	wg.Wait()
+	return int(total.Load()), persistFailed, err
+}
+
 // batchBuffers is one /report/batch request's reusable workspace: the
 // raw body and the decoded record slices. Pooled so steady-state ingest
 // stops allocating per request — the decoded []core.Report alone is an
@@ -898,6 +994,37 @@ type batchBuffers struct {
 }
 
 var batchBufPool = sync.Pool{New: func() any { return new(batchBuffers) }}
+
+// The pool keeps a workspace only while it is the size ordinary
+// requests need: a few chunks of decoded reports and 1/16 of the default
+// body limit. Anything larger — one maxBatchReports batch grows reps and
+// ends to ~56 MiB — is left to the collector instead of riding in the
+// pool for the life of the process.
+const (
+	maxPooledReports   = 4 * batchChunk
+	maxPooledBodyBytes = defaultMaxBatchBytes / 16
+)
+
+// putBatchBuffers returns b to the pool unless a request grew it past
+// what the pool keeps.
+func putBatchBuffers(b *batchBuffers) {
+	if cap(b.reps) > maxPooledReports || cap(b.ends) > maxPooledReports || cap(b.body) > maxPooledBodyBytes {
+		return
+	}
+	batchBufPool.Put(b)
+}
+
+// sizedBody returns buf, or a fresh buffer when buf cannot hold a body
+// of the declared length without growing: contentLength bytes (at most
+// limit, past which the request is refused anyway) plus the one spare
+// byte the read that reports EOF needs. An undeclared length (-1,
+// chunked encoding) leaves sizing to readBodyInto's growth loop.
+func sizedBody(buf []byte, contentLength, limit int64) []byte {
+	if want := min(contentLength, limit) + 1; int64(cap(buf)) < want {
+		return make([]byte, 0, want)
+	}
+	return buf
+}
 
 // readBodyInto reads r (bounded by limit+1 bytes) into buf, growing it
 // as needed and returning the filled slice — io.ReadAll over a reusable
@@ -980,9 +1107,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// buffer over instead of recycling it.
 			bufs.body = nil
 		}
-		batchBufPool.Put(bufs)
+		putBatchBuffers(bufs)
 	}()
-	body, err := readBodyInto(r.Body, in.maxBatch, bufs.body)
+	body, err := readBodyInto(r.Body, in.maxBatch, sizedBody(bufs.body, r.ContentLength, in.maxBatch))
 	bufs.body = body
 	if err != nil {
 		httpError(w, r, "reading body: "+err.Error(), http.StatusBadRequest)
@@ -1027,76 +1154,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Fan the decoded reports out in chunks through the bounded pool;
-	// each chunk takes one shard lock. The handler blocks until its
-	// whole batch is ingested, so a 200 means the reports are counted.
-	// The accepted count is summed per chunk (not read back from the
-	// shared aggregator counter, which concurrent requests also move).
-	var (
-		wg            sync.WaitGroup
-		accepted      atomic.Int64
-		failed        atomic.Bool
-		persistFailed atomic.Bool
-		errMu         sync.Mutex
-		firstErr      error
-		firstIdx      int
-	)
-	for lo := 0; lo < len(reps); lo += batchChunk {
-		// A rejected chunk stops further dispatch; only chunks already
-		// in flight can still land after it.
-		if failed.Load() {
-			break
-		}
-		hi := min(lo+batchChunk, len(reps))
-		if in.st != nil {
-			bodyHandedToWAL = true
-		}
-		in.slots <- struct{}{}
-		// Re-check after the (possibly long) wait for a pool slot: a
-		// rejection may have landed while this chunk was queued.
-		if failed.Load() {
-			<-in.slots
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			offset := lo
-			defer wg.Done()
-			defer func() { <-in.slots }()
-			consumed, err := in.ingestChunk(r.Context(), reps, body, ends, lo, hi)
-			accepted.Add(int64(consumed))
-			if err == nil {
-				return
-			}
-			idx := offset
-			var be *core.BatchError
-			if errors.As(err, &be) {
-				// Re-anchor the chunk-relative index to the batch.
-				idx = offset + be.Index
-				err = fmt.Errorf("batch report %d: %w", idx, be.Err)
-			} else {
-				// Not a report rejection: the WAL (or store shutdown)
-				// failed. The consumed reports are in the aggregator —
-				// Accepted stays accurate — but the durability promise of
-				// a 200 cannot be made; this is a server fault, not a
-				// client one.
-				persistFailed.Store(true)
-			}
-			failed.Store(true)
-			// Chunks fail in arbitrary wall-clock order; keep the
-			// rejection with the lowest batch index, matching the
-			// "first rejected report" contract.
-			errMu.Lock()
-			if firstErr == nil || idx < firstIdx {
-				firstErr, firstIdx = err, idx
-			}
-			errMu.Unlock()
-		}(lo, hi)
-	}
-	wg.Wait()
-	s.ins.ingestReports.Add(uint64(accepted.Load()))
+	// From here on the store may hold slices of body past this request.
+	bodyHandedToWAL = in.st != nil
+	accepted, persistFailed, firstErr := in.ingestBatch(r.Context(), reps, body, ends)
+	s.ins.ingestReports.Add(uint64(accepted))
 	if firstErr != nil {
-		s.ins.rejectedReports.Add(uint64(len(reps)) - uint64(accepted.Load()))
+		s.ins.rejectedReports.Add(uint64(len(reps) - accepted))
 		// The failure reply still carries the exact accepted count so
 		// the client knows how much of the batch is in the estimate.
 		// Report rejections are the client's fault (400); persistence
@@ -1104,20 +1167,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// that would double-count the already-consumed reports.
 		status := http.StatusBadRequest
 		prefix := "rejected: "
-		if persistFailed.Load() {
+		if persistFailed {
 			status, prefix = http.StatusInternalServerError, "persistence failed: "
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		_ = json.NewEncoder(w).Encode(BatchResponse{
-			Accepted: int(accepted.Load()),
+			Accepted: accepted,
 			Error:    prefix + firstErr.Error(),
 			TraceID:  traceID(r),
 		})
 		return
 	}
 	s.ins.ingestBatches.Inc()
-	writeJSON(w, BatchResponse{Accepted: int(accepted.Load())})
+	writeJSON(w, BatchResponse{Accepted: accepted})
 }
 
 // chargeBudget spends count reports against the caller's windowed

@@ -331,6 +331,11 @@ func (s *Store) replaySegment(idx uint64, final bool, agg core.Aggregator) error
 		return fmt.Errorf("store: segment %s: %w", path, err)
 	}
 	offset := int64(len(buf) - len(rest))
+	// Decode buffers, reused from record to record.
+	var (
+		reps []core.Report
+		ends []int
+	)
 	for len(rest) > 0 {
 		batch, next, err := nextRecord(rest)
 		if err != nil {
@@ -339,28 +344,30 @@ func (s *Store) replaySegment(idx uint64, final bool, agg core.Aggregator) error
 			}
 			return fmt.Errorf("store: segment %s at offset %d: %w", path, offset, err)
 		}
-		// The record's CRC has passed, so its inner batch framing and
-		// report frames are exactly the acked bytes: any failure below
-		// is corruption the CRC cannot explain (or a code-version
-		// mismatch) and fails recovery rather than truncating.
-		for len(batch) > 0 {
-			frame, nextFrame, err := wire.NextFrame(batch, encoding.MaxFrameBytes)
-			if err != nil {
-				return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
-			}
-			tag, rep, err := encoding.Unmarshal(frame)
-			if err != nil {
-				return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
-			}
-			if tag != s.tag {
-				return fmt.Errorf("store: segment %s report %d: protocol tag %d, deployment runs %d", path, s.recStats.ReportsReplayed, tag, s.tag)
-			}
-			if err := agg.Consume(rep); err != nil {
-				return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
-			}
-			batch = nextFrame
-			s.recStats.ReportsReplayed++
+		// The record's CRC has passed, so its payload is exactly the
+		// acked bytes of one /report/batch chunk, and goes back through
+		// the path that acked it: the batch decoder, then ConsumeBatch.
+		// Any failure below is corruption the CRC cannot explain (or a
+		// code-version mismatch) and fails recovery rather than
+		// truncating. "report N" is the running ordinal of the record's
+		// first report for a decode failure (which names the frame within
+		// the record itself), and of the rejected report otherwise.
+		var tag encoding.Tag
+		tag, reps, ends, err = encoding.UnmarshalBatchEndsInto(batch, 0, reps, ends)
+		if err != nil {
+			return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
 		}
+		if tag != s.tag {
+			return fmt.Errorf("store: segment %s report %d: protocol tag %d, deployment runs %d", path, s.recStats.ReportsReplayed, tag, s.tag)
+		}
+		if err := agg.ConsumeBatch(reps); err != nil {
+			var be *core.BatchError
+			if errors.As(err, &be) {
+				return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed+be.Index, be.Err)
+			}
+			return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
+		}
+		s.recStats.ReportsReplayed += len(reps)
 		rest = next
 		offset = int64(len(buf) - len(rest))
 	}
