@@ -198,17 +198,19 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 }
 
 // Delta-exchange benchmarks: bytes on the wire per pull cycle when only
-// a fraction of an edge's shards moved between pulls. The deployment is
-// the delta path's motivating worst case for full transfers — InpPS at
-// d=16 materializes 2^16 counters per shard, so a 100-shard edge's full
-// state is large even though a pull interval's worth of reports touches
-// only the few shards the batches round-robined onto. The figure of
-// merit is bytes/op: what one coordinator pull moves over the network.
-// Recorded in BENCH_cluster.json.
+// a fraction of an edge's shards moved between pulls. InpPS at d=16
+// materializes 2^16 counters per shard, and the edge ships one
+// component — its shards merged — so a full frame is one dense vector
+// whatever the shard count, and a delta is that component's counter
+// difference from the puller's base: proportional to the reports that
+// arrived, not to the shards they landed on. The figure of merit is
+// bytes/op: what one coordinator pull moves over the network. Recorded
+// in BENCH_cluster.json.
 
 // deltaBenchShards spreads the edge state over 100 shards so "1% delta"
 // is literally one moved shard (ConsumeBatch locks exactly one
-// round-robin shard per call).
+// round-robin shard per call), which the exporter's arena re-folds
+// alone.
 const deltaBenchShards = 100
 
 // deltaEdge builds a live InpPS d=16 edge with deltaBenchShards shards
@@ -278,12 +280,17 @@ func deltaEdge(b *testing.B) (url string, mutate func(k int)) {
 }
 
 // deltaPull GETs /state with the delta handshake and returns the body
-// and the reply's ETag (the base to acknowledge next time).
+// and the reply's ETag (the base to acknowledge next time). With
+// components set it asks the way a coordinator does: diffs welcome once
+// there is a base to acknowledge.
 func deltaPull(b *testing.B, url, base string, components bool) (int, []byte, string) {
 	b.Helper()
 	target := url + "/state"
 	if components {
 		target += "?components=1"
+		if base != "" {
+			target += "&diff=1"
+		}
 	}
 	req, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
@@ -310,8 +317,9 @@ func deltaPull(b *testing.B, url, base string, components bool) (int, []byte, st
 
 // BenchmarkClusterDeltaExchange measures bytes on the wire per pull at
 // different churn fractions: the legacy full frame, the componentized
-// full frame, deltas at 1%/10%/100% moved shards, and the 304 reply of
-// an unchanged peer.
+// full frame (one component), deltas after 1%/10%/100% of the shards
+// moved (one diff, applied to the blob the previous pull left), and the
+// 304 reply of an unchanged peer.
 func BenchmarkClusterDeltaExchange(b *testing.B) {
 	url, mutate := deltaEdge(b)
 
@@ -352,7 +360,11 @@ func BenchmarkClusterDeltaExchange(b *testing.B) {
 
 	deltaAt := func(moved int) func(b *testing.B) {
 		return func(b *testing.B) {
-			_, _, base := deltaPull(b, url, "", true)
+			_, body, base := deltaPull(b, url, "", true)
+			held, err := wire.DecodeComponentFrame(body, 1<<30)
+			if err != nil || len(held.Components) != 1 {
+				b.Fatalf("first pull: %d components, err %v", len(held.Components), err)
+			}
 			b.ResetTimer()
 			countBytes(b, func() int {
 				mutate(moved)
@@ -360,14 +372,17 @@ func BenchmarkClusterDeltaExchange(b *testing.B) {
 				if status != http.StatusOK {
 					b.Fatalf("status %d", status)
 				}
-				cf, err := wire.DecodeComponentFrame(body, 1<<30)
+				cf, err := wire.DecodeComponentFrameWith(body, 1<<30, func(id string) (wire.ComponentBase, bool) {
+					c := held.Components[0]
+					return wire.ComponentBase{Version: c.Version, State: c.State}, id == c.ID
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !cf.Delta {
-					b.Fatal("moved-shard pull did not negotiate a delta frame")
+				if !cf.Delta || len(cf.Components) != 1 || cf.Components[0].Base == nil {
+					b.Fatal("moved-shard pull did not negotiate a delta frame of one diff")
 				}
-				base = etag
+				held, base = cf, etag
 				return len(body)
 			})
 		}

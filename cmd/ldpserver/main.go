@@ -166,7 +166,7 @@ func main() {
 		nodeID       = flag.String("node-id", "", "cluster node id (empty = random); must be unique across the fleet")
 		peers        = flag.String("peers", "", "comma-separated peer base URLs a coordinator pulls state from")
 		pullInterval = flag.Duration("pull-interval", 5*time.Second, "coordinator state-pull cadence (failing peers back off exponentially)")
-		pullDelta    = flag.Bool("pull-delta", true, "negotiate componentized delta state pulls (ship only changed shards; false = legacy full-frame pulls)")
+		pullDelta    = flag.Bool("pull-delta", true, "negotiate componentized delta state pulls (ship only the counters that moved; false = legacy full-frame pulls)")
 
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error, or off (debug adds one line per request, carrying its trace id)")
 

@@ -203,14 +203,25 @@
 // even when almost none of it moved, so the steady-state wire cost of a
 // fleet grows with state size (2^d cells for the input-view protocols),
 // not with report volume. The delta exchange removes that term. An
-// exporter decomposes its state into named, individually versioned
-// *components*: an edge ships one component per nonempty aggregation
-// shard ("<node>/<shard>"), a windowed edge ships its window as one
-// component, and a coordinator passes its accepted peer components
-// through with their original ids and labels. A puller acknowledges the
-// last export version it accepted (?since= on the query string plus a
-// standard If-None-Match echo of the ETag), and the exporter answers
-// with one of three replies: 304 Not Modified when nothing moved (a
+// exporter ships its state as named, individually versioned
+// *components*, and the unit is the node: an edge ships one component,
+// id "<node>", whose blob is the merge of its aggregation shards (a
+// windowed edge: of its window), and a coordinator passes its accepted
+// peer components through with their original ids and labels. Shards
+// are an ingest-side device — every estimator reads only the summed
+// counter vector — and they cost on the wire: sixteen sparse Poisson(4)
+// shard vectors deflate to ~3 bits per counter each, two dense merged
+// ones to ~4.6 bits once, so the benchmark's fleet-pull full pull is
+// 75,030 bytes where per-shard components were 402,229, and a puller
+// decodes, validates, holds and folds 2 blobs instead of 16. The edge
+// keeps the merge in a delta arena of its own (core.StateArena, the
+// view engine's machinery), so an export after one shard moved re-folds
+// that shard, and while the top label has not moved every puller is
+// served the retained export, its full frame deflated once.
+//
+// A puller acknowledges the last export version it accepted (?since= on
+// the query string plus a standard If-None-Match echo of the ETag), and
+// the exporter answers with one of three replies: 304 Not Modified when nothing moved (a
 // header-only reply, no state marshaling at all), a *delta frame*
 // carrying only the components whose versions moved past the
 // acknowledged base (plus ids removed since then), or a full frame
@@ -230,9 +241,11 @@
 // diff=1 to the handshake and the exporter — which keeps the blobs of
 // its latest export, by reference — ships a moved component as the
 // per-counter difference from the version the puller holds whenever
-// that is the smaller payload (encoding byte bit0: deflated, bit1:
-// diff; a diff also carries the component version minus its base's,
-// the crc32c of the state it rebuilds, and its own raw length). Every
+// that is the smaller payload, or is under an eighth of the raw state
+// (the whole state is then not deflated just to compare). On the wire
+// the encoding byte says which (bit0: deflated, bit1: diff), and a diff
+// also carries the component version minus its base's, the crc32c of
+// the state it rebuilds, and its own raw length. Every
 // payload, whole or diff, takes the smaller of flate.BestSpeed and
 // flate.HuffmanOnly. The puller rebuilds the canonical blob from its
 // own copy and checks length and checksum before anything else sees
@@ -254,11 +267,19 @@
 // topology) across any number of tiers, its cycle guard refuses frames
 // carrying its own components back, its per-peer persistence records
 // the real decomposition, and its delta pulls re-ship only the
-// components that moved anywhere below it. BENCH_cluster.json records
-// the wire savings (an 88x reduction at 1% shard churn for InpPS d=16;
-// 145 bytes for an unchanged peer) and bench/ the diff's (one
-// 1,024-report batch on an 8-shard InpPS d=16 edge: 31,230 wire bytes
-// as a whole shard, 2,541 as a diff); TestClusterDeltaVsFullBitIdentity
+// components that moved anywhere below it. An upgrade from exporters
+// that shipped "<node>/<shard>" components needs no flag and no order:
+// the new process draws a new salt, the puller's acknowledged base is
+// unknown to it, and the one full frame it answers with replaces the
+// peer's whole held set — "<node>/0..n" out, "<node>" in — directly,
+// and one tier up as a delta that removes the old ids and adds the new
+// (TestMixedGranularityFullFrameReplaces). A puller that never sends
+// diff=1 still gets the same frame format, with the one component
+// whole. BENCH_cluster.json records the wire sizes for a 100-shard
+// InpPS d=16 edge (one diff of under 400 bytes whether 1 or 100 shards
+// moved; 145 bytes for an unchanged peer) and bench/ the diff's on two
+// 8-shard edges (one 1,024-report batch: 2,540 wire bytes as a diff,
+// ~37.5 KB as the whole component); TestClusterDeltaVsFullBitIdentity
 // and TestClusterTwoTierBitIdentity pin delta-, diff- and tree-pulled
 // coordinators to the marginals of flat full pulls and to the component
 // blobs of a coordinator that just started, byte for byte.

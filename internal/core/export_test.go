@@ -116,64 +116,3 @@ func TestExportShardsVersionVector(t *testing.T) {
 		t.Fatalf("empty aggregator exported %d shards with a %d-entry vector", len(exps), len(vers))
 	}
 }
-
-// TestExportShardsReusingMarshalsOnlyMovedShards: an export that is
-// handed the previous one returns, for every shard that did not move,
-// the very blob it was handed — not a fresh marshal of equal bytes —
-// and for the ones that moved (or were empty before) exactly what a
-// plain export returns.
-func TestExportShardsReusingMarshalsOnlyMovedShards(t *testing.T) {
-	p, err := New(InpPS, shardedTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := NewSharded(p, 4)
-	reps := perturbReports(t, p, 40, 11)
-	// Three of four shards hold reports; the fourth stays empty.
-	for i := 0; i < 3; i++ {
-		if err := sh.ConsumeBatch(reps[i*8 : (i+1)*8]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	prev, _, err := sh.ExportShards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two more batches: the empty shard fills, one full shard moves.
-	for i := 3; i < 5; i++ {
-		if err := sh.ConsumeBatch(reps[i*8 : (i+1)*8]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, gotVers, err := sh.ExportShardsReusing(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantVers, err := sh.ExportShards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 || len(want) != 4 {
-		t.Fatalf("%d and %d exports, want all 4 shards", len(got), len(want))
-	}
-	held := make(map[int]ShardExport, len(prev))
-	for _, e := range prev {
-		held[e.Index] = e
-	}
-	reused := 0
-	for i, e := range got {
-		w := want[i]
-		if e.Index != w.Index || e.Version != w.Version || e.N != w.N || !bytes.Equal(e.State, w.State) || gotVers[i] != wantVers[i] {
-			t.Fatalf("shard %d: reusing export differs from a plain one", e.Index)
-		}
-		if old, ok := held[e.Index]; ok && old.Version == e.Version {
-			if &old.State[0] != &e.State[0] {
-				t.Errorf("shard %d did not move but was marshaled again", e.Index)
-			}
-			reused++
-		}
-	}
-	if reused != 2 {
-		t.Fatalf("%d shards reused, want the 2 that did not move", reused)
-	}
-}

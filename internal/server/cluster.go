@@ -41,7 +41,7 @@ const (
 // a coordinator's fleet holds the latest accepted state per configured
 // peer and assembles the fleet-wide aggregation state on demand. The
 // exchange is *componentized state transfer with replacement*: a peer's
-// state arrives as named components (per-shard states, one window, or a
+// state arrives as named components (an edge's one merged state, or a
 // mid-tier coordinator's pass-through constituents), each labeled with
 // its own version, and accepting a pull replaces exactly the components
 // the frame carries. A delta frame (negotiated via the ?since=/
@@ -395,8 +395,8 @@ func (f *fleet) NewSnapshotArena() core.StateArena {
 // local shard deltas fold through the core arena, and each peer
 // component whose accepted version label moved since the arena's last
 // capture has its old contribution unmerged and its fresh state decoded
-// and merged — a delta pull that changed one shard of one edge re-folds
-// one component. It records the snapshot's composition for the view
+// and merged — a pull round that moved one edge re-folds one
+// component. It records the snapshot's composition for the view
 // engine, exactly like Snapshot. Only the engine may call it (builds
 // are serialized under the engine's lock).
 func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
@@ -1245,8 +1245,10 @@ type PeerStatus struct {
 	Version uint64 `json:"version"`
 	N       int    `json:"n"`
 	// Components is how many named state components the accepted state
-	// decomposes into (shards of an edge, constituents of a mid-tier
-	// coordinator; 0 before the first pull).
+	// decomposes into: 1 for an edge (its shards ship merged), one per
+	// constituent node for a mid-tier coordinator, 0 before the first
+	// pull; more only while a state from an exporter that shipped one
+	// component per shard has not been replaced by a full frame.
 	Components int `json:"components,omitempty"`
 	// LastPullAgeSeconds is how long ago the last successful pull
 	// finished (negative when none has succeeded yet).

@@ -49,20 +49,18 @@ func getStateQuery(t *testing.T, url, query, base string) (int, []byte, string, 
 }
 
 // TestStateDeltaHandshake pins the exporter side of the delta exchange
-// over live HTTP: full componentized frame, 304 on an acknowledged
-// unchanged version (for both the componentized and the legacy
-// endpoint), a delta that ships only moved shards, and a full-frame
-// fallback on an unknown base.
+// over live HTTP: full componentized frame (one component, the node's
+// merged shards), 304 on an acknowledged unchanged version (for both
+// the componentized and the legacy endpoint), a delta that ships the
+// moved component whole or as a diff, and a full-frame fallback on an
+// unknown base.
 func TestStateDeltaHandshake(t *testing.T) {
 	p, err := core.New(core.InpHT, clusterCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One ingest worker keeps a POSTed batch a single ConsumeBatch call,
-	// which (round-robin) lands on exactly one shard.
 	_, ts := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 8, IngestWorkers: 1})
-	// Eight batches, one per shard: a big one, then seven single reports
-	// that bring the round-robin back to the big one's shard.
+	// Eight batches, one per shard.
 	first := makeClusterReports(t, p, 160, 21)
 	postBatchOK(t, ts.URL, p, first[:153])
 	for i := 153; i < 160; i++ {
@@ -83,8 +81,8 @@ func TestStateDeltaHandshake(t *testing.T) {
 	if full.Delta || full.NodeID != "edge-1" || full.N != 160 {
 		t.Fatalf("full frame = %+v", full)
 	}
-	if len(full.Components) == 0 || len(full.Components) > 8 {
-		t.Fatalf("full frame ships %d components, want 1..8 (per nonempty shard)", len(full.Components))
+	if len(full.Components) != 1 || full.Components[0].ID != "edge-1" || full.Components[0].Version != full.Version {
+		t.Fatalf("full frame ships %d components, want the node's one, labeled like the frame", len(full.Components))
 	}
 	if etag != stateETag(full.Version) {
 		t.Fatalf("ETag %q does not label the frame version %d", etag, full.Version)
@@ -110,8 +108,8 @@ func TestStateDeltaHandshake(t *testing.T) {
 		t.Fatalf("legacy endpoint with acknowledged version: status %d, want 304", resp.StatusCode)
 	}
 
-	// One more batch moves one shard. A puller that asks for diffs gets
-	// the moved component as its difference from the blob the base export
+	// One more batch moves the node. A puller that asks for diffs gets
+	// the component as its difference from the blob the base export
 	// shipped, which only a decoder holding that blob can read...
 	postBatchOK(t, ts.URL, p, makeClusterReports(t, p, 20, 22))
 	status, diffBody, _, mode := getStateQuery(t, ts.URL, "components=1&diff=1", etag)
@@ -145,9 +143,8 @@ func TestStateDeltaHandshake(t *testing.T) {
 	if !delta.Delta || delta.BaseVersion != full.Version || delta.N != 180 {
 		t.Fatalf("delta frame = %+v (base %d)", delta, full.Version)
 	}
-	if len(delta.Components) == 0 || len(delta.Components) >= len(full.Components)+1 {
-		t.Fatalf("delta ships %d components over a %d-component full frame, want a strict subset of moved shards",
-			len(delta.Components), len(full.Components))
+	if len(delta.Components) != 1 || len(delta.Removed) != 0 {
+		t.Fatalf("delta ships %d components and removes %d, want the node's one", len(delta.Components), len(delta.Removed))
 	}
 	if len(diffBody) >= len(body) || len(diffed.Components) != len(delta.Components) {
 		t.Fatalf("diff reply: %d bytes, %d components; whole-component reply: %d bytes, %d components",
@@ -225,8 +222,7 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 				split[i%2] = append(split[i%2], rep)
 			}
 			// spread posts the next n reports of an edge's stream as four
-			// equal batches: batches are dealt to the four shards in turn,
-			// so every shard moves, by a quarter of n.
+			// equal batches, one to each of the four shards.
 			var sent [2]int
 			spread := func(url string, edge, n int) {
 				t.Helper()
@@ -284,8 +280,8 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 			diffsFrom := func(url string) uint64 { return deltaCoord.puller.ins[url].diffComps.Value() }
 
 			// Round 1: first full pulls. Rounds 2-3: incremental growth,
-			// served to the delta coordinator as deltas whose components
-			// are small next to the shards they moved.
+			// served to the delta coordinator as deltas whose one component
+			// is small next to the state it moved.
 			spread(edge1TS.URL, 0, 240)
 			spread(edge2TS.URL, 1, 240)
 			compare("round 1", 480)
@@ -361,9 +357,7 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := makeClusterReports(t, p, 300, 41)
-	// One shard each: the second batch moves the component the first one
-	// made, which is what a diff is taken of.
-	_, edge1TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
+	_, edge1TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 3})
 	_, edge2TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-2", Shards: 1})
 	_, midTS := newClusterNode(t, p, Options{
 		Role: RoleCoordinator, NodeID: "mid",
@@ -412,10 +406,10 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 	if len(cs.Peers) != 1 || cs.Peers[0].NodeID != "mid" {
 		t.Fatalf("root peers = %+v", cs.Peers)
 	}
-	// The mid tier passes the edges' shard components through unchanged,
-	// so the root can dedup and delta-diff the fleet's true constituents.
-	if cs.Peers[0].Components < 2 {
-		t.Fatalf("root holds %d components via the mid tier, want the edges' shard decomposition", cs.Peers[0].Components)
+	// The mid tier passes the edges' components through unchanged, so the
+	// root can dedup and delta-diff the fleet's true constituents.
+	if cs.Peers[0].Components != 2 {
+		t.Fatalf("root holds %d components via the mid tier, want one per edge", cs.Peers[0].Components)
 	}
 	root.fleet.mu.Lock()
 	origins := make(map[string]bool)
@@ -474,8 +468,7 @@ func TestDiffFallbackLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := makeClusterReports(t, p, 300, 71)
-	// One shard: every batch moves the same component.
-	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
+	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -336,7 +336,7 @@ func TestClusterThreeTierE2E(t *testing.T) {
 	waitN(rootAddr, 2250, "root (post mid-tier restart)")
 
 	// The root's accepted state decomposes into the edges' pass-through
-	// shard components, proving the mid tier is transparent.
+	// components, one each, proving the mid tier is transparent.
 	var cs StatusResponse
 	resp, err := http.Get("http://" + rootAddr + "/status")
 	if err != nil {
@@ -349,8 +349,8 @@ func TestClusterThreeTierE2E(t *testing.T) {
 	if cs.Cluster == nil || len(cs.Cluster.Peers) != 1 {
 		t.Fatalf("root cluster status = %+v, want one mid-tier peer", cs.Cluster)
 	}
-	if pe := cs.Cluster.Peers[0]; pe.NodeID != "mid" || pe.Components < 2 {
-		t.Fatalf("root peer = %+v, want node mid with the edges' shard components", pe)
+	if pe := cs.Cluster.Peers[0]; pe.NodeID != "mid" || pe.Components != 2 {
+		t.Fatalf("root peer = %+v, want node mid with one component per edge", pe)
 	}
 
 	// The converged fleet serves a marginal through both tiers.

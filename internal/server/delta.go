@@ -8,25 +8,30 @@ import (
 	"sync"
 
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/view"
 	"ldpmarginals/internal/wire"
 )
 
 // Componentized /state exports and the delta handshake, exporter side.
 //
 // A componentized export (GET /state?components=1) ships the node's
-// state as named components: an edge's per-shard states ("<node>/<i>"),
-// a windowed edge's single window ("<node>"), or a coordinator's held
-// peer components passed through with their original ids. A puller that
-// acknowledges its last accepted export version (?since= plus
-// If-None-Match) gets either a 304 (nothing moved), a delta frame (only
-// the components whose version moved since that base, plus removed ids),
-// or a full frame when the base is unknown — too old for the history
-// ring, from before a restart (the version salt changed), or never
-// served by this process. A puller that adds diff=1 lets the components
-// of a delta frame arrive as counter differences from the versions it
-// holds (wire/diff.go): the node keeps the blobs of its latest export,
-// and a moved component whose blob at the base is still among them
-// ships as a diff when that is the smaller payload.
+// state as named components: an ingesting node's one merged state
+// ("<node>" — every estimator reads only the summed counters, so
+// nothing is lost by merging the shards before they ship, and one dense
+// vector deflates to a fraction of what its sparse per-shard addends
+// do), or a coordinator's held peer components passed through with
+// their original ids. A puller that acknowledges its last accepted
+// export version (?since= plus If-None-Match) gets either a 304 (nothing
+// moved), a delta frame (only the components whose version moved since
+// that base, plus removed ids), or a full frame when the base is
+// unknown — too old for the history ring, from before a restart (the
+// version salt changed), or never served by this process. A puller that
+// adds diff=1 lets the components of a delta frame arrive as counter
+// differences from the versions it holds (wire/diff.go): the node keeps
+// the blobs of its latest export, and a moved component whose blob at
+// the base is still among them ships as a diff when that is the smaller
+// payload — bytes proportional to the counters that moved, whatever the
+// component's size.
 
 // exportHistorySize bounds the per-node ring of remembered export
 // labels. A coordinator pulls each peer once per interval, so 64 entries
@@ -36,14 +41,9 @@ const exportHistorySize = 64
 
 // exportHistory remembers, for recent export labels, the per-component
 // version vector the label corresponds to — what a delta against that
-// base must be computed from. Labels are recorded conservatively: when
-// the same label is recorded twice (two exports racing one mutation can
-// share it), the vectors are merged element-wise toward the *minimum*
-// and ids missing from either side are dropped. Every frame served under
-// a label carries component versions at least as new as its own
-// recording, so the merged (older) vector can only classify more
-// components as changed — a delta may re-ship an unchanged component,
-// but never skips one some holder of that base is missing.
+// base must be computed from. Exports are serialized and an unchanged
+// label re-serves the retained export (Server.exportComponents), so a
+// label is recorded once, with the one vector it is ever served with.
 type exportHistory struct {
 	mu      sync.Mutex
 	entries []histEntry // insertion order; oldest first
@@ -54,72 +54,52 @@ type histEntry struct {
 	vec map[string]uint64
 }
 
+// record remembers vec (which the caller must not mutate afterwards)
+// as the vector behind the new label top.
 func (h *exportHistory) record(top uint64, vec map[string]uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for i := range h.entries {
-		e := &h.entries[i]
-		if e.top != top {
-			continue
-		}
-		for id, old := range e.vec {
-			now, ok := vec[id]
-			if !ok {
-				delete(e.vec, id)
-				continue
-			}
-			if now < old {
-				e.vec[id] = now
-			}
-		}
-		return
-	}
-	cp := make(map[string]uint64, len(vec))
-	for id, v := range vec {
-		cp[id] = v
-	}
-	h.entries = append(h.entries, histEntry{top: top, vec: cp})
+	h.entries = append(h.entries, histEntry{top: top, vec: vec})
 	if len(h.entries) > exportHistorySize {
 		h.entries = h.entries[len(h.entries)-exportHistorySize:]
 	}
 }
 
-// lookup returns a private copy of the vector recorded for base.
+// lookup returns the vector recorded for base; vectors are immutable
+// once recorded.
 func (h *exportHistory) lookup(base uint64) (map[string]uint64, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i := range h.entries {
-		if h.entries[i].top != base {
-			continue
+		if h.entries[i].top == base {
+			return h.entries[i].vec, true
 		}
-		cp := make(map[string]uint64, len(h.entries[i].vec))
-		for id, v := range h.entries[i].vec {
-			cp[id] = v
-		}
-		return cp, true
 	}
 	return nil, false
-}
-
-// shardComponentID names one shard of a node's sharded aggregator
-// fleet-wide.
-func shardComponentID(nodeID string, shard int) string {
-	return nodeID + "/" + strconv.Itoa(shard)
 }
 
 // stateExport is one componentized export: the top label, the components
 // sorted by id, and the version vector a delta base against this export
 // must be diffed with. The node keeps its latest one, so that the next
-// export can reuse the blobs of shards that did not move and diff the
-// ones that did against what the puller holds; blobs are shared with the
-// fleet or the previous export, never copied.
+// export can diff the components that moved against what the puller
+// holds; blobs are shared with the fleet, never copied.
 type stateExport struct {
 	top   uint64
 	comps []wire.StateComponent
 	vec   map[string]uint64
-	// shards holds the blobs of comps the way ExportShardsReusing takes
-	// them back (sharded nodes only).
-	shards []core.ShardExport
+
+	// The export's full frame, deflated once however many pullers ask
+	// for it while the label stands still.
+	fullOnce sync.Once
+	full     []byte
+	fullErr  error
+}
+
+// fullFrame returns the encoding of frame, which must be this export's
+// full frame.
+func (e *stateExport) fullFrame(frame wire.ComponentFrame) ([]byte, error) {
+	e.fullOnce.Do(func() { e.full, e.fullErr = wire.EncodeComponentFrame(frame) })
+	return e.full, e.fullErr
 }
 
 // component returns the export's component of that id.
@@ -131,62 +111,69 @@ func (e *stateExport) component(id string) (wire.StateComponent, bool) {
 	return e.comps[i], true
 }
 
-// exportComponents captures the node's state as components, marshaling
-// only the shards that moved since prev (the node's previous export, or
-// nil). The top label is read before any component state is captured,
-// so it can only trail the content (re-transfer, never skip). Component
-// versions from the local pipeline are offset by the process version
-// salt, exactly like the top label; a coordinator's pass-through
-// components keep their origin's (already salted) labels.
-func (s *Server) exportComponents(prev *stateExport) (*stateExport, error) {
-	exp := &stateExport{}
-	switch {
-	case s.fleet != nil:
+// exportComponents returns the node's state as components, and the
+// export retained before this call — the blobs a diff is taken against.
+// Exports run one at a time: the later of two concurrent pullers is the
+// one whose export is retained, and while the top label has not moved
+// the retained export is served again without touching the aggregator.
+// A new export's label is entered in the history ring.
+// The top label is read before any component state is captured, so it
+// can only trail the content (re-transfer, never skip). An ingesting
+// node is one component, named by the node and labeled with the top
+// label (both offset by the process version salt); a coordinator's
+// pass-through components keep their origin's (already salted) labels.
+func (s *Server) exportComponents() (exp, held *stateExport, err error) {
+	s.exportMu.Lock()
+	defer s.exportMu.Unlock()
+	held = s.lastExport
+	top := s.stateVersion()
+	if held != nil && held.top == top {
+		return held, held, nil
+	}
+	exp = &stateExport{top: top}
+	if s.fleet != nil {
 		exp.top, exp.comps, exp.vec = s.fleet.exportComponents()
 		exp.top += s.verSalt
-	case s.win != nil:
-		// The window is one component: expiry shrinks its state, so
-		// per-shard deltas would need exact removal tracking; shipping
-		// the (already bounded) window as one component when it moved is
-		// simpler and still skips the transfer entirely when it didn't.
-		exp.top = s.verSalt + s.win.Version()
-		snap, err := s.win.Snapshot()
+		wire.SortComponents(exp.comps)
+	} else {
+		snap, err := s.exportSnapshot()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		blob, err := snap.MarshalState()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		exp.comps = []wire.StateComponent{{ID: s.nodeID, Version: exp.top, N: snap.N(), State: blob}}
-		exp.vec = map[string]uint64{s.nodeID: exp.top}
-	default:
-		exp.top = s.verSalt + s.agg.Version()
-		var held []core.ShardExport
-		if prev != nil {
-			held = prev.shards
-		}
-		exps, vers, err := s.agg.ExportShardsReusing(held)
-		if err != nil {
-			return nil, err
-		}
-		exp.shards = exps
-		exp.comps = make([]wire.StateComponent, 0, len(exps))
-		for _, e := range exps {
-			exp.comps = append(exp.comps, wire.StateComponent{
-				ID:      shardComponentID(s.nodeID, e.Index),
-				Version: s.verSalt + e.Version,
-				N:       e.N,
-				State:   e.State,
-			})
-		}
-		exp.vec = make(map[string]uint64, len(vers))
-		for i, v := range vers {
-			exp.vec[shardComponentID(s.nodeID, i)] = s.verSalt + v
+		exp.comps = []wire.StateComponent{{ID: s.nodeID, Version: top, N: snap.N(), State: blob}}
+		exp.vec = map[string]uint64{s.nodeID: top}
+	}
+	s.stateHist.record(exp.top, exp.vec)
+	s.lastExport = exp
+	return exp, held, nil
+}
+
+// exportSnapshot merges the node's shards (or window) for an export;
+// callers hold exportMu. The merge lives in an arena of the exporter's
+// own, so a pull after one shard moved re-folds that shard instead of
+// re-merging all of them; the returned aggregator is the arena's and is
+// valid until the next call. Protocols without exact folds are
+// snapshotted whole.
+func (s *Server) exportSnapshot() (core.Aggregator, error) {
+	var src view.DeltaSource = s.agg
+	if s.win != nil {
+		src = s.win
+	}
+	if s.exportArena == nil {
+		// Built on the first export: a node nobody pulls never pays the
+		// (shards+1) state copies.
+		if s.exportArena = src.NewSnapshotArena(); s.exportArena == nil {
+			return src.Snapshot()
 		}
 	}
-	wire.SortComponents(exp.comps)
-	return exp, nil
+	if _, err := src.SnapshotDeltaInto(s.exportArena); err != nil {
+		return nil, err
+	}
+	return s.exportArena.State(), nil
 }
 
 // exportComponents passes the coordinator's held peer components through

@@ -36,8 +36,8 @@ func TestCoordinatorIncrementalSinglePeerRefold(t *testing.T) {
 	}
 	reps := makeClusterReports(t, p, 3000, 41)
 
-	_, edge1 := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "e1"})
-	_, edge2 := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "e2"})
+	_, edge1 := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "e1", Shards: 4})
+	_, edge2 := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "e2", Shards: 4})
 	coord, coordTS := newClusterNode(t, p, Options{
 		Role:   RoleCoordinator,
 		NodeID: "c0",
@@ -46,9 +46,12 @@ func TestCoordinatorIncrementalSinglePeerRefold(t *testing.T) {
 		PullInterval: 3600e9,
 	})
 
-	// Round 1: both edges receive data -> both components fold.
-	postBatchOK(t, edge1.URL, p, reps[:1000])
-	postBatchOK(t, edge2.URL, p, reps[1000:2000])
+	// Round 1: both edges receive data, on two shards each -> both
+	// components fold (an edge is one component however many shards moved).
+	postBatchOK(t, edge1.URL, p, reps[:500])
+	postBatchOK(t, edge1.URL, p, reps[500:1000])
+	postBatchOK(t, edge2.URL, p, reps[1000:1500])
+	postBatchOK(t, edge2.URL, p, reps[1500:2000])
 	postPull(t, coordTS.URL)
 	vs := postRefresh(t, coordTS.URL)
 	if vs.ViewN != 2000 {
@@ -59,7 +62,8 @@ func TestCoordinatorIncrementalSinglePeerRefold(t *testing.T) {
 	}
 
 	// Round 2: only edge1 changes -> exactly one component re-folds.
-	postBatchOK(t, edge1.URL, p, reps[2000:])
+	postBatchOK(t, edge1.URL, p, reps[2000:2500])
+	postBatchOK(t, edge1.URL, p, reps[2500:])
 	postPull(t, coordTS.URL)
 	vs = postRefresh(t, coordTS.URL)
 	if vs.ViewN != 3000 {

@@ -385,12 +385,14 @@ type Server struct {
 	// label anyway) empties it, and pullers then fall back to one full
 	// frame.
 	stateHist exportHistory
-	// lastExport is the latest componentized /state export: the blobs the
-	// next one reuses for shards that did not move and takes diffs
-	// against. Concurrent exports may store in either order; each is a
-	// consistent set of (version, blob) pairs, which is all a reader
-	// relies on.
-	lastExport atomic.Pointer[stateExport]
+	// exportMu orders componentized /state exports; it guards lastExport
+	// (the latest one: what an unchanged label is served from and the
+	// next export's diffs are taken against) and exportArena (the merged
+	// local state the next export re-folds only moved shards into; nil
+	// until the first export, and for protocols without exact folds).
+	exportMu    sync.Mutex
+	lastExport  *stateExport
+	exportArena core.StateArena
 
 	ins    *serverInstruments // always non-nil; hot paths update unconditionally
 	adm    *admission         // ingest load shedding; nil when disabled or not ingesting
@@ -1376,9 +1378,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 //
 //   - Bare GET /state serves the legacy wire.StateFrame (one merged
 //     blob) — what pre-delta pullers and debugging curls expect.
-//   - GET /state?components=1 serves a componentized wire.ComponentFrame
-//     (per-shard, per-window, or per-constituent states with their own
-//     version labels).
+//   - GET /state?components=1 serves a componentized wire.ComponentFrame:
+//     one component per ingesting node (its merged shards, or its
+//     window) or, from a coordinator, per constituent node, each with
+//     its own version label.
 //   - Either form answers 304 Not Modified when the caller's
 //     If-None-Match (or ?since=) base equals the current version; with
 //     ?components=1 a known, non-current base narrows the reply to a
@@ -1408,14 +1411,11 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		s.serveLegacyState(w, r)
 		return
 	}
-	prev := s.lastExport.Load()
-	exp, err := s.exportComponents(prev)
+	exp, held, err := s.exportComponents()
 	if err != nil {
 		httpError(w, r, "exporting state components: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.lastExport.Store(exp)
-	s.stateHist.record(exp.top, exp.vec)
 	total, err := sumComponentReports(exp.comps)
 	if err != nil {
 		httpError(w, r, "exporting state components: "+err.Error(), http.StatusInternalServerError)
@@ -1423,17 +1423,17 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	}
 	top := exp.top
 	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps}
-	mode := "full"
+	mode, encode := "full", exp.fullFrame
 	if haveBase && base != top {
 		if baseVec, ok := s.stateHist.lookup(base); ok {
 			if q.Get("diff") != "1" {
-				prev = nil
+				held = nil
 			}
-			frame = deltaAgainst(frame, base, baseVec, exp.vec, prev)
-			mode = "delta"
+			frame = deltaAgainst(frame, base, baseVec, exp.vec, held)
+			mode, encode = "delta", wire.EncodeComponentFrame
 		}
 	}
-	buf, err := wire.EncodeComponentFrame(frame)
+	buf, err := encode(frame)
 	if err != nil {
 		httpError(w, r, "framing state components: "+err.Error(), http.StatusInternalServerError)
 		return

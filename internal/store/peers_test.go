@@ -51,7 +51,8 @@ func TestPeerStatesRoundTrip(t *testing.T) {
 	blob2, n2 := peerStateBlob(t, p, 25, 2)
 	blob3, n3 := peerStateBlob(t, p, 15, 4)
 	in := []PeerState{
-		// A multi-component peer (a sharded edge's per-shard states).
+		// A multi-component peer (a state accepted from an exporter that
+		// shipped one component per shard).
 		{URL: "http://10.0.0.1:8080", NodeID: "edge-1", Version: 12, N: n1 + n3, Components: []PeerComponent{
 			{ID: "edge-1/0", Version: 7, N: n1, State: blob1},
 			{ID: "edge-1/1", Version: 12, N: n3, State: blob3},

@@ -41,7 +41,7 @@ type Component struct {
 	// the local pipeline).
 	PulledAt time.Time
 	// Parts is how many named state components the constituent
-	// decomposes into on the wire (shards of an edge, pass-through
+	// decomposes into on the wire (1 for an edge, pass-through
 	// constituents of a mid-tier coordinator); 0 when the source doesn't
 	// track a decomposition.
 	Parts int

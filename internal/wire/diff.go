@@ -31,19 +31,26 @@ type ComponentBase struct {
 	State   []byte
 }
 
-// uvarint is binary.Uvarint with the one-byte case, which is nearly
-// every counter and nearly every difference, kept out of the call.
+// uvarint is binary.Uvarint with the one- and two-byte cases spelled
+// out: nearly every difference is one byte, and a node's merged counters
+// pass 127 long before its shards' would have.
 func uvarint(b []byte) (uint64, int) {
 	if len(b) > 0 && b[0] < 0x80 {
 		return uint64(b[0]), 1
+	}
+	if len(b) > 1 && b[1] < 0x80 {
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
 	}
 	return binary.Uvarint(b)
 }
 
 // appendUvarint is binary.AppendUvarint, likewise.
 func appendUvarint(b []byte, v uint64) []byte {
-	if v < 0x80 {
+	if v < 1<<7 {
 		return append(b, byte(v))
+	}
+	if v < 1<<14 {
+		return append(b, byte(v)|0x80, byte(v>>7))
 	}
 	return binary.AppendUvarint(b, v)
 }
@@ -66,17 +73,26 @@ func diffState(base, next []byte) ([]byte, bool) {
 	out = append(out, next[:2]...)
 	b := blobBody(base)
 	for n := next[2:]; len(n) > 0; {
-		v, w := uvarint(n)
-		if w <= 0 || (w > 1 && v>>(7*(w-1)) == 0) {
-			return nil, false
+		// One-byte values skip the call: uvarint is too big to inline.
+		v, w := uint64(n[0]), 1
+		if v >= 0x80 {
+			v, w = uvarint(n)
+			if w <= 0 || v>>(7*(w-1)) == 0 {
+				return nil, false
+			}
 		}
 		n = n[w:]
 		// Zero bytes read: the base has run out, and reads as zero.
-		old, bw := uvarint(b)
-		if bw < 0 || (bw == 0 && len(b) > 0) {
-			return nil, false
+		var old uint64
+		if len(b) > 0 {
+			bw := 1
+			if old = uint64(b[0]); old >= 0x80 {
+				if old, bw = uvarint(b); bw <= 0 {
+					return nil, false
+				}
+			}
+			b = b[bw:]
 		}
-		b = b[bw:]
 		d := int64(v - old)
 		out = appendUvarint(out, uint64(d<<1)^uint64(d>>63)) // zig-zag, as binary.AppendVarint
 	}
@@ -96,17 +112,24 @@ func applyDiff(base, diff []byte, rawLen uint64) ([]byte, error) {
 	out = append(out, diff[:2]...)
 	b := blobBody(base)
 	for d := diff[2:]; len(d) > 0; {
-		ux, w := uvarint(d)
-		if w <= 0 {
-			return nil, errors.New("state diff value malformed")
+		ux, w := uint64(d[0]), 1
+		if ux >= 0x80 {
+			if ux, w = uvarint(d); w <= 0 {
+				return nil, errors.New("state diff value malformed")
+			}
 		}
 		d = d[w:]
 		// The base read of diffState, spelled out in both for speed.
-		old, bw := uvarint(b)
-		if bw < 0 || (bw == 0 && len(b) > 0) {
-			return nil, fmt.Errorf("base blob malformed: %w", ErrDiffBase)
+		var old uint64
+		if len(b) > 0 {
+			bw := 1
+			if old = uint64(b[0]); old >= 0x80 {
+				if old, bw = uvarint(b); bw <= 0 {
+					return nil, fmt.Errorf("base blob malformed: %w", ErrDiffBase)
+				}
+			}
+			b = b[bw:]
 		}
-		b = b[bw:]
 		out = appendUvarint(out, old+(ux>>1^-(ux&1))) // zig-zag undone, as binary.Varint
 		if uint64(len(out)) > rawLen {
 			break

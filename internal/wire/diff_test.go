@@ -46,7 +46,16 @@ func TestDiffStateRoundTrip(t *testing.T) {
 	for i := range base {
 		base[i] = r.Uint64N(40)
 	}
+	// Values at every uvarint width, against each other in both orders.
+	var widths, widthsRev []uint64
+	for k := 0; k < 64; k += 7 {
+		widths = append(widths, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for i := len(widths) - 1; i >= 0; i-- {
+		widthsRev = append(widthsRev, widths[i])
+	}
 	cases := map[string][2][]byte{
+		"every width":   {counterBlob(widths), counterBlob(widthsRev)},
 		"same length":   {counterBlob(base), counterBlob(churned(r, base, 0.1))},
 		"unchanged":     {counterBlob(base), counterBlob(base)},
 		"all moved":     {counterBlob(base), counterBlob(churned(r, base, 1))},
@@ -58,6 +67,10 @@ func TestDiffStateRoundTrip(t *testing.T) {
 		"no counters":   {counterBlob(base), counterBlob(nil)},
 		"extreme values": {counterBlob([]uint64{0, 1 << 63, ^uint64(0), 5}),
 			counterBlob([]uint64{^uint64(0), 0, 1 << 63, 4})},
+		// Merged counters: around the one-, two- and three-byte uvarint
+		// boundaries, moving across them in both directions.
+		"varint widths": {counterBlob([]uint64{126, 127, 128, 129, 16382, 16383, 16384, 16385, 200, 20000}),
+			counterBlob([]uint64{128, 126, 127, 16384, 16383, 16385, 16382, 129, 20000, 200})},
 	}
 	for name, c := range cases {
 		diff, ok := diffState(c[0], c[1])
@@ -68,6 +81,34 @@ func TestDiffStateRoundTrip(t *testing.T) {
 		got, err := applyDiff(c[0], diff, uint64(len(c[1])))
 		if err != nil || !bytes.Equal(got, c[1]) {
 			t.Errorf("%s: diff does not rebuild the blob (err %v)", name, err)
+		}
+	}
+}
+
+// TestVarintFastPathsAgreeWithBinary: the spelled-out one- and two-byte
+// cases read and write exactly what encoding/binary does, truncated and
+// non-minimal input included.
+func TestVarintFastPathsAgreeWithBinary(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 129, 255, 256, 16383, 16384, 16385, 1 << 21, 1 << 63, ^uint64(0)} {
+		want := binary.AppendUvarint([]byte{0xaa}, v)
+		if got := appendUvarint([]byte{0xaa}, v); !bytes.Equal(got, want) {
+			t.Errorf("appendUvarint(%d) = %x, want %x", v, got, want)
+		}
+		for _, in := range [][]byte{want[1:], want[1 : len(want)-1], append(want[1:len(want):len(want)], 0x05)} {
+			gv, gw := uvarint(in)
+			wv, ww := binary.Uvarint(in)
+			if gv != wv || gw != ww {
+				t.Errorf("uvarint(%x) = %d, %d; binary.Uvarint = %d, %d", in, gv, gw, wv, ww)
+			}
+		}
+	}
+	// Non-minimal two-byte forms decode like binary.Uvarint decodes them;
+	// diffState is what refuses them.
+	for _, in := range [][]byte{{0x80, 0x00}, {0x85, 0x00}, {0x80}, nil} {
+		gv, gw := uvarint(in)
+		wv, ww := binary.Uvarint(in)
+		if gv != wv || gw != ww {
+			t.Errorf("uvarint(%x) = %d, %d; binary.Uvarint = %d, %d", in, gv, gw, wv, ww)
 		}
 	}
 }
@@ -153,6 +194,36 @@ func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
 	}
 	if !sawDiff || !sawWhole {
 		t.Errorf("churn sweep shipped diff=%v whole=%v, want both", sawDiff, sawWhole)
+	}
+}
+
+// TestSmallDiffShipsWithoutComparing pins the one place the encoder
+// does not pick the smaller payload: a diff under 1/diffCertain of the
+// raw state ships without the whole state being packed to compare, even
+// on a state empty enough that the whole would have been a few bytes
+// smaller. What the rule can cost is bounded by that share of a state
+// that deflates to next to nothing.
+func TestSmallDiffShipsWithoutComparing(t *testing.T) {
+	base := make([]uint64, 1<<14)
+	next := append([]uint64(nil), base...)
+	next[5], next[900], next[16000] = 1, 1, 2
+	c := StateComponent{ID: "e", Version: 2, N: 4, State: counterBlob(next),
+		Base: &ComponentBase{Version: 1, State: counterBlob(base)}}
+	var pk packer
+	enc, head, payload, err := pk.component(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc&compEncDiff == 0 || len(head)+len(payload) >= len(c.State)/diffCertain {
+		t.Fatalf("enc %#x, %d bytes for a %d-byte state: want a diff under 1/%d of it", enc, len(head)+len(payload), len(c.State), diffCertain)
+	}
+	buf, err := EncodeComponentFrame(ComponentFrame{NodeID: "e", Version: 2, Delta: true, BaseVersion: 1, N: 4, Components: []StateComponent{c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeComponentFrameWith(buf, testMaxRaw, func(string) (ComponentBase, bool) { return *c.Base, true })
+	if err != nil || !bytes.Equal(out.Components[0].State, c.State) {
+		t.Fatalf("decoded state differs (err %v)", err)
 	}
 }
 
