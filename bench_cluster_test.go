@@ -281,15 +281,15 @@ func deltaEdge(b *testing.B) (url string, mutate func(k int)) {
 
 // deltaPull GETs /state with the delta handshake and returns the body
 // and the reply's ETag (the base to acknowledge next time). With
-// components set it asks the way a coordinator does: diffs welcome once
-// there is a base to acknowledge.
+// components set it asks the way a coordinator does: diffs, sparse ones
+// too, welcome once there is a base to acknowledge.
 func deltaPull(b *testing.B, url, base string, components bool) (int, []byte, string) {
 	b.Helper()
 	target := url + "/state"
 	if components {
 		target += "?components=1"
 		if base != "" {
-			target += "&diff=1"
+			target += "&diff=1&sparse=1"
 		}
 	}
 	req, err := http.NewRequest(http.MethodGet, target, nil)

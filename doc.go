@@ -242,12 +242,26 @@
 // its latest export, by reference — ships a moved component as the
 // per-counter difference from the version the puller holds whenever
 // that is the smaller payload, or is under an eighth of the raw state
-// (the whole state is then not deflated just to compare). On the wire
-// the encoding byte says which (bit0: deflated, bit1: diff), and a diff
-// also carries the component version minus its base's, the crc32c of
-// the state it rebuilds, and its own raw length. Every
-// payload, whole or diff, takes the smaller of flate.BestSpeed and
-// flate.HuffmanOnly. The puller rebuilds the canonical blob from its
+// (the whole state is then not deflated just to compare). A diff has
+// two forms. The dense one is a zig-zag varint per counter, whose zeros
+// are left to deflate — which spends some 19 bits on each counter that
+// moved when 98 % did not. The sparse one lists only the counters that
+// moved: their number, the gap of unmoved counters before each, then
+// the non-zero differences, about 9 bits per moved counter at the same
+// churn, with nothing the size of the state built, deflated or inflated
+// on either side (the puller copies the unmoved stretches of its own
+// blob across as bytes). A puller says sparse=1 beside diff=1 when it
+// reads the sparse form — a capability token between our own nodes, not
+// a setting: an exporter that predates it answers with dense diffs, a
+// puller that predates it is never sent a sparse one — and the exporter
+// ships whole, dense or sparse by size, the earlier of two the same
+// size; under an eighth of the counters moved, the dense form is not
+// built to compare, and over half it is the sparse one that is not. On
+// the wire the encoding byte says which (bit0: deflated, bit1: diff,
+// bit2: the diff is sparse), and a diff also carries the component
+// version minus its base's, the crc32c of the state it rebuilds, and
+// its own raw length. Every payload, whole or diff, takes the smaller
+// of flate.BestSpeed and flate.HuffmanOnly. The puller rebuilds the canonical blob from its
 // own copy and checks length and checksum before anything else sees
 // it, so validation, folding, persistence and pass-through are the
 // ones whole components go through. The ladder below a diff, each rung
@@ -276,13 +290,15 @@
 // (TestMixedGranularityFullFrameReplaces). A puller that never sends
 // diff=1 still gets the same frame format, with the one component
 // whole. BENCH_cluster.json records the wire sizes for a 100-shard
-// InpPS d=16 edge (one diff of under 400 bytes whether 1 or 100 shards
-// moved; 145 bytes for an unchanged peer) and bench/ the diff's on two
-// 8-shard edges (one 1,024-report batch: 2,540 wire bytes as a diff,
-// ~37.5 KB as the whole component); TestClusterDeltaVsFullBitIdentity
-// and TestClusterTwoTierBitIdentity pin delta-, diff- and tree-pulled
-// coordinators to the marginals of flat full pulls and to the component
-// blobs of a coordinator that just started, byte for byte.
+// InpPS d=16 edge (one sparse diff of under 250 bytes whether 1 or 100
+// shards moved; 145 bytes for an unchanged peer) and bench/ the diff's
+// on two 8-shard edges (one 1,024-report batch: 1,238 wire bytes as a
+// sparse diff, where the positions of its ~1,019 counters alone carry
+// ~953; 2,540 as a dense diff, ~37.5 KB as the whole component);
+// TestClusterDeltaVsFullBitIdentity and TestClusterTwoTierBitIdentity
+// pin delta-, diff- and tree-pulled coordinators to the marginals of
+// flat full pulls and to the component blobs of a coordinator that just
+// started, byte for byte.
 //
 // # Observability
 //

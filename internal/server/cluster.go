@@ -83,13 +83,17 @@ type fleet struct {
 	saveMu sync.Mutex
 }
 
-// peerComp is one accepted component of a peer's state. The state blob
-// is replaced wholesale on accept, never mutated, so references read
-// under the fleet lock stay valid after it.
+// peerComp is one accepted component of a peer's state: the blob, which
+// is what is persisted, passed through to a coordinator above and diffed
+// against, and the aggregator it decoded into when it was validated,
+// which is what the arena folds — a blob is decoded once. Both are
+// replaced wholesale on accept, never mutated, so references read under
+// the fleet lock stay valid after it.
 type peerComp struct {
 	version uint64
 	n       int
 	state   []byte
+	agg     core.Aggregator
 }
 
 // peerEntry is one configured peer and its pull lifecycle state.
@@ -220,12 +224,13 @@ func newFleet(agg *core.ShardedAggregator, p core.Protocol, urls []string, dir, 
 		comps := make(map[string]peerComp, len(ps.Components))
 		n, bad := 0, false
 		for _, c := range ps.Components {
-			if err := validateState(p, c.State, c.N); err != nil {
+			agg, err := validateState(p, c.State, c.N)
+			if err != nil {
 				pe.lastErr = fmt.Sprintf("recovered component %s invalid: %v", c.ID, err)
 				bad = true
 				break
 			}
-			comps[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State}
+			comps[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: agg}
 			n += c.N
 		}
 		if bad {
@@ -250,34 +255,45 @@ func newFleet(agg *core.ShardedAggregator, p core.Protocol, urls []string, dir, 
 // validateState decodes a peer's canonical state blob into a fresh
 // aggregator of the deployment's protocol and cross-checks the declared
 // report count, so a foreign or corrupt blob is rejected before it can
-// enter any snapshot.
-func validateState(p core.Protocol, state []byte, n int) error {
-	probe := p.NewAggregator()
-	if err := probe.UnmarshalState(state); err != nil {
-		return err
+// enter any snapshot. The aggregator is the component's contribution to
+// every later fold.
+func validateState(p core.Protocol, state []byte, n int) (core.Aggregator, error) {
+	agg := p.NewAggregator()
+	if err := agg.UnmarshalState(state); err != nil {
+		return nil, err
 	}
-	if got := probe.N(); got != n {
-		return fmt.Errorf("state holds %d reports but the frame declares %d", got, n)
+	if got := agg.N(); got != n {
+		return nil, fmt.Errorf("state holds %d reports but the frame declares %d", got, n)
 	}
-	return nil
+	return agg, nil
+}
+
+// validFrame is a frame that passed validateComponents, which is the
+// only way to make one: aggs[i] is what Components[i].State decoded to.
+type validFrame struct {
+	wire.ComponentFrame
+	aggs []core.Aggregator
 }
 
 // validateComponents runs the per-blob validation over every component
 // of a frame and, for full frames, cross-checks the declared total
 // (deltas declare the total *after* the fold; acceptDelta checks it
 // there).
-func validateComponents(p core.Protocol, cf wire.ComponentFrame) error {
+func validateComponents(p core.Protocol, cf wire.ComponentFrame) (validFrame, error) {
+	vf := validFrame{ComponentFrame: cf, aggs: make([]core.Aggregator, len(cf.Components))}
 	sum := 0
-	for _, c := range cf.Components {
-		if err := validateState(p, c.State, c.N); err != nil {
-			return fmt.Errorf("component %s: %w", c.ID, err)
+	for i, c := range cf.Components {
+		agg, err := validateState(p, c.State, c.N)
+		if err != nil {
+			return validFrame{}, fmt.Errorf("component %s: %w", c.ID, err)
 		}
+		vf.aggs[i] = agg
 		sum += c.N
 	}
 	if !cf.Delta && sum != cf.N {
-		return fmt.Errorf("components hold %d reports but the frame declares %d", sum, cf.N)
+		return validFrame{}, fmt.Errorf("components hold %d reports but the frame declares %d", sum, cf.N)
 	}
-	return nil
+	return vf, nil
 }
 
 // componentFrameFromState lifts a legacy single-blob frame into the
@@ -394,9 +410,10 @@ func (f *fleet) NewSnapshotArena() core.StateArena {
 // SnapshotDeltaInto advances the arena to the current fleet state:
 // local shard deltas fold through the core arena, and each peer
 // component whose accepted version label moved since the arena's last
-// capture has its old contribution unmerged and its fresh state decoded
-// and merged — a pull round that moved one edge re-folds one
-// component. It records the snapshot's composition for the view
+// capture has its old contribution unmerged and its fresh one — the
+// aggregator the accept path decoded the blob into — merged: a pull
+// round that moved one edge re-folds one component, and decodes
+// nothing. It records the snapshot's composition for the view
 // engine, exactly like Snapshot. Only the engine may call it (builds
 // are serialized under the engine's lock).
 func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
@@ -416,14 +433,13 @@ func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
 	}
 	cum := fa.local.State()
 
-	// Snapshot the accepted peer labels (and blob references — blobs are
-	// replaced wholesale on accept, never mutated) under the fleet lock,
-	// and record the composition the engine will label this epoch with.
+	// Snapshot the accepted peer labels (and their decoded states, which
+	// are replaced wholesale on accept, never mutated) under the fleet
+	// lock, and record the composition the engine will label this epoch
+	// with.
 	type compSnap struct {
-		id      string
-		version uint64
-		n       int
-		state   []byte
+		id string
+		peerComp
 	}
 	type peerSnap struct {
 		url, nodeID string
@@ -438,7 +454,7 @@ func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
 		}
 		snap := peerSnap{url: pe.url, nodeID: pe.nodeID, comps: make([]compSnap, 0, len(pe.comps))}
 		for id, c := range pe.comps {
-			snap.comps = append(snap.comps, compSnap{id: id, version: c.version, n: c.n, state: c.state})
+			snap.comps = append(snap.comps, compSnap{id: id, peerComp: c})
 		}
 		cur = append(cur, snap)
 		comp = append(comp, view.Component{
@@ -492,14 +508,10 @@ func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
 					return fail(fmt.Errorf("server: unfolding stale component %s of peer %s: %w", c.id, pe.url, err))
 				}
 			}
-			dec := f.p.NewAggregator()
-			if err := dec.UnmarshalState(c.state); err != nil {
-				return fail(fmt.Errorf("server: decoding component %s of peer %s: %w", c.id, pe.url, err))
-			}
-			if err := core.MergeAggregators(cum, dec); err != nil {
+			if err := core.MergeAggregators(cum, c.agg); err != nil {
 				return fail(fmt.Errorf("server: folding component %s of peer %s: %w", c.id, pe.url, err))
 			}
-			held.comps[c.id] = &heldComp{version: c.version, n: c.n, agg: dec}
+			held.comps[c.id] = &heldComp{version: c.version, n: c.n, agg: c.agg}
 			touched++
 		}
 		for id, h := range held.comps {
@@ -589,26 +601,26 @@ func (f *fleet) findPeer(url string) *peerEntry {
 	return nil
 }
 
-// acceptFull installs a freshly pulled (and already validated) full
-// frame for the peer at url, replacing the peer's whole component set.
-// It returns (changed=false) when the frame's (node id, version) label
-// matches the stored one — the idempotent re-pull case.
-func (f *fleet) acceptFull(url string, cf wire.ComponentFrame) (changed bool, err error) {
+// acceptFull installs a freshly pulled full frame for the peer at url,
+// replacing the peer's whole component set. It returns (changed=false)
+// when the frame's (node id, version) label matches the stored one — the
+// idempotent re-pull case.
+func (f *fleet) acceptFull(url string, cf validFrame) (changed bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	target := f.findPeer(url)
 	if target == nil {
 		return false, fmt.Errorf("peer %s is not configured", url)
 	}
-	if err := f.guardFrame(target, cf); err != nil {
+	if err := f.guardFrame(target, cf.ComponentFrame); err != nil {
 		return false, err
 	}
 	if target.comps != nil && target.nodeID == cf.NodeID && target.top == cf.Version {
 		return false, nil
 	}
 	comps := make(map[string]peerComp, len(cf.Components))
-	for _, c := range cf.Components {
-		comps[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State}
+	for i, c := range cf.Components {
+		comps[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: cf.aggs[i]}
 	}
 	f.total.Add(int64(cf.N - target.n))
 	target.nodeID, target.top, target.comps, target.n = cf.NodeID, cf.Version, comps, cf.N
@@ -622,14 +634,14 @@ func (f *fleet) acceptFull(url string, cf wire.ComponentFrame) (changed bool, er
 // frame's base version must match the peer's stored top label — the
 // base this coordinator acknowledged — else errStaleDeltaBase tells the
 // puller to resolve with a full fetch.
-func (f *fleet) acceptDelta(url string, cf wire.ComponentFrame) (changed bool, err error) {
+func (f *fleet) acceptDelta(url string, cf validFrame) (changed bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	target := f.findPeer(url)
 	if target == nil {
 		return false, fmt.Errorf("peer %s is not configured", url)
 	}
-	if err := f.guardFrame(target, cf); err != nil {
+	if err := f.guardFrame(target, cf.ComponentFrame); err != nil {
 		return false, err
 	}
 	if target.comps == nil || target.nodeID != cf.NodeID || target.top != cf.BaseVersion {
@@ -641,11 +653,11 @@ func (f *fleet) acceptDelta(url string, cf wire.ComponentFrame) (changed bool, e
 	for id, c := range target.comps {
 		next[id] = c
 	}
-	for _, c := range cf.Components {
+	for i, c := range cf.Components {
 		if old, ok := next[c.ID]; !ok || old.version != c.Version {
 			changed = true
 		}
-		next[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State}
+		next[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: cf.aggs[i]}
 	}
 	for _, id := range cf.Removed {
 		if _, ok := next[id]; ok {
@@ -1089,12 +1101,13 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 
 // fetch performs the HTTP GET, frame validation, and accept for one
 // peer. With ack set it acknowledges the held base version (?since= plus
-// If-None-Match, and diff=1 on the componentized exchange), and the
-// reply is a 304 (nothing moved), a delta frame whose components may be
-// diffs against the held ones, or a full frame. A delta whose base no
-// longer matches what this coordinator holds (peer restart re-salted the
-// labels, an epoch gap, a diverged fold), or a diff component against a
-// version this coordinator does not hold, recurses once with ack unset:
+// If-None-Match, and diff=1&sparse=1 on the componentized exchange), and
+// the reply is a 304 (nothing moved), a delta frame whose components may
+// be diffs, dense or sparse, against the held ones, or a full frame. A
+// delta whose base no longer matches what this coordinator holds (peer
+// restart re-salted the labels, an epoch gap, a diverged fold), or a
+// diff component against a version this coordinator does not hold,
+// recurses once with ack unset:
 // a request that names no base can only be answered with a full frame
 // of whole components. The pull span's trace context rides along as a
 // W3C traceparent header, so the edge's request span joins this
@@ -1107,8 +1120,9 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 		target += "?components=1"
 		if ack {
 			// diff=1: components of a delta may arrive as differences from
-			// the versions held. Exporters that predate it ignore it.
-			target += "&since=" + strconv.FormatUint(base, 10) + "&diff=1"
+			// the versions held; sparse=1: and those as sparse diffs.
+			// Exporters that predate either token ignore it.
+			target += "&since=" + strconv.FormatUint(base, 10) + "&diff=1&sparse=1"
 		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
@@ -1176,13 +1190,17 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 		if err != nil {
 			return false, "", poison(err)
 		}
-		diffs := 0
+		diffs, sparse := 0, 0
 		for _, c := range cf.Components {
 			if c.Base != nil {
 				diffs++
+				if c.Base.Sparse {
+					sparse++
+				}
 			}
 		}
 		span.SetAttr("diff_components", diffs)
+		span.SetAttr("sparse_components", sparse) // of the diffs
 		span.SetAttr("whole_components", len(cf.Components)-diffs)
 		if ins != nil {
 			ins.diffComps.Add(uint64(diffs))
@@ -1204,10 +1222,11 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 				ins.bytesSaved.Add(last - uint64(len(body)))
 			}
 		}
-		if err := validateComponents(pl.f.p, cf); err != nil {
+		valid, err := validateComponents(pl.f.p, cf)
+		if err != nil {
 			return false, mode, poison(err)
 		}
-		changed, err = pl.f.acceptDelta(url, cf)
+		changed, err = pl.f.acceptDelta(url, valid)
 		if errors.Is(err, errStaleDeltaBase) {
 			// The base drifted between our ack and the apply (or the
 			// reply raced a restart): one full fetch resolves it within
@@ -1226,10 +1245,11 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 	if pl.f.sameTop(url, cf.NodeID, cf.Version) {
 		return false, mode, nil
 	}
-	if err := validateComponents(pl.f.p, cf); err != nil {
+	valid, err := validateComponents(pl.f.p, cf)
+	if err != nil {
 		return false, mode, poison(err)
 	}
-	changed, err = pl.f.acceptFull(url, cf)
+	changed, err = pl.f.acceptFull(url, valid)
 	return changed, mode, poison(err)
 }
 

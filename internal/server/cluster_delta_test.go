@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -548,6 +549,179 @@ func TestDiffFallbackLadder(t *testing.T) {
 	sameHeldComponents(t, "at the end", a, b)
 	if a.N() != len(reps) {
 		t.Fatalf("coordinator holds %d reports, %d were posted", a.N(), len(reps))
+	}
+}
+
+// pullArrivals totals, over the cluster.pull spans a coordinator has on
+// /debug/traces, how the components it pulled arrived. Sparse diffs are
+// counted among the diffs, as on the metric.
+type pullArrivals struct{ diffs, sparse, whole int }
+
+func scrapePullArrivals(t *testing.T, url string) pullArrivals {
+	t.Helper()
+	var a pullArrivals
+	for _, tr := range scrapeTraces(t, url).Traces {
+		for _, sp := range tr.Spans {
+			if sp.Name != "cluster.pull" {
+				continue
+			}
+			for _, attr := range sp.Attrs {
+				n, _ := strconv.Atoi(attr.Value)
+				switch attr.Key {
+				case "diff_components":
+					a.diffs += n
+				case "sparse_components":
+					a.sparse += n
+				case "whole_components":
+					a.whole += n
+				}
+			}
+		}
+	}
+	return a
+}
+
+// TestSparseDiffMixedVersions runs the sparse=1 token between nodes that
+// know it and nodes that do not. A puller that sends only diff=1 (a
+// coordinator from before the sparse diff) is answered with a dense
+// diff, never the sparse bit; one that sends both gets the sparse diff;
+// a coordinator pulling an exporter that ignores the token (an edge from
+// before it, played by a proxy that strips it) decodes the dense diff it
+// is sent; and a sparse diff that does not rebuild on what the puller
+// holds costs one full re-fetch in the same pull, like a dense one. The
+// edge's retained export is the base of whoever pulls first after a
+// batch, so each round has the puller under test go first and the
+// others catch up whole.
+func TestSparseDiffMixedVersions(t *testing.T) {
+	p, err := core.New(core.InpPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := makeClusterReports(t, p, 200, 73)
+	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := edge.Handler()
+	var stateGets atomic.Int64
+	edgeTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/state" {
+			stateGets.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	// What an exporter from before the token does with it: nothing.
+	deafTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		q.Del("sparse")
+		r.URL.RawQuery = q.Encode()
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { edgeTS.Close(); deafTS.Close(); _ = edge.Close() })
+	newCoord := func(id, peer string) (*Server, string) {
+		c, ts := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: id, Peers: []string{peer}, PullInterval: time.Minute})
+		return c, ts.URL
+	}
+	coord, coordURL := newCoord("coord", edgeTS.URL)
+	_, deafURL := newCoord("coord-of-deaf-edge", deafTS.URL)
+	oldPuller := &statePuller{url: edgeTS.URL, p: p}
+	newPuller := &statePuller{url: edgeTS.URL, p: p, sparse: true}
+
+	// everyone brings all four pullers to the edge's current label, the
+	// one under test first.
+	posted := 0
+	post := func(n int) {
+		t.Helper()
+		postBatchOK(t, edgeTS.URL, p, reps[posted:posted+n])
+		posted += n
+	}
+	pulls := map[string]func(){
+		"old puller": func() {
+			if err := oldPuller.pull(true, true); err != nil {
+				t.Fatalf("old puller: %v", err)
+			}
+		},
+		"new puller": func() {
+			if err := newPuller.pull(true, true); err != nil {
+				t.Fatalf("new puller: %v", err)
+			}
+		},
+		"coordinator": func() {
+			if cs := postPull(t, coordURL); cs.Peers[0].LastError != "" {
+				t.Fatalf("coordinator: %s", cs.Peers[0].LastError)
+			}
+		},
+		"coordinator of a deaf edge": func() {
+			if cs := postPull(t, deafURL); cs.Peers[0].LastError != "" {
+				t.Fatalf("coordinator of a deaf edge: %s", cs.Peers[0].LastError)
+			}
+		},
+	}
+	everyone := func(first string) {
+		t.Helper()
+		pulls[first]()
+		for name, pull := range pulls {
+			if name != first {
+				pull()
+			}
+		}
+	}
+	post(100)
+	everyone("old puller")
+
+	// Two reports move at most two of the 64 counters: sparse, clearly.
+	post(2)
+	everyone("old puller")
+	if oldPuller.diffs != 1 || oldPuller.sparseDiffs != 0 {
+		t.Fatalf("puller that sent only diff=1: %d diffs, %d of them sparse; want one dense diff", oldPuller.diffs, oldPuller.sparseDiffs)
+	}
+	post(2)
+	everyone("new puller")
+	if newPuller.diffs != 1 || newPuller.sparseDiffs != 1 {
+		t.Fatalf("puller that sent sparse=1: %d diffs, %d of them sparse; want one sparse diff", newPuller.diffs, newPuller.sparseDiffs)
+	}
+	post(2)
+	before := scrapePullArrivals(t, coordURL)
+	everyone("coordinator")
+	if got := scrapePullArrivals(t, coordURL); got.diffs != before.diffs+1 || got.sparse != before.sparse+1 {
+		t.Fatalf("coordinator: pull spans went from %+v to %+v, want one more diff, sparse", before, got)
+	}
+	post(2)
+	before = scrapePullArrivals(t, deafURL)
+	everyone("coordinator of a deaf edge")
+	if got := scrapePullArrivals(t, deafURL); got.diffs != before.diffs+1 || got.sparse != before.sparse {
+		t.Fatalf("coordinator of a deaf edge: pull spans went from %+v to %+v, want one more diff, dense", before, got)
+	}
+
+	// The coordinator's copy of its base goes bad under an unchanged
+	// label: the sparse diff is sent, fails its checksum on that base,
+	// and the same pull re-fetches one full frame.
+	coord.fleet.mu.Lock()
+	pe := coord.fleet.peers[0]
+	bad := make(map[string]peerComp, len(pe.comps))
+	for id, c := range pe.comps {
+		c.state = append([]byte(nil), c.state...)
+		c.state[len(c.state)-1] ^= 1
+		bad[id] = c
+	}
+	pe.comps = bad
+	coord.fleet.mu.Unlock()
+	post(2)
+	ins := coord.puller.ins[edgeTS.URL]
+	gets, full, delta := stateGets.Load(), ins.fullPulls.Value(), ins.deltaPulls.Value()
+	pulls["coordinator"]()
+	if g, f, d := stateGets.Load()-gets, ins.fullPulls.Value()-full, ins.deltaPulls.Value()-delta; g != 2 || f != 1 || d != 0 {
+		t.Fatalf("pull onto a mismatched base: %d GETs, %d full, %d delta; want the sparse diff reply plus exactly one full re-fetch", g, f, d)
+	}
+	everyone("coordinator")
+	post(2)
+	before = scrapePullArrivals(t, coordURL)
+	everyone("coordinator")
+	if got := scrapePullArrivals(t, coordURL); got.sparse != before.sparse+1 {
+		t.Fatalf("after the re-fetch: pull spans went from %+v to %+v, want sparse diffs to have resumed", before, got)
+	}
+	if coord.N() != posted || oldPuller.held["edge-1"].N != posted || newPuller.held["edge-1"].N != posted {
+		t.Fatalf("coordinator holds %d reports, pullers %d and %d; %d were posted", coord.N(), oldPuller.held["edge-1"].N, newPuller.held["edge-1"].N, posted)
 	}
 }
 

@@ -335,6 +335,26 @@ func TestClusterThreeTierE2E(t *testing.T) {
 	mid = startMid()
 	waitN(rootAddr, 2250, "root (post mid-tier restart)")
 
+	// Phase 4: one more report moves one of edge-0's 37 coefficients. The
+	// mid tier pulls that as a sparse diff, and so does the root: the
+	// pass-through component is diffed against the blob the mid tier
+	// last served it, like an edge's own.
+	if !post(edgeAddrs[0], makeBatch(1)) {
+		t.Fatal("phase-4 report not acked")
+	}
+	waitN(rootAddr, 2251, "root (phase 4)")
+	for _, tier := range []struct{ name, addr string }{{"mid tier", midAddr}, {"root", rootAddr}} {
+		// A pull's trace reaches the ring when its round ends, a moment
+		// after the count it moved shows on /status.
+		var got pullArrivals
+		for deadline := time.Now().Add(5 * time.Second); got.sparse == 0 && time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+			got = scrapePullArrivals(t, "http://"+tier.addr)
+		}
+		if got.sparse == 0 {
+			t.Errorf("%s: pull spans show %+v, want the one-report delta to have arrived as a sparse diff", tier.name, got)
+		}
+	}
+
 	// The root's accepted state decomposes into the edges' pass-through
 	// components, one each, proving the mid tier is transparent.
 	var cs StatusResponse
@@ -366,7 +386,7 @@ func TestClusterThreeTierE2E(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&mr); err != nil || mresp.StatusCode != http.StatusOK {
 		t.Fatalf("marginal through two tiers: status %d err %v", mresp.StatusCode, err)
 	}
-	if mr.N != 2250 {
-		t.Fatalf("marginal over n=%d, want 2250", mr.N)
+	if mr.N != 2251 {
+		t.Fatalf("marginal over n=%d, want 2251", mr.N)
 	}
 }

@@ -31,7 +31,11 @@ import (
 // the blobs of its latest export, and a moved component whose blob at
 // the base is still among them ships as a diff when that is the smaller
 // payload — bytes proportional to the counters that moved, whatever the
-// component's size.
+// component's size. sparse=1 beside diff=1 is the puller saying it also
+// decodes the sparse form of a diff, which lists only the counters that
+// moved; the token is a capability our own nodes exchange, so an
+// exporter that predates it answers with dense diffs and a puller that
+// predates it is never sent a sparse one.
 
 // exportHistorySize bounds the per-node ring of remembered export
 // labels. A coordinator pulls each peer once per interval, so 64 entries
@@ -227,8 +231,8 @@ func parseStateBase(etag, since string) (uint64, bool) {
 // so the importer can cross-check the fold. With held set (the node's
 // previous export, for a puller that asked for diffs), a shipped
 // component whose blob at the base version is still in it is offered to
-// the encoder as that base.
-func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[string]uint64, held *stateExport) wire.ComponentFrame {
+// the encoder as that base; sparse says the puller reads sparse diffs.
+func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[string]uint64, held *stateExport, sparse bool) wire.ComponentFrame {
 	delta := wire.ComponentFrame{
 		NodeID:      full.NodeID,
 		Version:     full.Version,
@@ -243,7 +247,7 @@ func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[str
 		}
 		if atBase && held != nil {
 			if old, ok := held.component(c.ID); ok && old.Version == v {
-				c.Base = &wire.ComponentBase{Version: v, State: old.State}
+				c.Base = &wire.ComponentBase{Version: v, State: old.State, Sparse: sparse}
 			}
 		}
 		delta.Components = append(delta.Components, c)

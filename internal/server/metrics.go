@@ -178,7 +178,7 @@ func (s *Server) registerClusterMetrics(r *metrics.Registry) {
 		r.MustRegister("ldp_cluster_pull_delta_total", "Successful pulls answered with a delta frame.", labels, ins.deltaPulls)
 		r.MustRegister("ldp_cluster_pull_full_total", "Successful pulls answered with a full frame.", labels, ins.fullPulls)
 		r.MustRegister("ldp_cluster_pull_not_modified_total", "Successful pulls answered 304 Not Modified (version handshake hit).", labels, ins.notModified)
-		r.MustRegister("ldp_cluster_pull_diff_components_total", "Components of pulled delta frames that arrived as counter diffs rather than whole.", labels, ins.diffComps)
+		r.MustRegister("ldp_cluster_pull_diff_components_total", "Components of pulled delta frames that arrived as counter diffs, dense or sparse, rather than whole.", labels, ins.diffComps)
 		r.MustRegister("ldp_cluster_pull_bytes_saved_total", "Estimated bytes the delta/304 path avoided transferring, vs re-fetching the peer's last full frame.", labels, ins.bytesSaved)
 		r.MustGaugeFunc("ldp_cluster_peer_components", "Named state components in the peer's latest accepted state.", labels,
 			func() float64 {

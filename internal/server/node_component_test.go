@@ -189,7 +189,11 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 			}
 			mid, midTS := newClusterNode(t, p, midOpts)
 			if !recovered {
-				if _, err := mid.fleet.acceptFull(edgeTS.URL, old); err != nil {
+				valid, err := validateComponents(p, old)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := mid.fleet.acceptFull(edgeTS.URL, valid); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -233,12 +237,13 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 // statePuller is one client of GET /state?components=1 that keeps what
 // it was served, the way a coordinator does.
 type statePuller struct {
-	url  string
-	p    core.Protocol
-	etag string
-	held map[string]wire.StateComponent
+	url    string
+	p      core.Protocol
+	sparse bool // says sparse=1 beside diff=1, as pullers since the sparse diff do
+	etag   string
+	held   map[string]wire.StateComponent
 
-	full, whole, diffs, notModified int
+	full, whole, diffs, sparseDiffs, notModified int
 }
 
 // pull issues one request: with ack the held label is acknowledged,
@@ -248,6 +253,9 @@ func (sp *statePuller) pull(ack, diff bool) error {
 	target := sp.url + "/state?components=1"
 	if diff {
 		target += "&diff=1"
+		if sp.sparse {
+			target += "&sparse=1"
+		}
 	}
 	req, err := http.NewRequest(http.MethodGet, target, nil)
 	if err != nil {
@@ -304,6 +312,12 @@ func (sp *statePuller) pull(ack, diff bool) error {
 				return fmt.Errorf("component %s arrived as a diff nobody asked for", c.ID)
 			}
 			sp.diffs++
+			if c.Base.Sparse {
+				if !sp.sparse {
+					return fmt.Errorf("component %s arrived as a sparse diff nobody asked for", c.ID)
+				}
+				sp.sparseDiffs++
+			}
 		} else if cf.Delta {
 			sp.whole++
 		}
@@ -324,8 +338,9 @@ func (sp *statePuller) pull(ack, diff bool) error {
 }
 
 // TestConcurrentStateExportsUnderIngest runs full, whole-component
-// delta, diff and 304 requests from several pullers at once against an
-// edge that is ingesting (run it under -race). Exports are serialized
+// delta, diff and 304 requests from several pullers at once, one of
+// which reads sparse diffs, against an edge that is ingesting (run it
+// under -race). Exports are serialized
 // and a label is only ever served with one blob, so every frame must
 // decode on what its puller holds — no diff may miss its base — and
 // account for exactly the reports it declares.
@@ -348,7 +363,7 @@ func TestConcurrentStateExportsUnderIngest(t *testing.T) {
 			ingestDone := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := range pullers {
-				sp := &statePuller{url: ts.URL, p: p}
+				sp := &statePuller{url: ts.URL, p: p, sparse: i%2 == 1}
 				pullers[i] = sp
 				wg.Add(1)
 				go func(i int) {

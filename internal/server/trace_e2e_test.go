@@ -123,8 +123,8 @@ func TestCrossProcessPullTrace(t *testing.T) {
 		for _, a := range sp.Attrs {
 			attrs[a.Key] = a.Value
 		}
-		if attrs["diff_components"] != "0" || attrs["whole_components"] != "1" {
-			t.Errorf("cluster.pull span attrs %v, want diff_components=0 whole_components=1", attrs)
+		if attrs["diff_components"] != "0" || attrs["sparse_components"] != "0" || attrs["whole_components"] != "1" {
+			t.Errorf("cluster.pull span attrs %v, want diff_components=0 sparse_components=0 whole_components=1", attrs)
 		}
 	}
 

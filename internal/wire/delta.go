@@ -32,7 +32,8 @@ import (
 //	repeat (ids strictly increasing):
 //	  uvarint id length, id bytes,
 //	  uvarint component version, uvarint component report count,
-//	  encoding byte (bit0: flate, bit1: diff), uvarint raw state length,
+//	  encoding byte (bit0: flate, bit1: diff, bit2: the diff is sparse),
+//	  uvarint raw state length,
 //	  diff components only:
 //	    uvarint component version minus base component version,
 //	    crc32c of the raw state (4 bytes LE), uvarint raw diff length,
@@ -49,12 +50,16 @@ import (
 // flate.BestSpeed and flate.HuffmanOnly forms (earlier wins a tie), so an
 // encoded frame is canonical for its logical content. A *diff* component
 // (diff.go) carries, instead of the state, its per-counter difference
-// from the version of that component the puller said it holds; the
-// decoder rebuilds the state from its own copy of that version and
-// checks it against the declared length and checksum, so everything
-// past the decoder sees whole canonical blobs either way. An exporter
-// ships one only to a puller that asked (the encoding bit is unknown to
-// older decoders) and only when it makes the component smaller.
+// from the version of that component the puller said it holds — every
+// counter's (dense), or only the counters that moved and the gaps
+// between them (sparse, bit2, never without bit1); the decoder rebuilds
+// the state from its own copy of that version and checks it against the
+// declared length and checksum, so everything past the decoder sees
+// whole canonical blobs either way. An exporter ships either kind only
+// to a puller that asked for it (each encoding bit is unknown to the
+// decoders that predate it) and only when it makes the component
+// smaller: whole, dense diff, sparse diff, the smallest wins and the
+// earlier of two the same size (packer.component).
 // Version labels carry the same one-directional guarantee as LDPX (see
 // exchange.go): equal labels may rarely hide a racing mutation for one
 // pull round, but the exporter's delta bases are recorded conservatively
@@ -68,8 +73,9 @@ const (
 	deltaFlagDelta = 0x01
 
 	// Component encoding bits.
-	compEncFlate = 0x01 // payload is a deflate stream
-	compEncDiff  = 0x02 // payload is a state diff, not a state
+	compEncFlate  = 0x01 // payload is a deflate stream
+	compEncDiff   = 0x02 // payload is a state diff, not a state
+	compEncSparse = 0x04 // the diff is sparse (diff.go); only with compEncDiff
 
 	// MaxComponentIDLen bounds one component id: an originating node id
 	// plus a "/"-separated local suffix (shard index).
@@ -145,8 +151,9 @@ func validComponentID(id string) error {
 // a megabyte of tables each) across components and, through packers,
 // across frames.
 type packer struct {
-	zw  [2]*flate.Writer
-	out [2]bytes.Buffer
+	zw   [2]*flate.Writer
+	out  [2]bytes.Buffer
+	kept []byte // the diff payload in hand while other forms are packed
 }
 
 var packers = sync.Pool{New: func() any { return new(packer) }}
@@ -196,9 +203,14 @@ const diffCertain = 8
 
 // component picks how c ships: the encoding byte, the fields a diff
 // component carries between its raw length and its payload (nil for a
-// whole one), and the payload. A diff wins when it is under 1/diffCertain
-// of the raw state or, compared against the packed whole state, makes
-// the component strictly smaller on the wire, those fields included.
+// whole one), and the payload. The forms are the whole state, its dense
+// diff and, for a puller that decodes them, its sparse diff; the smallest
+// on the wire ships, a diff's fields included, and the earlier of two
+// the same size. Two forms are settled by the shape of the input alone,
+// because building and packing them is most of the work: the dense
+// diff is not tried when the sparse one is certain to beat it
+// (stateDiff.clearlySparse), nor the whole state when a diff is under
+// 1/diffCertain of it. The payload is valid until the packer's next use.
 func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte, err error) {
 	flateBit := func(deflated bool) byte {
 		if deflated {
@@ -206,32 +218,47 @@ func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte
 		}
 		return 0
 	}
-	var diffPayload []byte
-	var diffDeflated bool
 	if c.Base != nil {
-		if diff, ok := diffState(c.Base.State, c.State); ok {
-			packed, deflated, err := p.pack(diff)
-			if err != nil {
-				return 0, nil, nil, err
+		if d, ok := diffState(c.Base.State, c.State); ok {
+			head := binary.AppendUvarint(nil, c.Version-c.Base.Version)
+			head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(c.State, exchangeCRC))
+			try := func(form byte, raw []byte) error {
+				packed, deflated, err := p.pack(raw)
+				if err != nil {
+					return err
+				}
+				formHead := binary.AppendUvarint(head[:len(head):len(head)], uint64(len(raw)))
+				if diffHead == nil || len(formHead)+len(packed) < len(diffHead)+len(payload) {
+					// The next pack reuses the packer: the payload is kept aside.
+					p.kept = append(p.kept[:0], packed...)
+					enc, diffHead, payload = form|flateBit(deflated), formHead, p.kept
+				}
+				return nil
 			}
-			diffHead = binary.AppendUvarint(diffHead, c.Version-c.Base.Version)
-			diffHead = binary.LittleEndian.AppendUint32(diffHead, crc32.Checksum(c.State, exchangeCRC))
-			diffHead = binary.AppendUvarint(diffHead, uint64(len(diff)))
-			if len(diffHead)+len(packed) < len(c.State)/diffCertain {
-				return compEncDiff | flateBit(deflated), diffHead, packed, nil
+			sparse := c.Base.Sparse && d.sparseLen() < d.denseLen()
+			if !sparse || !d.clearlySparse() {
+				if err := try(compEncDiff, d.dense()); err != nil {
+					return 0, nil, nil, err
+				}
 			}
-			// Packing the whole state reuses the packer: copy the diff aside.
-			diffPayload, diffDeflated = append([]byte(nil), packed...), deflated
+			if sparse {
+				if err := try(compEncDiff|compEncSparse, d.sparse()); err != nil {
+					return 0, nil, nil, err
+				}
+			}
+			if len(diffHead)+len(payload) < len(c.State)/diffCertain {
+				return enc, diffHead, payload, nil
+			}
 		}
 	}
-	payload, deflated, err := p.pack(c.State)
+	whole, deflated, err := p.pack(c.State)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	if diffHead != nil && len(diffHead)+len(diffPayload) < len(payload) {
-		return compEncDiff | flateBit(diffDeflated), diffHead, diffPayload, nil
+	if diffHead != nil && len(diffHead)+len(payload) < len(whole) {
+		return enc, diffHead, payload, nil
 	}
-	return flateBit(deflated), nil, payload, nil
+	return flateBit(deflated), nil, whole, nil
 }
 
 // EncodeComponentFrame serializes one componentized frame, deflating
@@ -457,7 +484,7 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		cn := r.uvarint("component report count")
 		enc := r.byteVal("component encoding")
 		rawLen := r.uvarint("component raw length")
-		isDiff := enc&compEncDiff != 0
+		isDiff, isSparse := enc&compEncDiff != 0, enc&compEncSparse != 0
 		var (
 			verDelta, diffLen uint64
 			sum               []byte
@@ -478,7 +505,7 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		if cn > uint64(math.MaxInt) {
 			return f, fmt.Errorf("wire: component %q report count overflows int", c.ID)
 		}
-		if enc&^(compEncFlate|compEncDiff) != 0 {
+		if enc&^(compEncFlate|compEncDiff|compEncSparse) != 0 || isSparse && !isDiff {
 			return f, fmt.Errorf("wire: component %q encoding %d unknown", c.ID, enc)
 		}
 		// Both the state and a diff's own raw form are materialized.
@@ -511,12 +538,17 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 			if !ok || held.Version != ver-verDelta {
 				return f, fmt.Errorf("wire: component %q is a diff against version %d: %w", c.ID, ver-verDelta, ErrDiffBase)
 			}
-			if c.State, err = applyDiff(held.State, raw, rawLen); err != nil {
+			apply := applyDiff
+			if isSparse {
+				apply = applySparseDiff
+			}
+			if c.State, err = apply(held.State, raw, rawLen); err != nil {
 				return f, fmt.Errorf("wire: component %q: %w", c.ID, err)
 			}
 			if crc32.Checksum(c.State, exchangeCRC) != binary.LittleEndian.Uint32(sum) {
 				return f, fmt.Errorf("wire: component %q rebuilt state fails its checksum: %w", c.ID, ErrDiffBase)
 			}
+			held.Sparse = isSparse
 			c.Base = &held
 		}
 		f.Components = append(f.Components, c)

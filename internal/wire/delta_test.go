@@ -176,6 +176,18 @@ func TestComponentFrameDecodeRejectsHostileBodies(t *testing.T) {
 		t.Error("unknown flags were accepted")
 	}
 
+	// The sparse bit on a component that is not a diff. The encoding byte
+	// follows the frame's and the component's id, version and count.
+	encAt := len(deltaMagic) + 2 + (1 + len("n")) + 3 + (1 + len("n/0")) + 2
+	bad = append([]byte(nil), base...)
+	if bad[encAt]&^compEncFlate != 0 {
+		t.Fatalf("byte %d of the control frame is %#x, not its encoding byte", encAt, bad[encAt])
+	}
+	bad[encAt] |= compEncSparse
+	if _, err := DecodeComponentFrameWith(reseal(bad), testMaxRaw, func(string) (ComponentBase, bool) { return ComponentBase{}, false }); err == nil {
+		t.Error("sparse bit on a whole component was accepted")
+	}
+
 	// Trailing bytes after a structurally complete frame.
 	bad = append(append([]byte(nil), base[:len(base)-exchangeCRCLen]...), 0xAA)
 	if _, err := DecodeComponentFrame(reseal(bad), testMaxRaw); err == nil {
@@ -231,21 +243,27 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 	f.Add(delta)
 	// Diff components, honest and not: the target offers diffFixture's
 	// base, so these reach the rebuild and its checks.
-	base, _, good := diffFixture()
+	// Both kinds of diff: the sparse stream is where a few flipped bits
+	// reach the gap, count and tail arithmetic.
+	base, _, good, goodSparse := diffFixture()
 	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" }
-	f.Add(good.frame())
-	for _, mutate := range []func(*diffFields){
-		func(d *diffFields) { d.verDelta++ },              // another base version
-		func(d *diffFields) { d.sum ^= 1 },                // wrong result checksum
-		func(d *diffFields) { d.rawLen++ },                // length mismatch
-		func(d *diffFields) { d.rawLen = testMaxRaw + 1 }, // over the raw budget
-		func(d *diffFields) { d.rawLen = d.diffLen },      // diff not smaller than raw
-		func(d *diffFields) { d.enc |= compEncFlate },     // raw payload declared deflated
-		func(d *diffFields) { d.payload = d.payload[:len(d.payload)-1]; d.diffLen-- },
-	} {
-		d := good
-		mutate(&d)
-		f.Add(d.frame())
+	for _, good := range []diffFields{good, goodSparse} {
+		f.Add(good.frame())
+		for _, mutate := range []func(*diffFields){
+			func(d *diffFields) { d.verDelta++ },              // another base version
+			func(d *diffFields) { d.sum ^= 1 },                // wrong result checksum
+			func(d *diffFields) { d.rawLen++ },                // length mismatch
+			func(d *diffFields) { d.rawLen = testMaxRaw + 1 }, // over the raw budget
+			func(d *diffFields) { d.rawLen = d.diffLen },      // diff not smaller than raw
+			func(d *diffFields) { d.enc |= compEncFlate },     // raw payload declared deflated
+			func(d *diffFields) { d.enc ^= compEncSparse },    // one kind of stream under the other's bit
+			func(d *diffFields) { d.payload = d.payload[:len(d.payload)-1]; d.diffLen-- },
+			func(d *diffFields) { d.payload = append(d.payload[:2:2], 0xff, 0xff, 0x03); d.diffLen = 5 }, // a count, or values, of nothing
+		} {
+			d := good
+			mutate(&d)
+			f.Add(d.frame())
+		}
 	}
 	f.Add([]byte("LDPD"))
 	f.Add([]byte{})

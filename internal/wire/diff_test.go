@@ -73,14 +73,47 @@ func TestDiffStateRoundTrip(t *testing.T) {
 			counterBlob([]uint64{128, 126, 127, 16384, 16383, 16385, 16382, 129, 20000, 200})},
 	}
 	for name, c := range cases {
-		diff, ok := diffState(c[0], c[1])
+		d, ok := diffState(c[0], c[1])
 		if !ok {
 			t.Errorf("%s: no diff", name)
 			continue
 		}
-		got, err := applyDiff(c[0], diff, uint64(len(c[1])))
+		dense, sparse := d.dense(), d.sparse()
+		if len(dense) != d.denseLen() || len(sparse) != d.sparseLen() {
+			t.Errorf("%s: streams of %d and %d bytes, announced as %d and %d", name, len(dense), len(sparse), d.denseLen(), d.sparseLen())
+		}
+		got, err := applyDiff(c[0], dense, uint64(len(c[1])))
 		if err != nil || !bytes.Equal(got, c[1]) {
-			t.Errorf("%s: diff does not rebuild the blob (err %v)", name, err)
+			t.Errorf("%s: dense diff does not rebuild the blob (err %v)", name, err)
+		}
+		got, err = applySparseDiff(c[0], sparse, uint64(len(c[1])))
+		if err != nil || !bytes.Equal(got, c[1]) {
+			t.Errorf("%s: sparse diff does not rebuild the blob (err %v)", name, err)
+		}
+	}
+}
+
+// TestSkipVarints: the eight-at-a-time count agrees with a bytewise one
+// at every offset and count, over values of every width, and stops at
+// the end of the n-th value, not of the word it sits in.
+func TestSkipVarints(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 8))
+	var vals []uint64
+	for i := 0; i < 200; i++ {
+		vals = append(vals, r.Uint64()>>r.UintN(64))
+	}
+	body := counterBlob(vals)[2:]
+	for _, b := range [][]byte{body, body[:len(body)-3], append(append([]byte(nil), body...), 0x80, 0x80)} {
+		for n := uint64(0); n < uint64(len(vals))+3; n++ {
+			wantSize, left := 0, n
+			for ; left > 0 && wantSize < len(b); wantSize++ {
+				if b[wantSize] < 0x80 {
+					left--
+				}
+			}
+			if size, short := skipVarints(b, n); size != wantSize || short != left {
+				t.Fatalf("skipVarints(%d bytes, %d) = %d, %d; want %d, %d", len(b), n, size, short, wantSize, left)
+			}
 		}
 	}
 }
@@ -131,17 +164,25 @@ func TestDiffStateRefusesWhatItCannotRebuild(t *testing.T) {
 }
 
 // TestEncoderShipsTheSmallerOfDiffAndWhole pins the encoder's choice at
-// every churn: a component with a base ships as a diff only when that is
-// strictly smaller on the wire, as itself otherwise, and either way the
-// puller ends up with the same blob.
+// every churn, for a puller that decodes sparse diffs and one that does
+// not: a component with a base ships as a diff only when that is
+// strictly smaller on the wire, as itself otherwise, a sparse diff only
+// to the puller that can read one, and either way the puller ends up
+// with the same blob.
 func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		encoderShipsTheSmaller(t, sparse)
+	}
+}
+
+func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 	r := rand.New(rand.NewPCG(3, 4))
 	base := make([]uint64, 1<<14)
 	for i := range base {
 		base[i] = r.Uint64N(12)
 	}
 	baseBlob := counterBlob(base)
-	sawDiff, sawWhole := false, false
+	sawDiff, sawSparse, sawWhole := false, false, false
 	for _, churn := range []float64{0, 0.001, 0.01, 0.1, 0.5, 1} {
 		next := churned(r, base, churn)
 		if churn == 1 {
@@ -151,7 +192,7 @@ func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
 		}
 		whole := StateComponent{ID: "e/0", Version: 9, N: 1, State: counterBlob(next)}
 		withBase := whole
-		withBase.Base = &ComponentBase{Version: 7, State: baseBlob}
+		withBase.Base = &ComponentBase{Version: 7, State: baseBlob, Sparse: sparse}
 		var pk packer
 		_, _, wholePayload, err := pk.component(whole)
 		if err != nil {
@@ -170,6 +211,12 @@ func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
 		} else {
 			sawWhole = true
 		}
+		if enc&compEncSparse != 0 {
+			sawSparse = true
+			if !sparse || enc&compEncDiff == 0 {
+				t.Errorf("churn %v: encoding %#x for a puller with sparse=%v", churn, enc, sparse)
+			}
+		}
 
 		buf, err := EncodeComponentFrame(ComponentFrame{NodeID: "e", Version: 9, Delta: true, BaseVersion: 7, N: 1,
 			Components: []StateComponent{withBase}})
@@ -183,7 +230,7 @@ func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
 		if !bytes.Equal(out.Components[0].State, whole.State) {
 			t.Fatalf("churn %v: decoded state differs", churn)
 		}
-		if (out.Components[0].Base != nil) != (enc&compEncDiff != 0) {
+		if got := out.Components[0].Base; (got != nil) != (enc&compEncDiff != 0) || (got != nil && got.Sparse != (enc&compEncSparse != 0)) {
 			t.Errorf("churn %v: decoded Base does not say how the component arrived", churn)
 		}
 		// Decoding is the inverse of encoding, Base included.
@@ -192,8 +239,8 @@ func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
 			t.Errorf("churn %v: re-encoding the decoded frame gives other bytes (err %v)", churn, err)
 		}
 	}
-	if !sawDiff || !sawWhole {
-		t.Errorf("churn sweep shipped diff=%v whole=%v, want both", sawDiff, sawWhole)
+	if !sawDiff || !sawWhole || sawSparse != sparse {
+		t.Errorf("churn sweep shipped diff=%v sparse=%v whole=%v, want both and sparse=%v", sawDiff, sawSparse, sawWhole, sparse)
 	}
 }
 
@@ -269,6 +316,8 @@ type diffFields struct {
 	payload  []byte
 }
 
+// frame lays the fields out as the encoder does; a component whose
+// encoding byte lacks the diff bit has no diff fields.
 func (d diffFields) frame() []byte {
 	buf := append([]byte(deltaMagic), deltaFormatVersion, deltaFlagDelta)
 	buf = binary.AppendUvarint(buf, 1)
@@ -283,9 +332,11 @@ func (d diffFields) frame() []byte {
 	buf = binary.AppendUvarint(buf, 4)
 	buf = append(buf, d.enc)
 	buf = binary.AppendUvarint(buf, d.rawLen)
-	buf = binary.AppendUvarint(buf, d.verDelta)
-	buf = binary.LittleEndian.AppendUint32(buf, d.sum)
-	buf = binary.AppendUvarint(buf, d.diffLen)
+	if d.enc&compEncDiff != 0 {
+		buf = binary.AppendUvarint(buf, d.verDelta)
+		buf = binary.LittleEndian.AppendUint32(buf, d.sum)
+		buf = binary.AppendUvarint(buf, d.diffLen)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(d.payload)))
 	buf = append(buf, d.payload...)
 	buf = binary.AppendUvarint(buf, 0) // removed
@@ -293,8 +344,9 @@ func (d diffFields) frame() []byte {
 }
 
 // diffFixture is a base, the blob a diff turns it into, and the fields
-// of the frame that says so honestly.
-func diffFixture() (base ComponentBase, next []byte, good diffFields) {
+// of the frames that say so honestly, as a dense diff and as a sparse
+// one.
+func diffFixture() (base ComponentBase, next []byte, good, goodSparse diffFields) {
 	vals := make([]uint64, 64)
 	for i := range vals {
 		vals[i] = 1000 + uint64(i)
@@ -303,24 +355,61 @@ func diffFixture() (base ComponentBase, next []byte, good diffFields) {
 	vals[7]++
 	vals[40] += 3
 	next = counterBlob(vals)
-	diff, _ := diffState(base.State, next)
+	d, _ := diffState(base.State, next)
 	good = diffFields{
 		enc: compEncDiff, ver: 8, rawLen: uint64(len(next)), verDelta: 3,
-		sum: crc32.Checksum(next, exchangeCRC), diffLen: uint64(len(diff)), payload: diff,
+		sum: crc32.Checksum(next, exchangeCRC), diffLen: uint64(d.denseLen()), payload: d.dense(),
 	}
-	return base, next, good
+	goodSparse = good
+	goodSparse.enc |= compEncSparse
+	goodSparse.diffLen, goodSparse.payload = uint64(d.sparseLen()), d.sparse()
+	return base, next, good, goodSparse
 }
 
 func TestDiffComponentRejects(t *testing.T) {
-	base, next, good := diffFixture()
+	base, next, good, goodSparse := diffFixture()
 	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" }
-	out, err := DecodeComponentFrameWith(good.frame(), testMaxRaw, lookup)
-	if err != nil || !bytes.Equal(out.Components[0].State, next) {
-		t.Fatalf("control frame: %v", err)
+	for _, control := range []diffFields{good, goodSparse} {
+		out, err := DecodeComponentFrameWith(control.frame(), testMaxRaw, lookup)
+		if err != nil || !bytes.Equal(out.Components[0].State, next) {
+			t.Fatalf("control frame (encoding %#x): %v", control.enc, err)
+		}
+		if got := out.Components[0].Base; got == nil || got.Sparse != (control.enc&compEncSparse != 0) {
+			t.Fatalf("control frame (encoding %#x): decoded Base %+v does not say how it arrived", control.enc, got)
+		}
+	}
+	// The sparse fixture's stream: header, m = 2, gaps 7 and 32, then the
+	// differences +1 and +3.
+	if want := append(append([]byte(nil), next[:2]...), 2, 7, 32, 2, 6); !bytes.Equal(goodSparse.payload, want) {
+		t.Fatalf("sparse fixture stream %x, want %x", goodSparse.payload, want)
+	}
+	// payload edits a copy of the stream and keeps the declared length true.
+	payload := func(edit func([]byte) []byte) func(*diffFields) {
+		return func(d *diffFields) {
+			d.payload = edit(append([]byte(nil), d.payload...))
+			d.diffLen = uint64(len(d.payload))
+		}
+	}
+	// unrelated is an honest diff against a base with nothing in common,
+	// on values that zig-zag to more bytes than they had.
+	unrelated := func(d *diffFields) {
+		vals := make([]uint64, 64)
+		for i := range vals {
+			vals[i] = 64 + uint64(i%32)
+		}
+		next := counterBlob(vals)
+		diff, _ := diffState(nil, next)
+		d.rawLen, d.sum = uint64(len(next)), crc32.Checksum(next, exchangeCRC)
+		if d.enc&compEncSparse != 0 {
+			d.diffLen, d.payload = uint64(diff.sparseLen()), diff.sparse()
+		} else {
+			d.diffLen, d.payload = uint64(diff.denseLen()), diff.dense()
+		}
 	}
 
 	cases := []struct {
 		name     string
+		sparse   bool // start from the sparse frame, not the dense one
 		mutate   func(*diffFields)
 		lookup   func(string) (ComponentBase, bool)
 		noLookup bool // decode as a puller that did not ask for diffs
@@ -340,27 +429,61 @@ func TestDiffComponentRejects(t *testing.T) {
 		{name: "result over the byte budget", maxRaw: int64(good.rawLen) - 1},
 		{name: "diff over the byte budget", maxRaw: int64(good.rawLen+good.diffLen) - 1},
 		{name: "declared length overflows the budget", mutate: func(d *diffFields) { d.rawLen = 1 << 63 }},
-		{name: "diff not smaller than raw", mutate: func(d *diffFields) {
-			// An honest diff against a base with nothing in common, on
-			// values that zig-zag to more bytes than they had.
-			vals := make([]uint64, 64)
-			for i := range vals {
-				vals[i] = 64 + uint64(i%32)
-			}
-			next := counterBlob(vals)
-			diff, _ := diffState(nil, next)
-			d.rawLen, d.sum = uint64(len(next)), crc32.Checksum(next, exchangeCRC)
-			d.diffLen, d.payload = uint64(len(diff)), diff
-		}},
-		{name: "malformed diff value", mutate: func(d *diffFields) {
-			d.payload = append(append([]byte(nil), d.payload...), 0x80)
-			d.diffLen++
-		}},
+		{name: "diff not smaller than raw", mutate: unrelated},
+		{name: "malformed diff value", mutate: payload(func(p []byte) []byte { return append(p, 0x80) })},
 		{name: "diff without a header", mutate: func(d *diffFields) { d.payload, d.diffLen = []byte{3}, 1 }},
-		{name: "unknown encoding bit", mutate: func(d *diffFields) { d.enc |= 0x04 }},
+		{name: "unknown encoding bit", mutate: func(d *diffFields) { d.enc |= 0x08 }},
+
+		// The same ladder under the sparse bit, then what only a sparse
+		// stream can get wrong.
+		{name: "sparse: no base supplied", sparse: true, noLookup: true},
+		{name: "sparse: wrong base version", sparse: true, mutate: func(d *diffFields) { d.verDelta = 2 }, wantBase: true},
+		{name: "sparse: wrong result checksum", sparse: true, mutate: func(d *diffFields) { d.sum++ }, wantBase: true},
+		{name: "sparse: other blob at the base version", sparse: true, lookup: func(string) (ComponentBase, bool) {
+			return ComponentBase{Version: base.Version, State: counterBlob(make([]uint64, 64))}, true
+		}, wantBase: true},
+		{name: "sparse: result longer than declared", sparse: true, mutate: func(d *diffFields) { d.rawLen-- }, wantBase: true},
+		{name: "sparse: result shorter than declared", sparse: true, mutate: func(d *diffFields) { d.rawLen++ }, wantBase: true},
+		{name: "sparse: raw diff length mismatch", sparse: true, mutate: func(d *diffFields) { d.diffLen++ }},
+		{name: "sparse: result over the byte budget", sparse: true, maxRaw: int64(goodSparse.rawLen) - 1},
+		{name: "sparse: diff over the byte budget", sparse: true, maxRaw: int64(goodSparse.rawLen+goodSparse.diffLen) - 1},
+		{name: "sparse: declared length overflows the budget", sparse: true, mutate: func(d *diffFields) { d.rawLen = 1 << 63 }},
+		{name: "sparse: diff not smaller than raw", sparse: true, mutate: unrelated},
+		{name: "sparse: diff without a header", sparse: true, mutate: func(d *diffFields) { d.payload, d.diffLen = []byte{3}, 1 }},
+		{name: "sparse bit without the diff bit", mutate: func(d *diffFields) {
+			// Otherwise an honest whole component.
+			d.enc, d.payload = compEncSparse, next
+		}},
+		{name: "sparse: count runs off the stream", sparse: true, mutate: payload(func(p []byte) []byte { return p[:2] })},
+		{name: "sparse: count overflows", sparse: true, mutate: payload(func(p []byte) []byte {
+			return append(append(p[:2:2], bytes.Repeat([]byte{0xff}, 10)...), p[3:]...)
+		})},
+		{name: "sparse: more differences than bytes", sparse: true, mutate: payload(func(p []byte) []byte { p[2] = 3; return p })},
+		{name: "sparse: count of 2^62", sparse: true, mutate: payload(func(p []byte) []byte {
+			return append(binary.AppendUvarint(p[:2:2], 1<<62), p[3:]...)
+		})},
+		{name: "sparse: gap past the end of the state", sparse: true, mutate: payload(func(p []byte) []byte { p[4] = 100; return p }), wantBase: true},
+		{name: "sparse: gap of 2^63", sparse: true, mutate: payload(func(p []byte) []byte {
+			// Two more gap bytes, so two more value bytes to stay plausible.
+			huge := binary.AppendUvarint(nil, 1<<63)
+			return append(append(append(p[:4:4], huge...), p[5:]...), make([]byte, len(huge)-1)...)
+		}), wantBase: true},
+		{name: "sparse: gap varint overflows", sparse: true, mutate: payload(func(p []byte) []byte {
+			over := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
+			return append(append(append(p[:4:4], over...), p[5:]...), make([]byte, len(over))...)
+		})},
+		{name: "sparse: zero difference", sparse: true, mutate: payload(func(p []byte) []byte { p[5] = 0; return p })},
+		{name: "sparse: value stream truncated", sparse: true, mutate: payload(func(p []byte) []byte { return p[:len(p)-1] })},
+		{name: "sparse: last value cut short", sparse: true, mutate: payload(func(p []byte) []byte { p[6] = 0x80; return p })},
+		{name: "sparse: bytes after the last difference", sparse: true, mutate: payload(func(p []byte) []byte { return append(p, 2) })},
+		{name: "sparse stream under the dense bit", sparse: true, mutate: func(d *diffFields) { d.enc &^= compEncSparse }, wantBase: true},
+		{name: "dense stream under the sparse bit", mutate: func(d *diffFields) { d.enc |= compEncSparse }},
 	}
 	for _, tc := range cases {
 		d := good
+		if tc.sparse {
+			d = goodSparse
+		}
 		if tc.mutate != nil {
 			tc.mutate(&d)
 		}
@@ -379,7 +502,9 @@ func TestDiffComponentRejects(t *testing.T) {
 			t.Errorf("%s: error %q, wraps ErrDiffBase = %v, want %v", tc.name, err, !tc.wantBase, tc.wantBase)
 		}
 	}
-	if _, err := DecodeComponentFrame(good.frame(), testMaxRaw); err == nil {
-		t.Error("DecodeComponentFrame accepted a diff component")
+	for _, control := range []diffFields{good, goodSparse} {
+		if _, err := DecodeComponentFrame(control.frame(), testMaxRaw); err == nil {
+			t.Errorf("DecodeComponentFrame accepted a diff component (encoding %#x)", control.enc)
+		}
 	}
 }
