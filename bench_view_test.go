@@ -1,13 +1,15 @@
-// View-refresh benchmarks: the cold full epoch build (snapshot every
-// shard, reconstruct every table from scratch) against the incremental
-// engine path (fold only the shards touched since the last epoch into
-// the cached linear sums, re-run the nonlinear stage over reusable
-// arenas). One benchmark operation ingests a delta of the named size
-// off-timer and then pays one epoch refresh on-timer, so ns/op is the
-// refresh cost at that delta. The ratios across d in {8, 12, 16} and
-// deltas of {1%, 10%, 100%} of the base population are recorded in
-// BENCH_view.json; the snapshot+fold stage is benchmarked separately
-// with allocation reporting (steady state must be ~zero allocs/op).
+// View-refresh benchmarks: the standalone epoch build (snapshot every
+// shard, allocate the reconstruction arenas, build) against the engine
+// path (fold only the shards touched since the last epoch into the
+// counter state it holds, build over reusable arenas). Both run the same
+// build and give the same view bit for bit; what the engine saves is the
+// full snapshot and the allocations. One benchmark operation ingests a
+// delta of the named size off-timer and then pays one epoch refresh
+// on-timer, so ns/op is the refresh cost at that delta. The numbers
+// across d in {8, 12, 16} and deltas of {1%, 10%, 100%} of the base
+// population are recorded in BENCH_view.json; the snapshot+fold stage
+// is benchmarked separately with allocation reporting (steady state
+// must be ~zero allocs/op).
 package ldpmarginals_test
 
 import (
@@ -78,13 +80,12 @@ var viewBenchGrid = []struct{ d, k, deltaPct int }{
 
 // benchViewProtocols are the two representative refresh workloads: the
 // paper's overall winner (InpHT, compact coefficient state) and an
-// input-view protocol (InpPS, 2^d-cell state) whose cold reconstruction
-// cost is dominated by per-table full-domain scans.
+// input-view protocol (InpPS, 2^d-cell state) whose reconstruction
+// starts with a full-domain transform of that state.
 var benchViewProtocols = []core.Kind{core.InpHT, core.InpPS}
 
-// BenchmarkViewEpochFull is the cold path: every operation cuts a full
-// snapshot of all shards and rebuilds every table from scratch —
-// exactly what view.Build did for every epoch before delta refresh.
+// BenchmarkViewEpochFull is the standalone path: every operation cuts a
+// full snapshot of all shards and runs view.Build over it.
 func BenchmarkViewEpochFull(b *testing.B) {
 	for _, kind := range benchViewProtocols {
 		for _, g := range viewBenchGrid {
@@ -111,17 +112,14 @@ func BenchmarkViewEpochFull(b *testing.B) {
 
 // BenchmarkViewEpochIncremental is the delta path through the real
 // engine: every operation folds the freshly ingested delta into the
-// cached linear sums and re-runs the nonlinear stage over the engine's
-// reusable arenas.
+// counter state the engine holds and builds over its reusable arenas.
 func BenchmarkViewEpochIncremental(b *testing.B) {
 	for _, kind := range benchViewProtocols {
 		for _, g := range viewBenchGrid {
 			name := fmt.Sprintf("%s/d=%d/delta=%dpct", kind, g.d, g.deltaPct)
 			b.Run(name, func(b *testing.B) {
 				p, sh, ingestDelta := viewBenchSetup(b, kind, g.d, g.k, g.deltaPct)
-				eng, err := view.NewEngine(sh, p, view.EngineOptions{
-					Build: view.Options{FullRebuildEvery: -1},
-				})
+				eng, err := view.NewEngine(sh, p, view.EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,8 +5,9 @@
 // expiry-fold path retires a bucket with one Unmerge of its frozen
 // sealed state and refreshes through the incremental engine; the full
 // rebuild is the pre-window architecture for the same slide: re-merge
-// every retained bucket and run a cold view.Build. The ratios across
-// d in {8, 12, 16} are recorded in BENCH_window.json.
+// every retained bucket and run a standalone view.Build (the same build,
+// so the gap is the state movement). The numbers across d in
+// {8, 12, 16} are recorded in BENCH_window.json.
 package ldpmarginals_test
 
 import (
@@ -87,8 +88,8 @@ func windowBenchSetup(b *testing.B, kind core.Kind, d int) (p core.Protocol, r *
 
 // windowBenchProtocols mirrors the view-refresh benchmarks: the paper's
 // overall winner (InpHT, compact coefficient state) and an input-view
-// protocol (InpPS) whose cold reconstruction is dominated by
-// full-domain scans — the workload where the expiry fold pays off most.
+// protocol (InpPS) with 2^d counters per bucket — the workload where
+// the expiry fold saves the most state movement.
 var windowBenchProtocols = []core.Kind{core.InpHT, core.InpPS}
 
 // BenchmarkWindowExpiryFold is the continual-release retire path: the
@@ -101,9 +102,7 @@ func BenchmarkWindowExpiryFold(b *testing.B) {
 		for _, d := range []int{8, 12, 16} {
 			b.Run(fmt.Sprintf("%s/d=%d", kind, d), func(b *testing.B) {
 				p, ring, fill, advance := windowBenchSetup(b, kind, d)
-				eng, err := view.NewEngine(ring, p, view.EngineOptions{
-					Build: view.Options{FullRebuildEvery: -1},
-				})
+				eng, err := view.NewEngine(ring, p, view.EngineOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -128,8 +127,8 @@ func BenchmarkWindowExpiryFold(b *testing.B) {
 
 // BenchmarkWindowFullRebuild is the same slide without the fold: every
 // boundary crossing re-merges all retained buckets into a fresh
-// snapshot and pays a cold view.Build — O(window) state movement per
-// epoch where the expiry fold pays O(bucket).
+// snapshot and pays a standalone view.Build — O(window) state movement
+// per epoch where the expiry fold pays O(bucket).
 func BenchmarkWindowFullRebuild(b *testing.B) {
 	for _, kind := range windowBenchProtocols {
 		for _, d := range []int{8, 12, 16} {

@@ -29,12 +29,14 @@
 // every -refresh-interval of wall time, and/or whenever
 // -refresh-every-n new reports have arrived (0 disables either
 // trigger; with both at 0 the view only advances on POST /refresh).
-// Refreshes are incremental by default — only aggregation shards (and,
-// on a coordinator, peers) that changed since the serving epoch are
-// folded into the cached reconstruction state — with every
-// -full-rebuild-every-th build a cold full rebuild that re-derives that
-// state from scratch (see GET /view/status for per-epoch build kind and
-// cost). SIGINT/SIGTERM drain in-flight requests before exiting.
+// Refreshes are incremental — only aggregation shards (and, on a
+// coordinator, peers) that changed since the serving epoch are folded
+// into the counter state the view is built from; the folds are exact,
+// so every epoch equals a from-scratch build of the same state bit for
+// bit, and only the first epoch and one following a failed refresh
+// capture that state from scratch (see GET /view/status for per-epoch
+// build kind and cost). SIGINT/SIGTERM drain in-flight requests before
+// exiting.
 //
 // -pprof-addr serves net/http/pprof on a separate listener (disabled by
 // default), so hot-path regressions can be profiled in place without
@@ -144,8 +146,6 @@ func main() {
 		workers   = flag.Int("ingest-workers", 0, "bounded batch-ingestion workers (0 = shard count)")
 		interval  = flag.Duration("refresh-interval", 5*time.Second, "rebuild the view this often (0 = no time-based refresh)")
 		everyN    = flag.Int("refresh-every-n", 0, "rebuild the view after this many new reports (0 = no count-based refresh)")
-		fullEvery = flag.Int("full-rebuild-every", 0,
-			"make every Nth view build a full (cold) rebuild instead of an incremental delta fold (0 = default 64, 1 = always full, negative = never)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof and /metrics on this separate address (e.g. 127.0.0.1:6060; empty = disabled)")
 		maxInflight = flag.Int("max-inflight-ingest", 0,
@@ -269,7 +269,6 @@ func main() {
 		MaxInflightIngest:     *maxInflight,
 		MaxIngestQueue:        *maxQueue,
 		Refresh:               view.Policy{Interval: *interval, EveryN: *everyN},
-		View:                  view.Options{FullRebuildEvery: *fullEvery},
 		Store:                 st,
 		Window:                *windowSpan,
 		Bucket:                *bucketSpan,

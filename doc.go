@@ -98,18 +98,19 @@
 // for the input-view protocols it reconstructs all C(d,k) tables from
 // ONE full-domain Walsh-Hadamard transform of the counters instead of
 // one 2^d scan per table. Incremental epochs therefore cost what
-// changed, not what accumulated — at d=16 an epoch over a 1% delta
-// builds an order of magnitude faster than a cold rebuild
-// (BENCH_view.json) — and stay within 1e-9 total variation of a cold
-// Build (bit-identical for the marginal-view protocols and InpHT).
-// Every ViewOptions.FullRebuildEvery-th build (default 64) re-derives
-// the cached sums from scratch and runs the cold path, pinned
-// bit-identical to a standalone BuildView; a refresh that finds no
-// delta at all republishes the serving epoch for free. GET
-// /view/status reports the serving epoch's build kind, its snapshot
-// (fold) and build cost, how many components were folded, and the
-// running incremental/full build counters; -full-rebuild-every tunes
-// the cadence and -pprof-addr serves net/http/pprof on a side listener
+// changed, not what accumulated. There is one build: a standalone
+// BuildView runs the same stages over a snapshot, and because the folds
+// are integer-exact and the nonlinear stage is a deterministic function
+// of the counters, every engine epoch is bit-identical to BuildView
+// over a snapshot of the same state, for all six protocols — a served
+// view depends on the counters, never on how the engine reached them.
+// Only the first epoch, and one following a failed refresh, capture the
+// counter state from scratch instead of folding; a refresh that finds
+// no delta at all republishes the serving epoch for free. GET
+// /view/status reports how the serving epoch's state was captured
+// (incremental or from scratch), its snapshot (fold) and build cost,
+// how many components were folded, and the running incremental/full
+// build counters; -pprof-addr serves net/http/pprof on a side listener
 // for profiling refresh regressions in place.
 //
 // # Durability

@@ -36,8 +36,10 @@ type StateArena interface {
 	// when their own folded contributions were dropped by a recapture.
 	Primed() bool
 	// Reset discards the incremental state, so the next capture
-	// re-derives the cumulative aggregator from scratch — the
-	// full-rebuild path uses this to re-anchor the linear sums.
+	// re-derives the cumulative aggregator from scratch. For owners
+	// that no longer trust the cumulative state: a composed arena whose
+	// own fold failed half-applied, the view engine after a failed
+	// capture or build.
 	Reset()
 }
 

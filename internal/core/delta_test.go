@@ -358,20 +358,36 @@ func TestSnapshotDeltaRaceClean(t *testing.T) {
 	}
 }
 
-// TestLinearReconstructionMatchesEstimate compares the input-view
-// protocols' single-transform k-way reconstruction against the exact
-// per-table scan: within 1e-11 total variation per table (the two
-// differ only in floating-point summation order).
+// TestLinearReconstructionMatchesEstimate holds the input-view
+// protocols' single-transform k-way reconstruction against the per-table
+// scan (agg.Estimate, mask by mask): within 1e-11 total variation per
+// table — the two differ only in floating-point summation order — and
+// equal Users. d=16, k=3 is the shape the view-wide and fleet-pull
+// benchmark workloads serve, fed like them with n well above 2^d: with
+// n far below it (and likewise one report at d=16) the unbiased cells
+// are thousands in magnitude and the scan's own accumulated rounding,
+// not the transform's, passes 1e-11. The one-report aggregators are the
+// smallest non-empty state.
 func TestLinearReconstructionMatchesEstimate(t *testing.T) {
 	for _, kind := range []Kind{InpRR, InpPS} {
-		for _, d := range []int{6, 10} {
-			cfg := Config{D: d, K: 3, Epsilon: 1.1, OptimizedPRR: true}
+		for _, tc := range []struct{ d, n int }{{6, 3000}, {10, 3000}, {16, 1 << 18}, {6, 1}, {10, 1}} {
+			cfg := Config{D: tc.d, K: 3, Epsilon: 1.1, OptimizedPRR: true}
 			p, err := New(kind, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			agg := p.NewAggregator()
-			if err := agg.ConsumeBatch(deltaReports(t, p, 3000, uint64(d))); err != nil {
+			if sim, ok := agg.(BatchSimulator); ok && tc.n > 1 {
+				// InpRR reports are 2^d bits each; sample the aggregate.
+				records := make([]uint64, tc.n)
+				for i := range records {
+					records[i] = uint64(i*2654435761) % (1 << uint(tc.d))
+				}
+				err = sim.SimulateBatch(records, rng.New(uint64(tc.d)))
+			} else {
+				err = agg.ConsumeBatch(deltaReports(t, p, tc.n, uint64(tc.d)))
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			arena, err := NewKWayArena(cfg)
@@ -381,62 +397,23 @@ func TestLinearReconstructionMatchesEstimate(t *testing.T) {
 			if err := AllKWayTablesInto(agg, arena, true); err != nil {
 				t.Fatal(err)
 			}
-			exact, err := AllKWayTables(agg, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range exact {
+			for i, beta := range arena.Masks {
+				scan, err := agg.Estimate(beta)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var tv float64
-				for c := range exact[i].Table.Cells {
-					tv += math.Abs(exact[i].Table.Cells[c] - arena.Tables[i].Cells[c])
+				for c := range scan.Cells {
+					tv += math.Abs(scan.Cells[c] - arena.Tables[i].Cells[c])
 				}
 				tv /= 2
 				if tv > 1e-11 {
-					t.Fatalf("%s d=%d: table %b fast-vs-exact TV %g", kind, d, exact[i].Beta, tv)
+					t.Fatalf("%s d=%d n=%d: table %b transform-vs-scan TV %g", kind, tc.d, tc.n, beta, tv)
 				}
-				if arena.Users[i] != exact[i].Users {
-					t.Fatalf("%s d=%d: table %b users %d vs %d", kind, d, exact[i].Beta, arena.Users[i], exact[i].Users)
+				if arena.Users[i] != agg.N() {
+					t.Fatalf("%s d=%d n=%d: table %b users %d, want N=%d", kind, tc.d, tc.n, beta, arena.Users[i], agg.N())
 				}
 			}
 		}
-	}
-}
-
-// TestKWayArenaMatchesAllKWayTables pins the arena reconstruction
-// (fast disabled) bit-identical to AllKWayTables for every protocol.
-func TestKWayArenaMatchesAllKWayTables(t *testing.T) {
-	cfg := deltaTestConfig()
-	for _, kind := range AllKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			p, err := New(kind, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			agg := p.NewAggregator()
-			if err := agg.ConsumeBatch(deltaReports(t, p, 2500, uint64(kind)+31)); err != nil {
-				t.Fatal(err)
-			}
-			arena, err := NewKWayArena(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := AllKWayTablesInto(agg, arena, false); err != nil {
-				t.Fatal(err)
-			}
-			want, err := AllKWayTables(agg, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if arena.Users[i] != want[i].Users {
-					t.Fatalf("%s: table %b users %d vs %d", kind, want[i].Beta, arena.Users[i], want[i].Users)
-				}
-				for c := range want[i].Table.Cells {
-					if math.Float64bits(arena.Tables[i].Cells[c]) != math.Float64bits(want[i].Table.Cells[c]) {
-						t.Fatalf("%s: table %b cell %d differs", kind, want[i].Beta, c)
-					}
-				}
-			}
-		})
 	}
 }

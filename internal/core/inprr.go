@@ -205,7 +205,7 @@ func (a *inpRRAgg) checkBeta(beta uint64) error {
 // float64 far beyond the supported d), so S_c is exact; only the final
 // affine step rounds differently from Estimate's per-cell summation,
 // keeping the two within ~1e-12 TV. Cost: O(d 2^d) once, then O(k 2^k)
-// per table — the delta-refresh fast path.
+// per table.
 func (a *inpRRAgg) reconstructKWayLinear(masks []uint64, tables []*marginal.Table, users []int) error {
 	if a.n == 0 {
 		return fmt.Errorf("core: InpRR aggregator has no reports")

@@ -26,54 +26,32 @@ func KWayMasks(d, k int) []uint64 {
 	return m.([]uint64)
 }
 
-// KWayTable is one reconstructed k-way collection table together with the
-// evidence behind it.
-type KWayTable struct {
-	// Beta is the attribute mask of the table.
-	Beta uint64
-	// Table is the reconstructed (unbiased, not yet post-processed)
-	// marginal estimate.
-	Table *marginal.Table
-	// Users is the number of reports behind this table: the per-marginal
-	// sample count for the marginal-view protocols (each user contributes
-	// to exactly one table), and the total report count for the
-	// input-view protocols (every user contributes to every table).
-	Users int
-}
-
-// kWayReconstructor is the fast path of AllKWayTables: the marginal-view
-// aggregators reconstruct the table at position pos of the collection C
-// directly from that marginal's own accumulator, exposing its realized
-// per-marginal user count.
-type kWayReconstructor interface {
-	kWay(pos int) (*marginal.Table, int, error)
-}
-
-// kWayIntoReconstructor is the allocation-free variant: reconstruct the
-// table at position pos into the caller's table (dst.Beta already set to
-// the position's mask), returning the per-marginal user count. The
-// marginal-view aggregators implement it with arithmetic identical to
-// kWay, so an arena build is bit-identical to an allocating one.
+// kWayIntoReconstructor is implemented by the marginal-view
+// aggregators: reconstruct the table at position pos of the collection
+// from that marginal's own accumulator into the caller's table
+// (dst.Beta already set to the position's mask), returning its realized
+// per-marginal user count. Arithmetic identical to kWay, which Estimate
+// averages for sub-k masks.
 type kWayIntoReconstructor interface {
 	kWayInto(pos int, dst *marginal.Table) (int, error)
 }
 
-// estimateIntoReconstructor is the allocation-free variant for
-// aggregators whose every report informs every table (InpHT):
-// reconstruct the marginal over dst.Beta into dst. Arithmetic identical
-// to Estimate.
+// estimateIntoReconstructor is implemented by InpHT, whose every report
+// informs every table: reconstruct the marginal over dst.Beta into dst.
+// Arithmetic identical to Estimate.
 type estimateIntoReconstructor interface {
 	estimateInto(dst *marginal.Table) error
 }
 
-// linearKWayReconstructor is the delta-refresh fast path of the
-// input-view protocols: derive every k-way table's unnormalized cell
-// sums from ONE full-domain Walsh-Hadamard transform of the counter
-// vector (O(d 2^d) total) instead of one 2^d-cell scan per table
+// linearKWayReconstructor is implemented by the input-view protocols
+// InpRR and InpPS: derive every k-way table's unnormalized cell sums
+// from ONE full-domain Walsh-Hadamard transform of the counter vector
+// (O(d 2^d) total) instead of one 2^d-cell scan per table
 // (O(C(d,k) 2^d)), then apply the protocol's affine unbiasing per cell.
-// The result agrees with the per-table scan up to floating-point
-// summation order (within ~1e-12 TV at the supported sizes); the exact
-// per-table scan remains the cold-build (bit-pinned) path.
+// The result agrees with Estimate's per-table scan up to floating-point
+// summation order (within ~1e-12 TV at the supported sizes); the scan
+// remains the path for a single arbitrary mask and the reference
+// TestLinearReconstructionMatchesEstimate holds this kernel against.
 type linearKWayReconstructor interface {
 	reconstructKWayLinear(masks []uint64, tables []*marginal.Table, users []int) error
 }
@@ -88,7 +66,11 @@ type KWayArena struct {
 	Masks []uint64
 	// Tables holds one table per mask, reused across builds.
 	Tables []*marginal.Table
-	// Users holds the per-table evidence of the latest build.
+	// Users holds the number of reports behind each table of the latest
+	// build: the per-marginal sample count for the marginal-view
+	// protocols (each user contributes to exactly one table), the total
+	// report count for the input-view protocols (every user contributes
+	// to every table), 0 for an empty aggregator.
 	Users []int
 }
 
@@ -114,13 +96,19 @@ func NewKWayArena(cfg Config) (*KWayArena, error) {
 }
 
 // AllKWayTablesInto reconstructs every k-way marginal of the collection
-// from one aggregator snapshot into the arena — the allocation-free
-// counterpart of AllKWayTables. With fast set, input-view aggregators
-// take the single-transform linear path (see linearKWayReconstructor);
-// otherwise, and for every other protocol, the arithmetic is identical
-// to AllKWayTables, so the arena's tables are bit-identical to a cold
-// reconstruction of the same state.
-func AllKWayTablesInto(agg Aggregator, a *KWayArena, fast bool) error {
+// from one aggregator snapshot into the arena, in the numeric mask order
+// of KWayMasks. InpRR and InpPS take the single-transform linear path
+// (see linearKWayReconstructor); the other protocols reconstruct table
+// by table across goroutines. Each table is a deterministic function of
+// the aggregator state, so equal snapshots give bit-identical arenas
+// regardless of GOMAXPROCS. The aggregator must not be written
+// concurrently (use a private snapshot); an empty one yields uniform
+// tables with Users = 0, so a deployment can publish an epoch before
+// any report arrives.
+//
+// The bool is ignored: it used to select the linear path, which is now
+// the only one, and stays until bench/ (frozen, passes true) drops it.
+func AllKWayTablesInto(agg Aggregator, a *KWayArena, _ bool) error {
 	if agg.N() == 0 {
 		for i, t := range a.Tables {
 			uniform(t.Cells)
@@ -128,10 +116,8 @@ func AllKWayTablesInto(agg Aggregator, a *KWayArena, fast bool) error {
 		}
 		return nil
 	}
-	if fast {
-		if lr, ok := agg.(linearKWayReconstructor); ok {
-			return lr.reconstructKWayLinear(a.Masks, a.Tables, a.Users)
-		}
+	if lr, ok := agg.(linearKWayReconstructor); ok {
+		return lr.reconstructKWayLinear(a.Masks, a.Tables, a.Users)
 	}
 	errs := make([]error, len(a.Masks))
 	switch rec := agg.(type) {
@@ -175,65 +161,10 @@ func AllKWayTablesInto(agg Aggregator, a *KWayArena, fast bool) error {
 	return nil
 }
 
-// uniform fills cells with the uniform distribution, matching
-// marginal.Uniform's values.
+// uniform fills cells with the uniform distribution.
 func uniform(cells []float64) {
 	u := 1 / float64(len(cells))
 	for i := range cells {
 		cells[i] = u
 	}
-}
-
-// AllKWayTables reconstructs every C(d,k) k-way marginal of the
-// collection from one aggregator snapshot, fanning the per-table
-// reconstructions out across goroutines. Tables are returned in the
-// numeric mask order of bitops.MasksWithExactlyK, and each table is
-// deterministic for a given aggregator state, so two calls over equal
-// snapshots return bit-identical results regardless of GOMAXPROCS.
-//
-// The aggregator must not be written concurrently (use a private
-// snapshot); an empty aggregator yields uniform tables with Users = 0.
-func AllKWayTables(agg Aggregator, cfg Config) ([]KWayTable, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	masks := KWayMasks(cfg.D, cfg.K)
-	out := make([]KWayTable, len(masks))
-	if agg.N() == 0 {
-		for i, m := range masks {
-			t, err := marginal.Uniform(m)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = KWayTable{Beta: m, Table: t}
-		}
-		return out, nil
-	}
-	errs := make([]error, len(masks))
-	if rec, ok := agg.(kWayReconstructor); ok {
-		parallelFor(len(masks), func(i int) {
-			t, users, err := rec.kWay(i)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = KWayTable{Beta: masks[i], Table: t, Users: users}
-		})
-	} else {
-		n := agg.N()
-		parallelFor(len(masks), func(i int) {
-			t, err := agg.Estimate(masks[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = KWayTable{Beta: masks[i], Table: t, Users: n}
-		})
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: reconstructing %b: %w", masks[i], err)
-		}
-	}
-	return out, nil
 }

@@ -24,11 +24,11 @@ func feedReports(t *testing.T, p Protocol, agg Aggregator, n int, seed uint64) {
 	}
 }
 
-// TestAllKWayTablesMatchesEstimate checks both reconstruction paths —
-// the marginal-view fast path (per-marginal accumulators with realized
-// user counts) and the Estimate fallback (shared-pool protocols) —
-// against per-mask Estimate calls, bit for bit, and pins the Users
-// semantics of each.
+// TestAllKWayTablesMatchesEstimate checks every reconstruction path of
+// AllKWayTablesInto against per-mask Estimate calls — bit for bit for
+// the marginal-view accumulators and InpHT, within 1e-11 TV for the
+// InpRR/InpPS transform kernel (Estimate scans instead) — and pins the
+// Users semantics of each.
 func TestAllKWayTablesMatchesEstimate(t *testing.T) {
 	cfg := Config{D: 5, K: 2, Epsilon: 1.2}
 	for _, kind := range AllKinds() {
@@ -39,29 +39,38 @@ func TestAllKWayTablesMatchesEstimate(t *testing.T) {
 			}
 			agg := p.NewAggregator()
 			feedReports(t, p, agg, 2500, uint64(kind)+40)
-			kway, err := AllKWayTables(agg, cfg)
+			arena, err := NewKWayArena(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			masks := bitops.MasksWithExactlyK(cfg.D, cfg.K)
-			if len(kway) != len(masks) {
-				t.Fatalf("got %d tables, want C(%d,%d) = %d", len(kway), cfg.D, cfg.K, len(masks))
+			if err := AllKWayTablesInto(agg, arena, true); err != nil {
+				t.Fatal(err)
 			}
+			masks := bitops.MasksWithExactlyK(cfg.D, cfg.K)
+			if len(arena.Tables) != len(masks) {
+				t.Fatalf("got %d tables, want C(%d,%d) = %d", len(arena.Tables), cfg.D, cfg.K, len(masks))
+			}
+			_, transform := agg.(linearKWayReconstructor)
 			var users int
-			for i, kt := range kway {
-				if kt.Beta != masks[i] {
-					t.Fatalf("table %d over %b, want mask order %b", i, kt.Beta, masks[i])
+			for i, got := range arena.Tables {
+				if got.Beta != masks[i] {
+					t.Fatalf("table %d over %b, want mask order %b", i, got.Beta, masks[i])
 				}
-				want, err := agg.Estimate(kt.Beta)
+				want, err := agg.Estimate(got.Beta)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var tv float64
 				for c := range want.Cells {
-					if math.Float64bits(kt.Table.Cells[c]) != math.Float64bits(want.Cells[c]) {
-						t.Fatalf("mask %b cell %d: %v vs Estimate's %v", kt.Beta, c, kt.Table.Cells[c], want.Cells[c])
+					if !transform && math.Float64bits(got.Cells[c]) != math.Float64bits(want.Cells[c]) {
+						t.Fatalf("mask %b cell %d: %v vs Estimate's %v", got.Beta, c, got.Cells[c], want.Cells[c])
 					}
+					tv += math.Abs(got.Cells[c]-want.Cells[c]) / 2
 				}
-				users += kt.Users
+				if tv > 1e-11 {
+					t.Fatalf("mask %b: TV %g from Estimate", got.Beta, tv)
+				}
+				users += arena.Users[i]
 			}
 			switch kind {
 			case MargRR, MargPS, MargHT:
@@ -71,8 +80,8 @@ func TestAllKWayTablesMatchesEstimate(t *testing.T) {
 				}
 			default:
 				// Every user informs every table.
-				if users != agg.N()*len(kway) {
-					t.Errorf("users sum %d, want N*tables=%d", users, agg.N()*len(kway))
+				if users != agg.N()*len(masks) {
+					t.Errorf("users sum %d, want N*tables=%d", users, agg.N()*len(masks))
 				}
 			}
 		})
@@ -88,17 +97,25 @@ func TestAllKWayTablesEmptyAggregator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kway, err := AllKWayTables(p.NewAggregator(), cfg)
+	arena, err := NewKWayArena(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kt := range kway {
-		if kt.Users != 0 {
-			t.Fatalf("empty aggregator claims %d users for %b", kt.Users, kt.Beta)
+	// Stale values from an earlier build must not survive.
+	for i, tab := range arena.Tables {
+		arena.Users[i] = 7
+		tab.Cells[0] = 1
+	}
+	if err := AllKWayTablesInto(p.NewAggregator(), arena, true); err != nil {
+		t.Fatal(err)
+	}
+	for i, tab := range arena.Tables {
+		if arena.Users[i] != 0 {
+			t.Fatalf("empty aggregator claims %d users for %b", arena.Users[i], tab.Beta)
 		}
-		for _, c := range kt.Table.Cells {
+		for _, c := range tab.Cells {
 			if c != 0.25 {
-				t.Fatalf("mask %b not uniform: %v", kt.Beta, kt.Table.Cells)
+				t.Fatalf("mask %b not uniform: %v", tab.Beta, tab.Cells)
 			}
 		}
 	}

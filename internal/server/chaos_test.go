@@ -12,7 +12,6 @@ import (
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/store"
-	"ldpmarginals/internal/view"
 )
 
 // TestChaosAllProtocols drives every protocol through two scripted
@@ -129,21 +128,17 @@ func chaosWAL(t *testing.T, kind core.Kind) {
 	reps := makeClusterReports(t, p, 1000, uint64(37+kind))
 	batch := func(i int) []core.Report { return reps[100*i : 100*(i+1)] }
 
-	// Cold rebuilds on every refresh pin the float-exact comparison:
-	// incremental builds fold deltas into cached reconstruction tables,
-	// whose float summation order legitimately differs with build
-	// lineage (ULP-level), and the faulted node, its restart, and the
-	// twin all have different lineages.
-	full := view.Options{FullRebuildEvery: 1}
-
 	// The never-faulted twin consumes exactly the batches the faulted
-	// node consumed (everything but the two shed while degraded).
-	_, twinTS := newClusterNode(t, p, Options{NodeID: "chaos-twin", View: full})
+	// node consumed (everything but the two shed while degraded). The
+	// comparisons below are float-exact: a served view is a function of
+	// the counters alone, so the faulted node, its restart, and the twin
+	// must agree to the bit however each reached them.
+	_, twinTS := newClusterNode(t, p, Options{NodeID: "chaos-twin"})
 
 	dir := t.TempDir()
 	st := openEdgeStore(t, dir, p)
 	srv, ts := newClusterNode(t, p, Options{
-		NodeID: "chaos-wal", Store: st, View: full,
+		NodeID: "chaos-wal", Store: st,
 		DegradedProbeInterval: 25 * time.Millisecond,
 	})
 
@@ -226,7 +221,7 @@ func chaosWAL(t *testing.T, kind core.Kind) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewWithOptions(p, Options{NodeID: "chaos-wal", Store: st2, View: full})
+	srv2, err := NewWithOptions(p, Options{NodeID: "chaos-wal", Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1529,21 +1529,25 @@ type ViewStatusResponse struct {
 	// /view/status, the ldp_view_build_seconds histogram, and
 	// /debug/traces report the same number.
 	BuildMillis float64 `json:"build_ms"`
-	// SnapshotMillis is how long cutting (full build) or delta-folding
-	// (incremental build) the epoch's source state took.
+	// SnapshotMillis is how long capturing the epoch's source state took
+	// (a delta fold on an incremental epoch).
 	SnapshotMillis float64 `json:"snapshot_ms"`
-	// Incremental reports whether the serving epoch was built by folding
-	// a delta into the engine's cached linear sums rather than a cold
-	// rebuild.
+	// Incremental reports whether the serving epoch's counter state was
+	// reached by folding a delta into the state the engine held, rather
+	// than captured from scratch. The served cells are the same either
+	// way.
 	Incremental bool `json:"incremental"`
 	// FoldedComponents is how many source components (shards, peers)
 	// were folded into the serving epoch's snapshot: only the changed
-	// ones on an incremental epoch, every component on an arena-backed
-	// full rebuild, and 0 when the source has no delta support.
+	// ones on an incremental epoch, every component on a from-scratch
+	// capture, and 0 when the source has no delta support.
 	FoldedComponents int `json:"folded_components,omitempty"`
-	// IncrementalBuilds and FullBuilds count the engine's builds by
-	// kind since startup; their ratio shows whether the refresh path is
-	// riding the delta fast path or falling back to cold rebuilds.
+	// IncrementalBuilds counts the epochs built from a delta fold since
+	// startup. FullBuilds counts the ones whose counter state was
+	// captured from scratch: the first epoch, then one per failed
+	// refresh (a fold or build error), so on a delta-capable source a
+	// value above 1 means refreshes have been failing; a source without
+	// delta support counts every epoch here.
 	IncrementalBuilds int64 `json:"incremental_builds"`
 	FullBuilds        int64 `json:"full_builds"`
 	// Tables is the number of materialized k-way tables.

@@ -13,18 +13,22 @@ import (
 	"ldpmarginals/internal/trace"
 )
 
-// The incremental build pipeline. Build's work splits into a *linear*
-// stage — the aggregated counter sums every estimator is a normalization
-// of — and a *nonlinear* stage (normalize by n, cross-marginal
-// consistency, simplex projection, sub-k cube) that must re-run per
-// epoch. The linear stage lives in a core.StateArena owned by the
-// engine and advances by folding per-shard (or per-peer) deltas, so its
-// cost tracks what changed; the nonlinear stage re-runs over reusable
-// reconstruction arenas, so the steady-state refresh allocates only the
-// immutable published view. buildPlan memoizes everything about the
-// (d, k) collection that is identical across epochs: mask lists, the
-// mask->table position map, the sub-cube's superset structure with
-// cell index maps, and the consistency plan.
+// The build pipeline, the only one: Build and every Engine epoch run
+// builder.build. A build's work splits into a *linear* stage — the
+// aggregated counter sums every estimator is a normalization of — and a
+// *nonlinear* stage (normalize by n, cross-marginal consistency, simplex
+// projection, sub-k cube) that must re-run per epoch. The linear stage
+// is the aggregator handed to build: a snapshot for Build, for the
+// engine a core.StateArena it advances by folding per-shard (or
+// per-peer) deltas, so its cost tracks what changed. The folds are
+// integer-exact and the nonlinear stage is a deterministic function of
+// the counters, so both give the same view bit for bit. The nonlinear
+// stage runs over reusable reconstruction arenas, so the steady-state
+// refresh allocates only the immutable published view. buildPlan
+// memoizes everything about the (d, k) collection that is identical
+// across epochs: mask lists, the mask->table position map, the
+// sub-cube's superset structure with cell index maps, and the
+// consistency plan.
 
 // buildPlan is the per-(d,k) epoch-invariant build structure. Immutable
 // and shared: one plan serves every engine (and every published view's
@@ -88,12 +92,12 @@ func planFor(cfg core.Config) (*buildPlan, error) {
 	return actual.(*buildPlan), nil
 }
 
-// builder owns the reusable reconstruction arenas of one engine: the
-// k-way table arena, the sub-cube arena, the evidence vector, and the
-// marginalization scratch. A builder is single-threaded (the engine
-// serializes builds); publishing copies the finished values into a
-// fresh immutable View, so readers of older epochs are never touched by
-// the next build reusing the arena.
+// builder owns the reusable reconstruction arenas of one engine (or of
+// one Build call): the k-way table arena, the sub-cube arena, the
+// evidence vector, and the marginalization scratch. A builder is
+// single-threaded (the engine serializes builds); publishing copies the
+// finished values into a fresh immutable View, so readers of older
+// epochs are never touched by the next build reusing the arena.
 type builder struct {
 	p    core.Protocol
 	cfg  core.Config
@@ -150,16 +154,15 @@ func newBuilder(p core.Protocol, opts Options) (*builder, error) {
 	return b, nil
 }
 
-// build runs the nonlinear stage over the cached linear state and
-// publishes a fresh immutable View. With fast set the input-view
-// protocols reconstruct through the single-transform linear kernel
-// (within ~1e-12 TV of the cold scan); every other stage is arithmetic-
-// identical to the cold Build, so for the remaining protocols the
-// result is bit-identical to Build over the same state.
-func (b *builder) build(ctx context.Context, state core.Aggregator, fast bool) (*View, error) {
+// build reconstructs the k-way collection from the counter state,
+// runs the nonlinear stage, and publishes a fresh immutable View. When
+// ctx carries an active span, the reconstruction ("view.linear"),
+// consistency sweep ("view.consistency"), and projection + sub-cube
+// materialization ("view.nonlinear") are recorded as children.
+func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, error) {
 	start := time.Now()
 	_, linSpan := trace.StartSpan(ctx, "view.linear")
-	if err := core.AllKWayTablesInto(state, b.arena, fast); err != nil {
+	if err := core.AllKWayTablesInto(state, b.arena, true); err != nil {
 		linSpan.End()
 		return nil, fmt.Errorf("view: %w", err)
 	}
@@ -187,9 +190,11 @@ func (b *builder) build(ctx context.Context, state core.Aggregator, fast bool) (
 			t.ProjectToSimplex()
 		}
 	}
-	// Materialize the sub-k cube from the post-processed collection —
-	// the same evidence-weighted average, in the same superset and
-	// summation order, as View.averageFromSupersets.
+	// Materialize the sub-k cube from the post-processed collection:
+	// every |beta| < k marginal is the evidence-weighted average of the
+	// k-way tables containing beta, reduced in mask order; zero total
+	// evidence yields the uniform table. Doing it once here keeps the
+	// read path at a position lookup for every in-contract mask.
 	for si := range b.plan.sub {
 		out := b.sub[si].Cells
 		for c := range out {
@@ -210,9 +215,9 @@ func (b *builder) build(ctx context.Context, state core.Aggregator, fast bool) (
 				imp[idx[c]] += v
 			}
 			for c := range out {
-				// Two statements (see consistency.Plan.Enforce): an FMA
-				// here would break bit-identity with the cold build's
-				// Scale-then-Add.
+				// Two statements (see consistency.Plan.Enforce): a fused
+				// multiply-add rounds once where this rounds twice, and
+				// whether the compiler fuses depends on the platform.
 				v := imp[c] * w
 				out[c] += v
 			}
@@ -235,9 +240,9 @@ func (b *builder) build(ctx context.Context, state core.Aggregator, fast bool) (
 
 // publish freezes the arena's finished values into a fresh immutable
 // View: one table-header slab, one cell slab, and the shared position
-// map. These are the only per-epoch allocations of an incremental
-// refresh — the arenas themselves never escape, so a reader holding any
-// older epoch is unaffected by later builds.
+// map. These are the only per-epoch allocations of an engine refresh —
+// the arenas themselves never escape, so a reader holding any older
+// epoch is unaffected by later builds.
 func (b *builder) publish(n int, start time.Time) *View {
 	total := len(b.arena.Tables) + len(b.sub)
 	cells := len(b.arena.Tables) << uint(b.cfg.K)
@@ -263,14 +268,13 @@ func (b *builder) publish(n int, start time.Time) *View {
 		off += len(t.Cells)
 	}
 	v := &View{
-		N:           n,
-		Protocol:    b.p.Name(),
-		Incremental: true,
-		cfg:         b.cfg,
-		kWay:        len(b.arena.Tables),
-		tables:      ptrs,
-		weights:     append([]float64(nil), b.weights...),
-		pos:         b.plan.pos,
+		N:        n,
+		Protocol: b.p.Name(),
+		cfg:      b.cfg,
+		kWay:     len(b.arena.Tables),
+		tables:   ptrs,
+		weights:  append([]float64(nil), b.weights...),
+		pos:      b.plan.pos,
 	}
 	v.Diag.ConsistencyL1 = consistencyL1(b.consBefore, v.tables, v.kWay)
 	v.fillTVBound()

@@ -139,7 +139,6 @@ type EngineOptions struct {
 // one-shard-at-a-time merge.
 type Engine struct {
 	src  Source
-	p    core.Protocol
 	opts EngineOptions
 
 	cur atomic.Pointer[View]
@@ -147,17 +146,12 @@ type Engine struct {
 	mu    sync.Mutex // serializes builds and guards epoch + incremental state
 	epoch int64      // last assigned build number; read the published View's Epoch instead
 
-	// Incremental refresh state, all guarded by mu. deltaSrc and arena
-	// are nil when the source (or its protocol) cannot back delta folds;
-	// the engine then refreshes through plain Snapshot + Build.
-	deltaSrc  DeltaSource
-	arena     core.StateArena
-	bld       *builder
-	sinceFull int // incremental builds since the last full rebuild
-	// arenaDirty marks folded-but-unpublished arena state (a build
-	// failed after its fold), so the zero-delta fast path below cannot
-	// skip the rebuild that would make that state visible.
-	arenaDirty bool
+	// Build state, all guarded by mu. deltaSrc and arena are nil when
+	// the source (or its protocol) cannot back delta folds; the engine
+	// then captures a plain Snapshot per refresh.
+	deltaSrc DeltaSource
+	arena    core.StateArena
+	bld      *builder
 
 	incBuilds  atomic.Int64
 	fullBuilds atomic.Int64
@@ -170,11 +164,12 @@ type Engine struct {
 
 // EngineStats counts the engine's builds by kind, for status endpoints.
 type EngineStats struct {
-	// IncrementalBuilds is the number of epochs built by folding deltas
-	// into the cached linear sums.
+	// IncrementalBuilds is the number of epochs whose counter state was
+	// reached by folding deltas into the state the engine held.
 	IncrementalBuilds int64
-	// FullBuilds is the number of epochs built by the cold path
-	// (including the initial epoch and every cadence-forced rebuild).
+	// FullBuilds is the number of epochs whose counter state was captured
+	// from scratch: the initial epoch, an epoch after a failed refresh,
+	// and every epoch of a source without delta support.
 	FullBuilds int64
 }
 
@@ -187,8 +182,7 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // Incremental reports whether the engine refreshes through delta folds
-// (a delta-capable source whose protocol supports exact unmerging, and
-// a cadence that allows incremental builds).
+// (a delta-capable source whose protocol supports exact unmerging).
 func (e *Engine) Incremental() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -198,17 +192,17 @@ func (e *Engine) Incremental() bool {
 // NewEngine builds epoch 1 synchronously (so Current never returns nil)
 // and, if the policy asks for automatic refresh, starts the background
 // refresh loop. Close the engine to stop that loop. When the source
-// supports delta snapshots the engine refreshes incrementally (see
-// Options.FullRebuildEvery); the initial epoch is always a full build.
+// supports delta snapshots every epoch after the first advances the
+// engine's counter state by a delta fold.
 func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error) {
-	e := &Engine{src: src, p: p, opts: opts, stop: make(chan struct{}), ins: newViewInstruments()}
-	if ds, ok := src.(DeltaSource); ok && opts.Build.FullRebuildEvery != 1 {
+	bld, err := newBuilder(p, opts.Build)
+	if err != nil {
+		return nil, fmt.Errorf("view: preparing builder: %w", err)
+	}
+	e := &Engine{src: src, opts: opts, bld: bld, stop: make(chan struct{}), ins: newViewInstruments()}
+	if ds, ok := src.(DeltaSource); ok {
 		if arena := ds.NewSnapshotArena(); arena != nil {
-			bld, err := newBuilder(p, opts.Build)
-			if err != nil {
-				return nil, fmt.Errorf("view: preparing incremental builder: %w", err)
-			}
-			e.deltaSrc, e.arena, e.bld = ds, arena, bld
+			e.deltaSrc, e.arena = ds, arena
 		}
 	}
 	if _, err := e.Refresh(); err != nil {
@@ -245,13 +239,13 @@ func (e *Engine) Epoch() int64 {
 // reconstruction on an indistinguishable answer. On error the previous
 // view stays published and keeps serving.
 //
-// Over a delta-capable source most refreshes are incremental: the
-// engine folds only the source components that changed since the last
-// epoch into its cached linear sums and re-runs the nonlinear stage
-// (normalization, consistency, projection, sub-cube) over reusable
-// arenas. Every Options.FullRebuildEvery-th build — and always the
-// first — re-derives the sums from scratch and runs the cold Build
-// path, bit-identical to a standalone Build over the same state.
+// Over a delta-capable source every refresh after the first is
+// incremental: the engine folds only the source components that changed
+// since the last epoch into the counter state it holds and re-runs the
+// build over reusable arenas. The folds are integer-exact, so every
+// epoch is bit-identical to a standalone Build over a Snapshot of the
+// same state; only the first epoch and one following a failed refresh
+// capture the whole source from scratch.
 func (e *Engine) Refresh() (*View, error) {
 	return e.RefreshContext(context.Background())
 }
@@ -311,104 +305,83 @@ func (e *Engine) RefreshContext(ctx context.Context) (*View, error) {
 	return v, nil
 }
 
-// buildNext runs one build — incremental when the cadence and the
-// source allow it, the cold full path otherwise. Called under e.mu.
+// buildNext captures the source's counter state — a delta fold into the
+// arena, from scratch while the arena is unprimed (the first epoch, or
+// after a failed refresh), or a plain Snapshot for sources without
+// delta support — and builds the next view from it. It returns nil
+// when nothing moved since the serving epoch. Called under e.mu.
 //
 // The published BuildDuration (and the build histograms) cover the
-// whole operation — snapshot acquisition plus reconstruction, exactly
-// the root "view.build" span — so /view/status, the metrics, and the
+// whole operation — state capture plus reconstruction, exactly the
+// root "view.build" span — so /view/status, the metrics, and the
 // traces all report the same number; SnapshotDuration remains as the
-// snapshot-stage breakdown.
+// capture-stage breakdown.
 func (e *Engine) buildNext(ctx context.Context) (*View, error) {
-	every := e.opts.Build.FullRebuildEvery
-	if every == 0 {
-		every = DefaultFullRebuildEvery
+	incremental := e.arena != nil && e.arena.Primed()
+	stage := "view.snapshot"
+	if incremental {
+		stage = "view.delta_fold"
 	}
-	incremental := e.arena != nil && e.epoch > 0 &&
-		(every < 0 || e.sinceFull+1 < every)
-
 	var (
-		v       *View
-		folded  int
-		snapDur time.Duration
+		state  core.Aggregator
+		folded int
+		err    error
 	)
 	start := time.Now()
+	_, span := trace.StartSpan(ctx, stage)
+	if e.arena != nil {
+		folded, err = e.deltaSrc.SnapshotDeltaInto(e.arena)
+		state = e.arena.State()
+	} else {
+		state, err = e.src.Snapshot()
+	}
+	snapDur := time.Since(start)
+	if err != nil {
+		span.SetAttr("error", err)
+		span.End()
+		e.distrustArena()
+		return nil, fmt.Errorf("view: capturing source state: %w", err)
+	}
+	span.SetAttr("folded_components", folded)
+	span.End()
+	if incremental && folded == 0 {
+		// No component moved since the last successful build: the
+		// serving epoch was built from exactly this state.
+		return nil, nil
+	}
+	// Capture the state's composition before the build: the source pins
+	// it to its last capture, and builds are serialized under e.mu, so
+	// this is exactly the epoch's makeup.
+	comp := e.composition()
+	v, err := e.bld.build(ctx, state)
+	if err != nil {
+		// The arena holds state no epoch shows; recapturing keeps the
+		// zero-delta return above from skipping the build that would.
+		e.distrustArena()
+		return nil, err
+	}
+	v.BuildDuration = time.Since(start)
 	if incremental {
-		_, foldSpan := trace.StartSpan(ctx, "view.delta_fold")
-		t0 := time.Now()
-		touched, err := e.deltaSrc.SnapshotDeltaInto(e.arena)
-		if err != nil {
-			foldSpan.SetAttr("error", err)
-			foldSpan.End()
-			e.arenaDirty = true
-			return nil, fmt.Errorf("view: folding delta snapshot: %w", err)
-		}
-		snapDur = time.Since(t0)
-		folded = touched
-		foldSpan.SetAttr("folded_components", touched)
-		foldSpan.End()
-		if touched == 0 && !e.arenaDirty && e.cur.Load() != nil {
-			// No component moved since the last successful build: the
-			// serving epoch was built from exactly this state.
-			return nil, nil
-		}
-		comp := e.composition()
-		v, err = e.bld.build(ctx, e.arena.State(), true)
-		if err != nil {
-			e.arenaDirty = true
-			return nil, err
-		}
-		v.BuildDuration = time.Since(start)
 		e.ins.buildInc.Observe(v.BuildDuration.Seconds())
-		e.arenaDirty = false
-		v.Components = comp
-		e.sinceFull++
 		e.incBuilds.Add(1)
 	} else {
-		var (
-			snap core.Aggregator
-			err  error
-		)
-		_, snapSpan := trace.StartSpan(ctx, "view.snapshot")
-		t0 := time.Now()
-		if e.arena != nil {
-			// Re-derive the cached linear sums from scratch; the arena's
-			// cold capture is bit-identical to Snapshot, and later
-			// incremental folds advance from this re-anchored state.
-			e.arena.Reset()
-			if folded, err = e.deltaSrc.SnapshotDeltaInto(e.arena); err != nil {
-				snapSpan.SetAttr("error", err)
-				snapSpan.End()
-				return nil, fmt.Errorf("view: capturing snapshot: %w", err)
-			}
-			snap = e.arena.State()
-		} else if snap, err = e.src.Snapshot(); err != nil {
-			snapSpan.SetAttr("error", err)
-			snapSpan.End()
-			return nil, fmt.Errorf("view: snapshotting source: %w", err)
-		}
-		snapDur = time.Since(t0)
-		snapSpan.SetAttr("folded_components", folded)
-		snapSpan.End()
-		// Capture the snapshot's composition before the (long) build: the
-		// source pins it to its last snapshot call, and builds are
-		// serialized under e.mu, so this is exactly the epoch's makeup.
-		comp := e.composition()
-		v, err = buildContext(ctx, snap, e.p, e.opts.Build)
-		if err != nil {
-			return nil, err
-		}
-		v.BuildDuration = time.Since(start)
 		e.ins.buildFull.Observe(v.BuildDuration.Seconds())
-		v.Components = comp
-		e.arenaDirty = false
-		e.sinceFull = 0
 		e.fullBuilds.Add(1)
 	}
-	v.SnapshotDuration = snapDur
 	e.ins.snapshotDur.Observe(snapDur.Seconds())
+	v.Incremental = incremental
+	v.Components = comp
+	v.SnapshotDuration = snapDur
 	v.FoldedComponents = folded
 	return v, nil
+}
+
+// distrustArena makes the next refresh re-derive the arena's counter
+// state from scratch, after a capture or build that failed part-way.
+func (e *Engine) distrustArena() {
+	if e.arena != nil {
+		e.arena.Reset()
+	}
 }
 
 func (e *Engine) composition() []Component {

@@ -243,6 +243,26 @@ func (f *failingSource) Snapshot() (core.Aggregator, error) {
 
 func (f *failingSource) N() int { return f.src.N() }
 
+// failingDeltaSource is failingSource made delta-capable: while fail is
+// set the fold errors the same way, leaving the arena untouched.
+type failingDeltaSource struct {
+	failingSource
+	delta DeltaSource
+}
+
+func newFailingDeltaSource(src DeltaSource) *failingDeltaSource {
+	return &failingDeltaSource{failingSource: failingSource{src: src}, delta: src}
+}
+
+func (f *failingDeltaSource) NewSnapshotArena() core.StateArena { return f.delta.NewSnapshotArena() }
+
+func (f *failingDeltaSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
+	if f.fail {
+		return 0, errors.New("disk on fire")
+	}
+	return f.delta.SnapshotDeltaInto(a)
+}
+
 func TestRefreshFailureKeepsServingPreviousEpoch(t *testing.T) {
 	p := testProtocol(t)
 	agg := core.NewSharded(p, 0)

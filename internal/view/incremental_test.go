@@ -1,13 +1,17 @@
 package view
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/window"
 )
 
 // incCfg is the shared shape of the incremental equivalence tests.
@@ -22,31 +26,6 @@ func incReports(tb testing.TB, p core.Protocol, n int, seed uint64) []core.Repor
 		tb.Fatal("incReports needs a *testing.T")
 	}
 	return perturb(t, p, n, seed)
-}
-
-// maxViewTV returns the largest per-mask total variation distance
-// between two views across every in-contract marginal.
-func maxViewTV(tb testing.TB, a, b *View, cfg core.Config) float64 {
-	tb.Helper()
-	var worst float64
-	for _, beta := range bitops.MasksWithAtMostK(cfg.D, 1, cfg.K) {
-		ta, err := a.Marginal(beta)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tBb, err := b.Marginal(beta)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tv, err := ta.TVDistance(tBb)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if tv > worst {
-			worst = tv
-		}
-	}
-	return worst
 }
 
 // assertViewsBitIdentical compares every in-contract marginal of two
@@ -70,171 +49,225 @@ func assertViewsBitIdentical(tb testing.TB, label string, a, b *View, cfg core.C
 	}
 }
 
+// fedSource is a delta-capable source the equivalence test can feed and
+// move through time (a no-op for the cumulative sharded pipeline).
+type fedSource interface {
+	DeltaSource
+	ConsumeBatch([]core.Report) error
+	tick(t *testing.T)
+}
+
+type shardedFed struct{ *core.ShardedAggregator }
+
+func (shardedFed) tick(*testing.T) {}
+
+// ringFed slides a four-bucket window one bucket per tick, so the run
+// seals buckets, folds them, and later unmerges the expired ones.
+type ringFed struct {
+	*window.Ring
+	now time.Time
+}
+
+func (r *ringFed) tick(t *testing.T) {
+	r.now = r.now.Add(r.Bucket())
+	if _, _, err := r.Advance(r.now); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newFedSource(t *testing.T, p core.Protocol, windowed bool) fedSource {
+	if !windowed {
+		return shardedFed{core.NewSharded(p, 4)}
+	}
+	start := time.Unix(1_700_000_000, 0)
+	ring, err := window.NewRing(p, window.Options{
+		Window: 4 * time.Minute, Bucket: time.Minute, Shards: 2, Start: start,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ringFed{Ring: ring, now: start}
+}
+
 // TestIncrementalBuildsMatchColdBuild drives an engine through
-// randomized ingest/refresh interleavings for all six protocols with
-// full rebuilds pushed far out, asserting every incremental epoch stays
-// within 1e-9 TV of a cold Build over the same state — and bit-identical
-// for the four protocols whose incremental kernels are exact.
+// randomized ingest/refresh interleavings for all six protocols, over a
+// sharded and a windowed source, at GOMAXPROCS 1 and 8, asserting every
+// epoch — first, incremental, zero-delta, after a failed fold — is
+// bit-identical to a standalone Build over a Snapshot of the same state:
+// a served view is a function of the counters, not of how the engine
+// reached them.
 func TestIncrementalBuildsMatchColdBuild(t *testing.T) {
 	cfg := incCfg()
 	for _, kind := range core.AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			p, err := core.New(kind, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := core.NewSharded(p, 4)
-			eng, err := NewEngine(sh, p, EngineOptions{
-				Build: Options{FullRebuildEvery: 1 << 20},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			if !eng.Incremental() {
-				t.Fatal("engine is not incremental over a core protocol")
-			}
-			reps := incReports(t, p, 5000, uint64(kind)+77)
-			r := rand.New(rand.NewSource(int64(kind) + 99))
-			exact := kind != core.InpRR && kind != core.InpPS
-			lo := 0
-			incrementals := 0
-			for lo < len(reps) {
-				hi := lo + 1 + r.Intn(700)
-				if hi > len(reps) {
-					hi = len(reps)
+			for _, procs := range []int{1, 8} {
+				for _, windowed := range []bool{false, true} {
+					incrementalRunMatchesBuild(t, kind, cfg, procs, windowed)
 				}
-				if err := sh.ConsumeBatch(reps[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-				lo = hi
-				v, err := eng.Refresh()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.Epoch > 1 && !v.Incremental {
-					t.Fatalf("epoch %d was not incremental", v.Epoch)
-				}
-				if v.Epoch > 1 {
-					incrementals++
-				}
-				snap, err := sh.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := Build(snap, p, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if v.N != cold.N {
-					t.Fatalf("epoch %d N=%d, cold N=%d", v.Epoch, v.N, cold.N)
-				}
-				if exact {
-					assertViewsBitIdentical(t, kind.String(), v, cold, cfg)
-				} else if tv := maxViewTV(t, v, cold, cfg); tv > 1e-9 {
-					t.Fatalf("%s: incremental epoch %d diverges from cold Build by TV %g", kind, v.Epoch, tv)
-				}
-			}
-			if incrementals == 0 {
-				t.Fatal("no incremental epochs were exercised")
-			}
-			stats := eng.Stats()
-			if stats.IncrementalBuilds != int64(incrementals) || stats.FullBuilds != 1 {
-				t.Fatalf("stats %+v, want %d incremental and 1 full", stats, incrementals)
 			}
 		})
 	}
 }
 
-// TestFullRebuildsBitIdenticalToColdBuild pins the acceptance
-// criterion: with FullRebuildEvery = 1 every refresh runs the cold
-// path, and each published epoch is bit-identical to a standalone
-// Build over the same state, for all six protocols.
-func TestFullRebuildsBitIdenticalToColdBuild(t *testing.T) {
+func incrementalRunMatchesBuild(t *testing.T, kind core.Kind, cfg core.Config, procs int, windowed bool) {
+	name := fmt.Sprintf("procs=%d/windowed=%v", procs, windowed)
+	t.Run(name, func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, err := core.New(kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed := newFedSource(t, p, windowed)
+		src := newFailingDeltaSource(fed)
+		eng, err := NewEngine(src, p, EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if !eng.Incremental() {
+			t.Fatal("engine is not incremental over a core protocol")
+		}
+		matchesBuild := func(v *View) {
+			t.Helper()
+			snap, err := fed.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := Build(snap, p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.N != cold.N {
+				t.Fatalf("epoch %d N=%d, standalone N=%d", v.Epoch, v.N, cold.N)
+			}
+			assertViewsBitIdentical(t, name, v, cold, cfg)
+		}
+		first := eng.Current()
+		if first.Epoch != 1 || first.Incremental {
+			t.Fatalf("first epoch %d incremental=%v", first.Epoch, first.Incremental)
+		}
+		matchesBuild(first)
+
+		reps := incReports(t, p, 5000, uint64(kind)+77)
+		r := rand.New(rand.NewSource(int64(kind) + 99))
+		var incrementals, fulls int64 = 0, 1
+		for lo, step := 0, 0; lo < len(reps); step++ {
+			hi := min(lo+1+r.Intn(700), len(reps))
+			if err := fed.ConsumeBatch(reps[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+			if step%2 == 1 {
+				fed.tick(t)
+			}
+			failed := step == 3
+			if failed {
+				src.fail = true
+				if _, err := eng.Refresh(); err == nil {
+					t.Fatal("refresh over a failing fold must error")
+				}
+				src.fail = false
+			}
+			v, err := eng.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Incremental == failed {
+				t.Fatalf("epoch %d incremental=%v after failed fold=%v", v.Epoch, v.Incremental, failed)
+			}
+			if failed {
+				fulls++
+			} else {
+				incrementals++
+			}
+			matchesBuild(v)
+			again, err := eng.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != v {
+				t.Fatalf("zero-delta refresh after epoch %d built epoch %d", v.Epoch, again.Epoch)
+			}
+		}
+		if stats := eng.Stats(); stats.IncrementalBuilds != incrementals || stats.FullBuilds != fulls {
+			t.Fatalf("stats %+v, want %d incremental and %d full", stats, incrementals, fulls)
+		}
+	})
+}
+
+// TestBuildAfterFailedFoldRecapturesFromScratch: a refresh whose delta
+// fold errors keeps the previous epoch serving, and the engine stops
+// trusting the state it held — the next epoch is reported non-incremental,
+// folds every shard again, and equals a standalone Build bit for bit;
+// the one after is incremental again.
+func TestBuildAfterFailedFoldRecapturesFromScratch(t *testing.T) {
 	cfg := incCfg()
+	const shards = 4
 	for _, kind := range core.AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			p, err := core.New(kind, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh := core.NewSharded(p, 4)
-			eng, err := NewEngine(sh, p, EngineOptions{
-				Build: Options{FullRebuildEvery: 1},
-			})
+			sh := core.NewSharded(p, shards)
+			src := newFailingDeltaSource(sh)
+			eng, err := NewEngine(src, p, EngineOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()
 			reps := incReports(t, p, 3000, uint64(kind)+13)
-			for lo := 0; lo < len(reps); lo += 1000 {
-				if err := sh.ConsumeBatch(reps[lo : lo+1000]); err != nil {
+			refresh := func(lo int) *View {
+				t.Helper()
+				// One report moves one shard.
+				if err := sh.ConsumeBatch(reps[lo : lo+1]); err != nil {
 					t.Fatal(err)
 				}
 				v, err := eng.Refresh()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v.Incremental {
-					t.Fatalf("epoch %d incremental under FullRebuildEvery=1", v.Epoch)
-				}
-				snap, err := sh.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cold, err := Build(snap, p, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertViewsBitIdentical(t, kind.String(), v, cold, cfg)
+				return v
 			}
-		})
-	}
-}
+			if err := sh.ConsumeBatch(reps[2:]); err != nil {
+				t.Fatal(err)
+			}
+			prev, err := eng.Refresh()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !prev.Incremental {
+				t.Fatalf("epoch %d over a primed arena was not incremental", prev.Epoch)
+			}
 
-// TestFullRebuildCadence checks the cadence accounting: with
-// FullRebuildEvery = 4, epochs 1, 5, 9, ... are full and the rest
-// incremental, and a cadence-forced full rebuild re-anchors bit-identity
-// with the cold path for every protocol (including the fast-kernel
-// ones).
-func TestFullRebuildCadence(t *testing.T) {
-	cfg := incCfg()
-	for _, kind := range []core.Kind{core.InpRR, core.MargHT} {
-		t.Run(kind.String(), func(t *testing.T) {
-			p, err := core.New(kind, cfg)
+			src.fail = true
+			if _, err := eng.Refresh(); err == nil {
+				t.Fatal("refresh over a failing fold must error")
+			}
+			if eng.Current() != prev {
+				t.Fatal("failed refresh replaced the serving view")
+			}
+			src.fail = false
+
+			v := refresh(0)
+			if v.Incremental || v.FoldedComponents != shards {
+				t.Fatalf("epoch after a failed fold: incremental=%v, folded %d of %d shards", v.Incremental, v.FoldedComponents, shards)
+			}
+			snap, err := sh.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sh := core.NewSharded(p, 4)
-			eng, err := NewEngine(sh, p, EngineOptions{Build: Options{FullRebuildEvery: 4}})
+			cold, err := Build(snap, p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer eng.Close()
-			reps := incReports(t, p, 6000, uint64(kind)+5)
-			for lo := 0; lo < len(reps); lo += 500 {
-				if err := sh.ConsumeBatch(reps[lo : lo+500]); err != nil {
-					t.Fatal(err)
-				}
-				v, err := eng.Refresh()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantFull := (v.Epoch-1)%4 == 0
-				if v.Incremental == wantFull {
-					t.Fatalf("epoch %d incremental=%v, want full=%v", v.Epoch, v.Incremental, wantFull)
-				}
-				if wantFull {
-					snap, err := sh.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cold, err := Build(snap, p, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertViewsBitIdentical(t, kind.String(), v, cold, cfg)
-				}
+			assertViewsBitIdentical(t, kind.String(), v, cold, cfg)
+
+			if v = refresh(1); !v.Incremental || v.FoldedComponents != 1 {
+				t.Fatalf("second epoch after a failed fold: incremental=%v, folded %d shards", v.Incremental, v.FoldedComponents)
+			}
+			if stats := eng.Stats(); stats.IncrementalBuilds != 2 || stats.FullBuilds != 2 {
+				t.Fatalf("stats %+v, want 2 incremental and 2 full", stats)
 			}
 		})
 	}

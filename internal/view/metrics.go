@@ -8,9 +8,9 @@ import (
 // latency histograms by build kind, updated inside buildNext. Allocated
 // at NewEngine so the build path never nil-checks.
 type viewInstruments struct {
-	buildFull   *metrics.Histogram // cold Build latency
-	buildInc    *metrics.Histogram // incremental (delta-fold + nonlinear stage) latency
-	snapshotDur *metrics.Histogram // snapshot/fold stage latency
+	buildFull   *metrics.Histogram // from-scratch capture + build latency
+	buildInc    *metrics.Histogram // delta fold + build latency
+	snapshotDur *metrics.Histogram // capture (snapshot or fold) stage latency
 }
 
 func newViewInstruments() *viewInstruments {

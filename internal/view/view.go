@@ -6,19 +6,21 @@
 // once per epoch and serves every query from the cached result.
 //
 // Build turns one aggregator snapshot into an immutable View: all C(d,k)
-// k-way tables reconstructed in parallel, cross-marginal consistency
-// enforced (overlapping tables are shifted to agree on shared
-// sub-marginals, weighted by their per-marginal evidence), and each
-// table projected to the probability simplex. A View answers any
+// k-way tables reconstructed, cross-marginal consistency enforced
+// (overlapping tables are shifted to agree on shared sub-marginals,
+// weighted by their per-marginal evidence), and each table projected to
+// the probability simplex. A View answers any
 // marginal with |beta| <= k by marginalizing cached superset tables —
 // O(2^k) work per query instead of a full reconstruction — and any
 // conjunction by reading one cell of that answer.
 //
-// Builds are deterministic: two Builds over equal snapshots produce
-// bit-identical Views regardless of GOMAXPROCS, so a cached answer is
-// exactly the answer a fresh rebuild of the same epoch would give.
+// Builds are deterministic: a View is a pure function of the counter
+// state it was built from, bit for bit, regardless of GOMAXPROCS and of
+// how that state was reached — so a cached answer is exactly the answer
+// a fresh rebuild of the same epoch would give.
 //
-// Engine (engine.go) wraps Build with a refresh policy and publishes
+// Engine (engine.go) runs the same build (build.go) under a refresh
+// policy, advancing the counter state by delta folds, and publishes
 // Views through an atomic pointer, so readers never take a lock and
 // never block ingestion.
 package view
@@ -30,11 +32,9 @@ import (
 	"time"
 
 	"ldpmarginals/internal/bitops"
-	"ldpmarginals/internal/consistency"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/query"
-	"ldpmarginals/internal/trace"
 )
 
 // ErrBadQuery tags query-validation failures (empty beta, beta outside
@@ -45,8 +45,7 @@ var ErrBadQuery = errors.New("invalid marginal query")
 
 // Options tunes Build's post-processing (the Engine embeds these in its
 // refresh options). The zero value is the production default: 3
-// consistency rounds, simplex projection on, a full rebuild every 64
-// builds.
+// consistency rounds, simplex projection on.
 type Options struct {
 	// ConsistencyRounds is the number of consistency-enforcement sweeps
 	// across the reconstructed tables; 0 selects the default (3),
@@ -55,21 +54,7 @@ type Options struct {
 	// RawCells skips the final simplex projection, leaving the unbiased
 	// (possibly negative) cell estimates in the view.
 	RawCells bool
-	// FullRebuildEvery is the engine's full-rebuild cadence over a
-	// delta-capable source: every FullRebuildEvery-th build re-derives
-	// the cached linear sums from scratch and runs the cold Build path
-	// (pinned bit-identical to a standalone Build over the same state),
-	// bounding any divergence of the incremental fast kernels. 0 selects
-	// the default (64), 1 makes every build a full rebuild (disabling
-	// incremental refresh), negative disables full rebuilds after the
-	// first epoch. Ignored by standalone Build calls and by sources
-	// without delta support.
-	FullRebuildEvery int
 }
-
-// DefaultFullRebuildEvery is the full-rebuild cadence selected by
-// Options.FullRebuildEvery = 0.
-const DefaultFullRebuildEvery = 64
 
 // View is one immutable materialized epoch: every k-way collection table
 // reconstructed from a single snapshot, post-processed, and frozen.
@@ -85,18 +70,20 @@ type View struct {
 	BuiltAt time.Time
 	// BuildDuration is how long the build took.
 	BuildDuration time.Duration
-	// SnapshotDuration is how long cutting (full path) or delta-folding
-	// (incremental path) the source state took, set by the Engine; zero
-	// for standalone Build calls.
+	// SnapshotDuration is how long capturing the source state took (a
+	// delta fold on incremental epochs), set by the Engine; zero for
+	// standalone Build calls.
 	SnapshotDuration time.Duration
-	// Incremental reports whether this epoch was built by advancing the
-	// engine's cached linear sums with a delta fold rather than a cold
-	// rebuild from a full snapshot.
+	// Incremental reports whether the engine reached this epoch's counter
+	// state by folding deltas into the state it already held, rather
+	// than capturing the whole source from scratch (the first epoch, an
+	// epoch after a failed refresh, sources without delta support). The
+	// tables do not depend on it.
 	Incremental bool
 	// FoldedComponents is how many source components (shards, and on a
 	// coordinator peers) were folded into this epoch's snapshot: only
-	// the changed ones on an incremental build, every component on an
-	// arena-backed full rebuild, 0 without delta support.
+	// the changed ones on an incremental build, every component on a
+	// from-scratch capture, 0 without delta support.
 	FoldedComponents int
 	// Protocol is the deployment's protocol name.
 	Protocol string
@@ -124,118 +111,14 @@ type View struct {
 
 // Build materializes a view from one aggregator snapshot. The snapshot
 // must be private to the caller (e.g. core.ShardedAggregator.Snapshot);
-// it is only read. Equal snapshots build bit-identical views.
+// it is only read. Equal snapshots build bit-identical views, and an
+// Engine epoch over the same state is bit-identical too.
 func Build(snap core.Aggregator, p core.Protocol, opts Options) (*View, error) {
-	return buildContext(context.Background(), snap, p, opts)
-}
-
-// buildContext is Build with trace propagation: when ctx carries an
-// active span, the reconstruction ("view.linear"), consistency sweep
-// ("view.consistency"), and projection + sub-cube materialization
-// ("view.nonlinear") are recorded as children.
-func buildContext(ctx context.Context, snap core.Aggregator, p core.Protocol, opts Options) (*View, error) {
-	start := time.Now()
-	cfg := p.Config()
-	// The enforcement structure is a pure function of (d, k); the
-	// memoized plan is bit-identical to a from-scratch Enforce (pinned
-	// in internal/consistency) and saves re-deriving the O(T^2) overlap
-	// structure on every cold build.
-	plan, err := planFor(cfg)
+	b, err := newBuilder(p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("view: %w", err)
 	}
-	_, linSpan := trace.StartSpan(ctx, "view.linear")
-	kway, err := core.AllKWayTables(snap, cfg)
-	if err != nil {
-		linSpan.End()
-		return nil, fmt.Errorf("view: %w", err)
-	}
-	linSpan.SetAttr("tables", len(kway))
-	linSpan.End()
-	v := &View{
-		N:        snap.N(),
-		Protocol: p.Name(),
-		cfg:      cfg,
-		kWay:     len(kway),
-		tables:   make([]*marginal.Table, len(kway)),
-		weights:  make([]float64, len(kway)),
-		pos:      make(map[uint64]int, len(kway)),
-	}
-	for i, kt := range kway {
-		v.tables[i] = kt.Table
-		v.weights[i] = float64(kt.Users)
-		v.pos[kt.Beta] = i
-	}
-	// Checkpoint the raw reconstruction so the diagnostics can report
-	// how much L1 mass the consistency sweep + projection moved.
-	before := consistencyCheckpoint(nil, v.tables, v.kWay)
-	if opts.ConsistencyRounds >= 0 && len(v.tables) > 1 && v.N > 0 {
-		_, consSpan := trace.StartSpan(ctx, "view.consistency")
-		if err := plan.cons.Enforce(v.tables, v.weights, consistency.Options{
-			Rounds: opts.ConsistencyRounds,
-		}); err != nil {
-			consSpan.End()
-			return nil, fmt.Errorf("view: enforcing consistency: %w", err)
-		}
-		consSpan.End()
-	}
-	_, nlSpan := trace.StartSpan(ctx, "view.nonlinear")
-	if !opts.RawCells {
-		for _, t := range v.tables {
-			t.ProjectToSimplex()
-		}
-	}
-	v.Diag.ConsistencyL1 = consistencyL1(before, v.tables, v.kWay)
-	// Materialize the sub-k cube: every |beta| < k marginal is
-	// deterministic for the life of the epoch, so averaging it out of
-	// the supersets once here keeps the read path at O(2^k) for every
-	// in-contract mask instead of an all-tables scan per request.
-	for _, beta := range bitops.MasksWithAtMostK(cfg.D, 1, cfg.K-1) {
-		tab, err := v.averageFromSupersets(beta)
-		if err != nil {
-			nlSpan.End()
-			return nil, fmt.Errorf("view: materializing %b: %w", beta, err)
-		}
-		v.pos[beta] = len(v.tables)
-		v.tables = append(v.tables, tab)
-	}
-	nlSpan.End()
-	v.fillTVBound()
-	v.BuildDuration = time.Since(start)
-	v.BuiltAt = time.Now()
-	return v, nil
-}
-
-// averageFromSupersets computes the marginal over beta as the
-// evidence-weighted average of every k-way collection table containing
-// beta, reduced in mask order (deterministic). Zero total evidence
-// yields the uniform table.
-func (v *View) averageFromSupersets(beta uint64) (*marginal.Table, error) {
-	out, err := marginal.New(beta)
-	if err != nil {
-		return nil, err
-	}
-	var weight float64
-	for i := 0; i < v.kWay; i++ {
-		t := v.tables[i]
-		if !bitops.IsSubset(beta, t.Beta) || v.weights[i] == 0 {
-			continue
-		}
-		sub, err := t.MarginalizeTo(beta)
-		if err != nil {
-			return nil, err
-		}
-		sub.Scale(v.weights[i])
-		if err := out.Add(sub); err != nil {
-			return nil, err
-		}
-		weight += v.weights[i]
-	}
-	if weight == 0 {
-		return marginal.Uniform(beta)
-	}
-	out.Scale(1 / weight)
-	return out, nil
+	return b.build(context.Background(), snap)
 }
 
 // Config returns the deployment parameters of the view.
@@ -273,12 +156,8 @@ func (v *View) Marginal(beta uint64) (*marginal.Table, error) {
 	if err := v.checkBeta(beta); err != nil {
 		return nil, err
 	}
-	if i, ok := v.pos[beta]; ok {
-		return v.tables[i].Clone(), nil
-	}
-	// Unreachable for in-contract masks (the cube covers them all);
-	// kept as a correct fallback.
-	return v.averageFromSupersets(beta)
+	// checkBeta admits exactly the masks the build positioned.
+	return v.tables[v.pos[beta]].Clone(), nil
 }
 
 // Estimate is Marginal under the marginal.Estimator interface, so a View

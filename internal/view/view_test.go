@@ -8,6 +8,7 @@ import (
 
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/dataset"
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/query"
 	"ldpmarginals/internal/rng"
@@ -331,5 +332,60 @@ func TestViewAgeClampsAtZero(t *testing.T) {
 	v.BuiltAt = time.Now().Add(time.Hour).Round(0)
 	if got := v.Age(); got != 0 {
 		t.Fatalf("future BuiltAt reported age %v, want 0", got)
+	}
+}
+
+// TestBuildAccuracyWithinTheoreticalBound holds Build's k-way tables
+// against the exact marginals of the records behind them, for all six
+// protocols at parameters where the paper's bound is informative
+// (TV < 1; InpPS's needs n = 2^19 at d = 8, it is 1.29 at 2^17): the
+// mean TV over the collection stays within 1.25x the bound, raw and
+// post-processed. The bit-identity tests compare Build
+// with itself, so a biased reconstruction kernel would pass them all;
+// this one would not.
+func TestBuildAccuracyWithinTheoreticalBound(t *testing.T) {
+	cfg := core.Config{D: 8, K: 2, Epsilon: math.Log(3), OptimizedPRR: true}
+	ds := dataset.NewTaxi(1<<19, 20)
+	for _, kind := range core.AllKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			p, err := core.New(kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := core.Run(p, ds.Records, uint64(kind)+5, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []Options{{}, {RawCells: true}} {
+				v, err := Build(run.Agg, p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := v.Diag.TheoreticalTV
+				if v.Diag.TVBoundErr != "" || bound <= 0 || bound >= 1 {
+					t.Fatalf("bound %v (%s) is not informative at these parameters", bound, v.Diag.TVBoundErr)
+				}
+				masks := core.KWayMasks(cfg.D, cfg.K)
+				var sum float64
+				for _, beta := range masks {
+					got, err := v.Marginal(beta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := ds.Marginal(beta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tv, err := got.TVDistance(want)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum += tv
+				}
+				if mean := sum / float64(len(masks)); mean > 1.25*bound {
+					t.Fatalf("raw=%v: mean TV %.4g over %d tables, bound %.4g", opts.RawCells, mean, len(masks), bound)
+				}
+			}
+		})
 	}
 }

@@ -261,7 +261,8 @@ func MaterializeCube(est marginal.Estimator, d, k int) (map[uint64]*Table, error
 // evaluation, Chow-Liu fitting, and chi-squared testing.
 type MarginalView = view.View
 
-// ViewOptions tunes the per-epoch post-processing of BuildView.
+// ViewOptions tunes the per-epoch post-processing of BuildView and of a
+// ViewEngine's epochs: consistency rounds and simplex projection.
 type ViewOptions = view.Options
 
 // ViewEngine owns the materialized view of a deployment, rebuilding it
@@ -279,9 +280,10 @@ type ViewEngineOptions = view.EngineOptions
 type RefreshPolicy = view.Policy
 
 // BuildView materializes a view from one aggregator snapshot: all
-// C(d,k) k-way marginals reconstructed in parallel, consistency
-// enforced, simplex projected. Equal snapshots build bit-identical
-// views.
+// C(d,k) k-way marginals reconstructed, consistency enforced, simplex
+// projected. It is the build a ViewEngine runs for every epoch: equal
+// snapshots build bit-identical views, and an engine epoch over the same
+// state is bit-identical to them.
 func BuildView(snap Aggregator, p Protocol, opts ViewOptions) (*MarginalView, error) {
 	return view.Build(snap, p, opts)
 }
