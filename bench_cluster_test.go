@@ -289,7 +289,7 @@ func deltaPull(b *testing.B, url, base string, components bool) (int, []byte, st
 	if components {
 		target += "?components=1"
 		if base != "" {
-			target += "&diff=1&sparse=1"
+			target += "&diff=1&sparse=2"
 		}
 	}
 	req, err := http.NewRequest(http.MethodGet, target, nil)

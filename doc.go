@@ -247,22 +247,30 @@
 // two forms. The dense one is a zig-zag varint per counter, whose zeros
 // are left to deflate — which spends some 19 bits on each counter that
 // moved when 98 % did not. The sparse one lists only the counters that
-// moved: their number, the gap of unmoved counters before each, then
-// the non-zero differences, about 9 bits per moved counter at the same
-// churn, with nothing the size of the state built, deflated or inflated
-// on either side (the puller copies the unmoved stretches of its own
-// blob across as bytes). A puller says sparse=1 beside diff=1 when it
-// reads the sparse form — a capability token between our own nodes, not
-// a setting: an exporter that predates it answers with dense diffs, a
-// puller that predates it is never sent a sparse one — and the exporter
-// ships whole, dense or sparse by size, the earlier of two the same
-// size; under an eighth of the counters moved, the dense form is not
-// built to compare, and over half it is the sparse one that is not. On
-// the wire the encoding byte says which (bit0: deflated, bit1: diff,
-// bit2: the diff is sparse), and a diff also carries the component
-// version minus its base's, the crc32c of the state it rebuilds, and
-// its own raw length. Every payload, whole or diff, takes the smaller
-// of flate.BestSpeed and flate.HuffmanOnly. The puller rebuilds the canonical blob from its
+// moved, bit by bit and never deflated: their number, the gap of
+// unmoved counters before each as a Rice code under the one parameter
+// that makes the gaps smallest, then the non-zero differences (zig-zag,
+// less one) either as Rice codes under a parameter of their own or,
+// where most of them are one value, as that value, the runs of it and
+// the few others — about 7.7 bits per moved counter at the same churn,
+// all but 0.2 of them the gap, against the 7.5 the positions carry —
+// with nothing the size of the state built, deflated or inflated on
+// either side (the puller copies the unmoved stretches of its own blob
+// across as bytes). A puller says sparse=2 beside diff=1 when it reads
+// this form — a capability token between our own nodes, not a setting,
+// whose value names the form: an exporter that predates the token, or
+// knows it only by the value one earlier build gave a varint form,
+// answers with dense diffs, and a puller that sends anything else is
+// never sent a sparse one — and the exporter ships whole, dense or
+// sparse by size, the earlier of two the same size; under an eighth of
+// the counters moved, the dense form is not built to compare, and over
+// half it is the sparse one that is not. On the wire the encoding byte
+// says which (bit0: deflated, bit1: diff, bit3: the diff is sparse, and
+// then not deflated; bit2 is retired and refused), and a diff also
+// carries the component version minus its base's, the crc32c of the
+// state it rebuilds, and its own raw length. Every other payload, whole
+// or dense diff, takes the smaller of flate.BestSpeed and
+// flate.HuffmanOnly. The puller rebuilds the canonical blob from its
 // own copy and checks length and checksum before anything else sees
 // it, so validation, folding, persistence and pass-through are the
 // ones whole components go through. The ladder below a diff, each rung
@@ -291,9 +299,9 @@
 // (TestMixedGranularityFullFrameReplaces). A puller that never sends
 // diff=1 still gets the same frame format, with the one component
 // whole. BENCH_cluster.json records the wire sizes for a 100-shard
-// InpPS d=16 edge (one sparse diff of under 250 bytes whether 1 or 100
+// InpPS d=16 edge (one sparse diff of under 190 bytes whether 1 or 100
 // shards moved; 145 bytes for an unchanged peer) and bench/ the diff's
-// on two 8-shard edges (one 1,024-report batch: 1,238 wire bytes as a
+// on two 8-shard edges (one 1,024-report batch: 1,057 wire bytes as a
 // sparse diff, where the positions of its ~1,019 counters alone carry
 // ~953; 2,540 as a dense diff, ~37.5 KB as the whole component);
 // TestClusterDeltaVsFullBitIdentity and TestClusterTwoTierBitIdentity

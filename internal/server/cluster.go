@@ -1101,7 +1101,7 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 
 // fetch performs the HTTP GET, frame validation, and accept for one
 // peer. With ack set it acknowledges the held base version (?since= plus
-// If-None-Match, and diff=1&sparse=1 on the componentized exchange), and
+// If-None-Match, and diff=1&sparse=2 on the componentized exchange), and
 // the reply is a 304 (nothing moved), a delta frame whose components may
 // be diffs, dense or sparse, against the held ones, or a full frame. A
 // delta whose base no longer matches what this coordinator holds (peer
@@ -1120,9 +1120,10 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 		target += "?components=1"
 		if ack {
 			// diff=1: components of a delta may arrive as differences from
-			// the versions held; sparse=1: and those as sparse diffs.
-			// Exporters that predate either token ignore it.
-			target += "&since=" + strconv.FormatUint(base, 10) + "&diff=1&sparse=1"
+			// the versions held; sparse=2: and those as sparse diffs, in
+			// their bit-packed form. Exporters that predate either token,
+			// or know the second only by an earlier value, ignore it.
+			target += "&since=" + strconv.FormatUint(base, 10) + "&diff=1&sparse=2"
 		}
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -581,17 +585,49 @@ func scrapePullArrivals(t *testing.T, url string) pullArrivals {
 	return a
 }
 
-// TestSparseDiffMixedVersions runs the sparse=1 token between nodes that
-// know it and nodes that do not. A puller that sends only diff=1 (a
-// coordinator from before the sparse diff) is answered with a dense
-// diff, never the sparse bit; one that sends both gets the sparse diff;
-// a coordinator pulling an exporter that ignores the token (an edge from
-// before it, played by a proxy that strips it) decodes the dense diff it
-// is sent; and a sparse diff that does not rebuild on what the puller
-// holds costs one full re-fetch in the same pull, like a dense one. The
-// edge's retained export is the base of whoever pulls first after a
-// batch, so each round has the puller under test go first and the
-// others catch up whole.
+// withRetiredSparseBit sets bit 0x04 in the encoding byte of the first
+// component of a componentized frame and reseals the frame: what an
+// exporter of the build before this one put on its sparse diffs.
+func withRetiredSparseBit(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), frame[:len(frame)-4]...)
+	at := len("LDPD") + 2
+	skip := func(fields int) {
+		for range fields {
+			_, w := binary.Uvarint(out[at:])
+			at += w
+		}
+	}
+	idLen, w := binary.Uvarint(out[at:])
+	at += w + int(idLen)
+	skip(4) // version, base version, report count, component count
+	idLen, w = binary.Uvarint(out[at:])
+	at += w + int(idLen)
+	skip(2) // component version and report count
+	if out[at]&^0x0b != 0 {
+		t.Fatalf("byte %d of the frame is %#x, not an encoding byte", at, out[at])
+	}
+	out[at] |= 0x04
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestSparseDiffMixedVersions runs the sparse token between this build,
+// which says sparse=2 for the bit-packed sparse diff, and the one before
+// it (PR 18), which said sparse=1 for a varint one under encoding bit
+// 0x04. Neither reads the other's form, so across the two they exchange
+// dense diffs, as each does with a node from before there were sparse
+// diffs at all: a PR 18 puller (a proxy that turns the token back into
+// sparse=1) is answered with a dense diff by this exporter, and this
+// puller is answered with one by a PR 18 exporter (a proxy that drops the
+// token it would not have known). Between two nodes of this build the
+// diff is sparse. A frame that carries the retired bit is a decode error
+// wherever it comes from; a sparse diff that does not rebuild on what the
+// puller holds costs one full re-fetch in the same pull, like a dense
+// one; and all three fleets end up holding, byte for byte, what a
+// coordinator that only ever pulls full frames holds. The edge's
+// retained export is the base of whoever pulls first after a batch, so
+// each round has the puller under test go first and the others catch up
+// whole.
 func TestSparseDiffMixedVersions(t *testing.T) {
 	p, err := core.New(core.InpPS, clusterCfg)
 	if err != nil {
@@ -610,52 +646,56 @@ func TestSparseDiffMixedVersions(t *testing.T) {
 		}
 		inner.ServeHTTP(w, r)
 	}))
-	// What an exporter from before the token does with it: nothing.
-	deafTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		q.Del("sparse")
-		r.URL.RawQuery = q.Encode()
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() { edgeTS.Close(); deafTS.Close(); _ = edge.Close() })
-	newCoord := func(id, peer string) (*Server, string) {
-		c, ts := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: id, Peers: []string{peer}, PullInterval: time.Minute})
+	// retoken serves the edge with the sparse token of each request edited.
+	retoken := func(edit func(url.Values)) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			q := r.URL.Query()
+			if q.Has("sparse") {
+				edit(q)
+			}
+			r.URL.RawQuery = q.Encode()
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	pr18EdgeTS := retoken(func(q url.Values) { q.Del("sparse") })        // sparse=2 means nothing to it
+	pr18PullerTS := retoken(func(q url.Values) { q.Set("sparse", "1") }) // what its coordinator sends
+	t.Cleanup(func() { edgeTS.Close(); _ = edge.Close() })
+	newCoord := func(id, peer string, full bool) (*Server, string) {
+		c, ts := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: id, Peers: []string{peer}, PullInterval: time.Minute, DisableDeltaPull: full})
 		return c, ts.URL
 	}
-	coord, coordURL := newCoord("coord", edgeTS.URL)
-	_, deafURL := newCoord("coord-of-deaf-edge", deafTS.URL)
-	oldPuller := &statePuller{url: edgeTS.URL, p: p}
-	newPuller := &statePuller{url: edgeTS.URL, p: p, sparse: true}
+	coord, coordURL := newCoord("coord", edgeTS.URL, false)
+	ofPR18Edge, ofPR18EdgeURL := newCoord("coord-of-pr18-edge", pr18EdgeTS.URL, false)
+	pr18Coord, pr18CoordURL := newCoord("pr18-coord", pr18PullerTS.URL, false)
+	control, controlURL := newCoord("coord-full-pulls", edgeTS.URL, true)
+	densePuller := &statePuller{url: edgeTS.URL, p: p}
+	pr18Puller := &statePuller{url: edgeTS.URL, p: p, sparse: "1"}
+	newPuller := &statePuller{url: edgeTS.URL, p: p, sparse: "2"}
 
-	// everyone brings all four pullers to the edge's current label, the
-	// one under test first.
+	// everyone brings every puller to the edge's current label, the one
+	// under test first.
 	posted := 0
 	post := func(n int) {
 		t.Helper()
 		postBatchOK(t, edgeTS.URL, p, reps[posted:posted+n])
 		posted += n
 	}
-	pulls := map[string]func(){
-		"old puller": func() {
-			if err := oldPuller.pull(true, true); err != nil {
-				t.Fatalf("old puller: %v", err)
+	pulls := make(map[string]func())
+	for name, sp := range map[string]*statePuller{"dense puller": densePuller, "PR 18 puller": pr18Puller, "new puller": newPuller} {
+		pulls[name] = func() {
+			if err := sp.pull(true, true); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-		},
-		"new puller": func() {
-			if err := newPuller.pull(true, true); err != nil {
-				t.Fatalf("new puller: %v", err)
+		}
+	}
+	for name, url := range map[string]string{"coordinator": coordURL, "coordinator of a PR 18 edge": ofPR18EdgeURL, "PR 18 coordinator": pr18CoordURL} {
+		pulls[name] = func() {
+			if cs := postPull(t, url); cs.Peers[0].LastError != "" {
+				t.Fatalf("%s: %s", name, cs.Peers[0].LastError)
 			}
-		},
-		"coordinator": func() {
-			if cs := postPull(t, coordURL); cs.Peers[0].LastError != "" {
-				t.Fatalf("coordinator: %s", cs.Peers[0].LastError)
-			}
-		},
-		"coordinator of a deaf edge": func() {
-			if cs := postPull(t, deafURL); cs.Peers[0].LastError != "" {
-				t.Fatalf("coordinator of a deaf edge: %s", cs.Peers[0].LastError)
-			}
-		},
+		}
 	}
 	everyone := func(first string) {
 		t.Helper()
@@ -667,31 +707,46 @@ func TestSparseDiffMixedVersions(t *testing.T) {
 		}
 	}
 	post(100)
-	everyone("old puller")
+	everyone("dense puller")
 
 	// Two reports move at most two of the 64 counters: sparse, clearly.
-	post(2)
-	everyone("old puller")
-	if oldPuller.diffs != 1 || oldPuller.sparseDiffs != 0 {
-		t.Fatalf("puller that sent only diff=1: %d diffs, %d of them sparse; want one dense diff", oldPuller.diffs, oldPuller.sparseDiffs)
+	for name, sp := range map[string]*statePuller{"dense puller": densePuller, "PR 18 puller": pr18Puller} {
+		post(2)
+		everyone(name)
+		if sp.diffs != 1 || sp.sparseDiffs != 0 {
+			t.Fatalf("%s (sparse token %q): %d diffs, %d of them sparse; want one dense diff", name, sp.sparse, sp.diffs, sp.sparseDiffs)
+		}
 	}
 	post(2)
 	everyone("new puller")
 	if newPuller.diffs != 1 || newPuller.sparseDiffs != 1 {
-		t.Fatalf("puller that sent sparse=1: %d diffs, %d of them sparse; want one sparse diff", newPuller.diffs, newPuller.sparseDiffs)
+		t.Fatalf("puller that sent sparse=2: %d diffs, %d of them sparse; want one sparse diff", newPuller.diffs, newPuller.sparseDiffs)
 	}
+	// The pull span says how the components of each pull arrived.
+	for _, c := range []struct {
+		name, url string
+		sparse    int
+	}{{"coordinator", coordURL, 1}, {"coordinator of a PR 18 edge", ofPR18EdgeURL, 0}, {"PR 18 coordinator", pr18CoordURL, 0}} {
+		post(2)
+		before := scrapePullArrivals(t, c.url)
+		everyone(c.name)
+		want := pullArrivals{diffs: before.diffs + 1, sparse: before.sparse + c.sparse, whole: before.whole}
+		if got := scrapePullArrivals(t, c.url); got != want {
+			t.Fatalf("%s: pull spans went from %+v to %+v, want %+v", c.name, before, got, want)
+		}
+	}
+
+	// The retired bit, on a reply that is otherwise this edge's: refused
+	// as an encoding nobody knows, whichever token asked.
 	post(2)
-	before := scrapePullArrivals(t, coordURL)
-	everyone("coordinator")
-	if got := scrapePullArrivals(t, coordURL); got.diffs != before.diffs+1 || got.sparse != before.sparse+1 {
-		t.Fatalf("coordinator: pull spans went from %+v to %+v, want one more diff, sparse", before, got)
+	for _, sp := range []*statePuller{pr18Puller, newPuller} {
+		held := *sp
+		held.mangle = func(frame []byte) []byte { return withRetiredSparseBit(t, frame) }
+		if err := held.pull(true, true); err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Fatalf("frame carrying encoding bit 0x04, to a puller that sent sparse=%s: error %v, want an unknown encoding", sp.sparse, err)
+		}
 	}
-	post(2)
-	before = scrapePullArrivals(t, deafURL)
-	everyone("coordinator of a deaf edge")
-	if got := scrapePullArrivals(t, deafURL); got.diffs != before.diffs+1 || got.sparse != before.sparse {
-		t.Fatalf("coordinator of a deaf edge: pull spans went from %+v to %+v, want one more diff, dense", before, got)
-	}
+	everyone("new puller")
 
 	// The coordinator's copy of its base goes bad under an unchanged
 	// label: the sparse diff is sent, fails its checksum on that base,
@@ -715,13 +770,35 @@ func TestSparseDiffMixedVersions(t *testing.T) {
 	}
 	everyone("coordinator")
 	post(2)
-	before = scrapePullArrivals(t, coordURL)
+	before := scrapePullArrivals(t, coordURL)
 	everyone("coordinator")
 	if got := scrapePullArrivals(t, coordURL); got.sparse != before.sparse+1 {
 		t.Fatalf("after the re-fetch: pull spans went from %+v to %+v, want sparse diffs to have resumed", before, got)
 	}
-	if coord.N() != posted || oldPuller.held["edge-1"].N != posted || newPuller.held["edge-1"].N != posted {
-		t.Fatalf("coordinator holds %d reports, pullers %d and %d; %d were posted", coord.N(), oldPuller.held["edge-1"].N, newPuller.held["edge-1"].N, posted)
+
+	// Dense or sparse, every fleet holds what full pulls alone install,
+	// and serves the same bytes from it.
+	postPull(t, controlURL)
+	postRefresh(t, controlURL)
+	want := marginalBytes(t, controlURL)
+	for _, c := range []struct {
+		s   *Server
+		url string
+	}{{coord, coordURL}, {ofPR18Edge, ofPR18EdgeURL}, {pr18Coord, pr18CoordURL}} {
+		sameHeldComponents(t, "at the end", c.s, control)
+		if vs := postRefresh(t, c.url); vs.ViewN != posted {
+			t.Fatalf("%s: epoch over %d reports, %d were posted", c.s.nodeID, vs.ViewN, posted)
+		}
+		for beta, got := range marginalBytes(t, c.url) {
+			if !bytes.Equal(got, want[beta]) {
+				t.Fatalf("%s, beta=%d: marginal differs from the full-pulling coordinator's", c.s.nodeID, beta)
+			}
+		}
+	}
+	for _, sp := range []*statePuller{densePuller, pr18Puller, newPuller} {
+		if sp.held["edge-1"].N != posted {
+			t.Fatalf("puller with sparse token %q holds %d reports, %d were posted", sp.sparse, sp.held["edge-1"].N, posted)
+		}
 	}
 }
 

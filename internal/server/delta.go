@@ -31,11 +31,13 @@ import (
 // the blobs of its latest export, and a moved component whose blob at
 // the base is still among them ships as a diff when that is the smaller
 // payload — bytes proportional to the counters that moved, whatever the
-// component's size. sparse=1 beside diff=1 is the puller saying it also
+// component's size. sparse=2 beside diff=1 is the puller saying it also
 // decodes the sparse form of a diff, which lists only the counters that
-// moved; the token is a capability our own nodes exchange, so an
-// exporter that predates it answers with dense diffs and a puller that
-// predates it is never sent a sparse one.
+// moved, packed bit by bit; the token is a capability our own nodes
+// exchange and its value names the form, so an exporter that predates it
+// or knows another value (one earlier build had a varint form) answers
+// with dense diffs, and a puller that sends anything else is never sent
+// a sparse one.
 
 // exportHistorySize bounds the per-node ring of remembered export
 // labels. A coordinator pulls each peer once per interval, so 64 entries

@@ -239,9 +239,10 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 type statePuller struct {
 	url    string
 	p      core.Protocol
-	sparse bool // says sparse=1 beside diff=1, as pullers since the sparse diff do
+	sparse string // the value of the sparse token sent beside diff=1: "2" reads sparse diffs, "" sends none
 	etag   string
 	held   map[string]wire.StateComponent
+	mangle func(frame []byte) []byte // stands in for a peer that frames otherwise
 
 	full, whole, diffs, sparseDiffs, notModified int
 }
@@ -253,8 +254,8 @@ func (sp *statePuller) pull(ack, diff bool) error {
 	target := sp.url + "/state?components=1"
 	if diff {
 		target += "&diff=1"
-		if sp.sparse {
-			target += "&sparse=1"
+		if sp.sparse != "" {
+			target += "&sparse=" + sp.sparse
 		}
 	}
 	req, err := http.NewRequest(http.MethodGet, target, nil)
@@ -282,6 +283,9 @@ func (sp *statePuller) pull(ack, diff bool) error {
 	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	if sp.mangle != nil {
+		body = sp.mangle(body)
 	}
 	// A diff that does not rebuild to the declared length and crc32c on
 	// the held blob fails here.
@@ -313,7 +317,7 @@ func (sp *statePuller) pull(ack, diff bool) error {
 			}
 			sp.diffs++
 			if c.Base.Sparse {
-				if !sp.sparse {
+				if sp.sparse != "2" {
 					return fmt.Errorf("component %s arrived as a sparse diff nobody asked for", c.ID)
 				}
 				sp.sparseDiffs++
@@ -363,7 +367,7 @@ func TestConcurrentStateExportsUnderIngest(t *testing.T) {
 			ingestDone := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := range pullers {
-				sp := &statePuller{url: ts.URL, p: p, sparse: i%2 == 1}
+				sp := &statePuller{url: ts.URL, p: p, sparse: []string{"", "2"}[i%2]}
 				pullers[i] = sp
 				wg.Add(1)
 				go func(i int) {

@@ -1388,11 +1388,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 //     delta frame shipping only the components that moved since it,
 //     and with &diff=1 on top a moved component ships as its counter
 //     difference from the base's blob when this node still has that
-//     blob and the difference is the smaller payload. &sparse=1 beside
+//     blob and the difference is the smaller payload. &sparse=2 beside
 //     it says the puller also reads the sparse form of a diff (gaps and
-//     non-zero differences only, wire/diff.go), which is then shipped
-//     where it is the smaller one; a puller that does not say so is
-//     never sent it.
+//     non-zero differences only, bit-packed, wire/diff.go), which is
+//     then shipped where it is the smaller one; a puller that does not
+//     say so, or gives the token the value one earlier build gave it for
+//     another form, is never sent it.
 //
 // An unknown base — expired from the history ring, or from before a
 // restart (the version salt changed) — falls back to a full frame.
@@ -1433,7 +1434,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 			if q.Get("diff") != "1" {
 				held = nil
 			}
-			frame = deltaAgainst(frame, base, baseVec, exp.vec, held, q.Get("sparse") == "1")
+			frame = deltaAgainst(frame, base, baseVec, exp.vec, held, q.Get("sparse") == "2")
 			mode, encode = "delta", wire.EncodeComponentFrame
 		}
 	}

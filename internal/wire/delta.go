@@ -32,7 +32,7 @@ import (
 //	repeat (ids strictly increasing):
 //	  uvarint id length, id bytes,
 //	  uvarint component version, uvarint component report count,
-//	  encoding byte (bit0: flate, bit1: diff, bit2: the diff is sparse),
+//	  encoding byte (bit0: flate, bit1: diff, bit3: the diff is sparse),
 //	  uvarint raw state length,
 //	  diff components only:
 //	    uvarint component version minus base component version,
@@ -52,14 +52,17 @@ import (
 // (diff.go) carries, instead of the state, its per-counter difference
 // from the version of that component the puller said it holds — every
 // counter's (dense), or only the counters that moved and the gaps
-// between them (sparse, bit2, never without bit1); the decoder rebuilds
+// between them, packed bit by bit (sparse: bit3, never without bit1 and
+// never with bit0, as the stream is not deflated); the decoder rebuilds
 // the state from its own copy of that version and checks it against the
 // declared length and checksum, so everything past the decoder sees
 // whole canonical blobs either way. An exporter ships either kind only
 // to a puller that asked for it (each encoding bit is unknown to the
 // decoders that predate it) and only when it makes the component
 // smaller: whole, dense diff, sparse diff, the smallest wins and the
-// earlier of two the same size (packer.component).
+// earlier of two the same size (packer.component). Bit2 marked the
+// sparse diff of one earlier build, varints under deflate; it is retired,
+// and refused like any unknown bit.
 // Version labels carry the same one-directional guarantee as LDPX (see
 // exchange.go): equal labels may rarely hide a racing mutation for one
 // pull round, but the exporter's delta bases are recorded conservatively
@@ -73,9 +76,9 @@ const (
 	deltaFlagDelta = 0x01
 
 	// Component encoding bits.
-	compEncFlate  = 0x01 // payload is a deflate stream
-	compEncDiff   = 0x02 // payload is a state diff, not a state
-	compEncSparse = 0x04 // the diff is sparse (diff.go); only with compEncDiff
+	compEncFlate = 0x01 // payload is a deflate stream
+	compEncDiff  = 0x02 // payload is a state diff, not a state
+	compEncRice  = 0x08 // the diff is sparse (diff.go): with compEncDiff, without compEncFlate
 
 	// MaxComponentIDLen bounds one component id: an originating node id
 	// plus a "/"-separated local suffix (shard index).
@@ -151,9 +154,10 @@ func validComponentID(id string) error {
 // a megabyte of tables each) across components and, through packers,
 // across frames.
 type packer struct {
-	zw   [2]*flate.Writer
-	out  [2]bytes.Buffer
-	kept []byte // the diff payload in hand while other forms are packed
+	zw     [2]*flate.Writer
+	out    [2]bytes.Buffer
+	kept   []byte // the dense diff's payload while the whole state is packed
+	sparse []byte // the sparse diff, which is not packed
 }
 
 var packers = sync.Pool{New: func() any { return new(packer) }}
@@ -210,7 +214,8 @@ const diffCertain = 8
 // because building and packing them is most of the work: the dense
 // diff is not tried when the sparse one is certain to beat it
 // (stateDiff.clearlySparse), nor the whole state when a diff is under
-// 1/diffCertain of it. The payload is valid until the packer's next use.
+// 1/diffCertain of it; where both rules apply nothing is deflated at all.
+// The payload is valid until the packer's next use.
 func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte, err error) {
 	flateBit := func(deflated bool) byte {
 		if deflated {
@@ -222,29 +227,26 @@ func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte
 		if d, ok := diffState(c.Base.State, c.State); ok {
 			head := binary.AppendUvarint(nil, c.Version-c.Base.Version)
 			head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(c.State, exchangeCRC))
-			try := func(form byte, raw []byte) error {
-				packed, deflated, err := p.pack(raw)
-				if err != nil {
-					return err
-				}
-				formHead := binary.AppendUvarint(head[:len(head):len(head)], uint64(len(raw)))
+			// offer takes a form of the diff that is the smallest so far.
+			offer := func(form byte, rawLen int, packed []byte) {
+				formHead := binary.AppendUvarint(head[:len(head):len(head)], uint64(rawLen))
 				if diffHead == nil || len(formHead)+len(packed) < len(diffHead)+len(payload) {
-					// The next pack reuses the packer: the payload is kept aside.
-					p.kept = append(p.kept[:0], packed...)
-					enc, diffHead, payload = form|flateBit(deflated), formHead, p.kept
+					enc, diffHead, payload = form, formHead, packed
 				}
-				return nil
 			}
-			sparse := c.Base.Sparse && d.sparseLen() < d.denseLen()
+			sparse := c.Base.Sparse && d.gapsPay()
 			if !sparse || !d.clearlySparse() {
-				if err := try(compEncDiff, d.dense()); err != nil {
+				packed, deflated, err := p.pack(d.dense())
+				if err != nil {
 					return 0, nil, nil, err
 				}
+				// The whole state may yet be packed, in the same buffers.
+				p.kept = append(p.kept[:0], packed...)
+				offer(compEncDiff|flateBit(deflated), d.denseLen(), p.kept)
 			}
 			if sparse {
-				if err := try(compEncDiff|compEncSparse, d.sparse()); err != nil {
-					return 0, nil, nil, err
-				}
+				p.sparse = d.appendSparse(p.sparse[:0])
+				offer(compEncDiff|compEncRice, len(p.sparse), p.sparse)
 			}
 			if len(diffHead)+len(payload) < len(c.State)/diffCertain {
 				return enc, diffHead, payload, nil
@@ -386,6 +388,10 @@ func (r *componentReader) id(what string) string {
 	return string(r.bytes(n, what))
 }
 
+// inflaters holds decompressors (tens of kilobytes of tables each) for
+// unpack to reset and reuse, across components and frames.
+var inflaters = sync.Pool{New: func() any { return flate.NewReader(nil) }}
+
 // unpack returns a fresh copy of the n raw bytes a component payload
 // holds, inflating it when deflated.
 func unpack(payload []byte, deflated bool, n uint64) ([]byte, error) {
@@ -401,7 +407,11 @@ func unpack(payload []byte, deflated bool, n uint64) ([]byte, error) {
 		return nil, fmt.Errorf("flate payload of %d bytes for %d raw is non-canonical", len(payload), n)
 	}
 	raw := make([]byte, n)
-	zr := flate.NewReader(bytes.NewReader(payload))
+	zr := inflaters.Get().(io.ReadCloser)
+	defer inflaters.Put(zr)
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(payload), nil); err != nil {
+		return nil, fmt.Errorf("inflating: %w", err)
+	}
 	if _, err := io.ReadFull(zr, raw); err != nil {
 		return nil, fmt.Errorf("inflating: %w", err)
 	}
@@ -484,7 +494,7 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		cn := r.uvarint("component report count")
 		enc := r.byteVal("component encoding")
 		rawLen := r.uvarint("component raw length")
-		isDiff, isSparse := enc&compEncDiff != 0, enc&compEncSparse != 0
+		isDiff, isSparse := enc&compEncDiff != 0, enc&compEncRice != 0
 		var (
 			verDelta, diffLen uint64
 			sum               []byte
@@ -505,7 +515,7 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		if cn > uint64(math.MaxInt) {
 			return f, fmt.Errorf("wire: component %q report count overflows int", c.ID)
 		}
-		if enc&^(compEncFlate|compEncDiff|compEncSparse) != 0 || isSparse && !isDiff {
+		if enc&^(compEncFlate|compEncDiff|compEncRice) != 0 || isSparse && enc != compEncDiff|compEncRice {
 			return f, fmt.Errorf("wire: component %q encoding %d unknown", c.ID, enc)
 		}
 		// Both the state and a diff's own raw form are materialized.

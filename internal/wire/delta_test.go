@@ -183,7 +183,7 @@ func TestComponentFrameDecodeRejectsHostileBodies(t *testing.T) {
 	if bad[encAt]&^compEncFlate != 0 {
 		t.Fatalf("byte %d of the control frame is %#x, not its encoding byte", encAt, bad[encAt])
 	}
-	bad[encAt] |= compEncSparse
+	bad[encAt] |= compEncRice
 	if _, err := DecodeComponentFrameWith(reseal(bad), testMaxRaw, func(string) (ComponentBase, bool) { return ComponentBase{}, false }); err == nil {
 		t.Error("sparse bit on a whole component was accepted")
 	}
@@ -243,8 +243,9 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 	f.Add(delta)
 	// Diff components, honest and not: the target offers diffFixture's
 	// base, so these reach the rebuild and its checks.
-	// Both kinds of diff: the sparse stream is where a few flipped bits
-	// reach the gap, count and tail arithmetic.
+	// Both kinds of diff: the sparse stream (encoding 0x0a) is where a few
+	// flipped bits reach the parameters, the codes, the section cursors
+	// and the tail arithmetic.
 	base, _, good, goodSparse := diffFixture()
 	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" }
 	for _, good := range []diffFields{good, goodSparse} {
@@ -256,9 +257,10 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 			func(d *diffFields) { d.rawLen = testMaxRaw + 1 }, // over the raw budget
 			func(d *diffFields) { d.rawLen = d.diffLen },      // diff not smaller than raw
 			func(d *diffFields) { d.enc |= compEncFlate },     // raw payload declared deflated
-			func(d *diffFields) { d.enc ^= compEncSparse },    // one kind of stream under the other's bit
+			func(d *diffFields) { d.enc ^= compEncRice },      // one kind of stream under the other's bit
 			func(d *diffFields) { d.payload = d.payload[:len(d.payload)-1]; d.diffLen-- },
 			func(d *diffFields) { d.payload = append(d.payload[:2:2], 0xff, 0xff, 0x03); d.diffLen = 5 }, // a count, or values, of nothing
+			func(d *diffFields) { d.enc = d.enc&^compEncRice | 0x04 },                                    // the sparse bit of the build before
 		} {
 			d := good
 			mutate(&d)

@@ -27,8 +27,12 @@ func stateOf(t *testing.T, p core.Protocol, reps []core.Report) []byte {
 // TestDiffRoundTripAllProtocols: the codec knows nothing of what a blob
 // holds, so it is held against the real blobs of all six protocols — a
 // state that grew (cumulative release), one that shrank (a window whose
-// oldest bucket expired, every counter at or below its base), and one
-// with no base at all — through the frame and back, byte for byte.
+// oldest bucket expired, every counter at or below its base), one with
+// no base at all, and bases of fewer and of more values than the state —
+// through the frame and back, byte for byte, to a
+// puller that reads sparse diffs and to one that does not; and the walk
+// that steps over unmoved values eight bytes at a time finds what the
+// walk that decodes every value does.
 func TestDiffRoundTripAllProtocols(t *testing.T) {
 	for _, kind := range core.AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -52,9 +56,16 @@ func TestDiffRoundTripAllProtocols(t *testing.T) {
 				{"grown by 100 reports", early, all, true},
 				{"shrunk by an expired bucket", all, late, false},
 				{"unrelated base", nil, all, false},
+				{"base of fewer values", cutValues(early, len(early)/3), all, false},
+				{"base of more values", append(append([]byte(nil), all...), 1, 0x81, 0x01, 0), early, false},
 			}
 			for _, tc := range cases {
-				base := wire.ComponentBase{Version: 40, State: tc.base}
+				wire.SameWalk(t, tc.name, tc.base, tc.next)
+			}
+			for i, tc := range append(cases, cases...) {
+				// Each case twice: to a puller that does not read sparse
+				// diffs, then to one that does.
+				base := wire.ComponentBase{Version: 40, State: tc.base, Sparse: i >= len(cases)}
 				in := wire.ComponentFrame{NodeID: "e", Version: 9, Delta: true, BaseVersion: 8, N: 1,
 					Components: []wire.StateComponent{{ID: "e/0", Version: 41, N: 1, State: tc.next, Base: &base}}}
 				buf, err := wire.EncodeComponentFrame(in)
@@ -189,8 +200,8 @@ func TestSparseDiffGrid(t *testing.T) {
 					}
 					// The size the bench's fleet-pull cell rests on: one
 					// 1,024-report batch into a 2^16-counter InpPS node.
-					if sh.d == 16 && churn == 1024 && pair.name == "grown" && (len(frames[1]) != 1210 || len(frames[0]) != 2511) {
-						t.Errorf("1,024 reports into 2^16 counters: frames of %d bytes sparse and %d dense, want 1210 and 2511", len(frames[1]), len(frames[0]))
+					if sh.d == 16 && churn == 1024 && pair.name == "grown" && (len(frames[1]) != 1020 || len(frames[0]) != 2511) {
+						t.Errorf("1,024 reports into 2^16 counters: frames of %d bytes sparse and %d dense, want 1020 and 2511", len(frames[1]), len(frames[0]))
 					}
 				}
 			}

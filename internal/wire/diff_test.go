@@ -5,9 +5,60 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
+
+// diffStateByValue is diffState as it was before it compared eight bytes
+// at a time: every value of next decoded against its base value. It is
+// the reference the word-at-a-time walk is held to.
+func diffStateByValue(base, next []byte) (stateDiff, bool) {
+	var d stateDiff
+	if len(next) < 2 {
+		return d, false
+	}
+	copy(d.header[:], next)
+	b := blobBody(base)
+	gap := uint64(0)
+	for n := next[2:]; len(n) > 0; d.vals++ {
+		v, w := binary.Uvarint(n)
+		if w <= 0 || (w > 1 && v>>(7*(w-1)) == 0) {
+			return d, false
+		}
+		n = n[w:]
+		var old uint64
+		if len(b) > 0 {
+			bw := 0
+			if old, bw = binary.Uvarint(b); bw <= 0 {
+				return d, false
+			}
+			b = b[bw:]
+		}
+		if v == old {
+			gap++
+			continue
+		}
+		d.gaps = binary.AppendUvarint(d.gaps, gap)
+		d.diffs = binary.AppendUvarint(d.diffs, zigzag(int64(v-old)))
+		d.moved++
+		gap = 0
+	}
+	return d, true
+}
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// sameWalk holds diffState to the per-value walk on one pair of blobs.
+func sameWalk(t *testing.T, name string, base, next []byte) {
+	t.Helper()
+	d, ok := diffState(base, next)
+	ref, refOK := diffStateByValue(base, next)
+	if ok != refOK || (ok && !reflect.DeepEqual(d, ref)) {
+		t.Errorf("%s: the word-at-a-time walk found %+v (ok %v), the per-value walk %+v (ok %v)", name, d, ok, ref, refOK)
+	}
+}
 
 // counterBlob builds a state blob the way every aggregator does: a
 // two-byte header, then minimal uvarints.
@@ -36,6 +87,51 @@ func churned(r *rand.Rand, vals []uint64, p float64) []uint64 {
 		default:
 			out[i] += 1 + r.Uint64N(4)
 		}
+	}
+	return out
+}
+
+// lockstepBase and lockstepNext are 300 small counters of which two cross
+// the one-byte boundary, one up and one down.
+var lockstepBase, lockstepNext = func() (base, next []uint64) {
+	base = make([]uint64, 300)
+	for i := range base {
+		base[i] = uint64(i % 100)
+	}
+	next = append([]uint64(nil), base...)
+	base[50], next[50] = 127, 128
+	base[200], next[200] = 300, 100
+	return base, next
+}()
+
+// repeated is n values v.
+func repeated(v uint64, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// zerosAmong is n values, 200 and 0 in turn, with bump added to one in
+// every fifty.
+func zerosAmong(n int, bump uint64) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		if i%2 == 0 {
+			out[i] = 200
+		}
+		if i%50 == 7 {
+			out[i] += bump
+		}
+	}
+	return out
+}
+
+func everyEighth(n int) []uint64 {
+	out := make([]uint64, n)
+	for i := 3; i < n; i += 8 {
+		out[i] = 1
 	}
 	return out
 }
@@ -71,6 +167,17 @@ func TestDiffStateRoundTrip(t *testing.T) {
 		// boundaries, moving across them in both directions.
 		"varint widths": {counterBlob([]uint64{126, 127, 128, 129, 16382, 16383, 16384, 16385, 200, 20000}),
 			counterBlob([]uint64{128, 126, 127, 16384, 16383, 16385, 16382, 129, 20000, 200})},
+		// Long runs of unmoved one-byte values around values that cross
+		// 127/128 in either direction: past the first the two cursors are
+		// a byte apart, past the second in step again, and the eight-byte
+		// compare runs on both sides of each.
+		"out of byte lockstep": {counterBlob(lockstepBase), counterBlob(lockstepNext)},
+		// Two-byte uvarints, the first byte continued: equal words that are
+		// not eight values.
+		"words equal but continued": {counterBlob(repeated(0x81, 40)), counterBlob(repeated(0x81, 40))},
+		"one moved in every eight":  {counterBlob(make([]uint64, 400)), counterBlob(everyEighth(400))},
+		// Zero bytes that are values, not the ends of values written long.
+		"zeros among two-byte values": {counterBlob(zerosAmong(300, 0)), counterBlob(zerosAmong(300, 1))},
 	}
 	for name, c := range cases {
 		d, ok := diffState(c[0], c[1])
@@ -78,9 +185,10 @@ func TestDiffStateRoundTrip(t *testing.T) {
 			t.Errorf("%s: no diff", name)
 			continue
 		}
-		dense, sparse := d.dense(), d.sparse()
-		if len(dense) != d.denseLen() || len(sparse) != d.sparseLen() {
-			t.Errorf("%s: streams of %d and %d bytes, announced as %d and %d", name, len(dense), len(sparse), d.denseLen(), d.sparseLen())
+		sameWalk(t, name, c[0], c[1])
+		dense, sparse := d.dense(), d.appendSparse(nil)
+		if len(dense) != d.denseLen() {
+			t.Errorf("%s: dense stream of %d bytes, announced as %d", name, len(dense), d.denseLen())
 		}
 		got, err := applyDiff(c[0], dense, uint64(len(c[1])))
 		if err != nil || !bytes.Equal(got, c[1]) {
@@ -157,9 +265,54 @@ func TestDiffStateRefusesWhatItCannotRebuild(t *testing.T) {
 		if _, ok := diffState(good, next); ok {
 			t.Errorf("%s: diffed a blob applyDiff cannot reproduce", name)
 		}
+		sameWalk(t, name, good, next)
 	}
 	if _, ok := diffState([]byte{3, 1, 0x80}, good); ok {
 		t.Error("diffed against a base that does not parse")
+	}
+	// A value written long in the middle of a run that did not move, where
+	// the walk is stepping over words: the same bytes on both sides, and
+	// still not a blob applyDiff reproduces.
+	run := counterBlob(repeated(200, 60))
+	for name, long := range map[string][]byte{"two bytes": {0x80, 0x00}, "three bytes": {0x85, 0x80, 0x00}, "eleven bytes": append(bytes.Repeat([]byte{0x80}, 10), 0x01)} {
+		for _, at := range []int{2 + 2*20, 2 + 2*23, 2 + 2*31} {
+			blob := append(append(append([]byte(nil), run[:at]...), long...), run[at:]...)
+			if _, ok := diffState(blob, blob); ok {
+				t.Errorf("%s at byte %d of an unmoved run: diffed a blob applyDiff cannot reproduce", name, at)
+			}
+			sameWalk(t, name, blob, blob)
+			sameWalk(t, name, run, blob)
+		}
+	}
+}
+
+// TestDiffStateMatchesPerValueWalk holds the walk that steps over unmoved
+// values eight bytes at a time to the one that decodes every value, on
+// random blobs: values of every width in runs of random length, a random
+// share of them moved, bases shorter and longer than the state.
+func TestDiffStateMatchesPerValueWalk(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 12))
+	for round := range 2000 {
+		vals := make([]uint64, r.IntN(400))
+		for i := 0; i < len(vals); {
+			width, run := r.UintN(64), 1+r.IntN(40)
+			for ; run > 0 && i < len(vals); run, i = run-1, i+1 {
+				vals[i] = r.Uint64() >> width >> r.UintN(3)
+			}
+		}
+		next := append([]uint64(nil), vals...)
+		for i, p := range next {
+			if r.Float64() < []float64{0, 0.01, 0.1, 0.5, 1}[round%5] {
+				next[i] = p + uint64(r.IntN(5)) - 2
+			}
+		}
+		base := vals[:r.IntN(len(vals)+1)]
+		if round%3 == 0 {
+			base = append(vals, 5, 6, 7)
+		} else if round%3 == 1 {
+			base = vals
+		}
+		sameWalk(t, "random blobs", counterBlob(base), counterBlob(next))
 	}
 }
 
@@ -211,9 +364,9 @@ func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 		} else {
 			sawWhole = true
 		}
-		if enc&compEncSparse != 0 {
+		if enc&compEncRice != 0 {
 			sawSparse = true
-			if !sparse || enc&compEncDiff == 0 {
+			if !sparse || enc != compEncDiff|compEncRice {
 				t.Errorf("churn %v: encoding %#x for a puller with sparse=%v", churn, enc, sparse)
 			}
 		}
@@ -230,7 +383,7 @@ func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 		if !bytes.Equal(out.Components[0].State, whole.State) {
 			t.Fatalf("churn %v: decoded state differs", churn)
 		}
-		if got := out.Components[0].Base; (got != nil) != (enc&compEncDiff != 0) || (got != nil && got.Sparse != (enc&compEncSparse != 0)) {
+		if got := out.Components[0].Base; (got != nil) != (enc&compEncDiff != 0) || (got != nil && got.Sparse != (enc&compEncRice != 0)) {
 			t.Errorf("churn %v: decoded Base does not say how the component arrived", churn)
 		}
 		// Decoding is the inverse of encoding, Base included.
@@ -361,8 +514,9 @@ func diffFixture() (base ComponentBase, next []byte, good, goodSparse diffFields
 		sum: crc32.Checksum(next, exchangeCRC), diffLen: uint64(d.denseLen()), payload: d.dense(),
 	}
 	goodSparse = good
-	goodSparse.enc |= compEncSparse
-	goodSparse.diffLen, goodSparse.payload = uint64(d.sparseLen()), d.sparse()
+	goodSparse.enc |= compEncRice
+	goodSparse.payload = d.appendSparse(nil)
+	goodSparse.diffLen = uint64(len(goodSparse.payload))
 	return base, next, good, goodSparse
 }
 
@@ -374,14 +528,64 @@ func TestDiffComponentRejects(t *testing.T) {
 		if err != nil || !bytes.Equal(out.Components[0].State, next) {
 			t.Fatalf("control frame (encoding %#x): %v", control.enc, err)
 		}
-		if got := out.Components[0].Base; got == nil || got.Sparse != (control.enc&compEncSparse != 0) {
+		if got := out.Components[0].Base; got == nil || got.Sparse != (control.enc&compEncRice != 0) {
 			t.Fatalf("control frame (encoding %#x): decoded Base %+v does not say how it arrived", control.enc, got)
 		}
 	}
-	// The sparse fixture's stream: header, m = 2, gaps 7 and 32, then the
-	// differences +1 and +3.
-	if want := append(append([]byte(nil), next[:2]...), 2, 7, 32, 2, 6); !bytes.Equal(goodSparse.payload, want) {
+	// The sparse fixture's stream: header, m = 2, gaps 7 and 32 under the
+	// parameter 3 (12 bits, as under 4), then the differences +1 and +3
+	// less one, plain under the parameter 1: 31 bits and a zero pad bit.
+	honest := func(w *bitWriter) {
+		w.put(3, 6)
+		w.rice(7, 3)
+		w.rice(32, 3)
+		w.put(0, 1)
+		w.put(1, 6)
+		w.rice(zigzag(+1)-1, 1)
+		w.rice(zigzag(+3)-1, 1)
+	}
+	sparseStream := func(m uint64, write func(*bitWriter)) []byte {
+		w := bitWriter{out: binary.AppendUvarint(append([]byte(nil), next[:2]...), m)}
+		write(&w)
+		return w.flush()
+	}
+	if want := sparseStream(2, honest); !bytes.Equal(goodSparse.payload, want) || len(want) != 2+1+4 {
 		t.Fatalf("sparse fixture stream %x, want %x", goodSparse.payload, want)
+	}
+	// stream swaps the sparse fixture's stream for another.
+	stream := func(m uint64, write func(*bitWriter)) func(*diffFields) {
+		return func(d *diffFields) {
+			d.payload = sparseStream(m, write)
+			d.diffLen = uint64(len(d.payload))
+		}
+	}
+	// The same two differences in the run form: +1 is the mode, +3 the
+	// one value beside it, after a run of one.
+	runForm := func(mode, others uint64, rest func(*bitWriter)) func(*bitWriter) {
+		return func(w *bitWriter) {
+			w.put(3, 6)
+			w.rice(7, 3)
+			w.rice(32, 3)
+			w.put(1, 1)
+			w.rice(mode, 0)
+			w.rice(others, 0)
+			rest(w)
+		}
+	}
+	oneRun := func(run, other uint64) func(*bitWriter) {
+		return func(w *bitWriter) {
+			w.put(0, 6)
+			w.rice(run, 0)
+			w.put(2, 6)
+			w.rice(other, 2)
+		}
+	}
+	// The run form is a stream the decoder reads, if not the one the
+	// encoder picks for two differences.
+	runFixture := goodSparse
+	stream(2, runForm(zigzag(+1)-1, 1, oneRun(1, zigzag(+3)-2)))(&runFixture)
+	if out, err := DecodeComponentFrameWith(runFixture.frame(), testMaxRaw, lookup); err != nil || !bytes.Equal(out.Components[0].State, next) {
+		t.Fatalf("run-form control frame: %v", err)
 	}
 	// payload edits a copy of the stream and keeps the declared length true.
 	payload := func(edit func([]byte) []byte) func(*diffFields) {
@@ -400,8 +604,10 @@ func TestDiffComponentRejects(t *testing.T) {
 		next := counterBlob(vals)
 		diff, _ := diffState(nil, next)
 		d.rawLen, d.sum = uint64(len(next)), crc32.Checksum(next, exchangeCRC)
-		if d.enc&compEncSparse != 0 {
-			d.diffLen, d.payload = uint64(diff.sparseLen()), diff.sparse()
+		if d.enc&compEncRice != 0 {
+			// Nothing smaller than the state can be made of it bit-packed:
+			// the stream is the dense one, under a bit that says otherwise.
+			d.diffLen, d.payload = uint64(len(next)), next
 		} else {
 			d.diffLen, d.payload = uint64(diff.denseLen()), diff.dense()
 		}
@@ -432,7 +638,11 @@ func TestDiffComponentRejects(t *testing.T) {
 		{name: "diff not smaller than raw", mutate: unrelated},
 		{name: "malformed diff value", mutate: payload(func(p []byte) []byte { return append(p, 0x80) })},
 		{name: "diff without a header", mutate: func(d *diffFields) { d.payload, d.diffLen = []byte{3}, 1 }},
-		{name: "unknown encoding bit", mutate: func(d *diffFields) { d.enc |= 0x08 }},
+		{name: "unknown encoding bit", mutate: func(d *diffFields) { d.enc |= 0x10 }},
+		// 0x04 was the sparse diff of the build before this one: a peer
+		// still sending it was not asked to, and is not understood.
+		{name: "retired encoding bit", mutate: func(d *diffFields) { d.enc |= 0x04 }},
+		{name: "retired encoding bit on the sparse stream", sparse: true, mutate: func(d *diffFields) { d.enc = compEncDiff | 0x04 }},
 
 		// The same ladder under the sparse bit, then what only a sparse
 		// stream can get wrong.
@@ -452,32 +662,90 @@ func TestDiffComponentRejects(t *testing.T) {
 		{name: "sparse: diff without a header", sparse: true, mutate: func(d *diffFields) { d.payload, d.diffLen = []byte{3}, 1 }},
 		{name: "sparse bit without the diff bit", mutate: func(d *diffFields) {
 			// Otherwise an honest whole component.
-			d.enc, d.payload = compEncSparse, next
+			d.enc, d.payload = compEncRice, next
 		}},
+		{name: "sparse bit with the flate bit", sparse: true, mutate: func(d *diffFields) { d.enc |= compEncFlate }},
 		{name: "sparse: count runs off the stream", sparse: true, mutate: payload(func(p []byte) []byte { return p[:2] })},
 		{name: "sparse: count overflows", sparse: true, mutate: payload(func(p []byte) []byte {
 			return append(append(p[:2:2], bytes.Repeat([]byte{0xff}, 10)...), p[3:]...)
 		})},
-		{name: "sparse: more differences than bytes", sparse: true, mutate: payload(func(p []byte) []byte { p[2] = 3; return p })},
-		{name: "sparse: count of 2^62", sparse: true, mutate: payload(func(p []byte) []byte {
-			return append(binary.AppendUvarint(p[:2:2], 1<<62), p[3:]...)
-		})},
-		{name: "sparse: gap past the end of the state", sparse: true, mutate: payload(func(p []byte) []byte { p[4] = 100; return p }), wantBase: true},
-		{name: "sparse: gap of 2^63", sparse: true, mutate: payload(func(p []byte) []byte {
-			// Two more gap bytes, so two more value bytes to stay plausible.
-			huge := binary.AppendUvarint(nil, 1<<63)
-			return append(append(append(p[:4:4], huge...), p[5:]...), make([]byte, len(huge)-1)...)
+		{name: "sparse: a difference more than the stream holds", sparse: true, mutate: stream(3, honest)},
+		{name: "sparse: more differences than bits", sparse: true, mutate: stream(33, honest)},
+		{name: "sparse: more differences than the state has bytes", sparse: true, mutate: func(d *diffFields) {
+			d.rawLen = 3
+		}},
+		{name: "sparse: count of 2^62", sparse: true, mutate: stream(1<<62, honest)},
+		{name: "sparse: no differences, bits all the same", sparse: true, mutate: stream(0, honest)},
+		{name: "sparse: gap past the end of the state", sparse: true, mutate: stream(2, func(w *bitWriter) {
+			w.put(3, 6)
+			w.rice(7, 3)
+			w.rice(100, 3)
+			w.put(0, 1)
+			w.put(1, 6)
+			w.rice(1, 1)
+			w.rice(5, 1)
 		}), wantBase: true},
-		{name: "sparse: gap varint overflows", sparse: true, mutate: payload(func(p []byte) []byte {
-			over := append(bytes.Repeat([]byte{0xff}, 10), 0x01)
-			return append(append(append(p[:4:4], over...), p[5:]...), make([]byte, len(over))...)
+		{name: "sparse: gap of 2^63", sparse: true, mutate: stream(2, func(w *bitWriter) {
+			w.put(3, 6)
+			w.rice(7, 3)
+			w.rice(1<<63, 3)
+			w.put(0, 1)
+			w.put(1, 6)
+			w.rice(1, 1)
+			w.rice(5, 1)
+		}), wantBase: true},
+		{name: "sparse: gap parameter out of range", sparse: true, mutate: stream(2, func(w *bitWriter) {
+			w.put(riceParamMax+1, 6)
+			w.rice(7, riceParamMax+1)
+			w.rice(32, riceParamMax+1)
+			w.put(0, 1)
+			w.put(1, 6)
+			w.rice(1, 1)
+			w.rice(5, 1)
 		})},
-		{name: "sparse: zero difference", sparse: true, mutate: payload(func(p []byte) []byte { p[5] = 0; return p })},
+		{name: "sparse: value parameter out of range", sparse: true, mutate: stream(2, func(w *bitWriter) {
+			w.put(3, 6)
+			w.rice(7, 3)
+			w.rice(32, 3)
+			w.put(0, 1)
+			w.put(63, 6)
+			w.rice(1, 63)
+			w.rice(5, 63)
+		})},
+		{name: "sparse: escape for a gap that did not need one", sparse: true, mutate: stream(2, func(w *bitWriter) {
+			w.put(3, 6)
+			w.rice(7, 3)
+			w.put(1<<riceEscape-1, riceEscape) // 32 = 1<<5 | 0, the long way
+			w.put(5, 6)
+			w.put(0, 5)
+			w.put(0, 1)
+			w.put(1, 6)
+			w.rice(1, 1)
+			w.rice(5, 1)
+		})},
+		{name: "sparse: unary run with no end", sparse: true, mutate: payload(func(p []byte) []byte {
+			return append(p[:3:3], bytes.Repeat([]byte{0xff}, 40)...)
+		})},
+		// A difference of zero has no code: the values are written less
+		// one, and the one code that wraps back to it is refused.
+		{name: "sparse: difference that wraps to zero", sparse: true, mutate: stream(2, func(w *bitWriter) {
+			w.put(3, 6)
+			w.rice(7, 3)
+			w.rice(32, 3)
+			w.put(0, 1)
+			w.put(1, 6)
+			w.rice(1, 1)
+			w.rice(math.MaxUint64, 1)
+		})},
 		{name: "sparse: value stream truncated", sparse: true, mutate: payload(func(p []byte) []byte { return p[:len(p)-1] })},
-		{name: "sparse: last value cut short", sparse: true, mutate: payload(func(p []byte) []byte { p[6] = 0x80; return p })},
-		{name: "sparse: bytes after the last difference", sparse: true, mutate: payload(func(p []byte) []byte { return append(p, 2) })},
-		{name: "sparse stream under the dense bit", sparse: true, mutate: func(d *diffFields) { d.enc &^= compEncSparse }, wantBase: true},
-		{name: "dense stream under the sparse bit", mutate: func(d *diffFields) { d.enc |= compEncSparse }},
+		{name: "sparse: pad bit set", sparse: true, mutate: payload(func(p []byte) []byte { p[len(p)-1] |= 0x80; return p })},
+		{name: "sparse: bytes after the last difference", sparse: true, mutate: payload(func(p []byte) []byte { return append(p, 0) })},
+		{name: "sparse: more values beside the mode than values", sparse: true, mutate: stream(2, runForm(1, 3, oneRun(1, 4)))},
+		{name: "sparse: runs longer than the values", sparse: true, mutate: stream(2, runForm(1, 1, oneRun(2, 4)))},
+		{name: "sparse: mode that wraps to a zero difference", sparse: true, mutate: stream(2, runForm(math.MaxUint64, 1, oneRun(1, 4)))},
+		{name: "sparse: value beside the mode that wraps", sparse: true, mutate: stream(2, runForm(1, 1, oneRun(1, math.MaxUint64)))},
+		{name: "sparse stream under the dense bit", sparse: true, mutate: func(d *diffFields) { d.enc &^= compEncRice }, wantBase: true},
+		{name: "dense stream under the sparse bit", mutate: func(d *diffFields) { d.enc |= compEncRice }},
 	}
 	for _, tc := range cases {
 		d := good
