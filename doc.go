@@ -113,6 +113,45 @@
 // build counters; -pprof-addr serves net/http/pprof on a side listener
 // for profiling refresh regressions in place.
 //
+// # Aggregator state
+//
+// Every aggregator of Table 2 keeps integer counters that are linear in
+// the reports, and all six keep them in the same thing: a
+// core.CounterBlock (internal/core/block.go) — the report count n, a
+// user count per group, and one or two flat group-major counter planes.
+// A group is what a user samples before reporting (a marginal of C for
+// the three marginal-view protocols, a sketch row for HCMS); the
+// input-view protocols and InpES are ungrouped, which is one group whose
+// users is n. What a report may do to its group's cells is one of three
+// invariant classes:
+//
+//	bitmap    set any of the cells      cell <= group users             InpRR, MargRR
+//	sampling  increment one cell        cells sum to group users        InpPS, MargPS
+//	sign      add ±1 and 1 to one cell  count >= 0, |sum| <= count,     InpHT, MargHT,
+//	                                    counts sum to group users       InpES, HCMS
+//
+// and in every class the group users sum to n. Merge, Unmerge,
+// CopyStateFrom, MarshalState and UnmarshalState are written once, on
+// the block. A state blob is the kind byte, a version byte, uvarint n,
+// the users when grouped, then group by group the cells as uvarints or
+// the sums and counts as zig-zag varints, each slice behind its length
+// (TestStateGoldenBytes pins the bytes of all eight protocols to digests
+// recorded before the block existed). One validator stands behind both
+// ways foreign counters get in: UnmarshalState runs it on the decoded
+// state and Unmerge on what the subtraction would leave, before either
+// touches the receiver. It checks each counter against what is left of
+// its group's users and each group against what is left of n, so a blob
+// crafted to make a sum wrap — cells of 2^63 and 2^63 that "sum" to
+// nothing — is refused like any other state no set of reports produces,
+// which is what a coordinator must assume a poisoned peer will send.
+// Merge, Unmerge and CopyStateFrom between blocks of different kind or
+// geometry are errors, not panics.
+//
+// A new counter-keeping protocol therefore writes three things: how a
+// report increments the planes (Consume, ConsumeBatch), how the planes
+// become an estimate, and its kind byte. EM and OLH keep raw reports,
+// not counters, and have their own codecs.
+//
 // # Durability
 //
 // Under the one-round collection model every report is irreplaceable —

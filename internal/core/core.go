@@ -14,6 +14,16 @@
 // Every client emits a single Report per user, every aggregator consumes
 // reports and answers Estimate(beta) for any |beta| <= K, and aggregation
 // is associative (Merge) so populations can be simulated in parallel.
+//
+// All six aggregators keep their state in one type, CounterBlock
+// (block.go): the report count, per-group user counts and flat counter
+// planes under one of three invariant classes — bitmap (InpRR, MargRR),
+// sampling (InpPS, MargPS), sign (InpHT, MargHT). The block owns N,
+// Merge, Unmerge, CopyStateFrom, MarshalState, UnmarshalState and the
+// validation of foreign counters; a protocol file holds its client, its
+// Consume and ConsumeBatch (report -> increments), its reconstruction
+// (block -> estimate) and its state kind byte, and that is all a new
+// counter-keeping protocol has to write.
 package core
 
 import (

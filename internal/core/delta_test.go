@@ -236,10 +236,11 @@ func TestUnmergeInvertsMerge(t *testing.T) {
 	}
 }
 
-// TestUnmergeRejectsNeverMerged pins the underflow guard on every
-// protocol: unmerging state that was never merged into the receiver is
-// an error (not a silent wrap to negative counters) and leaves the
-// receiver bit-identical to before the call.
+// TestUnmergeRejectsNeverMerged pins the guard on every protocol:
+// unmerging state that was never merged into the receiver is an error —
+// whether a counter would wrap or the remainder merely breaks the
+// protocol's invariant — and leaves the receiver bit-identical to before
+// the call.
 func TestUnmergeRejectsNeverMerged(t *testing.T) {
 	for _, kind := range AllKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -300,6 +301,39 @@ func TestUnmergeRejectsNeverMerged(t *testing.T) {
 			}
 			if got, _ := base.MarshalState(); !bytes.Equal(got, before) {
 				t.Fatalf("%s: merge+unmerge after rejection is not the identity", kind)
+			}
+		})
+	}
+	// No counter underflows here, and no per-counter comparison of the two
+	// states objects; it is what would be left that no reports produce: a
+	// cell set by 5 reports when only 2 remain. MarshalState would write
+	// that state and UnmarshalState refuse it, so Unmerge must too.
+	for _, kind := range []Kind{InpRR, MargRR} {
+		t.Run(kind.String()+"/remainder", func(t *testing.T) {
+			p, err := New(kind, deltaTestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := deltaReports(t, p, 1, 53)[0]
+			set.Bits = []uint64{1}
+			clear := set
+			clear.Bits = []uint64{0}
+			base, foreign := p.NewAggregator(), p.NewAggregator()
+			if err := base.ConsumeBatch([]Report{set, set, set, set, set}); err != nil {
+				t.Fatal(err)
+			}
+			if err := foreign.ConsumeBatch([]Report{clear, clear, clear}); err != nil {
+				t.Fatal(err)
+			}
+			before, err := base.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := UnmergeAggregators(base, foreign); err == nil {
+				t.Fatalf("%s: unmerge left a cell of 5 over 2 reports", kind)
+			}
+			if got, _ := base.MarshalState(); !bytes.Equal(got, before) {
+				t.Fatalf("%s: failed unmerge mutated the receiver", kind)
 			}
 		})
 	}

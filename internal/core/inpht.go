@@ -48,11 +48,7 @@ func (p *inpHT) CommunicationBits() int { return p.cfg.D + 1 }
 func (p *inpHT) NewClient() Client { return &inpHTClient{p: p} }
 
 func (p *inpHT) NewAggregator() Aggregator {
-	return &inpHTAgg{
-		p:      p,
-		sums:   make([]int64, len(p.coeffs)),
-		counts: make([]int64, len(p.coeffs)),
-	}
+	return &inpHTAgg{p: p, CounterBlock: NewCounterBlock("InpHT", stateKindInpHT, SignCounters, 0, len(p.coeffs))}
 }
 
 type inpHTClient struct{ p *inpHT }
@@ -68,15 +64,17 @@ func (c *inpHTClient) Perturb(record uint64, r *rng.RNG) (Report, error) {
 	return Report{Index: alpha, Sign: int8(sign)}, nil
 }
 
+// inpHTAgg keeps, per coefficient of T on the one ungrouped pair of
+// planes, the sum of reported signs and the report count (N_j in
+// Algorithm 2).
 type inpHTAgg struct {
-	p      *inpHT
-	sums   []int64 // per-coefficient sum of reported +-1 signs
-	counts []int64 // per-coefficient report counts (N_j in Algorithm 2)
-	n      int
+	p *inpHT
+	CounterBlock
 	// normalizeByExpected switches the estimator denominator from the
 	// realized per-coefficient count N_j (Algorithm 2) to the expected
 	// count N*p_s = N/|T|. Exposed as an ablation; Algorithm 2's choice
-	// is the default.
+	// is the default. It configures the estimator and is not state: no
+	// block operation carries it from one aggregator to another.
 	normalizeByExpected bool
 }
 
@@ -86,8 +84,6 @@ type inpHTAgg struct {
 // interface{ SetNormalizeByExpected(bool) }.
 func (a *inpHTAgg) SetNormalizeByExpected(v bool) { a.normalizeByExpected = v }
 
-func (a *inpHTAgg) N() int { return a.n }
-
 func (a *inpHTAgg) Consume(rep Report) error {
 	i, ok := a.p.pos.lookup(rep.Index)
 	if !ok {
@@ -96,9 +92,7 @@ func (a *inpHTAgg) Consume(rep Report) error {
 	if rep.Sign != 1 && rep.Sign != -1 {
 		return fmt.Errorf("core: InpHT report sign %d is not +-1", rep.Sign)
 	}
-	a.sums[i] += int64(rep.Sign)
-	a.counts[i]++
-	a.n++
+	a.AddSign(0, i, rep.Sign)
 	return nil
 }
 
@@ -126,63 +120,6 @@ func (a *inpHTAgg) ConsumeBatch(reps []Report) error {
 		}
 	}
 	a.n += fast
-	return nil
-}
-
-func (a *inpHTAgg) Merge(other Aggregator) error {
-	o, ok := other.(*inpHTAgg)
-	if !ok {
-		return fmt.Errorf("core: merging %T into InpHT aggregator", other)
-	}
-	for i := range a.sums {
-		a.sums[i] += o.sums[i]
-		a.counts[i] += o.counts[i]
-	}
-	a.n += o.n
-	return nil
-}
-
-// Unmerge subtracts a previously merged contribution — the exact
-// integer inverse of Merge, used by delta snapshots.
-func (a *inpHTAgg) Unmerge(other Aggregator) error {
-	o, ok := other.(*inpHTAgg)
-	if !ok {
-		return fmt.Errorf("core: unmerging %T from InpHT aggregator", other)
-	}
-	// Validate before mutating: every report contributes one ±1 sum
-	// with one +1 count, so any legitimate remainder keeps counts
-	// non-negative and |sum| <= count per coefficient. Unmerging state
-	// that was never merged here breaks that invariant; reject it and
-	// leave the receiver unchanged.
-	if o.n > a.n {
-		return fmt.Errorf("core: unmerging InpHT state with n=%d from aggregator holding n=%d", o.n, a.n)
-	}
-	for i := range a.sums {
-		c := a.counts[i] - o.counts[i]
-		s := a.sums[i] - o.sums[i]
-		if c < 0 || s > c || -s > c {
-			return fmt.Errorf("core: unmerging InpHT state never merged here: coefficient %d would be left with count %d, sum %d", i, c, s)
-		}
-	}
-	for i := range a.sums {
-		a.sums[i] -= o.sums[i]
-		a.counts[i] -= o.counts[i]
-	}
-	a.n -= o.n
-	return nil
-}
-
-// CopyStateFrom replaces the receiver's state with a deep copy of
-// other's, reusing the receiver's buffers.
-func (a *inpHTAgg) CopyStateFrom(other Aggregator) error {
-	o, ok := other.(*inpHTAgg)
-	if !ok {
-		return fmt.Errorf("core: copying %T into InpHT aggregator", other)
-	}
-	copy(a.sums, o.sums)
-	copy(a.counts, o.counts)
-	a.n = o.n
-	a.normalizeByExpected = o.normalizeByExpected
 	return nil
 }
 

@@ -46,7 +46,7 @@ func (p *inpPS) CommunicationBits() int { return p.cfg.D }
 func (p *inpPS) NewClient() Client { return &inpPSClient{p: p} }
 
 func (p *inpPS) NewAggregator() Aggregator {
-	return &inpPSAgg{p: p, counts: make([]uint64, p.size)}
+	return &inpPSAgg{p: p, CounterBlock: NewCounterBlock("InpPS", stateKindInpPS, SamplingCounters, 0, int(p.size))}
 }
 
 type inpPSClient struct{ p *inpPS }
@@ -60,19 +60,18 @@ func (c *inpPSClient) Perturb(record uint64, r *rng.RNG) (Report, error) {
 	return Report{Index: c.p.grr.Perturb(record, r)}, nil
 }
 
+// inpPSAgg counts, per cell of the one ungrouped plane, the reports
+// naming that cell.
 type inpPSAgg struct {
-	p      *inpPS
-	counts []uint64
-	n      int
+	p *inpPS
+	CounterBlock
 }
-
-func (a *inpPSAgg) N() int { return a.n }
 
 func (a *inpPSAgg) Consume(rep Report) error {
 	if rep.Index >= a.p.size {
 		return fmt.Errorf("core: InpPS report index %d out of range", rep.Index)
 	}
-	a.counts[rep.Index]++
+	a.cells[rep.Index]++
 	a.n++
 	return nil
 }
@@ -81,7 +80,7 @@ func (a *inpPSAgg) Consume(rep Report) error {
 // check and one increment per report; the first report that fails the
 // check goes to Consume for its error, and n moves once.
 func (a *inpPSAgg) ConsumeBatch(reps []Report) error {
-	counts := a.counts
+	counts := a.cells
 	for i := range reps {
 		idx := reps[i].Index
 		if idx >= uint64(len(counts)) {
@@ -91,55 +90,6 @@ func (a *inpPSAgg) ConsumeBatch(reps []Report) error {
 		counts[idx]++
 	}
 	a.n += len(reps)
-	return nil
-}
-
-func (a *inpPSAgg) Merge(other Aggregator) error {
-	o, ok := other.(*inpPSAgg)
-	if !ok {
-		return fmt.Errorf("core: merging %T into InpPS aggregator", other)
-	}
-	for i, c := range o.counts {
-		a.counts[i] += c
-	}
-	a.n += o.n
-	return nil
-}
-
-// Unmerge subtracts a previously merged contribution — the exact
-// integer inverse of Merge, used by delta snapshots.
-func (a *inpPSAgg) Unmerge(other Aggregator) error {
-	o, ok := other.(*inpPSAgg)
-	if !ok {
-		return fmt.Errorf("core: unmerging %T from InpPS aggregator", other)
-	}
-	// Validate before mutating: unmerging state that was never merged
-	// would wrap the unsigned counters; reject it and leave the
-	// receiver unchanged.
-	if o.n > a.n {
-		return fmt.Errorf("core: unmerging InpPS state with n=%d from aggregator holding n=%d", o.n, a.n)
-	}
-	for i, c := range o.counts {
-		if c > a.counts[i] {
-			return fmt.Errorf("core: unmerging InpPS state never merged here: cell %d would underflow (%d > %d)", i, c, a.counts[i])
-		}
-	}
-	for i, c := range o.counts {
-		a.counts[i] -= c
-	}
-	a.n -= o.n
-	return nil
-}
-
-// CopyStateFrom replaces the receiver's state with a deep copy of
-// other's, reusing the receiver's buffers.
-func (a *inpPSAgg) CopyStateFrom(other Aggregator) error {
-	o, ok := other.(*inpPSAgg)
-	if !ok {
-		return fmt.Errorf("core: copying %T into InpPS aggregator", other)
-	}
-	copy(a.counts, o.counts)
-	a.n = o.n
 	return nil
 }
 
@@ -155,7 +105,7 @@ func (a *inpPSAgg) reconstructKWayLinear(masks []uint64, tables []*marginal.Tabl
 	}
 	w := hadamard.GetVec(int(a.p.size))
 	defer hadamard.PutVec(w)
-	for j, c := range a.counts {
+	for j, c := range a.cells {
 		w[j] = float64(c)
 	}
 	if err := hadamard.WHT(w); err != nil {
@@ -206,7 +156,7 @@ func (a *inpPSAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	}
 	inv := 1 / float64(a.n)
 	scatterCells(out, beta, int(a.p.size), func(j int) float64 {
-		return a.p.grr.UnbiasFrequency(float64(a.counts[j]) * inv)
+		return a.p.grr.UnbiasFrequency(float64(a.cells[j]) * inv)
 	})
 	return out, nil
 }

@@ -45,7 +45,7 @@ func (p *inpRR) CommunicationBits() int { return p.size }
 func (p *inpRR) NewClient() Client { return &inpRRClient{p: p} }
 
 func (p *inpRR) NewAggregator() Aggregator {
-	return &inpRRAgg{p: p, ones: make([]uint64, p.size)}
+	return &inpRRAgg{p: p, CounterBlock: NewCounterBlock("InpRR", stateKindInpRR, BitmapCounters, 0, p.size)}
 }
 
 type inpRRClient struct{ p *inpRR }
@@ -62,13 +62,12 @@ func (c *inpRRClient) Perturb(record uint64, r *rng.RNG) (Report, error) {
 	return Report{Bits: bits}, nil
 }
 
+// inpRRAgg counts, per cell of the one ungrouped plane, the reports
+// whose bit for that cell was set.
 type inpRRAgg struct {
-	p    *inpRR
-	ones []uint64 // per-cell count of 1-reports
-	n    int
+	p *inpRR
+	CounterBlock
 }
-
-func (a *inpRRAgg) N() int { return a.n }
 
 func (a *inpRRAgg) Consume(rep Report) error {
 	words := (a.p.size + 63) / 64
@@ -77,7 +76,7 @@ func (a *inpRRAgg) Consume(rep Report) error {
 	}
 	for i := 0; i < a.p.size; i++ {
 		if rep.Bits[i/64]&(1<<uint(i%64)) != 0 {
-			a.ones[i]++
+			a.cells[i]++
 		}
 	}
 	a.n++
@@ -91,56 +90,6 @@ func (a *inpRRAgg) ConsumeBatch(reps []Report) error {
 			return &BatchError{Index: i, Err: err}
 		}
 	}
-	return nil
-}
-
-func (a *inpRRAgg) Merge(other Aggregator) error {
-	o, ok := other.(*inpRRAgg)
-	if !ok {
-		return fmt.Errorf("core: merging %T into InpRR aggregator", other)
-	}
-	for i, c := range o.ones {
-		a.ones[i] += c
-	}
-	a.n += o.n
-	return nil
-}
-
-// Unmerge subtracts a previously merged contribution — the exact
-// integer inverse of Merge, used by delta snapshots to replace a
-// shard's stale contribution.
-func (a *inpRRAgg) Unmerge(other Aggregator) error {
-	o, ok := other.(*inpRRAgg)
-	if !ok {
-		return fmt.Errorf("core: unmerging %T from InpRR aggregator", other)
-	}
-	// Validate before mutating: unmerging state that was never merged
-	// would wrap the unsigned counters; reject it and leave the
-	// receiver unchanged.
-	if o.n > a.n {
-		return fmt.Errorf("core: unmerging InpRR state with n=%d from aggregator holding n=%d", o.n, a.n)
-	}
-	for i, c := range o.ones {
-		if c > a.ones[i] {
-			return fmt.Errorf("core: unmerging InpRR state never merged here: bit %d would underflow (%d > %d)", i, c, a.ones[i])
-		}
-	}
-	for i, c := range o.ones {
-		a.ones[i] -= c
-	}
-	a.n -= o.n
-	return nil
-}
-
-// CopyStateFrom replaces the receiver's state with a deep copy of
-// other's, reusing the receiver's buffers (no allocation).
-func (a *inpRRAgg) CopyStateFrom(other Aggregator) error {
-	o, ok := other.(*inpRRAgg)
-	if !ok {
-		return fmt.Errorf("core: copying %T into InpRR aggregator", other)
-	}
-	copy(a.ones, o.ones)
-	a.n = o.n
 	return nil
 }
 
@@ -159,8 +108,8 @@ func (a *inpRRAgg) SimulateBatch(records []uint64, r *rng.RNG) error {
 	n := len(records)
 	for j := 0; j < a.p.size; j++ {
 		trueOnes := hist[j]
-		a.ones[j] += uint64(r.Binomial(trueOnes, a.p.prr.P1))
-		a.ones[j] += uint64(r.Binomial(n-trueOnes, a.p.prr.P0))
+		a.cells[j] += uint64(r.Binomial(trueOnes, a.p.prr.P1))
+		a.cells[j] += uint64(r.Binomial(n-trueOnes, a.p.prr.P0))
 	}
 	a.n += n
 	return nil
@@ -183,7 +132,7 @@ func (a *inpRRAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	}
 	inv := 1 / float64(a.n)
 	scatterCells(out, beta, a.p.size, func(j int) float64 {
-		return a.p.prr.UnbiasFrequency(float64(a.ones[j]) * inv)
+		return a.p.prr.UnbiasFrequency(float64(a.cells[j]) * inv)
 	})
 	return out, nil
 }
@@ -212,7 +161,7 @@ func (a *inpRRAgg) reconstructKWayLinear(masks []uint64, tables []*marginal.Tabl
 	}
 	w := hadamard.GetVec(a.p.size)
 	defer hadamard.PutVec(w)
-	for j, c := range a.ones {
+	for j, c := range a.cells {
 		w[j] = float64(c)
 	}
 	if err := hadamard.WHT(w); err != nil {

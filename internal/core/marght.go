@@ -52,13 +52,7 @@ func (p *margHT) CommunicationBits() int { return p.cfg.D + p.cfg.K + 1 }
 func (p *margHT) NewClient() Client { return &margHTClient{p: p} }
 
 func (p *margHT) NewAggregator() Aggregator {
-	sums := make([][]int64, len(p.idx.masks))
-	counts := make([][]int64, len(p.idx.masks))
-	for i := range sums {
-		sums[i] = make([]int64, p.cells)
-		counts[i] = make([]int64, p.cells)
-	}
-	return &margHTAgg{p: p, sums: sums, counts: counts, users: make([]int, len(p.idx.masks))}
+	return &margHTAgg{p: p, CounterBlock: NewCounterBlock("MargHT", stateKindMargHT, SignCounters, len(p.idx.masks), p.cells)}
 }
 
 type margHTClient struct{ p *margHT }
@@ -79,15 +73,14 @@ func (c *margHTClient) Perturb(record uint64, r *rng.RNG) (Report, error) {
 	return Report{Beta: beta, Index: alpha, Sign: int8(sign)}, nil
 }
 
+// margHTAgg has one group per marginal of C: its users are the reports
+// that sampled it, its cells keep per compact coefficient the sum of
+// reported signs and the report count (cell 0, the constant coefficient,
+// stays empty).
 type margHTAgg struct {
-	p      *margHT
-	sums   [][]int64 // per marginal, per compact coefficient: sum of signs
-	counts [][]int64 // per marginal, per compact coefficient: report count
-	users  []int
-	n      int
+	p *margHT
+	CounterBlock
 }
-
-func (a *margHTAgg) N() int { return a.n }
 
 func (a *margHTAgg) Consume(rep Report) error {
 	pos, ok := a.p.idx.pos.lookup(rep.Beta)
@@ -100,10 +93,7 @@ func (a *margHTAgg) Consume(rep Report) error {
 	if rep.Sign != 1 && rep.Sign != -1 {
 		return fmt.Errorf("core: MargHT report sign %d is not +-1", rep.Sign)
 	}
-	a.sums[pos][rep.Index] += int64(rep.Sign)
-	a.counts[pos][rep.Index]++
-	a.users[pos]++
-	a.n++
+	a.AddSign(pos, int(rep.Index), rep.Sign)
 	return nil
 }
 
@@ -119,8 +109,9 @@ func (a *margHTAgg) ConsumeBatch(reps []Report) error {
 		r := &reps[i]
 		if r.Beta < uint64(len(dense)) && r.Index != 0 && r.Index < cells && (r.Sign == 1 || r.Sign == -1) {
 			if p := dense[r.Beta]; p != 0 {
-				sums[p-1][r.Index] += int64(r.Sign)
-				counts[p-1][r.Index]++
+				c := uint64(p-1)*cells + r.Index
+				sums[c] += int64(r.Sign)
+				counts[c]++
 				users[p-1]++
 				fast++
 				continue
@@ -132,76 +123,6 @@ func (a *margHTAgg) ConsumeBatch(reps []Report) error {
 		}
 	}
 	a.n += fast
-	return nil
-}
-
-func (a *margHTAgg) Merge(other Aggregator) error {
-	o, ok := other.(*margHTAgg)
-	if !ok {
-		return fmt.Errorf("core: merging %T into MargHT aggregator", other)
-	}
-	for i := range a.sums {
-		for c := range a.sums[i] {
-			a.sums[i][c] += o.sums[i][c]
-			a.counts[i][c] += o.counts[i][c]
-		}
-		a.users[i] += o.users[i]
-	}
-	a.n += o.n
-	return nil
-}
-
-// Unmerge subtracts a previously merged contribution — the exact
-// integer inverse of Merge, used by delta snapshots.
-func (a *margHTAgg) Unmerge(other Aggregator) error {
-	o, ok := other.(*margHTAgg)
-	if !ok {
-		return fmt.Errorf("core: unmerging %T from MargHT aggregator", other)
-	}
-	// Validate before mutating: every report contributes one ±1 sum
-	// with one +1 count per sampled marginal, so a legitimate
-	// remainder keeps counts non-negative and |sum| <= count per
-	// cell. Unmerging state that was never merged here breaks that
-	// invariant; reject it and leave the receiver unchanged.
-	if o.n > a.n {
-		return fmt.Errorf("core: unmerging MargHT state with n=%d from aggregator holding n=%d", o.n, a.n)
-	}
-	for i := range a.sums {
-		if o.users[i] > a.users[i] {
-			return fmt.Errorf("core: unmerging MargHT state never merged here: marginal %d would be left with %d users", i, a.users[i]-o.users[i])
-		}
-		for c := range a.sums[i] {
-			cnt := a.counts[i][c] - o.counts[i][c]
-			s := a.sums[i][c] - o.sums[i][c]
-			if cnt < 0 || s > cnt || -s > cnt {
-				return fmt.Errorf("core: unmerging MargHT state never merged here: marginal %d cell %d would be left with count %d, sum %d", i, c, cnt, s)
-			}
-		}
-	}
-	for i := range a.sums {
-		for c := range a.sums[i] {
-			a.sums[i][c] -= o.sums[i][c]
-			a.counts[i][c] -= o.counts[i][c]
-		}
-		a.users[i] -= o.users[i]
-	}
-	a.n -= o.n
-	return nil
-}
-
-// CopyStateFrom replaces the receiver's state with a deep copy of
-// other's, reusing the receiver's buffers.
-func (a *margHTAgg) CopyStateFrom(other Aggregator) error {
-	o, ok := other.(*margHTAgg)
-	if !ok {
-		return fmt.Errorf("core: copying %T into MargHT aggregator", other)
-	}
-	for i := range a.sums {
-		copy(a.sums[i], o.sums[i])
-		copy(a.counts[i], o.counts[i])
-	}
-	copy(a.users, o.users)
-	a.n = o.n
 	return nil
 }
 
@@ -225,13 +146,15 @@ func (a *margHTAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 		return 0, nil
 	}
 	cells := dst.Cells
+	lo, hi := a.span(pos)
+	sums, counts := a.sums[lo:hi], a.counts[lo:hi]
 	cells[0] = 1
 	for c := 1; c < a.p.cells; c++ {
-		if a.counts[pos][c] == 0 {
+		if counts[c] == 0 {
 			cells[c] = 0
 			continue
 		}
-		mean := float64(a.sums[pos][c]) / float64(a.counts[pos][c])
+		mean := float64(sums[c]) / float64(counts[c])
 		cells[c] = a.rrUnbias(mean)
 	}
 	if err := hadamard.InverseWHT(cells); err != nil {

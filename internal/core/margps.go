@@ -44,11 +44,7 @@ func (p *margPS) CommunicationBits() int { return p.cfg.D + p.cfg.K }
 func (p *margPS) NewClient() Client { return &margPSClient{p: p} }
 
 func (p *margPS) NewAggregator() Aggregator {
-	counts := make([][]uint64, len(p.idx.masks))
-	for i := range counts {
-		counts[i] = make([]uint64, p.cells)
-	}
-	return &margPSAgg{p: p, counts: counts, users: make([]int, len(p.idx.masks))}
+	return &margPSAgg{p: p, CounterBlock: NewCounterBlock("MargPS", stateKindMargPS, SamplingCounters, len(p.idx.masks), int(p.cells))}
 }
 
 type margPSClient struct{ p *margPS }
@@ -63,14 +59,12 @@ func (c *margPSClient) Perturb(record uint64, r *rng.RNG) (Report, error) {
 	return Report{Beta: beta, Index: c.p.grr.Perturb(cell, r)}, nil
 }
 
+// margPSAgg has one group per marginal of C: its users are the reports
+// that sampled it, its cells count those naming the cell.
 type margPSAgg struct {
-	p      *margPS
-	counts [][]uint64 // per marginal, per cell: report counts
-	users  []int
-	n      int
+	p *margPS
+	CounterBlock
 }
-
-func (a *margPSAgg) N() int { return a.n }
 
 func (a *margPSAgg) Consume(rep Report) error {
 	pos, ok := a.p.idx.pos.lookup(rep.Beta)
@@ -80,7 +74,7 @@ func (a *margPSAgg) Consume(rep Report) error {
 	if rep.Index >= a.p.cells {
 		return fmt.Errorf("core: MargPS report cell %d out of range", rep.Index)
 	}
-	a.counts[pos][rep.Index]++
+	a.cells[uint64(pos)*a.p.cells+rep.Index]++
 	a.users[pos]++
 	a.n++
 	return nil
@@ -90,13 +84,13 @@ func (a *margPSAgg) Consume(rep Report) error {
 // as inpHTAgg.ConsumeBatch: dense-table hits with an in-range cell are
 // counted in the loop, everything else goes through Consume.
 func (a *margPSAgg) ConsumeBatch(reps []Report) error {
-	dense, counts, users := a.p.idx.pos.dense, a.counts, a.users
+	dense, counts, users, cells := a.p.idx.pos.dense, a.cells, a.users, a.p.cells
 	fast := 0
 	for i := range reps {
 		r := &reps[i]
-		if r.Beta < uint64(len(dense)) && r.Index < a.p.cells {
+		if r.Beta < uint64(len(dense)) && r.Index < cells {
 			if p := dense[r.Beta]; p != 0 {
-				counts[p-1][r.Index]++
+				counts[uint64(p-1)*cells+r.Index]++
 				users[p-1]++
 				fast++
 				continue
@@ -108,69 +102,6 @@ func (a *margPSAgg) ConsumeBatch(reps []Report) error {
 		}
 	}
 	a.n += fast
-	return nil
-}
-
-func (a *margPSAgg) Merge(other Aggregator) error {
-	o, ok := other.(*margPSAgg)
-	if !ok {
-		return fmt.Errorf("core: merging %T into MargPS aggregator", other)
-	}
-	for i := range a.counts {
-		for c := range a.counts[i] {
-			a.counts[i][c] += o.counts[i][c]
-		}
-		a.users[i] += o.users[i]
-	}
-	a.n += o.n
-	return nil
-}
-
-// Unmerge subtracts a previously merged contribution — the exact
-// integer inverse of Merge, used by delta snapshots.
-func (a *margPSAgg) Unmerge(other Aggregator) error {
-	o, ok := other.(*margPSAgg)
-	if !ok {
-		return fmt.Errorf("core: unmerging %T from MargPS aggregator", other)
-	}
-	// Validate before mutating: unmerging state that was never merged
-	// would wrap the unsigned counters; reject it and leave the
-	// receiver unchanged.
-	if o.n > a.n {
-		return fmt.Errorf("core: unmerging MargPS state with n=%d from aggregator holding n=%d", o.n, a.n)
-	}
-	for i := range a.counts {
-		if o.users[i] > a.users[i] {
-			return fmt.Errorf("core: unmerging MargPS state never merged here: marginal %d would be left with %d users", i, a.users[i]-o.users[i])
-		}
-		for c := range a.counts[i] {
-			if o.counts[i][c] > a.counts[i][c] {
-				return fmt.Errorf("core: unmerging MargPS state never merged here: marginal %d cell %d would underflow", i, c)
-			}
-		}
-	}
-	for i := range a.counts {
-		for c := range a.counts[i] {
-			a.counts[i][c] -= o.counts[i][c]
-		}
-		a.users[i] -= o.users[i]
-	}
-	a.n -= o.n
-	return nil
-}
-
-// CopyStateFrom replaces the receiver's state with a deep copy of
-// other's, reusing the receiver's buffers.
-func (a *margPSAgg) CopyStateFrom(other Aggregator) error {
-	o, ok := other.(*margPSAgg)
-	if !ok {
-		return fmt.Errorf("core: copying %T into MargPS aggregator", other)
-	}
-	for i := range a.counts {
-		copy(a.counts[i], o.counts[i])
-	}
-	copy(a.users, o.users)
-	a.n = o.n
 	return nil
 }
 
@@ -192,8 +123,9 @@ func (a *margPSAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 		return 0, nil
 	}
 	inv := 1 / float64(a.users[pos])
-	for c := uint64(0); c < a.p.cells; c++ {
-		dst.Cells[c] = a.p.grr.UnbiasFrequency(float64(a.counts[pos][c]) * inv)
+	lo, hi := a.span(pos)
+	for c, count := range a.cells[lo:hi] {
+		dst.Cells[c] = a.p.grr.UnbiasFrequency(float64(count) * inv)
 	}
 	return a.users[pos], nil
 }

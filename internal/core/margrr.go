@@ -47,11 +47,7 @@ func (p *margRR) CommunicationBits() int { return p.cfg.D + p.cells }
 func (p *margRR) NewClient() Client { return &margRRClient{p: p} }
 
 func (p *margRR) NewAggregator() Aggregator {
-	ones := make([][]uint64, len(p.idx.masks))
-	for i := range ones {
-		ones[i] = make([]uint64, p.cells)
-	}
-	return &margRRAgg{p: p, ones: ones, users: make([]int, len(p.idx.masks))}
+	return &margRRAgg{p: p, CounterBlock: NewCounterBlock("MargRR", stateKindMargRR, BitmapCounters, len(p.idx.masks), p.cells)}
 }
 
 type margRRClient struct{ p *margRR }
@@ -70,14 +66,12 @@ func (c *margRRClient) Perturb(record uint64, r *rng.RNG) (Report, error) {
 	return Report{Beta: beta, Bits: bits}, nil
 }
 
+// margRRAgg has one group per marginal of C: its users are the reports
+// that sampled it, its cells count those whose bit for the cell was set.
 type margRRAgg struct {
-	p     *margRR
-	ones  [][]uint64 // per marginal, per cell: count of 1-reports
-	users []int      // per marginal: number of users that sampled it
-	n     int
+	p *margRR
+	CounterBlock
 }
-
-func (a *margRRAgg) N() int { return a.n }
 
 func (a *margRRAgg) Consume(rep Report) error {
 	pos, ok := a.p.idx.pos.lookup(rep.Beta)
@@ -88,9 +82,11 @@ func (a *margRRAgg) Consume(rep Report) error {
 	if len(rep.Bits) != words {
 		return fmt.Errorf("core: MargRR report has %d words, want %d", len(rep.Bits), words)
 	}
-	for c := 0; c < a.p.cells; c++ {
+	lo, hi := a.span(pos)
+	row := a.cells[lo:hi]
+	for c := range row {
 		if rep.Bits[c/64]&(1<<uint(c%64)) != 0 {
-			a.ones[pos][c]++
+			row[c]++
 		}
 	}
 	a.users[pos]++
@@ -105,69 +101,6 @@ func (a *margRRAgg) ConsumeBatch(reps []Report) error {
 			return &BatchError{Index: i, Err: err}
 		}
 	}
-	return nil
-}
-
-func (a *margRRAgg) Merge(other Aggregator) error {
-	o, ok := other.(*margRRAgg)
-	if !ok {
-		return fmt.Errorf("core: merging %T into MargRR aggregator", other)
-	}
-	for i := range a.ones {
-		for c := range a.ones[i] {
-			a.ones[i][c] += o.ones[i][c]
-		}
-		a.users[i] += o.users[i]
-	}
-	a.n += o.n
-	return nil
-}
-
-// Unmerge subtracts a previously merged contribution — the exact
-// integer inverse of Merge, used by delta snapshots.
-func (a *margRRAgg) Unmerge(other Aggregator) error {
-	o, ok := other.(*margRRAgg)
-	if !ok {
-		return fmt.Errorf("core: unmerging %T from MargRR aggregator", other)
-	}
-	// Validate before mutating: unmerging state that was never merged
-	// would wrap the unsigned counters; reject it and leave the
-	// receiver unchanged.
-	if o.n > a.n {
-		return fmt.Errorf("core: unmerging MargRR state with n=%d from aggregator holding n=%d", o.n, a.n)
-	}
-	for i := range a.ones {
-		if o.users[i] > a.users[i] {
-			return fmt.Errorf("core: unmerging MargRR state never merged here: marginal %d would be left with %d users", i, a.users[i]-o.users[i])
-		}
-		for c := range a.ones[i] {
-			if o.ones[i][c] > a.ones[i][c] {
-				return fmt.Errorf("core: unmerging MargRR state never merged here: marginal %d cell %d would underflow", i, c)
-			}
-		}
-	}
-	for i := range a.ones {
-		for c := range a.ones[i] {
-			a.ones[i][c] -= o.ones[i][c]
-		}
-		a.users[i] -= o.users[i]
-	}
-	a.n -= o.n
-	return nil
-}
-
-// CopyStateFrom replaces the receiver's state with a deep copy of
-// other's, reusing the receiver's buffers.
-func (a *margRRAgg) CopyStateFrom(other Aggregator) error {
-	o, ok := other.(*margRRAgg)
-	if !ok {
-		return fmt.Errorf("core: copying %T into MargRR aggregator", other)
-	}
-	for i := range a.ones {
-		copy(a.ones[i], o.ones[i])
-	}
-	copy(a.users, o.users)
-	a.n = o.n
 	return nil
 }
 
@@ -191,8 +124,9 @@ func (a *margRRAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 		return 0, nil
 	}
 	inv := 1 / float64(a.users[pos])
-	for c := 0; c < a.p.cells; c++ {
-		dst.Cells[c] = a.p.prr.UnbiasFrequency(float64(a.ones[pos][c]) * inv)
+	lo, hi := a.span(pos)
+	for c, ones := range a.cells[lo:hi] {
+		dst.Cells[c] = a.p.prr.UnbiasFrequency(float64(ones) * inv)
 	}
 	return a.users[pos], nil
 }

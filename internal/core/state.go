@@ -1,268 +1,8 @@
 package core
 
-import (
-	"fmt"
-
-	"ldpmarginals/internal/wire"
-)
-
-// State codecs for the six protocol aggregators. Aggregation state is
-// integer counters, so a snapshot is a compact varint blob and a
-// restore is byte-identical to the state that was marshaled (pinned by
-// the per-protocol round-trip tests in state_test.go). Each codec
-// validates the blob against the receiver's configured geometry and the
-// protocols' counter invariants, so a blob from a different deployment
-// or a corrupted byte stream is rejected instead of silently skewing
-// estimates; on any error the receiver is left unchanged.
-
-// State kind bytes. These are part of the persisted snapshot format: do
-// not renumber. They mirror the encoding wire tags for the protocols
-// both name.
-const (
-	stateKindInpRR  byte = 1
-	stateKindInpPS  byte = 2
-	stateKindInpHT  byte = 3
-	stateKindMargRR byte = 4
-	stateKindMargPS byte = 5
-	stateKindMargHT byte = 6
-
-	stateVersion byte = 1
-)
-
-// stateSum totals the per-marginal user counts, which every
-// marginal-view codec checks against the report count.
-func stateSum(users []int) int {
-	var sum int
-	for _, u := range users {
-		sum += u
-	}
-	return sum
-}
-
-// --- InpRR ---
-
-func (a *inpRRAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindInpRR, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Uint64s(a.ones)
-	return e.Bytes(), nil
-}
-
-func (a *inpRRAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindInpRR, stateVersion)
-	if err != nil {
-		return fmt.Errorf("core: InpRR state: %w", err)
-	}
-	n := d.Count()
-	ones := d.Uint64s(a.p.size)
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("core: InpRR state: %w", err)
-	}
-	for j, c := range ones {
-		if c > uint64(n) {
-			return fmt.Errorf("core: InpRR state: cell %d count %d exceeds %d reports", j, c, n)
-		}
-	}
-	a.n, a.ones = n, ones
-	return nil
-}
-
-// --- InpPS ---
-
-func (a *inpPSAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindInpPS, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Uint64s(a.counts)
-	return e.Bytes(), nil
-}
-
-func (a *inpPSAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindInpPS, stateVersion)
-	if err != nil {
-		return fmt.Errorf("core: InpPS state: %w", err)
-	}
-	n := d.Count()
-	counts := d.Uint64s(int(a.p.size))
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("core: InpPS state: %w", err)
-	}
-	var sum uint64
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != uint64(n) {
-		return fmt.Errorf("core: InpPS state: cell counts sum to %d, want %d reports", sum, n)
-	}
-	a.n, a.counts = n, counts
-	return nil
-}
-
-// --- InpHT ---
-
-func (a *inpHTAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindInpHT, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Int64s(a.sums)
-	e.Int64s(a.counts)
-	return e.Bytes(), nil
-}
-
-func (a *inpHTAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindInpHT, stateVersion)
-	if err != nil {
-		return fmt.Errorf("core: InpHT state: %w", err)
-	}
-	n := d.Count()
-	sums := d.Int64s(len(a.p.coeffs))
-	counts := d.Int64s(len(a.p.coeffs))
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("core: InpHT state: %w", err)
-	}
-	var total int64
-	for i, c := range counts {
-		if c < 0 || sums[i] > c || sums[i] < -c {
-			return fmt.Errorf("core: InpHT state: coefficient %d has sum %d over %d reports", i, sums[i], c)
-		}
-		total += c
-	}
-	if total != int64(n) {
-		return fmt.Errorf("core: InpHT state: coefficient counts sum to %d, want %d reports", total, n)
-	}
-	a.n, a.sums, a.counts = n, sums, counts
-	return nil
-}
-
-// --- MargRR ---
-
-func (a *margRRAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindMargRR, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Counts(a.users)
-	for _, row := range a.ones {
-		e.Uint64s(row)
-	}
-	return e.Bytes(), nil
-}
-
-func (a *margRRAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindMargRR, stateVersion)
-	if err != nil {
-		return fmt.Errorf("core: MargRR state: %w", err)
-	}
-	n := d.Count()
-	users := d.Counts(len(a.p.idx.masks))
-	ones := make([][]uint64, len(a.p.idx.masks))
-	for i := range ones {
-		ones[i] = d.Uint64s(a.p.cells)
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("core: MargRR state: %w", err)
-	}
-	if got := stateSum(users); got != n {
-		return fmt.Errorf("core: MargRR state: per-marginal users sum to %d, want %d reports", got, n)
-	}
-	for i, row := range ones {
-		for c, v := range row {
-			if v > uint64(users[i]) {
-				return fmt.Errorf("core: MargRR state: marginal %d cell %d count %d exceeds %d users", i, c, v, users[i])
-			}
-		}
-	}
-	a.n, a.users, a.ones = n, users, ones
-	return nil
-}
-
-// --- MargPS ---
-
-func (a *margPSAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindMargPS, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Counts(a.users)
-	for _, row := range a.counts {
-		e.Uint64s(row)
-	}
-	return e.Bytes(), nil
-}
-
-func (a *margPSAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindMargPS, stateVersion)
-	if err != nil {
-		return fmt.Errorf("core: MargPS state: %w", err)
-	}
-	n := d.Count()
-	users := d.Counts(len(a.p.idx.masks))
-	counts := make([][]uint64, len(a.p.idx.masks))
-	for i := range counts {
-		counts[i] = d.Uint64s(int(a.p.cells))
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("core: MargPS state: %w", err)
-	}
-	if got := stateSum(users); got != n {
-		return fmt.Errorf("core: MargPS state: per-marginal users sum to %d, want %d reports", got, n)
-	}
-	for i, row := range counts {
-		var sum uint64
-		for _, v := range row {
-			sum += v
-		}
-		if sum != uint64(users[i]) {
-			return fmt.Errorf("core: MargPS state: marginal %d cell counts sum to %d, want %d users", i, sum, users[i])
-		}
-	}
-	a.n, a.users, a.counts = n, users, counts
-	return nil
-}
-
-// --- MargHT ---
-
-func (a *margHTAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindMargHT, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Counts(a.users)
-	for i := range a.sums {
-		e.Int64s(a.sums[i])
-		e.Int64s(a.counts[i])
-	}
-	return e.Bytes(), nil
-}
-
-func (a *margHTAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindMargHT, stateVersion)
-	if err != nil {
-		return fmt.Errorf("core: MargHT state: %w", err)
-	}
-	n := d.Count()
-	users := d.Counts(len(a.p.idx.masks))
-	sums := make([][]int64, len(a.p.idx.masks))
-	counts := make([][]int64, len(a.p.idx.masks))
-	for i := range sums {
-		sums[i] = d.Int64s(a.p.cells)
-		counts[i] = d.Int64s(a.p.cells)
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("core: MargHT state: %w", err)
-	}
-	if got := stateSum(users); got != n {
-		return fmt.Errorf("core: MargHT state: per-marginal users sum to %d, want %d reports", got, n)
-	}
-	for i := range sums {
-		var total int64
-		for c, cnt := range counts[i] {
-			if cnt < 0 || sums[i][c] > cnt || sums[i][c] < -cnt {
-				return fmt.Errorf("core: MargHT state: marginal %d coefficient %d has sum %d over %d reports", i, c, sums[i][c], cnt)
-			}
-			total += cnt
-		}
-		if total != int64(users[i]) {
-			return fmt.Errorf("core: MargHT state: marginal %d coefficient counts sum to %d, want %d users", i, total, users[i])
-		}
-	}
-	a.n, a.users, a.sums, a.counts = n, users, sums, counts
-	return nil
-}
-
-// --- ShardedAggregator ---
+// The state codec of the six protocol aggregators is CounterBlock's
+// (block.go). What is left here is the sharded wrapper's, which
+// serializes as the one sequential aggregator it is equivalent to.
 
 // MarshalState merges every shard into one sequential snapshot and
 // serializes it: the blob is the state of an equivalent sequential

@@ -31,7 +31,6 @@ import (
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/mech"
 	"ldpmarginals/internal/rng"
-	"ldpmarginals/internal/wire"
 )
 
 // Basis returns the Helmert-style orthonormal basis of functions on an
@@ -229,11 +228,7 @@ func (p *Protocol) NewClient() core.Client { return &client{p: p} }
 
 // NewAggregator returns an empty InpES aggregator.
 func (p *Protocol) NewAggregator() core.Aggregator {
-	return &Aggregator{
-		p:      p,
-		sums:   make([]int64, len(p.coeffs)),
-		counts: make([]int64, len(p.coeffs)),
-	}
+	return &Aggregator{p: p, blk: core.NewCounterBlock("InpES", stateKindES, core.SignCounters, 0, len(p.coeffs))}
 }
 
 // values unpacks the per-attribute categorical values from an encoded
@@ -278,17 +273,26 @@ func (c *client) Perturb(record uint64, r *rng.RNG) (core.Report, error) {
 	return core.Report{Index: uint64(idx), Sign: int8(sign)}, nil
 }
 
+// stateKindES continues the state-kind numbering of internal/core and
+// internal/freqoracle; part of the persisted snapshot format.
+const stateKindES byte = 10
+
 // Aggregator accumulates InpES reports and reconstructs categorical
-// marginals.
+// marginals. Its state is an ungrouped sign-class core.CounterBlock, one
+// cell per collected coefficient, which also does its merging and its
+// state codec. The block is a field and not embedded: embedding would
+// add Unmerge and CopyStateFrom, and with them delta arenas and windows
+// for InpES deployments, which is a decision of its own.
 type Aggregator struct {
-	p      *Protocol
-	sums   []int64
-	counts []int64
-	n      int
+	p   *Protocol
+	blk core.CounterBlock
 }
 
 // N returns the number of reports consumed.
-func (a *Aggregator) N() int { return a.n }
+func (a *Aggregator) N() int { return a.blk.N() }
+
+// Counters exposes the block to the blocks it is merged into.
+func (a *Aggregator) Counters() *core.CounterBlock { return &a.blk }
 
 // Consume incorporates one report.
 func (a *Aggregator) Consume(rep core.Report) error {
@@ -298,9 +302,7 @@ func (a *Aggregator) Consume(rep core.Report) error {
 	if rep.Sign != 1 && rep.Sign != -1 {
 		return fmt.Errorf("efronstein: sign %d is not +-1", rep.Sign)
 	}
-	a.sums[rep.Index] += int64(rep.Sign)
-	a.counts[rep.Index]++
-	a.n++
+	a.blk.AddSign(0, int(rep.Index), rep.Sign)
 	return nil
 }
 
@@ -310,70 +312,24 @@ func (a *Aggregator) ConsumeBatch(reps []core.Report) error {
 }
 
 // Merge folds another InpES aggregator into this one.
-func (a *Aggregator) Merge(other core.Aggregator) error {
-	o, ok := other.(*Aggregator)
-	if !ok {
-		return fmt.Errorf("efronstein: merging %T into InpES aggregator", other)
-	}
-	for i := range a.sums {
-		a.sums[i] += o.sums[i]
-		a.counts[i] += o.counts[i]
-	}
-	a.n += o.n
-	return nil
-}
-
-// stateKindES continues the state-kind numbering of internal/core and
-// internal/freqoracle; part of the persisted snapshot format.
-const (
-	stateKindES  byte = 10
-	stateVersion byte = 1
-)
+func (a *Aggregator) Merge(other core.Aggregator) error { return a.blk.Merge(other) }
 
 // MarshalState serializes the per-coefficient counters; see
 // core.Aggregator.
-func (a *Aggregator) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindES, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Int64s(a.sums)
-	e.Int64s(a.counts)
-	return e.Bytes(), nil
-}
+func (a *Aggregator) MarshalState() ([]byte, error) { return a.blk.MarshalState() }
 
 // UnmarshalState replaces the per-coefficient counters; see
 // core.Aggregator.
-func (a *Aggregator) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindES, stateVersion)
-	if err != nil {
-		return fmt.Errorf("efronstein: state: %w", err)
-	}
-	n := d.Count()
-	sums := d.Int64s(len(a.p.coeffs))
-	counts := d.Int64s(len(a.p.coeffs))
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("efronstein: state: %w", err)
-	}
-	var total int64
-	for i, c := range counts {
-		if c < 0 || sums[i] > c || sums[i] < -c {
-			return fmt.Errorf("efronstein: state: coefficient %d has sum %d over %d reports", i, sums[i], c)
-		}
-		total += c
-	}
-	if total != int64(n) {
-		return fmt.Errorf("efronstein: state: coefficient counts sum to %d, want %d reports", total, n)
-	}
-	a.n, a.sums, a.counts = n, sums, counts
-	return nil
-}
+func (a *Aggregator) UnmarshalState(data []byte) error { return a.blk.UnmarshalState(data) }
 
 // theta returns the unbiased estimate of coefficient i:
 // E[sign] = (2p-1) * v/B, so theta = B * mean / (2p-1).
 func (a *Aggregator) theta(i int) float64 {
-	if a.counts[i] == 0 {
+	sum, count := a.blk.SignCell(0, i)
+	if count == 0 {
 		return 0
 	}
-	mean := float64(a.sums[i]) / float64(a.counts[i])
+	mean := float64(sum) / float64(count)
 	return a.p.coeffs[i].bound * a.p.rr.UnbiasSign(mean)
 }
 
@@ -381,7 +337,7 @@ func (a *Aggregator) theta(i int) float64 {
 // attribute subset (at most K attributes) as a dense vector in
 // mixed-radix order: index = v_{a0} + r_{a0}*(v_{a1} + ...).
 func (a *Aggregator) EstimateCategorical(attrs []int) ([]float64, error) {
-	if a.n == 0 {
+	if a.N() == 0 {
 		return nil, fmt.Errorf("efronstein: no reports")
 	}
 	if len(attrs) == 0 || len(attrs) > a.p.cfg.K {

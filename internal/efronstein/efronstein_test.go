@@ -2,6 +2,8 @@ package efronstein
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"ldpmarginals/internal/dataset"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/vec"
+	"ldpmarginals/internal/wire"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -359,5 +362,72 @@ func TestStateRoundTrip(t *testing.T) {
 		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
 			t.Fatalf("cell %d: %v vs %v", c, got[c], want[c])
 		}
+	}
+}
+
+// TestStateGoldenBytes pins the InpES state bytes (kind 10) the way
+// core's test of the same name pins the six core protocols': the digest
+// was recorded at 3f8878c, when this package wrote its own codec, and a
+// sequential aggregator and the merge of a 4-shard one must both still
+// marshal to it.
+func TestStateGoldenBytes(t *testing.T) {
+	const golden = "de6d02b52c0b643b0b4c868f36d2c97559db2b59a7e32e66cf11baa67d284266"
+	p, err := New(Config{Cardinalities: []int{3, 4, 2}, K: 2, Epsilon: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := p.NewClient()
+	r := rng.New(97)
+	reps := make([]core.Report, 2000)
+	for i := range reps {
+		record := uint64(i%3)<<uint(p.offsets[0]) |
+			uint64((i/3)%4)<<uint(p.offsets[1]) |
+			uint64((i/12)%2)<<uint(p.offsets[2])
+		if reps[i], err = client.Perturb(record, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := p.NewAggregator()
+	if err := seq.ConsumeBatch(reps); err != nil {
+		t.Fatal(err)
+	}
+	sh := core.NewSharded(p, 4)
+	for lo := 0; lo < len(reps); lo += 125 {
+		if err := sh.ConsumeBatch(reps[lo : lo+125]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, agg := range map[string]core.Aggregator{"sequential": seq, "sharded": sh} {
+		blob, err := agg.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != golden {
+			t.Errorf("%s InpES state (%d bytes) hashes to %s, want %s", name, len(blob), got, golden)
+		}
+	}
+}
+
+// TestUnmarshalStateRejectsWrappingSums: four counts of 2^62 sum to the 0
+// reports the blob claims only modulo 2^64; see core's test of the same
+// name.
+func TestUnmarshalStateRejectsWrappingSums(t *testing.T) {
+	p, err := New(Config{Cardinalities: []int{3, 4, 2}, K: 2, Epsilon: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, p.CoefficientCount())
+	counts[0], counts[1], counts[2], counts[3] = 1<<62, 1<<62, 1<<62, 1<<62
+	e := wire.NewStateEncoder(stateKindES, 1)
+	e.Uvarint(0)
+	e.Int64s(make([]int64, len(counts)))
+	e.Int64s(counts)
+	agg := p.NewAggregator()
+	if err := agg.UnmarshalState(e.Bytes()); err == nil {
+		t.Fatal("state with wrapping count total restored")
+	}
+	want, _ := p.NewAggregator().MarshalState()
+	if got, _ := agg.MarshalState(); !bytes.Equal(got, want) {
+		t.Fatal("refused state changed the receiver")
 	}
 }

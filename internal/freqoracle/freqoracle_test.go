@@ -2,6 +2,8 @@ package freqoracle
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"ldpmarginals/internal/dataset"
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/rng"
+	"ldpmarginals/internal/wire"
 )
 
 const ln3 = 1.0986122886681098
@@ -370,4 +373,72 @@ func TestHCMSStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	stateRoundTrip(t, p)
+}
+
+// TestStateGoldenBytes pins the HCMS state bytes (kind 9) the way core's
+// test of the same name pins the six core protocols': the digest was
+// recorded at 3f8878c, when this package wrote its own codec, and a
+// sequential aggregator and the merge of a 4-shard one must both still
+// marshal to it.
+func TestStateGoldenBytes(t *testing.T) {
+	const golden = "0b60bdd529e54709be3e6fa6452364a1a033540002d236cc83757e4bc83d5d9f"
+	p, err := NewHCMS(HCMSConfig{D: 5, K: 2, Epsilon: ln3, G: 3, W: 32, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := p.NewClient()
+	r := rng.New(97)
+	reps := make([]core.Report, 2000)
+	for i := range reps {
+		if reps[i], err = client.Perturb(uint64(i%32), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := p.NewAggregator()
+	if err := seq.ConsumeBatch(reps); err != nil {
+		t.Fatal(err)
+	}
+	sh := core.NewSharded(p, 4)
+	for lo := 0; lo < len(reps); lo += 125 {
+		if err := sh.ConsumeBatch(reps[lo : lo+125]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, agg := range map[string]core.Aggregator{"sequential": seq, "sharded": sh} {
+		blob, err := agg.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != golden {
+			t.Errorf("%s HCMS state (%d bytes) hashes to %s, want %s", name, len(blob), got, golden)
+		}
+	}
+}
+
+// TestUnmarshalStateRejectsWrappingSums: four counts of 2^62 in one
+// sketch row sum to the 0 users the blob claims for it only modulo 2^64;
+// see core's test of the same name.
+func TestUnmarshalStateRejectsWrappingSums(t *testing.T) {
+	p, err := NewHCMS(HCMSConfig{D: 5, K: 2, Epsilon: ln3, G: 3, W: 32, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int64, 32)
+	counts[0], counts[1], counts[2], counts[3] = 1<<62, 1<<62, 1<<62, 1<<62
+	e := wire.NewStateEncoder(stateKindHCMS, stateVersion)
+	e.Uvarint(0)
+	e.Counts(make([]int, 3))
+	for row := 0; row < 3; row++ {
+		e.Int64s(make([]int64, 32))
+		e.Int64s(counts)
+		counts = make([]int64, 32)
+	}
+	agg := p.NewAggregator()
+	if err := agg.UnmarshalState(e.Bytes()); err == nil {
+		t.Fatal("state with a wrapping per-row count total restored")
+	}
+	want, _ := p.NewAggregator().MarshalState()
+	if got, _ := agg.MarshalState(); !bytes.Equal(got, want) {
+		t.Fatal("refused state changed the receiver")
+	}
 }

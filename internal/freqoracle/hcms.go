@@ -98,13 +98,7 @@ func (h *HCMS) NewClient() core.Client { return &hcmsClient{h: h} }
 
 // NewAggregator returns an empty HCMS aggregator.
 func (h *HCMS) NewAggregator() core.Aggregator {
-	sums := make([][]int64, h.cfg.G)
-	counts := make([][]int64, h.cfg.G)
-	for i := range sums {
-		sums[i] = make([]int64, h.cfg.W)
-		counts[i] = make([]int64, h.cfg.W)
-	}
-	return &hcmsAgg{h: h, sums: sums, counts: counts, users: make([]int, h.cfg.G)}
+	return &hcmsAgg{h: h, blk: core.NewCounterBlock("InpHTCMS", stateKindHCMS, core.SignCounters, h.cfg.G, h.cfg.W)}
 }
 
 type hcmsClient struct{ h *HCMS }
@@ -123,15 +117,28 @@ func (c *hcmsClient) Perturb(record uint64, r *rng.RNG) (core.Report, error) {
 	return core.Report{Beta: uint64(row), Index: coeff, Sign: int8(sign)}, nil
 }
 
+// hcmsAgg keeps its state in a sign-class core.CounterBlock with one
+// group per sketch row and one cell per Hadamard coefficient of the row,
+// which also does its merging and its state codec. The block is a field
+// and not embedded for the reason given at efronstein.Aggregator.
 type hcmsAgg struct {
-	h      *HCMS
-	sums   [][]int64 // per row, per coefficient: sum of reported signs
-	counts [][]int64 // per row, per coefficient: report counts
-	users  []int     // per row: users assigned
-	n      int
+	h   *HCMS
+	blk core.CounterBlock
 }
 
-func (a *hcmsAgg) N() int { return a.n }
+func (a *hcmsAgg) N() int { return a.blk.N() }
+
+// Counters exposes the block to the blocks it is merged into.
+func (a *hcmsAgg) Counters() *core.CounterBlock { return &a.blk }
+
+func (a *hcmsAgg) Merge(other core.Aggregator) error { return a.blk.Merge(other) }
+
+// MarshalState serializes the per-row sketch counters; see
+// core.Aggregator.
+func (a *hcmsAgg) MarshalState() ([]byte, error) { return a.blk.MarshalState() }
+
+// UnmarshalState replaces the sketch counters; see core.Aggregator.
+func (a *hcmsAgg) UnmarshalState(data []byte) error { return a.blk.UnmarshalState(data) }
 
 func (a *hcmsAgg) Consume(rep core.Report) error {
 	row := int(rep.Beta)
@@ -144,10 +151,7 @@ func (a *hcmsAgg) Consume(rep core.Report) error {
 	if rep.Sign != 1 && rep.Sign != -1 {
 		return fmt.Errorf("freqoracle: HCMS report sign %d is not +-1", rep.Sign)
 	}
-	a.sums[row][rep.Index] += int64(rep.Sign)
-	a.counts[row][rep.Index]++
-	a.users[row]++
-	a.n++
+	a.blk.AddSign(row, int(rep.Index), rep.Sign)
 	return nil
 }
 
@@ -156,32 +160,17 @@ func (a *hcmsAgg) ConsumeBatch(reps []core.Report) error {
 	return core.ConsumeAll(a, reps)
 }
 
-func (a *hcmsAgg) Merge(other core.Aggregator) error {
-	o, ok := other.(*hcmsAgg)
-	if !ok {
-		return fmt.Errorf("freqoracle: merging %T into HCMS aggregator", other)
-	}
-	for i := range a.sums {
-		for j := range a.sums[i] {
-			a.sums[i][j] += o.sums[i][j]
-			a.counts[i][j] += o.counts[i][j]
-		}
-		a.users[i] += o.users[i]
-	}
-	a.n += o.n
-	return nil
-}
-
 // rowDistribution reconstructs the normalized cell distribution of one
 // sketch row from its estimated Hadamard coefficients.
 func (a *hcmsAgg) rowDistribution(row int) ([]float64, error) {
 	cells := make([]float64, a.h.cfg.W)
 	cells[0] = 1
 	for c := 1; c < a.h.cfg.W; c++ {
-		if a.counts[row][c] == 0 {
+		sum, count := a.blk.SignCell(row, c)
+		if count == 0 {
 			continue
 		}
-		mean := float64(a.sums[row][c]) / float64(a.counts[row][c])
+		mean := float64(sum) / float64(count)
 		cells[c] = a.h.rr.UnbiasSign(mean)
 	}
 	if err := hadamard.InverseWHT(cells); err != nil {
@@ -195,7 +184,7 @@ func (a *hcmsAgg) rowDistribution(row int) ([]float64, error) {
 // yields an unbiased estimate (row[h(x)] - 1/w) * w/(w-1); rows are
 // averaged.
 func (a *hcmsAgg) EstimateAll() ([]float64, error) {
-	if a.n == 0 {
+	if a.N() == 0 {
 		return nil, fmt.Errorf("freqoracle: HCMS aggregator has no reports")
 	}
 	w := float64(a.h.cfg.W)
@@ -213,7 +202,7 @@ func (a *hcmsAgg) EstimateAll() ([]float64, error) {
 		var sum float64
 		var used int
 		for g := 0; g < a.h.cfg.G; g++ {
-			if a.users[g] == 0 {
+			if a.blk.GroupUsers(g) == 0 {
 				continue
 			}
 			cell := a.h.family.Hash(g, x)
@@ -232,14 +221,14 @@ func (a *hcmsAgg) EstimateFrequency(x uint64) (float64, error) {
 	if x >= 1<<uint(a.h.cfg.D) {
 		return 0, fmt.Errorf("freqoracle: item %d outside domain", x)
 	}
-	if a.n == 0 {
+	if a.N() == 0 {
 		return 0, fmt.Errorf("freqoracle: HCMS aggregator has no reports")
 	}
 	w := float64(a.h.cfg.W)
 	var sum float64
 	var used int
 	for g := 0; g < a.h.cfg.G; g++ {
-		if a.users[g] == 0 {
+		if a.blk.GroupUsers(g) == 0 {
 			continue
 		}
 		dist, err := a.rowDistribution(g)

@@ -45,56 +45,3 @@ func (a *olhAgg) UnmarshalState(data []byte) error {
 	a.seeds, a.values, a.decoded = seeds, values, nil
 	return nil
 }
-
-// MarshalState serializes the per-row sketch counters; see
-// core.Aggregator.
-func (a *hcmsAgg) MarshalState() ([]byte, error) {
-	e := wire.NewStateEncoder(stateKindHCMS, stateVersion)
-	e.Uvarint(uint64(a.n))
-	e.Counts(a.users)
-	for g := range a.sums {
-		e.Int64s(a.sums[g])
-		e.Int64s(a.counts[g])
-	}
-	return e.Bytes(), nil
-}
-
-// UnmarshalState replaces the sketch counters; see core.Aggregator.
-func (a *hcmsAgg) UnmarshalState(data []byte) error {
-	d, err := wire.NewStateDecoder(data, stateKindHCMS, stateVersion)
-	if err != nil {
-		return fmt.Errorf("freqoracle: HCMS state: %w", err)
-	}
-	n := d.Count()
-	users := d.Counts(a.h.cfg.G)
-	sums := make([][]int64, a.h.cfg.G)
-	counts := make([][]int64, a.h.cfg.G)
-	for g := range sums {
-		sums[g] = d.Int64s(a.h.cfg.W)
-		counts[g] = d.Int64s(a.h.cfg.W)
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("freqoracle: HCMS state: %w", err)
-	}
-	var total int
-	for _, u := range users {
-		total += u
-	}
-	if total != n {
-		return fmt.Errorf("freqoracle: HCMS state: per-row users sum to %d, want %d reports", total, n)
-	}
-	for g := range sums {
-		var rowTotal int64
-		for c, cnt := range counts[g] {
-			if cnt < 0 || sums[g][c] > cnt || sums[g][c] < -cnt {
-				return fmt.Errorf("freqoracle: HCMS state: row %d coefficient %d has sum %d over %d reports", g, c, sums[g][c], cnt)
-			}
-			rowTotal += cnt
-		}
-		if rowTotal != int64(users[g]) {
-			return fmt.Errorf("freqoracle: HCMS state: row %d coefficient counts sum to %d, want %d users", g, rowTotal, users[g])
-		}
-	}
-	a.n, a.users, a.sums, a.counts = n, users, sums, counts
-	return nil
-}

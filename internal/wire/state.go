@@ -129,18 +129,13 @@ func (d *StateDecoder) Count() int {
 	return int(v)
 }
 
-// Counts reads a count-prefixed slice of non-negative ints; see
-// sliceLen for the expect contract.
-func (d *StateDecoder) Counts(expect int) []int {
-	n := d.sliceLen(expect)
-	if d.err != nil || n == 0 {
-		return nil
+// CountsInto reads a count-prefixed slice of non-negative ints of
+// exactly len(dst) entries into dst; on failure dst is left partly
+// written and Finish reports why.
+func (d *StateDecoder) CountsInto(dst []int) {
+	for i := range dst[:d.sliceLen(len(dst))] {
+		dst[i] = d.Count()
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Count()
-	}
-	return out
 }
 
 // sliceLen reads a count prefix and validates it against expect: a
@@ -178,18 +173,20 @@ func (d *StateDecoder) Uint64s(expect int) []uint64 {
 	return out
 }
 
-// Int64s reads a count-prefixed signed slice; see sliceLen for the
-// expect contract.
-func (d *StateDecoder) Int64s(expect int) []int64 {
-	n := d.sliceLen(expect)
-	if d.err != nil || n == 0 {
-		return nil
+// Uint64sInto is CountsInto for unsigned values: the decode of a
+// counter plane whose geometry the caller knows, into the caller's
+// buffer.
+func (d *StateDecoder) Uint64sInto(dst []uint64) {
+	for i := range dst[:d.sliceLen(len(dst))] {
+		dst[i] = d.Uvarint()
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.Varint()
+}
+
+// Int64sInto is CountsInto for signed (zig-zag) values.
+func (d *StateDecoder) Int64sInto(dst []int64) {
+	for i := range dst[:d.sliceLen(len(dst))] {
+		dst[i] = d.Varint()
 	}
-	return out
 }
 
 // Finish reports the first read failure, or an error if undecoded bytes

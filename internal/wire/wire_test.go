@@ -77,11 +77,17 @@ func TestStateRoundTrip(t *testing.T) {
 	if got := d.Uint64s(3); len(got) != 3 || got[2] != 1<<60 {
 		t.Fatalf("uint64s = %v", got)
 	}
-	if got := d.Int64s(-1); len(got) != 3 || got[0] != -5 {
+	got := make([]int64, 3)
+	if d.Int64sInto(got); got[0] != -5 || got[2] != 5 {
 		t.Fatalf("int64s = %v", got)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
+	}
+	// The Into readers take exactly len(dst) entries, no other prefix.
+	d, _ = NewStateDecoder(blob, 7, 1)
+	if d.Uint64sInto(make([]uint64, 2)); d.Finish() == nil {
+		t.Fatal("a 2-entry destination accepted a different count prefix")
 	}
 
 	// Re-encoding the decoded values is byte-identical (canonical form).
