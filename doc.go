@@ -303,7 +303,9 @@
 // never sent a sparse one — and the exporter ships whole, dense or
 // sparse by size, the earlier of two the same size; under an eighth of
 // the counters moved, the dense form is not built to compare, and over
-// half it is the sparse one that is not. On the wire the encoding byte
+// half, on a state of more than 4,096 values (2^16 counters, not a
+// Hadamard state of a few dozen coefficients, all of which move in a
+// batch), it is the sparse one that is not. On the wire the encoding byte
 // says which (bit0: deflated, bit1: diff, bit3: the diff is sparse, and
 // then not deflated; bit2 is retired and refused), and a diff also
 // carries the component version minus its base's, the crc32c of the
@@ -312,14 +314,26 @@
 // flate.HuffmanOnly. The puller rebuilds the canonical blob from its
 // own copy and checks length and checksum before anything else sees
 // it, so validation, folding, persistence and pass-through are the
-// ones whole components go through. The ladder below a diff, each rung
-// chosen per component or per pull with no flag: the whole component
-// (puller did not ask, the retained blob is not the base's, the diff is
-// not smaller, or the protocol is randomized response, where a report
-// moves half the counters); one full re-fetch within the same pull (a
-// diff that names a version the puller does not hold, or does not
-// rebuild to the declared checksum, like any other stale base); a full
-// frame outright (unknown base, restart).
+// ones whole components go through. Around a diff of a few dozen bytes
+// the frame had become most of a pull — the node id twice, three
+// nine-byte salted labels, the report count twice — so a puller also
+// says compact=1, on full and delta requests alike, and the exporter
+// answers with the compact frame: its own component, whose id, version
+// and count are the frame's node id, version and total, is marked by
+// one encoding bit instead (its diff's base is then the frame's), and a
+// delta's base is written as its distance below the version. That is
+// 30 of the 73 header bytes around a one-component delta; a
+// coordinator's pass-through components still carry their own fields.
+// The token is a capability between our own nodes like sparse=2: an
+// exporter that predates it answers with the default frame, whose
+// bytes, and everything persisted, are unchanged. The ladder below a
+// diff, each rung chosen per component or per pull with no flag: the
+// whole component (puller did not ask, the retained blob is not the
+// base's, the diff is not smaller, or the protocol is randomized
+// response, where a report moves half the counters); one full re-fetch
+// within the same pull (a diff that names a version the puller does not
+// hold, or does not rebuild to the declared checksum, like any other
+// stale base); a full frame outright (unknown base, restart).
 //
 // Component ids are globally unique and flow through coordinators
 // unchanged, which is what makes fan-in *hierarchical* rather than
@@ -340,9 +354,10 @@
 // whole. BENCH_cluster.json records the wire sizes for a 100-shard
 // InpPS d=16 edge (one sparse diff of under 190 bytes whether 1 or 100
 // shards moved; 145 bytes for an unchanged peer) and bench/ the diff's
-// on two 8-shard edges (one 1,024-report batch: 1,057 wire bytes as a
-// sparse diff, where the positions of its ~1,019 counters alone carry
-// ~953; 2,540 as a dense diff, ~37.5 KB as the whole component);
+// on two 8-shard edges (one 1,024-report batch: 1,028 wire bytes as a
+// sparse diff in a compact frame, where the positions of its ~1,019
+// counters alone carry ~953 and the frame 45; 2,540 as a dense diff,
+// ~37.5 KB as the whole component);
 // TestClusterDeltaVsFullBitIdentity and TestClusterTwoTierBitIdentity
 // pin delta-, diff- and tree-pulled coordinators to the marginals of
 // flat full pulls and to the component blobs of a coordinator that just

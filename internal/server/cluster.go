@@ -1100,10 +1100,12 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 }
 
 // fetch performs the HTTP GET, frame validation, and accept for one
-// peer. With ack set it acknowledges the held base version (?since= plus
-// If-None-Match, and diff=1&sparse=2 on the componentized exchange), and
-// the reply is a 304 (nothing moved), a delta frame whose components may
-// be diffs, dense or sparse, against the held ones, or a full frame. A
+// peer. On the componentized exchange it asks for the compact frame
+// (compact=1), and with ack set it acknowledges the held base version
+// (?since= plus If-None-Match, and diff=1&sparse=2 on the componentized
+// exchange): the reply is a 304 (nothing moved), a delta frame whose
+// components may be diffs, dense or sparse, against the held ones, or a
+// full frame. A
 // delta whose base no longer matches what this coordinator holds (peer
 // restart re-salted the labels, an epoch gap, a diverged fold), or a
 // diff component against a version this coordinator does not hold,
@@ -1117,7 +1119,9 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 	ack = ack && haveBase
 	target := url + "/state"
 	if !pl.noDelta {
-		target += "?components=1"
+		// compact=1: the frame may name the exporter once (wire/delta.go);
+		// exporters that predate the token send the default frame.
+		target += "?components=1&compact=1"
 		if ack {
 			// diff=1: components of a delta may arrive as differences from
 			// the versions held; sparse=2: and those as sparse diffs, in

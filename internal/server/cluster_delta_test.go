@@ -802,6 +802,186 @@ func TestSparseDiffMixedVersions(t *testing.T) {
 	}
 }
 
+// frameHead reads the flags byte, the version and the base field of a
+// componentized frame.
+func frameHead(body []byte) (flags byte, version, baseField uint64) {
+	flags, at := body[len("LDPD")+1], len("LDPD")+2
+	idLen, w := binary.Uvarint(body[at:])
+	at += w + int(idLen)
+	version, w = binary.Uvarint(body[at:])
+	if flags&0x01 != 0 { // a delta
+		baseField, _ = binary.Uvarint(body[at+w:])
+	}
+	return flags, version, baseField
+}
+
+// TestCompactFrameMixedVersions runs the compact token between nodes of
+// this build and nodes from before it, in two three-tier fleets over one
+// edge: in one every exporter honours compact=1, in the other a proxy
+// drops the token on its way to each exporter, which is what an exporter
+// that predates it does with it. Between two nodes of this build every
+// frame, full and delta, is compact: the edge's names it once (its one
+// component, diffs included, implied), the mid tier's spells out the
+// pass-through component and writes a delta's base as its distance
+// below the version. A puller without the token is sent the default
+// frame, the same content byte for byte in the encoding of the build
+// before (TestComponentFrameGoldenBytes pins it), and the fleet that
+// never saw a compact frame decodes, folds and serves exactly what the
+// other does.
+func TestCompactFrameMixedVersions(t *testing.T) {
+	p, err := core.New(core.InpPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := makeClusterReports(t, p, 200, 91)
+	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = edge.Close() })
+
+	type reply struct {
+		query url.Values
+		frame string
+		body  []byte
+	}
+	// serve serves next and keeps its last /state reply; with strip set,
+	// next never sees the compact token.
+	serve := func(next http.Handler, strip bool) (string, func() reply) {
+		var (
+			mu   sync.Mutex
+			last reply
+		)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strip {
+				q := r.URL.Query()
+				q.Del("compact")
+				r.URL.RawQuery = q.Encode()
+			}
+			if r.URL.Path != "/state" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			mu.Lock()
+			last = reply{r.URL.Query(), rec.Header().Get("X-LDP-Frame"), rec.Body.Bytes()}
+			mu.Unlock()
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes())
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL, func() reply { mu.Lock(); defer mu.Unlock(); return last }
+	}
+	coordinator := func(id, peer string) (*Server, string, func() reply) {
+		c, err := NewWithOptions(p, Options{Role: RoleCoordinator, NodeID: id, Peers: []string{peer}, PullInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		url, last := serve(c.Handler(), id != "mid")
+		return c, url, last
+	}
+	edgeURL, edgeReply := serve(edge.Handler(), false)
+	oldEdgeURL, _ := serve(edge.Handler(), true)
+	mid, midURL, midReply := coordinator("mid", edgeURL)
+	root, rootURL, _ := coordinator("root", midURL)
+	oldMid, oldMidURL, _ := coordinator("old-mid", oldEdgeURL)
+	oldRoot, oldRootURL, _ := coordinator("old-root", oldMidURL)
+	pull := func(url string) {
+		t.Helper()
+		if cs := postPull(t, url); cs.Peers[0].LastError != "" {
+			t.Fatalf("pull by %s: %s", url, cs.Peers[0].LastError)
+		}
+	}
+
+	posted := 0
+	post := func(n int) {
+		t.Helper()
+		postBatchOK(t, edgeURL, p, reps[posted:posted+n])
+		posted += n
+	}
+	diffs := mid.puller.ins[edgeURL].diffComps
+	for round, n := range []int{100, 2, 30, 2} {
+		post(n)
+		diffsBefore := diffs.Value()
+		pull(midURL) // first after the batch: sent a diff against its base
+		fromEdge := edgeReply()
+		pull(oldMidURL)
+		pull(rootURL)
+		fromMid := midReply()
+		pull(oldRootURL)
+
+		want := "delta"
+		if round == 0 {
+			want = "full"
+		}
+		for _, r := range []struct {
+			name string
+			reply
+		}{{"edge", fromEdge}, {"mid tier", fromMid}} {
+			flags, ver, baseField := frameHead(r.body)
+			if r.query.Get("compact") != "1" || r.frame != want || flags&0x02 == 0 {
+				t.Fatalf("round %d, %s: a %s frame, flags %#x, to a request for %q; want a compact %s frame", round, r.name, r.frame, flags, r.query.Encode(), want)
+			}
+			// "edge-1" is the edge's node id, and a component id the mid
+			// tier passes through: named once either way.
+			if got := bytes.Count(r.body, []byte("edge-1")); got != 1 {
+				t.Fatalf("round %d, %s: %q named %d times", round, r.name, "edge-1", got)
+			}
+			if want == "delta" {
+				base, _ := strconv.ParseUint(r.query.Get("since"), 10, 64)
+				if ver-baseField != base || baseField >= 1<<14 {
+					t.Fatalf("round %d, %s: base field %d under version %d, acknowledged base %d", round, r.name, baseField, ver, base)
+				}
+			}
+		}
+		if round > 0 && diffs.Value() != diffsBefore+1 {
+			t.Fatalf("round %d: the mid tier took %d diffs from the edge's compact delta, want 1", round, diffs.Value()-diffsBefore)
+		}
+	}
+
+	// A puller without the token, full and delta: the default frame, of
+	// the same content as the compact one.
+	_, _, label, _ := getState(t, edgeURL, "")
+	post(20)
+	for _, base := range []string{"", label} {
+		_, plain, _, _ := getStateQuery(t, edgeURL, "components=1", base)
+		_, compact, _, _ := getStateQuery(t, edgeURL, "components=1&compact=1", base)
+		cf, err := wire.DecodeComponentFrame(compact, 1<<24)
+		if err != nil || !cf.Compact || cf.Delta != (base != "") {
+			t.Fatalf("base %q: compact frame %+v (err %v)", base, cf, err)
+		}
+		cf.Compact = false
+		if again, err := wire.EncodeComponentFrame(cf); err != nil || !bytes.Equal(again, plain) {
+			t.Fatalf("base %q: the default frame is not the compact one's content in the default form (err %v)", base, err)
+		}
+		if len(compact) >= len(plain) {
+			t.Fatalf("base %q: compact frame of %d bytes, default %d", base, len(compact), len(plain))
+		}
+	}
+
+	// Both fleets hold, and serve, the same bytes.
+	for _, url := range []string{midURL, oldMidURL, rootURL, oldRootURL} {
+		pull(url)
+	}
+	sameHeldComponents(t, "mid tier", mid, oldMid)
+	sameHeldComponents(t, "root", root, oldRoot)
+	postRefresh(t, oldRootURL)
+	want := marginalBytes(t, oldRootURL)
+	if vs := postRefresh(t, rootURL); vs.ViewN != posted {
+		t.Fatalf("root epoch over %d reports, %d were posted", vs.ViewN, posted)
+	}
+	for beta, got := range marginalBytes(t, rootURL) {
+		if !bytes.Equal(got, want[beta]) {
+			t.Fatalf("beta=%d: the root's marginal differs from that of the fleet without the token", beta)
+		}
+	}
+}
+
 // TestClusterDiamondDedup pins the through-tier double-count guard: a
 // root configured with both a mid-tier coordinator and one of that
 // tier's edges directly sees the same components through two paths, and

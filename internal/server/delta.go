@@ -37,7 +37,10 @@ import (
 // exchange and its value names the form, so an exporter that predates it
 // or knows another value (one earlier build had a varint form) answers
 // with dense diffs, and a puller that sends anything else is never sent
-// a sparse one.
+// a sparse one. compact=1, on any componentized request, is the puller
+// saying it reads the compact frame (wire/delta.go), which names the
+// exporter once: an exporter that predates the token ignores it and
+// answers with the default frame, which every puller reads.
 
 // exportHistorySize bounds the per-node ring of remembered export
 // labels. A coordinator pulls each peer once per interval, so 64 entries
@@ -94,18 +97,22 @@ type stateExport struct {
 	comps []wire.StateComponent
 	vec   map[string]uint64
 
-	// The export's full frame, deflated once however many pullers ask
-	// for it while the label stands still.
-	fullOnce sync.Once
-	full     []byte
-	fullErr  error
+	// The export's full frame in each form (default, compact), deflated
+	// once however many pullers ask for it while the label stands still.
+	fullOnce [2]sync.Once
+	full     [2][]byte
+	fullErr  [2]error
 }
 
 // fullFrame returns the encoding of frame, which must be this export's
 // full frame.
 func (e *stateExport) fullFrame(frame wire.ComponentFrame) ([]byte, error) {
-	e.fullOnce.Do(func() { e.full, e.fullErr = wire.EncodeComponentFrame(frame) })
-	return e.full, e.fullErr
+	i := 0
+	if frame.Compact {
+		i = 1
+	}
+	e.fullOnce[i].Do(func() { e.full[i], e.fullErr[i] = wire.EncodeComponentFrame(frame) })
+	return e.full[i], e.fullErr[i]
 }
 
 // component returns the export's component of that id.
@@ -241,6 +248,7 @@ func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[str
 		Delta:       true,
 		BaseVersion: base,
 		N:           full.N,
+		Compact:     full.Compact,
 	}
 	for _, c := range full.Components {
 		v, atBase := baseVec[c.ID]

@@ -106,12 +106,18 @@ func TestExportAtUnchangedLabelServesRetained(t *testing.T) {
 			if again != first || held != first {
 				t.Fatal("an export at an unchanged label was built again")
 			}
-			// Its full frame is deflated once, for whoever asks first.
-			_, body, _, _ := getState(t, ts.URL, "")
-			encoded := &first.full[0]
-			_, body2, _, _ := getState(t, ts.URL, "")
-			if !bytes.Equal(body, first.full) || !bytes.Equal(body2, first.full) || &first.full[0] != encoded {
-				t.Fatal("full frames at an unchanged label are not the one retained encoding")
+			// Its full frame is deflated once per form, for whoever asks
+			// first.
+			for i, query := range []string{"components=1", "components=1&compact=1"} {
+				_, body, _, _ := getStateQuery(t, ts.URL, query, "")
+				encoded := &first.full[i][0]
+				_, body2, _, _ := getStateQuery(t, ts.URL, query, "")
+				if !bytes.Equal(body, first.full[i]) || !bytes.Equal(body2, first.full[i]) || &first.full[i][0] != encoded {
+					t.Fatalf("%s: full frames at an unchanged label are not the one retained encoding", query)
+				}
+			}
+			if len(first.full[1]) >= len(first.full[0]) {
+				t.Fatalf("compact full frame of %d bytes, default %d", len(first.full[1]), len(first.full[0]))
 			}
 			postBatchOK(t, ts.URL, p, reps[40:])
 			next, held, err := s.exportComponents()

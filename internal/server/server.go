@@ -1394,6 +1394,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 //     then shipped where it is the smaller one; a puller that does not
 //     say so, or gives the token the value one earlier build gave it for
 //     another form, is never sent it.
+//   - &compact=1 on any ?components=1 request (full or delta) asks for
+//     the compact frame, which leaves out of the node's own component
+//     the id, version and count the frame already names, and writes a
+//     delta's base as its distance below the version.
 //
 // An unknown base — expired from the history ring, or from before a
 // restart (the version salt changed) — falls back to a full frame.
@@ -1427,7 +1431,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	top := exp.top
-	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps}
+	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps, Compact: q.Get("compact") == "1"}
 	mode, encode := "full", exp.fullFrame
 	if haveBase && base != top {
 		if baseVec, ok := s.stateHist.lookup(base); ok {

@@ -23,24 +23,42 @@ import (
 // components whose version moved since the base, plus the ids that
 // disappeared. Layout:
 //
-//	"LDPD", format version byte, flags byte (bit0: delta),
+//	"LDPD", format version byte, flags byte (bit0: delta, bit1: compact),
 //	uvarint node-id length, node-id bytes,
 //	uvarint frame version,
-//	uvarint base version            (delta frames only),
+//	uvarint base version            (delta frames only; compact: the
+//	                                 frame version minus it, 1..version),
 //	uvarint total report count,
 //	uvarint component count,
 //	repeat (ids strictly increasing):
-//	  uvarint id length, id bytes,
-//	  uvarint component version, uvarint component report count,
-//	  encoding byte (bit0: flate, bit1: diff, bit3: the diff is sparse),
+//	  encoding byte                 (compact frames: here, not below),
+//	  uvarint id length, id bytes,  (none of the three on the own
+//	  uvarint component version,     component of a compact frame)
+//	  uvarint component report count,
+//	  encoding byte (bit0: flate, bit1: diff, bit3: the diff is sparse,
+//	    bit4: the exporter's own component, compact frames only),
 //	  uvarint raw state length,
 //	  diff components only:
-//	    uvarint component version minus base component version,
+//	    uvarint component version minus base component version
+//	      (not on the own component, whose base is the frame's),
 //	    crc32c of the raw state (4 bytes LE), uvarint raw diff length,
 //	  uvarint payload length, payload bytes,
 //	uvarint removed-id count        (delta frames only),
 //	repeat (ids strictly increasing): uvarint id length, id bytes,
 //	crc32c of everything above (4 bytes LE)
+//
+// The compact form, sent only to a puller that asked for it, names the
+// exporter once: a single or edge node ships one component whose id,
+// version and report count are the frame's node id, version and total,
+// and a delta's base is close below its version. Such a component is
+// marked by bit4 instead of repeating the three (and, shipped as a diff
+// in a delta, the base its diff is against is the frame's base); every
+// other component, a coordinator's pass-through ones among them, is
+// written in full. Each form is canonical: the encoder uses bit4
+// wherever it applies, and a delta whose base is not below its version
+// is written in the default form, so the decoder refuses a compact frame
+// that spells out what bit4 stands for, a relative base of zero or
+// beyond the version, and bit4 on a diff in a full frame.
 //
 // Component ids are globally unique across a fleet: a leaf exporter
 // prefixes its own node id ("edge-1/17" for shard 17), and coordinators
@@ -73,12 +91,14 @@ const (
 	deltaMagic         = "LDPD"
 	deltaFormatVersion = 1
 
-	deltaFlagDelta = 0x01
+	deltaFlagDelta   = 0x01
+	deltaFlagCompact = 0x02
 
 	// Component encoding bits.
 	compEncFlate = 0x01 // payload is a deflate stream
 	compEncDiff  = 0x02 // payload is a state diff, not a state
 	compEncRice  = 0x08 // the diff is sparse (diff.go): with compEncDiff, without compEncFlate
+	compEncOwn   = 0x10 // compact frames: id, version and count are the frame's
 
 	// MaxComponentIDLen bounds one component id: an originating node id
 	// plus a "/"-separated local suffix (shard index).
@@ -132,6 +152,9 @@ type ComponentFrame struct {
 	// Removed lists component ids present at BaseVersion but gone now
 	// (delta frames only), sorted.
 	Removed []string
+	// Compact selects the compact form (see the layout above), which
+	// only a puller that asked for it reads. Decoding sets it.
+	Compact bool
 }
 
 // ComponentOrigin returns the originating node id of a component id: the
@@ -205,6 +228,15 @@ func (p *packer) pack(raw []byte) (payload []byte, deflated bool, err error) {
 // bit per counter — is all but empty, where either encoding is small.
 const diffCertain = 8
 
+// sparseSmall is the value count up to which the sparse diff is tried
+// even where most values moved (stateDiff.gapsPay fails): on a Hadamard
+// state of a few dozen coefficients, all moved, its Rice-coded values
+// can still beat the deflated dense diff (66 bytes against 77 with 70 of
+// 75 moved), and building it costs microseconds. Past it, an all-moved
+// state is one that deflate codes well and riceParam's passes over
+// would take a millisecond.
+const sparseSmall = 4096
+
 // component picks how c ships: the encoding byte, the fields a diff
 // component carries between its raw length and its payload (nil for a
 // whole one), and the payload. The forms are the whole state, its dense
@@ -213,7 +245,8 @@ const diffCertain = 8
 // the same size. Two forms are settled by the shape of the input alone,
 // because building and packing them is most of the work: the dense
 // diff is not tried when the sparse one is certain to beat it
-// (stateDiff.clearlySparse), nor the whole state when a diff is under
+// (stateDiff.clearlySparse), nor the sparse one on a large state where
+// most values moved, nor the whole state when a diff is under
 // 1/diffCertain of it; where both rules apply nothing is deflated at all.
 // The payload is valid until the packer's next use.
 func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte, err error) {
@@ -234,7 +267,7 @@ func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte
 					enc, diffHead, payload = form, formHead, packed
 				}
 			}
-			sparse := c.Base.Sparse && d.gapsPay()
+			sparse := c.Base.Sparse && (d.gapsPay() || d.vals <= sparseSmall)
 			if !sparse || !d.clearlySparse() {
 				packed, deflated, err := p.pack(d.dense())
 				if err != nil {
@@ -265,8 +298,9 @@ func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte
 
 // EncodeComponentFrame serializes one componentized frame, deflating
 // each component payload when that shrinks it and shipping a component
-// that names a Base as a diff when that is smaller still. Components and
-// removed ids must be sorted strictly increasing by id.
+// that names a Base as a diff when that is smaller still, in the compact
+// form when f.Compact asks for it. Components and removed ids must be
+// sorted strictly increasing by id.
 func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	if len(f.NodeID) == 0 || len(f.NodeID) > MaxNodeIDLen {
 		return nil, fmt.Errorf("wire: node id of %d bytes (want 1..%d)", len(f.NodeID), MaxNodeIDLen)
@@ -280,9 +314,13 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	if len(f.Components) > MaxFrameComponents || len(f.Removed) > MaxFrameComponents {
 		return nil, fmt.Errorf("wire: frame of %d components / %d removed ids exceeds %d", len(f.Components), len(f.Removed), MaxFrameComponents)
 	}
+	compact := f.Compact && (!f.Delta || f.BaseVersion < f.Version)
 	flags := byte(0)
 	if f.Delta {
 		flags |= deltaFlagDelta
+	}
+	if compact {
+		flags |= deltaFlagCompact
 	}
 	buf := make([]byte, 0, 64+len(f.NodeID))
 	buf = append(buf, deltaMagic...)
@@ -291,7 +329,11 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	buf = append(buf, f.NodeID...)
 	buf = binary.AppendUvarint(buf, f.Version)
 	if f.Delta {
-		buf = binary.AppendUvarint(buf, f.BaseVersion)
+		base := f.BaseVersion
+		if compact {
+			base = f.Version - base
+		}
+		buf = binary.AppendUvarint(buf, base)
 	}
 	buf = binary.AppendUvarint(buf, uint64(f.N))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Components)))
@@ -307,16 +349,30 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 		if c.N < 0 {
 			return nil, fmt.Errorf("wire: component %q: negative report count %d", c.ID, c.N)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(c.ID)))
-		buf = append(buf, c.ID...)
-		buf = binary.AppendUvarint(buf, c.Version)
-		buf = binary.AppendUvarint(buf, uint64(c.N))
-
 		enc, diffHead, payload, err := pk.component(c)
 		if err != nil {
 			return nil, fmt.Errorf("wire: component %q: %w", c.ID, err)
 		}
-		buf = append(buf, enc)
+		own := compact && c.ID == f.NodeID && c.Version == f.Version && c.N == f.N &&
+			(diffHead == nil || f.Delta && c.Base.Version == f.BaseVersion)
+		if own {
+			enc |= compEncOwn
+			if diffHead != nil {
+				diffHead = diffHead[uvarintLen(c.Version-c.Base.Version):]
+			}
+		}
+		if compact {
+			buf = append(buf, enc)
+		}
+		if !own {
+			buf = binary.AppendUvarint(buf, uint64(len(c.ID)))
+			buf = append(buf, c.ID...)
+			buf = binary.AppendUvarint(buf, c.Version)
+			buf = binary.AppendUvarint(buf, uint64(c.N))
+		}
+		if !compact {
+			buf = append(buf, enc)
+		}
 		buf = binary.AppendUvarint(buf, uint64(len(c.State)))
 		buf = append(buf, diffHead...)
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
@@ -455,10 +511,10 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		return f, fmt.Errorf("wire: component frame format version %d, want %d", body[len(deltaMagic)], deltaFormatVersion)
 	}
 	flags := body[len(deltaMagic)+1]
-	if flags&^deltaFlagDelta != 0 {
+	if flags&^(deltaFlagDelta|deltaFlagCompact) != 0 {
 		return f, fmt.Errorf("wire: component frame flags %02x unknown", flags)
 	}
-	f.Delta = flags&deltaFlagDelta != 0
+	f.Delta, f.Compact = flags&deltaFlagDelta != 0, flags&deltaFlagCompact != 0
 	r := &componentReader{rest: body[len(deltaMagic)+2:]}
 
 	idLen := r.uvarint("node-id length")
@@ -469,6 +525,12 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 	f.Version = r.uvarint("version")
 	if f.Delta {
 		f.BaseVersion = r.uvarint("base version")
+		if f.Compact && r.err == nil {
+			if f.BaseVersion == 0 || f.BaseVersion > f.Version {
+				return f, fmt.Errorf("wire: compact frame base %d below version %d is out of range (want 1..version)", f.BaseVersion, f.Version)
+			}
+			f.BaseVersion = f.Version - f.BaseVersion
+		}
 	}
 	n := r.uvarint("report count")
 	if r.err == nil && n > uint64(math.MaxInt) {
@@ -487,12 +549,30 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		f.Components = make([]StateComponent, 0, min(count, uint64(len(r.rest))))
 	}
 	budget := uint64(maxRaw)
+	known := byte(compEncFlate | compEncDiff | compEncRice)
+	if f.Compact {
+		known |= compEncOwn
+	}
 	for i := uint64(0); i < count && r.err == nil; i++ {
-		var c StateComponent
-		c.ID = r.id("component id")
-		ver := r.uvarint("component version")
-		cn := r.uvarint("component report count")
-		enc := r.byteVal("component encoding")
+		var (
+			c       StateComponent
+			enc     byte
+			ver, cn uint64
+		)
+		if f.Compact {
+			enc = r.byteVal("component encoding")
+		}
+		own := enc&compEncOwn != 0
+		if own {
+			c.ID, ver, cn = f.NodeID, f.Version, uint64(f.N)
+		} else {
+			c.ID = r.id("component id")
+			ver = r.uvarint("component version")
+			cn = r.uvarint("component report count")
+		}
+		if !f.Compact {
+			enc = r.byteVal("component encoding")
+		}
 		rawLen := r.uvarint("component raw length")
 		isDiff, isSparse := enc&compEncDiff != 0, enc&compEncRice != 0
 		var (
@@ -500,7 +580,10 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 			sum               []byte
 		)
 		if isDiff {
-			verDelta = r.uvarint("component base version")
+			verDelta = f.Version - f.BaseVersion // the own component's base is the frame's
+			if !own {
+				verDelta = r.uvarint("component base version")
+			}
 			sum = r.bytes(4, "component state checksum")
 			diffLen = r.uvarint("component raw diff length")
 		}
@@ -515,8 +598,17 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		if cn > uint64(math.MaxInt) {
 			return f, fmt.Errorf("wire: component %q report count overflows int", c.ID)
 		}
-		if enc&^(compEncFlate|compEncDiff|compEncRice) != 0 || isSparse && enc != compEncDiff|compEncRice {
+		if enc&^known != 0 || isSparse && enc&^compEncOwn != compEncDiff|compEncRice {
 			return f, fmt.Errorf("wire: component %q encoding %d unknown", c.ID, enc)
+		}
+		// What the encoder would not write: the own component's fields
+		// spelled out, or its diff in a frame without a base.
+		if own && isDiff && !f.Delta {
+			return f, fmt.Errorf("wire: component %q is a diff against the base of a full frame", c.ID)
+		}
+		if f.Compact && !own && c.ID == f.NodeID && ver == f.Version && cn == uint64(f.N) &&
+			(!isDiff || f.Delta && ver-verDelta == f.BaseVersion) {
+			return f, fmt.Errorf("wire: compact frame spells out component %q, its own", c.ID)
 		}
 		// Both the state and a diff's own raw form are materialized.
 		for _, n := range [2]uint64{rawLen, diffLen} {

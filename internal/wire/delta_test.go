@@ -209,6 +209,106 @@ func TestComponentFrameDecodeRejectsHostileBodies(t *testing.T) {
 	if _, err := DecodeComponentFrame(base, testMaxRaw); err != nil {
 		t.Fatalf("control frame rejected: %v", err)
 	}
+
+	// The own bit outside the compact form.
+	bad = append([]byte(nil), base...)
+	bad[encAt] |= compEncOwn
+	if _, err := DecodeComponentFrame(reseal(bad), testMaxRaw); err == nil {
+		t.Error("own bit in a default frame was accepted")
+	}
+
+	compactBodies(t)
+}
+
+// compactBodies holds the decoder to what the compact encoder writes, on
+// frames of node "n" at version 20 with 4 reports laid out by hand.
+func compactBodies(t *testing.T) {
+	t.Helper()
+	// frame lays out a compact frame, a delta with the relative base rel
+	// unless rel is negative, around the components' bytes.
+	frame := func(rel int, comps ...[]byte) []byte {
+		flags := byte(deltaFlagCompact)
+		if rel >= 0 {
+			flags |= deltaFlagDelta
+		}
+		buf := append([]byte(deltaMagic), deltaFormatVersion, flags, 1, 'n', 20)
+		if rel >= 0 {
+			buf = binary.AppendUvarint(buf, uint64(rel))
+		}
+		buf = append(buf, 4, byte(len(comps)))
+		for _, c := range comps {
+			buf = append(buf, c...)
+		}
+		if rel >= 0 {
+			buf = append(buf, 0) // removed ids
+		}
+		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, exchangeCRC))
+	}
+	state := []byte{3, 1, 4}
+	// whole is a component shipped whole and raw: its encoding byte, the
+	// id, version and count unless it is the own one, its state.
+	whole := func(enc byte, fields ...byte) []byte {
+		c := append(append([]byte{enc}, fields...), byte(len(state)))
+		return append(append(c, byte(len(state))), state...)
+	}
+	own := whole(compEncOwn)
+	spelled := whole(0, 1, 'n', 20, 4)
+	// diff is the sparse diff of diffFixture (base version 5, version 8)
+	// as a component: the own one at version 20, against the frame's base
+	// when the frame's relative base is 15; otherwise spelled out, against
+	// version 20 less verDelta.
+	base, _, _, d := diffFixture()
+	lookup := func(string) (ComponentBase, bool) { return base, true }
+	diff := func(own bool, verDelta uint64) []byte {
+		c := []byte{compEncDiff | compEncRice}
+		if own {
+			c[0] |= compEncOwn
+		} else {
+			c = append(c, 1, 'n', 20, 4)
+		}
+		c = binary.AppendUvarint(c, d.rawLen)
+		if !own {
+			c = binary.AppendUvarint(c, verDelta)
+		}
+		c = binary.LittleEndian.AppendUint32(c, d.sum)
+		c = binary.AppendUvarint(c, d.diffLen)
+		c = binary.AppendUvarint(c, uint64(len(d.payload)))
+		return append(c, d.payload...)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		accept bool
+	}{
+		{"own component, full frame", frame(-1, own), true},
+		{"own component, delta frame", frame(10, own), true},
+		{"relative base of the whole version", frame(20, own), true},
+		{"relative base of zero", frame(0, own), false},
+		{"relative base beyond the version", frame(21, own), false},
+		{"own bit on two components", frame(-1, own, own), false},
+		{"own fields spelled out", frame(-1, spelled), false},
+		{"own fields spelled out, delta frame", frame(3, spelled), false},
+		{"the node's id at another version", frame(-1, whole(0, 1, 'n', 19, 4)), true},
+		{"another id, the frame's version and count", frame(-1, whole(0, 1, 'm', 20, 4)), true},
+		{"own diff against the frame's base", frame(15, diff(true, 0)), true},
+		{"own diff in a full frame", frame(-1, diff(true, 0)), false},
+		{"own diff against the frame's base, spelled out", frame(15, diff(false, 15)), false},
+		{"the node's diff against another base", frame(14, diff(false, 15)), true},
+	} {
+		out, err := DecodeComponentFrameWith(tc.frame, testMaxRaw, lookup)
+		if (err == nil) != tc.accept {
+			t.Errorf("%s: accepted=%v (err %v), want %v", tc.name, err == nil, err, tc.accept)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		// What is accepted is what the encoder writes for it.
+		if again, err := EncodeComponentFrame(out); err != nil || !out.Compact || !bytes.Equal(again, tc.frame) {
+			t.Errorf("%s: re-encodes to %x (err %v), was %x", tc.name, again, err, tc.frame)
+		}
+	}
 }
 
 func TestComponentOrigin(t *testing.T) {
@@ -246,8 +346,25 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 	// Both kinds of diff: the sparse stream (encoding 0x0a) is where a few
 	// flipped bits reach the parameters, the codes, the section cursors
 	// and the tail arithmetic.
-	base, _, good, goodSparse := diffFixture()
-	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" }
+	base, next, good, goodSparse := diffFixture()
+	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" || id == "e" }
+	// The compact form: a node's full frame, its delta whose one component
+	// is a diff against the frame's base, and a coordinator's delta whose
+	// pass-through components are spelled out.
+	for _, cf := range []ComponentFrame{
+		{NodeID: "e", Version: 8, N: 4, Compact: true, Components: []StateComponent{{ID: "e", Version: 8, N: 4, State: next}}},
+		{NodeID: "e", Version: 8, Delta: true, BaseVersion: base.Version, N: 4, Compact: true,
+			Components: []StateComponent{{ID: "e", Version: 8, N: 4, State: next, Base: &base}}},
+		{NodeID: "c", Version: 30, Delta: true, BaseVersion: 27, N: 9, Compact: true,
+			Components: []StateComponent{{ID: "e/0", Version: 8, N: 4, State: next, Base: &base}, {ID: "f", Version: 2, N: 5, State: []byte{1}}},
+			Removed:    []string{"g"}},
+	} {
+		buf, err := EncodeComponentFrame(cf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
 	for _, good := range []diffFields{good, goodSparse} {
 		f.Add(good.frame())
 		for _, mutate := range []func(*diffFields){
@@ -285,11 +402,11 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 			return
 		}
 		// Anything accepted must survive a re-encode/re-decode cycle with
-		// identical logical content. (Byte identity is not required: a
-		// hostile frame may store a compressible blob raw, or use a
-		// different flate packing, and still be structurally valid.) A
-		// component that arrived as a diff keeps its Base, so the
-		// re-encode takes the diff path again.
+		// identical logical content, in the form it came in. (Byte
+		// identity is not required: a hostile frame may store a
+		// compressible blob raw, or use a different flate packing, and
+		// still be structurally valid.) A component that arrived as a diff
+		// keeps its Base, so the re-encode takes the diff path again.
 		again, err := EncodeComponentFrame(cf)
 		if err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
@@ -298,7 +415,7 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		if cf.NodeID != cf2.NodeID || cf.Version != cf2.Version || cf.Delta != cf2.Delta ||
+		if cf.NodeID != cf2.NodeID || cf.Version != cf2.Version || cf.Delta != cf2.Delta || cf.Compact != cf2.Compact ||
 			cf.BaseVersion != cf2.BaseVersion || cf.N != cf2.N ||
 			len(cf.Components) != len(cf2.Components) || len(cf.Removed) != len(cf2.Removed) {
 			t.Fatalf("re-decode differs:\n got %+v\nwant %+v", cf2, cf)

@@ -75,8 +75,8 @@ func BenchmarkDiffComponent(b *testing.B) {
 	add("170values/16%moved", base, next)
 
 	for _, sh := range shapes {
-		c := StateComponent{ID: "e", Version: 9, N: 1, State: sh.next,
-			Base: &ComponentBase{Version: 7, State: sh.base, Sparse: true}}
+		c := StateComponent{ID: "e", Version: goldenLabel + 9, N: 1, State: sh.next,
+			Base: &ComponentBase{Version: goldenLabel + 7, State: sh.base, Sparse: true}}
 		lookup := func(string) (ComponentBase, bool) { return *c.Base, true }
 		b.Run(sh.name+"/encode", func(b *testing.B) {
 			var pk packer
@@ -90,17 +90,25 @@ func BenchmarkDiffComponent(b *testing.B) {
 			}
 			b.ReportMetric(float64(shipped), "shipped-bytes")
 		})
-		b.Run(sh.name+"/decode", func(b *testing.B) {
-			buf, err := EncodeComponentFrame(ComponentFrame{NodeID: "e", Version: 9, Delta: true, BaseVersion: 7, N: 1,
-				Components: []StateComponent{c}})
+		// The frame a node ships the component in, in the default form and
+		// in the compact one, with its nine-byte salted labels.
+		frame := func(b *testing.B, compact bool) []byte {
+			buf, err := EncodeComponentFrame(ComponentFrame{NodeID: "e", Version: c.Version, Delta: true, BaseVersion: c.Base.Version, N: 1,
+				Components: []StateComponent{c}, Compact: compact})
 			if err != nil {
 				b.Fatal(err)
 			}
+			return buf
+		}
+		b.Run(sh.name+"/decode", func(b *testing.B) {
+			buf := frame(b, false)
 			for b.Loop() {
 				if _, err := DecodeComponentFrameWith(buf, testMaxRaw, lookup); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(len(buf)), "frame-bytes")
+			b.ReportMetric(float64(len(frame(b, true))), "compact-frame-bytes")
 		})
 	}
 }
