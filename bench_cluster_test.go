@@ -107,17 +107,18 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 	// decode+validate: what a coordinator pays to check a pulled frame
 	// before accepting it.
 	b.Run("decode+validate", func(b *testing.B) {
-		frame, err := wire.EncodeStateFrame(wire.StateFrame{NodeID: "edge-1", Version: 1, N: agg.N(), State: blob})
+		frame, err := wire.EncodeComponentFrame(wire.ComponentFrame{NodeID: "edge-1", Version: 1, N: agg.N(),
+			Components: []wire.StateComponent{{ID: "edge-1", Version: 1, N: agg.N(), State: blob}}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			sf, err := wire.DecodeStateFrame(frame)
+			cf, err := wire.DecodeComponentFrame(frame, 1<<30)
 			if err != nil {
 				b.Fatal(err)
 			}
 			probe := p.NewAggregator()
-			if err := probe.UnmarshalState(sf.State); err != nil {
+			if err := probe.UnmarshalState(cf.Components[0].State); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -159,11 +160,11 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sf, err := wire.DecodeStateFrame(body)
+			cf, err := wire.DecodeComponentFrame(body, 1<<30)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := coord.SnapshotWith([][]byte{sf.State}); err != nil {
+			if _, err := coord.SnapshotWith([][]byte{cf.Components[0].State}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -279,20 +280,12 @@ func deltaEdge(b *testing.B) (url string, mutate func(k int)) {
 	}
 }
 
-// deltaPull GETs /state with the delta handshake and returns the body
-// and the reply's ETag (the base to acknowledge next time). With
-// components set it asks the way a coordinator does: diffs, sparse ones
-// too, welcome once there is a base to acknowledge.
-func deltaPull(b *testing.B, url, base string, components bool) (int, []byte, string) {
+// deltaPull GETs /state with the delta handshake — the base, if any, as
+// If-None-Match — and returns the body and the reply's ETag (the base to
+// acknowledge next time).
+func deltaPull(b *testing.B, url, base string) (int, []byte, string) {
 	b.Helper()
-	target := url + "/state"
-	if components {
-		target += "?components=1"
-		if base != "" {
-			target += "&diff=1&sparse=2"
-		}
-	}
-	req, err := http.NewRequest(http.MethodGet, target, nil)
+	req, err := http.NewRequest(http.MethodGet, url+"/state", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,10 +309,9 @@ func deltaPull(b *testing.B, url, base string, components bool) (int, []byte, st
 }
 
 // BenchmarkClusterDeltaExchange measures bytes on the wire per pull at
-// different churn fractions: the legacy full frame, the componentized
-// full frame (one component), deltas after 1%/10%/100% of the shards
-// moved (one diff, applied to the blob the previous pull left), and the
-// 304 reply of an unchanged peer.
+// different churn fractions: the full frame (one component), deltas after
+// 1%/10%/100% of the shards moved (one diff, applied to the blob the
+// previous pull left), and the 304 reply of an unchanged peer.
 func BenchmarkClusterDeltaExchange(b *testing.B) {
 	url, mutate := deltaEdge(b)
 
@@ -332,22 +324,9 @@ func BenchmarkClusterDeltaExchange(b *testing.B) {
 		b.ReportMetric(float64(total)/float64(b.N), "bytes/op")
 	}
 
-	b.Run("full-v1", func(b *testing.B) {
-		countBytes(b, func() int {
-			status, body, _ := deltaPull(b, url, "", false)
-			if status != http.StatusOK {
-				b.Fatalf("status %d", status)
-			}
-			if _, err := wire.DecodeStateFrame(body); err != nil {
-				b.Fatal(err)
-			}
-			return len(body)
-		})
-	})
-
 	b.Run("full-components", func(b *testing.B) {
 		countBytes(b, func() int {
-			status, body, _ := deltaPull(b, url, "", true)
+			status, body, _ := deltaPull(b, url, "")
 			if status != http.StatusOK {
 				b.Fatalf("status %d", status)
 			}
@@ -360,7 +339,7 @@ func BenchmarkClusterDeltaExchange(b *testing.B) {
 
 	deltaAt := func(moved int) func(b *testing.B) {
 		return func(b *testing.B) {
-			_, body, base := deltaPull(b, url, "", true)
+			_, body, base := deltaPull(b, url, "")
 			held, err := wire.DecodeComponentFrame(body, 1<<30)
 			if err != nil || len(held.Components) != 1 {
 				b.Fatalf("first pull: %d components, err %v", len(held.Components), err)
@@ -368,7 +347,7 @@ func BenchmarkClusterDeltaExchange(b *testing.B) {
 			b.ResetTimer()
 			countBytes(b, func() int {
 				mutate(moved)
-				status, body, etag := deltaPull(b, url, base, true)
+				status, body, etag := deltaPull(b, url, base)
 				if status != http.StatusOK {
 					b.Fatalf("status %d", status)
 				}
@@ -392,10 +371,10 @@ func BenchmarkClusterDeltaExchange(b *testing.B) {
 	b.Run("delta-100pct", deltaAt(deltaBenchShards))
 
 	b.Run("unchanged-304", func(b *testing.B) {
-		_, _, base := deltaPull(b, url, "", true)
+		_, _, base := deltaPull(b, url, "")
 		b.ResetTimer()
 		countBytes(b, func() int {
-			req, err := http.NewRequest(http.MethodGet, url+"/state?components=1", nil)
+			req, err := http.NewRequest(http.MethodGet, url+"/state", nil)
 			if err != nil {
 				b.Fatal(err)
 			}

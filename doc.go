@@ -260,80 +260,69 @@
 // served the retained export, its full frame deflated once.
 //
 // A puller acknowledges the last export version it accepted (?since= on
-// the query string plus a standard If-None-Match echo of the ETag), and
-// the exporter answers with one of three replies: 304 Not Modified when nothing moved (a
-// header-only reply, no state marshaling at all), a *delta frame*
-// carrying only the components whose versions moved past the
-// acknowledged base (plus ids removed since then), or a full frame
-// whenever the base cannot be served — too old for the exporter's
-// history ring, diverged, or from before a process restart (export
-// labels carry a per-process random salt, so a restart is always
-// detected and resolved with one full transfer, never skewed by a
-// stale delta). The coordinator folds deltas through the same
-// replacement path as full frames, so any mix of deltas, full frames,
-// 304s, crashes, and legacy single-blob peers converges to the same
-// bytes; -pull-delta=false on a coordinator is the operational escape
-// hatch back to legacy full-frame pulls.
+// the query string plus a standard If-None-Match echo of the ETag) — the
+// only thing a request says — and the exporter answers with one of
+// three replies: 304 Not Modified when nothing moved (a header-only
+// reply, no state marshaling at all), a *delta frame* carrying only the
+// components whose versions moved past the acknowledged base (plus ids
+// removed since then), or a full frame whenever the base cannot be
+// served — too old for the exporter's history ring, diverged, or from
+// before a process restart (export labels carry a per-process random
+// salt, so a restart is always detected and resolved with one full
+// transfer, never skewed by a stale delta). The coordinator folds deltas
+// through the same replacement path as full frames, so any mix of
+// deltas, full frames, 304s and crashes converges to the same bytes.
 //
 // A moved component need not ship whole either. Every state blob is a
 // two-byte header plus minimal uvarints, and B more reports move at most
-// B counters of a sampling or Hadamard aggregator, so a puller adds
-// diff=1 to the handshake and the exporter — which keeps the blobs of
-// its latest export, by reference — ships a moved component as the
-// per-counter difference from the version the puller holds whenever
-// that is the smaller payload, or is under an eighth of the raw state
-// (the whole state is then not deflated just to compare). A diff has
-// two forms. The dense one is a zig-zag varint per counter, whose zeros
-// are left to deflate — which spends some 19 bits on each counter that
-// moved when 98 % did not. The sparse one lists only the counters that
-// moved, bit by bit and never deflated: their number, the gap of
-// unmoved counters before each as a Rice code under the one parameter
-// that makes the gaps smallest, then the non-zero differences (zig-zag,
-// less one) either as Rice codes under a parameter of their own or,
-// where most of them are one value, as that value, the runs of it and
-// the few others — about 7.7 bits per moved counter at the same churn,
-// all but 0.2 of them the gap, against the 7.5 the positions carry —
-// with nothing the size of the state built, deflated or inflated on
-// either side (the puller copies the unmoved stretches of its own blob
-// across as bytes). A puller says sparse=2 beside diff=1 when it reads
-// this form — a capability token between our own nodes, not a setting,
-// whose value names the form: an exporter that predates the token, or
-// knows it only by the value one earlier build gave a varint form,
-// answers with dense diffs, and a puller that sends anything else is
-// never sent a sparse one — and the exporter ships whole, dense or
+// B counters of a sampling or Hadamard aggregator, so the exporter —
+// which keeps the blobs of its latest export, by reference — ships a
+// moved component as the per-counter difference from the version the
+// puller holds whenever that is the smaller payload, or is under an
+// eighth of the raw state (the whole state is then not deflated just to
+// compare). A diff has two forms. The dense one is a zig-zag varint per
+// counter, whose zeros are left to deflate — which spends some 19 bits
+// on each counter that moved when 98 % did not. The sparse one lists
+// only the counters that moved, bit by bit and never deflated: their
+// number, the gap of unmoved counters before each as a Rice code under
+// the one parameter that makes the gaps smallest, then the non-zero
+// differences (zig-zag, less one) either as Rice codes under a parameter
+// of their own or, where most of them are one value, as that value, the
+// runs of it and the few others — about 7.7 bits per moved counter at
+// the same churn, all but 0.2 of them the gap, against the 7.5 the
+// positions carry — with nothing the size of the state built, deflated
+// or inflated on either side (the puller copies the unmoved stretches of
+// its own blob across as bytes). The exporter ships whole, dense or
 // sparse by size, the earlier of two the same size; under an eighth of
 // the counters moved, the dense form is not built to compare, and over
 // half, on a state of more than 4,096 values (2^16 counters, not a
 // Hadamard state of a few dozen coefficients, all of which move in a
 // batch), it is the sparse one that is not. On the wire the encoding byte
 // says which (bit0: deflated, bit1: diff, bit3: the diff is sparse, and
-// then not deflated; bit2 is retired and refused), and a diff also
-// carries the component version minus its base's, the crc32c of the
-// state it rebuilds, and its own raw length. Every other payload, whole
-// or dense diff, takes the smaller of flate.BestSpeed and
-// flate.HuffmanOnly. The puller rebuilds the canonical blob from its
-// own copy and checks length and checksum before anything else sees
-// it, so validation, folding, persistence and pass-through are the
-// ones whole components go through. Around a diff of a few dozen bytes
-// the frame had become most of a pull — the node id twice, three
-// nine-byte salted labels, the report count twice — so a puller also
-// says compact=1, on full and delta requests alike, and the exporter
-// answers with the compact frame: its own component, whose id, version
-// and count are the frame's node id, version and total, is marked by
-// one encoding bit instead (its diff's base is then the frame's), and a
-// delta's base is written as its distance below the version. That is
-// 30 of the 73 header bytes around a one-component delta; a
-// coordinator's pass-through components still carry their own fields.
-// The token is a capability between our own nodes like sparse=2: an
-// exporter that predates it answers with the default frame, whose
-// bytes, and everything persisted, are unchanged. The ladder below a
-// diff, each rung chosen per component or per pull with no flag: the
-// whole component (puller did not ask, the retained blob is not the
-// base's, the diff is not smaller, or the protocol is randomized
-// response, where a report moves half the counters); one full re-fetch
-// within the same pull (a diff that names a version the puller does not
-// hold, or does not rebuild to the declared checksum, like any other
-// stale base); a full frame outright (unknown base, restart).
+// then not deflated), and a diff also carries the component version
+// minus its base's, the crc32c of the state it rebuilds, and its own raw
+// length. Every other payload, whole or dense diff, takes the smaller of
+// flate.BestSpeed and flate.HuffmanOnly. The puller rebuilds the
+// canonical blob from its own copy and checks length and checksum before
+// anything else sees it, so validation, folding, persistence and
+// pass-through are the ones whole components go through. The frame
+// names the exporter once: its own component, whose id, version and
+// count are the frame's node id, version and total, is marked by one
+// encoding bit instead (its diff's base is then the frame's), and a
+// delta's base is written as its distance below the version, so a
+// one-component delta has a 43-byte header; a coordinator's pass-through
+// components carry their own fields. There is one frame form and no
+// negotiation: a node of an older build, whose frames carry another
+// format byte, is refused by name (wire.ErrFrameFormat), and so is a
+// coordinator's peer snapshot written by one (store.ErrPeerSnapshotFormat)
+// — every node of a fleet is upgraded together. The ladder below a diff,
+// each rung chosen per component or per pull with no flag: the whole
+// component (the retained blob is not the base's, the diff is not
+// smaller, or the protocol is randomized response, where a report moves
+// half the counters); one full re-fetch within the same pull (a diff
+// that names a version the puller does not hold, or does not rebuild to
+// the declared checksum, like any other stale base); a full frame
+// outright (unknown base, restart).
 //
 // Component ids are globally unique and flow through coordinators
 // unchanged, which is what makes fan-in *hierarchical* rather than
@@ -349,15 +338,13 @@
 // unknown to it, and the one full frame it answers with replaces the
 // peer's whole held set — "<node>/0..n" out, "<node>" in — directly,
 // and one tier up as a delta that removes the old ids and adds the new
-// (TestMixedGranularityFullFrameReplaces). A puller that never sends
-// diff=1 still gets the same frame format, with the one component
-// whole. BENCH_cluster.json records the wire sizes for a 100-shard
-// InpPS d=16 edge (one sparse diff of under 190 bytes whether 1 or 100
-// shards moved; 145 bytes for an unchanged peer) and bench/ the diff's
-// on two 8-shard edges (one 1,024-report batch: 1,028 wire bytes as a
-// sparse diff in a compact frame, where the positions of its ~1,019
-// counters alone carry ~953 and the frame 45; 2,540 as a dense diff,
-// ~37.5 KB as the whole component);
+// (TestMixedGranularityFullFrameReplaces). BENCH_cluster.json records
+// the wire sizes for a 100-shard InpPS d=16 edge (one sparse diff of
+// under 160 bytes whether 1 or 100 shards moved; 145 bytes for an
+// unchanged peer) and bench/ the diff's on two 8-shard edges (one
+// 1,024-report batch: 1,028 wire bytes as a sparse diff, where the
+// positions of its ~1,019 counters alone carry ~953 and the frame 45;
+// ~2,520 as a dense diff, ~37.5 KB as the whole component);
 // TestClusterDeltaVsFullBitIdentity and TestClusterTwoTierBitIdentity
 // pin delta-, diff- and tree-pulled coordinators to the marginals of
 // flat full pulls and to the component blobs of a coordinator that just

@@ -26,7 +26,9 @@ type ShardExport struct {
 // mutation that bumps a shard version also lands reports — but still
 // appear in the vector. The /state export ships the shards merged
 // (SnapshotDeltaInto); this decomposition is what the per-layer
-// benchmark rows and the reassembly tests measure it against.
+// benchmark rows and the reassembly tests measure it against. No
+// serving path calls it: it stays for bench/layers.go until the
+// benchmark drops those rows.
 func (s *ShardedAggregator) ExportShards() ([]ShardExport, []uint64, error) {
 	exps := make([]ShardExport, 0, len(s.shards))
 	vers := make([]uint64, len(s.shards))

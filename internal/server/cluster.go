@@ -296,20 +296,6 @@ func validateComponents(p core.Protocol, cf wire.ComponentFrame) (validFrame, er
 	return vf, nil
 }
 
-// componentFrameFromState lifts a legacy single-blob frame into the
-// componentized shape: one component named by the exporting node,
-// carrying the frame's own version label. Mixing legacy and
-// componentized peers under one coordinator therefore needs no special
-// cases past this point.
-func componentFrameFromState(sf wire.StateFrame) wire.ComponentFrame {
-	return wire.ComponentFrame{
-		NodeID: sf.NodeID, Version: sf.Version, N: sf.N,
-		Components: []wire.StateComponent{
-			{ID: sf.NodeID, Version: sf.Version, N: sf.N, State: sf.State},
-		},
-	}
-}
-
 // sortedCompIDs returns a peer's component ids in canonical order.
 func sortedCompIDs(comps map[string]peerComp) []string {
 	ids := make([]string, 0, len(comps))
@@ -347,22 +333,12 @@ func (f *fleet) collect() (blobs [][]byte, comp []view.Component) {
 // local shards plus every accepted peer component, each decoded and
 // folded in through the canonical Merge path. It records the snapshot's
 // composition for the view engine (view.Composed) — only the engine may
-// call it (builds are serialized under the engine's lock); other
-// callers use export, which leaves the recorded composition alone.
+// call it (builds are serialized under the engine's lock).
 func (f *fleet) Snapshot() (core.Aggregator, error) {
 	blobs, comp := f.collect()
 	f.mu.Lock()
 	f.comp = comp
 	f.mu.Unlock()
-	return f.agg.SnapshotWith(blobs)
-}
-
-// export assembles the same merged fleet state for GET /state without
-// touching the engine's recorded composition, so a concurrent
-// tier-stacking pull can never make View.Components misdescribe a
-// published epoch.
-func (f *fleet) export() (core.Aggregator, error) {
-	blobs, _ := f.collect()
 	return f.agg.SnapshotWith(blobs)
 }
 
@@ -796,7 +772,6 @@ type puller struct {
 	transport *http.Transport // dedicated; idle conns dropped on Close
 	interval  time.Duration
 	maxState  int64
-	noDelta   bool          // Options.DisableDeltaPull: always fetch legacy full frames
 	tracer    *trace.Tracer // roots background rounds; may be nil in tests
 	log       *logx.Logger
 
@@ -859,7 +834,7 @@ func backoffDelay(interval time.Duration, fails int) time.Duration {
 	return backoff + rand.N(backoff/2+1)
 }
 
-func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, noDelta bool, quarAfter int, quarDelay time.Duration, tracer *trace.Tracer, log *logx.Logger) *puller {
+func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, quarAfter int, quarDelay time.Duration, tracer *trace.Tracer, log *logx.Logger) *puller {
 	if quarAfter <= 0 {
 		quarAfter = defaultQuarantineAfter
 	}
@@ -898,7 +873,6 @@ func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, noDelt
 		transport: transport,
 		interval:  interval,
 		maxState:  maxState,
-		noDelta:   noDelta,
 		quarAfter: quarAfter,
 		quarDelay: quarDelay,
 		tracer:    tracer,
@@ -1100,35 +1074,25 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 }
 
 // fetch performs the HTTP GET, frame validation, and accept for one
-// peer. On the componentized exchange it asks for the compact frame
-// (compact=1), and with ack set it acknowledges the held base version
-// (?since= plus If-None-Match, and diff=1&sparse=2 on the componentized
-// exchange): the reply is a 304 (nothing moved), a delta frame whose
-// components may be diffs, dense or sparse, against the held ones, or a
-// full frame. A
-// delta whose base no longer matches what this coordinator holds (peer
-// restart re-salted the labels, an epoch gap, a diverged fold), or a
-// diff component against a version this coordinator does not hold,
-// recurses once with ack unset:
+// peer. With ack set it acknowledges the held base version (?since= plus
+// If-None-Match), and nothing else is asked for: the reply is a 304
+// (nothing moved), a delta frame whose components may be diffs, dense or
+// sparse, against the held ones, or a full frame. A delta whose base no
+// longer matches what this coordinator holds (peer restart re-salted the
+// labels, an epoch gap, a diverged fold), or a diff component against a
+// version this coordinator does not hold, recurses once with ack unset:
 // a request that names no base can only be answered with a full frame
-// of whole components. The pull span's trace context rides along as a
-// W3C traceparent header, so the edge's request span joins this
-// coordinator's trace — one fleet pull is one cross-process trace id.
+// of whole components. A frame of another build's format is poison like
+// any other that does not decode. The pull span's trace context rides
+// along as a W3C traceparent header, so the edge's request span joins
+// this coordinator's trace — one fleet pull is one cross-process trace
+// id.
 func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack bool) (changed bool, mode string, err error) {
 	base, held, haveBase := pl.f.peerBase(url)
 	ack = ack && haveBase
 	target := url + "/state"
-	if !pl.noDelta {
-		// compact=1: the frame may name the exporter once (wire/delta.go);
-		// exporters that predate the token send the default frame.
-		target += "?components=1&compact=1"
-		if ack {
-			// diff=1: components of a delta may arrive as differences from
-			// the versions held; sparse=2: and those as sparse diffs, in
-			// their bit-packed form. Exporters that predate either token,
-			// or know the second only by an earlier value, ignore it.
-			target += "&since=" + strconv.FormatUint(base, 10) + "&diff=1&sparse=2"
-		}
+	if ack {
+		target += "?since=" + strconv.FormatUint(base, 10)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
@@ -1179,43 +1143,34 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 	if err := fault.Hit(FaultClusterDecode); err != nil {
 		return false, "", poison(fmt.Errorf("GET /state: decoding frame: %w", err))
 	}
-	var cf wire.ComponentFrame
-	if wire.IsComponentFrame(body) {
-		// maxState bounds the decompressed component total too: flate in
-		// a hostile frame must not inflate past the configured budget.
-		cf, err = wire.DecodeComponentFrameWith(body, pl.maxState, func(id string) (wire.ComponentBase, bool) {
-			c, ok := held[id]
-			return wire.ComponentBase{Version: c.version, State: c.state}, ok
-		})
-		if errors.Is(err, wire.ErrDiffBase) && ack {
-			// A diff against a version of the component this coordinator
-			// does not hold: stale like any other delta base.
-			return pl.fetch(ctx, span, url, false)
-		}
-		if err != nil {
-			return false, "", poison(err)
-		}
-		diffs, sparse := 0, 0
-		for _, c := range cf.Components {
-			if c.Base != nil {
-				diffs++
-				if c.Base.Sparse {
-					sparse++
-				}
+	// maxState bounds the decompressed component total too: flate in a
+	// hostile frame must not inflate past the configured budget.
+	cf, err := wire.DecodeComponentFrameWith(body, pl.maxState, func(id string) (wire.ComponentBase, bool) {
+		c, ok := held[id]
+		return wire.ComponentBase{Version: c.version, State: c.state}, ok
+	})
+	if errors.Is(err, wire.ErrDiffBase) && ack {
+		// A diff against a version of the component this coordinator
+		// does not hold: stale like any other delta base.
+		return pl.fetch(ctx, span, url, false)
+	}
+	if err != nil {
+		return false, "", poison(err)
+	}
+	diffs, sparse := 0, 0
+	for _, c := range cf.Components {
+		if c.Base != nil {
+			diffs++
+			if c.Base.Sparse {
+				sparse++
 			}
 		}
-		span.SetAttr("diff_components", diffs)
-		span.SetAttr("sparse_components", sparse) // of the diffs
-		span.SetAttr("whole_components", len(cf.Components)-diffs)
-		if ins != nil {
-			ins.diffComps.Add(uint64(diffs))
-		}
-	} else {
-		sf, err := wire.DecodeStateFrame(body)
-		if err != nil {
-			return false, "", poison(err)
-		}
-		cf = componentFrameFromState(sf)
+	}
+	span.SetAttr("diff_components", diffs)
+	span.SetAttr("sparse_components", sparse) // of the diffs
+	span.SetAttr("whole_components", len(cf.Components)-diffs)
+	if ins != nil {
+		ins.diffComps.Add(uint64(diffs))
 	}
 	if cf.Delta {
 		if !ack {

@@ -3,12 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,20 +23,18 @@ import (
 	"ldpmarginals/internal/wire"
 )
 
-// getState fetches /state with the delta handshake: components=1 plus an
-// optional acknowledged base. It returns the status, body, ETag, and the
-// X-LDP-Frame mode header.
+// getState fetches /state with an optional acknowledged base, sent as
+// If-None-Match. It returns the status, body, ETag, and the X-LDP-Frame
+// mode header.
 func getState(t *testing.T, url string, base string) (int, []byte, string, string) {
 	t.Helper()
-	return getStateQuery(t, url, "components=1", base)
+	return getStateQuery(t, url, "", base)
 }
 
-// getStateQuery is getState with the query spelled out, for the diff=1
-// handshake.
+// getStateQuery is getState with a query string.
 func getStateQuery(t *testing.T, url, query, base string) (int, []byte, string, string) {
 	t.Helper()
-	target := url + "/state?" + query
-	req, err := http.NewRequest(http.MethodGet, target, nil)
+	req, err := http.NewRequest(http.MethodGet, url+"/state?"+query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +53,24 @@ func getStateQuery(t *testing.T, url, query, base string) (int, []byte, string, 
 	return resp.StatusCode, body, resp.Header.Get("ETag"), resp.Header.Get("X-LDP-Frame")
 }
 
+// holding is the base lookup of a puller that holds the components of
+// the frame it was served.
+func holding(f wire.ComponentFrame) func(string) (wire.ComponentBase, bool) {
+	return func(id string) (wire.ComponentBase, bool) {
+		for _, c := range f.Components {
+			if c.ID == id {
+				return wire.ComponentBase{Version: c.Version, State: c.State}, true
+			}
+		}
+		return wire.ComponentBase{}, false
+	}
+}
+
 // TestStateDeltaHandshake pins the exporter side of the delta exchange
 // over live HTTP: full componentized frame (one component, the node's
-// merged shards), 304 on an acknowledged unchanged version (for both
-// the componentized and the legacy endpoint), a delta that ships the
-// moved component whole or as a diff, and a full-frame fallback on an
-// unknown base.
+// merged shards), 304 on an acknowledged unchanged version, a delta whose
+// moved component ships as a diff against the blob the base export
+// shipped, and a full-frame fallback on an unknown base.
 func TestStateDeltaHandshake(t *testing.T) {
 	p, err := core.New(core.InpHT, clusterCfg)
 	if err != nil {
@@ -74,10 +86,7 @@ func TestStateDeltaHandshake(t *testing.T) {
 
 	status, body, etag, mode := getState(t, ts.URL, "")
 	if status != http.StatusOK || mode != "full" {
-		t.Fatalf("componentized state: status %d mode %q", status, mode)
-	}
-	if !wire.IsComponentFrame(body) {
-		t.Fatal("components=1 did not serve a componentized frame")
+		t.Fatalf("state: status %d mode %q", status, mode)
 	}
 	full, err := wire.DecodeComponentFrame(body, 1<<24)
 	if err != nil {
@@ -94,72 +103,32 @@ func TestStateDeltaHandshake(t *testing.T) {
 	}
 
 	// Acknowledging the current version short-circuits to 304 with no
-	// body — on the componentized endpoint and the legacy one alike.
+	// body.
 	status, body, _, _ = getState(t, ts.URL, etag)
 	if status != http.StatusNotModified || len(body) != 0 {
 		t.Fatalf("acknowledged pull: status %d with %d body bytes, want 304 empty", status, len(body))
 	}
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/state", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("If-None-Match", etag)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("legacy endpoint with acknowledged version: status %d, want 304", resp.StatusCode)
-	}
 
-	// One more batch moves the node. A puller that asks for diffs gets
-	// the component as its difference from the blob the base export
-	// shipped, which only a decoder holding that blob can read...
+	// One more batch moves the node: the component arrives as its
+	// difference from the blob the base export shipped, which only a
+	// decoder holding that blob can read.
 	postBatchOK(t, ts.URL, p, makeClusterReports(t, p, 20, 22))
-	status, diffBody, _, mode := getStateQuery(t, ts.URL, "components=1&diff=1", etag)
-	if status != http.StatusOK || mode != "delta" {
-		t.Fatalf("moved state, diffs asked for: status %d mode %q, want 200 delta", status, mode)
-	}
-	if _, err := wire.DecodeComponentFrame(diffBody, 1<<24); err == nil {
-		t.Fatal("diff=1 reply decodes without a base: no component shipped as a diff")
-	}
-	diffed, err := wire.DecodeComponentFrameWith(diffBody, 1<<24, func(id string) (wire.ComponentBase, bool) {
-		for _, c := range full.Components {
-			if c.ID == id {
-				return wire.ComponentBase{Version: c.Version, State: c.State}, true
-			}
-		}
-		return wire.ComponentBase{}, false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...and one that does not (an older coordinator: components=1 and a
-	// base, nothing else) still gets whole components, the same blobs.
 	status, body, etag2, mode := getState(t, ts.URL, etag)
 	if status != http.StatusOK || mode != "delta" {
 		t.Fatalf("moved state: status %d mode %q, want 200 delta", status, mode)
 	}
-	delta, err := wire.DecodeComponentFrame(body, 1<<24)
+	if _, err := wire.DecodeComponentFrame(body, 1<<24); !errors.Is(err, wire.ErrDiffBase) {
+		t.Fatalf("delta decoded without a base: error %v, want ErrDiffBase", err)
+	}
+	delta, err := wire.DecodeComponentFrameWith(body, 1<<24, holding(full))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !delta.Delta || delta.BaseVersion != full.Version || delta.N != 180 {
 		t.Fatalf("delta frame = %+v (base %d)", delta, full.Version)
 	}
-	if len(delta.Components) != 1 || len(delta.Removed) != 0 {
-		t.Fatalf("delta ships %d components and removes %d, want the node's one", len(delta.Components), len(delta.Removed))
-	}
-	if len(diffBody) >= len(body) || len(diffed.Components) != len(delta.Components) {
-		t.Fatalf("diff reply: %d bytes, %d components; whole-component reply: %d bytes, %d components",
-			len(diffBody), len(diffed.Components), len(body), len(delta.Components))
-	}
-	for i, c := range delta.Components {
-		d := diffed.Components[i]
-		if c.Base != nil || d.ID != c.ID || d.Version != c.Version || d.N != c.N || !bytes.Equal(d.State, c.State) {
-			t.Fatalf("component %s: the diff rebuilds something other than the whole component", c.ID)
-		}
+	if len(delta.Components) != 1 || len(delta.Removed) != 0 || delta.Components[0].Base == nil {
+		t.Fatalf("delta ships %d components and removes %d, want the node's one as a diff", len(delta.Components), len(delta.Removed))
 	}
 	// Folding the delta over the base must reproduce a fresh full pull
 	// exactly — the invariant the coordinator's accept path relies on.
@@ -205,13 +174,63 @@ func TestStateDeltaHandshake(t *testing.T) {
 	}
 }
 
+// TestStateIgnoresQueryTokens: /state reads nothing from the query but
+// the base. Twin edges — one node id, one version salt, the same reports
+// — asked with no query and with every token coordinators once sent
+// (components=1&diff=1&sparse=2&compact=1) serve byte-identical full and
+// delta frames, and a delta that names only its base, as ?since=, ships
+// the moved component as a sparse diff.
+func TestStateIgnoresQueryTokens(t *testing.T) {
+	p, err := core.New(core.InpPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, plainTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
+	tokens, tokensTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
+	tokens.verSalt = plain.verSalt
+	const tokenQuery = "components=1&diff=1&sparse=2&compact=1"
+	reps := makeClusterReports(t, p, 102, 23)
+	post := func(reps []core.Report) {
+		t.Helper()
+		postBatchOK(t, plainTS.URL, p, reps)
+		postBatchOK(t, tokensTS.URL, p, reps)
+	}
+
+	post(reps[:100])
+	_, full, etag, mode := getState(t, plainTS.URL, "")
+	_, fullTokens, _, modeTokens := getStateQuery(t, tokensTS.URL, tokenQuery, "")
+	if mode != "full" || modeTokens != "full" || !bytes.Equal(full, fullTokens) {
+		t.Fatalf("full frames: %s of %d bytes, with the tokens %s of %d, not the same bytes", mode, len(full), modeTokens, len(fullTokens))
+	}
+	held, err := wire.DecodeComponentFrame(full, 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Two reports move at most two of the 64 counters.
+	post(reps[100:])
+	since := "since=" + strings.Trim(etag, `"`)
+	_, delta, _, mode := getStateQuery(t, plainTS.URL, since, "")
+	_, deltaTokens, _, modeTokens := getStateQuery(t, tokensTS.URL, tokenQuery+"&"+since, "")
+	if mode != "delta" || modeTokens != "delta" || !bytes.Equal(delta, deltaTokens) {
+		t.Fatalf("deltas: %s of %d bytes, with the tokens %s of %d, not the same bytes", mode, len(delta), modeTokens, len(deltaTokens))
+	}
+	cf, err := wire.DecodeComponentFrameWith(delta, 1<<24, holding(held))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cf.Components) != 1 || cf.Components[0].Base == nil || !cf.Components[0].Base.Sparse {
+		t.Fatalf("delta of two reports ships %+v, want the node's component as a sparse diff", cf.Components)
+	}
+}
+
 // TestClusterDeltaVsFullBitIdentity is the satellite acceptance table:
-// for each of the six protocols, a delta-negotiating coordinator and a
-// legacy full-pull coordinator track the same two edges through
-// incremental rounds — including an edge crash/recovery mid-stream,
-// which re-salts the version labels and forces the delta side through
-// its full-frame fallback — and must serve byte-identical marginals
-// throughout.
+// for each of the six protocols, a coordinator tracks two edges through
+// incremental rounds of deltas and diffs — including an edge
+// crash/recovery mid-stream, which re-salts the version labels and forces
+// it through its full-frame fallback — and after every round must hold
+// the components, and serve the marginals, byte for byte, of a
+// coordinator that just started and pulled one full frame per edge.
 func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 	for _, kind := range core.AllKinds() {
 		kind := kind
@@ -249,38 +268,27 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 				Role: RoleCoordinator, NodeID: "coord-delta",
 				Peers: peers, PullInterval: time.Minute,
 			})
-			_, fullTS := newClusterNode(t, p, Options{
-				Role: RoleCoordinator, NodeID: "coord-full",
-				Peers: peers, PullInterval: time.Minute,
-				DisableDeltaPull: true,
-			})
 
 			compare := func(round string, wantN int) {
 				t.Helper()
 				postPull(t, deltaTS.URL)
-				postPull(t, fullTS.URL)
-				if vs := postRefresh(t, deltaTS.URL); vs.ViewN != wantN {
-					t.Fatalf("%s: delta coordinator epoch holds %d, want %d", round, vs.ViewN, wantN)
-				}
-				if vs := postRefresh(t, fullTS.URL); vs.ViewN != wantN {
-					t.Fatalf("%s: full coordinator epoch holds %d, want %d", round, vs.ViewN, wantN)
-				}
-				want := marginalBytes(t, fullTS.URL)
-				got := marginalBytes(t, deltaTS.URL)
-				for beta, w := range want {
-					if !bytes.Equal(got[beta], w) {
-						t.Fatalf("%s beta=%d: delta-pulled marginal differs from full-pulled", round, beta)
-					}
-				}
 				// What the deltas and diffs left the coordinator holding is,
 				// component for component, what one full frame of whole
-				// components installs in a coordinator that just started.
+				// components installs in a coordinator that just started,
+				// and the two serve the same marginals.
 				fresh, freshTS := newClusterNode(t, p, Options{
 					Role: RoleCoordinator, NodeID: "coord-fresh",
 					Peers: peers, PullInterval: time.Minute,
 				})
 				postPull(t, freshTS.URL)
 				sameHeldComponents(t, round, deltaCoord, fresh)
+				if vs := postRefresh(t, deltaTS.URL); vs.ViewN != wantN {
+					t.Fatalf("%s: delta coordinator epoch holds %d, want %d", round, vs.ViewN, wantN)
+				}
+				if vs := postRefresh(t, freshTS.URL); vs.ViewN != wantN {
+					t.Fatalf("%s: fresh coordinator epoch holds %d, want %d", round, vs.ViewN, wantN)
+				}
+				sameMarginals(t, round, deltaTS.URL, freshTS.URL)
 			}
 			diffsFrom := func(url string) uint64 { return deltaCoord.puller.ins[url].diffComps.Value() }
 
@@ -431,6 +439,26 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 	}
 	if ins.diffComps.Value() == 0 {
 		t.Error("no pass-through component reached the root as a diff")
+	}
+}
+
+// sameMarginals fails unless two nodes serve the same cells over the
+// same report count for every mask, whatever their epoch numbers.
+func sameMarginals(t *testing.T, round, gotURL, wantURL string) {
+	t.Helper()
+	got := marginalBytes(t, gotURL)
+	for beta, w := range marginalBytes(t, wantURL) {
+		var g, want MarginalResponse
+		if err := json.Unmarshal(got[beta], &g); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(w, &want); err != nil {
+			t.Fatal(err)
+		}
+		g.Epoch, want.Epoch = 0, 0
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("%s beta=%d: %s serves %s, %s serves %s", round, beta, gotURL, got[beta], wantURL, w)
+		}
 	}
 }
 
@@ -585,400 +613,79 @@ func scrapePullArrivals(t *testing.T, url string) pullArrivals {
 	return a
 }
 
-// withRetiredSparseBit sets bit 0x04 in the encoding byte of the first
-// component of a componentized frame and reseals the frame: what an
-// exporter of the build before this one put on its sparse diffs.
-func withRetiredSparseBit(t *testing.T, frame []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), frame[:len(frame)-4]...)
-	at := len("LDPD") + 2
-	skip := func(fields int) {
-		for range fields {
-			_, w := binary.Uvarint(out[at:])
-			at += w
-		}
-	}
-	idLen, w := binary.Uvarint(out[at:])
-	at += w + int(idLen)
-	skip(4) // version, base version, report count, component count
-	idLen, w = binary.Uvarint(out[at:])
-	at += w + int(idLen)
-	skip(2) // component version and report count
-	if out[at]&^0x0b != 0 {
-		t.Fatalf("byte %d of the frame is %#x, not an encoding byte", at, out[at])
-	}
-	out[at] |= 0x04
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
-}
-
-// TestSparseDiffMixedVersions runs the sparse token between this build,
-// which says sparse=2 for the bit-packed sparse diff, and the one before
-// it (PR 18), which said sparse=1 for a varint one under encoding bit
-// 0x04. Neither reads the other's form, so across the two they exchange
-// dense diffs, as each does with a node from before there were sparse
-// diffs at all: a PR 18 puller (a proxy that turns the token back into
-// sparse=1) is answered with a dense diff by this exporter, and this
-// puller is answered with one by a PR 18 exporter (a proxy that drops the
-// token it would not have known). Between two nodes of this build the
-// diff is sparse. A frame that carries the retired bit is a decode error
-// wherever it comes from; a sparse diff that does not rebuild on what the
-// puller holds costs one full re-fetch in the same pull, like a dense
-// one; and all three fleets end up holding, byte for byte, what a
-// coordinator that only ever pulls full frames holds. The edge's
-// retained export is the base of whoever pulls first after a batch, so
-// each round has the puller under test go first and the others catch up
-// whole.
-func TestSparseDiffMixedVersions(t *testing.T) {
+// TestDiffFormsBySize pins both diff forms end to end on one InpPS edge:
+// two reports move two of its 64 counters and arrive sparse, and a batch
+// that moves nearly every counter by several arrives as a dense diff,
+// smaller than the sparse one or the whole component would be. The pull
+// spans say which, and the coordinator ends up holding what one that
+// just started pulls.
+func TestDiffFormsBySize(t *testing.T) {
 	p, err := core.New(core.InpPS, clusterCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := makeClusterReports(t, p, 200, 73)
-	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := edge.Handler()
-	var stateGets atomic.Int64
-	edgeTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/state" {
-			stateGets.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	// retoken serves the edge with the sparse token of each request edited.
-	retoken := func(edit func(url.Values)) *httptest.Server {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			q := r.URL.Query()
-			if q.Has("sparse") {
-				edit(q)
-			}
-			r.URL.RawQuery = q.Encode()
-			inner.ServeHTTP(w, r)
-		}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	pr18EdgeTS := retoken(func(q url.Values) { q.Del("sparse") })        // sparse=2 means nothing to it
-	pr18PullerTS := retoken(func(q url.Values) { q.Set("sparse", "1") }) // what its coordinator sends
-	t.Cleanup(func() { edgeTS.Close(); _ = edge.Close() })
-	newCoord := func(id, peer string, full bool) (*Server, string) {
-		c, ts := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: id, Peers: []string{peer}, PullInterval: time.Minute, DisableDeltaPull: full})
-		return c, ts.URL
-	}
-	coord, coordURL := newCoord("coord", edgeTS.URL, false)
-	ofPR18Edge, ofPR18EdgeURL := newCoord("coord-of-pr18-edge", pr18EdgeTS.URL, false)
-	pr18Coord, pr18CoordURL := newCoord("pr18-coord", pr18PullerTS.URL, false)
-	control, controlURL := newCoord("coord-full-pulls", edgeTS.URL, true)
-	densePuller := &statePuller{url: edgeTS.URL, p: p}
-	pr18Puller := &statePuller{url: edgeTS.URL, p: p, sparse: "1"}
-	newPuller := &statePuller{url: edgeTS.URL, p: p, sparse: "2"}
-
-	// everyone brings every puller to the edge's current label, the one
-	// under test first.
-	posted := 0
-	post := func(n int) {
+	reps := makeClusterReports(t, p, 2552, 25)
+	_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
+	coord, coordTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "coord", Peers: []string{edgeTS.URL}, PullInterval: time.Minute})
+	pull := func(reps []core.Report) pullArrivals {
 		t.Helper()
-		postBatchOK(t, edgeTS.URL, p, reps[posted:posted+n])
-		posted += n
-	}
-	pulls := make(map[string]func())
-	for name, sp := range map[string]*statePuller{"dense puller": densePuller, "PR 18 puller": pr18Puller, "new puller": newPuller} {
-		pulls[name] = func() {
-			if err := sp.pull(true, true); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		postBatchOK(t, edgeTS.URL, p, reps)
+		before := scrapePullArrivals(t, coordTS.URL)
+		if cs := postPull(t, coordTS.URL); cs.Peers[0].LastError != "" {
+			t.Fatalf("pull failed: %s", cs.Peers[0].LastError)
 		}
+		after := scrapePullArrivals(t, coordTS.URL)
+		return pullArrivals{after.diffs - before.diffs, after.sparse - before.sparse, after.whole - before.whole}
 	}
-	for name, url := range map[string]string{"coordinator": coordURL, "coordinator of a PR 18 edge": ofPR18EdgeURL, "PR 18 coordinator": pr18CoordURL} {
-		pulls[name] = func() {
-			if cs := postPull(t, url); cs.Peers[0].LastError != "" {
-				t.Fatalf("%s: %s", name, cs.Peers[0].LastError)
-			}
-		}
+	pull(reps[:2000])
+	if got := pull(reps[2000:2002]); got != (pullArrivals{diffs: 1, sparse: 1}) {
+		t.Fatalf("two reports arrived as %+v, want one sparse diff", got)
 	}
-	everyone := func(first string) {
-		t.Helper()
-		pulls[first]()
-		for name, pull := range pulls {
-			if name != first {
-				pull()
-			}
-		}
+	if got := pull(reps[2002:]); got != (pullArrivals{diffs: 1}) {
+		t.Fatalf("%d reports arrived as %+v, want one dense diff", len(reps)-2002, got)
 	}
-	post(100)
-	everyone("dense puller")
-
-	// Two reports move at most two of the 64 counters: sparse, clearly.
-	for name, sp := range map[string]*statePuller{"dense puller": densePuller, "PR 18 puller": pr18Puller} {
-		post(2)
-		everyone(name)
-		if sp.diffs != 1 || sp.sparseDiffs != 0 {
-			t.Fatalf("%s (sparse token %q): %d diffs, %d of them sparse; want one dense diff", name, sp.sparse, sp.diffs, sp.sparseDiffs)
-		}
-	}
-	post(2)
-	everyone("new puller")
-	if newPuller.diffs != 1 || newPuller.sparseDiffs != 1 {
-		t.Fatalf("puller that sent sparse=2: %d diffs, %d of them sparse; want one sparse diff", newPuller.diffs, newPuller.sparseDiffs)
-	}
-	// The pull span says how the components of each pull arrived.
-	for _, c := range []struct {
-		name, url string
-		sparse    int
-	}{{"coordinator", coordURL, 1}, {"coordinator of a PR 18 edge", ofPR18EdgeURL, 0}, {"PR 18 coordinator", pr18CoordURL, 0}} {
-		post(2)
-		before := scrapePullArrivals(t, c.url)
-		everyone(c.name)
-		want := pullArrivals{diffs: before.diffs + 1, sparse: before.sparse + c.sparse, whole: before.whole}
-		if got := scrapePullArrivals(t, c.url); got != want {
-			t.Fatalf("%s: pull spans went from %+v to %+v, want %+v", c.name, before, got, want)
-		}
-	}
-
-	// The retired bit, on a reply that is otherwise this edge's: refused
-	// as an encoding nobody knows, whichever token asked.
-	post(2)
-	for _, sp := range []*statePuller{pr18Puller, newPuller} {
-		held := *sp
-		held.mangle = func(frame []byte) []byte { return withRetiredSparseBit(t, frame) }
-		if err := held.pull(true, true); err == nil || !strings.Contains(err.Error(), "unknown") {
-			t.Fatalf("frame carrying encoding bit 0x04, to a puller that sent sparse=%s: error %v, want an unknown encoding", sp.sparse, err)
-		}
-	}
-	everyone("new puller")
-
-	// The coordinator's copy of its base goes bad under an unchanged
-	// label: the sparse diff is sent, fails its checksum on that base,
-	// and the same pull re-fetches one full frame.
-	coord.fleet.mu.Lock()
-	pe := coord.fleet.peers[0]
-	bad := make(map[string]peerComp, len(pe.comps))
-	for id, c := range pe.comps {
-		c.state = append([]byte(nil), c.state...)
-		c.state[len(c.state)-1] ^= 1
-		bad[id] = c
-	}
-	pe.comps = bad
-	coord.fleet.mu.Unlock()
-	post(2)
-	ins := coord.puller.ins[edgeTS.URL]
-	gets, full, delta := stateGets.Load(), ins.fullPulls.Value(), ins.deltaPulls.Value()
-	pulls["coordinator"]()
-	if g, f, d := stateGets.Load()-gets, ins.fullPulls.Value()-full, ins.deltaPulls.Value()-delta; g != 2 || f != 1 || d != 0 {
-		t.Fatalf("pull onto a mismatched base: %d GETs, %d full, %d delta; want the sparse diff reply plus exactly one full re-fetch", g, f, d)
-	}
-	everyone("coordinator")
-	post(2)
-	before := scrapePullArrivals(t, coordURL)
-	everyone("coordinator")
-	if got := scrapePullArrivals(t, coordURL); got.sparse != before.sparse+1 {
-		t.Fatalf("after the re-fetch: pull spans went from %+v to %+v, want sparse diffs to have resumed", before, got)
-	}
-
-	// Dense or sparse, every fleet holds what full pulls alone install,
-	// and serves the same bytes from it.
-	postPull(t, controlURL)
-	postRefresh(t, controlURL)
-	want := marginalBytes(t, controlURL)
-	for _, c := range []struct {
-		s   *Server
-		url string
-	}{{coord, coordURL}, {ofPR18Edge, ofPR18EdgeURL}, {pr18Coord, pr18CoordURL}} {
-		sameHeldComponents(t, "at the end", c.s, control)
-		if vs := postRefresh(t, c.url); vs.ViewN != posted {
-			t.Fatalf("%s: epoch over %d reports, %d were posted", c.s.nodeID, vs.ViewN, posted)
-		}
-		for beta, got := range marginalBytes(t, c.url) {
-			if !bytes.Equal(got, want[beta]) {
-				t.Fatalf("%s, beta=%d: marginal differs from the full-pulling coordinator's", c.s.nodeID, beta)
-			}
-		}
-	}
-	for _, sp := range []*statePuller{densePuller, pr18Puller, newPuller} {
-		if sp.held["edge-1"].N != posted {
-			t.Fatalf("puller with sparse token %q holds %d reports, %d were posted", sp.sparse, sp.held["edge-1"].N, posted)
-		}
-	}
+	fresh, freshTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "coord-fresh", Peers: []string{edgeTS.URL}, PullInterval: time.Minute})
+	postPull(t, freshTS.URL)
+	sameHeldComponents(t, "after the dense diff", coord, fresh)
 }
 
-// frameHead reads the flags byte, the version and the base field of a
-// componentized frame.
-func frameHead(body []byte) (flags byte, version, baseField uint64) {
-	flags, at := body[len("LDPD")+1], len("LDPD")+2
-	idLen, w := binary.Uvarint(body[at:])
-	at += w + int(idLen)
-	version, w = binary.Uvarint(body[at:])
-	if flags&0x01 != 0 { // a delta
-		baseField, _ = binary.Uvarint(body[at+w:])
-	}
-	return flags, version, baseField
-}
-
-// TestCompactFrameMixedVersions runs the compact token between nodes of
-// this build and nodes from before it, in two three-tier fleets over one
-// edge: in one every exporter honours compact=1, in the other a proxy
-// drops the token on its way to each exporter, which is what an exporter
-// that predates it does with it. Between two nodes of this build every
-// frame, full and delta, is compact: the edge's names it once (its one
-// component, diffs included, implied), the mid tier's spells out the
-// pass-through component and writes a delta's base as its distance
-// below the version. A puller without the token is sent the default
-// frame, the same content byte for byte in the encoding of the build
-// before (TestComponentFrameGoldenBytes pins it), and the fleet that
-// never saw a compact frame decodes, folds and serves exactly what the
-// other does.
-func TestCompactFrameMixedVersions(t *testing.T) {
+// TestPullRefusesOtherFormats: a peer of an older build serves frames
+// this one does not read — an LDPD frame of format 1, as the build before
+// answered a coordinator, and an LDPX single-blob frame, as builds before
+// that answered a bare GET. The pull fails on the frame's format, by
+// name, in POST /pull's peer entry, and as poison: after QuarantineAfter
+// pulls the peer is quarantined, as for any frame that does not decode.
+func TestPullRefusesOtherFormats(t *testing.T) {
 	p, err := core.New(core.InpPS, clusterCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reps := makeClusterReports(t, p, 200, 91)
-	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	seal := func(buf []byte) []byte {
+		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
 	}
-	t.Cleanup(func() { _ = edge.Close() })
-
-	type reply struct {
-		query url.Values
-		frame string
-		body  []byte
-	}
-	// serve serves next and keeps its last /state reply; with strip set,
-	// next never sees the compact token.
-	serve := func(next http.Handler, strip bool) (string, func() reply) {
-		var (
-			mu   sync.Mutex
-			last reply
-		)
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strip {
-				q := r.URL.Query()
-				q.Del("compact")
-				r.URL.RawQuery = q.Encode()
-			}
-			if r.URL.Path != "/state" {
-				next.ServeHTTP(w, r)
-				return
-			}
-			rec := httptest.NewRecorder()
-			next.ServeHTTP(rec, r)
-			mu.Lock()
-			last = reply{r.URL.Query(), rec.Header().Get("X-LDP-Frame"), rec.Body.Bytes()}
-			mu.Unlock()
-			for k, v := range rec.Header() {
-				w.Header()[k] = v
-			}
-			w.WriteHeader(rec.Code)
-			_, _ = w.Write(rec.Body.Bytes())
-		}))
-		t.Cleanup(ts.Close)
-		return ts.URL, func() reply { mu.Lock(); defer mu.Unlock(); return last }
-	}
-	coordinator := func(id, peer string) (*Server, string, func() reply) {
-		c, err := NewWithOptions(p, Options{Role: RoleCoordinator, NodeID: id, Peers: []string{peer}, PullInterval: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = c.Close() })
-		url, last := serve(c.Handler(), id != "mid")
-		return c, url, last
-	}
-	edgeURL, edgeReply := serve(edge.Handler(), false)
-	oldEdgeURL, _ := serve(edge.Handler(), true)
-	mid, midURL, midReply := coordinator("mid", edgeURL)
-	root, rootURL, _ := coordinator("root", midURL)
-	oldMid, oldMidURL, _ := coordinator("old-mid", oldEdgeURL)
-	oldRoot, oldRootURL, _ := coordinator("old-root", oldMidURL)
-	pull := func(url string) {
-		t.Helper()
-		if cs := postPull(t, url); cs.Peers[0].LastError != "" {
-			t.Fatalf("pull by %s: %s", url, cs.Peers[0].LastError)
-		}
-	}
-
-	posted := 0
-	post := func(n int) {
-		t.Helper()
-		postBatchOK(t, edgeURL, p, reps[posted:posted+n])
-		posted += n
-	}
-	diffs := mid.puller.ins[edgeURL].diffComps
-	for round, n := range []int{100, 2, 30, 2} {
-		post(n)
-		diffsBefore := diffs.Value()
-		pull(midURL) // first after the batch: sent a diff against its base
-		fromEdge := edgeReply()
-		pull(oldMidURL)
-		pull(rootURL)
-		fromMid := midReply()
-		pull(oldRootURL)
-
-		want := "delta"
-		if round == 0 {
-			want = "full"
-		}
-		for _, r := range []struct {
-			name string
-			reply
-		}{{"edge", fromEdge}, {"mid tier", fromMid}} {
-			flags, ver, baseField := frameHead(r.body)
-			if r.query.Get("compact") != "1" || r.frame != want || flags&0x02 == 0 {
-				t.Fatalf("round %d, %s: a %s frame, flags %#x, to a request for %q; want a compact %s frame", round, r.name, r.frame, flags, r.query.Encode(), want)
-			}
-			// "edge-1" is the edge's node id, and a component id the mid
-			// tier passes through: named once either way.
-			if got := bytes.Count(r.body, []byte("edge-1")); got != 1 {
-				t.Fatalf("round %d, %s: %q named %d times", round, r.name, "edge-1", got)
-			}
-			if want == "delta" {
-				base, _ := strconv.ParseUint(r.query.Get("since"), 10, 64)
-				if ver-baseField != base || baseField >= 1<<14 {
-					t.Fatalf("round %d, %s: base field %d under version %d, acknowledged base %d", round, r.name, baseField, ver, base)
+	// Node "old" at version 20 with no reports, its one component whole.
+	for name, frame := range map[string][]byte{
+		"LDPD format 1": seal([]byte("LDPD\x01\x02\x03old\x14\x00\x01\x10\x02\x02\x07\x01")),
+		"LDPX":          seal([]byte("LDPX\x01\x03old\x14\x00\x02\x07\x01")),
+	} {
+		t.Run(name, func(t *testing.T) {
+			old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("ETag", `"20"`)
+				_, _ = w.Write(frame)
+			}))
+			t.Cleanup(old.Close)
+			_, coordTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "coord", Peers: []string{old.URL},
+				PullInterval: time.Minute, QuarantineAfter: 2})
+			for i := range 2 {
+				pe := postPull(t, coordTS.URL).Peers[0]
+				if !strings.Contains(pe.LastError, "format of another build") {
+					t.Fatalf("pull %d: peer entry %+v, want the frame format named", i, pe)
 				}
 			}
-		}
-		if round > 0 && diffs.Value() != diffsBefore+1 {
-			t.Fatalf("round %d: the mid tier took %d diffs from the edge's compact delta, want 1", round, diffs.Value()-diffsBefore)
-		}
-	}
-
-	// A puller without the token, full and delta: the default frame, of
-	// the same content as the compact one.
-	_, _, label, _ := getState(t, edgeURL, "")
-	post(20)
-	for _, base := range []string{"", label} {
-		_, plain, _, _ := getStateQuery(t, edgeURL, "components=1", base)
-		_, compact, _, _ := getStateQuery(t, edgeURL, "components=1&compact=1", base)
-		cf, err := wire.DecodeComponentFrame(compact, 1<<24)
-		if err != nil || !cf.Compact || cf.Delta != (base != "") {
-			t.Fatalf("base %q: compact frame %+v (err %v)", base, cf, err)
-		}
-		cf.Compact = false
-		if again, err := wire.EncodeComponentFrame(cf); err != nil || !bytes.Equal(again, plain) {
-			t.Fatalf("base %q: the default frame is not the compact one's content in the default form (err %v)", base, err)
-		}
-		if len(compact) >= len(plain) {
-			t.Fatalf("base %q: compact frame of %d bytes, default %d", base, len(compact), len(plain))
-		}
-	}
-
-	// Both fleets hold, and serve, the same bytes.
-	for _, url := range []string{midURL, oldMidURL, rootURL, oldRootURL} {
-		pull(url)
-	}
-	sameHeldComponents(t, "mid tier", mid, oldMid)
-	sameHeldComponents(t, "root", root, oldRoot)
-	postRefresh(t, oldRootURL)
-	want := marginalBytes(t, oldRootURL)
-	if vs := postRefresh(t, rootURL); vs.ViewN != posted {
-		t.Fatalf("root epoch over %d reports, %d were posted", vs.ViewN, posted)
-	}
-	for beta, got := range marginalBytes(t, rootURL) {
-		if !bytes.Equal(got, want[beta]) {
-			t.Fatalf("beta=%d: the root's marginal differs from that of the fleet without the token", beta)
-		}
+			if pe := postPull(t, coordTS.URL).Peers[0]; pe.Health != "quarantined" {
+				t.Fatalf("peer entry %+v, want quarantined", pe)
+			}
+		})
 	}
 }
 

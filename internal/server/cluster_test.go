@@ -455,8 +455,9 @@ func TestRoleEndpointGating(t *testing.T) {
 	}
 }
 
-// TestStateEndpointFrame pins the /state export: a valid CRC'd frame
-// whose blob restores into an identical aggregator.
+// TestStateEndpointFrame pins the /state export: a valid CRC'd frame of
+// the node's one component, whose blob restores into an identical
+// aggregator.
 func TestStateEndpointFrame(t *testing.T) {
 	p, err := core.New(core.MargHT, clusterCfg)
 	if err != nil {
@@ -469,15 +470,15 @@ func TestStateEndpointFrame(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("state: status %d", status)
 	}
-	sf, err := wire.DecodeStateFrame(body)
+	cf, err := wire.DecodeComponentFrame(body, 1<<24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sf.NodeID != "edge-1" || sf.N != len(reps) {
-		t.Fatalf("frame = %q n=%d, want edge-1 n=%d", sf.NodeID, sf.N, len(reps))
+	if cf.NodeID != "edge-1" || cf.N != len(reps) || len(cf.Components) != 1 {
+		t.Fatalf("frame = %q n=%d in %d components, want edge-1 n=%d in one", cf.NodeID, cf.N, len(cf.Components), len(reps))
 	}
 	restored := p.NewAggregator()
-	if err := restored.UnmarshalState(sf.State); err != nil {
+	if err := restored.UnmarshalState(cf.Components[0].State); err != nil {
 		t.Fatal(err)
 	}
 	if restored.N() != srv.N() {

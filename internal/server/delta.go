@@ -14,33 +14,24 @@ import (
 
 // Componentized /state exports and the delta handshake, exporter side.
 //
-// A componentized export (GET /state?components=1) ships the node's
-// state as named components: an ingesting node's one merged state
-// ("<node>" — every estimator reads only the summed counters, so
-// nothing is lost by merging the shards before they ship, and one dense
-// vector deflates to a fraction of what its sparse per-shard addends
-// do), or a coordinator's held peer components passed through with
-// their original ids. A puller that acknowledges its last accepted
-// export version (?since= plus If-None-Match) gets either a 304 (nothing
-// moved), a delta frame (only the components whose version moved since
-// that base, plus removed ids), or a full frame when the base is
-// unknown — too old for the history ring, from before a restart (the
-// version salt changed), or never served by this process. A puller that
-// adds diff=1 lets the components of a delta frame arrive as counter
-// differences from the versions it holds (wire/diff.go): the node keeps
-// the blobs of its latest export, and a moved component whose blob at
-// the base is still among them ships as a diff when that is the smaller
-// payload — bytes proportional to the counters that moved, whatever the
-// component's size. sparse=2 beside diff=1 is the puller saying it also
-// decodes the sparse form of a diff, which lists only the counters that
-// moved, packed bit by bit; the token is a capability our own nodes
-// exchange and its value names the form, so an exporter that predates it
-// or knows another value (one earlier build had a varint form) answers
-// with dense diffs, and a puller that sends anything else is never sent
-// a sparse one. compact=1, on any componentized request, is the puller
-// saying it reads the compact frame (wire/delta.go), which names the
-// exporter once: an exporter that predates the token ignores it and
-// answers with the default frame, which every puller reads.
+// GET /state ships the node's state as named components: an ingesting
+// node's one merged state ("<node>" — every estimator reads only the
+// summed counters, so nothing is lost by merging the shards before they
+// ship, and one dense vector deflates to a fraction of what its sparse
+// per-shard addends do), or a coordinator's held peer components passed
+// through with their original ids. A puller that acknowledges its last
+// accepted export version (?since= plus If-None-Match) gets either a 304
+// (nothing moved), a delta frame (only the components whose version
+// moved since that base, plus removed ids), or a full frame when the
+// base is unknown — too old for the history ring, from before a restart
+// (the version salt changed), or never served by this process. The
+// components of a delta frame may arrive as counter differences from
+// the versions the puller holds (wire/diff.go): the node keeps the blobs
+// of its latest export, and a moved component whose blob at the base is
+// still among them ships as a diff, dense or sparse, when that is the
+// smaller payload — bytes proportional to the counters that moved,
+// whatever the component's size. The query carries nothing else: every
+// puller is sent the one frame form.
 
 // exportHistorySize bounds the per-node ring of remembered export
 // labels. A coordinator pulls each peer once per interval, so 64 entries
@@ -97,22 +88,18 @@ type stateExport struct {
 	comps []wire.StateComponent
 	vec   map[string]uint64
 
-	// The export's full frame in each form (default, compact), deflated
-	// once however many pullers ask for it while the label stands still.
-	fullOnce [2]sync.Once
-	full     [2][]byte
-	fullErr  [2]error
+	// The export's full frame, deflated once however many pullers ask for
+	// it while the label stands still.
+	fullOnce sync.Once
+	full     []byte
+	fullErr  error
 }
 
 // fullFrame returns the encoding of frame, which must be this export's
 // full frame.
 func (e *stateExport) fullFrame(frame wire.ComponentFrame) ([]byte, error) {
-	i := 0
-	if frame.Compact {
-		i = 1
-	}
-	e.fullOnce[i].Do(func() { e.full[i], e.fullErr[i] = wire.EncodeComponentFrame(frame) })
-	return e.full[i], e.fullErr[i]
+	e.fullOnce.Do(func() { e.full, e.fullErr = wire.EncodeComponentFrame(frame) })
+	return e.full, e.fullErr
 }
 
 // component returns the export's component of that id.
@@ -237,18 +224,16 @@ func parseStateBase(etag, since string) (uint64, bool) {
 // against the base vector: only components whose label moved (or are
 // new) ship, and ids present at the base but gone now are listed as
 // removed. The frame keeps the full export's top label and total count,
-// so the importer can cross-check the fold. With held set (the node's
-// previous export, for a puller that asked for diffs), a shipped
-// component whose blob at the base version is still in it is offered to
-// the encoder as that base; sparse says the puller reads sparse diffs.
-func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[string]uint64, held *stateExport, sparse bool) wire.ComponentFrame {
+// so the importer can cross-check the fold. A shipped component whose
+// blob at the base version is still in held (the node's previous export)
+// is offered to the encoder as that base.
+func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[string]uint64, held *stateExport) wire.ComponentFrame {
 	delta := wire.ComponentFrame{
 		NodeID:      full.NodeID,
 		Version:     full.Version,
 		Delta:       true,
 		BaseVersion: base,
 		N:           full.N,
-		Compact:     full.Compact,
 	}
 	for _, c := range full.Components {
 		v, atBase := baseVec[c.ID]
@@ -257,7 +242,7 @@ func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[str
 		}
 		if atBase && held != nil {
 			if old, ok := held.component(c.ID); ok && old.Version == v {
-				c.Base = &wire.ComponentBase{Version: v, State: old.State, Sparse: sparse}
+				c.Base = &wire.ComponentBase{Version: v, State: old.State}
 			}
 		}
 		delta.Components = append(delta.Components, c)

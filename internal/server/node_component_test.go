@@ -106,18 +106,12 @@ func TestExportAtUnchangedLabelServesRetained(t *testing.T) {
 			if again != first || held != first {
 				t.Fatal("an export at an unchanged label was built again")
 			}
-			// Its full frame is deflated once per form, for whoever asks
-			// first.
-			for i, query := range []string{"components=1", "components=1&compact=1"} {
-				_, body, _, _ := getStateQuery(t, ts.URL, query, "")
-				encoded := &first.full[i][0]
-				_, body2, _, _ := getStateQuery(t, ts.URL, query, "")
-				if !bytes.Equal(body, first.full[i]) || !bytes.Equal(body2, first.full[i]) || &first.full[i][0] != encoded {
-					t.Fatalf("%s: full frames at an unchanged label are not the one retained encoding", query)
-				}
-			}
-			if len(first.full[1]) >= len(first.full[0]) {
-				t.Fatalf("compact full frame of %d bytes, default %d", len(first.full[1]), len(first.full[0]))
+			// Its full frame is deflated once, for whoever asks first.
+			_, body, _, _ := getState(t, ts.URL, "")
+			encoded := &first.full[0]
+			_, body2, _, _ := getState(t, ts.URL, "")
+			if !bytes.Equal(body, first.full) || !bytes.Equal(body2, first.full) || &first.full[0] != encoded {
+				t.Fatal("full frames at an unchanged label are not the one retained encoding")
 			}
 			postBatchOK(t, ts.URL, p, reps[40:])
 			next, held, err := s.exportComponents()
@@ -240,31 +234,21 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 	}
 }
 
-// statePuller is one client of GET /state?components=1 that keeps what
-// it was served, the way a coordinator does.
+// statePuller is one client of GET /state that keeps what it was
+// served, the way a coordinator does.
 type statePuller struct {
-	url    string
-	p      core.Protocol
-	sparse string // the value of the sparse token sent beside diff=1: "2" reads sparse diffs, "" sends none
-	etag   string
-	held   map[string]wire.StateComponent
-	mangle func(frame []byte) []byte // stands in for a peer that frames otherwise
+	url  string
+	p    core.Protocol
+	etag string
+	held map[string]wire.StateComponent
 
-	full, whole, diffs, sparseDiffs, notModified int
+	full, whole, diffs, notModified int
 }
 
-// pull issues one request: with ack the held label is acknowledged,
-// with diff components may arrive as differences. It checks the frame
-// against what it holds and folds it in.
-func (sp *statePuller) pull(ack, diff bool) error {
-	target := sp.url + "/state?components=1"
-	if diff {
-		target += "&diff=1"
-		if sp.sparse != "" {
-			target += "&sparse=" + sp.sparse
-		}
-	}
-	req, err := http.NewRequest(http.MethodGet, target, nil)
+// pull issues one request, with ack acknowledging the held label. It
+// checks the frame against what it holds and folds it in.
+func (sp *statePuller) pull(ack bool) error {
+	req, err := http.NewRequest(http.MethodGet, sp.url+"/state", nil)
 	if err != nil {
 		return err
 	}
@@ -289,9 +273,6 @@ func (sp *statePuller) pull(ack, diff bool) error {
 	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, body)
-	}
-	if sp.mangle != nil {
-		body = sp.mangle(body)
 	}
 	// A diff that does not rebuild to the declared length and crc32c on
 	// the held blob fails here.
@@ -318,16 +299,7 @@ func (sp *statePuller) pull(ack, diff bool) error {
 			return fmt.Errorf("component %s holds %d reports, declares %d", c.ID, probe.N(), c.N)
 		}
 		if c.Base != nil {
-			if !diff {
-				return fmt.Errorf("component %s arrived as a diff nobody asked for", c.ID)
-			}
 			sp.diffs++
-			if c.Base.Sparse {
-				if sp.sparse != "2" {
-					return fmt.Errorf("component %s arrived as a sparse diff nobody asked for", c.ID)
-				}
-				sp.sparseDiffs++
-			}
 		} else if cf.Delta {
 			sp.whole++
 		}
@@ -348,9 +320,8 @@ func (sp *statePuller) pull(ack, diff bool) error {
 }
 
 // TestConcurrentStateExportsUnderIngest runs full, whole-component
-// delta, diff and 304 requests from several pullers at once, one of
-// which reads sparse diffs, against an edge that is ingesting (run it
-// under -race). Exports are serialized
+// delta, diff and 304 requests from several pullers at once against an
+// edge that is ingesting (run it under -race). Exports are serialized
 // and a label is only ever served with one blob, so every frame must
 // decode on what its puller holds — no diff may miss its base — and
 // account for exactly the reports it declares.
@@ -373,7 +344,7 @@ func TestConcurrentStateExportsUnderIngest(t *testing.T) {
 			ingestDone := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := range pullers {
-				sp := &statePuller{url: ts.URL, p: p, sparse: []string{"", "2"}[i%2]}
+				sp := &statePuller{url: ts.URL, p: p}
 				pullers[i] = sp
 				wg.Add(1)
 				go func(i int) {
@@ -384,8 +355,8 @@ func TestConcurrentStateExportsUnderIngest(t *testing.T) {
 							return
 						default:
 						}
-						// In turn: no base, base, base and diffs, diffs again.
-						if err := sp.pull(round%4 != 0, round%4 >= 2); err != nil {
+						// In turn: no base, then three that name one.
+						if err := sp.pull(round%4 != 0); err != nil {
 							t.Errorf("puller %d round %d: %v", i, round, err)
 							return
 						}
@@ -405,13 +376,13 @@ func TestConcurrentStateExportsUnderIngest(t *testing.T) {
 			// when its base is the retained export, a 304 at the current
 			// label, a full frame when it names none.
 			for i, sp := range pullers {
-				if err := sp.pull(true, true); err != nil {
+				if err := sp.pull(true); err != nil {
 					t.Fatal(err)
 				}
 				postBatchOK(t, ts.URL, p, reps[1900+20*i:1920+20*i])
 				before := *sp
 				for _, ack := range []bool{true, true, false} {
-					if err := sp.pull(ack, true); err != nil {
+					if err := sp.pull(ack); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -19,7 +19,7 @@ import (
 func TestBreakerTransitions(t *testing.T) {
 	const url = "http://peer"
 	f := &fleet{peers: []*peerEntry{{url: url}}}
-	pl := newPuller(f, time.Second, time.Second, 1<<20, false, 3, time.Minute, nil, nil)
+	pl := newPuller(f, time.Second, time.Second, 1<<20, 3, time.Minute, nil, nil)
 	pe := f.peers[0]
 
 	transient := errors.New("dial tcp: connection refused")

@@ -186,12 +186,6 @@ type Options struct {
 	// resumes from them instead of an empty fleet. Rejected for other
 	// roles (their durability is Store).
 	ClusterDir string
-	// DisableDeltaPull makes a coordinator's pulls fetch the legacy
-	// full-frame /state exchange instead of negotiating componentized
-	// deltas — an operational escape hatch (and the control arm of the
-	// delta-vs-full equivalence tests). Peers still answer 304 to the
-	// version handshake either way.
-	DisableDeltaPull bool
 
 	// Shards is the number of per-shard accumulators; <= 0 selects
 	// GOMAXPROCS.
@@ -528,7 +522,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		if maxState <= 0 {
 			maxState = defaultMaxStateBytes
 		}
-		s.puller = newPuller(s.fleet, interval, timeout, maxState, opts.DisableDeltaPull,
+		s.puller = newPuller(s.fleet, interval, timeout, maxState,
 			opts.QuarantineAfter, opts.QuarantineInterval, s.tracer, s.log)
 	}
 	if s.role.serves() {
@@ -1374,39 +1368,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // captured: a label that trails the state only makes a future pull
 // re-transfer, never skip, fresh data.
 //
-// The exchange negotiates three shapes:
-//
-//   - Bare GET /state serves the legacy wire.StateFrame (one merged
-//     blob) — what pre-delta pullers and debugging curls expect.
-//   - GET /state?components=1 serves a componentized wire.ComponentFrame:
-//     one component per ingesting node (its merged shards, or its
-//     window) or, from a coordinator, per constituent node, each with
-//     its own version label.
-//   - Either form answers 304 Not Modified when the caller's
-//     If-None-Match (or ?since=) base equals the current version; with
-//     ?components=1 a known, non-current base narrows the reply to a
-//     delta frame shipping only the components that moved since it,
-//     and with &diff=1 on top a moved component ships as its counter
-//     difference from the base's blob when this node still has that
-//     blob and the difference is the smaller payload. &sparse=2 beside
-//     it says the puller also reads the sparse form of a diff (gaps and
-//     non-zero differences only, bit-packed, wire/diff.go), which is
-//     then shipped where it is the smaller one; a puller that does not
-//     say so, or gives the token the value one earlier build gave it for
-//     another form, is never sent it.
-//   - &compact=1 on any ?components=1 request (full or delta) asks for
-//     the compact frame, which leaves out of the node's own component
-//     the id, version and count the frame already names, and writes a
-//     delta's base as its distance below the version.
-//
-// An unknown base — expired from the history ring, or from before a
-// restart (the version salt changed) — falls back to a full frame.
+// Every reply is a componentized wire.ComponentFrame — one component per
+// ingesting node (its merged shards, or its window) or, from a
+// coordinator, per constituent node, each with its own version label —
+// and the query names nothing but the base: 304 Not Modified when the
+// caller's If-None-Match (or ?since=) base equals the current version, a
+// delta frame shipping only the components that moved since a known,
+// non-current base (each offered as its counter difference from the
+// base's blob, dense or sparse, when this node still holds that blob and
+// the difference is the smaller payload), and a full frame otherwise. An
+// unknown base — expired from the history ring, or from before a restart
+// (the version salt changed) — falls back to a full frame.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	q := r.URL.Query()
-	base, haveBase := parseStateBase(r.Header.Get("If-None-Match"), q.Get("since"))
+	base, haveBase := parseStateBase(r.Header.Get("If-None-Match"), r.URL.Query().Get("since"))
 	if haveBase {
 		// Short-circuit before any state is marshaled: an unchanged peer
 		// costs headers, not an O(2^d) snapshot plus transfer.
@@ -1415,10 +1392,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-	}
-	if q.Get("components") != "1" {
-		s.serveLegacyState(w, r)
-		return
 	}
 	exp, held, err := s.exportComponents()
 	if err != nil {
@@ -1431,14 +1404,11 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	top := exp.top
-	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps, Compact: q.Get("compact") == "1"}
+	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps}
 	mode, encode := "full", exp.fullFrame
 	if haveBase && base != top {
 		if baseVec, ok := s.stateHist.lookup(base); ok {
-			if q.Get("diff") != "1" {
-				held = nil
-			}
-			frame = deltaAgainst(frame, base, baseVec, exp.vec, held, q.Get("sparse") == "2")
+			frame = deltaAgainst(frame, base, baseVec, exp.vec, held)
 			mode, encode = "delta", wire.EncodeComponentFrame
 		}
 	}
@@ -1452,49 +1422,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", stateETag(top))
 	w.Header().Set("X-LDP-Frame", mode)
 	_, _ = w.Write(buf)
-}
-
-// serveLegacyState is the pre-delta exchange: one merged
-// wire.StateFrame.
-func (s *Server) serveLegacyState(w http.ResponseWriter, r *http.Request) {
-	var (
-		ver  = s.stateVersion()
-		snap core.Aggregator
-		err  error
-	)
-	if s.fleet != nil {
-		// export, not Snapshot: only the engine's serialized builds may
-		// record the fleet composition a published epoch is labeled
-		// with.
-		snap, err = s.fleet.export()
-	} else if s.win != nil {
-		// A windowed node exports its current window, so a coordinator
-		// composes per-peer windowed state through the unchanged pull
-		// path: buckets seal and expire edge-side.
-		snap, err = s.win.Snapshot()
-	} else {
-		snap, err = s.agg.Snapshot()
-	}
-	if err != nil {
-		httpError(w, r, "snapshotting state: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	blob, err := snap.MarshalState()
-	if err != nil {
-		httpError(w, r, "marshaling state: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	frame, err := wire.EncodeStateFrame(wire.StateFrame{
-		NodeID: s.nodeID, Version: ver, N: snap.N(), State: blob,
-	})
-	if err != nil {
-		httpError(w, r, "framing state: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Header().Set("ETag", stateETag(ver))
-	_, _ = w.Write(frame)
 }
 
 // handlePull runs one synchronous pull round over every configured peer

@@ -70,11 +70,14 @@ func stateBytes(t *testing.T, url string) ([]byte, int) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /state: status %d err %v", resp.StatusCode, err)
 	}
-	sf, err := wire.DecodeStateFrame(body)
+	cf, err := wire.DecodeComponentFrame(body, 1<<24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sf.State, sf.N
+	if len(cf.Components) != 1 {
+		t.Fatalf("GET /state: %d components, want the node's one", len(cf.Components))
+	}
+	return cf.Components[0].State, cf.N
 }
 
 // referenceBytes is the canonical marshaled state of a fresh aggregator

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -27,26 +28,28 @@ import (
 //	"LDPP", format version byte, config block (shared with WAL/snapshots),
 //	uvarint peer count,
 //	repeat: uvarint url length, url bytes,
-//	        length-prefixed exchange frame — a componentized full frame
-//	        (wire.EncodeComponentFrame) at formatV2, a legacy v1 frame
-//	        (wire.EncodeStateFrame) at formatV1
+//	        length-prefixed componentized full frame
+//	        (wire.EncodeComponentFrame), the one /state serves
 //	crc32c of everything above (4 bytes LE)
 //
 // written atomically (temp file, fsync, rename) like counter snapshots.
-// formatV1 files (from before componentized exchange) still load: each
-// legacy single-blob state lifts to one component named by the node.
+// Files of the formats before (1: single-blob frames, 2: the frame of
+// format 1) fail to load with ErrPeerSnapshotFormat.
 
 const peersMagic = "LDPP"
 
-// formatV2 is the componentized peer-snapshot layout. Defined here (not
-// next to formatV1 in wal.go) because only peer snapshots have a second
-// format; WAL segments and counter snapshots remain at v1.
-const formatV2 = 2
+// peersFormat is the peer-snapshot layout version; WAL segments and
+// counter snapshots remain at formatV1.
+const peersFormat = 3
 
 // peersFile is the coordinator snapshot's name inside the cluster
 // directory. It deliberately doesn't match the wal-/snap- patterns, so
 // a directory shared with an edge store would not confuse recovery.
 const peersFile = "cluster.peers"
+
+// ErrPeerSnapshotFormat marks a peer snapshot written by an older build.
+// Its peers are not lost: they are re-pulled once the file is removed.
+var ErrPeerSnapshotFormat = errors.New("store: " + peersFile + " written by an older build; remove it and the coordinator re-pulls its peers")
 
 // peerSnapshotMaxRaw bounds the total decompressed component bytes of
 // one persisted peer frame. The file is CRC-guarded and written only by
@@ -91,7 +94,7 @@ func SavePeerStates(dir string, p core.Protocol, peers []PeerState) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	buf := appendConfig(append([]byte(peersMagic), formatV2), tag, p.Config())
+	buf := appendConfig(append([]byte(peersMagic), peersFormat), tag, p.Config())
 	buf = binary.AppendUvarint(buf, uint64(len(peers)))
 	for _, ps := range peers {
 		cf := wire.ComponentFrame{NodeID: ps.NodeID, Version: ps.Version, N: ps.N}
@@ -163,9 +166,11 @@ func LoadPeerStates(dir string, p core.Protocol) ([]PeerState, error) {
 	if string(body[:len(peersMagic)]) != peersMagic {
 		return nil, fmt.Errorf("store: bad peer snapshot magic %q", body[:len(peersMagic)])
 	}
-	format := body[len(peersMagic)]
-	if format != formatV1 && format != formatV2 {
-		return nil, fmt.Errorf("store: peer snapshot format version %d, want %d or %d", format, formatV1, formatV2)
+	switch format := body[len(peersMagic)]; {
+	case format < peersFormat:
+		return nil, fmt.Errorf("%w (format %d)", ErrPeerSnapshotFormat, format)
+	case format != peersFormat:
+		return nil, fmt.Errorf("store: peer snapshot format version %d, want %d", format, peersFormat)
 	}
 	rest, err := checkConfig(body[len(peersMagic)+1:], tag, p.Config())
 	if err != nil {
@@ -189,35 +194,16 @@ func LoadPeerStates(dir string, p core.Protocol) ([]PeerState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: peer %d (%s): %w", i, url, err)
 		}
-		ps := PeerState{URL: url}
-		if format == formatV2 {
-			cf, err := wire.DecodeComponentFrame(frame, peerSnapshotMaxRaw)
-			if err != nil {
-				return nil, fmt.Errorf("store: peer %d (%s): %w", i, url, err)
-			}
-			if cf.Delta {
-				return nil, fmt.Errorf("store: peer %d (%s): snapshot holds a delta frame", i, url)
-			}
-			ps.NodeID, ps.Version, ps.N = cf.NodeID, cf.Version, cf.N
-			for _, c := range cf.Components {
-				ps.Components = append(ps.Components, PeerComponent{
-					ID: c.ID, Version: c.Version, N: c.N,
-					State: append([]byte(nil), c.State...),
-				})
-			}
-		} else {
-			// A pre-componentization snapshot: the single blob lifts to
-			// one component named by the exporting node, exactly like a
-			// live legacy pull.
-			sf, err := wire.DecodeStateFrame(frame)
-			if err != nil {
-				return nil, fmt.Errorf("store: peer %d (%s): %w", i, url, err)
-			}
-			ps.NodeID, ps.Version, ps.N = sf.NodeID, sf.Version, sf.N
-			ps.Components = []PeerComponent{{
-				ID: sf.NodeID, Version: sf.Version, N: sf.N,
-				State: append([]byte(nil), sf.State...),
-			}}
+		cf, err := wire.DecodeComponentFrame(frame, peerSnapshotMaxRaw)
+		if err != nil {
+			return nil, fmt.Errorf("store: peer %d (%s): %w", i, url, err)
+		}
+		if cf.Delta {
+			return nil, fmt.Errorf("store: peer %d (%s): snapshot holds a delta frame", i, url)
+		}
+		ps := PeerState{URL: url, NodeID: cf.NodeID, Version: cf.Version, N: cf.N}
+		for _, c := range cf.Components {
+			ps.Components = append(ps.Components, PeerComponent{ID: c.ID, Version: c.Version, N: c.N, State: c.State})
 		}
 		peers = append(peers, ps)
 		rest = next

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ldpmarginals/internal/core"
@@ -97,47 +99,41 @@ func TestPeerStatesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeerStatesLoadFormatV1 pins backward compatibility: a peer
-// snapshot written by a pre-componentization coordinator (formatV1, one
-// legacy state frame per peer) still loads, each blob lifted to a single
-// component named by the node — exactly like a live legacy pull.
-func TestPeerStatesLoadFormatV1(t *testing.T) {
+// TestPeerStatesRefuseOlderFormats: a peer snapshot written by an older
+// build — format 1 (single-blob LDPX frames) or format 2 (the LDPD frame
+// of format 1) — fails to load with ErrPeerSnapshotFormat, whose message
+// names the file to remove, though its checksum and config block hold.
+func TestPeerStatesRefuseOlderFormats(t *testing.T) {
 	p := peersTestProtocol(t)
-	dir := t.TempDir()
-	blob, n := peerStateBlob(t, p, 30, 5)
 	tag, err := encoding.TagForProtocol(p.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := wire.EncodeStateFrame(wire.StateFrame{NodeID: "edge-1", Version: 42, N: n, State: blob})
-	if err != nil {
-		t.Fatal(err)
+	// Node "edge-1" at version 20 with 4 reports and a three-byte state,
+	// in each format's frame, laid out by hand.
+	seal := func(buf []byte) []byte {
+		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
 	}
-	url := "http://10.0.0.9:8080"
-	buf := appendConfig(append([]byte(peersMagic), formatV1), tag, p.Config())
-	buf = binary.AppendUvarint(buf, 1)
-	buf = binary.AppendUvarint(buf, uint64(len(url)))
-	buf = append(buf, url...)
-	buf = wire.AppendFrame(buf, frame)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	if err := os.WriteFile(filepath.Join(dir, peersFile), buf, 0o644); err != nil {
-		t.Fatal(err)
+	frames := map[byte][]byte{
+		1: seal([]byte("LDPX\x01\x06edge-1\x14\x04\x03\x03\x01\x04")),
+		2: seal([]byte("LDPD\x01\x00\x06edge-1\x14\x04\x01\x06edge-1\x14\x04\x00\x03\x03\x03\x01\x04")),
 	}
-	out, err := LoadPeerStates(dir, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("loaded %d peers, want 1", len(out))
-	}
-	ps := out[0]
-	if ps.URL != url || ps.NodeID != "edge-1" || ps.Version != 42 || ps.N != n {
-		t.Fatalf("v1 peer loaded as %+v", ps)
-	}
-	if len(ps.Components) != 1 || ps.Components[0].ID != "edge-1" ||
-		ps.Components[0].Version != 42 || ps.Components[0].N != n ||
-		!bytes.Equal(ps.Components[0].State, blob) {
-		t.Fatalf("v1 blob lifted to %+v", ps.Components)
+	for format, frame := range frames {
+		url := "http://10.0.0.9:8080"
+		buf := appendConfig(append([]byte(peersMagic), format), tag, p.Config())
+		buf = binary.AppendUvarint(buf, 1)
+		buf = binary.AppendUvarint(buf, uint64(len(url)))
+		buf = append(buf, url...)
+		buf = wire.AppendFrame(buf, frame)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, peersFile), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadPeerStates(dir, p)
+		if !errors.Is(err, ErrPeerSnapshotFormat) || !strings.Contains(err.Error(), "cluster.peers") {
+			t.Errorf("format %d: error %v, want ErrPeerSnapshotFormat naming cluster.peers", format, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,8 +14,8 @@ import (
 	"sync"
 )
 
-// Componentized state-exchange frame: the delta-capable successor of the
-// LDPX frame. Where LDPX ships one opaque merged blob, LDPD carries the
+// Componentized state-exchange frame, the one form a node serves from
+// GET /state and a coordinator persists its peers in. It carries the
 // exporter's state as named *components* — an edge's merged state (or
 // window), or a coordinator's held peer contributions passed through
 // unchanged — each labeled with its own version. A frame is either
@@ -23,20 +24,18 @@ import (
 // components whose version moved since the base, plus the ids that
 // disappeared. Layout:
 //
-//	"LDPD", format version byte, flags byte (bit0: delta, bit1: compact),
+//	"LDPD", format version byte, flags byte (bit0: delta),
 //	uvarint node-id length, node-id bytes,
 //	uvarint frame version,
-//	uvarint base version            (delta frames only; compact: the
-//	                                 frame version minus it, 1..version),
+//	uvarint frame version minus base version (delta frames only, 1..version),
 //	uvarint total report count,
 //	uvarint component count,
 //	repeat (ids strictly increasing):
-//	  encoding byte                 (compact frames: here, not below),
-//	  uvarint id length, id bytes,  (none of the three on the own
-//	  uvarint component version,     component of a compact frame)
-//	  uvarint component report count,
 //	  encoding byte (bit0: flate, bit1: diff, bit3: the diff is sparse,
-//	    bit4: the exporter's own component, compact frames only),
+//	    bit4: the exporter's own component),
+//	  uvarint id length, id bytes,  (none of the three on the own
+//	  uvarint component version,     component)
+//	  uvarint component report count,
 //	  uvarint raw state length,
 //	  diff components only:
 //	    uvarint component version minus base component version
@@ -47,18 +46,17 @@ import (
 //	repeat (ids strictly increasing): uvarint id length, id bytes,
 //	crc32c of everything above (4 bytes LE)
 //
-// The compact form, sent only to a puller that asked for it, names the
-// exporter once: a single or edge node ships one component whose id,
-// version and report count are the frame's node id, version and total,
-// and a delta's base is close below its version. Such a component is
-// marked by bit4 instead of repeating the three (and, shipped as a diff
-// in a delta, the base its diff is against is the frame's base); every
-// other component, a coordinator's pass-through ones among them, is
-// written in full. Each form is canonical: the encoder uses bit4
-// wherever it applies, and a delta whose base is not below its version
-// is written in the default form, so the decoder refuses a compact frame
-// that spells out what bit4 stands for, a relative base of zero or
-// beyond the version, and bit4 on a diff in a full frame.
+// The frame names the exporter once: a single or edge node ships one
+// component whose id, version and report count are the frame's node id,
+// version and total, and it is marked by bit4 instead of repeating the
+// three (shipped as a diff in a delta, the base its diff is against is
+// the frame's base). Every other component, a coordinator's pass-through
+// ones among them, is written in full. The form is canonical: the
+// encoder uses bit4 wherever it applies, so the decoder refuses a frame
+// that spells out what bit4 stands for, and bit4 on a diff in a full
+// frame. A frame of any other format — an LDPD frame of format 1, or an
+// LDPX single-blob frame (exchange.go), both from older builds — is
+// refused with ErrFrameFormat.
 //
 // Component ids are globally unique across a fleet: a leaf exporter
 // prefixes its own node id ("edge-1/17" for shard 17), and coordinators
@@ -74,31 +72,25 @@ import (
 // never with bit0, as the stream is not deflated); the decoder rebuilds
 // the state from its own copy of that version and checks it against the
 // declared length and checksum, so everything past the decoder sees
-// whole canonical blobs either way. An exporter ships either kind only
-// to a puller that asked for it (each encoding bit is unknown to the
-// decoders that predate it) and only when it makes the component
-// smaller: whole, dense diff, sparse diff, the smallest wins and the
-// earlier of two the same size (packer.component). Bit2 marked the
-// sparse diff of one earlier build, varints under deflate; it is retired,
-// and refused like any unknown bit.
-// Version labels carry the same one-directional guarantee as LDPX (see
-// exchange.go): equal labels may rarely hide a racing mutation for one
-// pull round, but the exporter's delta bases are recorded conservatively
-// (element-wise minimum per label), so a delta never *skips* a mutation
-// a holder of that base is missing — at worst it re-ships an unchanged
-// component.
+// whole canonical blobs either way. The encoder ships whichever of whole,
+// dense diff and sparse diff is smallest, the earlier of two the same
+// size (packer.component).
+// Version labels carry a one-directional guarantee: equal labels may
+// rarely hide a racing mutation for one pull round, but the exporter's
+// delta bases are recorded conservatively, so a delta never *skips* a
+// mutation a holder of that base is missing — at worst it re-ships an
+// unchanged component.
 const (
 	deltaMagic         = "LDPD"
-	deltaFormatVersion = 1
+	deltaFormatVersion = 2
 
-	deltaFlagDelta   = 0x01
-	deltaFlagCompact = 0x02
+	deltaFlagDelta = 0x01
 
 	// Component encoding bits.
 	compEncFlate = 0x01 // payload is a deflate stream
 	compEncDiff  = 0x02 // payload is a state diff, not a state
 	compEncRice  = 0x08 // the diff is sparse (diff.go): with compEncDiff, without compEncFlate
-	compEncOwn   = 0x10 // compact frames: id, version and count are the frame's
+	compEncOwn   = 0x10 // id, version and count are the frame's
 
 	// MaxComponentIDLen bounds one component id: an originating node id
 	// plus a "/"-separated local suffix (shard index).
@@ -109,6 +101,12 @@ const (
 	// allocation before any payload bytes are validated.
 	MaxFrameComponents = 1 << 16
 )
+
+// ErrFrameFormat marks a state frame of a format this build does not
+// speak: an LDPD frame of another format version, or an LDPX single-blob
+// frame. Every node of a fleet runs one build; a node of another one
+// fails here, by name, instead of misreading the frame.
+var ErrFrameFormat = errors.New("wire: state frame format of another build")
 
 // StateComponent is one named, versioned state blob inside a
 // componentized frame.
@@ -152,9 +150,6 @@ type ComponentFrame struct {
 	// Removed lists component ids present at BaseVersion but gone now
 	// (delta frames only), sorted.
 	Removed []string
-	// Compact selects the compact form (see the layout above), which
-	// only a puller that asked for it reads. Decoding sets it.
-	Compact bool
 }
 
 // ComponentOrigin returns the originating node id of a component id: the
@@ -240,14 +235,14 @@ const sparseSmall = 4096
 // component picks how c ships: the encoding byte, the fields a diff
 // component carries between its raw length and its payload (nil for a
 // whole one), and the payload. The forms are the whole state, its dense
-// diff and, for a puller that decodes them, its sparse diff; the smallest
-// on the wire ships, a diff's fields included, and the earlier of two
-// the same size. Two forms are settled by the shape of the input alone,
-// because building and packing them is most of the work: the dense
-// diff is not tried when the sparse one is certain to beat it
-// (stateDiff.clearlySparse), nor the sparse one on a large state where
-// most values moved, nor the whole state when a diff is under
-// 1/diffCertain of it; where both rules apply nothing is deflated at all.
+// diff and its sparse diff; the smallest on the wire ships, a diff's
+// fields included, and the earlier of two the same size. Two forms are
+// settled by the shape of the input alone, because building and packing
+// them is most of the work: the dense diff is not tried when the sparse
+// one is certain to beat it (stateDiff.clearlySparse), nor the sparse
+// one on a large state where most values moved, nor the whole state when
+// a diff is under 1/diffCertain of it; where both rules apply nothing is
+// deflated at all.
 // The payload is valid until the packer's next use.
 func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte, err error) {
 	flateBit := func(deflated bool) byte {
@@ -267,7 +262,7 @@ func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte
 					enc, diffHead, payload = form, formHead, packed
 				}
 			}
-			sparse := c.Base.Sparse && (d.gapsPay() || d.vals <= sparseSmall)
+			sparse := d.gapsPay() || d.vals <= sparseSmall
 			if !sparse || !d.clearlySparse() {
 				packed, deflated, err := p.pack(d.dense())
 				if err != nil {
@@ -298,9 +293,9 @@ func (p *packer) component(c StateComponent) (enc byte, diffHead, payload []byte
 
 // EncodeComponentFrame serializes one componentized frame, deflating
 // each component payload when that shrinks it and shipping a component
-// that names a Base as a diff when that is smaller still, in the compact
-// form when f.Compact asks for it. Components and removed ids must be
-// sorted strictly increasing by id.
+// that names a Base as a diff when that is smaller still. Components and
+// removed ids must be sorted strictly increasing by id, and a delta's
+// base must be below its version.
 func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	if len(f.NodeID) == 0 || len(f.NodeID) > MaxNodeIDLen {
 		return nil, fmt.Errorf("wire: node id of %d bytes (want 1..%d)", len(f.NodeID), MaxNodeIDLen)
@@ -311,16 +306,15 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	if !f.Delta && (f.BaseVersion != 0 || len(f.Removed) != 0) {
 		return nil, fmt.Errorf("wire: full frame carries delta fields (base version %d, %d removed ids)", f.BaseVersion, len(f.Removed))
 	}
+	if f.Delta && f.BaseVersion >= f.Version {
+		return nil, fmt.Errorf("wire: delta frame base version %d is not below its version %d", f.BaseVersion, f.Version)
+	}
 	if len(f.Components) > MaxFrameComponents || len(f.Removed) > MaxFrameComponents {
 		return nil, fmt.Errorf("wire: frame of %d components / %d removed ids exceeds %d", len(f.Components), len(f.Removed), MaxFrameComponents)
 	}
-	compact := f.Compact && (!f.Delta || f.BaseVersion < f.Version)
 	flags := byte(0)
 	if f.Delta {
 		flags |= deltaFlagDelta
-	}
-	if compact {
-		flags |= deltaFlagCompact
 	}
 	buf := make([]byte, 0, 64+len(f.NodeID))
 	buf = append(buf, deltaMagic...)
@@ -329,11 +323,7 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 	buf = append(buf, f.NodeID...)
 	buf = binary.AppendUvarint(buf, f.Version)
 	if f.Delta {
-		base := f.BaseVersion
-		if compact {
-			base = f.Version - base
-		}
-		buf = binary.AppendUvarint(buf, base)
+		buf = binary.AppendUvarint(buf, f.Version-f.BaseVersion)
 	}
 	buf = binary.AppendUvarint(buf, uint64(f.N))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Components)))
@@ -353,7 +343,7 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire: component %q: %w", c.ID, err)
 		}
-		own := compact && c.ID == f.NodeID && c.Version == f.Version && c.N == f.N &&
+		own := c.ID == f.NodeID && c.Version == f.Version && c.N == f.N &&
 			(diffHead == nil || f.Delta && c.Base.Version == f.BaseVersion)
 		if own {
 			enc |= compEncOwn
@@ -361,17 +351,12 @@ func EncodeComponentFrame(f ComponentFrame) ([]byte, error) {
 				diffHead = diffHead[uvarintLen(c.Version-c.Base.Version):]
 			}
 		}
-		if compact {
-			buf = append(buf, enc)
-		}
+		buf = append(buf, enc)
 		if !own {
 			buf = binary.AppendUvarint(buf, uint64(len(c.ID)))
 			buf = append(buf, c.ID...)
 			buf = binary.AppendUvarint(buf, c.Version)
 			buf = binary.AppendUvarint(buf, uint64(c.N))
-		}
-		if !compact {
-			buf = append(buf, enc)
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(c.State)))
 		buf = append(buf, diffHead...)
@@ -489,9 +474,11 @@ func DecodeComponentFrame(buf []byte, maxRaw int64) (ComponentFrame, error) {
 }
 
 // DecodeComponentFrameWith is DecodeComponentFrame for a puller that
-// asked for diffs: base returns what it holds for a component id. A diff
-// against any other version of the component, or whose result fails the
-// declared length or checksum, fails with an error wrapping ErrDiffBase.
+// holds components a diff may be against: base returns what it holds for
+// a component id. A diff against any other version of the component, or
+// whose result fails the declared length or checksum, fails with an
+// error wrapping ErrDiffBase. A frame of another build's format fails
+// with an error wrapping ErrFrameFormat.
 func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (ComponentBase, bool)) (ComponentFrame, error) {
 	var f ComponentFrame
 	if maxRaw < 0 {
@@ -504,17 +491,19 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 	if got := crc32.Checksum(body, exchangeCRC); got != sum {
 		return f, fmt.Errorf("wire: component frame checksum %08x, want %08x", got, sum)
 	}
-	if string(body[:len(deltaMagic)]) != deltaMagic {
-		return f, fmt.Errorf("wire: bad component frame magic %q", body[:len(deltaMagic)])
-	}
-	if body[len(deltaMagic)] != deltaFormatVersion {
-		return f, fmt.Errorf("wire: component frame format version %d, want %d", body[len(deltaMagic)], deltaFormatVersion)
+	switch magic := string(body[:len(deltaMagic)]); {
+	case magic == exchangeMagic:
+		return f, fmt.Errorf("%w: an LDPX single-blob frame", ErrFrameFormat)
+	case magic != deltaMagic:
+		return f, fmt.Errorf("wire: bad component frame magic %q", magic)
+	case body[len(deltaMagic)] != deltaFormatVersion:
+		return f, fmt.Errorf("%w: component frame format version %d, want %d", ErrFrameFormat, body[len(deltaMagic)], deltaFormatVersion)
 	}
 	flags := body[len(deltaMagic)+1]
-	if flags&^(deltaFlagDelta|deltaFlagCompact) != 0 {
+	if flags&^deltaFlagDelta != 0 {
 		return f, fmt.Errorf("wire: component frame flags %02x unknown", flags)
 	}
-	f.Delta, f.Compact = flags&deltaFlagDelta != 0, flags&deltaFlagCompact != 0
+	f.Delta = flags&deltaFlagDelta != 0
 	r := &componentReader{rest: body[len(deltaMagic)+2:]}
 
 	idLen := r.uvarint("node-id length")
@@ -524,13 +513,11 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 	f.NodeID = string(r.bytes(idLen, "node id"))
 	f.Version = r.uvarint("version")
 	if f.Delta {
-		f.BaseVersion = r.uvarint("base version")
-		if f.Compact && r.err == nil {
-			if f.BaseVersion == 0 || f.BaseVersion > f.Version {
-				return f, fmt.Errorf("wire: compact frame base %d below version %d is out of range (want 1..version)", f.BaseVersion, f.Version)
-			}
-			f.BaseVersion = f.Version - f.BaseVersion
+		below := r.uvarint("base version")
+		if r.err == nil && (below == 0 || below > f.Version) {
+			return f, fmt.Errorf("wire: component frame base %d below version %d is out of range (want 1..version)", below, f.Version)
 		}
+		f.BaseVersion = f.Version - below
 	}
 	n := r.uvarint("report count")
 	if r.err == nil && n > uint64(math.MaxInt) {
@@ -549,19 +536,12 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		f.Components = make([]StateComponent, 0, min(count, uint64(len(r.rest))))
 	}
 	budget := uint64(maxRaw)
-	known := byte(compEncFlate | compEncDiff | compEncRice)
-	if f.Compact {
-		known |= compEncOwn
-	}
 	for i := uint64(0); i < count && r.err == nil; i++ {
 		var (
 			c       StateComponent
-			enc     byte
 			ver, cn uint64
 		)
-		if f.Compact {
-			enc = r.byteVal("component encoding")
-		}
+		enc := r.byteVal("component encoding")
 		own := enc&compEncOwn != 0
 		if own {
 			c.ID, ver, cn = f.NodeID, f.Version, uint64(f.N)
@@ -569,9 +549,6 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 			c.ID = r.id("component id")
 			ver = r.uvarint("component version")
 			cn = r.uvarint("component report count")
-		}
-		if !f.Compact {
-			enc = r.byteVal("component encoding")
 		}
 		rawLen := r.uvarint("component raw length")
 		isDiff, isSparse := enc&compEncDiff != 0, enc&compEncRice != 0
@@ -598,7 +575,7 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		if cn > uint64(math.MaxInt) {
 			return f, fmt.Errorf("wire: component %q report count overflows int", c.ID)
 		}
-		if enc&^known != 0 || isSparse && enc&^compEncOwn != compEncDiff|compEncRice {
+		if enc&^(compEncFlate|compEncDiff|compEncRice|compEncOwn) != 0 || isSparse && enc&^compEncOwn != compEncDiff|compEncRice {
 			return f, fmt.Errorf("wire: component %q encoding %d unknown", c.ID, enc)
 		}
 		// What the encoder would not write: the own component's fields
@@ -606,9 +583,9 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		if own && isDiff && !f.Delta {
 			return f, fmt.Errorf("wire: component %q is a diff against the base of a full frame", c.ID)
 		}
-		if f.Compact && !own && c.ID == f.NodeID && ver == f.Version && cn == uint64(f.N) &&
+		if !own && c.ID == f.NodeID && ver == f.Version && cn == uint64(f.N) &&
 			(!isDiff || f.Delta && ver-verDelta == f.BaseVersion) {
-			return f, fmt.Errorf("wire: compact frame spells out component %q, its own", c.ID)
+			return f, fmt.Errorf("wire: component frame spells out component %q, its own", c.ID)
 		}
 		// Both the state and a diff's own raw form are materialized.
 		for _, n := range [2]uint64{rawLen, diffLen} {
@@ -633,10 +610,13 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		}
 		c.State = raw
 		if isDiff {
-			if base == nil {
-				return f, fmt.Errorf("wire: component %q arrived as a diff, which was not asked for", c.ID)
+			var (
+				held ComponentBase
+				ok   bool
+			)
+			if base != nil {
+				held, ok = base(c.ID)
 			}
-			held, ok := base(c.ID)
 			if !ok || held.Version != ver-verDelta {
 				return f, fmt.Errorf("wire: component %q is a diff against version %d: %w", c.ID, ver-verDelta, ErrDiffBase)
 			}
@@ -690,13 +670,6 @@ func DecodeComponentFrameWith(buf []byte, maxRaw int64, base func(id string) (Co
 		return f, fmt.Errorf("wire: component frame has %d trailing bytes", len(r.rest))
 	}
 	return f, nil
-}
-
-// IsComponentFrame reports whether buf starts with the componentized
-// frame magic — the cheap sniff a puller uses to tell an LDPD reply from
-// a legacy LDPX one.
-func IsComponentFrame(buf []byte) bool {
-	return len(buf) >= len(deltaMagic) && string(buf[:len(deltaMagic)]) == deltaMagic
 }
 
 // SortComponents orders components canonically (by id) in place.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -38,9 +39,6 @@ func TestComponentFrameRoundTrip(t *testing.T) {
 		buf, err := EncodeComponentFrame(in)
 		if err != nil {
 			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		if !IsComponentFrame(buf) {
-			t.Fatalf("case %d: encoded frame not sniffed as componentized", i)
 		}
 		out, err := DecodeComponentFrame(buf, testMaxRaw)
 		if err != nil {
@@ -112,6 +110,8 @@ func TestComponentFrameEncodeRejects(t *testing.T) {
 		{"unsorted removed", ComponentFrame{NodeID: "n", Delta: true, Removed: []string{"b", "a"}}},
 		{"full frame with base version", ComponentFrame{NodeID: "n", BaseVersion: 3}},
 		{"full frame with removals", ComponentFrame{NodeID: "n", Removed: []string{"a"}}},
+		{"delta base at its version", ComponentFrame{NodeID: "n", Version: 3, Delta: true, BaseVersion: 3}},
+		{"delta base above its version", ComponentFrame{NodeID: "n", Version: 3, Delta: true, BaseVersion: 4}},
 	}
 	for _, tc := range cases {
 		if _, err := EncodeComponentFrame(tc.f); err == nil {
@@ -176,16 +176,19 @@ func TestComponentFrameDecodeRejectsHostileBodies(t *testing.T) {
 		t.Error("unknown flags were accepted")
 	}
 
-	// The sparse bit on a component that is not a diff. The encoding byte
-	// follows the frame's and the component's id, version and count.
-	encAt := len(deltaMagic) + 2 + (1 + len("n")) + 3 + (1 + len("n/0")) + 2
-	bad = append([]byte(nil), base...)
-	if bad[encAt]&^compEncFlate != 0 {
-		t.Fatalf("byte %d of the control frame is %#x, not its encoding byte", encAt, bad[encAt])
-	}
-	bad[encAt] |= compEncRice
-	if _, err := DecodeComponentFrameWith(reseal(bad), testMaxRaw, func(string) (ComponentBase, bool) { return ComponentBase{}, false }); err == nil {
-		t.Error("sparse bit on a whole component was accepted")
+	// The sparse bit, or the unknown bit 0x04, on a component that is not
+	// a diff. The encoding byte leads the component, after the frame's
+	// node id, version, count and component count.
+	encAt := len(deltaMagic) + 2 + (1 + len("n")) + 3
+	for _, bit := range []byte{compEncRice, 0x04} {
+		bad = append([]byte(nil), base...)
+		if bad[encAt]&^compEncFlate != 0 {
+			t.Fatalf("byte %d of the control frame is %#x, not its encoding byte", encAt, bad[encAt])
+		}
+		bad[encAt] |= bit
+		if _, err := DecodeComponentFrameWith(reseal(bad), testMaxRaw, func(string) (ComponentBase, bool) { return ComponentBase{}, false }); err == nil {
+			t.Errorf("encoding bit %#x on a whole component was accepted", bit)
+		}
 	}
 
 	// Trailing bytes after a structurally complete frame.
@@ -210,24 +213,18 @@ func TestComponentFrameDecodeRejectsHostileBodies(t *testing.T) {
 		t.Fatalf("control frame rejected: %v", err)
 	}
 
-	// The own bit outside the compact form.
-	bad = append([]byte(nil), base...)
-	bad[encAt] |= compEncOwn
-	if _, err := DecodeComponentFrame(reseal(bad), testMaxRaw); err == nil {
-		t.Error("own bit in a default frame was accepted")
-	}
-
-	compactBodies(t)
+	ownBodies(t)
 }
 
-// compactBodies holds the decoder to what the compact encoder writes, on
-// frames of node "n" at version 20 with 4 reports laid out by hand.
-func compactBodies(t *testing.T) {
+// ownBodies holds the decoder to what the encoder writes around the own
+// component, on frames of node "n" at version 20 with 4 reports laid out
+// by hand.
+func ownBodies(t *testing.T) {
 	t.Helper()
-	// frame lays out a compact frame, a delta with the relative base rel
-	// unless rel is negative, around the components' bytes.
+	// frame lays out a frame, a delta with the relative base rel unless
+	// rel is negative, around the components' bytes.
 	frame := func(rel int, comps ...[]byte) []byte {
-		flags := byte(deltaFlagCompact)
+		flags := byte(0)
 		if rel >= 0 {
 			flags |= deltaFlagDelta
 		}
@@ -305,9 +302,46 @@ func compactBodies(t *testing.T) {
 			continue
 		}
 		// What is accepted is what the encoder writes for it.
-		if again, err := EncodeComponentFrame(out); err != nil || !out.Compact || !bytes.Equal(again, tc.frame) {
+		if again, err := EncodeComponentFrame(out); err != nil || !bytes.Equal(again, tc.frame) {
 			t.Errorf("%s: re-encodes to %x (err %v), was %x", tc.name, again, err, tc.frame)
 		}
+	}
+}
+
+// TestComponentFrameRefusesOtherFormats: the frames of older builds,
+// laid out by hand — an LDPD frame of format 1 in its default and its
+// compact form, and an LDPX single-blob frame — are refused with
+// ErrFrameFormat, never misread, though their checksums hold.
+func TestComponentFrameRefusesOtherFormats(t *testing.T) {
+	seal := func(buf []byte) []byte {
+		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, exchangeCRC))
+	}
+	state := []byte{3, 1, 4}
+	for name, frame := range map[string][]byte{
+		// Node "n" at version 20 with 4 reports, its one component "n"
+		// whole and raw; the default form spells the component out with
+		// its encoding byte after the count.
+		"LDPD format 1": seal(append([]byte("LDPD\x01\x00\x01n\x14\x04\x01\x01n\x14\x04\x00\x03\x03"), state...)),
+		// The compact form of the same frame: flags bit1, the own bit.
+		"LDPD format 1, compact": seal(append([]byte("LDPD\x01\x02\x01n\x14\x04\x01\x10\x03\x03"), state...)),
+		// And as a delta against version 19: base 1 below the version.
+		"LDPD format 1, compact delta": seal(append(append([]byte("LDPD\x01\x03\x01n\x14\x01\x04\x01\x10\x03\x03"), state...), 0)),
+		// Node "n" at version 20 with 4 reports and its state blob.
+		"LDPX": seal(append([]byte("LDPX\x01\x01n\x14\x04\x03"), state...)),
+	} {
+		if _, err := DecodeComponentFrame(frame, testMaxRaw); !errors.Is(err, ErrFrameFormat) {
+			t.Errorf("%s: error %v, want ErrFrameFormat", name, err)
+		}
+	}
+	// The hand-laid LDPX frame is what EncodeStateFrame, kept for the
+	// benchmark's ledger, writes.
+	ldpx, err := EncodeStateFrame(StateFrame{NodeID: "n", Version: 20, N: 4, State: state})
+	if want := seal(append([]byte("LDPX\x01\x01n\x14\x04\x03"), state...)); err != nil || !bytes.Equal(ldpx, want) {
+		t.Errorf("EncodeStateFrame wrote %x (err %v), want %x", ldpx, err, want)
+	}
+	// The same frame in this build's format decodes.
+	if _, err := DecodeComponentFrame(seal(append([]byte("LDPD\x02\x00\x01n\x14\x04\x01\x10\x03\x03"), state...)), testMaxRaw); err != nil {
+		t.Errorf("format 2: %v", err)
 	}
 }
 
@@ -348,14 +382,14 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 	// and the tail arithmetic.
 	base, next, good, goodSparse := diffFixture()
 	lookup := func(id string) (ComponentBase, bool) { return base, id == "e/0" || id == "e" }
-	// The compact form: a node's full frame, its delta whose one component
-	// is a diff against the frame's base, and a coordinator's delta whose
-	// pass-through components are spelled out.
+	// A node's full frame, its delta whose one component is a diff against
+	// the frame's base, and a coordinator's delta whose pass-through
+	// components are spelled out.
 	for _, cf := range []ComponentFrame{
-		{NodeID: "e", Version: 8, N: 4, Compact: true, Components: []StateComponent{{ID: "e", Version: 8, N: 4, State: next}}},
-		{NodeID: "e", Version: 8, Delta: true, BaseVersion: base.Version, N: 4, Compact: true,
+		{NodeID: "e", Version: 8, N: 4, Components: []StateComponent{{ID: "e", Version: 8, N: 4, State: next}}},
+		{NodeID: "e", Version: 8, Delta: true, BaseVersion: base.Version, N: 4,
 			Components: []StateComponent{{ID: "e", Version: 8, N: 4, State: next, Base: &base}}},
-		{NodeID: "c", Version: 30, Delta: true, BaseVersion: 27, N: 9, Compact: true,
+		{NodeID: "c", Version: 30, Delta: true, BaseVersion: 27, N: 9,
 			Components: []StateComponent{{ID: "e/0", Version: 8, N: 4, State: next, Base: &base}, {ID: "f", Version: 2, N: 5, State: []byte{1}}},
 			Removed:    []string{"g"}},
 	} {
@@ -377,7 +411,7 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 			func(d *diffFields) { d.enc ^= compEncRice },      // one kind of stream under the other's bit
 			func(d *diffFields) { d.payload = d.payload[:len(d.payload)-1]; d.diffLen-- },
 			func(d *diffFields) { d.payload = append(d.payload[:2:2], 0xff, 0xff, 0x03); d.diffLen = 5 }, // a count, or values, of nothing
-			func(d *diffFields) { d.enc = d.enc&^compEncRice | 0x04 },                                    // the sparse bit of the build before
+			func(d *diffFields) { d.enc = d.enc&^compEncRice | 0x04 },                                    // an unknown bit in place of the sparse one
 		} {
 			d := good
 			mutate(&d)
@@ -415,7 +449,7 @@ func FuzzDecodeComponentFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		if cf.NodeID != cf2.NodeID || cf.Version != cf2.Version || cf.Delta != cf2.Delta || cf.Compact != cf2.Compact ||
+		if cf.NodeID != cf2.NodeID || cf.Version != cf2.Version || cf.Delta != cf2.Delta ||
 			cf.BaseVersion != cf2.BaseVersion || cf.N != cf2.N ||
 			len(cf.Components) != len(cf2.Components) || len(cf.Removed) != len(cf2.Removed) {
 			t.Fatalf("re-decode differs:\n got %+v\nwant %+v", cf2, cf)

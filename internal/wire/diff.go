@@ -48,10 +48,8 @@ var ErrDiffBase = errors.New("diff base mismatch")
 type ComponentBase struct {
 	Version uint64
 	State   []byte
-	// Sparse, on a base to encode against, says that the puller decodes
-	// sparse diffs (it said so in the handshake); without it the encoder
-	// ships dense ones only. On a decoded component it says that the
-	// diff arrived sparse.
+	// Sparse, on a decoded component, says that the diff arrived sparse.
+	// The encoder does not read it.
 	Sparse bool
 }
 

@@ -76,7 +76,7 @@ func BenchmarkDiffComponent(b *testing.B) {
 
 	for _, sh := range shapes {
 		c := StateComponent{ID: "e", Version: goldenLabel + 9, N: 1, State: sh.next,
-			Base: &ComponentBase{Version: goldenLabel + 7, State: sh.base, Sparse: true}}
+			Base: &ComponentBase{Version: goldenLabel + 7, State: sh.base}}
 		lookup := func(string) (ComponentBase, bool) { return *c.Base, true }
 		b.Run(sh.name+"/encode", func(b *testing.B) {
 			var pk packer
@@ -90,25 +90,20 @@ func BenchmarkDiffComponent(b *testing.B) {
 			}
 			b.ReportMetric(float64(shipped), "shipped-bytes")
 		})
-		// The frame a node ships the component in, in the default form and
-		// in the compact one, with its nine-byte salted labels.
-		frame := func(b *testing.B, compact bool) []byte {
+		// The frame a node ships the component in, with its nine-byte
+		// salted labels.
+		b.Run(sh.name+"/decode", func(b *testing.B) {
 			buf, err := EncodeComponentFrame(ComponentFrame{NodeID: "e", Version: c.Version, Delta: true, BaseVersion: c.Base.Version, N: 1,
-				Components: []StateComponent{c}, Compact: compact})
+				Components: []StateComponent{c}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			return buf
-		}
-		b.Run(sh.name+"/decode", func(b *testing.B) {
-			buf := frame(b, false)
 			for b.Loop() {
 				if _, err := DecodeComponentFrameWith(buf, testMaxRaw, lookup); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(buf)), "frame-bytes")
-			b.ReportMetric(float64(len(frame(b, true))), "compact-frame-bytes")
 		})
 	}
 }

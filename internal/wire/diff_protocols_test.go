@@ -29,8 +29,7 @@ func stateOf(t *testing.T, p core.Protocol, reps []core.Report) []byte {
 // state that grew (cumulative release), one that shrank (a window whose
 // oldest bucket expired, every counter at or below its base), one with
 // no base at all, and bases of fewer and of more values than the state —
-// through the frame and back, byte for byte, to a
-// puller that reads sparse diffs and to one that does not; and the walk
+// through the frame and back, byte for byte; and the walk
 // that steps over unmoved values eight bytes at a time finds what the
 // walk that decodes every value does.
 func TestDiffRoundTripAllProtocols(t *testing.T) {
@@ -62,10 +61,8 @@ func TestDiffRoundTripAllProtocols(t *testing.T) {
 			for _, tc := range cases {
 				wire.SameWalk(t, tc.name, tc.base, tc.next)
 			}
-			for i, tc := range append(cases, cases...) {
-				// Each case twice: to a puller that does not read sparse
-				// diffs, then to one that does.
-				base := wire.ComponentBase{Version: 40, State: tc.base, Sparse: i >= len(cases)}
+			for _, tc := range cases {
+				base := wire.ComponentBase{Version: 40, State: tc.base}
 				in := wire.ComponentFrame{NodeID: "e", Version: 9, Delta: true, BaseVersion: 8, N: 1,
 					Components: []wire.StateComponent{{ID: "e/0", Version: 41, N: 1, State: tc.next, Base: &base}}}
 				buf, err := wire.EncodeComponentFrame(in)
@@ -115,11 +112,10 @@ func cutValues(blob []byte, n int) []byte {
 // six protocols at every churn from one report to four per counter of
 // the widest state, growing (cumulative release) and shrinking (a window
 // that let those reports go), against bases of fewer and of more values:
-// the puller rebuilds the exporter's blob byte for byte, a puller that
-// reads sparse diffs is never sent more bytes than one that does not
-// (which gets what the encoder shipped before there were sparse diffs:
-// the smaller of whole and dense diff), and is sent fewer where the
-// churn is sparse.
+// the puller rebuilds the exporter's blob byte for byte, the encoder never
+// ships more bytes than the smaller of whole and dense diff (what it
+// shipped before there were sparse diffs), and ships fewer, as a sparse
+// diff, where the churn is sparse.
 func TestSparseDiffGrid(t *testing.T) {
 	type shape struct {
 		kind core.Kind
@@ -168,40 +164,39 @@ func TestSparseDiffGrid(t *testing.T) {
 					{"base of more values", early, cutValues(late, len(late)/3)},
 				}
 				for _, pair := range pairs {
-					var frames [2][]byte
-					var arrived [2]*wire.ComponentBase
-					for i, sparse := range []bool{false, true} {
-						base := wire.ComponentBase{Version: 40, State: pair.base, Sparse: sparse}
-						in := wire.ComponentFrame{NodeID: "e", Version: 9, Delta: true, BaseVersion: 8, N: 1,
-							Components: []wire.StateComponent{{ID: "e", Version: 41, N: 1, State: pair.next, Base: &base}}}
-						if frames[i], err = wire.EncodeComponentFrame(in); err != nil {
-							t.Fatalf("%d reports, %s: %v", churn, pair.name, err)
-						}
-						out, err := wire.DecodeComponentFrameWith(frames[i], 1<<24, func(string) (wire.ComponentBase, bool) { return base, true })
-						if err != nil {
-							t.Fatalf("%d reports, %s, sparse=%v: %v", churn, pair.name, sparse, err)
-						}
-						if !bytes.Equal(out.Components[0].State, pair.next) {
-							t.Fatalf("%d reports, %s, sparse=%v: rebuilt blob differs from the exported one", churn, pair.name, sparse)
-						}
-						arrived[i] = out.Components[0].Base
+					base := wire.ComponentBase{Version: 40, State: pair.base}
+					c := wire.StateComponent{ID: "e", Version: 41, N: 1, State: pair.next, Base: &base}
+					frame, err := wire.EncodeComponentFrame(wire.ComponentFrame{NodeID: "e", Version: 9, Delta: true, BaseVersion: 8, N: 1,
+						Components: []wire.StateComponent{c}})
+					if err != nil {
+						t.Fatalf("%d reports, %s: %v", churn, pair.name, err)
 					}
-					if arrived[0] != nil && arrived[0].Sparse {
-						t.Errorf("%d reports, %s: a puller that did not ask was sent a sparse diff", churn, pair.name)
+					out, err := wire.DecodeComponentFrameWith(frame, 1<<24, func(string) (wire.ComponentBase, bool) { return base, true })
+					if err != nil {
+						t.Fatalf("%d reports, %s: %v", churn, pair.name, err)
 					}
-					if len(frames[1]) > len(frames[0]) {
-						t.Errorf("%d reports, %s: %d frame bytes with sparse diffs on offer, %d without", churn, pair.name, len(frames[1]), len(frames[0]))
+					if !bytes.Equal(out.Components[0].State, pair.next) {
+						t.Fatalf("%d reports, %s: rebuilt blob differs from the exported one", churn, pair.name)
 					}
+					shipped, dense, err := wire.ShippedAndDense(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if shipped > dense {
+						t.Errorf("%d reports, %s: %d bytes shipped, %d as the smaller of whole and dense diff", churn, pair.name, shipped, dense)
+					}
+					arrived := out.Components[0].Base
 					if sh.d == 16 && churn <= 16384 && pair.name != "base of fewer values" {
 						// Under a quarter of the 2^16 counters moved.
-						if arrived[1] == nil || !arrived[1].Sparse || len(frames[1]) >= len(frames[0]) {
-							t.Errorf("%d reports, %s: sparse churn shipped as %+v in %d bytes, %d without sparse diffs", churn, pair.name, arrived[1], len(frames[1]), len(frames[0]))
+						if arrived == nil || !arrived.Sparse || shipped >= dense {
+							t.Errorf("%d reports, %s: sparse churn shipped as %+v in %d bytes, %d without sparse diffs", churn, pair.name, arrived, shipped, dense)
 						}
 					}
 					// The size the bench's fleet-pull cell rests on: one
-					// 1,024-report batch into a 2^16-counter InpPS node.
-					if sh.d == 16 && churn == 1024 && pair.name == "grown" && (len(frames[1]) != 1020 || len(frames[0]) != 2511) {
-						t.Errorf("1,024 reports into 2^16 counters: frames of %d bytes sparse and %d dense, want 1020 and 2511", len(frames[1]), len(frames[0]))
+					// 1,024-report batch into a 2^16-counter InpPS node, in a
+					// frame whose one component is not the node's own.
+					if denseFrame := len(frame) - shipped + dense; sh.d == 16 && churn == 1024 && pair.name == "grown" && (len(frame) != 1020 || denseFrame != 2511) {
+						t.Errorf("1,024 reports into 2^16 counters: frames of %d bytes sparse and %d dense, want 1020 and 2511", len(frame), denseFrame)
 					}
 				}
 			}

@@ -317,18 +317,10 @@ func TestDiffStateMatchesPerValueWalk(t *testing.T) {
 }
 
 // TestEncoderShipsTheSmallerOfDiffAndWhole pins the encoder's choice at
-// every churn, for a puller that decodes sparse diffs and one that does
-// not: a component with a base ships as a diff only when that is
-// strictly smaller on the wire, as itself otherwise, a sparse diff only
-// to the puller that can read one, and either way the puller ends up
-// with the same blob.
+// every churn: a component with a base ships as a diff only when that is
+// strictly smaller on the wire, as itself otherwise, and either way the
+// puller ends up with the same blob.
 func TestEncoderShipsTheSmallerOfDiffAndWhole(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		encoderShipsTheSmaller(t, sparse)
-	}
-}
-
-func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 	r := rand.New(rand.NewPCG(3, 4))
 	base := make([]uint64, 1<<14)
 	for i := range base {
@@ -345,7 +337,7 @@ func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 		}
 		whole := StateComponent{ID: "e/0", Version: 9, N: 1, State: counterBlob(next)}
 		withBase := whole
-		withBase.Base = &ComponentBase{Version: 7, State: baseBlob, Sparse: sparse}
+		withBase.Base = &ComponentBase{Version: 7, State: baseBlob}
 		var pk packer
 		_, _, wholePayload, err := pk.component(whole)
 		if err != nil {
@@ -366,8 +358,8 @@ func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 		}
 		if enc&compEncRice != 0 {
 			sawSparse = true
-			if !sparse || enc != compEncDiff|compEncRice {
-				t.Errorf("churn %v: encoding %#x for a puller with sparse=%v", churn, enc, sparse)
+			if enc != compEncDiff|compEncRice {
+				t.Errorf("churn %v: encoding %#x", churn, enc)
 			}
 		}
 
@@ -392,8 +384,8 @@ func encoderShipsTheSmaller(t *testing.T, sparse bool) {
 			t.Errorf("churn %v: re-encoding the decoded frame gives other bytes (err %v)", churn, err)
 		}
 	}
-	if !sawDiff || !sawWhole || sawSparse != sparse {
-		t.Errorf("churn sweep shipped diff=%v sparse=%v whole=%v, want both and sparse=%v", sawDiff, sawSparse, sawWhole, sparse)
+	if !sawDiff || !sawWhole || !sawSparse {
+		t.Errorf("churn sweep shipped diffs: %v, sparse ones: %v, whole: %v; want all three", sawDiff, sawSparse, sawWhole)
 	}
 }
 
@@ -476,14 +468,14 @@ func (d diffFields) frame() []byte {
 	buf = binary.AppendUvarint(buf, 1)
 	buf = append(buf, 'e')
 	buf = binary.AppendUvarint(buf, 20) // frame version
-	buf = binary.AppendUvarint(buf, 10) // base version
+	buf = binary.AppendUvarint(buf, 10) // frame version minus base version
 	buf = binary.AppendUvarint(buf, 4)  // n
 	buf = binary.AppendUvarint(buf, 1)  // components
+	buf = append(buf, d.enc)
 	buf = binary.AppendUvarint(buf, 3)
 	buf = append(buf, "e/0"...)
 	buf = binary.AppendUvarint(buf, d.ver)
 	buf = binary.AppendUvarint(buf, 4)
-	buf = append(buf, d.enc)
 	buf = binary.AppendUvarint(buf, d.rawLen)
 	if d.enc&compEncDiff != 0 {
 		buf = binary.AppendUvarint(buf, d.verDelta)
@@ -618,11 +610,11 @@ func TestDiffComponentRejects(t *testing.T) {
 		sparse   bool // start from the sparse frame, not the dense one
 		mutate   func(*diffFields)
 		lookup   func(string) (ComponentBase, bool)
-		noLookup bool // decode as a puller that did not ask for diffs
+		noLookup bool // decode as a puller that holds nothing
 		maxRaw   int64
 		wantBase bool // the error must wrap ErrDiffBase
 	}{
-		{name: "no base supplied", noLookup: true},
+		{name: "no base supplied", noLookup: true, wantBase: true},
 		{name: "base not held", lookup: func(string) (ComponentBase, bool) { return ComponentBase{}, false }, wantBase: true},
 		{name: "wrong base version", mutate: func(d *diffFields) { d.verDelta = 2 }, wantBase: true},
 		{name: "wrong result checksum", mutate: func(d *diffFields) { d.sum++ }, wantBase: true},
@@ -638,15 +630,12 @@ func TestDiffComponentRejects(t *testing.T) {
 		{name: "diff not smaller than raw", mutate: unrelated},
 		{name: "malformed diff value", mutate: payload(func(p []byte) []byte { return append(p, 0x80) })},
 		{name: "diff without a header", mutate: func(d *diffFields) { d.payload, d.diffLen = []byte{3}, 1 }},
-		{name: "unknown encoding bit", mutate: func(d *diffFields) { d.enc |= 0x10 }},
-		// 0x04 was the sparse diff of the build before this one: a peer
-		// still sending it was not asked to, and is not understood.
-		{name: "retired encoding bit", mutate: func(d *diffFields) { d.enc |= 0x04 }},
-		{name: "retired encoding bit on the sparse stream", sparse: true, mutate: func(d *diffFields) { d.enc = compEncDiff | 0x04 }},
+		{name: "unknown encoding bit", mutate: func(d *diffFields) { d.enc |= 0x20 }},
+		{name: "unknown encoding bit 0x04", mutate: func(d *diffFields) { d.enc |= 0x04 }},
 
 		// The same ladder under the sparse bit, then what only a sparse
 		// stream can get wrong.
-		{name: "sparse: no base supplied", sparse: true, noLookup: true},
+		{name: "sparse: no base supplied", sparse: true, noLookup: true, wantBase: true},
 		{name: "sparse: wrong base version", sparse: true, mutate: func(d *diffFields) { d.verDelta = 2 }, wantBase: true},
 		{name: "sparse: wrong result checksum", sparse: true, mutate: func(d *diffFields) { d.sum++ }, wantBase: true},
 		{name: "sparse: other blob at the base version", sparse: true, lookup: func(string) (ComponentBase, bool) {

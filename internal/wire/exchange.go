@@ -4,13 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 )
 
-// State-exchange frame: the unit a cluster node serves from GET /state
-// and a coordinator pulls to assemble fleet-wide aggregation state.
-// The frame wraps one canonical Aggregator.MarshalState blob with the
-// identity a coordinator needs for idempotent re-pulls:
+// LDPX, the single-blob state-exchange frame of builds before the
+// componentized one (delta.go): one canonical Aggregator.MarshalState
+// blob with the exporting node's id, version label and report count.
 //
 //	"LDPX", format version byte,
 //	uvarint node-id length, node-id bytes,
@@ -18,19 +16,10 @@ import (
 //	uvarint state length, state bytes,
 //	crc32c of everything above (4 bytes LE)
 //
-// The node id names the exporting process (a coordinator rejects two
-// peer URLs resolving to the same node, which would double-count its
-// reports); the state version is the exporter's mutation counter read
-// immediately before the state was snapshotted, so an unchanged
-// (id, version) pair lets the importer skip re-merging. The skip is an
-// optimization, not an exactness guarantee: the counter advances only
-// after a mutation is visible, so two exports racing one mutation can
-// carry the same label around different states — an importer may then
-// sit out one pull round, and the next round (which sees the advanced
-// counter) re-transfers the full state, so the window self-heals within
-// one pull interval. The report count is the snapshot's N, letting the
-// importer cross-check the decoded blob. The CRC detects transfer
-// truncation and bit rot without trusting the transport.
+// No node serves or reads it any more: DecodeComponentFrame refuses it
+// with ErrFrameFormat. EncodeStateFrame stays only for the benchmark's
+// ledger (bench/layers.go, the wire.legacy_* rows), until the benchmark
+// drops those rows.
 
 const (
 	exchangeMagic   = "LDPX"
@@ -44,20 +33,16 @@ const (
 
 var exchangeCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// StateFrame is one node's exported aggregation state.
+// StateFrame is one node's state as an LDPX frame carries it; only the
+// benchmark's ledger builds one.
 type StateFrame struct {
-	// NodeID names the exporting node (stable for the process lifetime).
-	NodeID string
-	// Version is the exporter's state-mutation counter, read before the
-	// state was snapshotted: equal (NodeID, Version) implies equal State.
+	NodeID  string
 	Version uint64
-	// N is the report count of the snapshot behind State.
-	N int
-	// State is the canonical Aggregator.MarshalState blob.
-	State []byte
+	N       int
+	State   []byte
 }
 
-// EncodeStateFrame serializes one state-exchange frame.
+// EncodeStateFrame serializes one LDPX frame, for the benchmark's ledger.
 func EncodeStateFrame(f StateFrame) ([]byte, error) {
 	if len(f.NodeID) == 0 || len(f.NodeID) > MaxNodeIDLen {
 		return nil, fmt.Errorf("wire: node id of %d bytes (want 1..%d)", len(f.NodeID), MaxNodeIDLen)
@@ -75,47 +60,4 @@ func EncodeStateFrame(f StateFrame) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(f.State)))
 	buf = append(buf, f.State...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, exchangeCRC)), nil
-}
-
-// DecodeStateFrame parses and CRC-verifies one state-exchange frame.
-// The returned frame's fields alias buf.
-func DecodeStateFrame(buf []byte) (StateFrame, error) {
-	var f StateFrame
-	if len(buf) < len(exchangeMagic)+1+exchangeCRCLen {
-		return f, fmt.Errorf("wire: state frame of %d bytes is too short", len(buf))
-	}
-	body, sum := buf[:len(buf)-exchangeCRCLen], binary.LittleEndian.Uint32(buf[len(buf)-exchangeCRCLen:])
-	if got := crc32.Checksum(body, exchangeCRC); got != sum {
-		return f, fmt.Errorf("wire: state frame checksum %08x, want %08x", got, sum)
-	}
-	if string(body[:len(exchangeMagic)]) != exchangeMagic {
-		return f, fmt.Errorf("wire: bad state frame magic %q", body[:len(exchangeMagic)])
-	}
-	if body[len(exchangeMagic)] != exchangeVersion {
-		return f, fmt.Errorf("wire: state frame format version %d, want %d", body[len(exchangeMagic)], exchangeVersion)
-	}
-	rest := body[len(exchangeMagic)+1:]
-	idLen, w := binary.Uvarint(rest)
-	if w <= 0 || idLen == 0 || idLen > MaxNodeIDLen || idLen > uint64(len(rest)-w) {
-		return f, fmt.Errorf("wire: state frame node-id length malformed")
-	}
-	rest = rest[w:]
-	f.NodeID = string(rest[:idLen])
-	rest = rest[idLen:]
-	if f.Version, w = binary.Uvarint(rest); w <= 0 {
-		return f, fmt.Errorf("wire: state frame version malformed")
-	}
-	rest = rest[w:]
-	n, w := binary.Uvarint(rest)
-	if w <= 0 || n > uint64(math.MaxInt) {
-		return f, fmt.Errorf("wire: state frame report count malformed")
-	}
-	f.N = int(n)
-	rest = rest[w:]
-	stateLen, w := binary.Uvarint(rest)
-	if w <= 0 || stateLen != uint64(len(rest)-w) {
-		return f, fmt.Errorf("wire: state frame state length %d does not match %d remaining bytes", stateLen, len(rest)-w)
-	}
-	f.State = rest[w:]
-	return f, nil
 }

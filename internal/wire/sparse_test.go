@@ -74,7 +74,7 @@ func TestSparseDiffNeverLargerThanVarints(t *testing.T) {
 		for i, lambda := range []float64{0.001, 0.004, 0.016, 0.0625, 0.25, 1, 4, 16} {
 			base, next := sh.build(uint64(100+i), lambda)
 			c := StateComponent{ID: "e", Version: 9, N: 1, State: next,
-				Base: &ComponentBase{Version: 7, State: base, Sparse: true}}
+				Base: &ComponentBase{Version: 7, State: base}}
 			var pk packer
 			enc, head, payload, err := pk.component(c)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestSparseDiffNeverLargerThanVarints(t *testing.T) {
 				sh.name, lambda, d.moved, d.vals, got, enc, was, 100*float64(got-was)/float64(was))
 		}
 		if !sawSparse || sawDense == sh.allSparse || sh.allSparse && !sawAllMoved {
-			t.Errorf("%s: the churn sweep shipped sparse=%v (where most values moved: %v) and other forms=%v, want sparse and other forms=%v",
+			t.Errorf("%s: the churn sweep shipped sparse diffs: %v (where most values moved: %v), other forms: %v; want sparse diffs, and other forms: %v",
 				sh.name, sawSparse, sawAllMoved, sawDense, !sh.allSparse)
 		}
 	}
@@ -116,7 +116,7 @@ func TestSparseDiffNeverLargerThanVarints(t *testing.T) {
 func TestSparseDiffDeflatesNothing(t *testing.T) {
 	base, next := counterShape(5, 1<<16, 32, 0.016)
 	c := StateComponent{ID: "e", Version: 9, N: 1, State: next,
-		Base: &ComponentBase{Version: 7, State: base, Sparse: true}}
+		Base: &ComponentBase{Version: 7, State: base}}
 	if d, _ := diffState(base, next); !d.clearlySparse() {
 		t.Fatalf("%d of %d values moved: the shape no longer tests the rule", d.moved, d.vals)
 	}
