@@ -17,6 +17,7 @@ package consistency
 
 import (
 	"fmt"
+	"math"
 
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/marginal"
@@ -41,27 +42,24 @@ func (o Options) withDefaults() Options {
 }
 
 // Enforce adjusts the tables in place so shared sub-marginals agree. All
-// tables must be over distinct attribute masks; weights (one per table,
-// or nil for uniform) set the relative trust in each table's evidence,
-// e.g. per-marginal user counts from a marginal-view protocol.
+// tables must be over distinct attribute masks and hold 2^|Beta| cells;
+// weights (one per table, or nil for uniform) set the relative trust in
+// each table's evidence, e.g. per-marginal user counts from a
+// marginal-view protocol.
 //
-// Enforce derives the overlap structure from scratch on every call.
-// Callers that sweep the same collection repeatedly (the materialized-
-// view refresh loop) build the structure once with NewPlan and call
-// Plan.Enforce, which is bit-identical and allocation-free; the sweep
-// order is a fixed function of the masks either way, so equal inputs
-// produce bit-identical outputs — which the view layer relies on for
-// reproducible epoch rebuilds.
+// Enforce builds a throwaway Plan on every call. Callers that sweep the
+// same collection repeatedly (the materialized-view refresh loop) build
+// the Plan once with NewPlan and call Plan.Enforce, which is
+// bit-identical and allocation-free; the sweep order is a fixed function
+// of the masks either way, so equal inputs produce bit-identical outputs
+// — which the view layer relies on for reproducible epoch rebuilds.
 func Enforce(tables []*marginal.Table, weights []float64, opts Options) error {
 	if len(tables) == 0 {
 		return fmt.Errorf("consistency: no tables")
 	}
-	betas := make([]uint64, len(tables))
-	for i, t := range tables {
-		if t == nil {
-			return fmt.Errorf("consistency: nil table")
-		}
-		betas[i] = t.Beta
+	betas, err := masksOf(tables)
+	if err != nil {
+		return err
 	}
 	plan, err := NewPlan(betas)
 	if err != nil {
@@ -72,38 +70,69 @@ func Enforce(tables []*marginal.Table, weights []float64, opts Options) error {
 
 // MaxDisagreement measures the largest L-infinity gap between the
 // sub-marginals implied by any two tables on any shared attribute set —
-// 0 means fully consistent. Useful in tests and as a diagnostic.
+// 0 means fully consistent. Useful in tests and as a diagnostic. Tables
+// may repeat a mask.
 func MaxDisagreement(tables []*marginal.Table) (float64, error) {
+	betas, err := masksOf(tables)
+	if err != nil {
+		return 0, err
+	}
+	p := newPlan(betas)
+	hi, lo, imp := make([]float64, p.maxShared), make([]float64, p.maxShared), make([]float64, p.maxShared)
 	var worst float64
-	for i := 0; i < len(tables); i++ {
-		for j := i + 1; j < len(tables); j++ {
-			common := tables[i].Beta & tables[j].Beta
-			if common == 0 {
-				continue
+	for si, members := range p.members {
+		if len(members) < 2 {
+			continue
+		}
+		size := 1 << uint(bitops.OnesCount(p.subs[si]))
+		hi, lo, imp := hi[:size], lo[:size], imp[:size]
+		for c := range hi {
+			hi[c], lo[c] = math.Inf(-1), math.Inf(1)
+		}
+		for mi, m := range members {
+			p.implied(si, mi, tables[m], imp)
+			for c, v := range imp {
+				// Comparisons, not max/min: a NaN must drop out here as it
+				// drops out of every pair's comparison in a pairwise walk.
+				if v > hi[c] {
+					hi[c] = v
+				}
+				if v < lo[c] {
+					lo[c] = v
+				}
 			}
-			for _, sub := range bitops.SubMasks(common) {
-				if sub == 0 {
-					continue
-				}
-				a, err := tables[i].MarginalizeTo(sub)
-				if err != nil {
-					return 0, err
-				}
-				b, err := tables[j].MarginalizeTo(sub)
-				if err != nil {
-					return 0, err
-				}
-				for c := range a.Cells {
-					d := a.Cells[c] - b.Cells[c]
-					if d < 0 {
-						d = -d
-					}
-					if d > worst {
-						worst = d
-					}
-				}
+		}
+		// The widest pair's rounded difference is the largest of all
+		// pairs' (rounding is monotone), so this equals a pairwise walk.
+		for c := range hi {
+			if d := hi[c] - lo[c]; d > worst {
+				worst = d
 			}
 		}
 	}
 	return worst, nil
+}
+
+// masksOf checks every table and returns their masks in table order.
+func masksOf(tables []*marginal.Table) ([]uint64, error) {
+	betas := make([]uint64, len(tables))
+	for i, t := range tables {
+		if err := checkTable(i, t); err != nil {
+			return nil, err
+		}
+		betas[i] = t.Beta
+	}
+	return betas, nil
+}
+
+// checkTable refuses a nil table or one whose cell count is not
+// 2^|Beta|, naming it by its position.
+func checkTable(i int, t *marginal.Table) error {
+	if t == nil {
+		return fmt.Errorf("consistency: table %d is nil", i)
+	}
+	if k := t.K(); k > marginal.MaxTableAttributes || len(t.Cells) != 1<<uint(k) {
+		return fmt.Errorf("consistency: table %d over %b has %d cells, want 2^%d", i, t.Beta, len(t.Cells), k)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package consistency
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ldpmarginals/internal/core"
@@ -24,6 +25,48 @@ func TestEnforceValidation(t *testing.T) {
 	c, _ := marginal.Uniform(0b101)
 	if err := Enforce([]*marginal.Table{a, c}, []float64{1}, Options{}); err == nil {
 		t.Error("weight count mismatch should error")
+	}
+}
+
+// TestMalformedTablesRefused: a table holding more or fewer than
+// 2^|Beta| cells, or a nil one, is refused with an error naming it, and
+// no table is touched. (A pairwise walk indexed past a long table, let a
+// short one shift its neighbours' mass, and dereferenced a nil one.)
+func TestMalformedTablesRefused(t *testing.T) {
+	long := &marginal.Table{Beta: 0b011, Cells: make([]float64, 8)}
+	short := &marginal.Table{Beta: 0b011, Cells: []float64{0.5, 0.5}}
+	plan, err := NewPlan([]uint64{0b011, 0b110})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  *marginal.Table
+		run  func([]*marginal.Table) error
+	}{
+		{"Enforce/long", long, func(ts []*marginal.Table) error { return Enforce(ts, nil, Options{}) }},
+		{"Enforce/short", short, func(ts []*marginal.Table) error { return Enforce(ts, nil, Options{}) }},
+		{"Plan.Enforce/long", long, func(ts []*marginal.Table) error { return plan.Enforce(ts, nil, Options{}) }},
+		{"Plan.Enforce/short", short, func(ts []*marginal.Table) error { return plan.Enforce(ts, nil, Options{}) }},
+		{"MaxDisagreement/long", long, func(ts []*marginal.Table) error { _, err := MaxDisagreement(ts); return err }},
+		{"MaxDisagreement/short", short, func(ts []*marginal.Table) error { _, err := MaxDisagreement(ts); return err }},
+		{"MaxDisagreement/nil", nil, func(ts []*marginal.Table) error { _, err := MaxDisagreement(ts); return err }},
+		{"Enforce/nil", nil, func(ts []*marginal.Table) error { return Enforce(ts, nil, Options{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var bad *marginal.Table
+			if tc.bad != nil {
+				bad = tc.bad.Clone()
+			}
+			good, _ := marginal.Uniform(0b110)
+			err := tc.run([]*marginal.Table{bad, good})
+			if err == nil || !strings.Contains(err.Error(), "table 0") {
+				t.Fatalf("got %v, want an error naming table 0", err)
+			}
+			if good.Sum() != 1 || (bad != nil && bad.Sum() != tc.bad.Sum()) {
+				t.Fatal("a refused collection was modified")
+			}
+		})
 	}
 }
 
@@ -72,6 +115,29 @@ func TestEnforceConsensusIsWeighted(t *testing.T) {
 	}
 	if math.Abs(sub.Cells[1]-1) > 1e-9 {
 		t.Errorf("weighted consensus ignored: P(a=1) = %v, want 1", sub.Cells[1])
+	}
+}
+
+// TestWeightlessTableStaysOutOfConsensus: a table with no weight adds
+// nothing to the consensus, even when its cells are not finite (a
+// reconstruction over no reports); the others still agree with each
+// other and keep finite cells.
+func TestWeightlessTableStaysOutOfConsensus(t *testing.T) {
+	ab, _ := marginal.FromCells(0b011, []float64{0.4, 0.1, 0.3, 0.2})
+	ac, _ := marginal.FromCells(0b101, []float64{0.2, 0.3, 0.2, 0.3})
+	bc, _ := marginal.FromCells(0b110, []float64{math.NaN(), 0, 0, math.Inf(1)})
+	if err := Enforce([]*marginal.Table{ab, ac, bc}, []float64{1, 1, 0}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*marginal.Table{ab, ac} {
+		for _, v := range tab.Cells {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("weightless table leaked into %b: %v", tab.Beta, tab.Cells)
+			}
+		}
+	}
+	if d, err := MaxDisagreement([]*marginal.Table{ab, ac}); err != nil || d > 1e-9 {
+		t.Fatalf("weighted tables disagree by %v (%v)", d, err)
 	}
 }
 

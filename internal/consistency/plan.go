@@ -2,44 +2,49 @@ package consistency
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/marginal"
 )
 
-// Plan is the data-independent structure of one Enforce sweep,
-// precomputed once per table collection: which sub-marginals are shared,
-// which tables contain each, and the cell-to-subcell index map of every
-// (table, sub-marginal) pair. The collection of a marginal-release
-// deployment never changes across epochs, so an epoch refresh reuses one
-// Plan for the life of the process instead of re-deriving the pairwise
-// overlap structure (O(T^2) submask enumeration) and re-allocating
-// thousands of tiny marginalization tables every build.
+// Plan is the data-independent overlap structure of one table
+// collection, precomputed once: every sub-marginal of a table, which
+// tables contain it, and the cell-to-subcell index map of every
+// (table, sub-marginal) pair. Enforce sweeps the sub-marginals two or
+// more tables share; Consensus reads the same structure for any
+// sub-marginal it holds (the view's sub-k cube, including one inside a
+// single table). The collection of a marginal-release deployment never
+// changes across epochs, so an epoch refresh reuses one Plan for the
+// life of the process instead of re-deriving the overlap structure and
+// re-allocating thousands of tiny marginalization tables every build.
+// Building it enumerates each table's 2^|beta|-1 submasks once, so its
+// cost grows with the number of tables, not with their pairs.
 //
 // A Plan is immutable after construction and safe for concurrent use;
 // Enforce's per-call scratch comes from an internal pool, so the
 // steady-state sweep allocates nothing. Plan.Enforce is arithmetic-
-// identical to the package-level Enforce (which now builds a throwaway
+// identical to the package-level Enforce (which builds a throwaway
 // Plan): same sweep order, same summation order, bit-identical results.
 type Plan struct {
 	betas []uint64 // table masks, in table order
 
-	order   []uint64  // shared sub-marginals, ascending mask order
-	subSize []int     // per sub: 2^|sub|
-	members [][]int   // per sub: indices of tables containing it
-	idx     [][][]int // per sub, per member: table cell -> sub cell
-	group   [][]float64
+	// subs lists, ascending, every sub-marginal shared by two or more
+	// tables or strictly inside one; members[si] the tables containing
+	// subs[si], in table order; idx[si][mi] maps member mi's cells onto
+	// subs[si]'s cells.
+	subs    []uint64
+	members [][]int
+	idx     [][][]int
 
-	maxSub  int // largest shared sub-marginal cell count
-	scratch sync.Pool
+	maxShared int // largest shared sub-marginal cell count; 0 when no tables overlap
+	scratch   sync.Pool
 }
 
 // NewPlan precomputes the enforcement structure for tables over the
 // given masks (in table order). All masks must be distinct.
 func NewPlan(betas []uint64) (*Plan, error) {
-	p := &Plan{betas: append([]uint64(nil), betas...)}
 	seen := map[uint64]bool{}
 	for _, b := range betas {
 		if seen[b] {
@@ -47,68 +52,113 @@ func NewPlan(betas []uint64) (*Plan, error) {
 		}
 		seen[b] = true
 	}
-	// Collect every sub-marginal shared by at least two tables — the
-	// same pairwise walk Enforce always did, done once.
-	shared := map[uint64][]int{}
-	for i, a := range betas {
-		for j := i + 1; j < len(betas); j++ {
-			common := a & betas[j]
-			if common == 0 {
-				continue
-			}
-			for _, sub := range bitops.SubMasks(common) {
-				if sub == 0 {
-					continue
-				}
-				if shared[sub] == nil {
-					for idx, t := range betas {
-						if bitops.IsSubset(sub, t) {
-							shared[sub] = append(shared[sub], idx)
-						}
-					}
-				}
-			}
-		}
-	}
-	p.order = make([]uint64, 0, len(shared))
-	for sub := range shared {
-		p.order = append(p.order, sub)
-	}
-	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
+	return newPlan(betas), nil
+}
 
-	p.subSize = make([]int, len(p.order))
-	p.members = make([][]int, len(p.order))
-	p.idx = make([][][]int, len(p.order))
-	p.group = make([][]float64, len(p.order))
-	for si, sub := range p.order {
-		size := 1 << uint(bitops.OnesCount(sub))
-		p.subSize[si] = size
-		if size > p.maxSub {
-			p.maxSub = size
+// newPlan builds the structure for any masks, repeated ones included.
+func newPlan(betas []uint64) *Plan {
+	p := &Plan{betas: append([]uint64(nil), betas...)}
+	// Every nonzero submask of every table, tables appended in order.
+	members := map[uint64][]int{}
+	for t, b := range betas {
+		for sub := b; sub != 0; sub = (sub - 1) & b {
+			members[sub] = append(members[sub], t)
 		}
-		mem := shared[sub]
+	}
+	for sub, mem := range members {
+		// A table's own mask matters only when another table contains it.
+		if len(mem) > 1 || sub != betas[mem[0]] {
+			p.subs = append(p.subs, sub)
+		}
+	}
+	slices.Sort(p.subs)
+	p.members = make([][]int, len(p.subs))
+	p.idx = make([][][]int, len(p.subs))
+	for si, sub := range p.subs {
+		size := 1 << uint(bitops.OnesCount(sub))
+		mem := members[sub]
+		if len(mem) > 1 && size > p.maxShared {
+			p.maxShared = size
+		}
 		p.members[si] = mem
 		p.idx[si] = make([][]int, len(mem))
-		p.group[si] = make([]float64, len(mem))
 		for mi, m := range mem {
-			cells := 1 << uint(bitops.OnesCount(betas[m]))
-			mp := make([]int, cells)
-			for c := 0; c < cells; c++ {
-				full := bitops.Expand(uint64(c), betas[m])
-				mp[c] = int(bitops.Compress(full, sub))
+			mp := make([]int, 1<<uint(bitops.OnesCount(betas[m])))
+			// sub's bits in the table's compact cell coordinates: a
+			// cell's sub-cell packs exactly those bits of the cell.
+			local := bitops.Compress(sub, betas[m])
+			for c := range mp {
+				mp[c] = int(bitops.Compress(uint64(c), local))
 			}
 			p.idx[si][mi] = mp
-			p.group[si][mi] = float64(cells / size)
 		}
 	}
-	maxSub := p.maxSub
+	maxShared := p.maxShared
 	p.scratch.New = func() any {
-		return &enforceScratch{cons: make([]float64, maxSub), imp: make([]float64, maxSub)}
+		return &enforceScratch{cons: make([]float64, maxShared), imp: make([]float64, maxShared)}
 	}
-	return p, nil
+	return p
 }
 
 type enforceScratch struct{ cons, imp []float64 }
+
+// Consensus writes into out the evidence-weighted average of the
+// sub-marginal sub that the tables containing it imply — what the sweep
+// moves them to — and returns their total weight, leaving out zero when
+// that is 0 or the plan holds no such sub-marginal. tables and weights
+// must be as Enforce takes them (they are not checked here); scratch
+// holds at least len(out) values.
+func (p *Plan) Consensus(sub uint64, tables []*marginal.Table, weights []float64, out, scratch []float64) float64 {
+	si, ok := slices.BinarySearch(p.subs, sub)
+	if !ok {
+		clear(out)
+		return 0
+	}
+	return p.consensus(si, tables, weights, out, scratch)
+}
+
+// consensus is Consensus over subs[si]. A member with no weight is
+// skipped: with finite cells it would add only zeros.
+func (p *Plan) consensus(si int, tables []*marginal.Table, weights []float64, cons, imp []float64) float64 {
+	clear(cons)
+	var totalW float64
+	for mi, m := range p.members[si] {
+		w := 1.0
+		if weights != nil {
+			w = weights[m]
+		}
+		if w <= 0 {
+			continue
+		}
+		p.implied(si, mi, tables[m], imp)
+		for c := range cons {
+			// Two statements, not cons[c] += imp[c]*w: the compiler may
+			// fuse a*b+c into one FMA, which rounds once where this
+			// rounds twice, and whether it fuses depends on the platform.
+			v := imp[c] * w
+			cons[c] += v
+		}
+		totalW += w
+	}
+	if totalW == 0 {
+		return 0
+	}
+	inv := 1 / totalW
+	for c := range cons {
+		cons[c] *= inv
+	}
+	return totalW
+}
+
+// implied writes into imp the sub-marginal subs[si] that member mi of
+// it implies, summing cells in table order (as MarginalizeTo does).
+func (p *Plan) implied(si, mi int, t *marginal.Table, imp []float64) {
+	clear(imp)
+	mp := p.idx[si][mi]
+	for c, v := range t.Cells {
+		imp[mp[c]] += v
+	}
+}
 
 // Enforce adjusts the tables in place so shared sub-marginals agree,
 // exactly like the package-level Enforce but over the precomputed
@@ -124,76 +174,35 @@ func (p *Plan) Enforce(tables []*marginal.Table, weights []float64, opts Options
 		return fmt.Errorf("consistency: %d weights for %d tables", len(weights), len(tables))
 	}
 	for i, t := range tables {
-		if t == nil {
-			return fmt.Errorf("consistency: nil table")
+		if err := checkTable(i, t); err != nil {
+			return err
 		}
 		if t.Beta != p.betas[i] {
 			return fmt.Errorf("consistency: table %d is over %b, plan expects %b", i, t.Beta, p.betas[i])
 		}
 	}
-	if len(p.order) == 0 {
+	if p.maxShared == 0 {
 		return nil // nothing overlaps; vacuously consistent
-	}
-	w := func(i int) float64 {
-		if weights == nil {
-			return 1
-		}
-		if weights[i] < 0 {
-			return 0
-		}
-		return weights[i]
 	}
 	sc := p.scratch.Get().(*enforceScratch)
 	defer p.scratch.Put(sc)
 	for round := 0; round < opts.Rounds; round++ {
-		for si := range p.order {
-			members := p.members[si]
-			cons := sc.cons[:p.subSize[si]]
-			for c := range cons {
-				cons[c] = 0
-			}
-			var totalW float64
-			for mi, m := range members {
-				imp := sc.imp[:p.subSize[si]]
-				for c := range imp {
-					imp[c] = 0
-				}
-				mp := p.idx[si][mi]
-				for c, v := range tables[m].Cells {
-					imp[mp[c]] += v
-				}
-				wm := w(m)
-				for c := range cons {
-					// Two statements, not cons[c] += imp[c]*wm: the
-					// compiler may fuse a*b+c into one FMA, which would
-					// round differently from the legacy Scale-then-Add
-					// and break bit-identity with Enforce.
-					v := imp[c] * wm
-					cons[c] += v
-				}
-				totalW += wm
-			}
-			if totalW == 0 {
+		for si, members := range p.members {
+			if len(members) < 2 {
 				continue
 			}
-			inv := 1 / totalW
-			for c := range cons {
-				cons[c] *= inv
+			size := 1 << uint(bitops.OnesCount(p.subs[si]))
+			cons, imp := sc.cons[:size], sc.imp[:size]
+			if p.consensus(si, tables, weights, cons, imp) == 0 {
+				continue
 			}
 			// Shift each member's cells so its implied sub-marginal
 			// equals the consensus: spread each sub-cell's deficit
 			// uniformly over the table cells mapping to it.
 			for mi, m := range members {
-				imp := sc.imp[:p.subSize[si]]
-				for c := range imp {
-					imp[c] = 0
-				}
-				mp := p.idx[si][mi]
-				cells := tables[m].Cells
-				for c, v := range cells {
-					imp[mp[c]] += v
-				}
-				group := p.group[si][mi]
+				p.implied(si, mi, tables[m], imp)
+				mp, cells := p.idx[si][mi], tables[m].Cells
+				group := float64(len(cells) / size)
 				for c := range cells {
 					cells[c] += (cons[mp[c]] - imp[mp[c]]) / group
 				}

@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -98,74 +99,209 @@ func enforceReference(tables []*marginal.Table, weights []float64, opts Options)
 	return nil
 }
 
+// maxDisagreementReference is a frozen copy of the pairwise
+// MaxDisagreement, kept verbatim so the enumeration-based one is pinned
+// bit-identical to it.
+func maxDisagreementReference(tables []*marginal.Table) (float64, error) {
+	var worst float64
+	for i := 0; i < len(tables); i++ {
+		for j := i + 1; j < len(tables); j++ {
+			common := tables[i].Beta & tables[j].Beta
+			if common == 0 {
+				continue
+			}
+			for _, sub := range bitops.SubMasks(common) {
+				if sub == 0 {
+					continue
+				}
+				a, err := tables[i].MarginalizeTo(sub)
+				if err != nil {
+					return 0, err
+				}
+				b, err := tables[j].MarginalizeTo(sub)
+				if err != nil {
+					return 0, err
+				}
+				for c := range a.Cells {
+					d := a.Cells[c] - b.Cells[c]
+					if d < 0 {
+						d = -d
+					}
+					if d > worst {
+						worst = d
+					}
+				}
+			}
+		}
+	}
+	return worst, nil
+}
+
 // randomCollection builds the full C(d,k) collection with noisy
 // (unbiased-estimate-shaped, possibly negative) cells and per-table
 // weights.
-func randomCollection(t *testing.T, d, k int, seed int64) ([]*marginal.Table, []*marginal.Table, []float64) {
+func randomCollection(t *testing.T, d, k int, seed int64) ([]*marginal.Table, []float64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	masks := bitops.MasksWithExactlyK(d, k)
-	a := make([]*marginal.Table, len(masks))
-	b := make([]*marginal.Table, len(masks))
+	return randomTables(t, r, bitops.MasksWithExactlyK(d, k))
+}
+
+// randomTables fills one table per mask with noisy cells and draws
+// per-table weights, some zero or negative (which count as zero).
+func randomTables(t *testing.T, r *rand.Rand, masks []uint64) ([]*marginal.Table, []float64) {
+	t.Helper()
+	tables := make([]*marginal.Table, len(masks))
 	weights := make([]float64, len(masks))
 	for i, m := range masks {
-		ta, err := marginal.New(m)
+		tab, err := marginal.New(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for c := range ta.Cells {
-			ta.Cells[c] = r.Float64()*1.2 - 0.1
+		for c := range tab.Cells {
+			tab.Cells[c] = r.Float64()*1.2 - 0.1
 		}
-		a[i] = ta
-		b[i] = ta.Clone()
-		weights[i] = float64(r.Intn(1000))
+		tables[i] = tab
+		weights[i] = float64(r.Intn(1000) - 50)
 	}
-	return a, b, weights
+	return tables, weights
+}
+
+// mixedCollections returns arbitrary distinct-mask collections of the
+// kind ldpmarginals.EnforceConsistency accepts: nested, chained,
+// disjoint and single tables, then random ones with masks of 1-5 bits
+// over at most 10 attributes.
+func mixedCollections(r *rand.Rand) [][]uint64 {
+	out := [][]uint64{
+		{0b011, 0b111},
+		{0b111, 0b011, 0b110},
+		{0b0001, 0b0011, 0b0111, 0b1111},
+		{0b0011, 0b1100},
+		{0b0011, 0b1100, 0b110000},
+		{0b101},
+		{0b0111, 0b1110, 0b0110, 0b1000},
+	}
+	for len(out) < 60 {
+		d := 2 + r.Intn(9)
+		n := 1 + r.Intn(14)
+		seen := map[uint64]bool{}
+		var masks []uint64
+		for len(masks) < n && len(seen) < 1<<uint(d)-1 {
+			m := uint64(r.Intn(1<<uint(d)-1) + 1)
+			if bitops.OnesCount(m) > 5 || seen[m] {
+				continue
+			}
+			seen[m] = true
+			masks = append(masks, m)
+		}
+		out = append(out, masks)
+	}
+	return out
+}
+
+func cloneTables(tables []*marginal.Table) []*marginal.Table {
+	out := make([]*marginal.Table, len(tables))
+	for i, tab := range tables {
+		out[i] = tab.Clone()
+	}
+	return out
+}
+
+// assertPlanMatchesReference sweeps clones of tables with a fresh plan
+// (twice: the second reuses the pooled scratch, which must not change
+// results), with the package-level Enforce, and with the frozen
+// reference, and requires all of them bit-identical.
+func assertPlanMatchesReference(t *testing.T, label string, tables []*marginal.Table, weights []float64, opts Options) {
+	t.Helper()
+	betas := make([]uint64, len(tables))
+	for i, tab := range tables {
+		betas[i] = tab.Beta
+	}
+	plan, err := NewPlan(betas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cloneTables(tables)
+	if err := enforceReference(want, weights, opts); err != nil {
+		t.Fatal(err)
+	}
+	for run, sweep := range []func([]*marginal.Table) error{
+		func(ts []*marginal.Table) error { return plan.Enforce(ts, weights, opts) },
+		func(ts []*marginal.Table) error { return plan.Enforce(ts, weights, opts) },
+		func(ts []*marginal.Table) error { return Enforce(ts, weights, opts) },
+	} {
+		got := cloneTables(tables)
+		if err := sweep(got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			for c := range got[i].Cells {
+				if math.Float64bits(got[i].Cells[c]) != math.Float64bits(want[i].Cells[c]) {
+					t.Fatalf("%s run %d: table %b cell %d: plan %v != reference %v",
+						label, run, got[i].Beta, c, got[i].Cells[c], want[i].Cells[c])
+				}
+			}
+		}
+	}
 }
 
 // TestPlanEnforceBitIdenticalToReference pins the plan-based sweep to
 // the frozen legacy algorithm: same inputs, bit-identical outputs, with
-// and without weights, across several (d, k) shapes, and on plan reuse.
+// and without weights, across several (d, k) shapes, on plan reuse, and
+// over arbitrary mixed-width collections with and without projection.
 func TestPlanEnforceBitIdenticalToReference(t *testing.T) {
 	for _, shape := range []struct{ d, k int }{{4, 2}, {6, 3}, {8, 2}, {5, 4}} {
-		for _, weighted := range []bool{false, true} {
-			got, want, weights := randomCollection(t, shape.d, shape.k, int64(7*shape.d+int(shape.k)))
-			if !weighted {
-				weights = nil
+		tables, weights := randomCollection(t, shape.d, shape.k, int64(7*shape.d+int(shape.k)))
+		for _, w := range [][]float64{nil, weights} {
+			label := fmt.Sprintf("d=%d k=%d weighted=%v", shape.d, shape.k, w != nil)
+			assertPlanMatchesReference(t, label, tables, w, Options{Rounds: 3})
+		}
+	}
+	r := rand.New(rand.NewSource(11))
+	for ci, masks := range mixedCollections(r) {
+		tables, weights := randomTables(t, r, masks)
+		for _, w := range [][]float64{nil, weights} {
+			for _, project := range []bool{false, true} {
+				label := fmt.Sprintf("collection %d %b weighted=%v project=%v", ci, masks, w != nil, project)
+				assertPlanMatchesReference(t, label, tables, w, Options{Rounds: 1 + ci%4, Project: project})
 			}
-			betas := make([]uint64, len(got))
-			for i, tab := range got {
-				betas[i] = tab.Beta
-			}
-			plan, err := NewPlan(betas)
+		}
+	}
+}
+
+// TestMaxDisagreementBitIdenticalToReference pins MaxDisagreement to the
+// frozen pairwise walk on the mixed collections, before and after a
+// sweep, with repeated masks (which MaxDisagreement accepts), and with
+// non-finite cells.
+func TestMaxDisagreementBitIdenticalToReference(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for ci, masks := range mixedCollections(r) {
+		tables, _ := randomTables(t, r, masks)
+		dup, _ := randomTables(t, r, []uint64{masks[r.Intn(len(masks))], masks[0]})
+		swept := cloneTables(tables)
+		if err := Enforce(swept, nil, Options{Rounds: 2}); err != nil {
+			t.Fatal(err)
+		}
+		nonFinite := append(cloneTables(tables), dup...)
+		for i, v := range []float64{math.NaN(), math.Inf(1), math.NaN()} {
+			tab := nonFinite[r.Intn(len(nonFinite))]
+			tab.Cells[(i+ci)%len(tab.Cells)] = v
+		}
+		for name, ts := range map[string][]*marginal.Table{
+			"raw":        tables,
+			"swept":      swept,
+			"repeated":   append(cloneTables(tables), dup...),
+			"non-finite": nonFinite,
+		} {
+			want, err := maxDisagreementReference(ts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Two plan sweeps over independent clones: the second reuses
-			// the pooled scratch, which must not change results.
-			got2 := make([]*marginal.Table, len(got))
-			for i := range got {
-				got2[i] = got[i].Clone()
-			}
-			if err := plan.Enforce(got, weights, Options{Rounds: 3}); err != nil {
+			got, err := MaxDisagreement(ts)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.Enforce(got2, weights, Options{Rounds: 3}); err != nil {
-				t.Fatal(err)
-			}
-			if err := enforceReference(want, weights, Options{Rounds: 3}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				for c := range got[i].Cells {
-					if math.Float64bits(got[i].Cells[c]) != math.Float64bits(want[i].Cells[c]) {
-						t.Fatalf("d=%d k=%d weighted=%v: table %b cell %d: plan %v != reference %v",
-							shape.d, shape.k, weighted, got[i].Beta, c, got[i].Cells[c], want[i].Cells[c])
-					}
-					if math.Float64bits(got2[i].Cells[c]) != math.Float64bits(want[i].Cells[c]) {
-						t.Fatalf("d=%d k=%d weighted=%v: table %b cell %d: plan reuse diverged", shape.d, shape.k, weighted, got[i].Beta, c)
-					}
-				}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("collection %d %b %s: MaxDisagreement %v != reference %v", ci, masks, name, got, want)
 			}
 		}
 	}
@@ -188,5 +324,20 @@ func TestPlanEnforceValidation(t *testing.T) {
 	}
 	if _, err := NewPlan([]uint64{0b011, 0b011}); err == nil {
 		t.Fatal("NewPlan accepted duplicate masks")
+	}
+}
+
+// BenchmarkNewPlan derives the overlap structure of the full C(d,3)
+// collection, as a view's first epoch at that width does.
+func BenchmarkNewPlan(b *testing.B) {
+	for _, d := range []int{16, 24, 32} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			masks := bitops.MasksWithExactlyK(d, 3)
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPlan(masks); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

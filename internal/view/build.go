@@ -26,9 +26,9 @@ import (
 // stage runs over reusable reconstruction arenas, so the steady-state
 // refresh allocates only the immutable published view. buildPlan
 // memoizes everything about the (d, k) collection that is identical
-// across epochs: mask lists, the mask->table position map, the
-// sub-cube's superset structure with cell index maps, and the
-// consistency plan.
+// across epochs: mask lists, the mask->table position map, and the
+// consistency plan — the one overlap structure, whose superset lists and
+// cell index maps both the sweep and the sub-k cube read.
 
 // buildPlan is the per-(d,k) epoch-invariant build structure. Immutable
 // and shared: one plan serves every engine (and every published view's
@@ -37,13 +37,6 @@ type buildPlan struct {
 	kway []uint64 // the C(d,k) collection masks (shared, read-only)
 	sub  []uint64 // the sub-k cube masks, |beta| in [1, k-1]
 	pos  map[uint64]int
-
-	// subSupers[si] lists the positions (into kway) of the supersets of
-	// sub[si], ascending; subIdx[si][j] maps superset j's cells onto
-	// sub[si]'s cells (the precomputed MarginalizeTo index map).
-	subSupers [][]int
-	subIdx    [][][]int
-
 	cons *consistency.Plan
 }
 
@@ -56,13 +49,16 @@ func planFor(cfg core.Config) (*buildPlan, error) {
 		return p.(*buildPlan), nil
 	}
 	kway := core.KWayMasks(cfg.D, cfg.K)
+	cons, err := consistency.NewPlan(kway)
+	if err != nil {
+		return nil, err
+	}
 	sub := bitops.MasksWithAtMostK(cfg.D, 1, cfg.K-1)
 	p := &buildPlan{
-		kway:      kway,
-		sub:       sub,
-		pos:       make(map[uint64]int, len(kway)+len(sub)),
-		subSupers: make([][]int, len(sub)),
-		subIdx:    make([][][]int, len(sub)),
+		kway: kway,
+		sub:  sub,
+		pos:  make(map[uint64]int, len(kway)+len(sub)),
+		cons: cons,
 	}
 	for i, m := range kway {
 		p.pos[m] = i
@@ -70,24 +66,6 @@ func planFor(cfg core.Config) (*buildPlan, error) {
 	for i, m := range sub {
 		p.pos[m] = len(kway) + i
 	}
-	for si, sb := range sub {
-		for pos, m := range kway {
-			if !bitops.IsSubset(sb, m) {
-				continue
-			}
-			idx := make([]int, 1<<uint(cfg.K))
-			for c := range idx {
-				idx[c] = int(bitops.Compress(bitops.Expand(uint64(c), m), sb))
-			}
-			p.subSupers[si] = append(p.subSupers[si], pos)
-			p.subIdx[si] = append(p.subIdx[si], idx)
-		}
-	}
-	cons, err := consistency.NewPlan(kway)
-	if err != nil {
-		return nil, err
-	}
-	p.cons = cons
 	actual, _ := buildPlans.LoadOrStore(key, p)
 	return actual.(*buildPlan), nil
 }
@@ -132,6 +110,7 @@ func newBuilder(p core.Protocol, opts Options) (*builder, error) {
 		arena:   arena,
 		weights: make([]float64, len(plan.kway)),
 		sub:     make([]*marginal.Table, len(plan.sub)),
+		scratch: make([]float64, 1<<uint(cfg.K-1)),
 	}
 	var cells int
 	for _, m := range plan.sub {
@@ -140,17 +119,12 @@ func newBuilder(p core.Protocol, opts Options) (*builder, error) {
 	slab := make([]float64, cells)
 	tabs := make([]marginal.Table, len(plan.sub))
 	off := 0
-	maxSub := 0
 	for i, m := range plan.sub {
 		size := 1 << uint(bitops.OnesCount(m))
 		tabs[i] = marginal.Table{Beta: m, Cells: slab[off : off+size]}
 		b.sub[i] = &tabs[i]
 		off += size
-		if size > maxSub {
-			maxSub = size
-		}
 	}
-	b.scratch = make([]float64, maxSub)
 	return b, nil
 }
 
@@ -195,44 +169,13 @@ func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, erro
 	// k-way tables containing beta, reduced in mask order; zero total
 	// evidence yields the uniform table. Doing it once here keeps the
 	// read path at a position lookup for every in-contract mask.
-	for si := range b.plan.sub {
+	for si, sb := range b.plan.sub {
 		out := b.sub[si].Cells
-		for c := range out {
-			out[c] = 0
-		}
-		var weight float64
-		for j, pos := range b.plan.subSupers[si] {
-			w := b.weights[pos]
-			if w == 0 {
-				continue
-			}
-			imp := b.scratch[:len(out)]
-			for c := range imp {
-				imp[c] = 0
-			}
-			idx := b.plan.subIdx[si][j]
-			for c, v := range b.arena.Tables[pos].Cells {
-				imp[idx[c]] += v
-			}
-			for c := range out {
-				// Two statements (see consistency.Plan.Enforce): a fused
-				// multiply-add rounds once where this rounds twice, and
-				// whether the compiler fuses depends on the platform.
-				v := imp[c] * w
-				out[c] += v
-			}
-			weight += w
-		}
-		if weight == 0 {
+		if b.plan.cons.Consensus(sb, b.arena.Tables, b.weights, out, b.scratch) == 0 {
 			u := 1 / float64(len(out))
 			for c := range out {
 				out[c] = u
 			}
-			continue
-		}
-		inv := 1 / weight
-		for c := range out {
-			out[c] *= inv
 		}
 	}
 	return b.publish(n, start), nil
@@ -244,27 +187,20 @@ func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, erro
 // the arenas themselves never escape, so a reader holding any older
 // epoch is unaffected by later builds.
 func (b *builder) publish(n int, start time.Time) *View {
-	total := len(b.arena.Tables) + len(b.sub)
-	cells := len(b.arena.Tables) << uint(b.cfg.K)
-	for _, t := range b.sub {
+	// ptrs lists the arena tables in served order (k-way, then the sub-k
+	// cube), then is repointed at their copies.
+	ptrs := append(append(make([]*marginal.Table, 0, len(b.arena.Tables)+len(b.sub)), b.arena.Tables...), b.sub...)
+	cells := 0
+	for _, t := range ptrs {
 		cells += len(t.Cells)
 	}
 	slab := make([]float64, cells)
-	headers := make([]marginal.Table, total)
-	ptrs := make([]*marginal.Table, total)
+	headers := make([]marginal.Table, len(ptrs))
 	off := 0
-	for i, t := range b.arena.Tables {
-		dst := slab[off : off+len(t.Cells)]
-		copy(dst, t.Cells)
-		headers[i] = marginal.Table{Beta: t.Beta, Cells: dst}
+	for i, t := range ptrs {
+		headers[i] = marginal.Table{Beta: t.Beta, Cells: slab[off : off+len(t.Cells)]}
+		copy(headers[i].Cells, t.Cells)
 		ptrs[i] = &headers[i]
-		off += len(t.Cells)
-	}
-	for i, t := range b.sub {
-		dst := slab[off : off+len(t.Cells)]
-		copy(dst, t.Cells)
-		headers[len(b.arena.Tables)+i] = marginal.Table{Beta: t.Beta, Cells: dst}
-		ptrs[len(b.arena.Tables)+i] = &headers[len(b.arena.Tables)+i]
 		off += len(t.Cells)
 	}
 	v := &View{

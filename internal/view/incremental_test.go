@@ -21,11 +21,7 @@ func incCfg() core.Config {
 
 func incReports(tb testing.TB, p core.Protocol, n int, seed uint64) []core.Report {
 	tb.Helper()
-	t, ok := tb.(*testing.T)
-	if !ok {
-		tb.Fatal("incReports needs a *testing.T")
-	}
-	return perturb(t, p, n, seed)
+	return perturb(tb, p, n, seed)
 }
 
 // assertViewsBitIdentical compares every in-contract marginal of two

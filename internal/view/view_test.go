@@ -15,7 +15,7 @@ import (
 )
 
 // perturb generates n deterministic reports for the protocol.
-func perturb(t *testing.T, p core.Protocol, n int, seed uint64) []core.Report {
+func perturb(t testing.TB, p core.Protocol, n int, seed uint64) []core.Report {
 	t.Helper()
 	client := p.NewClient()
 	r := rng.New(seed)
