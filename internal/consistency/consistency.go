@@ -80,17 +80,14 @@ func MaxDisagreement(tables []*marginal.Table) (float64, error) {
 	p := newPlan(betas)
 	hi, lo, imp := make([]float64, p.maxShared), make([]float64, p.maxShared), make([]float64, p.maxShared)
 	var worst float64
-	for si, members := range p.members {
-		if len(members) < 2 {
-			continue
-		}
-		size := 1 << uint(bitops.OnesCount(p.subs[si]))
+	for si, sub := range p.subs {
+		size := 1 << uint(bitops.OnesCount(sub))
 		hi, lo, imp := hi[:size], lo[:size], imp[:size]
 		for c := range hi {
 			hi[c], lo[c] = math.Inf(-1), math.Inf(1)
 		}
-		for mi, m := range members {
-			p.implied(si, mi, tables[m], imp)
+		for mi, m := range p.members[si] {
+			implied(tables[m], sub, p.idx[si][mi], imp)
 			for c, v := range imp {
 				// Comparisons, not max/min: a NaN must drop out here as it
 				// drops out of every pair's comparison in a pairwise walk.

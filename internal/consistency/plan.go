@@ -2,6 +2,8 @@ package consistency
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -10,30 +12,25 @@ import (
 )
 
 // Plan is the data-independent overlap structure of one table
-// collection, precomputed once: every sub-marginal of a table, which
-// tables contain it, and the cell-to-subcell index map of every
-// (table, sub-marginal) pair. Enforce sweeps the sub-marginals two or
-// more tables share; Consensus reads the same structure for any
-// sub-marginal it holds (the view's sub-k cube, including one inside a
-// single table). The collection of a marginal-release deployment never
-// changes across epochs, so an epoch refresh reuses one Plan for the
-// life of the process instead of re-deriving the overlap structure and
-// re-allocating thousands of tiny marginalization tables every build.
-// Building it enumerates each table's 2^|beta|-1 submasks once, so its
-// cost grows with the number of tables, not with their pairs.
+// collection, precomputed once: every sub-marginal two or more tables
+// share, which tables contain it, and the cell-to-subcell index map of
+// every (table, shared sub-marginal) pair. Enforce sweeps those
+// sub-marginals and the view's sub-k cube reads them through Consensus.
+// A deployment's collection never changes across epochs, so an epoch
+// refresh reuses one Plan for the life of the process instead of
+// re-deriving the structure every build. Building it costs what the
+// tables share, not their number of pairs or the width of any one table.
 //
 // A Plan is immutable after construction and safe for concurrent use;
 // Enforce's per-call scratch comes from an internal pool, so the
-// steady-state sweep allocates nothing. Plan.Enforce is arithmetic-
-// identical to the package-level Enforce (which builds a throwaway
-// Plan): same sweep order, same summation order, bit-identical results.
+// steady-state sweep allocates nothing. Plan.Enforce and the package-level
+// Enforce sweep and sum in the same order: bit-identical results.
 type Plan struct {
 	betas []uint64 // table masks, in table order
 
 	// subs lists, ascending, every sub-marginal shared by two or more
-	// tables or strictly inside one; members[si] the tables containing
-	// subs[si], in table order; idx[si][mi] maps member mi's cells onto
-	// subs[si]'s cells.
+	// tables; members[si] the tables containing subs[si], in table
+	// order; idx[si][mi] maps member mi's cells onto subs[si]'s cells.
 	subs    []uint64
 	members [][]int
 	idx     [][][]int
@@ -58,45 +55,58 @@ func NewPlan(betas []uint64) (*Plan, error) {
 // newPlan builds the structure for any masks, repeated ones included.
 func newPlan(betas []uint64) *Plan {
 	p := &Plan{betas: append([]uint64(nil), betas...)}
-	// Every nonzero submask of every table, tables appended in order.
+	// The tables containing sub|a are those containing sub that hold a,
+	// and every subset of a shared sub-marginal is shared too. So shared
+	// sub-marginals grow from the empty one by attributes above their
+	// highest: each is reached once, members stay in table order, and no
+	// mask two tables do not share is visited.
 	members := map[uint64][]int{}
-	for t, b := range betas {
-		for sub := b; sub != 0; sub = (sub - 1) & b {
-			members[sub] = append(members[sub], t)
+	var grow func(sub uint64, mem []int, from int)
+	grow = func(sub uint64, mem []int, from int) {
+		var next [64][]int // next[a]: the members holding attribute a
+		for _, m := range mem {
+			for rest := betas[m] >> from << from; rest != 0; rest &= rest - 1 {
+				a := bits.TrailingZeros64(rest)
+				next[a] = append(next[a], m)
+			}
+		}
+		for a, nx := range next {
+			if len(nx) > 1 {
+				members[sub|1<<a] = nx
+				grow(sub|1<<a, nx, a+1)
+			}
 		}
 	}
-	for sub, mem := range members {
-		// A table's own mask matters only when another table contains it.
-		if len(mem) > 1 || sub != betas[mem[0]] {
-			p.subs = append(p.subs, sub)
-		}
+	all := make([]int, len(betas))
+	for t := range all {
+		all[t] = t
 	}
-	slices.Sort(p.subs)
+	grow(0, all, 0)
+
+	p.subs = slices.Sorted(maps.Keys(members))
 	p.members = make([][]int, len(p.subs))
 	p.idx = make([][][]int, len(p.subs))
+	cellMaps := map[[2]uint64][]int{} // read-only, so shared by equal keys
 	for si, sub := range p.subs {
-		size := 1 << uint(bitops.OnesCount(sub))
 		mem := members[sub]
-		if len(mem) > 1 && size > p.maxShared {
-			p.maxShared = size
-		}
+		p.maxShared = max(p.maxShared, 1<<bitops.OnesCount(sub))
 		p.members[si] = mem
 		p.idx[si] = make([][]int, len(mem))
 		for mi, m := range mem {
-			mp := make([]int, 1<<uint(bitops.OnesCount(betas[m])))
-			// sub's bits in the table's compact cell coordinates: a
-			// cell's sub-cell packs exactly those bits of the cell.
-			local := bitops.Compress(sub, betas[m])
-			for c := range mp {
-				mp[c] = int(bitops.Compress(uint64(c), local))
+			// The table's width, and sub's bits in its compact cell
+			// coordinates: a cell's sub-cell packs exactly those bits.
+			key := [2]uint64{uint64(bitops.OnesCount(betas[m])), bitops.Compress(sub, betas[m])}
+			if cellMaps[key] == nil {
+				mp := make([]int, 1<<key[0])
+				for c := range mp {
+					mp[c] = int(bitops.Compress(uint64(c), key[1]))
+				}
+				cellMaps[key] = mp
 			}
-			p.idx[si][mi] = mp
+			p.idx[si][mi] = cellMaps[key]
 		}
 	}
-	maxShared := p.maxShared
-	p.scratch.New = func() any {
-		return &enforceScratch{cons: make([]float64, maxShared), imp: make([]float64, maxShared)}
-	}
+	p.scratch.New = func() any { return &enforceScratch{make([]float64, p.maxShared), make([]float64, p.maxShared)} }
 	return p
 }
 
@@ -105,24 +115,30 @@ type enforceScratch struct{ cons, imp []float64 }
 // Consensus writes into out the evidence-weighted average of the
 // sub-marginal sub that the tables containing it imply — what the sweep
 // moves them to — and returns their total weight, leaving out zero when
-// that is 0 or the plan holds no such sub-marginal. tables and weights
-// must be as Enforce takes them (they are not checked here); scratch
-// holds at least len(out) values.
+// that is 0 or no table contains sub. tables and weights must be as
+// Enforce takes them (they are not checked here); scratch is as long as
+// out.
 func (p *Plan) Consensus(sub uint64, tables []*marginal.Table, weights []float64, out, scratch []float64) float64 {
-	si, ok := slices.BinarySearch(p.subs, sub)
-	if !ok {
-		clear(out)
-		return 0
+	if si, ok := slices.BinarySearch(p.subs, sub); ok {
+		return p.consensus(sub, p.members[si], p.idx[si], tables, weights, out, scratch)
 	}
-	return p.consensus(si, tables, weights, out, scratch)
+	// No two tables share sub (the view's sub-k cube when d == k): the
+	// one table holding it, if any, is reduced without an index map.
+	for t, b := range p.betas {
+		if bitops.IsSubset(sub, b) {
+			return p.consensus(sub, []int{t}, [][]int{nil}, tables, weights, out, scratch)
+		}
+	}
+	return p.consensus(sub, nil, nil, tables, weights, out, scratch)
 }
 
-// consensus is Consensus over subs[si]. A member with no weight is
-// skipped: with finite cells it would add only zeros.
-func (p *Plan) consensus(si int, tables []*marginal.Table, weights []float64, cons, imp []float64) float64 {
+// consensus is Consensus over the given members of sub and their index
+// maps. A member with no weight is skipped: with finite cells it would
+// add only zeros.
+func (p *Plan) consensus(sub uint64, members []int, idx [][]int, tables []*marginal.Table, weights []float64, cons, imp []float64) float64 {
 	clear(cons)
 	var totalW float64
-	for mi, m := range p.members[si] {
+	for mi, m := range members {
 		w := 1.0
 		if weights != nil {
 			w = weights[m]
@@ -130,7 +146,7 @@ func (p *Plan) consensus(si int, tables []*marginal.Table, weights []float64, co
 		if w <= 0 {
 			continue
 		}
-		p.implied(si, mi, tables[m], imp)
+		implied(tables[m], sub, idx[mi], imp)
 		for c := range cons {
 			// Two statements, not cons[c] += imp[c]*w: the compiler may
 			// fuse a*b+c into one FMA, which rounds once where this
@@ -150,11 +166,19 @@ func (p *Plan) consensus(si int, tables []*marginal.Table, weights []float64, co
 	return totalW
 }
 
-// implied writes into imp the sub-marginal subs[si] that member mi of
-// it implies, summing cells in table order (as MarginalizeTo does).
-func (p *Plan) implied(si, mi int, t *marginal.Table, imp []float64) {
+// implied writes into imp the sub-marginal sub that table t implies,
+// summing cells in table order (as MarginalizeTo does): through mp, the
+// plan's map of t's cells onto sub's, or computing each cell's sub-cell
+// when mp is nil.
+func implied(t *marginal.Table, sub uint64, mp []int, imp []float64) {
 	clear(imp)
-	mp := p.idx[si][mi]
+	if mp == nil {
+		local := bitops.Compress(sub, t.Beta)
+		for c, v := range t.Cells {
+			imp[bitops.Compress(uint64(c), local)] += v
+		}
+		return
+	}
 	for c, v := range t.Cells {
 		imp[mp[c]] += v
 	}
@@ -187,21 +211,18 @@ func (p *Plan) Enforce(tables []*marginal.Table, weights []float64, opts Options
 	sc := p.scratch.Get().(*enforceScratch)
 	defer p.scratch.Put(sc)
 	for round := 0; round < opts.Rounds; round++ {
-		for si, members := range p.members {
-			if len(members) < 2 {
-				continue
-			}
-			size := 1 << uint(bitops.OnesCount(p.subs[si]))
+		for si, sub := range p.subs {
+			size := 1 << uint(bitops.OnesCount(sub))
 			cons, imp := sc.cons[:size], sc.imp[:size]
-			if p.consensus(si, tables, weights, cons, imp) == 0 {
+			if p.consensus(sub, p.members[si], p.idx[si], tables, weights, cons, imp) == 0 {
 				continue
 			}
 			// Shift each member's cells so its implied sub-marginal
 			// equals the consensus: spread each sub-cell's deficit
 			// uniformly over the table cells mapping to it.
-			for mi, m := range members {
-				p.implied(si, mi, tables[m], imp)
+			for mi, m := range p.members[si] {
 				mp, cells := p.idx[si][mi], tables[m].Cells
+				implied(tables[m], sub, mp, imp)
 				group := float64(len(cells) / size)
 				for c := range cells {
 					cells[c] += (cons[mp[c]] - imp[mp[c]]) / group

@@ -327,6 +327,44 @@ func TestPlanEnforceValidation(t *testing.T) {
 	}
 }
 
+// TestWideTablesPlanOnlyWhatTheyShare: a plan holds, and Enforce and
+// MaxDisagreement visit, only the sub-marginals two tables share, so a
+// wide table costs no more than its overlaps. Enumerating every submask
+// of a 20-attribute table would build a million index maps.
+func TestWideTablesPlanOnlyWhatTheyShare(t *testing.T) {
+	wide := uint64(1)<<20 - 1
+	singles := []uint64{1<<16 - 1}
+	for a := 0; a < 12; a++ {
+		singles = append(singles, 1<<uint(a))
+	}
+	for _, tc := range []struct {
+		name  string
+		masks []uint64
+		subs  int
+	}{
+		{"one 20-attribute table", []uint64{wide}, 0},
+		{"two disjoint 13-attribute tables", []uint64{1<<13 - 1, (1<<13 - 1) << 13}, 0},
+		{"two 12-attribute tables sharing one attribute", []uint64{1<<12 - 1, (1<<12 - 1) << 11}, 1},
+		{"a 16-attribute table and 12 of its attributes", singles, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := len(newPlan(tc.masks).subs); got != tc.subs {
+				t.Fatalf("plan holds %d sub-marginals, want %d", got, tc.subs)
+			}
+			tables := make([]*marginal.Table, len(tc.masks))
+			for i, m := range tc.masks {
+				tables[i], _ = marginal.Uniform(m)
+			}
+			if err := Enforce(tables, nil, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if d, err := MaxDisagreement(tables); err != nil || d > 1e-12 {
+				t.Fatalf("uniform tables disagree by %v (%v)", d, err)
+			}
+		})
+	}
+}
+
 // BenchmarkNewPlan derives the overlap structure of the full C(d,3)
 // collection, as a view's first epoch at that width does.
 func BenchmarkNewPlan(b *testing.B) {

@@ -27,8 +27,8 @@ import (
 // refresh allocates only the immutable published view. buildPlan
 // memoizes everything about the (d, k) collection that is identical
 // across epochs: mask lists, the mask->table position map, and the
-// consistency plan — the one overlap structure, whose superset lists and
-// cell index maps both the sweep and the sub-k cube read.
+// consistency plan — the one overlap structure, which both the sweep and
+// the sub-k cube read.
 
 // buildPlan is the per-(d,k) epoch-invariant build structure. Immutable
 // and shared: one plan serves every engine (and every published view's
@@ -171,7 +171,7 @@ func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, erro
 	// read path at a position lookup for every in-contract mask.
 	for si, sb := range b.plan.sub {
 		out := b.sub[si].Cells
-		if b.plan.cons.Consensus(sb, b.arena.Tables, b.weights, out, b.scratch) == 0 {
+		if b.plan.cons.Consensus(sb, b.arena.Tables, b.weights, out, b.scratch[:len(out)]) == 0 {
 			u := 1 / float64(len(out))
 			for c := range out {
 				out[c] = u
@@ -187,20 +187,27 @@ func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, erro
 // the arenas themselves never escape, so a reader holding any older
 // epoch is unaffected by later builds.
 func (b *builder) publish(n int, start time.Time) *View {
-	// ptrs lists the arena tables in served order (k-way, then the sub-k
-	// cube), then is repointed at their copies.
-	ptrs := append(append(make([]*marginal.Table, 0, len(b.arena.Tables)+len(b.sub)), b.arena.Tables...), b.sub...)
-	cells := 0
-	for _, t := range ptrs {
+	total := len(b.arena.Tables) + len(b.sub)
+	cells := len(b.arena.Tables) << uint(b.cfg.K)
+	for _, t := range b.sub {
 		cells += len(t.Cells)
 	}
 	slab := make([]float64, cells)
-	headers := make([]marginal.Table, len(ptrs))
+	headers := make([]marginal.Table, total)
+	ptrs := make([]*marginal.Table, total)
 	off := 0
-	for i, t := range ptrs {
-		headers[i] = marginal.Table{Beta: t.Beta, Cells: slab[off : off+len(t.Cells)]}
-		copy(headers[i].Cells, t.Cells)
+	for i, t := range b.arena.Tables {
+		dst := slab[off : off+len(t.Cells)]
+		copy(dst, t.Cells)
+		headers[i] = marginal.Table{Beta: t.Beta, Cells: dst}
 		ptrs[i] = &headers[i]
+		off += len(t.Cells)
+	}
+	for i, t := range b.sub {
+		dst := slab[off : off+len(t.Cells)]
+		copy(dst, t.Cells)
+		headers[len(b.arena.Tables)+i] = marginal.Table{Beta: t.Beta, Cells: dst}
+		ptrs[len(b.arena.Tables)+i] = &headers[len(b.arena.Tables)+i]
 		off += len(t.Cells)
 	}
 	v := &View{
