@@ -89,6 +89,22 @@ func clusterBenchSetup(b *testing.B) (ldpmarginals.Protocol, *ldpmarginals.Shard
 	return p, agg, blob
 }
 
+// foldBlobs decodes pulled state blobs and merges them into one fresh
+// aggregator: a coordinator's cold fold of freshly accepted peers.
+func foldBlobs(p ldpmarginals.Protocol, blobs ...[]byte) error {
+	out := p.NewAggregator()
+	for _, blob := range blobs {
+		src := p.NewAggregator()
+		if err := src.UnmarshalState(blob); err != nil {
+			return err
+		}
+		if err := out.Merge(src); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BenchmarkClusterStateExchange measures each stage of one pull cycle.
 func BenchmarkClusterStateExchange(b *testing.B) {
 	p, agg, blob := clusterBenchSetup(b)
@@ -125,12 +141,10 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 		b.ReportMetric(float64(b.N)*clusterStateN/b.Elapsed().Seconds(), "reports/s")
 	})
 
-	// merge: folding two edge blobs into the fleet snapshot.
+	// merge: decoding two edge blobs and folding them into one state.
 	b.Run("merge", func(b *testing.B) {
-		coord := ldpmarginals.NewShardedAggregator(p, 0)
-		blobs := [][]byte{blob, blob}
 		for i := 0; i < b.N; i++ {
-			if _, err := coord.SnapshotWith(blobs); err != nil {
+			if err := foldBlobs(p, blob, blob); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -148,7 +162,6 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 		ts := httptest.NewServer(edge.Handler())
 		defer ts.Close()
 		seedEdge(b, ts.URL, p)
-		coord := ldpmarginals.NewShardedAggregator(p, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Get(ts.URL + "/state")
@@ -164,7 +177,7 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := coord.SnapshotWith([][]byte{cf.Components[0].State}); err != nil {
+			if err := foldBlobs(p, cf.Components[0].State); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,13 +7,34 @@ import (
 	"ldpmarginals/internal/rng"
 )
 
+// foldBlobs decodes foreign state blobs and folds them, after the
+// local aggregator's state when one is given, through a FoldArena — the
+// way a coordinator folds the peer components it accepted.
+func foldBlobs(p Protocol, local *ShardedAggregator, blobs [][]byte) (Aggregator, error) {
+	var parts []Part
+	if local != nil {
+		parts = append(parts, Part{Key: local, Version: local.Version(), Agg: local.Snapshot})
+	}
+	for i, blob := range blobs {
+		agg := p.NewAggregator()
+		if err := agg.UnmarshalState(blob); err != nil {
+			return nil, err
+		}
+		parts = append(parts, Part{Key: i, Agg: func() (Aggregator, error) { return agg, nil }})
+	}
+	arena := NewFoldArena(p.NewAggregator)
+	if _, err := arena.Sync(parts); err != nil {
+		return nil, err
+	}
+	return arena.State(), nil
+}
+
 // TestCrossProcessMergeBitIdentity extends the merge-vs-sequential
 // equivalence to the cluster exchange path for the full protocol set:
 // a stream split across two foreign aggregators, exported through the
-// canonical state codec and folded back in with SnapshotWith, must
-// produce state byte-identical to one sequential aggregator consuming
-// the whole stream. This is the core guarantee the edge/coordinator
-// tier rests on.
+// canonical state codec, decoded and folded back in, must produce state
+// byte-identical to one sequential aggregator consuming the whole
+// stream. This is the core guarantee the edge/coordinator tier rests on.
 func TestCrossProcessMergeBitIdentity(t *testing.T) {
 	cfg := Config{D: 6, K: 2, Epsilon: 1.1, OptimizedPRR: true}
 	for _, kind := range AllKinds() {
@@ -66,10 +87,9 @@ func TestCrossProcessMergeBitIdentity(t *testing.T) {
 				blobs = append(blobs, blob)
 			}
 
-			// A "coordinator" with empty local shards folds the foreign
-			// blobs in; the merged state must be byte-identical.
-			coord := NewSharded(p, 4)
-			merged, err := coord.SnapshotWith(blobs)
+			// A "coordinator" folds the foreign blobs in; the merged state
+			// must be byte-identical.
+			merged, err := foldBlobs(p, nil, blobs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +114,7 @@ func TestCrossProcessMergeBitIdentity(t *testing.T) {
 					}
 				}
 			}
-			merged2, err := mixed.SnapshotWith(blobs[1:])
+			merged2, err := foldBlobs(p, mixed, blobs[1:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,10 +132,10 @@ func TestCrossProcessMergeBitIdentity(t *testing.T) {
 			// job, not the codec's.)
 			bad := append([]byte(nil), blobs[0]...)
 			bad[0] ^= 0xFF
-			if _, err := coord.SnapshotWith([][]byte{bad}); err == nil {
+			if _, err := foldBlobs(p, nil, [][]byte{bad}); err == nil {
 				t.Error("foreign blob with a foreign kind byte was merged")
 			}
-			if _, err := coord.SnapshotWith([][]byte{blobs[0][:len(blobs[0])-1]}); err == nil {
+			if _, err := foldBlobs(p, nil, [][]byte{blobs[0][:len(blobs[0])-1]}); err == nil {
 				t.Error("truncated foreign blob was merged")
 			}
 		})

@@ -165,22 +165,47 @@ func TestSnapshotDeltaSeesRestore(t *testing.T) {
 }
 
 // noDeltaAgg wraps a protocol aggregator, hiding the Unmerge and
-// CopyStateFrom methods.
+// CopyStateFrom methods; its counters still merge.
 type noDeltaAgg struct{ Aggregator }
 
+func (a noDeltaAgg) Counters() *CounterBlock {
+	return a.Aggregator.(interface{ Counters() *CounterBlock }).Counters()
+}
+
 // TestNoArenaWithoutUnmerge: a factory whose aggregators cannot be
-// unmerged gets no arena (callers fall back to full snapshots).
+// unmerged still gets an arena, but it is never primed: every capture
+// merges every shard, exactly like Snapshot.
 func TestNoArenaWithoutUnmerge(t *testing.T) {
 	p, err := New(InpHT, deltaTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := NewShardedFrom(func() Aggregator { return noDeltaAgg{p.NewAggregator()} }, 2)
-	if arena := sh.NewSnapshotArena(); arena != nil {
-		t.Fatal("got an arena over an unmergeable aggregator")
-	}
 	if sh.SupportsDeltaSnapshots() {
 		t.Fatal("SupportsDeltaSnapshots over an unmergeable aggregator")
+	}
+	arena := sh.NewSnapshotArena()
+	reps := deltaReports(t, p, 300, 8)
+	for i := 0; i < 3; i++ {
+		if err := sh.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {
+			t.Fatal(err)
+		}
+		touched, err := sh.SnapshotDeltaInto(arena)
+		if err != nil || touched != 2 {
+			t.Fatalf("capture %d touched %d shards (%v), want both", i, touched, err)
+		}
+		if arena.Primed() {
+			t.Fatal("arena over an unmergeable aggregator is primed")
+		}
+		snap, err := sh.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := snap.MarshalState()
+		got, _ := arena.State().MarshalState()
+		if !bytes.Equal(got, want) || arena.State().N() != (i+1)*100 {
+			t.Fatalf("capture %d differs from Snapshot", i)
+		}
 	}
 }
 

@@ -29,8 +29,7 @@ func TestExportShardsReassembles(t *testing.T) {
 			if len(vers) != sh.Shards() {
 				t.Fatalf("version vector over %d shards, want %d", len(vers), sh.Shards())
 			}
-			// Reassemble into an empty sharded aggregator of the same
-			// protocol, exactly like a coordinator folding components.
+			// Reassemble exactly like a coordinator folding components.
 			blobs := make([][]byte, 0, len(exps))
 			total := 0
 			for _, e := range exps {
@@ -46,8 +45,7 @@ func TestExportShardsReassembles(t *testing.T) {
 			if total != len(reps) {
 				t.Fatalf("exports hold %d reports, want %d", total, len(reps))
 			}
-			other := NewSharded(p, 3)
-			got, err := other.SnapshotWith(blobs)
+			got, err := foldBlobs(p, nil, blobs)
 			if err != nil {
 				t.Fatal(err)
 			}

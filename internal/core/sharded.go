@@ -32,6 +32,7 @@ type ShardedAggregator struct {
 	next     atomic.Uint64
 	n        atomic.Int64
 	ver      atomic.Uint64
+	delta    bool // the protocol backs exact delta folds (shard 0 decided it)
 }
 
 // aggShard pairs one accumulator with its lock and its own mutation
@@ -63,6 +64,7 @@ func NewShardedFrom(newShard func() Aggregator, shards int) *ShardedAggregator {
 	for i := range s.shards {
 		s.shards[i].agg = newShard()
 	}
+	s.delta = supportsDelta(s.shards[0].agg)
 	return s
 }
 
@@ -149,32 +151,6 @@ func (s *ShardedAggregator) Snapshot() (Aggregator, error) {
 		sh.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot of shard %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// SnapshotWith merges every shard plus the given foreign state blobs
-// (canonical Aggregator.MarshalState bytes from aggregators of the same
-// protocol, e.g. pulled from cluster peers) into one private sequential
-// aggregator. Each blob is decoded into a fresh accumulator — validating
-// it against the deployment geometry and the protocol's counter
-// invariants — and folded in through the same Merge path the shards use,
-// so the result is byte-identical to a single aggregator that consumed
-// every report behind every input. Shards are locked one at a time,
-// exactly like Snapshot.
-func (s *ShardedAggregator) SnapshotWith(foreign [][]byte) (Aggregator, error) {
-	out, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	for i, blob := range foreign {
-		src := s.newShard()
-		if err := src.UnmarshalState(blob); err != nil {
-			return nil, fmt.Errorf("core: foreign state %d: %w", i, err)
-		}
-		if err := out.Merge(src); err != nil {
-			return nil, fmt.Errorf("core: merging foreign state %d: %w", i, err)
 		}
 	}
 	return out, nil

@@ -12,6 +12,7 @@ package freqoracle
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
@@ -128,7 +129,8 @@ type olhAgg struct {
 	o       *OLH
 	seeds   []uint64
 	values  []uint64
-	decoded []float64 // cached full-domain frequency estimates
+	decoded []float64  // cached full-domain frequency estimates
+	mu      sync.Mutex // guards decoded against parallel Estimate calls
 }
 
 func (a *olhAgg) N() int { return len(a.seeds) }
@@ -163,6 +165,10 @@ func (a *olhAgg) Merge(other core.Aggregator) error {
 // the O(N * 2^d) support scan the paper times out beyond small d. The
 // result is cached until new reports arrive.
 func (a *olhAgg) EstimateAll() ([]float64, error) {
+	// A view build estimates every table at once: the first call decodes,
+	// the others wait for its cache.
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.decoded != nil {
 		return a.decoded, nil
 	}

@@ -39,7 +39,8 @@ const (
 
 // The cluster tier. An edge exports its aggregation state on GET /state;
 // a coordinator's fleet holds the latest accepted state per configured
-// peer and assembles the fleet-wide aggregation state on demand. The
+// peer, and the view engine folds the components that moved into the
+// fleet-wide aggregation state it holds (a core.FoldArena). The
 // exchange is *componentized state transfer with replacement*: a peer's
 // state arrives as named components (an edge's one merged state, or a
 // mid-tier coordinator's pass-through constituents), each labeled with
@@ -58,11 +59,10 @@ const (
 // stream directly — whatever mix of full frames, deltas, and topology
 // tiers it arrived through.
 
-// fleet is a coordinator's view.Source: the local (empty) sharded
-// aggregator plus the latest accepted components of every configured
-// peer.
+// fleet is a coordinator's state source: the latest accepted components
+// of every configured peer. A coordinator ingests nothing, so that is all
+// of its state.
 type fleet struct {
-	agg   *core.ShardedAggregator
 	p     core.Protocol
 	dir   string // peer-state persistence directory; "" disables
 	ownID string // this coordinator's node id; accept refuses frames bearing it
@@ -72,7 +72,7 @@ type fleet struct {
 
 	mu          sync.Mutex
 	peers       []*peerEntry
-	comp        []view.Component // composition of the engine's latest Snapshot
+	comp        []view.Component // composition of the engine's latest capture
 	lastSaveErr error
 
 	// saveMu serializes persist calls: two concurrent saves would
@@ -86,9 +86,9 @@ type fleet struct {
 // peerComp is one accepted component of a peer's state: the blob, which
 // is what is persisted, passed through to a coordinator above and diffed
 // against, and the aggregator it decoded into when it was validated,
-// which is what the arena folds — a blob is decoded once. Both are
-// replaced wholesale on accept, never mutated, so references read under
-// the fleet lock stay valid after it.
+// which is what arenas fold by reference — a blob is decoded once. Both
+// are replaced wholesale on accept, never mutated, so references read
+// under the fleet lock stay valid after it.
 type peerComp struct {
 	version uint64
 	n       int
@@ -197,8 +197,8 @@ var errStaleDeltaBase = errors.New("delta base no longer held")
 // own node id, so a misconfigured peer list pointing back at this node
 // (directly, or through a coordinator cycle) is refused instead of
 // folding the node's own output back in as a "peer" every round.
-func newFleet(agg *core.ShardedAggregator, p core.Protocol, urls []string, dir, ownID string) (*fleet, error) {
-	f := &fleet{agg: agg, p: p, dir: dir, ownID: ownID}
+func newFleet(p core.Protocol, urls []string, dir, ownID string) (*fleet, error) {
+	f := &fleet{p: p, dir: dir, ownID: ownID}
 	for _, u := range urls {
 		f.peers = append(f.peers, &peerEntry{url: u})
 	}
@@ -306,133 +306,45 @@ func sortedCompIDs(comps map[string]peerComp) []string {
 	return ids
 }
 
-// collect gathers the accepted peer component blobs and the per-peer
-// composition under the fleet lock. Blobs are replaced wholesale on
-// accept (never mutated in place), so reading them after the unlock is
-// safe.
-func (f *fleet) collect() (blobs [][]byte, comp []view.Component) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	comp = make([]view.Component, 0, len(f.peers))
-	for _, pe := range f.peers {
-		if pe.comps == nil {
-			continue
-		}
-		for _, id := range sortedCompIDs(pe.comps) {
-			blobs = append(blobs, pe.comps[id].state)
-		}
-		comp = append(comp, view.Component{
-			ID: pe.nodeID, URL: pe.url, N: pe.n, Version: pe.top,
-			PulledAt: pe.pulledAt, Parts: len(pe.comps),
-		})
-	}
-	return blobs, comp
-}
+// foldKey names a peer component in the fleet's arena. The node id is
+// part of it, so a URL that now answers as a different node drops every
+// contribution of the old one.
+type foldKey struct{ url, nodeID, id string }
 
-// Snapshot assembles the fleet-wide state: a merged snapshot of the
-// local shards plus every accepted peer component, each decoded and
-// folded in through the canonical Merge path. It records the snapshot's
-// composition for the view engine (view.Composed) — only the engine may
-// call it (builds are serialized under the engine's lock).
-func (f *fleet) Snapshot() (core.Aggregator, error) {
-	blobs, comp := f.collect()
-	f.mu.Lock()
-	f.comp = comp
-	f.mu.Unlock()
-	return f.agg.SnapshotWith(blobs)
-}
-
-// fleetArena is the coordinator's core.StateArena: the local shard
-// arena (whose cumulative aggregator is the single fold target) plus
-// the decoded contribution of every peer component currently folded in,
-// keyed by peer URL and component id and labeled exactly like the
-// accept path. A pull round that moved one component of one edge
-// re-folds exactly that component; unchanged components cost one label
-// comparison each.
-type fleetArena struct {
-	local core.StateArena
-	peers map[string]*heldPeer
-}
-
-// heldPeer is one peer's components folded into the arena's cumulative
-// state.
-type heldPeer struct {
-	nodeID string
-	comps  map[string]*heldComp
-}
-
-// heldComp is one component contribution folded into the arena.
-type heldComp struct {
-	version uint64
-	n       int
-	agg     core.Aggregator
-}
-
-func (fa *fleetArena) State() core.Aggregator { return fa.local.State() }
-func (fa *fleetArena) Primed() bool           { return fa.local.Primed() }
-func (fa *fleetArena) Reset()                 { fa.local.Reset() }
-
-// NewSnapshotArena returns a delta-snapshot arena over the fleet, or
-// nil when the deployment's protocol cannot back exact delta folds.
-// Implements view.DeltaSource alongside SnapshotDeltaInto.
+// NewSnapshotArena returns a reusable arena over the fleet: a
+// core.FoldArena over the aggregators the accept path decoded the held
+// peer components into.
 func (f *fleet) NewSnapshotArena() core.StateArena {
-	local := f.agg.NewSnapshotArena()
-	if local == nil {
-		return nil
-	}
-	return &fleetArena{local: local, peers: make(map[string]*heldPeer)}
+	return core.NewFoldArena(f.p.NewAggregator)
 }
 
-// SnapshotDeltaInto advances the arena to the current fleet state:
-// local shard deltas fold through the core arena, and each peer
-// component whose accepted version label moved since the arena's last
-// capture has its old contribution unmerged and its fresh one — the
-// aggregator the accept path decoded the blob into — merged: a pull
-// round that moved one edge re-folds one component, and decodes
-// nothing. It records the snapshot's composition for the view
-// engine, exactly like Snapshot. Only the engine may call it (builds
-// are serialized under the engine's lock).
+// SnapshotDeltaInto advances the arena to the current fleet state: each
+// peer component whose accepted version label moved since the arena's
+// last capture has its old contribution unmerged and its fresh one
+// merged, so a pull round that moved one edge re-folds one component and
+// decodes nothing. It records the capture's composition for the view
+// engine (view.Composed); only the engine may call it (builds are
+// serialized under the engine's lock).
 func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
-	fa, ok := arena.(*fleetArena)
+	a, ok := arena.(*core.FoldArena)
 	if !ok {
-		return 0, fmt.Errorf("server: arena of type %T was not created by this fleet", arena)
-	}
-	if !fa.local.Primed() {
-		// The local arena is about to recapture its cumulative state
-		// from scratch (fresh arena, Reset, or a failed fold), which
-		// drops every peer contribution folded into it.
-		clear(fa.peers)
-	}
-	touched, err := f.agg.SnapshotDeltaInto(fa.local)
-	if err != nil {
-		return touched, err
-	}
-	cum := fa.local.State()
-
-	// Snapshot the accepted peer labels (and their decoded states, which
-	// are replaced wholesale on accept, never mutated) under the fleet
-	// lock, and record the composition the engine will label this epoch
-	// with.
-	type compSnap struct {
-		id string
-		peerComp
-	}
-	type peerSnap struct {
-		url, nodeID string
-		comps       []compSnap
+		return 0, fmt.Errorf("server: arena of type %T was not created by a fleet", arena)
 	}
 	f.mu.Lock()
-	cur := make([]peerSnap, 0, len(f.peers))
+	var parts []core.Part
 	comp := make([]view.Component, 0, len(f.peers))
 	for _, pe := range f.peers {
 		if pe.comps == nil {
 			continue
 		}
-		snap := peerSnap{url: pe.url, nodeID: pe.nodeID, comps: make([]compSnap, 0, len(pe.comps))}
-		for id, c := range pe.comps {
-			snap.comps = append(snap.comps, compSnap{id: id, peerComp: c})
+		for _, id := range sortedCompIDs(pe.comps) {
+			c := pe.comps[id]
+			parts = append(parts, core.Part{
+				Key:     foldKey{url: pe.url, nodeID: pe.nodeID, id: id},
+				Version: c.version,
+				Agg:     func() (core.Aggregator, error) { return c.agg, nil },
+			})
 		}
-		cur = append(cur, snap)
 		comp = append(comp, view.Component{
 			ID: pe.nodeID, URL: pe.url, N: pe.n, Version: pe.top,
 			PulledAt: pe.pulledAt, Parts: len(pe.comps),
@@ -440,95 +352,28 @@ func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
 	}
 	f.comp = comp
 	f.mu.Unlock()
-
-	// A half-applied fold leaves cum inconsistent; force a cold
-	// recapture on the next call.
-	fail := func(e error) (int, error) {
-		fa.local.Reset()
-		return touched, e
-	}
-	unmergeAll := func(held *heldPeer) error {
-		for _, h := range held.comps {
-			if err := core.UnmergeAggregators(cum, h.agg); err != nil {
-				return err
-			}
-			touched++
-		}
-		return nil
-	}
-	seen := make(map[string]bool, len(cur))
-	for _, pe := range cur {
-		seen[pe.url] = true
-		held := fa.peers[pe.url]
-		if held != nil && held.nodeID != pe.nodeID {
-			// The URL now resolves to a different node (edge replaced
-			// behind a stable address): every old contribution goes.
-			if err := unmergeAll(held); err != nil {
-				return fail(fmt.Errorf("server: unfolding replaced peer %s: %w", pe.url, err))
-			}
-			held = nil
-		}
-		if held == nil {
-			held = &heldPeer{nodeID: pe.nodeID, comps: make(map[string]*heldComp, len(pe.comps))}
-			fa.peers[pe.url] = held
-		}
-		curIDs := make(map[string]bool, len(pe.comps))
-		for _, c := range pe.comps {
-			curIDs[c.id] = true
-			h := held.comps[c.id]
-			if h != nil && h.version == c.version {
-				continue
-			}
-			if h != nil {
-				if err := core.UnmergeAggregators(cum, h.agg); err != nil {
-					return fail(fmt.Errorf("server: unfolding stale component %s of peer %s: %w", c.id, pe.url, err))
-				}
-			}
-			if err := core.MergeAggregators(cum, c.agg); err != nil {
-				return fail(fmt.Errorf("server: folding component %s of peer %s: %w", c.id, pe.url, err))
-			}
-			held.comps[c.id] = &heldComp{version: c.version, n: c.n, agg: c.agg}
-			touched++
-		}
-		for id, h := range held.comps {
-			if curIDs[id] {
-				continue
-			}
-			if err := core.UnmergeAggregators(cum, h.agg); err != nil {
-				return fail(fmt.Errorf("server: unfolding dropped component %s of peer %s: %w", id, pe.url, err))
-			}
-			delete(held.comps, id)
-			touched++
-		}
-	}
-	for url, held := range fa.peers {
-		if seen[url] {
-			continue
-		}
-		if err := unmergeAll(held); err != nil {
-			return fail(fmt.Errorf("server: unfolding dropped peer %s: %w", url, err))
-		}
-		delete(fa.peers, url)
+	touched, err := a.Sync(parts)
+	if err != nil {
+		return touched, fmt.Errorf("server: folding peer components: %w", err)
 	}
 	return touched, nil
 }
 
-// Composition describes the constituents of the latest Snapshot.
+// Composition describes the constituents of the latest capture.
 func (f *fleet) Composition() []view.Component {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]view.Component(nil), f.comp...)
 }
 
-// N is the fleet-wide report count: local ingestion (always zero on a
-// coordinator, which rejects reports) plus every accepted peer state.
+// N is the fleet-wide report count: every accepted peer state.
 // Lock-free, so the view engine's staleness polling never contends with
 // pulls.
-func (f *fleet) N() int { return f.agg.N() + int(f.total.Load()) }
+func (f *fleet) N() int { return int(f.total.Load()) }
 
-// version labels the coordinator's own exported state: it changes
+// Version labels the coordinator's own exported state: it changes
 // whenever any accepted peer state changes.
-func (f *fleet) version() uint64 { return f.ver.Load() }
+func (f *fleet) Version() uint64 { return f.ver.Load() }
 
 // guardFrame runs the identity checks shared by full and delta accepts,
 // under the fleet lock: a frame bearing this coordinator's own node id

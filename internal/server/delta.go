@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"ldpmarginals/internal/core"
-	"ldpmarginals/internal/view"
 	"ldpmarginals/internal/wire"
 )
 
@@ -156,21 +155,14 @@ func (s *Server) exportComponents() (exp, held *stateExport, err error) {
 // callers hold exportMu. The merge lives in an arena of the exporter's
 // own, so a pull after one shard moved re-folds that shard instead of
 // re-merging all of them; the returned aggregator is the arena's and is
-// valid until the next call. Protocols without exact folds are
-// snapshotted whole.
+// valid until the next call.
 func (s *Server) exportSnapshot() (core.Aggregator, error) {
-	var src view.DeltaSource = s.agg
-	if s.win != nil {
-		src = s.win
-	}
 	if s.exportArena == nil {
 		// Built on the first export: a node nobody pulls never pays the
 		// (shards+1) state copies.
-		if s.exportArena = src.NewSnapshotArena(); s.exportArena == nil {
-			return src.Snapshot()
-		}
+		s.exportArena = s.src.NewSnapshotArena()
 	}
-	if _, err := src.SnapshotDeltaInto(s.exportArena); err != nil {
+	if _, err := s.src.SnapshotDeltaInto(s.exportArena); err != nil {
 		return nil, err
 	}
 	return s.exportArena.State(), nil

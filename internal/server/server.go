@@ -47,8 +47,9 @@
 //
 // # Ingestion architecture
 //
-// The server owns one core.ShardedAggregator: P per-shard accumulators
-// behind P mutexes, merged on demand. A single /report locks exactly one
+// An ingesting node owns one core.ShardedAggregator (the live bucket of
+// its window ring, when windowed): P per-shard accumulators behind P
+// mutexes, merged on demand. A single /report locks exactly one
 // shard for one Consume; a /report/batch is decoded outside any lock,
 // split into chunks, and each chunk is ingested into a round-robin shard
 // under one lock acquisition through a bounded worker pool, so batches
@@ -102,6 +103,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -333,13 +335,19 @@ func newIngestPipeline(sink ingestTarget, seed func(core.Aggregator) error, src 
 }
 
 // readPipeline is the read side of a deployment: the view engine over
-// its source (the local aggregator for single, the fleet for a
-// coordinator). Roles that serve estimates (single, coordinator) run
-// one.
+// the node's state source. Roles that serve estimates (single,
+// coordinator) run one.
 type readPipeline struct {
 	engine   *view.Engine
-	src      view.Source // what staleness is measured against
 	maxQuery int64
+}
+
+// stateSource is a node's one state: the cumulative shards, a window
+// ring, or a coordinator's fleet of peer components. The view engine
+// captures it, /state exports it, and its version labels the exports.
+type stateSource interface {
+	view.Source
+	Version() uint64
 }
 
 // Server exposes one protocol deployment over HTTP. Safe for concurrent
@@ -350,8 +358,10 @@ type Server struct {
 	role     Role
 	nodeID   string
 
-	agg    *core.ShardedAggregator // local aggregation state (all roles)
+	agg    *core.ShardedAggregator // cumulative ingesting deployments only
 	win    *window.Ring            // windowed deployments only
+	src    stateSource             // agg, win or fleet: whichever this node holds
+	shards int                     // resolved aggregation width
 	ledger *privacy.Ledger         // windowed deployments with a RoundEps budget
 	rotor  *rotator                // drives bucket seal/expiry for windowed deployments
 
@@ -437,9 +447,12 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		tag:      tag,
 		role:     opts.Role,
 		nodeID:   nodeID,
-		agg:      core.NewSharded(p, opts.Shards),
+		shards:   opts.Shards,
 		ins:      newServerInstruments(),
 		log:      opts.Log.With("node", nodeID),
+	}
+	if s.shards <= 0 {
+		s.shards = runtime.GOMAXPROCS(0)
 	}
 	slow := opts.SlowTraceThreshold
 	if slow <= 0 {
@@ -457,35 +470,39 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		return fail(fmt.Errorf("server: generating version salt: %w", err))
 	}
 	s.verSalt = 1<<62 | binary.LittleEndian.Uint64(salt[:])>>2
-	if opts.Window > 0 {
-		win, err := window.NewRing(p, window.Options{
+	// The node's one state source. The window ring and the cumulative
+	// shards are also its ingest target, recovery seed and store snapshot
+	// source; a coordinator ingests nothing.
+	switch {
+	case s.role == RoleCoordinator:
+		if s.fleet, err = newFleet(p, opts.Peers, opts.ClusterDir, nodeID); err != nil {
+			return fail(err)
+		}
+		s.src = s.fleet
+	case opts.Window > 0:
+		if s.win, err = window.NewRing(p, window.Options{
 			Window: opts.Window,
 			Bucket: opts.Bucket,
-			Shards: s.agg.Shards(),
-		})
-		if err != nil {
+			Shards: s.shards,
+		}); err != nil {
 			return fail(err)
 		}
-		s.win = win
 		if opts.RoundEps > 0 {
-			ledger, err := privacy.NewLedger(opts.RoundEps, p.Config().Epsilon, int(opts.Window/opts.Bucket))
-			if err != nil {
+			if s.ledger, err = privacy.NewLedger(opts.RoundEps, p.Config().Epsilon, int(opts.Window/opts.Bucket)); err != nil {
 				return fail(err)
 			}
-			s.ledger = ledger
 		}
+		s.src = s.win
+		s.ingest, err = newIngestPipeline(s.win, s.win.SeedRecovered, s.win.Snapshot, s.shards, opts)
+	default:
+		s.agg = core.NewSharded(p, s.shards)
+		s.src = s.agg
+		s.ingest, err = newIngestPipeline(s.agg, s.agg.Merge, s.agg.Snapshot, s.shards, opts)
 	}
-	if s.role.ingests() {
-		// The windowed ring replaces the bare sharded aggregator as the
-		// ingest target, recovery seed, and snapshot source; the
-		// cumulative path is unchanged.
-		sink, seed, src := ingestTarget(s.agg), s.agg.Merge, s.agg.Snapshot
-		if s.win != nil {
-			sink, seed, src = s.win, s.win.SeedRecovered, s.win.Snapshot
-		}
-		if s.ingest, err = newIngestPipeline(sink, seed, src, s.agg.Shards(), opts); err != nil {
-			return fail(err)
-		}
+	if err != nil {
+		return fail(err)
+	}
+	if s.ingest != nil {
 		if opts.MaxInflightIngest >= 0 {
 			inflight := opts.MaxInflightIngest
 			if inflight == 0 {
@@ -501,15 +518,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			s.deg = newDegrader(s.ingest.st, s.log, opts.DegradedProbeInterval)
 		}
 	}
-	var src view.Source = s.agg
-	if s.win != nil {
-		src = s.win
-	}
-	if s.role == RoleCoordinator {
-		if s.fleet, err = newFleet(s.agg, p, opts.Peers, opts.ClusterDir, nodeID); err != nil {
-			return fail(err)
-		}
-		src = s.fleet
+	if s.fleet != nil {
 		interval := opts.PullInterval
 		if interval <= 0 {
 			interval = defaultPullInterval
@@ -530,11 +539,11 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		if maxQuery <= 0 {
 			maxQuery = defaultMaxQueryBytes
 		}
-		engine, err := view.NewEngine(src, p, view.EngineOptions{Refresh: opts.Refresh, Build: opts.View, Tracer: s.tracer})
+		engine, err := view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Build: opts.View, Tracer: s.tracer})
 		if err != nil {
 			return fail(err)
 		}
-		s.reads = &readPipeline{engine: engine, src: src, maxQuery: maxQuery}
+		s.reads = &readPipeline{engine: engine, maxQuery: maxQuery}
 	}
 	if s.puller != nil {
 		// Start pulling only after the initial epoch is built, so the
@@ -655,22 +664,14 @@ func (s *Server) View() *view.Engine {
 // N returns the number of reports behind this node: local ingestion for
 // single and edge roles, the fleet-wide count for a coordinator.
 // Lock-free.
-func (s *Server) N() int {
-	if s.fleet != nil {
-		return s.fleet.N()
-	}
-	if s.win != nil {
-		return s.win.N()
-	}
-	return s.agg.N()
-}
+func (s *Server) N() int { return s.src.N() }
 
 // Window returns the sliding-window ring of a windowed deployment, or
 // nil for a cumulative one.
 func (s *Server) Window() *window.Ring { return s.win }
 
 // Shards returns the number of aggregation shards of the deployment.
-func (s *Server) Shards() int { return s.agg.Shards() }
+func (s *Server) Shards() int { return s.shards }
 
 // Handler returns the HTTP routes of the deployment:
 //
@@ -1125,29 +1126,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, fmt.Sprintf("batch for protocol tag %d, deployment runs %d", tag, s.tag), http.StatusBadRequest)
 		return
 	}
-	if s.ledger != nil {
-		// The whole batch is charged atomically before any chunk is
-		// dispatched: a batch the budget cannot cover is rejected in
-		// full, never partially ingested.
-		token := r.Header.Get(budgetTokenHeader)
-		if token == "" {
-			httpError(w, r, "windowed deployment enforces a per-round budget; send a stable client token in "+budgetTokenHeader, http.StatusBadRequest)
-			return
-		}
-		_, chSpan := trace.StartSpan(r.Context(), "ledger.charge")
-		chSpan.SetAttr("reports", len(reps))
-		err := s.ledger.Charge(token, len(reps))
-		if err != nil {
-			chSpan.SetAttr("error", err.Error())
-		}
-		chSpan.End()
-		if err != nil {
-			s.setRetryAfter(w)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			_ = json.NewEncoder(w).Encode(BatchResponse{Error: err.Error(), TraceID: traceID(r)})
-			return
-		}
+	// The whole batch is charged atomically before any chunk is
+	// dispatched: a batch the budget cannot cover is rejected in full,
+	// never partially ingested.
+	if !s.chargeBudget(w, r, len(reps)) {
+		return
 	}
 
 	// From here on the store may hold slices of body past this request.
@@ -1469,17 +1452,18 @@ type ViewStatusResponse struct {
 	// than captured from scratch. The served cells are the same either
 	// way.
 	Incremental bool `json:"incremental"`
-	// FoldedComponents is how many source components (shards, peers)
-	// were folded into the serving epoch's snapshot: only the changed
-	// ones on an incremental epoch, every component on a from-scratch
-	// capture, and 0 when the source has no delta support.
+	// FoldedComponents is how many source components were folded into
+	// the serving epoch's state: shards on a cumulative node, buckets on a
+	// windowed one, peer components on a coordinator (which has no shards
+	// of its own). Only the changed ones on an incremental epoch, every
+	// component on a from-scratch capture.
 	FoldedComponents int `json:"folded_components,omitempty"`
 	// IncrementalBuilds counts the epochs built from a delta fold since
 	// startup. FullBuilds counts the ones whose counter state was
 	// captured from scratch: the first epoch, then one per failed
-	// refresh (a fold or build error), so on a delta-capable source a
-	// value above 1 means refreshes have been failing; a source without
-	// delta support counts every epoch here.
+	// refresh (a fold or build error), so over a protocol with exact folds
+	// a value above 1 means refreshes have been failing; a protocol
+	// without them counts every epoch here.
 	IncrementalBuilds int64 `json:"incremental_builds"`
 	FullBuilds        int64 `json:"full_builds"`
 	// Tables is the number of materialized k-way tables.
@@ -1528,7 +1512,7 @@ type PeerViewStatus struct {
 }
 
 func (s *Server) viewStatus(v *view.View) ViewStatusResponse {
-	n := s.reads.src.N()
+	n := s.src.N()
 	recovered := 0
 	if s.ingest != nil {
 		recovered = s.ingest.recovered
@@ -1726,15 +1710,7 @@ func (s *Server) clusterStatus() *ClusterStatus {
 // per-process salt. It must be read *before* the state snapshot it
 // labels — a trailing label makes a future pull re-transfer, never
 // skip, fresh data.
-func (s *Server) stateVersion() uint64 {
-	if s.fleet != nil {
-		return s.verSalt + s.fleet.version()
-	}
-	if s.win != nil {
-		return s.verSalt + s.win.Version()
-	}
-	return s.verSalt + s.agg.Version()
-}
+func (s *Server) stateVersion() uint64 { return s.verSalt + s.src.Version() }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !allow(w, r, http.MethodGet) {
@@ -1748,7 +1724,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Epsilon:    cfg.Epsilon,
 		N:          s.N(), // atomic reads; no lock
 		ReportBits: s.protocol.CommunicationBits(),
-		Shards:     s.agg.Shards(),
+		Shards:     s.shards,
 		Health:     s.Health(),
 		Cluster:    s.clusterStatus(),
 		Window:     s.windowStatus(),

@@ -10,13 +10,11 @@ import (
 // composedSource wraps a plain source with a fixed composition, the
 // shape a coordinator's fleet presents.
 type composedSource struct {
-	src  Source
+	Source
 	comp []Component
 }
 
-func (c *composedSource) Snapshot() (core.Aggregator, error) { return c.src.Snapshot() }
-func (c *composedSource) N() int                             { return c.src.N() }
-func (c *composedSource) Composition() []Component           { return c.comp }
+func (c *composedSource) Composition() []Component { return c.comp }
 
 // TestEngineRecordsComposition pins the per-peer staleness plumbing:
 // every epoch built from a Composed source carries that source's
@@ -30,7 +28,7 @@ func TestEngineRecordsComposition(t *testing.T) {
 		{ID: "edge-1", URL: "http://e1", N: 30, Version: 7, PulledAt: time.Now()},
 		{ID: "edge-2", URL: "http://e2", N: 20, Version: 3, PulledAt: time.Now()},
 	}
-	src := &composedSource{src: agg, comp: comp}
+	src := &composedSource{Source: agg, comp: comp}
 	eng, err := NewEngine(src, p, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -41,8 +39,9 @@ func TestEngineRecordsComposition(t *testing.T) {
 		t.Fatalf("epoch components = %+v, want the source's composition", v.Components)
 	}
 
-	// The composition updates with the source on the next refresh.
+	// The composition updates with the source on the next epoch.
 	src.comp = comp[:1]
+	feed(t, p, agg, 10, 5)
 	v2, err := eng.Refresh()
 	if err != nil {
 		t.Fatal(err)

@@ -12,13 +12,21 @@ import (
 )
 
 // Source is what the engine refreshes from: a live aggregation pipeline
-// that can cut a private snapshot and report its current count without
-// blocking. core.ShardedAggregator satisfies it.
+// whose state the engine captures through an arena of its own, and whose
+// report count it polls without blocking. core.ShardedAggregator,
+// window.Ring and a coordinator's fleet satisfy it.
 type Source interface {
-	// Snapshot returns a private, queryable copy of the current state.
-	Snapshot() (core.Aggregator, error)
 	// N returns the current report count; must be cheap (lock-free).
 	N() int
+	// NewSnapshotArena returns a reusable arena over this source; never
+	// nil. Over a protocol without exact delta folds the arena is never
+	// primed, and every capture merges the whole source.
+	NewSnapshotArena() core.StateArena
+	// SnapshotDeltaInto advances the arena to the source's current
+	// state, folding only changed components, and returns how many were
+	// folded. On an unprimed arena it re-derives the cumulative state
+	// from scratch and counts every component.
+	SnapshotDeltaInto(core.StateArena) (int, error)
 }
 
 // Component describes one constituent of a composed source's snapshot:
@@ -49,30 +57,11 @@ type Component struct {
 
 // Composed is optionally implemented by a Source assembled from multiple
 // constituents (e.g. a coordinator's fleet of edge states). Composition
-// must describe exactly the constituents of the most recent Snapshot
-// (or SnapshotDeltaInto) call; the engine copies it into the published
-// View right after snapshotting, under the same build lock.
+// must describe exactly the constituents of the most recent
+// SnapshotDeltaInto call; the engine copies it into the published View
+// right after capturing, under the same build lock.
 type Composed interface {
 	Composition() []Component
-}
-
-// DeltaSource is optionally implemented by sources that support
-// delta-aware refresh: the engine keeps a core.StateArena holding the
-// source's cumulative state and advances it by folding only the
-// components that changed since the previous epoch, instead of cutting
-// a full O(components × state) snapshot per refresh.
-// core.ShardedAggregator and the coordinator's fleet implement it.
-type DeltaSource interface {
-	Source
-	// NewSnapshotArena returns a reusable arena over this source, or nil
-	// when the deployment's protocol cannot back exact delta folds (the
-	// engine then refreshes through plain Snapshot calls).
-	NewSnapshotArena() core.StateArena
-	// SnapshotDeltaInto advances the arena to the source's current
-	// state, folding only changed components, and returns how many were
-	// folded. On a Reset (or fresh) arena it re-derives the cumulative
-	// state from scratch, bit-identical to Snapshot.
-	SnapshotDeltaInto(core.StateArena) (int, error)
 }
 
 // Policy selects when the engine rebuilds the view on its own. The zero
@@ -130,8 +119,9 @@ type EngineOptions struct {
 	Tracer *trace.Tracer
 }
 
-// Engine owns the materialized view of one deployment: it snapshots the
-// source, builds a View, and publishes it through an atomic pointer.
+// Engine owns the materialized view of one deployment: it captures the
+// source's state into its arena, builds a View, and publishes it through
+// an atomic pointer.
 // Readers call Current and work with an immutable epoch; they never take
 // a lock and never observe a partially built view. Builds (manual or
 // policy-driven) are serialized, so at most one reconstruction runs at a
@@ -146,12 +136,11 @@ type Engine struct {
 	mu    sync.Mutex // serializes builds and guards epoch + incremental state
 	epoch int64      // last assigned build number; read the published View's Epoch instead
 
-	// Build state, all guarded by mu. deltaSrc and arena are nil when
-	// the source (or its protocol) cannot back delta folds; the engine
-	// then captures a plain Snapshot per refresh.
-	deltaSrc DeltaSource
-	arena    core.StateArena
-	bld      *builder
+	// Build state, all guarded by mu.
+	arena core.StateArena
+	bld   *builder
+
+	exact bool // the source's protocol folds exactly; set before the engine is shared
 
 	incBuilds  atomic.Int64
 	fullBuilds atomic.Int64
@@ -169,7 +158,7 @@ type EngineStats struct {
 	IncrementalBuilds int64
 	// FullBuilds is the number of epochs whose counter state was captured
 	// from scratch: the initial epoch, an epoch after a failed refresh,
-	// and every epoch of a source without delta support.
+	// and every epoch over a protocol without exact delta folds.
 	FullBuilds int64
 }
 
@@ -181,33 +170,27 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// Incremental reports whether the engine refreshes through delta folds
-// (a delta-capable source whose protocol supports exact unmerging).
-func (e *Engine) Incremental() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.arena != nil
-}
+// Incremental reports whether the engine refreshes through delta folds:
+// the source's protocol supports exact unmerging.
+func (e *Engine) Incremental() bool { return e.exact }
 
 // NewEngine builds epoch 1 synchronously (so Current never returns nil)
 // and, if the policy asks for automatic refresh, starts the background
-// refresh loop. Close the engine to stop that loop. When the source
-// supports delta snapshots every epoch after the first advances the
+// refresh loop. Close the engine to stop that loop. When the source's
+// protocol folds exactly, every epoch after the first advances the
 // engine's counter state by a delta fold.
 func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error) {
 	bld, err := newBuilder(p, opts.Build)
 	if err != nil {
 		return nil, fmt.Errorf("view: preparing builder: %w", err)
 	}
-	e := &Engine{src: src, opts: opts, bld: bld, stop: make(chan struct{}), ins: newViewInstruments()}
-	if ds, ok := src.(DeltaSource); ok {
-		if arena := ds.NewSnapshotArena(); arena != nil {
-			e.deltaSrc, e.arena = ds, arena
-		}
-	}
+	e := &Engine{src: src, opts: opts, bld: bld, arena: src.NewSnapshotArena(), stop: make(chan struct{}), ins: newViewInstruments()}
 	if _, err := e.Refresh(); err != nil {
 		return nil, fmt.Errorf("view: building initial epoch: %w", err)
 	}
+	// A successful capture primes the arena exactly when the protocol
+	// can fold deltas.
+	e.exact = e.arena.Primed()
 	if opts.Refresh.automatic() {
 		e.done.Add(1)
 		go e.loop()
@@ -239,13 +222,13 @@ func (e *Engine) Epoch() int64 {
 // reconstruction on an indistinguishable answer. On error the previous
 // view stays published and keeps serving.
 //
-// Over a delta-capable source every refresh after the first is
+// Over a protocol with exact folds every refresh after the first is
 // incremental: the engine folds only the source components that changed
 // since the last epoch into the counter state it holds and re-runs the
 // build over reusable arenas. The folds are integer-exact, so every
-// epoch is bit-identical to a standalone Build over a Snapshot of the
-// same state; only the first epoch and one following a failed refresh
-// capture the whole source from scratch.
+// epoch is bit-identical to a standalone Build over a merge of the same
+// state; only the first epoch and one following a failed refresh capture
+// the whole source from scratch.
 func (e *Engine) Refresh() (*View, error) {
 	return e.RefreshContext(context.Background())
 }
@@ -305,11 +288,11 @@ func (e *Engine) RefreshContext(ctx context.Context) (*View, error) {
 	return v, nil
 }
 
-// buildNext captures the source's counter state — a delta fold into the
-// arena, from scratch while the arena is unprimed (the first epoch, or
-// after a failed refresh), or a plain Snapshot for sources without
-// delta support — and builds the next view from it. It returns nil
-// when nothing moved since the serving epoch. Called under e.mu.
+// buildNext captures the source's counter state into the arena — a delta
+// fold, or from scratch while the arena is unprimed (the first epoch,
+// after a failed refresh, and every epoch over a protocol without exact
+// folds) — and builds the next view from it. It returns nil when nothing
+// moved since the serving epoch. Called under e.mu.
 //
 // The published BuildDuration (and the build histograms) cover the
 // whole operation — state capture plus reconstruction, exactly the
@@ -317,24 +300,15 @@ func (e *Engine) RefreshContext(ctx context.Context) (*View, error) {
 // traces all report the same number; SnapshotDuration remains as the
 // capture-stage breakdown.
 func (e *Engine) buildNext(ctx context.Context) (*View, error) {
-	incremental := e.arena != nil && e.arena.Primed()
+	incremental := e.arena.Primed()
 	stage := "view.snapshot"
 	if incremental {
 		stage = "view.delta_fold"
 	}
-	var (
-		state  core.Aggregator
-		folded int
-		err    error
-	)
 	start := time.Now()
 	_, span := trace.StartSpan(ctx, stage)
-	if e.arena != nil {
-		folded, err = e.deltaSrc.SnapshotDeltaInto(e.arena)
-		state = e.arena.State()
-	} else {
-		state, err = e.src.Snapshot()
-	}
+	folded, err := e.src.SnapshotDeltaInto(e.arena)
+	state := e.arena.State()
 	snapDur := time.Since(start)
 	if err != nil {
 		span.SetAttr("error", err)
@@ -378,11 +352,7 @@ func (e *Engine) buildNext(ctx context.Context) (*View, error) {
 
 // distrustArena makes the next refresh re-derive the arena's counter
 // state from scratch, after a capture or build that failed part-way.
-func (e *Engine) distrustArena() {
-	if e.arena != nil {
-		e.arena.Reset()
-	}
-}
+func (e *Engine) distrustArena() { e.arena.Reset() }
 
 func (e *Engine) composition() []Component {
 	if c, ok := e.src.(Composed); ok {

@@ -170,19 +170,17 @@ func TestIntervalPolicySustainsCadence(t *testing.T) {
 	}
 }
 
-// slowSource delays every snapshot, widening the window in which
+// slowSource delays every capture, widening the window in which
 // concurrent Refresh callers pile up on the build mutex.
 type slowSource struct {
-	src   Source
+	Source
 	delay time.Duration
 }
 
-func (s *slowSource) Snapshot() (core.Aggregator, error) {
+func (s *slowSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
 	time.Sleep(s.delay)
-	return s.src.Snapshot()
+	return s.Source.SnapshotDeltaInto(a)
 }
-
-func (s *slowSource) N() int { return s.src.N() }
 
 // TestConcurrentRefreshesCoalesce fires a burst of simultaneous Refresh
 // calls and checks single-flight coalescing: callers that waited out
@@ -191,11 +189,12 @@ func (s *slowSource) N() int { return s.src.N() }
 func TestConcurrentRefreshesCoalesce(t *testing.T) {
 	p := testProtocol(t)
 	agg := core.NewSharded(p, 0)
-	eng, err := NewEngine(&slowSource{src: agg, delay: 20 * time.Millisecond}, p, EngineOptions{})
+	eng, err := NewEngine(&slowSource{Source: agg, delay: 20 * time.Millisecond}, p, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	feed(t, p, agg, 50, 6)
 	before := eng.Epoch()
 	const callers = 16
 	start := make(chan struct{})
@@ -227,46 +226,24 @@ func TestConcurrentRefreshesCoalesce(t *testing.T) {
 	}
 }
 
-// failingSource errors on snapshot, proving a failed refresh keeps the
-// previous epoch serving.
+// failingSource errors on capture while fail is set, leaving the arena
+// untouched, proving a failed refresh keeps the previous epoch serving.
 type failingSource struct {
-	src  Source
+	Source
 	fail bool
 }
 
-func (f *failingSource) Snapshot() (core.Aggregator, error) {
-	if f.fail {
-		return nil, errors.New("disk on fire")
-	}
-	return f.src.Snapshot()
-}
-
-func (f *failingSource) N() int { return f.src.N() }
-
-// failingDeltaSource is failingSource made delta-capable: while fail is
-// set the fold errors the same way, leaving the arena untouched.
-type failingDeltaSource struct {
-	failingSource
-	delta DeltaSource
-}
-
-func newFailingDeltaSource(src DeltaSource) *failingDeltaSource {
-	return &failingDeltaSource{failingSource: failingSource{src: src}, delta: src}
-}
-
-func (f *failingDeltaSource) NewSnapshotArena() core.StateArena { return f.delta.NewSnapshotArena() }
-
-func (f *failingDeltaSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
+func (f *failingSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
 	if f.fail {
 		return 0, errors.New("disk on fire")
 	}
-	return f.delta.SnapshotDeltaInto(a)
+	return f.Source.SnapshotDeltaInto(a)
 }
 
 func TestRefreshFailureKeepsServingPreviousEpoch(t *testing.T) {
 	p := testProtocol(t)
 	agg := core.NewSharded(p, 0)
-	src := &failingSource{src: agg}
+	src := &failingSource{Source: agg}
 	eng, err := NewEngine(src, p, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)

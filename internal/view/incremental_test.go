@@ -45,10 +45,11 @@ func assertViewsBitIdentical(tb testing.TB, label string, a, b *View, cfg core.C
 	}
 }
 
-// fedSource is a delta-capable source the equivalence test can feed and
+// fedSource is a source the equivalence test can feed, snapshot and
 // move through time (a no-op for the cumulative sharded pipeline).
 type fedSource interface {
-	DeltaSource
+	Source
+	Snapshot() (core.Aggregator, error)
 	ConsumeBatch([]core.Report) error
 	tick(t *testing.T)
 }
@@ -114,7 +115,7 @@ func incrementalRunMatchesBuild(t *testing.T, kind core.Kind, cfg core.Config, p
 			t.Fatal(err)
 		}
 		fed := newFedSource(t, p, windowed)
-		src := newFailingDeltaSource(fed)
+		src := &failingSource{Source: fed}
 		eng, err := NewEngine(src, p, EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +207,7 @@ func TestBuildAfterFailedFoldRecapturesFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			sh := core.NewSharded(p, shards)
-			src := newFailingDeltaSource(sh)
+			src := &failingSource{Source: sh}
 			eng, err := NewEngine(src, p, EngineOptions{})
 			if err != nil {
 				t.Fatal(err)

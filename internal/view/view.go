@@ -77,13 +77,13 @@ type View struct {
 	// Incremental reports whether the engine reached this epoch's counter
 	// state by folding deltas into the state it already held, rather
 	// than capturing the whole source from scratch (the first epoch, an
-	// epoch after a failed refresh, sources without delta support). The
+	// epoch after a failed refresh, protocols without exact folds). The
 	// tables do not depend on it.
 	Incremental bool
-	// FoldedComponents is how many source components (shards, and on a
-	// coordinator peers) were folded into this epoch's snapshot: only
-	// the changed ones on an incremental build, every component on a
-	// from-scratch capture, 0 without delta support.
+	// FoldedComponents is how many source components (shards, window
+	// buckets, or a coordinator's peer components) were folded into this
+	// epoch's state: only the changed ones on an incremental build, every
+	// component on a from-scratch capture.
 	FoldedComponents int
 	// Protocol is the deployment's protocol name.
 	Protocol string

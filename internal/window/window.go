@@ -16,12 +16,12 @@
 // covers every bucket is bit-identical to a single cumulative
 // aggregator fed the same reports.
 //
-// The ring is a view.Source and view.DeltaSource: the engine's
-// incremental refresh advances a window arena by folding only what
-// changed — newly sealed buckets merge, expired buckets unmerge, and
-// the live bucket refolds only when its version moved — so a
-// sliding-window epoch publish after a bucket expiry costs one Unmerge
-// fold plus the nonlinear build stage.
+// The ring is a view.Source: its snapshot arena is a core.FoldArena over
+// the sealed buckets and the live bucket, so the engine's incremental
+// refresh folds only what changed — newly sealed buckets merge, expired
+// buckets unmerge, and the live bucket refolds only when its version
+// moved — and a sliding-window epoch publish after a bucket expiry costs
+// one Unmerge fold plus the nonlinear build stage.
 //
 // Windowed mode requires a protocol whose aggregators support exact
 // unmerge folds (all six core protocols do); NewRing rejects the rest.
@@ -59,11 +59,8 @@ type Options struct {
 }
 
 // bucket is one sealed time slot: an immutable sequential snapshot of
-// the reports that landed in its span. id is unique for the ring's
-// lifetime (seq alone is not: a recovery-seeded bucket shares the seq
-// of the bucket sealed in the same slot).
+// the reports that landed in its span.
 type bucket struct {
-	id    uint64
 	seq   uint64
 	n     int
 	agg   core.Aggregator
@@ -84,7 +81,6 @@ type Ring struct {
 	cur      atomic.Pointer[core.ShardedAggregator] // live bucket; replaced on seal
 	curSeq   uint64
 	curStart time.Time
-	nextID   uint64
 	sealed   []*bucket       // retained sealed buckets, seq-ascending
 	cum      core.Aggregator // merge of every retained sealed bucket
 
@@ -250,14 +246,12 @@ func (r *Ring) sealLocked() error {
 			return fmt.Errorf("window: sealing bucket %d: %w", r.curSeq, err)
 		}
 		r.sealed = append(r.sealed, &bucket{
-			id:    r.nextID,
 			seq:   r.curSeq,
 			n:     snap.N(),
 			agg:   snap,
 			start: r.curStart,
 			end:   r.curStart.Add(r.opts.Bucket),
 		})
-		r.nextID++
 		r.sealedN.Add(int64(snap.N()))
 		r.cur.Store(core.NewSharded(r.p, r.opts.Shards))
 	}
@@ -321,22 +315,19 @@ func (r *Ring) SeedRecovered(state core.Aggregator) error {
 		return fmt.Errorf("window: seeding recovered state: %w", err)
 	}
 	r.sealed = append(r.sealed, &bucket{
-		id:    r.nextID,
 		seq:   r.curSeq,
 		n:     state.N(),
 		agg:   state,
 		start: r.curStart,
 		end:   r.curStart,
 	})
-	r.nextID++
 	r.sealedN.Add(int64(state.N()))
 	r.ver.Add(1)
 	return nil
 }
 
 // Snapshot cuts a private aggregator holding the whole window: the
-// sealed cumulative state plus a live-bucket snapshot. It implements
-// view.Source.
+// sealed cumulative state plus a live-bucket snapshot.
 func (r *Ring) Snapshot() (core.Aggregator, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -352,6 +343,41 @@ func (r *Ring) Snapshot() (core.Aggregator, error) {
 		return nil, fmt.Errorf("window: snapshot: %w", err)
 	}
 	return out, nil
+}
+
+// NewSnapshotArena returns a reusable arena over the ring: a
+// core.FoldArena whose contributions are the sealed buckets, keyed by
+// bucket, and the live bucket, keyed by its aggregator.
+func (r *Ring) NewSnapshotArena() core.StateArena {
+	return core.NewFoldArena(r.p.NewAggregator)
+}
+
+// SnapshotDeltaInto advances the arena to the ring's current window
+// state and returns how many components (buckets) were folded. A sealed
+// bucket never changes, so it folds once when sealed and once when it
+// expires; the live bucket refolds only when it was replaced (a
+// rotation) or its version moved (new reports). Its version is read
+// before its snapshot, so it can only trail — a report racing the fold
+// is picked up by the next one.
+func (r *Ring) SnapshotDeltaInto(sa core.StateArena) (int, error) {
+	a, ok := sa.(*core.FoldArena)
+	if !ok {
+		return 0, fmt.Errorf("window: arena of type %T was not created by a ring", sa)
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	parts := make([]core.Part, 0, len(r.sealed)+1)
+	for _, b := range r.sealed {
+		parts = append(parts, core.Part{Key: b, Agg: func() (core.Aggregator, error) { return b.agg, nil }})
+	}
+	if cur := r.cur.Load(); cur.N() > 0 {
+		parts = append(parts, core.Part{Key: cur, Version: cur.Version(), Agg: cur.Snapshot})
+	}
+	touched, err := a.Sync(parts)
+	if err != nil {
+		return touched, fmt.Errorf("window: %w", err)
+	}
+	return touched, nil
 }
 
 // Status is a point-in-time description of the ring for /status and
