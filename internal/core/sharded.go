@@ -57,15 +57,21 @@ func NewSharded(p Protocol, shards int) *ShardedAggregator {
 // accumulator factory; shards <= 0 selects GOMAXPROCS. The factory must
 // produce aggregators of the same protocol (mutually Merge-able).
 func NewShardedFrom(newShard func() Aggregator, shards int) *ShardedAggregator {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	s := &ShardedAggregator{newShard: newShard, shards: make([]aggShard, shards)}
+	s := &ShardedAggregator{newShard: newShard, shards: make([]aggShard, ResolveShards(shards))}
 	for i := range s.shards {
 		s.shards[i].agg = newShard()
 	}
 	s.delta = supportsDelta(s.shards[0].agg)
 	return s
+}
+
+// ResolveShards returns the shard count NewSharded builds for a requested
+// count: shards itself, or GOMAXPROCS when shards <= 0.
+func ResolveShards(shards int) int {
+	if shards <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return shards
 }
 
 // Shards returns the number of per-shard accumulators.

@@ -103,7 +103,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -447,12 +446,9 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		tag:      tag,
 		role:     opts.Role,
 		nodeID:   nodeID,
-		shards:   opts.Shards,
+		shards:   core.ResolveShards(opts.Shards),
 		ins:      newServerInstruments(),
 		log:      opts.Log.With("node", nodeID),
-	}
-	if s.shards <= 0 {
-		s.shards = runtime.GOMAXPROCS(0)
 	}
 	slow := opts.SlowTraceThreshold
 	if slow <= 0 {

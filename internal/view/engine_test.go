@@ -170,14 +170,17 @@ func TestIntervalPolicySustainsCadence(t *testing.T) {
 	}
 }
 
-// slowSource delays every capture, widening the window in which
-// concurrent Refresh callers pile up on the build mutex.
+// slowSource makes every capture cold and delays it, so each Refresh
+// that gets past coalescing rebuilds and advances the epoch, widening
+// the window in which concurrent Refresh callers pile up on the build
+// mutex.
 type slowSource struct {
 	Source
 	delay time.Duration
 }
 
 func (s *slowSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
+	a.Reset()
 	time.Sleep(s.delay)
 	return s.Source.SnapshotDeltaInto(a)
 }
@@ -194,7 +197,6 @@ func TestConcurrentRefreshesCoalesce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	feed(t, p, agg, 50, 6)
 	before := eng.Epoch()
 	const callers = 16
 	start := make(chan struct{})

@@ -347,18 +347,22 @@ func (r *Ring) Snapshot() (core.Aggregator, error) {
 
 // NewSnapshotArena returns a reusable arena over the ring: a
 // core.FoldArena whose contributions are the sealed buckets, keyed by
-// bucket, and the live bucket, keyed by its aggregator.
+// bucket, and the live bucket, keyed by liveKey.
 func (r *Ring) NewSnapshotArena() core.StateArena {
 	return core.NewFoldArena(r.p.NewAggregator)
 }
 
+// liveKey is the fold key of whichever aggregator is the live bucket.
+type liveKey struct{}
+
 // SnapshotDeltaInto advances the arena to the ring's current window
 // state and returns how many components (buckets) were folded. A sealed
 // bucket never changes, so it folds once when sealed and once when it
-// expires; the live bucket refolds only when it was replaced (a
-// rotation) or its version moved (new reports). Its version is read
-// before its snapshot, so it can only trail — a report racing the fold
-// is picked up by the next one.
+// expires. The live bucket is one component under one key, labelled by
+// the ring's version, which moves on every rotation as well as on new
+// reports: a rotation that finds new reports in the fresh live bucket
+// refolds it once. The label is read before the snapshot, so it can only
+// trail — a report racing the fold is picked up by the next one.
 func (r *Ring) SnapshotDeltaInto(sa core.StateArena) (int, error) {
 	a, ok := sa.(*core.FoldArena)
 	if !ok {
@@ -371,7 +375,7 @@ func (r *Ring) SnapshotDeltaInto(sa core.StateArena) (int, error) {
 		parts = append(parts, core.Part{Key: b, Agg: func() (core.Aggregator, error) { return b.agg, nil }})
 	}
 	if cur := r.cur.Load(); cur.N() > 0 {
-		parts = append(parts, core.Part{Key: cur, Version: cur.Version(), Agg: cur.Snapshot})
+		parts = append(parts, core.Part{Key: liveKey{}, Version: r.ver.Load(), Agg: cur.Snapshot})
 	}
 	touched, err := a.Sync(parts)
 	if err != nil {

@@ -236,6 +236,50 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 	}
 }
 
+// TestWindowLiveBucketFoldsOnce pins the live bucket as one component: a
+// rotation whose fresh live bucket already holds reports counts the newly
+// sealed bucket plus one live refold, not a drop of the old live bucket
+// and an add of the new one.
+func TestWindowLiveBucketFoldsOnce(t *testing.T) {
+	p, err := core.New(core.InpPS, windowTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(p, Options{Window: 2 * time.Minute, Bucket: time.Minute, Start: testStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := r.NewSnapshotArena()
+	capture := func(want int) {
+		t.Helper()
+		touched, err := r.SnapshotDeltaInto(arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if touched != want {
+			t.Fatalf("fold touched %d components, want %d", touched, want)
+		}
+	}
+	if err := r.ConsumeBatch(windowReports(t, p, 50, 61)); err != nil {
+		t.Fatal(err)
+	}
+	capture(1)
+	if _, _, err := r.Advance(testStart.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ConsumeBatch(windowReports(t, p, 50, 62)); err != nil {
+		t.Fatal(err)
+	}
+	capture(2)
+	if _, _, err := r.Advance(testStart.Add(2 * time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	// The second bucket seals, the first slides out of the two-bucket
+	// window, and the emptied live bucket drops: three folds.
+	capture(3)
+	capture(0)
+}
+
 // TestWindowArenaSurfacesFoldErrors pins satellite behavior across the
 // layers: a fold that would produce garbage (here, an expiry unmerge
 // against tampered arena state) errors out via the Unmerge underflow
