@@ -89,10 +89,12 @@
 // unnormalized sum of per-report contributions divided by a count.
 // The refresh pipeline exploits that split. The *linear stage* — the
 // cumulative counter state — is cached between epochs in a reusable
-// arena and advanced by folding only the aggregation shards (and, on a
-// coordinator, peers) whose mutation version moved since the last
-// epoch: integer unmerge/merge, exact to the bit, zero allocations at
-// steady state. The *nonlinear stage* (normalize by n, consistency
+// arena (core.FoldArena) and advanced by folding only the parts of the
+// state — aggregation shards, window buckets, a coordinator's peer
+// components — whose version label moved since the last epoch: integer
+// unmerge/merge, exact to the bit, and a moved shard is copied into the
+// copy it replaces, so a steady-state capture allocates nothing. The
+// *nonlinear stage* (normalize by n, consistency
 // enforcement, simplex projection, the sub-k cube) re-runs per epoch
 // over reusable reconstruction arenas and memoized (d, k) build plans;
 // for the input-view protocols it reconstructs all C(d,k) tables from
@@ -186,9 +188,10 @@
 // re-merging the window (BENCH_window.json). Because the counters are
 // integers under a canonical codec, a window that still covers every
 // bucket is bit-identical to a cumulative deployment fed the same
-// reports, and the incremental view engine rides the same folds:
-// newly sealed buckets merge into its arena, expired buckets unmerge,
-// and the live bucket refolds only when its version moved.
+// reports, and the incremental view engine rides the same folds: the
+// ring's parts are its sealed buckets and its live bucket, so newly
+// sealed buckets merge into the engine's arena, expired buckets
+// unmerge, and the live bucket refolds only when its version moved.
 //
 // The WAL rotates at every bucket seal, so log segments line up with
 // bucket boundaries and expiry doubles as retention: when buckets
@@ -254,8 +257,8 @@
 // ones to ~4.6 bits once, so the benchmark's fleet-pull full pull is
 // 75,030 bytes where per-shard components were 402,229, and a puller
 // decodes, validates, holds and folds 2 blobs instead of 16. The edge
-// keeps the merge in a delta arena of its own (core.StateArena, the
-// view engine's machinery), so an export after one shard moved re-folds
+// keeps the merge in a core.FoldArena of its own, folding the same parts
+// the view engine folds, so an export after one shard moved re-folds
 // that shard, and while the top label has not moved every puller is
 // served the retained export, its full frame deflated once.
 //

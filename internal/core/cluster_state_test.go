@@ -8,19 +8,19 @@ import (
 )
 
 // foldBlobs decodes foreign state blobs and folds them, after the
-// local aggregator's state when one is given, through a FoldArena — the
+// local aggregator's shards when one is given, through a FoldArena — the
 // way a coordinator folds the peer components it accepted.
 func foldBlobs(p Protocol, local *ShardedAggregator, blobs [][]byte) (Aggregator, error) {
 	var parts []Part
 	if local != nil {
-		parts = append(parts, Part{Key: local, Version: local.Version(), Agg: local.Snapshot})
+		parts = local.AppendParts(parts)
 	}
 	for i, blob := range blobs {
 		agg := p.NewAggregator()
 		if err := agg.UnmarshalState(blob); err != nil {
 			return nil, err
 		}
-		parts = append(parts, Part{Key: i, Agg: func() (Aggregator, error) { return agg, nil }})
+		parts = append(parts, Part{Key: i, Agg: func(Aggregator) (Aggregator, error) { return agg, nil }})
 	}
 	arena := NewFoldArena(p.NewAggregator)
 	if _, err := arena.Sync(parts); err != nil {

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Delta snapshots. A materialized-view refresh needs the merged state of
 // every contribution — a shard, a sealed window bucket, a peer's state
@@ -12,40 +10,17 @@ import (
 //
 //	cum -= old contribution;  cum += new contribution
 //
-// A StateArena owns that machinery: the cumulative aggregator equal to
-// the merge of the contributions it holds. A capture folds only the
-// contributions whose label moved since the arena's last capture, so a
-// steady-state refresh with a small delta costs O(moved × state).
-// Because the fold is integer arithmetic, the cumulative state is
-// bit-identical to a fresh merge of the same contributions, no matter how
-// many deltas were folded. Over a protocol without exact unmerge an arena
-// is never primed: every capture merges from scratch.
-//
-// There are two arenas. shardArena holds private copies of a
-// ShardedAggregator's mutable shards, refreshed under their locks.
-// FoldArena holds references to immutable contributions its caller names
-// by key.
-
-// StateArena is the caller-owned reusable state behind delta snapshots.
-// Implementations are NOT safe for concurrent use: an arena belongs to
-// one refresh loop (e.g. a view engine, which serializes builds).
-type StateArena interface {
-	// State returns the cumulative aggregator as of the last capture.
-	// The arena owns it and mutates it on the next capture: callers must
-	// finish reading before folding again and must never mutate it
-	// themselves.
-	State() Aggregator
-	// Primed reports whether the next capture folds only what moved:
-	// false on a fresh arena, after Reset, after a failed fold (the next
-	// capture then re-derives the cumulative aggregator from scratch), and
-	// always over a protocol without exact unmerge.
-	Primed() bool
-	// Reset discards the incremental state, so the next capture
-	// re-derives the cumulative aggregator from scratch. For owners that
-	// no longer trust the cumulative state, such as the view engine after
-	// a failed capture or build.
-	Reset()
-}
+// A source lists its contributions as Parts (ShardedAggregator.AppendParts
+// one per shard, the window ring one per sealed bucket plus the live
+// bucket, a coordinator's fleet one per held peer component), and its
+// consumer — the view engine, the /state exporter — folds them through a
+// FoldArena of its own, the cumulative aggregator equal to the merge of
+// the parts it holds. A capture folds only the parts whose label moved,
+// so a steady-state refresh with a small delta costs O(moved × state),
+// and because the fold is integer arithmetic the cumulative state is
+// bit-identical to a fresh merge of the same contributions. Over a
+// protocol without exact unmerge an arena is never primed: every capture
+// merges from scratch.
 
 // stateCopier is optionally implemented by aggregators that can replace
 // their state with a deep copy of another's, reusing their own buffers.
@@ -60,128 +35,14 @@ type unmerger interface {
 	Unmerge(other Aggregator) error
 }
 
-// supportsDelta reports whether agg's protocol can back a shard arena
-// (deep copy + exact unmerge).
+// supportsDelta reports whether agg's protocol can back exact delta folds
+// of copied state (deep copy + exact unmerge).
 func supportsDelta(agg Aggregator) bool {
 	if _, ok := agg.(stateCopier); !ok {
 		return false
 	}
 	_, ok := agg.(unmerger)
 	return ok
-}
-
-// shardArena is the StateArena over one ShardedAggregator.
-type shardArena struct {
-	src    *ShardedAggregator
-	vers   []uint64     // per-shard version at last capture
-	copies []Aggregator // per-shard state copies at last capture; nil without delta support
-	cum    Aggregator   // merge of copies
-	primed bool
-}
-
-// NewSnapshotArena returns a reusable snapshot arena over the
-// aggregator. Over a protocol that cannot back exact delta folds the
-// arena holds no shard copies and every capture is a full Snapshot. The
-// arena is owned by the caller and must not be shared across goroutines;
-// multiple arenas over one aggregator are independent.
-func (s *ShardedAggregator) NewSnapshotArena() StateArena {
-	a := &shardArena{src: s, cum: s.newShard()}
-	if s.delta {
-		a.vers = make([]uint64, len(s.shards))
-		a.copies = make([]Aggregator, len(s.shards))
-		for i := range a.copies {
-			a.copies[i] = s.newShard()
-		}
-	}
-	return a
-}
-
-func (a *shardArena) State() Aggregator { return a.cum }
-func (a *shardArena) Primed() bool      { return a.primed }
-
-func (a *shardArena) Reset() { a.primed = false }
-
-// SnapshotDeltaInto advances the arena to the aggregator's current
-// state, copying only shards whose version moved since the arena's last
-// capture and folding each changed shard's old and new contribution
-// through exact integer unmerge/merge. It returns how many shards were
-// folded. On an unprimed (fresh or Reset) arena every shard is captured
-// and the cumulative aggregator is re-derived from scratch, making its
-// counters — and, because the fold is exact, every later incremental
-// capture's counters — bit-identical to Snapshot's. Over a protocol
-// without exact folds every call is Snapshot.
-//
-// Shards are locked one at a time, exactly like Snapshot, so ingestion
-// stalls for at most one shard's copy. The arena must have been created
-// by this aggregator's NewSnapshotArena.
-func (s *ShardedAggregator) SnapshotDeltaInto(arena StateArena) (touched int, err error) {
-	a, ok := arena.(*shardArena)
-	if !ok {
-		return 0, fmt.Errorf("core: arena of type %T was not created by a ShardedAggregator", arena)
-	}
-	if a.src != s {
-		return 0, fmt.Errorf("core: arena belongs to a different ShardedAggregator")
-	}
-	if !s.delta {
-		cum, err := s.Snapshot()
-		if err != nil {
-			return 0, err
-		}
-		a.cum = cum
-		return len(s.shards), nil
-	}
-	if !a.primed {
-		// Cold capture: re-derive cum exactly like Snapshot does — a
-		// fresh accumulator merged with each shard in index order — so
-		// the cold state is bit-identical to Snapshot's, then keep the
-		// per-shard copies for later deltas.
-		a.cum = s.newShard()
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			cerr := a.copies[i].(stateCopier).CopyStateFrom(sh.agg)
-			a.vers[i] = sh.ver
-			sh.mu.Unlock()
-			if cerr != nil {
-				return touched, fmt.Errorf("core: delta snapshot of shard %d: %w", i, cerr)
-			}
-			if merr := a.cum.Merge(a.copies[i]); merr != nil {
-				return touched, fmt.Errorf("core: delta snapshot of shard %d: %w", i, merr)
-			}
-			touched++
-		}
-		a.primed = true
-		return touched, nil
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.ver == a.vers[i] {
-			sh.mu.Unlock()
-			continue
-		}
-		// Replace this shard's contribution: subtract the old copy from
-		// cum, refresh the copy under the shard lock, and add it back.
-		// All integer counter arithmetic — exact in any order.
-		if uerr := a.cum.(unmerger).Unmerge(a.copies[i]); uerr != nil {
-			sh.mu.Unlock()
-			a.primed = false
-			return touched, fmt.Errorf("core: delta snapshot of shard %d: %w", i, uerr)
-		}
-		cerr := a.copies[i].(stateCopier).CopyStateFrom(sh.agg)
-		a.vers[i] = sh.ver
-		sh.mu.Unlock()
-		if cerr != nil {
-			a.primed = false
-			return touched, fmt.Errorf("core: delta snapshot of shard %d: %w", i, cerr)
-		}
-		if merr := a.cum.Merge(a.copies[i]); merr != nil {
-			a.primed = false
-			return touched, fmt.Errorf("core: delta snapshot of shard %d: %w", i, merr)
-		}
-		touched++
-	}
-	return touched, nil
 }
 
 // Part is one contribution offered to FoldArena.Sync.
@@ -193,26 +54,32 @@ type Part struct {
 	// only when its label changes.
 	Version uint64
 	// Agg returns the contribution. Sync calls it only for a part it
-	// folds, so a live source is snapshotted only when its label moved.
-	// The arena holds the result by reference until the part is dropped
-	// or refolded: it must not be mutated meanwhile.
-	Agg func() (Aggregator, error)
+	// folds, so a live source is copied only when its label moved. prev is
+	// the contribution the arena held under the same key, already
+	// unmerged from the cumulative state, or nil for a new key and on a
+	// cold capture: a source that copies mutable state may copy into it
+	// and return it, and an immutable source ignores it. The arena holds
+	// the result until the part is dropped or refolded: no one else may
+	// mutate it meanwhile.
+	Agg func(prev Aggregator) (Aggregator, error)
 }
 
-// FoldArena is the StateArena over a keyed set of immutable,
-// version-labelled contributions, such as a coordinator's peer
-// components or a window's sealed buckets. It holds references, never
-// copies.
+// FoldArena is the caller-owned reusable state behind delta snapshots:
+// the merge of a keyed set of version-labelled parts. It is NOT safe for
+// concurrent use: an arena belongs to one refresh loop (e.g. a view
+// engine, which serializes builds).
 type FoldArena struct {
 	empty  func() Aggregator
 	cum    Aggregator
 	held   map[any]heldPart
+	syncs  uint64 // primed Syncs run; a held part not listed by the last one is dropped
 	primed bool
 }
 
 type heldPart struct {
 	version uint64
 	agg     Aggregator
+	synced  uint64 // the primed Sync that last listed the key
 }
 
 // NewFoldArena returns an empty arena whose cumulative state is built
@@ -221,9 +88,21 @@ func NewFoldArena(empty func() Aggregator) *FoldArena {
 	return &FoldArena{empty: empty}
 }
 
+// State returns the cumulative aggregator as of the last Sync. The arena
+// owns it and mutates it on the next Sync: callers must finish reading
+// before folding again and must never mutate it themselves.
 func (a *FoldArena) State() Aggregator { return a.cum }
-func (a *FoldArena) Primed() bool      { return a.primed }
-func (a *FoldArena) Reset()            { a.primed = false }
+
+// Primed reports whether the next Sync folds only what moved: false on a
+// fresh arena, after Reset, after a failed fold (the next Sync then
+// re-derives the cumulative aggregator from scratch), and always over a
+// protocol without exact unmerge.
+func (a *FoldArena) Primed() bool { return a.primed }
+
+// Reset makes the next Sync re-derive the cumulative aggregator from
+// scratch, for owners that no longer trust it, such as the view engine
+// after a failed capture or build.
+func (a *FoldArena) Reset() { a.primed = false }
 
 // Sync advances the arena to the current set of parts and returns how
 // many it folded. A primed arena merges new keys, unmerges and re-merges
@@ -240,55 +119,99 @@ func (a *FoldArena) Sync(parts []Part) (touched int, err error) {
 			a.primed = false
 		}
 	}()
-	next := make(map[any]heldPart, len(parts))
+	a.syncs++
 	for _, p := range parts {
 		h, ok := a.held[p.Key]
-		delete(a.held, p.Key)
 		if !ok || h.version != p.Version {
-			agg, err := p.Agg()
-			if err != nil {
-				return touched, err
-			}
 			if ok {
 				if err := a.cum.(unmerger).Unmerge(h.agg); err != nil {
 					return touched, fmt.Errorf("core: unfolding a moved contribution: %w", err)
 				}
 			}
+			agg, err := p.Agg(h.agg)
+			if err != nil {
+				return touched, err
+			}
 			if err := a.cum.Merge(agg); err != nil {
 				return touched, fmt.Errorf("core: folding a contribution: %w", err)
 			}
-			h = heldPart{version: p.Version, agg: agg}
+			h.version, h.agg = p.Version, agg
 			touched++
 		}
-		next[p.Key] = h
+		h.synced = a.syncs
+		a.held[p.Key] = h
 	}
-	for _, h := range a.held {
+	for k, h := range a.held {
+		if h.synced == a.syncs {
+			continue
+		}
 		if err := a.cum.(unmerger).Unmerge(h.agg); err != nil {
 			return touched, fmt.Errorf("core: unfolding a dropped contribution: %w", err)
 		}
+		delete(a.held, k)
 		touched++
 	}
-	a.held = next
 	return touched, nil
 }
 
-// cold re-derives the cumulative state from every part.
+// cold re-derives the cumulative state from every part. Only an arena
+// that can fold deltas keeps the parts: the next cold capture would
+// discard them unread.
 func (a *FoldArena) cold(parts []Part) (int, error) {
 	cum := a.empty()
+	_, exact := cum.(unmerger)
 	held := make(map[any]heldPart, len(parts))
 	for _, p := range parts {
-		agg, err := p.Agg()
+		agg, err := p.Agg(nil)
 		if err != nil {
 			return 0, err
 		}
 		if err := cum.Merge(agg); err != nil {
 			return 0, fmt.Errorf("core: folding a contribution: %w", err)
 		}
-		held[p.Key] = heldPart{version: p.Version, agg: agg}
+		if exact {
+			held[p.Key] = heldPart{version: p.Version, agg: agg}
+		}
 	}
-	a.cum, a.held = cum, held
-	_, a.primed = cum.(unmerger)
+	a.cum, a.held, a.primed = cum, held, exact
 	return len(parts), nil
+}
+
+// AppendParts appends one Part per shard to dst and returns the extended
+// slice. A part is keyed by its shard, so arenas fed by different
+// aggregators never confuse their parts, and labelled by the shard's
+// mutation counter, read before the copy so the label can only trail
+// the content. Its Agg copies the shard under the shard's lock: into
+// prev when the protocol can, so a primed capture reuses the copy it
+// refolds, and otherwise (a new key, a cold capture, a protocol without
+// exact folds) into a fresh aggregator.
+func (s *ShardedAggregator) AppendParts(dst []Part) []Part {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		dst = append(dst, Part{Key: sh, Version: sh.ver.Load(), Agg: sh.capture})
+	}
+	return dst
+}
+
+// copyShard is a shard part's Agg.
+func (s *ShardedAggregator) copyShard(sh *aggShard, prev Aggregator) (Aggregator, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if c, ok := prev.(stateCopier); ok {
+		return prev, c.CopyStateFrom(sh.agg)
+	}
+	out := s.newShard()
+	return out, out.Merge(sh.agg)
+}
+
+// NewSnapshotArena and SnapshotDeltaInto fold the shards through an arena
+// with a fresh parts slice per call, for the per-layer benchmark only
+// (bench/layers.go); the engine and the exporter reuse theirs.
+func (s *ShardedAggregator) NewSnapshotArena() *FoldArena { return NewFoldArena(s.newShard) }
+
+// SnapshotDeltaInto folds the shards' current parts into a.
+func (s *ShardedAggregator) SnapshotDeltaInto(a *FoldArena) (int, error) {
+	return a.Sync(s.AppendParts(make([]Part, 0, len(s.shards))))
 }
 
 // MergeAggregators folds src into dst through the canonical Merge path;
@@ -307,6 +230,5 @@ func UnmergeAggregators(dst, src Aggregator) error {
 }
 
 // SupportsDeltaSnapshots reports whether the aggregator's protocol can
-// back exact delta folds, as decided once from shard 0 when the
-// aggregator was built.
-func (s *ShardedAggregator) SupportsDeltaSnapshots() bool { return s.delta }
+// back exact delta folds, probed on a fresh shard.
+func (s *ShardedAggregator) SupportsDeltaSnapshots() bool { return supportsDelta(s.newShard()) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -209,16 +210,150 @@ func TestNoArenaWithoutUnmerge(t *testing.T) {
 	}
 }
 
-// TestArenaOwnership: folding someone else's arena is rejected.
+// TestArenaOwnership: an arena belongs to no aggregator. Folded against
+// a and then b, it drops a's shards, adds b's, and holds b's state.
 func TestArenaOwnership(t *testing.T) {
 	p, err := New(InpHT, deltaTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := NewSharded(p, 2), NewSharded(p, 2)
+	reps := deltaReports(t, p, 400, 12)
+	for i := 0; i < 4; i++ {
+		sh := a
+		if i%2 == 1 {
+			sh = b
+		}
+		if err := sh.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	arena := a.NewSnapshotArena()
-	if _, err := b.SnapshotDeltaInto(arena); err == nil {
-		t.Fatal("foreign arena accepted")
+	if _, err := a.SnapshotDeltaInto(arena); err != nil {
+		t.Fatal(err)
+	}
+	touched, err := b.SnapshotDeltaInto(arena)
+	if err != nil || touched != 4 {
+		t.Fatalf("refold onto another aggregator folded %d parts (%v), want 2 dropped and 2 added", touched, err)
+	}
+	snap, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := snap.MarshalState()
+	got, _ := arena.State().MarshalState()
+	if !bytes.Equal(got, want) {
+		t.Fatal("arena folded against a then b differs from b.Snapshot")
+	}
+}
+
+// failingCopy is a protocol aggregator whose CopyStateFrom fails while
+// fail is set.
+type failingCopy struct {
+	Aggregator
+	fail *bool
+}
+
+func (a failingCopy) Counters() *CounterBlock { return noDeltaAgg{a.Aggregator}.Counters() }
+
+func (a failingCopy) Unmerge(other Aggregator) error {
+	return a.Aggregator.(unmerger).Unmerge(other)
+}
+
+func (a failingCopy) CopyStateFrom(other Aggregator) error {
+	if *a.fail {
+		return errors.New("copy refused")
+	}
+	return a.Aggregator.(stateCopier).CopyStateFrom(other)
+}
+
+// TestShardPartsRecaptureAfterFailedCopy pins the prev contract of the
+// shard parts: a primed capture copies a moved shard into the copy it
+// held, and when that copy fails the arena is unprimed, and the next
+// capture is cold — fresh copies of every shard — and byte-equal to
+// Snapshot.
+func TestShardPartsRecaptureAfterFailedCopy(t *testing.T) {
+	p, err := New(MargPS, deltaTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := false
+	sh := NewShardedFrom(func() Aggregator { return failingCopy{p.NewAggregator(), &fail} }, 3)
+	reps := deltaReports(t, p, 400, 44)
+	for i := 0; i < 3; i++ {
+		if err := sh.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	arena := NewFoldArena(p.NewAggregator)
+	if _, err := arena.Sync(sh.AppendParts(nil)); err != nil || !arena.Primed() {
+		t.Fatalf("first capture: %v, primed %v", err, arena.Primed())
+	}
+	if err := sh.ConsumeBatch(reps[300:]); err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	if _, err := arena.Sync(sh.AppendParts(nil)); err == nil {
+		t.Fatal("a capture whose shard copy failed succeeded")
+	}
+	if arena.Primed() {
+		t.Fatal("arena still primed after a failed copy")
+	}
+	// The cold capture copies nothing into held state, so it succeeds
+	// even while copies still fail.
+	if touched, err := arena.Sync(sh.AppendParts(nil)); err != nil || touched != 3 || !arena.Primed() {
+		t.Fatalf("capture after the failure folded %d parts (%v), want a cold capture of 3", touched, err)
+	}
+	snap, err := sh.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := snap.MarshalState()
+	got, _ := arena.State().MarshalState()
+	if !bytes.Equal(got, want) {
+		t.Fatal("cold recapture after a failed copy differs from Snapshot")
+	}
+}
+
+// TestPrimedCaptureReusesCopies pins what makes one arena cost-neutral:
+// a primed capture after one shard moved copies the shard into the copy
+// it refolds, so it allocates a small fraction of one state, never a
+// fresh copy per fold.
+func TestPrimedCaptureReusesCopies(t *testing.T) {
+	const d = 12
+	const state = 8 << d // one InpPS state: 2^d eight-byte cells
+	p, err := New(InpPS, Config{D: d, K: 2, Epsilon: 1.1, OptimizedPRR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := NewSharded(p, 4)
+	reps := deltaReports(t, p, 4096, 46)
+	if err := sh.ConsumeBatch(reps); err != nil {
+		t.Fatal(err)
+	}
+	arena := NewFoldArena(p.NewAggregator)
+	var parts []Part
+	capture := func(tb testing.TB, want int) {
+		parts = sh.AppendParts(parts[:0])
+		if touched, err := arena.Sync(parts); err != nil || touched != want {
+			tb.Fatalf("capture folded %d parts (%v), want %d", touched, err, want)
+		}
+	}
+	capture(t, 4)
+	// The one-report batch allocates nothing, so it stays in the timed
+	// loop: stopping the timer around it would triple the test's time.
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sh.ConsumeBatch(reps[i%len(reps) : i%len(reps)+1]); err != nil {
+				b.Fatal(err)
+			}
+			capture(b, 1)
+		}
+	})
+	t.Logf("primed capture after one shard moved: %d B/op, %d allocs/op", res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got >= state/16 {
+		t.Fatalf("a primed capture of one moved shard allocates %d B, want < %d (1/16 of one state)", got, state/16)
 	}
 }
 

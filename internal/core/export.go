@@ -25,7 +25,7 @@ type ShardExport struct {
 // from the exports — their version cannot have moved, since every
 // mutation that bumps a shard version also lands reports — but still
 // appear in the vector. The /state export ships the shards merged
-// (SnapshotDeltaInto); this decomposition is what the per-layer
+// (AppendParts); this decomposition is what the per-layer
 // benchmark rows and the reassembly tests measure it against. No
 // serving path calls it: it stays for bench/layers.go until the
 // benchmark drops those rows.
@@ -35,7 +35,7 @@ func (s *ShardedAggregator) ExportShards() ([]ShardExport, []uint64, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		vers[i] = sh.ver
+		vers[i] = sh.ver.Load()
 		n := sh.agg.N()
 		var (
 			blob []byte

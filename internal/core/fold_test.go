@@ -43,7 +43,7 @@ func (s *foldSet) parts() []Part {
 	var parts []Part
 	for _, k := range s.keys() {
 		agg := s.aggs[k]
-		parts = append(parts, Part{Key: k, Version: s.vers[k], Agg: func() (Aggregator, error) {
+		parts = append(parts, Part{Key: k, Version: s.vers[k], Agg: func(Aggregator) (Aggregator, error) {
 			s.fetches++
 			return agg, nil
 		}})

@@ -32,19 +32,20 @@ type ShardedAggregator struct {
 	next     atomic.Uint64
 	n        atomic.Int64
 	ver      atomic.Uint64
-	delta    bool // the protocol backs exact delta folds (shard 0 decided it)
 }
 
 // aggShard pairs one accumulator with its lock and its own mutation
-// version, advanced under the lock on every state change so a delta
-// snapshot (SnapshotDeltaInto) can skip shards that did not move since
-// its last capture. The pad separates shards into distinct cache lines
-// so uncontended locks don't false-share.
+// version, advanced under the lock after every state change so a delta
+// snapshot (AppendParts) can skip shards that did not move since its
+// last capture, reading the version without the lock. The pad separates
+// shards into distinct cache lines so uncontended locks don't
+// false-share.
 type aggShard struct {
-	mu  sync.Mutex
-	agg Aggregator
-	ver uint64 // mutation version; read and written under mu
-	_   [32]byte
+	mu      sync.Mutex
+	agg     Aggregator
+	ver     atomic.Uint64                             // mutation version; advanced under mu
+	capture func(prev Aggregator) (Aggregator, error) // the shard's Part.Agg, built once
+	_       [24]byte
 }
 
 // NewSharded builds a sharded aggregator over p with the given shard
@@ -59,9 +60,10 @@ func NewSharded(p Protocol, shards int) *ShardedAggregator {
 func NewShardedFrom(newShard func() Aggregator, shards int) *ShardedAggregator {
 	s := &ShardedAggregator{newShard: newShard, shards: make([]aggShard, ResolveShards(shards))}
 	for i := range s.shards {
-		s.shards[i].agg = newShard()
+		sh := &s.shards[i]
+		sh.agg = newShard()
+		sh.capture = func(prev Aggregator) (Aggregator, error) { return s.copyShard(sh, prev) }
 	}
-	s.delta = supportsDelta(s.shards[0].agg)
 	return s
 }
 
@@ -89,7 +91,7 @@ func (s *ShardedAggregator) Consume(rep Report) error {
 	sh.mu.Lock()
 	err := sh.agg.Consume(rep)
 	if err == nil {
-		sh.ver++
+		sh.ver.Add(1)
 	}
 	sh.mu.Unlock()
 	if err != nil {
@@ -114,7 +116,7 @@ func (s *ShardedAggregator) ConsumeBatch(reps []Report) error {
 	err := sh.agg.ConsumeBatch(reps)
 	consumed := sh.agg.N() - before
 	if consumed > 0 {
-		sh.ver++
+		sh.ver.Add(1)
 	}
 	sh.mu.Unlock()
 	s.n.Add(int64(consumed))
@@ -189,7 +191,7 @@ func (s *ShardedAggregator) Merge(other Aggregator) error {
 	sh.mu.Lock()
 	err := sh.agg.Merge(src)
 	if err == nil {
-		sh.ver++
+		sh.ver.Add(1)
 	}
 	sh.mu.Unlock()
 	if err != nil {

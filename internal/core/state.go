@@ -38,7 +38,7 @@ func (s *ShardedAggregator) UnmarshalState(data []byte) error {
 		// every per-shard version must move or a delta snapshot would
 		// keep serving the pre-restore contribution of an "unchanged"
 		// shard.
-		s.shards[i].ver++
+		s.shards[i].ver.Add(1)
 		s.shards[i].mu.Unlock()
 	}
 	return nil

@@ -39,8 +39,8 @@ const (
 
 // The cluster tier. An edge exports its aggregation state on GET /state;
 // a coordinator's fleet holds the latest accepted state per configured
-// peer, and the view engine folds the components that moved into the
-// fleet-wide aggregation state it holds (a core.FoldArena). The
+// peer and lists its components as parts, of which the view engine's
+// core.FoldArena refolds only those whose label moved. The
 // exchange is *componentized state transfer with replacement*: a peer's
 // state arrives as named components (an edge's one merged state, or a
 // mid-tier coordinator's pass-through constituents), each labeled with
@@ -311,27 +311,16 @@ func sortedCompIDs(comps map[string]peerComp) []string {
 // contribution of the old one.
 type foldKey struct{ url, nodeID, id string }
 
-// NewSnapshotArena returns a reusable arena over the fleet: a
-// core.FoldArena over the aggregators the accept path decoded the held
-// peer components into.
-func (f *fleet) NewSnapshotArena() core.StateArena {
-	return core.NewFoldArena(f.p.NewAggregator)
-}
-
-// SnapshotDeltaInto advances the arena to the current fleet state: each
-// peer component whose accepted version label moved since the arena's
-// last capture has its old contribution unmerged and its fresh one
-// merged, so a pull round that moved one edge re-folds one component and
-// decodes nothing. It records the capture's composition for the view
-// engine (view.Composed); only the engine may call it (builds are
-// serialized under the engine's lock).
-func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
-	a, ok := arena.(*core.FoldArena)
-	if !ok {
-		return 0, fmt.Errorf("server: arena of type %T was not created by a fleet", arena)
-	}
+// AppendParts appends the fleet's parts to dst and returns the extended
+// slice: one per held peer component, labelled by its accepted version,
+// whose contribution is the aggregator the accept path decoded it into.
+// A pull round that moved one edge therefore refolds one component and
+// decodes nothing. It records the parts' composition for the view engine
+// (view.Composed); only the engine may call it (builds are serialized
+// under the engine's lock).
+func (f *fleet) AppendParts(dst []core.Part) []core.Part {
 	f.mu.Lock()
-	var parts []core.Part
+	defer f.mu.Unlock()
 	comp := make([]view.Component, 0, len(f.peers))
 	for _, pe := range f.peers {
 		if pe.comps == nil {
@@ -339,10 +328,10 @@ func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
 		}
 		for _, id := range sortedCompIDs(pe.comps) {
 			c := pe.comps[id]
-			parts = append(parts, core.Part{
+			dst = append(dst, core.Part{
 				Key:     foldKey{url: pe.url, nodeID: pe.nodeID, id: id},
 				Version: c.version,
-				Agg:     func() (core.Aggregator, error) { return c.agg, nil },
+				Agg:     func(core.Aggregator) (core.Aggregator, error) { return c.agg, nil },
 			})
 		}
 		comp = append(comp, view.Component{
@@ -351,12 +340,7 @@ func (f *fleet) SnapshotDeltaInto(arena core.StateArena) (int, error) {
 		})
 	}
 	f.comp = comp
-	f.mu.Unlock()
-	touched, err := a.Sync(parts)
-	if err != nil {
-		return touched, fmt.Errorf("server: folding peer components: %w", err)
-	}
-	return touched, nil
+	return dst
 }
 
 // Composition describes the constituents of the latest capture.

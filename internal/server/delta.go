@@ -157,12 +157,10 @@ func (s *Server) exportComponents() (exp, held *stateExport, err error) {
 // re-merging all of them; the returned aggregator is the arena's and is
 // valid until the next call.
 func (s *Server) exportSnapshot() (core.Aggregator, error) {
-	if s.exportArena == nil {
-		// Built on the first export: a node nobody pulls never pays the
-		// (shards+1) state copies.
-		s.exportArena = s.src.NewSnapshotArena()
-	}
-	if _, err := s.src.SnapshotDeltaInto(s.exportArena); err != nil {
+	s.exportParts = s.src.AppendParts(s.exportParts[:0])
+	_, err := s.exportArena.Sync(s.exportParts)
+	clear(s.exportParts)
+	if err != nil {
 		return nil, err
 	}
 	return s.exportArena.State(), nil

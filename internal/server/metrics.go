@@ -161,7 +161,7 @@ func (s *Server) buildRegistry() *metrics.Registry {
 func (s *Server) registerClusterMetrics(r *metrics.Registry) {
 	r.MustCounterFunc("ldp_cluster_pull_rounds_total", "Completed pull rounds (scheduled and forced).", nil,
 		func() float64 { return float64(s.puller.rounds.Value()) })
-	r.MustGaugeFunc("ldp_cluster_fleet_reports", "Fleet-wide report count (local plus every accepted peer state).", nil,
+	r.MustGaugeFunc("ldp_cluster_fleet_reports", "Fleet-wide report count (every accepted peer state).", nil,
 		func() float64 { return float64(s.fleet.N()) })
 	r.MustGaugeFunc("ldp_cluster_peers_with_state", "Configured peers whose state has been accepted (pulled or recovered).", nil,
 		func() float64 { return float64(s.fleet.peersWithState()) })

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/store"
 	"ldpmarginals/internal/wire"
@@ -137,6 +138,40 @@ func TestExportAtUnchangedLabelServesRetained(t *testing.T) {
 			}
 			if !bytes.Equal(next.comps[0].State, want) {
 				t.Fatal("exported blob differs from a fresh snapshot's")
+			}
+		})
+	}
+}
+
+// TestRejectedBatchKeepsStateLabel: a batch that lands no report — its
+// one report is a coefficient outside T, refused with a 400 — moves no
+// state, so the /state label stands and a pull acknowledging it is a
+// 304, on a cumulative and on a windowed edge alike.
+func TestRejectedBatchKeepsStateLabel(t *testing.T) {
+	p, err := core.New(core.InpHT, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := encoding.MarshalBatch(p.Name(), []core.Report{{Index: 0b111, Sign: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]Options{
+		"cumulative": {Role: RoleEdge, NodeID: "e", Shards: 2},
+		"windowed":   {Role: RoleEdge, NodeID: "e", Shards: 2, Window: time.Hour, Bucket: time.Minute},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, ts := newClusterNode(t, p, opts)
+			postBatchOK(t, ts.URL, p, makeClusterReports(t, p, 20, 7))
+			status, _, etag, _ := getState(t, ts.URL, "")
+			if status != http.StatusOK {
+				t.Fatalf("first pull: status %d", status)
+			}
+			if status, br := postBatchBody(t, ts.URL, bad); status != http.StatusBadRequest || br.Accepted != 0 {
+				t.Fatalf("batch of one report outside T: status %d accepted %d, want 400 and 0", status, br.Accepted)
+			}
+			if status, _, next, _ := getState(t, ts.URL, etag); status != http.StatusNotModified {
+				t.Fatalf("pull acknowledging %s after the rejected batch: status %d with label %s, want 304", etag, status, next)
 			}
 		})
 	}

@@ -390,12 +390,13 @@ type Server struct {
 	stateHist exportHistory
 	// exportMu orders componentized /state exports; it guards lastExport
 	// (the latest one: what an unchanged label is served from and the
-	// next export's diffs are taken against) and exportArena (the merged
-	// local state the next export re-folds only moved shards into; nil
-	// until the first export, and for protocols without exact folds).
+	// next export's diffs are taken against), exportArena (the merged
+	// local state the next export re-folds only moved parts into; empty
+	// until the first export) and the parts slice it reuses.
 	exportMu    sync.Mutex
 	lastExport  *stateExport
-	exportArena core.StateArena
+	exportArena *core.FoldArena
+	exportParts []core.Part
 
 	ins    *serverInstruments // always non-nil; hot paths update unconditionally
 	adm    *admission         // ingest load shedding; nil when disabled or not ingesting
@@ -442,13 +443,14 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		return fail(fmt.Errorf("server: node id of %d bytes exceeds %d", len(nodeID), wire.MaxNodeIDLen))
 	}
 	s := &Server{
-		protocol: p,
-		tag:      tag,
-		role:     opts.Role,
-		nodeID:   nodeID,
-		shards:   core.ResolveShards(opts.Shards),
-		ins:      newServerInstruments(),
-		log:      opts.Log.With("node", nodeID),
+		protocol:    p,
+		tag:         tag,
+		role:        opts.Role,
+		nodeID:      nodeID,
+		shards:      core.ResolveShards(opts.Shards),
+		exportArena: core.NewFoldArena(p.NewAggregator),
+		ins:         newServerInstruments(),
+		log:         opts.Log.With("node", nodeID),
 	}
 	slow := opts.SlowTraceThreshold
 	if slow <= 0 {

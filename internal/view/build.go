@@ -19,8 +19,9 @@ import (
 // *nonlinear* stage (normalize by n, cross-marginal consistency, simplex
 // projection, sub-k cube) that must re-run per epoch. The linear stage
 // is the aggregator handed to build: a snapshot for Build, for the
-// engine a core.StateArena it advances by folding per-shard (or
-// per-peer) deltas, so its cost tracks what changed. The folds are
+// engine the state of a core.FoldArena it advances by folding the
+// source's moved parts (shards, window buckets, peer components), so its
+// cost tracks what changed. The folds are
 // integer-exact and the nonlinear stage is a deterministic function of
 // the counters, so both give the same view bit for bit. The nonlinear
 // stage runs over reusable reconstruction arenas, so the steady-state

@@ -12,21 +12,18 @@ import (
 )
 
 // Source is what the engine refreshes from: a live aggregation pipeline
-// whose state the engine captures through an arena of its own, and whose
-// report count it polls without blocking. core.ShardedAggregator,
-// window.Ring and a coordinator's fleet satisfy it.
+// that names the parts of its state, which the engine folds through a
+// core.FoldArena of its own, and whose report count it polls without
+// blocking. core.ShardedAggregator, window.Ring and a coordinator's
+// fleet satisfy it.
 type Source interface {
 	// N returns the current report count; must be cheap (lock-free).
 	N() int
-	// NewSnapshotArena returns a reusable arena over this source; never
-	// nil. Over a protocol without exact delta folds the arena is never
-	// primed, and every capture merges the whole source.
-	NewSnapshotArena() core.StateArena
-	// SnapshotDeltaInto advances the arena to the source's current
-	// state, folding only changed components, and returns how many were
-	// folded. On an unprimed arena it re-derives the cumulative state
-	// from scratch and counts every component.
-	SnapshotDeltaInto(core.StateArena) (int, error)
+	// AppendParts appends the source's current parts to dst and returns
+	// the extended slice: one per contribution (a shard, a window bucket,
+	// a peer component), keyed and version-labelled so the arena refolds
+	// only those whose label moved.
+	AppendParts(dst []core.Part) []core.Part
 }
 
 // Component describes one constituent of a composed source's snapshot:
@@ -58,7 +55,7 @@ type Component struct {
 // Composed is optionally implemented by a Source assembled from multiple
 // constituents (e.g. a coordinator's fleet of edge states). Composition
 // must describe exactly the constituents of the most recent
-// SnapshotDeltaInto call; the engine copies it into the published View
+// AppendParts call; the engine copies it into the published View
 // right after capturing, under the same build lock.
 type Composed interface {
 	Composition() []Component
@@ -137,7 +134,8 @@ type Engine struct {
 	epoch int64      // last assigned build number; read the published View's Epoch instead
 
 	// Build state, all guarded by mu.
-	arena core.StateArena
+	arena *core.FoldArena
+	parts []core.Part // reused by every capture; zeroed between them
 	bld   *builder
 
 	exact bool // the source's protocol folds exactly; set before the engine is shared
@@ -184,7 +182,7 @@ func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error)
 	if err != nil {
 		return nil, fmt.Errorf("view: preparing builder: %w", err)
 	}
-	e := &Engine{src: src, opts: opts, bld: bld, arena: src.NewSnapshotArena(), stop: make(chan struct{}), ins: newViewInstruments()}
+	e := &Engine{src: src, opts: opts, bld: bld, arena: core.NewFoldArena(p.NewAggregator), stop: make(chan struct{}), ins: newViewInstruments()}
 	if _, err := e.Refresh(); err != nil {
 		return nil, fmt.Errorf("view: building initial epoch: %w", err)
 	}
@@ -289,10 +287,11 @@ func (e *Engine) RefreshContext(ctx context.Context) (*View, error) {
 }
 
 // buildNext captures the source's counter state into the arena — a delta
-// fold, or from scratch while the arena is unprimed (the first epoch,
-// after a failed refresh, and every epoch over a protocol without exact
-// folds) — and builds the next view from it. It returns nil when nothing
-// moved since the serving epoch. Called under e.mu.
+// fold of the parts whose label moved, or every part from scratch while
+// the arena is unprimed (the first epoch, after a failed refresh, and
+// every epoch over a protocol without exact folds) — and builds the next
+// view from it. It returns nil when nothing moved since the serving
+// epoch. Called under e.mu.
 //
 // The published BuildDuration (and the build histograms) cover the
 // whole operation — state capture plus reconstruction, exactly the
@@ -307,13 +306,16 @@ func (e *Engine) buildNext(ctx context.Context) (*View, error) {
 	}
 	start := time.Now()
 	_, span := trace.StartSpan(ctx, stage)
-	folded, err := e.src.SnapshotDeltaInto(e.arena)
+	e.parts = e.src.AppendParts(e.parts[:0])
+	folded, err := e.arena.Sync(e.parts)
+	clear(e.parts) // the arena holds what it folded; drop the rest
 	state := e.arena.State()
 	snapDur := time.Since(start)
 	if err != nil {
 		span.SetAttr("error", err)
 		span.End()
-		e.distrustArena()
+		// A failed Sync has un-primed the arena: the next refresh
+		// recaptures from scratch.
 		return nil, fmt.Errorf("view: capturing source state: %w", err)
 	}
 	span.SetAttr("folded_components", folded)
@@ -331,7 +333,7 @@ func (e *Engine) buildNext(ctx context.Context) (*View, error) {
 	if err != nil {
 		// The arena holds state no epoch shows; recapturing keeps the
 		// zero-delta return above from skipping the build that would.
-		e.distrustArena()
+		e.arena.Reset()
 		return nil, err
 	}
 	v.BuildDuration = time.Since(start)
@@ -349,10 +351,6 @@ func (e *Engine) buildNext(ctx context.Context) (*View, error) {
 	v.FoldedComponents = folded
 	return v, nil
 }
-
-// distrustArena makes the next refresh re-derive the arena's counter
-// state from scratch, after a capture or build that failed part-way.
-func (e *Engine) distrustArena() { e.arena.Reset() }
 
 func (e *Engine) composition() []Component {
 	if c, ok := e.src.(Composed); ok {

@@ -170,19 +170,25 @@ func TestIntervalPolicySustainsCadence(t *testing.T) {
 	}
 }
 
-// slowSource makes every capture cold and delays it, so each Refresh
+// slowSource delays every capture and relabels every part with a fresh
+// version, so each capture refolds the whole source and each Refresh
 // that gets past coalescing rebuilds and advances the epoch, widening
 // the window in which concurrent Refresh callers pile up on the build
 // mutex.
 type slowSource struct {
 	Source
-	delay time.Duration
+	delay    time.Duration
+	captures uint64 // guarded by the engine's build lock
 }
 
-func (s *slowSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
-	a.Reset()
+func (s *slowSource) AppendParts(dst []core.Part) []core.Part {
 	time.Sleep(s.delay)
-	return s.Source.SnapshotDeltaInto(a)
+	s.captures++
+	dst = s.Source.AppendParts(dst)
+	for i := range dst {
+		dst[i].Version = s.captures
+	}
+	return dst
 }
 
 // TestConcurrentRefreshesCoalesce fires a burst of simultaneous Refresh
@@ -228,18 +234,21 @@ func TestConcurrentRefreshesCoalesce(t *testing.T) {
 	}
 }
 
-// failingSource errors on capture while fail is set, leaving the arena
-// untouched, proving a failed refresh keeps the previous epoch serving.
+// failingSource adds a part that fails to fold while fail is set,
+// proving a failed refresh keeps the previous epoch serving.
 type failingSource struct {
 	Source
 	fail bool
 }
 
-func (f *failingSource) SnapshotDeltaInto(a core.StateArena) (int, error) {
+func (f *failingSource) AppendParts(dst []core.Part) []core.Part {
+	dst = f.Source.AppendParts(dst)
 	if f.fail {
-		return 0, errors.New("disk on fire")
+		dst = append(dst, core.Part{Key: f, Agg: func(core.Aggregator) (core.Aggregator, error) {
+			return nil, errors.New("disk on fire")
+		}})
 	}
-	return f.Source.SnapshotDeltaInto(a)
+	return dst
 }
 
 func TestRefreshFailureKeepsServingPreviousEpoch(t *testing.T) {

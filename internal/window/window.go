@@ -16,12 +16,12 @@
 // covers every bucket is bit-identical to a single cumulative
 // aggregator fed the same reports.
 //
-// The ring is a view.Source: its snapshot arena is a core.FoldArena over
-// the sealed buckets and the live bucket, so the engine's incremental
-// refresh folds only what changed — newly sealed buckets merge, expired
-// buckets unmerge, and the live bucket refolds only when its version
-// moved — and a sliding-window epoch publish after a bucket expiry costs
-// one Unmerge fold plus the nonlinear build stage.
+// The ring is a view.Source: its parts are the sealed buckets and the
+// live bucket, which the engine's core.FoldArena folds, so an
+// incremental refresh folds only what changed — newly sealed buckets
+// merge, expired buckets unmerge, and the live bucket refolds only when
+// its version moved — and a sliding-window epoch publish after a bucket
+// expiry costs one Unmerge fold plus the nonlinear build stage.
 //
 // Windowed mode requires a protocol whose aggregators support exact
 // unmerge folds (all six core protocols do); NewRing rejects the rest.
@@ -50,8 +50,8 @@ type Options struct {
 	// Bucket of wall time, and expiry retires state one Bucket at a
 	// time.
 	Bucket time.Duration
-	// Shards is the live bucket's ShardedAggregator width; values < 1
-	// select 1.
+	// Shards is the live bucket's ShardedAggregator width; values <= 0
+	// select GOMAXPROCS (core.ResolveShards).
 	Shards int
 	// Start anchors the first bucket's span; the zero value selects
 	// time.Now().
@@ -99,9 +99,7 @@ func NewRing(p core.Protocol, opts Options) (*Ring, error) {
 	if opts.Window <= 0 || opts.Window%opts.Bucket != 0 {
 		return nil, fmt.Errorf("window: window %v must be a positive multiple of bucket %v", opts.Window, opts.Bucket)
 	}
-	if opts.Shards < 1 {
-		opts.Shards = 1
-	}
+	opts.Shards = core.ResolveShards(opts.Shards)
 	if opts.Start.IsZero() {
 		opts.Start = time.Now()
 	}
@@ -142,12 +140,18 @@ func (r *Ring) Consume(rep core.Report) error {
 
 // ConsumeBatch routes a batch into the live bucket. Partial
 // consumption surfaces as core.BatchError, exactly like the sharded
-// aggregator's contract.
+// aggregator's contract. Like it, the version moves only when the live
+// bucket's count did: a rejected or empty batch leaves the label alone.
 func (r *Ring) ConsumeBatch(reps []core.Report) error {
 	r.mu.RLock()
-	err := r.cur.Load().ConsumeBatch(reps)
+	cur := r.cur.Load()
+	before := cur.N()
+	err := cur.ConsumeBatch(reps)
+	moved := cur.N() != before
 	r.mu.RUnlock()
-	r.ver.Add(1)
+	if moved {
+		r.ver.Add(1)
+	}
 	return err
 }
 
@@ -345,43 +349,30 @@ func (r *Ring) Snapshot() (core.Aggregator, error) {
 	return out, nil
 }
 
-// NewSnapshotArena returns a reusable arena over the ring: a
-// core.FoldArena whose contributions are the sealed buckets, keyed by
-// bucket, and the live bucket, keyed by liveKey.
-func (r *Ring) NewSnapshotArena() core.StateArena {
-	return core.NewFoldArena(r.p.NewAggregator)
-}
-
 // liveKey is the fold key of whichever aggregator is the live bucket.
 type liveKey struct{}
 
-// SnapshotDeltaInto advances the arena to the ring's current window
-// state and returns how many components (buckets) were folded. A sealed
-// bucket never changes, so it folds once when sealed and once when it
-// expires. The live bucket is one component under one key, labelled by
-// the ring's version, which moves on every rotation as well as on new
-// reports: a rotation that finds new reports in the fresh live bucket
-// refolds it once. The label is read before the snapshot, so it can only
+// AppendParts appends the window's parts to dst and returns the extended
+// slice, for a core.FoldArena to fold. A sealed bucket never changes, so
+// it folds once when sealed and once when it expires. The live bucket is
+// one part under one key, labelled by the ring's version, which moves on
+// every rotation as well as on new reports: a rotation that finds new
+// reports in the fresh live bucket refolds it once. The parts are listed
+// under the read lock and may be folded after it: sealed buckets are
+// immutable, the live part snapshots the live aggregator listed here
+// under its shard locks, and a live aggregator sealed meanwhile takes no
+// more writes. The label is read before the snapshot, so it can only
 // trail — a report racing the fold is picked up by the next one.
-func (r *Ring) SnapshotDeltaInto(sa core.StateArena) (int, error) {
-	a, ok := sa.(*core.FoldArena)
-	if !ok {
-		return 0, fmt.Errorf("window: arena of type %T was not created by a ring", sa)
-	}
+func (r *Ring) AppendParts(dst []core.Part) []core.Part {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	parts := make([]core.Part, 0, len(r.sealed)+1)
 	for _, b := range r.sealed {
-		parts = append(parts, core.Part{Key: b, Agg: func() (core.Aggregator, error) { return b.agg, nil }})
+		dst = append(dst, core.Part{Key: b, Agg: func(core.Aggregator) (core.Aggregator, error) { return b.agg, nil }})
 	}
 	if cur := r.cur.Load(); cur.N() > 0 {
-		parts = append(parts, core.Part{Key: liveKey{}, Version: r.ver.Load(), Agg: cur.Snapshot})
+		dst = append(dst, core.Part{Key: liveKey{}, Version: r.ver.Load(), Agg: func(core.Aggregator) (core.Aggregator, error) { return cur.Snapshot() }})
 	}
-	touched, err := a.Sync(parts)
-	if err != nil {
-		return touched, fmt.Errorf("window: %w", err)
-	}
-	return touched, nil
+	return dst
 }
 
 // Status is a point-in-time description of the ring for /status and

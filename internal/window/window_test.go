@@ -40,6 +40,10 @@ func marshal(tb testing.TB, a core.Aggregator) []byte {
 
 var testStart = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// fold advances arena to the ring's current window, as the view engine
+// does, and returns how many parts it folded.
+func fold(arena *core.FoldArena, r *Ring) (int, error) { return arena.Sync(r.AppendParts(nil)) }
+
 // TestWindowAllBucketsBitIdentical is the continual-release exactness
 // pin for every protocol: a window still covering all of its buckets —
 // through rotations, both the Snapshot path and the delta-fold arena
@@ -61,10 +65,7 @@ func TestWindowAllBucketsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			arena := r.NewSnapshotArena()
-			if arena == nil {
-				t.Fatal("no snapshot arena for a core protocol")
-			}
+			arena := core.NewFoldArena(p.NewAggregator)
 			direct := p.NewAggregator()
 			reps := windowReports(t, p, 1200, uint64(kind)+7)
 			now := testStart
@@ -87,7 +88,7 @@ func TestWindowAllBucketsBitIdentical(t *testing.T) {
 				if !bytes.Equal(marshal(t, snap), marshal(t, direct)) {
 					t.Fatalf("%s: window snapshot diverges from cumulative after chunk %d", kind, chunk)
 				}
-				if _, err := r.SnapshotDeltaInto(arena); err != nil {
+				if _, err := fold(arena, r); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(marshal(t, arena.State()), marshal(t, direct)) {
@@ -201,7 +202,7 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := r.NewSnapshotArena()
+	arena := core.NewFoldArena(p.NewAggregator)
 	now := testStart
 	for round := 0; round < 6; round++ {
 		if err := r.ConsumeBatch(windowReports(t, p, 100, uint64(round)+80)); err != nil {
@@ -211,7 +212,7 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 		if _, _, err := r.Advance(now); err != nil {
 			t.Fatal(err)
 		}
-		touched, err := r.SnapshotDeltaInto(arena)
+		touched, err := fold(arena, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +228,7 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 		}
 	}
 	// Idle fold: nothing moved, nothing folded.
-	touched, err := r.SnapshotDeltaInto(arena)
+	touched, err := fold(arena, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +250,10 @@ func TestWindowLiveBucketFoldsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := r.NewSnapshotArena()
+	arena := core.NewFoldArena(p.NewAggregator)
 	capture := func(want int) {
 		t.Helper()
-		touched, err := r.SnapshotDeltaInto(arena)
+		touched, err := fold(arena, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,8 +306,8 @@ func TestWindowArenaSurfacesFoldErrors(t *testing.T) {
 	if _, _, err := r.Advance(testStart.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	arena := r.NewSnapshotArena()
-	if _, err := r.SnapshotDeltaInto(arena); err != nil {
+	arena := core.NewFoldArena(p.NewAggregator)
+	if _, err := fold(arena, r); err != nil {
 		t.Fatal(err)
 	}
 	// Tamper: drain the arena's cumulative state behind its back, so
@@ -322,13 +323,13 @@ func TestWindowArenaSurfacesFoldErrors(t *testing.T) {
 	if _, _, err := r.Advance(testStart.Add(3 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.SnapshotDeltaInto(arena); err == nil {
+	if _, err := fold(arena, r); err == nil {
 		t.Fatal("fold over tampered arena state succeeded")
 	}
 	if arena.Primed() {
 		t.Fatal("arena still primed after a failed fold")
 	}
-	if _, err := r.SnapshotDeltaInto(arena); err != nil {
+	if _, err := fold(arena, r); err != nil {
 		t.Fatalf("cold recapture after failed fold: %v", err)
 	}
 	snap, err := r.Snapshot()
@@ -466,9 +467,9 @@ func TestWindowConcurrentRotation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		arena := r.NewSnapshotArena()
+		arena := core.NewFoldArena(p.NewAggregator)
 		for i := 0; i < 30; i++ {
-			if _, err := r.SnapshotDeltaInto(arena); err != nil {
+			if _, err := fold(arena, r); err != nil {
 				t.Error(err)
 				return
 			}
@@ -491,8 +492,8 @@ func TestWindowConcurrentRotation(t *testing.T) {
 		return
 	}
 	// Quiesced: the arena fold and the full snapshot must agree.
-	arena := r.NewSnapshotArena()
-	if _, err := r.SnapshotDeltaInto(arena); err != nil {
+	arena := core.NewFoldArena(p.NewAggregator)
+	if _, err := fold(arena, r); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := r.Snapshot()
