@@ -124,9 +124,6 @@ func BenchmarkViewEpochIncremental(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer eng.Close()
-				if !eng.Incremental() {
-					b.Fatal("engine is not incremental")
-				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()

@@ -107,9 +107,6 @@ func BenchmarkWindowExpiryFold(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer eng.Close()
-				if !eng.Incremental() {
-					b.Fatal("ring source is not incremental")
-				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()

@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,7 +129,7 @@ func main() {
 	}
 
 	cfg := ldpmarginals.Config{D: *d, K: *k, Epsilon: *eps, OptimizedPRR: true}
-	p, err := makeProtocol(*protocol, cfg)
+	p, err := ldpmarginals.ProtocolByName(*protocol, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -355,24 +354,4 @@ func genBodies(p ldpmarginals.Protocol, batch, n int, s float64, seed int64) ([]
 		bodies[i] = body
 	}
 	return bodies, nil
-}
-
-// makeProtocol mirrors ldpserver's protocol selection so a load run is
-// wire-compatible with the server it targets.
-func makeProtocol(name string, cfg ldpmarginals.Config) (ldpmarginals.Protocol, error) {
-	for _, kind := range ldpmarginals.AllKinds() {
-		if strings.EqualFold(kind.String(), name) {
-			return ldpmarginals.NewProtocol(kind, cfg)
-		}
-	}
-	switch strings.ToLower(name) {
-	case "inpem":
-		return ldpmarginals.NewEM(ldpmarginals.EMConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	case "inpolh":
-		return ldpmarginals.NewOLH(ldpmarginals.OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	case "inphtcms":
-		return ldpmarginals.NewHCMS(ldpmarginals.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", name)
-	}
 }

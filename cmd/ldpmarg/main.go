@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := makeProtocol(*protocol, ldpmarginals.Config{D: ds.D, K: *k, Epsilon: *eps, OptimizedPRR: true})
+	p, err := ldpmarginals.ProtocolByName(*protocol, ldpmarginals.Config{D: ds.D, K: *k, Epsilon: *eps, OptimizedPRR: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,24 +92,6 @@ func makeDataset(kind string, n, d int, seed uint64) (*ldpmarginals.Dataset, err
 		return ldpmarginals.NewSkewedDataset(n, d, 0.85, seed)
 	default:
 		return nil, fmt.Errorf("unknown dataset %q (want taxi, movielens, or skewed)", kind)
-	}
-}
-
-func makeProtocol(name string, cfg ldpmarginals.Config) (ldpmarginals.Protocol, error) {
-	for _, kind := range ldpmarginals.AllKinds() {
-		if strings.EqualFold(kind.String(), name) {
-			return ldpmarginals.NewProtocol(kind, cfg)
-		}
-	}
-	switch strings.ToLower(name) {
-	case "inpem":
-		return ldpmarginals.NewEM(ldpmarginals.EMConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	case "inpolh":
-		return ldpmarginals.NewOLH(ldpmarginals.OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	case "inphtcms":
-		return ldpmarginals.NewHCMS(ldpmarginals.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", name)
 	}
 }
 

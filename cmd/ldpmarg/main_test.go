@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"testing"
 
 	"ldpmarginals"
@@ -22,25 +21,6 @@ func TestMakeDataset(t *testing.T) {
 	}
 	if _, err := makeDataset("bogus", 100, 8, 1); err == nil {
 		t.Error("unknown dataset should error")
-	}
-}
-
-func TestMakeProtocolAllNames(t *testing.T) {
-	cfg := ldpmarginals.Config{D: 8, K: 2, Epsilon: 1}
-	names := []string{"InpRR", "inpps", "InpHT", "margrr", "MargPS", "MARGHT",
-		"InpEM", "InpOLH", "InpHTCMS"}
-	for _, name := range names {
-		p, err := makeProtocol(name, cfg)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if p == nil {
-			t.Errorf("%s: nil protocol", name)
-		}
-	}
-	if _, err := makeProtocol("nope", cfg); err == nil {
-		t.Error("unknown protocol should error")
 	}
 }
 
@@ -91,5 +71,4 @@ func TestBetaNamesAndCellLabel(t *testing.T) {
 	if got := cellLabel(names, 0b10); got != "CC=0,Tip=1" {
 		t.Errorf("label = %q", got)
 	}
-	_ = math.Pi // keep math import for symmetry with main
 }

@@ -23,6 +23,12 @@
 //	GET  /metrics           Prometheus text exposition
 //	GET  /debug/traces      completed request and lifecycle traces (JSON)
 //
+// -protocol selects one of the paper's six protocols (InpRR, InpPS,
+// InpHT, MargRR, MargPS, MargHT) or the InpHTCMS sketch: integer counter
+// states that the node can copy and unmerge exactly. The InpEM and InpOLH
+// baselines keep raw reports and cannot be unmerged, so ldpserver refuses
+// them at startup, before -data-dir is touched; ldpmarg runs them.
+//
 // Ingestion is sharded across -shards per-shard accumulators (0 selects
 // GOMAXPROCS) so multi-core hardware ingests reports in parallel. Reads
 // are served from a materialized view rebuilt on the refresh policy:
@@ -128,6 +134,7 @@ import (
 	"time"
 
 	"ldpmarginals"
+	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/logx"
 	"ldpmarginals/internal/server"
@@ -138,7 +145,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		protocol  = flag.String("protocol", "InpHT", "protocol name")
+		protocol  = flag.String("protocol", "InpHT", "protocol: InpRR, InpPS, InpHT, MargRR, MargPS, MargHT or InpHTCMS (the InpEM and InpOLH baselines run under ldpmarg)")
 		d         = flag.Int("d", 8, "number of binary attributes")
 		k         = flag.Int("k", 2, "largest marginal size supported")
 		eps       = flag.Float64("eps", math.Log(3), "privacy budget epsilon")
@@ -214,7 +221,12 @@ func main() {
 	}
 
 	cfg := ldpmarginals.Config{D: *d, K: *k, Epsilon: *eps, OptimizedPRR: true}
-	p, err := makeProtocol(*protocol, cfg)
+	p, err := ldpmarginals.ProtocolByName(*protocol, cfg)
+	if err == nil {
+		// The server refuses a protocol that cannot fold; refuse it here
+		// too, with the same message, before -data-dir is touched.
+		err = core.CheckFolds(p)
+	}
 	if err != nil {
 		die(err)
 	}
@@ -364,23 +376,5 @@ func main() {
 		} else {
 			logger.Info("ingested", "reports", srv.N())
 		}
-	}
-}
-
-func makeProtocol(name string, cfg ldpmarginals.Config) (ldpmarginals.Protocol, error) {
-	for _, kind := range ldpmarginals.AllKinds() {
-		if strings.EqualFold(kind.String(), name) {
-			return ldpmarginals.NewProtocol(kind, cfg)
-		}
-	}
-	switch strings.ToLower(name) {
-	case "inpem":
-		return ldpmarginals.NewEM(ldpmarginals.EMConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	case "inpolh":
-		return ldpmarginals.NewOLH(ldpmarginals.OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	case "inphtcms":
-		return ldpmarginals.NewHCMS(ldpmarginals.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", name)
 	}
 }

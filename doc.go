@@ -32,7 +32,12 @@
 //
 // cmd/ldpserver serves a deployment over HTTP: clients POST wire-encoded
 // reports (internal/encoding) to /report one at a time or to
-// /report/batch as length-prefixed frames. Ingestion is sharded across
+// /report/batch as length-prefixed frames. It serves the six protocols
+// and InpHTCMS, whose aggregators are integer counters that can be
+// copied and unmerged exactly (core.Folder); the InpEM and InpOLH
+// baselines keep raw reports, so they run only under Simulate,
+// cmd/ldpmarg and cmd/experiments, and a server refuses them at
+// construction. Ingestion is sharded across
 // per-core accumulators (NewShardedAggregator) so throughput scales
 // with the hardware; batch ingestion amortizes HTTP and locking
 // overhead per report. Sharding never changes results: aggregation
@@ -47,11 +52,11 @@
 // (encoding.UnmarshalBatchEndsInto — the only one; WAL replay uses it
 // too) reads the first frame through the general per-frame decode and
 // from its tag picks the batch's wire shape: index (InpPS), index+sign
-// (InpHT), beta+index (MargPS), beta+index+sign (MargHT). Later frames
-// in the shape's common form — one-byte length prefix, the same tag,
-// uvarints of at most three bytes — are read inline into pooled record
-// slices; any other frame, and every frame of the bitmap (InpRR, MargRR)
-// and OLH shapes, falls back to the general decode for that frame. The
+// (InpHT), beta+index (MargPS), beta+index+sign (MargHT, InpHTCMS).
+// Later frames in the shape's common form — one-byte length prefix, the
+// same tag, uvarints of at most three bytes — are read inline into pooled
+// record slices; any other frame, and every frame of the bitmap shape
+// (InpRR, MargRR), falls back to the general decode for that frame. The
 // inline path never rejects and never accepts what the general path
 // would not: the accepted byte strings, the decoded reports and the
 // error texts are exactly those of a frame-at-a-time decoder, which a
@@ -104,8 +109,9 @@
 // BuildView runs the same stages over a snapshot, and because the folds
 // are integer-exact and the nonlinear stage is a deterministic function
 // of the counters, every engine epoch is bit-identical to BuildView
-// over a snapshot of the same state, for all six protocols — a served
-// view depends on the counters, never on how the engine reached them.
+// over a snapshot of the same state, for every served protocol — a
+// served view depends on the counters, never on how the engine reached
+// them.
 // Only the first epoch, and one following a failed refresh, capture the
 // counter state from scratch instead of folding; a refresh that finds
 // no delta at all republishes the serving epoch for free. GET
@@ -152,7 +158,8 @@
 // A new counter-keeping protocol therefore writes three things: how a
 // report increments the planes (Consume, ConsumeBatch), how the planes
 // become an estimate, and its kind byte. EM and OLH keep raw reports,
-// not counters, and have their own codecs.
+// not counters, and have their own codecs; they cannot be unmerged and
+// are not served.
 //
 // # Durability
 //

@@ -10,8 +10,8 @@ import (
 // State kind bytes of the six protocols; out-of-package protocols
 // continue the numbering (internal/em 7, internal/freqoracle 8 and 9,
 // internal/efronstein 10). They are part of the persisted snapshot
-// format: do not renumber. They mirror the encoding wire tags for the
-// protocols both name.
+// format: do not renumber. They equal the encoding wire tags of the
+// served protocols.
 const (
 	stateKindInpRR  byte = 1
 	stateKindInpPS  byte = 2

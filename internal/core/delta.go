@@ -18,31 +18,29 @@ import "fmt"
 // the parts it holds. A capture folds only the parts whose label moved,
 // so a steady-state refresh with a small delta costs O(moved × state),
 // and because the fold is integer arithmetic the cumulative state is
-// bit-identical to a fresh merge of the same contributions. Over a
-// protocol without exact unmerge an arena is never primed: every capture
-// merges from scratch.
+// bit-identical to a fresh merge of the same contributions. Every served
+// protocol's aggregator is a Folder (CheckFolds); the first capture, one
+// after Reset and one after a failed fold merge every part from scratch.
 
-// stateCopier is optionally implemented by aggregators that can replace
-// their state with a deep copy of another's, reusing their own buffers.
-type stateCopier interface {
+// Folder is the contract of every protocol a deployment serves: an
+// aggregator that besides Merge has its exact integer inverse, Unmerge,
+// and CopyStateFrom, which replaces its state with a deep copy of
+// another's, reusing its own buffers. The six core protocols and
+// InpHTCMS get both from the CounterBlock they embed.
+type Folder interface {
+	Aggregator
+	Unmerge(other Aggregator) error
 	CopyStateFrom(other Aggregator) error
 }
 
-// unmerger is optionally implemented by aggregators that can subtract a
-// previously merged contribution — the inverse of Merge over the
-// integer counter state.
-type unmerger interface {
-	Unmerge(other Aggregator) error
-}
-
-// supportsDelta reports whether agg's protocol can back exact delta folds
-// of copied state (deep copy + exact unmerge).
-func supportsDelta(agg Aggregator) bool {
-	if _, ok := agg.(stateCopier); !ok {
-		return false
+// CheckFolds reports whether p's aggregators are Folders, which serving p
+// — delta folds, windows, a coordinator's fleet — requires. The InpEM and
+// InpOLH baselines keep raw reports and are not: they run through core.Run.
+func CheckFolds(p Protocol) error {
+	if _, ok := p.NewAggregator().(Folder); !ok {
+		return fmt.Errorf("core: protocol %s cannot be served: its aggregator cannot be copied and unmerged exactly; run it with ldpmarg or cmd/experiments", p.Name())
 	}
-	_, ok := agg.(unmerger)
-	return ok
+	return nil
 }
 
 // Part is one contribution offered to FoldArena.Sync.
@@ -70,7 +68,7 @@ type Part struct {
 // engine, which serializes builds).
 type FoldArena struct {
 	empty  func() Aggregator
-	cum    Aggregator
+	cum    Folder
 	held   map[any]heldPart
 	syncs  uint64 // primed Syncs run; a held part not listed by the last one is dropped
 	primed bool
@@ -83,7 +81,8 @@ type heldPart struct {
 }
 
 // NewFoldArena returns an empty arena whose cumulative state is built
-// from empty's aggregators. State is nil until the first Sync.
+// from empty's aggregators, which must be Folders. State is nil until the
+// first Sync.
 func NewFoldArena(empty func() Aggregator) *FoldArena {
 	return &FoldArena{empty: empty}
 }
@@ -94,9 +93,8 @@ func NewFoldArena(empty func() Aggregator) *FoldArena {
 func (a *FoldArena) State() Aggregator { return a.cum }
 
 // Primed reports whether the next Sync folds only what moved: false on a
-// fresh arena, after Reset, after a failed fold (the next Sync then
-// re-derives the cumulative aggregator from scratch), and always over a
-// protocol without exact unmerge.
+// fresh arena, after Reset and after a failed fold, when the next Sync
+// re-derives the cumulative aggregator from scratch.
 func (a *FoldArena) Primed() bool { return a.primed }
 
 // Reset makes the next Sync re-derive the cumulative aggregator from
@@ -108,11 +106,17 @@ func (a *FoldArena) Reset() { a.primed = false }
 // many it folded. A primed arena merges new keys, unmerges and re-merges
 // keys whose version moved, and unmerges keys no longer in the set; each
 // counts as one. Any fold error un-primes the arena. An unprimed arena —
-// fresh, Reset, after an error, and always over an aggregator without
-// exact Unmerge — merges every part from scratch in the caller's order.
+// fresh, Reset or after an error — merges every part from scratch in the
+// caller's order and is primed when that succeeds. An empty aggregator
+// that is not a Folder is an error.
 func (a *FoldArena) Sync(parts []Part) (touched int, err error) {
 	if !a.primed {
-		return a.cold(parts)
+		agg := a.empty()
+		cum, ok := agg.(Folder)
+		if !ok {
+			return 0, fmt.Errorf("core: %T cannot be unmerged, so it cannot hold a fold", agg)
+		}
+		return a.cold(cum, parts)
 	}
 	defer func() {
 		if err != nil {
@@ -124,7 +128,7 @@ func (a *FoldArena) Sync(parts []Part) (touched int, err error) {
 		h, ok := a.held[p.Key]
 		if !ok || h.version != p.Version {
 			if ok {
-				if err := a.cum.(unmerger).Unmerge(h.agg); err != nil {
+				if err := a.cum.Unmerge(h.agg); err != nil {
 					return touched, fmt.Errorf("core: unfolding a moved contribution: %w", err)
 				}
 			}
@@ -145,7 +149,7 @@ func (a *FoldArena) Sync(parts []Part) (touched int, err error) {
 		if h.synced == a.syncs {
 			continue
 		}
-		if err := a.cum.(unmerger).Unmerge(h.agg); err != nil {
+		if err := a.cum.Unmerge(h.agg); err != nil {
 			return touched, fmt.Errorf("core: unfolding a dropped contribution: %w", err)
 		}
 		delete(a.held, k)
@@ -154,12 +158,9 @@ func (a *FoldArena) Sync(parts []Part) (touched int, err error) {
 	return touched, nil
 }
 
-// cold re-derives the cumulative state from every part. Only an arena
-// that can fold deltas keeps the parts: the next cold capture would
-// discard them unread.
-func (a *FoldArena) cold(parts []Part) (int, error) {
-	cum := a.empty()
-	_, exact := cum.(unmerger)
+// cold re-derives the cumulative state cum from every part and primes
+// the arena on the parts it holds.
+func (a *FoldArena) cold(cum Folder, parts []Part) (int, error) {
 	held := make(map[any]heldPart, len(parts))
 	for _, p := range parts {
 		agg, err := p.Agg(nil)
@@ -169,11 +170,9 @@ func (a *FoldArena) cold(parts []Part) (int, error) {
 		if err := cum.Merge(agg); err != nil {
 			return 0, fmt.Errorf("core: folding a contribution: %w", err)
 		}
-		if exact {
-			held[p.Key] = heldPart{version: p.Version, agg: agg}
-		}
+		held[p.Key] = heldPart{version: p.Version, agg: agg}
 	}
-	a.cum, a.held, a.primed = cum, held, exact
+	a.cum, a.held, a.primed = cum, held, true
 	return len(parts), nil
 }
 
@@ -182,9 +181,8 @@ func (a *FoldArena) cold(parts []Part) (int, error) {
 // aggregators never confuse their parts, and labelled by the shard's
 // mutation counter, read before the copy so the label can only trail
 // the content. Its Agg copies the shard under the shard's lock: into
-// prev when the protocol can, so a primed capture reuses the copy it
-// refolds, and otherwise (a new key, a cold capture, a protocol without
-// exact folds) into a fresh aggregator.
+// prev, so a primed capture reuses the copy it refolds, or on a new key
+// and a cold capture into a fresh aggregator.
 func (s *ShardedAggregator) AppendParts(dst []Part) []Part {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -197,11 +195,11 @@ func (s *ShardedAggregator) AppendParts(dst []Part) []Part {
 func (s *ShardedAggregator) copyShard(sh *aggShard, prev Aggregator) (Aggregator, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if c, ok := prev.(stateCopier); ok {
-		return prev, c.CopyStateFrom(sh.agg)
+	if prev == nil {
+		out := s.newShard()
+		return out, out.Merge(sh.agg)
 	}
-	out := s.newShard()
-	return out, out.Merge(sh.agg)
+	return prev, prev.(Folder).CopyStateFrom(sh.agg)
 }
 
 // NewSnapshotArena and SnapshotDeltaInto fold the shards through an arena
@@ -215,20 +213,15 @@ func (s *ShardedAggregator) SnapshotDeltaInto(a *FoldArena) (int, error) {
 }
 
 // MergeAggregators folds src into dst through the canonical Merge path;
-// UnmergeAggregators is the exact inverse. dst must support unmerging
-// for the pair to be usable in a delta fold.
+// UnmergeAggregators is the exact inverse.
 func MergeAggregators(dst, src Aggregator) error { return dst.Merge(src) }
 
 // UnmergeAggregators subtracts a previously merged contribution from
-// dst. It fails when dst's protocol does not support exact unmerging.
+// dst. It fails when dst is not a Folder.
 func UnmergeAggregators(dst, src Aggregator) error {
-	u, ok := dst.(unmerger)
+	f, ok := dst.(Folder)
 	if !ok {
 		return fmt.Errorf("core: %T does not support unmerging", dst)
 	}
-	return u.Unmerge(src)
+	return f.Unmerge(src)
 }
-
-// SupportsDeltaSnapshots reports whether the aggregator's protocol can
-// back exact delta folds, probed on a fresh shard.
-func (s *ShardedAggregator) SupportsDeltaSnapshots() bool { return supportsDelta(s.newShard()) }

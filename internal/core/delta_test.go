@@ -166,52 +166,17 @@ func TestSnapshotDeltaSeesRestore(t *testing.T) {
 }
 
 // noDeltaAgg wraps a protocol aggregator, hiding the Unmerge and
-// CopyStateFrom methods; its counters still merge.
+// CopyStateFrom methods: it is not a Folder, but its counters still merge.
 type noDeltaAgg struct{ Aggregator }
 
 func (a noDeltaAgg) Counters() *CounterBlock {
 	return a.Aggregator.(interface{ Counters() *CounterBlock }).Counters()
 }
 
-// TestNoArenaWithoutUnmerge: a factory whose aggregators cannot be
-// unmerged still gets an arena, but it is never primed: every capture
-// merges every shard, exactly like Snapshot.
-func TestNoArenaWithoutUnmerge(t *testing.T) {
-	p, err := New(InpHT, deltaTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := NewShardedFrom(func() Aggregator { return noDeltaAgg{p.NewAggregator()} }, 2)
-	if sh.SupportsDeltaSnapshots() {
-		t.Fatal("SupportsDeltaSnapshots over an unmergeable aggregator")
-	}
-	arena := sh.NewSnapshotArena()
-	reps := deltaReports(t, p, 300, 8)
-	for i := 0; i < 3; i++ {
-		if err := sh.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {
-			t.Fatal(err)
-		}
-		touched, err := sh.SnapshotDeltaInto(arena)
-		if err != nil || touched != 2 {
-			t.Fatalf("capture %d touched %d shards (%v), want both", i, touched, err)
-		}
-		if arena.Primed() {
-			t.Fatal("arena over an unmergeable aggregator is primed")
-		}
-		snap, err := sh.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := snap.MarshalState()
-		got, _ := arena.State().MarshalState()
-		if !bytes.Equal(got, want) || arena.State().N() != (i+1)*100 {
-			t.Fatalf("capture %d differs from Snapshot", i)
-		}
-	}
-}
-
 // TestArenaOwnership: an arena belongs to no aggregator. Folded against
-// a and then b, it drops a's shards, adds b's, and holds b's state.
+// a and then b, it drops a's shards, adds b's, and holds b's state. It
+// does need a Folder to fold into: over any other empty aggregator Sync
+// fails.
 func TestArenaOwnership(t *testing.T) {
 	p, err := New(InpHT, deltaTestConfig())
 	if err != nil {
@@ -245,6 +210,10 @@ func TestArenaOwnership(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("arena folded against a then b differs from b.Snapshot")
 	}
+	unfoldable := NewFoldArena(func() Aggregator { return noDeltaAgg{p.NewAggregator()} })
+	if _, err := unfoldable.Sync(b.AppendParts(nil)); err == nil || unfoldable.Primed() {
+		t.Fatalf("an arena over an aggregator that cannot unmerge synced (%v)", err)
+	}
 }
 
 // failingCopy is a protocol aggregator whose CopyStateFrom fails while
@@ -257,14 +226,14 @@ type failingCopy struct {
 func (a failingCopy) Counters() *CounterBlock { return noDeltaAgg{a.Aggregator}.Counters() }
 
 func (a failingCopy) Unmerge(other Aggregator) error {
-	return a.Aggregator.(unmerger).Unmerge(other)
+	return a.Aggregator.(Folder).Unmerge(other)
 }
 
 func (a failingCopy) CopyStateFrom(other Aggregator) error {
 	if *a.fail {
 		return errors.New("copy refused")
 	}
-	return a.Aggregator.(stateCopier).CopyStateFrom(other)
+	return a.Aggregator.(Folder).CopyStateFrom(other)
 }
 
 // TestShardPartsRecaptureAfterFailedCopy pins the prev contract of the

@@ -162,7 +162,11 @@ func (a failingUnmerge) Unmerge(other Aggregator) error {
 	if *a.fail {
 		return errors.New("unmerge refused")
 	}
-	return a.Aggregator.(unmerger).Unmerge(other)
+	return a.Aggregator.(Folder).Unmerge(other)
+}
+
+func (a failingUnmerge) CopyStateFrom(other Aggregator) error {
+	return a.Aggregator.(Folder).CopyStateFrom(other)
 }
 
 // TestFoldArenaRecapturesAfterFailedUnmerge: a fold whose Unmerge fails
@@ -201,33 +205,4 @@ func TestFoldArenaRecapturesAfterFailedUnmerge(t *testing.T) {
 		t.Fatalf("sync after the failure folded %d parts (%v), want a cold capture of 2", touched, err)
 	}
 	assertFoldState(t, 0, a, set.merged(t, p.NewAggregator))
-}
-
-// TestFoldArenaWithoutUnmergeRecapturesCold: over aggregators without
-// exact Unmerge the arena is never primed, and every Sync after a change
-// re-merges the whole set, by reference.
-func TestFoldArenaWithoutUnmergeRecapturesCold(t *testing.T) {
-	p, err := New(InpHT, deltaTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := func() Aggregator { return noDeltaAgg{p.NewAggregator()} }
-	reps := deltaReports(t, p, 400, 43)
-	a := NewFoldArena(empty)
-	set := newFoldSet()
-	for i := 0; i < 4; i++ {
-		agg := p.NewAggregator()
-		if err := agg.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {
-			t.Fatal(err)
-		}
-		set.put(i%2, agg)
-		if i == 3 {
-			set.drop(0)
-		}
-		touched, err := a.Sync(set.parts())
-		if err != nil || touched != len(set.aggs) || a.Primed() {
-			t.Fatalf("change %d: folded %d of %d parts (%v), primed %v", i, touched, len(set.aggs), err, a.Primed())
-		}
-		assertFoldState(t, i, a, set.merged(t, p.NewAggregator))
-	}
 }

@@ -198,7 +198,7 @@ func TestUnmarshalStateRejectsWrongGeometry(t *testing.T) {
 				"UnmarshalState": func() error { return aggs[dst].UnmarshalState(blobs[src]) },
 				"Merge":          func() error { return aggs[dst].Merge(aggs[src]) },
 				"Unmerge":        func() error { return UnmergeAggregators(aggs[dst], aggs[src]) },
-				"CopyStateFrom":  func() error { return aggs[dst].(stateCopier).CopyStateFrom(aggs[src]) },
+				"CopyStateFrom":  func() error { return aggs[dst].(Folder).CopyStateFrom(aggs[src]) },
 			}
 			for name, fold := range folds {
 				if err := fold(); err == nil {

@@ -281,8 +281,9 @@ const stateKindES byte = 10
 // marginals. Its state is an ungrouped sign-class core.CounterBlock, one
 // cell per collected coefficient, which also does its merging and its
 // state codec. The block is a field and not embedded: embedding would
-// add Unmerge and CopyStateFrom, and with them delta arenas and windows
-// for InpES deployments, which is a decision of its own.
+// add Unmerge and CopyStateFrom and make InpES a core.Folder, which only
+// a served protocol needs, and serving InpES's categorical records is a
+// decision of its own.
 type Aggregator struct {
 	p   *Protocol
 	blk core.CounterBlock

@@ -171,8 +171,8 @@ func (a *Aggregator) Merge(other core.Aggregator) error {
 	return nil
 }
 
-// stateKindEM continues the state-kind numbering of internal/core
-// (mirroring encoding.TagInpEM); part of the persisted snapshot format.
+// stateKindEM continues the state-kind numbering of internal/core; part
+// of the persisted snapshot format.
 const (
 	stateKindEM  byte = 7
 	stateVersion byte = 1

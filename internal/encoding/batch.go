@@ -27,11 +27,11 @@ import (
 // that for the first frame, whose tag fixes the batch's wire shape —
 // what follows the tag byte:
 //
-//	index              InpPS, InpEM
+//	index              InpPS
 //	index, sign        InpHT
 //	beta, index        MargPS
 //	beta, index, sign  MargHT, InpHTCMS
-//	(general)          InpRR, MargRR (bitmaps), InpOLH (fixed-width seed)
+//	(general)          InpRR, MargRR (bitmaps)
 //
 // For the four uvarint shapes, every later frame that has the common
 // form — a one-byte length prefix, the batch's tag, uvarints of one to
@@ -200,7 +200,7 @@ const (
 
 func shapeOf(tag Tag) shape {
 	switch tag {
-	case TagInpPS, TagInpEM:
+	case TagInpPS:
 		return shapeIndex
 	case TagInpHT:
 		return shapeIndex | shapeSign

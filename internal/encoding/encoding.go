@@ -21,7 +21,8 @@ import (
 // Tag identifies the protocol of an encoded report on the wire.
 type Tag byte
 
-// Wire tags. These are part of the persisted format: do not renumber.
+// Wire tags of the served protocols. These are part of the persisted
+// format: do not renumber.
 const (
 	TagInpRR  Tag = 1
 	TagInpPS  Tag = 2
@@ -29,10 +30,13 @@ const (
 	TagMargRR Tag = 4
 	TagMargPS Tag = 5
 	TagMargHT Tag = 6
-	TagInpEM  Tag = 7
-	TagOLH    Tag = 8
 	TagHCMS   Tag = 9
 )
+
+// retiredTags were the InpEM and InpOLH baselines' before the server
+// stopped serving them; WAL segments and peer snapshots of such a node
+// still carry them. Do not reuse them.
+var retiredTags = map[Tag]string{7: "InpEM", 8: "InpOLH"}
 
 // protocolTags is the single source of the name <-> tag mapping; the
 // reverse direction is derived from it below, so a new protocol is
@@ -44,8 +48,6 @@ var protocolTags = map[string]Tag{
 	"MargRR":   TagMargRR,
 	"MargPS":   TagMargPS,
 	"MargHT":   TagMargHT,
-	"InpEM":    TagInpEM,
-	"InpOLH":   TagOLH,
 	"InpHTCMS": TagHCMS,
 }
 
@@ -74,6 +76,19 @@ func ProtocolForTag(tag Tag) (string, error) {
 		return "", fmt.Errorf("encoding: unknown tag %d", tag)
 	}
 	return name, nil
+}
+
+// TagName names a tag for a refusal: "InpHT (tag 3)", a retired tag's
+// protocol the same way, or "tag 12".
+func TagName(tag Tag) string {
+	name, ok := tagProtocols[tag]
+	if !ok {
+		name, ok = retiredTags[tag]
+	}
+	if !ok {
+		return fmt.Sprintf("tag %d", tag)
+	}
+	return fmt.Sprintf("%s (tag %d)", name, tag)
 }
 
 // signByte encodes a +-1 sign into one byte.
@@ -116,7 +131,7 @@ func Marshal(name string, rep core.Report) ([]byte, error) {
 		for _, w := range rep.Bits {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
-	case TagInpPS, TagInpEM:
+	case TagInpPS:
 		putUvarint(rep.Index)
 	case TagInpHT:
 		putUvarint(rep.Index)
@@ -142,10 +157,6 @@ func Marshal(name string, rep core.Report) ([]byte, error) {
 			return nil, err
 		}
 		buf = append(buf, sb)
-	case TagOLH:
-		// The hash seed needs all 64 bits; fixed width.
-		buf = binary.LittleEndian.AppendUint64(buf, rep.Beta)
-		putUvarint(rep.Index)
 	}
 	return buf, nil
 }
@@ -190,7 +201,7 @@ func Unmarshal(frame []byte) (Tag, core.Report, error) {
 	switch tag {
 	case TagInpRR:
 		rep.Bits, err = readWords()
-	case TagInpPS, TagInpEM:
+	case TagInpPS:
 		rep.Index, err = readUvarint()
 	case TagInpHT:
 		if rep.Index, err = readUvarint(); err == nil {
@@ -219,14 +230,6 @@ func Unmarshal(frame []byte) (Tag, core.Report, error) {
 					rest = rest[1:]
 				}
 			}
-		}
-	case TagOLH:
-		if len(rest) < 8 {
-			err = fmt.Errorf("encoding: truncated OLH seed")
-		} else {
-			rep.Beta = binary.LittleEndian.Uint64(rest)
-			rest = rest[8:]
-			rep.Index, err = readUvarint()
 		}
 	default:
 		return 0, core.Report{}, fmt.Errorf("encoding: unknown tag %d", tag)

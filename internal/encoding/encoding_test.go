@@ -8,7 +8,7 @@ import (
 )
 
 func TestTagForProtocol(t *testing.T) {
-	names := []string{"InpRR", "InpPS", "InpHT", "MargRR", "MargPS", "MargHT", "InpEM", "InpOLH", "InpHTCMS"}
+	names := []string{"InpRR", "InpPS", "InpHT", "MargRR", "MargPS", "MargHT", "InpHTCMS"}
 	seen := map[Tag]bool{}
 	for _, name := range names {
 		tag, err := TagForProtocol(name)
@@ -20,8 +20,15 @@ func TestTagForProtocol(t *testing.T) {
 		}
 		seen[tag] = true
 	}
-	if _, err := TagForProtocol("Nope"); err == nil {
-		t.Error("unknown protocol should error")
+	for _, name := range []string{"Nope", "InpEM", "InpOLH"} {
+		if _, err := TagForProtocol(name); err == nil {
+			t.Errorf("%s: unserved protocol has a tag", name)
+		}
+	}
+	for tag, want := range map[Tag]string{TagInpHT: "InpHT (tag 3)", 7: "InpEM (tag 7)", 8: "InpOLH (tag 8)", 12: "tag 12"} {
+		if got := TagName(tag); got != want {
+			t.Errorf("TagName(%d) = %q, want %q", tag, got, want)
+		}
 	}
 }
 
@@ -65,8 +72,6 @@ func TestRoundTripAllProtocols(t *testing.T) {
 		"MargRR":   {Beta: 0b0110, Bits: []uint64{7}},
 		"MargPS":   {Beta: 0b0110, Index: 3},
 		"MargHT":   {Beta: 0b0110, Index: 2, Sign: 1},
-		"InpEM":    {Index: 0b11011},
-		"InpOLH":   {Beta: 0xffffffffffffffff, Index: 3},
 		"InpHTCMS": {Beta: 4, Index: 200, Sign: -1},
 	}
 	for name, rep := range cases {
@@ -127,15 +132,16 @@ func TestMarshalRejectsBadSign(t *testing.T) {
 
 func TestUnmarshalMalformed(t *testing.T) {
 	bad := [][]byte{
-		nil,                     // empty
-		{99},                    // unknown tag
-		{byte(TagInpHT)},        // missing payload
-		{byte(TagInpHT), 5},     // missing sign
-		{byte(TagInpRR), 3, 1},  // truncated bitmap
-		{byte(TagOLH), 1, 2, 3}, // truncated seed
-		{byte(TagInpPS), 1, 0},  // trailing bytes
-		{byte(TagInpHT), 1, 2},  // malformed sign byte
-		{byte(TagMargPS), 0x80}, // truncated varint
+		nil,                            // empty
+		{99},                           // unknown tag
+		{byte(TagInpHT)},               // missing payload
+		{byte(TagInpHT), 5},            // missing sign
+		{byte(TagInpRR), 3, 1},         // truncated bitmap
+		{7, 1},                         // retired InpEM tag
+		{8, 1, 2, 3, 4, 5, 6, 7, 8, 3}, // retired InpOLH tag
+		{byte(TagInpPS), 1, 0},         // trailing bytes
+		{byte(TagInpHT), 1, 2},         // malformed sign byte
+		{byte(TagMargPS), 0x80},        // truncated varint
 	}
 	for i, frame := range bad {
 		if _, _, err := Unmarshal(frame); err == nil {

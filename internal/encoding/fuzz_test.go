@@ -21,8 +21,6 @@ func corpusReports(t testing.TB) map[string]core.Report {
 		"MargRR":   {Beta: 0b110, Bits: []uint64{0b1011}},
 		"MargPS":   {Beta: 0b101, Index: 2},
 		"MargHT":   {Beta: 0b11, Index: 3, Sign: 1},
-		"InpEM":    {Index: 255},
-		"InpOLH":   {Beta: 0xfeedface31337, Index: 11},
 		"InpHTCMS": {Beta: 7, Index: 129, Sign: 1},
 	}
 }
@@ -40,11 +38,14 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 		}
 		f.Add(frame)
 	}
-	// Malformed seeds: unknown tag, truncated varint, trailing bytes.
+	// Malformed seeds: unknown tag, truncated varint, trailing bytes, and
+	// InpEM and InpOLH frames, whose retired tags old WALs still carry.
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x01})
 	f.Add([]byte{byte(TagInpHT), 0x80})
 	f.Add([]byte{byte(TagInpPS), 0x01, 0x02})
+	f.Add([]byte{7, 0x05})
+	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 0x03})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		tag, rep, err := Unmarshal(frame)
 		if err != nil {
@@ -79,8 +80,10 @@ func FuzzUnmarshalBatch(f *testing.F) {
 		f.Add(batch)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x05, 0x01})       // length prefix longer than body
-	f.Add([]byte{0xff, 0xff, 0xff}) // runaway length varint
+	f.Add([]byte{0x05, 0x01})                            // length prefix longer than body
+	f.Add([]byte{0xff, 0xff, 0xff})                      // runaway length varint
+	f.Add([]byte{0x02, 7, 0x05, 0x02, 7, 0x05})          // retired InpEM tag
+	f.Add([]byte{0x0a, 8, 1, 2, 3, 4, 5, 6, 7, 8, 0x03}) // retired InpOLH tag
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		tag, reps, err := UnmarshalBatch(buf, 1<<12)
 		if err != nil {
@@ -180,7 +183,7 @@ func FuzzBatchDecodeMatchesFrames(f *testing.F) {
 		return buf
 	}
 	corpus := corpusReports(f)
-	for name, rep := range corpus { // all nine tags
+	for name, rep := range corpus { // all seven tags
 		f.Add(batch(name, rep, rep, rep))
 	}
 	ps, ht := corpus["InpPS"], corpus["InpHT"]
@@ -203,6 +206,8 @@ func FuzzBatchDecodeMatchesFrames(f *testing.F) {
 	f.Add(append(batch("InpPS", ps), 0x01, byte(TagInpPS)))                                // tag only
 	f.Add(append(batch("InpPS", ps), 0x02, 0x63, 0x01))                                    // unknown tag
 	f.Add(append(batch("InpPS", ps), append([]byte{0x81, 0x01}, make([]byte, 129)...)...)) // a >=128-byte frame
+	f.Add([]byte{0x02, 7, 0x05, 0x02, 7, 0x05})                                            // retired InpEM tag
+	f.Add(append(batch("InpPS", ps), 0x02, 8, 0x05))                                       // retired InpOLH tag
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		checkMatchesFrames(t, buf, maxReports, nil, nil)

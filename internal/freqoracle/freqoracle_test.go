@@ -254,6 +254,9 @@ func TestHCMSAggregatorValidation(t *testing.T) {
 	}
 }
 
+// TestHCMSMergeMatchesSequential: a merge of two halves estimates like
+// the whole, and the sketch folds: unmerging a half restores the other to
+// the byte, and a copy marshals like its source.
 func TestHCMSMergeMatchesSequential(t *testing.T) {
 	h, _ := NewHCMS(HCMSConfig{D: 5, K: 2, Epsilon: 2, Seed: 5})
 	client := h.NewClient()
@@ -277,6 +280,10 @@ func TestHCMSMergeMatchesSequential(t *testing.T) {
 			_ = right.Consume(rep)
 		}
 	}
+	leftState, err := left.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := left.Merge(right); err != nil {
 		t.Fatal(err)
 	}
@@ -294,6 +301,23 @@ func TestHCMSMergeMatchesSequential(t *testing.T) {
 	}
 	if tv > 1e-12 {
 		t.Errorf("merged estimate differs from sequential (TV=%v)", tv)
+	}
+	if err := core.CheckFolds(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := left.(core.Folder).Unmerge(right); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := left.MarshalState(); !bytes.Equal(got, leftState) {
+		t.Error("merge then unmerge did not restore the state")
+	}
+	cp := h.NewAggregator().(core.Folder)
+	if err := cp.CopyStateFrom(whole); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := whole.MarshalState()
+	if got, _ := cp.MarshalState(); !bytes.Equal(got, want) {
+		t.Error("a copy marshals differently from its source")
 	}
 }
 

@@ -98,7 +98,7 @@ func (h *HCMS) NewClient() core.Client { return &hcmsClient{h: h} }
 
 // NewAggregator returns an empty HCMS aggregator.
 func (h *HCMS) NewAggregator() core.Aggregator {
-	return &hcmsAgg{h: h, blk: core.NewCounterBlock("InpHTCMS", stateKindHCMS, core.SignCounters, h.cfg.G, h.cfg.W)}
+	return &hcmsAgg{h: h, CounterBlock: core.NewCounterBlock("InpHTCMS", stateKindHCMS, core.SignCounters, h.cfg.G, h.cfg.W)}
 }
 
 type hcmsClient struct{ h *HCMS }
@@ -118,27 +118,13 @@ func (c *hcmsClient) Perturb(record uint64, r *rng.RNG) (core.Report, error) {
 }
 
 // hcmsAgg keeps its state in a sign-class core.CounterBlock with one
-// group per sketch row and one cell per Hadamard coefficient of the row,
-// which also does its merging and its state codec. The block is a field
-// and not embedded for the reason given at efronstein.Aggregator.
+// group per sketch row and one cell per Hadamard coefficient of the row.
+// It embeds the block, which does its merging, unmerging, copying and
+// state codec, so it is a core.Folder and served like the core protocols.
 type hcmsAgg struct {
-	h   *HCMS
-	blk core.CounterBlock
+	h *HCMS
+	core.CounterBlock
 }
-
-func (a *hcmsAgg) N() int { return a.blk.N() }
-
-// Counters exposes the block to the blocks it is merged into.
-func (a *hcmsAgg) Counters() *core.CounterBlock { return &a.blk }
-
-func (a *hcmsAgg) Merge(other core.Aggregator) error { return a.blk.Merge(other) }
-
-// MarshalState serializes the per-row sketch counters; see
-// core.Aggregator.
-func (a *hcmsAgg) MarshalState() ([]byte, error) { return a.blk.MarshalState() }
-
-// UnmarshalState replaces the sketch counters; see core.Aggregator.
-func (a *hcmsAgg) UnmarshalState(data []byte) error { return a.blk.UnmarshalState(data) }
 
 func (a *hcmsAgg) Consume(rep core.Report) error {
 	row := int(rep.Beta)
@@ -151,7 +137,7 @@ func (a *hcmsAgg) Consume(rep core.Report) error {
 	if rep.Sign != 1 && rep.Sign != -1 {
 		return fmt.Errorf("freqoracle: HCMS report sign %d is not +-1", rep.Sign)
 	}
-	a.blk.AddSign(row, int(rep.Index), rep.Sign)
+	a.AddSign(row, int(rep.Index), rep.Sign)
 	return nil
 }
 
@@ -166,7 +152,7 @@ func (a *hcmsAgg) rowDistribution(row int) ([]float64, error) {
 	cells := make([]float64, a.h.cfg.W)
 	cells[0] = 1
 	for c := 1; c < a.h.cfg.W; c++ {
-		sum, count := a.blk.SignCell(row, c)
+		sum, count := a.SignCell(row, c)
 		if count == 0 {
 			continue
 		}
@@ -202,7 +188,7 @@ func (a *hcmsAgg) EstimateAll() ([]float64, error) {
 		var sum float64
 		var used int
 		for g := 0; g < a.h.cfg.G; g++ {
-			if a.blk.GroupUsers(g) == 0 {
+			if a.GroupUsers(g) == 0 {
 				continue
 			}
 			cell := a.h.family.Hash(g, x)
@@ -228,7 +214,7 @@ func (a *hcmsAgg) EstimateFrequency(x uint64) (float64, error) {
 	var sum float64
 	var used int
 	for g := 0; g < a.h.cfg.G; g++ {
-		if a.blk.GroupUsers(g) == 0 {
+		if a.GroupUsers(g) == 0 {
 			continue
 		}
 		dist, err := a.rowDistribution(g)

@@ -8,8 +8,7 @@ import (
 
 // State codecs for the frequency-oracle aggregators; see
 // core.Aggregator. The kind bytes continue the internal/core numbering
-// (mirroring the encoding wire tags) and are part of the persisted
-// snapshot format: do not renumber.
+// and are part of the persisted snapshot format: do not renumber.
 const (
 	stateKindOLH  byte = 8
 	stateKindHCMS byte = 9

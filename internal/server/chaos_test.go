@@ -14,7 +14,7 @@ import (
 	"ldpmarginals/internal/store"
 )
 
-// TestChaosAllProtocols drives every protocol through two scripted
+// TestChaosAllProtocols drives every served protocol through two scripted
 // fault schedules and pins both halves of the graceful-degradation
 // contract:
 //
@@ -34,10 +34,9 @@ import (
 // The fault registry is process-global, so these subtests must not run
 // in parallel with anything.
 func TestChaosAllProtocols(t *testing.T) {
-	for _, kind := range core.AllKinds() {
-		kind := kind
-		t.Run(kind.String()+"/wal", func(t *testing.T) { chaosWAL(t, kind) })
-		t.Run(kind.String()+"/peer", func(t *testing.T) { chaosPeer(t, kind) })
+	for i, p := range servedProtocols(t, clusterCfg) {
+		t.Run(p.Name()+"/wal", func(t *testing.T) { chaosWAL(t, p, uint64(i)) })
+		t.Run(p.Name()+"/peer", func(t *testing.T) { chaosPeer(t, p, uint64(i)) })
 	}
 }
 
@@ -116,16 +115,14 @@ func awaitReady(t *testing.T, url string, deadline time.Duration) {
 	}
 }
 
-func chaosWAL(t *testing.T, kind core.Kind) {
+// chaosWAL and chaosPeer run one protocol's schedule; seed varies the
+// reports and the corruption from protocol to protocol.
+func chaosWAL(t *testing.T, p core.Protocol, seed uint64) {
 	defer fault.Disarm()
-	p, err := core.New(kind, clusterCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Ten single-chunk batches: each is consumed atomically (all or
 	// nothing), so the accepted set stays deterministic through the
 	// fault window.
-	reps := makeClusterReports(t, p, 1000, uint64(37+kind))
+	reps := makeClusterReports(t, p, 1000, 37+seed)
 	batch := func(i int) []core.Report { return reps[100*i : 100*(i+1)] }
 
 	// The never-faulted twin consumes exactly the batches the faulted
@@ -240,13 +237,9 @@ func chaosWAL(t *testing.T, kind core.Kind) {
 	}
 }
 
-func chaosPeer(t *testing.T, kind core.Kind) {
+func chaosPeer(t *testing.T, p core.Protocol, seed uint64) {
 	defer fault.Disarm()
-	p, err := core.New(kind, clusterCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := makeClusterReports(t, p, 400, uint64(41+kind))
+	reps := makeClusterReports(t, p, 400, 41+seed)
 
 	// Single-node twin: the reference the healed cluster must match.
 	_, twinTS := newClusterNode(t, p, Options{NodeID: "peer-twin"})
@@ -268,7 +261,7 @@ func chaosPeer(t *testing.T, kind core.Kind) {
 
 	// The edge starts serving corrupt frames; three poisoned pulls (each
 	// against fresh edge state, so none is a 304) quarantine it.
-	fault.Arm(fault.Rule{Site: FaultClusterBody, Mode: fault.ModeCorrupt, Seed: uint64(5 + kind)})
+	fault.Arm(fault.Rule{Site: FaultClusterBody, Mode: fault.ModeCorrupt, Seed: 5 + seed})
 	var cs ClusterStatus
 	for i := 0; i < 3; i++ {
 		postBatchOK(t, edgeTS.URL, p, reps[250+50*i:250+50*(i+1)])

@@ -225,21 +225,16 @@ func TestStateIgnoresQueryTokens(t *testing.T) {
 }
 
 // TestClusterDeltaVsFullBitIdentity is the satellite acceptance table:
-// for each of the six protocols, a coordinator tracks two edges through
+// for each served protocol, a coordinator tracks two edges through
 // incremental rounds of deltas and diffs — including an edge
 // crash/recovery mid-stream, which re-salts the version labels and forces
 // it through its full-frame fallback — and after every round must hold
 // the components, and serve the marginals, byte for byte, of a
 // coordinator that just started and pulled one full frame per edge.
 func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
-	for _, kind := range core.AllKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, p := range servedProtocols(t, clusterCfg) {
+		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			p, err := core.New(kind, clusterCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			reps := makeClusterReports(t, p, 576, 31)
 			var split [2][]core.Report
 			for i, rep := range reps {
@@ -336,7 +331,7 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 			// One report moves one counter under the sampling and Hadamard
 			// protocols; under randomized response it moves half of them,
 			// and the whole component stays the smaller payload.
-			wantDiffs := kind != core.InpRR && kind != core.MargRR
+			wantDiffs := p.Name() != "InpRR" && p.Name() != "MargRR"
 			if wantDiffs && diffsFrom(edge1TS.URL) == beforeRestart {
 				t.Error("no component of the restarted edge arrived as a diff once the coordinator held its new blobs")
 			}

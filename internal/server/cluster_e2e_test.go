@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os/exec"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -21,14 +20,7 @@ import (
 // coordinator must converge to exactly the union of both edges' durable
 // state, and its view must serve it.
 func TestClusterE2E(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "ldpserver")
-	build := exec.Command("go", "build", "-o", bin, "ldpmarginals/cmd/ldpserver")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building ldpserver: %v\n%s", err, out)
-	}
+	bin := buildLdpserver(t)
 
 	edgeDirs := [2]string{t.TempDir(), t.TempDir()}
 	edgeAddrs := [2]string{freeAddr(t), freeAddr(t)}
@@ -196,14 +188,7 @@ func TestClusterE2E(t *testing.T) {
 // root must converge to the edges' exact union through the recovered mid
 // tier, with the edges' pass-through components intact.
 func TestClusterThreeTierE2E(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "ldpserver")
-	build := exec.Command("go", "build", "-o", bin, "ldpmarginals/cmd/ldpserver")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building ldpserver: %v\n%s", err, out)
-	}
+	bin := buildLdpserver(t)
 
 	edgeAddrs := [2]string{freeAddr(t), freeAddr(t)}
 	midAddr, rootAddr := freeAddr(t), freeAddr(t)

@@ -15,6 +15,7 @@ import (
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
+	"ldpmarginals/internal/freqoracle"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/store"
 	"ldpmarginals/internal/wire"
@@ -23,6 +24,25 @@ import (
 // clusterCfg keeps the table-driven topology tests fast: small domain,
 // every protocol still exercises its full reconstruction path.
 var clusterCfg = core.Config{D: 6, K: 2, Epsilon: 1.2, OptimizedPRR: true}
+
+// servedProtocols returns every protocol a deployment serves at cfg: the
+// six core kinds in Table 2 order, then InpHTCMS.
+func servedProtocols(t *testing.T, cfg core.Config) []core.Protocol {
+	t.Helper()
+	var ps []core.Protocol
+	for _, kind := range core.AllKinds() {
+		p, err := core.New(kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	hcms, err := freqoracle.NewHCMS(freqoracle.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(ps, hcms)
+}
 
 // makeClusterReports perturbs a deterministic record stream.
 func makeClusterReports(t *testing.T, p core.Protocol, n int, seed uint64) []core.Report {
@@ -117,19 +137,14 @@ func newClusterNode(t *testing.T, p core.Protocol, opts Options) (*Server, *http
 }
 
 // TestClusterBitIdentityAllProtocols is the acceptance pin of the
-// cluster tier: for each of the six protocols, two durable edges
+// cluster tier: for each served protocol, two durable edges
 // splitting a report stream — with one edge shut down and recovered from
 // its WAL mid-stream — merged by a coordinator must serve a /marginal
 // view byte-identical to a single node that consumed the whole stream.
 func TestClusterBitIdentityAllProtocols(t *testing.T) {
-	for _, kind := range core.AllKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, p := range servedProtocols(t, clusterCfg) {
+		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			p, err := core.New(kind, clusterCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			const n = 400
 			reps := makeClusterReports(t, p, n, 7)
 

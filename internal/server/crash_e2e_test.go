@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,12 +20,10 @@ import (
 	"ldpmarginals/internal/rng"
 )
 
-// TestCrashRecoveryE2E is the process-level durability proof: it builds
-// the real ldpserver binary, SIGKILLs it mid-ingest, restarts it from
-// the same -data-dir, and requires every acked report (and a /marginal
-// answer over them) to survive. The in-process equivalents live in
-// internal/store; this one exercises the actual deployment artifact.
-func TestCrashRecoveryE2E(t *testing.T) {
+// buildLdpserver builds the ldpserver binary into a temporary directory
+// and returns its path; short runs skip the test instead.
+func buildLdpserver(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and execs the server binary")
 	}
@@ -31,6 +32,40 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building ldpserver: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestLdpserverRefusesBaselines: ldpserver -protocol InpEM or InpOLH exits
+// 1 at startup with the server's refusal, which names ldpmarg, whether or
+// not -data-dir is set, and creates no data directory.
+func TestLdpserverRefusesBaselines(t *testing.T) {
+	bin := buildLdpserver(t)
+	dataDir := filepath.Join(t.TempDir(), "x")
+	for _, args := range [][]string{
+		{"-protocol", "InpEM", "-data-dir", dataDir},
+		{"-protocol", "InpOLH"},
+	} {
+		cmd := exec.Command(bin, append(args, "-addr", "127.0.0.1:0")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), "ldpmarg") {
+			t.Fatalf("ldpserver %v: %v, stderr %q; want exit status 1 naming ldpmarg", args, err, stderr.String())
+		}
+	}
+	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
+		t.Fatalf("refused ldpserver touched -data-dir: stat %v", err)
+	}
+}
+
+// TestCrashRecoveryE2E is the process-level durability proof: it builds
+// the real ldpserver binary, SIGKILLs it mid-ingest, restarts it from
+// the same -data-dir, and requires every acked report (and a /marginal
+// answer over them) to survive. The in-process equivalents live in
+// internal/store; this one exercises the actual deployment artifact.
+func TestCrashRecoveryE2E(t *testing.T) {
+	bin := buildLdpserver(t)
 
 	dataDir := t.TempDir()
 	addr := freeAddr(t)
@@ -155,14 +190,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 // must report its windowed shape, and a windowed marginal must be
 // servable over the recovered state.
 func TestWindowedCrashRecoveryE2E(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs the server binary")
-	}
-	bin := filepath.Join(t.TempDir(), "ldpserver")
-	build := exec.Command("go", "build", "-o", bin, "ldpmarginals/cmd/ldpserver")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building ldpserver: %v\n%s", err, out)
-	}
+	bin := buildLdpserver(t)
 
 	dataDir := t.TempDir()
 	addr := freeAddr(t)

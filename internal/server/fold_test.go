@@ -1,11 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"math"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,79 +13,64 @@ import (
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/em"
 	"ldpmarginals/internal/freqoracle"
-	"ldpmarginals/internal/view"
+	"ldpmarginals/internal/store"
 )
 
-// TestNonDeltaProtocolsServedEndToEnd: the three protocols without exact
-// unmerge — InpEM, InpOLH, InpHTCMS, all servable with ldpserver
-// -protocol — are served by a single node and by a coordinator over two
-// edges, and both serve what view.Build over a sequential aggregator of
-// the same reports serves. No epoch of theirs can be reached by a delta
-// fold, so every refresh is a full build.
-func TestNonDeltaProtocolsServedEndToEnd(t *testing.T) {
+// TestBaselinesRefused: a deployment serves only protocols whose
+// aggregators fold. The InpEM and InpOLH baselines keep raw reports and
+// cannot be unmerged, so every role refuses them at construction, names
+// where they run instead, and closes the store it was handed.
+func TestBaselinesRefused(t *testing.T) {
 	cfg := clusterCfg
-	protocols := map[string]func() (core.Protocol, error){
+	// A baseline has no wire tag and so no store of its own: the nodes are
+	// handed one opened for a served protocol of the same shape.
+	served, err := core.New(core.InpHT, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselines := map[string]func() (core.Protocol, error){
 		"InpEM": func() (core.Protocol, error) {
 			return em.New(em.Config{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
 		},
 		"InpOLH": func() (core.Protocol, error) {
 			return freqoracle.NewOLH(freqoracle.OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
 		},
-		"InpHTCMS": func() (core.Protocol, error) {
-			return freqoracle.NewHCMS(freqoracle.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-		},
 	}
-	for name, newProtocol := range protocols {
-		t.Run(name, func(t *testing.T) {
-			p, err := newProtocol()
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps := makeClusterReports(t, p, 400, 13)
-			_, singleTS := newClusterNode(t, p, Options{NodeID: "single", Shards: 3})
-			_, edge1TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "e1", Shards: 2})
-			_, edge2TS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "e2", Shards: 2})
-			_, coordTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "coord",
-				Peers: []string{edge1TS.URL, edge2TS.URL}, PullInterval: time.Hour})
-			seq := p.NewAggregator()
-			for _, part := range [][]core.Report{reps[:200], reps[200:]} {
-				if err := core.ConsumeAll(seq, part); err != nil {
-					t.Fatal(err)
-				}
-				postBatchOK(t, singleTS.URL, p, part)
-				postBatchOK(t, edge1TS.URL, p, part[:len(part)/2])
-				postBatchOK(t, edge2TS.URL, p, part[len(part)/2:])
-				postPull(t, coordTS.URL)
-				ref, err := view.Build(seq, p, view.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, url := range []string{singleTS.URL, coordTS.URL} {
-					if vs := postRefresh(t, url); vs.Incremental || vs.IncrementalBuilds != 0 || vs.ViewN != seq.N() {
-						t.Fatalf("%s: refresh %+v, want a full build over %d reports", url, vs, seq.N())
-					}
-				}
-				single, coord := marginalBytes(t, singleTS.URL), marginalBytes(t, coordTS.URL)
-				for beta, s := range single {
-					if !bytes.Equal(coord[beta], s) {
-						t.Fatalf("beta=%d: coordinator serves %s, single node %s", beta, coord[beta], s)
-					}
-					var got MarginalResponse
-					if err := json.Unmarshal(s, &got); err != nil {
-						t.Fatal(err)
-					}
-					want, err := ref.Marginal(beta)
+	roles := map[string]Options{
+		"single":        {},
+		"edge":          {Role: RoleEdge},
+		"coordinator":   {Role: RoleCoordinator, Peers: []string{"http://127.0.0.1:1"}},
+		"windowed-edge": {Role: RoleEdge, Window: time.Hour, Bucket: 10 * time.Minute},
+	}
+	for name, newProtocol := range baselines {
+		p, err := newProtocol()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for role, opts := range roles {
+			t.Run(name+"/"+role, func(t *testing.T) {
+				if opts.Role != RoleCoordinator {
+					st, err := store.Open(t.TempDir(), served, store.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					for c := range want.Cells {
-						if math.Float64bits(got.Cells[c]) != math.Float64bits(want.Cells[c]) {
-							t.Fatalf("beta=%d cell %d: served %v, view.Build %v", beta, c, got.Cells[c], want.Cells[c])
-						}
+					opts.Store = st
+				}
+				s, err := NewWithOptions(p, opts)
+				if err == nil {
+					_ = s.Close()
+					t.Fatal("a baseline was served")
+				}
+				if !strings.Contains(err.Error(), "ldpmarg") {
+					t.Fatalf("refusal %q does not say where the baseline runs", err)
+				}
+				if opts.Store != nil {
+					if err := opts.Store.Snapshot(); !errors.Is(err, store.ErrClosed) {
+						t.Fatalf("refused node left its store open: snapshot %v", err)
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

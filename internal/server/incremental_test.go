@@ -113,26 +113,34 @@ func TestCoordinatorIncrementalSinglePeerRefold(t *testing.T) {
 	_ = coord
 }
 
-// TestViewStatusReportsBuildKinds covers the new /view/status fields on
-// a single-role node: the initial epoch is a full build, refreshes after
-// ingest are incremental, and the counters add up.
+// TestViewStatusReportsBuildKinds covers the /view/status build fields
+// on a single-role node of a core protocol and of InpHTCMS: the initial
+// epoch is a full build, refreshes after ingest are incremental and fold
+// exactly the shards that moved, and the counters add up.
 func TestViewStatusReportsBuildKinds(t *testing.T) {
-	p, err := core.New(core.InpHT, clusterCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newClusterNode(t, p, Options{})
-	vs := getViewStatus(t, ts.URL)
-	if vs.Incremental || vs.FullBuilds != 1 || vs.IncrementalBuilds != 0 {
-		t.Fatalf("initial status %+v, want one full build", vs)
-	}
-	postBatchOK(t, ts.URL, p, makeClusterReports(t, p, 500, 7))
-	vs = postRefresh(t, ts.URL)
-	if !vs.Incremental || vs.IncrementalBuilds != 1 || vs.FoldedComponents < 1 {
-		t.Fatalf("post-ingest refresh status %+v, want an incremental build", vs)
-	}
-	if vs.SnapshotMillis < 0 {
-		t.Fatalf("negative snapshot cost %v", vs.SnapshotMillis)
+	served := servedProtocols(t, clusterCfg)
+	for _, p := range []core.Protocol{served[core.InpHT], served[len(served)-1]} {
+		t.Run(p.Name(), func(t *testing.T) {
+			_, ts := newClusterNode(t, p, Options{Shards: 4})
+			vs := getViewStatus(t, ts.URL)
+			if vs.Incremental || vs.FullBuilds != 1 || vs.IncrementalBuilds != 0 {
+				t.Fatalf("initial status %+v, want one full build", vs)
+			}
+			// A batch of one chunk lands on one shard, the next on another.
+			reps := makeClusterReports(t, p, 500, 7)
+			for round, batches := range [][][]core.Report{{reps[:200]}, {reps[200:350], reps[350:]}} {
+				for _, b := range batches {
+					postBatchOK(t, ts.URL, p, b)
+				}
+				vs = postRefresh(t, ts.URL)
+				if !vs.Incremental || vs.IncrementalBuilds != int64(round+1) || vs.FullBuilds != 1 || vs.FoldedComponents != len(batches) {
+					t.Fatalf("refresh after %d batches: %+v, want an incremental build folding %d shards", len(batches), vs, len(batches))
+				}
+			}
+			if vs.SnapshotMillis < 0 {
+				t.Fatalf("negative snapshot cost %v", vs.SnapshotMillis)
+			}
+		})
 	}
 }
 

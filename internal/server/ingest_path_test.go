@@ -47,30 +47,28 @@ func postBatchBody(t *testing.T, url string, body []byte) (int, BatchResponse) {
 // ingest path's accept-set contract: a report the wire codec decodes but
 // the protocol does not allow — an index past 2^d, a beta that is not a
 // collected marginal or has the wrong number of attributes, a bitmap of
-// the wrong length — stops the batch exactly there. The reply is a 400
-// with accepted == j, and the node's state is byte-for-byte that of a
-// twin aggregator fed the first j reports and nothing else.
+// the wrong length, a sketch row or coefficient past the sketch — stops
+// the batch exactly there. The reply is a 400 with accepted == j, and the
+// node's state is byte-for-byte that of a twin aggregator fed the first j
+// reports and nothing else.
 func TestBatchInvalidReportAcceptsExactPrefix(t *testing.T) {
 	const n = 16
 	d, k := clusterCfg.D, clusterCfg.K
 	kway := uint64(1)<<uint(k) - 1
-	invalid := map[core.Kind]map[string]core.Report{
-		core.InpRR:  {"short bitmap": {Bits: []uint64{}}, "long bitmap": {Bits: make([]uint64, 1<<uint(d)/64+1)}},
-		core.InpPS:  {"index = 2^d": {Index: 1 << uint(d)}, "index needs a 4-byte varint": {Index: 1 << 21}},
-		core.InpHT:  {"coefficient of k+1 attributes": {Index: kway<<1 | 1, Sign: 1}, "coefficient 0": {Index: 0, Sign: -1}, "coefficient past 2^d": {Index: 1 << uint(d), Sign: 1}},
-		core.MargRR: {"beta of k+1 attributes": {Beta: kway<<1 | 1, Bits: []uint64{0}}, "long bitmap": {Beta: kway, Bits: []uint64{0, 0}}},
-		core.MargPS: {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1}, "beta of k-1 attributes": {Beta: 1, Index: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1}, "cell = 2^k": {Beta: kway, Index: 1 << uint(k)}},
-		core.MargHT: {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1, Sign: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1, Sign: 1}, "constant coefficient": {Beta: kway, Index: 0, Sign: 1}, "coefficient = 2^k": {Beta: kway, Index: 1 << uint(k), Sign: -1}},
+	invalid := map[string]map[string]core.Report{
+		"InpRR":    {"short bitmap": {Bits: []uint64{}}, "long bitmap": {Bits: make([]uint64, 1<<uint(d)/64+1)}},
+		"InpPS":    {"index = 2^d": {Index: 1 << uint(d)}, "index needs a 4-byte varint": {Index: 1 << 21}},
+		"InpHT":    {"coefficient of k+1 attributes": {Index: kway<<1 | 1, Sign: 1}, "coefficient 0": {Index: 0, Sign: -1}, "coefficient past 2^d": {Index: 1 << uint(d), Sign: 1}},
+		"MargRR":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Bits: []uint64{0}}, "long bitmap": {Beta: kway, Bits: []uint64{0, 0}}},
+		"MargPS":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1}, "beta of k-1 attributes": {Beta: 1, Index: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1}, "cell = 2^k": {Beta: kway, Index: 1 << uint(k)}},
+		"MargHT":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1, Sign: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1, Sign: 1}, "constant coefficient": {Beta: kway, Index: 0, Sign: 1}, "coefficient = 2^k": {Beta: kway, Index: 1 << uint(k), Sign: -1}},
+		"InpHTCMS": {"row = g": {Beta: 5, Index: 1, Sign: 1}, "coefficient = w": {Beta: 0, Index: 256, Sign: -1}},
 	}
-	for _, kind := range core.AllKinds() {
-		p, err := core.New(kind, clusterCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range servedProtocols(t, clusterCfg) {
 		good := makeClusterReports(t, p, n, 5)
-		for what, bad := range invalid[kind] {
+		for what, bad := range invalid[p.Name()] {
 			for _, j := range []int{0, n / 2, n - 1} {
-				t.Run(fmt.Sprintf("%v/%s/at %d", kind, what, j), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/at %d", p.Name(), what, j), func(t *testing.T) {
 					s, ts := newClusterNode(t, p, Options{})
 					reps := append([]core.Report(nil), good...)
 					reps[j] = bad

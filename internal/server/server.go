@@ -407,8 +407,8 @@ type Server struct {
 }
 
 // New builds a single-role server around a protocol with default
-// Options. The protocol's name must have a wire tag registered in the
-// encoding package.
+// Options. The protocol must fold (core.CheckFolds) and its name must have
+// a wire tag registered in the encoding package.
 func New(p core.Protocol) (*Server, error) {
 	return NewWithOptions(p, Options{})
 }
@@ -424,6 +424,9 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			_ = opts.Store.Close()
 		}
 		return nil, err
+	}
+	if err := core.CheckFolds(p); err != nil {
+		return fail(err)
 	}
 	tag, err := encoding.TagForProtocol(p.Name())
 	if err != nil {
@@ -1459,9 +1462,8 @@ type ViewStatusResponse struct {
 	// IncrementalBuilds counts the epochs built from a delta fold since
 	// startup. FullBuilds counts the ones whose counter state was
 	// captured from scratch: the first epoch, then one per failed
-	// refresh (a fold or build error), so over a protocol with exact folds
-	// a value above 1 means refreshes have been failing; a protocol
-	// without them counts every epoch here.
+	// refresh (a fold or build error), so a value above 1 means refreshes
+	// have been failing.
 	IncrementalBuilds int64 `json:"incremental_builds"`
 	FullBuilds        int64 `json:"full_builds"`
 	// Tables is the number of materialized k-way tables.

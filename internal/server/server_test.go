@@ -976,11 +976,16 @@ func TestStressViewRefreshConcurrentQuery(t *testing.T) {
 }
 
 func TestNewRejectsUnknownProtocol(t *testing.T) {
-	if _, err := New(fakeProtocol{}); err == nil {
+	p, err := core.New(core.InpHT, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(fakeProtocol{p}); err == nil {
 		t.Error("protocol without a wire tag should be rejected")
 	}
 }
 
+// fakeProtocol is a protocol that folds under a name with no wire tag.
 type fakeProtocol struct{ core.Protocol }
 
 func (fakeProtocol) Name() string { return "Mystery" }

@@ -97,20 +97,15 @@ func referenceBytes(t *testing.T, p core.Protocol, reps []core.Report) []byte {
 }
 
 // TestWindowedServerBitIdentityAllProtocols is the acceptance pin of
-// the continual-release tier at the HTTP layer: for each of the six
-// protocols, a windowed deployment whose window still covers every
+// the continual-release tier at the HTTP layer: for each served
+// protocol, a windowed deployment whose window still covers every
 // bucket — including across hand-driven bucket rotations — must export
 // /state bytes identical to a single cumulative aggregator fed the same
 // stream, and serve the same /marginal cells.
 func TestWindowedServerBitIdentityAllProtocols(t *testing.T) {
-	for _, kind := range core.AllKinds() {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, p := range servedProtocols(t, core.Config{D: 6, K: 2, Epsilon: 1.1, OptimizedPRR: true}) {
+		t.Run(p.Name(), func(t *testing.T) {
 			t.Parallel()
-			p, err := core.New(kind, core.Config{D: 6, K: 2, Epsilon: 1.1, OptimizedPRR: true})
-			if err != nil {
-				t.Fatal(err)
-			}
 			s, err := NewWithOptions(p, windowedOptions())
 			if err != nil {
 				t.Fatal(err)

@@ -128,7 +128,7 @@ func checkConfig(buf []byte, tag encoding.Tag, cfg core.Config) ([]byte, error) 
 		return nil, fmt.Errorf("%w: header config", wire.ErrTruncated)
 	}
 	if got := encoding.Tag(buf[0]); got != tag {
-		return nil, fmt.Errorf("store: written by protocol tag %d, deployment runs %d", got, tag)
+		return nil, fmt.Errorf("store: written by %s, deployment runs %s", encoding.TagName(got), encoding.TagName(tag))
 	}
 	buf = buf[1:]
 	d, w := binary.Uvarint(buf)

@@ -138,8 +138,6 @@ type Engine struct {
 	parts []core.Part // reused by every capture; zeroed between them
 	bld   *builder
 
-	exact bool // the source's protocol folds exactly; set before the engine is shared
-
 	incBuilds  atomic.Int64
 	fullBuilds atomic.Int64
 	ins        *viewInstruments
@@ -155,8 +153,7 @@ type EngineStats struct {
 	// reached by folding deltas into the state the engine held.
 	IncrementalBuilds int64
 	// FullBuilds is the number of epochs whose counter state was captured
-	// from scratch: the initial epoch, an epoch after a failed refresh,
-	// and every epoch over a protocol without exact delta folds.
+	// from scratch: the initial epoch and an epoch after a failed refresh.
 	FullBuilds int64
 }
 
@@ -168,16 +165,15 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// Incremental reports whether the engine refreshes through delta folds:
-// the source's protocol supports exact unmerging.
-func (e *Engine) Incremental() bool { return e.exact }
-
 // NewEngine builds epoch 1 synchronously (so Current never returns nil)
 // and, if the policy asks for automatic refresh, starts the background
-// refresh loop. Close the engine to stop that loop. When the source's
-// protocol folds exactly, every epoch after the first advances the
+// refresh loop. Close the engine to stop that loop. The protocol must
+// fold (core.CheckFolds): every epoch after the first advances the
 // engine's counter state by a delta fold.
 func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error) {
+	if err := core.CheckFolds(p); err != nil {
+		return nil, err
+	}
 	bld, err := newBuilder(p, opts.Build)
 	if err != nil {
 		return nil, fmt.Errorf("view: preparing builder: %w", err)
@@ -186,9 +182,6 @@ func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error)
 	if _, err := e.Refresh(); err != nil {
 		return nil, fmt.Errorf("view: building initial epoch: %w", err)
 	}
-	// A successful capture primes the arena exactly when the protocol
-	// can fold deltas.
-	e.exact = e.arena.Primed()
 	if opts.Refresh.automatic() {
 		e.done.Add(1)
 		go e.loop()
@@ -220,13 +213,13 @@ func (e *Engine) Epoch() int64 {
 // reconstruction on an indistinguishable answer. On error the previous
 // view stays published and keeps serving.
 //
-// Over a protocol with exact folds every refresh after the first is
-// incremental: the engine folds only the source components that changed
-// since the last epoch into the counter state it holds and re-runs the
-// build over reusable arenas. The folds are integer-exact, so every
-// epoch is bit-identical to a standalone Build over a merge of the same
-// state; only the first epoch and one following a failed refresh capture
-// the whole source from scratch.
+// Every refresh after the first is incremental: the engine folds only
+// the source components that changed since the last epoch into the
+// counter state it holds and re-runs the build over reusable arenas. The
+// folds are integer-exact, so every epoch is bit-identical to a
+// standalone Build over a merge of the same state; only the first epoch
+// and one following a failed refresh capture the whole source from
+// scratch.
 func (e *Engine) Refresh() (*View, error) {
 	return e.RefreshContext(context.Background())
 }
@@ -288,10 +281,9 @@ func (e *Engine) RefreshContext(ctx context.Context) (*View, error) {
 
 // buildNext captures the source's counter state into the arena — a delta
 // fold of the parts whose label moved, or every part from scratch while
-// the arena is unprimed (the first epoch, after a failed refresh, and
-// every epoch over a protocol without exact folds) — and builds the next
-// view from it. It returns nil when nothing moved since the serving
-// epoch. Called under e.mu.
+// the arena is unprimed (the first epoch and after a failed refresh) —
+// and builds the next view from it. It returns nil when nothing moved
+// since the serving epoch. Called under e.mu.
 //
 // The published BuildDuration (and the build histograms) cover the
 // whole operation — state capture plus reconstruction, exactly the

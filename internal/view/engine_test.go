@@ -49,8 +49,20 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// noFoldProto builds aggregators that hide Unmerge and CopyStateFrom.
+type noFoldProto struct{ core.Protocol }
+
+func (p noFoldProto) NewAggregator() core.Aggregator {
+	return struct{ core.Aggregator }{p.Protocol.NewAggregator()}
+}
+
+// TestEngineInitialEpochServesImmediately: NewEngine publishes epoch 1
+// before it returns, and refuses a protocol that cannot fold.
 func TestEngineInitialEpochServesImmediately(t *testing.T) {
 	p := testProtocol(t)
+	if _, err := NewEngine(core.NewSharded(p, 0), noFoldProto{p}, EngineOptions{}); err == nil {
+		t.Fatal("engine accepted a protocol whose aggregators cannot fold")
+	}
 	eng, err := NewEngine(core.NewSharded(p, 0), p, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)

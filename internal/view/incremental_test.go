@@ -121,9 +121,6 @@ func incrementalRunMatchesBuild(t *testing.T, kind core.Kind, cfg core.Config, p
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		if !eng.Incremental() {
-			t.Fatal("engine is not incremental over a core protocol")
-		}
 		matchesBuild := func(v *View) {
 			t.Helper()
 			snap, err := fed.Snapshot()

@@ -76,9 +76,8 @@ type View struct {
 	SnapshotDuration time.Duration
 	// Incremental reports whether the engine reached this epoch's counter
 	// state by folding deltas into the state it already held, rather
-	// than capturing the whole source from scratch (the first epoch, an
-	// epoch after a failed refresh, protocols without exact folds). The
-	// tables do not depend on it.
+	// than capturing the whole source from scratch (the first epoch and an
+	// epoch after a failed refresh). The tables do not depend on it.
 	Incremental bool
 	// FoldedComponents is how many source components (shards, window
 	// buckets, or a coordinator's peer components) were folded into this

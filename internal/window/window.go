@@ -23,8 +23,9 @@
 // its version moved — and a sliding-window epoch publish after a bucket
 // expiry costs one Unmerge fold plus the nonlinear build stage.
 //
-// Windowed mode requires a protocol whose aggregators support exact
-// unmerge folds (all six core protocols do); NewRing rejects the rest.
+// Windowed mode requires a protocol whose aggregators fold
+// (core.CheckFolds: the six core protocols and InpHTCMS); NewRing
+// rejects the rest.
 package window
 
 import (
@@ -90,9 +91,12 @@ type Ring struct {
 	expired atomic.Uint64 // total buckets retired from the window
 }
 
-// NewRing builds a ring over p. The protocol must support exact delta
-// folds (Unmerge + state copy): expiry is an Unmerge of sealed state.
+// NewRing builds a ring over p. The protocol must fold
+// (core.CheckFolds): expiry is an Unmerge of sealed state.
 func NewRing(p core.Protocol, opts Options) (*Ring, error) {
+	if err := core.CheckFolds(p); err != nil {
+		return nil, err
+	}
 	if opts.Bucket <= 0 {
 		return nil, errors.New("window: bucket span must be positive")
 	}
@@ -113,11 +117,7 @@ func NewRing(p core.Protocol, opts Options) (*Ring, error) {
 	// underflows; the slot index is relative, only differences matter.
 	r.curSeq = r.buckets
 	r.curStart = opts.Start
-	live := core.NewSharded(p, opts.Shards)
-	if !live.SupportsDeltaSnapshots() {
-		return nil, fmt.Errorf("window: protocol %s does not support exact unmerge folds; windowed release needs one of the core protocols", p.Name())
-	}
-	r.cur.Store(live)
+	r.cur.Store(core.NewSharded(p, opts.Shards))
 	return r, nil
 }
 

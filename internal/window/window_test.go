@@ -403,7 +403,7 @@ func (p noDeltaProto) NewAggregator() core.Aggregator {
 }
 
 // TestWindowRejectsNonDeltaProtocol: expiry is an Unmerge, so a
-// protocol without exact folds cannot be windowed.
+// protocol whose aggregators are not core.Folders cannot be windowed.
 func TestWindowRejectsNonDeltaProtocol(t *testing.T) {
 	p, err := core.New(core.InpRR, windowTestConfig())
 	if err != nil {

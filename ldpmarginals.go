@@ -1,6 +1,9 @@
 package ldpmarginals
 
 import (
+	"fmt"
+	"strings"
+
 	"ldpmarginals/internal/bounds"
 	"ldpmarginals/internal/chowliu"
 	"ldpmarginals/internal/consistency"
@@ -148,6 +151,27 @@ type HCMSConfig = freqoracle.HCMSConfig
 // sketch).
 func NewHCMS(cfg HCMSConfig) (Protocol, error) { return freqoracle.NewHCMS(cfg) }
 
+// ProtocolByName constructs a protocol from its name, in any case: one of
+// the six kinds, or the InpEM, InpOLH and InpHTCMS baselines, which take
+// D, K and Epsilon from cfg. Every one runs under Simulate; a deployment
+// serves all but InpEM and InpOLH.
+func ProtocolByName(name string, cfg Config) (Protocol, error) {
+	for _, kind := range AllKinds() {
+		if strings.EqualFold(kind.String(), name) {
+			return NewProtocol(kind, cfg)
+		}
+	}
+	switch strings.ToLower(name) {
+	case "inpem":
+		return NewEM(EMConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+	case "inpolh":
+		return NewOLH(OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+	case "inphtcms":
+		return NewHCMS(HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+	}
+	return nil, fmt.Errorf("unknown protocol %q", name)
+}
+
 // IndependenceResult is the outcome of a chi-squared independence test.
 type IndependenceResult = stats.TestResult
 
@@ -289,7 +313,9 @@ func BuildView(snap Aggregator, p Protocol, opts ViewOptions) (*MarginalView, er
 }
 
 // NewViewEngine builds the first epoch over the sharded aggregator and
-// starts the refresh policy (if any). Close the engine to stop it.
+// starts the refresh policy (if any). Close the engine to stop it. It
+// refuses the InpEM and InpOLH baselines, whose aggregators cannot be
+// unmerged; build their views with BuildView.
 func NewViewEngine(src *ShardedAggregator, p Protocol, opts ViewEngineOptions) (*ViewEngine, error) {
 	return view.NewEngine(src, p, opts)
 }

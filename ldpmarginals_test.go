@@ -179,6 +179,27 @@ func TestPublicFrequencyOracles(t *testing.T) {
 	}
 }
 
+// TestProtocolByNameAllNames: every protocol name constructs, in any
+// case, and an unknown one is an error.
+func TestProtocolByNameAllNames(t *testing.T) {
+	cfg := ldpmarginals.Config{D: 8, K: 2, Epsilon: 1}
+	names := []string{"InpRR", "inpps", "InpHT", "margrr", "MargPS", "MARGHT",
+		"InpEM", "InpOLH", "InpHTCMS"}
+	for _, name := range names {
+		p, err := ldpmarginals.ProtocolByName(name, cfg)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if p == nil {
+			t.Errorf("%s: nil protocol", name)
+		}
+	}
+	if _, err := ldpmarginals.ProtocolByName("nope", cfg); err == nil {
+		t.Error("unknown protocol should error")
+	}
+}
+
 func TestPublicPearsonMatrix(t *testing.T) {
 	ds := ldpmarginals.NewTaxiDataset(20000, 8)
 	m, err := ldpmarginals.PearsonMatrix(ds.Records, ds.D)
