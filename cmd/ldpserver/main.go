@@ -55,8 +55,9 @@
 // caller's W3C traceparent when present — a coordinator's pull and the
 // edge's /state handler share one trace id), echoes the id as
 // X-LDP-Trace-Id, and completed traces land in the bounded ring behind
-// GET /debug/traces. -log-level tunes the leveled key=value logging on
-// stderr; debug adds one line per request carrying its trace id.
+// GET /debug/traces. -log-level tunes the log/slog key=value logging on
+// stderr (debug, info, warn, error or off); debug adds one line per
+// request carrying its trace id.
 //
 // Ingest admission control bounds how many /report and /report/batch
 // requests are processed at once (-max-inflight-ingest) and how many
@@ -93,13 +94,15 @@
 // -window turns the deployment into a continual release: reports land
 // in a ring of time-bucketed sub-aggregators and every estimate covers
 // only the last -window of wall time. The live bucket seals every
-// -bucket (which must divide -window evenly); sealed state expires one
-// bucket at a time with a single unmerge fold, and with -data-dir the
-// WAL rotates a segment per bucket so expired buckets also prune their
-// disk footprint once a snapshot covers them. -round-eps additionally
+// -bucket (which must divide -window evenly) and sealed buckets expire
+// one at a time. With -data-dir each sealed bucket is written once as
+// its own file and an expired bucket's file and WAL segments are
+// deleted, so a restart rebuilds the ring bucket by bucket and serves
+// what the node served before the crash. -round-eps additionally
 // caps each client's composed privacy loss per window: every report
 // spends the deployment epsilon against the client's X-LDP-Token, and
-// over-budget reports are rejected with 429 until the window slides.
+// over-budget reports are rejected with 429 until the window slides
+// (the ledger is memory-only: a restart forgets spend).
 // Analysts can pin the expected span with window= on /marginal and
 // /query and read the ring's shape from GET /status and /view/status.
 //
@@ -124,6 +127,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof-addr
@@ -136,7 +140,6 @@ import (
 	"ldpmarginals"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
-	"ldpmarginals/internal/logx"
 	"ldpmarginals/internal/server"
 	"ldpmarginals/internal/store"
 	"ldpmarginals/internal/view"
@@ -187,12 +190,12 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := logx.ParseLevel(*logLevel)
+	handler, err := logHandler(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ldpserver:", err)
 		os.Exit(1)
 	}
-	logger := logx.New(logx.Options{Writer: os.Stderr, Min: level, Timestamps: true})
+	logger := slog.New(handler)
 	die := func(err error) {
 		logger.Error(err.Error())
 		os.Exit(1)
@@ -259,6 +262,7 @@ func main() {
 		}
 		_, rec := st.Recovered()
 		logger.Info("recovered reports", "reports", rec.Reports, "dir", *dataDir,
+			"sealed_buckets", len(st.RecoveredLayout().Sealed),
 			"snapshot_seq", rec.SnapshotSeq, "snapshot_reports", rec.SnapshotReports,
 			"replayed", rec.ReportsReplayed, "segments", rec.SegmentsReplayed)
 		if rec.TornTailTruncations > 0 {
@@ -377,4 +381,25 @@ func main() {
 			logger.Info("ingested", "reports", srv.N())
 		}
 	}
+}
+
+// logHandler maps a -log-level value to a key=value handler on stderr
+// at that floor; "off" discards everything.
+func logHandler(level string) (slog.Handler, error) {
+	var min slog.Level
+	switch strings.ToLower(strings.TrimSpace(level)) {
+	case "debug":
+		min = slog.LevelDebug
+	case "info", "":
+		min = slog.LevelInfo
+	case "warn", "warning":
+		min = slog.LevelWarn
+	case "error":
+		min = slog.LevelError
+	case "off", "none":
+		return slog.DiscardHandler, nil
+	default:
+		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn, error, or off)", level)
+	}
+	return slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: min}), nil
 }

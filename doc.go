@@ -200,13 +200,15 @@
 // sealed buckets merge into the engine's arena, expired buckets
 // unmerge, and the live bucket refolds only when its version moved.
 //
-// The WAL rotates at every bucket seal, so log segments line up with
-// bucket boundaries and expiry doubles as retention: when buckets
-// expire the store re-snapshots the shrunken window and prunes the
-// expired buckets' segments whole. A crash mid-window recovers
-// whatever the log retained and seeds it as one sealed bucket kept for
-// a full window — the conservative choice, since the recovered
-// reports' true arrival times are gone. Queries may pin the horizon
+// With -data-dir the ring's parts are the unit of durability: at every
+// bucket boundary the store closes the active WAL segment under its
+// exclusive barrier, writes each newly sealed bucket once as an
+// immutable file, and deletes each expired bucket's file and segments,
+// so expiry doubles as retention and writes no snapshot; snapshots hold
+// the live bucket only. A crash mid-window rebuilds the ring — sealed
+// buckets in their slots, the live bucket, the grid's anchor — so the
+// restarted node serves and expires exactly what a never-killed node fed
+// the same acked reports does. Queries may pin the horizon
 // they assume: /marginal?window=W and /query?window=W are answered iff
 // W equals the deployment's configured span (400 otherwise), so an
 // analyst never silently reads a cumulative answer where a windowed
@@ -398,8 +400,8 @@
 // GET /debug/traces (also mounted on the -pprof-addr side listener);
 // slow traces are logged, and background no-op work (idle pull rounds,
 // no-boundary window ticks) is discarded rather than allowed to flood
-// the ring. -log-level selects the leveled key=value logger's floor;
-// debug adds one line per request carrying its trace id.
+// the ring. -log-level selects the floor of the log/slog key=value
+// logger; debug adds one line per request carrying its trace id.
 //
 // The same spirit — observability grounded in the paper, not just in
 // the process — drives GET /view/diagnostics: per serving epoch it

@@ -36,6 +36,7 @@ import (
 func TestChaosAllProtocols(t *testing.T) {
 	for i, p := range servedProtocols(t, clusterCfg) {
 		t.Run(p.Name()+"/wal", func(t *testing.T) { chaosWAL(t, p, uint64(i)) })
+		t.Run(p.Name()+"/wal-windowed", func(t *testing.T) { chaosWALWindowed(t, p, uint64(i)) })
 		t.Run(p.Name()+"/peer", func(t *testing.T) { chaosPeer(t, p, uint64(i)) })
 	}
 }
@@ -234,6 +235,79 @@ func chaosWAL(t *testing.T, p core.Protocol, seed uint64) {
 		if got[beta] != w {
 			t.Fatalf("beta=%d: restarted node differs from never-faulted twin", beta)
 		}
+	}
+}
+
+// chaosWALWindowed is the windowed arm of chaosWAL: the ring seals one
+// bucket and expires another while the disk is dead. Those crossings
+// live only in memory until the probe revives the WAL; Store.Recover
+// then persists them and the live bucket, so the revived node and its
+// restart both serve what a never-faulted windowed twin serves.
+func chaosWALWindowed(t *testing.T, p core.Protocol, seed uint64) {
+	defer fault.Disarm()
+	const bucket = 10 * time.Minute
+	reps := makeClusterReports(t, p, 600, 53+seed)
+	batch := func(i int) []core.Report { return reps[100*i : 100*(i+1)] }
+	opts := Options{Window: 3 * bucket, Bucket: bucket}
+	base := time.Now()
+	opts.NodeID = "chaos-win-twin"
+	twin, twinTS := newClusterNode(t, p, opts)
+	dir := t.TempDir()
+	opts.NodeID, opts.Store, opts.DegradedProbeInterval = "chaos-win", openEdgeStore(t, dir, p), 25*time.Millisecond
+	srv, ts := newClusterNode(t, p, opts)
+	// advance moves both rings to bucket m of the grid; the faulted
+	// node's crossing fails while its disk is dead.
+	advance := func(m int) error {
+		now := base.Add(time.Duration(m)*bucket + bucket/2)
+		if err := twin.advanceWindow(now); err != nil {
+			t.Fatal(err)
+		}
+		return srv.advanceWindow(now)
+	}
+	both := func(i int) {
+		postBatchOK(t, ts.URL, p, batch(i))
+		postBatchOK(t, twinTS.URL, p, batch(i))
+	}
+
+	both(0)
+	both(1)
+	if err := advance(1); err != nil {
+		t.Fatal(err)
+	}
+	both(2)
+	fault.Arm(
+		fault.Rule{Site: store.FaultWALAppend, Mode: fault.ModeError, Msg: "no space left on device"},
+		fault.Rule{Site: store.FaultDiskProbe, Mode: fault.ModeError, Msg: "no space left on device"},
+	)
+	if status, br, _ := chaosBatch(t, ts.URL, p, batch(3)); status != http.StatusInternalServerError || br.Accepted != 100 {
+		t.Fatalf("batch into dead WAL: status %d accepted %d, want 500/100", status, br.Accepted)
+	}
+	postBatchOK(t, twinTS.URL, p, batch(3))
+	// Seal batches 2 and 3, then slide batches 0 and 1 out: both only in
+	// memory on the faulted node.
+	for _, m := range []int{2, 3} {
+		if err := advance(m); err == nil {
+			t.Fatalf("crossing to bucket %d with a dead disk reported success", m)
+		}
+	}
+	if status, _, _ := chaosBatch(t, ts.URL, p, batch(4)); status != http.StatusServiceUnavailable {
+		t.Fatalf("batch while degraded: status %d, want 503", status)
+	}
+
+	fault.Disarm()
+	awaitReady(t, ts.URL, 5*time.Second)
+	both(5)
+	want := observe(t, twinTS.URL)
+	if got := observe(t, ts.URL); got != want {
+		t.Fatalf("revived node %+v, never-faulted twin %+v", got, want)
+	}
+
+	ts.Close()
+	_ = srv.Close()
+	opts.Store = openEdgeStore(t, dir, p)
+	_, ts2 := newClusterNode(t, p, opts)
+	if got := observe(t, ts2.URL); got != want {
+		t.Fatalf("restarted node %+v, never-faulted twin %+v", got, want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -15,7 +16,6 @@ import (
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
-	"ldpmarginals/internal/logx"
 	"ldpmarginals/internal/metrics"
 	"ldpmarginals/internal/store"
 	"ldpmarginals/internal/trace"
@@ -602,7 +602,7 @@ type puller struct {
 	interval  time.Duration
 	maxState  int64
 	tracer    *trace.Tracer // roots background rounds; may be nil in tests
-	log       *logx.Logger
+	log       *slog.Logger
 
 	// Circuit breaker knobs: quarAfter consecutive poison failures trip
 	// a peer into quarantine; quarDelay is the half-open probe cadence
@@ -663,7 +663,7 @@ func backoffDelay(interval time.Duration, fails int) time.Duration {
 	return backoff + rand.N(backoff/2+1)
 }
 
-func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, quarAfter int, quarDelay time.Duration, tracer *trace.Tracer, log *logx.Logger) *puller {
+func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, quarAfter int, quarDelay time.Duration, tracer *trace.Tracer, log *slog.Logger) *puller {
 	if quarAfter <= 0 {
 		quarAfter = defaultQuarantineAfter
 	}

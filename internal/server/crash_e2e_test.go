@@ -183,12 +183,12 @@ func TestCrashRecoveryE2E(t *testing.T) {
 }
 
 // TestWindowedCrashRecoveryE2E is the continual-release durability
-// proof: a windowed deployment whose WAL is spread across bucket-
-// rotated segments is SIGKILLed mid-ingest and restarted from the same
-// -data-dir. Every acked report must be recovered into the window
-// (seeded as a sealed bucket, retained a full window), the deployment
-// must report its windowed shape, and a windowed marginal must be
-// servable over the recovered state.
+// proof: a windowed deployment that has sealed several buckets is
+// SIGKILLed mid-ingest and restarted from the same -data-dir. Every
+// acked report must be recovered into the window, every bucket sealed
+// before the kill must come back as a bucket (the 30s window expires
+// none of them), and a windowed marginal must be servable over the
+// recovered state.
 func TestWindowedCrashRecoveryE2E(t *testing.T) {
 	bin := buildLdpserver(t)
 
@@ -267,8 +267,8 @@ func TestWindowedCrashRecoveryE2E(t *testing.T) {
 	if mid.Window == nil || mid.Window.Rotations == 0 {
 		t.Fatalf("window block before kill = %+v, want rotations", mid.Window)
 	}
-	if mid.Durability == nil || mid.Durability.WALSegments < 2 {
-		t.Fatalf("durability before kill = %+v, want bucket-rotated segments", mid.Durability)
+	if mid.Durability == nil || mid.Durability.WALSegments < 2 || mid.Window.SealedBuckets < 2 {
+		t.Fatalf("before kill: durability %+v, window %+v; want bucket-rotated segments and sealed buckets", mid.Durability, mid.Window)
 	}
 
 	// Phase 2: SIGKILL mid-ingest; only acked batches count.
@@ -289,8 +289,8 @@ func TestWindowedCrashRecoveryE2E(t *testing.T) {
 	_ = srv.Wait()
 	mustAcked := acked.Load()
 
-	// Phase 3: restart; the recovered state seeds the window as a sealed
-	// bucket and every acked report is inside it.
+	// Phase 3: restart; the recovered ring holds every bucket sealed
+	// before the kill and every acked report.
 	srv2 := start()
 	defer func() {
 		_ = srv2.Process.Kill()
@@ -311,8 +311,8 @@ func TestWindowedCrashRecoveryE2E(t *testing.T) {
 	if sr.Durability == nil || sr.Durability.RecoveredReports != sr.N {
 		t.Fatalf("durability status = %+v (n=%d)", sr.Durability, sr.N)
 	}
-	if sr.Window == nil || sr.Window.SealedReports < int(mustAcked) {
-		t.Fatalf("window status = %+v, want the recovered reports sealed into the window", sr.Window)
+	if sr.Window == nil || sr.Window.SealedBuckets < mid.Window.SealedBuckets {
+		t.Fatalf("window status = %+v, want at least the %d buckets sealed before the kill", sr.Window, mid.Window.SealedBuckets)
 	}
 	mresp, err := http.Get("http://" + addr + "/marginal?beta=3&window=30s")
 	if err != nil {

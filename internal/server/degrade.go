@@ -1,13 +1,13 @@
 package server
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ldpmarginals/internal/logx"
 	"ldpmarginals/internal/metrics"
 	"ldpmarginals/internal/store"
 	"ldpmarginals/internal/trace"
@@ -61,7 +61,7 @@ const defaultDegradedProbe = 2 * time.Second
 // degrader owns the health state machine of a durable ingesting node.
 type degrader struct {
 	st       *store.Store
-	log      *logx.Logger
+	log      *slog.Logger
 	interval time.Duration
 
 	state   atomic.Int32           // healthState
@@ -77,7 +77,7 @@ type degrader struct {
 	closeOnce sync.Once
 }
 
-func newDegrader(st *store.Store, log *logx.Logger, interval time.Duration) *degrader {
+func newDegrader(st *store.Store, log *slog.Logger, interval time.Duration) *degrader {
 	if interval <= 0 {
 		interval = defaultDegradedProbe
 	}

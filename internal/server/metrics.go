@@ -1,12 +1,12 @@
 package server
 
 import (
+	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
 
 	"ldpmarginals/internal/fault"
-	"ldpmarginals/internal/logx"
 	"ldpmarginals/internal/metrics"
 	"ldpmarginals/internal/trace"
 )
@@ -282,7 +282,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			span.SetAttr("status", rec.code)
 			if rec.code >= 500 {
 				s.log.Warn("request failed", "trace", span.TraceID().String(), "method", r.Method, "path", r.URL.Path, "status", rec.code, "dur", elapsed)
-			} else if s.log.Enabled(logx.Debug) {
+			} else if s.log.Enabled(r.Context(), slog.LevelDebug) {
 				s.log.Debug("request", "trace", span.TraceID().String(), "method", r.Method, "path", r.URL.Path, "status", rec.code, "dur", elapsed)
 			}
 			span.End()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -252,5 +254,60 @@ func TestReadyzCoordinator(t *testing.T) {
 
 	if code, body := get(coordTS.URL + "/readyz"); code != http.StatusOK || !strings.Contains(body, `"ready":true`) {
 		t.Fatalf("post-pull /readyz: status %d body %s, want 200 ready", code, body)
+	}
+}
+
+// TestMetricInventoryMatchesREADME: every ldp_* family that a single,
+// an edge, a windowed durable edge or a coordinator registers is listed
+// in the README's "Metrics reference", and every family listed there is
+// registered by one of them.
+func TestMetricInventoryMatchesREADME(t *testing.T) {
+	p, err := core.New(core.InpHT, core.Config{D: 8, K: 2, Epsilon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), p, store.Options{Fsync: store.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, singleTS := newClusterNode(t, p, Options{NodeID: "inv-single"})
+	_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "inv-edge"})
+	_, winTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "inv-win", Store: st, Window: time.Hour, Bucket: time.Minute, RoundEps: 100})
+	_, coordTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "inv-coord", Peers: []string{edgeTS.URL}, PullInterval: time.Hour})
+	registered := make(map[string]bool)
+	for _, url := range []string{singleTS.URL, edgeTS.URL, winTS.URL, coordTS.URL} {
+		for _, line := range strings.Split(scrape(t, url), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && strings.HasPrefix(f[2], "ldp_") {
+				registered[f[2]] = true
+			}
+		}
+	}
+
+	readme, err := os.ReadFile("../../examples/http_deployment/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, ok := strings.Cut(string(readme), "### Metrics reference")
+	if !ok {
+		t.Fatal(`README has no "### Metrics reference" section`)
+	}
+	ref, _, _ = strings.Cut(ref, "\n### ")
+	listed := make(map[string]bool)
+	for _, line := range strings.Split(ref, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			for _, m := range regexp.MustCompile("`(ldp_[a-z0-9_]+)`").FindAllStringSubmatch(cells[1], -1) {
+				listed[m[1]] = true
+			}
+		}
+	}
+	for name := range registered {
+		if !listed[name] {
+			t.Errorf("%s is registered but not in the README's metrics reference", name)
+		}
+	}
+	for name := range listed {
+		if !registered[name] {
+			t.Errorf("%s is in the README's metrics reference but no server registers it", name)
+		}
 	}
 }

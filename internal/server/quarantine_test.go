@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 func TestBreakerTransitions(t *testing.T) {
 	const url = "http://peer"
 	f := &fleet{peers: []*peerEntry{{url: url}}}
-	pl := newPuller(f, time.Second, time.Second, 1<<20, 3, time.Minute, nil, nil)
+	pl := newPuller(f, time.Second, time.Second, 1<<20, 3, time.Minute, nil, slog.New(slog.DiscardHandler))
 	pe := f.peers[0]
 
 	transient := errors.New("dial tcp: connection refused")

@@ -102,6 +102,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -110,7 +111,6 @@ import (
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
-	"ldpmarginals/internal/logx"
 	"ldpmarginals/internal/metrics"
 	"ldpmarginals/internal/privacy"
 	"ldpmarginals/internal/query"
@@ -259,8 +259,8 @@ type Options struct {
 
 	// Log receives the server's leveled key=value log lines: per-request
 	// logging at debug (carrying the trace id so log lines and traces
-	// correlate), degraded-mode events at warn. Nil disables logging.
-	Log *logx.Logger
+	// correlate), degraded-mode events at warn. Nil discards them.
+	Log *slog.Logger
 	// TraceCapacity is the completed-trace ring size behind GET
 	// /debug/traces; <= 0 selects trace.DefaultCapacity.
 	TraceCapacity int
@@ -294,26 +294,21 @@ type ingestPipeline struct {
 	maxBatch  int64
 }
 
-// newIngestPipeline wires the store (seeding recovered state through
-// seed, registering src as the snapshot source) and sizes the worker
-// pools. shards is the resolved aggregation width the worker defaults
-// scale with.
-func newIngestPipeline(sink ingestTarget, seed func(core.Aggregator) error, src func() (core.Aggregator, error), shards int, opts Options) (*ingestPipeline, error) {
+// newIngestPipeline wires the store through durable, which seeds the
+// sink with the recovered state and registers it as the store's source,
+// and sizes the worker pools. shards is the resolved aggregation width
+// the worker defaults scale with.
+func newIngestPipeline(sink ingestTarget, durable func(*store.Store) error, shards int, opts Options) (*ingestPipeline, error) {
 	recovered := 0
-	if opts.Store != nil {
-		rec, _ := opts.Store.Recovered()
-		if rec != nil && rec.N() > 0 {
-			// Seed the live pipeline before the engine builds its first
-			// epoch, so recovered reports are served immediately.
-			if err := seed(rec); err != nil {
-				return nil, fmt.Errorf("server: seeding recovered state: %w", err)
-			}
-			recovered = rec.N()
-		}
-		// The recovered state now lives in the live pipeline; let the
+	if st := opts.Store; st != nil {
+		// Seed the live pipeline before the engine builds its first
+		// epoch, so recovered reports are served immediately; then let the
 		// store drop its copy.
-		opts.Store.ReleaseRecovered()
-		opts.Store.SetSource(src)
+		if err := durable(st); err != nil {
+			return nil, fmt.Errorf("server: seeding recovered state: %w", err)
+		}
+		recovered = sink.N()
+		st.ReleaseRecovered()
 	}
 	workers := opts.IngestWorkers
 	if workers <= 0 {
@@ -403,7 +398,7 @@ type Server struct {
 	deg    *degrader          // WAL-failure degradation; nil without a durable ingest path
 	reg    *metrics.Registry  // the /metrics registry, assembled at construction
 	tracer *trace.Tracer      // always non-nil; roots one span per request
-	log    *logx.Logger       // nil-safe; nil discards everything
+	log    *slog.Logger       // never nil; Options.Log, or a discarding logger
 }
 
 // New builds a single-role server around a protocol with default
@@ -445,6 +440,10 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 	if len(nodeID) > wire.MaxNodeIDLen {
 		return fail(fmt.Errorf("server: node id of %d bytes exceeds %d", len(nodeID), wire.MaxNodeIDLen))
 	}
+	log := opts.Log
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
+	}
 	s := &Server{
 		protocol:    p,
 		tag:         tag,
@@ -453,7 +452,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		shards:      core.ResolveShards(opts.Shards),
 		exportArena: core.NewFoldArena(p.NewAggregator),
 		ins:         newServerInstruments(),
-		log:         opts.Log.With("node", nodeID),
+		log:         log.With("node", nodeID),
 	}
 	slow := opts.SlowTraceThreshold
 	if slow <= 0 {
@@ -494,11 +493,28 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			}
 		}
 		s.src = s.win
-		s.ingest, err = newIngestPipeline(s.win, s.win.SeedRecovered, s.win.Snapshot, s.shards, opts)
+		s.ingest, err = newIngestPipeline(s.win, func(st *store.Store) error {
+			// The ring's sealed buckets are persisted one file each, and
+			// snapshots hold only its live bucket.
+			live, _ := st.Recovered()
+			if err := s.win.Restore(st.RecoveredLayout(), live); err != nil {
+				return err
+			}
+			st.SetSource(s.win.LiveSnapshot)
+			return st.SetWindow(s.win.Layout)
+		}, s.shards, opts)
 	default:
 		s.agg = core.NewSharded(p, s.shards)
 		s.src = s.agg
-		s.ingest, err = newIngestPipeline(s.agg, s.agg.Merge, s.agg.Snapshot, s.shards, opts)
+		s.ingest, err = newIngestPipeline(s.agg, func(st *store.Store) error {
+			if rec, _ := st.Recovered(); rec != nil && rec.N() > 0 {
+				if err := s.agg.Merge(rec); err != nil {
+					return err
+				}
+			}
+			st.SetSource(s.agg.Snapshot)
+			return nil
+		}, s.shards, opts)
 	}
 	if err != nil {
 		return fail(err)

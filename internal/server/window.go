@@ -10,10 +10,10 @@ import (
 
 // The continual-release driver. A windowed deployment's bucket
 // lifecycle — sealing the live bucket, expiring state that slid out of
-// the window, recovering ledger budget, and keeping the WAL's segment
-// boundaries aligned with bucket boundaries — is advanced by one
-// background goroutine per server, ticking at a fraction of the bucket
-// span so boundaries are honored promptly without per-bucket timers.
+// the window, recovering ledger budget, and persisting each sealed
+// bucket once — is advanced by one background goroutine per server,
+// ticking at a fraction of the bucket span so boundaries are honored
+// promptly without per-bucket timers.
 
 // rotator drives Ring.Advance (and its store/ledger side effects) on a
 // ticker for the server's lifetime.
@@ -80,39 +80,31 @@ func (ro *rotator) loop() {
 }
 
 // advanceWindow rotates the ring up to now and propagates the
-// lifecycle: sealed buckets recover ledger budget and close the active
-// WAL segment (so segments stay bucket-aligned), and expired buckets
-// trigger a store compaction — the forced snapshot of the shrunken
-// window is what lets the store prune the expired buckets' segments,
-// making window expiry double as disk retention.
+// lifecycle: sealed buckets recover ledger budget, and on a durable node
+// the ring advances inside one store crossing, which writes each newly
+// sealed bucket once and deletes each expired bucket's file and
+// segments, so window expiry doubles as disk retention.
 func (s *Server) advanceWindow(now time.Time) error {
 	_, _, err := s.advanceWindowContext(context.Background(), now)
 	return err
 }
 
 func (s *Server) advanceWindowContext(ctx context.Context, now time.Time) (rotated, expired int, err error) {
-	rotated, expired, err = s.win.AdvanceContext(ctx, now)
-	if err != nil {
-		return rotated, expired, err
+	advance := func() (err error) {
+		rotated, expired, err = s.win.AdvanceContext(ctx, now)
+		return err
+	}
+	if st := s.Store(); st != nil {
+		if err = st.Cross(advance); err != nil {
+			err = fmt.Errorf("persisting window buckets: %w", err)
+		}
+	} else {
+		err = advance()
 	}
 	if rotated > 0 && s.ledger != nil {
 		s.ledger.Rotate(rotated)
 	}
-	st := s.Store()
-	if st == nil {
-		return rotated, expired, nil
-	}
-	if rotated > 0 {
-		if _, err := st.Rotate(); err != nil {
-			return rotated, expired, fmt.Errorf("rotating WAL segment at bucket seal: %w", err)
-		}
-	}
-	if expired > 0 {
-		if err := st.Compact(); err != nil {
-			return rotated, expired, fmt.Errorf("compacting store after bucket expiry: %w", err)
-		}
-	}
-	return rotated, expired, nil
+	return rotated, expired, err
 }
 
 // WindowStatus is the continual-release section of a /status and

@@ -21,7 +21,6 @@ type storeInstruments struct {
 	appendWait   *metrics.Histogram // Ingest's hand-off wait (incl. group commit under fsync=always)
 	snapshotDur  *metrics.Histogram // full snapshot/compaction latency
 	snapshots    *metrics.Counter   // successful snapshots
-	compactions  *metrics.Counter   // forced (Compact) snapshots among them
 }
 
 func newStoreInstruments() *storeInstruments {
@@ -34,7 +33,6 @@ func newStoreInstruments() *storeInstruments {
 		appendWait:   metrics.NewHistogram(metrics.DurationBuckets()),
 		snapshotDur:  metrics.NewHistogram(metrics.DurationBuckets()),
 		snapshots:    metrics.NewCounter(),
-		compactions:  metrics.NewCounter(),
 	}
 }
 
@@ -77,7 +75,6 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	r.MustRegister("ldp_wal_append_wait_seconds", "Time an ingest spends handing its group to the committer (includes the shared fsync under fsync=always).", nil, ins.appendWait)
 	r.MustRegister("ldp_store_snapshot_seconds", "Latency of counter snapshots (state marshal + rotate + atomic write + prune).", nil, ins.snapshotDur)
 	r.MustRegister("ldp_store_snapshots_total", "Successful counter snapshots.", nil, ins.snapshots)
-	r.MustRegister("ldp_store_compactions_total", "Forced compactions (window expiry retention) among the snapshots.", nil, ins.compactions)
 
 	cache := new(statusCache)
 	r.MustGaugeFunc("ldp_wal_segments", "Live WAL segment files (including the fallback generation).", nil,

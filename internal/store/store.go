@@ -7,14 +7,10 @@
 //
 //   - A write-ahead log of report frames: append-only segments of
 //     CRC-checked, length-prefixed records (the same framing as the
-//     /report/batch wire format), rotated by size — or by time, via
-//     Rotate: a windowed deployment rotates on every bucket seal so
-//     segments line up with its time buckets, and Compact after a
-//     bucket expiry re-snapshots the shrunken window so the expired
-//     buckets' segments become prunable. The fsync policy trades
-//     durability window against throughput: FsyncAlways group-commits
-//     every ingest, FsyncInterval batches fsyncs on a timer, FsyncOff
-//     leaves flushing to the OS.
+//     /report/batch wire format), rotated by size. The fsync policy
+//     trades durability window against throughput: FsyncAlways
+//     group-commits every ingest, FsyncInterval batches fsyncs on a
+//     timer, FsyncOff leaves flushing to the OS.
 //
 //   - Counter snapshots: the aggregator's MarshalState blob plus the
 //     WAL segment index it covers, written atomically. A snapshot
@@ -23,10 +19,19 @@
 //     recovery stays fast. The two newest snapshots are retained; older
 //     snapshots and the segments they make redundant are deleted.
 //
-// Open recovers: it loads the newest valid snapshot (falling back past
-// a corrupt one), replays the WAL tail through Aggregator.Consume, and
+// A windowed node's store persists the window ring's parts (SetWindow,
+// Cross). Each bucket boundary is one call under the exclusive barrier:
+// the active segment closes, every newly sealed bucket is written once
+// as an immutable bkt-* file, and an expired bucket's file and segments
+// are deleted. Snapshots then hold the live bucket only, and segments
+// stay until their bucket expires. A cumulative node writes no bucket
+// files, so its data dir is what it always was.
+//
+// Open recovers: it loads the bucket files, then the newest valid
+// snapshot no bucket file supersedes (falling back past a corrupt one),
+// replays the WAL tail through the batch decoder and ConsumeBatch, and
 // tolerates a torn final record by truncating it. Because aggregation
-// is associative integer counting, the recovered state is byte-
+// is associative integer counting, every recovered state is byte-
 // identical to the state that produced the log.
 package store
 
@@ -45,6 +50,7 @@ import (
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/trace"
+	"ldpmarginals/internal/window"
 	"ldpmarginals/internal/wire"
 )
 
@@ -126,7 +132,8 @@ var ErrClosed = errors.New("store: closed")
 // RecoveryStats describes what Open reconstructed from the data
 // directory.
 type RecoveryStats struct {
-	// Reports is the recovered aggregator's total report count.
+	// Reports is the recovered report count: the live aggregator's plus,
+	// on a windowed dir, every sealed bucket's.
 	Reports int
 	// SnapshotSeq and SnapshotReports identify the snapshot the
 	// recovery started from (0 reports and seq 0 when none was loaded).
@@ -168,6 +175,17 @@ type Store struct {
 
 	source func() (core.Aggregator, error)
 
+	// ring, set on a windowed node, lists the ring whose sealed buckets
+	// are persisted as the bkt-* files in bkts (slot-ascending). The live
+	// bucket rests on liveBase, the segment the newest bucket file
+	// covers, and on liveSuper, the newest snapshot seq that file
+	// supersedes. These and lastSeq change under the exclusive barrier.
+	ring      func() window.Layout
+	bkts      []bucketFile
+	liveBase  uint64
+	liveSuper uint64
+	lastSeq   uint64 // newest snapshot seq written or found on disk
+
 	sinceSnap atomic.Int64
 	snapWG    sync.WaitGroup
 	snapBusy  atomic.Bool
@@ -181,6 +199,7 @@ type Store struct {
 	ins *storeInstruments
 
 	recovered core.Aggregator
+	layout    window.Layout // what recovery rebuilt of a windowed node's ring
 	recStats  RecoveryStats
 }
 
@@ -238,31 +257,45 @@ func (s *Store) recover() (maxSeg uint64, err error) {
 		if seq, ok := parseSeqName(e.Name(), "snap-", snapSuffix); ok {
 			snapSeqs = append(snapSeqs, seq)
 		}
+		if slot, covered, ok := parseBucketName(e.Name()); ok {
+			s.bkts = append(s.bkts, bucketFile{slot: slot, covered: covered, path: filepath.Join(s.dir, e.Name())})
+		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	sort.Slice(snapSeqs, func(i, j int) bool { return snapSeqs[i] < snapSeqs[j] })
+	sort.Slice(s.bkts, func(i, j int) bool { return s.bkts[i].slot < s.bkts[j].slot })
 	if len(segs) > 0 {
 		maxSeg = segs[len(segs)-1]
 	}
+	if len(snapSeqs) > 0 {
+		s.lastSeq = snapSeqs[len(snapSeqs)-1]
+	}
+	// A windowed dir's sealed buckets come first: the newest bucket file
+	// says where the live bucket begins.
+	if err := s.recoverBuckets(segs); err != nil {
+		return 0, err
+	}
 
 	// Validate every snapshot file; only valid ones enter s.snaps (and
-	// with them the pruning schedule). The newest valid one is restored.
+	// with them the pruning schedule). The newest valid one that no
+	// bucket file supersedes is restored.
 	agg := s.p.NewAggregator()
-	var covered uint64
+	covered := s.liveBase
 	for _, seq := range snapSeqs {
 		path := filepath.Join(s.dir, snapName(seq))
 		buf, rerr := os.ReadFile(path)
 		if rerr != nil {
 			return 0, rerr
 		}
-		cov, n, state, derr := decodeSnapshot(buf, s.tag, s.cfg)
+		m, derr := decodeSnapshot(buf, formatV1, s.tag, s.cfg)
 		if derr != nil {
 			s.recStats.SnapshotsDiscarded++
 			continue
 		}
-		s.snaps = append(s.snaps, snapMeta{seq: seq, covered: cov, n: n, path: path, state: state})
+		m.seq, m.path = seq, path
+		s.snaps = append(s.snaps, m)
 	}
-	for i := len(s.snaps) - 1; i >= 0; i-- {
+	for i := len(s.snaps) - 1; i >= 0 && s.snaps[i].seq > s.liveSuper; i-- {
 		m := s.snaps[i]
 		if err := agg.UnmarshalState(m.state); err != nil {
 			s.recStats.SnapshotsDiscarded++
@@ -291,7 +324,7 @@ func (s *Store) recover() (maxSeg uint64, err error) {
 		}
 		s.recStats.SegmentsReplayed++
 	}
-	s.recStats.Reports = agg.N()
+	s.recStats.Reports += agg.N()
 	s.recovered = agg
 	return maxSeg, nil
 }
@@ -442,8 +475,15 @@ func (s *Store) Recover() error {
 	// Everything consumed during the failure window lives only in
 	// memory; only a forced snapshot makes disk cover memory again. If
 	// it fails, re-mark the WAL failed so the caller's state machine
-	// does not declare health the durability layer cannot back.
+	// does not declare health the durability layer cannot back. A
+	// windowed node first persists the buckets its ring sealed and
+	// expired meanwhile.
 	if s.source != nil {
+		if s.ring != nil {
+			if err := s.syncWindowLocked(true); err != nil {
+				return fmt.Errorf("store: post-revive bucket sync: %w", err)
+			}
+		}
 		if err := s.snapshotLocked(true); err != nil {
 			err = fmt.Errorf("store: post-revive snapshot: %w", err)
 			s.setWALFailure(err)
@@ -492,17 +532,17 @@ func syncFile(path string) error {
 
 // Recovered returns the aggregator reconstructed by Open — the caller
 // seeds its live pipeline with it (e.g. ShardedAggregator.Merge) — and
-// the recovery statistics. After ReleaseRecovered the aggregator is nil
-// (the statistics remain).
+// the recovery statistics. On a windowed dir the aggregator is the live
+// bucket and RecoveredLayout holds the sealed ones; Reports counts both.
+// After ReleaseRecovered the aggregator is nil (the statistics remain).
 func (s *Store) Recovered() (core.Aggregator, RecoveryStats) {
 	return s.recovered, s.recStats
 }
 
-// ReleaseRecovered drops the store's reference to the recovered
-// aggregator once the caller has seeded its live pipeline, so a large
-// recovered state (protocols that keep raw reports) is not pinned in
+// ReleaseRecovered drops the store's references to the recovered state
+// once the caller has seeded its live pipeline, so it is not pinned in
 // memory twice for the store's lifetime.
-func (s *Store) ReleaseRecovered() { s.recovered = nil }
+func (s *Store) ReleaseRecovered() { s.recovered, s.layout = nil, window.Layout{} }
 
 // SetSource registers the function snapshots read the live state from,
 // typically ShardedAggregator.Snapshot. Snapshots (including the final
@@ -629,27 +669,9 @@ func (s *Store) Snapshot() error {
 	return s.snapshotLocked(false)
 }
 
-// Compact is Snapshot without the nothing-new skip: it snapshots even
-// when no reports arrived since the last one. A windowed deployment's
-// source state *shrinks* when buckets expire, and only a fresh
-// snapshot makes the expired buckets' segments redundant so prune can
-// drop them — expiry doubles as retention.
-func (s *Store) Compact() error {
-	s.barrier.Lock()
-	defer s.barrier.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.snapshotLocked(true)
-}
-
 // Rotate closes the active WAL segment (synced) and opens the next
 // one, returning the closed segment's index; an active segment that
-// holds no record stays, and the reply is the segment before it. A
-// windowed deployment rotates on every bucket seal, so segment
-// boundaries line up with bucket boundaries: the log becomes
-// time-bucketed, and expiry-time compaction prunes whole buckets from
-// disk at once.
+// holds no record stays, and the reply is the segment before it.
 func (s *Store) Rotate() (uint64, error) {
 	s.barrier.RLock()
 	defer s.barrier.RUnlock()
@@ -694,19 +716,12 @@ func (s *Store) snapshotLocked(force bool) error {
 	if res.err != nil {
 		return fmt.Errorf("store: rotating segment: %w", res.err)
 	}
-	s.statsMu.Lock()
-	seq := uint64(1)
-	if len(s.snaps) > 0 {
-		seq = s.snaps[len(s.snaps)-1].seq + 1
-	}
-	if s.recStats.SnapshotSeq >= seq {
-		seq = s.recStats.SnapshotSeq + 1
-	}
-	s.statsMu.Unlock()
-	path, err := s.writeSnapshotFile(seq, encodeSnapshot(s.tag, s.cfg, res.seg, agg.N(), state))
+	seq := s.lastSeq + 1
+	path, err := s.writeSnapshotFile(snapName(seq), encodeSnapshot(s.tag, s.cfg, res.seg, agg.N(), state))
 	if err != nil {
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}
+	s.lastSeq = seq
 	s.statsMu.Lock()
 	s.snaps = append(s.snaps, snapMeta{seq: seq, covered: res.seg, n: agg.N(), path: path})
 	s.lastSnapErr = nil
@@ -715,9 +730,6 @@ func (s *Store) snapshotLocked(force bool) error {
 	s.prune()
 	s.ins.snapshotDur.Observe(time.Since(t0).Seconds())
 	s.ins.snapshots.Inc()
-	if force {
-		s.ins.compactions.Inc()
-	}
 	return nil
 }
 
@@ -734,35 +746,44 @@ func (s *Store) snapsCopy() []snapMeta {
 // reconstruct the same state.
 func (s *Store) prune() {
 	s.statsMu.Lock()
-	var drop []snapMeta
+	var drop []string
 	for len(s.snaps) > 2 {
-		drop = append(drop, s.snaps[0])
+		drop = append(drop, s.snaps[0].path)
 		s.snaps = s.snaps[1:]
 	}
 	var covered uint64
-	if len(s.snaps) >= 2 {
+	if len(s.snaps) >= 2 && s.ring == nil {
+		// A windowed node's segments stay until their bucket expires, so
+		// a damaged bucket file can be rebuilt from them.
 		covered = s.snaps[0].covered
 	}
 	s.statsMu.Unlock()
-	for _, m := range drop {
-		_ = os.Remove(m.path)
-	}
-	if covered > 0 {
+	_ = s.removeFiles(drop, covered)
+}
+
+// removeFiles deletes paths and every WAL segment at or below upTo,
+// then makes the deletions durable.
+func (s *Store) removeFiles(paths []string, upTo uint64) error {
+	if upTo > 0 {
 		entries, err := os.ReadDir(s.dir)
 		if err != nil {
-			return
+			return err
 		}
 		for _, e := range entries {
-			if idx, ok := parseSeqName(e.Name(), "wal-", segSuffix); ok && idx <= covered {
-				_ = os.Remove(filepath.Join(s.dir, e.Name()))
+			if idx, ok := parseSeqName(e.Name(), "wal-", segSuffix); ok && idx <= upTo {
+				paths = append(paths, filepath.Join(s.dir, e.Name()))
 			}
 		}
 	}
-	if len(drop) > 0 || covered > 0 {
-		if s.opts.Fsync != FsyncOff {
-			_ = syncDir(s.dir)
+	for _, path := range paths {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
+	if len(paths) > 0 && s.opts.Fsync != FsyncOff {
+		return syncDir(s.dir)
+	}
+	return nil
 }
 
 // Status describes the store's durable footprint for monitoring
@@ -854,7 +875,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.barrier.Unlock()
-	// Background compactions blocked on the barrier observe closed and
+	// Background snapshots blocked on the barrier observe closed and
 	// exit without touching the committer.
 	s.snapWG.Wait()
 	close(s.tickStop)

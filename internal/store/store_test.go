@@ -53,9 +53,9 @@ func batchOf(frames [][]byte) []byte {
 	return b
 }
 
-// ingestAll drives reports through st.Ingest into agg in chunks,
-// mirroring the server's batch path.
-func ingestAll(t testing.TB, st *Store, agg core.Aggregator, reps []core.Report, frames [][]byte) {
+// ingestAll drives reports through st.Ingest into agg (an aggregator or
+// a window ring) in chunks, mirroring the server's batch path.
+func ingestAll(t testing.TB, st *Store, agg interface{ ConsumeBatch([]core.Report) error }, reps []core.Report, frames [][]byte) {
 	t.Helper()
 	const chunk = 64
 	for lo := 0; lo < len(reps); lo += chunk {

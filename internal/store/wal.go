@@ -63,9 +63,11 @@ const (
 	segMagic   = "LDPW"
 	snapMagic  = "LDPS"
 	formatV1   = 1
+	formatV2   = 2
 	crcBytes   = 4
 	segSuffix  = ".seg"
 	snapSuffix = ".snap"
+	bktSuffix  = ".bkt"
 	tmpSuffix  = ".tmp"
 	// recordLimit bounds one record: an ingested group up to
 	// maxGroupBytes of frames, each frame itself bounded by the wire
@@ -81,6 +83,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func segName(idx uint64) string  { return fmt.Sprintf("wal-%016x%s", idx, segSuffix) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x%s", seq, snapSuffix) }
+
+// bucketName names a sealed bucket's file by its slot and the segment
+// it covers, so even a damaged body says which segments rebuild it.
+func bucketName(slot, covered uint64) string {
+	return fmt.Sprintf("bkt-%016x-%016x%s", slot, covered, bktSuffix)
+}
+
+// parseBucketName is the inverse of bucketName; ok is false for other
+// files.
+func parseBucketName(name string) (slot, covered uint64, ok bool) {
+	_, err := fmt.Sscanf(name, "bkt-%16x-%16x"+bktSuffix, &slot, &covered)
+	return slot, covered, err == nil && name == bucketName(slot, covered)
+}
 
 // parseSeqName extracts the hex sequence number from a wal-/snap- file
 // name with the given prefix and suffix; ok is false for foreign files.

@@ -12,7 +12,7 @@ import (
 func (r *Ring) RegisterMetrics(reg *metrics.Registry) {
 	reg.MustCounterFunc("ldp_window_rotations_total", "Bucket boundaries crossed (live bucket seals).", nil,
 		func() float64 { return float64(r.rotated.Load()) })
-	reg.MustCounterFunc("ldp_window_expired_buckets_total", "Buckets retired from the window (one exact Unmerge fold each).", nil,
+	reg.MustCounterFunc("ldp_window_expired_buckets_total", "Buckets retired from the window.", nil,
 		func() float64 { return float64(r.expired.Load()) })
 	reg.MustGaugeFunc("ldp_window_sealed_buckets", "Retained non-empty sealed buckets.", nil,
 		func() float64 {

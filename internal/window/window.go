@@ -5,23 +5,24 @@
 //
 // Incoming reports land in the live bucket (a ShardedAggregator, so
 // ingestion keeps its lock-free fan-out). When the live bucket's time
-// span ends it is sealed: snapshotted once, merged into the ring's
-// cumulative sealed-window aggregator, and frozen — sealed bucket state
-// is immutable for the rest of its life. When a sealed bucket slides
-// out of the window it is expired by a single Unmerge fold of that same
-// frozen state, the exact integer inverse of its seal-time Merge. A
-// bucket's whole retire path therefore costs one fold of O(state), not
-// a rebuild of O(window), and because every protocol aggregator is an
-// integer counter vector with a canonical codec, a window that still
-// covers every bucket is bit-identical to a single cumulative
-// aggregator fed the same reports.
+// span ends it is sealed: snapshotted once and frozen — sealed bucket
+// state is immutable for the rest of its life. When a sealed bucket
+// slides out of the window it is dropped from the ring. Every protocol
+// aggregator is an integer counter vector with a canonical codec, so a
+// window that still covers every bucket is bit-identical to a single
+// cumulative aggregator fed the same reports.
 //
 // The ring is a view.Source: its parts are the sealed buckets and the
 // live bucket, which the engine's core.FoldArena folds, so an
 // incremental refresh folds only what changed — newly sealed buckets
 // merge, expired buckets unmerge, and the live bucket refolds only when
-// its version moved — and a sliding-window epoch publish after a bucket
-// expiry costs one Unmerge fold plus the nonlinear build stage.
+// its version moved.
+//
+// The same parts are the unit of durability. Layout lists the sealed
+// buckets with their slots on the bucket grid, plus the live bucket's
+// slot and start; a store persists each sealed bucket once, and Restore
+// rebuilds the ring from what it recovered, so a restarted ring expires
+// every bucket exactly when a never-restarted one would.
 //
 // Windowed mode requires a protocol whose aggregators fold
 // (core.CheckFolds: the six core protocols and InpHTCMS); NewRing
@@ -59,14 +60,21 @@ type Options struct {
 	Start time.Time
 }
 
-// bucket is one sealed time slot: an immutable sequential snapshot of
-// the reports that landed in its span.
-type bucket struct {
-	seq   uint64
-	n     int
-	agg   core.Aggregator
-	start time.Time
-	end   time.Time
+// Bucket is one sealed time slot: its slot on the ring's bucket grid and
+// an immutable sequential snapshot of the reports that landed in its
+// span.
+type Bucket struct {
+	Slot uint64
+	Agg  core.Aggregator
+}
+
+// Layout is the ring's durable shape: its sealed buckets, oldest first,
+// and the live bucket's slot and start, which anchor the bucket grid (a
+// bucket's span is LiveStart - (LiveSlot-Slot)*Bucket plus one Bucket).
+type Layout struct {
+	Sealed    []*Bucket
+	LiveSlot  uint64
+	LiveStart time.Time
 }
 
 // Ring is the time-bucketed sliding-window aggregator. Ingestion and
@@ -82,8 +90,7 @@ type Ring struct {
 	cur      atomic.Pointer[core.ShardedAggregator] // live bucket; replaced on seal
 	curSeq   uint64
 	curStart time.Time
-	sealed   []*bucket       // retained sealed buckets, seq-ascending
-	cum      core.Aggregator // merge of every retained sealed bucket
+	sealed   []*Bucket // retained sealed buckets, slot-ascending
 
 	sealedN atomic.Int64
 	ver     atomic.Uint64 // bumps after every state change; read-before-snapshot label
@@ -92,7 +99,8 @@ type Ring struct {
 }
 
 // NewRing builds a ring over p. The protocol must fold
-// (core.CheckFolds): expiry is an Unmerge of sealed state.
+// (core.CheckFolds): a folded view expires a bucket by an Unmerge of
+// its sealed state.
 func NewRing(p core.Protocol, opts Options) (*Ring, error) {
 	if err := core.CheckFolds(p); err != nil {
 		return nil, err
@@ -111,7 +119,6 @@ func NewRing(p core.Protocol, opts Options) (*Ring, error) {
 		p:       p,
 		opts:    opts,
 		buckets: uint64(opts.Window / opts.Bucket),
-		cum:     p.NewAggregator(),
 	}
 	// curSeq starts at the window capacity so seq arithmetic never
 	// underflows; the slot index is relative, only differences matter.
@@ -178,9 +185,9 @@ func (r *Ring) Advance(now time.Time) (rotated, expired int, err error) {
 }
 
 // AdvanceContext is Advance with trace propagation: when ctx carries
-// an active span, the seal loop is recorded as a "window.seal" child
-// (buckets sealed and reports frozen as attrs) and the expiry fold as
-// a "window.expire" child (buckets expired). No-op advances record
+// an active span, the seal is recorded as a "window.seal" child
+// (buckets sealed and reports frozen as attrs) and the expiry as a
+// "window.expire" child (buckets expired). No-op advances record
 // nothing.
 func (r *Ring) AdvanceContext(ctx context.Context, now time.Time) (rotated, expired int, err error) {
 	r.mu.Lock()
@@ -190,55 +197,40 @@ func (r *Ring) AdvanceContext(ctx context.Context, now time.Time) (rotated, expi
 		return 0, 0, nil
 	}
 	steps := uint64(elapsed / r.opts.Bucket)
-	if steps > r.buckets {
-		// The whole window passed while nobody rotated: every retained
-		// bucket and the live contents are out of the window. Reset
-		// wholesale instead of folding bucket by bucket.
-		_, span := trace.StartSpan(ctx, "window.expire")
-		expired = r.dropAllLocked()
-		r.curSeq += steps
-		r.curStart = r.curStart.Add(time.Duration(steps) * r.opts.Bucket)
-		rotated = int(r.buckets)
-		r.rotated.Add(steps)
-		r.ver.Add(1)
-		span.SetAttr("buckets", expired)
-		span.SetAttr("drop_all", true)
-		span.End()
-		return rotated, expired, nil
-	}
 	liveBefore := int64(r.cur.Load().N())
 	_, seal := trace.StartSpan(ctx, "window.seal")
-	for i := uint64(0); i < steps; i++ {
-		if err := r.sealLocked(); err != nil {
-			seal.SetAttr("error", err)
-			seal.End()
-			return rotated, expired, err
-		}
-		rotated++
+	// Only the first boundary can seal reports; the slots after it are
+	// empty, so the grid just moves past them. A gap longer than the
+	// window expires the bucket sealed here along with everything else.
+	if err := r.sealLocked(); err != nil {
+		seal.SetAttr("error", err)
+		seal.End()
+		return 0, 0, err
 	}
+	r.curSeq += steps - 1
+	r.curStart = r.curStart.Add(time.Duration(steps-1) * r.opts.Bucket)
+	r.rotated.Add(steps)
+	rotated = int(min(steps, r.buckets))
 	seal.SetAttr("buckets", rotated)
 	seal.SetAttr("reports_frozen", liveBefore-int64(r.cur.Load().N()))
 	seal.End()
 	_, exp := trace.StartSpan(ctx, "window.expire")
-	n, err := r.expireLocked()
-	expired += n
-	exp.SetAttr("buckets", n)
-	if err != nil {
-		exp.SetAttr("error", err)
-		exp.End()
-		return rotated, expired, err
+	for len(r.sealed) > 0 && r.sealed[0].Slot+r.buckets <= r.curSeq {
+		r.sealedN.Add(-int64(r.sealed[0].Agg.N()))
+		r.sealed[0] = nil
+		r.sealed = r.sealed[1:]
+		expired++
 	}
+	r.expired.Add(uint64(expired))
+	exp.SetAttr("buckets", expired)
 	exp.End()
-	if rotated+expired > 0 {
-		r.ver.Add(1)
-	}
+	r.ver.Add(1)
 	return rotated, expired, nil
 }
 
 // sealLocked closes the live bucket's time slot. A non-empty bucket is
-// snapshotted once, merged into the sealed-window cumulative state, and
-// frozen; an empty slot just advances the sequence, keeping the same
-// live aggregator.
+// snapshotted once and frozen; an empty slot just advances the
+// sequence, keeping the same live aggregator.
 func (r *Ring) sealLocked() error {
 	live := r.cur.Load()
 	if live.N() > 0 {
@@ -246,105 +238,79 @@ func (r *Ring) sealLocked() error {
 		if err != nil {
 			return fmt.Errorf("window: sealing bucket %d: %w", r.curSeq, err)
 		}
-		if err := r.cum.Merge(snap); err != nil {
-			return fmt.Errorf("window: sealing bucket %d: %w", r.curSeq, err)
-		}
-		r.sealed = append(r.sealed, &bucket{
-			seq:   r.curSeq,
-			n:     snap.N(),
-			agg:   snap,
-			start: r.curStart,
-			end:   r.curStart.Add(r.opts.Bucket),
-		})
+		r.sealed = append(r.sealed, &Bucket{Slot: r.curSeq, Agg: snap})
 		r.sealedN.Add(int64(snap.N()))
 		r.cur.Store(core.NewSharded(r.p, r.opts.Shards))
 	}
 	r.curSeq++
-	r.rotated.Add(1)
 	r.curStart = r.curStart.Add(r.opts.Bucket)
 	return nil
 }
 
-// expireLocked retires every sealed bucket that slid out of the window:
-// one Unmerge fold per bucket, the exact inverse of its seal-time
-// Merge.
-func (r *Ring) expireLocked() (int, error) {
-	n := 0
-	for len(r.sealed) > 0 && r.sealed[0].seq+r.buckets <= r.curSeq {
-		b := r.sealed[0]
-		if err := core.UnmergeAggregators(r.cum, b.agg); err != nil {
-			return n, fmt.Errorf("window: expiring bucket %d: %w", b.seq, err)
-		}
-		r.sealed[0] = nil
-		r.sealed = r.sealed[1:]
-		r.sealedN.Add(-int64(b.n))
-		r.expired.Add(1)
-		n++
-	}
-	return n, nil
+// Layout returns the ring's durable shape. The listed buckets are
+// immutable and shared with the ring.
+func (r *Ring) Layout() Layout {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return Layout{Sealed: append([]*Bucket(nil), r.sealed...), LiveSlot: r.curSeq, LiveStart: r.curStart}
 }
 
-// dropAllLocked discards every retained bucket and the live contents.
-func (r *Ring) dropAllLocked() int {
-	n := len(r.sealed)
-	for i := range r.sealed {
-		r.sealed[i] = nil
-	}
-	r.sealed = r.sealed[:0]
-	r.expired.Add(uint64(n))
-	r.sealedN.Store(0)
-	r.cum = r.p.NewAggregator()
-	if r.cur.Load().N() > 0 {
-		r.cur.Store(core.NewSharded(r.p, r.opts.Shards))
-		n++
-		r.expired.Add(1)
-	}
-	return n
-}
-
-// SeedRecovered folds crash-recovered state into the ring as one sealed
-// bucket sharing the live slot's sequence, so it is retained for a full
-// window after restart — the recovered reports' true arrival times are
-// gone, and keeping them the maximum plausible span is the conservative
-// choice (a window covering every bucket stays bit-identical to the
-// cumulative state across the restart). The ring takes ownership of
-// state; call before serving, ahead of the first Advance.
-func (r *Ring) SeedRecovered(state core.Aggregator) error {
-	if state == nil || state.N() == 0 {
-		return nil
-	}
+// Restore rebuilds the ring from a recovered layout and live bucket
+// state; call before serving, ahead of the first Advance. A layout
+// without a position (a data dir written by a cumulative node, or by a
+// build that did not persist buckets) keeps the ring's own anchor, so
+// everything recovered is live. Buckets that had already slid out of
+// the window are left out. The ring takes ownership of the states.
+func (r *Ring) Restore(l Layout, live core.Aggregator) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.cum.Merge(state); err != nil {
-		return fmt.Errorf("window: seeding recovered state: %w", err)
+	if !l.LiveStart.IsZero() {
+		r.curSeq, r.curStart = l.LiveSlot, l.LiveStart
 	}
-	r.sealed = append(r.sealed, &bucket{
-		seq:   r.curSeq,
-		n:     state.N(),
-		agg:   state,
-		start: r.curStart,
-		end:   r.curStart,
-	})
-	r.sealedN.Add(int64(state.N()))
+	if n := len(l.Sealed); n > 0 && l.Sealed[n-1].Slot >= r.curSeq {
+		// The newest bucket's position was lost with its file; the grid
+		// moves on to the slot after it.
+		steps := l.Sealed[n-1].Slot + 1 - r.curSeq
+		r.curSeq += steps
+		r.curStart = r.curStart.Add(time.Duration(steps) * r.opts.Bucket)
+	}
+	for _, b := range l.Sealed {
+		if b.Slot < r.curSeq && b.Slot+r.buckets > r.curSeq {
+			r.sealed = append(r.sealed, b)
+			r.sealedN.Add(int64(b.Agg.N()))
+		}
+	}
+	if live != nil && live.N() > 0 {
+		if err := r.cur.Load().Merge(live); err != nil {
+			return fmt.Errorf("window: restoring the live bucket: %w", err)
+		}
+	}
 	r.ver.Add(1)
 	return nil
 }
 
+// LiveSnapshot cuts a private aggregator holding the live bucket only:
+// what a store snapshots on a windowed node, whose sealed buckets are
+// persisted once each.
+func (r *Ring) LiveSnapshot() (core.Aggregator, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.cur.Load().Snapshot()
+}
+
 // Snapshot cuts a private aggregator holding the whole window: the
-// sealed cumulative state plus a live-bucket snapshot.
+// sealed buckets merged with a live-bucket snapshot.
 func (r *Ring) Snapshot() (core.Aggregator, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := r.p.NewAggregator()
-	if err := out.Merge(r.cum); err != nil {
-		return nil, fmt.Errorf("window: snapshot: %w", err)
-	}
-	live, err := r.cur.Load().Snapshot()
+	out, err := r.cur.Load().Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("window: snapshot: %w", err)
 	}
-	if err := out.Merge(live); err != nil {
-		return nil, fmt.Errorf("window: snapshot: %w", err)
+	for _, b := range r.sealed {
+		if err := out.Merge(b.Agg); err != nil {
+			return nil, fmt.Errorf("window: snapshot: %w", err)
+		}
 	}
 	return out, nil
 }
@@ -367,7 +333,7 @@ func (r *Ring) AppendParts(dst []core.Part) []core.Part {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, b := range r.sealed {
-		dst = append(dst, core.Part{Key: b, Agg: func(core.Aggregator) (core.Aggregator, error) { return b.agg, nil }})
+		dst = append(dst, core.Part{Key: b, Agg: func(core.Aggregator) (core.Aggregator, error) { return b.Agg, nil }})
 	}
 	if cur := r.cur.Load(); cur.N() > 0 {
 		dst = append(dst, core.Part{Key: liveKey{}, Version: r.ver.Load(), Agg: func(core.Aggregator) (core.Aggregator, error) { return cur.Snapshot() }})

@@ -341,54 +341,82 @@ func TestWindowArenaSurfacesFoldErrors(t *testing.T) {
 	}
 }
 
-// TestWindowSeedRecovered: recovered state is retained for a full
-// window after restart, then retired like any sealed bucket.
-func TestWindowSeedRecovered(t *testing.T) {
+// TestWindowRestoreMatchesTwin: a ring restored from another ring's
+// layout and live bucket serves what its never-restarted twin serves
+// across later Advance calls — seals, expiries and a gap longer than the
+// window — and a layout with no position restores everything as live.
+func TestWindowRestoreMatchesTwin(t *testing.T) {
 	p, err := core.New(core.MargHT, windowTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := p.NewAggregator()
-	recReps := windowReports(t, p, 400, 71)
-	if err := core.ConsumeAll(rec, recReps); err != nil {
-		t.Fatal(err)
-	}
-	recBytes := marshal(t, rec)
-	r, err := NewRing(p, Options{
-		Window: 3 * time.Minute,
-		Bucket: time.Minute,
-		Start:  testStart,
-	})
+	opts := Options{Window: 3 * time.Minute, Bucket: time.Minute, Start: testStart}
+	twin, err := NewRing(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.SeedRecovered(rec); err != nil {
-		t.Fatal(err)
+	reps := windowReports(t, p, 700, 71)
+	feed := func(r *Ring, i int) {
+		if err := r.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if r.N() != 400 {
-		t.Fatalf("seeded N %d, want 400", r.N())
+	for i := 0; i < 3; i++ {
+		feed(twin, i)
+		if _, _, err := twin.Advance(testStart.Add(time.Duration(i+1) * time.Minute)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap, err := r.Snapshot()
+	feed(twin, 3)
+	live, err := twin.LiveSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(marshal(t, snap), recBytes) {
-		t.Fatal("seeded window diverges from the recovered state")
-	}
-	// Two rotations: still inside the window.
-	if _, _, err := r.Advance(testStart.Add(2 * time.Minute)); err != nil {
+	// The restored ring starts on another anchor; the layout moves it.
+	restored, err := NewRing(p, Options{Window: opts.Window, Bucket: opts.Bucket, Start: testStart.Add(time.Hour)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.N() != 400 {
-		t.Fatalf("recovered state dropped early: n=%d", r.N())
-	}
-	// The third rotation completes a full window: recovered state
-	// retires.
-	if _, _, err := r.Advance(testStart.Add(3 * time.Minute)); err != nil {
+	if err := restored.Restore(twin.Layout(), live); err != nil {
 		t.Fatal(err)
 	}
-	if r.N() != 0 {
-		t.Fatalf("recovered state retained past the window: n=%d", r.N())
+	same := func(step string) {
+		t.Helper()
+		a, err := twin.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, rs := twin.Status(), restored.Status()
+		if !bytes.Equal(marshal(t, a), marshal(t, b)) || ts.SealedBuckets != rs.SealedBuckets || ts.SealedN != rs.SealedN || ts.LiveN != rs.LiveN {
+			t.Fatalf("%s: restored ring %+v differs from its twin %+v", step, rs, ts)
+		}
+	}
+	same("restore")
+	for i, at := range []time.Duration{4 * time.Minute, 5*time.Minute + 30*time.Second, 6 * time.Minute, 20 * time.Minute} {
+		for _, r := range []*Ring{twin, restored} {
+			feed(r, 4+i%3)
+			if _, _, err := r.Advance(testStart.Add(at)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same(at.String())
+	}
+
+	// No position: the recovered state is the live bucket, on the ring's
+	// own anchor.
+	upgraded, err := NewRing(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := upgraded.Restore(Layout{}, live); err != nil {
+		t.Fatal(err)
+	}
+	if st := upgraded.Status(); st.LiveN != live.N() || st.SealedBuckets != 0 {
+		t.Fatalf("position-less restore: %+v, want %d live reports", st, live.N())
 	}
 }
 
