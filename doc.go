@@ -54,8 +54,9 @@
 // from its tag picks the batch's wire shape: index (InpPS), index+sign
 // (InpHT), beta+index (MargPS), beta+index+sign (MargHT, InpHTCMS).
 // Later frames in the shape's common form — one-byte length prefix, the
-// same tag, uvarints of at most three bytes — are read inline into pooled
-// record slices; any other frame, and every frame of the bitmap shape
+// same tag, uvarints of at most three bytes — are read by a loop of the
+// shape's own, one eight-byte load and one mask compare per frame, into
+// pooled record slices; any other frame, and every frame of the bitmap shape
 // (InpRR, MargRR), falls back to the general decode for that frame. The
 // inline path never rejects and never accepts what the general path
 // would not: the accepted byte strings, the decoded reports and the
@@ -397,7 +398,9 @@
 // header on its GET /state pulls and an edge joins the propagated
 // trace id, so a single pull round reads as one tree across processes.
 // Completed traces land in a bounded in-memory ring served as JSON on
-// GET /debug/traces (also mounted on the -pprof-addr side listener);
+// GET /debug/traces (also mounted on the -pprof-addr side listener),
+// which is also where their ids and attributes are formatted: a request
+// formats nothing it does not send;
 // slow traces are logged, and background no-op work (idle pull rounds,
 // no-boundary window ticks) is discarded rather than allowed to flood
 // the ring. -log-level selects the floor of the log/slog key=value

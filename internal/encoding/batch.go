@@ -1,7 +1,9 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/wire"
@@ -21,11 +23,11 @@ import (
 //
 // Decoding. UnmarshalBatchEndsInto is the only batch decoder (the other
 // Unmarshal* entry points call it; the /report/batch handler and WAL
-// replay both go through it), and it is one loop. The reference
-// semantics are frame-at-a-time: wire.NextFrame splits a frame off,
-// Unmarshal parses it, and the tags must agree. The loop runs exactly
-// that for the first frame, whose tag fixes the batch's wire shape —
-// what follows the tag byte:
+// replay both go through it). The reference semantics are
+// frame-at-a-time: wire.NextFrame splits a frame off, Unmarshal parses
+// it, and the tags must agree. The decoder runs exactly that for the
+// first frame, whose tag fixes the batch's wire shape — what follows the
+// tag byte:
 //
 //	index              InpPS
 //	index, sign        InpHT
@@ -33,23 +35,42 @@ import (
 //	beta, index, sign  MargHT, InpHTCMS
 //	(general)          InpRR, MargRR (bitmaps)
 //
-// For the four uvarint shapes, every later frame that has the common
-// form — a one-byte length prefix, the batch's tag, uvarints of one to
-// three bytes each (minimal or not), a sign byte of 0 or 1 where the
-// shape has one, and not a byte more — is read inline, with no call per
-// report, and written to reps[n], ends[n] in place. Any frame that is
-// not of that form (a longer prefix or varint, another tag, a malformed
-// or truncated frame, the frame that would exceed maxReports) is handed,
-// whole, to the reference decode for that one frame, as is every frame
-// of a general-shape batch. So the inline path only ever accepts, and
-// only what the reference would accept with the same result; every
-// rejection, and its error text, is the reference's own. That is the
-// contract: the set of byte strings accepted, the reports and offsets
-// decoded from them, and the errors for the rest are those of a
-// frame-at-a-time decoder — malformed-but-decodable reports are the
-// attack surface of an LDP aggregator, so the fast path may not widen
-// it by a single byte string. FuzzBatchDecodeMatchesFrames holds the
-// decoder to it against a reference written in the test.
+// For the four uvarint shapes, every later frame of the common form — a
+// one-byte length prefix, the batch's tag, uvarints of one to three
+// bytes each (minimal or not), a sign byte of 0 or 1 where the shape
+// has one, and not a byte more — is decoded by a loop of the shape's
+// own, with no call per report, into reps[n], ends[n] in place:
+//
+//   - One load reads the frame: the eight bytes after the length
+//     prefix, as one little-endian word, hold the tag and the whole
+//     payload (the longest common-form frame, beta, index and sign, is
+//     exactly eight). The bytes past the frame — the next frames — are
+//     masked off. Where fewer than eight bytes remain, the last frames
+//     of a body, the remaining bytes are gathered into a zeroed word
+//     instead, and the frame must end within them.
+//   - The length byte gives the varint widths: size - 1 for an index
+//     alone, size - 2 for an index and a sign; in the beta shapes the
+//     beta ends at its first clear continuation bit and the index takes
+//     the rest. Each width must be 1 to 3 bytes.
+//   - One mask and one compare check the tag byte, the index's
+//     continuation bits — set on every byte but its last — and, in the
+//     signed shapes, that the sign byte has no bit but the lowest. The
+//     values are the seven-bit groups of the masked word, packed.
+//
+// Any frame that is not of that form (a longer prefix or varint, another
+// tag, a malformed or truncated frame, the frame that would exceed
+// maxReports) is handed, whole, to the reference decode for that one
+// frame, as is every frame of a general-shape batch; the loop then
+// resumes. So the word loops only ever accept, and only what the
+// reference would accept with the same result; every rejection, and its
+// error text, is the reference's own. That is the contract: the set of
+// byte strings accepted, the reports and offsets decoded from them, and
+// the errors for the rest are those of a frame-at-a-time decoder —
+// malformed-but-decodable reports are the attack surface of an LDP
+// aggregator, so the fast path may not widen it by a single byte string.
+// FuzzBatchDecodeMatchesFrames holds the decoder to it against a
+// reference written in the test, with seeds that put every kind of odd
+// frame both mid-body and last behind 40 frames of each inline shape.
 
 // MaxFrameBytes bounds a single frame within a batch (the largest legal
 // report is InpRR at d=20: 2^20 bits = 128 KiB, plus framing).
@@ -121,44 +142,19 @@ func UnmarshalBatchEndsInto(buf []byte, maxReports int, reps []core.Report, ends
 			ends = append(ends, 0)
 			ends = ends[:cap(ends)]
 		}
-		// Inline path: the frame is buf[off+1 : off+1+size], its first
-		// byte the tag, the rest p.
-		if size := int(buf[off]); sh != shapeGeneral && (maxReports <= 0 || n < maxReports) &&
-			size >= 2 && size < 0x80 && off+1+size <= len(buf) && Tag(buf[off+1]) == tag {
-			p := buf[off+2 : off+1+size]
-			var (
-				beta, idx uint64
-				sign      int8
-				ok        = true
-			)
-			if sh&shapeBeta != 0 {
-				v, w := uvarint3(p)
-				beta, p, ok = v, p[w:], w > 0
+		if sh != shapeGeneral {
+			limit := min(len(reps), len(ends))
+			if maxReports > 0 {
+				limit = min(limit, maxReports)
 			}
-			if ok {
-				v, w := uvarint3(p)
-				idx, p, ok = v, p[w:], w > 0
-			}
-			if ok && sh&shapeSign != 0 {
-				if ok = len(p) == 1 && p[0] <= 1; ok {
-					sign, p = int8(p[0])*2-1, nil
+			if n < limit {
+				n, off = sh.decode(buf, off, tag, reps[:limit], ends[:limit], n)
+				if off == len(buf) || n == len(reps) || n == len(ends) {
+					continue // done, or out of room: grow and go on
 				}
-			}
-			if ok && len(p) == 0 {
-				off += 1 + size
-				r := &reps[n]
-				r.Beta, r.Index, r.Sign = beta, idx, sign
-				// A pointer store costs a write-barrier check per report;
-				// a reused slot of these shapes already holds nil.
-				if r.Bits != nil {
-					r.Bits = nil
-				}
-				ends[n] = off
-				n++
-				continue
 			}
 		}
-		// Reference path, in the reference's order of checks.
+		// Reference path for one frame, in the reference's order of checks.
 		frame, rest, err := wire.NextFrame(buf[off:], MaxFrameBytes)
 		if err != nil {
 			return 0, nil, nil, fmt.Errorf("encoding: batch frame %d: %w", n, err)
@@ -212,23 +208,157 @@ func shapeOf(tag Tag) shape {
 	return shapeGeneral
 }
 
-// uvarint3 reads a uvarint of one to three bytes (21 bits: every index
-// and marginal mask up to d = 21) off the front of b, accepting
-// non-minimal forms as binary.Uvarint does. w == 0 means b does not
-// start with one — it is empty, cut short, or the varint is longer —
-// and the caller falls back to the reference decode.
-func uvarint3(b []byte) (v uint64, w int) {
-	if len(b) >= 1 && b[0] < 0x80 {
-		return uint64(b[0]), 1
+// decode reads common-form frames of shape sh and tag from buf[off:]
+// into reps[n:] and ends[n:], for as long as there are such frames and
+// room for them, and returns how far it got. Each shape has its own
+// loop.
+func (sh shape) decode(buf []byte, off int, tag Tag, reps []core.Report, ends []int, n int) (int, int) {
+	switch sh {
+	case shapeIndex:
+		return decodeIndex(buf, off, tag, reps, ends, n)
+	case shapeIndex | shapeSign:
+		return decodeIndexSign(buf, off, tag, reps, ends, n)
+	case shapeIndex | shapeBeta:
+		return decodeBetaIndex(buf, off, tag, reps, ends, n)
 	}
-	// From here b[0], and then b[1], carry the continuation bit: 0x80 at
-	// place value 1, then 1<<7, subtracted as one constant. (Written to
-	// fit the compiler's inlining budget; keep it there.)
-	if len(b) >= 2 && b[1] < 0x80 {
-		return uint64(b[0]) + uint64(b[1])<<7 - 0x80, 2
+	return decodeBetaIndexSign(buf, off, tag, reps, ends, n)
+}
+
+// contBits masks the continuation bit of every byte of a word.
+const contBits = 0x8080808080808080
+
+// wordAfter is the eight bytes after buf[off], read as one
+// little-endian word: a frame's tag in the low byte, then its payload,
+// then whatever follows in buf (the next frames), or zeros past its
+// end; callers mask off what is not the frame's.
+func wordAfter(buf []byte, off int) uint64 {
+	if off+9 <= len(buf) {
+		return binary.LittleEndian.Uint64(buf[off+1 : off+9])
 	}
-	if len(b) >= 3 && b[2] < 0x80 {
-		return uint64(b[0]) + uint64(b[1])<<7 + uint64(b[2])<<14 - 0x4080, 3
+	return tailWord(buf[off+1:])
+}
+
+// tailWord is the little-endian word of the fewer than eight bytes of
+// tail, zero-padded: the load for the last frames of a body, assembled
+// byte by byte so that the loops around it make no call.
+func tailWord(tail []byte) uint64 {
+	var w uint64
+	for i := len(tail) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(tail[i])
 	}
-	return 0, 0
+	return w
+}
+
+// bytesMask covers the low b (0 to 7) bytes of a word.
+func bytesMask(b uint) uint64 { return 1<<(8*b&63) - 1 }
+
+// frameOK reports whether the frame word w has tag in byte 0, a uvarint
+// of exactly b-a bytes in bytes a to b-1 — the continuation bit set on
+// all but the last — and, when signed, a sign byte of 0 or 1 in byte b:
+// one mask and one compare. The bytes before a are the caller's to
+// check; b-a must be 1 to 3 and b at most 7.
+func frameOK(w uint64, tag Tag, a, b uint, signed bool) bool {
+	cont := (bytesMask(b) &^ bytesMask(a)) & contBits
+	check := 0xff | cont
+	if signed {
+		check |= 0xfe << (8 * b & 63)
+	}
+	return w&check == uint64(tag)|cont&bytesMask(b-1)
+}
+
+// uvarintAt is the value of the uvarint in bytes a to b-1 of w, at most
+// three bytes: the seven value bits of each byte, packed.
+func uvarintAt(w uint64, a, b uint) uint64 {
+	p := w & bytesMask(b) >> (8 * a & 63)
+	return p&0x7f | p>>1&0x3f80 | p>>2&0x1fc000
+}
+
+// signAt is the report sign of the 0-or-1 sign byte b of w.
+func signAt(w uint64, b uint) int8 { return int8(w>>(8*b&63)&1)*2 - 1 }
+
+// betaEnd is where the beta uvarint that starts at byte 1 of w ends:
+// one past its first byte with a clear continuation bit, or 5 when
+// bytes 1 to 3 all have theirs set (a beta of more than three bytes).
+func betaEnd(w uint64) uint {
+	return uint(bits.TrailingZeros64(^w&0x80808000|1<<39))/8 + 1
+}
+
+// setReport writes a decoded report of the uvarint shapes into r.
+func setReport(r *core.Report, beta, idx uint64, sign int8) {
+	r.Beta, r.Index, r.Sign = beta, idx, sign
+	// A pointer store costs a write-barrier check per report; a reused
+	// slot of these shapes already holds nil.
+	if r.Bits != nil {
+		r.Bits = nil
+	}
+}
+
+// decodeIndex is the InpPS loop: the payload is one uvarint, so its
+// width is size - 1.
+func decodeIndex(buf []byte, off int, tag Tag, reps []core.Report, ends []int, n int) (int, int) {
+	ends = ends[:len(reps)]
+	for n < len(reps) && off < len(buf) {
+		size, w := uint(buf[off]), wordAfter(buf, off)
+		if size-2 > 2 || off+1+int(size) > len(buf) || !frameOK(w, tag, 1, size, false) {
+			break
+		}
+		off += 1 + int(size)
+		setReport(&reps[n], 0, uvarintAt(w, 1, size), 0)
+		ends[n] = off
+		n++
+	}
+	return n, off
+}
+
+// decodeIndexSign is the InpHT loop: a uvarint of size - 2 bytes, then
+// the sign byte.
+func decodeIndexSign(buf []byte, off int, tag Tag, reps []core.Report, ends []int, n int) (int, int) {
+	ends = ends[:len(reps)]
+	for n < len(reps) && off < len(buf) {
+		size, w := uint(buf[off]), wordAfter(buf, off)
+		if size-3 > 2 || off+1+int(size) > len(buf) || !frameOK(w, tag, 1, size-1, true) {
+			break
+		}
+		off += 1 + int(size)
+		setReport(&reps[n], 0, uvarintAt(w, 1, size-1), signAt(w, size-1))
+		ends[n] = off
+		n++
+	}
+	return n, off
+}
+
+// decodeBetaIndex is the MargPS loop: two uvarints, the beta up to its
+// first clear continuation bit and the index the rest of the frame.
+func decodeBetaIndex(buf []byte, off int, tag Tag, reps []core.Report, ends []int, n int) (int, int) {
+	ends = ends[:len(reps)]
+	for n < len(reps) && off < len(buf) {
+		size, w := uint(buf[off]), wordAfter(buf, off)
+		a := betaEnd(w)
+		if a > 4 || size-a-1 > 2 || off+1+int(size) > len(buf) || !frameOK(w, tag, a, size, false) {
+			break
+		}
+		off += 1 + int(size)
+		setReport(&reps[n], uvarintAt(w, 1, a), uvarintAt(w, a, size), 0)
+		ends[n] = off
+		n++
+	}
+	return n, off
+}
+
+// decodeBetaIndexSign is the MargHT and InpHTCMS loop: two uvarints as
+// in decodeBetaIndex, then the sign byte.
+func decodeBetaIndexSign(buf []byte, off int, tag Tag, reps []core.Report, ends []int, n int) (int, int) {
+	ends = ends[:len(reps)]
+	for n < len(reps) && off < len(buf) {
+		size, w := uint(buf[off]), wordAfter(buf, off)
+		a := betaEnd(w)
+		if a > 4 || size-a-2 > 2 || off+1+int(size) > len(buf) || !frameOK(w, tag, a, size-1, true) {
+			break
+		}
+		off += 1 + int(size)
+		setReport(&reps[n], uvarintAt(w, 1, a), uvarintAt(w, a, size-1), signAt(w, size-1))
+		ends[n] = off
+		n++
+	}
+	return n, off
 }

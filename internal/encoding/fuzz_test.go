@@ -209,6 +209,9 @@ func FuzzBatchDecodeMatchesFrames(f *testing.F) {
 	f.Add([]byte{0x02, 7, 0x05, 0x02, 7, 0x05})                                            // retired InpEM tag
 	f.Add(append(batch("InpPS", ps), 0x02, 8, 0x05))                                       // retired InpOLH tag
 	f.Add([]byte{})
+	for _, seed := range wordPathSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		checkMatchesFrames(t, buf, maxReports, nil, nil)
 		checkMatchesFrames(t, buf, 0, nil, nil)
@@ -218,4 +221,96 @@ func FuzzBatchDecodeMatchesFrames(f *testing.F) {
 		}
 		checkMatchesFrames(t, buf, 0, dirty, []int{9})
 	})
+}
+
+// wordPathSeeds places unusual and malformed frames where the batch
+// decoder reads frames by whole-word loads: for each of the four inline
+// shapes, after 40 valid frames of the shape (indices of one to three
+// bytes), once followed by 40 more (so the word loaded for it runs into
+// the next frames) and once as the body's last frame (the zero-padded
+// tail load).
+func wordPathSeeds(t testing.TB) [][]byte {
+	t.Helper()
+	framed := func(body ...byte) []byte { return append([]byte{byte(len(body))}, body...) }
+	var seeds [][]byte
+	for _, name := range []string{"InpPS", "InpHT", "MargPS", "MargHT"} {
+		tag, err := TagForProtocol(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := shapeOf(tag)
+		valid := make([]core.Report, 40)
+		for i := range valid {
+			valid[i] = core.Report{Index: uint64(i*i*i*97) % (1 << 21), Sign: int8(i%2)*2 - 1}
+			if sh&shapeBeta != 0 {
+				valid[i].Beta = uint64(i*i*131) % (1 << 21)
+			}
+		}
+		run, err := MarshalBatch(name, valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// pre and post are what surrounds the index in a frame of this
+		// shape: beta 3 before it and sign +1 after, where the shape has
+		// them; body is such a frame body around the given index bytes.
+		var pre, post []byte
+		if sh&shapeBeta != 0 {
+			pre = []byte{0x03}
+		}
+		if sh&shapeSign != 0 {
+			post = []byte{0x01}
+		}
+		body := func(index ...byte) []byte {
+			b := append([]byte{byte(tag)}, pre...)
+			return append(append(b, index...), post...)
+		}
+		plain := body(0x05)
+		odd := [][]byte{
+			framed(body(0x85, 0x00)...),                                   // non-minimal index
+			framed(body(0x80, 0x80, 0x00)...),                             // non-minimal three-byte zero
+			framed(body(0x80, 0x80, 0x01)...),                             // 2^14, the least three-byte index
+			framed(body(0xff, 0xff, 0x7f)...),                             // 2^21 - 1, the largest
+			framed(body(0x80, 0x80, 0x80, 0x01)...),                       // four-byte index
+			append([]byte{0x80 | byte(len(plain)), 0x00}, plain...),       // two-byte length prefix
+			framed(append(body(0x05), 0x00)...),                           // trailing byte
+			framed(plain[:len(plain)-1]...),                               // last byte missing
+			framed(append(append([]byte{byte(tag)}, pre...), post...)...), // index missing
+			framed(append(append([]byte{byte(tag)}, pre...), 0x85)...),    // index cut short by the frame: the next frame's prefix would end it
+			{byte(len(plain) + 1), byte(tag), 0x80},                       // frame body cut short
+			{0x80},                                                        // length prefix cut short
+			{0xff, 0xff, 0x7f},                                            // over MaxFrameBytes
+			{0x00},                                                        // empty frame
+			{0x01, byte(tag)},                                             // tag only
+			{0x02, 0x63, 0x01},                                            // unknown tag
+			append([]byte{0x81, 0x01}, make([]byte, 129)...),              // a >=128-byte frame
+			{0x02, 7, 0x05},                                               // retired InpEM tag
+			framed(byte(TagMargHT), 0x03, 0x05, 0x01),                     // another shape's tag
+			framed(byte(TagInpPS), 0x05),                                  // and another's
+		}
+		if sh&shapeSign != 0 {
+			odd = append(odd,
+				framed(append(append([]byte{byte(tag)}, pre...), 0x05, 0x02)...), // sign byte not 0 or 1
+				framed(append(append([]byte{byte(tag)}, pre...), 0x05, 0xff)...), // nor anything with the low bit
+			)
+		}
+		if sh&shapeBeta != 0 {
+			withBeta := func(beta ...byte) []byte {
+				b := append([]byte{byte(tag)}, beta...)
+				return framed(append(append(b, 0x05), post...)...)
+			}
+			odd = append(odd,
+				withBeta(0x80, 0x00),             // non-minimal beta
+				withBeta(0x80, 0x80, 0x80, 0x01), // four-byte beta
+				withBeta(0xff, 0xff, 0x7f),       // largest three-byte beta
+				framed(byte(tag), 0x03),          // beta alone
+				framed(append([]byte{byte(tag), 0xff, 0xff, 0x7f, 0xff, 0xff, 0x7f}, post...)...), // three-byte beta and index: the longest inline frame
+			)
+		}
+		for _, frame := range odd {
+			mid := append(append(append([]byte(nil), run...), frame...), run...)
+			last := append(append([]byte(nil), run...), frame...)
+			seeds = append(seeds, mid, last)
+		}
+	}
+	return seeds
 }

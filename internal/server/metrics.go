@@ -237,6 +237,11 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// traceIDHeader is the reply header echoing a request's trace id, in
+// the canonical form http.Header stores it under (clients may spell it
+// X-LDP-Trace-Id; header lookups fold case).
+const traceIDHeader = "X-Ldp-Trace-Id"
+
 // instrument wraps the route mux with the request middleware: in-flight
 // gauge, per-endpoint latency histogram, status-class counters, and one
 // root trace span per request. A W3C traceparent header joins the
@@ -246,7 +251,9 @@ func (r *statusRecorder) WriteHeader(code int) {
 // X-LDP-Trace-Id so clients can quote it, and request logging at debug
 // (warn on 5xx) carries the same id so logs and traces correlate.
 // /debug/traces itself is exempt from tracing — scraping the ring must
-// not fill the ring with scrape traces.
+// not fill the ring with scrape traces. The accounting runs deferred: a
+// handler that panics (net/http recovers it and drops the connection)
+// is counted and traced as a 500, and the panic goes on unchanged.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	h := s.ins.http
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -263,30 +270,37 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			} else {
 				ctx, span = s.tracer.StartRoot(ctx, "http.request")
 			}
-			span.SetAttr("method", r.Method)
-			span.SetAttr("path", r.URL.Path)
-			w.Header().Set("X-LDP-Trace-Id", span.TraceID().String())
+			span.SetString("method", r.Method)
+			span.SetString("path", r.URL.Path)
+			w.Header()[traceIDHeader] = []string{span.TraceID().String()}
 			r = r.WithContext(ctx)
 		}
 		h.inflight.Inc()
 		rec := statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
-		next.ServeHTTP(&rec, r)
-		elapsed := time.Since(start)
-		pi.latency.Observe(elapsed.Seconds())
-		if class := rec.code/100 - 2; class >= 0 && class < len(pi.codes) {
-			pi.codes[class].Inc()
-		}
-		h.inflight.Dec()
-		if traced {
-			span.SetAttr("status", rec.code)
-			if rec.code >= 500 {
-				s.log.Warn("request failed", "trace", span.TraceID().String(), "method", r.Method, "path", r.URL.Path, "status", rec.code, "dur", elapsed)
-			} else if s.log.Enabled(r.Context(), slog.LevelDebug) {
-				s.log.Debug("request", "trace", span.TraceID().String(), "method", r.Method, "path", r.URL.Path, "status", rec.code, "dur", elapsed)
+		returned := false
+		defer func() {
+			if !returned {
+				rec.code = http.StatusInternalServerError
 			}
-			span.End()
-		}
+			elapsed := time.Since(start)
+			pi.latency.Observe(elapsed.Seconds())
+			if class := rec.code/100 - 2; class >= 0 && class < len(pi.codes) {
+				pi.codes[class].Inc()
+			}
+			h.inflight.Dec()
+			if traced {
+				span.SetInt("status", int64(rec.code))
+				if rec.code >= 500 {
+					s.log.Warn("request failed", "trace", span.TraceID().String(), "method", r.Method, "path", r.URL.Path, "status", rec.code, "dur", elapsed)
+				} else if s.log.Enabled(r.Context(), slog.LevelDebug) {
+					s.log.Debug("request", "trace", span.TraceID().String(), "method", r.Method, "path", r.URL.Path, "status", rec.code, "dur", elapsed)
+				}
+				span.End()
+			}
+		}()
+		next.ServeHTTP(&rec, r)
+		returned = true
 	})
 }
 
@@ -358,7 +372,7 @@ const FaultIngestAdmit = "server.ingest.admit"
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, shedCounter *metrics.Counter) bool {
 	_, span := trace.StartSpan(r.Context(), "ingest.admission")
 	ok := fault.Hit(FaultIngestAdmit) == nil && s.adm.acquire(r)
-	span.SetAttr("admitted", ok)
+	span.SetBool("admitted", ok)
 	span.End()
 	if !ok {
 		s.shed(w, r, shedCounter)

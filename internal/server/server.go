@@ -1002,9 +1002,10 @@ func (in *ingestPipeline) fanOutChunks(ctx context.Context, reps []core.Report, 
 // encoding.UnmarshalBatchEndsInto), so nothing an aggregator could have
 // retained is ever overwritten.
 type batchBuffers struct {
-	body []byte
-	reps []core.Report
-	ends []int
+	body  []byte
+	reps  []core.Report
+	ends  []int
+	reply [32]byte // room for the all-accepted reply
 }
 
 var batchBufPool = sync.Pool{New: func() any { return new(batchBuffers) }}
@@ -1176,7 +1177,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ins.ingestBatches.Inc()
-	writeJSON(w, BatchResponse{Accepted: accepted})
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(appendAcceptedReply(bufs.reply[:0], accepted))
+}
+
+// appendAcceptedReply appends the reply to an all-accepted batch of n
+// reports: the bytes json.Encoder writes for BatchResponse{Accepted: n},
+// built without reflection.
+func appendAcceptedReply(dst []byte, n int) []byte {
+	dst = append(dst, `{"accepted":`...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	return append(dst, "}\n"...)
 }
 
 // chargeBudget spends count reports against the caller's windowed
@@ -1761,8 +1772,12 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// jsonContentType is the Content-Type header value of every JSON reply,
+// shared by all of them (capped, so an append copies it).
+var jsonContentType = []string{"application/json"}[:1:1]
+
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Headers are already out; nothing recoverable remains.
 		return

@@ -599,8 +599,8 @@ func (s *Store) IngestContext(ctx context.Context, batch []byte, apply func() (r
 		// caller must not modify the bytes after this point (the server
 		// hands over per-request bodies, which nothing reuses).
 		ctx, span := trace.StartSpan(ctx, "wal.append")
-		span.SetAttr("reports", consumed)
-		span.SetAttr("bytes", nbytes)
+		span.SetInt("reports", int64(consumed))
+		span.SetInt("bytes", int64(nbytes))
 		t0 := time.Now()
 		if s.opts.Fsync == FsyncAlways {
 			req := &walReq{buf: batch[:nbytes], sync: true, done: make(chan walRes, 1)}

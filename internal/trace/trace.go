@@ -16,9 +16,16 @@
 //     When the context carries no span, StartSpan returns a nil *Span
 //     whose methods all no-op, so instrumented layers never branch on
 //     "is tracing on".
-//   - Ending a span appends one immutable record to the trace under the
+//   - Ending a span freezes it and appends it to the trace under the
 //     trace's mutex; readers (the /debug/traces handler) only ever see
-//     finished records, so scraping races nothing.
+//     finished spans, so scraping races nothing.
+//   - Nothing is formatted while a request runs. A span keeps its ids
+//     as bytes and its string, int and bool attributes as values; the
+//     root span lives inside its trace record, so a request's root
+//     costs one allocation; and the ring of completed traces is a
+//     circular buffer, so publishing a trace moves no other. Ids,
+//     attribute values and timings are formatted only when a snapshot
+//     is taken (Tracer.Snapshot, GET /debug/traces).
 //
 // Every trace is recorded (there is no sampling): the ring is bounded,
 // spans per trace are capped (overflow counts as dropped, never
@@ -33,6 +40,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/textproto"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +50,10 @@ import (
 // TraceParentHeader is the W3C trace-context header carrying a trace
 // across process boundaries.
 const TraceParentHeader = "traceparent"
+
+// traceParentKey is TraceParentHeader in the canonical form http.Header
+// stores it under.
+var traceParentKey = textproto.CanonicalMIMEHeaderKey(TraceParentHeader)
 
 // maxSpansPerTrace caps one trace's record list; spans ended beyond it
 // are counted in Stats.DroppedSpans instead of growing without bound
@@ -63,11 +76,19 @@ func (t TraceID) IsZero() bool { return t == TraceID{} }
 // IsZero reports whether the id is the invalid all-zero id.
 func (s SpanID) IsZero() bool { return s == SpanID{} }
 
-func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
-func (s SpanID) String() string  { return hex.EncodeToString(s[:]) }
+func (t TraceID) String() string {
+	var b [2 * len(t)]byte
+	hex.Encode(b[:], t[:])
+	return string(b[:])
+}
 
-// Attr is one span attribute. Values are stringified at set time, so a
-// record never retains references into request state.
+func (s SpanID) String() string {
+	var b [2 * len(s)]byte
+	hex.Encode(b[:], s[:])
+	return string(b[:])
+}
+
+// Attr is one span attribute as rendered on /debug/traces.
 type Attr struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
@@ -94,35 +115,78 @@ type SpanRecord struct {
 	Events            []Event `json:"events,omitempty"`
 }
 
-// traceData is the shared record of one trace: every finished span,
-// appended under mu. The root span holds it and hands it to children
-// through the context.
+// inlineSpans is how many finished spans a trace holds before its span
+// list spills to the heap; an ingest request ends two.
+const inlineSpans = 4
+
+// traceData is the shared record of one trace: its root span, every
+// finished span (appended under mu), and, once the root has ended, when
+// that was. The root span hands it to children through the context.
 type traceData struct {
 	tracer  *Tracer
 	traceID TraceID
-	start   time.Time // root span start; offsets are relative to it
-	remote  bool      // the trace began in another process
+	remote  bool // the trace began in another process
+	root    Span // its start is the trace's; offsets are relative to it
+	endedAt time.Time
 
-	mu      sync.Mutex
-	spans   []SpanRecord
-	dropped int
+	mu        sync.Mutex
+	spans     []*Span // finished, in the order they ended
+	spanSlots [inlineSpans]*Span
+	dropped   int
 }
+
+// attrKind says which field of an attr holds its value.
+type attrKind uint8
+
+const (
+	attrString attrKind = iota
+	attrInt
+	attrBool
+)
+
+// attr is one attribute as a span keeps it: the value unformatted.
+type attr struct {
+	key  string
+	str  string
+	num  int64
+	kind attrKind
+}
+
+// text is the attribute's value as /debug/traces renders it — what
+// fmt.Sprint renders for the value set.
+func (a *attr) text() string {
+	switch a.kind {
+	case attrInt:
+		return strconv.FormatInt(a.num, 10)
+	case attrBool:
+		return strconv.FormatBool(a.num != 0)
+	}
+	return a.str
+}
+
+// inlineAttrs is how many attributes a span holds before its attribute
+// list spills to the heap; an ingest request's root sets three.
+const inlineAttrs = 4
 
 // Span is one in-flight operation. A nil *Span is valid and inert, so
 // instrumented code paths never need to check whether tracing is
 // active. All methods are safe for use by the single goroutine running
 // the operation; distinct spans of one trace may run concurrently.
+// Once ended, a span is immutable: later attributes and events are
+// dropped, and the trace's readers see it as it was at End.
 type Span struct {
 	td     *traceData
 	id     SpanID
 	parent SpanID
 	name   string
 	start  time.Time
+	dur    time.Duration // set by End
 	root   bool
 
-	attrs  []Attr
-	events []Event
-	ended  atomic.Bool
+	attrs     []attr
+	attrSlots [inlineAttrs]attr
+	events    []Event
+	ended     atomic.Bool
 }
 
 // TraceID returns the span's trace id (zero for a nil span).
@@ -141,27 +205,60 @@ func (s *Span) SpanID() SpanID {
 	return s.id
 }
 
-// SetAttr records a key/value attribute on the span. The value is
-// stringified immediately.
+// SetAttr records a key/value attribute on the span, rendered as
+// fmt.Sprint renders the value. Strings, ints and bools are kept as
+// they are and formatted when a snapshot is taken; an error, and any
+// other value, is formatted now, so a span never retains references
+// into request state. The typed setters do the same without boxing the
+// value.
 func (s *Span) SetAttr(key string, value any) {
 	if s == nil {
 		return
 	}
-	var v string
 	switch x := value.(type) {
 	case string:
-		v = x
+		s.SetString(key, x)
+	case int:
+		s.SetInt(key, int64(x))
+	case int64:
+		s.SetInt(key, x)
+	case bool:
+		s.SetBool(key, x)
 	case error:
-		v = x.Error()
+		s.SetString(key, x.Error())
 	default:
-		v = fmt.Sprint(x)
+		s.SetString(key, fmt.Sprint(x))
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
+}
+
+// SetString records a string attribute.
+func (s *Span) SetString(key, value string) { s.addAttr(attr{key: key, str: value, kind: attrString}) }
+
+// SetInt records an integer attribute.
+func (s *Span) SetInt(key string, value int64) { s.addAttr(attr{key: key, num: value, kind: attrInt}) }
+
+// SetBool records a boolean attribute.
+func (s *Span) SetBool(key string, value bool) {
+	a := attr{key: key, kind: attrBool}
+	if value {
+		a.num = 1
+	}
+	s.addAttr(a)
+}
+
+func (s *Span) addAttr(a attr) {
+	if s == nil || s.ended.Load() {
+		return
+	}
+	if s.attrs == nil {
+		s.attrs = s.attrSlots[:0]
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // AddEvent records a timestamped annotation inside the span.
 func (s *Span) AddEvent(msg string) {
-	if s == nil {
+	if s == nil || s.ended.Load() {
 		return
 	}
 	s.events = append(s.events, Event{
@@ -170,7 +267,7 @@ func (s *Span) AddEvent(msg string) {
 	})
 }
 
-// End finishes the span, appending its immutable record to the trace.
+// End finishes the span, freezing it and appending it to the trace.
 // Ending the root additionally publishes the trace into the tracer's
 // ring (and the slow-trace log when it qualifies). End is idempotent;
 // only the first call records.
@@ -179,21 +276,14 @@ func (s *Span) End() {
 		return
 	}
 	now := time.Now()
-	rec := SpanRecord{
-		SpanID:            s.id.String(),
-		Name:              s.name,
-		StartOffsetMicros: s.start.Sub(s.td.start).Microseconds(),
-		DurationMicros:    now.Sub(s.start).Microseconds(),
-		Attrs:             s.attrs,
-		Events:            s.events,
-	}
-	if !s.parent.IsZero() {
-		rec.ParentID = s.parent.String()
-	}
+	s.dur = now.Sub(s.start)
 	td := s.td
 	td.mu.Lock()
+	if td.spans == nil {
+		td.spans = td.spanSlots[:0]
+	}
 	if len(td.spans) < maxSpansPerTrace {
-		td.spans = append(td.spans, rec)
+		td.spans = append(td.spans, s)
 	} else {
 		td.dropped++
 	}
@@ -201,8 +291,30 @@ func (s *Span) End() {
 	tr := td.tracer
 	tr.spansTotal.Add(1)
 	if s.root {
-		tr.record(td, rec, now)
+		td.endedAt = now
+		tr.record(td)
 	}
+}
+
+// render formats the finished span s of trace td for /debug/traces.
+func (td *traceData) render(s *Span) SpanRecord {
+	rec := SpanRecord{
+		SpanID:            s.id.String(),
+		Name:              s.name,
+		StartOffsetMicros: s.start.Sub(td.root.start).Microseconds(),
+		DurationMicros:    s.dur.Microseconds(),
+		Events:            s.events,
+	}
+	if !s.parent.IsZero() {
+		rec.ParentID = s.parent.String()
+	}
+	if len(s.attrs) > 0 {
+		rec.Attrs = make([]Attr, len(s.attrs))
+		for i := range s.attrs {
+			rec.Attrs[i] = Attr{Key: s.attrs[i].key, Value: s.attrs[i].text()}
+		}
+	}
+	return rec
 }
 
 // Discard abandons a root span without recording its trace — for
@@ -269,21 +381,13 @@ type Tracer struct {
 	opts Options
 
 	mu   sync.Mutex
-	ring []*completedTrace // newest last; len <= capacity
-	seq  uint64
+	ring []*traceData // circular; len == capacity
+	next int          // the slot the next completed trace goes to
+	held int          // completed traces in the ring, <= capacity
 
 	spansTotal   atomic.Uint64
 	tracesTotal  atomic.Uint64
 	droppedTotal atomic.Uint64
-}
-
-// completedTrace pairs a finished root with its trace record.
-type completedTrace struct {
-	td       *traceData
-	root     SpanRecord
-	endedAt  time.Time
-	duration time.Duration
-	seq      uint64
 }
 
 // New builds a tracer.
@@ -291,7 +395,7 @@ func New(opts Options) *Tracer {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	return &Tracer{opts: opts}
+	return &Tracer{opts: opts, ring: make([]*traceData, opts.Capacity)}
 }
 
 // StartRoot opens a fresh root span with a new trace id.
@@ -313,22 +417,17 @@ func (t *Tracer) startRoot(ctx context.Context, name string, traceID TraceID, pa
 	if t == nil {
 		return ctx, nil
 	}
-	now := time.Now()
-	td := &traceData{tracer: t, traceID: traceID, start: now, remote: remote}
-	root := &Span{
-		td:     td,
-		id:     newSpanID(),
-		parent: parent,
-		name:   name,
-		start:  now,
-		root:   true,
-	}
+	td := &traceData{tracer: t, traceID: traceID, remote: remote}
+	root := &td.root
+	root.td, root.id, root.parent, root.name, root.root = td, newSpanID(), parent, name, true
+	root.start = time.Now()
 	return ContextWith(ctx, root), root
 }
 
-// record publishes a finished trace into the ring.
-func (t *Tracer) record(td *traceData, root SpanRecord, endedAt time.Time) {
-	d := time.Duration(root.DurationMicros) * time.Microsecond
+// record publishes a trace whose root has ended into the ring,
+// overwriting the oldest once the ring is full.
+func (t *Tracer) record(td *traceData) {
+	d := td.root.dur.Truncate(time.Microsecond)
 	t.tracesTotal.Add(1)
 	td.mu.Lock()
 	dropped := td.dropped
@@ -337,17 +436,12 @@ func (t *Tracer) record(td *traceData, root SpanRecord, endedAt time.Time) {
 		t.droppedTotal.Add(uint64(dropped))
 	}
 	t.mu.Lock()
-	t.seq++
-	ct := &completedTrace{td: td, root: root, endedAt: endedAt, duration: d, seq: t.seq}
-	if len(t.ring) >= t.opts.Capacity {
-		copy(t.ring, t.ring[1:])
-		t.ring[len(t.ring)-1] = ct
-	} else {
-		t.ring = append(t.ring, ct)
-	}
+	t.ring[t.next] = td
+	t.next = (t.next + 1) % len(t.ring)
+	t.held = min(t.held+1, len(t.ring))
 	t.mu.Unlock()
 	if t.opts.SlowLog != nil && t.opts.SlowThreshold > 0 && d >= t.opts.SlowThreshold {
-		t.opts.SlowLog(td.traceID.String(), root.Name, d)
+		t.opts.SlowLog(td.traceID.String(), td.root.name, d)
 	}
 }
 
@@ -367,7 +461,7 @@ type Stats struct {
 // Stats reports the tracer's counters.
 func (t *Tracer) Stats() Stats {
 	t.mu.Lock()
-	retained := len(t.ring)
+	retained := t.held
 	t.mu.Unlock()
 	return Stats{
 		Spans:        t.spansTotal.Load(),
@@ -403,11 +497,14 @@ type TracesResponse struct {
 	DroppedSpans    uint64 `json:"dropped_spans_total"`
 }
 
-// Snapshot renders the retained traces, newest first.
+// Snapshot renders the retained traces, newest first. This is where
+// ids, attribute values and timings are formatted.
 func (t *Tracer) Snapshot() TracesResponse {
 	t.mu.Lock()
-	ring := make([]*completedTrace, len(t.ring))
-	copy(ring, t.ring)
+	ring := make([]*traceData, t.held)
+	for i := range ring {
+		ring[i] = t.ring[(t.next-1-i+2*len(t.ring))%len(t.ring)]
+	}
 	t.mu.Unlock()
 	resp := TracesResponse{
 		Traces:          make([]TraceJSON, 0, len(ring)),
@@ -415,19 +512,21 @@ func (t *Tracer) Snapshot() TracesResponse {
 		CompletedTraces: t.tracesTotal.Load(),
 		DroppedSpans:    t.droppedTotal.Load(),
 	}
-	for i := len(ring) - 1; i >= 0; i-- {
-		ct := ring[i]
-		ct.td.mu.Lock()
-		spans := make([]SpanRecord, len(ct.td.spans))
-		copy(spans, ct.td.spans)
-		dropped := ct.td.dropped
-		ct.td.mu.Unlock()
+	for _, td := range ring {
+		td.mu.Lock()
+		finished := append([]*Span(nil), td.spans...)
+		dropped := td.dropped
+		td.mu.Unlock()
+		spans := make([]SpanRecord, len(finished))
+		for i, s := range finished {
+			spans[i] = td.render(s)
+		}
 		resp.Traces = append(resp.Traces, TraceJSON{
-			TraceID:        ct.td.traceID.String(),
-			Root:           ct.root.Name,
-			Remote:         ct.td.remote,
-			EndedAt:        ct.endedAt,
-			DurationMicros: ct.root.DurationMicros,
+			TraceID:        td.traceID.String(),
+			Root:           td.root.name,
+			Remote:         td.remote,
+			EndedAt:        td.endedAt,
+			DurationMicros: td.root.dur.Microseconds(),
 			DroppedSpans:   dropped,
 			Spans:          spans,
 		})
@@ -462,7 +561,10 @@ func Inject(span *Span, h http.Header) {
 // id>-<16 hex span id>-<2 hex flags>"). ok is false for a missing or
 // malformed header, or all-zero ids (invalid per the spec).
 func Extract(h http.Header) (traceID TraceID, parent SpanID, ok bool) {
-	v := h.Get(TraceParentHeader)
+	var v string
+	if vs := h[traceParentKey]; len(vs) > 0 {
+		v = vs[0]
+	}
 	// Fixed layout: 2+1+32+1+16+1+2 = 55 bytes.
 	if len(v) != 55 || v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return TraceID{}, SpanID{}, false
