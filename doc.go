@@ -96,7 +96,9 @@
 // The refresh pipeline exploits that split. The *linear stage* — the
 // cumulative counter state — is cached between epochs in a reusable
 // arena (core.FoldArena) and advanced by folding only the parts of the
-// state — aggregation shards, window buckets, a coordinator's peer
+// state — sealed window buckets and the live bucket's aggregation
+// shards on an ingesting node (a cumulative node is the window ring that
+// never seals, so its parts are its shards), a coordinator's peer
 // components — whose version label moved since the last epoch: integer
 // unmerge/merge, exact to the bit, and a moved shard is copied into the
 // copy it replaces, so a steady-state capture allocates nothing. The
@@ -185,6 +187,8 @@
 // The cumulative model answers "marginals since the collection
 // started"; a deployment started with -window W -bucket B answers
 // "marginals over the last W of wall time" instead (internal/window).
+// Both are the same window ring: the cumulative release is the ring
+// whose live bucket never seals.
 // Incoming reports land in a live bucket — still a sharded aggregator,
 // so ingestion keeps its lock-free fan-out — and every B the live
 // bucket is sealed: snapshotted once, merged into the window's
@@ -197,9 +201,10 @@
 // integers under a canonical codec, a window that still covers every
 // bucket is bit-identical to a cumulative deployment fed the same
 // reports, and the incremental view engine rides the same folds: the
-// ring's parts are its sealed buckets and its live bucket, so newly
-// sealed buckets merge into the engine's arena, expired buckets
-// unmerge, and the live bucket refolds only when its version moved.
+// ring's parts are its sealed buckets and its live bucket's shards, so
+// newly sealed buckets merge into the engine's arena, expired buckets
+// unmerge, a live shard refolds only when its version moved, and a
+// rotation replaces the old live shards with the new ones.
 //
 // With -data-dir the ring's parts are the unit of durability: at every
 // bucket boundary the store closes the active WAL segment under its

@@ -141,70 +141,3 @@ func TestCrossProcessMergeBitIdentity(t *testing.T) {
 		})
 	}
 }
-
-// TestShardedVersionAdvances pins the mutation counter the cluster tier
-// labels state exports with: every mutating operation advances it, and
-// reads don't.
-func TestShardedVersionAdvances(t *testing.T) {
-	cfg := Config{D: 6, K: 2, Epsilon: 1.1, OptimizedPRR: true}
-	p, err := New(InpHT, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := p.NewClient()
-	r := rng.New(9)
-	s := NewSharded(p, 2)
-	if s.Version() != 0 {
-		t.Fatalf("fresh version = %d", s.Version())
-	}
-	rep, err := client.Perturb(1, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Consume(rep); err != nil {
-		t.Fatal(err)
-	}
-	v1 := s.Version()
-	if v1 == 0 {
-		t.Fatal("Consume did not advance the version")
-	}
-	if err := s.ConsumeBatch([]Report{rep, rep}); err != nil {
-		t.Fatal(err)
-	}
-	v2 := s.Version()
-	if v2 == v1 {
-		t.Fatal("ConsumeBatch did not advance the version")
-	}
-	// Reads leave it alone.
-	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.MarshalState(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Version() != v2 {
-		t.Fatal("read-only operations moved the version")
-	}
-	// Merge and UnmarshalState advance it.
-	other := p.NewAggregator()
-	if err := other.Consume(rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	v3 := s.Version()
-	if v3 == v2 {
-		t.Fatal("Merge did not advance the version")
-	}
-	blob, err := s.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UnmarshalState(blob); err != nil {
-		t.Fatal(err)
-	}
-	if s.Version() == v3 {
-		t.Fatal("UnmarshalState did not advance the version")
-	}
-}

@@ -11,13 +11,14 @@ import "fmt"
 //	cum -= old contribution;  cum += new contribution
 //
 // A source lists its contributions as Parts (ShardedAggregator.AppendParts
-// one per shard, the window ring one per sealed bucket plus the live
-// bucket, a coordinator's fleet one per held peer component), and its
-// consumer — the view engine, the /state exporter — folds them through a
-// FoldArena of its own, the cumulative aggregator equal to the merge of
-// the parts it holds. A capture folds only the parts whose label moved,
-// so a steady-state refresh with a small delta costs O(moved × state),
-// and because the fold is integer arithmetic the cumulative state is
+// one per shard; the window ring, which is every ingesting node's source,
+// one per sealed bucket plus its live bucket's shards; a coordinator's
+// fleet one per held peer component), and its consumer — the view
+// engine, the /state exporter — folds them through a FoldArena of its
+// own, the cumulative aggregator equal to the merge of the parts it
+// holds. A capture folds only the parts whose label moved, so a
+// steady-state refresh with a small delta costs O(moved × state), and
+// because the fold is integer arithmetic the cumulative state is
 // bit-identical to a fresh merge of the same contributions. Every served
 // protocol's aggregator is a Folder (CheckFolds); the first capture, one
 // after Reset and one after a failed fold merge every part from scratch.

@@ -31,7 +31,6 @@ type ShardedAggregator struct {
 	shards   []aggShard
 	next     atomic.Uint64
 	n        atomic.Int64
-	ver      atomic.Uint64
 }
 
 // aggShard pairs one accumulator with its lock and its own mutation
@@ -98,7 +97,6 @@ func (s *ShardedAggregator) Consume(rep Report) error {
 		return err
 	}
 	s.n.Add(1)
-	s.ver.Add(1)
 	return nil
 }
 
@@ -120,30 +118,12 @@ func (s *ShardedAggregator) ConsumeBatch(reps []Report) error {
 	}
 	sh.mu.Unlock()
 	s.n.Add(int64(consumed))
-	if consumed > 0 {
-		s.ver.Add(1)
-	}
 	return err
 }
 
 // N returns the number of reports consumed so far. Lock-free: it reads
 // one atomic counter and never blocks writers.
 func (s *ShardedAggregator) N() int { return int(s.n.Load()) }
-
-// Version returns a monotonic counter that advances on every state
-// mutation (Consume, ConsumeBatch, Merge, UnmarshalState). Lock-free.
-// The guarantee is one-directional: the counter advances only *after*
-// the mutation is visible, so a version read *before* a Snapshot is
-// never newer than the snapshotted state. Labeling an exported state
-// blob with such a read lets a consumer skip re-merging an unchanged
-// label safely — at worst the label trails the state and a future pull
-// re-transfers fresh data; it never skips it. The converse does not
-// hold (equal reads around a Snapshot do not prove the state was
-// quiescent: a concurrent writer may have unlocked its shard but not
-// yet bumped the counter). The counter restarts at zero with the
-// process; consumers must treat any change — not only an increase — as
-// "state may differ".
-func (s *ShardedAggregator) Version() uint64 { return s.ver.Load() }
 
 // Snapshot merges every shard into a fresh sequential aggregator and
 // returns it. Shards are locked one at a time, so ingestion stalls for
@@ -198,6 +178,5 @@ func (s *ShardedAggregator) Merge(other Aggregator) error {
 		return err
 	}
 	s.n.Add(int64(added))
-	s.ver.Add(1)
 	return nil
 }

@@ -32,7 +32,6 @@ func (s *ShardedAggregator) UnmarshalState(data []byte) error {
 		s.shards[i].agg = s.newShard()
 	}
 	s.n.Store(int64(fresh.N()))
-	s.ver.Add(1)
 	for i := range s.shards {
 		// Every shard's state was replaced (even the emptied ones), so
 		// every per-shard version must move or a delta snapshot would

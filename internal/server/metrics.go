@@ -143,8 +143,8 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	if s.reads != nil {
 		s.reads.engine.RegisterMetrics(r)
 	}
-	if s.win != nil {
-		s.win.RegisterMetrics(r)
+	if s.windowed() {
+		s.ring.RegisterMetrics(r)
 	}
 	if s.ledger != nil {
 		s.ledger.RegisterMetrics(r)

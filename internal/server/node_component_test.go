@@ -42,7 +42,7 @@ func TestFullFrameBytesIndependentOfShards(t *testing.T) {
 			}
 		}
 		for _, s := range []*Server{one, eight} {
-			if err := s.agg.ConsumeBatch(batch); err != nil {
+			if err := s.ring.ConsumeBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,12 +123,7 @@ func TestExportAtUnchangedLabelServesRetained(t *testing.T) {
 				t.Fatalf("export after a move: %+v (held is the previous one: %v)", next.comps[0], held == first)
 			}
 			// What the arena folded is what a fresh merge marshals.
-			var snap core.Aggregator
-			if s.win != nil {
-				snap, err = s.win.Snapshot()
-			} else {
-				snap, err = s.agg.Snapshot()
-			}
+			snap, err := s.ring.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,13 +193,17 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 
 	for _, recovered := range []bool{false, true} {
 		t.Run(fmt.Sprintf("recovered=%v", recovered), func(t *testing.T) {
-			edge, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-0", Shards: 4})
+			_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-0", Shards: 4})
+			old4 := core.NewSharded(p, 4)
 			for i := 0; i < 4; i++ {
 				postBatchOK(t, edgeTS.URL, p, reps[50*i:50*i+50])
+				if err := old4.ConsumeBatch(reps[50*i : 50*i+50]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// The old layout of the edge's current state, under labels of a
 			// process that is gone.
-			shards, _, err := edge.agg.ExportShards()
+			shards, _, err := old4.ExportShards()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,13 +47,14 @@
 //
 // # Ingestion architecture
 //
-// An ingesting node owns one core.ShardedAggregator (the live bucket of
-// its window ring, when windowed): P per-shard accumulators behind P
-// mutexes, merged on demand. A single /report locks exactly one
-// shard for one Consume; a /report/batch is decoded outside any lock,
-// split into chunks, and each chunk is ingested into a round-robin shard
-// under one lock acquisition through a bounded worker pool, so batches
-// amortize both HTTP and locking overhead and scale across cores.
+// An ingesting node owns one window ring (internal/window), whose live
+// bucket is a core.ShardedAggregator: P per-shard accumulators behind P
+// mutexes, merged on demand. A cumulative node's ring never seals. A
+// single /report locks exactly one shard for one Consume; a
+// /report/batch is decoded outside any lock, split into chunks, and
+// each chunk is ingested into a round-robin shard under one lock
+// acquisition through a bounded worker pool, so batches amortize both
+// HTTP and locking overhead and scale across cores.
 // /status reads the report count from an atomic counter and never takes
 // a lock; /marginal merges a snapshot of the shards (stalling ingestion
 // for at most one shard at a time) and reconstructs from the private
@@ -69,9 +70,9 @@
 // accepted report is appended to a write-ahead log (internal/store)
 // before the request is acked, under the store's fsync policy, and the
 // aggregation state is periodically compacted into counter snapshots.
-// On construction the server seeds its sharded aggregator with the
-// state the store recovered — so the view engine's first epoch already
-// serves everything that survived — and registers the aggregator as
+// On construction the server seeds its ring with the state the store
+// recovered — so the view engine's first epoch already serves
+// everything that survived — and registers the ring's live bucket as
 // the store's snapshot source. Close flushes the log and writes a
 // final snapshot. GET /status reports the WAL footprint and GET
 // /view/status whether the serving epoch contains recovered reports.
@@ -218,7 +219,7 @@ type Options struct {
 	View view.Options
 	// Store, when non-nil, makes ingestion durable: accepted reports are
 	// appended to its write-ahead log before the ack, the recovered
-	// state seeds the aggregator, and the aggregator becomes the
+	// state seeds the ring, and the ring's live bucket becomes the
 	// store's snapshot source. The server owns the store from here on:
 	// Server.Close closes it. Rejected for RoleCoordinator, which does
 	// not ingest.
@@ -273,20 +274,12 @@ type Options struct {
 // Options.SlowTraceThreshold <= 0.
 const defaultSlowTrace = time.Second
 
-// ingestTarget is the write destination of the ingest pipeline: the
-// sharded aggregator directly for a cumulative deployment, the window
-// ring (whose live bucket is a sharded aggregator) for a windowed one.
-type ingestTarget interface {
-	Consume(core.Report) error
-	ConsumeBatch([]core.Report) error
-	N() int
-}
-
-// ingestPipeline is the write side of a deployment: the ingest target,
-// the optional durable store wired in front of it, and the bounded
-// batch worker pool. Roles that ingest (single, edge) run one.
+// ingestPipeline is the write side of a deployment: the window ring
+// reports land in, the optional durable store wired in front of it, and
+// the bounded batch worker pool. Roles that ingest (single, edge) run
+// one.
 type ingestPipeline struct {
-	sink      ingestTarget
+	ring      *window.Ring
 	st        *store.Store  // nil for a memory-only deployment
 	recovered int           // reports restored from the store at startup
 	slots     chan struct{} // bounded worker-pool slots for batch chunks
@@ -294,32 +287,40 @@ type ingestPipeline struct {
 	maxBatch  int64
 }
 
-// newIngestPipeline wires the store through durable, which seeds the
-// sink with the recovered state and registers it as the store's source,
-// and sizes the worker pools. shards is the resolved aggregation width
-// the worker defaults scale with.
-func newIngestPipeline(sink ingestTarget, durable func(*store.Store) error, shards int, opts Options) (*ingestPipeline, error) {
+// newIngestPipeline seeds the node's ring with the state the store
+// recovered and registers it as the store's source — a windowed ring
+// also as the store's bucket layout — and sizes the worker pools, which
+// scale with the shard count.
+func (s *Server) newIngestPipeline(opts Options) (*ingestPipeline, error) {
 	recovered := 0
 	if st := opts.Store; st != nil {
 		// Seed the live pipeline before the engine builds its first
 		// epoch, so recovered reports are served immediately; then let the
-		// store drop its copy.
-		if err := durable(st); err != nil {
+		// store drop its copy. Snapshots hold only the live bucket: a
+		// windowed ring's sealed buckets are persisted one file each.
+		live, _ := st.Recovered()
+		if err := s.ring.Restore(st.RecoveredLayout(), live); err != nil {
 			return nil, fmt.Errorf("server: seeding recovered state: %w", err)
 		}
-		recovered = sink.N()
+		st.SetSource(s.ring.LiveSnapshot)
+		if s.windowed() {
+			if err := st.SetWindow(s.ring.Layout); err != nil {
+				return nil, fmt.Errorf("server: seeding recovered state: %w", err)
+			}
+		}
+		recovered = s.ring.N()
 		st.ReleaseRecovered()
 	}
 	workers := opts.IngestWorkers
 	if workers <= 0 {
-		workers = shards
+		workers = s.shards
 	}
 	maxBatch := opts.MaxBatchBytes
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxBatchBytes
 	}
 	return &ingestPipeline{
-		sink:      sink,
+		ring:      s.ring,
 		st:        opts.Store,
 		recovered: recovered,
 		slots:     make(chan struct{}, workers),
@@ -336,8 +337,8 @@ type readPipeline struct {
 	maxQuery int64
 }
 
-// stateSource is a node's one state: the cumulative shards, a window
-// ring, or a coordinator's fleet of peer components. The view engine
+// stateSource is a node's one state: the window ring of an ingesting
+// node, or a coordinator's fleet of peer components. The view engine
 // captures it, /state exports it, and its version labels the exports.
 type stateSource interface {
 	view.Source
@@ -352,12 +353,11 @@ type Server struct {
 	role     Role
 	nodeID   string
 
-	agg    *core.ShardedAggregator // cumulative ingesting deployments only
-	win    *window.Ring            // windowed deployments only
-	src    stateSource             // agg, win or fleet: whichever this node holds
-	shards int                     // resolved aggregation width
-	ledger *privacy.Ledger         // windowed deployments with a RoundEps budget
-	rotor  *rotator                // drives bucket seal/expiry for windowed deployments
+	ring   *window.Ring    // ingesting deployments only; never seals when cumulative
+	src    stateSource     // ring or fleet: whichever this node holds
+	shards int             // resolved aggregation width
+	ledger *privacy.Ledger // windowed deployments with a RoundEps budget
+	rotor  *rotator        // drives bucket seal/expiry for windowed deployments
 
 	// verSalt offsets the exported state version with a per-process
 	// random value. The in-memory mutation counters restart at zero with
@@ -470,54 +470,31 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		return fail(fmt.Errorf("server: generating version salt: %w", err))
 	}
 	s.verSalt = 1<<62 | binary.LittleEndian.Uint64(salt[:])>>2
-	// The node's one state source. The window ring and the cumulative
-	// shards are also its ingest target, recovery seed and store snapshot
-	// source; a coordinator ingests nothing.
-	switch {
-	case s.role == RoleCoordinator:
+	// The node's one state source. An ingesting node's ring is also its
+	// ingest target, recovery seed and store snapshot source; a
+	// coordinator ingests nothing.
+	if s.role == RoleCoordinator {
 		if s.fleet, err = newFleet(p, opts.Peers, opts.ClusterDir, nodeID); err != nil {
 			return fail(err)
 		}
 		s.src = s.fleet
-	case opts.Window > 0:
-		if s.win, err = window.NewRing(p, window.Options{
+	} else {
+		if s.ring, err = window.NewRing(p, window.Options{
 			Window: opts.Window,
 			Bucket: opts.Bucket,
 			Shards: s.shards,
 		}); err != nil {
 			return fail(err)
 		}
-		if opts.RoundEps > 0 {
+		s.src = s.ring
+		if opts.RoundEps > 0 { // validated to come with a window
 			if s.ledger, err = privacy.NewLedger(opts.RoundEps, p.Config().Epsilon, int(opts.Window/opts.Bucket)); err != nil {
 				return fail(err)
 			}
 		}
-		s.src = s.win
-		s.ingest, err = newIngestPipeline(s.win, func(st *store.Store) error {
-			// The ring's sealed buckets are persisted one file each, and
-			// snapshots hold only its live bucket.
-			live, _ := st.Recovered()
-			if err := s.win.Restore(st.RecoveredLayout(), live); err != nil {
-				return err
-			}
-			st.SetSource(s.win.LiveSnapshot)
-			return st.SetWindow(s.win.Layout)
-		}, s.shards, opts)
-	default:
-		s.agg = core.NewSharded(p, s.shards)
-		s.src = s.agg
-		s.ingest, err = newIngestPipeline(s.agg, func(st *store.Store) error {
-			if rec, _ := st.Recovered(); rec != nil && rec.N() > 0 {
-				if err := s.agg.Merge(rec); err != nil {
-					return err
-				}
-			}
-			st.SetSource(s.agg.Snapshot)
-			return nil
-		}, s.shards, opts)
-	}
-	if err != nil {
-		return fail(err)
+		if s.ingest, err = s.newIngestPipeline(opts); err != nil {
+			return fail(err)
+		}
 	}
 	if s.ingest != nil {
 		if opts.MaxInflightIngest >= 0 {
@@ -567,7 +544,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		// engine never races fleet mutations during construction.
 		s.puller.start()
 	}
-	if s.win != nil {
+	if s.windowed() {
 		// Rotation starts after the store's recovered state is seeded and
 		// the initial epoch is built, so the first Advance never races
 		// construction.
@@ -683,9 +660,9 @@ func (s *Server) View() *view.Engine {
 // Lock-free.
 func (s *Server) N() int { return s.src.N() }
 
-// Window returns the sliding-window ring of a windowed deployment, or
-// nil for a cumulative one.
-func (s *Server) Window() *window.Ring { return s.win }
+// windowed reports whether the node serves a sliding window rather than
+// the cumulative release.
+func (s *Server) windowed() bool { return s.ring != nil && s.ring.Window() > 0 }
 
 // Shards returns the number of aggregation shards of the deployment.
 func (s *Server) Shards() int { return s.shards }
@@ -821,13 +798,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		// before the ack below; a single report logs as a one-frame batch.
 		batch := encoding.AppendFrame(nil, frame)
 		err2 = in.st.IngestContext(r.Context(), batch, func() (int, int, error) {
-			if err := in.sink.Consume(rep); err != nil {
+			if err := in.ring.Consume(rep); err != nil {
 				rejected = err
 				return 0, 0, err
 			}
 			return 1, len(batch), nil
 		})
-	} else if err := in.sink.Consume(rep); err != nil {
+	} else if err := in.ring.Consume(rep); err != nil {
 		rejected = err
 	}
 	if rejected != nil {
@@ -861,7 +838,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 func (in *ingestPipeline) ingestChunk(ctx context.Context, reps []core.Report, body []byte, ends []int, lo, hi int) (int, error) {
 	chunk := reps[lo:hi]
 	if in.st == nil {
-		err := in.sink.ConsumeBatch(chunk)
+		err := in.ring.ConsumeBatch(chunk)
 		if err == nil {
 			return len(chunk), nil
 		}
@@ -874,7 +851,7 @@ func (in *ingestPipeline) ingestChunk(ctx context.Context, reps []core.Report, b
 	start := startOf(ends, lo)
 	applied := 0
 	err := in.st.IngestContext(ctx, body[start:ends[hi-1]], func() (int, int, error) {
-		err := in.sink.ConsumeBatch(chunk)
+		err := in.ring.ConsumeBatch(chunk)
 		if err == nil {
 			applied = len(chunk)
 			return applied, ends[hi-1] - start, nil
@@ -1222,7 +1199,7 @@ func (s *Server) chargeBudget(w http.ResponseWriter, r *http.Request, count int)
 // setRetryAfter hints a budget-rejected client at the next bucket
 // rotation, when the oldest recorded spend can slide out of the window.
 func (s *Server) setRetryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(s.win.Bucket().Seconds())+1))
+	w.Header().Set("Retry-After", strconv.Itoa(int(s.ring.Bucket().Seconds())+1))
 }
 
 // checkWindowParam validates an optional window= query parameter on the
@@ -1239,11 +1216,11 @@ func (s *Server) checkWindowParam(w http.ResponseWriter, r *http.Request) bool {
 		httpError(w, r, "window must be a duration like 10m: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
-	if s.win == nil {
+	if !s.windowed() {
 		httpError(w, r, "deployment serves a cumulative release; no sliding window is configured", http.StatusBadRequest)
 		return false
 	}
-	if got := s.win.Window(); want != got {
+	if got := s.ring.Window(); want != got {
 		httpError(w, r, fmt.Sprintf("deployment serves a %v window; cannot answer window=%v", got, want), http.StatusBadRequest)
 		return false
 	}

@@ -47,7 +47,7 @@ func (ro *rotator) Close() {
 // rotation — the ring seals by elapsed time, never by tick count.
 func (ro *rotator) loop() {
 	defer ro.done.Done()
-	tick := ro.s.win.Bucket() / 4
+	tick := ro.s.ring.Bucket() / 4
 	if tick < 10*time.Millisecond {
 		tick = 10 * time.Millisecond
 	}
@@ -91,7 +91,7 @@ func (s *Server) advanceWindow(now time.Time) error {
 
 func (s *Server) advanceWindowContext(ctx context.Context, now time.Time) (rotated, expired int, err error) {
 	advance := func() (err error) {
-		rotated, expired, err = s.win.AdvanceContext(ctx, now)
+		rotated, expired, err = s.ring.AdvanceContext(ctx, now)
 		return err
 	}
 	if st := s.Store(); st != nil {
@@ -139,10 +139,10 @@ type WindowStatus struct {
 // windowStatus assembles the window block, or nil for a cumulative
 // deployment.
 func (s *Server) windowStatus() *WindowStatus {
-	if s.win == nil {
+	if !s.windowed() {
 		return nil
 	}
-	rs := s.win.Status()
+	rs := s.ring.Status()
 	ws := &WindowStatus{
 		WindowSeconds: rs.Window.Seconds(),
 		BucketSeconds: rs.Bucket.Seconds(),

@@ -133,7 +133,7 @@ func TestWindowedServerBitIdentityAllProtocols(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if st := s.win.Status(); st.SealedBuckets != 3 || st.Expired != 0 {
+			if st := s.ring.Status(); st.SealedBuckets != 3 || st.Expired != 0 {
 				t.Fatalf("ring status after 3 seals: %+v", st)
 			}
 			got, _ := stateBytes(t, ts.URL)
@@ -187,7 +187,7 @@ func TestWindowedServerExpiryDropsOldReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bucket 0 (chunk A) has seq+buckets == curSeq: expired.
-	if st := s.win.Status(); st.Expired != 1 {
+	if st := s.ring.Status(); st.Expired != 1 {
 		t.Fatalf("ring status after slide: %+v, want 1 expired bucket", st)
 	}
 	got, n := stateBytes(t, ts.URL)
@@ -389,6 +389,56 @@ func TestWindowedOptionValidation(t *testing.T) {
 	}
 }
 
+// TestCumulativeNodeRefusesWindowedDir: a data dir a windowed node
+// wrote holds sealed buckets besides its live one. Reopened without a
+// window, construction fails naming -window instead of serving only the
+// live bucket, and the refusal leaves the dir whole for the windowed
+// node to reopen.
+func TestCumulativeNodeRefusesWindowedDir(t *testing.T) {
+	p, err := core.New(core.InpPS, core.Config{D: 6, K: 2, Epsilon: 1.1, OptimizedPRR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reps := windowReports(t, p, 300, 13)
+	opts := windowedOptions()
+	opts.Shards, opts.Store = 2, openEdgeStore(t, dir, p)
+	s, err := NewWithOptions(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	postBatch(t, ts.URL, p, reps[:200])
+	if err := s.advanceWindow(time.Now().Add(opts.Bucket)); err != nil {
+		t.Fatal(err)
+	}
+	postBatch(t, ts.URL, p, reps[200:])
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := openEdgeStore(t, dir, p)
+	if _, stats := st.Recovered(); stats.Reports != len(reps) || len(st.RecoveredLayout().Sealed) != 1 {
+		t.Fatalf("recovered %d reports in %d sealed buckets, want %d in 1", stats.Reports, len(st.RecoveredLayout().Sealed), len(reps))
+	}
+	if s, err := NewWithOptions(p, Options{Shards: 2, Store: st}); err == nil {
+		_ = s.Close()
+		t.Fatal("a cumulative node opened a windowed node's dir")
+	} else if !strings.Contains(err.Error(), "-window") {
+		t.Fatalf("refusal %q does not name -window", err)
+	}
+
+	opts.Store = openEdgeStore(t, dir, p)
+	if s, err = NewWithOptions(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.N() != len(reps) {
+		t.Fatalf("windowed node reopened with %d reports, want %d", s.N(), len(reps))
+	}
+}
+
 // TestCoordinatorCloseReleasesPullGoroutines is the satellite-1
 // regression pin: Server.Close on a coordinator must tear down the
 // puller's keep-alive connections, not leave their transport read/write
@@ -402,7 +452,7 @@ func TestCoordinatorCloseReleasesPullGoroutines(t *testing.T) {
 	}
 	edge, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-leak"})
 	reps := windowReports(t, p, 50, 17)
-	if err := edge.agg.ConsumeBatch(reps); err != nil {
+	if err := edge.ring.ConsumeBatch(reps); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,8 +14,9 @@ import (
 // Source is what the engine refreshes from: a live aggregation pipeline
 // that names the parts of its state, which the engine folds through a
 // core.FoldArena of its own, and whose report count it polls without
-// blocking. core.ShardedAggregator, window.Ring and a coordinator's
-// fleet satisfy it.
+// blocking. An ingesting node's source is always a window.Ring (the
+// cumulative release is the ring that never seals), a coordinator's is
+// its fleet; core.ShardedAggregator satisfies it too.
 type Source interface {
 	// N returns the current report count; must be cheap (lock-free).
 	N() int

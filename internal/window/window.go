@@ -1,7 +1,9 @@
-// Package window turns the cumulative aggregation core into a continual
-// release: a ring of time-bucketed sub-aggregators in front of
+// Package window turns the aggregation core into a continual release: a
+// ring of time-bucketed sub-aggregators in front of
 // core.ShardedAggregator, answering "marginals over the last W of wall
-// time" instead of "marginals since the collection started".
+// time" instead of "marginals since the collection started". A ring with
+// no window is the cumulative release itself: its live bucket never
+// seals, so every ingesting node holds a ring.
 //
 // Incoming reports land in the live bucket (a ShardedAggregator, so
 // ingestion keeps its lock-free fan-out). When the live bucket's time
@@ -13,10 +15,10 @@
 // cumulative aggregator fed the same reports.
 //
 // The ring is a view.Source: its parts are the sealed buckets and the
-// live bucket, which the engine's core.FoldArena folds, so an
+// live bucket's shards, which the engine's core.FoldArena folds, so an
 // incremental refresh folds only what changed — newly sealed buckets
-// merge, expired buckets unmerge, and the live bucket refolds only when
-// its version moved.
+// merge, expired buckets unmerge, and a live shard refolds only when its
+// version moved.
 //
 // The same parts are the unit of durability. Layout lists the sealed
 // buckets with their slots on the bucket grid, plus the live bucket's
@@ -24,9 +26,8 @@
 // rebuilds the ring from what it recovered, so a restarted ring expires
 // every bucket exactly when a never-restarted one would.
 //
-// Windowed mode requires a protocol whose aggregators fold
-// (core.CheckFolds: the six core protocols and InpHTCMS); NewRing
-// rejects the rest.
+// A ring requires a protocol whose aggregators fold (core.CheckFolds:
+// the six core protocols and InpHTCMS); NewRing rejects the rest.
 package window
 
 import (
@@ -46,7 +47,8 @@ type Options struct {
 	// Window is the sliding window span; must be a positive multiple of
 	// Bucket. The ring retains Window/Bucket buckets including the live
 	// one, so coverage slides between Window-Bucket and Window of wall
-	// time as the live bucket fills.
+	// time as the live bucket fills. Window and Bucket both zero select
+	// the cumulative release: a live bucket that never seals.
 	Window time.Duration
 	// Bucket is the rotation granularity: the live bucket seals every
 	// Bucket of wall time, and expiry retires state one Bucket at a
@@ -84,7 +86,7 @@ type Layout struct {
 type Ring struct {
 	p       core.Protocol
 	opts    Options
-	buckets uint64 // window capacity in buckets, including the live one
+	buckets uint64 // window capacity in buckets, including the live one; 0 never seals
 
 	mu       sync.RWMutex
 	cur      atomic.Pointer[core.ShardedAggregator] // live bucket; replaced on seal
@@ -98,28 +100,28 @@ type Ring struct {
 	expired atomic.Uint64 // total buckets retired from the window
 }
 
-// NewRing builds a ring over p. The protocol must fold
-// (core.CheckFolds): a folded view expires a bucket by an Unmerge of
-// its sealed state.
+// NewRing builds a ring over p; a zero Window and Bucket build the
+// cumulative ring. The protocol must fold (core.CheckFolds): a folded
+// view expires a bucket by an Unmerge of its sealed state.
 func NewRing(p core.Protocol, opts Options) (*Ring, error) {
 	if err := core.CheckFolds(p); err != nil {
 		return nil, err
 	}
-	if opts.Bucket <= 0 {
-		return nil, errors.New("window: bucket span must be positive")
-	}
-	if opts.Window <= 0 || opts.Window%opts.Bucket != 0 {
-		return nil, fmt.Errorf("window: window %v must be a positive multiple of bucket %v", opts.Window, opts.Bucket)
+	r := &Ring{p: p}
+	if opts.Window != 0 || opts.Bucket != 0 {
+		if opts.Bucket <= 0 {
+			return nil, errors.New("window: bucket span must be positive")
+		}
+		if opts.Window <= 0 || opts.Window%opts.Bucket != 0 {
+			return nil, fmt.Errorf("window: window %v must be a positive multiple of bucket %v", opts.Window, opts.Bucket)
+		}
+		r.buckets = uint64(opts.Window / opts.Bucket)
 	}
 	opts.Shards = core.ResolveShards(opts.Shards)
 	if opts.Start.IsZero() {
 		opts.Start = time.Now()
 	}
-	r := &Ring{
-		p:       p,
-		opts:    opts,
-		buckets: uint64(opts.Window / opts.Bucket),
-	}
+	r.opts = opts
 	// curSeq starts at the window capacity so seq arithmetic never
 	// underflows; the slot index is relative, only differences matter.
 	r.curSeq = r.buckets
@@ -128,7 +130,8 @@ func NewRing(p core.Protocol, opts Options) (*Ring, error) {
 	return r, nil
 }
 
-// Window returns the configured window span.
+// Window returns the configured window span: zero for the cumulative
+// ring.
 func (r *Ring) Window() time.Duration { return r.opts.Window }
 
 // Bucket returns the configured bucket span.
@@ -179,7 +182,8 @@ func (r *Ring) Version() uint64 { return r.ver.Load() }
 // window. It returns how many bucket boundaries were crossed and how
 // many retained buckets were retired. Callers drive it from a ticker;
 // between calls the ring simply keeps filling the live bucket, so a
-// late Advance only defers (never loses) rotation.
+// late Advance only defers (never loses) rotation. On the cumulative
+// ring it does nothing.
 func (r *Ring) Advance(now time.Time) (rotated, expired int, err error) {
 	return r.AdvanceContext(context.Background(), now)
 }
@@ -190,6 +194,9 @@ func (r *Ring) Advance(now time.Time) (rotated, expired int, err error) {
 // "window.expire" child (buckets expired). No-op advances record
 // nothing.
 func (r *Ring) AdvanceContext(ctx context.Context, now time.Time) (rotated, expired int, err error) {
+	if r.buckets == 0 {
+		return 0, 0, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	elapsed := now.Sub(r.curStart)
@@ -260,10 +267,15 @@ func (r *Ring) Layout() Layout {
 // without a position (a data dir written by a cumulative node, or by a
 // build that did not persist buckets) keeps the ring's own anchor, so
 // everything recovered is live. Buckets that had already slid out of
-// the window are left out. The ring takes ownership of the states.
+// the window are left out. The cumulative ring refuses a layout with
+// sealed buckets or a position: serving only its live bucket would drop
+// the sealed reports. The ring takes ownership of the states.
 func (r *Ring) Restore(l Layout, live core.Aggregator) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.buckets == 0 && (len(l.Sealed) > 0 || !l.LiveStart.IsZero()) {
+		return errors.New("window: the data dir was written by a windowed node; reopen it with the -window and -bucket it was written with")
+	}
 	if !l.LiveStart.IsZero() {
 		r.curSeq, r.curStart = l.LiveSlot, l.LiveStart
 	}
@@ -290,8 +302,8 @@ func (r *Ring) Restore(l Layout, live core.Aggregator) error {
 }
 
 // LiveSnapshot cuts a private aggregator holding the live bucket only:
-// what a store snapshots on a windowed node, whose sealed buckets are
-// persisted once each.
+// what a store snapshots, since a windowed node persists each sealed
+// bucket once and the cumulative ring's live bucket is all it holds.
 func (r *Ring) LiveSnapshot() (core.Aggregator, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -315,30 +327,23 @@ func (r *Ring) Snapshot() (core.Aggregator, error) {
 	return out, nil
 }
 
-// liveKey is the fold key of whichever aggregator is the live bucket.
-type liveKey struct{}
-
 // AppendParts appends the window's parts to dst and returns the extended
-// slice, for a core.FoldArena to fold. A sealed bucket never changes, so
-// it folds once when sealed and once when it expires. The live bucket is
-// one part under one key, labelled by the ring's version, which moves on
-// every rotation as well as on new reports: a rotation that finds new
-// reports in the fresh live bucket refolds it once. The parts are listed
-// under the read lock and may be folded after it: sealed buckets are
-// immutable, the live part snapshots the live aggregator listed here
-// under its shard locks, and a live aggregator sealed meanwhile takes no
-// more writes. The label is read before the snapshot, so it can only
-// trail — a report racing the fold is picked up by the next one.
+// slice, for a core.FoldArena to fold: each sealed bucket as one part,
+// then the live bucket's shards (core.ShardedAggregator.AppendParts). A
+// sealed bucket never changes, so it folds once when sealed and once
+// when it expires; a live shard refolds only when its version moved. A
+// seal replaces the live aggregator, so a rotation drops the old shard
+// keys and adds new ones: no key is ever folded under two contents. The
+// parts are listed under the read lock and may be folded after it:
+// sealed buckets are immutable, and a live aggregator sealed meanwhile
+// takes no more writes.
 func (r *Ring) AppendParts(dst []core.Part) []core.Part {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, b := range r.sealed {
 		dst = append(dst, core.Part{Key: b, Agg: func(core.Aggregator) (core.Aggregator, error) { return b.Agg, nil }})
 	}
-	if cur := r.cur.Load(); cur.N() > 0 {
-		dst = append(dst, core.Part{Key: liveKey{}, Version: r.ver.Load(), Agg: func(core.Aggregator) (core.Aggregator, error) { return cur.Snapshot() }})
-	}
-	return dst
+	return r.cur.Load().AppendParts(dst)
 }
 
 // Status is a point-in-time description of the ring for /status and

@@ -2,6 +2,8 @@ package window
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,12 +186,14 @@ func TestWindowExpiryRetiresBuckets(t *testing.T) {
 	}
 }
 
-// TestWindowDeltaFoldCost pins the tentpole's cost model: after the
+// TestWindowDeltaFoldCost pins the window's fold cost model: after the
 // arena is primed, retiring a bucket is a constant number of folds —
-// one Unmerge for the expired bucket, one Merge for the newly sealed
-// one, one refold of the live bucket — never a rebuild over the whole
-// window, and an idle fold touches nothing.
+// one Merge for the newly sealed bucket, one Unmerge per old live shard,
+// one Merge per new live shard, one Unmerge for the expired bucket —
+// never a rebuild over the whole window, and an idle fold touches
+// nothing.
 func TestWindowDeltaFoldCost(t *testing.T) {
+	const shards = 3
 	p, err := core.New(core.MargPS, windowTestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +201,7 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 	r, err := NewRing(p, Options{
 		Window: 2 * time.Minute,
 		Bucket: time.Minute,
+		Shards: shards,
 		Start:  testStart,
 	})
 	if err != nil {
@@ -216,8 +221,8 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if round > 0 && touched > 3 {
-			t.Fatalf("round %d: fold touched %d components, want <= 3", round, touched)
+		if want := 1 + 2*shards + 1; round > 0 && touched != want {
+			t.Fatalf("round %d: fold touched %d components, want %d", round, touched, want)
 		}
 		snap, err := r.Snapshot()
 		if err != nil {
@@ -237,16 +242,17 @@ func TestWindowDeltaFoldCost(t *testing.T) {
 	}
 }
 
-// TestWindowLiveBucketFoldsOnce pins the live bucket as one component: a
-// rotation whose fresh live bucket already holds reports counts the newly
-// sealed bucket plus one live refold, not a drop of the old live bucket
-// and an add of the new one.
-func TestWindowLiveBucketFoldsOnce(t *testing.T) {
+// TestWindowLiveBucketFoldsByShard pins the live bucket as its shards: a
+// batch refolds only the shard it landed on, and a rotation counts the
+// newly sealed bucket, the old live shards dropped, the new live shards
+// added and the expired buckets.
+func TestWindowLiveBucketFoldsByShard(t *testing.T) {
+	const shards = 2
 	p, err := core.New(core.InpPS, windowTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRing(p, Options{Window: 2 * time.Minute, Bucket: time.Minute, Start: testStart})
+	r, err := NewRing(p, Options{Window: 2 * time.Minute, Bucket: time.Minute, Shards: shards, Start: testStart})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,25 +266,166 @@ func TestWindowLiveBucketFoldsOnce(t *testing.T) {
 		if touched != want {
 			t.Fatalf("fold touched %d components, want %d", touched, want)
 		}
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(t, arena.State()), marshal(t, snap)) {
+			t.Fatal("arena diverges from Snapshot")
+		}
 	}
 	if err := r.ConsumeBatch(windowReports(t, p, 50, 61)); err != nil {
 		t.Fatal(err)
 	}
-	capture(1)
+	capture(shards) // cold: every live shard
+	if err := r.ConsumeBatch(windowReports(t, p, 50, 63)); err != nil {
+		t.Fatal(err)
+	}
+	capture(1) // the one shard the batch landed on
 	if _, _, err := r.Advance(testStart.Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.ConsumeBatch(windowReports(t, p, 50, 62)); err != nil {
 		t.Fatal(err)
 	}
-	capture(2)
+	capture(1 + 2*shards)
 	if _, _, err := r.Advance(testStart.Add(2 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	// The second bucket seals, the first slides out of the two-bucket
-	// window, and the emptied live bucket drops: three folds.
-	capture(3)
+	// window, and the live shards are replaced.
+	capture(1 + 2*shards + 1)
 	capture(0)
+}
+
+// TestRingVersionAdvances pins the label /state exports carry, on the
+// cumulative ring and on a windowed one: every state change advances it
+// — Consume, ConsumeBatch, Restore, an Advance that crosses a boundary —
+// and reads, a rejected batch, an empty batch and an Advance that
+// crosses nothing do not.
+func TestRingVersionAdvances(t *testing.T) {
+	p, err := core.New(core.InpHT, windowTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := windowReports(t, p, 3, 41)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"cumulative", Options{Shards: 2, Start: testStart}},
+		{"windowed", Options{Window: 2 * time.Minute, Bucket: time.Minute, Shards: 2, Start: testStart}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewRing(p, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func(what string, moves bool, op func() error) {
+				t.Helper()
+				before := r.Version()
+				if err := op(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if moved := r.Version() != before; moved != moves {
+					t.Fatalf("%s moved the version: %v, want %v", what, moved, moves)
+				}
+			}
+			step("Consume", true, func() error { return r.Consume(reps[0]) })
+			step("ConsumeBatch", true, func() error { return r.ConsumeBatch(reps[1:]) })
+			step("an empty batch", false, func() error { return r.ConsumeBatch(nil) })
+			step("a rejected batch", false, func() error {
+				if r.ConsumeBatch([]core.Report{{}}) == nil {
+					return errors.New("an invalid report was accepted")
+				}
+				return nil
+			})
+			step("reads", false, func() error {
+				_ = r.N()
+				_ = r.AppendParts(nil)
+				_ = r.Status()
+				if _, err := r.Snapshot(); err != nil {
+					return err
+				}
+				_, err := r.LiveSnapshot()
+				return err
+			})
+			step("an Advance inside the bucket", false, func() error {
+				_, _, err := r.Advance(testStart.Add(time.Second))
+				return err
+			})
+			step("an Advance a minute on", tc.opts.Window > 0, func() error {
+				_, _, err := r.Advance(testStart.Add(time.Minute))
+				return err
+			})
+			step("Restore", true, func() error { return r.Restore(Layout{}, nil) })
+		})
+	}
+}
+
+// TestCumulativeRingMatchesSharded pins the cumulative release as the
+// ring that never seals: fed the same batches, it is byte-identical to a
+// ShardedAggregator of the same width through Snapshot and through the
+// fold, which refolds only the shards that moved, and Advance does
+// nothing however far the clock moves.
+func TestCumulativeRingMatchesSharded(t *testing.T) {
+	const shards = 3
+	p, err := core.New(core.InpPS, windowTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(p, Options{Shards: shards, Start: testStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := core.NewSharded(p, shards)
+	arena := core.NewFoldArena(p.NewAggregator)
+	reps := windowReports(t, p, 600, 29)
+	for i := 0; i < 6; i++ {
+		batch := reps[i*100 : (i+1)*100]
+		if err := r.ConsumeBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.ConsumeBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if rotated, expired, err := r.Advance(testStart.Add(time.Duration(i+1) * time.Hour)); rotated != 0 || expired != 0 || err != nil {
+			t.Fatalf("Advance on the cumulative ring: rotated %d, expired %d, err %v", rotated, expired, err)
+		}
+		touched, err := fold(arena, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 // the shard the batch landed on
+		if i == 0 {
+			want = shards // cold: every shard
+		}
+		if touched != want {
+			t.Fatalf("batch %d: fold touched %d parts, want %d", i, touched, want)
+		}
+		ref, err := agg.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(marshal(t, snap), marshal(t, ref)) || !bytes.Equal(marshal(t, arena.State()), marshal(t, ref)) || r.N() != agg.N() {
+			t.Fatalf("batch %d: cumulative ring diverges from the sharded aggregator", i)
+		}
+	}
+	if st := r.Status(); st.SealedBuckets != 0 || st.Rotations != 0 || st.LiveN != len(reps) {
+		t.Fatalf("cumulative ring status %+v, want every report live", st)
+	}
+	// A windowed node's dir cannot be reopened cumulative: its sealed
+	// buckets would silently drop out of the release.
+	sealed := &Bucket{Slot: 1, Agg: p.NewAggregator()}
+	for _, l := range []Layout{{Sealed: []*Bucket{sealed}}, {LiveSlot: 2, LiveStart: testStart}} {
+		if err := r.Restore(l, nil); err == nil || !strings.Contains(err.Error(), "-window") {
+			t.Fatalf("cumulative ring restored a windowed layout %+v: %v", l, err)
+		}
+	}
 }
 
 // TestWindowArenaSurfacesFoldErrors pins satellite behavior across the
