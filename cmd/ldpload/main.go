@@ -67,8 +67,8 @@ type LoadReport struct {
 	Zipf        float64 `json:"zipf"`
 	Duration    float64 `json:"duration_seconds"`
 	Requests    uint64  `json:"requests"`
-	Reports     uint64  `json:"reports"`
-	ReportsSec  float64 `json:"reports_per_sec"`
+	Reports     uint64  `json:"reports"`         // carried by 2xx replies only
+	ReportsSec  float64 `json:"reports_per_sec"` // Reports / Duration
 	RequestsSec float64 `json:"requests_per_sec"`
 
 	Latency LatencySummary `json:"latency_seconds"`
@@ -102,40 +102,49 @@ type StatusCounts struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ldpload: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run parses the command line, drives the load and writes the report.
+func run(args []string) error {
+	fs := flag.NewFlagSet("ldpload", flag.ExitOnError)
 	var (
-		addr     = flag.String("addr", "http://127.0.0.1:8080", "server base URL")
-		protocol = flag.String("protocol", "InpHT", "protocol name (must match the server)")
-		d        = flag.Int("d", 8, "number of binary attributes")
-		k        = flag.Int("k", 2, "largest marginal size supported")
-		eps      = flag.Float64("eps", math.Log(3), "privacy budget epsilon")
-		clients  = flag.Int("clients", 8, "concurrent workers")
-		batch    = flag.Int("batch", 256, "reports per request (1 = single-frame POST /report)")
-		duration = flag.Duration("duration", 10*time.Second, "measured run length")
-		warmup   = flag.Duration("warmup", 1*time.Second, "unmeasured warmup before the run")
-		rate     = flag.Float64("rate", 0, "target reports/s across all workers (0 = closed loop)")
-		zipf     = flag.Float64("zipf", 1.1, "zipf exponent for attribute values, > 1 (0 = uniform)")
-		pregen   = flag.Int("pregen", 64, "distinct request bodies generated up front")
-		token    = flag.String("token", "", "X-LDP-Token header value (required by servers with -round-eps)")
-		seed     = flag.Int64("seed", 1, "value-generation seed")
-		out      = flag.String("out", "-", "result JSON path (- = stdout)")
+		addr     = fs.String("addr", "http://127.0.0.1:8080", "server base URL")
+		protocol = fs.String("protocol", "InpHT", "protocol name (must match the server)")
+		d        = fs.Int("d", 8, "number of binary attributes")
+		k        = fs.Int("k", 2, "largest marginal size supported")
+		eps      = fs.Float64("eps", math.Log(3), "privacy budget epsilon")
+		clients  = fs.Int("clients", 8, "concurrent workers")
+		batch    = fs.Int("batch", 256, "reports per request (1 = single-frame POST /report)")
+		duration = fs.Duration("duration", 10*time.Second, "measured run length")
+		warmup   = fs.Duration("warmup", 1*time.Second, "unmeasured warmup before the run")
+		rate     = fs.Float64("rate", 0, "target reports/s across all workers (0 = closed loop)")
+		zipf     = fs.Float64("zipf", 1.1, "zipf exponent for attribute values, > 1 (0 = uniform)")
+		pregen   = fs.Int("pregen", 64, "distinct request bodies generated up front")
+		token    = fs.String("token", "", "X-LDP-Token header value (required by servers with -round-eps)")
+		seed     = fs.Int64("seed", 1, "value-generation seed")
+		out      = fs.String("out", "-", "result JSON path (- = stdout)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *clients < 1 || *batch < 1 || *pregen < 1 {
-		log.Fatal("-clients, -batch, and -pregen must be positive")
+		return fmt.Errorf("-clients, -batch, and -pregen must be positive")
 	}
 	if *zipf != 0 && *zipf <= 1 {
-		log.Fatal("-zipf must be > 1 (or 0 for uniform values)")
+		return fmt.Errorf("-zipf must be > 1 (or 0 for uniform values)")
 	}
 
 	cfg := ldpmarginals.Config{D: *d, K: *k, Epsilon: *eps, OptimizedPRR: true}
 	p, err := ldpmarginals.ProtocolByName(*protocol, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bodies, err := genBodies(p, *batch, *pregen, *zipf, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	path := *addr + "/report/batch"
 	if *batch == 1 {
@@ -226,7 +235,7 @@ func main() {
 		// sleep until their slot and charge any backlog to the latency.
 		interval := time.Duration(float64(*batch) / *rate * float64(time.Second))
 		if interval <= 0 {
-			log.Fatalf("-rate %g with -batch %d schedules requests faster than 1ns apart", *rate, *batch)
+			return fmt.Errorf("-rate %g with -batch %d schedules requests faster than 1ns apart", *rate, *batch)
 		}
 		var slot atomic.Int64
 		for c := 0; c < *clients; c++ {
@@ -258,8 +267,10 @@ func main() {
 	elapsed := time.Since(start).Seconds()
 	transport.CloseIdleConnections()
 
+	// Only a 2xx reply carries reports into the server: shed, refused and
+	// failed requests count as requests but not as throughput.
 	requests := lat.Count()
-	reports := requests * uint64(*batch)
+	reports := st.OK2xx * uint64(*batch)
 	if msg := sampleErr.Load(); msg != nil {
 		st.SampleError = *msg
 	}
@@ -294,18 +305,19 @@ func main() {
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	buf = append(buf, '\n')
 	if *out == "-" {
-		os.Stdout.Write(buf)
-	} else {
-		if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s: %.0f reports/s, p50 %.1fms p99 %.1fms, %d requests (%d shed, %d errors)",
-			*out, rep.ReportsSec, rep.Latency.P50*1e3, rep.Latency.P99*1e3, requests, st.Shed429, st.Err5xx+st.Transport)
+		_, err = os.Stdout.Write(buf)
+		return err
 	}
+	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+		return err
+	}
+	log.Printf("wrote %s: %.0f reports/s, p50 %.1fms p99 %.1fms, %d requests (%d shed, %d errors)",
+		*out, rep.ReportsSec, rep.Latency.P50*1e3, rep.Latency.P99*1e3, requests, st.Shed429, st.Err5xx+st.Transport)
+	return nil
 }
 
 // genBodies pre-marshals n distinct request bodies of batch reports

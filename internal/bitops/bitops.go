@@ -17,9 +17,6 @@ const MaxAttributes = 40
 // OnesCount returns |m|, the number of set bits in m.
 func OnesCount(m uint64) int { return bits.OnesCount64(m) }
 
-// Parity returns the parity (0 or 1) of the number of set bits of m.
-func Parity(m uint64) int { return bits.OnesCount64(m) & 1 }
-
 // InnerProductSign returns (-1)^<i,j> where <i,j> counts the bit positions
 // on which i and j are both 1. This is the sign of the Hadamard matrix
 // entry phi_{i,j} (Definition 3.5 of the paper).
@@ -105,17 +102,6 @@ func MasksWithAtMostK(d, minK, maxK int) []uint64 {
 	return out
 }
 
-// SubMasks returns all 2^|beta| sub-masks of beta (including 0 and beta
-// itself) in increasing compact order: the i-th element is Expand(i, beta).
-func SubMasks(beta uint64) []uint64 {
-	k := OnesCount(beta)
-	out := make([]uint64, 0, 1<<k)
-	for c := uint64(0); c < 1<<uint(k); c++ {
-		out = append(out, Expand(c, beta))
-	}
-	return out
-}
-
 // Compress maps a full-domain index eta to its compact index within the
 // marginal identified by beta: the bits of eta at beta's set positions are
 // packed, in order of increasing position, into the low |beta| bits of the
@@ -157,14 +143,4 @@ func BitPositions(m uint64) []int {
 		out = append(out, bits.TrailingZeros64(b))
 	}
 	return out
-}
-
-// MaskFromPositions builds a mask with the given bit positions set.
-// Duplicate positions are idempotent.
-func MaskFromPositions(positions ...int) uint64 {
-	var m uint64
-	for _, p := range positions {
-		m |= 1 << uint(p)
-	}
-	return m
 }

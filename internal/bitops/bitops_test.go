@@ -254,3 +254,27 @@ func TestMaskFromPositionsRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Parity returns the parity (0 or 1) of the number of set bits of m.
+func Parity(m uint64) int { return bits.OnesCount64(m) & 1 }
+
+// SubMasks returns all 2^|beta| sub-masks of beta (including 0 and beta
+// itself) in increasing compact order: the i-th element is Expand(i, beta).
+func SubMasks(beta uint64) []uint64 {
+	k := OnesCount(beta)
+	out := make([]uint64, 0, 1<<k)
+	for c := uint64(0); c < 1<<uint(k); c++ {
+		out = append(out, Expand(c, beta))
+	}
+	return out
+}
+
+// MaskFromPositions builds a mask with the given bit positions set.
+// Duplicate positions are idempotent.
+func MaskFromPositions(positions ...int) uint64 {
+	var m uint64
+	for _, p := range positions {
+		m |= 1 << uint(p)
+	}
+	return m
+}

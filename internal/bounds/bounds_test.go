@@ -53,7 +53,11 @@ func TestBernsteinHoldsEmpirically(t *testing.T) {
 	for tr := 0; tr < trials; tr++ {
 		sum := 0
 		for i := 0; i < n; i++ {
-			sum += r.PlusMinusOne(0.5)
+			if r.Bernoulli(0.5) {
+				sum++
+			} else {
+				sum--
+			}
 		}
 		if math.Abs(float64(sum))/n >= c {
 			exceed++

@@ -31,10 +31,8 @@ func enforceReference(tables []*marginal.Table, weights []float64, opts Options)
 			if common == 0 {
 				continue
 			}
-			for _, sub := range bitops.SubMasks(common) {
-				if sub == 0 {
-					continue
-				}
+			for c := uint64(1); c < 1<<bitops.OnesCount(common); c++ {
+				sub := bitops.Expand(c, common)
 				if shared[sub] == nil {
 					for idx, t := range tables {
 						if bitops.IsSubset(sub, t.Beta) {
@@ -110,10 +108,8 @@ func maxDisagreementReference(tables []*marginal.Table) (float64, error) {
 			if common == 0 {
 				continue
 			}
-			for _, sub := range bitops.SubMasks(common) {
-				if sub == 0 {
-					continue
-				}
+			for c := uint64(1); c < 1<<bitops.OnesCount(common); c++ {
+				sub := bitops.Expand(c, common)
 				a, err := tables[i].MarginalizeTo(sub)
 				if err != nil {
 					return 0, err

@@ -26,8 +26,8 @@ func TestExportShardsReassembles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(vers) != sh.Shards() {
-				t.Fatalf("version vector over %d shards, want %d", len(vers), sh.Shards())
+			if len(vers) != len(sh.shards) {
+				t.Fatalf("version vector over %d shards, want %d", len(vers), len(sh.shards))
 			}
 			// Reassemble exactly like a coordinator folding components.
 			blobs := make([][]byte, 0, len(exps))

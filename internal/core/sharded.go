@@ -75,9 +75,6 @@ func ResolveShards(shards int) int {
 	return shards
 }
 
-// Shards returns the number of per-shard accumulators.
-func (s *ShardedAggregator) Shards() int { return len(s.shards) }
-
 // pick routes the next write to a shard round-robin.
 func (s *ShardedAggregator) pick() *aggShard {
 	return &s.shards[s.next.Add(1)%uint64(len(s.shards))]

@@ -196,10 +196,10 @@ func TestNewShardedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := NewSharded(p, 0).Shards(); got < 1 {
+	if got := len(NewSharded(p, 0).shards); got < 1 {
 		t.Fatalf("default shards = %d", got)
 	}
-	if got := NewSharded(p, 3).Shards(); got != 3 {
+	if got := len(NewSharded(p, 3).shards); got != 3 {
 		t.Fatalf("explicit shards = %d, want 3", got)
 	}
 }

@@ -1,6 +1,6 @@
 // Package dataset provides the datasets of the paper's evaluation
-// (Section 5.1) as reproducible synthetic generators, plus encoding and
-// I/O utilities.
+// (Section 5.1) as reproducible synthetic generators, plus encoding
+// utilities.
 //
 // The original study used NYC taxi trip records and MovieLens ratings.
 // Neither raw dataset is available in this offline reproduction, so both
@@ -13,11 +13,8 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
-	"strconv"
 
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/marginal"
@@ -85,34 +82,6 @@ func (ds *Dataset) Marginal(beta uint64) (*marginal.Table, error) {
 	return marginal.FromRecords(ds.Records, beta)
 }
 
-// FullDistribution materializes the empirical distribution over all 2^D
-// cells. It refuses d > 20 to bound memory; most code paths should use
-// Marginal instead.
-func (ds *Dataset) FullDistribution() ([]float64, error) {
-	if ds.D > 20 {
-		return nil, fmt.Errorf("dataset: full distribution for d=%d would need 2^%d cells", ds.D, ds.D)
-	}
-	if len(ds.Records) == 0 {
-		return nil, fmt.Errorf("dataset: no records")
-	}
-	dist := make([]float64, 1<<uint(ds.D))
-	w := 1 / float64(len(ds.Records))
-	for _, r := range ds.Records {
-		dist[r] += w
-	}
-	return dist, nil
-}
-
-// Sample draws n records uniformly with replacement, as the paper's
-// experiments do when varying the population size N.
-func (ds *Dataset) Sample(n int, r *rng.RNG) *Dataset {
-	out := &Dataset{D: ds.D, Names: append([]string(nil), ds.Names...), Records: make([]uint64, n)}
-	for i := range out.Records {
-		out.Records[i] = ds.Records[r.Intn(len(ds.Records))]
-	}
-	return out
-}
-
 // DuplicateColumns extends the dataset to targetD attributes by repeating
 // the original columns cyclically — the trick the paper uses to study
 // larger dimensionalities on the taxi data (Section 5.4).
@@ -142,66 +111,6 @@ func DuplicateColumns(ds *Dataset, targetD int) (*Dataset, error) {
 		out.Records[i] = ext
 	}
 	return out, nil
-}
-
-// WriteCSV writes the dataset as a header row of attribute names followed
-// by one 0/1 row per record.
-func (ds *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(ds.Names); err != nil {
-		return fmt.Errorf("dataset: writing header: %w", err)
-	}
-	row := make([]string, ds.D)
-	for _, rec := range ds.Records {
-		for j := 0; j < ds.D; j++ {
-			if rec&(1<<uint(j)) != 0 {
-				row[j] = "1"
-			} else {
-				row[j] = "0"
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("dataset: writing record: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a dataset written by WriteCSV (or any CSV of 0/1 values
-// with a header row).
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading header: %w", err)
-	}
-	d := len(header)
-	if d == 0 || d > bitops.MaxAttributes {
-		return nil, fmt.Errorf("dataset: %d attributes out of range", d)
-	}
-	ds := &Dataset{D: d, Names: header}
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		var rec uint64
-		for j, cell := range row {
-			v, err := strconv.Atoi(cell)
-			if err != nil || (v != 0 && v != 1) {
-				return nil, fmt.Errorf("dataset: line %d column %d: %q is not 0/1", line, j+1, cell)
-			}
-			if v == 1 {
-				rec |= 1 << uint(j)
-			}
-		}
-		ds.Records = append(ds.Records, rec)
-	}
-	return ds, ds.Validate()
 }
 
 // TaxiNames lists the 8 attributes of the synthetic taxi dataset in bit

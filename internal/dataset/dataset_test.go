@@ -1,9 +1,8 @@
 package dataset
 
 import (
-	"bytes"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"ldpmarginals/internal/rng"
@@ -248,43 +247,6 @@ func TestMarginalMatchesFullDistribution(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	ds := NewTaxi(200, 9)
-	var buf bytes.Buffer
-	if err := ds.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.D != ds.D || got.N() != ds.N() {
-		t.Fatalf("shape mismatch after round trip")
-	}
-	for i := range ds.Records {
-		if got.Records[i] != ds.Records[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	for j := range ds.Names {
-		if got.Names[j] != ds.Names[j] {
-			t.Fatalf("name %d mismatch", j)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Error("non-binary value should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\nx,0\n")); err == nil {
-		t.Error("non-numeric value should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input should error")
-	}
-}
-
 func TestValidateRejectsBadRecords(t *testing.T) {
 	ds := &Dataset{D: 2, Names: []string{"a", "b"}, Records: []uint64{5}}
 	if err := ds.Validate(); err == nil {
@@ -298,4 +260,32 @@ func TestValidateRejectsBadRecords(t *testing.T) {
 	if err := ds3.Validate(); err == nil {
 		t.Error("d=0 should fail validation")
 	}
+}
+
+// FullDistribution materializes the empirical distribution over all 2^D
+// cells, the reference TestMarginalMatchesFullDistribution checks
+// Marginal against. It refuses d > 20 to bound memory.
+func (ds *Dataset) FullDistribution() ([]float64, error) {
+	if ds.D > 20 {
+		return nil, fmt.Errorf("dataset: full distribution for d=%d would need 2^%d cells", ds.D, ds.D)
+	}
+	if len(ds.Records) == 0 {
+		return nil, fmt.Errorf("dataset: no records")
+	}
+	dist := make([]float64, 1<<uint(ds.D))
+	w := 1 / float64(len(ds.Records))
+	for _, r := range ds.Records {
+		dist[r] += w
+	}
+	return dist, nil
+}
+
+// Sample draws n records uniformly with replacement, as the paper's
+// experiments do when varying the population size N.
+func (ds *Dataset) Sample(n int, r *rng.RNG) *Dataset {
+	out := &Dataset{D: ds.D, Names: append([]string(nil), ds.Names...), Records: make([]uint64, n)}
+	for i := range out.Records {
+		out.Records[i] = ds.Records[r.Intn(len(ds.Records))]
+	}
+	return out
 }

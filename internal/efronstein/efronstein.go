@@ -214,9 +214,6 @@ func (p *Protocol) Config() core.Config {
 	return core.Config{D: p.d2, K: p.d2, Epsilon: p.cfg.Epsilon}
 }
 
-// CoefficientCount returns |T|, the number of collected coefficients.
-func (p *Protocol) CoefficientCount() int { return len(p.coeffs) }
-
 // CommunicationBits counts the coefficient index plus the single
 // randomized bit.
 func (p *Protocol) CommunicationBits() int {
@@ -448,19 +445,6 @@ func (a *Aggregator) attrsForMask(beta uint64) ([]int, error) {
 		return nil, fmt.Errorf("efronstein: mask %b does not align with attribute bit groups", beta)
 	}
 	return attrs, nil
-}
-
-// MaskFor returns the encoded-record mask covering the given attributes,
-// mirroring dataset.Categorical.MaskFor for this protocol's layout.
-func (p *Protocol) MaskFor(attrs ...int) (uint64, error) {
-	var m uint64
-	for _, at := range attrs {
-		if at < 0 || at >= len(p.groups) {
-			return 0, fmt.Errorf("efronstein: attribute %d out of range", at)
-		}
-		m |= p.groups[at]
-	}
-	return m, nil
 }
 
 // ExactCategorical computes the exact mixed-radix joint distribution of

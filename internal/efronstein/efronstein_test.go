@@ -89,7 +89,7 @@ func TestCoefficientEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.CoefficientCount(); got != 11 {
+	if got := len(p.coeffs); got != 11 {
 		t.Errorf("|T| = %d, want 11", got)
 	}
 	if p.Name() != "InpES" {
@@ -154,7 +154,7 @@ func TestEstimateViaBinaryMaskMatchesCategorical(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := run.Agg.(*Aggregator)
-	mask, err := p.MaskFor(0, 1)
+	mask, err := cat.MaskFor(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestUnmarshalStateRejectsWrappingSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int64, p.CoefficientCount())
+	counts := make([]int64, len(p.coeffs))
 	counts[0], counts[1], counts[2], counts[3] = 1<<62, 1<<62, 1<<62, 1<<62
 	e := wire.NewStateEncoder(stateKindES, 1)
 	e.Uvarint(0)

@@ -109,10 +109,6 @@ func (p *Protocol) Config() core.Config {
 // CommunicationBits is d: one randomized bit per attribute.
 func (p *Protocol) CommunicationBits() int { return p.cfg.D }
 
-// FlipProbability returns the probability that a single reported bit is
-// flipped, 1 - e^{eps/d}/(1+e^{eps/d}).
-func (p *Protocol) FlipProbability() float64 { return 1 - p.rr.P }
-
 // NewClient returns the budget-splitting client.
 func (p *Protocol) NewClient() core.Client { return &client{p: p} }
 

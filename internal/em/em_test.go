@@ -36,8 +36,8 @@ func TestFlipProbability(t *testing.T) {
 	// eps=4 over d=4 bits: per-bit eps=1, keep = e/(1+e).
 	p, _ := New(Config{D: 4, K: 2, Epsilon: 4})
 	want := 1 - math.E/(1+math.E)
-	if math.Abs(p.FlipProbability()-want) > 1e-12 {
-		t.Errorf("flip = %v, want %v", p.FlipProbability(), want)
+	if flip := 1 - p.rr.P; math.Abs(flip-want) > 1e-12 {
+		t.Errorf("flip = %v, want %v", flip, want)
 	}
 }
 

@@ -68,16 +68,6 @@ func TagForProtocol(name string) (Tag, error) {
 	return tag, nil
 }
 
-// ProtocolForTag maps a wire tag back to its protocol name — the
-// inverse of TagForProtocol.
-func ProtocolForTag(tag Tag) (string, error) {
-	name, ok := tagProtocols[tag]
-	if !ok {
-		return "", fmt.Errorf("encoding: unknown tag %d", tag)
-	}
-	return name, nil
-}
-
 // TagName names a tag for a refusal: "InpHT (tag 3)", a retired tag's
 // protocol the same way, or "tag 12".
 func TagName(tag Tag) string {

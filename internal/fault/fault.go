@@ -20,7 +20,6 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -82,12 +81,6 @@ func (e *InjectedError) Error() string {
 		return fmt.Sprintf("fault: %s: %s", e.Site, e.Msg)
 	}
 	return fmt.Sprintf("fault: injected error at %s", e.Site)
-}
-
-// IsInjected reports whether err originated from a fired ModeError rule.
-func IsInjected(err error) bool {
-	var ie *InjectedError
-	return errors.As(err, &ie)
 }
 
 type armedRule struct {
@@ -163,9 +156,6 @@ func (r *Registry) Disarm() {
 	r.mu.Unlock()
 }
 
-// Enabled reports whether any rules are armed.
-func (r *Registry) Enabled() bool { return r.armed.Load() }
-
 // Hit consults error and latency rules at site. Latency rules that
 // fire sleep inline; the first error rule that fires returns its
 // injected error. Disarmed, it costs one atomic load.
@@ -226,37 +216,6 @@ func (r *Registry) Mangle(site string, b []byte) []byte {
 	return b
 }
 
-// SiteStat reports per-site injection activity, for metrics and test
-// assertions.
-type SiteStat struct {
-	Site  string `json:"site"`
-	Calls uint64 `json:"calls"`
-	Fired uint64 `json:"fired"`
-}
-
-// Stats returns activity for every armed site, sorted by site name.
-func (r *Registry) Stats() []SiteStat {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	bySite := make(map[string]*SiteStat)
-	order := make([]string, 0, len(r.rules))
-	for site, rules := range r.rules {
-		st := &SiteStat{Site: site}
-		for _, ar := range rules {
-			st.Calls += ar.calls.Load()
-			st.Fired += ar.fired.Load()
-		}
-		bySite[site] = st
-		order = append(order, site)
-	}
-	sortStrings(order)
-	out := make([]SiteStat, 0, len(order))
-	for _, site := range order {
-		out = append(out, *bySite[site])
-	}
-	return out
-}
-
 // Fired returns the total number of injections fired across all sites.
 func (r *Registry) Fired() uint64 {
 	var n uint64
@@ -268,16 +227,6 @@ func (r *Registry) Fired() uint64 {
 	}
 	r.mu.RUnlock()
 	return n
-}
-
-func sortStrings(s []string) {
-	// Insertion sort: site counts are tiny and this keeps the package
-	// dependency-free beyond the standard runtime.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Hit consults the Default registry at site. See Registry.Hit.
@@ -301,6 +250,3 @@ func Arm(rules ...Rule) { Default.Arm(rules...) }
 
 // Disarm clears the Default registry.
 func Disarm() { Default.Disarm() }
-
-// Enabled reports whether the Default registry has armed rules.
-func Enabled() bool { return Default.Enabled() }

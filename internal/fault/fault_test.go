@@ -9,7 +9,7 @@ import (
 
 func TestDisarmedIsNoOp(t *testing.T) {
 	r := New()
-	if r.Enabled() {
+	if r.armed.Load() {
 		t.Fatal("fresh registry reports enabled")
 	}
 	if err := r.Hit("any.site"); err != nil {
@@ -30,11 +30,10 @@ func TestErrorOnceSchedule(t *testing.T) {
 			if err == nil {
 				t.Fatalf("call %d: want injected error", i)
 			}
-			if !IsInjected(err) {
+			var ie *InjectedError
+			if !errors.As(err, &ie) {
 				t.Fatalf("call %d: error not InjectedError: %v", i, err)
 			}
-			var ie *InjectedError
-			errors.As(err, &ie)
 			if ie.Site != "s" || ie.Msg != "boom" {
 				t.Fatalf("call %d: wrong error payload: %+v", i, ie)
 			}
@@ -118,9 +117,11 @@ func TestSitesAreIndependent(t *testing.T) {
 	if err := r.Hit("a"); err == nil {
 		t.Fatal("armed site did not fire")
 	}
-	stats := r.Stats()
-	if len(stats) != 1 || stats[0].Site != "a" || stats[0].Calls != 1 || stats[0].Fired != 1 {
-		t.Fatalf("unexpected stats: %+v", stats)
+	if len(r.rules) != 1 || len(r.rules["a"]) != 1 {
+		t.Fatalf("armed sites = %v, want only a", r.rules)
+	}
+	if ar := r.rules["a"][0]; ar.calls.Load() != 1 || ar.fired.Load() != 1 {
+		t.Fatalf("site a: calls %d fired %d, want 1 and 1", ar.calls.Load(), ar.fired.Load())
 	}
 }
 

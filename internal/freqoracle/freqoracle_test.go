@@ -28,8 +28,8 @@ func TestNewOLHValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// g = round(e^eps) + 1 = 4 at eps = ln 3.
-	if o.G() != 4 {
-		t.Errorf("g = %d, want 4", o.G())
+	if o.g != 4 {
+		t.Errorf("g = %d, want 4", o.g)
 	}
 	if o.Name() != "InpOLH" {
 		t.Errorf("name = %q", o.Name())
@@ -58,22 +58,6 @@ func TestOLHEndToEnd(t *testing.T) {
 	}
 	if tv > 0.06 {
 		t.Errorf("OLH mean 2-way TV = %v, want < 0.06", tv)
-	}
-	// Frequency point query agrees with the decoded vector.
-	agg := res.Agg.(*olhAgg)
-	all, err := agg.EstimateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := agg.EstimateFrequency(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != all[5] {
-		t.Errorf("point query %v != vector entry %v", f, all[5])
-	}
-	if _, err := agg.EstimateFrequency(1 << 20); err == nil {
-		t.Error("out-of-domain item should error")
 	}
 }
 
@@ -220,10 +204,11 @@ func TestHCMSHeavyHitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := res.Agg.(*hcmsAgg).EstimateFrequency(13)
+	all, err := res.Agg.(*hcmsAgg).EstimateAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := all[13]
 	// True frequency is 0.4 + 0.6/256.
 	if math.Abs(f-0.4) > 0.05 {
 		t.Errorf("heavy hitter estimate = %v, want ~0.4", f)
@@ -244,9 +229,6 @@ func TestHCMSAggregatorValidation(t *testing.T) {
 	}
 	if _, err := agg.Estimate(0b11); err == nil {
 		t.Error("empty aggregator should error")
-	}
-	if _, err := agg.(*hcmsAgg).EstimateFrequency(1 << 10); err == nil {
-		t.Error("out-of-domain item should error")
 	}
 	c, _ := core.New(core.InpHT, core.Config{D: 4, K: 2, Epsilon: 1})
 	if err := agg.Merge(c.NewAggregator()); err == nil {

@@ -202,35 +202,6 @@ func (a *hcmsAgg) EstimateAll() ([]float64, error) {
 	return est, nil
 }
 
-// EstimateFrequency returns the estimated frequency of a single item.
-func (a *hcmsAgg) EstimateFrequency(x uint64) (float64, error) {
-	if x >= 1<<uint(a.h.cfg.D) {
-		return 0, fmt.Errorf("freqoracle: item %d outside domain", x)
-	}
-	if a.N() == 0 {
-		return 0, fmt.Errorf("freqoracle: HCMS aggregator has no reports")
-	}
-	w := float64(a.h.cfg.W)
-	var sum float64
-	var used int
-	for g := 0; g < a.h.cfg.G; g++ {
-		if a.GroupUsers(g) == 0 {
-			continue
-		}
-		dist, err := a.rowDistribution(g)
-		if err != nil {
-			return 0, err
-		}
-		cell := a.h.family.Hash(g, x)
-		sum += (dist[cell] - 1/w) * w / (w - 1)
-		used++
-	}
-	if used == 0 {
-		return 0, nil
-	}
-	return sum / float64(used), nil
-}
-
 // Estimate materializes the marginal over beta from the estimated item
 // frequencies.
 func (a *hcmsAgg) Estimate(beta uint64) (*marginal.Table, error) {

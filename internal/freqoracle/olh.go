@@ -84,9 +84,6 @@ func (o *OLH) Config() core.Config {
 	return core.Config{D: o.cfg.D, K: o.cfg.K, Epsilon: o.cfg.Epsilon}
 }
 
-// G returns the hash range in use.
-func (o *OLH) G() uint64 { return o.g }
-
 // CommunicationBits counts the hash seed (64 bits, identifying the hash
 // function) plus the perturbed value. The paper idealizes this as O(eps)
 // by sharing hash choices; we report the literal message size.
@@ -202,18 +199,6 @@ func (a *olhAgg) EstimateAll() ([]float64, error) {
 	}
 	a.decoded = est
 	return est, nil
-}
-
-// EstimateFrequency returns the estimated frequency of a single item.
-func (a *olhAgg) EstimateFrequency(x uint64) (float64, error) {
-	est, err := a.EstimateAll()
-	if err != nil {
-		return 0, err
-	}
-	if x >= uint64(len(est)) {
-		return 0, fmt.Errorf("freqoracle: item %d outside domain", x)
-	}
-	return est[x], nil
 }
 
 // Estimate materializes the marginal over beta from the decoded item

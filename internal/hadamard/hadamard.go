@@ -121,19 +121,6 @@ func InverseWHT(v []float64) error {
 	return nil
 }
 
-// ScaledCoefficients returns the full vector of scaled coefficients
-// m_alpha (indexed by alpha) for a distribution t over 2^d cells. For
-// testing and small-d reference computations; protocols never call this
-// per user.
-func ScaledCoefficients(t []float64) ([]float64, error) {
-	m := make([]float64, len(t))
-	copy(m, t)
-	if err := WHT(m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // CoefficientSource yields the scaled coefficient estimate m_alpha for a
 // coefficient index alpha. Implementations may return estimates (from an
 // LDP aggregator) or exact values (from a reference transform).

@@ -327,3 +327,16 @@ func TestWHTParallelBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// ScaledCoefficients returns the full vector of scaled coefficients
+// m_alpha (indexed by alpha) for a distribution t over 2^d cells. For
+// testing and small-d reference computations; protocols never call this
+// per user.
+func ScaledCoefficients(t []float64) ([]float64, error) {
+	m := make([]float64, len(t))
+	copy(m, t)
+	if err := WHT(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}

@@ -22,7 +22,7 @@ func poolFor(n int) *sync.Pool {
 }
 
 // GetVec returns a length-n scratch vector from the pool. Contents are
-// arbitrary; callers must overwrite (or ZeroVec) before reading.
+// arbitrary; callers must overwrite it before reading.
 func GetVec(n int) []float64 {
 	return poolFor(n).Get().([]float64)
 }
@@ -34,11 +34,4 @@ func PutVec(v []float64) {
 		return
 	}
 	poolFor(len(v)).Put(v) //nolint:staticcheck // slices share a pool per length
-}
-
-// ZeroVec clears v in place.
-func ZeroVec(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
 }

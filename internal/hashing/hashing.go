@@ -65,9 +65,6 @@ func NewUniversal(seed uint64, m uint64) (*Universal, error) {
 // Seed returns the seed identifying this function within the family.
 func (u *Universal) Seed() uint64 { return u.seed }
 
-// Range returns m, the size of the hash codomain.
-func (u *Universal) Range() uint64 { return u.m }
-
 // Hash returns h(x) in [0, m).
 func (u *Universal) Hash(x uint64) uint64 {
 	// Reduce x into the field first (2^61-1 < 2^64).
@@ -98,9 +95,6 @@ func NewThreeWise(seed uint64, m uint64) (*ThreeWise, error) {
 		m: m,
 	}, nil
 }
-
-// Range returns m, the size of the hash codomain.
-func (h *ThreeWise) Range() uint64 { return h.m }
 
 // Hash returns h(x) in [0, m).
 func (h *ThreeWise) Hash(x uint64) uint64 {

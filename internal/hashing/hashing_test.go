@@ -59,7 +59,7 @@ func TestUniversalDeterministic(t *testing.T) {
 			t.Fatal("same seed should give same function")
 		}
 	}
-	if u1.Seed() != 99 || u1.Range() != 64 {
+	if u1.Seed() != 99 || u1.m != 64 {
 		t.Error("accessor mismatch")
 	}
 }
@@ -114,8 +114,8 @@ func TestThreeWiseRangeAndDeterminism(t *testing.T) {
 			t.Fatal("determinism violated")
 		}
 	}
-	if h1.Range() != 256 {
-		t.Error("Range accessor wrong")
+	if h1.m != 256 {
+		t.Errorf("range = %d, want 256", h1.m)
 	}
 }
 

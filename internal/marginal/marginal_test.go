@@ -172,7 +172,8 @@ func TestMarginalizePreservesMass(t *testing.T) {
 	r := rng.New(4)
 	dist := randomDist(r, 1<<6)
 	full, _ := FromDistribution(dist, 6, 0b111000)
-	for _, sub := range bitops.SubMasks(0b111000) {
+	for c := uint64(0); c < 1<<3; c++ {
+		sub := bitops.Expand(c, 0b111000)
 		m, err := full.MarginalizeTo(sub)
 		if err != nil {
 			t.Fatal(err)

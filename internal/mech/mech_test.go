@@ -1,6 +1,7 @@
 package mech
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -307,4 +308,82 @@ func BenchmarkPRROneHot256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Epsilon returns the privacy parameter ln(P / (1-P)) this instance
+// provides.
+func (m *RR) Epsilon() float64 { return math.Log(m.P / (1 - m.P)) }
+
+// UnbiasMean converts the observed frequency of 1-reports into an
+// unbiased estimate of the true frequency of 1s:
+// E[F] = f*P + (1-f)*(1-P)  =>  f = (F - (1-P)) / (2P - 1).
+func (m *RR) UnbiasMean(observed float64) float64 {
+	return (observed - (1 - m.P)) / (2*m.P - 1)
+}
+
+// EpsilonSparse returns the privacy parameter this instance provides on
+// one-hot inputs. Adjacent inputs differ in exactly two positions; the
+// worst-case likelihood ratio is
+// max_y P(y|1)/P(y|0) * max_y P(y|0)/P(y|1).
+func (m *PRR) EpsilonSparse() float64 {
+	up := math.Max(m.P1/m.P0, (1-m.P1)/(1-m.P0))
+	down := math.Max(m.P0/m.P1, (1-m.P0)/(1-m.P1))
+	return math.Log(up * down)
+}
+
+// Epsilon returns the privacy parameter ln(Ps/(1-Ps) * (m-1)) this
+// instance provides (Fact 3.1).
+func (g *GRR) Epsilon() float64 {
+	return math.Log(g.Ps / (1 - g.Ps) * float64(g.M-1))
+}
+
+// UnbiasAll applies UnbiasFrequency to per-category report counts,
+// returning estimated true fractions. total must be positive.
+func (g *GRR) UnbiasAll(counts []uint64, total uint64) ([]float64, error) {
+	if uint64(len(counts)) != g.M {
+		return nil, fmt.Errorf("mech: got %d counts for %d categories", len(counts), g.M)
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("mech: cannot unbias zero reports")
+	}
+	out := make([]float64, len(counts))
+	for i, c := range counts {
+		out[i] = g.UnbiasFrequency(float64(c) / float64(total))
+	}
+	return out, nil
+}
+
+// RRS is randomized response with sampling: the user samples one of M
+// positions of their (sparse) bit vector uniformly and releases that bit
+// through eps-RR. It is the generic primitive behind Theorem 4.2.
+type RRS struct {
+	M  uint64
+	RR *RR
+}
+
+// NewRRS returns the eps-LDP sampled randomized response over m
+// positions.
+func NewRRS(eps float64, m uint64) (*RRS, error) {
+	if m == 0 {
+		return nil, fmt.Errorf("mech: RRS needs at least 1 position")
+	}
+	rr, err := NewRR(eps)
+	if err != nil {
+		return nil, err
+	}
+	return &RRS{M: m, RR: rr}, nil
+}
+
+// Perturb samples a position uniformly and reports (position, perturbed
+// bit), where the true bit is 1 exactly at the signal position.
+func (s *RRS) Perturb(signal uint64, r *rng.RNG) (pos uint64, bit bool) {
+	pos = r.Uint64n(s.M)
+	return pos, s.RR.PerturbBit(pos == signal, r)
+}
+
+// UnbiasFrequency converts the observed fraction of 1-reports among the
+// users that sampled a given position into an unbiased frequency
+// estimate for that position.
+func (s *RRS) UnbiasFrequency(observed float64) float64 {
+	return s.RR.UnbiasMean(observed)
 }

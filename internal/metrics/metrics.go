@@ -353,27 +353,6 @@ func (r *Registry) MustRegister(name, help string, labels Labels, c collector) {
 	f.series = append(f.series, series{labels: rendered, c: c})
 }
 
-// MustCounter allocates a counter and registers it.
-func (r *Registry) MustCounter(name, help string, labels Labels) *Counter {
-	c := NewCounter()
-	r.MustRegister(name, help, labels, c)
-	return c
-}
-
-// MustGauge allocates a gauge and registers it.
-func (r *Registry) MustGauge(name, help string, labels Labels) *Gauge {
-	g := NewGauge()
-	r.MustRegister(name, help, labels, g)
-	return g
-}
-
-// MustHistogram allocates a histogram over bounds and registers it.
-func (r *Registry) MustHistogram(name, help string, labels Labels, bounds []float64) *Histogram {
-	h := NewHistogram(bounds)
-	r.MustRegister(name, help, labels, h)
-	return h
-}
-
 // MustGaugeFunc registers a scrape-time derived gauge.
 func (r *Registry) MustGaugeFunc(name, help string, labels Labels, f func() float64) {
 	r.MustRegister(name, help, labels, GaugeFunc(f))

@@ -18,9 +18,12 @@ import (
 // byte-for-byte golden.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	h := r.MustHistogram("req_seconds", "Request latency.", Labels{"path": "/a"}, []float64{0.1, 1})
-	c := r.MustCounter("zz_total", "Trailing family (sorted after).", nil)
-	g := r.MustGauge("inflight", "In-flight requests.", Labels{"b": "2", "a": "1"})
+	h := NewHistogram([]float64{0.1, 1})
+	r.MustRegister("req_seconds", "Request latency.", Labels{"path": "/a"}, h)
+	c := NewCounter()
+	r.MustRegister("zz_total", "Trailing family (sorted after).", nil, c)
+	g := NewGauge()
+	r.MustRegister("inflight", "In-flight requests.", Labels{"b": "2", "a": "1"}, g)
 	r.MustGaugeFunc("derived", "A derived value.", nil, func() float64 { return 1.5 })
 
 	h.Observe(0.05)
@@ -57,7 +60,7 @@ zz_total 7
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.MustCounter("c_total", "help with \\ and\nnewline", Labels{"k": "a\"b\\c\nd"})
+	r.MustRegister("c_total", "help with \\ and\nnewline", Labels{"k": "a\"b\\c\nd"}, NewCounter())
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -82,17 +85,17 @@ func TestRegistrationPanics(t *testing.T) {
 		f()
 	}
 	r := NewRegistry()
-	r.MustCounter("ok_total", "", Labels{"a": "1"})
-	mustPanic("duplicate series", func() { r.MustCounter("ok_total", "", Labels{"a": "1"}) })
-	mustPanic("type conflict", func() { r.MustGauge("ok_total", "", Labels{"a": "2"}) })
-	mustPanic("bad name", func() { r.MustCounter("0bad", "", nil) })
-	mustPanic("bad label", func() { r.MustCounter("ok2_total", "", Labels{"0k": "v"}) })
-	mustPanic("reserved le", func() { r.MustCounter("ok3_total", "", Labels{"le": "v"}) })
+	r.MustRegister("ok_total", "", Labels{"a": "1"}, NewCounter())
+	mustPanic("duplicate series", func() { r.MustRegister("ok_total", "", Labels{"a": "1"}, NewCounter()) })
+	mustPanic("type conflict", func() { r.MustRegister("ok_total", "", Labels{"a": "2"}, NewGauge()) })
+	mustPanic("bad name", func() { r.MustRegister("0bad", "", nil, NewCounter()) })
+	mustPanic("bad label", func() { r.MustRegister("ok2_total", "", Labels{"0k": "v"}, NewCounter()) })
+	mustPanic("reserved le", func() { r.MustRegister("ok3_total", "", Labels{"le": "v"}, NewCounter()) })
 	mustPanic("unsorted bounds", func() { NewHistogram([]float64{1, 1}) })
 	mustPanic("empty bounds", func() { NewHistogram(nil) })
 
 	// Distinct label values on one family are fine.
-	r.MustCounter("ok_total", "", Labels{"a": "2"})
+	r.MustRegister("ok_total", "", Labels{"a": "2"}, NewCounter())
 }
 
 // TestCounterMonotonic hammers a counter from many goroutines while a
@@ -100,7 +103,8 @@ func TestRegistrationPanics(t *testing.T) {
 // monotonicity a rate() query depends on.
 func TestCounterMonotonic(t *testing.T) {
 	r := NewRegistry()
-	c := r.MustCounter("mono_total", "", nil)
+	c := NewCounter()
+	r.MustRegister("mono_total", "", nil, c)
 	const writers, perWriter = 8, 10000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -209,9 +213,12 @@ func TestHistogramQuantile(t *testing.T) {
 func TestScrapeUnderConcurrentIngest(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterGoRuntime()
-	c := r.MustCounter("ldp_test_ingest_total", "", nil)
-	g := r.MustGauge("ldp_test_inflight", "", nil)
-	h := r.MustHistogram("ldp_test_latency_seconds", "", nil, DurationBuckets())
+	c := NewCounter()
+	r.MustRegister("ldp_test_ingest_total", "", nil, c)
+	g := NewGauge()
+	r.MustRegister("ldp_test_inflight", "", nil, g)
+	h := NewHistogram(DurationBuckets())
+	r.MustRegister("ldp_test_latency_seconds", "", nil, h)
 
 	const writers = 8
 	stop := make(chan struct{})
@@ -266,7 +273,9 @@ func TestScrapeUnderConcurrentIngest(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	r := NewRegistry()
-	r.MustCounter("x_total", "", nil).Add(3)
+	c := NewCounter()
+	r.MustRegister("x_total", "", nil, c)
+	c.Add(3)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
@@ -345,8 +354,8 @@ func BenchmarkScrape(b *testing.B) {
 	r := NewRegistry()
 	r.RegisterGoRuntime()
 	for _, path := range []string{"/report", "/report/batch", "/marginal", "/query"} {
-		r.MustCounter("ldp_http_requests_total", "", Labels{"path": path, "code": "2xx"})
-		r.MustHistogram("ldp_http_request_seconds", "", Labels{"path": path}, DurationBuckets())
+		r.MustRegister("ldp_http_requests_total", "", Labels{"path": path, "code": "2xx"}, NewCounter())
+		r.MustRegister("ldp_http_request_seconds", "", Labels{"path": path}, NewHistogram(DurationBuckets()))
 	}
 	var buf bytes.Buffer
 	b.ResetTimer()

@@ -1,14 +1,9 @@
-// Package privacy empirically verifies local differential privacy
-// guarantees: it estimates the realized privacy loss of a randomizer by
+// EstimateEpsilon measures the realized privacy loss of a randomizer by
 // Monte Carlo, comparing the output distributions induced by two
-// adjacent inputs. Tests use it to confirm that every client mechanism
-// in this repository provides (no more than) its configured epsilon —
-// the executable counterpart of the paper's Facts 3.1 and 3.2.
-//
-// It also enforces budgets at serving time: Ledger (ledger.go) caps a
-// client token's composed epsilon spend inside one continual-release
-// window, the accounting guard a windowed deployment puts in front of
-// repeat reporters.
+// adjacent inputs. The tests use it to confirm that every client
+// mechanism provides (no more than) its configured epsilon — the
+// executable counterpart of the paper's Facts 3.1 and 3.2.
+
 package privacy
 
 import (

@@ -1,3 +1,10 @@
+// Package privacy enforces local differential privacy budgets at serving
+// time: Ledger caps a client token's composed epsilon spend inside one
+// continual-release window, the accounting guard a windowed deployment
+// puts in front of repeat reporters.
+//
+// The package's tests also estimate the realized privacy loss of every
+// client mechanism by Monte Carlo (EstimateEpsilon in estimate_test.go).
 package privacy
 
 import (

@@ -8,6 +8,7 @@ import (
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/efronstein"
 	"ldpmarginals/internal/em"
+	"ldpmarginals/internal/freqoracle"
 	"ldpmarginals/internal/mech"
 	"ldpmarginals/internal/rng"
 )
@@ -101,22 +102,28 @@ func TestPRRSparseBudget(t *testing.T) {
 }
 
 func TestProtocolClientBudgets(t *testing.T) {
-	// Every client, on two adjacent records, must stay within epsilon.
+	// Every served client, on two adjacent records, must stay within
+	// epsilon: the six core protocols and InpHTCMS.
 	const eps = 1.1
+	const n = 600000
 	cfg := core.Config{D: 3, K: 2, Epsilon: eps, OptimizedPRR: true}
-	samples := map[core.Kind]int{
-		core.InpRR:  600000,
-		core.InpPS:  600000,
-		core.InpHT:  600000,
-		core.MargRR: 600000,
-		core.MargPS: 600000,
-		core.MargHT: 600000,
-	}
-	for kind, n := range samples {
+	var protocols []core.Protocol
+	for _, kind := range core.AllKinds() {
 		p, err := core.New(kind, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		protocols = append(protocols, p)
+	}
+	// A 2-row, 8-wide sketch has 32 outputs (row, coefficient, sign):
+	// over n samples the rarer sign of each (row, coefficient) is
+	// expected n/16/(1+e^eps), about 9,400 times, far above minCount.
+	hcms, err := freqoracle.NewHCMS(freqoracle.HCMSConfig{D: 3, K: 2, Epsilon: eps, G: 2, W: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	protocols = append(protocols, hcms)
+	for _, p := range protocols {
 		c1 := clientRandomizer(t, p.NewClient(), 0b010)
 		c2 := clientRandomizer(t, p.NewClient(), 0b101)
 		est, err := EstimateEpsilon(c1, c2, n, 50, 7)
@@ -124,11 +131,11 @@ func TestProtocolClientBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		if est.Epsilon > eps*1.3+0.1 {
-			t.Errorf("%v: empirical eps %.3f exceeds budget %.3f (worst %q)",
-				kind, est.Epsilon, eps, est.WorstOutput)
+			t.Errorf("%s: empirical eps %.3f exceeds budget %.3f (worst %q)",
+				p.Name(), est.Epsilon, eps, est.WorstOutput)
 		}
 		if est.Epsilon == 0 {
-			t.Errorf("%v: empirical eps 0 — outputs independent of input?", kind)
+			t.Errorf("%s: empirical eps 0 — outputs independent of input?", p.Name())
 		}
 	}
 }

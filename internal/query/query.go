@@ -95,16 +95,6 @@ func Evaluate(est marginal.Estimator, c Conjunction, d int) (float64, error) {
 	return tab.Cell(c.gamma()), nil
 }
 
-// EvaluateCount scales Evaluate by the population size, answering "how
-// many users" instead of "what fraction".
-func EvaluateCount(est marginal.Estimator, c Conjunction, d int, n int) (float64, error) {
-	f, err := Evaluate(est, c, d)
-	if err != nil {
-		return 0, err
-	}
-	return f * float64(n), nil
-}
-
 // Parse reads a conjunction from text such as
 //
 //	"CC=1 AND Tip=0"  or  "a0=1 AND a3=0"

@@ -65,13 +65,6 @@ func TestEvaluateAgainstDirectCount(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("Evaluate = %v, direct = %v", got, want)
 	}
-	cnt, err := EvaluateCount(est, c, ds.D, ds.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cnt-float64(direct)) > 1e-6 {
-		t.Errorf("EvaluateCount = %v, want %v", cnt, direct)
-	}
 }
 
 func TestEvaluateThreeWayIntroQuery(t *testing.T) {

@@ -110,14 +110,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// PlusMinusOne returns +1 with probability p and -1 otherwise.
-func (r *RNG) PlusMinusOne(p float64) int {
-	if r.Bernoulli(p) {
-		return 1
-	}
-	return -1
-}
-
 // Normal returns a standard normal deviate via the Marsaglia polar method.
 func (r *RNG) Normal() float64 {
 	if r.hasSpare {
@@ -135,17 +127,6 @@ func (r *RNG) Normal() float64 {
 			return u * factor
 		}
 	}
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle randomizes the order of n elements using the provided swap
@@ -186,36 +167,4 @@ func (r *RNG) Binomial(n int, p float64) int {
 		}
 	}
 	return k
-}
-
-// Categorical samples an index proportionally to the non-negative weights.
-// It panics if weights is empty or sums to zero.
-func (r *RNG) Categorical(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("rng: Categorical with empty or zero-mass weights")
-	}
-	u := r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return 0
 }

@@ -297,3 +297,54 @@ func BenchmarkBernoulli(b *testing.B) {
 	}
 	_ = n
 }
+
+// PlusMinusOne returns +1 with probability p and -1 otherwise.
+func (r *RNG) PlusMinusOne(p float64) int {
+	if r.Bernoulli(p) {
+		return 1
+	}
+	return -1
+}
+
+// Perm returns a uniform random permutation of [0, n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := r.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+	return p
+}
+
+// Categorical samples an index proportionally to the non-negative weights.
+// It panics if weights is empty or sums to zero.
+func (r *RNG) Categorical(weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		if w > 0 {
+			total += w
+		}
+	}
+	if len(weights) == 0 || total <= 0 {
+		panic("rng: Categorical with empty or zero-mass weights")
+	}
+	u := r.Float64() * total
+	var acc float64
+	for i, w := range weights {
+		if w <= 0 {
+			continue
+		}
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	// Floating-point slack: return the last positive-weight index.
+	for i := len(weights) - 1; i >= 0; i-- {
+		if weights[i] > 0 {
+			return i
+		}
+	}
+	return 0
+}

@@ -775,7 +775,7 @@ func (pl *puller) round(ctx context.Context, force bool) (pulled int) {
 	}
 	pl.f.mu.Unlock()
 	// Pull due peers concurrently: one unresponsive peer burning its
-	// full PullTimeout must not stall the others' staleness bound (or a
+	// full pullTimeout must not stall the others' staleness bound (or a
 	// forced POST /pull) beyond a single timeout.
 	var (
 		wg         sync.WaitGroup

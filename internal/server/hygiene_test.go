@@ -167,12 +167,11 @@ func TestHandlerHTTPHygiene(t *testing.T) {
 	}
 }
 
-// TestMaxQueryBytesOption pins the promoted /query body limit: a body
-// over the configured bound is a 400, and the default still admits
-// ordinary batches.
+// TestMaxQueryBytesOption pins the /query body limit: a body over
+// maxQueryBytes is a 400, and ordinary batches are admitted.
 func TestMaxQueryBytesOption(t *testing.T) {
-	_, ts, _ := newTestServerWithOptions(t, Options{MaxQueryBytes: 64})
-	small := []byte(`{"q":"a0=1"}`)
+	_, ts, _ := newTestServer(t)
+	small := []byte(`{"queries":["a0=1","a1=1","a2=1","a3=1","a4=1","a5=1","a6=1","a7=1"]}`)
 	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(small))
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +181,7 @@ func TestMaxQueryBytesOption(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-limit query: status %d", resp.StatusCode)
 	}
-	big := []byte(`{"queries":["a0=1","a1=1","a2=1","a3=1","a4=1","a5=1","a6=1","a7=1"]}`)
-	if len(big) <= 64 {
-		t.Fatal("test body not over the limit")
-	}
+	big := []byte(`{"q":"a0=1` + strings.Repeat(" ", maxQueryBytes) + `"}`)
 	resp, err = http.Post(ts.URL+"/query", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)

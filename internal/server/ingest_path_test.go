@@ -224,7 +224,8 @@ func TestDurableBatchBodyBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := newClusterNode(t, p, Options{Store: st, MaxBatchBytes: int64(len(body))})
+	s, _ := newClusterNode(t, p, Options{Store: st})
+	s.ingest.maxBatch = int64(len(body))
 
 	seen := map[*byte]bool{} // holding the addresses keeps the buffers from being collected and reallocated
 	for i := range 8 {

@@ -61,8 +61,5 @@ func ParseRole(s string) (Role, error) {
 	}
 }
 
-// ingests reports whether the role runs the ingestion pipeline.
-func (r Role) ingests() bool { return r != RoleCoordinator }
-
 // serves reports whether the role runs the materialized-view read side.
 func (r Role) serves() bool { return r != RoleEdge }

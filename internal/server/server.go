@@ -92,6 +92,16 @@
 // report is individually valid or individually rejected, so partial
 // ingestion never corrupts the estimate — it only under-counts the
 // failed batch.
+//
+// # Fixed limits
+//
+// Some bounds are constants, not Options: a /report/batch body is at
+// most 16 MiB (413 beyond), a /query body at most 1 MiB, a pulled
+// /state body at most 256 MiB, and one peer pull at most 30 s; the
+// /debug/traces ring holds trace.DefaultCapacity traces, and a request
+// taking 1 s or more is logged at warn with its trace. Each epoch gets
+// view.Options' defaults: three consistency sweeps, then the simplex
+// projection.
 package server
 
 import (
@@ -130,25 +140,28 @@ const budgetTokenHeader = "X-LDP-Token"
 // frame the batch format accepts.
 const maxReportBytes = encoding.MaxFrameBytes
 
-// defaultMaxBatchBytes bounds a /report/batch body: 16 MiB holds over a
+// maxBatchBytes bounds a /report/batch body: 16 MiB holds over a
 // million typical frames (InpHT at d=20 is a few bytes per report).
-const defaultMaxBatchBytes = 16 << 20
+const maxBatchBytes = 16 << 20
 
-// defaultMaxQueryBytes bounds a /query body: 1 MiB of JSON holds tens of
+// maxQueryBytes bounds a /query body: 1 MiB of JSON holds tens of
 // thousands of conjunctions, far beyond any sane analyst batch.
-const defaultMaxQueryBytes = 1 << 20
+const maxQueryBytes = 1 << 20
 
-// defaultMaxStateBytes bounds a pulled /state body. The largest live
-// state is InpRR near d=20: 2^20 uvarint counters plus framing, well
-// under this.
-const defaultMaxStateBytes = 256 << 20
+// maxStateBytes bounds a pulled /state body. The largest live state is
+// InpRR near d=20: 2^20 uvarint counters plus framing, well under this.
+const maxStateBytes = 256 << 20
 
 // defaultPullInterval is the coordinator's pull cadence when
 // Options.PullInterval is unset.
 const defaultPullInterval = 5 * time.Second
 
-// defaultPullTimeout bounds one peer state transfer.
-const defaultPullTimeout = 30 * time.Second
+// pullTimeout bounds one peer state transfer.
+const pullTimeout = 30 * time.Second
+
+// slowTrace is the request duration at or above which a completed trace
+// is additionally logged at warn.
+const slowTrace = time.Second
 
 // maxBatchReports bounds the decoded report count of one batch request,
 // capping the memory amplification of a body packed with minimal
@@ -162,7 +175,8 @@ const maxBatchReports = 1 << 20
 const batchChunk = 1024
 
 // Options tunes a deployment; the zero value selects the defaults
-// (a single-role, memory-only node).
+// (a single-role, memory-only node). The body, pull and trace limits
+// are fixed (see the package doc's "Fixed limits").
 type Options struct {
 	// Role selects which pipeline stages this node runs; the zero value
 	// is RoleSingle (the monolithic deployment).
@@ -179,10 +193,6 @@ type Options struct {
 	// PullInterval is the coordinator's per-peer pull cadence; <= 0
 	// selects 5s. Failing peers back off exponentially up to 32x.
 	PullInterval time.Duration
-	// PullTimeout bounds one peer state transfer; <= 0 selects 30s.
-	PullTimeout time.Duration
-	// MaxStateBytes bounds a pulled /state body; <= 0 selects 256 MiB.
-	MaxStateBytes int64
 	// ClusterDir, when set on a coordinator, persists the latest
 	// accepted peer states (atomically, CRC-checked) so a restart
 	// resumes from them instead of an empty fleet. Rejected for other
@@ -197,8 +207,6 @@ type Options struct {
 	// requests being buffered and decoded at once; <= 0 matches the
 	// shard count.
 	IngestWorkers int
-	// MaxBatchBytes bounds a /report/batch body; <= 0 selects 16 MiB.
-	MaxBatchBytes int64
 	// MaxInflightIngest bounds how many /report and /report/batch
 	// requests are processed concurrently; arrivals beyond it wait in a
 	// bounded queue (MaxIngestQueue) and are shed with 429 + Retry-After
@@ -209,14 +217,9 @@ type Options struct {
 	// in-flight slot before new arrivals are shed; <= 0 selects 16x the
 	// in-flight cap.
 	MaxIngestQueue int
-	// MaxQueryBytes bounds a /query JSON body; <= 0 selects 1 MiB.
-	MaxQueryBytes int64
 	// Refresh is the automatic view-refresh policy; the zero value means
 	// the view only advances on POST /refresh.
 	Refresh view.Policy
-	// View tunes the per-epoch post-processing (consistency rounds,
-	// simplex projection).
-	View view.Options
 	// Store, when non-nil, makes ingestion durable: accepted reports are
 	// appended to its write-ahead log before the ack, the recovered
 	// state seeds the ring, and the ring's live bucket becomes the
@@ -262,17 +265,7 @@ type Options struct {
 	// logging at debug (carrying the trace id so log lines and traces
 	// correlate), degraded-mode events at warn. Nil discards them.
 	Log *slog.Logger
-	// TraceCapacity is the completed-trace ring size behind GET
-	// /debug/traces; <= 0 selects trace.DefaultCapacity.
-	TraceCapacity int
-	// SlowTraceThreshold is the request duration at or above which a
-	// completed trace is additionally logged at warn; <= 0 selects 1s.
-	SlowTraceThreshold time.Duration
 }
-
-// defaultSlowTrace is the slow-trace log threshold selected by
-// Options.SlowTraceThreshold <= 0.
-const defaultSlowTrace = time.Second
 
 // ingestPipeline is the write side of a deployment: the window ring
 // reports land in, the optional durable store wired in front of it, and
@@ -284,7 +277,7 @@ type ingestPipeline struct {
 	recovered int           // reports restored from the store at startup
 	slots     chan struct{} // bounded worker-pool slots for batch chunks
 	batches   chan struct{} // bounds whole /report/batch requests in flight
-	maxBatch  int64
+	maxBatch  int64         // maxBatchBytes; a test lowers it to exercise the limit
 }
 
 // newIngestPipeline seeds the node's ring with the state the store
@@ -315,17 +308,13 @@ func (s *Server) newIngestPipeline(opts Options) (*ingestPipeline, error) {
 	if workers <= 0 {
 		workers = s.shards
 	}
-	maxBatch := opts.MaxBatchBytes
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatchBytes
-	}
 	return &ingestPipeline{
 		ring:      s.ring,
 		st:        opts.Store,
 		recovered: recovered,
 		slots:     make(chan struct{}, workers),
 		batches:   make(chan struct{}, workers),
-		maxBatch:  maxBatch,
+		maxBatch:  maxBatchBytes,
 	}, nil
 }
 
@@ -333,8 +322,7 @@ func (s *Server) newIngestPipeline(opts Options) (*ingestPipeline, error) {
 // the node's state source. Roles that serve estimates (single,
 // coordinator) run one.
 type readPipeline struct {
-	engine   *view.Engine
-	maxQuery int64
+	engine *view.Engine
 }
 
 // stateSource is a node's one state: the window ring of an ingesting
@@ -401,13 +389,6 @@ type Server struct {
 	log    *slog.Logger       // never nil; Options.Log, or a discarding logger
 }
 
-// New builds a single-role server around a protocol with default
-// Options. The protocol must fold (core.CheckFolds) and its name must have
-// a wire tag registered in the encoding package.
-func New(p core.Protocol) (*Server, error) {
-	return NewWithOptions(p, Options{})
-}
-
 // NewWithOptions builds a server around a protocol with explicit tuning.
 func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 	// The server owns the store from the moment it is passed in: on any
@@ -454,13 +435,8 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		ins:         newServerInstruments(),
 		log:         log.With("node", nodeID),
 	}
-	slow := opts.SlowTraceThreshold
-	if slow <= 0 {
-		slow = defaultSlowTrace
-	}
 	s.tracer = trace.New(trace.Options{
-		Capacity:      opts.TraceCapacity,
-		SlowThreshold: slow,
+		SlowThreshold: slowTrace,
 		SlowLog: func(traceID, rootName string, d time.Duration) {
 			s.log.Warn("slow trace", "trace", traceID, "root", rootName, "dur", d)
 		},
@@ -517,27 +493,15 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		if interval <= 0 {
 			interval = defaultPullInterval
 		}
-		timeout := opts.PullTimeout
-		if timeout <= 0 {
-			timeout = defaultPullTimeout
-		}
-		maxState := opts.MaxStateBytes
-		if maxState <= 0 {
-			maxState = defaultMaxStateBytes
-		}
-		s.puller = newPuller(s.fleet, interval, timeout, maxState,
+		s.puller = newPuller(s.fleet, interval, pullTimeout, maxStateBytes,
 			opts.QuarantineAfter, opts.QuarantineInterval, s.tracer, s.log)
 	}
 	if s.role.serves() {
-		maxQuery := opts.MaxQueryBytes
-		if maxQuery <= 0 {
-			maxQuery = defaultMaxQueryBytes
-		}
-		engine, err := view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Build: opts.View, Tracer: s.tracer})
+		engine, err := view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Tracer: s.tracer})
 		if err != nil {
 			return fail(err)
 		}
-		s.reads = &readPipeline{engine: engine, maxQuery: maxQuery}
+		s.reads = &readPipeline{engine: engine}
 	}
 	if s.puller != nil {
 		// Start pulling only after the initial epoch is built, so the
@@ -631,9 +595,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Role returns the node's role.
-func (s *Server) Role() Role { return s.role }
-
 // NodeID returns the node's cluster id.
 func (s *Server) NodeID() string { return s.nodeID }
 
@@ -706,9 +667,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/debug/traces", s.tracer.Handler())
 	return s.instrument(mux)
 }
-
-// Tracer returns the server's tracer. Never nil.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // TraceHandler returns the GET /debug/traces handler, for mounting on a
 // side listener alongside the metrics handler.
@@ -994,7 +952,7 @@ var batchBufPool = sync.Pool{New: func() any { return new(batchBuffers) }}
 // pool for the life of the process.
 const (
 	maxPooledReports   = 4 * batchChunk
-	maxPooledBodyBytes = defaultMaxBatchBytes / 16
+	maxPooledBodyBytes = maxBatchBytes / 16
 )
 
 // putBatchBuffers returns b to the pool unless a request grew it past
@@ -1319,7 +1277,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, s.reads.maxQuery)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxQueryBytes)).Decode(&req); err != nil {
 		httpError(w, r, "malformed query body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -22,6 +22,13 @@ import (
 	"ldpmarginals/internal/view"
 )
 
+// New builds a single-role server around a protocol with default
+// Options, the construction most tests need. The protocol must fold (core.CheckFolds) and its name must have
+// a wire tag registered in the encoding package.
+func New(p core.Protocol) (*Server, error) {
+	return NewWithOptions(p, Options{})
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server, core.Protocol) {
 	t.Helper()
 	return newTestServerWithOptions(t, Options{})

@@ -79,16 +79,6 @@ func (ro *rotator) loop() {
 	}
 }
 
-// advanceWindow rotates the ring up to now and propagates the
-// lifecycle: sealed buckets recover ledger budget, and on a durable node
-// the ring advances inside one store crossing, which writes each newly
-// sealed bucket once and deletes each expired bucket's file and
-// segments, so window expiry doubles as disk retention.
-func (s *Server) advanceWindow(now time.Time) error {
-	_, _, err := s.advanceWindowContext(context.Background(), now)
-	return err
-}
-
 func (s *Server) advanceWindowContext(ctx context.Context, now time.Time) (rotated, expired int, err error) {
 	advance := func() (err error) {
 		rotated, expired, err = s.ring.AdvanceContext(ctx, now)

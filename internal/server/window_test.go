@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,6 +16,16 @@ import (
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/wire"
 )
+
+// advanceWindow rotates the ring up to now and propagates the
+// lifecycle: sealed buckets recover ledger budget, and on a durable node
+// the ring advances inside one store crossing, which writes each newly
+// sealed bucket once and deletes each expired bucket's file and
+// segments, so window expiry doubles as disk retention.
+func (s *Server) advanceWindow(now time.Time) error {
+	_, _, err := s.advanceWindowContext(context.Background(), now)
+	return err
+}
 
 // windowedOptions is the standard windowed deployment tests rotate by
 // hand: buckets are long enough that the background rotator never fires

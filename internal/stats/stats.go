@@ -228,21 +228,6 @@ func ChiSquareIndependence(tab *marginal.Table, n float64, alpha float64) (*Test
 	return &TestResult{Stat: stat, DF: df, PValue: p, Critical: crit, Dependent: stat > crit}, nil
 }
 
-// Entropy returns the Shannon entropy of a distribution in bits. Zero
-// cells contribute nothing; negative cells are rejected.
-func Entropy(dist []float64) (float64, error) {
-	var h float64
-	for _, p := range dist {
-		if p < 0 {
-			return 0, fmt.Errorf("stats: negative probability %v", p)
-		}
-		if p > 0 {
-			h -= p * math.Log2(p)
-		}
-	}
-	return h, nil
-}
-
 // MutualInformation computes I(A;B) in bits from a 2-way marginal table
 // (Section 6.2). Estimated tables are simplex-projected first.
 func MutualInformation(tab *marginal.Table) (float64, error) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -287,4 +288,19 @@ func TestPearsonMatrixConstantColumn(t *testing.T) {
 	if m[0][0] != 1 {
 		t.Error("diagonal should still be 1")
 	}
+}
+
+// Entropy returns the Shannon entropy of a distribution in bits. Zero
+// cells contribute nothing; negative cells are rejected.
+func Entropy(dist []float64) (float64, error) {
+	var h float64
+	for _, p := range dist {
+		if p < 0 {
+			return 0, fmt.Errorf("stats: negative probability %v", p)
+		}
+		if p > 0 {
+			h -= p * math.Log2(p)
+		}
+	}
+	return h, nil
 }

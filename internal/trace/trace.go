@@ -1,5 +1,5 @@
 // Package trace is a zero-dependency distributed-tracing core for the
-// deployment: spans with IDs, parents, attributes, and events; W3C
+// deployment: spans with IDs, parents and attributes; W3C
 // traceparent extraction and injection so one trace crosses process
 // boundaries (a coordinator's pull and the edge answering it share a
 // trace ID); an in-memory bounded ring of completed traces served as
@@ -94,13 +94,6 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Event is one timestamped annotation inside a span.
-type Event struct {
-	// OffsetMicros is the event time relative to the span start.
-	OffsetMicros int64  `json:"offset_us"`
-	Message      string `json:"message"`
-}
-
 // SpanRecord is one finished span as retained in the ring and rendered
 // on /debug/traces. Immutable once appended.
 type SpanRecord struct {
@@ -109,10 +102,9 @@ type SpanRecord struct {
 	Name     string `json:"name"`
 	// StartOffsetMicros is the span start relative to the trace root's
 	// start (negative when a remote parent started earlier).
-	StartOffsetMicros int64   `json:"start_offset_us"`
-	DurationMicros    int64   `json:"duration_us"`
-	Attrs             []Attr  `json:"attrs,omitempty"`
-	Events            []Event `json:"events,omitempty"`
+	StartOffsetMicros int64  `json:"start_offset_us"`
+	DurationMicros    int64  `json:"duration_us"`
+	Attrs             []Attr `json:"attrs,omitempty"`
 }
 
 // inlineSpans is how many finished spans a trace holds before its span
@@ -172,8 +164,8 @@ const inlineAttrs = 4
 // instrumented code paths never need to check whether tracing is
 // active. All methods are safe for use by the single goroutine running
 // the operation; distinct spans of one trace may run concurrently.
-// Once ended, a span is immutable: later attributes and events are
-// dropped, and the trace's readers see it as it was at End.
+// Once ended, a span is immutable: later attributes are dropped, and
+// the trace's readers see it as it was at End.
 type Span struct {
 	td     *traceData
 	id     SpanID
@@ -185,7 +177,6 @@ type Span struct {
 
 	attrs     []attr
 	attrSlots [inlineAttrs]attr
-	events    []Event
 	ended     atomic.Bool
 }
 
@@ -256,17 +247,6 @@ func (s *Span) addAttr(a attr) {
 	s.attrs = append(s.attrs, a)
 }
 
-// AddEvent records a timestamped annotation inside the span.
-func (s *Span) AddEvent(msg string) {
-	if s == nil || s.ended.Load() {
-		return
-	}
-	s.events = append(s.events, Event{
-		OffsetMicros: time.Since(s.start).Microseconds(),
-		Message:      msg,
-	})
-}
-
 // End finishes the span, freezing it and appending it to the trace.
 // Ending the root additionally publishes the trace into the tracer's
 // ring (and the slow-trace log when it qualifies). End is idempotent;
@@ -303,7 +283,6 @@ func (td *traceData) render(s *Span) SpanRecord {
 		Name:              s.name,
 		StartOffsetMicros: s.start.Sub(td.root.start).Microseconds(),
 		DurationMicros:    s.dur.Microseconds(),
-		Events:            s.events,
 	}
 	if !s.parent.IsZero() {
 		rec.ParentID = s.parent.String()

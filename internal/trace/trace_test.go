@@ -13,7 +13,7 @@ import (
 
 // TestRootAndChildSpans pins the core span lifecycle: a root with two
 // children lands in the ring as one trace with three records, parents
-// wired, attrs and events retained.
+// wired, attrs retained.
 func TestRootAndChildSpans(t *testing.T) {
 	tr := New(Options{})
 	ctx, root := tr.StartRoot(context.Background(), "http.request")
@@ -21,7 +21,6 @@ func TestRootAndChildSpans(t *testing.T) {
 
 	cctx, child := StartSpan(ctx, "wal.append")
 	child.SetAttr("bytes", 128)
-	child.AddEvent("fsync queued")
 	_, grand := StartSpan(cctx, "wal.fsync")
 	grand.End()
 	child.End()
@@ -57,9 +56,6 @@ func TestRootAndChildSpans(t *testing.T) {
 	if a := byName["wal.append"].Attrs; len(a) != 1 || a[0].Key != "bytes" || a[0].Value != "128" {
 		t.Errorf("attrs %+v, want bytes=128", a)
 	}
-	if e := byName["wal.append"].Events; len(e) != 1 || e[0].Message != "fsync queued" {
-		t.Errorf("events %+v, want one fsync queued", e)
-	}
 	st := tr.Stats()
 	if st.Spans != 3 || st.Traces != 1 || st.DroppedSpans != 0 || st.Retained != 1 {
 		t.Errorf("stats %+v, want 3 spans / 1 trace / 0 dropped / 1 retained", st)
@@ -75,7 +71,6 @@ func TestNilSpanSafety(t *testing.T) {
 		t.Fatal("StartSpan on a bare context minted a span")
 	}
 	s.SetAttr("k", "v")
-	s.AddEvent("e")
 	s.End()
 	s.Discard()
 	if !s.TraceID().IsZero() || !s.SpanID().IsZero() {

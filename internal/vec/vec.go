@@ -26,15 +26,6 @@ func Sum(v []float64) float64 {
 	return s
 }
 
-// L1 returns the L1 norm of v.
-func L1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // L1Dist returns the L1 distance between a and b. It panics if lengths
 // differ, which always indicates a programming error in this repository.
 func L1Dist(a, b []float64) float64 {
@@ -105,16 +96,6 @@ func Normalize(v []float64) []float64 {
 	return Scale(v, 1/s)
 }
 
-// ClampNonNegative zeroes negative entries in place and returns v.
-func ClampNonNegative(v []float64) []float64 {
-	for i := range v {
-		if v[i] < 0 {
-			v[i] = 0
-		}
-	}
-	return v
-}
-
 // ProjectToSimplex projects v in place onto the probability simplex
 // (non-negative, sums to 1) in Euclidean distance, using the standard
 // sort-and-threshold algorithm. This is the post-processing step used
@@ -145,52 +126,4 @@ func ProjectToSimplex(v []float64) []float64 {
 		v[i] = math.Max(0, v[i]-theta)
 	}
 	return v
-}
-
-// ArgMax returns the index of the maximum entry (first on ties). It
-// returns -1 for an empty slice.
-func ArgMax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] > v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
-// StdDev returns the population standard deviation of v.
-func StdDev(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(v)))
 }

@@ -110,19 +110,6 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestClampNonNegative(t *testing.T) {
-	v := []float64{-1, 0.5, -0.2, 1}
-	ClampNonNegative(v)
-	for i, x := range v {
-		if x < 0 {
-			t.Errorf("entry %d still negative: %v", i, x)
-		}
-	}
-	if v[1] != 0.5 || v[3] != 1 {
-		t.Errorf("positive entries changed: %v", v)
-	}
-}
-
 func TestProjectToSimplexAlreadyValid(t *testing.T) {
 	v := []float64{0.25, 0.25, 0.5}
 	got := Clone(v)
@@ -169,35 +156,5 @@ func TestProjectToSimplexKnown(t *testing.T) {
 	ProjectToSimplex(v)
 	if !almostEq(v[0], 1, 1e-9) || !almostEq(v[1], 0, 1e-9) {
 		t.Errorf("projection = %v, want [1 0]", v)
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax([]float64{1, 3, 2}) != 1 {
-		t.Error("ArgMax failed")
-	}
-	if ArgMax([]float64{5, 5}) != 0 {
-		t.Error("ArgMax should return first on tie")
-	}
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax(nil) should be -1")
-	}
-}
-
-func TestDotMeanStdDev(t *testing.T) {
-	if got := Dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Errorf("Dot = %v", got)
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("StdDev of constant = %v", got)
-	}
-	if got := StdDev([]float64{-1, 1}); !almostEq(got, 1, 1e-12) {
-		t.Errorf("StdDev = %v, want 1", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty-slice moments should be 0")
 	}
 }

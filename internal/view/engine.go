@@ -108,8 +108,6 @@ func (p Policy) tick() time.Duration {
 type EngineOptions struct {
 	// Refresh is the automatic refresh policy (zero = manual only).
 	Refresh Policy
-	// Build tunes the per-epoch post-processing.
-	Build Options
 	// Tracer, when set, roots a "view.refresh" trace for every
 	// policy-driven background refresh (request-driven refreshes join
 	// their request's trace through RefreshContext instead). Nil
@@ -175,7 +173,7 @@ func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error)
 	if err := core.CheckFolds(p); err != nil {
 		return nil, err
 	}
-	bld, err := newBuilder(p, opts.Build)
+	bld, err := newBuilder(p, Options{})
 	if err != nil {
 		return nil, fmt.Errorf("view: preparing builder: %w", err)
 	}
