@@ -237,12 +237,12 @@ func deltaEdge(b *testing.B) (url string, mutate func(k int)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One ingest worker keeps each POSTed batch a single ConsumeBatch
+	// Each POSTed batch fits one chunk, so it is a single ConsumeBatch
 	// call — one round-robin shard per batch, so the moved-shard
 	// fraction is exact.
 	edge, err := server.NewWithOptions(p, server.Options{
 		Role: server.RoleEdge, NodeID: "bench-edge",
-		Shards: deltaBenchShards, IngestWorkers: 1,
+		Shards: deltaBenchShards,
 	})
 	if err != nil {
 		b.Fatal(err)

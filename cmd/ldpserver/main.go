@@ -59,11 +59,11 @@
 // stderr (debug, info, warn, error or off); debug adds one line per
 // request carrying its trace id.
 //
-// Ingest admission control bounds how many /report and /report/batch
-// requests are processed at once (-max-inflight-ingest) and how many
-// may queue behind them (-max-ingest-queue); arrivals beyond both are
-// shed with 429 + Retry-After and counted in ldp_ingest_shed_total on
-// /metrics, so overload degrades into visible, retryable refusals
+// One admission gate bounds how many /report and /report/batch requests
+// are processed at once (-max-inflight-ingest, default the shard count)
+// and how many may queue behind them (-max-ingest-queue); arrivals beyond
+// both are shed with 429 + Retry-After and counted in ldp_ingest_shed_total
+// on /metrics, so overload degrades into visible, retryable refusals
 // instead of unbounded goroutine and memory growth.
 //
 // A durable node that loses its disk degrades instead of falling over:
@@ -153,15 +153,14 @@ func main() {
 		k         = flag.Int("k", 2, "largest marginal size supported")
 		eps       = flag.Float64("eps", math.Log(3), "privacy budget epsilon")
 		shards    = flag.Int("shards", 0, "aggregation shards (0 = GOMAXPROCS)")
-		workers   = flag.Int("ingest-workers", 0, "bounded batch-ingestion workers (0 = shard count)")
 		interval  = flag.Duration("refresh-interval", 5*time.Second, "rebuild the view this often (0 = no time-based refresh)")
 		everyN    = flag.Int("refresh-every-n", 0, "rebuild the view after this many new reports (0 = no count-based refresh)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof and /metrics on this separate address (e.g. 127.0.0.1:6060; empty = disabled)")
 		maxInflight = flag.Int("max-inflight-ingest", 0,
-			"ingest requests processed concurrently before new arrivals queue (0 = 4x ingest workers, negative = no admission control)")
+			"/report and /report/batch requests read, decoded and ingested at once before new arrivals queue (0 = shard count)")
 		maxQueue = flag.Int("max-ingest-queue", 0,
-			"ingest requests allowed to queue for an in-flight slot before arrivals are shed with 429 (0 = 16x the in-flight cap)")
+			"ingest requests allowed to queue for an in-flight slot before arrivals are shed with 429 (0 = 64x shard count)")
 
 		dataDir    = flag.String("data-dir", "", "durable directory: WAL+snapshots for single/edge, peer-state snapshot for coordinator (empty = memory-only)")
 		fsyncMode  = flag.String("fsync", "interval", "WAL fsync policy: always, interval, or off")
@@ -279,7 +278,6 @@ func main() {
 		PullInterval:          *pullInterval,
 		ClusterDir:            clusterDir,
 		Shards:                *shards,
-		IngestWorkers:         *workers,
 		MaxInflightIngest:     *maxInflight,
 		MaxIngestQueue:        *maxQueue,
 		Refresh:               view.Policy{Interval: *interval, EveryN: *everyN},

@@ -67,9 +67,9 @@
 // 1,024 reports in one loop under one shard lock (InpHT and the Marg
 // protocols resolve a report's mask through a dense 2^d position table
 // up to d = 20), stopping at the first invalid report with exactly the
-// prefix before it consumed. A batch of one chunk is ingested on the
-// request's own goroutine under its worker-pool slot; only larger
-// batches fan out across shards.
+// prefix before it consumed. A batch's chunks are ingested in order on
+// the request's own goroutine, inside its one admission slot, and the
+// first rejection stops the batch; nothing fans out.
 //
 // # Epochs and the materialized view
 //
@@ -383,8 +383,8 @@
 // without touching the serving port. /healthz stays a pure liveness
 // probe while GET /readyz reports readiness — a node is ready once WAL
 // recovery finished and the first epoch serves (a coordinator, once it
-// holds at least one peer's state) — and ingestion is guarded by
-// bounded admission control (-max-inflight-ingest, -max-ingest-queue):
+// holds at least one peer's state) — and both ingest endpoints pass one
+// bounded admission gate (-max-inflight-ingest, -max-ingest-queue):
 // excess load is shed with 429 + Retry-After and counted rather than
 // queued without bound. cmd/ldpload load-tests a deployment in closed-
 // or open-loop (coordinated-omission-aware) mode and emits the latency

@@ -58,7 +58,7 @@ func main() {
 	// individually to /report (the one-frame-per-user mobile shape); the
 	// rest arrive as length-prefixed batches on /report/batch (the shape
 	// of an edge collector forwarding accumulated frames), which the
-	// server fans out across its aggregation shards.
+	// server ingests in order, a chunk per round-robin aggregation shard.
 	ds := ldpmarginals.NewTaxiDataset(50_000, 3)
 	client := p.NewClient()
 	r := rng.New(1)

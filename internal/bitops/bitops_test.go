@@ -20,15 +20,6 @@ func TestOnesCount(t *testing.T) {
 	}
 }
 
-func TestParity(t *testing.T) {
-	if Parity(0b101) != 0 {
-		t.Errorf("Parity(0b101) = %d, want 0", Parity(0b101))
-	}
-	if Parity(0b111) != 1 {
-		t.Errorf("Parity(0b111) = %d, want 1", Parity(0b111))
-	}
-}
-
 func TestInnerProductSign(t *testing.T) {
 	if got := InnerProductSign(0b11, 0b01); got != -1 {
 		t.Errorf("sign(0b11,0b01) = %d, want -1", got)
@@ -164,20 +155,6 @@ func TestMasksWithAtMostK(t *testing.T) {
 	}
 }
 
-func TestSubMasks(t *testing.T) {
-	beta := uint64(0b0101)
-	got := SubMasks(beta)
-	want := []uint64{0b0000, 0b0001, 0b0100, 0b0101}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("SubMasks[%d] = %04b, want %04b", i, got[i], want[i])
-		}
-	}
-}
-
 func TestCompressExpandExample(t *testing.T) {
 	// Paper Example 3.1: d=4, beta=0101 selects attributes 0 and 2
 	// (reading masks with bit 0 = first attribute).
@@ -253,20 +230,6 @@ func TestMaskFromPositionsRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// Parity returns the parity (0 or 1) of the number of set bits of m.
-func Parity(m uint64) int { return bits.OnesCount64(m) & 1 }
-
-// SubMasks returns all 2^|beta| sub-masks of beta (including 0 and beta
-// itself) in increasing compact order: the i-th element is Expand(i, beta).
-func SubMasks(beta uint64) []uint64 {
-	k := OnesCount(beta)
-	out := make([]uint64, 0, 1<<k)
-	for c := uint64(0); c < 1<<uint(k); c++ {
-		out = append(out, Expand(c, beta))
-	}
-	return out
 }
 
 // MaskFromPositions builds a mask with the given bit positions set.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"ldpmarginals/internal/rng"
 )
 
 // pearson computes the correlation of two attribute columns.
@@ -142,17 +140,6 @@ func TestSkewedRates(t *testing.T) {
 	}
 }
 
-func TestSampleWithReplacement(t *testing.T) {
-	ds := NewTaxi(1000, 5)
-	s := ds.Sample(500, rng.New(1))
-	if s.N() != 500 || s.D != ds.D {
-		t.Fatalf("sample shape wrong: n=%d d=%d", s.N(), s.D)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDuplicateColumns(t *testing.T) {
 	ds := NewTaxi(2000, 6)
 	big, err := DuplicateColumns(ds, 20)
@@ -278,14 +265,4 @@ func (ds *Dataset) FullDistribution() ([]float64, error) {
 		dist[r] += w
 	}
 	return dist, nil
-}
-
-// Sample draws n records uniformly with replacement, as the paper's
-// experiments do when varying the population size N.
-func (ds *Dataset) Sample(n int, r *rng.RNG) *Dataset {
-	out := &Dataset{D: ds.D, Names: append([]string(nil), ds.Names...), Records: make([]uint64, n)}
-	for i := range out.Records {
-		out.Records[i] = ds.Records[r.Intn(len(ds.Records))]
-	}
-	return out
 }

@@ -10,10 +10,7 @@
 //     direct encoding over m categories.
 //
 // The package's tests compute the epsilon each mechanism provides from its
-// probabilities, verifying the privacy claims of Facts 3.1 and 3.2, and
-// keep RRS, randomized response with sampling — sample one of m positions
-// uniformly and release its bit through RR — the primitive behind
-// Theorem 4.2.
+// probabilities, verifying the privacy claims of Facts 3.1 and 3.2.
 package mech
 
 import (

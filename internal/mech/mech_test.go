@@ -1,7 +1,6 @@
 package mech
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -217,9 +216,9 @@ func TestGRRUnbiasedness(t *testing.T) {
 		}
 		counts[g.Perturb(truth, r)]++
 	}
-	est, err := g.UnbiasAll(counts, n)
-	if err != nil {
-		t.Fatal(err)
+	est := make([]float64, len(counts))
+	for j, c := range counts {
+		est[j] = g.UnbiasFrequency(float64(c) / n)
 	}
 	if !almostEq(est[0], 0.5, 0.02) || !almostEq(est[7], 0.5, 0.02) {
 		t.Errorf("estimates = %v, want ~0.5 at 0 and 7", est)
@@ -228,46 +227,6 @@ func TestGRRUnbiasedness(t *testing.T) {
 		if !almostEq(est[j], 0, 0.02) {
 			t.Errorf("estimate[%d] = %v, want ~0", j, est[j])
 		}
-	}
-}
-
-func TestGRRUnbiasAllErrors(t *testing.T) {
-	g, _ := NewGRR(1.0, 4)
-	if _, err := g.UnbiasAll(make([]uint64, 3), 10); err == nil {
-		t.Error("wrong count length should error")
-	}
-	if _, err := g.UnbiasAll(make([]uint64, 4), 0); err == nil {
-		t.Error("zero total should error")
-	}
-}
-
-func TestRRS(t *testing.T) {
-	s, err := NewRRS(ln3, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7)
-	const n = 500000
-	onesAt := make([]int, 16)
-	totalAt := make([]int, 16)
-	// All users have signal at position 3.
-	for i := 0; i < n; i++ {
-		pos, bit := s.Perturb(3, r)
-		totalAt[pos]++
-		if bit {
-			onesAt[pos]++
-		}
-	}
-	est3 := s.UnbiasFrequency(float64(onesAt[3]) / float64(totalAt[3]))
-	if !almostEq(est3, 1, 0.02) {
-		t.Errorf("estimate at signal = %v, want ~1", est3)
-	}
-	est0 := s.UnbiasFrequency(float64(onesAt[0]) / float64(totalAt[0]))
-	if !almostEq(est0, 0, 0.02) {
-		t.Errorf("estimate off signal = %v, want ~0", est0)
-	}
-	if _, err := NewRRS(1.0, 0); err == nil {
-		t.Error("expected error for m=0")
 	}
 }
 
@@ -335,55 +294,4 @@ func (m *PRR) EpsilonSparse() float64 {
 // instance provides (Fact 3.1).
 func (g *GRR) Epsilon() float64 {
 	return math.Log(g.Ps / (1 - g.Ps) * float64(g.M-1))
-}
-
-// UnbiasAll applies UnbiasFrequency to per-category report counts,
-// returning estimated true fractions. total must be positive.
-func (g *GRR) UnbiasAll(counts []uint64, total uint64) ([]float64, error) {
-	if uint64(len(counts)) != g.M {
-		return nil, fmt.Errorf("mech: got %d counts for %d categories", len(counts), g.M)
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("mech: cannot unbias zero reports")
-	}
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = g.UnbiasFrequency(float64(c) / float64(total))
-	}
-	return out, nil
-}
-
-// RRS is randomized response with sampling: the user samples one of M
-// positions of their (sparse) bit vector uniformly and releases that bit
-// through eps-RR. It is the generic primitive behind Theorem 4.2.
-type RRS struct {
-	M  uint64
-	RR *RR
-}
-
-// NewRRS returns the eps-LDP sampled randomized response over m
-// positions.
-func NewRRS(eps float64, m uint64) (*RRS, error) {
-	if m == 0 {
-		return nil, fmt.Errorf("mech: RRS needs at least 1 position")
-	}
-	rr, err := NewRR(eps)
-	if err != nil {
-		return nil, err
-	}
-	return &RRS{M: m, RR: rr}, nil
-}
-
-// Perturb samples a position uniformly and reports (position, perturbed
-// bit), where the true bit is 1 exactly at the signal position.
-func (s *RRS) Perturb(signal uint64, r *rng.RNG) (pos uint64, bit bool) {
-	pos = r.Uint64n(s.M)
-	return pos, s.RR.PerturbBit(pos == signal, r)
-}
-
-// UnbiasFrequency converts the observed fraction of 1-reports among the
-// users that sampled a given position into an unbiased frequency
-// estimate for that position.
-func (s *RRS) UnbiasFrequency(observed float64) float64 {
-	return s.RR.UnbiasMean(observed)
 }

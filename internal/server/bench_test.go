@@ -20,7 +20,7 @@ func (w *nopResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nopResponseWriter) WriteHeader(int)             {}
 
 // BenchmarkHandlerBatchIngest drives POST /report/batch through the full
-// HTTP handler (admission, decode, chunk fan-out, sharded consume) with
+// HTTP handler (admission, decode, chunk loop, sharded consume) with
 // an in-process ServeHTTP call — the ingest hot path whose overhead the
 // observability layer must keep within noise of the uninstrumented
 // baseline.

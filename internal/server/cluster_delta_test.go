@@ -76,7 +76,7 @@ func TestStateDeltaHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 8, IngestWorkers: 1})
+	_, ts := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 8})
 	// Eight batches, one per shard.
 	first := makeClusterReports(t, p, 160, 21)
 	postBatchOK(t, ts.URL, p, first[:153])

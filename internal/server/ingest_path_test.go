@@ -15,6 +15,7 @@ import (
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
+	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/store"
 )
 
@@ -92,78 +93,138 @@ func TestBatchInvalidReportAcceptsExactPrefix(t *testing.T) {
 	}
 }
 
-// TestOneChunkBatchRunsUnderOneSlot pins the dispatch contract of a
-// batch that fits one chunk, which the handler ingests on its own
-// goroutine: it still waits for, takes and gives back exactly one slot
-// of the bounded pool, and a rejection inside it still names the
-// lowest-index invalid report.
-func TestOneChunkBatchRunsUnderOneSlot(t *testing.T) {
+// TestMultiChunkRejectionAcceptsExactPrefix pins the accept set of a
+// batch of several chunks: its chunks are ingested in order and the
+// first rejection stops the batch, so a 3,000-report batch with an
+// invalid report at index 10 accepts exactly the 10 reports before it,
+// on a node whose shards could have taken every chunk at once.
+func TestMultiChunkRejectionAcceptsExactPrefix(t *testing.T) {
+	s, ts, p := newTestServerWithOptions(t, Options{Shards: 4})
+	reps := make([]core.Report, 3000)
+	client, r := p.NewClient(), rng.New(41)
+	for i := range reps {
+		rep, err := client.Perturb(uint64(i%256), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
+	}
+	reps[10] = core.Report{Index: 0b11111111, Sign: 1} // a coefficient of more than k attributes
+	body, err := encoding.MarshalBatch(p.Name(), reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, br := postBatchBody(t, ts.URL, body)
+	if status != http.StatusBadRequest || br.Accepted != 10 || !strings.Contains(br.Error, "batch report 10:") {
+		t.Fatalf("status %d accepted %d error %q; want 400, 10 accepted, naming batch report 10", status, br.Accepted, br.Error)
+	}
+	if s.N() != 10 {
+		t.Fatalf("node holds %d reports, want the 10 before the rejected one", s.N())
+	}
+}
+
+// TestIngestRunsUnderOneAdmissionSlot pins the one gate of both ingest
+// endpoints, with one admission slot (MaxInflightIngest: 1): a request
+// waits while the slot is held and ingests nothing; two concurrent
+// requests share the slot and both complete, and a third after them is
+// not starved; a rejection names the lowest-index invalid report; and
+// no slot is held once every request has returned.
+func TestIngestRunsUnderOneAdmissionSlot(t *testing.T) {
 	p, err := core.New(core.InpHT, clusterCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newClusterNode(t, p, Options{IngestWorkers: 1})
 	reps := makeClusterReports(t, p, batchChunk, 9)
 	body, err := encoding.MarshalBatch(p.Name(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// With the only slot taken, a one-chunk batch must wait for it.
-	s.ingest.slots <- struct{}{}
-	done := make(chan int, 1)
-	go func() {
-		status, _, err := tryPostBatch(ts.URL, body)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- status
-	}()
-	select {
-	case status := <-done:
-		t.Fatalf("one-chunk batch finished (status %d) while the only pool slot was taken", status)
-	case <-time.After(100 * time.Millisecond):
+	frame, err := encoding.Marshal(p.Name(), reps[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.N() != 0 {
-		t.Fatalf("%d reports ingested without a slot", s.N())
-	}
-	<-s.ingest.slots
-	if status := <-done; status != http.StatusOK {
-		t.Fatalf("one-chunk batch status %d after the slot was freed", status)
-	}
-
-	// Two concurrent one-chunk batches share the single slot and both
-	// complete; a third after them is not starved.
-	var wg sync.WaitGroup
-	for range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if status, br, err := tryPostBatch(ts.URL, body); err != nil || status != http.StatusOK || br.Accepted != len(reps) {
-				t.Errorf("concurrent one-chunk batch: status %d accepted %d error %v", status, br.Accepted, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if status, _ := postBatchBody(t, ts.URL, body); status != http.StatusOK {
-		t.Fatalf("third one-chunk batch status %d", status)
-	}
-	if s.N() != 4*len(reps) {
-		t.Fatalf("node holds %d reports, want %d", s.N(), 4*len(reps))
-	}
-
-	// Two invalid reports in one chunk: the lower index is reported.
+	// Two invalid reports in one batch: the lower index is the one named.
 	bad := append([]core.Report(nil), reps[:16]...)
 	bad[3], bad[9] = core.Report{Index: 0, Sign: 1}, core.Report{Index: 0, Sign: 1}
 	badBody, err := encoding.MarshalBatch(p.Name(), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status, br := postBatchBody(t, ts.URL, badBody); status != http.StatusBadRequest || br.Accepted != 3 || !strings.Contains(br.Error, "batch report 3:") {
-		t.Fatalf("status %d accepted %d error %q; want 400, 3 accepted, naming batch report 3", status, br.Accepted, br.Error)
+	badFrame, err := encoding.Marshal(p.Name(), bad[3])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if held := len(s.ingest.slots); held != 0 {
-		t.Fatalf("%d pool slots still held after every request returned", held)
+	for _, tc := range []struct {
+		name, path    string
+		body, badBody []byte
+		reports, ok   int
+		rejection     string
+	}{
+		{"batch", "/report/batch", body, badBody, len(reps), http.StatusOK, `"accepted":3,"error":"rejected: batch report 3:`},
+		{"report", "/report", frame, badFrame, 1, http.StatusNoContent, `"error":"rejected: `},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newClusterNode(t, p, Options{MaxInflightIngest: 1})
+			post := func(body []byte) (int, string, error) {
+				resp, err := http.Post(ts.URL+tc.path, "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					return 0, "", err
+				}
+				defer resp.Body.Close()
+				reply, err := io.ReadAll(resp.Body)
+				return resp.StatusCode, string(reply), err
+			}
+
+			// With the only slot taken, a request must wait for it.
+			s.adm.slots <- struct{}{}
+			done := make(chan int, 1)
+			go func() {
+				status, _, err := post(tc.body)
+				if err != nil {
+					t.Error(err)
+				}
+				done <- status
+			}()
+			select {
+			case status := <-done:
+				t.Fatalf("request finished (status %d) while the only admission slot was taken", status)
+			case <-time.After(100 * time.Millisecond):
+			}
+			if s.N() != 0 {
+				t.Fatalf("%d reports ingested without a slot", s.N())
+			}
+			<-s.adm.slots
+			if status := <-done; status != tc.ok {
+				t.Fatalf("status %d after the slot was freed, want %d", status, tc.ok)
+			}
+
+			// Two concurrent requests share the single slot and both
+			// complete; a third after them is not starved.
+			var wg sync.WaitGroup
+			for range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if status, reply, err := post(tc.body); err != nil || status != tc.ok {
+						t.Errorf("concurrent request: status %d reply %q error %v", status, reply, err)
+					}
+				}()
+			}
+			wg.Wait()
+			if status, reply, err := post(tc.body); err != nil || status != tc.ok {
+				t.Fatalf("third request: status %d reply %q error %v", status, reply, err)
+			}
+			if s.N() != 4*tc.reports {
+				t.Fatalf("node holds %d reports, want %d", s.N(), 4*tc.reports)
+			}
+
+			if status, reply, err := post(tc.badBody); err != nil || status != http.StatusBadRequest || !strings.Contains(reply, tc.rejection) {
+				t.Fatalf("status %d reply %q error %v; want 400 with %s", status, reply, err, tc.rejection)
+			}
+			if held := len(s.adm.slots); held != 0 {
+				t.Fatalf("%d admission slots still held after every request returned", held)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"log/slog"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"ldpmarginals/internal/fault"
@@ -112,10 +111,8 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	r.MustRegister("ldp_ingest_shed_total", "Ingest requests shed by admission control (429).", metrics.Labels{"path": "/report/batch"}, s.ins.shedBatch)
 	r.MustGaugeFunc("ldp_reports", "Reports behind this node (fleet-wide on a coordinator, in-window on a windowed deployment).", nil,
 		func() float64 { return float64(s.N()) })
-	if s.adm != nil {
-		r.MustGaugeFunc("ldp_ingest_queued_requests", "Ingest requests waiting for an admission slot.", nil,
-			func() float64 { return float64(s.adm.queued.Load()) })
-	}
+	r.MustGaugeFunc("ldp_ingest_queued_requests", "Ingest requests waiting for an admission slot.", nil,
+		func() float64 { return float64(s.adm.queued.Load()) })
 
 	if s.deg != nil {
 		r.MustGaugeFunc("ldp_health_state", "Durability health state machine (0 healthy, 1 degraded, 2 recovering).", nil,
@@ -308,77 +305,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // additionally mount it on a side listener (the pprof port) that stays
 // reachable when the serving listener is saturated.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
-// admission is the ingest endpoints' load-shedding gate: a bounded
-// in-flight slot pool with a bounded wait queue in front of it. A
-// request beyond both bounds is shed immediately with 429 +
-// Retry-After instead of piling up another goroutine — under
-// overload the server degrades by refusing work it could not finish
-// anyway, and the shed counter makes the refusal observable.
-type admission struct {
-	slots    chan struct{} // capacity = max in-flight ingest requests
-	queued   atomic.Int64
-	maxQueue int64
-}
-
-func newAdmission(inflight, queue int) *admission {
-	return &admission{
-		slots:    make(chan struct{}, inflight),
-		maxQueue: int64(queue),
-	}
-}
-
-// acquire claims an in-flight slot, waiting in the bounded queue when
-// the pool is full. It returns false when the queue is full too (shed)
-// or the client gave up while queued.
-func (a *admission) acquire(r *http.Request) bool {
-	select {
-	case a.slots <- struct{}{}:
-		return true
-	default:
-	}
-	if a.queued.Add(1) > a.maxQueue {
-		a.queued.Add(-1)
-		return false
-	}
-	defer a.queued.Add(-1)
-	select {
-	case a.slots <- struct{}{}:
-		return true
-	case <-r.Context().Done():
-		// The client disconnected while queued; nothing to admit.
-		return false
-	}
-}
-
-func (a *admission) release() { <-a.slots }
-
-// shed answers a request refused by admission control: 429 with an
-// explicit Retry-After, counted per endpoint.
-func (s *Server) shed(w http.ResponseWriter, r *http.Request, counter *metrics.Counter) {
-	counter.Inc()
-	w.Header().Set("Retry-After", "1")
-	httpError(w, r, "ingest at capacity; retry with backoff", http.StatusTooManyRequests)
-}
-
-// FaultIngestAdmit is the ingest admission fault-injection site: error
-// rules force a 429 shed, latency rules simulate queue pressure.
-const FaultIngestAdmit = "server.ingest.admit"
-
-// admit claims an ingest admission slot inside an "ingest.admission"
-// span, so time spent waiting in the bounded queue is visible on the
-// request's trace. On false the request has already been answered
-// (shed with 429); on true the caller must release the slot.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, shedCounter *metrics.Counter) bool {
-	_, span := trace.StartSpan(r.Context(), "ingest.admission")
-	ok := fault.Hit(FaultIngestAdmit) == nil && s.adm.acquire(r)
-	span.SetBool("admitted", ok)
-	span.End()
-	if !ok {
-		s.shed(w, r, shedCounter)
-	}
-	return ok
-}
 
 // ReadyResponse is the JSON shape of a /readyz reply.
 type ReadyResponse struct {

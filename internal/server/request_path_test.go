@@ -69,8 +69,10 @@ func TestAcceptedReplyMatchesJSONEncoder(t *testing.T) {
 // all-accepted POST /report/batch of 1,024 InpPS d=16 reports through
 // Handler() — middleware, tracing, admission, decode, consume and reply
 // — with what building the request costs measured apart and
-// subtracted. The handler benchmarks' 3x time guard cannot see a few
-// allocations creep back onto this path; this test can.
+// subtracted, and of one POST /report of one such report, which rides
+// the same pooled path as a batch of one. The handler benchmarks' 3x
+// time guard cannot see a few allocations creep back onto this path;
+// this test can.
 func TestBatchIngestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -86,29 +88,40 @@ func TestBatchIngestAllocationBudget(t *testing.T) {
 	}
 	defer s.Close()
 	h := s.Handler()
-	body := indexBatch(t, p, 16, 1024)
-	rd := bytes.NewReader(nil)
-	var (
-		req *http.Request
-		w   *nopResponseWriter
-	)
-	build := func() {
-		rd.Reset(body)
-		req = httptest.NewRequest(http.MethodPost, "/report/batch", rd)
-		w = &nopResponseWriter{h: make(http.Header)}
+	frame, err := encoding.Marshal(p.Name(), core.Report{Index: 7919})
+	if err != nil {
+		t.Fatal(err)
 	}
-	serve := func() {
-		build()
-		h.ServeHTTP(w, req)
-	}
-	serve() // warm the pools
-	construction := testing.AllocsPerRun(200, build)
-	total := testing.AllocsPerRun(200, serve)
-	got := total - construction
-	t.Logf("%.0f allocations per request beyond %.0f to build it", got, construction)
-	if got > budget {
-		t.Errorf("POST /report/batch makes %.0f allocations beyond building the request (%.0f total, %.0f to build); budget %d",
-			got, total, construction, budget)
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/report/batch", indexBatch(t, p, 16, 1024)},
+		{"/report", frame},
+	} {
+		rd := bytes.NewReader(nil)
+		var (
+			req *http.Request
+			w   *nopResponseWriter
+		)
+		build := func() {
+			rd.Reset(tc.body)
+			req = httptest.NewRequest(http.MethodPost, tc.path, rd)
+			w = &nopResponseWriter{h: make(http.Header)}
+		}
+		serve := func() {
+			build()
+			h.ServeHTTP(w, req)
+		}
+		serve() // warm the pools
+		construction := testing.AllocsPerRun(200, build)
+		total := testing.AllocsPerRun(200, serve)
+		got := total - construction
+		t.Logf("POST %s: %.0f allocations per request beyond %.0f to build it", tc.path, got, construction)
+		if got > budget {
+			t.Errorf("POST %s makes %.0f allocations beyond building the request (%.0f total, %.0f to build); budget %d",
+				tc.path, got, total, construction, budget)
+		}
 	}
 }
 

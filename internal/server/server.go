@@ -49,12 +49,12 @@
 //
 // An ingesting node owns one window ring (internal/window), whose live
 // bucket is a core.ShardedAggregator: P per-shard accumulators behind P
-// mutexes, merged on demand. A cumulative node's ring never seals. A
-// single /report locks exactly one shard for one Consume; a
-// /report/batch is decoded outside any lock, split into chunks, and
-// each chunk is ingested into a round-robin shard under one lock
-// acquisition through a bounded worker pool, so batches amortize both
-// HTTP and locking overhead and scale across cores.
+// mutexes, merged on demand. A cumulative node's ring never seals. Both
+// ingest endpoints pass one admission gate, sized from the shard count;
+// a /report is a batch of one, and a batch is decoded outside any lock
+// and its chunks ingested in order, each into a round-robin shard under
+// one lock acquisition, so batches amortize both HTTP and locking
+// overhead and concurrent requests spread across cores.
 // /status reads the report count from an atomic counter and never takes
 // a lock; /marginal merges a snapshot of the shards (stalling ingestion
 // for at most one shard at a time) and reconstructs from the private
@@ -83,15 +83,13 @@
 //
 // # Batch semantics
 //
-// A batch is not atomic: reports preceding a rejected report (and any
-// chunks already in flight when the rejection happens) remain consumed,
-// matching the Aggregator.ConsumeBatch contract; further chunks are not
-// dispatched. The 400 rejection reply is a BatchResponse carrying the
-// exact number of reports ingested plus the first rejection, identified
-// by its batch-global index. Under local differential privacy every
-// report is individually valid or individually rejected, so partial
-// ingestion never corrupts the estimate — it only under-counts the
-// failed batch.
+// A batch is not atomic: exactly the reports before the first rejected
+// one remain consumed, matching the Aggregator.ConsumeBatch contract,
+// and nothing after it is ingested. The 400 rejection reply is a
+// BatchResponse carrying that count plus the rejection, identified by
+// its batch-global index. Under local differential privacy every report
+// is individually valid or individually rejected, so partial ingestion
+// never corrupts the estimate — it only under-counts the failed batch.
 //
 // # Fixed limits
 //
@@ -105,7 +103,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -117,7 +114,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ldpmarginals/internal/core"
@@ -202,20 +198,15 @@ type Options struct {
 	// Shards is the number of per-shard accumulators; <= 0 selects
 	// GOMAXPROCS.
 	Shards int
-	// IngestWorkers bounds the number of goroutines concurrently writing
-	// batch chunks into shards, and likewise the number of /report/batch
-	// requests being buffered and decoded at once; <= 0 matches the
-	// shard count.
-	IngestWorkers int
 	// MaxInflightIngest bounds how many /report and /report/batch
-	// requests are processed concurrently; arrivals beyond it wait in a
-	// bounded queue (MaxIngestQueue) and are shed with 429 + Retry-After
-	// once that fills. Zero selects 4x the ingest workers; negative
-	// disables admission control entirely.
+	// requests are read, decoded and ingested at once, the one bound on
+	// ingest concurrency and memory; arrivals beyond it wait in a bounded
+	// queue (MaxIngestQueue) and are shed with 429 + Retry-After once
+	// that fills. Zero selects the shard count; negative is refused.
 	MaxInflightIngest int
 	// MaxIngestQueue bounds how many ingest requests may wait for an
-	// in-flight slot before new arrivals are shed; <= 0 selects 16x the
-	// in-flight cap.
+	// in-flight slot before new arrivals are shed; <= 0 selects 64x the
+	// shard count.
 	MaxIngestQueue int
 	// Refresh is the automatic view-refresh policy; the zero value means
 	// the view only advances on POST /refresh.
@@ -265,57 +256,6 @@ type Options struct {
 	// logging at debug (carrying the trace id so log lines and traces
 	// correlate), degraded-mode events at warn. Nil discards them.
 	Log *slog.Logger
-}
-
-// ingestPipeline is the write side of a deployment: the window ring
-// reports land in, the optional durable store wired in front of it, and
-// the bounded batch worker pool. Roles that ingest (single, edge) run
-// one.
-type ingestPipeline struct {
-	ring      *window.Ring
-	st        *store.Store  // nil for a memory-only deployment
-	recovered int           // reports restored from the store at startup
-	slots     chan struct{} // bounded worker-pool slots for batch chunks
-	batches   chan struct{} // bounds whole /report/batch requests in flight
-	maxBatch  int64         // maxBatchBytes; a test lowers it to exercise the limit
-}
-
-// newIngestPipeline seeds the node's ring with the state the store
-// recovered and registers it as the store's source — a windowed ring
-// also as the store's bucket layout — and sizes the worker pools, which
-// scale with the shard count.
-func (s *Server) newIngestPipeline(opts Options) (*ingestPipeline, error) {
-	recovered := 0
-	if st := opts.Store; st != nil {
-		// Seed the live pipeline before the engine builds its first
-		// epoch, so recovered reports are served immediately; then let the
-		// store drop its copy. Snapshots hold only the live bucket: a
-		// windowed ring's sealed buckets are persisted one file each.
-		live, _ := st.Recovered()
-		if err := s.ring.Restore(st.RecoveredLayout(), live); err != nil {
-			return nil, fmt.Errorf("server: seeding recovered state: %w", err)
-		}
-		st.SetSource(s.ring.LiveSnapshot)
-		if s.windowed() {
-			if err := st.SetWindow(s.ring.Layout); err != nil {
-				return nil, fmt.Errorf("server: seeding recovered state: %w", err)
-			}
-		}
-		recovered = s.ring.N()
-		st.ReleaseRecovered()
-	}
-	workers := opts.IngestWorkers
-	if workers <= 0 {
-		workers = s.shards
-	}
-	return &ingestPipeline{
-		ring:      s.ring,
-		st:        opts.Store,
-		recovered: recovered,
-		slots:     make(chan struct{}, workers),
-		batches:   make(chan struct{}, workers),
-		maxBatch:  maxBatchBytes,
-	}, nil
 }
 
 // readPipeline is the read side of a deployment: the view engine over
@@ -382,7 +322,7 @@ type Server struct {
 	exportParts []core.Part
 
 	ins    *serverInstruments // always non-nil; hot paths update unconditionally
-	adm    *admission         // ingest load shedding; nil when disabled or not ingesting
+	adm    *admission         // the ingest gate; idle on a coordinator
 	deg    *degrader          // WAL-failure degradation; nil without a durable ingest path
 	reg    *metrics.Registry  // the /metrics registry, assembled at construction
 	tracer *trace.Tracer      // always non-nil; roots one span per request
@@ -446,6 +386,8 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		return fail(fmt.Errorf("server: generating version salt: %w", err))
 	}
 	s.verSalt = 1<<62 | binary.LittleEndian.Uint64(salt[:])>>2
+	// Every role holds the ingest gate; a coordinator's stays idle.
+	s.adm = newAdmission(opts.MaxInflightIngest, opts.MaxIngestQueue, s.shards)
 	// The node's one state source. An ingesting node's ring is also its
 	// ingest target, recovery seed and store snapshot source; a
 	// coordinator ingests nothing.
@@ -471,21 +413,8 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		if s.ingest, err = s.newIngestPipeline(opts); err != nil {
 			return fail(err)
 		}
-	}
-	if s.ingest != nil {
-		if opts.MaxInflightIngest >= 0 {
-			inflight := opts.MaxInflightIngest
-			if inflight == 0 {
-				inflight = 4 * cap(s.ingest.slots)
-			}
-			queue := opts.MaxIngestQueue
-			if queue <= 0 {
-				queue = 16 * inflight
-			}
-			s.adm = newAdmission(inflight, queue)
-		}
-		if s.ingest.st != nil {
-			s.deg = newDegrader(s.ingest.st, s.log, opts.DegradedProbeInterval)
+		if opts.Store != nil {
+			s.deg = newDegrader(opts.Store, s.log, opts.DegradedProbeInterval)
 		}
 	}
 	if s.fleet != nil {
@@ -525,8 +454,12 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 
 // validateRoleOptions rejects option combinations that cross role
 // boundaries, so a misconfigured node fails at startup instead of
-// silently dropping a pipeline stage.
+// silently dropping a pipeline stage, and a negative MaxInflightIngest,
+// which would leave ingest unbounded.
 func validateRoleOptions(opts Options) error {
+	if opts.MaxInflightIngest < 0 {
+		return errors.New("server: MaxInflightIngest must not be negative (zero selects the shard count)")
+	}
 	if (opts.Window > 0) != (opts.Bucket > 0) {
 		return errors.New("server: Window and Bucket must be set together (a window needs a rotation granularity)")
 	}
@@ -710,311 +643,6 @@ func (s *Server) rejectRole(w http.ResponseWriter, r *http.Request, what, serveR
 	httpError(w, r, fmt.Sprintf("role %s does not serve %s; use a %s node", s.role, what, serveRole), http.StatusForbidden)
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	if s.ingest == nil {
-		s.rejectRole(w, r, "report ingestion", "single or edge")
-		return
-	}
-	if !s.admitHealthy(w, r) {
-		return
-	}
-	if s.adm != nil {
-		if !s.admit(w, r, s.ins.shedReport) {
-			return
-		}
-		defer s.adm.release()
-	}
-	frame, err := io.ReadAll(io.LimitReader(r.Body, maxReportBytes+1))
-	if err != nil {
-		httpError(w, r, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(frame) > maxReportBytes {
-		httpError(w, r, "report too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	tag, rep, err := encoding.Unmarshal(frame)
-	if err != nil {
-		httpError(w, r, "malformed report: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if tag != s.tag {
-		httpError(w, r, fmt.Sprintf("report for protocol tag %d, deployment runs %d", tag, s.tag), http.StatusBadRequest)
-		return
-	}
-	if !s.chargeBudget(w, r, 1) {
-		return
-	}
-	in := s.ingest
-	var rejected error
-	var err2 error
-	if in.st != nil {
-		// The frame is appended to the WAL (honoring the fsync policy)
-		// before the ack below; a single report logs as a one-frame batch.
-		batch := encoding.AppendFrame(nil, frame)
-		err2 = in.st.IngestContext(r.Context(), batch, func() (int, int, error) {
-			if err := in.ring.Consume(rep); err != nil {
-				rejected = err
-				return 0, 0, err
-			}
-			return 1, len(batch), nil
-		})
-	} else if err := in.ring.Consume(rep); err != nil {
-		rejected = err
-	}
-	if rejected != nil {
-		s.ins.rejectedReports.Inc()
-		httpError(w, r, "rejected: "+rejected.Error(), http.StatusBadRequest)
-		return
-	}
-	s.ins.ingestReports.Inc()
-	if err2 != nil {
-		// Consumed but not durably logged: a server fault, not a client
-		// one. The report is in memory and the next snapshot captures
-		// it, but the durability promise of the ack cannot be made.
-		httpError(w, r, "persistence failed: "+err2.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// ingestChunk feeds the decoded chunk reps[lo:hi] into the sharded
-// aggregator — through the store's consume+log pair when the deployment
-// is durable, so the accepted prefix of the chunk is in the WAL before
-// the batch handler acks. The logged payload is the chunk's slice of
-// the request body (body and ends as returned by UnmarshalBatchEnds):
-// the validated wire bytes verbatim. Group commit in the store keeps
-// concurrent chunks from serializing on the fsync.
-//
-// The returned count is how many of the chunk's reports entered the
-// aggregator, regardless of the error: on a report rejection it is the
-// accepted prefix, and on a WAL failure (which can mask a rejection)
-// it is still exactly what the aggregator consumed.
-func (in *ingestPipeline) ingestChunk(ctx context.Context, reps []core.Report, body []byte, ends []int, lo, hi int) (int, error) {
-	chunk := reps[lo:hi]
-	if in.st == nil {
-		err := in.ring.ConsumeBatch(chunk)
-		if err == nil {
-			return len(chunk), nil
-		}
-		var be *core.BatchError
-		if errors.As(err, &be) {
-			return be.Index, err
-		}
-		return 0, err
-	}
-	start := startOf(ends, lo)
-	applied := 0
-	err := in.st.IngestContext(ctx, body[start:ends[hi-1]], func() (int, int, error) {
-		err := in.ring.ConsumeBatch(chunk)
-		if err == nil {
-			applied = len(chunk)
-			return applied, ends[hi-1] - start, nil
-		}
-		var be *core.BatchError
-		if errors.As(err, &be) && be.Index > 0 {
-			applied = be.Index
-			return applied, ends[lo+be.Index-1] - start, err
-		}
-		return 0, 0, err
-	})
-	return applied, err
-}
-
-// startOf returns the byte offset in the request body where report lo's
-// frame begins.
-func startOf(ends []int, lo int) int {
-	if lo > 0 {
-		return ends[lo-1]
-	}
-	return 0
-}
-
-// anchorChunkError turns the error of the chunk that began at batch
-// index lo into the batch's terms: a report rejection is re-anchored
-// from its chunk-relative index to the batch (idx is the rejected
-// report's batch index); anything else is the WAL (or store shutdown)
-// failing, reported at the chunk's start with persist set. In that case
-// the consumed reports are in the aggregator — the accepted count stays
-// accurate — but the durability promise of a 200 cannot be made; it is
-// a server fault, not a client one.
-func anchorChunkError(lo int, err error) (idx int, persist bool, anchored error) {
-	var be *core.BatchError
-	if errors.As(err, &be) {
-		idx = lo + be.Index
-		return idx, false, fmt.Errorf("batch report %d: %w", idx, be.Err)
-	}
-	return lo, true, err
-}
-
-// ingestChunkReleasing is ingestChunk for a caller that has taken a slot
-// of the bounded pool: it gives the slot back when the chunk is done.
-func (in *ingestPipeline) ingestChunkReleasing(ctx context.Context, reps []core.Report, body []byte, ends []int, lo, hi int) (int, error) {
-	defer func() { <-in.slots }()
-	return in.ingestChunk(ctx, reps, body, ends, lo, hi)
-}
-
-// ingestBatch feeds a decoded batch to the sink in chunks of batchChunk,
-// each under one slot of the bounded pool and one shard lock, and
-// returns once all of it is ingested — so a 200 means the reports are
-// counted. accepted is summed per chunk (not read back from the shared
-// aggregator counter, which concurrent requests also move); err is the
-// failure with the lowest batch index, anchored to the batch, and
-// persistFailed says a chunk failed in the store rather than on a
-// report.
-//
-// A batch of one chunk runs on the calling goroutine: it takes its slot
-// and holds it for exactly the chunk, as a spawned chunk does, without
-// the spawn, the WaitGroup and the hand-off. Larger batches fan out so
-// their chunks land on distinct shards in parallel.
-func (in *ingestPipeline) ingestBatch(ctx context.Context, reps []core.Report, body []byte, ends []int) (accepted int, persistFailed bool, err error) {
-	if len(reps) <= batchChunk {
-		in.slots <- struct{}{}
-		accepted, err = in.ingestChunkReleasing(ctx, reps, body, ends, 0, len(reps))
-		if err != nil {
-			_, persistFailed, err = anchorChunkError(0, err)
-		}
-		return accepted, persistFailed, err
-	}
-	return in.fanOutChunks(ctx, reps, body, ends)
-}
-
-// fanOutChunks is ingestBatch for a batch of more than one chunk.
-func (in *ingestPipeline) fanOutChunks(ctx context.Context, reps []core.Report, body []byte, ends []int) (accepted int, persistFailed bool, err error) {
-	var (
-		wg       sync.WaitGroup
-		total    atomic.Int64
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstIdx int
-	)
-	for lo := 0; lo < len(reps); lo += batchChunk {
-		// A rejected chunk stops further dispatch; only chunks already
-		// in flight can still land after it.
-		if failed.Load() {
-			break
-		}
-		in.slots <- struct{}{}
-		// Re-check after the (possibly long) wait for a pool slot: a
-		// rejection may have landed while this chunk was queued.
-		if failed.Load() {
-			<-in.slots
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			consumed, chunkErr := in.ingestChunkReleasing(ctx, reps, body, ends, lo, hi)
-			total.Add(int64(consumed))
-			if chunkErr == nil {
-				return
-			}
-			idx, persist, chunkErr := anchorChunkError(lo, chunkErr)
-			failed.Store(true)
-			// Chunks fail in arbitrary wall-clock order; keep the
-			// rejection with the lowest batch index, matching the
-			// "first rejected report" contract.
-			errMu.Lock()
-			if err == nil || idx < firstIdx {
-				err, firstIdx = chunkErr, idx
-			}
-			persistFailed = persistFailed || persist
-			errMu.Unlock()
-		}(lo, min(lo+batchChunk, len(reps)))
-	}
-	wg.Wait()
-	return int(total.Load()), persistFailed, err
-}
-
-// batchBuffers is one /report/batch request's reusable workspace: the
-// raw body and the decoded record slices. Pooled so steady-state ingest
-// stops allocating per request — the decoded []core.Report alone is an
-// order of magnitude larger than a typical body. Only slice headers are
-// reused; per-report payloads are freshly decoded (see
-// encoding.UnmarshalBatchEndsInto), so nothing an aggregator could have
-// retained is ever overwritten.
-type batchBuffers struct {
-	body  []byte
-	reps  []core.Report
-	ends  []int
-	reply [32]byte // room for the all-accepted reply
-}
-
-var batchBufPool = sync.Pool{New: func() any { return new(batchBuffers) }}
-
-// The pool keeps a workspace only while it is the size ordinary
-// requests need: a few chunks of decoded reports and 1/16 of the default
-// body limit. Anything larger — one maxBatchReports batch grows reps and
-// ends to ~56 MiB — is left to the collector instead of riding in the
-// pool for the life of the process.
-const (
-	maxPooledReports   = 4 * batchChunk
-	maxPooledBodyBytes = maxBatchBytes / 16
-)
-
-// putBatchBuffers returns b to the pool unless a request grew it past
-// what the pool keeps.
-func putBatchBuffers(b *batchBuffers) {
-	if cap(b.reps) > maxPooledReports || cap(b.ends) > maxPooledReports || cap(b.body) > maxPooledBodyBytes {
-		return
-	}
-	batchBufPool.Put(b)
-}
-
-// sizedBody returns buf, or a fresh buffer when buf cannot hold a body
-// of the declared length without growing: contentLength bytes (at most
-// limit, past which the request is refused anyway) plus the one spare
-// byte the read that reports EOF needs. An undeclared length (-1,
-// chunked encoding) leaves sizing to readBodyInto's growth loop.
-func sizedBody(buf []byte, contentLength, limit int64) []byte {
-	if want := min(contentLength, limit) + 1; int64(cap(buf)) < want {
-		return make([]byte, 0, want)
-	}
-	return buf
-}
-
-// readBodyInto reads r (bounded by limit+1 bytes) into buf, growing it
-// as needed and returning the filled slice — io.ReadAll over a reusable
-// buffer.
-func readBodyInto(r io.Reader, limit int64, buf []byte) ([]byte, error) {
-	lr := io.LimitReader(r, limit+1)
-	buf = buf[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := lr.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
-// BatchResponse is the JSON shape of a /report/batch reply — both the
-// 200 success reply and the 400 rejection reply. On rejection, Accepted
-// is the exact number of reports ingested before ingestion stopped
-// (chunks already in flight when the rejection happened may have
-// completed), and Error describes the first rejected report by its
-// batch-global index. Clients should treat Accepted as authoritative
-// and not blindly re-post a failed batch.
-type BatchResponse struct {
-	// Accepted is the number of reports ingested from the batch.
-	Accepted int `json:"accepted"`
-	// Error is the rejection reason; empty on success.
-	Error string `json:"error,omitempty"`
-	// TraceID is the request's trace id, set on rejection replies so a
-	// client-side failure report can be joined against the server's
-	// /debug/traces ring and logs.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
 // traceID returns the request's trace id, or "" when the middleware
 // opened no span.
 func traceID(r *http.Request) string {
@@ -1022,107 +650,6 @@ func traceID(r *http.Request) string {
 		return span.TraceID().String()
 	}
 	return ""
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	if s.ingest == nil {
-		s.rejectRole(w, r, "report ingestion", "single or edge")
-		return
-	}
-	if !s.admitHealthy(w, r) {
-		return
-	}
-	if s.adm != nil {
-		if !s.admit(w, r, s.ins.shedBatch) {
-			return
-		}
-		defer s.adm.release()
-	}
-	in := s.ingest
-	// Bound whole batch requests in flight, not just the shard writes:
-	// buffering and decoding a body costs up to maxBatch bytes plus the
-	// decoded reports, so excess requests wait here (HTTP backpressure)
-	// instead of amplifying memory without bound.
-	in.batches <- struct{}{}
-	defer func() { <-in.batches }()
-	bufs := batchBufPool.Get().(*batchBuffers)
-	bodyHandedToWAL := false
-	defer func() {
-		if bodyHandedToWAL {
-			// The durable store's committer may still reference body
-			// slices after the handler returns (group commit); hand the
-			// buffer over instead of recycling it.
-			bufs.body = nil
-		}
-		putBatchBuffers(bufs)
-	}()
-	body, err := readBodyInto(r.Body, in.maxBatch, sizedBody(bufs.body, r.ContentLength, in.maxBatch))
-	bufs.body = body
-	if err != nil {
-		httpError(w, r, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > in.maxBatch {
-		httpError(w, r, "batch too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	tag, reps, ends, err := encoding.UnmarshalBatchEndsInto(body, maxBatchReports, bufs.reps, bufs.ends)
-	if err != nil {
-		httpError(w, r, "malformed batch: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	bufs.reps, bufs.ends = reps, ends
-	if tag != s.tag {
-		httpError(w, r, fmt.Sprintf("batch for protocol tag %d, deployment runs %d", tag, s.tag), http.StatusBadRequest)
-		return
-	}
-	// The whole batch is charged atomically before any chunk is
-	// dispatched: a batch the budget cannot cover is rejected in full,
-	// never partially ingested.
-	if !s.chargeBudget(w, r, len(reps)) {
-		return
-	}
-
-	// From here on the store may hold slices of body past this request.
-	bodyHandedToWAL = in.st != nil
-	accepted, persistFailed, firstErr := in.ingestBatch(r.Context(), reps, body, ends)
-	s.ins.ingestReports.Add(uint64(accepted))
-	if firstErr != nil {
-		s.ins.rejectedReports.Add(uint64(len(reps) - accepted))
-		// The failure reply still carries the exact accepted count so
-		// the client knows how much of the batch is in the estimate.
-		// Report rejections are the client's fault (400); persistence
-		// failures are the server's (500) and must not invite a retry
-		// that would double-count the already-consumed reports.
-		status := http.StatusBadRequest
-		prefix := "rejected: "
-		if persistFailed {
-			status, prefix = http.StatusInternalServerError, "persistence failed: "
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(BatchResponse{
-			Accepted: accepted,
-			Error:    prefix + firstErr.Error(),
-			TraceID:  traceID(r),
-		})
-		return
-	}
-	s.ins.ingestBatches.Inc()
-	w.Header()["Content-Type"] = jsonContentType
-	_, _ = w.Write(appendAcceptedReply(bufs.reply[:0], accepted))
-}
-
-// appendAcceptedReply appends the reply to an all-accepted batch of n
-// reports: the bytes json.Encoder writes for BatchResponse{Accepted: n},
-// built without reflection.
-func appendAcceptedReply(dst []byte, n int) []byte {
-	dst = append(dst, `{"accepted":`...)
-	dst = strconv.AppendInt(dst, int64(n), 10)
-	return append(dst, "}\n"...)
 }
 
 // chargeBudget spends count reports against the caller's windowed

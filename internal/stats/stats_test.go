@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -179,20 +178,6 @@ func TestChiSquareIndependenceValidation(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	h, err := Entropy([]float64{0.5, 0.5})
-	if err != nil || !almostEq(h, 1, 1e-12) {
-		t.Errorf("H(fair coin) = %v, want 1 bit", h)
-	}
-	h, err = Entropy([]float64{1, 0})
-	if err != nil || h != 0 {
-		t.Errorf("H(point mass) = %v, want 0", h)
-	}
-	if _, err := Entropy([]float64{-0.1, 1.1}); err == nil {
-		t.Error("negative probability should error")
-	}
-}
-
 func TestMutualInformationIndependent(t *testing.T) {
 	// p(a,b) = p(a)p(b) => MI = 0.
 	tab, _ := marginal.FromCells(0b11, []float64{0.06, 0.14, 0.24, 0.56})
@@ -288,19 +273,4 @@ func TestPearsonMatrixConstantColumn(t *testing.T) {
 	if m[0][0] != 1 {
 		t.Error("diagonal should still be 1")
 	}
-}
-
-// Entropy returns the Shannon entropy of a distribution in bits. Zero
-// cells contribute nothing; negative cells are rejected.
-func Entropy(dist []float64) (float64, error) {
-	var h float64
-	for _, p := range dist {
-		if p < 0 {
-			return 0, fmt.Errorf("stats: negative probability %v", p)
-		}
-		if p > 0 {
-			h -= p * math.Log2(p)
-		}
-	}
-	return h, nil
 }

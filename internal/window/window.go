@@ -137,17 +137,6 @@ func (r *Ring) Window() time.Duration { return r.opts.Window }
 // Bucket returns the configured bucket span.
 func (r *Ring) Bucket() time.Duration { return r.opts.Bucket }
 
-// Consume routes one report into the live bucket.
-func (r *Ring) Consume(rep core.Report) error {
-	r.mu.RLock()
-	err := r.cur.Load().Consume(rep)
-	r.mu.RUnlock()
-	if err == nil {
-		r.ver.Add(1)
-	}
-	return err
-}
-
 // ConsumeBatch routes a batch into the live bucket. Partial
 // consumption surfaces as core.BatchError, exactly like the sharded
 // aggregator's contract. Like it, the version moves only when the live

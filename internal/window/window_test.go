@@ -331,7 +331,7 @@ func TestRingVersionAdvances(t *testing.T) {
 					t.Fatalf("%s moved the version: %v, want %v", what, moved, moves)
 				}
 			}
-			step("Consume", true, func() error { return r.Consume(reps[0]) })
+			step("a one-report batch", true, func() error { return r.ConsumeBatch(reps[:1]) })
 			step("ConsumeBatch", true, func() error { return r.ConsumeBatch(reps[1:]) })
 			step("an empty batch", false, func() error { return r.ConsumeBatch(nil) })
 			step("a rejected batch", false, func() error {
