@@ -72,11 +72,11 @@
 // /metrics keep serving from memory — and a background probe re-tests
 // the disk every -degraded-probe-interval, reviving the log and
 // re-snapshotting the in-memory state once writes succeed again. A
-// coordinator likewise survives a misbehaving peer: after
-// -quarantine-after consecutive pulls whose frames fail CRC, decode,
-// or fold, the peer is quarantined — its last good contribution keeps
-// serving, regular pulls stop, and a half-open probe retries every
-// -quarantine-interval. -fault-spec arms deterministic fault injection
+// coordinator likewise survives a misbehaving peer: after three
+// consecutive pulls whose frames fail CRC, decode, or fold, the peer is
+// quarantined — its last good contribution keeps serving, regular pulls
+// stop, and a half-open probe retries every 16 pull intervals
+// (-pull-interval). -fault-spec arms deterministic fault injection
 // at named sites (WAL appends, pull bodies, ...) for failure drills.
 // The "Failure modes and degraded operation" section of the package
 // documentation is the operator runbook for both state machines.
@@ -114,7 +114,8 @@
 // failure), merges the fleet, and serves /marginal and /query over the
 // merged state. For a coordinator, -data-dir persists the latest
 // accepted peer states so a restart resumes without waiting for
-// re-pulls. A two-edge cluster:
+// re-pulls; a recovered state passes the same validation and guards as
+// a pulled one. A two-edge cluster:
 //
 //	ldpserver -role edge -addr :8081 -data-dir /var/lib/ldp-e1 ...
 //	ldpserver -role edge -addr :8082 -data-dir /var/lib/ldp-e2 ...
@@ -180,10 +181,6 @@ func main() {
 
 		degradedProbe = flag.Duration("degraded-probe-interval", 0,
 			"disk-probe cadence while degraded by a WAL failure (0 = 2s); each probe rewrites a sentinel file and, once the disk accepts writes, auto-recovers the node")
-		quarantineAfter = flag.Int("quarantine-after", 0,
-			"consecutive poison pull failures (bad CRC/decode/fold) before a coordinator quarantines a peer (0 = 3)")
-		quarantineInterval = flag.Duration("quarantine-interval", 0,
-			"half-open probe cadence for quarantined peers (0 = 16x -pull-interval)")
 		faultSpec = flag.String("fault-spec", "",
 			"DEV ONLY: arm deterministic fault injection, e.g. 'store.wal.append=error:after=100;cluster.pull.body=corrupt:seed=7' (see internal/fault)")
 	)
@@ -286,8 +283,6 @@ func main() {
 		Bucket:                *bucketSpan,
 		RoundEps:              *roundEps,
 		DegradedProbeInterval: *degradedProbe,
-		QuarantineAfter:       *quarantineAfter,
-		QuarantineInterval:    *quarantineInterval,
 		Log:                   logger,
 	})
 	if err != nil {

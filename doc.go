@@ -456,10 +456,10 @@
 // quarantined. Transient pull failures (dial, HTTP status, body read)
 // back off exponentially and never quarantine — the peer rejoins the
 // moment the network heals. Content failures (CRC mismatch, frame
-// decode, validation, fold errors) are *poison*: after
-// -quarantine-after consecutive poisoned pulls the circuit breaker
-// trips, the peer's held contribution keeps serving unchanged, and
-// pulls drop to a half-open probe cadence (-quarantine-interval). One
+// decode, validation, fold errors) are *poison*: after three
+// consecutive poisoned pulls the circuit breaker trips, the peer's held
+// contribution keeps serving unchanged, and pulls drop to a half-open
+// probe every 16 pull intervals (both fixed, not flags). One
 // clean pull — scheduled or forced via POST /pull — closes the breaker.
 // Peer health is reported on /view/status, /readyz (which stays ready:
 // the held state still serves), span attributes, and metrics.

@@ -140,19 +140,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestPlusMinusOne(t *testing.T) {
-	r := New(19)
-	const n = 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.PlusMinusOne(0.75)
-	}
-	// E[sum] = n*(2*0.75-1) = n/2
-	if math.Abs(float64(sum)-float64(n)/2) > 4*math.Sqrt(float64(n)) {
-		t.Errorf("PlusMinusOne(0.75) sum = %d, want ~%d", sum, n/2)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	r := New(23)
 	const n = 200000
@@ -169,18 +156,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestPerm(t *testing.T) {
-	r := New(29)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 
@@ -252,32 +227,6 @@ func TestBinomialEdges(t *testing.T) {
 	}
 }
 
-func TestCategorical(t *testing.T) {
-	r := New(37)
-	weights := []float64{1, 0, 3}
-	const n = 100000
-	counts := make([]int, 3)
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index sampled %d times", counts[1])
-	}
-	got := float64(counts[2]) / n
-	if math.Abs(got-0.75) > 0.01 {
-		t.Errorf("index 2 frequency = %v, want ~0.75", got)
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Categorical with zero mass should panic")
-		}
-	}()
-	New(1).Categorical([]float64{0, 0})
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -296,55 +245,4 @@ func BenchmarkBernoulli(b *testing.B) {
 		}
 	}
 	_ = n
-}
-
-// PlusMinusOne returns +1 with probability p and -1 otherwise.
-func (r *RNG) PlusMinusOne(p float64) int {
-	if r.Bernoulli(p) {
-		return 1
-	}
-	return -1
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Categorical samples an index proportionally to the non-negative weights.
-// It panics if weights is empty or sums to zero.
-func (r *RNG) Categorical(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("rng: Categorical with empty or zero-mass weights")
-	}
-	u := r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return 0
 }

@@ -325,7 +325,7 @@ func chaosPeer(t *testing.T, p core.Protocol, seed uint64) {
 	coord, coordTS := newClusterNode(t, p, Options{
 		Role: RoleCoordinator, NodeID: "chaos-coord",
 		Peers:        []string{edgeTS.URL},
-		PullInterval: time.Minute, QuarantineInterval: time.Hour,
+		PullInterval: time.Minute,
 	})
 
 	postBatchOK(t, edgeTS.URL, p, reps[:250])

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -57,7 +58,10 @@ const (
 // associative integer counting, the assembled fleet state is
 // byte-identical to a single aggregator that consumed every edge's
 // stream directly — whatever mix of full frames, deltas, and topology
-// tiers it arrived through.
+// tiers it arrived through. State enters the fleet one way, fleet.accept,
+// after validateComponents: a pulled full frame, a pulled delta, and a
+// peer state recovered from the cluster directory, which is the full
+// frame the peer's held state was persisted as.
 
 // fleet is a coordinator's state source: the latest accepted components
 // of every configured peer. A coordinator ingests nothing, so that is all
@@ -196,7 +200,13 @@ var errStaleDeltaBase = errors.New("delta base no longer held")
 // persisted peer states from dir when set. ownID is the coordinator's
 // own node id, so a misconfigured peer list pointing back at this node
 // (directly, or through a coordinator cycle) is refused instead of
-// folding the node's own output back in as a "peer" every round.
+// folding the node's own output back in as a "peer" every round. A
+// recovered state is a full frame read from disk and enters through
+// validateComponents and accept like a pulled one, guards included; one
+// that fails is dropped (the next pull replaces it) with the reason in
+// the peer's last error. pulledAt stays zero: /status must not report a
+// pull that never happened. The persisted top label is kept, so the
+// first pull after a restart resumes as a delta when the peer survived.
 func newFleet(p core.Protocol, urls []string, dir, ownID string) (*fleet, error) {
 	f := &fleet{p: p, dir: dir, ownID: ownID}
 	for _, u := range urls {
@@ -209,63 +219,20 @@ func newFleet(p core.Protocol, urls []string, dir, ownID string) (*fleet, error)
 	if err != nil {
 		return nil, fmt.Errorf("server: recovering peer states: %w", err)
 	}
-	byURL := make(map[string]store.PeerState, len(saved))
 	for _, ps := range saved {
-		byURL[ps.URL] = ps
-	}
-	for _, pe := range f.peers {
-		ps, ok := byURL[pe.url]
-		if !ok || len(ps.Components) == 0 {
-			continue
+		pe := f.findPeer(ps.URL)
+		if pe == nil {
+			continue // no longer configured
 		}
-		// Validate every recovered component exactly like a live pull; a
-		// peer state that no longer decodes is dropped (the next pull
-		// replaces it) rather than poisoning every future snapshot.
-		comps := make(map[string]peerComp, len(ps.Components))
-		n, bad := 0, false
-		for _, c := range ps.Components {
-			agg, err := validateState(p, c.State, c.N)
-			if err != nil {
-				pe.lastErr = fmt.Sprintf("recovered component %s invalid: %v", c.ID, err)
-				bad = true
-				break
-			}
-			comps[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: agg}
-			n += c.N
+		vf, err := validateComponents(p, ps.Frame)
+		if err == nil {
+			_, err = f.accept(ps.URL, vf)
 		}
-		if bad {
-			continue
+		if err != nil {
+			pe.lastErr = "recovered state refused: " + err.Error()
 		}
-		if n != ps.N {
-			pe.lastErr = fmt.Sprintf("recovered components hold %d reports but the snapshot declares %d", n, ps.N)
-			continue
-		}
-		// pulledAt stays zero: the state was recovered from disk, not
-		// pulled, and /status must not report a fresh pull that never
-		// happened (last_pull_age_seconds stays -1 until one does).
-		// Keeping the persisted top label means the first pull after a
-		// restart can resume as a delta when the peer process survived.
-		pe.nodeID, pe.top, pe.comps, pe.n = ps.NodeID, ps.Version, comps, n
-		f.total.Add(int64(n))
-		f.ver.Add(1)
 	}
 	return f, nil
-}
-
-// validateState decodes a peer's canonical state blob into a fresh
-// aggregator of the deployment's protocol and cross-checks the declared
-// report count, so a foreign or corrupt blob is rejected before it can
-// enter any snapshot. The aggregator is the component's contribution to
-// every later fold.
-func validateState(p core.Protocol, state []byte, n int) (core.Aggregator, error) {
-	agg := p.NewAggregator()
-	if err := agg.UnmarshalState(state); err != nil {
-		return nil, err
-	}
-	if got := agg.N(); got != n {
-		return nil, fmt.Errorf("state holds %d reports but the frame declares %d", got, n)
-	}
-	return agg, nil
 }
 
 // validFrame is a frame that passed validateComponents, which is the
@@ -275,17 +242,23 @@ type validFrame struct {
 	aggs []core.Aggregator
 }
 
-// validateComponents runs the per-blob validation over every component
-// of a frame and, for full frames, cross-checks the declared total
-// (deltas declare the total *after* the fold; acceptDelta checks it
-// there).
+// validateComponents decodes every component's canonical state blob into
+// a fresh aggregator of the deployment's protocol and cross-checks its
+// declared report count, so a foreign or corrupt blob is rejected before
+// it can enter any snapshot; the aggregator is the component's
+// contribution to every later fold. For full frames it also cross-checks
+// the declared total (deltas declare the total *after* the fold; accept
+// checks it there).
 func validateComponents(p core.Protocol, cf wire.ComponentFrame) (validFrame, error) {
 	vf := validFrame{ComponentFrame: cf, aggs: make([]core.Aggregator, len(cf.Components))}
 	sum := 0
 	for i, c := range cf.Components {
-		agg, err := validateState(p, c.State, c.N)
-		if err != nil {
+		agg := p.NewAggregator()
+		if err := agg.UnmarshalState(c.State); err != nil {
 			return validFrame{}, fmt.Errorf("component %s: %w", c.ID, err)
+		}
+		if got := agg.N(); got != c.N {
+			return validFrame{}, fmt.Errorf("component %s: state holds %d reports but the frame declares %d", c.ID, got, c.N)
 		}
 		vf.aggs[i] = agg
 		sum += c.N
@@ -406,65 +379,47 @@ func (f *fleet) findPeer(url string) *peerEntry {
 	return nil
 }
 
-// acceptFull installs a freshly pulled full frame for the peer at url,
-// replacing the peer's whole component set. It returns (changed=false)
-// when the frame's (node id, version) label matches the stored one — the
-// idempotent re-pull case.
-func (f *fleet) acceptFull(url string, cf validFrame) (changed bool, err error) {
+// accept installs a validated frame as the held state of the peer at
+// url; it is the only writer of a peer's held state and of the fleet's
+// total and version. A delta folds into a copy of the held set and needs
+// the peer's stored top label as its base, else errStaleDeltaBase tells
+// the puller to resolve with a full fetch. A full frame whose (node id,
+// version) label is already held is the idempotent re-pull (changed is
+// false); any other replaces the whole set. Then shipped components
+// replace (or add) their ids, removed ids drop, and the result must
+// account for exactly the total the frame declares — which only a delta
+// can miss, validateComponents having checked a full frame's.
+func (f *fleet) accept(url string, vf validFrame) (changed bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	target := f.findPeer(url)
 	if target == nil {
 		return false, fmt.Errorf("peer %s is not configured", url)
 	}
-	if err := f.guardFrame(target, cf.ComponentFrame); err != nil {
+	if err := f.guardFrame(target, vf.ComponentFrame); err != nil {
 		return false, err
 	}
-	if target.comps != nil && target.nodeID == cf.NodeID && target.top == cf.Version {
+	held := target.comps != nil && target.nodeID == vf.NodeID
+	var next map[string]peerComp
+	switch {
+	case vf.Delta && !(held && target.top == vf.BaseVersion):
+		return false, fmt.Errorf("delta against base %d of node %q: %w", vf.BaseVersion, vf.NodeID, errStaleDeltaBase)
+	case vf.Delta:
+		// A copy: a sum mismatch below must leave the held state
+		// untouched (the follow-up full fetch replaces it atomically).
+		next = maps.Clone(target.comps)
+	case held && target.top == vf.Version:
 		return false, nil
+	default:
+		next, changed = make(map[string]peerComp, len(vf.Components)), true
 	}
-	comps := make(map[string]peerComp, len(cf.Components))
-	for i, c := range cf.Components {
-		comps[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: cf.aggs[i]}
-	}
-	f.total.Add(int64(cf.N - target.n))
-	target.nodeID, target.top, target.comps, target.n = cf.NodeID, cf.Version, comps, cf.N
-	f.ver.Add(1)
-	return true, nil
-}
-
-// acceptDelta folds a delta frame into the peer's held component set:
-// shipped components replace (or add) their ids, removed ids drop, and
-// the result must account for exactly the total the frame declares. The
-// frame's base version must match the peer's stored top label — the
-// base this coordinator acknowledged — else errStaleDeltaBase tells the
-// puller to resolve with a full fetch.
-func (f *fleet) acceptDelta(url string, cf validFrame) (changed bool, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	target := f.findPeer(url)
-	if target == nil {
-		return false, fmt.Errorf("peer %s is not configured", url)
-	}
-	if err := f.guardFrame(target, cf.ComponentFrame); err != nil {
-		return false, err
-	}
-	if target.comps == nil || target.nodeID != cf.NodeID || target.top != cf.BaseVersion {
-		return false, fmt.Errorf("delta against base %d of node %q: %w", cf.BaseVersion, cf.NodeID, errStaleDeltaBase)
-	}
-	// Apply onto a copy: a sum mismatch below must leave the held state
-	// untouched (the follow-up full fetch replaces it atomically).
-	next := make(map[string]peerComp, len(target.comps)+len(cf.Components))
-	for id, c := range target.comps {
-		next[id] = c
-	}
-	for i, c := range cf.Components {
+	for i, c := range vf.Components {
 		if old, ok := next[c.ID]; !ok || old.version != c.Version {
 			changed = true
 		}
-		next[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: cf.aggs[i]}
+		next[c.ID] = peerComp{version: c.Version, n: c.N, state: c.State, agg: vf.aggs[i]}
 	}
-	for _, id := range cf.Removed {
+	for _, id := range vf.Removed {
 		if _, ok := next[id]; ok {
 			delete(next, id)
 			changed = true
@@ -474,13 +429,13 @@ func (f *fleet) acceptDelta(url string, cf validFrame) (changed bool, err error)
 	for _, c := range next {
 		n += c.n
 	}
-	if n != cf.N {
+	if n != vf.N {
 		// The folded set and the exporter's declared total diverged —
 		// the base we hold is not what the delta was cut against.
-		return false, fmt.Errorf("delta fold holds %d reports but the frame declares %d: %w", n, cf.N, errStaleDeltaBase)
+		return false, fmt.Errorf("delta fold holds %d reports but the frame declares %d: %w", n, vf.N, errStaleDeltaBase)
 	}
 	f.total.Add(int64(n - target.n))
-	target.top, target.comps, target.n = cf.Version, next, n
+	target.nodeID, target.top, target.comps, target.n = vf.NodeID, vf.Version, next, n
 	if changed {
 		f.ver.Add(1)
 	}
@@ -522,22 +477,20 @@ func (f *fleet) persist() {
 	f.saveMu.Lock()
 	defer f.saveMu.Unlock()
 	f.mu.Lock()
-	states := make([]store.PeerState, 0, len(f.peers))
+	peers := make([]store.PeerFrame, 0, len(f.peers))
 	for _, pe := range f.peers {
 		if pe.comps == nil {
 			continue
 		}
-		ps := store.PeerState{URL: pe.url, NodeID: pe.nodeID, Version: pe.top, N: pe.n}
+		cf := wire.ComponentFrame{NodeID: pe.nodeID, Version: pe.top, N: pe.n}
 		for _, id := range sortedCompIDs(pe.comps) {
 			c := pe.comps[id]
-			ps.Components = append(ps.Components, store.PeerComponent{
-				ID: id, Version: c.version, N: c.n, State: c.state,
-			})
+			cf.Components = append(cf.Components, wire.StateComponent{ID: id, Version: c.version, N: c.n, State: c.state})
 		}
-		states = append(states, ps)
+		peers = append(peers, store.PeerFrame{URL: pe.url, Frame: cf})
 	}
 	f.mu.Unlock()
-	err := store.SavePeerStates(f.dir, f.p, states)
+	err := store.SavePeerStates(f.dir, f.p, peers)
 	f.mu.Lock()
 	f.lastSaveErr = err
 	f.mu.Unlock()
@@ -604,12 +557,6 @@ type puller struct {
 	tracer    *trace.Tracer // roots background rounds; may be nil in tests
 	log       *slog.Logger
 
-	// Circuit breaker knobs: quarAfter consecutive poison failures trip
-	// a peer into quarantine; quarDelay is the half-open probe cadence
-	// while quarantined.
-	quarAfter int
-	quarDelay time.Duration
-
 	// ins is keyed by peer URL; the peer set is fixed at construction so
 	// the map is read-only after newPuller.
 	ins    map[string]*peerInstruments
@@ -632,15 +579,15 @@ type puller struct {
 // maxBackoffShift caps the failure backoff at interval << 5 = 32x.
 const maxBackoffShift = 5
 
-// Circuit-breaker defaults, selected by Options.QuarantineAfter <= 0
-// and Options.QuarantineInterval <= 0 respectively. Three consecutive
-// poison failures rule out a single torn response; the half-open probe
-// cadence defaults to 16x the pull interval — long enough that a peer
-// deterministically serving garbage is not re-downloaded and
-// re-rejected every backoff tick, short enough that a repaired peer
-// rejoins within a few minutes at the default 5s interval.
+// The circuit breaker. quarantineAfter consecutive poison failures trip
+// a peer into quarantine: three rule out a single torn response. The
+// half-open probe cadence is quarantineIntervalMult times the pull
+// interval — long enough that a peer deterministically serving garbage
+// is not re-downloaded and re-rejected every backoff tick, short enough
+// that a repaired peer rejoins within a few minutes at the default 5s
+// interval.
 const (
-	defaultQuarantineAfter = 3
+	quarantineAfter        = 3
 	quarantineIntervalMult = 16
 )
 
@@ -663,13 +610,7 @@ func backoffDelay(interval time.Duration, fails int) time.Duration {
 	return backoff + rand.N(backoff/2+1)
 }
 
-func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, quarAfter int, quarDelay time.Duration, tracer *trace.Tracer, log *slog.Logger) *puller {
-	if quarAfter <= 0 {
-		quarAfter = defaultQuarantineAfter
-	}
-	if quarDelay <= 0 {
-		quarDelay = quarantineIntervalMult * interval
-	}
+func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, tracer *trace.Tracer, log *slog.Logger) *puller {
 	// A dedicated transport, not http.DefaultTransport: the puller's
 	// keep-alive connections to its peers must die with the puller.
 	// Shared-transport idle connections (two goroutines each) outlive
@@ -702,8 +643,6 @@ func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, quarAf
 		transport: transport,
 		interval:  interval,
 		maxState:  maxState,
-		quarAfter: quarAfter,
-		quarDelay: quarDelay,
 		tracer:    tracer,
 		log:       log,
 		ins:       ins,
@@ -851,12 +790,14 @@ func (pl *puller) pull(ctx context.Context, url string) (changed bool) {
 // updateSchedule advances one peer's pull schedule and circuit breaker
 // after a pull, returning the peer's resulting health. Transient
 // failures back off exponentially; poison failures (see poisonError)
-// additionally count toward quarantine, and quarAfter consecutive ones
-// trip the breaker: the held contribution is retained, regular pulls
-// stop, and the peer is probed half-open every quarDelay. Any clean
-// pull — half-open probe or forced round — closes the breaker.
+// additionally count toward quarantine, and quarantineAfter consecutive
+// ones trip the breaker: the held contribution is retained, regular
+// pulls stop, and the peer is probed half-open every
+// quarantineIntervalMult pull intervals. Any clean pull — half-open
+// probe or forced round — closes the breaker.
 func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 	now := time.Now()
+	quarDelay := quarantineIntervalMult * pl.interval
 	pl.f.mu.Lock()
 	defer pl.f.mu.Unlock()
 	pe := pl.f.findPeer(url)
@@ -880,13 +821,13 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 	pe.lastErr = err.Error()
 	if isPoison(err) {
 		pe.poisonFails++
-		if !pe.quarantined && pe.poisonFails >= pl.quarAfter {
+		if !pe.quarantined && pe.poisonFails >= quarantineAfter {
 			pe.quarantined = true
 			pe.quarantinedAt = now
 			pe.quarantines++
 			pl.log.Warn("peer quarantined: repeated poison pulls; holding last good contribution",
 				"peer", url, "poison_failures", pe.poisonFails,
-				"probe_interval", pl.quarDelay, "err", err)
+				"probe_interval", quarDelay, "err", err)
 		}
 	} else {
 		// Only *consecutive* poison failures quarantine: a transient
@@ -895,7 +836,7 @@ func (pl *puller) updateSchedule(url string, err error) peerHealthState {
 		pe.poisonFails = 0
 	}
 	if pe.quarantined {
-		pe.nextDue = now.Add(pl.quarDelay)
+		pe.nextDue = now.Add(quarDelay)
 	} else {
 		pe.nextDue = now.Add(backoffDelay(pl.interval, pe.fails))
 	}
@@ -1011,34 +952,30 @@ func (pl *puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 				ins.bytesSaved.Add(last - uint64(len(body)))
 			}
 		}
-		valid, err := validateComponents(pl.f.p, cf)
-		if err != nil {
-			return false, mode, poison(err)
+	} else {
+		mode = pullModeFull
+		if ins != nil {
+			ins.lastFullBytes.Store(uint64(len(body)))
 		}
-		changed, err = pl.f.acceptDelta(url, valid)
-		if errors.Is(err, errStaleDeltaBase) {
-			// The base drifted between our ack and the apply (or the
-			// reply raced a restart): one full fetch resolves it within
-			// the same pull.
-			return pl.fetch(ctx, span, url, false)
+		// Skip the (expensive) decode validation for an unchanged state:
+		// accept short-circuits on the (node id, version) label. Peek
+		// cheaply first.
+		if pl.f.sameTop(url, cf.NodeID, cf.Version) {
+			return false, mode, nil
 		}
-		return changed, mode, poison(err)
-	}
-	mode = pullModeFull
-	if ins != nil {
-		ins.lastFullBytes.Store(uint64(len(body)))
-	}
-	// Skip the (expensive) decode validation for an unchanged state: the
-	// accept below short-circuits on the (node id, version) label. Peek
-	// cheaply first.
-	if pl.f.sameTop(url, cf.NodeID, cf.Version) {
-		return false, mode, nil
 	}
 	valid, err := validateComponents(pl.f.p, cf)
 	if err != nil {
 		return false, mode, poison(err)
 	}
-	changed, err = pl.f.acceptFull(url, valid)
+	changed, err = pl.f.accept(url, valid)
+	if errors.Is(err, errStaleDeltaBase) {
+		// Only a delta is stale, and only an acknowledging request gets
+		// one: the base drifted between our ack and the apply (or the
+		// reply raced a restart), and one full fetch resolves it within
+		// the same pull.
+		return pl.fetch(ctx, span, url, false)
+	}
 	return changed, mode, poison(err)
 }
 

@@ -648,8 +648,8 @@ func TestDiffFormsBySize(t *testing.T) {
 // this one does not read — an LDPD frame of format 1, as the build before
 // answered a coordinator, and an LDPX single-blob frame, as builds before
 // that answered a bare GET. The pull fails on the frame's format, by
-// name, in POST /pull's peer entry, and as poison: after QuarantineAfter
-// pulls the peer is quarantined, as for any frame that does not decode.
+// name, in POST /pull's peer entry, and as poison: after three pulls the
+// peer is quarantined, as for any frame that does not decode.
 func TestPullRefusesOtherFormats(t *testing.T) {
 	p, err := core.New(core.InpPS, clusterCfg)
 	if err != nil {
@@ -670,8 +670,8 @@ func TestPullRefusesOtherFormats(t *testing.T) {
 			}))
 			t.Cleanup(old.Close)
 			_, coordTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "coord", Peers: []string{old.URL},
-				PullInterval: time.Minute, QuarantineAfter: 2})
-			for i := range 2 {
+				PullInterval: time.Minute})
+			for i := range 3 {
 				pe := postPull(t, coordTS.URL).Peers[0]
 				if !strings.Contains(pe.LastError, "format of another build") {
 					t.Fatalf("pull %d: peer entry %+v, want the frame format named", i, pe)

@@ -416,6 +416,74 @@ func TestCoordinatorPeerStatePersistence(t *testing.T) {
 	}
 }
 
+// TestRecoveredPeerStatesPassTheGuards: a peer state read back from the
+// cluster directory is accepted through the same guards as a pulled
+// frame. A persisted peer bearing the coordinator's own node id is
+// refused, and a constituent persisted under two peers is counted once,
+// the second peer refused with the guard's reason in its last error.
+func TestRecoveredPeerStatesPassTheGuards(t *testing.T) {
+	p, err := core.New(core.MargPS, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := p.NewAggregator()
+	if err := agg.ConsumeBatch(makeClusterReports(t, p, 150, 17)); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := agg.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A mid-tier coordinator's frame passing through constituent edge-1.
+	frame := func(nodeID string) wire.ComponentFrame {
+		return wire.ComponentFrame{NodeID: nodeID, Version: 7, N: 150, Components: []wire.StateComponent{
+			{ID: "edge-1", Version: 5, N: 150, State: blob},
+		}}
+	}
+	// Unreachable local peers; no pull is forced, so only recovery runs.
+	const peerA, peerB = "http://127.0.0.1:1", "http://127.0.0.1:2"
+	for _, tc := range []struct {
+		name    string
+		saved   []store.PeerFrame
+		wantN   int
+		wantErr string // in the one refused peer's last error
+	}{
+		{"own node id", []store.PeerFrame{{URL: peerA, Frame: frame("coord")}}, 0, `"coord"`},
+		{"constituent held twice", []store.PeerFrame{
+			{URL: peerA, Frame: frame("mid-a")},
+			{URL: peerB, Frame: frame("mid-b")},
+		}, 150, `"edge-1"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := store.SavePeerStates(dir, p, tc.saved); err != nil {
+				t.Fatal(err)
+			}
+			coord, ts := newClusterNode(t, p, Options{
+				Role: RoleCoordinator, NodeID: "coord",
+				Peers: []string{peerA, peerB}, PullInterval: time.Minute,
+				ClusterDir: dir,
+			})
+			if coord.N() != tc.wantN {
+				t.Fatalf("recovered N=%d, want %d", coord.N(), tc.wantN)
+			}
+			refused := 0
+			for _, pe := range getStatus(t, ts.URL).Cluster.Peers {
+				if pe.LastError == "" {
+					continue
+				}
+				refused++
+				if !strings.Contains(pe.LastError, tc.wantErr) {
+					t.Errorf("peer %s last error %q, want it to name %s", pe.URL, pe.LastError, tc.wantErr)
+				}
+			}
+			if refused != 1 {
+				t.Fatalf("%d peers flagged, want 1", refused)
+			}
+		})
+	}
+}
+
 // TestRoleEndpointGating pins which endpoints each role serves: an
 // out-of-role request is a 403 naming the role, never a silent wrong
 // answer.

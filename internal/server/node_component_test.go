@@ -208,16 +208,14 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 				t.Fatal(err)
 			}
 			old := wire.ComponentFrame{NodeID: "edge-0", Version: 999, N: 200}
-			saved := store.PeerState{URL: edgeTS.URL, NodeID: "edge-0", Version: 999, N: 200}
 			for _, e := range shards {
 				id := "edge-0/" + strconv.Itoa(e.Index)
 				old.Components = append(old.Components, wire.StateComponent{ID: id, Version: 1000 + e.Version, N: e.N, State: e.State})
-				saved.Components = append(saved.Components, store.PeerComponent{ID: id, Version: 1000 + e.Version, N: e.N, State: e.State})
 			}
 			midOpts := Options{Role: RoleCoordinator, NodeID: "mid", Peers: []string{edgeTS.URL}, PullInterval: time.Hour}
 			if recovered {
 				midOpts.ClusterDir = t.TempDir()
-				if err := store.SavePeerStates(midOpts.ClusterDir, p, []store.PeerState{saved}); err != nil {
+				if err := store.SavePeerStates(midOpts.ClusterDir, p, []store.PeerFrame{{URL: edgeTS.URL, Frame: old}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -227,7 +225,7 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := mid.fleet.acceptFull(edgeTS.URL, valid); err != nil {
+				if _, err := mid.fleet.accept(edgeTS.URL, valid); err != nil {
 					t.Fatal(err)
 				}
 			}

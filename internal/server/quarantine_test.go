@@ -20,7 +20,7 @@ import (
 func TestBreakerTransitions(t *testing.T) {
 	const url = "http://peer"
 	f := &fleet{peers: []*peerEntry{{url: url}}}
-	pl := newPuller(f, time.Second, time.Second, 1<<20, 3, time.Minute, nil, slog.New(slog.DiscardHandler))
+	pl := newPuller(f, time.Second, time.Second, 1<<20, nil, slog.New(slog.DiscardHandler))
 	pe := f.peers[0]
 
 	transient := errors.New("dial tcp: connection refused")
@@ -56,10 +56,11 @@ func TestBreakerTransitions(t *testing.T) {
 	if pe.quarantines != 1 || pe.quarantinedAt.IsZero() {
 		t.Fatalf("quarantine bookkeeping: %+v", pe)
 	}
-	// Quarantined scheduling runs on the long half-open timer, not the
-	// (capped) exponential backoff.
-	if wait := time.Until(pe.nextDue); wait < 50*time.Second {
-		t.Fatalf("half-open probe due in %v, want ~1m", wait)
+	// Quarantined scheduling runs on the half-open timer (16 intervals,
+	// 16s), not the exponential backoff: after 16 consecutive failures
+	// that is at its cap, 32 intervals plus jitter, at least 32s.
+	if wait := time.Until(pe.nextDue); wait <= 15*time.Second || wait > 16*time.Second {
+		t.Fatalf("half-open probe due in %v, want 16s", wait)
 	}
 	// Further poison probes keep it quarantined without re-tripping.
 	pl.updateSchedule(url, poisoned)
@@ -94,11 +95,10 @@ func TestPeerQuarantineLifecycle(t *testing.T) {
 	_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1"})
 	coord, coordTS := newClusterNode(t, p, Options{
 		Role: RoleCoordinator, NodeID: "coord",
-		Peers:        []string{edgeTS.URL},
+		Peers: []string{edgeTS.URL},
+		// The half-open cadence, 16 pull intervals, is far past the
+		// test: the breaker stays shut until the forced pull probes it.
 		PullInterval: time.Minute,
-		// A half-open cadence far past the test keeps the breaker shut
-		// until the forced pull probes it.
-		QuarantineInterval: time.Hour,
 	})
 
 	postBatchOK(t, edgeTS.URL, p, reps[:100])

@@ -78,8 +78,10 @@
 // /view/status whether the serving epoch contains recovered reports.
 // Without a store the deployment is memory-only, exactly as before.
 // A coordinator does not ingest, so it takes no Store; its durable
-// artifact is the per-peer state snapshot in Options.ClusterDir, which
-// a restart recovers before re-pulls replace it.
+// artifact is the per-peer state snapshot in Options.ClusterDir: each
+// peer's held state as the full frame it was accepted as, which a
+// restart accepts through the same validation and guards as a pull
+// before re-pulls replace it.
 //
 // # Batch semantics
 //
@@ -95,9 +97,11 @@
 //
 // Some bounds are constants, not Options: a /report/batch body is at
 // most 16 MiB (413 beyond), a /query body at most 1 MiB, a pulled
-// /state body at most 256 MiB, and one peer pull at most 30 s; the
-// /debug/traces ring holds trace.DefaultCapacity traces, and a request
-// taking 1 s or more is logged at warn with its trace. Each epoch gets
+// /state body at most 256 MiB, and one peer pull at most 30 s; three
+// consecutive poison pulls quarantine a peer, which is then probed once
+// every 16 pull intervals; the /debug/traces ring holds
+// trace.DefaultCapacity traces, and a request taking 1 s or more is
+// logged at warn with its trace. Each epoch gets
 // view.Options' defaults: three consistency sweeps, then the simplex
 // projection.
 package server
@@ -223,16 +227,6 @@ type Options struct {
 	// WAL failure probes its data directory (sentinel write + fsync) and
 	// attempts recovery; <= 0 selects 2s. Ignored without a Store.
 	DegradedProbeInterval time.Duration
-	// QuarantineAfter is the number of consecutive poison failures
-	// (corrupt, undecodable, or unfoldable frames — not transport
-	// errors) after which a coordinator quarantines a peer; <= 0 selects
-	// 3. Ignored outside RoleCoordinator.
-	QuarantineAfter int
-	// QuarantineInterval is the half-open probe cadence for quarantined
-	// peers: one pull is attempted per interval, and a clean pull lifts
-	// the quarantine; <= 0 selects 16x PullInterval. Ignored outside
-	// RoleCoordinator.
-	QuarantineInterval time.Duration
 
 	// Window, with Bucket, turns the deployment into a continual
 	// release: reports land in a time-bucketed ring (internal/window)
@@ -422,8 +416,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		if interval <= 0 {
 			interval = defaultPullInterval
 		}
-		s.puller = newPuller(s.fleet, interval, pullTimeout, maxStateBytes,
-			opts.QuarantineAfter, opts.QuarantineInterval, s.tracer, s.log)
+		s.puller = newPuller(s.fleet, interval, pullTimeout, maxStateBytes, s.tracer, s.log)
 	}
 	if s.role.serves() {
 		engine, err := view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Tracer: s.tracer})

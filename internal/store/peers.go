@@ -17,13 +17,14 @@ import (
 // deliberately NOT the merged fleet state: edges re-serve their full
 // canonical state on every pull, so persisting a merged blob would
 // double-count every peer that answers after a restart. What makes a
-// coordinator restart exact is the per-peer decomposition — the latest
-// (url, node id, version, components) tuple for every configured peer —
-// which re-pulls then replace idempotently. Persisting the *components*
-// (not a pre-merged blob) also preserves the delta bases: after a
-// restart the coordinator still knows each peer's acknowledged version
-// label and per-component vector, so the first pull of a surviving peer
-// resumes as a delta instead of a full transfer. The file layout:
+// coordinator restart exact is the per-peer decomposition: the file
+// holds, for every peer with held state, the full component frame that
+// state was accepted as (a PeerFrame), which re-pulls then replace
+// idempotently. Persisting the *components* (not a pre-merged blob) also
+// preserves the delta bases: after a restart the coordinator still knows
+// each peer's acknowledged version label and per-component vector, so
+// the first pull of a surviving peer resumes as a delta instead of a
+// full transfer. The file layout:
 //
 //	"LDPP", format version byte, config block (shared with WAL/snapshots),
 //	uvarint peer count,
@@ -57,36 +58,19 @@ var ErrPeerSnapshotFormat = errors.New("store: " + peersFile + " written by an o
 // generous corruption backstop, not an admission limit.
 const peerSnapshotMaxRaw = int64(1) << 32
 
-// PeerState is one peer's last accepted pull, as persisted by a
-// coordinator.
-type PeerState struct {
+// PeerFrame is one peer's last accepted state, as persisted by a
+// coordinator: the full frame of its held components (sorted by id),
+// labeled by the peer's node id and the version the next pull
+// acknowledges.
+type PeerFrame struct {
 	// URL is the configured peer base URL the state was pulled from.
-	URL string
-	// NodeID, Version, and N label the accepted state; Version is the
-	// delta base the next pull acknowledges.
-	NodeID  string
-	Version uint64
-	N       int
-	// Components are the named state components the peer's state
-	// decomposes into, sorted by ID.
-	Components []PeerComponent
-}
-
-// PeerComponent is one named component of a persisted peer state.
-type PeerComponent struct {
-	// ID names the component fleet-wide (wire.StateComponent.ID).
-	ID string
-	// Version labels this component's content.
-	Version uint64
-	// N is the component's report count.
-	N int
-	// State is the component's canonical aggregator state blob.
-	State []byte
+	URL   string
+	Frame wire.ComponentFrame
 }
 
 // SavePeerStates atomically persists a coordinator's per-peer states to
 // dir (creating it if needed), pinned to the deployment identity.
-func SavePeerStates(dir string, p core.Protocol, peers []PeerState) error {
+func SavePeerStates(dir string, p core.Protocol, peers []PeerFrame) error {
 	tag, err := encoding.TagForProtocol(p.Name())
 	if err != nil {
 		return err
@@ -96,19 +80,13 @@ func SavePeerStates(dir string, p core.Protocol, peers []PeerState) error {
 	}
 	buf := appendConfig(append([]byte(peersMagic), peersFormat), tag, p.Config())
 	buf = binary.AppendUvarint(buf, uint64(len(peers)))
-	for _, ps := range peers {
-		cf := wire.ComponentFrame{NodeID: ps.NodeID, Version: ps.Version, N: ps.N}
-		for _, c := range ps.Components {
-			cf.Components = append(cf.Components, wire.StateComponent{
-				ID: c.ID, Version: c.Version, N: c.N, State: c.State,
-			})
-		}
-		frame, err := wire.EncodeComponentFrame(cf)
+	for _, pf := range peers {
+		frame, err := wire.EncodeComponentFrame(pf.Frame)
 		if err != nil {
-			return fmt.Errorf("store: peer %s: %w", ps.URL, err)
+			return fmt.Errorf("store: peer %s: %w", pf.URL, err)
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(ps.URL)))
-		buf = append(buf, ps.URL...)
+		buf = binary.AppendUvarint(buf, uint64(len(pf.URL)))
+		buf = append(buf, pf.URL...)
 		buf = wire.AppendFrame(buf, frame)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
@@ -144,7 +122,7 @@ func SavePeerStates(dir string, p core.Protocol, peers []PeerState) error {
 // file is an empty fleet, not an error; a corrupt or foreign file fails
 // so a misconfigured coordinator cannot silently serve the wrong
 // deployment's counters.
-func LoadPeerStates(dir string, p core.Protocol) ([]PeerState, error) {
+func LoadPeerStates(dir string, p core.Protocol) ([]PeerFrame, error) {
 	tag, err := encoding.TagForProtocol(p.Name())
 	if err != nil {
 		return nil, err
@@ -181,7 +159,7 @@ func LoadPeerStates(dir string, p core.Protocol) ([]PeerState, error) {
 		return nil, fmt.Errorf("store: peer snapshot count malformed")
 	}
 	rest = rest[w:]
-	peers := make([]PeerState, 0, count)
+	peers := make([]PeerFrame, 0, count)
 	for i := uint64(0); i < count; i++ {
 		urlLen, w := binary.Uvarint(rest)
 		if w <= 0 || urlLen > uint64(len(rest)-w) {
@@ -201,11 +179,7 @@ func LoadPeerStates(dir string, p core.Protocol) ([]PeerState, error) {
 		if cf.Delta {
 			return nil, fmt.Errorf("store: peer %d (%s): snapshot holds a delta frame", i, url)
 		}
-		ps := PeerState{URL: url, NodeID: cf.NodeID, Version: cf.Version, N: cf.N}
-		for _, c := range cf.Components {
-			ps.Components = append(ps.Components, PeerComponent{ID: c.ID, Version: c.Version, N: c.N, State: c.State})
-		}
-		peers = append(peers, ps)
+		peers = append(peers, PeerFrame{URL: url, Frame: cf})
 		rest = next
 	}
 	if len(rest) != 0 {

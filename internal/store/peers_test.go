@@ -52,16 +52,16 @@ func TestPeerStatesRoundTrip(t *testing.T) {
 	blob1, n1 := peerStateBlob(t, p, 40, 1)
 	blob2, n2 := peerStateBlob(t, p, 25, 2)
 	blob3, n3 := peerStateBlob(t, p, 15, 4)
-	in := []PeerState{
+	in := []PeerFrame{
 		// A multi-component peer (a state accepted from an exporter that
 		// shipped one component per shard).
-		{URL: "http://10.0.0.1:8080", NodeID: "edge-1", Version: 12, N: n1 + n3, Components: []PeerComponent{
+		{URL: "http://10.0.0.1:8080", Frame: wire.ComponentFrame{NodeID: "edge-1", Version: 12, N: n1 + n3, Components: []wire.StateComponent{
 			{ID: "edge-1/0", Version: 7, N: n1, State: blob1},
 			{ID: "edge-1/1", Version: 12, N: n3, State: blob3},
-		}},
-		{URL: "http://10.0.0.2:8080", NodeID: "edge-2", Version: 99, N: n2, Components: []PeerComponent{
+		}}},
+		{URL: "http://10.0.0.2:8080", Frame: wire.ComponentFrame{NodeID: "edge-2", Version: 99, N: n2, Components: []wire.StateComponent{
 			{ID: "edge-2", Version: 99, N: n2, State: blob2},
-		}},
+		}}},
 	}
 	if err := SavePeerStates(dir, p, in); err != nil {
 		t.Fatal(err)
@@ -74,13 +74,14 @@ func TestPeerStatesRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d peers, want %d", len(out), len(in))
 	}
 	for i := range in {
-		if out[i].URL != in[i].URL || out[i].NodeID != in[i].NodeID ||
-			out[i].Version != in[i].Version || out[i].N != in[i].N ||
-			len(out[i].Components) != len(in[i].Components) {
+		got, want := out[i].Frame, in[i].Frame
+		if out[i].URL != in[i].URL || got.NodeID != want.NodeID || got.Delta ||
+			got.Version != want.Version || got.N != want.N ||
+			len(got.Components) != len(want.Components) {
 			t.Fatalf("peer %d: got %+v, want %+v", i, out[i], in[i])
 		}
-		for j := range in[i].Components {
-			gc, wc := out[i].Components[j], in[i].Components[j]
+		for j := range want.Components {
+			gc, wc := got.Components[j], want.Components[j]
 			if gc.ID != wc.ID || gc.Version != wc.Version || gc.N != wc.N || !bytes.Equal(gc.State, wc.State) {
 				t.Fatalf("peer %d component %d: got %+v, want %+v", i, j, gc, wc)
 			}
@@ -94,7 +95,7 @@ func TestPeerStatesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0].NodeID != "edge-1" {
+	if len(out) != 1 || out[0].Frame.NodeID != "edge-1" {
 		t.Fatalf("re-save: got %+v", out)
 	}
 }
@@ -149,9 +150,9 @@ func TestPeerStatesRejectCorruptionAndForeignConfig(t *testing.T) {
 	p := peersTestProtocol(t)
 	dir := t.TempDir()
 	blob, n := peerStateBlob(t, p, 30, 3)
-	if err := SavePeerStates(dir, p, []PeerState{{URL: "http://e", NodeID: "edge-1", Version: 1, N: n, Components: []PeerComponent{
+	if err := SavePeerStates(dir, p, []PeerFrame{{URL: "http://e", Frame: wire.ComponentFrame{NodeID: "edge-1", Version: 1, N: n, Components: []wire.StateComponent{
 		{ID: "edge-1", Version: 1, N: n, State: blob},
-	}}}); err != nil {
+	}}}}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, peersFile)
