@@ -216,8 +216,8 @@ func batchDecodeBody(b *testing.B, kind core.Kind, cfg core.Config) []byte {
 // without the pooled buffers (allocs/op is the point: the pooled path
 // reuses the record slices across requests), then pooled once per wire
 // shape the decoder reads inline (InpPS index, InpHT index+sign, MargPS
-// beta+index, MargHT beta+index+sign, all d=8 k=2) and for InpRR, which
-// takes the general per-frame decode.
+// beta+index, MargHT beta+index+sign, all d=8 k=2) and for MargRR, whose
+// bitmap takes the general per-frame decode.
 func BenchmarkBatchDecode(b *testing.B) {
 	pooled := func(body []byte) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -244,7 +244,7 @@ func BenchmarkBatchDecode(b *testing.B) {
 		}
 	})
 	b.Run("pooled", pooled(body))
-	for _, kind := range []core.Kind{core.InpPS, core.InpHT, core.MargPS, core.MargHT, core.InpRR} {
+	for _, kind := range []core.Kind{core.InpPS, core.InpHT, core.MargPS, core.MargHT, core.MargRR} {
 		body := batchDecodeBody(b, kind, core.Config{D: 8, K: 2, Epsilon: 1.0986, OptimizedPRR: true})
 		b.Run(kind.String(), pooled(body))
 	}

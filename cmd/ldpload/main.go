@@ -142,6 +142,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Refuse an unserved protocol by name before generating a body.
+	if _, err := encoding.TagForProtocol(p.Name()); err != nil {
+		return err
+	}
 	bodies, err := genBodies(p, *batch, *pregen, *zipf, *seed)
 	if err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -55,5 +56,21 @@ func TestReportsCountOnlyAcceptedBatches(t *testing.T) {
 	}
 	if want := float64(rep.Reports) / rep.Duration; rep.ReportsSec != want {
 		t.Errorf("reports_per_sec = %v, want %v", rep.ReportsSec, want)
+	}
+}
+
+// TestRefusesUnservedProtocol: ldpload -protocol InpRR fails by name,
+// through the wire-tag lookup, before it sends a request.
+func TestRefusesUnservedProtocol(t *testing.T) {
+	var calls atomic.Uint64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { calls.Add(1) }))
+	defer srv.Close()
+	err := run([]string{"-addr", srv.URL, "-protocol", "InpRR", "-duration", "100ms", "-warmup", "0",
+		"-out", filepath.Join(t.TempDir(), "load.json")})
+	if err == nil || !strings.Contains(err.Error(), "InpRR (tag 1)") {
+		t.Fatalf("ldpload -protocol InpRR: %v; want a refusal naming InpRR (tag 1)", err)
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("refused run sent %d requests", calls.Load())
 	}
 }

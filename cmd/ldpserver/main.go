@@ -23,11 +23,13 @@
 //	GET  /metrics           Prometheus text exposition
 //	GET  /debug/traces      completed request and lifecycle traces (JSON)
 //
-// -protocol selects one of the paper's six protocols (InpRR, InpPS,
-// InpHT, MargRR, MargPS, MargHT) or the InpHTCMS sketch: integer counter
-// states that the node can copy and unmerge exactly. The InpEM and InpOLH
-// baselines keep raw reports and cannot be unmerged, so ldpserver refuses
-// them at startup, before -data-dir is touched; ldpmarg runs them.
+// -protocol selects InpPS, InpHT, MargRR, MargPS or MargHT from the
+// paper, or the InpHTCMS sketch: integer counter states that the node
+// can copy and unmerge exactly. ldpserver refuses the rest by name at
+// startup, before -data-dir is touched; ldpmarg and cmd/experiments run
+// them. They are InpRR, whose report is a 2^d-bit bitmap and whose error
+// bound InpHT beats at every shape, and the InpEM and InpOLH baselines,
+// which keep raw reports and cannot be unmerged.
 //
 // Ingestion is sharded across -shards per-shard accumulators (0 selects
 // GOMAXPROCS) so multi-core hardware ingests reports in parallel. Reads
@@ -139,7 +141,6 @@ import (
 	"time"
 
 	"ldpmarginals"
-	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/server"
 	"ldpmarginals/internal/store"
@@ -149,7 +150,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		protocol  = flag.String("protocol", "InpHT", "protocol: InpRR, InpPS, InpHT, MargRR, MargPS, MargHT or InpHTCMS (the InpEM and InpOLH baselines run under ldpmarg)")
+		protocol  = flag.String("protocol", "InpHT", "protocol: InpPS, InpHT, MargRR, MargPS, MargHT or InpHTCMS (InpRR and the InpEM and InpOLH baselines run under ldpmarg)")
 		d         = flag.Int("d", 8, "number of binary attributes")
 		k         = flag.Int("k", 2, "largest marginal size supported")
 		eps       = flag.Float64("eps", math.Log(3), "privacy budget epsilon")
@@ -222,9 +223,9 @@ func main() {
 	cfg := ldpmarginals.Config{D: *d, K: *k, Epsilon: *eps, OptimizedPRR: true}
 	p, err := ldpmarginals.ProtocolByName(*protocol, cfg)
 	if err == nil {
-		// The server refuses a protocol that cannot fold; refuse it here
-		// too, with the same message, before -data-dir is touched.
-		err = core.CheckFolds(p)
+		// Refuse an unserved protocol with the server's own message,
+		// before -data-dir is touched.
+		_, err = server.CheckServed(p)
 	}
 	if err != nil {
 		die(err)

@@ -6,9 +6,10 @@
 // report.
 //
 // The package exposes the paper's six protocols (InpRR, InpPS, InpHT,
-// MargRR, MargPS, MargHT), the evaluated baselines (InpEM expectation
-// maximization, InpOLH and InpHTCMS frequency oracles), synthetic
-// datasets mirroring the paper's evaluation data, and the downstream
+// MargRR, MargPS, MargHT; a server serves all but InpRR), the evaluated
+// baselines (InpEM expectation maximization, InpOLH and InpHTCMS
+// frequency oracles), synthetic datasets mirroring the paper's
+// evaluation data, and the downstream
 // applications: chi-squared association testing and Chow-Liu dependency
 // tree fitting.
 //
@@ -32,12 +33,13 @@
 //
 // cmd/ldpserver serves a deployment over HTTP: clients POST wire-encoded
 // reports (internal/encoding) to /report one at a time or to
-// /report/batch as length-prefixed frames. It serves the six protocols
-// and InpHTCMS, whose aggregators are integer counters that can be
-// copied and unmerged exactly (core.Folder); the InpEM and InpOLH
-// baselines keep raw reports, so they run only under Simulate,
-// cmd/ldpmarg and cmd/experiments, and a server refuses them at
-// construction. Ingestion is sharded across
+// /report/batch as length-prefixed frames. It serves InpPS, InpHT,
+// MargRR, MargPS, MargHT and InpHTCMS, whose aggregators are integer
+// counters that can be copied and unmerged exactly (core.Folder). InpRR
+// (a 2^d-bit report, with a looser bound than InpHT's at every shape)
+// and the InpEM and InpOLH baselines (raw reports) run only under
+// Simulate, cmd/ldpmarg and cmd/experiments; a server, its store and
+// ldpload refuse them by name. Ingestion is sharded across
 // per-core accumulators (NewShardedAggregator) so throughput scales
 // with the hardware; batch ingestion amortizes HTTP and locking
 // overhead per report. Sharding never changes results: aggregation
@@ -57,7 +59,7 @@
 // same tag, uvarints of at most three bytes — are read by a loop of the
 // shape's own, one eight-byte load and one mask compare per frame, into
 // pooled record slices; any other frame, and every frame of the bitmap shape
-// (InpRR, MargRR), falls back to the general decode for that frame. The
+// (MargRR), falls back to the general decode for that frame. The
 // inline path never rejects and never accepts what the general path
 // would not: the accepted byte strings, the decoded reports and the
 // error texts are exactly those of a frame-at-a-time decoder, which a

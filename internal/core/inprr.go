@@ -14,7 +14,9 @@ import (
 // positions of their one-hot input with parallel randomized response and
 // sends the full noisy bitmap. Simple and accurate for small d, but the
 // communication cost of 2^d bits per user makes it impractical beyond
-// d of about 16, exactly as the paper observes.
+// d of about 16, exactly as the paper observes. It is not served: its
+// wire tag is retired and ldpserver refuses it, so it runs under ldpmarg
+// and cmd/experiments (and Simulate) only.
 type inpRR struct {
 	cfg  Config
 	prr  *mech.PRR

@@ -33,7 +33,7 @@ import (
 //	index, sign        InpHT
 //	beta, index        MargPS
 //	beta, index, sign  MargHT, InpHTCMS
-//	(general)          InpRR, MargRR (bitmaps)
+//	(general)          MargRR (bitmap)
 //
 // For the four uvarint shapes, every later frame of the common form — a
 // one-byte length prefix, the batch's tag, uvarints of one to three
@@ -72,9 +72,10 @@ import (
 // reference written in the test, with seeds that put every kind of odd
 // frame both mid-body and last behind 40 frames of each inline shape.
 
-// MaxFrameBytes bounds a single frame within a batch (the largest legal
-// report is InpRR at d=20: 2^20 bits = 128 KiB, plus framing).
-const MaxFrameBytes = 1 << 18
+// MaxFrameBytes bounds a single frame within a batch. The largest frame
+// a served protocol sends is MargRR's at k=16: a 2^16-bit bitmap, 8 KiB,
+// plus its tag, beta and word count.
+const MaxFrameBytes = 1 << 14
 
 // AppendFrame appends one length-prefixed frame to dst and returns the
 // extended buffer.
@@ -121,8 +122,8 @@ func UnmarshalBatchEnds(buf []byte, maxReports int) (Tag, []core.Report, []int, 
 // caller's (typically pooled) report and offset slices, so a
 // steady-state ingest path stops allocating the per-request decode
 // buffers. Only the slice headers are reused: every field of a record
-// is overwritten and per-report payloads (the Bits bitmaps of the RR
-// protocols) are freshly decoded, so a consumer that retained an
+// is overwritten and per-report payloads (MargRR's Bits bitmap) are
+// freshly decoded, so a consumer that retained an
 // earlier batch's reports is unaffected. See the top of this file for
 // how it decodes and what it promises to accept.
 func UnmarshalBatchEndsInto(buf []byte, maxReports int, reps []core.Report, ends []int) (Tag, []core.Report, []int, error) {

@@ -24,7 +24,6 @@ type Tag byte
 // Wire tags of the served protocols. These are part of the persisted
 // format: do not renumber.
 const (
-	TagInpRR  Tag = 1
 	TagInpPS  Tag = 2
 	TagInpHT  Tag = 3
 	TagMargRR Tag = 4
@@ -33,16 +32,15 @@ const (
 	TagHCMS   Tag = 9
 )
 
-// retiredTags were the InpEM and InpOLH baselines' before the server
-// stopped serving them; WAL segments and peer snapshots of such a node
-// still carry them. Do not reuse them.
-var retiredTags = map[Tag]string{7: "InpEM", 8: "InpOLH"}
+// retiredTags were the tags of InpRR and the InpEM and InpOLH baselines
+// before the server stopped serving them; WAL segments and peer
+// snapshots of such a node still carry them. Do not reuse them.
+var retiredTags = map[Tag]string{1: "InpRR", 7: "InpEM", 8: "InpOLH"}
 
 // protocolTags is the single source of the name <-> tag mapping; the
 // reverse direction is derived from it below, so a new protocol is
 // registered in exactly one place.
 var protocolTags = map[string]Tag{
-	"InpRR":    TagInpRR,
 	"InpPS":    TagInpPS,
 	"InpHT":    TagInpHT,
 	"MargRR":   TagMargRR,
@@ -59,13 +57,18 @@ var tagProtocols = func() map[Tag]string {
 	return m
 }()
 
-// TagForProtocol maps a protocol name to its wire tag.
+// TagForProtocol maps a served protocol's name to its wire tag, and
+// refuses a retired one by name.
 func TagForProtocol(name string) (Tag, error) {
-	tag, ok := protocolTags[name]
-	if !ok {
-		return 0, fmt.Errorf("encoding: unknown protocol %q", name)
+	if tag, ok := protocolTags[name]; ok {
+		return tag, nil
 	}
-	return tag, nil
+	for tag, retired := range retiredTags {
+		if retired == name {
+			return 0, fmt.Errorf("encoding: %s is not served; run it with ldpmarg or cmd/experiments", TagName(tag))
+		}
+	}
+	return 0, fmt.Errorf("encoding: unknown protocol %q", name)
 }
 
 // TagName names a tag for a refusal: "InpHT (tag 3)", a retired tag's
@@ -115,12 +118,6 @@ func Marshal(name string, rep core.Report) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, v)
 	}
 	switch tag {
-	case TagInpRR:
-		// Bitmap payload: word count then words.
-		putUvarint(uint64(len(rep.Bits)))
-		for _, w := range rep.Bits {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
 	case TagInpPS:
 		putUvarint(rep.Index)
 	case TagInpHT:
@@ -131,6 +128,7 @@ func Marshal(name string, rep core.Report) ([]byte, error) {
 		}
 		buf = append(buf, sb)
 	case TagMargRR:
+		// Bitmap payload: beta, word count, then words.
 		putUvarint(rep.Beta)
 		putUvarint(uint64(len(rep.Bits)))
 		for _, w := range rep.Bits {
@@ -173,7 +171,7 @@ func Unmarshal(frame []byte) (Tag, core.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		const maxWords = 1 << 16 // matches the 2^20-bit report cap
+		const maxWords = MaxFrameBytes / 8 // no larger bitmap fits a frame
 		if count > maxWords {
 			return nil, fmt.Errorf("encoding: bitmap of %d words exceeds limit", count)
 		}
@@ -187,20 +185,21 @@ func Unmarshal(frame []byte) (Tag, core.Report, error) {
 		rest = rest[count*8:]
 		return words, nil
 	}
+	readSign := func() (int8, error) {
+		if len(rest) < 1 {
+			return 0, fmt.Errorf("encoding: missing sign byte")
+		}
+		b := rest[0]
+		rest = rest[1:]
+		return byteSign(b)
+	}
 	var err error
 	switch tag {
-	case TagInpRR:
-		rep.Bits, err = readWords()
 	case TagInpPS:
 		rep.Index, err = readUvarint()
 	case TagInpHT:
 		if rep.Index, err = readUvarint(); err == nil {
-			if len(rest) < 1 {
-				err = fmt.Errorf("encoding: missing sign byte")
-			} else {
-				rep.Sign, err = byteSign(rest[0])
-				rest = rest[1:]
-			}
+			rep.Sign, err = readSign()
 		}
 	case TagMargRR:
 		if rep.Beta, err = readUvarint(); err == nil {
@@ -213,15 +212,13 @@ func Unmarshal(frame []byte) (Tag, core.Report, error) {
 	case TagMargHT, TagHCMS:
 		if rep.Beta, err = readUvarint(); err == nil {
 			if rep.Index, err = readUvarint(); err == nil {
-				if len(rest) < 1 {
-					err = fmt.Errorf("encoding: missing sign byte")
-				} else {
-					rep.Sign, err = byteSign(rest[0])
-					rest = rest[1:]
-				}
+				rep.Sign, err = readSign()
 			}
 		}
 	default:
+		if _, retired := retiredTags[tag]; retired {
+			return 0, core.Report{}, fmt.Errorf("encoding: %s is not served", TagName(tag))
+		}
 		return 0, core.Report{}, fmt.Errorf("encoding: unknown tag %d", tag)
 	}
 	if err != nil {

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestTagForProtocol(t *testing.T) {
-	names := []string{"InpRR", "InpPS", "InpHT", "MargRR", "MargPS", "MargHT", "InpHTCMS"}
+	names := []string{"InpPS", "InpHT", "MargRR", "MargPS", "MargHT", "InpHTCMS"}
 	seen := map[Tag]bool{}
 	for _, name := range names {
 		tag, err := TagForProtocol(name)
@@ -20,12 +21,17 @@ func TestTagForProtocol(t *testing.T) {
 		}
 		seen[tag] = true
 	}
-	for _, name := range []string{"Nope", "InpEM", "InpOLH"} {
+	for _, name := range []string{"Nope", "InpRR", "InpEM", "InpOLH"} {
 		if _, err := TagForProtocol(name); err == nil {
 			t.Errorf("%s: unserved protocol has a tag", name)
 		}
 	}
-	for tag, want := range map[Tag]string{TagInpHT: "InpHT (tag 3)", 7: "InpEM (tag 7)", 8: "InpOLH (tag 8)", 12: "tag 12"} {
+	// A retired protocol is refused by its name and old tag, and told
+	// where it still runs.
+	if _, err := TagForProtocol("InpRR"); err == nil || !strings.Contains(err.Error(), "InpRR (tag 1)") || !strings.Contains(err.Error(), "ldpmarg") {
+		t.Errorf("InpRR refusal %v: want it named with its tag, pointing at ldpmarg", err)
+	}
+	for tag, want := range map[Tag]string{TagInpHT: "InpHT (tag 3)", 1: "InpRR (tag 1)", 7: "InpEM (tag 7)", 8: "InpOLH (tag 8)", 12: "tag 12"} {
 		if got := TagName(tag); got != want {
 			t.Errorf("TagName(%d) = %q, want %q", tag, got, want)
 		}
@@ -66,7 +72,6 @@ func reportsEqual(a, b core.Report) bool {
 
 func TestRoundTripAllProtocols(t *testing.T) {
 	cases := map[string]core.Report{
-		"InpRR":    {Bits: []uint64{0xdeadbeef, 42}},
 		"InpPS":    {Index: 123456},
 		"InpHT":    {Index: 0b1010, Sign: -1},
 		"MargRR":   {Beta: 0b0110, Bits: []uint64{7}},
@@ -136,7 +141,8 @@ func TestUnmarshalMalformed(t *testing.T) {
 		{99},                           // unknown tag
 		{byte(TagInpHT)},               // missing payload
 		{byte(TagInpHT), 5},            // missing sign
-		{byte(TagInpRR), 3, 1},         // truncated bitmap
+		{byte(TagMargRR), 3, 2, 1},     // truncated bitmap
+		{1, 1, 0xef, 0xbe, 0xad, 0xde}, // retired InpRR tag
 		{7, 1},                         // retired InpEM tag
 		{8, 1, 2, 3, 4, 5, 6, 7, 8, 3}, // retired InpOLH tag
 		{byte(TagInpPS), 1, 0},         // trailing bytes
@@ -151,23 +157,22 @@ func TestUnmarshalMalformed(t *testing.T) {
 }
 
 func TestUnmarshalRejectsHugeBitmap(t *testing.T) {
-	frame := []byte{byte(TagInpRR)}
-	// Varint for 1<<20 words (over the cap).
-	frame = append(frame, 0x80, 0x80, 0x40)
+	// Beta 3, then a varint for 1<<20 words (over the cap).
+	frame := []byte{byte(TagMargRR), 3, 0x80, 0x80, 0x40}
 	if _, _, err := Unmarshal(frame); err == nil {
 		t.Error("oversized bitmap should be rejected")
 	}
 }
 
 func TestWireSizeMatchesTable2Ordering(t *testing.T) {
-	// The wire sizes should preserve Table 2's ordering: InpRR largest,
-	// index-based protocols a handful of bytes.
-	inprr, _ := Marshal("InpRR", core.Report{Bits: make([]uint64, 4)}) // d=8: 256 bits
+	// The wire sizes should preserve Table 2's ordering: the bitmap
+	// largest, index-based protocols a handful of bytes.
+	margrr, _ := Marshal("MargRR", core.Report{Beta: 0xff, Bits: make([]uint64, 4)}) // k=8: 256 bits
 	inpht, _ := Marshal("InpHT", core.Report{Index: 0b11, Sign: 1})
 	margps, _ := Marshal("MargPS", core.Report{Beta: 0b11, Index: 2})
-	if len(inprr) <= len(inpht) || len(inprr) <= len(margps) {
-		t.Errorf("InpRR frame (%dB) should dwarf InpHT (%dB) and MargPS (%dB)",
-			len(inprr), len(inpht), len(margps))
+	if len(margrr) <= len(inpht) || len(margrr) <= len(margps) {
+		t.Errorf("MargRR frame (%dB) should dwarf InpHT (%dB) and MargPS (%dB)",
+			len(margrr), len(inpht), len(margps))
 	}
 	if len(inpht) > 12 || len(margps) > 12 {
 		t.Errorf("index protocols should be a few bytes: InpHT=%dB MargPS=%dB", len(inpht), len(margps))

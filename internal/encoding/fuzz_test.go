@@ -15,7 +15,6 @@ import (
 func corpusReports(t testing.TB) map[string]core.Report {
 	t.Helper()
 	return map[string]core.Report{
-		"InpRR":    {Bits: []uint64{0xdeadbeef, 0x0102030405060708}},
 		"InpPS":    {Index: 173},
 		"InpHT":    {Index: 0b1001, Sign: -1},
 		"MargRR":   {Beta: 0b110, Bits: []uint64{0b1011}},
@@ -39,11 +38,13 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 		f.Add(frame)
 	}
 	// Malformed seeds: unknown tag, truncated varint, trailing bytes, and
-	// InpEM and InpOLH frames, whose retired tags old WALs still carry.
+	// InpRR, InpEM and InpOLH frames, whose retired tags old WALs still
+	// carry.
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x01})
 	f.Add([]byte{byte(TagInpHT), 0x80})
 	f.Add([]byte{byte(TagInpPS), 0x01, 0x02})
+	f.Add([]byte{1, 0x01, 0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0})
 	f.Add([]byte{7, 0x05})
 	f.Add([]byte{8, 1, 2, 3, 4, 5, 6, 7, 8, 0x03})
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -82,6 +83,7 @@ func FuzzUnmarshalBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 0x01})                            // length prefix longer than body
 	f.Add([]byte{0xff, 0xff, 0xff})                      // runaway length varint
+	f.Add([]byte{0x02, 1, 0x00, 0x02, 1, 0x00})          // retired InpRR tag
 	f.Add([]byte{0x02, 7, 0x05, 0x02, 7, 0x05})          // retired InpEM tag
 	f.Add([]byte{0x0a, 8, 1, 2, 3, 4, 5, 6, 7, 8, 0x03}) // retired InpOLH tag
 	f.Fuzz(func(t *testing.T, buf []byte) {
@@ -183,7 +185,7 @@ func FuzzBatchDecodeMatchesFrames(f *testing.F) {
 		return buf
 	}
 	corpus := corpusReports(f)
-	for name, rep := range corpus { // all seven tags
+	for name, rep := range corpus { // all six tags
 		f.Add(batch(name, rep, rep, rep))
 	}
 	ps, ht := corpus["InpPS"], corpus["InpHT"]
@@ -206,6 +208,7 @@ func FuzzBatchDecodeMatchesFrames(f *testing.F) {
 	f.Add(append(batch("InpPS", ps), 0x01, byte(TagInpPS)))                                // tag only
 	f.Add(append(batch("InpPS", ps), 0x02, 0x63, 0x01))                                    // unknown tag
 	f.Add(append(batch("InpPS", ps), append([]byte{0x81, 0x01}, make([]byte, 129)...)...)) // a >=128-byte frame
+	f.Add(append(batch("MargRR", corpus["MargRR"]), 0x02, 1, 0x00))                        // retired InpRR tag
 	f.Add([]byte{0x02, 7, 0x05, 0x02, 7, 0x05})                                            // retired InpEM tag
 	f.Add(append(batch("InpPS", ps), 0x02, 8, 0x05))                                       // retired InpOLH tag
 	f.Add([]byte{})

@@ -331,7 +331,7 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 			// One report moves one counter under the sampling and Hadamard
 			// protocols; under randomized response it moves half of them,
 			// and the whole component stays the smaller payload.
-			wantDiffs := p.Name() != "InpRR" && p.Name() != "MargRR"
+			wantDiffs := p.Name() != "MargRR"
 			if wantDiffs && diffsFrom(edge1TS.URL) == beforeRestart {
 				t.Error("no component of the restarted edge arrived as a diff once the coordinator held its new blobs")
 			}

@@ -26,7 +26,8 @@ import (
 var clusterCfg = core.Config{D: 6, K: 2, Epsilon: 1.2, OptimizedPRR: true}
 
 // servedProtocols returns every protocol a deployment serves at cfg: the
-// six core kinds in Table 2 order, then InpHTCMS.
+// core kinds CheckServed accepts in Table 2 order (all but InpRR), then
+// InpHTCMS.
 func servedProtocols(t *testing.T, cfg core.Config) []core.Protocol {
 	t.Helper()
 	var ps []core.Protocol
@@ -35,7 +36,9 @@ func servedProtocols(t *testing.T, cfg core.Config) []core.Protocol {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps = append(ps, p)
+		if _, err := CheckServed(p); err == nil {
+			ps = append(ps, p)
+		}
 	}
 	hcms, err := freqoracle.NewHCMS(freqoracle.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
 	if err != nil {

@@ -35,13 +35,16 @@ func buildLdpserver(t *testing.T) string {
 	return bin
 }
 
-// TestLdpserverRefusesBaselines: ldpserver -protocol InpEM or InpOLH exits
-// 1 at startup with the server's refusal, which names ldpmarg, whether or
-// not -data-dir is set, and creates no data directory.
+// TestLdpserverRefusesBaselines: ldpserver -protocol InpRR, InpEM or
+// InpOLH exits 1 at startup with the server's refusal, which names
+// ldpmarg, whether or not -data-dir is set, and creates no data
+// directory.
 func TestLdpserverRefusesBaselines(t *testing.T) {
 	bin := buildLdpserver(t)
 	dataDir := filepath.Join(t.TempDir(), "x")
 	for _, args := range [][]string{
+		{"-protocol", "InpRR", "-data-dir", dataDir},
+		{"-protocol", "InpRR"},
 		{"-protocol", "InpEM", "-data-dir", dataDir},
 		{"-protocol", "InpOLH"},
 	} {

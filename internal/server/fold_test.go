@@ -17,18 +17,21 @@ import (
 )
 
 // TestBaselinesRefused: a deployment serves only protocols whose
-// aggregators fold. The InpEM and InpOLH baselines keep raw reports and
-// cannot be unmerged, so every role refuses them at construction, names
-// where they run instead, and closes the store it was handed.
+// aggregators fold and whose wire tag is served. The InpEM and InpOLH
+// baselines keep raw reports and cannot be unmerged, and InpRR's tag is
+// retired, so every role refuses them at construction, names where they
+// run instead, and closes the store it was handed.
 func TestBaselinesRefused(t *testing.T) {
 	cfg := clusterCfg
-	// A baseline has no wire tag and so no store of its own: the nodes are
-	// handed one opened for a served protocol of the same shape.
+	// A refused protocol has no served wire tag and so no store of its
+	// own: the nodes are handed one opened for a served protocol of the
+	// same shape.
 	served, err := core.New(core.InpHT, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baselines := map[string]func() (core.Protocol, error){
+		"InpRR": func() (core.Protocol, error) { return core.New(core.InpRR, cfg) },
 		"InpEM": func() (core.Protocol, error) {
 			return em.New(em.Config{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
 		},
@@ -59,10 +62,10 @@ func TestBaselinesRefused(t *testing.T) {
 				s, err := NewWithOptions(p, opts)
 				if err == nil {
 					_ = s.Close()
-					t.Fatal("a baseline was served")
+					t.Fatalf("%s was served", name)
 				}
-				if !strings.Contains(err.Error(), "ldpmarg") {
-					t.Fatalf("refusal %q does not say where the baseline runs", err)
+				if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "ldpmarg") {
+					t.Fatalf("refusal %q does not name %s and where it runs", err, name)
 				}
 				if opts.Store != nil {
 					if err := opts.Store.Snapshot(); !errors.Is(err, store.ErrClosed) {

@@ -118,8 +118,12 @@ func TestCoordinatorIncrementalSinglePeerRefold(t *testing.T) {
 // epoch is a full build, refreshes after ingest are incremental and fold
 // exactly the shards that moved, and the counters add up.
 func TestViewStatusReportsBuildKinds(t *testing.T) {
+	inpHT, err := core.New(core.InpHT, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	served := servedProtocols(t, clusterCfg)
-	for _, p := range []core.Protocol{served[core.InpHT], served[len(served)-1]} {
+	for _, p := range []core.Protocol{inpHT, served[len(served)-1]} {
 		t.Run(p.Name(), func(t *testing.T) {
 			_, ts := newClusterNode(t, p, Options{Shards: 4})
 			vs := getViewStatus(t, ts.URL)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/rng"
@@ -57,10 +59,9 @@ func TestBatchInvalidReportAcceptsExactPrefix(t *testing.T) {
 	d, k := clusterCfg.D, clusterCfg.K
 	kway := uint64(1)<<uint(k) - 1
 	invalid := map[string]map[string]core.Report{
-		"InpRR":    {"short bitmap": {Bits: []uint64{}}, "long bitmap": {Bits: make([]uint64, 1<<uint(d)/64+1)}},
 		"InpPS":    {"index = 2^d": {Index: 1 << uint(d)}, "index needs a 4-byte varint": {Index: 1 << 21}},
 		"InpHT":    {"coefficient of k+1 attributes": {Index: kway<<1 | 1, Sign: 1}, "coefficient 0": {Index: 0, Sign: -1}, "coefficient past 2^d": {Index: 1 << uint(d), Sign: 1}},
-		"MargRR":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Bits: []uint64{0}}, "long bitmap": {Beta: kway, Bits: []uint64{0, 0}}},
+		"MargRR":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Bits: []uint64{0}}, "short bitmap": {Beta: kway, Bits: []uint64{}}, "long bitmap": {Beta: kway, Bits: []uint64{0, 0}}},
 		"MargPS":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1}, "beta of k-1 attributes": {Beta: 1, Index: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1}, "cell = 2^k": {Beta: kway, Index: 1 << uint(k)}},
 		"MargHT":   {"beta of k+1 attributes": {Beta: kway<<1 | 1, Index: 1, Sign: 1}, "beta past 2^d": {Beta: 3 << uint(d), Index: 1, Sign: 1}, "constant coefficient": {Beta: kway, Index: 0, Sign: 1}, "coefficient = 2^k": {Beta: kway, Index: 1 << uint(k), Sign: -1}},
 		"InpHTCMS": {"row = g": {Beta: 5, Index: 1, Sign: 1}, "coefficient = w": {Beta: 0, Index: 256, Sign: -1}},
@@ -90,6 +91,64 @@ func TestBatchInvalidReportAcceptsExactPrefix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestLargestServedFrameFitsBound: every served protocol's largest frame
+// fits encoding.MaxFrameBytes, and a frame one byte past the bound is
+// refused on both ingest endpoints. A frame grows with its field values,
+// so a protocol's largest is its report with every field at its bound at
+// its largest legal shape: d = 40 (bitops.MaxAttributes) where allowed,
+// InpPS at d = 20 (core.MaxInputAttributes), MargRR at k = 16, and the
+// sketch's row and coefficient at any width.
+func TestLargestServedFrameFitsBound(t *testing.T) {
+	top := func(bits int) uint64 { return 1<<uint(bits) - 1 }
+	largest := map[string]core.Report{
+		"InpPS":    {Index: top(core.MaxInputAttributes)},
+		"InpHT":    {Index: top(bitops.MaxAttributes), Sign: -1},
+		"MargRR":   {Beta: top(bitops.MaxAttributes), Bits: make([]uint64, 1<<16/64)},
+		"MargPS":   {Beta: top(bitops.MaxAttributes), Index: top(bitops.MaxAttributes)},
+		"MargHT":   {Beta: top(bitops.MaxAttributes), Index: top(bitops.MaxAttributes), Sign: -1},
+		"InpHTCMS": {Beta: math.MaxUint64, Index: math.MaxUint64, Sign: -1},
+	}
+	for _, p := range servedProtocols(t, clusterCfg) {
+		rep, ok := largest[p.Name()]
+		if !ok {
+			t.Fatalf("%s: served, but its largest frame is not listed", p.Name())
+		}
+		frame, err := encoding.Marshal(p.Name(), rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) > encoding.MaxFrameBytes {
+			t.Errorf("%s: largest frame is %d bytes, over the %d-byte bound", p.Name(), len(frame), encoding.MaxFrameBytes)
+		}
+	}
+	// The shapes above are the largest legal ones.
+	if _, err := core.New(core.MargRR, core.Config{D: 17, K: 17, Epsilon: 1}); err == nil {
+		t.Error("MargRR accepted k = 17")
+	}
+	if _, err := core.New(core.InpPS, core.Config{D: core.MaxInputAttributes + 1, K: 1, Epsilon: 1}); err == nil {
+		t.Errorf("InpPS accepted d = %d", core.MaxInputAttributes+1)
+	}
+
+	p, err := core.New(core.MargRR, clusterCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newClusterNode(t, p, Options{})
+	over := make([]byte, encoding.MaxFrameBytes+1)
+	over[0] = byte(encoding.TagMargRR)
+	if status, br := postBatchBody(t, ts.URL, encoding.AppendFrame(nil, over)); status != http.StatusBadRequest || br.Accepted != 0 {
+		t.Errorf("/report/batch with a %d-byte frame: status %d accepted %d, want 400 and none", len(over), status, br.Accepted)
+	}
+	resp, err := http.Post(ts.URL+"/report", "application/octet-stream", bytes.NewReader(over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("/report with a %d-byte frame: status %d, want 413", len(over), resp.StatusCode)
 	}
 }
 

@@ -95,8 +95,10 @@
 //
 // # Fixed limits
 //
-// Some bounds are constants, not Options: a /report/batch body is at
-// most 16 MiB (413 beyond), a /query body at most 1 MiB, a pulled
+// Some bounds are constants, not Options: a report frame is at most
+// encoding.MaxFrameBytes, 16 KiB (413 for a larger /report body, 400 for
+// a larger frame in a batch), a /report/batch body at most 16 MiB (413
+// beyond), a /query body at most 1 MiB, a pulled
 // /state body at most 256 MiB, and one peer pull at most 30 s; three
 // consecutive poison pulls quarantine a peer, which is then probed once
 // every 16 pull intervals; the /debug/traces ring holds
@@ -149,7 +151,7 @@ const maxBatchBytes = 16 << 20
 const maxQueryBytes = 1 << 20
 
 // maxStateBytes bounds a pulled /state body. The largest live state is
-// InpRR near d=20: 2^20 uvarint counters plus framing, well under this.
+// InpPS at d=20: 2^20 uvarint counters plus framing, well under this.
 const maxStateBytes = 256 << 20
 
 // defaultPullInterval is the coordinator's pull cadence when
@@ -323,6 +325,16 @@ type Server struct {
 	log    *slog.Logger       // never nil; Options.Log, or a discarding logger
 }
 
+// CheckServed returns p's wire tag, or refuses by name a protocol that
+// cannot fold (InpEM, InpOLH) or whose tag is retired (InpRR).
+// NewWithOptions runs it, and ldpserver before it touches -data-dir.
+func CheckServed(p core.Protocol) (encoding.Tag, error) {
+	if err := core.CheckFolds(p); err != nil {
+		return 0, err
+	}
+	return encoding.TagForProtocol(p.Name())
+}
+
 // NewWithOptions builds a server around a protocol with explicit tuning.
 func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 	// The server owns the store from the moment it is passed in: on any
@@ -335,10 +347,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		}
 		return nil, err
 	}
-	if err := core.CheckFolds(p); err != nil {
-		return fail(err)
-	}
-	tag, err := encoding.TagForProtocol(p.Name())
+	tag, err := CheckServed(p)
 	if err != nil {
 		return fail(err)
 	}

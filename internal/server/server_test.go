@@ -23,8 +23,8 @@ import (
 )
 
 // New builds a single-role server around a protocol with default
-// Options, the construction most tests need. The protocol must fold (core.CheckFolds) and its name must have
-// a wire tag registered in the encoding package.
+// Options, the construction most tests need. The protocol must be served
+// (CheckServed).
 func New(p core.Protocol) (*Server, error) {
 	return NewWithOptions(p, Options{})
 }

@@ -91,31 +91,8 @@ func SavePeerStates(dir string, p core.Protocol, peers []PeerFrame) error {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 
-	path := filepath.Join(dir, peersFile)
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	_, err = writeFileAtomic(dir, peersFile, buf)
+	return err
 }
 
 // LoadPeerStates recovers the peer states persisted in dir. A missing

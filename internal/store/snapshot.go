@@ -97,37 +97,39 @@ func decodeSnapshot(buf []byte, version byte, tag encoding.Tag, cfg core.Config)
 	return snapMeta{covered: vals[0], n: int(vals[1]), state: rest[w:], meta: vals[2:]}, nil
 }
 
-// writeSnapshotFile persists a snapshot or bucket file atomically: temp
-// file, fsync, rename, directory fsync.
+// writeSnapshotFile persists a snapshot or bucket file atomically.
 func (s *Store) writeSnapshotFile(name string, contents []byte) (string, error) {
 	if err := fault.Hit(FaultSnapshotWrite); err != nil {
 		return "", err
 	}
-	path := filepath.Join(s.dir, name)
+	return writeFileAtomic(s.dir, name, contents)
+}
+
+// writeFileAtomic persists contents as dir/name and returns its path:
+// temp file, fsync, rename, directory fsync. A failure before the rename
+// removes the temp file and leaves any earlier dir/name in place.
+func writeFileAtomic(dir, name string, contents []byte) (string, error) {
+	path := filepath.Join(dir, name)
 	tmp := path + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", err
 	}
-	if _, err := f.Write(contents); err != nil {
-		f.Close()
+	_, err = f.Write(contents)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return "", err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := syncDir(dir); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -526,6 +527,28 @@ func TestProtocolMismatchFailsRecovery(t *testing.T) {
 	}
 	if _, err := Open(dir, otherD, Options{}); err == nil {
 		t.Fatal("d=10 deployment opened a d=8 directory")
+	}
+
+	// InpRR is no longer served: opening a store for it is refused by
+	// name before the directory is created, and a segment an InpRR node
+	// wrote (tag 1) is refused by name when another protocol opens it.
+	inpRR, err := core.New(core.InpRR, core.Config{D: 8, K: 2, Epsilon: 1.1, OptimizedPRR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(t.TempDir(), "inprr")
+	if _, err := Open(fresh, inpRR, Options{}); err == nil || !strings.Contains(err.Error(), "InpRR (tag 1)") {
+		t.Fatalf("Open for InpRR: %v; want a refusal naming InpRR (tag 1)", err)
+	}
+	if _, err := os.Stat(fresh); !os.IsNotExist(err) {
+		t.Fatalf("refused Open created its directory: stat %v", err)
+	}
+	inpRRDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(inpRRDir, segName(1)), segHeader(1, inpHT.Config()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(inpRRDir, inpHT, Options{}); err == nil || !strings.Contains(err.Error(), "InpRR (tag 1)") {
+		t.Fatalf("InpHT opened an InpRR segment: %v; want a refusal naming InpRR (tag 1)", err)
 	}
 }
 

@@ -580,7 +580,7 @@ func (p noDeltaProto) NewAggregator() core.Aggregator {
 // TestWindowRejectsNonDeltaProtocol: expiry is an Unmerge, so a
 // protocol whose aggregators are not core.Folders cannot be windowed.
 func TestWindowRejectsNonDeltaProtocol(t *testing.T) {
-	p, err := core.New(core.InpRR, windowTestConfig())
+	p, err := core.New(core.MargRR, windowTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
