@@ -24,8 +24,9 @@ import (
 // Shard count: ingestion throughput scales with shards until they exceed
 // the number of writer threads; beyond that, extra shards only grow the
 // O(shards * state) memory and Snapshot cost. GOMAXPROCS (the default)
-// is the right choice unless the aggregator state is very large (InpRR
-// at d close to 20), where fewer shards bound memory.
+// is the right choice unless the aggregator state is very large (InpPS
+// at d = 20, the largest state a server holds), where fewer shards
+// bound memory.
 type ShardedAggregator struct {
 	newShard func() Aggregator
 	shards   []aggShard

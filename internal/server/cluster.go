@@ -17,6 +17,7 @@ import (
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
+	"ldpmarginals/internal/loop"
 	"ldpmarginals/internal/metrics"
 	"ldpmarginals/internal/store"
 	"ldpmarginals/internal/trace"
@@ -562,10 +563,6 @@ type puller struct {
 	ins    map[string]*peerInstruments
 	rounds *metrics.Counter
 
-	stop  chan struct{}
-	close sync.Once
-	done  sync.WaitGroup
-
 	// roundMu serializes pull rounds (the background ticker and forced
 	// POST /pull rounds): interleaved rounds could fetch a peer's state,
 	// lose the race to a concurrent round that accepted a *newer* frame,
@@ -647,51 +644,32 @@ func newPuller(f *fleet, interval, timeout time.Duration, maxState int64, tracer
 		log:       log,
 		ins:       ins,
 		rounds:    metrics.NewCounter(),
-		stop:      make(chan struct{}),
 	}
 }
 
-func (pl *puller) start() {
-	pl.done.Add(1)
-	go pl.loop()
-}
-
-func (pl *puller) Close() {
-	pl.close.Do(func() { close(pl.stop) })
-	pl.done.Wait()
-	// With the loop joined no new pulls can start; drop the keep-alive
-	// connections so their read loops exit now rather than at the idle
-	// timeout.
-	pl.transport.CloseIdleConnections()
-}
-
-// loop wakes at a fraction of the pull interval and pulls every due
+// start begins the background pull rounds and returns their stop. The
+// rounds wake at a fraction of the pull interval and pull every due
 // peer, so backoff deadlines are honored within ~interval/4 without
 // per-peer goroutines.
-func (pl *puller) loop() {
-	defer pl.done.Done()
-	tick := pl.interval / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-pl.stop:
-			return
-		case <-ticker.C:
-			// Each background round roots its own trace; a round that
-			// found no peer due is abandoned so the idle tick cadence
-			// doesn't flood the trace ring.
-			ctx, root := pl.tracer.StartRoot(context.Background(), "cluster.pull_round")
-			if pulled := pl.round(ctx, false); pulled == 0 {
-				root.Discard()
-			} else {
-				root.SetAttr("peers_pulled", pulled)
-				root.End()
-			}
+func (pl *puller) start() (stop func()) {
+	stopRounds := loop.Every(max(pl.interval/4, 10*time.Millisecond), func() {
+		// Each background round roots its own trace; a round that found
+		// no peer due is abandoned so the idle tick cadence doesn't flood
+		// the trace ring.
+		ctx, root := pl.tracer.StartRoot(context.Background(), "cluster.pull_round")
+		if pulled := pl.round(ctx, false); pulled == 0 {
+			root.Discard()
+		} else {
+			root.SetAttr("peers_pulled", pulled)
+			root.End()
 		}
+	})
+	return func() {
+		stopRounds()
+		// With the rounds joined no background pull can start; drop the
+		// keep-alive connections so their read loops exit now rather than
+		// at the idle timeout.
+		pl.transport.CloseIdleConnections()
 	}
 }
 

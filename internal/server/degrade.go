@@ -4,7 +4,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,10 +70,6 @@ type degrader struct {
 	recoveries  *metrics.Counter // flips back to healthy
 	probeFails  *metrics.Counter // failed sentinel probes / revives while degraded
 	shedded     *metrics.Counter // ingest requests shed 503 while not healthy
-
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 func newDegrader(st *store.Store, log *slog.Logger, interval time.Duration) *degrader {
@@ -89,16 +84,7 @@ func newDegrader(st *store.Store, log *slog.Logger, interval time.Duration) *deg
 		recoveries:  metrics.NewCounter(),
 		probeFails:  metrics.NewCounter(),
 		shedded:     metrics.NewCounter(),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 	}
-}
-
-func (d *degrader) start() { go d.loop() }
-
-func (d *degrader) Close() {
-	d.closeOnce.Do(func() { close(d.stop) })
-	<-d.done
 }
 
 func (d *degrader) health() healthState { return healthState(d.state.Load()) }
@@ -149,23 +135,10 @@ func (d *degrader) shed(w http.ResponseWriter, r *http.Request) {
 	httpError(w, r, "degraded: ingest suspended while the write-ahead log is failed; reads continue to serve", http.StatusServiceUnavailable)
 }
 
-func (d *degrader) loop() {
-	defer close(d.done)
-	ticker := time.NewTicker(d.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-ticker.C:
-			d.tick()
-		}
-	}
-}
-
-// tick advances the state machine: a healthy node watches for WAL
-// failures that arrive without ingest traffic (interval fsyncs, window
-// rotations), a degraded node probes the disk and attempts recovery.
+// tick advances the state machine, once per probe interval: a healthy
+// node watches for WAL failures that arrive without ingest traffic
+// (interval fsyncs, window rotations), a degraded node probes the disk
+// and attempts recovery.
 func (d *degrader) tick() {
 	switch d.health() {
 	case healthHealthy:

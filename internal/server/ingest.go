@@ -142,25 +142,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.serveIngest(w, r, s.ins.shedBatch, s.readBatch, s.replyBatch)
 }
 
-// serveIngest is the one path of both ingest endpoints: the role and
-// health gates, admission, then read — the endpoint's own body read and
-// decode into the pooled workspace, which answers the request itself
-// when it returns false — the budget charge, the batch's chunks in
-// order and the counters, and reply with the outcome. accepted is
-// exactly the reports before the first rejected one, whose own error
-// err then is, or, when the store failed (persistFailed), exactly what
-// the aggregator consumed.
+// serveIngest is the one path of both ingest endpoints, past the route's
+// method and role gates: the health gate, admission, then read — the
+// endpoint's own body read and decode into the pooled workspace, which
+// answers the request itself when it returns false — the budget charge,
+// the batch's chunks in order and the counters, and reply with the
+// outcome. accepted is exactly the reports before the first rejected
+// one, whose own error err then is, or, when the store failed
+// (persistFailed), exactly what the aggregator consumed.
 func (s *Server) serveIngest(w http.ResponseWriter, r *http.Request, shed *metrics.Counter,
 	read func(http.ResponseWriter, *http.Request, *batchBuffers) bool,
 	reply func(w http.ResponseWriter, r *http.Request, b *batchBuffers, accepted int, persistFailed bool, err error)) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
 	in := s.ingest
-	if in == nil {
-		s.rejectRole(w, r, "report ingestion", "single or edge")
-		return
-	}
 	if !s.admitHealthy(w, r) || !s.admit(w, r, shed) {
 		return
 	}

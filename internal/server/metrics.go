@@ -31,8 +31,9 @@ type pathInstruments struct {
 }
 
 // httpInstruments is the middleware's instrument table: one entry per
-// registered route plus a catch-all, built once at construction so the
-// per-request path is a read-only map lookup.
+// route plus a catch-all for any other path (typos, probes), so request
+// cardinality cannot grow unboundedly. Built once at construction, so
+// the per-request path is a read-only map lookup.
 type httpInstruments struct {
 	paths    map[string]*pathInstruments
 	other    *pathInstruments
@@ -50,18 +51,9 @@ type serverInstruments struct {
 	shedBatch       *metrics.Counter // /report/batch requests shed by admission control
 }
 
-// metricRoutes is the fixed set of endpoint paths instrumented
-// per-route; anything else (typos, probes) lands in the "other" bucket
-// so request cardinality cannot grow unboundedly.
-var metricRoutes = []string{
-	"/report", "/report/batch", "/marginal", "/query", "/refresh",
-	"/view/status", "/view/diagnostics", "/state", "/pull", "/status",
-	"/healthz", "/readyz", "/metrics", "/debug/traces",
-}
-
 func newServerInstruments() *serverInstruments {
 	h := &httpInstruments{
-		paths:    make(map[string]*pathInstruments, len(metricRoutes)),
+		paths:    make(map[string]*pathInstruments, len(routes)),
 		inflight: metrics.NewGauge(),
 	}
 	newPath := func() *pathInstruments {
@@ -71,8 +63,8 @@ func newServerInstruments() *serverInstruments {
 		}
 		return pi
 	}
-	for _, p := range metricRoutes {
-		h.paths[p] = newPath()
+	for _, rt := range routes {
+		h.paths[rt.path] = newPath()
 	}
 	h.other = newPath()
 	return &serverInstruments{
@@ -98,8 +90,8 @@ func (s *Server) buildRegistry() *metrics.Registry {
 			r.MustRegister("ldp_http_requests_total", "Requests by endpoint and status class.", metrics.Labels{"path": path, "code": class}, pi.codes[i])
 		}
 	}
-	for _, p := range metricRoutes {
-		register(p, s.ins.http.paths[p])
+	for _, rt := range routes {
+		register(rt.path, s.ins.http.paths[rt.path])
 	}
 	register("other", s.ins.http.other)
 	r.MustRegister("ldp_http_inflight_requests", "Requests currently being served.", nil, s.ins.http.inflight)
@@ -137,8 +129,8 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	if st := s.Store(); st != nil {
 		st.RegisterMetrics(r)
 	}
-	if s.reads != nil {
-		s.reads.engine.RegisterMetrics(r)
+	if s.engine != nil {
+		s.engine.RegisterMetrics(r)
 	}
 	if s.windowed() {
 		s.ring.RegisterMetrics(r)
@@ -351,7 +343,7 @@ func (s *Server) readiness() ReadyResponse {
 			fail("degraded: " + s.deg.lastErrString())
 		}
 	}
-	if s.reads != nil && s.reads.engine.Current() == nil {
+	if s.engine != nil && s.engine.Current() == nil {
 		fail("no_epoch")
 	}
 	if s.fleet != nil {
@@ -367,9 +359,6 @@ func (s *Server) readiness() ReadyResponse {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
 	resp := s.readiness()
 	if !resp.Ready {
 		// Like every 503 this server emits: an explicit retry hint and a

@@ -24,6 +24,15 @@
 //     (node id, version) label), and materializes the view over the
 //     merged fleet. It rejects direct report ingestion.
 //
+// What a role runs is decided in two places. Its endpoints are the
+// routes table in role.go: each route's path, method and serving roles,
+// from which Handler builds the mux, the 405 and 403 gates and the
+// per-route request metrics. Its background loops — the view engine's
+// refresh policy, the coordinator's peer pulls, window rotation and the
+// degraded-mode disk probe — are started at the end of NewWithOptions,
+// each through loop.Every, and Close stops and joins them all before
+// the store closes (whose own interval fsync timer is the fifth loop).
+//
 // Because aggregation is associative integer counting and the state
 // codec is canonical, a coordinator's view over E edges splitting a
 // report stream is byte-identical to a single node consuming the whole
@@ -120,10 +129,12 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
+	"ldpmarginals/internal/loop"
 	"ldpmarginals/internal/metrics"
 	"ldpmarginals/internal/privacy"
 	"ldpmarginals/internal/query"
@@ -254,13 +265,6 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// readPipeline is the read side of a deployment: the view engine over
-// the node's state source. Roles that serve estimates (single,
-// coordinator) run one.
-type readPipeline struct {
-	engine *view.Engine
-}
-
 // stateSource is a node's one state: the window ring of an ingesting
 // node, or a coordinator's fleet of peer components. The view engine
 // captures it, /state exports it, and its version labels the exports.
@@ -281,7 +285,10 @@ type Server struct {
 	src    stateSource     // ring or fleet: whichever this node holds
 	shards int             // resolved aggregation width
 	ledger *privacy.Ledger // windowed deployments with a RoundEps budget
-	rotor  *rotator        // drives bucket seal/expiry for windowed deployments
+
+	// lastRotateErr is the most recent background window advance
+	// failure (a string), for /status.
+	lastRotateErr atomic.Value
 
 	// verSalt offsets the exported state version with a per-process
 	// random value. The in-memory mutation counters restart at zero with
@@ -296,10 +303,14 @@ type Server struct {
 	// is a function of its content alone.
 	verSalt uint64
 
-	ingest *ingestPipeline // nil when the role doesn't ingest (coordinator)
-	reads  *readPipeline   // nil when the role doesn't serve (edge)
-	fleet  *fleet          // coordinator only
-	puller *puller         // coordinator only
+	ingest *ingestPipeline // ingesting roles only
+	engine *view.Engine    // serving roles only: the materialized view over src
+	fleet  *fleet          // pulling roles only
+	puller *puller         // pulling roles only
+
+	// stops stops the node's background loops, in the order they
+	// started; Close runs them in reverse.
+	stops []func()
 
 	// stateHist remembers recent componentized /state export labels and
 	// their per-component version vectors — the bases deltas are diffed
@@ -394,7 +405,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 	// The node's one state source. An ingesting node's ring is also its
 	// ingest target, recovery seed and store snapshot source; a
 	// coordinator ingests nothing.
-	if s.role == RoleCoordinator {
+	if pulling.has(s.role) {
 		if s.fleet, err = newFleet(p, opts.Peers, opts.ClusterDir, nodeID); err != nil {
 			return fail(err)
 		}
@@ -420,34 +431,30 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			s.deg = newDegrader(opts.Store, s.log, opts.DegradedProbeInterval)
 		}
 	}
+	// The role's loops. Each starts only once everything it touches is
+	// built: pulls after the initial epoch, so the engine never races
+	// fleet mutations during construction, and rotation after the
+	// recovered state is seeded too, so the first Advance never races
+	// construction.
+	if serving.has(s.role) {
+		if s.engine, err = view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Tracer: s.tracer}); err != nil {
+			return fail(err)
+		}
+		s.stops = append(s.stops, s.engine.Close)
+	}
 	if s.fleet != nil {
 		interval := opts.PullInterval
 		if interval <= 0 {
 			interval = defaultPullInterval
 		}
 		s.puller = newPuller(s.fleet, interval, pullTimeout, maxStateBytes, s.tracer, s.log)
-	}
-	if s.role.serves() {
-		engine, err := view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Tracer: s.tracer})
-		if err != nil {
-			return fail(err)
-		}
-		s.reads = &readPipeline{engine: engine}
-	}
-	if s.puller != nil {
-		// Start pulling only after the initial epoch is built, so the
-		// engine never races fleet mutations during construction.
-		s.puller.start()
+		s.stops = append(s.stops, s.puller.start())
 	}
 	if s.windowed() {
-		// Rotation starts after the store's recovered state is seeded and
-		// the initial epoch is built, so the first Advance never races
-		// construction.
-		s.rotor = newRotator(s)
-		s.rotor.start()
+		s.stops = append(s.stops, loop.Every(max(s.ring.Bucket()/4, 10*time.Millisecond), s.rotate))
 	}
 	if s.deg != nil {
-		s.deg.start()
+		s.stops = append(s.stops, loop.Every(s.deg.interval, s.deg.tick))
 	}
 	// Every layer now exists; assemble the /metrics registry over them.
 	s.reg = s.buildRegistry()
@@ -499,33 +506,25 @@ func randomNodeID() (string, error) {
 	return "node-" + hex.EncodeToString(b[:]), nil
 }
 
-// Close stops the coordinator's peer puller and the view engine's
-// refresh loop and, for a durable deployment, flushes the write-ahead
-// log and writes a final counter snapshot (a coordinator persists its
-// peer states instead). The server's handlers remain usable (serving
-// the last published epoch, rejecting ingestion); Close is idempotent.
+// Close stops the node's background loops — window rotation, the
+// degraded-mode probe, the coordinator's peer pulls and the view
+// engine's refresh policy — and, for a durable deployment, flushes the
+// write-ahead log and writes a final counter snapshot (a coordinator
+// persists its peer states instead). The server's handlers remain
+// usable (serving the last published epoch, rejecting ingestion); Close
+// is idempotent.
 func (s *Server) Close() error {
-	if s.rotor != nil {
-		// Stop rotations before the store goes away: an Advance mid-close
-		// would try to rotate a closed WAL.
-		s.rotor.Close()
-	}
-	if s.puller != nil {
-		s.puller.Close()
-	}
-	if s.deg != nil {
-		// Stop the health probe before the store goes away: a Recover
-		// mid-close would race the final snapshot.
-		s.deg.Close()
-	}
-	if s.reads != nil {
-		s.reads.engine.Close()
+	// Every loop is joined before the store goes away: an Advance
+	// mid-close would rotate a closed WAL, and a degraded-mode Recover
+	// would race the final snapshot.
+	for i := len(s.stops) - 1; i >= 0; i-- {
+		s.stops[i]()
 	}
 	if s.fleet != nil {
 		s.fleet.persist()
 	}
-	if s.ingest != nil && s.ingest.st != nil {
-		return s.ingest.st.Close()
+	if st := s.Store(); st != nil {
+		return st.Close()
 	}
 	return nil
 }
@@ -544,12 +543,7 @@ func (s *Server) Store() *store.Store {
 
 // View returns the engine publishing the server's materialized view, or
 // nil for an edge (which serves no estimates).
-func (s *Server) View() *view.Engine {
-	if s.reads == nil {
-		return nil
-	}
-	return s.reads.engine
-}
+func (s *Server) View() *view.Engine { return s.engine }
 
 // N returns the number of reports behind this node: local ingestion for
 // single and edge roles, the fleet-wide count for a coordinator.
@@ -563,44 +557,26 @@ func (s *Server) windowed() bool { return s.ring != nil && s.ring.Window() > 0 }
 // Shards returns the number of aggregation shards of the deployment.
 func (s *Server) Shards() int { return s.shards }
 
-// Handler returns the HTTP routes of the deployment:
-//
-//	POST /report        binary frame (encoding.Marshal)        -> 204  (single, edge)
-//	POST /report/batch  length-prefixed frames (MarshalBatch)  -> JSON count (single, edge)
-//	GET  /marginal      ?beta=<decimal mask>                   -> JSON table (single, coordinator)
-//	POST /query         JSON conjunction batch                 -> JSON per-query answers (single, coordinator)
-//	POST /refresh       build + publish the next epoch         -> JSON view status (single, coordinator)
-//	GET  /view/status   serving epoch, staleness, build time   -> JSON (single, coordinator)
-//	GET  /view/diagnostics  accuracy diagnostics (TV bound, drift) -> JSON (single, coordinator)
-//	GET  /state         canonical aggregator state frame       -> binary (all roles)
-//	POST /pull          pull every peer now                    -> JSON cluster status (coordinator)
-//	GET  /status        deployment metadata + cluster block    -> JSON
-//	GET  /healthz       liveness probe                         -> JSON ok
-//	GET  /readyz        readiness probe (503 until ready)      -> JSON
-//	GET  /metrics       Prometheus text exposition             -> text/plain
-//	GET  /debug/traces  completed request/lifecycle traces     -> JSON (all roles)
-//
+// Handler returns the deployment's HTTP handler: the endpoints of the
+// routes table (role.go), each behind its method and role gates.
 // Endpoints outside the node's role answer 403 naming the role. Every
 // request passes through the instrumentation middleware (per-endpoint
 // latency and status-class counters, visible on /metrics), which also
 // roots a trace span per request and echoes its id as X-LDP-Trace-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/report", s.handleReport)
-	mux.HandleFunc("/report/batch", s.handleBatch)
-	mux.HandleFunc("/marginal", s.handleMarginal)
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/refresh", s.handleRefresh)
-	mux.HandleFunc("/view/status", s.handleViewStatus)
-	mux.HandleFunc("/view/diagnostics", s.handleViewDiagnostics)
-	mux.HandleFunc("/state", s.handleState)
-	mux.HandleFunc("/pull", s.handlePull)
-	mux.HandleFunc("/status", s.handleStatus)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.Handle("/metrics", s.reg.Handler())
-	mux.Handle("/debug/traces", s.tracer.Handler())
+	for _, rt := range routes {
+		mux.Handle(rt.path, s.dispatch(rt))
+	}
 	return s.instrument(mux)
+}
+
+func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
+	s.reg.Handler().ServeHTTP(w, r)
+}
+
+func (s *Server) serveTraces(w http.ResponseWriter, r *http.Request) {
+	s.tracer.Handler().ServeHTTP(w, r)
 }
 
 // TraceHandler returns the GET /debug/traces handler, for mounting on a
@@ -626,23 +602,6 @@ func httpError(w http.ResponseWriter, r *http.Request, msg string, code int) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(resp)
-}
-
-// allow guards a handler's method, answering 405 with the Allow header
-// (RFC 9110 §15.5.6) for anything else.
-func allow(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method == method {
-		return true
-	}
-	w.Header().Set("Allow", method)
-	httpError(w, r, method+" required", http.StatusMethodNotAllowed)
-	return false
-}
-
-// rejectRole answers 403 for an endpoint outside the node's role,
-// naming the role that does serve it.
-func (s *Server) rejectRole(w http.ResponseWriter, r *http.Request, what, serveRole string) {
-	httpError(w, r, fmt.Sprintf("role %s does not serve %s; use a %s node", s.role, what, serveRole), http.StatusForbidden)
 }
 
 // traceID returns the request's trace id, or "" when the middleware
@@ -727,13 +686,6 @@ type MarginalResponse struct {
 }
 
 func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
-	if s.reads == nil {
-		s.rejectRole(w, r, "marginal estimates", "single or coordinator")
-		return
-	}
 	if !s.checkWindowParam(w, r) {
 		return
 	}
@@ -745,7 +697,7 @@ func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	}
 	// Serve from the cached epoch: no lock, no snapshot, no
 	// reconstruction — O(2^k) marginalization of cached tables at most.
-	v := s.reads.engine.Current()
+	v := s.engine.Current()
 	tab, err := v.Marginal(beta)
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -795,13 +747,6 @@ type QueryResponse struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	if s.reads == nil {
-		s.rejectRole(w, r, "conjunction queries", "single or coordinator")
-		return
-	}
 	if !s.checkWindowParam(w, r) {
 		return
 	}
@@ -820,7 +765,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// One epoch answers the whole batch, so the results are mutually
 	// consistent even while refreshes land concurrently.
-	v := s.reads.engine.Current()
+	v := s.engine.Current()
 	resp := QueryResponse{Epoch: v.Epoch, N: v.N, Results: make([]QueryResult, len(queries))}
 	for i, res := range query.EvaluateStrings(v, v.Config().D, nil, queries) {
 		out := QueryResult{Query: res.Query}
@@ -855,9 +800,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // unknown base — expired from the history ring, or from before a restart
 // (the version salt changed) — falls back to a full frame.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
 	base, haveBase := parseStateBase(r.Header.Get("If-None-Match"), r.URL.Query().Get("since"))
 	if haveBase {
 		// Short-circuit before any state is marshaled: an unchanged peer
@@ -904,13 +846,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // the operational "converge now" lever, and what keeps cluster tests
 // deterministic.
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	if s.puller == nil {
-		s.rejectRole(w, r, "peer pulls", "coordinator")
-		return
-	}
 	s.puller.round(r.Context(), true)
 	writeJSON(w, s.clusterStatus())
 }
@@ -1008,7 +943,7 @@ func (s *Server) viewStatus(v *view.View) ViewStatusResponse {
 	if s.ingest != nil {
 		recovered = s.ingest.recovered
 	}
-	stats := s.reads.engine.Stats()
+	stats := s.engine.Stats()
 	resp := ViewStatusResponse{
 		Epoch:             v.Epoch,
 		ViewN:             v.N,
@@ -1070,14 +1005,7 @@ func (s *Server) peerViewStatus(v *view.View) []PeerViewStatus {
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
-		return
-	}
-	if s.reads == nil {
-		s.rejectRole(w, r, "view refreshes", "single or coordinator")
-		return
-	}
-	v, err := s.reads.engine.RefreshContext(r.Context())
+	v, err := s.engine.RefreshContext(r.Context())
 	if err != nil {
 		httpError(w, r, "refresh failed: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -1086,14 +1014,7 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleViewStatus(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
-	if s.reads == nil {
-		s.rejectRole(w, r, "view status", "single or coordinator")
-		return
-	}
-	writeJSON(w, s.viewStatus(s.reads.engine.Current()))
+	writeJSON(w, s.viewStatus(s.engine.Current()))
 }
 
 // ViewDiagnosticsResponse is the JSON shape of a /view/diagnostics
@@ -1112,14 +1033,7 @@ type ViewDiagnosticsResponse struct {
 }
 
 func (s *Server) handleViewDiagnostics(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
-	if s.reads == nil {
-		s.rejectRole(w, r, "view diagnostics", "single or coordinator")
-		return
-	}
-	v := s.reads.engine.Current()
+	v := s.engine.Current()
 	writeJSON(w, ViewDiagnosticsResponse{Epoch: v.Epoch, N: v.N, Protocol: v.Protocol, Diagnostics: v.Diag})
 }
 
@@ -1131,12 +1045,9 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
 	resp := HealthResponse{Status: "ok", Role: s.role.String()}
-	if s.reads != nil {
-		resp.Epoch = s.reads.engine.Epoch()
+	if s.engine != nil {
+		resp.Epoch = s.engine.Epoch()
 	}
 	writeJSON(w, resp)
 }
@@ -1204,9 +1115,6 @@ func (s *Server) clusterStatus() *ClusterStatus {
 func (s *Server) stateVersion() uint64 { return s.verSalt + s.src.Version() }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
-		return
-	}
 	cfg := s.protocol.Config()
 	resp := StatusResponse{
 		Protocol:   s.protocol.Name(),

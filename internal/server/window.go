@@ -3,79 +3,33 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// The continual-release driver. A windowed deployment's bucket
-// lifecycle — sealing the live bucket, expiring state that slid out of
-// the window, recovering ledger budget, and persisting each sealed
-// bucket once — is advanced by one background goroutine per server,
-// ticking at a fraction of the bucket span so boundaries are honored
-// promptly without per-bucket timers.
-
-// rotator drives Ring.Advance (and its store/ledger side effects) on a
-// ticker for the server's lifetime.
-type rotator struct {
-	s *Server
-
-	stop      chan struct{}
-	closeOnce sync.Once
-	done      sync.WaitGroup
-
-	lastErr atomic.Value // string: most recent advance failure, for /status
-}
-
-func newRotator(s *Server) *rotator {
-	return &rotator{s: s, stop: make(chan struct{})}
-}
-
-func (ro *rotator) start() {
-	ro.done.Add(1)
-	go ro.loop()
-}
-
-// Close stops the rotation loop and joins it; idempotent.
-func (ro *rotator) Close() {
-	ro.closeOnce.Do(func() { close(ro.stop) })
-	ro.done.Wait()
-}
-
-// loop wakes at a quarter of the bucket span, so a bucket boundary is
-// acted on within ~bucket/4 of passing. A late tick only defers
-// rotation — the ring seals by elapsed time, never by tick count.
-func (ro *rotator) loop() {
-	defer ro.done.Done()
-	tick := ro.s.ring.Bucket() / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
+// rotate is one tick of a windowed deployment's continual release:
+// sealing the live bucket, expiring state that slid out of the window,
+// recovering ledger budget, and persisting each sealed bucket once.
+// NewWithOptions runs it every quarter of the bucket span, so a bucket
+// boundary is acted on within ~bucket/4 of passing without per-bucket
+// timers. A late tick only defers rotation — the ring seals by elapsed
+// time, never by tick count.
+func (s *Server) rotate() {
+	// Each advance roots its own lifecycle trace; the common
+	// no-boundary-crossed tick is abandoned so the ~bucket/4 cadence
+	// doesn't flood the trace ring.
+	ctx, root := s.tracer.StartRoot(context.Background(), "window.advance")
+	rotated, expired, err := s.advanceWindowContext(ctx, time.Now())
+	if err != nil {
+		s.lastRotateErr.Store(err.Error())
+		root.SetAttr("error", err.Error())
+		s.log.Warn("window advance failed", "err", err)
 	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ro.stop:
-			return
-		case <-ticker.C:
-			// Each advance roots its own lifecycle trace; the common
-			// no-boundary-crossed tick is abandoned so the ~bucket/4
-			// cadence doesn't flood the trace ring.
-			ctx, root := ro.s.tracer.StartRoot(context.Background(), "window.advance")
-			rotated, expired, err := ro.s.advanceWindowContext(ctx, time.Now())
-			if err != nil {
-				ro.lastErr.Store(err.Error())
-				root.SetAttr("error", err.Error())
-				ro.s.log.Warn("window advance failed", "err", err)
-			}
-			if err == nil && rotated == 0 && expired == 0 {
-				root.Discard()
-			} else {
-				root.SetAttr("rotated", rotated)
-				root.SetAttr("expired", expired)
-				root.End()
-			}
-		}
+	if err == nil && rotated == 0 && expired == 0 {
+		root.Discard()
+	} else {
+		root.SetAttr("rotated", rotated)
+		root.SetAttr("expired", expired)
+		root.End()
 	}
 }
 
@@ -149,10 +103,8 @@ func (s *Server) windowStatus() *WindowStatus {
 		ws.BudgetTokens = ls.Tokens
 		ws.BudgetRejected = ls.Rejected
 	}
-	if s.rotor != nil {
-		if e, ok := s.rotor.lastErr.Load().(string); ok {
-			ws.LastRotateError = e
-		}
+	if e, ok := s.lastRotateErr.Load().(string); ok {
+		ws.LastRotateError = e
 	}
 	return ws
 }

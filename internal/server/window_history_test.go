@@ -128,7 +128,7 @@ type historyNode struct {
 }
 
 // openHistoryNode opens a durable windowed node on dir: 10-minute
-// buckets, so the wall-clock rotator never fires and only the history
+// buckets, so the wall-clock rotation never fires and only the history
 // moves the ring, over a three-bucket window.
 func openHistoryNode(t *testing.T, p core.Protocol, dir string) *historyNode {
 	t.Helper()

@@ -14,6 +14,8 @@ import (
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/rng"
+	"ldpmarginals/internal/store"
+	"ldpmarginals/internal/view"
 	"ldpmarginals/internal/wire"
 )
 
@@ -28,7 +30,7 @@ func (s *Server) advanceWindow(now time.Time) error {
 }
 
 // windowedOptions is the standard windowed deployment tests rotate by
-// hand: buckets are long enough that the background rotator never fires
+// hand: buckets are long enough that the background rotation never fires
 // on real wall time, and tests drive advanceWindow with synthetic
 // times instead.
 func windowedOptions() Options {
@@ -450,13 +452,14 @@ func TestCumulativeNodeRefusesWindowedDir(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCloseReleasesPullGoroutines is the satellite-1
-// regression pin: Server.Close on a coordinator must tear down the
-// puller's keep-alive connections, not leave their transport read/write
-// loops running until an idle timeout. Before the dedicated-transport
-// fix those goroutines parked on http.DefaultTransport and survived
-// Close by 90 seconds.
-func TestCoordinatorCloseReleasesPullGoroutines(t *testing.T) {
+// TestCloseStopsEveryLoop pins Server.Close in every role: each of the
+// node's background loops — window rotation, the degraded-mode probe,
+// the view engine's refresh policy and the store's fsync timer on a
+// durable windowed single node, the probe and the fsync timer on a
+// durable edge, the peer pulls on a coordinator — is joined, and so are
+// the pulls' keep-alive connections, which on a shared transport
+// outlived Close by its 90 s idle timeout. A second Close returns nil.
+func TestCloseStopsEveryLoop(t *testing.T) {
 	p, err := core.New(core.InpHT, core.Config{D: 8, K: 2, Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -466,44 +469,70 @@ func TestCoordinatorCloseReleasesPullGoroutines(t *testing.T) {
 	if err := edge.ring.ConsumeBatch(reps); err != nil {
 		t.Fatal(err)
 	}
-
-	runtime.GC()
-	baseline := runtime.NumGoroutine()
-
-	coord, err := NewWithOptions(p, Options{
-		Role:         RoleCoordinator,
-		NodeID:       "coord-leak",
-		Peers:        []string{edgeTS.URL},
-		PullInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until a pull actually transferred state, so a keep-alive
-	// connection to the edge exists.
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.N() != len(reps) {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never pulled the edge (N=%d)", coord.N())
+	const tick = 10 * time.Millisecond
+	durable := func(t *testing.T) *store.Store {
+		st, err := store.Open(t.TempDir(), p, store.Options{FsyncInterval: tick})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		return st
 	}
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		open func(t *testing.T) Options
+	}{
+		{"durable windowed single", func(t *testing.T) Options {
+			return Options{
+				Store: durable(t), Window: 4 * tick, Bucket: tick,
+				Refresh: view.Policy{Interval: tick}, DegradedProbeInterval: tick,
+			}
+		}},
+		{"durable edge", func(t *testing.T) Options {
+			return Options{Role: RoleEdge, Store: durable(t), DegradedProbeInterval: tick}
+		}},
+		{"coordinator with a cluster dir", func(t *testing.T) Options {
+			return Options{
+				Role: RoleCoordinator, Peers: []string{edgeTS.URL},
+				PullInterval: 2 * tick, ClusterDir: t.TempDir(),
+			}
+		}},
 	}
-
-	// Everything the coordinator started — puller loop, engine refresher,
-	// and the transport's connection goroutines — must wind down promptly.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines alive 5s after Close, want <= %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(25 * time.Millisecond)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GC()
+			baseline := runtime.NumGoroutine()
+			s, err := NewWithOptions(p, tc.open(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Let every loop tick; a coordinator must have pulled the edge,
+			// so a keep-alive connection to it exists.
+			time.Sleep(5 * tick)
+			deadline := time.Now().Add(5 * time.Second)
+			for s.role == RoleCoordinator && s.N() != len(reps) {
+				if time.Now().After(deadline) {
+					t.Fatalf("coordinator never pulled the edge (N=%d)", s.N())
+				}
+				time.Sleep(tick)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			deadline = time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				if n := runtime.NumGoroutine(); n <= baseline {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines alive 5s after Close, want <= %d", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(25 * time.Millisecond)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+		})
 	}
 }
 

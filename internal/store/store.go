@@ -49,6 +49,7 @@ import (
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/fault"
+	"ldpmarginals/internal/loop"
 	"ldpmarginals/internal/trace"
 	"ldpmarginals/internal/window"
 	"ldpmarginals/internal/wire"
@@ -170,8 +171,9 @@ type Store struct {
 	reqs       chan *walReq
 	commitStop chan struct{}
 	commitDone chan struct{}
-	tickStop   chan struct{}
-	tickDone   chan struct{}
+	// stopFsync stops the FsyncInterval timer; a no-op under the other
+	// policies, which start none.
+	stopFsync func()
 
 	source func() (core.Aggregator, error)
 
@@ -223,8 +225,7 @@ func Open(dir string, p core.Protocol, opts Options) (*Store, error) {
 		reqs:       make(chan *walReq, 128),
 		commitStop: make(chan struct{}),
 		commitDone: make(chan struct{}),
-		tickStop:   make(chan struct{}),
-		tickDone:   make(chan struct{}),
+		stopFsync:  func() {},
 		ins:        newStoreInstruments(),
 	}
 	maxSeg, err := s.recover()
@@ -237,7 +238,9 @@ func Open(dir string, p core.Protocol, opts Options) (*Store, error) {
 		return nil, err
 	}
 	go s.committer(f, maxSeg+1, size)
-	go s.syncLoop()
+	if s.opts.Fsync == FsyncInterval {
+		s.stopFsync = loop.Every(s.opts.FsyncInterval, s.syncNow)
+	}
 	return s, nil
 }
 
@@ -329,54 +332,59 @@ func (s *Store) recover() (maxSeg uint64, err error) {
 	return maxSeg, nil
 }
 
-// replaySegment feeds one segment's records into agg. In the final
-// segment a torn tail — an incomplete header, an incomplete record, or
-// a record failing its CRC — is truncated away (durably) and replay
-// stops there; anywhere else the same damage is corruption and fails
-// recovery.
-func (s *Store) replaySegment(idx uint64, final bool, agg core.Aggregator) error {
-	path := filepath.Join(s.dir, segName(idx))
+// walkSegment checks the header of the segment at path and hands each
+// record's payload to each, in order; a nil each only validates. A torn
+// tail — an incomplete header, an incomplete record, or a record
+// failing its CRC — is what a crash leaves in the final segment: there
+// the walk truncates it away (durably) and stops, or removes a segment
+// whose header never landed, and reports torn. Anywhere else the same
+// damage is corruption and fails the walk.
+func (s *Store) walkSegment(path string, final bool, each func(batch []byte) error) (torn bool, err error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
-		return err
-	}
-	truncateAt := func(off int64) error {
-		if err := os.Truncate(path, off); err != nil {
-			return fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
-		}
-		if err := syncFile(path); err != nil {
-			return err
-		}
-		s.recStats.TornTailTruncations++
-		return nil
+		return false, err
 	}
 	rest, err := checkSegHeader(buf, s.tag, s.cfg)
 	if err != nil {
 		if final && errors.Is(err, wire.ErrTruncated) {
 			// A crash between segment creation and the header write: the
 			// file carries nothing. Drop it entirely.
-			if rerr := os.Remove(path); rerr != nil {
-				return rerr
-			}
-			s.recStats.TornTailTruncations++
-			return nil
+			return true, os.Remove(path)
 		}
-		return fmt.Errorf("store: segment %s: %w", path, err)
+		return false, fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	offset := int64(len(buf) - len(rest))
+	for len(rest) > 0 {
+		offset := int64(len(buf) - len(rest))
+		batch, next, err := nextRecord(rest)
+		if err != nil {
+			if final && (errors.Is(err, wire.ErrTruncated) || errors.Is(err, errRecordDamaged)) {
+				if err := os.Truncate(path, offset); err != nil {
+					return false, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
+				}
+				return true, syncFile(path)
+			}
+			return false, fmt.Errorf("store: segment %s at offset %d: %w", path, offset, err)
+		}
+		if each != nil {
+			if err := each(batch); err != nil {
+				return false, err
+			}
+		}
+		rest = next
+	}
+	return false, nil
+}
+
+// replaySegment feeds one segment's records into agg, walking it with
+// walkSegment, and counts a torn tail the walk dropped.
+func (s *Store) replaySegment(idx uint64, final bool, agg core.Aggregator) error {
+	path := filepath.Join(s.dir, segName(idx))
 	// Decode buffers, reused from record to record.
 	var (
 		reps []core.Report
 		ends []int
 	)
-	for len(rest) > 0 {
-		batch, next, err := nextRecord(rest)
-		if err != nil {
-			if final && (errors.Is(err, wire.ErrTruncated) || errors.Is(err, errRecordDamaged)) {
-				return truncateAt(offset)
-			}
-			return fmt.Errorf("store: segment %s at offset %d: %w", path, offset, err)
-		}
+	torn, err := s.walkSegment(path, final, func(batch []byte) error {
 		// The record's CRC has passed, so its payload is exactly the
 		// acked bytes of one /report/batch chunk, and goes back through
 		// the path that acked it: the batch decoder, then ConsumeBatch.
@@ -385,7 +393,10 @@ func (s *Store) replaySegment(idx uint64, final bool, agg core.Aggregator) error
 		// truncating. "report N" is the running ordinal of the record's
 		// first report for a decode failure (which names the frame within
 		// the record itself), and of the rejected report otherwise.
-		var tag encoding.Tag
+		var (
+			tag encoding.Tag
+			err error
+		)
 		tag, reps, ends, err = encoding.UnmarshalBatchEndsInto(batch, 0, reps, ends)
 		if err != nil {
 			return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
@@ -401,51 +412,27 @@ func (s *Store) replaySegment(idx uint64, final bool, agg core.Aggregator) error
 			return fmt.Errorf("store: segment %s report %d: %w", path, s.recStats.ReportsReplayed, err)
 		}
 		s.recStats.ReportsReplayed += len(reps)
-		rest = next
-		offset = int64(len(buf) - len(rest))
+		return nil
+	})
+	if torn && err == nil {
+		s.recStats.TornTailTruncations++
 	}
-	return nil
+	return err
 }
 
 // repairSegmentTail truncates a torn tail left in segment idx by the
 // partial write that killed the committer, exactly as recovery would
-// after a crash: records are walked, the first damaged or truncated one
-// is cut off (durably), and a segment whose header never landed is
-// removed outright. Damage that a torn write cannot explain is real
-// corruption and fails the repair. Runs on the committer goroutine
-// during a revive, with the snapshot barrier held by Recover.
+// after a crash (the segment is the final one); a segment that was
+// never created needs no repair. Damage that a torn write cannot
+// explain is real corruption and fails the repair. Runs on the
+// committer goroutine during a revive, with the snapshot barrier held by
+// Recover.
 func (s *Store) repairSegmentTail(idx uint64) error {
-	path := filepath.Join(s.dir, segName(idx))
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
+	_, err := s.walkSegment(filepath.Join(s.dir, segName(idx)), true, nil)
+	if os.IsNotExist(err) {
+		return nil
 	}
-	rest, err := checkSegHeader(buf, s.tag, s.cfg)
-	if err != nil {
-		if errors.Is(err, wire.ErrTruncated) {
-			return os.Remove(path)
-		}
-		return fmt.Errorf("store: repairing segment %s: %w", path, err)
-	}
-	offset := int64(len(buf) - len(rest))
-	for len(rest) > 0 {
-		_, next, err := nextRecord(rest)
-		if err != nil {
-			if errors.Is(err, wire.ErrTruncated) || errors.Is(err, errRecordDamaged) {
-				if terr := os.Truncate(path, offset); terr != nil {
-					return fmt.Errorf("store: truncating torn tail of %s: %w", path, terr)
-				}
-				return syncFile(path)
-			}
-			return fmt.Errorf("store: repairing segment %s at offset %d: %w", path, offset, err)
-		}
-		rest = next
-		offset = int64(len(buf) - len(rest))
-	}
-	return nil
+	return err
 }
 
 // Recover attempts to bring a store whose WAL has failed back to
@@ -878,8 +865,7 @@ func (s *Store) Close() error {
 	// Background snapshots blocked on the barrier observe closed and
 	// exit without touching the committer.
 	s.snapWG.Wait()
-	close(s.tickStop)
-	<-s.tickDone
+	s.stopFsync()
 	close(s.commitStop)
 	<-s.commitDone
 	// The committer's final flush runs during the drain above; a
@@ -891,24 +877,10 @@ func (s *Store) Close() error {
 	return err
 }
 
-// syncLoop drives the FsyncInterval policy; under other policies it
-// only waits for shutdown.
-func (s *Store) syncLoop() {
-	defer close(s.tickDone)
-	if s.opts.Fsync != FsyncInterval {
-		<-s.tickStop
-		return
-	}
-	ticker := time.NewTicker(s.opts.FsyncInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.tickStop:
-			return
-		case <-ticker.C:
-			req := &walReq{sync: true, done: make(chan walRes, 1)}
-			s.reqs <- req
-			<-req.done
-		}
-	}
+// syncNow is one tick of the FsyncInterval timer: it fsyncs whatever
+// the committer has written since the last sync and waits for it.
+func (s *Store) syncNow() {
+	req := &walReq{sync: true, done: make(chan walRes, 1)}
+	s.reqs <- req
+	<-req.done
 }

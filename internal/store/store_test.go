@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -95,8 +96,7 @@ func (s *Store) crash() {
 	s.closed = true
 	s.barrier.Unlock()
 	s.snapWG.Wait()
-	close(s.tickStop)
-	<-s.tickDone
+	s.stopFsync()
 	close(s.commitStop)
 	<-s.commitDone
 }
@@ -604,6 +604,55 @@ func TestIngestAfterCloseFails(t *testing.T) {
 	err = st.Ingest([]byte{1, 0}, func() (int, int, error) { return 1, 2, nil })
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ingest after Close = %v, want ErrClosed", err)
+	}
+}
+
+// timerGoroutines counts the goroutines a loop.Every started — the
+// store's only one is the FsyncInterval timer.
+func timerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by ldpmarginals/internal/loop.Every")
+}
+
+// TestIntervalPolicyFsyncsOnItsTimer pins the FsyncInterval timer: one
+// fire-and-forget append is fsynced by the timer alone, and FsyncOff
+// neither fsyncs nor runs a timer.
+func TestIntervalPolicyFsyncsOnItsTimer(t *testing.T) {
+	const period = 10 * time.Millisecond
+	p := testProtocol(t)
+	reps, frames := makeFrames(t, p, 1, 6)
+	for _, tc := range []struct {
+		policy FsyncPolicy
+		timers int
+	}{{FsyncInterval, 1}, {FsyncOff, 0}} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			before := timerGoroutines()
+			st, err := Open(t.TempDir(), p, Options{Fsync: tc.policy, FsyncInterval: period})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got := timerGoroutines() - before; got != tc.timers {
+				t.Fatalf("%d timer goroutines under %v, want %d", got, tc.policy, tc.timers)
+			}
+			ingestAll(t, st, p.NewAggregator(), reps, frames)
+			fsyncs := st.ins.walFsync.Count
+			if tc.policy == FsyncOff {
+				time.Sleep(5 * period)
+				st.flushWAL()
+				if got := fsyncs(); got != 0 {
+					t.Fatalf("%d fsyncs under FsyncOff, want 0", got)
+				}
+				return
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for fsyncs() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the interval timer never fsynced the append")
+				}
+				time.Sleep(period)
+			}
+		})
 	}
 }
 

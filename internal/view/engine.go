@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/loop"
 	"ldpmarginals/internal/trace"
 )
 
@@ -141,9 +142,7 @@ type Engine struct {
 	fullBuilds atomic.Int64
 	ins        *viewInstruments
 
-	stop  chan struct{}
-	close sync.Once
-	done  sync.WaitGroup
+	stop func() // stops the refresh policy's loop; a no-op under a manual policy
 }
 
 // EngineStats counts the engine's builds by kind, for status endpoints.
@@ -177,13 +176,12 @@ func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error)
 	if err != nil {
 		return nil, fmt.Errorf("view: preparing builder: %w", err)
 	}
-	e := &Engine{src: src, opts: opts, bld: bld, arena: core.NewFoldArena(p.NewAggregator), stop: make(chan struct{}), ins: newViewInstruments()}
+	e := &Engine{src: src, opts: opts, bld: bld, arena: core.NewFoldArena(p.NewAggregator), stop: func() {}, ins: newViewInstruments()}
 	if _, err := e.Refresh(); err != nil {
 		return nil, fmt.Errorf("view: building initial epoch: %w", err)
 	}
 	if opts.Refresh.automatic() {
-		e.done.Add(1)
-		go e.loop()
+		e.stop = loop.Every(opts.Refresh.tick(), e.refreshIfDue)
 	}
 	return e, nil
 }
@@ -352,46 +350,34 @@ func (e *Engine) composition() []Component {
 
 // Close stops the automatic refresh loop (if any) and waits for it to
 // exit. The last published view keeps serving; Close is idempotent.
-func (e *Engine) Close() {
-	e.close.Do(func() { close(e.stop) })
-	e.done.Wait()
-}
+func (e *Engine) Close() { e.stop() }
 
-// loop drives the automatic refresh policy. Due-ness is measured from
-// the published view's build time, so a manual Refresh resets the
-// interval cadence instead of racing it into a redundant back-to-back
-// rebuild. Build errors are swallowed (the previous epoch keeps serving
-// and the next tick retries); deployments that need visibility poll
-// /view/status staleness instead.
-func (e *Engine) loop() {
-	defer e.done.Done()
+// refreshIfDue is one tick of the automatic refresh policy. Due-ness is
+// measured from the published view's build time, so a manual Refresh
+// resets the interval cadence instead of racing it into a redundant
+// back-to-back rebuild. Build errors are swallowed (the previous epoch
+// keeps serving and the next tick retries); deployments that need
+// visibility poll /view/status staleness instead.
+func (e *Engine) refreshIfDue() {
 	pol := e.opts.Refresh
-	ticker := time.NewTicker(pol.tick())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-ticker.C:
-		}
-		cur := e.Current()
-		due := pol.Interval > 0 && cur.Age() >= pol.Interval
-		if !due && pol.EveryN > 0 {
-			due = cur.Staleness(e.src.N()) >= pol.EveryN
-		}
-		if due {
-			// Policy-driven refreshes have no request to join, so root
-			// their own trace; a refresh that didn't advance the epoch
-			// (zero-delta) is discarded rather than flooding the ring
-			// on every interval tick of an idle deployment.
-			ctx, root := e.opts.Tracer.StartRoot(context.Background(), "view.refresh")
-			before := e.Epoch()
-			v, err := e.RefreshContext(ctx)
-			if err == nil && v != nil && v.Epoch == before {
-				root.Discard()
-			} else {
-				root.End()
-			}
-		}
+	cur := e.Current()
+	due := pol.Interval > 0 && cur.Age() >= pol.Interval
+	if !due && pol.EveryN > 0 {
+		due = cur.Staleness(e.src.N()) >= pol.EveryN
+	}
+	if !due {
+		return
+	}
+	// Policy-driven refreshes have no request to join, so root their own
+	// trace; a refresh that didn't advance the epoch (zero-delta) is
+	// discarded rather than flooding the ring on every interval tick of
+	// an idle deployment.
+	ctx, root := e.opts.Tracer.StartRoot(context.Background(), "view.refresh")
+	before := e.Epoch()
+	v, err := e.RefreshContext(ctx)
+	if err == nil && v != nil && v.Epoch == before {
+		root.Discard()
+	} else {
+		root.End()
 	}
 }
