@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ldpmarginals"
+	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/server"
@@ -59,7 +60,7 @@ func seedEdge(b *testing.B, url string, p ldpmarginals.Protocol) {
 // shrinks as edges batch more reports between pulls.
 const clusterStateN = 1 << 17
 
-func clusterBenchSetup(b *testing.B) (ldpmarginals.Protocol, *ldpmarginals.ShardedAggregator, []byte) {
+func clusterBenchSetup(b *testing.B) (ldpmarginals.Protocol, *core.ShardedAggregator, []byte) {
 	b.Helper()
 	cfg := ldpmarginals.Config{D: 8, K: 2, Epsilon: 1.0986, OptimizedPRR: true}
 	p, err := ldpmarginals.NewProtocol(ldpmarginals.InpHT, cfg)
@@ -76,7 +77,7 @@ func clusterBenchSetup(b *testing.B) (ldpmarginals.Protocol, *ldpmarginals.Shard
 		}
 		reps[i] = rep
 	}
-	agg := ldpmarginals.NewShardedAggregator(p, 0)
+	agg := core.NewSharded(p, 0)
 	for n := 0; n < clusterStateN; n += len(reps) {
 		if err := agg.ConsumeBatch(reps); err != nil {
 			b.Fatal(err)
@@ -200,7 +201,7 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			local := ldpmarginals.NewShardedAggregator(p, 0)
+			local := core.NewSharded(p, 0)
 			for n := 0; n < clusterStateN; n += len(reps) {
 				if err := local.ConsumeBatch(reps); err != nil {
 					b.Fatal(err)
@@ -233,7 +234,7 @@ const deltaBenchShards = 100
 func deltaEdge(b *testing.B) (url string, mutate func(k int)) {
 	b.Helper()
 	cfg := ldpmarginals.Config{D: 16, K: 2, Epsilon: 1.0986, OptimizedPRR: true}
-	p, err := ldpmarginals.NewProtocol(ldpmarginals.InpPS, cfg)
+	p, err := ldpmarginals.NewProtocol(core.InpPS, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,6 +16,8 @@ import (
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/experiments"
 	"ldpmarginals/internal/rng"
+	"ldpmarginals/internal/store"
+	"ldpmarginals/internal/view"
 )
 
 // benchOpts is the reduced-scale configuration shared by the experiment
@@ -279,7 +281,7 @@ func BenchmarkConsumeSingle(b *testing.B) {
 // so compare via the reports/s metric, not ns/op.
 func BenchmarkConsumeBatchParallel(b *testing.B) {
 	p, reps := ingestSetup(b)
-	sh := ldpmarginals.NewShardedAggregator(p, 0)
+	sh := core.NewSharded(p, 0)
 	var firstErr atomic.Pointer[error]
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -314,7 +316,7 @@ func BenchmarkConsumeBatchParallel(b *testing.B) {
 // querySetup builds a d=16 InpHT deployment — the wide-schema regime
 // the read-side architecture exists for, where every per-request
 // snapshot merges hundreds of coefficient counters per shard.
-func querySetup(b *testing.B) (ldpmarginals.Protocol, *ldpmarginals.ShardedAggregator) {
+func querySetup(b *testing.B) (ldpmarginals.Protocol, *core.ShardedAggregator) {
 	b.Helper()
 	cfg := ldpmarginals.Config{D: 16, K: 2, Epsilon: 1.0986, OptimizedPRR: true}
 	p, err := ldpmarginals.NewProtocol(ldpmarginals.InpHT, cfg)
@@ -331,7 +333,7 @@ func querySetup(b *testing.B) (ldpmarginals.Protocol, *ldpmarginals.ShardedAggre
 		}
 		reps[i] = rep
 	}
-	sh := ldpmarginals.NewShardedAggregator(p, 0)
+	sh := core.NewSharded(p, 0)
 	if err := sh.ConsumeBatch(reps); err != nil {
 		b.Fatal(err)
 	}
@@ -365,7 +367,7 @@ func BenchmarkQueryCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := ldpmarginals.BuildView(snap, p, ldpmarginals.ViewOptions{})
+	v, err := view.Build(snap, p, view.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -388,7 +390,7 @@ func BenchmarkQueryCachedParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, err := ldpmarginals.BuildView(snap, p, ldpmarginals.ViewOptions{})
+	v, err := view.Build(snap, p, view.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -453,7 +455,7 @@ func durableSetup(b *testing.B) (ldpmarginals.Protocol, [][]ldpmarginals.Report,
 
 func benchDurableIngest(b *testing.B, open func(b *testing.B, p ldpmarginals.Protocol) *ldpmarginals.ReportStore) {
 	p, chunks, batches := durableSetup(b)
-	sh := ldpmarginals.NewShardedAggregator(p, 0)
+	sh := core.NewSharded(p, 0)
 	var st *ldpmarginals.ReportStore
 	if open != nil {
 		st = open(b, p)
@@ -495,7 +497,7 @@ func benchDurableIngest(b *testing.B, open func(b *testing.B, p ldpmarginals.Pro
 	b.ReportMetric(float64(b.N)*ingestBatchSize/b.Elapsed().Seconds(), "reports/s")
 }
 
-func openBenchStore(fsync ldpmarginals.FsyncPolicy) func(b *testing.B, p ldpmarginals.Protocol) *ldpmarginals.ReportStore {
+func openBenchStore(fsync store.FsyncPolicy) func(b *testing.B, p ldpmarginals.Protocol) *ldpmarginals.ReportStore {
 	return func(b *testing.B, p ldpmarginals.Protocol) *ldpmarginals.ReportStore {
 		b.Helper()
 		st, err := ldpmarginals.OpenStore(b.TempDir(), p, ldpmarginals.StoreOptions{Fsync: fsync})
@@ -511,7 +513,7 @@ func openBenchStore(fsync ldpmarginals.FsyncPolicy) func(b *testing.B, p ldpmarg
 // fsync policy.
 func BenchmarkIngestDurable(b *testing.B) {
 	b.Run("nowal", func(b *testing.B) { benchDurableIngest(b, nil) })
-	b.Run("fsync=off", func(b *testing.B) { benchDurableIngest(b, openBenchStore(ldpmarginals.FsyncOff)) })
-	b.Run("fsync=interval", func(b *testing.B) { benchDurableIngest(b, openBenchStore(ldpmarginals.FsyncInterval)) })
-	b.Run("fsync=always", func(b *testing.B) { benchDurableIngest(b, openBenchStore(ldpmarginals.FsyncAlways)) })
+	b.Run("fsync=off", func(b *testing.B) { benchDurableIngest(b, openBenchStore(store.FsyncOff)) })
+	b.Run("fsync=interval", func(b *testing.B) { benchDurableIngest(b, openBenchStore(store.FsyncInterval)) })
+	b.Run("fsync=always", func(b *testing.B) { benchDurableIngest(b, openBenchStore(store.FsyncAlways)) })
 }

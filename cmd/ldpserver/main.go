@@ -171,7 +171,7 @@ func main() {
 
 		windowSpan = flag.Duration("window", 0, "serve a sliding window of this span instead of the cumulative release (requires -bucket; single and edge roles)")
 		bucketSpan = flag.Duration("bucket", 0, "window rotation granularity; must divide -window evenly")
-		roundEps   = flag.Float64("round-eps", 0, "per-client epsilon budget per window (0 = no budget; requires -window; clients identify via the X-LDP-Token header)")
+		roundEps   = flag.Float64("round-eps", 0, "per-client epsilon budget per window (0 = no budget; requires -window; clients identify via the X-LDP-Token header); the ledger is per node and in memory only: a restart forgets spend, and a token posting to two edges spends twice (see ROADMAP.md, \"The ledger survives a restart\")")
 
 		role         = flag.String("role", "single", "node role: single, edge, or coordinator")
 		nodeID       = flag.String("node-id", "", "cluster node id (empty = random); must be unique across the fleet")

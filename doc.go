@@ -11,7 +11,9 @@
 // frequency oracles), synthetic datasets mirroring the paper's
 // evaluation data, and the downstream
 // applications: chi-squared association testing and Chow-Liu dependency
-// tree fitting.
+// tree fitting. OpenStore opens the durable report store a deployment
+// recovers from. Every exported name is used by a command (cmd/*) or an
+// example (examples/*).
 //
 // # Quick start
 //
@@ -26,8 +28,8 @@
 //	table, err := run.Agg.Estimate(beta)
 //
 // The experiment harness that regenerates every table and figure of the
-// paper lives in cmd/experiments; see EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison.
+// paper lives in cmd/experiments; its package doc lists the experiment
+// ids.
 //
 // # Deployment
 //
@@ -40,7 +42,7 @@
 // and the InpEM and InpOLH baselines (raw reports) run only under
 // Simulate, cmd/ldpmarg and cmd/experiments; a server, its store and
 // ldpload refuse them by name. Ingestion is sharded across
-// per-core accumulators (NewShardedAggregator) so throughput scales
+// per-core accumulators (core.NewSharded) so throughput scales
 // with the hardware; batch ingestion amortizes HTTP and locking
 // overhead per report. Sharding never changes results: aggregation
 // state is integer counters, so a sharded deployment answers
@@ -77,10 +79,10 @@
 //
 // The paper's key property — one round of reports answers every k-way
 // marginal — means a deployment should reconstruct once and serve many
-// times. The read side (BuildView / NewViewEngine, internal/view) does
+// times. The read side (view.Build / view.NewEngine, internal/view) does
 // exactly that: per epoch it snapshots the aggregator, reconstructs all
 // C(d,k) k-way tables in parallel, enforces cross-marginal consistency
-// (EnforceConsistency, weighted by per-marginal evidence), projects
+// (consistency.Plan, weighted by per-marginal evidence), projects
 // each table to the probability simplex, and publishes the result as an
 // immutable view behind an atomic pointer. /marginal answers any
 // |beta| <= k and /query evaluates conjunction batches from the cached
@@ -111,9 +113,9 @@
 // ONE full-domain Walsh-Hadamard transform of the counters instead of
 // one 2^d scan per table. Incremental epochs therefore cost what
 // changed, not what accumulated. There is one build: a standalone
-// BuildView runs the same stages over a snapshot, and because the folds
+// view.Build runs the same stages over a snapshot, and because the folds
 // are integer-exact and the nonlinear stage is a deterministic function
-// of the counters, every engine epoch is bit-identical to BuildView
+// of the counters, every engine epoch is bit-identical to view.Build
 // over a snapshot of the same state, for every served protocol — a
 // served view depends on the counters, never on how the engine reached
 // them.
@@ -173,7 +175,7 @@
 // loses privacy budget that can never be re-spent. OpenStore
 // (internal/store) gives a deployment a durable data directory: every
 // accepted report is appended to a CRC-checked write-ahead log before
-// the ack (fsynced per FsyncAlways / FsyncInterval / FsyncOff, with
+// the ack (fsynced per -fsync always / interval / off, with
 // group commit so durability doesn't serialize the sharded ingest
 // path), and the counters are periodically compacted into snapshots of
 // the aggregator's canonical MarshalState blob — every protocol's
@@ -225,7 +227,9 @@
 // token E of budget, spends Epsilon per accepted report, rejects
 // over-budget submissions with 429 and a Retry-After hinting at the
 // next bucket rotation, and forgets spend as it slides out of the
-// window. /status and
+// window. The ledger is per node and held only in memory: a restart
+// forgets spend, and a token that posts to two edges spends twice, once
+// on each (ROADMAP.md, "The ledger survives a restart"). /status and
 // /view/status describe the window shape (bucket counts, rotations,
 // expiries, budget spend) under "window".
 //

@@ -12,14 +12,12 @@
 // cells uniformly within each sub-cell group to match the consensus.
 // The shift preserves each table's total mass and its internal
 // higher-order structure; a few sweeps converge to mutual agreement.
-// Optionally the result is projected to the probability simplex.
+// A Plan holds a collection's overlap structure and runs the sweep.
 package consistency
 
 import (
 	"fmt"
-	"math"
 
-	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/marginal"
 )
 
@@ -29,9 +27,6 @@ type Options struct {
 	// (default 3; one round suffices when tables share only one
 	// sub-marginal each).
 	Rounds int
-	// Project projects every table to the probability simplex after the
-	// sweeps, producing genuine distributions.
-	Project bool
 }
 
 func (o Options) withDefaults() Options {
@@ -39,87 +34,6 @@ func (o Options) withDefaults() Options {
 		o.Rounds = 3
 	}
 	return o
-}
-
-// Enforce adjusts the tables in place so shared sub-marginals agree. All
-// tables must be over distinct attribute masks and hold 2^|Beta| cells;
-// weights (one per table, or nil for uniform) set the relative trust in
-// each table's evidence, e.g. per-marginal user counts from a
-// marginal-view protocol.
-//
-// Enforce builds a throwaway Plan on every call. Callers that sweep the
-// same collection repeatedly (the materialized-view refresh loop) build
-// the Plan once with NewPlan and call Plan.Enforce, which is
-// bit-identical and allocation-free; the sweep order is a fixed function
-// of the masks either way, so equal inputs produce bit-identical outputs
-// — which the view layer relies on for reproducible epoch rebuilds.
-func Enforce(tables []*marginal.Table, weights []float64, opts Options) error {
-	if len(tables) == 0 {
-		return fmt.Errorf("consistency: no tables")
-	}
-	betas, err := masksOf(tables)
-	if err != nil {
-		return err
-	}
-	plan, err := NewPlan(betas)
-	if err != nil {
-		return err
-	}
-	return plan.Enforce(tables, weights, opts)
-}
-
-// MaxDisagreement measures the largest L-infinity gap between the
-// sub-marginals implied by any two tables on any shared attribute set —
-// 0 means fully consistent. Useful in tests and as a diagnostic. Tables
-// may repeat a mask.
-func MaxDisagreement(tables []*marginal.Table) (float64, error) {
-	betas, err := masksOf(tables)
-	if err != nil {
-		return 0, err
-	}
-	p := newPlan(betas)
-	hi, lo, imp := make([]float64, p.maxShared), make([]float64, p.maxShared), make([]float64, p.maxShared)
-	var worst float64
-	for si, sub := range p.subs {
-		size := 1 << uint(bitops.OnesCount(sub))
-		hi, lo, imp := hi[:size], lo[:size], imp[:size]
-		for c := range hi {
-			hi[c], lo[c] = math.Inf(-1), math.Inf(1)
-		}
-		for mi, m := range p.members[si] {
-			implied(tables[m], sub, p.idx[si][mi], imp)
-			for c, v := range imp {
-				// Comparisons, not max/min: a NaN must drop out here as it
-				// drops out of every pair's comparison in a pairwise walk.
-				if v > hi[c] {
-					hi[c] = v
-				}
-				if v < lo[c] {
-					lo[c] = v
-				}
-			}
-		}
-		// The widest pair's rounded difference is the largest of all
-		// pairs' (rounding is monotone), so this equals a pairwise walk.
-		for c := range hi {
-			if d := hi[c] - lo[c]; d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst, nil
-}
-
-// masksOf checks every table and returns their masks in table order.
-func masksOf(tables []*marginal.Table) ([]uint64, error) {
-	betas := make([]uint64, len(tables))
-	for i, t := range tables {
-		if err := checkTable(i, t); err != nil {
-			return nil, err
-		}
-		betas[i] = t.Beta
-	}
-	return betas, nil
 }
 
 // checkTable refuses a nil table or one whose cell count is not

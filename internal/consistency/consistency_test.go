@@ -5,25 +5,93 @@ import (
 	"strings"
 	"testing"
 
+	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/dataset"
 	"ldpmarginals/internal/marginal"
+	"ldpmarginals/internal/vec"
 )
 
+// enforce sweeps tables with a plan built over their own masks.
+func enforce(tables []*marginal.Table, weights []float64, opts Options) error {
+	betas, err := masksOf(tables)
+	if err != nil {
+		return err
+	}
+	plan, err := NewPlan(betas)
+	if err != nil {
+		return err
+	}
+	return plan.Enforce(tables, weights, opts)
+}
+
+// MaxDisagreement measures the largest L-infinity gap between the
+// sub-marginals implied by any two tables on any shared attribute set —
+// 0 means fully consistent. Tables may repeat a mask.
+func MaxDisagreement(tables []*marginal.Table) (float64, error) {
+	betas, err := masksOf(tables)
+	if err != nil {
+		return 0, err
+	}
+	p := newPlan(betas)
+	hi, lo, imp := make([]float64, p.maxShared), make([]float64, p.maxShared), make([]float64, p.maxShared)
+	var worst float64
+	for si, sub := range p.subs {
+		size := 1 << uint(bitops.OnesCount(sub))
+		hi, lo, imp := hi[:size], lo[:size], imp[:size]
+		for c := range hi {
+			hi[c], lo[c] = math.Inf(-1), math.Inf(1)
+		}
+		for mi, m := range p.members[si] {
+			implied(tables[m], sub, p.idx[si][mi], imp)
+			for c, v := range imp {
+				// Comparisons, not max/min: a NaN must drop out here as it
+				// drops out of every pair's comparison in a pairwise walk.
+				if v > hi[c] {
+					hi[c] = v
+				}
+				if v < lo[c] {
+					lo[c] = v
+				}
+			}
+		}
+		// The widest pair's rounded difference is the largest of all
+		// pairs' (rounding is monotone), so this equals a pairwise walk.
+		for c := range hi {
+			if d := hi[c] - lo[c]; d > worst {
+				worst = d
+			}
+		}
+	}
+	return worst, nil
+}
+
+// masksOf checks every table and returns their masks in table order.
+func masksOf(tables []*marginal.Table) ([]uint64, error) {
+	betas := make([]uint64, len(tables))
+	for i, t := range tables {
+		if err := checkTable(i, t); err != nil {
+			return nil, err
+		}
+		betas[i] = t.Beta
+	}
+	return betas, nil
+}
+
 func TestEnforceValidation(t *testing.T) {
-	if err := Enforce(nil, nil, Options{}); err == nil {
+	if err := enforce(nil, nil, Options{}); err == nil {
 		t.Error("no tables should error")
 	}
 	a, _ := marginal.Uniform(0b11)
 	b, _ := marginal.Uniform(0b11)
-	if err := Enforce([]*marginal.Table{a, b}, nil, Options{}); err == nil {
+	if err := enforce([]*marginal.Table{a, b}, nil, Options{}); err == nil {
 		t.Error("duplicate masks should error")
 	}
-	if err := Enforce([]*marginal.Table{a, nil}, nil, Options{}); err == nil {
+	if err := enforce([]*marginal.Table{a, nil}, nil, Options{}); err == nil {
 		t.Error("nil table should error")
 	}
 	c, _ := marginal.Uniform(0b101)
-	if err := Enforce([]*marginal.Table{a, c}, []float64{1}, Options{}); err == nil {
+	if err := enforce([]*marginal.Table{a, c}, []float64{1}, Options{}); err == nil {
 		t.Error("weight count mismatch should error")
 	}
 }
@@ -44,14 +112,14 @@ func TestMalformedTablesRefused(t *testing.T) {
 		bad  *marginal.Table
 		run  func([]*marginal.Table) error
 	}{
-		{"Enforce/long", long, func(ts []*marginal.Table) error { return Enforce(ts, nil, Options{}) }},
-		{"Enforce/short", short, func(ts []*marginal.Table) error { return Enforce(ts, nil, Options{}) }},
+		{"Enforce/long", long, func(ts []*marginal.Table) error { return enforce(ts, nil, Options{}) }},
+		{"Enforce/short", short, func(ts []*marginal.Table) error { return enforce(ts, nil, Options{}) }},
 		{"Plan.Enforce/long", long, func(ts []*marginal.Table) error { return plan.Enforce(ts, nil, Options{}) }},
 		{"Plan.Enforce/short", short, func(ts []*marginal.Table) error { return plan.Enforce(ts, nil, Options{}) }},
 		{"MaxDisagreement/long", long, func(ts []*marginal.Table) error { _, err := MaxDisagreement(ts); return err }},
 		{"MaxDisagreement/short", short, func(ts []*marginal.Table) error { _, err := MaxDisagreement(ts); return err }},
 		{"MaxDisagreement/nil", nil, func(ts []*marginal.Table) error { _, err := MaxDisagreement(ts); return err }},
-		{"Enforce/nil", nil, func(ts []*marginal.Table) error { return Enforce(ts, nil, Options{}) }},
+		{"Enforce/nil", nil, func(ts []*marginal.Table) error { return enforce(ts, nil, Options{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var bad *marginal.Table
@@ -63,7 +131,7 @@ func TestMalformedTablesRefused(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "table 0") {
 				t.Fatalf("got %v, want an error naming table 0", err)
 			}
-			if good.Sum() != 1 || (bad != nil && bad.Sum() != tc.bad.Sum()) {
+			if vec.Sum(good.Cells) != 1 || (bad != nil && vec.Sum(bad.Cells) != vec.Sum(tc.bad.Cells)) {
 				t.Fatal("a refused collection was modified")
 			}
 		})
@@ -83,7 +151,7 @@ func TestEnforceMakesTablesConsistent(t *testing.T) {
 	if before < 0.2 {
 		t.Fatalf("setup should disagree, got %v", before)
 	}
-	if err := Enforce(tables, nil, Options{}); err != nil {
+	if err := enforce(tables, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := MaxDisagreement(tables)
@@ -95,8 +163,8 @@ func TestEnforceMakesTablesConsistent(t *testing.T) {
 	}
 	// Total mass preserved.
 	for _, tab := range tables {
-		if math.Abs(tab.Sum()-1) > 1e-9 {
-			t.Errorf("mass changed: %v", tab.Sum())
+		if math.Abs(vec.Sum(tab.Cells)-1) > 1e-9 {
+			t.Errorf("mass changed: %v", vec.Sum(tab.Cells))
 		}
 	}
 }
@@ -106,7 +174,7 @@ func TestEnforceConsensusIsWeighted(t *testing.T) {
 	ac, _ := marginal.FromCells(0b101, []float64{0.0, 0.5, 0.0, 0.5}) // P(a=1) = 1
 	tables := []*marginal.Table{ab, ac}
 	// All weight on the second table: consensus P(a=1) = 1.
-	if err := Enforce(tables, []float64{0, 1}, Options{Rounds: 1}); err != nil {
+	if err := enforce(tables, []float64{0, 1}, Options{Rounds: 1}); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := tables[0].MarginalizeTo(0b001)
@@ -126,7 +194,7 @@ func TestWeightlessTableStaysOutOfConsensus(t *testing.T) {
 	ab, _ := marginal.FromCells(0b011, []float64{0.4, 0.1, 0.3, 0.2})
 	ac, _ := marginal.FromCells(0b101, []float64{0.2, 0.3, 0.2, 0.3})
 	bc, _ := marginal.FromCells(0b110, []float64{math.NaN(), 0, 0, math.Inf(1)})
-	if err := Enforce([]*marginal.Table{ab, ac, bc}, []float64{1, 1, 0}, Options{}); err != nil {
+	if err := enforce([]*marginal.Table{ab, ac, bc}, []float64{1, 1, 0}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tab := range []*marginal.Table{ab, ac} {
@@ -165,7 +233,7 @@ func TestEnforceWeightedOverlappingTables(t *testing.T) {
 	if before < 0.5 {
 		t.Fatalf("setup should disagree badly on a2, got %v", before)
 	}
-	if err := Enforce(tables, weights, Options{Rounds: 50}); err != nil {
+	if err := enforce(tables, weights, Options{Rounds: 50}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := MaxDisagreement(tables)
@@ -176,8 +244,8 @@ func TestEnforceWeightedOverlappingTables(t *testing.T) {
 		t.Errorf("disagreement after weighted enforcement = %v, want ~0", after)
 	}
 	for i, tab := range tables {
-		if math.Abs(tab.Sum()-1) > 1e-9 {
-			t.Errorf("table %d mass changed to %v", i, tab.Sum())
+		if math.Abs(vec.Sum(tab.Cells)-1) > 1e-9 {
+			t.Errorf("table %d mass changed to %v", i, vec.Sum(tab.Cells))
 		}
 	}
 	// The a2 consensus must land near the heavy table's 0.3, not the
@@ -213,12 +281,12 @@ func TestEnforceIsDeterministic(t *testing.T) {
 	}
 	weights := []float64{1, 2, 3, 4}
 	ref := build()
-	if err := Enforce(ref, weights, Options{Rounds: 4}); err != nil {
+	if err := enforce(ref, weights, Options{Rounds: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
 		got := build()
-		if err := Enforce(got, weights, Options{Rounds: 4}); err != nil {
+		if err := enforce(got, weights, Options{Rounds: 4}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref {
@@ -246,7 +314,7 @@ func TestEnforceLeavesExactTablesAlone(t *testing.T) {
 		tables = append(tables, tab)
 		orig = append(orig, append([]float64(nil), tab.Cells...))
 	}
-	if err := Enforce(tables, nil, Options{}); err != nil {
+	if err := enforce(tables, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, tab := range tables {
@@ -284,7 +352,7 @@ func TestEnforceOnLDPEstimatesImprovesCoherence(t *testing.T) {
 	if before <= 0 {
 		t.Fatal("independently-noised tables should disagree")
 	}
-	if err := Enforce(tables, nil, Options{Rounds: 5}); err != nil {
+	if err := enforce(tables, nil, Options{Rounds: 5}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := MaxDisagreement(tables)
@@ -311,32 +379,11 @@ func TestEnforceOnLDPEstimatesImprovesCoherence(t *testing.T) {
 	}
 }
 
-func TestEnforceWithProjection(t *testing.T) {
-	ab, _ := marginal.FromCells(0b011, []float64{0.6, -0.1, 0.4, 0.1})
-	ac, _ := marginal.FromCells(0b101, []float64{0.3, 0.3, 0.2, 0.2})
-	tables := []*marginal.Table{ab, ac}
-	if err := Enforce(tables, nil, Options{Project: true}); err != nil {
-		t.Fatal(err)
-	}
-	for _, tab := range tables {
-		var sum float64
-		for _, c := range tab.Cells {
-			if c < -1e-12 {
-				t.Errorf("negative cell after projection: %v", tab.Cells)
-			}
-			sum += c
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("mass after projection = %v", sum)
-		}
-	}
-}
-
 func TestEnforceDisjointTablesNoOp(t *testing.T) {
 	a, _ := marginal.FromCells(0b0011, []float64{0.7, 0.1, 0.1, 0.1})
 	b, _ := marginal.FromCells(0b1100, []float64{0.1, 0.1, 0.1, 0.7})
 	orig := append([]float64(nil), a.Cells...)
-	if err := Enforce([]*marginal.Table{a, b}, nil, Options{}); err != nil {
+	if err := enforce([]*marginal.Table{a, b}, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for c := range orig {

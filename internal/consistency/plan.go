@@ -23,8 +23,9 @@ import (
 //
 // A Plan is immutable after construction and safe for concurrent use;
 // Enforce's per-call scratch comes from an internal pool, so the
-// steady-state sweep allocates nothing. Plan.Enforce and the package-level
-// Enforce sweep and sum in the same order: bit-identical results.
+// steady-state sweep allocates nothing. The sweep order is a fixed
+// function of the masks, so equal inputs produce bit-identical outputs,
+// which reproducible epoch builds rely on.
 type Plan struct {
 	betas []uint64 // table masks, in table order
 
@@ -40,8 +41,12 @@ type Plan struct {
 }
 
 // NewPlan precomputes the enforcement structure for tables over the
-// given masks (in table order). All masks must be distinct.
+// given masks (in table order). There must be at least one mask, and all
+// must be distinct.
 func NewPlan(betas []uint64) (*Plan, error) {
+	if len(betas) == 0 {
+		return nil, fmt.Errorf("consistency: no tables")
+	}
 	seen := map[uint64]bool{}
 	for _, b := range betas {
 		if seen[b] {
@@ -184,11 +189,11 @@ func implied(t *marginal.Table, sub uint64, mp []int, imp []float64) {
 	}
 }
 
-// Enforce adjusts the tables in place so shared sub-marginals agree,
-// exactly like the package-level Enforce but over the precomputed
-// structure and pooled scratch. tables must match the plan's masks in
-// order; weights (one per table, or nil for uniform) set the relative
-// trust in each table's evidence.
+// Enforce adjusts the tables in place so shared sub-marginals agree.
+// tables must match the plan's masks in order and hold 2^|Beta| cells
+// each; weights (one per table, or nil for uniform) set the relative
+// trust in each table's evidence, e.g. per-marginal user counts from a
+// marginal-view protocol.
 func (p *Plan) Enforce(tables []*marginal.Table, weights []float64, opts Options) error {
 	opts = opts.withDefaults()
 	if len(tables) != len(p.betas) {
@@ -228,11 +233,6 @@ func (p *Plan) Enforce(tables []*marginal.Table, weights []float64, opts Options
 					cells[c] += (cons[mp[c]] - imp[mp[c]]) / group
 				}
 			}
-		}
-	}
-	if opts.Project {
-		for _, t := range tables {
-			t.ProjectToSimplex()
 		}
 	}
 	return nil

@@ -89,11 +89,6 @@ func enforceReference(tables []*marginal.Table, weights []float64, opts Options)
 			}
 		}
 	}
-	if opts.Project {
-		for _, t := range tables {
-			t.ProjectToSimplex()
-		}
-	}
 	return nil
 }
 
@@ -163,7 +158,7 @@ func randomTables(t *testing.T, r *rand.Rand, masks []uint64) ([]*marginal.Table
 }
 
 // mixedCollections returns arbitrary distinct-mask collections of the
-// kind ldpmarginals.EnforceConsistency accepts: nested, chained,
+// kind Plan.Enforce accepts: nested, chained,
 // disjoint and single tables, then random ones with masks of 1-5 bits
 // over at most 10 attributes.
 func mixedCollections(r *rand.Rand) [][]uint64 {
@@ -204,8 +199,8 @@ func cloneTables(tables []*marginal.Table) []*marginal.Table {
 
 // assertPlanMatchesReference sweeps clones of tables with a fresh plan
 // (twice: the second reuses the pooled scratch, which must not change
-// results), with the package-level Enforce, and with the frozen
-// reference, and requires all of them bit-identical.
+// results), with a plan built per sweep, and with the frozen reference,
+// and requires all of them bit-identical.
 func assertPlanMatchesReference(t *testing.T, label string, tables []*marginal.Table, weights []float64, opts Options) {
 	t.Helper()
 	betas := make([]uint64, len(tables))
@@ -223,7 +218,7 @@ func assertPlanMatchesReference(t *testing.T, label string, tables []*marginal.T
 	for run, sweep := range []func([]*marginal.Table) error{
 		func(ts []*marginal.Table) error { return plan.Enforce(ts, weights, opts) },
 		func(ts []*marginal.Table) error { return plan.Enforce(ts, weights, opts) },
-		func(ts []*marginal.Table) error { return Enforce(ts, weights, opts) },
+		func(ts []*marginal.Table) error { return enforce(ts, weights, opts) },
 	} {
 		got := cloneTables(tables)
 		if err := sweep(got); err != nil {
@@ -243,7 +238,7 @@ func assertPlanMatchesReference(t *testing.T, label string, tables []*marginal.T
 // TestPlanEnforceBitIdenticalToReference pins the plan-based sweep to
 // the frozen legacy algorithm: same inputs, bit-identical outputs, with
 // and without weights, across several (d, k) shapes, on plan reuse, and
-// over arbitrary mixed-width collections with and without projection.
+// over arbitrary mixed-width collections.
 func TestPlanEnforceBitIdenticalToReference(t *testing.T) {
 	for _, shape := range []struct{ d, k int }{{4, 2}, {6, 3}, {8, 2}, {5, 4}} {
 		tables, weights := randomCollection(t, shape.d, shape.k, int64(7*shape.d+int(shape.k)))
@@ -256,10 +251,8 @@ func TestPlanEnforceBitIdenticalToReference(t *testing.T) {
 	for ci, masks := range mixedCollections(r) {
 		tables, weights := randomTables(t, r, masks)
 		for _, w := range [][]float64{nil, weights} {
-			for _, project := range []bool{false, true} {
-				label := fmt.Sprintf("collection %d %b weighted=%v project=%v", ci, masks, w != nil, project)
-				assertPlanMatchesReference(t, label, tables, w, Options{Rounds: 1 + ci%4, Project: project})
-			}
+			label := fmt.Sprintf("collection %d %b weighted=%v", ci, masks, w != nil)
+			assertPlanMatchesReference(t, label, tables, w, Options{Rounds: 1 + ci%4})
 		}
 	}
 }
@@ -274,7 +267,7 @@ func TestMaxDisagreementBitIdenticalToReference(t *testing.T) {
 		tables, _ := randomTables(t, r, masks)
 		dup, _ := randomTables(t, r, []uint64{masks[r.Intn(len(masks))], masks[0]})
 		swept := cloneTables(tables)
-		if err := Enforce(swept, nil, Options{Rounds: 2}); err != nil {
+		if err := enforce(swept, nil, Options{Rounds: 2}); err != nil {
 			t.Fatal(err)
 		}
 		nonFinite := append(cloneTables(tables), dup...)
@@ -351,7 +344,7 @@ func TestWideTablesPlanOnlyWhatTheyShare(t *testing.T) {
 			for i, m := range tc.masks {
 				tables[i], _ = marginal.Uniform(m)
 			}
-			if err := Enforce(tables, nil, Options{}); err != nil {
+			if err := enforce(tables, nil, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if d, err := MaxDisagreement(tables); err != nil || d > 1e-12 {

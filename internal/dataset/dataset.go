@@ -9,7 +9,7 @@
 // dependent/independent attribute pairs exercised by the chi-squared study
 // (Figure 7) and correlation heatmap (Figure 3); the movielens generator
 // produces the all-positive pairwise correlations described in Section
-// 5.1. DESIGN.md documents the substitution rationale.
+// 5.1.
 package dataset
 
 import (

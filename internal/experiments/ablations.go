@@ -50,7 +50,8 @@ func AblationPRR(opts Options) (*Result, error) {
 
 // AblationHTNormalization compares InpHT's Algorithm 2 normalization (the
 // realized per-coefficient count N_j) against dividing by the expected
-// count N/|T|, a DESIGN.md design-choice callout.
+// count N/|T|: the realized count cancels the sampling noise in how many
+// users drew each coefficient.
 func AblationHTNormalization(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	const d, k = 12, 2

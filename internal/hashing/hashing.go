@@ -42,11 +42,10 @@ func addMod61(a, b uint64) uint64 {
 // Universal is a pairwise-independent hash function h(x) = ((a*x + b) mod
 // p) mod m mapping uint64 keys to [0, m). The (a, b) coefficients are the
 // per-user random "hash choice" communicated to the aggregator in OLH; the
-// whole function is identified by its Seed.
+// whole function is identified by the seed it is drawn from.
 type Universal struct {
 	a, b uint64
 	m    uint64
-	seed uint64
 }
 
 // NewUniversal draws a function uniformly from the universal family with
@@ -59,11 +58,8 @@ func NewUniversal(seed uint64, m uint64) (*Universal, error) {
 	r := rng.New(seed ^ 0x5bf03635)
 	a := r.Uint64n(MersennePrime61-1) + 1 // a in [1, p-1]
 	b := r.Uint64n(MersennePrime61)       // b in [0, p-1]
-	return &Universal{a: a, b: b, m: m, seed: seed}, nil
+	return &Universal{a: a, b: b, m: m}, nil
 }
-
-// Seed returns the seed identifying this function within the family.
-func (u *Universal) Seed() uint64 { return u.seed }
 
 // Hash returns h(x) in [0, m).
 func (u *Universal) Hash(x uint64) uint64 {
@@ -127,9 +123,6 @@ func NewFamily(seed uint64, g int, m uint64) (*Family, error) {
 	}
 	return &Family{fns: fns}, nil
 }
-
-// Size returns the number of functions in the family.
-func (f *Family) Size() int { return len(f.fns) }
 
 // Hash applies the i-th function to x.
 func (f *Family) Hash(i int, x uint64) uint64 { return f.fns[i].Hash(x) }

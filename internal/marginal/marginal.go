@@ -77,9 +77,6 @@ func (t *Table) Clone() *Table {
 	return &Table{Beta: t.Beta, Cells: vec.Clone(t.Cells)}
 }
 
-// Sum returns the total mass of the table (1 for exact marginals).
-func (t *Table) Sum() float64 { return vec.Sum(t.Cells) }
-
 // TVDistance returns the total variation distance to another table over
 // the same beta (Definition 3.4).
 func (t *Table) TVDistance(o *Table) (float64, error) {

@@ -75,15 +75,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 func (g *Gauge) metricType() string { return "gauge" }
 
 func (g *Gauge) write(b *bytes.Buffer, name, labels string) {

@@ -30,7 +30,8 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(3)
 	c.Add(7)
-	g.Set(-2)
+	g.Dec()
+	g.Dec()
 
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {

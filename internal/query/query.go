@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/marginal"
 )
 
@@ -171,22 +170,4 @@ func EvaluateStrings(est marginal.Estimator, d int, resolve func(name string) in
 		out[i].Fraction = f
 	}
 	return out
-}
-
-// Cube materializes the full set of j-way marginals for all j <= k — the
-// OLAP-datacube slice the paper's related work discusses. Results are
-// keyed by attribute mask.
-func Cube(est marginal.Estimator, d, k int) (map[uint64]*marginal.Table, error) {
-	if k < 1 || k > d {
-		return nil, fmt.Errorf("query: k=%d out of range (1..%d)", k, d)
-	}
-	out := map[uint64]*marginal.Table{}
-	for _, beta := range bitops.MasksWithAtMostK(d, 1, k) {
-		tab, err := est.Estimate(beta)
-		if err != nil {
-			return nil, fmt.Errorf("query: materializing %b: %w", beta, err)
-		}
-		out[beta] = tab
-	}
-	return out, nil
 }

@@ -138,30 +138,3 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestCube(t *testing.T) {
-	ds := dataset.NewTaxi(5000, 4)
-	est := exactEstimator{ds.Records}
-	cube, err := Cube(est, ds.D, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// C(8,1) + C(8,2) = 36 tables.
-	if len(cube) != 36 {
-		t.Fatalf("cube has %d tables, want 36", len(cube))
-	}
-	for beta, tab := range cube {
-		if tab.Beta != beta {
-			t.Errorf("mask mismatch: %b vs %b", tab.Beta, beta)
-		}
-		if math.Abs(tab.Sum()-1) > 1e-9 {
-			t.Errorf("cube marginal %b mass %v", beta, tab.Sum())
-		}
-	}
-	if _, err := Cube(est, ds.D, 0); err == nil {
-		t.Error("k=0 should error")
-	}
-	if _, err := Cube(est, ds.D, 9); err == nil {
-		t.Error("k>d should error")
-	}
-}

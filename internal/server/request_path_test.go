@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"ldpmarginals/internal/core"
@@ -142,10 +143,14 @@ func TestPanickingHandlerIsCountedAndTraced(t *testing.T) {
 		resp.Body.Close()
 		t.Fatalf("panicking route answered %d", resp.StatusCode)
 	}
-	h := s.ins.http
-	if v := h.inflight.Value(); v != 0 {
-		t.Errorf("in-flight gauge %d after the panic, want 0", v)
+	var scraped bytes.Buffer
+	if _, err := s.Metrics().WriteTo(&scraped); err != nil {
+		t.Fatal(err)
 	}
+	if !strings.Contains(scraped.String(), "\nldp_http_inflight_requests 0\n") {
+		t.Errorf("in-flight gauge not 0 after the panic:\n%s", scraped.String())
+	}
+	h := s.ins.http
 	if n := h.other.codes[3].Value(); n != 1 {
 		t.Errorf("5xx count %d, want 1", n)
 	}

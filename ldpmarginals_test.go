@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ldpmarginals"
+	"ldpmarginals/internal/em"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -60,29 +61,6 @@ func TestPublicAllKindsRun(t *testing.T) {
 	}
 }
 
-func TestPublicMeanTVAndMarginals(t *testing.T) {
-	ds := ldpmarginals.NewTaxiDataset(40000, 3)
-	betas := ldpmarginals.AllKWayMarginals(ds.D, 2)
-	if len(betas) != 28 {
-		t.Fatalf("C(8,2) = %d, want 28", len(betas))
-	}
-	p, err := ldpmarginals.NewProtocol(ldpmarginals.MargPS, ldpmarginals.Config{D: ds.D, K: 2, Epsilon: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, err := ldpmarginals.MeanTV(run.Agg, ds.Records, betas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tv > 0.1 {
-		t.Errorf("MeanTV = %v", tv)
-	}
-}
-
 func TestPublicIndependence(t *testing.T) {
 	ds := ldpmarginals.NewTaxiDataset(100000, 4)
 	beta, _ := ds.Mask("CC", "Tip")
@@ -96,13 +74,6 @@ func TestPublicIndependence(t *testing.T) {
 	}
 	if !res.Dependent {
 		t.Error("CC-Tip should test dependent")
-	}
-	mi, err := ldpmarginals.MutualInformation(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mi <= 0 {
-		t.Errorf("MI = %v, want positive", mi)
 	}
 }
 
@@ -141,9 +112,9 @@ func TestPublicEMBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, ok := run.Agg.(*ldpmarginals.EMAggregator)
+	agg, ok := run.Agg.(*em.Aggregator)
 	if !ok {
-		t.Fatal("EM aggregator type lost through the public API")
+		t.Fatal("Simulate lost the EM aggregator's type")
 	}
 	beta, _ := ds.Mask("Toll", "Far")
 	dec, err := agg.EstimateDetailed(beta)
@@ -200,17 +171,6 @@ func TestProtocolByNameAllNames(t *testing.T) {
 	}
 }
 
-func TestPublicPearsonMatrix(t *testing.T) {
-	ds := ldpmarginals.NewTaxiDataset(20000, 8)
-	m, err := ldpmarginals.PearsonMatrix(ds.Records, ds.D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != ds.D {
-		t.Fatalf("matrix size %d", len(m))
-	}
-}
-
 func TestPublicCategorical(t *testing.T) {
 	cat, err := ldpmarginals.NewCategoricalDataset(20000, []int{4, 3, 2}, 9)
 	if err != nil {
@@ -251,79 +211,5 @@ func TestPublicCategorical(t *testing.T) {
 	}
 	if tv > 0.1 {
 		t.Errorf("categorical pipeline TV = %v", tv)
-	}
-}
-
-func TestPublicConjunctionQueries(t *testing.T) {
-	ds := ldpmarginals.NewTaxiDataset(100000, 11)
-	c, err := ldpmarginals.ParseConjunction("CC=1 AND Tip=1", ds.AttributeIndex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := ldpmarginals.EvaluateConjunction(ldpmarginals.ExactEstimator{DS: ds}, c, ds.D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ldpmarginals.NewProtocol(ldpmarginals.InpHT, ldpmarginals.Config{D: ds.D, K: 2, Epsilon: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 13, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	private, err := ldpmarginals.EvaluateConjunction(run.Agg, c, ds.D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(private-exact) > 0.05 {
-		t.Errorf("conjunction: private %v vs exact %v", private, exact)
-	}
-	cube, err := ldpmarginals.MaterializeCube(run.Agg, ds.D, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cube) != 36 {
-		t.Errorf("cube size %d, want 36", len(cube))
-	}
-}
-
-func TestPublicConsistencyAndBounds(t *testing.T) {
-	ds := ldpmarginals.NewTaxiDataset(60000, 12)
-	p, err := ldpmarginals.NewProtocol(ldpmarginals.MargPS, ldpmarginals.Config{D: ds.D, K: 2, Epsilon: 1.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 17, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tables []*ldpmarginals.Table
-	for _, beta := range []uint64{0b011, 0b101, 0b110} {
-		tab, err := run.Agg.Estimate(beta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables = append(tables, tab)
-	}
-	before, err := ldpmarginals.MaxDisagreement(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ldpmarginals.EnforceConsistency(tables, nil, ldpmarginals.ConsistencyOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := ldpmarginals.MaxDisagreement(tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Errorf("consistency did not improve: %v -> %v", before, after)
-	}
-	bound, err := ldpmarginals.TheoreticalErrorBound("InpHT", ldpmarginals.BoundParams{
-		N: ds.N(), D: ds.D, K: 2, Epsilon: 1.1,
-	})
-	if err != nil || bound <= 0 {
-		t.Errorf("bound = %v, %v", bound, err)
 	}
 }

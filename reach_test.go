@@ -13,6 +13,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -30,10 +31,10 @@ var reachAllowlist = map[string]string{
 
 // TestEveryDeclarationReachedFromABinary fails when a non-test function,
 // method, type, const or var of the module is reached from no binary (a
-// main package, bench included), no init function, no package-level
-// initializer that makes a call, and no exported name of the root
-// package. Code that only tests call belongs in a _test.go file or
-// nowhere.
+// main package, bench included), no init function and no package-level
+// initializer that makes a call. An exported name of the root package is
+// no root of its own: the examples are what keep the public API alive.
+// Code that only tests call belongs in a _test.go file or nowhere.
 func TestEveryDeclarationReachedFromABinary(t *testing.T) {
 	g, err := loadDeclGraph(".")
 	if err != nil {
@@ -54,11 +55,12 @@ func TestEveryDeclarationReachedFromABinary(t *testing.T) {
 	}
 }
 
-// TestReachabilityCheckerFixture runs the checker on a module whose one
-// dead function hides among declarations reached only in the indirect
-// ways the checker must follow: a method through an interface, a var
-// through a root initializer and a generic function through an
-// instantiation.
+// TestReachabilityCheckerFixture runs the checker on a module whose dead
+// functions hide among declarations reached only in the indirect ways
+// the checker must follow: a method through an interface, a var through
+// a root initializer and a generic function through an instantiation.
+// An exported function of the module's root package is dead too when no
+// binary calls it.
 func TestReachabilityCheckerFixture(t *testing.T) {
 	g, err := loadDeclGraph(filepath.Join("testdata", "reach"))
 	if err != nil {
@@ -68,8 +70,8 @@ func TestReachabilityCheckerFixture(t *testing.T) {
 	for _, d := range g.unreached(nil) {
 		names = append(names, d.name)
 	}
-	if len(names) != 1 || names[0] != "fixture/lib.Dead" {
-		t.Fatalf("unreached = %v, want exactly [fixture/lib.Dead]", names)
+	if want := []string{"fixture.Unused", "fixture/lib.Dead"}; !slices.Equal(names, want) {
+		t.Fatalf("unreached = %v, want exactly %v", names, want)
 	}
 }
 
@@ -235,7 +237,6 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 	for _, path := range paths {
 		src := srcs[path]
 		isMain := src.name == "main"
-		isRootPkg := path == modPath
 		for _, f := range src.files {
 			ast.Inspect(f, func(x ast.Node) bool {
 				if it, ok := x.(*ast.InterfaceType); ok {
@@ -252,11 +253,10 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 				case *ast.FuncDecl:
 					obj := src.info.Defs[d.Name].(*types.Func)
 					name := path + "." + d.Name.Name
-					root := (isMain && d.Name.Name == "main") || d.Name.Name == "init" || (isRootPkg && obj.Exported())
+					root := d.Recv == nil && ((isMain && d.Name.Name == "main") || d.Name.Name == "init")
 					if d.Recv != nil {
 						recv := receiverType(obj)
 						name = path + "." + recv.Name() + "." + d.Name.Name
-						root = isRootPkg && obj.Exported() && recv.Exported()
 						methodsOf[recv] = append(methodsOf[recv], len(nodes))
 					}
 					add(src, obj, name, d, d.Doc, d, root)
@@ -273,7 +273,7 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							obj := src.info.Defs[s.Name]
-							add(src, obj, path+"."+s.Name.Name, node, doc, s, isRootPkg && obj.Exported())
+							add(src, obj, path+"."+s.Name.Name, node, doc, s, false)
 						case *ast.ValueSpec:
 							calls := d.Tok == token.VAR && makesCall(src.info, s)
 							for _, id := range s.Names {
@@ -281,8 +281,7 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 								if id.Name != "_" {
 									obj = src.info.Defs[id]
 								}
-								root := calls || (isRootPkg && id.IsExported())
-								add(src, obj, path+"."+id.Name, node, doc, s, root)
+								add(src, obj, path+"."+id.Name, node, doc, s, calls)
 							}
 						}
 					}

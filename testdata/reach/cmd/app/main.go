@@ -4,10 +4,11 @@ package main
 import (
 	"fmt"
 
+	"fixture"
 	"fixture/lib"
 )
 
 func main() {
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(s.Area(), lib.Max(2, 3), lib.NewBox(4).Get())
+	fmt.Println(fixture.Label(), s.Area(), lib.Max(2, 3), lib.NewBox(4).Get())
 }
