@@ -237,7 +237,7 @@
 //
 // Real LDP fleets ingest at the edge and aggregate centrally, and the
 // server composes into exactly that shape (internal/server, cmd/
-// ldpserver -role). An *edge* node runs ingestion and durability only:
+// ldpserver -role; the state exchange itself is internal/cluster). An *edge* node runs ingestion and durability only:
 // it accepts /report and /report/batch, WAL-logs every ack, and exports
 // its canonical aggregator state on GET /state as a CRC-checked frame
 // carrying its node id and a state version. A *coordinator* node runs
@@ -263,6 +263,13 @@
 //
 // # Fleet topology and delta exchange
 //
+// Both ends of the exchange are one package, internal/cluster: the
+// Exporter that answers GET /state, and a coordinator's Fleet (accepted
+// peer components, their validation and identity guards, their
+// persistence) and Puller (rounds, backoff, the circuit breaker).
+// internal/server routes /state and /pull to them and reads their
+// status into /status, /view/status, /readyz and /metrics.
+//
 // Full-state pulls ship the edge's whole counter state every interval
 // even when almost none of it moved, so the steady-state wire cost of a
 // fleet grows with state size (2^d cells for the input-view protocols),
@@ -276,7 +283,7 @@
 // counter vector — and they cost on the wire: sixteen sparse Poisson(4)
 // shard vectors deflate to ~3 bits per counter each, two dense merged
 // ones to ~4.6 bits once, so the benchmark's fleet-pull full pull is
-// 75,030 bytes where per-shard components were 402,229, and a puller
+// 74,990 bytes where per-shard components were 402,229, and a puller
 // decodes, validates, holds and folds 2 blobs instead of 16. The edge
 // keeps the merge in a core.FoldArena of its own, folding the same parts
 // the view engine folds, so an export after one shard moved re-folds

@@ -1,7 +1,10 @@
-package server
+package cluster
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,8 +44,8 @@ const exportHistorySize = 64
 // exportHistory remembers, for recent export labels, the per-component
 // version vector the label corresponds to — what a delta against that
 // base must be computed from. Exports are serialized and an unchanged
-// label re-serves the retained export (Server.exportComponents), so a
-// label is recorded once, with the one vector it is ever served with.
+// label re-serves the retained export (Exporter.export), so a label is
+// recorded once, with the one vector it is ever served with.
 type exportHistory struct {
 	mu      sync.Mutex
 	entries []histEntry // insertion order; oldest first
@@ -110,8 +113,123 @@ func (e *stateExport) component(id string) (wire.StateComponent, bool) {
 	return e.comps[i], true
 }
 
-// exportComponents returns the node's state as components, and the
-// export retained before this call — the blobs a diff is taken against.
+// Exporter serves a node's state on GET /state: an ingesting node's
+// merged shards (or window), or a coordinator's Fleet passed through
+// component by component, so coordinators can themselves be pulled and
+// stack into aggregation trees.
+type Exporter struct {
+	nodeID string
+	src    Source
+	fleet  *Fleet // src, on a coordinator
+
+	// salt offsets the exported state version with a per-process random
+	// value. The in-memory mutation counters restart at zero with the
+	// process, so without the salt a node that crashed, recovered a
+	// *different* state (reports inside the fsync window are lost), and
+	// reached the same counter value could be skipped by a coordinator
+	// as "unchanged". Consumers compare version labels only for
+	// equality, so the salt costs nothing and makes cross-restart
+	// collisions vanishingly unlikely. It is drawn from [2^62, 2^63):
+	// 62 random bits, and every label is a nine-byte uvarint that no
+	// realistic mutation count carries into a tenth, so a frame's size
+	// is a function of its content alone.
+	salt uint64
+
+	// hist remembers recent export labels and their per-component
+	// version vectors — the bases deltas are diffed against. In-memory
+	// only: a restart (which re-salts the version label anyway) empties
+	// it, and pullers then fall back to one full frame.
+	hist exportHistory
+	// mu orders exports; it guards last (the latest one: what an
+	// unchanged label is served from and the next export's diffs are
+	// taken against), arena (the merged local state the next export
+	// re-folds only moved parts into; empty until the first export) and
+	// the parts slice it reuses.
+	mu    sync.Mutex
+	last  *stateExport
+	arena *core.FoldArena
+	parts []core.Part
+}
+
+// NewExporter builds the exporter of src, the node's state, under the
+// node's id and a freshly drawn version salt.
+func NewExporter(p core.Protocol, src Source, nodeID string) (*Exporter, error) {
+	var salt [8]byte
+	if _, err := rand.Read(salt[:]); err != nil {
+		return nil, fmt.Errorf("cluster: generating version salt: %w", err)
+	}
+	e := &Exporter{
+		nodeID: nodeID,
+		src:    src,
+		salt:   1<<62 | binary.LittleEndian.Uint64(salt[:])>>2,
+		arena:  core.NewFoldArena(p.NewAggregator),
+	}
+	e.fleet, _ = src.(*Fleet)
+	return e, nil
+}
+
+// Version is the label a /state export carries right now: the source's
+// mutation counter (fleet-wide on a coordinator) offset by the
+// per-process salt. It must be read *before* the state snapshot it
+// labels — a trailing label makes a future pull re-transfer, never
+// skip, fresh data.
+func (e *Exporter) Version() uint64 { return e.salt + e.src.Version() }
+
+// ServeState answers GET /state with a componentized wire.ComponentFrame
+// — one component per ingesting node (its merged shards, or its window)
+// or, from a coordinator, per constituent node, each with its own
+// version label — and the query names nothing but the base: 304 Not
+// Modified when the caller's If-None-Match (or ?since=) base equals the
+// current version, a delta frame shipping only the components that
+// moved since a known, non-current base (each offered as its counter
+// difference from the base's blob, dense or sparse, when this node still
+// holds that blob and the difference is the smaller payload), and a full
+// frame otherwise. An unknown base — expired from the history ring, or
+// from before a restart (the version salt changed) — falls back to a
+// full frame. It returns an error, having written nothing, when the
+// state cannot be exported.
+func (e *Exporter) ServeState(w http.ResponseWriter, r *http.Request) error {
+	base, haveBase := parseStateBase(r.Header.Get("If-None-Match"), r.URL.Query().Get("since"))
+	if haveBase {
+		// Short-circuit before any state is marshaled: an unchanged peer
+		// costs headers, not an O(2^d) snapshot plus transfer.
+		if ver := e.Version(); base == ver {
+			w.Header().Set("ETag", stateETag(ver))
+			w.WriteHeader(http.StatusNotModified)
+			return nil
+		}
+	}
+	exp, held, err := e.export()
+	if err != nil {
+		return fmt.Errorf("exporting state components: %w", err)
+	}
+	total, err := sumComponentReports(exp.comps)
+	if err != nil {
+		return fmt.Errorf("exporting state components: %w", err)
+	}
+	top := exp.top
+	frame := wire.ComponentFrame{NodeID: e.nodeID, Version: top, N: total, Components: exp.comps}
+	mode, encode := "full", exp.fullFrame
+	if haveBase && base != top {
+		if baseVec, ok := e.hist.lookup(base); ok {
+			frame = deltaAgainst(frame, base, baseVec, exp.vec, held)
+			mode, encode = "delta", wire.EncodeComponentFrame
+		}
+	}
+	buf, err := encode(frame)
+	if err != nil {
+		return fmt.Errorf("framing state components: %w", err)
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Header().Set("ETag", stateETag(top))
+	w.Header().Set("X-LDP-Frame", mode)
+	_, _ = w.Write(buf)
+	return nil
+}
+
+// export returns the node's state as components, and the export
+// retained before this call — the blobs a diff is taken against.
 // Exports run one at a time: the later of two concurrent pullers is the
 // one whose export is retained, and while the top label has not moved
 // the retained export is served again without touching the aggregator.
@@ -121,21 +239,21 @@ func (e *stateExport) component(id string) (wire.StateComponent, bool) {
 // node is one component, named by the node and labeled with the top
 // label (both offset by the process version salt); a coordinator's
 // pass-through components keep their origin's (already salted) labels.
-func (s *Server) exportComponents() (exp, held *stateExport, err error) {
-	s.exportMu.Lock()
-	defer s.exportMu.Unlock()
-	held = s.lastExport
-	top := s.stateVersion()
+func (e *Exporter) export() (exp, held *stateExport, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	held = e.last
+	top := e.Version()
 	if held != nil && held.top == top {
 		return held, held, nil
 	}
 	exp = &stateExport{top: top}
-	if s.fleet != nil {
-		exp.top, exp.comps, exp.vec = s.fleet.exportComponents()
-		exp.top += s.verSalt
+	if e.fleet != nil {
+		exp.top, exp.comps, exp.vec = e.fleet.exportComponents()
+		exp.top += e.salt
 		wire.SortComponents(exp.comps)
 	} else {
-		snap, err := s.exportSnapshot()
+		snap, err := e.snapshot()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -143,47 +261,27 @@ func (s *Server) exportComponents() (exp, held *stateExport, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		exp.comps = []wire.StateComponent{{ID: s.nodeID, Version: top, N: snap.N(), State: blob}}
-		exp.vec = map[string]uint64{s.nodeID: top}
+		exp.comps = []wire.StateComponent{{ID: e.nodeID, Version: top, N: snap.N(), State: blob}}
+		exp.vec = map[string]uint64{e.nodeID: top}
 	}
-	s.stateHist.record(exp.top, exp.vec)
-	s.lastExport = exp
+	e.hist.record(exp.top, exp.vec)
+	e.last = exp
 	return exp, held, nil
 }
 
-// exportSnapshot merges the node's shards (or window) for an export;
-// callers hold exportMu. The merge lives in an arena of the exporter's
-// own, so a pull after one shard moved re-folds that shard instead of
-// re-merging all of them; the returned aggregator is the arena's and is
-// valid until the next call.
-func (s *Server) exportSnapshot() (core.Aggregator, error) {
-	s.exportParts = s.src.AppendParts(s.exportParts[:0])
-	_, err := s.exportArena.Sync(s.exportParts)
-	clear(s.exportParts)
+// snapshot merges the node's shards (or window) for an export; callers
+// hold mu. The merge lives in an arena of the exporter's own, so a pull
+// after one shard moved re-folds that shard instead of re-merging all
+// of them; the returned aggregator is the arena's and is valid until the
+// next call.
+func (e *Exporter) snapshot() (core.Aggregator, error) {
+	e.parts = e.src.AppendParts(e.parts[:0])
+	_, err := e.arena.Sync(e.parts)
+	clear(e.parts)
 	if err != nil {
 		return nil, err
 	}
-	return s.exportArena.State(), nil
-}
-
-// exportComponents passes the coordinator's held peer components through
-// with their original ids and labels, so a root coordinator one tier up
-// can deduplicate, cycle-check, and delta-diff the fleet's true
-// constituents across any number of mid tiers. The top label and the
-// component set are read under one lock acquisition, so repeated labels
-// always describe identical vectors.
-func (f *fleet) exportComponents() (top uint64, comps []wire.StateComponent, vec map[string]uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	top = f.ver.Load()
-	vec = make(map[string]uint64)
-	for _, pe := range f.peers {
-		for id, c := range pe.comps {
-			comps = append(comps, wire.StateComponent{ID: id, Version: c.version, N: c.n, State: c.state})
-			vec[id] = c.version
-		}
-	}
-	return top, comps, vec
+	return e.arena.State(), nil
 }
 
 // stateETag formats a state version as the ETag GET /state serves and

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ldpmarginals/internal/cluster"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/store"
@@ -336,8 +337,8 @@ func chaosPeer(t *testing.T, p core.Protocol, seed uint64) {
 
 	// The edge starts serving corrupt frames; three poisoned pulls (each
 	// against fresh edge state, so none is a 304) quarantine it.
-	fault.Arm(fault.Rule{Site: FaultClusterBody, Mode: fault.ModeCorrupt, Seed: 5 + seed})
-	var cs ClusterStatus
+	fault.Arm(fault.Rule{Site: cluster.FaultBody, Mode: fault.ModeCorrupt, Seed: 5 + seed})
+	var cs cluster.Status
 	for i := 0; i < 3; i++ {
 		postBatchOK(t, edgeTS.URL, p, reps[250+50*i:250+50*(i+1)])
 		cs = postPull(t, coordTS.URL)

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +97,7 @@ func TestStateDeltaHandshake(t *testing.T) {
 	if len(full.Components) != 1 || full.Components[0].ID != "edge-1" || full.Components[0].Version != full.Version {
 		t.Fatalf("full frame ships %d components, want the node's one, labeled like the frame", len(full.Components))
 	}
-	if etag != stateETag(full.Version) {
+	if etag != strconv.Quote(strconv.FormatUint(full.Version, 10)) {
 		t.Fatalf("ETag %q does not label the frame version %d", etag, full.Version)
 	}
 
@@ -174,56 +173,6 @@ func TestStateDeltaHandshake(t *testing.T) {
 	}
 }
 
-// TestStateIgnoresQueryTokens: /state reads nothing from the query but
-// the base. Twin edges — one node id, one version salt, the same reports
-// — asked with no query and with every token coordinators once sent
-// (components=1&diff=1&sparse=2&compact=1) serve byte-identical full and
-// delta frames, and a delta that names only its base, as ?since=, ships
-// the moved component as a sparse diff.
-func TestStateIgnoresQueryTokens(t *testing.T) {
-	p, err := core.New(core.InpPS, clusterCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, plainTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
-	tokens, tokensTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 1})
-	tokens.verSalt = plain.verSalt
-	const tokenQuery = "components=1&diff=1&sparse=2&compact=1"
-	reps := makeClusterReports(t, p, 102, 23)
-	post := func(reps []core.Report) {
-		t.Helper()
-		postBatchOK(t, plainTS.URL, p, reps)
-		postBatchOK(t, tokensTS.URL, p, reps)
-	}
-
-	post(reps[:100])
-	_, full, etag, mode := getState(t, plainTS.URL, "")
-	_, fullTokens, _, modeTokens := getStateQuery(t, tokensTS.URL, tokenQuery, "")
-	if mode != "full" || modeTokens != "full" || !bytes.Equal(full, fullTokens) {
-		t.Fatalf("full frames: %s of %d bytes, with the tokens %s of %d, not the same bytes", mode, len(full), modeTokens, len(fullTokens))
-	}
-	held, err := wire.DecodeComponentFrame(full, 1<<24)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two reports move at most two of the 64 counters.
-	post(reps[100:])
-	since := "since=" + strings.Trim(etag, `"`)
-	_, delta, _, mode := getStateQuery(t, plainTS.URL, since, "")
-	_, deltaTokens, _, modeTokens := getStateQuery(t, tokensTS.URL, tokenQuery+"&"+since, "")
-	if mode != "delta" || modeTokens != "delta" || !bytes.Equal(delta, deltaTokens) {
-		t.Fatalf("deltas: %s of %d bytes, with the tokens %s of %d, not the same bytes", mode, len(delta), modeTokens, len(deltaTokens))
-	}
-	cf, err := wire.DecodeComponentFrameWith(delta, 1<<24, holding(held))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cf.Components) != 1 || cf.Components[0].Base == nil || !cf.Components[0].Base.Sparse {
-		t.Fatalf("delta of two reports ships %+v, want the node's component as a sparse diff", cf.Components)
-	}
-}
-
 // TestClusterDeltaVsFullBitIdentity is the satellite acceptance table:
 // for each served protocol, a coordinator tracks two edges through
 // incremental rounds of deltas and diffs — including an edge
@@ -285,7 +234,7 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 				}
 				sameMarginals(t, round, deltaTS.URL, freshTS.URL)
 			}
-			diffsFrom := func(url string) uint64 { return deltaCoord.puller.ins[url].diffComps.Value() }
+			diffsFrom := func(url string) uint64 { return peerPulls(t, deltaCoord, url).diffs }
 
 			// Round 1: first full pulls. Rounds 2-3: incremental growth,
 			// served to the delta coordinator as deltas whose one component
@@ -338,15 +287,16 @@ func TestClusterDeltaVsFullBitIdentity(t *testing.T) {
 
 			// The delta path must actually have been exercised: at least
 			// one delta-mode pull per edge peer across the rounds.
-			for url, ins := range deltaCoord.puller.ins {
-				if ins.deltaPulls.Value() == 0 {
+			for _, url := range peers {
+				ins := peerPulls(t, deltaCoord, url)
+				if ins.delta == 0 {
 					t.Errorf("peer %s: no delta pulls recorded (full=%d, 304=%d)",
-						url, ins.fullPulls.Value(), ins.notModified.Value())
+						url, ins.full, ins.notModified)
 				}
-				if ins.bytesSaved.Value() == 0 {
+				if ins.bytesSaved == 0 {
 					t.Errorf("peer %s: delta pulls saved no bytes", url)
 				}
-				if wantDiffs && ins.diffComps.Value() == 0 {
+				if wantDiffs && ins.diffs == 0 {
 					t.Errorf("peer %s: no component arrived as a diff", url)
 				}
 			}
@@ -419,20 +369,18 @@ func TestClusterTwoTierBitIdentity(t *testing.T) {
 	if cs.Peers[0].Components != 2 {
 		t.Fatalf("root holds %d components via the mid tier, want one per edge", cs.Peers[0].Components)
 	}
-	root.fleet.mu.Lock()
 	origins := make(map[string]bool)
-	for id := range root.fleet.peers[0].comps {
+	for id := range heldComponents(t, root) {
 		origins[wire.ComponentOrigin(id)] = true
 	}
-	root.fleet.mu.Unlock()
 	if !origins["edge-1"] || !origins["edge-2"] || len(origins) != 2 {
 		t.Fatalf("root component origins = %v, want exactly edge-1 and edge-2", origins)
 	}
-	ins := root.puller.ins[midTS.URL]
-	if ins.deltaPulls.Value() == 0 {
-		t.Errorf("root never pulled a delta through the mid tier (full=%d)", ins.fullPulls.Value())
+	ins := peerPulls(t, root, midTS.URL)
+	if ins.delta == 0 {
+		t.Errorf("root never pulled a delta through the mid tier (full=%d)", ins.full)
 	}
-	if ins.diffComps.Value() == 0 {
+	if ins.diffs == 0 {
 		t.Error("no pass-through component reached the root as a diff")
 	}
 }
@@ -457,15 +405,22 @@ func sameMarginals(t *testing.T, round, gotURL, wantURL string) {
 	}
 }
 
-// heldComponents flattens what a coordinator holds across its peers.
-func heldComponents(s *Server) map[string]peerComp {
-	s.fleet.mu.Lock()
-	defer s.fleet.mu.Unlock()
-	all := make(map[string]peerComp)
-	for _, pe := range s.fleet.peers {
-		for id, c := range pe.comps {
-			all[id] = c
-		}
+// heldComponents is what a coordinator holds across its peers: the
+// components of its full /state frame, which passes them through.
+func heldComponents(t *testing.T, s *Server) map[string]wire.StateComponent {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/state", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: GET /state: status %d", s.NodeID(), rec.Code)
+	}
+	cf, err := wire.DecodeComponentFrame(rec.Body.Bytes(), 1<<24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make(map[string]wire.StateComponent, len(cf.Components))
+	for _, c := range cf.Components {
+		all[c.ID] = c
 	}
 	return all
 }
@@ -474,108 +429,53 @@ func heldComponents(s *Server) map[string]peerComp {
 // components: ids, version labels, report counts and blob bytes.
 func sameHeldComponents(t *testing.T, round string, got, want *Server) {
 	t.Helper()
-	g, w := heldComponents(got), heldComponents(want)
+	g, w := heldComponents(t, got), heldComponents(t, want)
 	if len(g) != len(w) || len(w) == 0 {
 		t.Fatalf("%s: %s holds %d components, %s holds %d", round, got.nodeID, len(g), want.nodeID, len(w))
 	}
 	for id, wc := range w {
 		gc, ok := g[id]
-		if !ok || gc.version != wc.version || gc.n != wc.n || !bytes.Equal(gc.state, wc.state) {
+		if !ok || gc.Version != wc.Version || gc.N != wc.N || !bytes.Equal(gc.State, wc.State) {
 			t.Fatalf("%s: component %s differs between %s and %s", round, id, got.nodeID, want.nodeID)
 		}
 	}
 }
 
-// TestDiffFallbackLadder walks the rungs below "diff": a retained blob
-// that is not the puller's base ships the component whole, and a diff
-// that does not rebuild on what the puller holds costs exactly one more
-// request, a full frame, in the same pull — after which diffs resume.
-func TestDiffFallbackLadder(t *testing.T) {
-	p, err := core.New(core.InpPS, clusterCfg)
-	if err != nil {
+// pullCounts is one peer's pull counters as a coordinator's /metrics
+// shows them.
+type pullCounts struct{ full, delta, notModified, diffs, failed, bytesSaved uint64 }
+
+// peerPulls reads one peer's pull counters off a coordinator's metric
+// registry.
+func peerPulls(t *testing.T, s *Server, peer string) pullCounts {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.Metrics().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	reps := makeClusterReports(t, p, 300, 71)
-	edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-1", Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stateGets atomic.Int64
-	inner := edge.Handler()
-	edgeTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/state" {
-			stateGets.Add(1)
+	values := make(map[string]uint64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		series, value, _ := strings.Cut(line, " ")
+		if v, err := strconv.ParseUint(value, 10, 64); err == nil {
+			values[series] = v
 		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() { edgeTS.Close(); _ = edge.Close() })
-	newCoord := func(id string) (*Server, string, *peerInstruments) {
-		c, ts := newClusterNode(t, p, Options{
-			Role: RoleCoordinator, NodeID: id, Peers: []string{edgeTS.URL}, PullInterval: time.Minute,
-		})
-		return c, ts.URL, c.puller.ins[edgeTS.URL]
 	}
-	a, aURL, aIns := newCoord("coord-a")
-	b, bURL, _ := newCoord("coord-b")
-	type counts struct{ gets, full, delta, diffs uint64 }
-	pullA := func() counts {
+	read := func(family, labels string) uint64 {
 		t.Helper()
-		before := counts{uint64(stateGets.Load()), aIns.fullPulls.Value(), aIns.deltaPulls.Value(), aIns.diffComps.Value()}
-		if cs := postPull(t, aURL); cs.Peers[0].LastError != "" {
-			t.Fatalf("pull failed: %s", cs.Peers[0].LastError)
+		series := family + `{peer="` + peer + `"` + labels + `}`
+		v, ok := values[series]
+		if !ok {
+			t.Fatalf("%s: no series %s", s.NodeID(), series)
 		}
-		return counts{uint64(stateGets.Load()) - before.gets, aIns.fullPulls.Value() - before.full,
-			aIns.deltaPulls.Value() - before.delta, aIns.diffComps.Value() - before.diffs}
+		return v
 	}
-
-	postBatchOK(t, edgeTS.URL, p, reps[:100])
-	if got := pullA(); got != (counts{gets: 1, full: 1}) {
-		t.Fatalf("first pull: %+v, want one full frame", got)
-	}
-	postBatchOK(t, edgeTS.URL, p, reps[100:150])
-	if got := pullA(); got != (counts{gets: 1, delta: 1, diffs: 1}) {
-		t.Fatalf("second pull: %+v, want one delta with the component as a diff", got)
-	}
-
-	// Another puller's export replaces the retained blob: the edge knows
-	// a's base from its history ring but no longer has the blob a holds.
-	postBatchOK(t, edgeTS.URL, p, reps[150:200])
-	postPull(t, bURL)
-	postBatchOK(t, edgeTS.URL, p, reps[200:250])
-	if got := pullA(); got != (counts{gets: 1, delta: 1}) {
-		t.Fatalf("pull against a stale retained blob: %+v, want one delta of whole components", got)
-	}
-	postPull(t, bURL)
-	sameHeldComponents(t, "after the whole-component delta", a, b)
-
-	// a's copy of its base goes bad under an unchanged label (the races
-	// the one-directional version guarantee allows end here too): the
-	// rebuilt blob fails its checksum, and the pull recovers on its own.
-	a.fleet.mu.Lock()
-	pe := a.fleet.peers[0]
-	bad := make(map[string]peerComp, len(pe.comps))
-	for id, c := range pe.comps {
-		c.state = append([]byte(nil), c.state...)
-		c.state[len(c.state)-1] ^= 1
-		bad[id] = c
-	}
-	pe.comps = bad
-	a.fleet.mu.Unlock()
-	postBatchOK(t, edgeTS.URL, p, reps[250:275])
-	if got := pullA(); got != (counts{gets: 2, full: 1}) {
-		t.Fatalf("pull onto a mismatched base: %+v, want the diff reply plus exactly one full re-fetch", got)
-	}
-	postPull(t, bURL)
-	sameHeldComponents(t, "after the full re-fetch", a, b)
-
-	postBatchOK(t, edgeTS.URL, p, reps[275:])
-	if got := pullA(); got != (counts{gets: 1, delta: 1, diffs: 1}) {
-		t.Fatalf("pull after the re-fetch: %+v, want diffs to have resumed", got)
-	}
-	postPull(t, bURL)
-	sameHeldComponents(t, "at the end", a, b)
-	if a.N() != len(reps) {
-		t.Fatalf("coordinator holds %d reports, %d were posted", a.N(), len(reps))
+	return pullCounts{
+		full:        read("ldp_cluster_pull_full_total", ""),
+		delta:       read("ldp_cluster_pull_delta_total", ""),
+		notModified: read("ldp_cluster_pull_not_modified_total", ""),
+		diffs:       read("ldp_cluster_pull_diff_components_total", ""),
+		failed:      read("ldp_cluster_pulls_total", `,result="error"`),
+		bytesSaved:  read("ldp_cluster_pull_bytes_saved_total", ""),
 	}
 }
 
@@ -720,33 +620,6 @@ func TestClusterDiamondDedup(t *testing.T) {
 	}
 }
 
-// TestBackoffDelayJitterBounds pins the retry schedule: exponential in
-// the failure count, capped at maxBackoffShift doublings, with bounded
-// non-degenerate jitter.
-func TestBackoffDelayJitterBounds(t *testing.T) {
-	const interval = time.Second
-	for fails := 1; fails <= 10; fails++ {
-		shift := fails - 1
-		if shift > maxBackoffShift {
-			shift = maxBackoffShift
-		}
-		base := interval << shift
-		sawJitter := false
-		for i := 0; i < 200; i++ {
-			d := backoffDelay(interval, fails)
-			if d < base || d > base+base/2 {
-				t.Fatalf("fails=%d: delay %v outside [%v, %v]", fails, d, base, base+base/2)
-			}
-			if d != base {
-				sawJitter = true
-			}
-		}
-		if !sawJitter {
-			t.Errorf("fails=%d: 200 delays all exactly %v — jitter is degenerate", fails, base)
-		}
-	}
-}
-
 // TestCoordinatorRestartResumesDelta pins persistence of the delta
 // bases: a coordinator restarted from its ClusterDir still knows each
 // peer's acknowledged version, so its first pull of an unchanged,
@@ -782,10 +655,9 @@ func TestCoordinatorRestartResumesDelta(t *testing.T) {
 	}
 	// Unchanged peer: the recovered base matches, so the pull is a 304.
 	postPull(t, ts2.URL)
-	ins := coord2.puller.ins[edgeTS.URL]
-	if ins.notModified.Value() != 1 || ins.fullPulls.Value() != 0 {
+	if ins := peerPulls(t, coord2, edgeTS.URL); ins.notModified != 1 || ins.full != 0 {
 		t.Fatalf("restart pull: 304=%d full=%d delta=%d, want exactly one 304",
-			ins.notModified.Value(), ins.fullPulls.Value(), ins.deltaPulls.Value())
+			ins.notModified, ins.full, ins.delta)
 	}
 	// Moved peer: the recovered base still serves, so the pull is a
 	// delta, not a full transfer.
@@ -794,9 +666,9 @@ func TestCoordinatorRestartResumesDelta(t *testing.T) {
 	if coord2.N() != 150 {
 		t.Fatalf("post-restart delta pull N=%d, want 150", coord2.N())
 	}
-	if ins.deltaPulls.Value() != 1 {
+	if ins := peerPulls(t, coord2, edgeTS.URL); ins.delta != 1 {
 		t.Fatalf("moved-peer pull after restart: 304=%d full=%d delta=%d, want a delta",
-			ins.notModified.Value(), ins.fullPulls.Value(), ins.deltaPulls.Value())
+			ins.notModified, ins.full, ins.delta)
 	}
 }
 
@@ -880,11 +752,11 @@ func TestConcurrentDiffPullsConverge(t *testing.T) {
 			t.Fatalf("%s after the run: %+v", c.nodeID, cs.Peers[0])
 		}
 		sameHeldComponents(t, "after the run", c, fresh)
-		ins := c.puller.ins[edgeTS.URL]
-		if ins.failed.Value() != 0 {
-			t.Errorf("%s: %d pulls failed", c.nodeID, ins.failed.Value())
+		ins := peerPulls(t, c, edgeTS.URL)
+		if ins.failed != 0 {
+			t.Errorf("%s: %d pulls failed", c.nodeID, ins.failed)
 		}
-		diffs += ins.diffComps.Value()
+		diffs += ins.diffs
 	}
 	if diffs == 0 {
 		t.Error("no component arrived as a diff in the whole run")

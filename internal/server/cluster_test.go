@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ldpmarginals/internal/bitops"
+	"ldpmarginals/internal/cluster"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/freqoracle"
@@ -80,7 +81,7 @@ func postBatchOK(t *testing.T, url string, p core.Protocol, reps []core.Report) 
 	}
 }
 
-func postPull(t *testing.T, url string) ClusterStatus {
+func postPull(t *testing.T, url string) cluster.Status {
 	t.Helper()
 	resp, err := http.Post(url+"/pull", "", nil)
 	if err != nil {
@@ -91,7 +92,7 @@ func postPull(t *testing.T, url string) ClusterStatus {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("pull: status %d: %s", resp.StatusCode, b)
 	}
-	var cs ClusterStatus
+	var cs cluster.Status
 	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
 		t.Fatal(err)
 	}

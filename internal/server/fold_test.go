@@ -149,29 +149,29 @@ func TestCoordinatorFoldsPeerChurn(t *testing.T) {
 
 	// (a) e2 restarts under its id with a fresh salt: the base it is asked
 	// for is unknown, one full frame replaces its one component.
-	fullBefore := mid.puller.ins[urls[1]].fullPulls.Value()
+	fullBefore := peerPulls(t, mid, urls[1]).full
 	routes[1].cur.Store(node("e2").Handler())
 	postBatchOK(t, urls[1], p, reps[200:260])
 	pullAndCheck("restarted e2", 1)
-	if got := mid.puller.ins[urls[1]].fullPulls.Value() - fullBefore; got != 1 {
+	if got := peerPulls(t, mid, urls[1]).full - fullBefore; got != 1 {
 		t.Fatalf("restarted e2 answered %d full frames, want 1", got)
 	}
 
 	// (b) urls[0] now routes to node x: every contribution of e1 drops and
 	// x's is folded in — two components moved at the mid tier and, (c) as
 	// a delta naming e1 removed, at the root.
-	midDeltas := mid.puller.ins[urls[0]].deltaPulls.Value()
-	rootDeltas := root.puller.ins[midTS.URL].deltaPulls.Value()
+	midDeltas := peerPulls(t, mid, urls[0]).delta
+	rootDeltas := peerPulls(t, root, midTS.URL).delta
 	routes[0].cur.Store(node("x").Handler())
 	postBatchOK(t, urls[0], p, reps[260:400])
 	pullAndCheck("re-pointed url", 2)
-	if got := mid.puller.ins[urls[0]].deltaPulls.Value() - midDeltas; got != 0 {
+	if got := peerPulls(t, mid, urls[0]).delta - midDeltas; got != 0 {
 		t.Fatalf("node x answered %d deltas to a base of e1's", got)
 	}
-	if got := root.puller.ins[midTS.URL].deltaPulls.Value() - rootDeltas; got != 1 {
+	if got := peerPulls(t, root, midTS.URL).delta - rootDeltas; got != 1 {
 		t.Fatalf("the root pulled %d deltas of the mid tier, want the one removing e1", got)
 	}
-	if held := heldComponents(mid); len(held) != 2 || held["x"].n != 140 || held["e2"].n != 60 {
+	if held := heldComponents(t, mid); len(held) != 2 || held["x"].N != 140 || held["e2"].N != 60 {
 		t.Fatalf("mid holds %v, want x and e2", held)
 	}
 }

@@ -138,81 +138,10 @@ func (s *Server) buildRegistry() *metrics.Registry {
 	if s.ledger != nil {
 		s.ledger.RegisterMetrics(r)
 	}
-	if s.fleet != nil {
-		s.registerClusterMetrics(r)
+	if s.puller != nil {
+		s.puller.RegisterMetrics(r)
 	}
 	return r
-}
-
-// registerClusterMetrics attaches the coordinator's per-peer pull
-// instrumentation: latency/bytes/result counters the puller maintains,
-// and scrape-time gauges over the fleet's accepted states.
-func (s *Server) registerClusterMetrics(r *metrics.Registry) {
-	r.MustCounterFunc("ldp_cluster_pull_rounds_total", "Completed pull rounds (scheduled and forced).", nil,
-		func() float64 { return float64(s.puller.rounds.Value()) })
-	r.MustGaugeFunc("ldp_cluster_fleet_reports", "Fleet-wide report count (every accepted peer state).", nil,
-		func() float64 { return float64(s.fleet.N()) })
-	r.MustGaugeFunc("ldp_cluster_peers_with_state", "Configured peers whose state has been accepted (pulled or recovered).", nil,
-		func() float64 { return float64(s.fleet.peersWithState()) })
-
-	for _, pe := range s.fleet.peers {
-		pe := pe
-		labels := metrics.Labels{"peer": pe.url}
-		ins := s.puller.ins[pe.url]
-		r.MustRegister("ldp_cluster_pull_seconds", "One peer pull's wall time (fetch + validate + accept).", labels, ins.latency)
-		r.MustRegister("ldp_cluster_pull_bytes_total", "State bytes fetched from the peer.", labels, ins.bytes)
-		r.MustRegister("ldp_cluster_pulls_total", "Pulls by outcome.", metrics.Labels{"peer": pe.url, "result": "changed"}, ins.changed)
-		r.MustRegister("ldp_cluster_pulls_total", "Pulls by outcome.", metrics.Labels{"peer": pe.url, "result": "unchanged"}, ins.unchanged)
-		r.MustRegister("ldp_cluster_pulls_total", "Pulls by outcome.", metrics.Labels{"peer": pe.url, "result": "error"}, ins.failed)
-		r.MustRegister("ldp_cluster_pull_delta_total", "Successful pulls answered with a delta frame.", labels, ins.deltaPulls)
-		r.MustRegister("ldp_cluster_pull_full_total", "Successful pulls answered with a full frame.", labels, ins.fullPulls)
-		r.MustRegister("ldp_cluster_pull_not_modified_total", "Successful pulls answered 304 Not Modified (version handshake hit).", labels, ins.notModified)
-		r.MustRegister("ldp_cluster_pull_diff_components_total", "Components of pulled delta frames that arrived as counter diffs, dense or sparse, rather than whole.", labels, ins.diffComps)
-		r.MustRegister("ldp_cluster_pull_bytes_saved_total", "Estimated bytes the delta/304 path avoided transferring, vs re-fetching the peer's last full frame.", labels, ins.bytesSaved)
-		r.MustGaugeFunc("ldp_cluster_peer_components", "Named state components in the peer's latest accepted state.", labels,
-			func() float64 {
-				s.fleet.mu.Lock()
-				defer s.fleet.mu.Unlock()
-				return float64(len(pe.comps))
-			})
-		r.MustGaugeFunc("ldp_cluster_peer_reports", "Reports in the peer's latest accepted state.", labels,
-			func() float64 {
-				s.fleet.mu.Lock()
-				defer s.fleet.mu.Unlock()
-				return float64(pe.n)
-			})
-		r.MustGaugeFunc("ldp_cluster_peer_pull_age_seconds", "Seconds since the peer's last successful pull (-1 before the first).", labels,
-			func() float64 {
-				s.fleet.mu.Lock()
-				pulledAt := pe.pulledAt
-				s.fleet.mu.Unlock()
-				if pulledAt.IsZero() {
-					return -1
-				}
-				if age := time.Since(pulledAt).Seconds(); age > 0 {
-					return age
-				}
-				return 0
-			})
-		r.MustGaugeFunc("ldp_cluster_peer_failures", "Consecutive pull failures (drives exponential backoff).", labels,
-			func() float64 {
-				s.fleet.mu.Lock()
-				defer s.fleet.mu.Unlock()
-				return float64(pe.fails)
-			})
-		r.MustGaugeFunc("ldp_cluster_peer_health", "Peer circuit-breaker state: 0 healthy, 1 backing_off, 2 quarantined.", labels,
-			func() float64 {
-				s.fleet.mu.Lock()
-				defer s.fleet.mu.Unlock()
-				return float64(pe.healthLocked())
-			})
-		r.MustCounterFunc("ldp_cluster_peer_quarantines_total", "Circuit-breaker trips: times the peer entered quarantine after repeated poison pulls.", labels,
-			func() float64 {
-				s.fleet.mu.Lock()
-				defer s.fleet.mu.Unlock()
-				return float64(pe.quarantines)
-			})
-	}
 }
 
 // statusRecorder captures the response status for the middleware.
@@ -347,13 +276,13 @@ func (s *Server) readiness() ReadyResponse {
 		fail("no_epoch")
 	}
 	if s.fleet != nil {
-		if s.fleet.peersWithState() == 0 {
+		if s.fleet.PeersWithState() == 0 {
 			fail("no_peer_state")
 		}
 		// Peer health is surfaced but does not gate readiness: a
 		// quarantined peer's held contribution keeps serving, which is
 		// the point of quarantine.
-		resp.PeerHealth = s.fleet.peerHealth()
+		resp.PeerHealth = s.fleet.PeerHealth()
 	}
 	return resp
 }

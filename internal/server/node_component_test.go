@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,66 +80,6 @@ func TestFullFrameBytesIndependentOfShards(t *testing.T) {
 	t.Logf("full frame of %d reports: %d bytes", n, len(body1))
 }
 
-// TestExportAtUnchangedLabelServesRetained: while the top label has not
-// moved, every export is the retained one — no snapshot, no marshal, no
-// second deflate of its full frame — and the export before a move is
-// what the next one hands out as the diff base, for cumulative and
-// windowed nodes alike.
-func TestExportAtUnchangedLabelServesRetained(t *testing.T) {
-	p, err := core.New(core.InpHT, clusterCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := makeClusterReports(t, p, 60, 3)
-	for name, opts := range map[string]Options{
-		"cumulative": {Role: RoleEdge, NodeID: "e", Shards: 3},
-		"windowed":   {Role: RoleEdge, NodeID: "e", Shards: 3, Window: time.Hour, Bucket: time.Minute},
-	} {
-		t.Run(name, func(t *testing.T) {
-			s, ts := newClusterNode(t, p, opts)
-			postBatchOK(t, ts.URL, p, reps[:40])
-			first, _, err := s.exportComponents()
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, held, err := s.exportComponents()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again != first || held != first {
-				t.Fatal("an export at an unchanged label was built again")
-			}
-			// Its full frame is deflated once, for whoever asks first.
-			_, body, _, _ := getState(t, ts.URL, "")
-			encoded := &first.full[0]
-			_, body2, _, _ := getState(t, ts.URL, "")
-			if !bytes.Equal(body, first.full) || !bytes.Equal(body2, first.full) || &first.full[0] != encoded {
-				t.Fatal("full frames at an unchanged label are not the one retained encoding")
-			}
-			postBatchOK(t, ts.URL, p, reps[40:])
-			next, held, err := s.exportComponents()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next == first || held != first || next.comps[0].N != 60 || next.comps[0].Version != next.top {
-				t.Fatalf("export after a move: %+v (held is the previous one: %v)", next.comps[0], held == first)
-			}
-			// What the arena folded is what a fresh merge marshals.
-			snap, err := s.ring.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := snap.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(next.comps[0].State, want) {
-				t.Fatal("exported blob differs from a fresh snapshot's")
-			}
-		})
-	}
-}
-
 // TestRejectedBatchKeepsStateLabel: a batch that lands no report — its
 // one report is a coefficient outside T, refused with a 400 — moves no
 // state, so the /state label stands and a pull acknowledging it is a
@@ -174,8 +116,9 @@ func TestRejectedBatchKeepsStateLabel(t *testing.T) {
 
 // TestMixedGranularityFullFrameReplaces is an upgrade seen from above: a
 // coordinator holding an edge as per-shard components "edge-0/0..3" (the
-// layout before the node became the unit of exchange) — accepted in
-// memory, or recovered from a peers snapshot — pulls the upgraded edge.
+// layout before the node became the unit of exchange) — pulled from the
+// edge's old process, or recovered from a peers snapshot — pulls the
+// upgraded edge.
 // The new process's salt makes the acknowledged base unknown, one full
 // frame carrying "edge-0" replaces the four, and nothing is counted
 // twice: directly (the mid tier) and through it (the root, as a delta
@@ -193,7 +136,22 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 
 	for _, recovered := range []bool{false, true} {
 		t.Run(fmt.Sprintf("recovered=%v", recovered), func(t *testing.T) {
-			_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-0", Shards: 4})
+			// Until the old process is gone, the edge URL answers /state
+			// with the old layout.
+			var oldFrame atomic.Pointer[[]byte]
+			edge, err := NewWithOptions(p, Options{Role: RoleEdge, NodeID: "edge-0", Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := edge.Handler()
+			edgeTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if body := oldFrame.Load(); body != nil && r.URL.Path == "/state" {
+					_, _ = w.Write(*body)
+					return
+				}
+				inner.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { edgeTS.Close(); _ = edge.Close() })
 			old4 := core.NewSharded(p, 4)
 			for i := 0; i < 4; i++ {
 				postBatchOK(t, edgeTS.URL, p, reps[50*i:50*i+50])
@@ -221,14 +179,17 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 			}
 			mid, midTS := newClusterNode(t, p, midOpts)
 			if !recovered {
-				valid, err := validateComponents(p, old)
+				body, err := wire.EncodeComponentFrame(old)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := mid.fleet.accept(edgeTS.URL, valid); err != nil {
-					t.Fatal(err)
+				oldFrame.Store(&body)
+				if cs := postPull(t, midTS.URL); cs.Peers[0].LastError != "" {
+					t.Fatalf("pull of the old process: %+v", cs.Peers[0])
 				}
+				oldFrame.Store(nil)
 			}
+			midBefore := peerPulls(t, mid, edgeTS.URL)
 			root, rootTS := newClusterNode(t, p, Options{Role: RoleCoordinator, NodeID: "root", Peers: []string{midTS.URL}, PullInterval: time.Hour})
 			if cs := postPull(t, rootTS.URL); mid.N() != 200 || root.N() != 200 || cs.Peers[0].Components != 4 {
 				t.Fatalf("before the upgrade: mid holds %d, root %d in %d components; want 200, 200, 4", mid.N(), root.N(), cs.Peers[0].Components)
@@ -239,17 +200,17 @@ func TestMixedGranularityFullFrameReplaces(t *testing.T) {
 			if pe := cs.Peers[0]; pe.LastError != "" || pe.N != 300 || pe.Components != 1 || mid.N() != 300 {
 				t.Fatalf("mid after the upgrade: %+v (N %d), want 300 reports in one component", pe, mid.N())
 			}
-			if ins := mid.puller.ins[edgeTS.URL]; ins.fullPulls.Value() != 1 || ins.deltaPulls.Value() != 0 {
-				t.Fatalf("mid pulled full=%d delta=%d, want the one full frame an unknown base gets", ins.fullPulls.Value(), ins.deltaPulls.Value())
+			if ins := peerPulls(t, mid, edgeTS.URL); ins.full-midBefore.full != 1 || ins.delta != 0 {
+				t.Fatalf("mid pulled full=%d delta=%d, want the one full frame an unknown base gets", ins.full-midBefore.full, ins.delta)
 			}
 			cs = postPull(t, rootTS.URL)
 			if pe := cs.Peers[0]; pe.LastError != "" || pe.N != 300 || pe.Components != 1 || root.N() != 300 {
 				t.Fatalf("root after the upgrade: %+v (N %d), want 300 reports in one component", pe, root.N())
 			}
-			if ins := root.puller.ins[midTS.URL]; ins.deltaPulls.Value() != 1 {
-				t.Fatalf("root pulled full=%d delta=%d, want the replacement to arrive as a delta", ins.fullPulls.Value(), ins.deltaPulls.Value())
+			if ins := peerPulls(t, root, midTS.URL); ins.delta != 1 {
+				t.Fatalf("root pulled full=%d delta=%d, want the replacement to arrive as a delta", ins.full, ins.delta)
 			}
-			if held := heldComponents(root); len(held) != 1 || held["edge-0"].n != 300 {
+			if held := heldComponents(t, root); len(held) != 1 || held["edge-0"].N != 300 {
 				t.Fatalf("root holds %v, want only edge-0", held)
 			}
 			for _, url := range []string{midTS.URL, rootTS.URL} {

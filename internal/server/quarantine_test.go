@@ -2,83 +2,15 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
-	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"ldpmarginals/internal/cluster"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/fault"
 )
-
-// TestBreakerTransitions unit-tests the circuit breaker's schedule
-// logic: transient failures back off but never quarantine, only
-// *consecutive* poison failures trip the breaker, and any clean pull
-// closes it.
-func TestBreakerTransitions(t *testing.T) {
-	const url = "http://peer"
-	f := &fleet{peers: []*peerEntry{{url: url}}}
-	pl := newPuller(f, time.Second, time.Second, 1<<20, nil, slog.New(slog.DiscardHandler))
-	pe := f.peers[0]
-
-	transient := errors.New("dial tcp: connection refused")
-	poisoned := poison(errors.New("component frame checksum mismatch"))
-
-	// Transient failures alone never quarantine, however many.
-	for i := 0; i < 10; i++ {
-		if h := pl.updateSchedule(url, transient); h != peerBackingOff {
-			t.Fatalf("transient failure %d: health %v, want backing_off", i, h)
-		}
-	}
-	if pe.quarantined || pe.poisonFails != 0 {
-		t.Fatalf("transient failures tripped the breaker: %+v", pe)
-	}
-
-	// Two poisons, a transient, two more poisons: the transient breaks
-	// the consecutive run, so no quarantine yet.
-	pl.updateSchedule(url, poisoned)
-	pl.updateSchedule(url, poisoned)
-	pl.updateSchedule(url, transient)
-	pl.updateSchedule(url, poisoned)
-	if h := pl.updateSchedule(url, poisoned); h != peerBackingOff {
-		t.Fatalf("after broken poison run: health %v, want backing_off", h)
-	}
-	if pe.quarantined {
-		t.Fatal("non-consecutive poison failures tripped the breaker")
-	}
-
-	// The third consecutive poison trips it.
-	if h := pl.updateSchedule(url, poisoned); h != peerQuarantined {
-		t.Fatalf("after 3 consecutive poisons: health %v, want quarantined", h)
-	}
-	if pe.quarantines != 1 || pe.quarantinedAt.IsZero() {
-		t.Fatalf("quarantine bookkeeping: %+v", pe)
-	}
-	// Quarantined scheduling runs on the half-open timer (16 intervals,
-	// 16s), not the exponential backoff: after 16 consecutive failures
-	// that is at its cap, 32 intervals plus jitter, at least 32s.
-	if wait := time.Until(pe.nextDue); wait <= 15*time.Second || wait > 16*time.Second {
-		t.Fatalf("half-open probe due in %v, want 16s", wait)
-	}
-	// Further poison probes keep it quarantined without re-tripping.
-	pl.updateSchedule(url, poisoned)
-	if pe.quarantines != 1 {
-		t.Fatalf("failed half-open probe re-counted a trip: %d", pe.quarantines)
-	}
-
-	// One clean pull closes the breaker and clears every counter.
-	if h := pl.updateSchedule(url, nil); h != peerHealthy {
-		t.Fatalf("after clean pull: health %v, want healthy", h)
-	}
-	if pe.quarantined || pe.fails != 0 || pe.poisonFails != 0 || pe.lastErr != "" {
-		t.Fatalf("clean pull did not reset breaker state: %+v", pe)
-	}
-	if pe.quarantines != 1 {
-		t.Fatalf("lifetime trip count lost on recovery: %d", pe.quarantines)
-	}
-}
 
 // TestPeerQuarantineLifecycle drives the breaker end to end over HTTP:
 // an edge whose response bodies are corrupted in flight is quarantined
@@ -111,8 +43,8 @@ func TestPeerQuarantineLifecycle(t *testing.T) {
 
 	// Every response body now arrives damaged. Each pull must carry a
 	// body (not a 304), so feed the edge fresh reports between pulls.
-	fault.Arm(fault.Rule{Site: FaultClusterBody, Mode: fault.ModeCorrupt, Seed: 9})
-	var cs ClusterStatus
+	fault.Arm(fault.Rule{Site: cluster.FaultBody, Mode: fault.ModeCorrupt, Seed: 9})
+	var cs cluster.Status
 	for i := 0; i < 3; i++ {
 		postBatchOK(t, edgeTS.URL, p, reps[100+20*i:100+20*(i+1)])
 		cs = postPull(t, coordTS.URL)
@@ -208,8 +140,8 @@ func TestDialFailuresBackOffWithoutQuarantine(t *testing.T) {
 		Peers: []string{edgeTS.URL}, PullInterval: time.Minute,
 	})
 
-	fault.Arm(fault.Rule{Site: FaultClusterDial, Mode: fault.ModeError, Msg: "connection refused"})
-	var cs ClusterStatus
+	fault.Arm(fault.Rule{Site: cluster.FaultDial, Mode: fault.ModeError, Msg: "connection refused"})
+	var cs cluster.Status
 	for i := 0; i < 5; i++ {
 		cs = postPull(t, coordTS.URL)
 	}

@@ -37,7 +37,7 @@
 // codec is canonical, a coordinator's view over E edges splitting a
 // report stream is byte-identical to a single node consuming the whole
 // stream — including after an edge crashes and recovers from its WAL.
-// See internal/server/cluster.go for the exchange semantics.
+// See internal/cluster for the exchange semantics.
 //
 // # Epochs and staleness
 //
@@ -119,7 +119,6 @@ package server
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -128,10 +127,10 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"ldpmarginals/internal/cluster"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
 	"ldpmarginals/internal/loop"
@@ -160,17 +159,6 @@ const maxBatchBytes = 16 << 20
 // maxQueryBytes bounds a /query body: 1 MiB of JSON holds tens of
 // thousands of conjunctions, far beyond any sane analyst batch.
 const maxQueryBytes = 1 << 20
-
-// maxStateBytes bounds a pulled /state body. The largest live state is
-// InpPS at d=20: 2^20 uvarint counters plus framing, well under this.
-const maxStateBytes = 256 << 20
-
-// defaultPullInterval is the coordinator's pull cadence when
-// Options.PullInterval is unset.
-const defaultPullInterval = 5 * time.Second
-
-// pullTimeout bounds one peer state transfer.
-const pullTimeout = 30 * time.Second
 
 // slowTrace is the request duration at or above which a completed trace
 // is additionally logged at warn.
@@ -265,14 +253,6 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// stateSource is a node's one state: the window ring of an ingesting
-// node, or a coordinator's fleet of peer components. The view engine
-// captures it, /state exports it, and its version labels the exports.
-type stateSource interface {
-	view.Source
-	Version() uint64
-}
-
 // Server exposes one protocol deployment over HTTP. Safe for concurrent
 // use by any number of HTTP client goroutines.
 type Server struct {
@@ -282,7 +262,7 @@ type Server struct {
 	nodeID   string
 
 	ring   *window.Ring    // ingesting deployments only; never seals when cumulative
-	src    stateSource     // ring or fleet: whichever this node holds
+	src    cluster.Source  // ring or fleet: whichever this node holds
 	shards int             // resolved aggregation width
 	ledger *privacy.Ledger // windowed deployments with a RoundEps budget
 
@@ -290,43 +270,15 @@ type Server struct {
 	// failure (a string), for /status.
 	lastRotateErr atomic.Value
 
-	// verSalt offsets the exported state version with a per-process
-	// random value. The in-memory mutation counters restart at zero with
-	// the process, so without the salt a node that crashed, recovered a
-	// *different* state (reports inside the fsync window are lost), and
-	// reached the same counter value could be skipped by a coordinator
-	// as "unchanged". Consumers compare version labels only for
-	// equality, so the salt costs nothing and makes cross-restart
-	// collisions vanishingly unlikely. It is drawn from [2^62, 2^63):
-	// 62 random bits, and every label is a nine-byte uvarint that no
-	// realistic mutation count carries into a tenth, so a frame's size
-	// is a function of its content alone.
-	verSalt uint64
-
-	ingest *ingestPipeline // ingesting roles only
-	engine *view.Engine    // serving roles only: the materialized view over src
-	fleet  *fleet          // pulling roles only
-	puller *puller         // pulling roles only
+	ingest   *ingestPipeline   // ingesting roles only
+	engine   *view.Engine      // serving roles only: the materialized view over src
+	exporter *cluster.Exporter // exports src on GET /state
+	fleet    *cluster.Fleet    // pulling roles only
+	puller   *cluster.Puller   // pulling roles only
 
 	// stops stops the node's background loops, in the order they
 	// started; Close runs them in reverse.
 	stops []func()
-
-	// stateHist remembers recent componentized /state export labels and
-	// their per-component version vectors — the bases deltas are diffed
-	// against. In-memory only: a restart (which re-salts the version
-	// label anyway) empties it, and pullers then fall back to one full
-	// frame.
-	stateHist exportHistory
-	// exportMu orders componentized /state exports; it guards lastExport
-	// (the latest one: what an unchanged label is served from and the
-	// next export's diffs are taken against), exportArena (the merged
-	// local state the next export re-folds only moved parts into; empty
-	// until the first export) and the parts slice it reuses.
-	exportMu    sync.Mutex
-	lastExport  *stateExport
-	exportArena *core.FoldArena
-	exportParts []core.Part
 
 	ins    *serverInstruments // always non-nil; hot paths update unconditionally
 	adm    *admission         // the ingest gate; idle on a coordinator
@@ -380,14 +332,13 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		log = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
-		protocol:    p,
-		tag:         tag,
-		role:        opts.Role,
-		nodeID:      nodeID,
-		shards:      core.ResolveShards(opts.Shards),
-		exportArena: core.NewFoldArena(p.NewAggregator),
-		ins:         newServerInstruments(),
-		log:         log.With("node", nodeID),
+		protocol: p,
+		tag:      tag,
+		role:     opts.Role,
+		nodeID:   nodeID,
+		shards:   core.ResolveShards(opts.Shards),
+		ins:      newServerInstruments(),
+		log:      log.With("node", nodeID),
 	}
 	s.tracer = trace.New(trace.Options{
 		SlowThreshold: slowTrace,
@@ -395,18 +346,13 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			s.log.Warn("slow trace", "trace", traceID, "root", rootName, "dur", d)
 		},
 	})
-	var salt [8]byte
-	if _, err := rand.Read(salt[:]); err != nil {
-		return fail(fmt.Errorf("server: generating version salt: %w", err))
-	}
-	s.verSalt = 1<<62 | binary.LittleEndian.Uint64(salt[:])>>2
 	// Every role holds the ingest gate; a coordinator's stays idle.
 	s.adm = newAdmission(opts.MaxInflightIngest, opts.MaxIngestQueue, s.shards)
 	// The node's one state source. An ingesting node's ring is also its
 	// ingest target, recovery seed and store snapshot source; a
 	// coordinator ingests nothing.
 	if pulling.has(s.role) {
-		if s.fleet, err = newFleet(p, opts.Peers, opts.ClusterDir, nodeID); err != nil {
+		if s.fleet, err = cluster.NewFleet(p, opts.Peers, opts.ClusterDir, nodeID); err != nil {
 			return fail(err)
 		}
 		s.src = s.fleet
@@ -431,6 +377,9 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			s.deg = newDegrader(opts.Store, s.log, opts.DegradedProbeInterval)
 		}
 	}
+	if s.exporter, err = cluster.NewExporter(p, s.src, nodeID); err != nil {
+		return fail(err)
+	}
 	// The role's loops. Each starts only once everything it touches is
 	// built: pulls after the initial epoch, so the engine never races
 	// fleet mutations during construction, and rotation after the
@@ -443,12 +392,8 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		s.stops = append(s.stops, s.engine.Close)
 	}
 	if s.fleet != nil {
-		interval := opts.PullInterval
-		if interval <= 0 {
-			interval = defaultPullInterval
-		}
-		s.puller = newPuller(s.fleet, interval, pullTimeout, maxStateBytes, s.tracer, s.log)
-		s.stops = append(s.stops, s.puller.start())
+		s.puller = cluster.NewPuller(s.fleet, opts.PullInterval, s.tracer, s.log)
+		s.stops = append(s.stops, s.puller.Start())
 	}
 	if s.windowed() {
 		s.stops = append(s.stops, loop.Every(max(s.ring.Bucket()/4, 10*time.Millisecond), s.rotate))
@@ -519,9 +464,6 @@ func (s *Server) Close() error {
 	// would race the final snapshot.
 	for i := len(s.stops) - 1; i >= 0; i-- {
 		s.stops[i]()
-	}
-	if s.fleet != nil {
-		s.fleet.persist()
 	}
 	if st := s.Store(); st != nil {
 		return st.Close()
@@ -784,61 +726,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleState exports the node's canonical aggregation state: the local
 // state for single and edge roles, the fleet state for a coordinator (so
 // coordinators themselves can be pulled, stacking into aggregation
-// trees). Version labels are read *before* the state they describe is
-// captured: a label that trails the state only makes a future pull
-// re-transfer, never skip, fresh data.
-//
-// Every reply is a componentized wire.ComponentFrame — one component per
-// ingesting node (its merged shards, or its window) or, from a
-// coordinator, per constituent node, each with its own version label —
-// and the query names nothing but the base: 304 Not Modified when the
-// caller's If-None-Match (or ?since=) base equals the current version, a
-// delta frame shipping only the components that moved since a known,
-// non-current base (each offered as its counter difference from the
-// base's blob, dense or sparse, when this node still holds that blob and
-// the difference is the smaller payload), and a full frame otherwise. An
-// unknown base — expired from the history ring, or from before a restart
-// (the version salt changed) — falls back to a full frame.
+// trees). The 304, delta and full replies are cluster.Exporter's.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	base, haveBase := parseStateBase(r.Header.Get("If-None-Match"), r.URL.Query().Get("since"))
-	if haveBase {
-		// Short-circuit before any state is marshaled: an unchanged peer
-		// costs headers, not an O(2^d) snapshot plus transfer.
-		if ver := s.stateVersion(); base == ver {
-			w.Header().Set("ETag", stateETag(ver))
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	if err := s.exporter.ServeState(w, r); err != nil {
+		httpError(w, r, err.Error(), http.StatusInternalServerError)
 	}
-	exp, held, err := s.exportComponents()
-	if err != nil {
-		httpError(w, r, "exporting state components: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	total, err := sumComponentReports(exp.comps)
-	if err != nil {
-		httpError(w, r, "exporting state components: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	top := exp.top
-	frame := wire.ComponentFrame{NodeID: s.nodeID, Version: top, N: total, Components: exp.comps}
-	mode, encode := "full", exp.fullFrame
-	if haveBase && base != top {
-		if baseVec, ok := s.stateHist.lookup(base); ok {
-			frame = deltaAgainst(frame, base, baseVec, exp.vec, held)
-			mode, encode = "delta", wire.EncodeComponentFrame
-		}
-	}
-	buf, err := encode(frame)
-	if err != nil {
-		httpError(w, r, "framing state components: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Header().Set("ETag", stateETag(top))
-	w.Header().Set("X-LDP-Frame", mode)
-	_, _ = w.Write(buf)
 }
 
 // handlePull runs one synchronous pull round over every configured peer
@@ -846,7 +738,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 // the operational "converge now" lever, and what keeps cluster tests
 // deterministic.
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
-	s.puller.round(r.Context(), true)
+	s.puller.Round(r.Context(), true)
 	writeJSON(w, s.clusterStatus())
 }
 
@@ -903,38 +795,10 @@ type ViewStatusResponse struct {
 	// Peers describes, per configured peer, how much of that peer's
 	// state the serving epoch contains versus what the fleet holds now
 	// (coordinator only).
-	Peers []PeerViewStatus `json:"peers,omitempty"`
+	Peers []cluster.PeerViewStatus `json:"peers,omitempty"`
 	// Window describes the sliding-window ring behind the serving view
 	// (windowed deployments only).
 	Window *WindowStatus `json:"window,omitempty"`
-}
-
-// PeerViewStatus is one peer's per-epoch staleness entry in a
-// coordinator's /view/status reply.
-type PeerViewStatus struct {
-	// URL is the configured peer base URL.
-	URL string `json:"url"`
-	// NodeID is the peer's node id as of the serving epoch (or the
-	// latest pull when the epoch predates the peer).
-	NodeID string `json:"node_id,omitempty"`
-	// ViewN and ViewVersion label the peer's state inside the serving
-	// epoch (0 when the epoch contains nothing from this peer).
-	ViewN       int    `json:"view_n"`
-	ViewVersion uint64 `json:"view_version"`
-	// CurrentN and CurrentVersion label the latest accepted pull.
-	CurrentN       int    `json:"current_n"`
-	CurrentVersion uint64 `json:"current_version"`
-	// StalenessReports is CurrentN - ViewN (0 floor): this peer's
-	// reports not yet visible to readers.
-	StalenessReports int `json:"staleness_reports"`
-	// Components is how many named state components of this peer the
-	// serving epoch was folded from (an edge's shards, a mid-tier
-	// coordinator's pass-through constituents).
-	Components int `json:"components,omitempty"`
-	// Health is the peer's circuit-breaker state (healthy, backing_off,
-	// quarantined); a quarantined peer's view contribution is its last
-	// good pull, frozen until a half-open probe succeeds.
-	Health string `json:"health,omitempty"`
 }
 
 func (s *Server) viewStatus(v *view.View) ViewStatusResponse {
@@ -964,44 +828,10 @@ func (s *Server) viewStatus(v *view.View) ViewStatusResponse {
 		FromRecovery: recovered > 0,
 	}
 	if s.fleet != nil {
-		resp.Peers = s.peerViewStatus(v)
+		resp.Peers = s.fleet.ViewStatus(v)
 	}
 	resp.Window = s.windowStatus()
 	return resp
-}
-
-// peerViewStatus joins the serving epoch's composition (what each peer
-// contributed to the view) with the fleet's latest pulls (what each
-// peer has now), yielding per-peer staleness.
-func (s *Server) peerViewStatus(v *view.View) []PeerViewStatus {
-	inView := make(map[string]view.Component, len(v.Components))
-	for _, c := range v.Components {
-		inView[c.URL] = c
-	}
-	current, _ := s.fleet.status()
-	out := make([]PeerViewStatus, 0, len(current))
-	for _, cur := range current {
-		pvs := PeerViewStatus{
-			URL:            cur.URL,
-			NodeID:         cur.NodeID,
-			CurrentN:       cur.N,
-			CurrentVersion: cur.Version,
-			Health:         cur.Health,
-		}
-		if c, ok := inView[cur.URL]; ok {
-			pvs.ViewN = c.N
-			pvs.ViewVersion = c.Version
-			pvs.Components = c.Parts
-			if c.ID != "" {
-				pvs.NodeID = c.ID
-			}
-		}
-		if st := pvs.CurrentN - pvs.ViewN; st > 0 {
-			pvs.StalenessReports = st
-		}
-		out = append(out, pvs)
-	}
-	return out
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
@@ -1089,30 +919,18 @@ type StatusResponse struct {
 	// recovering).
 	Health     string            `json:"health"`
 	Durability *DurabilityStatus `json:"durability,omitempty"`
-	Cluster    *ClusterStatus    `json:"cluster,omitempty"`
+	Cluster    *cluster.Status   `json:"cluster,omitempty"`
 	Window     *WindowStatus     `json:"window,omitempty"`
 }
 
 // clusterStatus assembles the /status cluster block.
-func (s *Server) clusterStatus() *ClusterStatus {
-	cs := &ClusterStatus{
-		Role:   s.role.String(),
-		NodeID: s.nodeID,
-	}
-	cs.StateVersion = s.stateVersion()
-	if s.fleet != nil {
-		cs.PullIntervalSeconds = s.puller.interval.Seconds()
-		cs.Peers, cs.PeerStateSaveError = s.fleet.status()
+func (s *Server) clusterStatus() *cluster.Status {
+	cs := &cluster.Status{Role: s.role.String(), NodeID: s.nodeID, StateVersion: s.exporter.Version()}
+	if s.puller != nil {
+		s.puller.Describe(cs)
 	}
 	return cs
 }
-
-// stateVersion is the label a /state export carries right now: the
-// mutation counter (fleet-wide on a coordinator) offset by the
-// per-process salt. It must be read *before* the state snapshot it
-// labels — a trailing label makes a future pull re-transfer, never
-// skip, fresh data.
-func (s *Server) stateVersion() uint64 { return s.verSalt + s.src.Version() }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	cfg := s.protocol.Config()

@@ -827,7 +827,7 @@ func TestViewStatusAndHealthz(t *testing.T) {
 // reference fed the same multiset.
 func TestStressViewRefreshConcurrentQuery(t *testing.T) {
 	s, ts, p := newTestServerWithOptions(t, Options{
-		Refresh: view.Policy{EveryN: 500, Poll: 5 * time.Millisecond},
+		Refresh: view.Policy{EveryN: 500},
 	})
 	const (
 		ingesters  = 8

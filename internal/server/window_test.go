@@ -535,40 +535,3 @@ func TestCloseStopsEveryLoop(t *testing.T) {
 		})
 	}
 }
-
-// TestPullAgeNeverNegative is the satellite-2 regression pin: a
-// pulledAt stamp stripped of its monotonic reading (Round(0)) and
-// sitting in the wall-clock future — the shape a stepped-back clock
-// produces — must clamp the reported age at zero, not go negative and
-// masquerade as the "never pulled" sentinel.
-func TestPullAgeNeverNegative(t *testing.T) {
-	p, err := core.New(core.InpHT, core.Config{D: 8, K: 2, Epsilon: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, edgeTS := newClusterNode(t, p, Options{Role: RoleEdge, NodeID: "edge-age"})
-	coord, _ := newClusterNode(t, p, Options{
-		Role:         RoleCoordinator,
-		NodeID:       "coord-age",
-		Peers:        []string{edgeTS.URL},
-		PullInterval: time.Hour, // no background pulls; we stamp by hand
-	})
-	coord.fleet.mu.Lock()
-	coord.fleet.peers[0].pulledAt = time.Now().Add(time.Hour).Round(0)
-	coord.fleet.mu.Unlock()
-	peers, _ := coord.fleet.status()
-	if len(peers) != 1 {
-		t.Fatalf("%d peers", len(peers))
-	}
-	if got := peers[0].LastPullAgeSeconds; got != 0 {
-		t.Fatalf("future pull stamp reported age %v, want clamp at 0", got)
-	}
-	// The -1 "never pulled" sentinel is preserved.
-	coord.fleet.mu.Lock()
-	coord.fleet.peers[0].pulledAt = time.Time{}
-	coord.fleet.mu.Unlock()
-	peers, _ = coord.fleet.status()
-	if got := peers[0].LastPullAgeSeconds; got != -1 {
-		t.Fatalf("zero pull stamp reported age %v, want -1 sentinel", got)
-	}
-}

@@ -60,8 +60,7 @@ var traceParentKey = textproto.CanonicalMIMEHeaderKey(TraceParentHeader)
 // (a runaway loop inside one request must not eat the heap).
 const maxSpansPerTrace = 256
 
-// DefaultCapacity is the completed-trace ring size used when
-// Options.Capacity is 0.
+// DefaultCapacity is the completed-trace ring size.
 const DefaultCapacity = 128
 
 // TraceID is the 16-byte W3C trace id.
@@ -342,9 +341,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // Options tunes a Tracer. The zero value selects the defaults.
 type Options struct {
-	// Capacity is the completed-trace ring size; <= 0 selects
-	// DefaultCapacity.
-	Capacity int
 	// SlowThreshold is the root-span duration at or above which a
 	// completed trace is reported through SlowLog; <= 0 disables the
 	// slow-trace log.
@@ -371,10 +367,7 @@ type Tracer struct {
 
 // New builds a tracer.
 func New(opts Options) *Tracer {
-	if opts.Capacity <= 0 {
-		opts.Capacity = DefaultCapacity
-	}
-	return &Tracer{opts: opts, ring: make([]*traceData, opts.Capacity)}
+	return &Tracer{opts: opts, ring: make([]*traceData, DefaultCapacity)}
 }
 
 // StartRoot opens a fresh root span with a new trace id.

@@ -149,22 +149,23 @@ func TestExtractRejectsMalformed(t *testing.T) {
 // TestRingBoundAndEviction pins the bounded ring: capacity+k roots
 // retain only capacity traces, newest first.
 func TestRingBoundAndEviction(t *testing.T) {
-	tr := New(Options{Capacity: 4})
-	for i := 0; i < 7; i++ {
+	tr := New(Options{})
+	const roots = DefaultCapacity + 3
+	for i := 0; i < roots; i++ {
 		_, root := tr.StartRoot(context.Background(), fmt.Sprintf("op-%d", i))
 		root.End()
 	}
 	snap := tr.Snapshot()
-	if len(snap.Traces) != 4 {
-		t.Fatalf("retained %d, want 4", len(snap.Traces))
+	if len(snap.Traces) != DefaultCapacity {
+		t.Fatalf("retained %d, want %d", len(snap.Traces), DefaultCapacity)
 	}
-	for i, want := range []string{"op-6", "op-5", "op-4", "op-3"} {
-		if snap.Traces[i].Root != want {
-			t.Errorf("trace[%d] root %q, want %q (newest first)", i, snap.Traces[i].Root, want)
+	for i, tj := range snap.Traces {
+		if want := fmt.Sprintf("op-%d", roots-1-i); tj.Root != want {
+			t.Errorf("trace[%d] root %q, want %q (newest first)", i, tj.Root, want)
 		}
 	}
-	if snap.CompletedTraces != 7 {
-		t.Errorf("traces_total %d, want 7", snap.CompletedTraces)
+	if snap.CompletedTraces != roots {
+		t.Errorf("traces_total %d, want %d", snap.CompletedTraces, roots)
 	}
 }
 
@@ -270,7 +271,7 @@ func TestHandlerJSON(t *testing.T) {
 // TestConcurrentSpansAndSnapshot races span creation, ending, and ring
 // snapshots; run under -race this pins the locking discipline.
 func TestConcurrentSpansAndSnapshot(t *testing.T) {
-	tr := New(Options{Capacity: 8})
+	tr := New(Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -71,20 +71,21 @@ type Policy struct {
 	// disables time-based refresh.
 	Interval time.Duration
 	// EveryN rebuilds the view once at least EveryN new reports have
-	// arrived since the last build; <= 0 disables count-based refresh.
+	// arrived since the last build, sampling Source.N every pollInterval
+	// (or sooner, when Interval is a tighter bound already); <= 0
+	// disables count-based refresh.
 	EveryN int
-	// Poll is how often the count-based trigger samples Source.N
-	// (default 100ms; only used when EveryN > 0 and Interval is not a
-	// tighter bound already).
-	Poll time.Duration
 }
+
+// pollInterval is how often the count-based trigger samples Source.N.
+const pollInterval = 100 * time.Millisecond
 
 func (p Policy) automatic() bool { return p.Interval > 0 || p.EveryN > 0 }
 
 // tick returns the background loop's wake-up period: a fraction of
 // Interval (so a refresh lands within ~Interval/8 of its due time,
 // rather than slipping a whole period when a tick narrowly precedes the
-// deadline), bounded by Poll when the count-based trigger is on.
+// deadline), bounded by pollInterval when the count-based trigger is on.
 func (p Policy) tick() time.Duration {
 	var t time.Duration
 	if p.Interval > 0 {
@@ -93,14 +94,8 @@ func (p Policy) tick() time.Duration {
 			t = time.Millisecond
 		}
 	}
-	if p.EveryN > 0 {
-		poll := p.Poll
-		if poll <= 0 {
-			poll = 100 * time.Millisecond
-		}
-		if t <= 0 || poll < t {
-			t = poll
-		}
+	if p.EveryN > 0 && (t <= 0 || pollInterval < t) {
+		t = pollInterval
 	}
 	return t
 }

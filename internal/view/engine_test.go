@@ -102,14 +102,15 @@ func TestEveryNPolicyRefreshesOnBacklog(t *testing.T) {
 	p := testProtocol(t)
 	agg := core.NewSharded(p, 0)
 	eng, err := NewEngine(agg, p, EngineOptions{
-		Refresh: Policy{EveryN: 100, Poll: 2 * time.Millisecond},
+		Refresh: Policy{EveryN: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	feed(t, p, agg, 99, 1)
-	if waitFor(t, 50*time.Millisecond, func() bool { return eng.Current().N > 0 }) {
+	// Long enough for at least two samples of the count trigger.
+	if waitFor(t, 2*pollInterval+50*time.Millisecond, func() bool { return eng.Current().N > 0 }) {
 		t.Fatalf("refreshed below the EveryN threshold (N=%d)", eng.Current().N)
 	}
 	feed(t, p, agg, 1, 2)
