@@ -83,7 +83,11 @@ func clusterBenchSetup(b *testing.B) (ldpmarginals.Protocol, *core.ShardedAggreg
 			b.Fatal(err)
 		}
 	}
-	blob, err := agg.MarshalState()
+	snap, err := agg.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob, err := snap.MarshalState()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +118,11 @@ func BenchmarkClusterStateExchange(b *testing.B) {
 	// encode).
 	b.Run("marshal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := agg.MarshalState(); err != nil {
+			snap, err := agg.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := snap.MarshalState(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -177,12 +177,13 @@
 // accepted report is appended to a CRC-checked write-ahead log before
 // the ack (fsynced per -fsync always / interval / off, with
 // group commit so durability doesn't serialize the sharded ingest
-// path), and the counters are periodically compacted into snapshots of
-// the aggregator's canonical MarshalState blob — every protocol's
-// state round-trips the codec byte-identically. Restarting recovers
-// the newest valid snapshot, replays the WAL tail, truncates a torn
-// final record, and seeds the sharded aggregator, so the view engine's
-// first epoch already answers over everything that survived.
+// path), and the counters are periodically compacted into snapshots:
+// the canonical MarshalState blob of one sequential aggregator merged
+// from the shards — every protocol's state round-trips the codec
+// byte-identically. Restarting recovers the newest valid snapshot,
+// replays the WAL tail, truncates a torn final record, and merges the
+// result into the live bucket's shards, so the view engine's first
+// epoch already answers over everything that survived.
 // cmd/ldpserver exposes this as -data-dir, -fsync, and
 // -snapshot-every-n.
 //

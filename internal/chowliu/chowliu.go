@@ -180,9 +180,6 @@ func (t *Tree) Adjacency() [][]int {
 // Model is a Chow-Liu tree with fitted conditional probability tables,
 // defining a full joint distribution that can be sampled and scored.
 type Model struct {
-	Tree *Tree
-	// Root is the attribute the CPT orientation starts from.
-	Root int
 	// Parent[v] is v's parent in the rooted tree (-1 for the root).
 	Parent []int
 	// RootDist is P(X_root = 1).
@@ -203,8 +200,6 @@ func BuildModel(tree *Tree, est marginal.Estimator, root int) (*Model, error) {
 	}
 	adj := tree.Adjacency()
 	m := &Model{
-		Tree:   tree,
-		Root:   root,
 		Parent: make([]int, tree.D),
 		CPT:    make([][2]float64, tree.D),
 	}

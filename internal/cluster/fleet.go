@@ -108,10 +108,9 @@ type peerEntry struct {
 	// quarantine — held contribution retained, regular pulls suspended,
 	// half-open probes on the quarantine timer. quarantines counts trips
 	// over the peer's lifetime.
-	poisonFails   int
-	quarantined   bool
-	quarantinedAt time.Time
-	quarantines   int
+	poisonFails int
+	quarantined bool
+	quarantines int
 }
 
 // peerHealthState is a peer's circuit-breaker health as surfaced on
@@ -293,8 +292,7 @@ func (f *Fleet) AppendParts(dst []core.Part) []core.Part {
 			})
 		}
 		comp = append(comp, view.Component{
-			ID: pe.nodeID, URL: pe.url, N: pe.n, Version: pe.top,
-			PulledAt: pe.pulledAt, Parts: len(pe.comps),
+			ID: pe.nodeID, URL: pe.url, N: pe.n, Version: pe.top, Parts: len(pe.comps),
 		})
 	}
 	f.comp = comp

@@ -243,25 +243,24 @@ func (pl *Puller) pull(ctx context.Context, url string) (changed bool) {
 	span.SetAttr("peer", url)
 	t0 := time.Now()
 	changed, mode, err := pl.fetch(ctx, span, url, true)
-	if ins := pl.ins[url]; ins != nil {
-		ins.latency.Observe(time.Since(t0).Seconds())
-		switch {
-		case err != nil:
-			ins.failed.Inc()
-		case changed:
-			ins.changed.Inc()
+	ins := pl.ins[url]
+	ins.latency.Observe(time.Since(t0).Seconds())
+	switch {
+	case err != nil:
+		ins.failed.Inc()
+	case changed:
+		ins.changed.Inc()
+	default:
+		ins.unchanged.Inc()
+	}
+	if err == nil {
+		switch mode {
+		case pullModeDelta:
+			ins.deltaPulls.Inc()
+		case pullModeNotModified:
+			ins.notModified.Inc()
 		default:
-			ins.unchanged.Inc()
-		}
-		if err == nil {
-			switch mode {
-			case pullModeDelta:
-				ins.deltaPulls.Inc()
-			case pullModeNotModified:
-				ins.notModified.Inc()
-			default:
-				ins.fullPulls.Inc()
-			}
+			ins.fullPulls.Inc()
 		}
 	}
 	if err != nil {
@@ -298,7 +297,6 @@ func (pl *Puller) updateSchedule(url string, err error) peerHealthState {
 	if err == nil {
 		if pe.quarantined {
 			pe.quarantined = false
-			pe.quarantinedAt = time.Time{}
 			pl.log.Info("peer recovered from quarantine", "peer", url)
 		}
 		pe.fails = 0
@@ -314,7 +312,6 @@ func (pl *Puller) updateSchedule(url string, err error) peerHealthState {
 		pe.poisonFails++
 		if !pe.quarantined && pe.poisonFails >= quarantineAfter {
 			pe.quarantined = true
-			pe.quarantinedAt = now
 			pe.quarantines++
 			pl.log.Warn("peer quarantined: repeated poison pulls; holding last good contribution",
 				"peer", url, "poison_failures", pe.poisonFails,
@@ -377,10 +374,8 @@ func (pl *Puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 	ins := pl.ins[url]
 	if resp.StatusCode == http.StatusNotModified {
 		// The idle-fleet fast path: no body moved at all.
-		if ins != nil {
-			if last := ins.lastFullBytes.Load(); last > 0 {
-				ins.bytesSaved.Add(last)
-			}
+		if last := ins.lastFullBytes.Load(); last > 0 {
+			ins.bytesSaved.Add(last)
 		}
 		return false, pullModeNotModified, nil
 	}
@@ -388,9 +383,7 @@ func (pl *Puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 		return false, "", fmt.Errorf("GET /state: status %d", resp.StatusCode)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxStateBytes+1))
-	if ins != nil {
-		ins.bytes.Add(uint64(len(body)))
-	}
+	ins.bytes.Add(uint64(len(body)))
 	if err != nil {
 		return false, "", fmt.Errorf("GET /state: reading body: %w", err)
 	}
@@ -430,24 +423,18 @@ func (pl *Puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 	span.SetAttr("diff_components", diffs)
 	span.SetAttr("sparse_components", sparse) // of the diffs
 	span.SetAttr("whole_components", len(cf.Components)-diffs)
-	if ins != nil {
-		ins.diffComps.Add(uint64(diffs))
-	}
+	ins.diffComps.Add(uint64(diffs))
 	if cf.Delta {
 		if !ack {
 			return false, "", poison(fmt.Errorf("GET /state: peer answered a delta frame to a full-frame request"))
 		}
 		mode = pullModeDelta
-		if ins != nil {
-			if last := ins.lastFullBytes.Load(); last > uint64(len(body)) {
-				ins.bytesSaved.Add(last - uint64(len(body)))
-			}
+		if last := ins.lastFullBytes.Load(); last > uint64(len(body)) {
+			ins.bytesSaved.Add(last - uint64(len(body)))
 		}
 	} else {
 		mode = pullModeFull
-		if ins != nil {
-			ins.lastFullBytes.Store(uint64(len(body)))
-		}
+		ins.lastFullBytes.Store(uint64(len(body)))
 		// Skip the (expensive) decode validation for an unchanged state:
 		// accept short-circuits on the (node id, version) label. Peek
 		// cheaply first.

@@ -109,7 +109,7 @@ func TestCrossProcessMergeBitIdentity(t *testing.T) {
 			mixed := NewSharded(p, 4)
 			for i, rep := range reps {
 				if i%2 == 0 {
-					if err := mixed.Consume(rep); err != nil {
+					if err := mixed.ConsumeBatch([]Report{rep}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -300,19 +300,35 @@ func (mi *margIndex) supersetsOf(beta uint64) []int {
 	return out
 }
 
-// estimateFromKWay answers a sub-marginal query |beta| <= k given a
-// function producing the estimated k-way table and user count for a
-// position in C. Estimates from every k-way superset of beta are
-// marginalized down to beta and averaged weighted by their user counts.
+// estimate answers Estimate(beta), |beta| <= k, of a marginal-view
+// aggregator of the named protocol holding n reports, given kWayInto,
+// which reconstructs the k-way table at a position in C into a table and
+// returns its user count. Estimates from every k-way superset of beta
+// are marginalized down to beta and averaged weighted by their user
+// counts.
 //
 // Reconstructing and marginalizing each superset table is the expensive
 // step (an inverse transform or an unbiasing pass over 2^k cells), so
 // the supersets fan out across goroutines; the weighted average is then
 // reduced sequentially in superset order, making the result
-// bit-identical to the sequential loop for any GOMAXPROCS. kWay must be
-// safe for concurrent calls with distinct positions (the aggregators'
+// bit-identical to the sequential loop for any GOMAXPROCS. kWayInto must
+// be safe for concurrent calls with distinct positions (the aggregators'
 // reconstructions only read accumulator state).
-func (mi *margIndex) estimateFromKWay(beta uint64, kWay func(pos int) (*marginal.Table, int, error)) (*marginal.Table, error) {
+func (mi *margIndex) estimate(name string, cfg Config, n int, beta uint64, kWayInto func(pos int, dst *marginal.Table) (int, error)) (*marginal.Table, error) {
+	if err := checkBetaWithin(beta, cfg); err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("core: %s aggregator has no reports", name)
+	}
+	kWay := func(pos int) (*marginal.Table, int, error) {
+		t, err := marginal.New(mi.masks[pos])
+		if err != nil {
+			return nil, 0, err
+		}
+		users, err := kWayInto(pos, t)
+		return t, users, err
+	}
 	if p, ok := mi.pos.lookup(beta); ok {
 		t, _, err := kWay(p)
 		return t, err

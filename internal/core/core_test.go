@@ -372,6 +372,8 @@ func TestRunWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunTotalBits pins a run's communication cost: CommunicationBits
+// (d+1 for InpHT) over every user the run consumed.
 func TestRunTotalBits(t *testing.T) {
 	cfg := Config{D: 8, K: 2, Epsilon: 1}
 	records := skewedRecords(500, 8, 8)
@@ -383,8 +385,8 @@ func TestRunTotalBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(9 * 500); res.TotalBits != want {
-		t.Errorf("TotalBits = %d, want %d", res.TotalBits, want)
+	if got, want := p.CommunicationBits()*res.Agg.N(), 9*500; got != want {
+		t.Errorf("total bits = %d, want %d", got, want)
 	}
 }
 

@@ -119,52 +119,6 @@ func TestSnapshotDeltaMatchesSnapshot(t *testing.T) {
 	}
 }
 
-// TestSnapshotDeltaSeesRestore pins the per-shard version bump of
-// UnmarshalState: a state restore replaces every shard, so the next
-// fold must re-fold all of them (a stale "unchanged" skip would keep
-// serving the pre-restore contribution).
-func TestSnapshotDeltaSeesRestore(t *testing.T) {
-	p, err := New(InpHT, deltaTestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := NewSharded(p, 4)
-	arena := sh.NewSnapshotArena()
-	if err := sh.ConsumeBatch(deltaReports(t, p, 500, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.SnapshotDeltaInto(arena); err != nil {
-		t.Fatal(err)
-	}
-	// Build a different state and restore it wholesale.
-	other := NewSharded(p, 2)
-	if err := other.ConsumeBatch(deltaReports(t, p, 900, 4)); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := other.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.UnmarshalState(blob); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.SnapshotDeltaInto(arena); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := arena.State().MarshalState()
-	snap, err := sh.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := snap.MarshalState()
-	if !bytes.Equal(got, want) {
-		t.Fatal("arena did not track the restored state")
-	}
-	if arena.State().N() != 900 {
-		t.Fatalf("arena N %d after restore, want 900", arena.State().N())
-	}
-}
-
 // noDeltaAgg wraps a protocol aggregator, hiding the Unmerge and
 // CopyStateFrom methods: it is not a Folder, but its counters still merge.
 type noDeltaAgg struct{ Aggregator }
@@ -236,6 +190,16 @@ func (a failingCopy) CopyStateFrom(other Aggregator) error {
 	return a.Aggregator.(Folder).CopyStateFrom(other)
 }
 
+// failingCopyProtocol builds failingCopy aggregators sharing one switch.
+type failingCopyProtocol struct {
+	Protocol
+	fail *bool
+}
+
+func (p failingCopyProtocol) NewAggregator() Aggregator {
+	return failingCopy{p.Protocol.NewAggregator(), p.fail}
+}
+
 // TestShardPartsRecaptureAfterFailedCopy pins the prev contract of the
 // shard parts: a primed capture copies a moved shard into the copy it
 // held, and when that copy fails the arena is unprimed, and the next
@@ -247,7 +211,7 @@ func TestShardPartsRecaptureAfterFailedCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fail := false
-	sh := NewShardedFrom(func() Aggregator { return failingCopy{p.NewAggregator(), &fail} }, 3)
+	sh := NewSharded(failingCopyProtocol{p, &fail}, 3)
 	reps := deltaReports(t, p, 400, 44)
 	for i := 0; i < 3; i++ {
 		if err := sh.ConsumeBatch(reps[i*100 : (i+1)*100]); err != nil {

@@ -30,8 +30,8 @@ func KWayMasks(d, k int) []uint64 {
 // aggregators: reconstruct the table at position pos of the collection
 // from that marginal's own accumulator into the caller's table
 // (dst.Beta already set to the position's mask), returning its realized
-// per-marginal user count. Arithmetic identical to kWay, which Estimate
-// averages for sub-k masks.
+// per-marginal user count. Estimate reconstructs through the same
+// kWayInto (margIndex.estimate), averaging supersets for sub-k masks.
 type kWayIntoReconstructor interface {
 	kWayInto(pos int, dst *marginal.Table) (int, error)
 }
@@ -61,7 +61,6 @@ type linearKWayReconstructor interface {
 // An epoch refresh reconstructs into the same arena every time, so the
 // steady-state build allocates nothing. Not safe for concurrent use.
 type KWayArena struct {
-	cfg Config
 	// Masks is the memoized collection mask list (read-only, shared).
 	Masks []uint64
 	// Tables holds one table per mask, reused across builds.
@@ -81,7 +80,6 @@ func NewKWayArena(cfg Config) (*KWayArena, error) {
 	}
 	masks := KWayMasks(cfg.D, cfg.K)
 	a := &KWayArena{
-		cfg:    cfg,
 		Masks:  masks,
 		Tables: make([]*marginal.Table, len(masks)),
 		Users:  make([]int, len(masks)),

@@ -126,20 +126,9 @@ func (a *margHTAgg) ConsumeBatch(reps []Report) error {
 	return nil
 }
 
-// kWay reconstructs the marginal at position pos from its estimated
-// coefficient vector by one inverse transform over the 2^k subcube.
-func (a *margHTAgg) kWay(pos int) (*marginal.Table, int, error) {
-	t, err := marginal.New(a.p.idx.masks[pos])
-	if err != nil {
-		return nil, 0, err
-	}
-	users, err := a.kWayInto(pos, t)
-	return t, users, err
-}
-
-// kWayInto is kWay writing into the caller's table (dst.Beta must be
-// the mask at pos) — the allocation-free kernel behind arena rebuilds,
-// with arithmetic identical to kWay.
+// kWayInto reconstructs the marginal at position pos into dst (dst.Beta
+// must be the mask at pos) from its estimated coefficient vector by one
+// inverse transform over the 2^k subcube, and returns its user count.
 func (a *margHTAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 	if a.users[pos] == 0 {
 		uniform(dst.Cells)
@@ -168,11 +157,5 @@ func (a *margHTAgg) rrUnbias(mean float64) float64 { return a.p.rr.UnbiasSign(me
 // Estimate answers |beta| = k directly and |beta| < k by weighted
 // averaging over the collected super-marginals.
 func (a *margHTAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	if err := checkBetaWithin(beta, a.p.cfg); err != nil {
-		return nil, err
-	}
-	if a.n == 0 {
-		return nil, fmt.Errorf("core: MargHT aggregator has no reports")
-	}
-	return a.p.idx.estimateFromKWay(beta, a.kWay)
+	return a.p.idx.estimate("MargHT", a.p.cfg, a.n, beta, a.kWayInto)
 }

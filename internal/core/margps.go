@@ -105,18 +105,9 @@ func (a *margPSAgg) ConsumeBatch(reps []Report) error {
 	return nil
 }
 
-func (a *margPSAgg) kWay(pos int) (*marginal.Table, int, error) {
-	t, err := marginal.New(a.p.idx.masks[pos])
-	if err != nil {
-		return nil, 0, err
-	}
-	users, err := a.kWayInto(pos, t)
-	return t, users, err
-}
-
-// kWayInto is kWay writing into the caller's table (dst.Beta must be
-// the mask at pos) — the allocation-free kernel behind arena rebuilds,
-// with arithmetic identical to kWay.
+// kWayInto unbiases the GRR counts of the marginal at position pos into
+// dst (dst.Beta must be the mask at pos) using its realized user count,
+// and returns that count.
 func (a *margPSAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 	if a.users[pos] == 0 {
 		uniform(dst.Cells)
@@ -133,11 +124,5 @@ func (a *margPSAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 // Estimate answers |beta| = k directly and |beta| < k by weighted
 // averaging over the collected super-marginals.
 func (a *margPSAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	if err := checkBetaWithin(beta, a.p.cfg); err != nil {
-		return nil, err
-	}
-	if a.n == 0 {
-		return nil, fmt.Errorf("core: MargPS aggregator has no reports")
-	}
-	return a.p.idx.estimateFromKWay(beta, a.kWay)
+	return a.p.idx.estimate("MargPS", a.p.cfg, a.n, beta, a.kWayInto)
 }

@@ -104,20 +104,9 @@ func (a *margRRAgg) ConsumeBatch(reps []Report) error {
 	return nil
 }
 
-// kWay unbiases the PRR counts of the marginal at position pos using its
-// realized user count.
-func (a *margRRAgg) kWay(pos int) (*marginal.Table, int, error) {
-	t, err := marginal.New(a.p.idx.masks[pos])
-	if err != nil {
-		return nil, 0, err
-	}
-	users, err := a.kWayInto(pos, t)
-	return t, users, err
-}
-
-// kWayInto is kWay writing into the caller's table (dst.Beta must be
-// the mask at pos) — the allocation-free kernel behind arena rebuilds,
-// with arithmetic identical to kWay.
+// kWayInto unbiases the PRR counts of the marginal at position pos into
+// dst (dst.Beta must be the mask at pos) using its realized user count,
+// and returns that count.
 func (a *margRRAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 	if a.users[pos] == 0 {
 		uniform(dst.Cells)
@@ -134,11 +123,5 @@ func (a *margRRAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 // Estimate answers |beta| = k directly and |beta| < k by weighted
 // averaging over the collected super-marginals.
 func (a *margRRAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	if err := checkBetaWithin(beta, a.p.cfg); err != nil {
-		return nil, err
-	}
-	if a.n == 0 {
-		return nil, fmt.Errorf("core: MargRR aggregator has no reports")
-	}
-	return a.p.idx.estimateFromKWay(beta, a.kWay)
+	return a.p.idx.estimate("MargRR", a.p.cfg, a.n, beta, a.kWayInto)
 }

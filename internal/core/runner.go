@@ -20,9 +20,6 @@ type BatchSimulator interface {
 type RunResult struct {
 	// Agg is the merged aggregator, ready for Estimate queries.
 	Agg Aggregator
-	// TotalBits is the total communication cost of the run, i.e.
-	// CommunicationBits() summed over users.
-	TotalBits int64
 }
 
 // Run simulates the full protocol over the records: every record is
@@ -104,8 +101,5 @@ func Run(p Protocol, records []uint64, seed uint64, workers int) (*RunResult, er
 	if out.N() != len(records) {
 		return nil, fmt.Errorf("core: aggregator consumed %d of %d reports", out.N(), len(records))
 	}
-	return &RunResult{
-		Agg:       out,
-		TotalBits: int64(p.CommunicationBits()) * int64(len(records)),
-	}, nil
+	return &RunResult{Agg: out}, nil
 }

@@ -5,21 +5,22 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"ldpmarginals/internal/marginal"
 )
 
-// ShardedAggregator wraps P independent per-shard accumulators of a
-// protocol behind the Aggregator interface, so that concurrent writers
-// contend on P mutexes instead of one. Aggregation in every protocol is
-// associative and commutative (integer counters), so the merged view is
-// byte-identical to a single sequential aggregator fed the same reports
-// in any order; the equivalence tests in sharded_test.go pin this down.
+// ShardedAggregator holds P independent per-shard accumulators of a
+// protocol, so that concurrent writers contend on P mutexes instead of
+// one. It is no Aggregator itself: writers call ConsumeBatch, readers
+// take a Snapshot (one sequential aggregator) or list the shards as
+// parts (AppendParts, the view.Source a node's view folds). Aggregation
+// in every protocol is associative and commutative (integer counters),
+// so a snapshot is byte-identical to a single sequential aggregator fed
+// the same reports in any order; the equivalence tests in sharded_test.go
+// pin this down.
 //
-// Writers are routed round-robin: each Consume locks exactly one shard,
-// and each ConsumeBatch locks one shard for the whole batch, amortizing
-// the lock acquisition across the batch. N is maintained in an atomic
-// counter so readers (e.g. a /status endpoint) never take a lock.
+// Writers are routed round-robin: each ConsumeBatch locks one shard for
+// the whole batch, amortizing the lock acquisition across the batch. N
+// is maintained in an atomic counter so readers (e.g. a /status
+// endpoint) never take a lock.
 //
 // Shard count: ingestion throughput scales with shards until they exceed
 // the number of writer threads; beyond that, extra shards only grow the
@@ -51,17 +52,10 @@ type aggShard struct {
 // NewSharded builds a sharded aggregator over p with the given shard
 // count; shards <= 0 selects GOMAXPROCS.
 func NewSharded(p Protocol, shards int) *ShardedAggregator {
-	return NewShardedFrom(p.NewAggregator, shards)
-}
-
-// NewShardedFrom builds a sharded aggregator from an arbitrary empty-
-// accumulator factory; shards <= 0 selects GOMAXPROCS. The factory must
-// produce aggregators of the same protocol (mutually Merge-able).
-func NewShardedFrom(newShard func() Aggregator, shards int) *ShardedAggregator {
-	s := &ShardedAggregator{newShard: newShard, shards: make([]aggShard, ResolveShards(shards))}
+	s := &ShardedAggregator{newShard: p.NewAggregator, shards: make([]aggShard, ResolveShards(shards))}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.agg = newShard()
+		sh.agg = p.NewAggregator()
 		sh.capture = func(prev Aggregator) (Aggregator, error) { return s.copyShard(sh, prev) }
 	}
 	return s
@@ -79,23 +73,6 @@ func ResolveShards(shards int) int {
 // pick routes the next write to a shard round-robin.
 func (s *ShardedAggregator) pick() *aggShard {
 	return &s.shards[s.next.Add(1)%uint64(len(s.shards))]
-}
-
-// Consume incorporates one report into one shard. Safe for concurrent
-// use.
-func (s *ShardedAggregator) Consume(rep Report) error {
-	sh := s.pick()
-	sh.mu.Lock()
-	err := sh.agg.Consume(rep)
-	if err == nil {
-		sh.ver.Add(1)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.n.Add(1)
-	return nil
 }
 
 // ConsumeBatch incorporates the whole batch into one shard under a
@@ -142,32 +119,14 @@ func (s *ShardedAggregator) Snapshot() (Aggregator, error) {
 	return out, nil
 }
 
-// Estimate reconstructs the marginal over beta from a merged snapshot of
-// all shards. Safe for concurrent use with writers.
-func (s *ShardedAggregator) Estimate(beta uint64) (*marginal.Table, error) {
-	snap, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snap.Estimate(beta)
-}
-
-// Merge folds another aggregator of the same protocol into shard 0. The
-// other aggregator may itself be sharded (it is snapshotted first) or
-// sequential. The other aggregator must not be written concurrently.
+// Merge folds a sequential aggregator of the same protocol into shard 0
+// (a recovered state). The other aggregator must not be written
+// concurrently.
 func (s *ShardedAggregator) Merge(other Aggregator) error {
-	src := other
-	if o, ok := other.(*ShardedAggregator); ok {
-		snap, err := o.Snapshot()
-		if err != nil {
-			return err
-		}
-		src = snap
-	}
-	added := src.N()
+	added := other.N()
 	sh := &s.shards[0]
 	sh.mu.Lock()
-	err := sh.agg.Merge(src)
+	err := sh.agg.Merge(other)
 	if err == nil {
 		sh.ver.Add(1)
 	}

@@ -59,9 +59,9 @@ func assertTablesBitIdentical(t *testing.T, got, want Aggregator, cfg Config) {
 
 // TestShardedEquivalentToSequential is the core guarantee of the sharded
 // pipeline: for every protocol, a ShardedAggregator fed a fixed report
-// stream concurrently — through interleaved Consume and ConsumeBatch
-// calls — produces byte-identical marginal tables to a sequential
-// aggregator fed the same stream. Aggregation state is integer counters,
+// stream concurrently — through interleaved long batches and batches of
+// one report — snapshots to byte-identical marginal tables to a
+// sequential aggregator fed the same stream. Aggregation state is integer counters,
 // so shard partitioning and arrival order are invisible in the estimate.
 func TestShardedEquivalentToSequential(t *testing.T) {
 	for _, kind := range AllKinds() {
@@ -100,7 +100,7 @@ func TestShardedEquivalentToSequential(t *testing.T) {
 						return
 					}
 					for i := range slice {
-						if err := sh.Consume(slice[i]); err != nil {
+						if err := sh.ConsumeBatch(slice[i : i+1]); err != nil {
 							errs <- err
 							return
 						}
@@ -116,9 +116,8 @@ func TestShardedEquivalentToSequential(t *testing.T) {
 			if sh.N() != len(reps) || seq.N() != len(reps) {
 				t.Fatalf("sharded N=%d sequential N=%d, want %d", sh.N(), seq.N(), len(reps))
 			}
-			assertTablesBitIdentical(t, sh, seq, shardedTestConfig())
 
-			// A snapshot must answer identically and count identically.
+			// The snapshot must answer identically and count identically.
 			snap, err := sh.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -131,8 +130,9 @@ func TestShardedEquivalentToSequential(t *testing.T) {
 	}
 }
 
-// TestShardedMerge folds one sharded aggregator into another and into a
-// sequential one, checking counts and estimates survive both directions.
+// TestShardedMerge folds a sequential aggregator (a recovered state) into
+// a sharded one that already holds reports, checking counts and
+// estimates survive the fold.
 func TestShardedMerge(t *testing.T) {
 	p, err := New(InpHT, shardedTestConfig())
 	if err != nil {
@@ -146,7 +146,11 @@ func TestShardedMerge(t *testing.T) {
 	if err := b.ConsumeBatch(reps[500:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(b); err != nil {
+	recovered, err := b.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Merge(recovered); err != nil {
 		t.Fatal(err)
 	}
 	if a.N() != len(reps) {
@@ -156,12 +160,16 @@ func TestShardedMerge(t *testing.T) {
 	if err := seq.ConsumeBatch(reps); err != nil {
 		t.Fatal(err)
 	}
-	assertTablesBitIdentical(t, a, seq, shardedTestConfig())
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesBitIdentical(t, snap, seq, shardedTestConfig())
 }
 
 // TestShardedRejectsBadReports checks that rejected reports are not
-// counted, for both single and batch ingestion, and that the batch error
-// carries the index of the first rejected report.
+// counted, for a batch of one and a longer batch, and that the batch
+// error carries the index of the first rejected report.
 func TestShardedRejectsBadReports(t *testing.T) {
 	p, err := New(InpHT, shardedTestConfig())
 	if err != nil {
@@ -170,7 +178,7 @@ func TestShardedRejectsBadReports(t *testing.T) {
 	sh := NewSharded(p, 4)
 	good := perturbReports(t, p, 3, 1)
 	bad := Report{Index: 0b11111111, Sign: 1} // |alpha| > k: outside T
-	if err := sh.Consume(bad); err == nil {
+	if err := sh.ConsumeBatch([]Report{bad}); err == nil {
 		t.Fatal("bad report accepted")
 	}
 	if sh.N() != 0 {

@@ -74,61 +74,6 @@ func TestStateEmptyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedStateRoundTrip pins that a sharded aggregator's state is
-// the merged sequential state: restoring it into another sharded
-// aggregator (with a different shard count) reproduces the blob and
-// the estimates bit-identically.
-func TestShardedStateRoundTrip(t *testing.T) {
-	cfg := shardedTestConfig()
-	for _, kind := range AllKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			p, err := New(kind, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := NewSharded(p, 4)
-			reps := perturbReports(t, p, 1500, 11)
-			for lo := 0; lo < len(reps); lo += 100 {
-				hi := min(lo+100, len(reps))
-				if err := sh.ConsumeBatch(reps[lo:hi]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			blob, err := sh.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored := NewSharded(p, 3)
-			if err := restored.UnmarshalState(blob); err != nil {
-				t.Fatal(err)
-			}
-			if restored.N() != sh.N() {
-				t.Fatalf("restored N = %d, want %d", restored.N(), sh.N())
-			}
-			again, err := restored.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(blob, again) {
-				t.Fatal("re-marshaled sharded state differs")
-			}
-			assertTablesBitIdentical(t, restored, sh, cfg)
-
-			// Restoring resets previous contents, not merges into them.
-			dirty := NewSharded(p, 2)
-			if err := dirty.ConsumeBatch(perturbReports(t, p, 50, 13)); err != nil {
-				t.Fatal(err)
-			}
-			if err := dirty.UnmarshalState(blob); err != nil {
-				t.Fatal(err)
-			}
-			if dirty.N() != sh.N() {
-				t.Fatalf("restore over dirty state: N = %d, want %d", dirty.N(), sh.N())
-			}
-		})
-	}
-}
-
 // TestUnmarshalStateRejectsWrongProtocol pins that a blob restores only
 // into its own protocol: every cross-protocol pairing must fail and
 // leave the receiver unchanged.
@@ -417,7 +362,11 @@ func TestStateGoldenBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for name, agg := range map[string]Aggregator{"sequential": seq, "sharded": sh} {
+			snap, err := sh.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, agg := range map[string]Aggregator{"sequential": seq, "sharded": snap} {
 				blob, err := agg.MarshalState()
 				if err != nil {
 					t.Fatal(err)

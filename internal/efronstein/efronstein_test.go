@@ -397,7 +397,11 @@ func TestStateGoldenBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, agg := range map[string]core.Aggregator{"sequential": seq, "sharded": sh} {
+	snap, err := sh.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, agg := range map[string]core.Aggregator{"sequential": seq, "sharded": snap} {
 		blob, err := agg.MarshalState()
 		if err != nil {
 			t.Fatal(err)

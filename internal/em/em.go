@@ -60,8 +60,6 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	// Table is the decoded marginal distribution.
 	Table *marginal.Table
-	// Iterations is the number of EM update steps performed.
-	Iterations int
 	// Failed records the paper's failure mode: the procedure converged
 	// after at most one step, returning (essentially) the uniform prior.
 	Failed bool
@@ -240,7 +238,7 @@ func (a *Aggregator) EstimateDetailed(beta uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Table: tab, Iterations: iters, Failed: iters <= 1}, nil
+	return &Result{Table: tab, Failed: iters <= 1}, nil
 }
 
 func p2flip(keep float64) float64 { return 1 - keep }

@@ -40,19 +40,6 @@ const (
 	ModeCorrupt
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeError:
-		return "error"
-	case ModeLatency:
-		return "latency"
-	case ModeCorrupt:
-		return "corrupt"
-	default:
-		return fmt.Sprintf("mode(%d)", int(m))
-	}
-}
-
 // Rule describes one armed fault. The schedule counts calls at the
 // rule's site: the first After calls pass untouched, the next Times
 // calls fire, and later calls pass again. Times == 0 means the rule

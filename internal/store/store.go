@@ -108,21 +108,27 @@ type Options struct {
 	// FsyncInterval is the timer period of FsyncInterval; <= 0 selects
 	// 100ms.
 	FsyncInterval time.Duration
-	// SegmentBytes rotates the active WAL segment once it exceeds this
-	// size; <= 0 selects 64 MiB.
-	SegmentBytes int64
 	// SnapshotEveryN compacts the WAL into a counter snapshot once this
 	// many reports have been appended since the last snapshot; <= 0
 	// snapshots only on Close (and explicit Snapshot calls).
 	SnapshotEveryN int
+
+	// segmentBytes rotates the active WAL segment once it exceeds this
+	// size; <= 0 selects defaultSegmentBytes. Only tests set it, to
+	// rotate after a few records.
+	segmentBytes int64
 }
+
+// defaultSegmentBytes is the size past which the active WAL segment
+// rotates.
+const defaultSegmentBytes = 64 << 20
 
 func (o Options) withDefaults() Options {
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = 100 * time.Millisecond
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegmentBytes
 	}
 	return o
 }
@@ -776,17 +782,14 @@ func (s *Store) removeFiles(paths []string, upTo uint64) error {
 // Status describes the store's durable footprint for monitoring
 // endpoints.
 type Status struct {
-	// Dir is the data directory.
-	Dir string
 	// Fsync is the policy's flag spelling.
 	Fsync string
 	// Segments and WALBytes describe the live write-ahead log
 	// (including segments retained only for the fallback snapshot).
 	Segments int
 	WALBytes int64
-	// SnapshotSeq and SnapshotReports identify the newest snapshot (0
+	// SnapshotReports is the report count of the newest snapshot (0
 	// when none exists yet).
-	SnapshotSeq     uint64
 	SnapshotReports int
 	// SinceSnapshot is the number of reports appended after the newest
 	// snapshot.
@@ -794,9 +797,6 @@ type Status struct {
 	// LastSnapshotError is the most recent background-compaction
 	// failure, cleared by the next success.
 	LastSnapshotError string
-	// WALError is the committer's first write/sync failure; once set,
-	// every further ingest fails.
-	WALError string
 	// Recovery describes what Open reconstructed.
 	Recovery RecoveryStats
 }
@@ -805,27 +805,20 @@ type Status struct {
 // the directory; it is meant for status endpoints, not hot paths.
 func (s *Store) Status() Status {
 	st := Status{
-		Dir:           s.dir,
 		Fsync:         s.opts.Fsync.String(),
 		SinceSnapshot: int(s.sinceSnap.Load()),
 		Recovery:      s.recStats,
 	}
 	s.statsMu.Lock()
 	if len(s.snaps) > 0 {
-		last := s.snaps[len(s.snaps)-1]
-		st.SnapshotSeq = last.seq
-		st.SnapshotReports = last.n
+		st.SnapshotReports = s.snaps[len(s.snaps)-1].n
 	} else {
-		st.SnapshotSeq = s.recStats.SnapshotSeq
 		st.SnapshotReports = s.recStats.SnapshotReports
 	}
 	if s.lastSnapErr != nil {
 		st.LastSnapshotError = s.lastSnapErr.Error()
 	}
 	s.statsMu.Unlock()
-	if err := s.walFailure(); err != nil {
-		st.WALError = err.Error()
-	}
 	if entries, err := os.ReadDir(s.dir); err == nil {
 		for _, e := range entries {
 			if _, ok := parseSeqName(e.Name(), "wal-", segSuffix); !ok {

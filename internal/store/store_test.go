@@ -333,7 +333,7 @@ func TestMidLogCorruptionFailsRecovery(t *testing.T) {
 	p := testProtocol(t)
 	dir := t.TempDir()
 	// Tiny segments force several rotations.
-	st, err := Open(dir, p, Options{SegmentBytes: 512})
+	st, err := Open(dir, p, Options{segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestSnapshotFallbackAfterCorruptNewest(t *testing.T) {
 func TestSnapshotPrunesSegments(t *testing.T) {
 	p := testProtocol(t)
 	dir := t.TempDir()
-	st, err := Open(dir, p, Options{SegmentBytes: 512})
+	st, err := Open(dir, p, Options{segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +659,7 @@ func TestIntervalPolicyFsyncsOnItsTimer(t *testing.T) {
 func TestConcurrentIngestAndSnapshot(t *testing.T) {
 	p := testProtocol(t)
 	dir := t.TempDir()
-	st, err := Open(dir, p, Options{Fsync: FsyncAlways, SegmentBytes: 4096, SnapshotEveryN: 500})
+	st, err := Open(dir, p, Options{Fsync: FsyncAlways, segmentBytes: 4096, SnapshotEveryN: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -469,7 +469,7 @@ func (s *Store) committer(f *os.File, idx uint64, size int64) {
 				results[i] = walRes{err: dead}
 				continue
 			}
-			if r.rotate || (r.buf != nil && curSize+int64(len(scratch)) >= s.opts.SegmentBytes) {
+			if r.rotate || (r.buf != nil && curSize+int64(len(scratch)) >= s.opts.segmentBytes) {
 				flush()
 				if dead != nil {
 					results[i] = walRes{err: dead}

@@ -426,20 +426,14 @@ type Stats struct {
 	// DroppedSpans counts span records discarded because their trace
 	// exceeded the per-trace span cap.
 	DroppedSpans uint64
-	// Retained is the number of traces currently held in the ring.
-	Retained int
 }
 
 // Stats reports the tracer's counters.
 func (t *Tracer) Stats() Stats {
-	t.mu.Lock()
-	retained := t.held
-	t.mu.Unlock()
 	return Stats{
 		Spans:        t.spansTotal.Load(),
 		Traces:       t.tracesTotal.Load(),
 		DroppedSpans: t.droppedTotal.Load(),
-		Retained:     retained,
 	}
 }
 

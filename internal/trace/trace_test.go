@@ -57,7 +57,7 @@ func TestRootAndChildSpans(t *testing.T) {
 		t.Errorf("attrs %+v, want bytes=128", a)
 	}
 	st := tr.Stats()
-	if st.Spans != 3 || st.Traces != 1 || st.DroppedSpans != 0 || st.Retained != 1 {
+	if st.Spans != 3 || st.Traces != 1 || st.DroppedSpans != 0 || len(tr.Snapshot().Traces) != 1 {
 		t.Errorf("stats %+v, want 3 spans / 1 trace / 0 dropped / 1 retained", st)
 	}
 }

@@ -217,7 +217,6 @@ func (b *builder) publish(n int, start time.Time) *View {
 		cfg:      b.cfg,
 		kWay:     len(b.arena.Tables),
 		tables:   ptrs,
-		weights:  append([]float64(nil), b.weights...),
 		pos:      b.plan.pos,
 	}
 	v.Diag.ConsistencyL1 = consistencyL1(b.consBefore, v.tables, v.kWay)

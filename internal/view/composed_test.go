@@ -2,7 +2,6 @@ package view
 
 import (
 	"testing"
-	"time"
 
 	"ldpmarginals/internal/core"
 )
@@ -25,8 +24,8 @@ func TestEngineRecordsComposition(t *testing.T) {
 	feed(t, p, agg, 50, 4)
 
 	comp := []Component{
-		{ID: "edge-1", URL: "http://e1", N: 30, Version: 7, PulledAt: time.Now()},
-		{ID: "edge-2", URL: "http://e2", N: 20, Version: 3, PulledAt: time.Now()},
+		{ID: "edge-1", URL: "http://e1", N: 30, Version: 7},
+		{ID: "edge-2", URL: "http://e2", N: 20, Version: 3},
 	}
 	src := &composedSource{Source: agg, comp: comp}
 	eng, err := NewEngine(src, p, EngineOptions{})

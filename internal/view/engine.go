@@ -44,9 +44,6 @@ type Component struct {
 	N int
 	// Version is the component's state version inside the snapshot.
 	Version uint64
-	// PulledAt is when the component's state was last fetched (zero for
-	// the local pipeline).
-	PulledAt time.Time
 	// Parts is how many named state components the constituent
 	// decomposes into on the wire (1 for an edge, pass-through
 	// constituents of a mid-tier coordinator); 0 when the source doesn't

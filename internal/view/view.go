@@ -96,11 +96,10 @@ type View struct {
 	// epochs — drift against the previous epoch.
 	Diag Diagnostics
 
-	cfg     core.Config
-	kWay    int               // count of collection (k-way) tables at the front of tables
-	tables  []*marginal.Table // C(d,k) k-way tables (mask-ascending), then the sub-k cube
-	weights []float64         // per-table evidence (per-marginal users, or N)
-	pos     map[uint64]int    // mask -> position in tables
+	cfg    core.Config
+	kWay   int               // count of collection (k-way) tables at the front of tables
+	tables []*marginal.Table // C(d,k) k-way tables (mask-ascending), then the sub-k cube
+	pos    map[uint64]int    // mask -> position in tables
 
 	// snapshotAt is when the Engine cut the snapshot behind this view
 	// (zero for standalone Build calls); Refresh uses it to coalesce

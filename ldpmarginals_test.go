@@ -39,8 +39,8 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if tv > 0.05 {
 		t.Errorf("quickstart TV = %v, want < 0.05", tv)
 	}
-	if run.TotalBits != int64((ds.D+1)*ds.N()) {
-		t.Errorf("TotalBits = %d", run.TotalBits)
+	if bits := p.CommunicationBits() * run.Agg.N(); bits != (ds.D+1)*ds.N() {
+		t.Errorf("total bits = %d", bits)
 	}
 }
 

@@ -19,22 +19,29 @@ import (
 	"testing"
 )
 
-// reachAllowlist names the non-test declarations that no binary reaches
-// and that stay anyway, each with its reason. A key is "pkgpath.Name" for
-// a top-level declaration and "pkgpath.Type.Method" for a method.
+// reachAllowlist names the non-test declarations and fields that no
+// binary reaches and that stay anyway, each with its reason. A key is
+// "pkgpath.Name" for a top-level declaration, "pkgpath.Type.Method" for a
+// method and "pkgpath.Type.field" for a field.
 var reachAllowlist = map[string]string{
-	"ldpmarginals/bench.maxBound":      "documents the widest end-to-end bound but nothing reads it; bench/ changes only with the benchmark",
-	"ldpmarginals/bench.maxSetupBound": "documents the widest setup_s bound but nothing reads it; bench/ changes only with the benchmark",
+	"ldpmarginals/bench.maxBound":         "documents the widest end-to-end bound but nothing reads it; bench/ changes only with the benchmark",
+	"ldpmarginals/bench.maxSetupBound":    "documents the widest setup_s bound but nothing reads it; bench/ changes only with the benchmark",
+	"ldpmarginals/bench.e2eMetric.unit":   "only bench/bench_test.go reads it; bench/ changes only with the benchmark",
+	"ldpmarginals/bench.e2eMetric.better": "only bench/bench_test.go reads it; bench/ changes only with the benchmark",
 	"ldpmarginals/internal/fault.Disarm": "test seam: tests of internal/server and internal/store disarm the process-wide fault registry " +
 		"after arming it; an exported name is the only way another package's tests reach it",
 }
 
 // TestEveryDeclarationReachedFromABinary fails when a non-test function,
-// method, type, const or var of the module is reached from no binary (a
-// main package, bench included), no init function and no package-level
-// initializer that makes a call. An exported name of the root package is
-// no root of its own: the examples are what keep the public API alive.
-// Code that only tests call belongs in a _test.go file or nowhere.
+// method, type, const or var of the module, or a named field of one of
+// its struct types, is reached from no binary (a main package, bench
+// included), no init function and no package-level initializer that
+// makes a call. An exported name of the root package is no root of its
+// own: the examples are what keep the public API alive. A method nothing
+// names is reached only through what reached code does with its type
+// (facts.method), and a field only where reached code reads it
+// (facts.field). Code that only tests use belongs in a _test.go file or
+// nowhere.
 func TestEveryDeclarationReachedFromABinary(t *testing.T) {
 	g, err := loadDeclGraph(".")
 	if err != nil {
@@ -56,11 +63,16 @@ func TestEveryDeclarationReachedFromABinary(t *testing.T) {
 }
 
 // TestReachabilityCheckerFixture runs the checker on a module whose dead
-// functions hide among declarations reached only in the indirect ways
-// the checker must follow: a method through an interface, a var through
-// a root initializer and a generic function through an instantiation.
-// An exported function of the module's root package is dead too when no
-// binary calls it.
+// code hides among declarations and fields reached only in the indirect
+// ways the checker must follow: a method through an interface its type
+// is converted to, a promoted method through its embedder's conversion,
+// a method through a type assertion, a String method from fmt, an
+// exported field through encoding/json, unexported fields through a map
+// key, a var through a root initializer and generic code through an
+// instantiation. Dead are an exported function of the root package no
+// binary calls, a method only an unrelated interface's method name
+// matches, a field that is written and never read, and a function
+// nothing calls.
 func TestReachabilityCheckerFixture(t *testing.T) {
 	g, err := loadDeclGraph(filepath.Join("testdata", "reach"))
 	if err != nil {
@@ -70,37 +82,54 @@ func TestReachabilityCheckerFixture(t *testing.T) {
 	for _, d := range g.unreached(nil) {
 		names = append(names, d.name)
 	}
-	if want := []string{"fixture.Unused", "fixture/lib.Dead"}; !slices.Equal(names, want) {
+	want := []string{"fixture.Unused", "fixture/lib.Circle.Area", "fixture/lib.Counter.last", "fixture/lib.Dead"}
+	if !slices.Equal(names, want) {
 		t.Fatalf("unreached = %v, want exactly %v", names, want)
 	}
 }
 
-// unreachedDecl is one top-level declaration that nothing reaches.
+// unreachedDecl is one declaration or field that nothing reaches.
 type unreachedDecl struct {
 	name  string
 	pos   token.Position
 	lines int // doc comment included
 }
 
-// declNode is one top-level declaration: a func, method, type, or one
-// name of a const or var spec.
+// declNode is one top-level declaration (a func, method, type, or one
+// name of a const or var spec) or one named field of a top-level struct
+// type.
 type declNode struct {
 	obj   types.Object // nil for a blank var
 	name  string
 	pos   token.Position
 	lines int
 	root  bool
-	refs  []types.Object
+	owner int // a method's receiver type or a field's struct type; -1 for none
+	field bool
+	uses
 	edges []int
 }
 
-// declGraph is the reference graph over a module's top-level
+// uses is what a declaration's code does that can reach other
 // declarations.
+type uses struct {
+	refs    []types.Object     // what it names; a field only where it is read
+	convs   []conversion       // values of concrete types it converts to interfaces
+	asserts []*types.Interface // interfaces its type assertions and type switches name
+	wholes  []types.Type       // struct values it compares or uses as map keys: every field read
+}
+
+// conversion is a value of a concrete type converted to an interface.
+type conversion struct {
+	from types.Type
+	to   *types.Interface
+}
+
+// declGraph is the reference graph over a module's top-level
+// declarations and struct fields.
 type declGraph struct {
-	dir          string
-	nodes        []*declNode
-	methodsOf    map[*types.TypeName][]int
-	ifaceMethods map[string]bool // every interface method name in sight
+	dir   string
+	nodes []*declNode
 }
 
 // loadDeclGraph type-checks the non-test files of the module rooted at
@@ -173,9 +202,11 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 			return src.pkg, nil
 		}
 		src.info = &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Instances:  map[*ast.Ident]types.Instance{},
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(path, fset, src.files, src.info)
@@ -198,11 +229,9 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 
 	var nodes []*declNode
 	index := map[types.Object]int{}
-	methodsOf := map[*types.TypeName][]int{}
-	ifaceMethods := map[string]bool{}
-	// add records one declaration spanning node (and doc); its references
-	// are the identifiers used inside from.
-	add := func(src *pkgSrc, obj types.Object, name string, node ast.Node, doc *ast.CommentGroup, from ast.Node, root bool) {
+	owners := map[int]types.Object{} // node -> its receiver or struct type
+	// add records one declaration spanning node (and doc) that does u.
+	add := func(obj types.Object, name string, node ast.Node, doc *ast.CommentGroup, u uses, root bool) *declNode {
 		start := node.Pos()
 		if doc != nil {
 			start = doc.Pos()
@@ -213,15 +242,9 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 			pos:   fset.Position(node.Pos()),
 			lines: fset.Position(node.End()).Line - fset.Position(start).Line + 1,
 			root:  root,
+			owner: -1,
+			uses:  u,
 		}
-		ast.Inspect(from, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok {
-				if used := src.info.Uses[id]; used != nil {
-					n.refs = append(n.refs, origin(used))
-				}
-			}
-			return true
-		})
 		if obj != nil {
 			// A const repeated by iota names no type, yet uses its spec's.
 			switch obj.(type) {
@@ -233,33 +256,27 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 			index[obj] = len(nodes)
 		}
 		nodes = append(nodes, n)
+		return n
 	}
 	for _, path := range paths {
 		src := srcs[path]
 		isMain := src.name == "main"
 		for _, f := range src.files {
-			ast.Inspect(f, func(x ast.Node) bool {
-				if it, ok := x.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							ifaceMethods[id.Name] = true
-						}
-					}
-				}
-				return true
-			})
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					obj := src.info.Defs[d.Name].(*types.Func)
 					name := path + "." + d.Name.Name
 					root := d.Recv == nil && ((isMain && d.Name.Name == "main") || d.Name.Name == "init")
+					var recv *types.TypeName
 					if d.Recv != nil {
-						recv := receiverType(obj)
+						recv = receiverType(obj)
 						name = path + "." + recv.Name() + "." + d.Name.Name
-						methodsOf[recv] = append(methodsOf[recv], len(nodes))
 					}
-					add(src, obj, name, d, d.Doc, d, root)
+					add(obj, name, d, d.Doc, scan(src.info, d, obj.Type().(*types.Signature)), root)
+					if recv != nil {
+						owners[len(nodes)-1] = recv
+					}
 				case *ast.GenDecl:
 					grouped := d.Lparen.IsValid()
 					for _, spec := range d.Specs {
@@ -273,15 +290,36 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
 							obj := src.info.Defs[s.Name]
-							add(src, obj, path+"."+s.Name.Name, node, doc, s, false)
+							name := path + "." + s.Name.Name
+							add(obj, name, node, doc, scan(src.info, s, nil), false)
+							fields, ok := s.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							st := obj.Type().Underlying().(*types.Struct)
+							i := 0
+							for _, fld := range fields.Fields.List {
+								for range max(1, len(fld.Names)) { // an embedded field has no names
+									v := st.Field(i)
+									i++
+									if v.Name() == "_" { // padding
+										continue
+									}
+									fn := add(v, name+"."+v.Name(), fld, fld.Doc, uses{}, false)
+									fn.pos = fset.Position(v.Pos())
+									fn.field = true
+									owners[len(nodes)-1] = obj
+								}
+							}
 						case *ast.ValueSpec:
 							calls := d.Tok == token.VAR && makesCall(src.info, s)
+							u := scan(src.info, s, nil)
 							for _, id := range s.Names {
 								var obj types.Object
 								if id.Name != "_" {
 									obj = src.info.Defs[id]
 								}
-								add(src, obj, path+"."+id.Name, node, doc, s, calls)
+								add(obj, path+"."+id.Name, node, doc, u, calls)
 							}
 						}
 					}
@@ -289,49 +327,507 @@ func loadDeclGraph(dir string) (*declGraph, error) {
 			}
 		}
 	}
-	for _, n := range nodes {
+	for i, n := range nodes {
+		if o, ok := owners[i]; ok {
+			n.owner = index[o]
+		}
 		for _, ref := range n.refs {
-			if i, ok := index[ref]; ok {
-				n.edges = append(n.edges, i)
+			if j, ok := index[ref]; ok {
+				n.edges = append(n.edges, j)
 			}
 		}
 	}
+	return &declGraph{dir: dir, nodes: nodes}, nil
+}
 
-	// Every interface the program can see, standard library included,
-	// may call a method of a reached type by name.
-	visited := map[*types.Package]bool{}
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if visited[p] {
+// scan records what the code under root does: the objects it names
+// (a field only where it is read, not where it is the target of a plain
+// = or a key of a struct literal), the values of concrete types it
+// converts to interfaces (implicitly, by assignment, argument, return,
+// literal element, send, map key or comparison, or explicitly), the
+// interfaces it asserts to, and the struct values it reads whole. sig is
+// the signature of the function root declares, nil for a type, const or
+// var.
+func scan(info *types.Info, root ast.Node, sig *types.Signature) uses {
+	var u uses
+	written := map[*ast.Ident]bool{}
+	seenWhole := map[types.Type]bool{}
+	whole := func(t types.Type) {
+		if !seenWhole[t] {
+			seenWhole[t] = true
+			u.wholes = append(u.wholes, t)
+		}
+	}
+	convert := func(from, to types.Type) {
+		if from == nil || to == nil || types.IsInterface(from) {
 			return
 		}
-		visited[p] = true
-		scope := p.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					for i := 0; i < it.NumMethods(); i++ {
-						ifaceMethods[it.Method(i).Name()] = true
+		if _, ok := to.(*types.TypeParam); ok {
+			return
+		}
+		it, ok := to.Underlying().(*types.Interface)
+		if !ok {
+			return
+		}
+		if b, ok := from.(*types.Basic); ok && b.Kind() == types.UntypedNil {
+			return
+		}
+		u.convs = append(u.convs, conversion{from, it})
+		switch f := from.Underlying().(type) {
+		case *types.Pointer:
+			// A pointer to an interface handed over (errors.As) is
+			// asserted to that interface.
+			if target, ok := f.Elem().Underlying().(*types.Interface); ok {
+				u.asserts = append(u.asserts, target)
+			}
+		case *types.Struct, *types.Array:
+			// The interface holds a copy, and comparing two of them
+			// compares every field.
+			whole(from)
+		}
+	}
+	// flow converts values flowing into slots of the types to.
+	flow := func(to []types.Type, vals []ast.Expr) {
+		if len(vals) == 1 && len(to) > 1 {
+			if tup, ok := info.TypeOf(vals[0]).(*types.Tuple); ok {
+				for i := 0; i < tup.Len() && i < len(to); i++ {
+					convert(tup.At(i).Type(), to[i])
+				}
+			}
+			return
+		}
+		for i, v := range vals {
+			if i < len(to) {
+				convert(info.TypeOf(v), to[i])
+			}
+		}
+	}
+	assert := func(t types.Type) {
+		if t == nil {
+			return
+		}
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			if _, isParam := t.(*types.TypeParam); !isParam {
+				u.asserts = append(u.asserts, it)
+			}
+		}
+	}
+	sigs := []*types.Signature{sig}
+	var stack []ast.Node
+	ast.Inspect(root, func(x ast.Node) bool {
+		if x == nil {
+			if _, ok := stack[len(stack)-1].(*ast.FuncLit); ok {
+				sigs = sigs[:len(sigs)-1]
+			}
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, x)
+		if e, ok := x.(ast.Expr); ok {
+			if m, ok := typeUnder(info.TypeOf(e)).(*types.Map); ok {
+				whole(m.Key())
+			}
+		}
+		switch x := x.(type) {
+		case *ast.Ident:
+			obj := info.Uses[x]
+			if obj == nil {
+				break
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() && written[x] {
+				break
+			}
+			u.refs = append(u.refs, origin(obj))
+			if inst, ok := info.Instances[x]; ok {
+				// Instantiating a generic with a type whose constraint
+				// declares methods calls them as an interface would.
+				tparams := typeParams(obj)
+				for i := 0; i < inst.TypeArgs.Len() && i < tparams.Len(); i++ {
+					if it, ok := tparams.At(i).Constraint().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+						u.convs = append(u.convs, conversion{inst.TypeArgs.At(i), it})
+					}
+				}
+			}
+		case *ast.FuncLit:
+			sigs = append(sigs, info.TypeOf(x).(*types.Signature))
+		case *ast.SelectorExpr:
+			// A promoted field or method reads the embedded fields on
+			// its path.
+			if sel := info.Selections[x]; sel != nil {
+				t := sel.Recv()
+				path := sel.Index()
+				for _, i := range path[:len(path)-1] {
+					st, ok := typeUnder(deref(t)).(*types.Struct)
+					if !ok {
+						break
+					}
+					u.refs = append(u.refs, st.Field(i).Origin())
+					t = st.Field(i).Type()
+				}
+			}
+		case *ast.AssignStmt:
+			if x.Tok != token.ASSIGN {
+				break
+			}
+			to := make([]types.Type, len(x.Lhs))
+			for i, l := range x.Lhs {
+				if s, ok := ast.Unparen(l).(*ast.SelectorExpr); ok {
+					written[s.Sel] = true
+				}
+				to[i] = info.TypeOf(l)
+			}
+			flow(to, x.Rhs)
+		case *ast.ValueSpec:
+			if x.Type != nil && len(x.Values) > 0 {
+				to := make([]types.Type, len(x.Names))
+				for i := range to {
+					to[i] = info.TypeOf(x.Type)
+				}
+				flow(to, x.Values)
+			}
+		case *ast.ReturnStmt:
+			if s := sigs[len(sigs)-1]; s != nil {
+				to := make([]types.Type, s.Results().Len())
+				for i := range to {
+					to[i] = s.Results().At(i).Type()
+				}
+				flow(to, x.Results)
+			}
+		case *ast.CallExpr:
+			tv := info.Types[x.Fun]
+			if tv.IsType() {
+				if len(x.Args) == 1 {
+					convert(info.TypeOf(x.Args[0]), tv.Type)
+				}
+				break
+			}
+			s, ok := typeUnder(tv.Type).(*types.Signature)
+			if !ok {
+				break
+			}
+			n := len(x.Args)
+			if n == 1 {
+				if tup, ok := info.TypeOf(x.Args[0]).(*types.Tuple); ok {
+					n = tup.Len()
+				}
+			}
+			flow(paramTypes(s, n, x.Ellipsis.IsValid()), x.Args)
+		case *ast.CompositeLit:
+			switch t := typeUnder(deref(info.TypeOf(x))).(type) {
+			case *types.Struct:
+				for i, e := range x.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						key := kv.Key.(*ast.Ident)
+						written[key] = true
+						convert(info.TypeOf(kv.Value), info.Uses[key].Type())
+					} else if i < t.NumFields() {
+						convert(info.TypeOf(e), t.Field(i).Type())
+					}
+				}
+			case *types.Slice, *types.Array, *types.Map:
+				var key, elem types.Type
+				switch t := t.(type) {
+				case *types.Slice:
+					elem = t.Elem()
+				case *types.Array:
+					elem = t.Elem()
+				case *types.Map:
+					key, elem = t.Key(), t.Elem()
+				}
+				for _, e := range x.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if key != nil {
+							convert(info.TypeOf(kv.Key), key)
+						}
+						e = kv.Value
+					}
+					convert(info.TypeOf(e), elem)
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := typeUnder(info.TypeOf(x.Chan)).(*types.Chan); ok {
+				convert(info.TypeOf(x.Value), ch.Elem())
+			}
+		case *ast.IndexExpr:
+			if m, ok := typeUnder(info.TypeOf(x.X)).(*types.Map); ok {
+				convert(info.TypeOf(x.Index), m.Key())
+			}
+		case *ast.BinaryExpr:
+			if x.Op != token.EQL && x.Op != token.NEQ {
+				break
+			}
+			l, r := info.TypeOf(x.X), info.TypeOf(x.Y)
+			convert(l, r)
+			convert(r, l)
+			if l != nil && !types.IsInterface(l) {
+				whole(l)
+			}
+		case *ast.TypeAssertExpr:
+			if x.Type != nil {
+				assert(info.TypeOf(x.Type))
+			}
+		case *ast.TypeSwitchStmt:
+			for _, c := range x.Body.List {
+				for _, e := range c.(*ast.CaseClause).List {
+					assert(info.TypeOf(e))
+				}
+			}
+		}
+		return true
+	})
+	return u
+}
+
+// paramTypes lists the parameter types n arguments of a call to sig
+// flow into; spread marks a call whose last argument is a slice passed
+// with "...".
+func paramTypes(sig *types.Signature, n int, spread bool) []types.Type {
+	ps := sig.Params()
+	to := make([]types.Type, n)
+	for i := range to {
+		switch {
+		case sig.Variadic() && i >= ps.Len()-1:
+			t := ps.At(ps.Len() - 1).Type()
+			if s, ok := typeUnder(t).(*types.Slice); ok && !spread {
+				t = s.Elem()
+			}
+			to[i] = t
+		case i < ps.Len():
+			to[i] = ps.At(i).Type()
+		}
+	}
+	return to
+}
+
+// typeParams returns the type parameters of a generic function or type.
+func typeParams(obj types.Object) *types.TypeParamList {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin().Type().(*types.Signature).TypeParams()
+	case *types.TypeName:
+		if n, ok := types.Unalias(o.Type()).(*types.Named); ok {
+			return n.Origin().TypeParams()
+		}
+	}
+	return nil
+}
+
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// namedOf returns the declared type of a T or *T, nil for other types.
+func namedOf(t types.Type) *types.TypeName {
+	if n, ok := types.Unalias(deref(t)).(*types.Named); ok {
+		return n.Origin().Obj()
+	}
+	return nil
+}
+
+// dynamicMethods are the methods standard packages call after asserting
+// a value handed to them as an interface to an interface of their own
+// (fmt, errors, encoding, encoding/json, net/http, io, log/slog), by
+// name and signature.
+var dynamicMethods = map[string][]string{
+	"Error":         {"()string"},
+	"String":        {"()string"},
+	"GoString":      {"()string"},
+	"Format":        {"(fmt.State,rune)"},
+	"Unwrap":        {"()error", "()[]error"},
+	"Is":            {"(error)bool"},
+	"As":            {"(any)bool"},
+	"MarshalJSON":   {"()[]byte,error"},
+	"UnmarshalJSON": {"([]byte)error"},
+	"MarshalText":   {"()[]byte,error"},
+	"UnmarshalText": {"([]byte)error"},
+	"ServeHTTP":     {"(net/http.ResponseWriter,*net/http.Request)"},
+	"WriteTo":       {"(io.Writer)int64,error"},
+	"ReadFrom":      {"(io.Reader)int64,error"},
+	"LogValue":      {"()log/slog.Value"},
+	"Timeout":       {"()bool"},
+}
+
+// isDynamic reports whether fn is one of dynamicMethods.
+func isDynamic(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	list := func(t *types.Tuple) string {
+		var parts []string
+		for i := 0; i < t.Len(); i++ {
+			ty := t.At(i).Type()
+			if it, ok := ty.Underlying().(*types.Interface); ok && it.Empty() {
+				parts = append(parts, "any")
+				continue
+			}
+			parts = append(parts, types.TypeString(ty, nil))
+		}
+		return strings.Join(parts, ",")
+	}
+	return slices.Contains(dynamicMethods[fn.Name()], "("+list(sig.Params())+")"+list(sig.Results()))
+}
+
+// facts is what the reached code does with types, gathered from the
+// uses of every reached declaration.
+type facts struct {
+	to        map[*types.TypeName][]*types.Interface // interfaces a type, or one embedding it, is converted to
+	outers    map[*types.TypeName][]*types.TypeName  // the converted types that are or embed a type
+	dynamic   map[*types.TypeName]bool               // what reflection reaches from a value converted to any interface
+	reflected map[*types.TypeName]bool               // what reflection reaches from a value converted to an empty interface
+	whole     map[*types.TypeName]bool               // struct types every field of which is read
+	asserts   []*types.Interface
+	asserted  map[*types.Interface]bool
+}
+
+// convert records a conversion. A type embedded in the converted one
+// is converted with it: its methods are promoted.
+func (f *facts) convert(c conversion) {
+	if outer := namedOf(c.from); outer != nil {
+		var embeds func(tn *types.TypeName)
+		embeds = func(tn *types.TypeName) {
+			if slices.Contains(f.to[tn], c.to) && slices.Contains(f.outers[tn], outer) {
+				return
+			}
+			if !slices.Contains(f.to[tn], c.to) {
+				f.to[tn] = append(f.to[tn], c.to)
+			}
+			if !slices.Contains(f.outers[tn], outer) {
+				f.outers[tn] = append(f.outers[tn], outer)
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if fl := st.Field(i); fl.Embedded() {
+						if e := namedOf(fl.Type()); e != nil {
+							embeds(e)
+						}
 					}
 				}
 			}
 		}
-		for _, q := range p.Imports() {
-			visit(q)
-		}
+		embeds(outer)
 	}
-	for _, path := range paths {
-		visit(srcs[path].pkg)
+	reflect(f.dynamic, c.from)
+	if c.to.Empty() {
+		reflect(f.reflected, c.from)
 	}
-
-	return &declGraph{dir: dir, nodes: nodes, methodsOf: methodsOf, ifaceMethods: ifaceMethods}, nil
 }
 
-// unreached returns the declarations that neither the module's roots nor
-// the extra roots (keyed by declaration name) reach, sorted by position.
+func (f *facts) assert(it *types.Interface) {
+	if !f.asserted[it] {
+		f.asserted[it] = true
+		f.asserts = append(f.asserts, it)
+	}
+}
+
+// reflect marks in seen what fmt and encoding/json reach by reflection
+// from a value of type t held in an interface: pointer, slice, array and
+// map elements, and a struct's exported and embedded fields.
+func reflect(seen map[*types.TypeName]bool, t types.Type) {
+	switch t := types.Unalias(t).(type) {
+	case *types.Pointer:
+		reflect(seen, t.Elem())
+	case *types.Slice:
+		reflect(seen, t.Elem())
+	case *types.Array:
+		reflect(seen, t.Elem())
+	case *types.Map:
+		reflect(seen, t.Key())
+		reflect(seen, t.Elem())
+	case *types.Named:
+		tn := t.Origin().Obj()
+		if seen[tn] {
+			return
+		}
+		seen[tn] = true
+		reflect(seen, t.Underlying())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if fl := t.Field(i); fl.Exported() || fl.Embedded() {
+				reflect(seen, fl.Type())
+			}
+		}
+	}
+}
+
+// readWhole marks every field of a struct value read, with the fields
+// of the struct and array values it holds.
+func (f *facts) readWhole(t types.Type) {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		tn := t.Origin().Obj()
+		if f.whole[tn] {
+			return
+		}
+		f.whole[tn] = true
+		f.readWhole(t.Underlying())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			f.readWhole(t.Field(i).Type())
+		}
+	case *types.Array:
+		f.readWhole(t.Elem())
+	}
+}
+
+// method reports whether reached code can call the method fn of tn
+// without naming it: through an interface tn (or a type embedding it)
+// is converted to, through an interface a type assertion names and the
+// converted type implements, or from a standard package that asserts for
+// it.
+func (f *facts) method(tn *types.TypeName, fn *types.Func) bool {
+	for _, it := range f.to[tn] {
+		if declares(it, fn.Name()) {
+			return true
+		}
+	}
+	for _, o := range f.outers[tn] {
+		for _, it := range f.asserts {
+			if declares(it, fn.Name()) && (types.Implements(o.Type(), it) || types.Implements(types.NewPointer(o.Type()), it)) {
+				return true
+			}
+		}
+	}
+	return f.dynamic[tn] && isDynamic(fn)
+}
+
+// field reports whether reached code reads the field v of tn without
+// selecting it: by reading its struct whole, by reflection over an
+// exported field, or through the methods an embedded field promotes.
+func (f *facts) field(tn *types.TypeName, v *types.Var) bool {
+	return f.whole[tn] || (f.reflected[tn] && (v.Exported() || v.Embedded())) || (v.Embedded() && len(f.outers[tn]) > 0)
+}
+
+func declares(it *types.Interface, name string) bool {
+	for i := 0; i < it.NumMethods(); i++ {
+		if it.Method(i).Name() == name {
+			return true
+		}
+	}
+	return false
+}
+
+// unreached returns the declarations and fields that neither the
+// module's roots nor the extra roots (keyed by name) reach, sorted by
+// position. A field of an unreached type is not listed: the type is.
 func (g *declGraph) unreached(extra map[string]string) []unreachedDecl {
 	nodes := g.nodes
 	reached := make([]bool, len(nodes))
+	f := &facts{
+		to:        map[*types.TypeName][]*types.Interface{},
+		outers:    map[*types.TypeName][]*types.TypeName{},
+		dynamic:   map[*types.TypeName]bool{},
+		reflected: map[*types.TypeName]bool{},
+		whole:     map[*types.TypeName]bool{},
+		asserted:  map[*types.Interface]bool{},
+	}
 	var queue []int
 	mark := func(i int) {
 		if !reached[i] {
@@ -345,23 +841,38 @@ func (g *declGraph) unreached(extra map[string]string) []unreachedDecl {
 		}
 	}
 	for len(queue) > 0 {
-		n := nodes[queue[0]]
-		queue = queue[1:]
-		for _, e := range n.edges {
-			mark(e)
+		for len(queue) > 0 {
+			n := nodes[queue[0]]
+			queue = queue[1:]
+			for _, e := range n.edges {
+				mark(e)
+			}
+			for _, c := range n.convs {
+				f.convert(c)
+			}
+			for _, t := range n.wholes {
+				f.readWhole(t)
+			}
+			for _, it := range n.asserts {
+				f.assert(it)
+			}
 		}
-		if tn, ok := n.obj.(*types.TypeName); ok {
-			for _, m := range g.methodsOf[tn] {
-				if g.ifaceMethods[nodes[m].obj.Name()] {
-					mark(m)
-				}
+		// What reached code does with a reached type can reach its
+		// methods and fields; each newly reached one may do more.
+		for i, n := range nodes {
+			if reached[i] || n.owner < 0 || !reached[n.owner] {
+				continue
+			}
+			tn := nodes[n.owner].obj.(*types.TypeName)
+			if n.field && f.field(tn, n.obj.(*types.Var)) || !n.field && f.method(tn, n.obj.(*types.Func)) {
+				mark(i)
 			}
 		}
 	}
 
 	var dead []unreachedDecl
 	for i, n := range nodes {
-		if reached[i] || n.obj == nil {
+		if reached[i] || n.obj == nil || n.field && !reached[n.owner] {
 			continue
 		}
 		pos := n.pos

@@ -2,6 +2,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"fixture"
@@ -10,5 +11,9 @@ import (
 
 func main() {
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(fixture.Label(), s.Area(), lib.Max(2, 3), lib.NewBox(4).Get())
+	var c lib.Counter
+	c.Hit()
+	js, _ := json.Marshal(&lib.Report{Meta: lib.Meta{Version: 1}})
+	fmt.Println(fixture.Label(), s.Area(), lib.Max(2, 3), lib.NewBox(4).Get(), lib.Circle{R: 1}.R, c.Hit())
+	fmt.Println(lib.NewOuter(5).Size(), lib.Describe(lib.Tagged{}), lib.Level(2), string(js), lib.Distinct([][2]int{{1, 2}, {1, 2}}))
 }
