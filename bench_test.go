@@ -203,13 +203,13 @@ func BenchmarkAggregatorEstimate(b *testing.B) {
 	ds := ldpmarginals.NewTaxiDataset(20000, 1)
 	for _, p := range benchProtocols(b) {
 		b.Run(p.Name(), func(b *testing.B) {
-			run, err := core.Run(p, ds.Records, 1, 0)
+			agg, err := core.Run(p, ds.Records, 1, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := run.Agg.Estimate(0b11); err != nil {
+				if _, err := agg.Estimate(0b11); err != nil {
 					b.Fatal(err)
 				}
 			}

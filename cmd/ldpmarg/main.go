@@ -56,11 +56,11 @@ func main() {
 	fmt.Printf("protocol=%s data=%s d=%d n=%d k=%d eps=%.4g\n", p.Name(), *data, ds.D, ds.N(), *k, *eps)
 	fmt.Printf("communication: %d bits/user, %d bits total\n", p.CommunicationBits(), int64(p.CommunicationBits())*int64(ds.N()))
 
-	run, err := ldpmarginals.Simulate(p, ds.Records, *seed, *workers)
+	agg, err := ldpmarginals.Simulate(p, ds.Records, *seed, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := run.Agg.Estimate(beta)
+	got, err := agg.Estimate(beta)
 	if err != nil {
 		log.Fatal(err)
 	}

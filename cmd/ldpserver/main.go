@@ -8,6 +8,11 @@
 //	    -shards 0 -refresh-interval 5s -refresh-every-n 0 \
 //	    -data-dir /var/lib/ldpserver -fsync interval -snapshot-every-n 1000000
 //
+// -shards also sizes the ingest admission gate. The fsync period
+// (100 ms), the degraded-mode disk-probe cadence (2 s) and the
+// slow-trace threshold (1 s, trace.SlowThreshold) are fixed; no flag
+// tunes them.
+//
 // Endpoints:
 //
 //	POST /report            binary report frame (internal/encoding)
@@ -61,20 +66,21 @@
 // stderr (debug, info, warn, error or off); debug adds one line per
 // request carrying its trace id.
 //
-// One admission gate bounds how many /report and /report/batch requests
-// are processed at once (-max-inflight-ingest, default the shard count)
-// and how many may queue behind them (-max-ingest-queue); arrivals beyond
-// both are shed with 429 + Retry-After and counted in ldp_ingest_shed_total
-// on /metrics, so overload degrades into visible, retryable refusals
-// instead of unbounded goroutine and memory growth.
+// One admission gate, sized from -shards, bounds how many /report and
+// /report/batch requests are processed at once (one per shard) and how
+// many may queue behind them (64 per shard, the server's
+// ingestQueuePerShard); arrivals beyond both are shed with 429 +
+// Retry-After and counted in ldp_ingest_shed_total on /metrics, so
+// overload degrades into visible, retryable refusals instead of
+// unbounded goroutine and memory growth.
 //
 // A durable node that loses its disk degrades instead of falling over:
 // a persistent WAL failure flips the server into read-only mode —
 // ingest is shed with 503 + Retry-After while reads, /state, and
 // /metrics keep serving from memory — and a background probe re-tests
-// the disk every -degraded-probe-interval, reviving the log and
-// re-snapshotting the in-memory state once writes succeed again. A
-// coordinator likewise survives a misbehaving peer: after three
+// the disk every 2 s (the server's defaultDegradedProbe), reviving the
+// log and re-snapshotting the in-memory state once writes succeed
+// again. A coordinator likewise survives a misbehaving peer: after three
 // consecutive pulls whose frames fail CRC, decode, or fold, the peer is
 // quarantined — its last good contribution keeps serving, regular pulls
 // stop, and a half-open probe retries every 16 pull intervals
@@ -85,8 +91,9 @@
 //
 // With -data-dir set the deployment is durable: accepted reports are
 // appended to a write-ahead log before the ack (fsynced per -fsync:
-// always, interval, or off), the counters are compacted into snapshots
-// every -snapshot-every-n reports and on shutdown, and a restart
+// always, every 100 ms under interval — the store's defaultFsyncPeriod —
+// or off), the counters are compacted into snapshots every
+// -snapshot-every-n reports and on shutdown, and a restart
 // recovers the full aggregation state from the directory — the startup
 // log reports how many reports were recovered, from which snapshot,
 // how many WAL segments were replayed, and whether a torn tail was
@@ -154,19 +161,14 @@ func main() {
 		d         = flag.Int("d", 8, "number of binary attributes")
 		k         = flag.Int("k", 2, "largest marginal size supported")
 		eps       = flag.Float64("eps", math.Log(3), "privacy budget epsilon")
-		shards    = flag.Int("shards", 0, "aggregation shards (0 = GOMAXPROCS)")
+		shards    = flag.Int("shards", 0, "aggregation shards, also the ingest admission gate: one request in flight and 64 queued per shard (0 = GOMAXPROCS)")
 		interval  = flag.Duration("refresh-interval", 5*time.Second, "rebuild the view this often (0 = no time-based refresh)")
 		everyN    = flag.Int("refresh-every-n", 0, "rebuild the view after this many new reports (0 = no count-based refresh)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof and /metrics on this separate address (e.g. 127.0.0.1:6060; empty = disabled)")
-		maxInflight = flag.Int("max-inflight-ingest", 0,
-			"/report and /report/batch requests read, decoded and ingested at once before new arrivals queue (0 = shard count)")
-		maxQueue = flag.Int("max-ingest-queue", 0,
-			"ingest requests allowed to queue for an in-flight slot before arrivals are shed with 429 (0 = 64x shard count)")
 
 		dataDir    = flag.String("data-dir", "", "durable directory: WAL+snapshots for single/edge, peer-state snapshot for coordinator (empty = memory-only)")
-		fsyncMode  = flag.String("fsync", "interval", "WAL fsync policy: always, interval, or off")
-		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync timer period for -fsync interval")
+		fsyncMode  = flag.String("fsync", "interval", "WAL fsync policy: always, interval (every 100ms), or off")
 		snapEveryN = flag.Int("snapshot-every-n", 1_000_000, "compact the WAL into a counter snapshot after this many reports (0 = only on shutdown)")
 
 		windowSpan = flag.Duration("window", 0, "serve a sliding window of this span instead of the cumulative release (requires -bucket; single and edge roles)")
@@ -180,8 +182,6 @@ func main() {
 
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error, or off (debug adds one line per request, carrying its trace id)")
 
-		degradedProbe = flag.Duration("degraded-probe-interval", 0,
-			"disk-probe cadence while degraded by a WAL failure (0 = 2s); each probe rewrites a sentinel file and, once the disk accepts writes, auto-recovers the node")
 		faultSpec = flag.String("fault-spec", "",
 			"DEV ONLY: arm deterministic fault injection, e.g. 'store.wal.append=error:after=100;cluster.pull.body=corrupt:seed=7' (see internal/fault)")
 	)
@@ -251,7 +251,6 @@ func main() {
 	if *dataDir != "" {
 		st, err = store.Open(*dataDir, p, store.Options{
 			Fsync:          policy,
-			FsyncInterval:  *fsyncEvery,
 			SnapshotEveryN: *snapEveryN,
 		})
 		if err != nil {
@@ -270,21 +269,18 @@ func main() {
 		}
 	}
 	srv, err := server.NewWithOptions(p, server.Options{
-		Role:                  nodeRole,
-		NodeID:                *nodeID,
-		Peers:                 peerList,
-		PullInterval:          *pullInterval,
-		ClusterDir:            clusterDir,
-		Shards:                *shards,
-		MaxInflightIngest:     *maxInflight,
-		MaxIngestQueue:        *maxQueue,
-		Refresh:               view.Policy{Interval: *interval, EveryN: *everyN},
-		Store:                 st,
-		Window:                *windowSpan,
-		Bucket:                *bucketSpan,
-		RoundEps:              *roundEps,
-		DegradedProbeInterval: *degradedProbe,
-		Log:                   logger,
+		Role:         nodeRole,
+		NodeID:       *nodeID,
+		Peers:        peerList,
+		PullInterval: *pullInterval,
+		ClusterDir:   clusterDir,
+		Shards:       *shards,
+		Refresh:      view.Policy{Interval: *interval, EveryN: *everyN},
+		Store:        st,
+		Window:       *windowSpan,
+		Bucket:       *bucketSpan,
+		RoundEps:     *roundEps,
+		Log:          logger,
 	})
 	if err != nil {
 		die(err)

@@ -22,10 +22,10 @@
 //		D: ds.D, K: 2, Epsilon: 1.1,
 //	})
 //	if err != nil { ... }
-//	run, err := ldpmarginals.Simulate(p, ds.Records, 42, 0)
+//	agg, err := ldpmarginals.Simulate(p, ds.Records, 42, 0)
 //	if err != nil { ... }
 //	beta, _ := ds.Mask("CC", "Tip")
-//	table, err := run.Agg.Estimate(beta)
+//	table, err := agg.Estimate(beta)
 //
 // The experiment harness that regenerates every table and figure of the
 // paper lives in cmd/experiments; its package doc lists the experiment
@@ -398,7 +398,8 @@
 // probe while GET /readyz reports readiness — a node is ready once WAL
 // recovery finished and the first epoch serves (a coordinator, once it
 // holds at least one peer's state) — and both ingest endpoints pass one
-// bounded admission gate (-max-inflight-ingest, -max-ingest-queue):
+// bounded admission gate sized from -shards (one request in flight per
+// shard, ingestQueuePerShard = 64 queued per shard; no flag tunes it):
 // excess load is shed with 429 + Retry-After and counted rather than
 // queued without bound. cmd/ldpload load-tests a deployment in closed-
 // or open-loop (coordinated-omission-aware) mode and emits the latency
@@ -419,10 +420,10 @@
 // Completed traces land in a bounded in-memory ring served as JSON on
 // GET /debug/traces (also mounted on the -pprof-addr side listener),
 // which is also where their ids and attributes are formatted: a request
-// formats nothing it does not send;
-// slow traces are logged, and background no-op work (idle pull rounds,
-// no-boundary window ticks) is discarded rather than allowed to flood
-// the ring. -log-level selects the floor of the log/slog key=value
+// formats nothing it does not send; traces of 1 s or longer
+// (trace.SlowThreshold) are logged, and background no-op work (idle
+// pull rounds, no-boundary window ticks) is discarded rather than
+// allowed to flood the ring. -log-level selects the floor of the log/slog key=value
 // logger; debug adds one line per request carrying its trace id.
 //
 // The same spirit — observability grounded in the paper, not just in
@@ -457,8 +458,8 @@
 // Accepted count naming exactly how many reports entered memory —
 // consumed but not durably acked — and every later write is shed with
 // 503 + Retry-After while reads (/marginal, /query, /status, /state)
-// keep serving from memory. A background sentinel probe
-// (-degraded-probe-interval) rewrites a probe file in the data
+// keep serving from memory. A background sentinel probe, every
+// defaultDegradedProbe (a fixed 2 s), rewrites a probe file in the data
 // directory; once writes succeed it revives the WAL, repairs any torn
 // segment tail, force-snapshots the in-memory state (making the
 // consumed-but-unlogged reports durable after the fact), and flips the

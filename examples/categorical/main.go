@@ -41,11 +41,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := ldpmarginals.Simulate(p, bin.Records, 8, 0)
+	agg, err := ldpmarginals.Simulate(p, bin.Records, 8, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	private, err := run.Agg.Estimate(mask)
+	private, err := agg.Estimate(mask)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,11 +33,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 17, 0)
+	agg, err := ldpmarginals.Simulate(p, ds.Records, 17, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	privTree, err := ldpmarginals.FitDependencyTree(run.Agg, d)
+	privTree, err := ldpmarginals.FitDependencyTree(agg, d)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("\n%d of %d private edges match the non-private tree (*)\n", shared, len(privTree.Edges))
 
 	// Build the generative model from the private marginals and sample.
-	model, err := ldpmarginals.BuildTreeModel(privTree, run.Agg, 0)
+	model, err := ldpmarginals.BuildTreeModel(privTree, agg, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,18 +21,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 42, 0)
+	agg, err := ldpmarginals.Simulate(p, ds.Records, 42, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("collected %d reports, %d bits each\n", run.Agg.N(), p.CommunicationBits())
+	fmt.Printf("collected %d reports, %d bits each\n", agg.N(), p.CommunicationBits())
 
 	// Reconstruct the credit-card / tip marginal and compare with truth.
 	beta, err := ds.Mask("CC", "Tip")
 	if err != nil {
 		log.Fatal(err)
 	}
-	private, err := run.Agg.Estimate(beta)
+	private, err := agg.Estimate(beta)
 	if err != nil {
 		log.Fatal(err)
 	}

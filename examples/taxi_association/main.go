@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 99, 0)
+	agg, err := ldpmarginals.Simulate(p, ds.Records, 99, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		privTab, err := run.Agg.Estimate(beta)
+		privTab, err := agg.Estimate(beta)
 		if err != nil {
 			log.Fatal(err)
 		}

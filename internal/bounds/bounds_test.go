@@ -228,11 +228,11 @@ func measureTV(t *testing.T, kind core.Kind, n int, d int, eps float64, seed uin
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(p, records, seed+77, 4)
+	agg, err := core.Run(p, records, seed+77, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := marginal.MeanTV(res.Agg, records, bitops.MasksWithExactlyK(d, 2))
+	tv, err := marginal.MeanTV(agg, records, bitops.MasksWithExactlyK(d, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

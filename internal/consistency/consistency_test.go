@@ -332,14 +332,14 @@ func TestEnforceOnLDPEstimatesImprovesCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := core.Run(p, ds.Records, 3, 4)
+	agg, err := core.Run(p, ds.Records, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	betas := []uint64{0b00000011, 0b00000101, 0b00000110, 0b00001001}
 	var tables []*marginal.Table
 	for _, beta := range betas {
-		tab, err := run.Agg.Estimate(beta)
+		tab, err := agg.Estimate(beta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,13 +411,13 @@ func TestInpHTIsAutomaticallyConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := core.Run(p, ds.Records, 21, 4)
+	agg, err := core.Run(p, ds.Records, 21, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tables []*marginal.Table
 	for _, beta := range []uint64{0b011, 0b101, 0b110, 0b1001} {
-		tab, err := run.Agg.Estimate(beta)
+		tab, err := agg.Estimate(beta)
 		if err != nil {
 			t.Fatal(err)
 		}

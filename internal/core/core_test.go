@@ -133,11 +133,11 @@ func runAccuracy(t *testing.T, kind Kind, cfg Config, records []uint64, qk int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, records, seed, 4)
+	agg, err := Run(p, records, seed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := marginal.MeanTV(res.Agg, records, bitops.MasksWithExactlyK(cfg.D, qk))
+	tv, err := marginal.MeanTV(agg, records, bitops.MasksWithExactlyK(cfg.D, qk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +185,20 @@ func TestBetaValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(p, records, 1, 2)
+		agg, err := Run(p, records, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := res.Agg.Estimate(0); err == nil {
+		if _, err := agg.Estimate(0); err == nil {
 			t.Errorf("%v accepted empty beta", kind)
 		}
-		if _, err := res.Agg.Estimate(1 << 6); err == nil {
+		if _, err := agg.Estimate(1 << 6); err == nil {
 			t.Errorf("%v accepted out-of-domain beta", kind)
 		}
-		if _, err := res.Agg.Estimate(0b111); err == nil {
+		if _, err := agg.Estimate(0b111); err == nil {
 			t.Errorf("%v accepted |beta| > k", kind)
 		}
-		if _, err := res.Agg.Estimate(0b11); err != nil {
+		if _, err := agg.Estimate(0b11); err != nil {
 			t.Errorf("%v rejected valid beta: %v", kind, err)
 		}
 	}
@@ -362,12 +362,12 @@ func TestRunWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, 200} {
-		res, err := Run(p, records, 7, workers)
+		agg, err := Run(p, records, 7, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if res.Agg.N() != len(records) {
-			t.Errorf("workers=%d consumed %d reports", workers, res.Agg.N())
+		if agg.N() != len(records) {
+			t.Errorf("workers=%d consumed %d reports", workers, agg.N())
 		}
 	}
 }
@@ -381,11 +381,11 @@ func TestRunTotalBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, records, 1, 2)
+	agg, err := Run(p, records, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.CommunicationBits()*res.Agg.N(), 9*500; got != want {
+	if got, want := p.CommunicationBits()*agg.N(), 9*500; got != want {
 		t.Errorf("total bits = %d, want %d", got, want)
 	}
 }
@@ -459,11 +459,11 @@ func TestUnbiasednessAcrossRepeats(t *testing.T) {
 		}
 		const repeats = 20
 		for rep := 0; rep < repeats; rep++ {
-			res, err := Run(p, records, uint64(1000+rep), 4)
+			agg, err := Run(p, records, uint64(1000+rep), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := res.Agg.Estimate(0b0101)
+			got, err := agg.Estimate(0b0101)
 			if err != nil {
 				t.Fatal(err)
 			}

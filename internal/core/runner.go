@@ -16,18 +16,13 @@ type BatchSimulator interface {
 	SimulateBatch(records []uint64, r *rng.RNG) error
 }
 
-// RunResult is the outcome of simulating a protocol over a population.
-type RunResult struct {
-	// Agg is the merged aggregator, ready for Estimate queries.
-	Agg Aggregator
-}
-
 // Run simulates the full protocol over the records: every record is
 // perturbed by a client with an independent RNG stream and consumed by an
 // aggregator. Work is sharded over workers goroutines (GOMAXPROCS when
 // workers <= 0) with one aggregator shard each, merged at the end —
-// aggregation is associative, so the result is exact.
-func Run(p Protocol, records []uint64, seed uint64, workers int) (*RunResult, error) {
+// aggregation is associative, so the result is exact. It returns the
+// merged aggregator, ready for Estimate queries.
+func Run(p Protocol, records []uint64, seed uint64, workers int) (Aggregator, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("core: no records to run over")
 	}
@@ -101,5 +96,5 @@ func Run(p Protocol, records []uint64, seed uint64, workers int) (*RunResult, er
 	if out.N() != len(records) {
 		return nil, fmt.Errorf("core: aggregator consumed %d of %d reports", out.N(), len(records))
 	}
-	return &RunResult{Agg: out}, nil
+	return out, nil
 }

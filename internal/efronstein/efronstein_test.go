@@ -119,7 +119,7 @@ func TestEndToEndCategoricalAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := run.Agg.(*Aggregator)
+	agg := run.(*Aggregator)
 	for _, attrs := range [][]int{{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}} {
 		got, err := agg.EstimateCategorical(attrs)
 		if err != nil {
@@ -153,7 +153,7 @@ func TestEstimateViaBinaryMaskMatchesCategorical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := run.Agg.(*Aggregator)
+	agg := run.(*Aggregator)
 	mask, err := cat.MaskFor(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestMarginalMassNearOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := run.Agg.(*Aggregator).EstimateCategorical([]int{0, 1})
+	dist, err := run.(*Aggregator).EstimateCategorical([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

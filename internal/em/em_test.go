@@ -118,7 +118,7 @@ func TestEndToEndAccuracyGoodBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	beta, _ := ds.Mask("CC", "Tip")
-	agg := res.Agg.(*Aggregator)
+	agg := res.(*Aggregator)
 	dec, err := agg.EstimateDetailed(beta)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestFailureModeAtTinyEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := res.Agg.(*Aggregator)
+	agg := res.(*Aggregator)
 	failures := 0
 	betas := marginal.AllKWay(16, 2)[:20]
 	for _, beta := range betas {

@@ -66,16 +66,16 @@ func AblationHTNormalization(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run, err := core.Run(p, ds.Records, opts.Seed+5, opts.Workers)
+	agg, err := core.Run(p, ds.Records, opts.Seed+5, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	toggler, ok := run.Agg.(interface{ SetNormalizeByExpected(bool) })
+	toggler, ok := agg.(interface{ SetNormalizeByExpected(bool) })
 	if !ok {
 		return nil, fmt.Errorf("experiments: InpHT aggregator lost its normalization toggle")
 	}
 	measure := func() (float64, error) {
-		return marginal.MeanTV(run.Agg, ds.Records, betas)
+		return marginal.MeanTV(agg, ds.Records, betas)
 	}
 	toggler.SetNormalizeByExpected(false)
 	realized, err := measure()

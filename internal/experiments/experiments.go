@@ -197,11 +197,11 @@ func meanTVOverRepeats(p core.Protocol, records []uint64, betas []uint64, opts O
 	}
 	var vals []float64
 	for rep := 0; rep < repeats; rep++ {
-		res, err := core.Run(p, records, opts.Seed+uint64(rep)*7919+1, opts.Workers)
+		agg, err := core.Run(p, records, opts.Seed+uint64(rep)*7919+1, opts.Workers)
 		if err != nil {
 			return 0, 0, err
 		}
-		tv, err := marginal.MeanTV(res.Agg, records, betas)
+		tv, err := marginal.MeanTV(agg, records, betas)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -40,7 +40,7 @@ func ExtensionEfronStein(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	esAgg := esRun.Agg.(*efronstein.Aggregator)
+	esAgg := esRun.(*efronstein.Aggregator)
 
 	// InpHT on the binary encoding: the k for a 2-attribute categorical
 	// marginal is the total bit width of the two widest attributes.
@@ -58,7 +58,7 @@ func ExtensionEfronStein(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	htRun, err := core.Run(ht, bin.Records, opts.Seed+2, opts.Workers)
+	htAgg, err := core.Run(ht, bin.Records, opts.Seed+2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func ExtensionEfronStein(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		htTab, err := htRun.Agg.Estimate(mask)
+		htTab, err := htAgg.Estimate(mask)
 		if err != nil {
 			return nil, err
 		}

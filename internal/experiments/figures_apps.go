@@ -81,11 +81,11 @@ func Fig7(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	htRun, err := core.Run(inpht, ds.Records, opts.Seed+1, opts.Workers)
+	htAgg, err := core.Run(inpht, ds.Records, opts.Seed+1, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	psRun, err := core.Run(margps, ds.Records, opts.Seed+2, opts.Workers)
+	psAgg, err := core.Run(margps, ds.Records, opts.Seed+2, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -109,11 +109,11 @@ func Fig7(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		htTab, err := htRun.Agg.Estimate(beta)
+		htTab, err := htAgg.Estimate(beta)
 		if err != nil {
 			return nil, err
 		}
-		psTab, err := psRun.Agg.Estimate(beta)
+		psTab, err := psAgg.Estimate(beta)
 		if err != nil {
 			return nil, err
 		}
@@ -212,11 +212,11 @@ func Fig8(opts Options) (*Result, error) {
 			}
 			var vals []float64
 			for rep := 0; rep < repeats; rep++ {
-				run, err := core.Run(p, ds.Records, opts.Seed+uint64(rep)*101+uint64(eps*1000), opts.Workers)
+				agg, err := core.Run(p, ds.Records, opts.Seed+uint64(rep)*101+uint64(eps*1000), opts.Workers)
 				if err != nil {
 					return nil, err
 				}
-				tree, err := chowliu.FitFromEstimator(run.Agg, d)
+				tree, err := chowliu.FitFromEstimator(agg, d)
 				if err != nil {
 					return nil, err
 				}

@@ -96,7 +96,7 @@ func Table3(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		agg := res.Agg.(*em.Aggregator)
+		agg := res.(*em.Aggregator)
 		betas := evalBetas(row.d, row.k, opts.MaxMarginals, opts.Seed+uint64(i))
 		failed := 0
 		for _, beta := range betas {

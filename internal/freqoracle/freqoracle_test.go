@@ -48,11 +48,11 @@ func TestOLHEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(o, ds.Records, 3, 4)
+	agg, err := core.Run(o, ds.Records, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := marginal.MeanTV(res.Agg, ds.Records, marginal.AllKWay(6, 2))
+	tv, err := marginal.MeanTV(agg, ds.Records, marginal.AllKWay(6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestOLHFrequencySums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := res.Agg.(*olhAgg).EstimateAll()
+	all, err := res.(*olhAgg).EstimateAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestHCMSEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(h, ds.Records, 7, 4)
+	agg, err := core.Run(h, ds.Records, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := marginal.MeanTV(res.Agg, ds.Records, marginal.AllKWay(6, 2))
+	tv, err := marginal.MeanTV(agg, ds.Records, marginal.AllKWay(6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestHCMSHeavyHitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := res.Agg.(*hcmsAgg).EstimateAll()
+	all, err := res.(*hcmsAgg).EstimateAll()
 	if err != nil {
 		t.Fatal(err)
 	}

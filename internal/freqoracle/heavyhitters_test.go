@@ -40,11 +40,11 @@ func TestTopKFindsPlantedHeavyHitters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := core.Run(p, records, 5, 4)
+		agg, err := core.Run(p, records, 5, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := run.Agg.(interface{ EstimateAll() ([]float64, error) }).EstimateAll()
+		est, err := agg.(interface{ EstimateAll() ([]float64, error) }).EstimateAll()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func TestEvaluateUnderLDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := core.Run(p, ds.Records, 5, 4)
+	agg, err := core.Run(p, ds.Records, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEvaluateUnderLDP(t *testing.T) {
 		{dataset.TaxiCC, true},
 		{dataset.TaxiTip, true},
 	}}
-	private, err := Evaluate(run.Agg, c, ds.D)
+	private, err := Evaluate(agg, c, ds.D)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func chaosWAL(t *testing.T, p core.Protocol, seed uint64) {
 	st := openEdgeStore(t, dir, p)
 	srv, ts := newClusterNode(t, p, Options{
 		NodeID: "chaos-wal", Store: st,
-		DegradedProbeInterval: 25 * time.Millisecond,
+		degradedProbe: 25 * time.Millisecond,
 	})
 
 	for i := 0; i < 5; i++ {
@@ -255,7 +255,7 @@ func chaosWALWindowed(t *testing.T, p core.Protocol, seed uint64) {
 	opts.NodeID = "chaos-win-twin"
 	twin, twinTS := newClusterNode(t, p, opts)
 	dir := t.TempDir()
-	opts.NodeID, opts.Store, opts.DegradedProbeInterval = "chaos-win", openEdgeStore(t, dir, p), 25*time.Millisecond
+	opts.NodeID, opts.Store, opts.degradedProbe = "chaos-win", openEdgeStore(t, dir, p), 25*time.Millisecond
 	srv, ts := newClusterNode(t, p, opts)
 	// advance moves both rings to bucket m of the grid; the faulted
 	// node's crossing fails while its disk is dead.

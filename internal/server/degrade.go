@@ -26,12 +26,12 @@ import (
 // Retry-After (a load-balancer signal, not a client bug), while reads,
 // /state export, and /metrics keep serving from memory. A background
 // probe rewrites a sentinel file in the data directory every
-// DegradedProbeInterval; once the disk accepts durable writes again it
-// runs store.Recover — revive the committer on a fresh segment, then
-// force a snapshot so the reports consumed while the log was dead are
-// durable once more — and flips back to healthy. Readiness (/readyz)
-// reports the node unready for the whole excursion, so routing drains
-// away and returns only after durability is restored.
+// defaultDegradedProbe (2 s); once the disk accepts durable writes
+// again it runs store.Recover — revive the committer on a fresh
+// segment, then force a snapshot so the reports consumed while the log
+// was dead are durable once more — and flips back to healthy.
+// Readiness (/readyz) reports the node unready for the whole excursion,
+// so routing drains away and returns only after durability is restored.
 type healthState int32
 
 const (
@@ -53,8 +53,8 @@ func (h healthState) String() string {
 	}
 }
 
-// defaultDegradedProbe is the sentinel-probe cadence selected by
-// Options.DegradedProbeInterval <= 0.
+// defaultDegradedProbe is the sentinel-probe cadence of a degraded
+// node.
 const defaultDegradedProbe = 2 * time.Second
 
 // degrader owns the health state machine of a durable ingesting node.

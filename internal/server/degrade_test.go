@@ -52,7 +52,7 @@ func Test503Hygiene(t *testing.T) {
 	st := openEdgeStore(t, t.TempDir(), p)
 	_, edgeTS := newClusterNode(t, p, Options{
 		Role: RoleEdge, NodeID: "h503-edge", Store: st,
-		DegradedProbeInterval: time.Hour,
+		degradedProbe: time.Hour,
 	})
 	reps := makeClusterReports(t, p, 8, 17)
 	fault.Arm(fault.Rule{Site: store.FaultWALAppend, Mode: fault.ModeError, Msg: "no space left on device"})
@@ -152,7 +152,7 @@ func TestBatchPersistFailureAccurateAck(t *testing.T) {
 	st := openEdgeStore(t, dir, p)
 	srv, ts := newClusterNode(t, p, Options{
 		Role: RoleEdge, NodeID: "ack-edge", Store: st,
-		DegradedProbeInterval: time.Hour,
+		degradedProbe: time.Hour,
 	})
 
 	// 50 reports acked 200 under fsync=always: durable by contract.

@@ -69,17 +69,14 @@ type admission struct {
 	maxQueue int64
 }
 
-// newAdmission sizes the gate from the shard count: inflight <= 0
-// selects one in-flight request per shard, and queue <= 0 selects 64
-// waiting requests per shard.
-func newAdmission(inflight, queue, shards int) *admission {
-	if inflight <= 0 {
-		inflight = shards
-	}
-	if queue <= 0 {
-		queue = 64 * shards
-	}
-	return &admission{slots: make(chan struct{}, inflight), maxQueue: int64(queue)}
+// ingestQueuePerShard is how many ingest requests may wait per shard
+// for an in-flight slot before arrivals are shed.
+const ingestQueuePerShard = 64
+
+// newAdmission sizes the gate from the shard count: one in-flight
+// request per shard and ingestQueuePerShard waiting per shard.
+func newAdmission(shards int) *admission {
+	return &admission{slots: make(chan struct{}, shards), maxQueue: int64(ingestQueuePerShard * shards)}
 }
 
 // acquire claims an in-flight slot, waiting in the bounded queue when

@@ -183,7 +183,7 @@ func TestMultiChunkRejectionAcceptsExactPrefix(t *testing.T) {
 }
 
 // TestIngestRunsUnderOneAdmissionSlot pins the one gate of both ingest
-// endpoints, with one admission slot (MaxInflightIngest: 1): a request
+// endpoints, with one admission slot (Shards: 1): a request
 // waits while the slot is held and ingests nothing; two concurrent
 // requests share the slot and both complete, and a third after them is
 // not starved; a rejection names the lowest-index invalid report; and
@@ -223,7 +223,7 @@ func TestIngestRunsUnderOneAdmissionSlot(t *testing.T) {
 		{"report", "/report", frame, badFrame, 1, http.StatusNoContent, `"error":"rejected: `},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, ts := newClusterNode(t, p, Options{MaxInflightIngest: 1})
+			s, ts := newClusterNode(t, p, Options{Shards: 1})
 			post := func(body []byte) (int, string, error) {
 				resp, err := http.Post(ts.URL+tc.path, "application/octet-stream", bytes.NewReader(body))
 				if err != nil {

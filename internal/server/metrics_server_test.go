@@ -149,7 +149,8 @@ func TestMetricsAllRoles(t *testing.T) {
 // Retry-After and counted; once the slot frees, the queued request
 // completes normally.
 func TestAdmissionShed(t *testing.T) {
-	s, ts, p := newTestServerWithOptions(t, Options{MaxInflightIngest: 1, MaxIngestQueue: 1})
+	s, ts, p := newTestServerWithOptions(t, Options{Shards: 1}) // one in-flight slot
+	s.adm.maxQueue = 1
 	rep, err := p.NewClient().Perturb(2, rng.New(5))
 	if err != nil {
 		t.Fatal(err)

@@ -113,11 +113,15 @@
 // beyond), a /query body at most 1 MiB, a pulled
 // /state body at most 256 MiB, and one peer pull at most 30 s; three
 // consecutive poison pulls quarantine a peer, which is then probed once
-// every 16 pull intervals; the /debug/traces ring holds
-// trace.DefaultCapacity traces, and a request taking 1 s or more is
-// logged at warn with its trace. Each epoch gets
-// view.Options' defaults: three consistency sweeps, then the simplex
-// projection.
+// every 16 pull intervals; the ingest admission gate admits one request
+// per shard (Options.Shards) and queues ingestQueuePerShard (64) more
+// per shard; a degraded node probes its disk every
+// defaultDegradedProbe (2 s), and the store's FsyncInterval policy
+// fsyncs every 100 ms; the /debug/traces ring holds
+// trace.DefaultCapacity traces, and a request taking
+// trace.SlowThreshold (1 s) or more is logged at warn with its trace.
+// Each epoch gets view.Options' defaults: three consistency sweeps,
+// then the simplex projection.
 package server
 
 import (
@@ -163,10 +167,6 @@ const maxBatchBytes = 16 << 20
 // thousands of conjunctions, far beyond any sane analyst batch.
 const maxQueryBytes = 1 << 20
 
-// slowTrace is the request duration at or above which a completed trace
-// is additionally logged at warn.
-const slowTrace = time.Second
-
 // maxBatchReports bounds the decoded report count of one batch request,
 // capping the memory amplification of a body packed with minimal
 // frames (a decoded Report is an order of magnitude larger than a
@@ -179,8 +179,9 @@ const maxBatchReports = 1 << 20
 const batchChunk = 1024
 
 // Options tunes a deployment; the zero value selects the defaults
-// (a single-role, memory-only node). The body, pull and trace limits
-// are fixed (see the package doc's "Fixed limits").
+// (a single-role, memory-only node). The body, pull, trace, admission
+// and disk-probe limits are fixed (see the package doc's "Fixed
+// limits").
 type Options struct {
 	// Role selects which pipeline stages this node runs; the zero value
 	// is RoleSingle (the monolithic deployment).
@@ -204,18 +205,9 @@ type Options struct {
 	ClusterDir string
 
 	// Shards is the number of per-shard accumulators; <= 0 selects
-	// GOMAXPROCS.
+	// GOMAXPROCS. It also sizes the ingest admission gate: one in-flight
+	// request per shard and ingestQueuePerShard waiting per shard.
 	Shards int
-	// MaxInflightIngest bounds how many /report and /report/batch
-	// requests are read, decoded and ingested at once, the one bound on
-	// ingest concurrency and memory; arrivals beyond it wait in a bounded
-	// queue (MaxIngestQueue) and are shed with 429 + Retry-After once
-	// that fills. Zero selects the shard count; negative is refused.
-	MaxInflightIngest int
-	// MaxIngestQueue bounds how many ingest requests may wait for an
-	// in-flight slot before new arrivals are shed; <= 0 selects 64x the
-	// shard count.
-	MaxIngestQueue int
 	// Refresh is the automatic view-refresh policy; the zero value means
 	// the view only advances on POST /refresh.
 	Refresh view.Policy
@@ -226,11 +218,6 @@ type Options struct {
 	// Server.Close closes it. Rejected for RoleCoordinator, which does
 	// not ingest.
 	Store *store.Store
-
-	// DegradedProbeInterval is the cadence at which a node degraded by a
-	// WAL failure probes its data directory (sentinel write + fsync) and
-	// attempts recovery; <= 0 selects 2s. Ignored without a Store.
-	DegradedProbeInterval time.Duration
 
 	// Window, with Bucket, turns the deployment into a continual
 	// release: reports land in a time-bucketed ring (internal/window)
@@ -254,6 +241,11 @@ type Options struct {
 	// logging at debug (carrying the trace id so log lines and traces
 	// correlate), degraded-mode events at warn. Nil discards them.
 	Log *slog.Logger
+
+	// degradedProbe is the degraded-mode disk-probe cadence; <= 0
+	// selects defaultDegradedProbe. Only tests set it, to revive a
+	// degraded node without waiting seconds.
+	degradedProbe time.Duration
 }
 
 // Server exposes one protocol deployment over HTTP. Safe for concurrent
@@ -343,14 +335,11 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 		ins:      newServerInstruments(),
 		log:      log.With("node", nodeID),
 	}
-	s.tracer = trace.New(trace.Options{
-		SlowThreshold: slowTrace,
-		SlowLog: func(traceID, rootName string, d time.Duration) {
-			s.log.Warn("slow trace", "trace", traceID, "root", rootName, "dur", d)
-		},
+	s.tracer = trace.New(func(traceID, rootName string, d time.Duration) {
+		s.log.Warn("slow trace", "trace", traceID, "root", rootName, "dur", d)
 	})
 	// Every role holds the ingest gate; a coordinator's stays idle.
-	s.adm = newAdmission(opts.MaxInflightIngest, opts.MaxIngestQueue, s.shards)
+	s.adm = newAdmission(s.shards)
 	// The node's one state source. An ingesting node's ring is also its
 	// ingest target, recovery seed and store snapshot source; a
 	// coordinator ingests nothing.
@@ -377,7 +366,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 			return fail(err)
 		}
 		if opts.Store != nil {
-			s.deg = newDegrader(opts.Store, s.log, opts.DegradedProbeInterval)
+			s.deg = newDegrader(opts.Store, s.log, opts.degradedProbe)
 		}
 	}
 	if s.exporter, err = cluster.NewExporter(p, s.src, nodeID); err != nil {
@@ -411,12 +400,8 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 
 // validateRoleOptions rejects option combinations that cross role
 // boundaries, so a misconfigured node fails at startup instead of
-// silently dropping a pipeline stage, and a negative MaxInflightIngest,
-// which would leave ingest unbounded.
+// silently dropping a pipeline stage.
 func validateRoleOptions(opts Options) error {
-	if opts.MaxInflightIngest < 0 {
-		return errors.New("server: MaxInflightIngest must not be negative (zero selects the shard count)")
-	}
 	if (opts.Window > 0) != (opts.Bucket > 0) {
 		return errors.New("server: Window and Bucket must be set together (a window needs a rotation granularity)")
 	}

@@ -471,7 +471,7 @@ func TestCloseStopsEveryLoop(t *testing.T) {
 	}
 	const tick = 10 * time.Millisecond
 	durable := func(t *testing.T) *store.Store {
-		st, err := store.Open(t.TempDir(), p, store.Options{FsyncInterval: tick})
+		st, err := store.Open(t.TempDir(), p, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,11 +484,11 @@ func TestCloseStopsEveryLoop(t *testing.T) {
 		{"durable windowed single", func(t *testing.T) Options {
 			return Options{
 				Store: durable(t), Window: 4 * tick, Bucket: tick,
-				Refresh: view.Policy{Interval: tick}, DegradedProbeInterval: tick,
+				Refresh: view.Policy{Interval: tick}, degradedProbe: tick,
 			}
 		}},
 		{"durable edge", func(t *testing.T) Options {
-			return Options{Role: RoleEdge, Store: durable(t), DegradedProbeInterval: tick}
+			return Options{Role: RoleEdge, Store: durable(t), degradedProbe: tick}
 		}},
 		{"coordinator with a cluster dir", func(t *testing.T) Options {
 			return Options{
@@ -505,9 +505,10 @@ func TestCloseStopsEveryLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Let every loop tick; a coordinator must have pulled the edge,
-			// so a keep-alive connection to it exists.
-			time.Sleep(5 * tick)
+			// Let every loop tick, the store's fixed 100 ms fsync timer
+			// included; a coordinator must have pulled the edge, so a
+			// keep-alive connection to it exists.
+			time.Sleep(100*time.Millisecond + 5*tick)
 			deadline := time.Now().Add(5 * time.Second)
 			for s.role == RoleCoordinator && s.N() != len(reps) {
 				if time.Now().After(deadline) {

@@ -61,8 +61,8 @@ type FsyncPolicy int
 const (
 	// FsyncInterval (the default) fsyncs the active segment on a timer:
 	// an ack guarantees the OS has the bytes, and at most
-	// Options.FsyncInterval of acked reports are exposed to a power
-	// loss. Process crashes lose nothing.
+	// defaultFsyncPeriod (100 ms) of acked reports are exposed to a
+	// power loss. Process crashes lose nothing.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways fsyncs before every ack, group-committed: concurrent
 	// ingests queued behind one fsync share it.
@@ -105,9 +105,6 @@ type Options struct {
 	// Fsync is the WAL durability policy; the zero value is
 	// FsyncInterval.
 	Fsync FsyncPolicy
-	// FsyncInterval is the timer period of FsyncInterval; <= 0 selects
-	// 100ms.
-	FsyncInterval time.Duration
 	// SnapshotEveryN compacts the WAL into a counter snapshot once this
 	// many reports have been appended since the last snapshot; <= 0
 	// snapshots only on Close (and explicit Snapshot calls).
@@ -117,15 +114,22 @@ type Options struct {
 	// size; <= 0 selects defaultSegmentBytes. Only tests set it, to
 	// rotate after a few records.
 	segmentBytes int64
+	// fsyncPeriod is the timer period of FsyncInterval; <= 0 selects
+	// defaultFsyncPeriod. Only tests set it, to see the timer fire.
+	fsyncPeriod time.Duration
 }
 
 // defaultSegmentBytes is the size past which the active WAL segment
 // rotates.
 const defaultSegmentBytes = 64 << 20
 
+// defaultFsyncPeriod is how often FsyncInterval fsyncs the active
+// segment.
+const defaultFsyncPeriod = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
+	if o.fsyncPeriod <= 0 {
+		o.fsyncPeriod = defaultFsyncPeriod
 	}
 	if o.segmentBytes <= 0 {
 		o.segmentBytes = defaultSegmentBytes
@@ -245,7 +249,7 @@ func Open(dir string, p core.Protocol, opts Options) (*Store, error) {
 	}
 	go s.committer(f, maxSeg+1, size)
 	if s.opts.Fsync == FsyncInterval {
-		s.stopFsync = loop.Every(s.opts.FsyncInterval, s.syncNow)
+		s.stopFsync = loop.Every(s.opts.fsyncPeriod, s.syncNow)
 	}
 	return s, nil
 }

@@ -627,7 +627,7 @@ func TestIntervalPolicyFsyncsOnItsTimer(t *testing.T) {
 	}{{FsyncInterval, 1}, {FsyncOff, 0}} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
 			before := timerGoroutines()
-			st, err := Open(t.TempDir(), p, Options{Fsync: tc.policy, FsyncInterval: period})
+			st, err := Open(t.TempDir(), p, Options{Fsync: tc.policy, fsyncPeriod: period})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,7 +29,7 @@ var (
 // lowercase hex characters — and then replaced by names, so the parent
 // links are pinned too.
 func TestSnapshotRendering(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	remoteTrace := TraceID{0x0a, 0xf7, 0x65, 0x19, 0x16, 0xcd, 0x43, 0xdd, 0x84, 0x48, 0xeb, 0x21, 0x1c, 0x80, 0x31, 0x9c}
 	remoteParent := SpanID{0xb7, 0xad, 0x6b, 0x71, 0x69, 0x20, 0x33, 0x31}
 	ctx, root := tr.StartRemoteRoot(context.Background(), "http.request", remoteTrace, remoteParent)

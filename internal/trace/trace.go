@@ -29,7 +29,8 @@
 //
 // Every trace is recorded (there is no sampling): the ring is bounded,
 // spans per trace are capped (overflow counts as dropped, never
-// blocks), and a root that out-lives the slow threshold is logged.
+// blocks), and a root that takes SlowThreshold (1 s) or longer is
+// logged.
 package trace
 
 import (
@@ -339,21 +340,15 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return ContextWith(ctx, child), child
 }
 
-// Options tunes a Tracer. The zero value selects the defaults.
-type Options struct {
-	// SlowThreshold is the root-span duration at or above which a
-	// completed trace is reported through SlowLog; <= 0 disables the
-	// slow-trace log.
-	SlowThreshold time.Duration
-	// SlowLog receives one line per slow trace (trace id, root name,
-	// duration). Nil disables the slow-trace log.
-	SlowLog func(traceID, rootName string, d time.Duration)
-}
+// SlowThreshold is the root-span duration at or above which a
+// completed trace is reported to the tracer's slow-trace log.
+const SlowThreshold = time.Second
 
 // Tracer mints root spans and retains completed traces in a bounded
 // ring for GET /debug/traces.
 type Tracer struct {
-	opts Options
+	slowLog func(traceID, rootName string, d time.Duration)
+	slow    time.Duration // SlowThreshold; only tests lower it
 
 	mu   sync.Mutex
 	ring []*traceData // circular; len == capacity
@@ -365,9 +360,11 @@ type Tracer struct {
 	droppedTotal atomic.Uint64
 }
 
-// New builds a tracer.
-func New(opts Options) *Tracer {
-	return &Tracer{opts: opts, ring: make([]*traceData, DefaultCapacity)}
+// New builds a tracer. slowLog receives one line per trace whose root
+// took SlowThreshold or longer (trace id, root name, duration); nil
+// disables the slow-trace log.
+func New(slowLog func(traceID, rootName string, d time.Duration)) *Tracer {
+	return &Tracer{slowLog: slowLog, slow: SlowThreshold, ring: make([]*traceData, DefaultCapacity)}
 }
 
 // StartRoot opens a fresh root span with a new trace id.
@@ -412,8 +409,8 @@ func (t *Tracer) record(td *traceData) {
 	t.next = (t.next + 1) % len(t.ring)
 	t.held = min(t.held+1, len(t.ring))
 	t.mu.Unlock()
-	if t.opts.SlowLog != nil && t.opts.SlowThreshold > 0 && d >= t.opts.SlowThreshold {
-		t.opts.SlowLog(td.traceID.String(), td.root.name, d)
+	if t.slowLog != nil && d >= t.slow {
+		t.slowLog(td.traceID.String(), td.root.name, d)
 	}
 }
 

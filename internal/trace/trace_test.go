@@ -15,7 +15,7 @@ import (
 // children lands in the ring as one trace with three records, parents
 // wired, attrs retained.
 func TestRootAndChildSpans(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	ctx, root := tr.StartRoot(context.Background(), "http.request")
 	root.SetAttr("path", "/report")
 
@@ -86,7 +86,7 @@ func TestNilSpanSafety(t *testing.T) {
 // header Extract parses back to the same ids, and StartRemoteRoot
 // continues the trace id while recording the remote parent.
 func TestTraceparentRoundTrip(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	_, root := tr.StartRoot(context.Background(), "cluster.pull")
 	h := http.Header{}
 	Inject(root, h)
@@ -100,7 +100,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Fatalf("Extract = (%s, %s, %v), want (%s, %s, true)", tid, parent, ok, root.TraceID(), root.SpanID())
 	}
 
-	remote := New(Options{})
+	remote := New(nil)
 	_, rroot := remote.StartRemoteRoot(context.Background(), "http.request", tid, parent)
 	if rroot.TraceID() != root.TraceID() {
 		t.Fatalf("remote root trace %s, want continued %s", rroot.TraceID(), root.TraceID())
@@ -149,7 +149,7 @@ func TestExtractRejectsMalformed(t *testing.T) {
 // TestRingBoundAndEviction pins the bounded ring: capacity+k roots
 // retain only capacity traces, newest first.
 func TestRingBoundAndEviction(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	const roots = DefaultCapacity + 3
 	for i := 0; i < roots; i++ {
 		_, root := tr.StartRoot(context.Background(), fmt.Sprintf("op-%d", i))
@@ -172,7 +172,7 @@ func TestRingBoundAndEviction(t *testing.T) {
 // TestSpanCapCountsDropped pins the per-trace span cap: spans beyond
 // maxSpansPerTrace are counted as dropped, not retained.
 func TestSpanCapCountsDropped(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	ctx, root := tr.StartRoot(context.Background(), "flood")
 	for i := 0; i < maxSpansPerTrace+10; i++ {
 		_, s := StartSpan(ctx, "child")
@@ -197,7 +197,7 @@ func TestSpanCapCountsDropped(t *testing.T) {
 // TestDiscardSkipsRing pins Discard: an abandoned root records
 // nothing, so periodic no-ops don't flood the ring.
 func TestDiscardSkipsRing(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	_, root := tr.StartRoot(context.Background(), "window.advance")
 	root.Discard()
 	root.End() // must stay a no-op after Discard
@@ -213,14 +213,12 @@ func TestSlowTraceLog(t *testing.T) {
 		mu    sync.Mutex
 		lines []string
 	)
-	tr := New(Options{
-		SlowThreshold: 20 * time.Millisecond,
-		SlowLog: func(traceID, rootName string, d time.Duration) {
-			mu.Lock()
-			lines = append(lines, rootName)
-			mu.Unlock()
-		},
+	tr := New(func(traceID, rootName string, d time.Duration) {
+		mu.Lock()
+		lines = append(lines, rootName)
+		mu.Unlock()
 	})
+	tr.slow = 20 * time.Millisecond
 	_, fast := tr.StartRoot(context.Background(), "fast")
 	fast.End()
 	_, slow := tr.StartRoot(context.Background(), "slow")
@@ -236,7 +234,7 @@ func TestSlowTraceLog(t *testing.T) {
 // TestHandlerJSON pins the /debug/traces contract: GET returns the
 // ring as JSON, other methods 405 with Allow.
 func TestHandlerJSON(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	_, root := tr.StartRoot(context.Background(), "op")
 	root.End()
 	ts := httptest.NewServer(tr.Handler())
@@ -271,7 +269,7 @@ func TestHandlerJSON(t *testing.T) {
 // TestConcurrentSpansAndSnapshot races span creation, ending, and ring
 // snapshots; run under -race this pins the locking discipline.
 func TestConcurrentSpansAndSnapshot(t *testing.T) {
-	tr := New(Options{})
+	tr := New(nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

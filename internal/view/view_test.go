@@ -352,12 +352,12 @@ func TestBuildAccuracyWithinTheoreticalBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := core.Run(p, ds.Records, uint64(kind)+5, 2)
+			agg, err := core.Run(p, ds.Records, uint64(kind)+5, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, opts := range []Options{{}, {RawCells: true}} {
-				v, err := Build(run.Agg, p, opts)
+				v, err := Build(agg, p, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

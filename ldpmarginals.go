@@ -43,17 +43,14 @@ type Table = marginal.Table
 // Dataset is a collection of user records over binary attributes.
 type Dataset = dataset.Dataset
 
-// RunResult is the outcome of Simulate: the merged aggregator and the
-// total communication cost of the run.
-type RunResult = core.RunResult
-
 // NewProtocol constructs one of the paper's six protocols.
 func NewProtocol(kind Kind, cfg Config) (Protocol, error) { return core.New(kind, cfg) }
 
 // Simulate runs the full protocol over the records: every record is
 // perturbed by a client with an independent RNG stream and consumed by a
-// (sharded, merged) aggregator. workers <= 0 selects GOMAXPROCS.
-func Simulate(p Protocol, records []uint64, seed uint64, workers int) (*RunResult, error) {
+// (sharded, merged) aggregator, which it returns ready for Estimate
+// queries. workers <= 0 selects GOMAXPROCS.
+func Simulate(p Protocol, records []uint64, seed uint64, workers int) (core.Aggregator, error) {
 	return core.Run(p, records, seed, workers)
 }
 

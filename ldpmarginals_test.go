@@ -16,7 +16,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := ldpmarginals.Simulate(p, ds.Records, 42, 0)
+	agg, err := ldpmarginals.Simulate(p, ds.Records, 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := run.Agg.Estimate(beta)
+	got, err := agg.Estimate(beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if tv > 0.05 {
 		t.Errorf("quickstart TV = %v, want < 0.05", tv)
 	}
-	if bits := p.CommunicationBits() * run.Agg.N(); bits != (ds.D+1)*ds.N() {
+	if bits := p.CommunicationBits() * agg.N(); bits != (ds.D+1)*ds.N() {
 		t.Errorf("total bits = %d", bits)
 	}
 }
@@ -51,12 +51,12 @@ func TestPublicAllKindsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := ldpmarginals.Simulate(p, ds.Records, 1, 2)
+		agg, err := ldpmarginals.Simulate(p, ds.Records, 1, 2)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if run.Agg.N() != ds.N() {
-			t.Errorf("%v consumed %d reports", kind, run.Agg.N())
+		if agg.N() != ds.N() {
+			t.Errorf("%v consumed %d reports", kind, agg.N())
 		}
 	}
 }
@@ -112,7 +112,7 @@ func TestPublicEMBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, ok := run.Agg.(*em.Aggregator)
+	agg, ok := run.(*em.Aggregator)
 	if !ok {
 		t.Fatal("Simulate lost the EM aggregator's type")
 	}
@@ -140,11 +140,11 @@ func TestPublicFrequencyOracles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []ldpmarginals.Protocol{olh, hcms} {
-		run, err := ldpmarginals.Simulate(p, ds.Records, 3, 0)
+		agg, err := ldpmarginals.Simulate(p, ds.Records, 3, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
-		if _, err := run.Agg.Estimate(0b11); err != nil {
+		if _, err := agg.Estimate(0b11); err != nil {
 			t.Fatalf("%s estimate: %v", p.Name(), err)
 		}
 	}
@@ -193,11 +193,11 @@ func TestPublicCategorical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := ldpmarginals.Simulate(p, bin.Records, 11, 0)
+	agg, err := ldpmarginals.Simulate(p, bin.Records, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := run.Agg.Estimate(mask)
+	got, err := agg.Estimate(mask)
 	if err != nil {
 		t.Fatal(err)
 	}
