@@ -15,9 +15,10 @@ import (
 )
 
 // TestBootsFromFlags builds the binary and runs it as an operator
-// would. The four retired tuning flags (the admission gate follows
-// -shards; the fsync period and the disk-probe cadence are fixed) are
-// refused as undefined with exit status 2. A single node, a durable
+// would. The five retired tuning flags (the admission gate follows
+// -shards; the fsync period and the disk-probe cadence are fixed; the
+// view refreshes on -refresh-interval alone) are refused as undefined
+// with exit status 2. A single node, a durable
 // windowed edge with a round budget, and a coordinator over that edge
 // each reach /readyz 200, and each /status reports its -shards.
 func TestBootsFromFlags(t *testing.T) {
@@ -29,7 +30,7 @@ func TestBootsFromFlags(t *testing.T) {
 		t.Fatalf("building ldpserver: %v\n%s", err, out)
 	}
 
-	for _, name := range []string{"max-inflight-ingest", "max-ingest-queue", "fsync-interval", "degraded-probe-interval"} {
+	for _, name := range []string{"max-inflight-ingest", "max-ingest-queue", "fsync-interval", "degraded-probe-interval", "refresh-every-n"} {
 		cmd := exec.Command(bin, "-"+name, "1", "-addr", "127.0.0.1:0")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ldpserver -addr :8080 -protocol InpHT -d 8 -k 2 -eps 1.1 \
-//	    -shards 0 -refresh-interval 5s -refresh-every-n 0 \
+//	    -shards 0 -refresh-interval 5s \
 //	    -data-dir /var/lib/ldpserver -fsync interval -snapshot-every-n 1000000
 //
 // -shards also sizes the ingest admission gate. The fsync period
@@ -38,10 +38,8 @@
 //
 // Ingestion is sharded across -shards per-shard accumulators (0 selects
 // GOMAXPROCS) so multi-core hardware ingests reports in parallel. Reads
-// are served from a materialized view rebuilt on the refresh policy:
-// every -refresh-interval of wall time, and/or whenever
-// -refresh-every-n new reports have arrived (0 disables either
-// trigger; with both at 0 the view only advances on POST /refresh).
+// are served from a materialized view rebuilt every -refresh-interval
+// of wall time (0: the view only advances on POST /refresh).
 // Refreshes are incremental — only aggregation shards (and, on a
 // coordinator, peers) that changed since the serving epoch are folded
 // into the counter state the view is built from; the folds are exact,
@@ -151,7 +149,6 @@ import (
 	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/server"
 	"ldpmarginals/internal/store"
-	"ldpmarginals/internal/view"
 )
 
 func main() {
@@ -162,8 +159,7 @@ func main() {
 		k         = flag.Int("k", 2, "largest marginal size supported")
 		eps       = flag.Float64("eps", math.Log(3), "privacy budget epsilon")
 		shards    = flag.Int("shards", 0, "aggregation shards, also the ingest admission gate: one request in flight and 64 queued per shard (0 = GOMAXPROCS)")
-		interval  = flag.Duration("refresh-interval", 5*time.Second, "rebuild the view this often (0 = no time-based refresh)")
-		everyN    = flag.Int("refresh-every-n", 0, "rebuild the view after this many new reports (0 = no count-based refresh)")
+		interval  = flag.Duration("refresh-interval", 5*time.Second, "rebuild the view this often (0 = only on POST /refresh)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof and /metrics on this separate address (e.g. 127.0.0.1:6060; empty = disabled)")
 
@@ -269,18 +265,18 @@ func main() {
 		}
 	}
 	srv, err := server.NewWithOptions(p, server.Options{
-		Role:         nodeRole,
-		NodeID:       *nodeID,
-		Peers:        peerList,
-		PullInterval: *pullInterval,
-		ClusterDir:   clusterDir,
-		Shards:       *shards,
-		Refresh:      view.Policy{Interval: *interval, EveryN: *everyN},
-		Store:        st,
-		Window:       *windowSpan,
-		Bucket:       *bucketSpan,
-		RoundEps:     *roundEps,
-		Log:          logger,
+		Role:            nodeRole,
+		NodeID:          *nodeID,
+		Peers:           peerList,
+		PullInterval:    *pullInterval,
+		ClusterDir:      clusterDir,
+		Shards:          *shards,
+		RefreshInterval: *interval,
+		Store:           st,
+		Window:          *windowSpan,
+		Bucket:          *bucketSpan,
+		RoundEps:        *roundEps,
+		Log:             logger,
 	})
 	if err != nil {
 		die(err)
@@ -346,8 +342,8 @@ func main() {
 	} else if clusterDir != "" {
 		durable = fmt.Sprintf("peer states in %s", clusterDir)
 	}
-	fmt.Printf("serving %s as %s node %s (d=%d k=%d eps=%.3g, %d shards, refresh %v/%d reports, %s) on %s\n",
-		p.Name(), nodeRole, srv.NodeID(), *d, *k, *eps, srv.Shards(), *interval, *everyN, durable, *addr)
+	fmt.Printf("serving %s as %s node %s (d=%d k=%d eps=%.3g, %d shards, refresh %v, %s) on %s\n",
+		p.Name(), nodeRole, srv.NodeID(), *d, *k, *eps, srv.Shards(), *interval, durable, *addr)
 
 	select {
 	case err := <-errc:

@@ -87,8 +87,8 @@
 // immutable view behind an atomic pointer. /marginal answers any
 // |beta| <= k and /query evaluates conjunction batches from the cached
 // epoch in O(2^k) work, lock-free, never blocking ingestion; answers
-// are stale by at most one refresh period (wall-time interval,
-// report-count delta, or explicit POST /refresh). Builds are
+// are stale by at most one refresh period (wall-time interval, or
+// explicit POST /refresh). Builds are
 // deterministic, so a cached answer is bit-identical to a fresh
 // rebuild of the same snapshot.
 //
@@ -295,15 +295,16 @@
 // the query string plus a standard If-None-Match echo of the ETag) — the
 // only thing a request says — and the exporter answers with one of
 // three replies: 304 Not Modified when nothing moved (a header-only
-// reply, no state marshaling at all), a *delta frame* carrying only the
-// components whose versions moved past the acknowledged base (plus ids
-// removed since then), or a full frame whenever the base cannot be
-// served — too old for the exporter's history ring, diverged, or from
-// before a process restart (export labels carry a per-process random
-// salt, so a restart is always detected and resolved with one full
-// transfer, never skewed by a stale delta). The coordinator folds deltas
-// through the same replacement path as full frames, so any mix of
-// deltas, full frames, 304s and crashes converges to the same bytes.
+// reply, no state marshaling at all), a *delta frame* against the
+// export the node retains when that is the acknowledged base, carrying
+// only the components whose versions moved past it (plus ids removed
+// since then), else a full frame — for an older export, a diverged
+// base, or one from before a process restart (export labels carry a
+// per-process random salt, so a restart is always detected and resolved
+// with one full transfer, never skewed by a stale delta). The
+// coordinator folds deltas through the same replacement path as full
+// frames, so any mix of deltas, full frames, 304s and crashes converges
+// to the same bytes.
 //
 // A moved component need not ship whole either. Every state blob is a
 // two-byte header plus minimal uvarints, and B more reports move at most

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,72 +22,25 @@ import (
 // per-shard addends do), or a coordinator's held peer components passed
 // through with their original ids. A puller that acknowledges its last
 // accepted export version (?since= plus If-None-Match) gets either a 304
-// (nothing moved), a delta frame (only the components whose version
-// moved since that base, plus removed ids), or a full frame when the
-// base is unknown — too old for the history ring, from before a restart
-// (the version salt changed), or never served by this process. The
-// components of a delta frame may arrive as counter differences from
-// the versions the puller holds (wire/diff.go): the node keeps the blobs
-// of its latest export, and a moved component whose blob at the base is
-// still among them ships as a diff, dense or sparse, when that is the
+// (nothing moved), a delta against the export the node retains when
+// that is the base, else a full frame. A delta ships only the components
+// whose version moved since the retained export, plus removed ids, and a
+// moved component may arrive as its counter difference from the
+// retained blob (wire/diff.go), dense or sparse, when that is the
 // smaller payload — bytes proportional to the counters that moved,
-// whatever the component's size. The query carries nothing else: every
+// whatever the component's size. Any other base — an older export, one
+// from before a restart (the version salt changed), or one never served
+// by this process — gets the full frame, which is always a correct
+// answer: the counters only sum. The query carries nothing else: every
 // puller is sent the one frame form.
 
-// exportHistorySize bounds the per-node ring of remembered export
-// labels. A coordinator pulls each peer once per interval, so 64 entries
-// cover many minutes of bases even with several pullers; anything older
-// falls back to a full frame, which is always correct.
-const exportHistorySize = 64
-
-// exportHistory remembers, for recent export labels, the per-component
-// version vector the label corresponds to — what a delta against that
-// base must be computed from. Exports are serialized and an unchanged
-// label re-serves the retained export (Exporter.export), so a label is
-// recorded once, with the one vector it is ever served with.
-type exportHistory struct {
-	mu      sync.Mutex
-	entries []histEntry // insertion order; oldest first
-}
-
-type histEntry struct {
-	top uint64
-	vec map[string]uint64
-}
-
-// record remembers vec (which the caller must not mutate afterwards)
-// as the vector behind the new label top.
-func (h *exportHistory) record(top uint64, vec map[string]uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.entries = append(h.entries, histEntry{top: top, vec: vec})
-	if len(h.entries) > exportHistorySize {
-		h.entries = h.entries[len(h.entries)-exportHistorySize:]
-	}
-}
-
-// lookup returns the vector recorded for base; vectors are immutable
-// once recorded.
-func (h *exportHistory) lookup(base uint64) (map[string]uint64, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range h.entries {
-		if h.entries[i].top == base {
-			return h.entries[i].vec, true
-		}
-	}
-	return nil, false
-}
-
-// stateExport is one componentized export: the top label, the components
-// sorted by id, and the version vector a delta base against this export
-// must be diffed with. The node keeps its latest one, so that the next
-// export can diff the components that moved against what the puller
-// holds; blobs are shared with the fleet, never copied.
+// stateExport is one componentized export: the top label and the
+// components sorted by id. The node keeps its latest one, the one base
+// a delta is cut against; blobs are shared with the fleet, never
+// copied.
 type stateExport struct {
 	top   uint64
 	comps []wire.StateComponent
-	vec   map[string]uint64
 
 	// The export's full frame, deflated once however many pullers ask for
 	// it while the label stands still.
@@ -102,15 +54,6 @@ type stateExport struct {
 func (e *stateExport) fullFrame(frame wire.ComponentFrame) ([]byte, error) {
 	e.fullOnce.Do(func() { e.full, e.fullErr = wire.EncodeComponentFrame(frame) })
 	return e.full, e.fullErr
-}
-
-// component returns the export's component of that id.
-func (e *stateExport) component(id string) (wire.StateComponent, bool) {
-	i := sort.Search(len(e.comps), func(i int) bool { return e.comps[i].ID >= id })
-	if i == len(e.comps) || e.comps[i].ID != id {
-		return wire.StateComponent{}, false
-	}
-	return e.comps[i], true
 }
 
 // Exporter serves a node's state on GET /state: an ingesting node's
@@ -135,14 +78,10 @@ type Exporter struct {
 	// is a function of its content alone.
 	salt uint64
 
-	// hist remembers recent export labels and their per-component
-	// version vectors — the bases deltas are diffed against. In-memory
-	// only: a restart (which re-salts the version label anyway) empties
-	// it, and pullers then fall back to one full frame.
-	hist exportHistory
 	// mu orders exports; it guards last (the latest one: what an
-	// unchanged label is served from and the next export's diffs are
-	// taken against), arena (the merged local state the next export
+	// unchanged label is served from and the one base a delta is cut
+	// against; in-memory only, so after a restart every puller gets one
+	// full frame), arena (the merged local state the next export
 	// re-folds only moved parts into; empty until the first export) and
 	// the parts slice it reuses.
 	mu    sync.Mutex
@@ -180,14 +119,13 @@ func (e *Exporter) Version() uint64 { return e.salt + e.src.Version() }
 // or, from a coordinator, per constituent node, each with its own
 // version label — and the query names nothing but the base: 304 Not
 // Modified when the caller's If-None-Match (or ?since=) base equals the
-// current version, a delta frame shipping only the components that
-// moved since a known, non-current base (each offered as its counter
-// difference from the base's blob, dense or sparse, when this node still
-// holds that blob and the difference is the smaller payload), and a full
-// frame otherwise. An unknown base — expired from the history ring, or
-// from before a restart (the version salt changed) — falls back to a
-// full frame. It returns an error, having written nothing, when the
-// state cannot be exported.
+// current version, a delta frame against the export the node retains
+// when the base is that export's label (only the components that moved
+// since it, each offered as its counter difference from the retained
+// blob, dense or sparse, when the difference is the smaller payload),
+// and a full frame otherwise — for an older base, one from before a
+// restart (the version salt changed), or no base at all. It returns an
+// error, having written nothing, when the state cannot be exported.
 func (e *Exporter) ServeState(w http.ResponseWriter, r *http.Request) error {
 	base, haveBase := parseStateBase(r.Header.Get("If-None-Match"), r.URL.Query().Get("since"))
 	if haveBase {
@@ -210,11 +148,9 @@ func (e *Exporter) ServeState(w http.ResponseWriter, r *http.Request) error {
 	top := exp.top
 	frame := wire.ComponentFrame{NodeID: e.nodeID, Version: top, N: total, Components: exp.comps}
 	mode, encode := "full", exp.fullFrame
-	if haveBase && base != top {
-		if baseVec, ok := e.hist.lookup(base); ok {
-			frame = deltaAgainst(frame, base, baseVec, exp.vec, held)
-			mode, encode = "delta", wire.EncodeComponentFrame
-		}
+	if haveBase && base != top && held != nil && base == held.top {
+		frame = deltaAgainst(frame, held)
+		mode, encode = "delta", wire.EncodeComponentFrame
 	}
 	buf, err := encode(frame)
 	if err != nil {
@@ -229,11 +165,10 @@ func (e *Exporter) ServeState(w http.ResponseWriter, r *http.Request) error {
 }
 
 // export returns the node's state as components, and the export
-// retained before this call — the blobs a diff is taken against.
+// retained before this call — the one base a delta is cut against.
 // Exports run one at a time: the later of two concurrent pullers is the
 // one whose export is retained, and while the top label has not moved
 // the retained export is served again without touching the aggregator.
-// A new export's label is entered in the history ring.
 // The top label is read before any component state is captured, so it
 // can only trail the content (re-transfer, never skip). An ingesting
 // node is one component, named by the node and labeled with the top
@@ -249,7 +184,7 @@ func (e *Exporter) export() (exp, held *stateExport, err error) {
 	}
 	exp = &stateExport{top: top}
 	if e.fleet != nil {
-		exp.top, exp.comps, exp.vec = e.fleet.exportComponents()
+		exp.top, exp.comps = e.fleet.exportComponents()
 		exp.top += e.salt
 		wire.SortComponents(exp.comps)
 	} else {
@@ -262,9 +197,7 @@ func (e *Exporter) export() (exp, held *stateExport, err error) {
 			return nil, nil, err
 		}
 		exp.comps = []wire.StateComponent{{ID: e.nodeID, Version: top, N: snap.N(), State: blob}}
-		exp.vec = map[string]uint64{e.nodeID: top}
 	}
-	e.hist.record(exp.top, exp.vec)
 	e.last = exp
 	return exp, held, nil
 }
@@ -309,38 +242,38 @@ func parseStateBase(etag, since string) (uint64, bool) {
 }
 
 // deltaAgainst narrows a full componentized export to a delta frame
-// against the base vector: only components whose label moved (or are
-// new) ship, and ids present at the base but gone now are listed as
-// removed. The frame keeps the full export's top label and total count,
-// so the importer can cross-check the fold. A shipped component whose
-// blob at the base version is still in held (the node's previous export)
-// is offered to the encoder as that base.
-func deltaAgainst(full wire.ComponentFrame, base uint64, baseVec, curVec map[string]uint64, held *stateExport) wire.ComponentFrame {
+// against held, the export retained before it: a component whose
+// version is the one held carries no news and is skipped, any other
+// ships, offered to the encoder as a diff from held's blob when held has
+// its id, and ids held has that the export lacks are listed as removed.
+// Both component lists are sorted by id, so one merge walk pairs them.
+// The frame keeps the full export's top label and total count, so the
+// importer can cross-check the fold.
+func deltaAgainst(full wire.ComponentFrame, held *stateExport) wire.ComponentFrame {
 	delta := wire.ComponentFrame{
 		NodeID:      full.NodeID,
 		Version:     full.Version,
 		Delta:       true,
-		BaseVersion: base,
+		BaseVersion: held.top,
 		N:           full.N,
 	}
-	for _, c := range full.Components {
-		v, atBase := baseVec[c.ID]
-		if atBase && v == c.Version {
-			continue
-		}
-		if atBase && held != nil {
-			if old, ok := held.component(c.ID); ok && old.Version == v {
-				c.Base = &wire.ComponentBase{Version: v, State: old.State}
+	cur, old := full.Components, held.comps
+	for len(cur) > 0 || len(old) > 0 {
+		switch {
+		case len(cur) == 0 || len(old) > 0 && old[0].ID < cur[0].ID:
+			delta.Removed = append(delta.Removed, old[0].ID)
+			old = old[1:]
+		case len(old) == 0 || cur[0].ID < old[0].ID:
+			delta.Components = append(delta.Components, cur[0])
+			cur = cur[1:]
+		default:
+			if c := cur[0]; c.Version != old[0].Version {
+				c.Base = &wire.ComponentBase{Version: old[0].Version, State: old[0].State}
+				delta.Components = append(delta.Components, c)
 			}
-		}
-		delta.Components = append(delta.Components, c)
-	}
-	for id := range baseVec {
-		if _, ok := curVec[id]; !ok {
-			delta.Removed = append(delta.Removed, id)
+			cur, old = cur[1:], old[1:]
 		}
 	}
-	sort.Strings(delta.Removed)
 	return delta
 }
 

@@ -14,8 +14,8 @@
 // Replacement is what makes the protocol idempotent and crash-proof —
 // re-pulling an unchanged peer is a 304 (or a label-matched no-op), and
 // an edge that crashed and recovered from its WAL re-serves its full
-// recovered state under a fresh version salt, which a coordinator
-// detects as an unknown delta base and resolves with one full pull.
+// recovered state under a fresh version salt, so the base a coordinator
+// acknowledges is not its retained export and it answers one full frame.
 // Because aggregation is associative integer counting, the assembled
 // fleet state is byte-identical to a single aggregator that consumed
 // every edge's stream directly — whatever mix of full frames, deltas,
@@ -439,34 +439,22 @@ func (f *Fleet) peerBase(url string) (top uint64, comps map[string]peerComp, ok 
 	return pe.top, pe.comps, true
 }
 
-// sameTop reports whether a frame's (node id, version) label matches the
-// stored one for the peer — the idempotent re-pull fast path, checked
-// before the expensive per-component decode validation.
-func (f *Fleet) sameTop(url, nodeID string, ver uint64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	pe := f.findPeer(url)
-	return pe != nil && pe.comps != nil && pe.nodeID == nodeID && pe.top == ver
-}
-
 // exportComponents passes the coordinator's held peer components through
 // with their original ids and labels, so a root coordinator one tier up
 // can deduplicate, cycle-check, and delta-diff the fleet's true
 // constituents across any number of mid tiers. The top label and the
 // component set are read under one lock acquisition, so repeated labels
-// always describe identical vectors.
-func (f *Fleet) exportComponents() (top uint64, comps []wire.StateComponent, vec map[string]uint64) {
+// always describe identical component sets.
+func (f *Fleet) exportComponents() (top uint64, comps []wire.StateComponent) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	top = f.ver.Load()
-	vec = make(map[string]uint64)
 	for _, pe := range f.peers {
 		for id, c := range pe.comps {
 			comps = append(comps, wire.StateComponent{ID: id, Version: c.version, N: c.n, State: c.state})
-			vec[id] = c.version
 		}
 	}
-	return top, comps, vec
+	return top, comps
 }
 
 // persist writes the current peer states to the cluster directory (when

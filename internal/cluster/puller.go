@@ -435,12 +435,6 @@ func (pl *Puller) fetch(ctx context.Context, span *trace.Span, url string, ack b
 	} else {
 		mode = pullModeFull
 		ins.lastFullBytes.Store(uint64(len(body)))
-		// Skip the (expensive) decode validation for an unchanged state:
-		// accept short-circuits on the (node id, version) label. Peek
-		// cheaply first.
-		if pl.f.sameTop(url, cf.NodeID, cf.Version) {
-			return false, mode, nil
-		}
 	}
 	valid, err := validateComponents(pl.f.p, cf)
 	if err != nil {

@@ -238,9 +238,9 @@ func TestPullAgeNeverNegative(t *testing.T) {
 	}
 }
 
-// TestDiffFallbackLadder walks the rungs below "diff": a retained blob
-// that is not the puller's base ships the component whole, and a diff
-// that does not rebuild on what the puller holds costs exactly one more
+// TestDiffFallbackLadder walks the rungs below "diff": a base that is
+// not the export the edge retains gets a full frame, and a diff that
+// does not rebuild on what the puller holds costs exactly one more
 // request, a full frame, in the same pull — after which diffs resume.
 func TestDiffFallbackLadder(t *testing.T) {
 	p, err := core.New(core.InpPS, testCfg)
@@ -283,16 +283,16 @@ func TestDiffFallbackLadder(t *testing.T) {
 		t.Fatalf("second pull: %+v, want one delta with the component as a diff", got)
 	}
 
-	// Another puller's export replaces the retained blob: the edge knows
-	// a's base from its history ring but no longer has the blob a holds.
+	// Another puller's export replaces the retained one: a's base is no
+	// longer the export the edge retains, so a is sent the full frame.
 	ingest(reps[150:200])
 	forcePull(t, b)
 	ingest(reps[200:250])
-	if got := pullA(); got != (counts{gets: 1, delta: 1}) {
-		t.Fatalf("pull against a stale retained blob: %+v, want one delta of whole components", got)
+	if got := pullA(); got != (counts{gets: 1, full: 1}) {
+		t.Fatalf("pull against a stale retained blob: %+v, want one full frame", got)
 	}
 	forcePull(t, b)
-	sameHeldComponents(t, "after the whole-component delta", a.f, b.f)
+	sameHeldComponents(t, "after the full frame", a.f, b.f)
 
 	// a's copy of its base goes bad under an unchanged label (the races
 	// the one-directional version guarantee allows end here too): the

@@ -56,7 +56,7 @@ func TestClusterE2E(t *testing.T) {
 		"-pull-interval", "100ms",
 		"-protocol", "InpHT", "-d", "8", "-k", "2", "-eps", "1.1",
 		"-data-dir", coordDir,
-		"-refresh-interval", "0", "-refresh-every-n", "0",
+		"-refresh-interval", "0",
 	)
 	if err := coord.Start(); err != nil {
 		t.Fatalf("starting coordinator: %v", err)
@@ -221,7 +221,7 @@ func TestClusterThreeTierE2E(t *testing.T) {
 			"-role", "coordinator", "-node-id", "mid",
 			"-peers", "http://"+edgeAddrs[0]+",http://"+edgeAddrs[1],
 			"-pull-interval", "100ms", "-data-dir", midDir,
-			"-refresh-interval", "0", "-refresh-every-n", "0")
+			"-refresh-interval", "0")
 		waitHealthy(t, midAddr)
 		return cmd
 	}
@@ -235,7 +235,7 @@ func TestClusterThreeTierE2E(t *testing.T) {
 		"-role", "coordinator", "-node-id", "root",
 		"-peers", "http://"+midAddr,
 		"-pull-interval", "100ms",
-		"-refresh-interval", "0", "-refresh-every-n", "0")
+		"-refresh-interval", "0")
 	defer func() { _ = root.Process.Kill() }()
 	waitHealthy(t, rootAddr)
 

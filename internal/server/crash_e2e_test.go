@@ -77,7 +77,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 			"-addr", addr,
 			"-protocol", "InpHT", "-d", "8", "-k", "2", "-eps", "1.1",
 			"-data-dir", dataDir, "-fsync", "always",
-			"-refresh-interval", "0", "-refresh-every-n", "0",
+			"-refresh-interval", "0",
 		)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting ldpserver: %v", err)
@@ -203,7 +203,7 @@ func TestWindowedCrashRecoveryE2E(t *testing.T) {
 			"-protocol", "InpHT", "-d", "8", "-k", "2", "-eps", "1.1",
 			"-data-dir", dataDir, "-fsync", "always",
 			"-window", "30s", "-bucket", "500ms",
-			"-refresh-interval", "0", "-refresh-every-n", "0",
+			"-refresh-interval", "0",
 		)
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting ldpserver: %v", err)

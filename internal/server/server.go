@@ -28,7 +28,7 @@
 // routes table in role.go: each route's path, method and serving roles,
 // from which Handler builds the mux, the 405 and 403 gates and the
 // per-route request metrics. Its background loops — the view engine's
-// refresh policy, the coordinator's peer pulls, window rotation and the
+// interval refresh, the coordinator's peer pulls, window rotation and the
 // degraded-mode disk probe — are started at the end of NewWithOptions,
 // each through loop.Every, and Close stops and joins them all before
 // the store closes (whose own interval fsync timer is the fifth loop).
@@ -48,11 +48,11 @@
 // and /query answer from the cached epoch in O(2^k) work without taking
 // any lock — reads never block ingestion and never trigger
 // reconstruction. Answers are therefore stale by up to one refresh
-// period: the epoch advances on the configured policy (Options.Refresh:
-// wall-time interval and/or report-count delta) and on explicit
-// POST /refresh. /view/status reports the serving epoch, its report
-// count, and how many reports have arrived since it was built — and, on
-// a coordinator, the per-peer composition of the serving epoch.
+// period: the epoch advances every Options.RefreshInterval of wall time
+// and on explicit POST /refresh. /view/status reports the serving
+// epoch, its report count, and how many reports have arrived since it
+// was built — and, on a coordinator, the per-peer composition of the
+// serving epoch.
 //
 // # Ingestion architecture
 //
@@ -208,9 +208,9 @@ type Options struct {
 	// GOMAXPROCS. It also sizes the ingest admission gate: one in-flight
 	// request per shard and ingestQueuePerShard waiting per shard.
 	Shards int
-	// Refresh is the automatic view-refresh policy; the zero value means
-	// the view only advances on POST /refresh.
-	Refresh view.Policy
+	// RefreshInterval rebuilds the view this often; <= 0 means the view
+	// only advances on POST /refresh.
+	RefreshInterval time.Duration
 	// Store, when non-nil, makes ingestion durable: accepted reports are
 	// appended to its write-ahead log before the ack, the recovered
 	// state seeds the ring, and the ring's live bucket becomes the
@@ -378,7 +378,7 @@ func NewWithOptions(p core.Protocol, opts Options) (*Server, error) {
 	// recovered state is seeded too, so the first Advance never races
 	// construction.
 	if serving.has(s.role) {
-		if s.engine, err = view.NewEngine(s.src, p, view.EngineOptions{Refresh: opts.Refresh, Tracer: s.tracer}); err != nil {
+		if s.engine, err = view.NewEngine(s.src, p, view.EngineOptions{RefreshInterval: opts.RefreshInterval, Tracer: s.tracer}); err != nil {
 			return fail(err)
 		}
 		s.stops = append(s.stops, s.engine.Close)
@@ -441,7 +441,7 @@ func randomNodeID() (string, error) {
 
 // Close stops the node's background loops — window rotation, the
 // degraded-mode probe, the coordinator's peer pulls and the view
-// engine's refresh policy — and, for a durable deployment, flushes the
+// engine's interval refresh — and, for a durable deployment, flushes the
 // write-ahead log and writes a final counter snapshot (a coordinator
 // persists its peer states instead). The server's handlers remain
 // usable (serving the last published epoch, rejecting ingestion); Close
@@ -778,7 +778,9 @@ type ViewStatusResponse struct {
 	// durable store at startup (0 for memory-only deployments).
 	RecoveredReports int `json:"recovered_reports,omitempty"`
 	// FromRecovery reports whether the serving epoch contains state
-	// restored from the durable store.
+	// restored from the durable store: on a windowed node it clears once
+	// the window slides past every recovered bucket and an epoch built
+	// after that serves.
 	FromRecovery bool `json:"from_recovery,omitempty"`
 	// Peers describes, per configured peer, how much of that peer's
 	// state the serving epoch contains versus what the fleet holds now
@@ -810,10 +812,7 @@ func (s *Server) viewStatus(v *view.View) ViewStatusResponse {
 		FullBuilds:        stats.FullBuilds,
 		Tables:            v.Tables(),
 		RecoveredReports:  recovered,
-		// Every epoch is built from an aggregator seeded with the
-		// recovered state, so any epoch of a recovered deployment
-		// contains it.
-		FromRecovery: recovered > 0,
+		FromRecovery:      v.FromRecovery,
 	}
 	if s.fleet != nil {
 		resp.Peers = s.fleet.ViewStatus(v)

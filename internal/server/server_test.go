@@ -821,13 +821,13 @@ func TestViewStatusAndHealthz(t *testing.T) {
 
 // TestStressViewRefreshConcurrentQuery is the race certification of the
 // materialized-view read path: concurrent batch ingestion, explicit and
-// policy-driven epoch refreshes, and 32 query readers hammering
+// interval-driven epoch refreshes, and 32 query readers hammering
 // /marginal, /query, and /view/status simultaneously. Afterwards one
 // final refresh must serve answers bit-identical to a sequential
 // reference fed the same multiset.
 func TestStressViewRefreshConcurrentQuery(t *testing.T) {
 	s, ts, p := newTestServerWithOptions(t, Options{
-		Refresh: view.Policy{EveryN: 500},
+		RefreshInterval: 5 * time.Millisecond,
 	})
 	const (
 		ingesters  = 8

@@ -15,7 +15,6 @@ import (
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/store"
-	"ldpmarginals/internal/view"
 	"ldpmarginals/internal/wire"
 )
 
@@ -452,9 +451,73 @@ func TestCumulativeNodeRefusesWindowedDir(t *testing.T) {
 	}
 }
 
+// TestFromRecoveryClearsOnceWindowSlides: /view/status says
+// from_recovery exactly while the serving epoch holds a bucket that held
+// recovered reports. A windowed node reopened over 200 recovered reports
+// (100 in a sealed bucket, 100 in the live one) keeps saying so while
+// either bucket is in the window, and through the epoch built before
+// the last of them expired; the first epoch built after says false,
+// and so does one holding only new reports. recovered_reports stays the
+// count at startup.
+func TestFromRecoveryClearsOnceWindowSlides(t *testing.T) {
+	p, err := core.New(core.InpHT, core.Config{D: 8, K: 2, Epsilon: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reps := windowReports(t, p, 230, 17)
+	base := time.Now()
+	open := func() (*Server, string) {
+		t.Helper()
+		opts := windowedOptions() // 1h window of 10m buckets: six slots
+		opts.Store = openEdgeStore(t, dir, p)
+		s, err := NewWithOptions(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return s, ts.URL
+	}
+	advance := func(s *Server, by time.Duration) {
+		t.Helper()
+		if err := s.advanceWindow(base.Add(by)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, vs ViewStatusResponse, viewN int, fromRecovery bool) {
+		t.Helper()
+		if vs.ViewN != viewN || vs.FromRecovery != fromRecovery || vs.RecoveredReports != 200 {
+			t.Fatalf("%s: view_n %d, from_recovery %v, recovered_reports %d; want %d, %v, 200",
+				what, vs.ViewN, vs.FromRecovery, vs.RecoveredReports, viewN, fromRecovery)
+		}
+	}
+
+	s, url := open()
+	postBatch(t, url, p, reps[:100])
+	advance(s, 15*time.Minute) // seals slot 0
+	postBatch(t, url, p, reps[100:200])
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, url = open()
+	defer s.Close()
+	check("reopened", getViewStatus(t, url), 200, true)
+	advance(s, 25*time.Minute) // seals slot 1, the live bucket restored into
+	check("restored live bucket sealed", postRefresh(t, url), 200, true)
+	advance(s, 65*time.Minute) // slot 6: slot 0 expires
+	check("restored sealed bucket expired", postRefresh(t, url), 100, true)
+	advance(s, 3*time.Hour) // slot 1 expires too
+	check("epoch built before the expiry", getViewStatus(t, url), 100, true)
+	check("epoch built after the expiry", postRefresh(t, url), 0, false)
+	postBatch(t, url, p, reps[200:])
+	check("new reports only", postRefresh(t, url), 30, false)
+}
+
 // TestCloseStopsEveryLoop pins Server.Close in every role: each of the
 // node's background loops — window rotation, the degraded-mode probe,
-// the view engine's refresh policy and the store's fsync timer on a
+// the view engine's interval refresh and the store's fsync timer on a
 // durable windowed single node, the probe and the fsync timer on a
 // durable edge, the peer pulls on a coordinator — is joined, and so are
 // the pulls' keep-alive connections, which on a shared transport
@@ -484,7 +547,7 @@ func TestCloseStopsEveryLoop(t *testing.T) {
 		{"durable windowed single", func(t *testing.T) Options {
 			return Options{
 				Store: durable(t), Window: 4 * tick, Bucket: tick,
-				Refresh: view.Policy{Interval: tick}, degradedProbe: tick,
+				RefreshInterval: tick, degradedProbe: tick,
 			}
 		}},
 		{"durable edge", func(t *testing.T) Options {

@@ -60,49 +60,22 @@ type Composed interface {
 	Composition() []Component
 }
 
-// Policy selects when the engine rebuilds the view on its own. The zero
-// value disables automatic refresh: the view only advances on explicit
-// Refresh calls (e.g. a POST /refresh endpoint).
-type Policy struct {
-	// Interval rebuilds the view every Interval of wall time; <= 0
-	// disables time-based refresh.
-	Interval time.Duration
-	// EveryN rebuilds the view once at least EveryN new reports have
-	// arrived since the last build, sampling Source.N every pollInterval
-	// (or sooner, when Interval is a tighter bound already); <= 0
-	// disables count-based refresh.
-	EveryN int
-}
-
-// pollInterval is how often the count-based trigger samples Source.N.
-const pollInterval = 100 * time.Millisecond
-
-func (p Policy) automatic() bool { return p.Interval > 0 || p.EveryN > 0 }
-
-// tick returns the background loop's wake-up period: a fraction of
-// Interval (so a refresh lands within ~Interval/8 of its due time,
-// rather than slipping a whole period when a tick narrowly precedes the
-// deadline), bounded by pollInterval when the count-based trigger is on.
-func (p Policy) tick() time.Duration {
-	var t time.Duration
-	if p.Interval > 0 {
-		t = p.Interval / 8
-		if t < time.Millisecond {
-			t = time.Millisecond
-		}
-	}
-	if p.EveryN > 0 && (t <= 0 || pollInterval < t) {
-		t = pollInterval
-	}
-	return t
+// Recoverable is optionally implemented by a Source seeded from durable
+// state: FromRecovery reports whether parts, a list its AppendParts
+// returned, holds reports restored from that state. The engine records
+// the answer for the parts it captured in the published View.
+type Recoverable interface {
+	FromRecovery(parts []core.Part) bool
 }
 
 // EngineOptions configures NewEngine.
 type EngineOptions struct {
-	// Refresh is the automatic refresh policy (zero = manual only).
-	Refresh Policy
+	// RefreshInterval rebuilds the view every RefreshInterval of wall
+	// time; <= 0 means the view only advances on explicit Refresh calls
+	// (e.g. a POST /refresh endpoint).
+	RefreshInterval time.Duration
 	// Tracer, when set, roots a "view.refresh" trace for every
-	// policy-driven background refresh (request-driven refreshes join
+	// interval-driven background refresh (request-driven refreshes join
 	// their request's trace through RefreshContext instead). Nil
 	// disables background-refresh tracing.
 	Tracer *trace.Tracer
@@ -113,8 +86,8 @@ type EngineOptions struct {
 // an atomic pointer.
 // Readers call Current and work with an immutable epoch; they never take
 // a lock and never observe a partially built view. Builds (manual or
-// policy-driven) are serialized, so at most one reconstruction runs at a
-// time and ingestion is never stalled by more than the snapshot's
+// interval-driven) are serialized, so at most one reconstruction runs
+// at a time and ingestion is never stalled by more than the snapshot's
 // one-shard-at-a-time merge.
 type Engine struct {
 	src  Source
@@ -134,7 +107,7 @@ type Engine struct {
 	fullBuilds atomic.Int64
 	ins        *viewInstruments
 
-	stop func() // stops the refresh policy's loop; a no-op under a manual policy
+	stop func() // stops the refresh loop; a no-op under manual refresh
 }
 
 // EngineStats counts the engine's builds by kind, for status endpoints.
@@ -156,10 +129,10 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // NewEngine builds epoch 1 synchronously (so Current never returns nil)
-// and, if the policy asks for automatic refresh, starts the background
-// refresh loop. Close the engine to stop that loop. The protocol must
-// fold (core.CheckFolds): every epoch after the first advances the
-// engine's counter state by a delta fold.
+// and, given a RefreshInterval, starts the background refresh loop.
+// Close the engine to stop that loop. The protocol must fold
+// (core.CheckFolds): every epoch after the first advances the engine's
+// counter state by a delta fold.
 func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error) {
 	if err := core.CheckFolds(p); err != nil {
 		return nil, err
@@ -172,8 +145,11 @@ func NewEngine(src Source, p core.Protocol, opts EngineOptions) (*Engine, error)
 	if _, err := e.Refresh(); err != nil {
 		return nil, fmt.Errorf("view: building initial epoch: %w", err)
 	}
-	if opts.Refresh.automatic() {
-		e.stop = loop.Every(opts.Refresh.tick(), e.refreshIfDue)
+	if opts.RefreshInterval > 0 {
+		// The loop wakes at an eighth of the interval, so a refresh lands
+		// within ~RefreshInterval/8 of its due time rather than slipping a
+		// whole period when a tick narrowly precedes the deadline.
+		e.stop = loop.Every(max(opts.RefreshInterval/8, time.Millisecond), e.refreshIfDue)
 	}
 	return e, nil
 }
@@ -288,6 +264,10 @@ func (e *Engine) buildNext(ctx context.Context) (*View, error) {
 	start := time.Now()
 	_, span := trace.StartSpan(ctx, stage)
 	e.parts = e.src.AppendParts(e.parts[:0])
+	fromRecovery := false
+	if r, ok := e.src.(Recoverable); ok {
+		fromRecovery = r.FromRecovery(e.parts)
+	}
 	folded, err := e.arena.Sync(e.parts)
 	clear(e.parts) // the arena holds what it folded; drop the rest
 	state := e.arena.State()
@@ -328,6 +308,7 @@ func (e *Engine) buildNext(ctx context.Context) (*View, error) {
 	e.ins.snapshotDur.Observe(snapDur.Seconds())
 	v.Incremental = incremental
 	v.Components = comp
+	v.FromRecovery = fromRecovery
 	v.SnapshotDuration = snapDur
 	v.FoldedComponents = folded
 	return v, nil
@@ -344,24 +325,18 @@ func (e *Engine) composition() []Component {
 // exit. The last published view keeps serving; Close is idempotent.
 func (e *Engine) Close() { e.stop() }
 
-// refreshIfDue is one tick of the automatic refresh policy. Due-ness is
-// measured from the published view's build time, so a manual Refresh
-// resets the interval cadence instead of racing it into a redundant
-// back-to-back rebuild. Build errors are swallowed (the previous epoch
+// refreshIfDue is one tick of the refresh loop. Due-ness is measured
+// from the published view's build time, so a manual Refresh resets the
+// interval cadence instead of racing it into a redundant back-to-back
+// rebuild. Build errors are swallowed (the previous epoch
 // keeps serving and the next tick retries); deployments that need
 // visibility poll /view/status staleness instead.
 func (e *Engine) refreshIfDue() {
-	pol := e.opts.Refresh
-	cur := e.Current()
-	due := pol.Interval > 0 && cur.Age() >= pol.Interval
-	if !due && pol.EveryN > 0 {
-		due = cur.Staleness(e.src.N()) >= pol.EveryN
-	}
-	if !due {
+	if e.Current().Age() < e.opts.RefreshInterval {
 		return
 	}
-	// Policy-driven refreshes have no request to join, so root their own
-	// trace; a refresh that didn't advance the epoch (zero-delta) is
+	// Interval-driven refreshes have no request to join, so root their
+	// own trace; a refresh that didn't advance the epoch (zero-delta) is
 	// discarded rather than flooding the ring on every interval tick of
 	// an idle deployment.
 	ctx, root := e.opts.Tracer.StartRoot(context.Background(), "view.refresh")

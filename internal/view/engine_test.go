@@ -98,32 +98,11 @@ func TestManualRefreshAdvancesEpochAndAbsorbsBacklog(t *testing.T) {
 	}
 }
 
-func TestEveryNPolicyRefreshesOnBacklog(t *testing.T) {
-	p := testProtocol(t)
-	agg := core.NewSharded(p, 0)
-	eng, err := NewEngine(agg, p, EngineOptions{
-		Refresh: Policy{EveryN: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	feed(t, p, agg, 99, 1)
-	// Long enough for at least two samples of the count trigger.
-	if waitFor(t, 2*pollInterval+50*time.Millisecond, func() bool { return eng.Current().N > 0 }) {
-		t.Fatalf("refreshed below the EveryN threshold (N=%d)", eng.Current().N)
-	}
-	feed(t, p, agg, 1, 2)
-	if !waitFor(t, 2*time.Second, func() bool { return eng.Current().N == 100 }) {
-		t.Fatalf("EveryN policy never absorbed the backlog (view N=%d)", eng.Current().N)
-	}
-}
-
 func TestIntervalPolicyRefreshes(t *testing.T) {
 	p := testProtocol(t)
 	agg := core.NewSharded(p, 0)
 	eng, err := NewEngine(agg, p, EngineOptions{
-		Refresh: Policy{Interval: 5 * time.Millisecond},
+		RefreshInterval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +115,8 @@ func TestIntervalPolicyRefreshes(t *testing.T) {
 }
 
 // TestIntervalPolicySustainsCadence pins the refresh period to roughly
-// the configured Interval: the due-check must not slip a whole period
-// (refreshing at 2x Interval) nor rebuild on every wake-up. A feeder
+// the configured RefreshInterval: the due-check must not slip a whole
+// period (refreshing at 2x the interval) nor rebuild on every wake-up. A feeder
 // keeps reports trickling in so every interval has a real delta — an
 // unchanged source no longer publishes epochs (the zero-delta fast
 // path republishes the serving view instead).
@@ -146,7 +125,7 @@ func TestIntervalPolicySustainsCadence(t *testing.T) {
 	agg := core.NewSharded(p, 0)
 	const interval = 200 * time.Millisecond
 	start := time.Now()
-	eng, err := NewEngine(agg, p, EngineOptions{Refresh: Policy{Interval: interval}})
+	eng, err := NewEngine(agg, p, EngineOptions{RefreshInterval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +273,7 @@ func TestRefreshFailureKeepsServingPreviousEpoch(t *testing.T) {
 func TestEngineCloseIsIdempotent(t *testing.T) {
 	p := testProtocol(t)
 	eng, err := NewEngine(core.NewSharded(p, 0), p, EngineOptions{
-		Refresh: Policy{Interval: time.Millisecond},
+		RefreshInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

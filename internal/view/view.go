@@ -19,10 +19,10 @@
 // how that state was reached — so a cached answer is exactly the answer
 // a fresh rebuild of the same epoch would give.
 //
-// Engine (engine.go) runs the same build (build.go) under a refresh
-// policy, advancing the counter state by delta folds, and publishes
-// Views through an atomic pointer, so readers never take a lock and
-// never block ingestion.
+// Engine (engine.go) runs the same build (build.go) on request or every
+// RefreshInterval, advancing the counter state by delta folds, and
+// publishes Views through an atomic pointer, so readers never take a
+// lock and never block ingestion.
 package view
 
 import (
@@ -90,6 +90,9 @@ type View struct {
 	// the engine's source is Composed (a coordinator's fleet of peer
 	// states); nil for plain sources.
 	Components []Component
+	// FromRecovery reports whether the epoch's snapshot holds reports
+	// restored from durable state (the engine's source is Recoverable).
+	FromRecovery bool
 	// Diag is the epoch's accuracy diagnostics (diag.go): the paper's
 	// theoretical TV bound at the epoch's parameters, the L1 mass moved
 	// by consistency enforcement + projection, and — for engine-built

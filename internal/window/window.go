@@ -94,6 +94,16 @@ type Ring struct {
 	curStart time.Time
 	sealed   []*Bucket // retained sealed buckets, slot-ascending
 
+	// The parts that hold reports Restore recovered: sealed buckets up to
+	// restoredSlot (the live slot restored into, once that bucket seals,
+	// or else the newest restored sealed bucket) and, while it is live,
+	// the bucket restored into, whose first shard's part key is
+	// restoredLive. restored is false when Restore recovered nothing.
+	// Set by Restore before serving; read-only after.
+	restored     bool
+	restoredSlot uint64
+	restoredLive any
+
 	sealedN atomic.Int64
 	ver     atomic.Uint64 // bumps after every state change; read-before-snapshot label
 	rotated atomic.Uint64 // total bucket boundaries crossed
@@ -279,12 +289,15 @@ func (r *Ring) Restore(l Layout, live core.Aggregator) error {
 		if b.Slot < r.curSeq && b.Slot+r.buckets > r.curSeq {
 			r.sealed = append(r.sealed, b)
 			r.sealedN.Add(int64(b.Agg.N()))
+			r.restored, r.restoredSlot = true, b.Slot
 		}
 	}
 	if live != nil && live.N() > 0 {
-		if err := r.cur.Load().Merge(live); err != nil {
+		cur := r.cur.Load()
+		if err := cur.Merge(live); err != nil {
 			return fmt.Errorf("window: restoring the live bucket: %w", err)
 		}
+		r.restored, r.restoredSlot, r.restoredLive = true, r.curSeq, cur.AppendParts(nil)[0].Key
 	}
 	r.ver.Add(1)
 	return nil
@@ -333,6 +346,23 @@ func (r *Ring) AppendParts(dst []core.Part) []core.Part {
 		dst = append(dst, core.Part{Key: b, Agg: func(core.Aggregator) (core.Aggregator, error) { return b.Agg, nil }})
 	}
 	return r.cur.Load().AppendParts(dst)
+}
+
+// FromRecovery reports whether parts, a list AppendParts returned,
+// holds reports Restore recovered: a restored sealed bucket, the live
+// bucket restored into, or that bucket sealed. Buckets expire oldest
+// first, so once the window slides past the newest of them, no later
+// capture holds any.
+func (r *Ring) FromRecovery(parts []core.Part) bool {
+	if !r.restored {
+		return false
+	}
+	for _, p := range parts {
+		if b, ok := p.Key.(*Bucket); ok && b.Slot <= r.restoredSlot || p.Key == r.restoredLive {
+			return true
+		}
+	}
+	return false
 }
 
 // Status is a point-in-time description of the ring for /status and
