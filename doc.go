@@ -81,9 +81,10 @@
 // marginal — means a deployment should reconstruct once and serve many
 // times. The read side (view.Build / view.NewEngine, internal/view) does
 // exactly that: per epoch it snapshots the aggregator, reconstructs all
-// C(d,k) k-way tables in parallel, enforces cross-marginal consistency
-// (consistency.Plan, weighted by per-marginal evidence), projects
-// each table to the probability simplex, and publishes the result as an
+// C(d,k) k-way tables in parallel, alternates the closed-form
+// cross-marginal consistency projection (consistency.Plan, weighted by
+// per-marginal evidence) with projecting each table to the probability
+// simplex until the tables agree, and publishes the result as an
 // immutable view behind an atomic pointer. /marginal answers any
 // |beta| <= k and /query evaluates conjunction batches from the cached
 // epoch in O(2^k) work, lock-free, never blocking ingestion; answers
@@ -106,8 +107,8 @@
 // components — whose version label moved since the last epoch: integer
 // unmerge/merge, exact to the bit, and a moved shard is copied into the
 // copy it replaces, so a steady-state capture allocates nothing. The
-// *nonlinear stage* (normalize by n, consistency
-// enforcement, simplex projection, the sub-k cube) re-runs per epoch
+// *nonlinear stage* (normalize by n, consistency and simplex
+// projections alternated to agreement, the sub-k cube) re-runs per epoch
 // over reusable reconstruction arenas and memoized (d, k) build plans;
 // for the input-view protocols it reconstructs all C(d,k) tables from
 // ONE full-domain Walsh-Hadamard transform of the counters instead of
@@ -432,9 +433,10 @@
 // reports the theoretical per-marginal total-variation error bound at
 // the deployment's exact parameters (Theorem 4.5's sqrt(|T|) 2^{k/2} /
 // (eps sqrt(n)) family, internal/bounds), the L1 cell mass the
-// consistency-enforcement and simplex-projection stages moved, and the
-// max/mean TV drift of the epoch's k-way tables against the previous
-// epoch. The bound says how wrong the marginals may be; the correction
+// consistency and simplex projections moved, how many rounds of them
+// ran and how far the served tables still disagree, and the max/mean
+// TV drift of the epoch's k-way tables against the previous epoch. The
+// bound says how wrong the marginals may be; the correction
 // magnitude says how inconsistent the raw reconstruction was; the
 // drift says how fast the population is moving — together they answer
 // "can I trust this epoch" without ground truth. All three are also

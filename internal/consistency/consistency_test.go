@@ -12,7 +12,7 @@ import (
 	"ldpmarginals/internal/vec"
 )
 
-// enforce sweeps tables with a plan built over their own masks.
+// enforce projects tables with a plan built over their own masks.
 func enforce(tables []*marginal.Table, weights []float64, opts Options) error {
 	betas, err := masksOf(tables)
 	if err != nil {
@@ -27,23 +27,38 @@ func enforce(tables []*marginal.Table, weights []float64, opts Options) error {
 
 // MaxDisagreement measures the largest L-infinity gap between the
 // sub-marginals implied by any two tables on any shared attribute set —
-// 0 means fully consistent. Tables may repeat a mask.
+// 0 means fully consistent. Tables may repeat a mask. It reads the
+// shared sub-marginals and their tables off the plan and sums cells in
+// table order, as MarginalizeTo does, so it equals a pairwise walk bit
+// for bit.
 func MaxDisagreement(tables []*marginal.Table) (float64, error) {
 	betas, err := masksOf(tables)
 	if err != nil {
 		return 0, err
 	}
 	p := newPlan(betas)
-	hi, lo, imp := make([]float64, p.maxShared), make([]float64, p.maxShared), make([]float64, p.maxShared)
+	members := make([][]int, len(p.masks))
+	for t := range tables {
+		for _, r := range p.refs[p.off[t]:p.off[t+1]] {
+			members[r.id] = append(members[r.id], t)
+		}
+	}
 	var worst float64
-	for si, sub := range p.subs {
+	for id, sub := range p.masks {
+		if sub == 0 {
+			continue
+		}
 		size := 1 << uint(bitops.OnesCount(sub))
-		hi, lo, imp := hi[:size], lo[:size], imp[:size]
+		hi, lo, imp := make([]float64, size), make([]float64, size), make([]float64, size)
 		for c := range hi {
 			hi[c], lo[c] = math.Inf(-1), math.Inf(1)
 		}
-		for mi, m := range p.members[si] {
-			implied(tables[m], sub, p.idx[si][mi], imp)
+		for _, m := range members[id] {
+			clear(imp)
+			local := bitops.Compress(sub, tables[m].Beta)
+			for c, v := range tables[m].Cells {
+				imp[bitops.Compress(uint64(c), local)] += v
+			}
 			for c, v := range imp {
 				// Comparisons, not max/min: a NaN must drop out here as it
 				// drops out of every pair's comparison in a pairwise walk.
@@ -174,7 +189,7 @@ func TestEnforceConsensusIsWeighted(t *testing.T) {
 	ac, _ := marginal.FromCells(0b101, []float64{0.0, 0.5, 0.0, 0.5}) // P(a=1) = 1
 	tables := []*marginal.Table{ab, ac}
 	// All weight on the second table: consensus P(a=1) = 1.
-	if err := enforce(tables, []float64{0, 1}, Options{Rounds: 1}); err != nil {
+	if err := enforce(tables, []float64{0, 1}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := tables[0].MarginalizeTo(0b001)
@@ -233,7 +248,7 @@ func TestEnforceWeightedOverlappingTables(t *testing.T) {
 	if before < 0.5 {
 		t.Fatalf("setup should disagree badly on a2, got %v", before)
 	}
-	if err := enforce(tables, weights, Options{Rounds: 50}); err != nil {
+	if err := enforce(tables, weights, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := MaxDisagreement(tables)
@@ -259,7 +274,7 @@ func TestEnforceWeightedOverlappingTables(t *testing.T) {
 	}
 }
 
-// TestEnforceIsDeterministic runs the sweep repeatedly over identical
+// TestEnforceIsDeterministic runs the projection repeatedly over identical
 // inputs with enough overlap structure to exercise many shared
 // sub-marginals; every cell must come out bit-identical. The
 // materialized-view engine relies on this for reproducible epochs.
@@ -281,12 +296,12 @@ func TestEnforceIsDeterministic(t *testing.T) {
 	}
 	weights := []float64{1, 2, 3, 4}
 	ref := build()
-	if err := enforce(ref, weights, Options{Rounds: 4}); err != nil {
+	if err := enforce(ref, weights, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 10; trial++ {
 		got := build()
-		if err := enforce(got, weights, Options{Rounds: 4}); err != nil {
+		if err := enforce(got, weights, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref {
@@ -302,7 +317,7 @@ func TestEnforceIsDeterministic(t *testing.T) {
 
 func TestEnforceLeavesExactTablesAlone(t *testing.T) {
 	// Tables computed from the same data are already consistent: the
-	// sweep must be (numerically) a no-op.
+	// projection must be (numerically) a no-op.
 	ds := dataset.NewTaxi(20000, 1)
 	var tables []*marginal.Table
 	var orig [][]float64
@@ -352,7 +367,7 @@ func TestEnforceOnLDPEstimatesImprovesCoherence(t *testing.T) {
 	if before <= 0 {
 		t.Fatal("independently-noised tables should disagree")
 	}
-	if err := enforce(tables, nil, Options{Rounds: 5}); err != nil {
+	if err := enforce(tables, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := MaxDisagreement(tables)

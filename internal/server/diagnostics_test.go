@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"testing"
@@ -38,9 +39,22 @@ func TestViewDiagnosticsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /view/diagnostics: status %d", resp.StatusCode)
 	}
-	var dr ViewDiagnosticsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var dr ViewDiagnosticsResponse
+	if err := json.Unmarshal(body, &dr); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"consistency_l1", "max_disagreement", "projection_rounds"} {
+		if _, ok := fields[name]; !ok {
+			t.Errorf("reply %s has no %q", body, name)
+		}
 	}
 	if dr.Epoch < 1 {
 		t.Errorf("epoch = %d, want >= 1", dr.Epoch)
@@ -60,6 +74,11 @@ func TestViewDiagnosticsEndpoint(t *testing.T) {
 	}
 	if dr.ConsistencyL1 < 0 {
 		t.Errorf("consistency_l1 = %v, want >= 0", dr.ConsistencyL1)
+	}
+	// A build runs at least two rounds (the second finds what the first's
+	// simplex step broke) and at most its cap of 128.
+	if dr.ProjectionRounds < 2 || dr.ProjectionRounds > 128 || !(dr.MaxDisagreement >= 0) {
+		t.Errorf("projection_rounds = %d, max_disagreement = %v", dr.ProjectionRounds, dr.MaxDisagreement)
 	}
 }
 

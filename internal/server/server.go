@@ -120,8 +120,8 @@
 // fsyncs every 100 ms; the /debug/traces ring holds
 // trace.DefaultCapacity traces, and a request taking
 // trace.SlowThreshold (1 s) or more is logged at warn with its trace.
-// Each epoch gets view.Options' defaults: three consistency sweeps,
-// then the simplex projection.
+// Each epoch gets view.Options' defaults: consistency and simplex
+// projections alternated until the tables agree, at most 128 rounds.
 package server
 
 import (

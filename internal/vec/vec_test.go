@@ -2,6 +2,8 @@ package vec
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +158,125 @@ func TestProjectToSimplexKnown(t *testing.T) {
 	ProjectToSimplex(v)
 	if !almostEq(v[0], 1, 1e-9) || !almostEq(v[1], 0, 1e-9) {
 		t.Errorf("projection = %v, want [1 0]", v)
+	}
+}
+
+// projectToSimplexReference is the allocating sort.Sort projection
+// ProjectToSimplex replaced, kept verbatim as the reference it must
+// equal bit for bit.
+func projectToSimplexReference(v []float64) []float64 {
+	n := len(v)
+	if n == 0 {
+		return v
+	}
+	sorted := Clone(v)
+	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+	var cumulative, theta float64
+	k := 0
+	for i := 0; i < n; i++ {
+		cumulative += sorted[i]
+		t := (cumulative - 1) / float64(i+1)
+		if sorted[i]-t > 0 {
+			theta = t
+			k = i + 1
+		}
+	}
+	if k == 0 {
+		copy(v, Uniform(n))
+		return v
+	}
+	for i := range v {
+		v[i] = math.Max(0, v[i]-theta)
+	}
+	return v
+}
+
+// TestProjectToSimplexMatchesReference draws vectors of every length up
+// to past the stack scratch — with ties, all-negative ones, zeros of
+// both signs, NaNs and single cells among them — and requires the projection
+// bit-identical to the sort.Sort reference.
+func TestProjectToSimplexMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	draws := []func() float64{
+		func() float64 { return r.Float64()*1.4 - 0.2 },                              // table-shaped noise
+		func() float64 { return float64(r.Intn(5)-1) / 4 },                           // many ties
+		func() float64 { return -r.Float64() },                                       // all negative
+		func() float64 { return []float64{0, math.Copysign(0, -1), 0.5}[r.Intn(3)] }, // signed zeros
+		func() float64 { return r.NormFloat64() * 1e6 },                              // large spread
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 16, 33, 64, 255, 256, 257, 1024} {
+		for di, draw := range draws {
+			for trial := 0; trial < 20; trial++ {
+				v := make([]float64, n)
+				for i := range v {
+					v[i] = draw()
+				}
+				want := projectToSimplexReference(Clone(v))
+				got := ProjectToSimplex(Clone(v))
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d draw %d trial %d: cell %d = %v, reference %v (input %v)", n, di, trial, i, got[i], want[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSort8SortsEveryInput feeds the 8-cell network all 256 vectors of
+// zeros and ones: by the 0-1 principle, a comparator network that sorts
+// them sorts every input.
+func TestSort8SortsEveryInput(t *testing.T) {
+	for bits := 0; bits < 256; bits++ {
+		var in, out [8]float64
+		for i := range in {
+			in[i] = float64(bits >> i & 1)
+		}
+		sort8(&out, &in)
+		if !sort.Float64sAreSorted(out[:]) {
+			t.Fatalf("%v sorts to %v", in, out)
+		}
+	}
+}
+
+// TestProjectToSimplexAllocatesNothing: a table of up to 16 cells
+// projects without touching the heap.
+func TestProjectToSimplexAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1, 4, 8, 16} {
+		v := make([]float64, n)
+		if allocs := testing.AllocsPerRun(100, func() {
+			for i := range v {
+				v[i] = float64(i%5) - 1
+			}
+			ProjectToSimplex(v)
+		}); allocs != 0 {
+			t.Fatalf("n=%d: %v allocations per projection", n, allocs)
+		}
+	}
+}
+
+// BenchmarkProjectToSimplex projects 560 eight-cell tables, the k-way
+// collection of a d=16, k=3 view: through the comparator network
+// ProjectToSimplex takes at 8 cells, through the stack sort it takes
+// up to 16, and through the allocating reference.
+func BenchmarkProjectToSimplex(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	src := make([]float64, 560*8)
+	for i := range src {
+		src[i] = r.Float64()*1.2 - 0.1
+	}
+	v := make([]float64, len(src))
+	for _, impl := range []struct {
+		name string
+		f    func([]float64) []float64
+	}{{"sort8", ProjectToSimplex}, {"stack16", projectStack}, {"reference", projectToSimplexReference}} {
+		b.Run(impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(v, src)
+				for t := 0; t < len(v); t += 8 {
+					impl.f(v[t : t+8])
+				}
+			}
+		})
 	}
 }

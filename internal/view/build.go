@@ -9,27 +9,37 @@ import (
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/consistency"
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/hadamard"
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/trace"
+	"ldpmarginals/internal/vec"
 )
 
 // The build pipeline, the only one: Build and every Engine epoch run
 // builder.build. A build's work splits into a *linear* stage — the
 // aggregated counter sums every estimator is a normalization of — and a
-// *nonlinear* stage (normalize by n, cross-marginal consistency, simplex
-// projection, sub-k cube) that must re-run per epoch. The linear stage
-// is the aggregator handed to build: a snapshot for Build, for the
-// engine the state of a core.FoldArena it advances by folding the
-// source's moved parts (shards, window buckets, peer components), so its
-// cost tracks what changed. The folds are
+// *nonlinear* stage that must re-run per epoch. The linear stage is the
+// aggregator handed to build: a snapshot for Build, for the engine the
+// state of a core.FoldArena it advances by folding the source's moved
+// parts (shards, window buckets, peer components), so its cost tracks
+// what changed. The nonlinear stage normalizes by n, then
+// consistency.Plan.Agree alternates two projections until they agree:
+// the closed-form consistency projection, which sets every shared
+// Walsh–Hadamard coefficient to its evidence-weighted mean, and the
+// simplex projection of each table, with each consistent point pushed
+// past the projection by an extrapolated step. It stops when a
+// consistency projection moves no coefficient by more than 1e-9, or
+// after 128 rounds, and always ends on the simplex step. The sub-k
+// cube is then the inverse transform of the final tables' weighted
+// coefficient means, projected onto the simplex. The folds are
 // integer-exact and the nonlinear stage is a deterministic function of
-// the counters, so both give the same view bit for bit. The nonlinear
-// stage runs over reusable reconstruction arenas, so the steady-state
-// refresh allocates only the immutable published view. buildPlan
-// memoizes everything about the (d, k) collection that is identical
-// across epochs: mask lists, the mask->table position map, and the
-// consistency plan — the one overlap structure, which both the sweep and
-// the sub-k cube read.
+// the counters, with no state carried from the previous epoch, so both
+// give the same view bit for bit. The nonlinear stage runs over
+// reusable arenas, so the steady-state refresh allocates only the
+// immutable published view. buildPlan memoizes everything about the
+// (d, k) collection that is identical across epochs: mask lists, the
+// mask->table position map, the consistency plan and the cube's
+// coefficient ids.
 
 // buildPlan is the per-(d,k) epoch-invariant build structure. Immutable
 // and shared: one plan serves every engine (and every published view's
@@ -39,6 +49,10 @@ type buildPlan struct {
 	sub  []uint64 // the sub-k cube masks, |beta| in [1, k-1]
 	pos  map[uint64]int
 	cons *consistency.Plan
+	// cube[i] lists the coefficient ids of sub[i]'s sub-masks in
+	// ascending order; nil when d == k, where no two tables share
+	// anything and sub[i] is a marginal of the one k-way table.
+	cube [][]int
 }
 
 var buildPlans sync.Map // uint64(d)<<8 | uint64(k) -> *buildPlan
@@ -67,13 +81,33 @@ func planFor(cfg core.Config) (*buildPlan, error) {
 	for i, m := range sub {
 		p.pos[m] = len(kway) + i
 	}
+	p.cube = make([][]int, len(sub))
+	if len(kway) > 1 {
+		for i, m := range sub {
+			// A k-way superset: m and the lowest attributes outside it.
+			super := m
+			for a := 0; bitops.OnesCount(super) < cfg.K; a++ {
+				super |= 1 << a
+			}
+			for a := uint64(0); ; a = (a - m) & m {
+				id, ok := cons.ID(p.pos[super], a)
+				if !ok {
+					return nil, fmt.Errorf("view: sub-marginal %b is not shared", a)
+				}
+				p.cube[i] = append(p.cube[i], id)
+				if a == m {
+					break
+				}
+			}
+		}
+	}
 	actual, _ := buildPlans.LoadOrStore(key, p)
 	return actual.(*buildPlan), nil
 }
 
 // builder owns the reusable reconstruction arenas of one engine (or of
 // one Build call): the k-way table arena, the sub-cube arena, the
-// evidence vector, and the marginalization scratch. A builder is
+// evidence vector, and the consistency plan's scratch. A builder is
 // single-threaded (the engine serializes builds); publishing copies the
 // finished values into a fresh immutable View, so readers of older
 // epochs are never touched by the next build reusing the arena.
@@ -86,7 +120,7 @@ type builder struct {
 	arena   *core.KWayArena
 	weights []float64         // per-kway-table evidence of the current build
 	sub     []*marginal.Table // sub-cube arena tables (slab-backed)
-	scratch []float64         // marginalization scratch, max 2^(k-1)
+	cons    *consistency.Scratch
 	// consBefore checkpoints the raw k-way cells before the nonlinear
 	// stage so diagnostics can report the L1 mass consistency +
 	// projection moved; reused across epochs.
@@ -111,7 +145,7 @@ func newBuilder(p core.Protocol, opts Options) (*builder, error) {
 		arena:   arena,
 		weights: make([]float64, len(plan.kway)),
 		sub:     make([]*marginal.Table, len(plan.sub)),
-		scratch: make([]float64, 1<<uint(cfg.K-1)),
+		cons:    plan.cons.NewScratch(),
 	}
 	var cells int
 	for _, m := range plan.sub {
@@ -131,8 +165,8 @@ func newBuilder(p core.Protocol, opts Options) (*builder, error) {
 
 // build reconstructs the k-way collection from the counter state,
 // runs the nonlinear stage, and publishes a fresh immutable View. When
-// ctx carries an active span, the reconstruction ("view.linear"),
-// consistency sweep ("view.consistency"), and projection + sub-cube
+// ctx carries an active span, the reconstruction ("view.linear"), the
+// alternating projections ("view.consistency") and the sub-cube
 // materialization ("view.nonlinear") are recorded as children.
 func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, error) {
 	start := time.Now()
@@ -147,39 +181,55 @@ func (b *builder) build(ctx context.Context, state core.Aggregator) (*View, erro
 	for i, u := range b.arena.Users {
 		b.weights[i] = float64(u)
 	}
-	b.consBefore = consistencyCheckpoint(b.consBefore, b.arena.Tables, len(b.arena.Tables))
-	if b.opts.ConsistencyRounds >= 0 && len(b.arena.Tables) > 1 && n > 0 {
-		_, consSpan := trace.StartSpan(ctx, "view.consistency")
-		if err := b.plan.cons.Enforce(b.arena.Tables, b.weights, consistency.Options{
-			Rounds: b.opts.ConsistencyRounds,
-		}); err != nil {
-			consSpan.End()
-			return nil, fmt.Errorf("view: enforcing consistency: %w", err)
-		}
-		consSpan.End()
+	tables := b.arena.Tables
+	b.consBefore = consistencyCheckpoint(b.consBefore, tables, len(tables))
+	_, consSpan := trace.StartSpan(ctx, "view.consistency")
+	rounds := 0
+	if !b.opts.RawCells {
+		rounds = b.plan.cons.Agree(tables, b.weights, b.cons)
 	}
+	b.plan.cons.Means(tables, b.weights, b.cons) // for the diagnostic and the cube
+	disagreement := b.plan.cons.MaxDisagreement(b.cons)
+	consSpan.SetAttr("projection_rounds", rounds)
+	consSpan.SetAttr("max_disagreement", disagreement)
+	consSpan.End()
+
+	// Materialize the sub-k cube, so the read path is a position lookup
+	// for every in-contract mask: each |beta| < k marginal is the inverse
+	// transform of the tables' evidence-weighted coefficient means over
+	// beta's sub-masks; zero evidence yields the uniform table.
 	_, nlSpan := trace.StartSpan(ctx, "view.nonlinear")
 	defer nlSpan.End()
-	if !b.opts.RawCells {
-		for _, t := range b.arena.Tables {
-			t.ProjectToSimplex()
-		}
-	}
-	// Materialize the sub-k cube from the post-processed collection:
-	// every |beta| < k marginal is the evidence-weighted average of the
-	// k-way tables containing beta, reduced in mask order; zero total
-	// evidence yields the uniform table. Doing it once here keeps the
-	// read path at a position lookup for every in-contract mask.
 	for si, sb := range b.plan.sub {
 		out := b.sub[si].Cells
-		if b.plan.cons.Consensus(sb, b.arena.Tables, b.weights, out, b.scratch[:len(out)]) == 0 {
-			u := 1 / float64(len(out))
+		ids := b.plan.cube[si]
+		switch {
+		case ids == nil && b.weights[0] > 0:
+			clear(out)
+			local := bitops.Compress(sb, tables[0].Beta)
+			for c, v := range tables[0].Cells {
+				out[bitops.Compress(uint64(c), local)] += v
+			}
+		case ids == nil || b.cons.Weight[ids[len(ids)-1]] == 0:
 			for c := range out {
-				out[c] = u
+				out[c] = 1 / float64(len(out))
+			}
+			continue
+		default:
+			for c, id := range ids {
+				out[c] = b.cons.Mean[id]
+			}
+			if err := hadamard.InverseWHT(out); err != nil {
+				return nil, fmt.Errorf("view: %w", err)
 			}
 		}
+		if !b.opts.RawCells {
+			vec.ProjectToSimplex(out)
+		}
 	}
-	return b.publish(n, start), nil
+	v := b.publish(n, start)
+	v.Diag.MaxDisagreement, v.Diag.ProjectionRounds = disagreement, rounds
+	return v, nil
 }
 
 // publish freezes the arena's finished values into a fresh immutable

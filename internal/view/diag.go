@@ -19,12 +19,22 @@ type Diagnostics struct {
 	// need n > 0) or a baseline protocol outside the paper's Table 2.
 	TVBoundErr string `json:"tv_bound_error,omitempty"`
 	// ConsistencyL1 is the total L1 cell mass the post-processing
-	// moved across the k-way collection tables — consistency
-	// enforcement plus simplex projection, measured against the raw
+	// moved across the k-way collection tables — all rounds of
+	// consistency and simplex projection, measured against the raw
 	// reconstruction. Large persistent values mean the unbiased
 	// estimates land far from any consistent distribution, i.e. the
 	// deployment is operating deep in its noise.
 	ConsistencyL1 float64 `json:"consistency_l1"`
+	// MaxDisagreement is the largest gap between the cells of the
+	// sub-marginals two served k-way tables imply on an attribute set
+	// they share, after the final simplex projection: 0 is a fully
+	// consistent collection. The rounds stop once a consistency
+	// projection moves no coefficient by more than 1e-9; only a build
+	// that hits their cap of 128 can end further apart.
+	MaxDisagreement float64 `json:"max_disagreement"`
+	// ProjectionRounds is how many rounds of consistency projection and
+	// simplex projection the build ran (0 for a RawCells build).
+	ProjectionRounds int `json:"projection_rounds"`
 	// DriftMaxTV and DriftMeanTV are the maximum and mean
 	// total-variation distance per k-way marginal between this epoch
 	// and the previous published epoch. Drift above TheoreticalTV is

@@ -70,7 +70,7 @@ func TestConsistencyL1Diagnostic(t *testing.T) {
 	if err := agg.ConsumeBatch(reps); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Build(agg, p, Options{ConsistencyRounds: -1, RawCells: true})
+	raw, err := Build(agg, p, Options{RawCells: true})
 	if err != nil {
 		t.Fatal(err)
 	}

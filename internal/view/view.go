@@ -6,10 +6,10 @@
 // once per epoch and serves every query from the cached result.
 //
 // Build turns one aggregator snapshot into an immutable View: all C(d,k)
-// k-way tables reconstructed, cross-marginal consistency enforced
-// (overlapping tables are shifted to agree on shared sub-marginals,
-// weighted by their per-marginal evidence), and each table projected to
-// the probability simplex. A View answers any
+// k-way tables reconstructed, then alternately projected onto the
+// consistent collections (overlapping tables agree on shared
+// sub-marginals, weighted by their per-marginal evidence) and each onto
+// the probability simplex, until the two agree. A View answers any
 // marginal with |beta| <= k by marginalizing cached superset tables —
 // O(2^k) work per query instead of a full reconstruction — and any
 // conjunction by reading one cell of that answer.
@@ -43,16 +43,14 @@ import (
 // fault.
 var ErrBadQuery = errors.New("invalid marginal query")
 
-// Options tunes Build's post-processing (the Engine embeds these in its
-// refresh options). The zero value is the production default: 3
-// consistency rounds, simplex projection on.
+// Options tunes Build's post-processing. The zero value is the
+// production default: the consistency projection alternated with the
+// simplex projection until the tables agree (build.go).
 type Options struct {
-	// ConsistencyRounds is the number of consistency-enforcement sweeps
-	// across the reconstructed tables; 0 selects the default (3),
-	// negative disables enforcement entirely.
-	ConsistencyRounds int
-	// RawCells skips the final simplex projection, leaving the unbiased
-	// (possibly negative) cell estimates in the view.
+	// RawCells skips all post-processing of the k-way tables, leaving
+	// the unbiased (possibly negative, possibly disagreeing) cell
+	// estimates in the view; the sub-k cube is then the inverse
+	// transform of their weighted coefficient means, unprojected.
 	RawCells bool
 }
 
@@ -150,9 +148,9 @@ func (v *View) checkBeta(beta uint64) error {
 // tables in O(2^k): every in-contract mask — the k-way collection
 // tables and the precomputed sub-k cube alike — is a position lookup
 // plus a copy. The returned table is the caller's to mutate. Sub-k
-// answers are the evidence-weighted average of the cached supersets,
-// reduced in mask order at build time, so they are deterministic per
-// epoch.
+// answers are the inverse transform of the supersets' evidence-weighted
+// Walsh–Hadamard coefficient means, computed at build time, so they are
+// deterministic per epoch.
 func (v *View) Marginal(beta uint64) (*marginal.Table, error) {
 	if err := v.checkBeta(beta); err != nil {
 		return nil, err

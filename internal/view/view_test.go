@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"ldpmarginals/internal/bitops"
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/dataset"
+	"ldpmarginals/internal/freqoracle"
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/query"
 	"ldpmarginals/internal/rng"
@@ -187,9 +189,9 @@ func TestViewTablesAreConsistentDistributions(t *testing.T) {
 			t.Fatalf("table %b mass %v, want 1", beta, sum)
 		}
 	}
-	// A 1-way answer must not depend (much) on which superset served it:
-	// the view's weighted average sits within the tiny residual the
-	// simplex projection reintroduces after enforcement.
+	// A 1-way answer must not depend on which superset served it: the
+	// rounds run until the tables agree, so the view's weighted
+	// coefficient mean and every superset's marginal coincide.
 	one, err := v.Marginal(0b1)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +209,7 @@ func TestViewTablesAreConsistentDistributions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for c := range one.Cells {
-			if math.Abs(one.Cells[c]-sub.Cells[c]) > 0.02 {
+			if math.Abs(one.Cells[c]-sub.Cells[c]) > 1e-9 {
 				t.Fatalf("superset %b implies P=%v for cell %d, view serves %v", super, sub.Cells[c], c, one.Cells[c])
 			}
 		}
@@ -215,8 +217,7 @@ func TestViewTablesAreConsistentDistributions(t *testing.T) {
 }
 
 // TestRawCellsSkipsProjection checks the RawCells escape hatch keeps the
-// unbiased estimates (matching the aggregator's raw k-way tables when
-// consistency is off).
+// unbiased estimates: the aggregator's raw k-way tables, untouched.
 func TestRawCellsSkipsProjection(t *testing.T) {
 	cfg := core.Config{D: 6, K: 2, Epsilon: 1.1}
 	p, err := core.New(core.InpHT, cfg)
@@ -227,7 +228,7 @@ func TestRawCellsSkipsProjection(t *testing.T) {
 	if err := agg.ConsumeBatch(perturb(t, p, 500, 2)); err != nil {
 		t.Fatal(err)
 	}
-	v, err := Build(agg, p, Options{ConsistencyRounds: -1, RawCells: true})
+	v, err := Build(agg, p, Options{RawCells: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,4 +389,125 @@ func TestBuildAccuracyWithinTheoreticalBound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// servedProtocols returns every protocol a deployment serves at cfg:
+// the core kinds but InpRR, then InpHTCMS.
+func servedProtocols(t *testing.T, cfg core.Config) []core.Protocol {
+	t.Helper()
+	var ps []core.Protocol
+	for _, kind := range []core.Kind{core.InpPS, core.InpHT, core.MargRR, core.MargPS, core.MargHT} {
+		p, err := core.New(kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	hcms, err := freqoracle.NewHCMS(freqoracle.HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(ps, hcms)
+}
+
+// TestRoundsNeverMoveAwayFromTheTruth: the true marginals are both a
+// consistent collection and a point of every table's simplex, so
+// neither projection of a round can move the served tables away from
+// them in the user-weighted L2 distance the consistency projection
+// minimizes (alternating projections are Fejér monotone). On 20 fixed
+// seeds, for every served protocol at d = 8 and 16, the served
+// collection is at most as far from the truth as after one round. One
+// exception: InpHTCMS re-estimates all 2^d item frequencies per table,
+// 1.6 s a reconstruction at d = 16, so there it runs 2 of the seeds.
+func TestRoundsNeverMoveAwayFromTheTruth(t *testing.T) {
+	for _, shape := range []struct{ d, k int }{{8, 2}, {16, 3}} {
+		cfg := core.Config{D: shape.d, K: shape.k, Epsilon: 1.1, OptimizedPRR: true}
+		masks := core.KWayMasks(cfg.D, cfg.K)
+		for _, p := range servedProtocols(t, cfg) {
+			seeds := uint64(20)
+			if p.Name() == "InpHTCMS" && cfg.D == 16 {
+				seeds = 2
+			}
+			for seed := uint64(1); seed <= seeds; seed++ {
+				r := rng.New(seed)
+				records := make([]uint64, 2000)
+				for i := range records {
+					// Attributes 0 and 2 are fair coins, the others set one
+					// time in four, and attribute 1 copies attribute 0.
+					rec := r.Uint64() & (r.Uint64() | 0b101) & (1<<uint(cfg.D) - 1)
+					records[i] = rec&^0b10 | rec&1<<1
+				}
+				agg, err := core.Run(p, records, seed, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := newBuilder(p, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := b.build(context.Background(), agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var total float64
+				for _, w := range b.weights {
+					total += w
+				}
+				dist := func(tables []*marginal.Table) float64 {
+					var sum float64
+					for i, beta := range masks {
+						truth, err := marginal.FromRecords(records, beta)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for c, got := range tables[i].Cells {
+							d := got - truth.Cells[c]/float64(len(records))
+							sum += b.weights[i] * d * d
+						}
+					}
+					return sum / total
+				}
+				// Round 1 by hand, on the raw cells the build checkpointed.
+				one := make([]*marginal.Table, len(masks))
+				for i, beta := range masks {
+					size := 1 << cfg.K
+					one[i] = &marginal.Table{Beta: beta, Cells: b.consBefore[i*size : (i+1)*size]}
+				}
+				b.plan.cons.Project(one, b.weights, b.plan.cons.NewScratch())
+				for _, tab := range one {
+					tab.ProjectToSimplex()
+				}
+				if first, all := dist(one), dist(v.tables[:v.kWay]); all > first+1e-12 {
+					t.Fatalf("%s d=%d seed %d: weighted L2 distance to the truth %v after %d rounds, %v after one",
+						p.Name(), cfg.D, seed, all, v.Diag.ProjectionRounds, first)
+				}
+			}
+		}
+	}
+}
+
+// TestWideViewAgrees: on an InpPS d=16, k=3 view (560 noisy tables,
+// where the simplex binds) the rounds end by agreement, not at their cap
+// of 128, and the served tables then disagree on no shared sub-marginal
+// cell by more than 1e-9. Plain alternation, without the extrapolated
+// step, ends this view at the cap with its tables 1e-5 apart; one round
+// left the benchmark's view-wide tables up to 0.975 apart.
+func TestWideViewAgrees(t *testing.T) {
+	cfg := core.Config{D: 16, K: 3, Epsilon: 1.1}
+	p, err := core.New(core.InpPS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := p.NewAggregator()
+	if err := agg.ConsumeBatch(perturb(t, p, 20000, 16)); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Build(agg, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, rounds := v.Diag.MaxDisagreement, v.Diag.ProjectionRounds; !(d <= 1e-9) || rounds >= 128 {
+		t.Fatalf("max_disagreement %v after %d rounds, want <= 1e-9 before the cap", d, rounds)
+	}
+	t.Logf("max_disagreement %.3g after %d rounds", v.Diag.MaxDisagreement, v.Diag.ProjectionRounds)
 }
