@@ -1,7 +1,8 @@
 // Command benchguard is the CI bench-regression smoke gate: it reads
 // `go test -bench` output on stdin, looks each benchmark up in the
-// checked-in BENCH_*.json baselines, and fails when any ns/op exceeds
-// the baseline by more than the threshold factor.
+// checked-in BENCH_*.json baselines, and fails when any benchmark's
+// median ns/op over its rows exceeds the baseline by more than the
+// threshold factor.
 //
 // Usage:
 //
@@ -33,9 +34,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 )
 
@@ -55,7 +58,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9.e+]+) ns/op`)
 
 func main() {
 	dir := flag.String("dir", ".", "directory holding the BENCH_*.json baseline files")
-	threshold := flag.Float64("threshold", 3, "fail when ns/op exceeds baseline by this factor")
+	threshold := flag.Float64("threshold", 3, "fail when a benchmark's median ns/op exceeds baseline by this factor")
 	loadBaseline := flag.String("load-baseline", "", "checked-in cmd/ldpload baseline JSON; selects load mode (stdin is not read)")
 	loadResult := flag.String("load-result", "", "cmd/ldpload result JSON to check against -load-baseline")
 	loadThreshold := flag.Float64("load-threshold", 4, "load mode: fail when throughput falls below baseline/threshold or p99 exceeds baseline*threshold")
@@ -79,39 +82,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		checked, skipped int
-		failures         []string
-	)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		name := m[1]
-		got, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		base, ok := baselines[name]
-		if !ok || base <= 0 {
-			fmt.Printf("skip  %-60s %12.0f ns/op (no baseline)\n", name, got)
-			skipped++
-			continue
-		}
-		checked++
-		ratio := got / base
-		verdict := "ok"
-		if ratio > *threshold {
-			verdict = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op is %.1fx the %.0f ns/op baseline (limit %.1fx)",
-				name, got, ratio, base, *threshold))
-		}
-		fmt.Printf("%-5s %-60s %12.0f ns/op  %5.2fx of baseline\n", verdict, name, got, ratio)
-	}
-	if err := sc.Err(); err != nil {
+	checked, skipped, failures, err := guard(os.Stdin, os.Stdout, baselines, *threshold)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard: reading stdin:", err)
 		os.Exit(2)
 	}
@@ -126,6 +98,66 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// guard reads `go test -bench` output from r and judges each benchmark
+// name on the median ns/op of all its rows (a -count=5 run gives five),
+// so one slow iteration of a -benchtime=1x row does not fail the gate.
+// It writes one verdict line per name to w, in order of first
+// appearance, and returns the names checked, the names skipped for
+// want of a baseline, and one message per regression.
+func guard(r io.Reader, w io.Writer, baselines map[string]float64, threshold float64) (checked, skipped int, failures []string, err error) {
+	rows := make(map[string][]float64)
+	var names []string
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		m := benchLine.FindStringSubmatch(sc.Text())
+		if m == nil {
+			continue
+		}
+		got, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			continue
+		}
+		if rows[m[1]] == nil {
+			names = append(names, m[1])
+		}
+		rows[m[1]] = append(rows[m[1]], got)
+	}
+	if err := sc.Err(); err != nil {
+		return 0, 0, nil, err
+	}
+	for _, name := range names {
+		got := median(rows[name])
+		base, ok := baselines[name]
+		if !ok || base <= 0 {
+			fmt.Fprintf(w, "skip  %-60s %12.0f ns/op (no baseline)\n", name, got)
+			skipped++
+			continue
+		}
+		checked++
+		ratio := got / base
+		verdict := "ok"
+		if ratio > threshold {
+			verdict = "FAIL"
+			failures = append(failures, fmt.Sprintf("%s: median %.0f ns/op of %d rows is %.1fx the %.0f ns/op baseline (limit %.1fx)",
+				name, got, len(rows[name]), ratio, base, threshold))
+		}
+		fmt.Fprintf(w, "%-5s %-60s %12.0f ns/op  %5.2fx of baseline (%d rows)\n", verdict, name, got, ratio, len(rows[name]))
+	}
+	return checked, skipped, failures, nil
+}
+
+// median returns the median of xs (the mean of the middle two for an
+// even count), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // loadFile is the subset of cmd/ldpload's LoadReport the guard reads.

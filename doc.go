@@ -37,7 +37,9 @@
 // reports (internal/encoding) to /report one at a time or to
 // /report/batch as length-prefixed frames. It serves InpPS, InpHT,
 // MargRR, MargPS, MargHT and InpHTCMS, whose aggregators are integer
-// counters that can be copied and unmerged exactly (core.Folder). InpRR
+// counters that can be copied and unmerged exactly and that rebuild the
+// whole k-way collection in one call, KWayTablesInto (core.Folder; the
+// Fourier protocols share one subcube kernel, Lemma 3.7). InpRR
 // (a 2^d-bit report, with a looser bound than InpHT's at every shape)
 // and the InpEM and InpOLH baselines (raw reports) run only under
 // Simulate, cmd/ldpmarg and cmd/experiments; a server, its store and

@@ -300,6 +300,23 @@ func (mi *margIndex) supersetsOf(beta uint64) []int {
 	return out
 }
 
+// kWayTables is KWayTablesInto of the marginal-view protocols: every
+// table of the collection from its own accumulator through kWayInto,
+// across goroutines, with its per-marginal user count (each user lands
+// in exactly one table). The arena's mask order is the index's.
+func (mi *margIndex) kWayTables(a *KWayArena, kWayInto func(pos int, dst *marginal.Table) (int, error)) error {
+	errs := make([]error, len(mi.masks))
+	parallelFor(len(mi.masks), func(i int) {
+		a.Users[i], errs[i] = kWayInto(i, a.Tables[i])
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: reconstructing %b: %w", mi.masks[i], err)
+		}
+	}
+	return nil
+}
+
 // estimate answers Estimate(beta), |beta| <= k, of a marginal-view
 // aggregator of the named protocol holding n reports, given kWayInto,
 // which reconstructs the k-way table at a position in C into a table and

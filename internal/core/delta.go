@@ -26,20 +26,30 @@ import "fmt"
 // Folder is the contract of every protocol a deployment serves: an
 // aggregator that besides Merge has its exact integer inverse, Unmerge,
 // and CopyStateFrom, which replaces its state with a deep copy of
-// another's, reusing its own buffers. The six core protocols and
-// InpHTCMS get both from the CounterBlock they embed.
+// another's, reusing its own buffers, and that reconstructs its whole
+// k-way collection in one call. The six core protocols and InpHTCMS get
+// the first two from the CounterBlock they embed.
 type Folder interface {
 	Aggregator
 	Unmerge(other Aggregator) error
 	CopyStateFrom(other Aggregator) error
+	// KWayTablesInto reconstructs every table of the arena (built by
+	// NewKWayArena for the protocol's Config) from this non-empty
+	// aggregator, with each table's user count; AllKWayTablesInto, its
+	// caller, serves the empty aggregator. It is the one reconstruction
+	// path of a served collection: a Fourier protocol runs the subcube
+	// kernel (KWayArena.reconstructFrom or ReconstructDomain), a
+	// marginal-view protocol each table's own accumulator.
+	KWayTablesInto(a *KWayArena) error
 }
 
 // CheckFolds reports whether p's aggregators are Folders, which serving p
-// — delta folds, windows, a coordinator's fleet — requires. The InpEM and
-// InpOLH baselines keep raw reports and are not: they run through core.Run.
+// — delta folds, windows, a coordinator's fleet, the view's k-way
+// reconstruction — requires. The InpEM and InpOLH baselines keep raw
+// reports and are not: they run through core.Run.
 func CheckFolds(p Protocol) error {
 	if _, ok := p.NewAggregator().(Folder); !ok {
-		return fmt.Errorf("core: protocol %s cannot be served: its aggregator cannot be copied and unmerged exactly; run it with ldpmarg or cmd/experiments", p.Name())
+		return fmt.Errorf("core: protocol %s cannot be served: its aggregator cannot be copied and unmerged exactly, or cannot reconstruct its k-way collection; run it with ldpmarg or cmd/experiments", p.Name())
 	}
 	return nil
 }

@@ -179,6 +179,10 @@ type failingCopy struct {
 
 func (a failingCopy) Counters() *CounterBlock { return noDeltaAgg{a.Aggregator}.Counters() }
 
+func (a failingCopy) KWayTablesInto(k *KWayArena) error {
+	return a.Aggregator.(Folder).KWayTablesInto(k)
+}
+
 func (a failingCopy) Unmerge(other Aggregator) error {
 	return a.Aggregator.(Folder).Unmerge(other)
 }

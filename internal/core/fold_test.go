@@ -158,6 +158,10 @@ type failingUnmerge struct {
 
 func (a failingUnmerge) Counters() *CounterBlock { return noDeltaAgg{a.Aggregator}.Counters() }
 
+func (a failingUnmerge) KWayTablesInto(k *KWayArena) error {
+	return a.Aggregator.(Folder).KWayTablesInto(k)
+}
+
 func (a failingUnmerge) Unmerge(other Aggregator) error {
 	if *a.fail {
 		return errors.New("unmerge refused")

@@ -146,7 +146,7 @@ func (a *inpHTAgg) ScaledCoefficient(alpha uint64) float64 {
 }
 
 // Estimate reconstructs the marginal over beta from the 2^|beta|
-// coefficients alpha ⪯ beta (Lemma 3.7).
+// coefficients alpha ⪯ beta (Lemma 3.7) through the subcube kernel.
 func (a *inpHTAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	if err := checkBetaWithin(beta, a.p.cfg); err != nil {
 		return nil, err
@@ -154,21 +154,18 @@ func (a *inpHTAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	if a.n == 0 {
 		return nil, fmt.Errorf("core: InpHT aggregator has no reports")
 	}
-	cells := hadamard.ReconstructMarginal(a, beta)
-	return marginal.FromCells(beta, cells)
+	out, err := marginal.New(beta)
+	if err != nil {
+		return nil, err
+	}
+	hadamard.ReconstructMarginalInto(out.Cells, a, beta)
+	return out, nil
 }
 
-// estimateInto is Estimate writing into the caller's table — the
-// allocation-free kernel behind arena rebuilds. Identical arithmetic
-// (gather the subcube's coefficients, one inverse transform), so arena
-// reconstructions are bit-identical to Estimate's.
-func (a *inpHTAgg) estimateInto(dst *marginal.Table) error {
-	if err := checkBetaWithin(dst.Beta, a.p.cfg); err != nil {
-		return err
-	}
-	if a.n == 0 {
-		return fmt.Errorf("core: InpHT aggregator has no reports")
-	}
-	hadamard.ReconstructMarginalInto(dst.Cells, a, dst.Beta)
+// KWayTablesInto runs Estimate's kernel over every table of the
+// collection, so the arena is bit-identical to Estimate's tables. Every
+// report informs every table: each gets Users = N.
+func (a *inpHTAgg) KWayTablesInto(k *KWayArena) error {
+	k.reconstructFrom(a, a.n, nil)
 	return nil
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ldpmarginals/internal/bitops"
-	"ldpmarginals/internal/hadamard"
 	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/mech"
 	"ldpmarginals/internal/rng"
@@ -93,70 +91,27 @@ func (a *inpPSAgg) ConsumeBatch(reps []Report) error {
 	return nil
 }
 
-// reconstructKWayLinear derives every k-way table from ONE full-domain
-// Walsh-Hadamard transform of the per-cell report counts instead of a
-// 2^d scan per table — see inpRRAgg.reconstructKWayLinear for the
-// identity. The GRR unbiasing is affine with D = m-1:
+// KWayTablesInto sums every table's report counts through one
+// full-domain transform (see inpRRAgg.KWayTablesInto) and applies the
+// GRR unbiasing, affine with D = m-1:
 //
 //	est_c = (D*S_c/n + 2^{d-k}*(Ps-1)) / (D*Ps + Ps - 1).
-func (a *inpPSAgg) reconstructKWayLinear(masks []uint64, tables []*marginal.Table, users []int) error {
-	if a.n == 0 {
-		return fmt.Errorf("core: InpPS aggregator has no reports")
-	}
-	w := hadamard.GetVec(int(a.p.size))
-	defer hadamard.PutVec(w)
-	for j, c := range a.cells {
-		w[j] = float64(c)
-	}
-	if err := hadamard.WHT(w); err != nil {
-		return err
-	}
+func (a *inpPSAgg) KWayTablesInto(k *KWayArena) error {
 	invN := 1 / float64(a.n)
 	dd := float64(a.p.grr.M - 1)
 	ps := a.p.grr.Ps
 	denom := dd*ps + ps - 1
-	errs := make([]error, len(masks))
-	parallelFor(len(masks), func(i int) {
-		cells := tables[i].Cells
-		for c := range cells {
-			cells[c] = w[bitops.Expand(uint64(c), masks[i])]
-		}
-		if err := hadamard.InverseWHT(cells); err != nil {
-			errs[i] = err
-			return
-		}
+	return a.domainKWayTables(k, func(cells []float64) {
 		group := float64(int(a.p.size) / len(cells))
 		for c := range cells {
 			cells[c] = (dd*cells[c]*invN + group*(ps-1)) / denom
 		}
-		users[i] = a.n
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Estimate unbiases the reported-index frequencies into the reconstructed
 // distribution and aggregates the target marginal (Theorem 4.4's
-// estimator, Section 4.1). The 2^d-cell scan parallelizes across
-// goroutines for large d (see scatterCells).
+// estimator, Section 4.1).
 func (a *inpPSAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	if err := checkBetaWithin(beta, a.p.cfg); err != nil {
-		return nil, err
-	}
-	if a.n == 0 {
-		return nil, fmt.Errorf("core: InpPS aggregator has no reports")
-	}
-	out, err := marginal.New(beta)
-	if err != nil {
-		return nil, err
-	}
-	inv := 1 / float64(a.n)
-	scatterCells(out, beta, int(a.p.size), func(j int) float64 {
-		return a.p.grr.UnbiasFrequency(float64(a.cells[j]) * inv)
-	})
-	return out, nil
+	return a.inputEstimate(a.p.cfg, beta, a.p.grr.UnbiasFrequency)
 }

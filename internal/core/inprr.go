@@ -119,81 +119,65 @@ func (a *inpRRAgg) SimulateBatch(records []uint64, r *rng.RNG) error {
 
 // Estimate unbiases every cell of the reconstructed full distribution and
 // aggregates it through the marginal operator (Theorem 4.3's estimator).
-// The 2^d-cell scan parallelizes across goroutines for large d (see
-// scatterCells).
 func (a *inpRRAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	if err := a.checkBeta(beta); err != nil {
+	return a.inputEstimate(a.p.cfg, beta, a.p.prr.UnbiasFrequency)
+}
+
+// KWayTablesInto sums every table's 1-counts through one full-domain
+// transform (domainKWayTables) and unbiases them: with S_c the sum of
+// ones in cell c, n reports and 2^{d-k} domain cells per table cell,
+//
+//	est_c = (S_c/n - 2^{d-k} * P0) / (P1 - P0).
+func (a *inpRRAgg) KWayTablesInto(k *KWayArena) error {
+	invN := 1 / float64(a.n)
+	p0, p1 := a.p.prr.P0, a.p.prr.P1
+	scale := 1 / (p1 - p0)
+	return a.domainKWayTables(k, func(cells []float64) {
+		group := float64(a.p.size / len(cells))
+		for c := range cells {
+			cells[c] = (cells[c]*invN - group*p0) * scale
+		}
+	})
+}
+
+// inputEstimate is Estimate of the input-view protocols InpRR and InpPS:
+// each of the 2^d cells' report frequencies, unbiased, scanned into the
+// marginal over beta (scatterCells, parallel for large d).
+func (b *CounterBlock) inputEstimate(cfg Config, beta uint64, unbias func(freq float64) float64) (*marginal.Table, error) {
+	if err := checkBetaWithin(beta, cfg); err != nil {
 		return nil, err
 	}
-	if a.n == 0 {
-		return nil, fmt.Errorf("core: InpRR aggregator has no reports")
+	if b.n == 0 {
+		return nil, fmt.Errorf("core: %s aggregator has no reports", b.name)
 	}
 	out, err := marginal.New(beta)
 	if err != nil {
 		return nil, err
 	}
-	inv := 1 / float64(a.n)
-	scatterCells(out, beta, a.p.size, func(j int) float64 {
-		return a.p.prr.UnbiasFrequency(float64(a.cells[j]) * inv)
+	inv := 1 / float64(b.n)
+	scatterCells(out, beta, len(b.cells), func(j int) float64 {
+		return unbias(float64(b.cells[j]) * inv)
 	})
 	return out, nil
 }
 
-func (a *inpRRAgg) checkBeta(beta uint64) error {
-	return checkBetaWithin(beta, a.p.cfg)
-}
-
-// reconstructKWayLinear derives every k-way table from ONE full-domain
-// Walsh-Hadamard transform of the per-cell 1-counts instead of a 2^d
-// scan per table. The marginal operator is linear in the counters:
-// with W = WHT(ones), the sum of ones over the cells of any marginal
-// beta is the inverse transform of W's subcube alpha ⪯ beta, and the
-// PRR unbiasing is affine, so
-//
-//	est_c = (S_c/n - 2^{d-k} * P0) / (P1 - P0),  S_c = sum of ones in c.
-//
-// All WHT intermediates are sums/differences of integers (exact in
-// float64 far beyond the supported d), so S_c is exact; only the final
-// affine step rounds differently from Estimate's per-cell summation,
-// keeping the two within ~1e-12 TV. Cost: O(d 2^d) once, then O(k 2^k)
-// per table.
-func (a *inpRRAgg) reconstructKWayLinear(masks []uint64, tables []*marginal.Table, users []int) error {
-	if a.n == 0 {
-		return fmt.Errorf("core: InpRR aggregator has no reports")
+// domainKWayTables is KWayTablesInto of InpRR and InpPS: the 2^d
+// per-cell counters as one vector through KWayArena.ReconstructDomain,
+// then the protocol's affine unbiasing per table. Every transform
+// intermediate is a sum of integers, exact in float64 far beyond the
+// supported d, so the cell sums are exact; only the unbiasing rounds
+// differently from Estimate's per-cell scan, keeping the two within
+// ~1e-12 TV (TestLinearReconstructionMatchesEstimate).
+func (b *CounterBlock) domainKWayTables(a *KWayArena, unbias func(cells []float64)) error {
+	if b.n == 0 {
+		return fmt.Errorf("core: %s aggregator has no reports", b.name)
 	}
-	w := hadamard.GetVec(a.p.size)
+	w := hadamard.GetVec(len(b.cells))
 	defer hadamard.PutVec(w)
-	for j, c := range a.cells {
+	for j, c := range b.cells {
 		w[j] = float64(c)
 	}
-	if err := hadamard.WHT(w); err != nil {
-		return err
-	}
-	invN := 1 / float64(a.n)
-	p0, p1 := a.p.prr.P0, a.p.prr.P1
-	scale := 1 / (p1 - p0)
-	errs := make([]error, len(masks))
-	parallelFor(len(masks), func(i int) {
-		cells := tables[i].Cells
-		for c := range cells {
-			cells[c] = w[bitops.Expand(uint64(c), masks[i])]
-		}
-		if err := hadamard.InverseWHT(cells); err != nil {
-			errs[i] = err
-			return
-		}
-		group := float64(a.p.size / len(cells))
-		for c := range cells {
-			cells[c] = (cells[c]*invN - group*p0) * scale
-		}
-		users[i] = a.n
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.ReconstructDomain(w, b.n, unbias)
 }
 
 // checkBetaWithin validates a queried marginal against the deployment

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"ldpmarginals/internal/bitops"
+	"ldpmarginals/internal/hadamard"
 	"ldpmarginals/internal/marginal"
 )
 
@@ -26,36 +27,6 @@ func KWayMasks(d, k int) []uint64 {
 	return m.([]uint64)
 }
 
-// kWayIntoReconstructor is implemented by the marginal-view
-// aggregators: reconstruct the table at position pos of the collection
-// from that marginal's own accumulator into the caller's table
-// (dst.Beta already set to the position's mask), returning its realized
-// per-marginal user count. Estimate reconstructs through the same
-// kWayInto (margIndex.estimate), averaging supersets for sub-k masks.
-type kWayIntoReconstructor interface {
-	kWayInto(pos int, dst *marginal.Table) (int, error)
-}
-
-// estimateIntoReconstructor is implemented by InpHT, whose every report
-// informs every table: reconstruct the marginal over dst.Beta into dst.
-// Arithmetic identical to Estimate.
-type estimateIntoReconstructor interface {
-	estimateInto(dst *marginal.Table) error
-}
-
-// linearKWayReconstructor is implemented by the input-view protocols
-// InpRR and InpPS: derive every k-way table's unnormalized cell sums
-// from ONE full-domain Walsh-Hadamard transform of the counter vector
-// (O(d 2^d) total) instead of one 2^d-cell scan per table
-// (O(C(d,k) 2^d)), then apply the protocol's affine unbiasing per cell.
-// The result agrees with Estimate's per-table scan up to floating-point
-// summation order (within ~1e-12 TV at the supported sizes); the scan
-// remains the path for a single arbitrary mask and the reference
-// TestLinearReconstructionMatchesEstimate holds this kernel against.
-type linearKWayReconstructor interface {
-	reconstructKWayLinear(masks []uint64, tables []*marginal.Table, users []int) error
-}
-
 // KWayArena is a reusable reconstruction workspace: one pre-allocated
 // table per mask of the C(d,k) collection plus the per-table evidence.
 // An epoch refresh reconstructs into the same arena every time, so the
@@ -68,8 +39,8 @@ type KWayArena struct {
 	// Users holds the number of reports behind each table of the latest
 	// build: the per-marginal sample count for the marginal-view
 	// protocols (each user contributes to exactly one table), the total
-	// report count for the input-view protocols (every user contributes
-	// to every table), 0 for an empty aggregator.
+	// report count for InpRR, InpPS, InpHT and InpHTCMS (every user
+	// contributes to every table), 0 for an empty aggregator.
 	Users []int
 }
 
@@ -95,14 +66,12 @@ func NewKWayArena(cfg Config) (*KWayArena, error) {
 
 // AllKWayTablesInto reconstructs every k-way marginal of the collection
 // from one aggregator snapshot into the arena, in the numeric mask order
-// of KWayMasks. InpRR and InpPS take the single-transform linear path
-// (see linearKWayReconstructor); the other protocols reconstruct table
-// by table across goroutines. Each table is a deterministic function of
-// the aggregator state, so equal snapshots give bit-identical arenas
-// regardless of GOMAXPROCS. The aggregator must not be written
-// concurrently (use a private snapshot); an empty one yields uniform
-// tables with Users = 0, so a deployment can publish an epoch before
-// any report arrives.
+// of KWayMasks, through the aggregator's own Folder.KWayTablesInto. Each
+// table is a deterministic function of the aggregator state, so equal
+// snapshots give bit-identical arenas regardless of GOMAXPROCS. The
+// aggregator must not be written concurrently (use a private snapshot);
+// an empty one yields uniform tables with Users = 0, so a deployment can
+// publish an epoch before any report arrives.
 //
 // The bool is ignored: it used to select the linear path, which is now
 // the only one, and stays until bench/ (frozen, passes true) drops it.
@@ -114,50 +83,50 @@ func AllKWayTablesInto(agg Aggregator, a *KWayArena, _ bool) error {
 		}
 		return nil
 	}
-	if lr, ok := agg.(linearKWayReconstructor); ok {
-		return lr.reconstructKWayLinear(a.Masks, a.Tables, a.Users)
+	f, ok := agg.(Folder)
+	if !ok {
+		return fmt.Errorf("core: %T cannot reconstruct a k-way collection", agg)
 	}
-	errs := make([]error, len(a.Masks))
-	switch rec := agg.(type) {
-	case kWayIntoReconstructor:
-		parallelFor(len(a.Masks), func(i int) {
-			users, err := rec.kWayInto(i, a.Tables[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			a.Users[i] = users
-		})
-	case estimateIntoReconstructor:
-		n := agg.N()
-		parallelFor(len(a.Masks), func(i int) {
-			if err := rec.estimateInto(a.Tables[i]); err != nil {
-				errs[i] = err
-				return
-			}
-			a.Users[i] = n
-		})
-	default:
-		// Generic fallback (out-of-package aggregators): allocate via
-		// Estimate and copy into the arena.
-		n := agg.N()
-		parallelFor(len(a.Masks), func(i int) {
-			t, err := agg.Estimate(a.Masks[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			copy(a.Tables[i].Cells, t.Cells)
-			a.Users[i] = n
-		})
-	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: reconstructing %b: %w", a.Masks[i], err)
+	return f.KWayTablesInto(a)
+}
+
+// reconstructFrom fills every table of the arena through the one subcube
+// kernel of Lemma 3.7, hadamard.ReconstructMarginalInto: gather the 2^k
+// coefficients alpha ⪯ beta from src, one inverse transform. unbias, if
+// not nil, then rewrites each table's cells in place, and every table
+// gets users as its evidence. Tables reconstruct across goroutines; each
+// is written by one, so the arena is the same for any GOMAXPROCS.
+func (a *KWayArena) reconstructFrom(src hadamard.CoefficientSource, users int, unbias func(cells []float64)) {
+	parallelFor(len(a.Masks), func(i int) {
+		cells := a.Tables[i].Cells
+		hadamard.ReconstructMarginalInto(cells, src, a.Masks[i])
+		if unbias != nil {
+			unbias(cells)
 		}
+		a.Users[i] = users
+	})
+}
+
+// ReconstructDomain fills every table of the arena from v, a vector over
+// the full 2^d domain: the marginal operator is linear, so with
+// W = WHT(v) the sums of v over the cells of any marginal beta are the
+// inverse transform of W's subcube alpha ⪯ beta. v is transformed in
+// place, once (O(d 2^d)), and each table then costs O(k 2^k) instead of
+// a 2^d scan; unbias and users are as for reconstructFrom.
+func (a *KWayArena) ReconstructDomain(v []float64, users int, unbias func(cells []float64)) error {
+	if err := hadamard.WHT(v); err != nil {
+		return err
 	}
+	a.reconstructFrom(denseSource(v), users, unbias)
 	return nil
 }
+
+// denseSource reads the coefficients of a full-domain transform held
+// densely. Its alpha = 0 coefficient is the vector's total mass, so the
+// subcube kernel yields cell sums, which the caller's unbias normalizes.
+type denseSource []float64
+
+func (v denseSource) ScaledCoefficient(alpha uint64) float64 { return v[alpha] }
 
 // uniform fills cells with the uniform distribution.
 func uniform(cells []float64) {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ldpmarginals/internal/bitops"
+	"ldpmarginals/internal/marginal"
 	"ldpmarginals/internal/rng"
 )
 
@@ -24,11 +26,12 @@ func feedReports(t *testing.T, p Protocol, agg Aggregator, n int, seed uint64) {
 	}
 }
 
-// TestAllKWayTablesMatchesEstimate checks every reconstruction path of
-// AllKWayTablesInto against per-mask Estimate calls — bit for bit for
-// the marginal-view accumulators and InpHT, within 1e-11 TV for the
-// InpRR/InpPS transform kernel (Estimate scans instead) — and pins the
-// Users semantics of each.
+// TestAllKWayTablesMatchesEstimate checks each protocol's
+// KWayTablesInto, through AllKWayTablesInto, against per-mask Estimate
+// calls — bit for bit for the marginal-view accumulators and InpHT,
+// within 1e-11 TV for InpRR and InpPS, whose tables come from one
+// full-domain transform where Estimate scans — and pins the Users
+// semantics of each. InpHTCMS has the same check in internal/freqoracle.
 func TestAllKWayTablesMatchesEstimate(t *testing.T) {
 	cfg := Config{D: 5, K: 2, Epsilon: 1.2}
 	for _, kind := range AllKinds() {
@@ -50,7 +53,7 @@ func TestAllKWayTablesMatchesEstimate(t *testing.T) {
 			if len(arena.Tables) != len(masks) {
 				t.Fatalf("got %d tables, want C(%d,%d) = %d", len(arena.Tables), cfg.D, cfg.K, len(masks))
 			}
-			_, transform := agg.(linearKWayReconstructor)
+			transform := kind == InpRR || kind == InpPS
 			var users int
 			for i, got := range arena.Tables {
 				if got.Beta != masks[i] {
@@ -118,5 +121,47 @@ func TestAllKWayTablesEmptyAggregator(t *testing.T) {
 				t.Fatalf("mask %b not uniform: %v", tab.Beta, tab.Cells)
 			}
 		}
+	}
+}
+
+// noKWayAgg copies and unmerges exactly but has no KWayTablesInto.
+type noKWayAgg struct{ CounterBlock }
+
+func (a *noKWayAgg) Consume(Report) error                     { return nil }
+func (a *noKWayAgg) ConsumeBatch([]Report) error              { return nil }
+func (a *noKWayAgg) Estimate(uint64) (*marginal.Table, error) { return nil, nil }
+
+type noKWayProtocol struct{ Protocol }
+
+func (noKWayProtocol) NewAggregator() Aggregator {
+	return &noKWayAgg{NewCounterBlock("NoKWay", stateKindInpPS, SamplingCounters, 0, 4)}
+}
+
+// TestCheckFoldsRefusesAggregatorWithoutKWayTables: serving needs the
+// one reconstruction method, so an aggregator that folds but lacks it
+// is refused at startup with the served-protocol message, and
+// AllKWayTablesInto refuses it too.
+func TestCheckFoldsRefusesAggregatorWithoutKWayTables(t *testing.T) {
+	cfg := Config{D: 2, K: 1, Epsilon: 1}
+	base, err := New(InpPS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := noKWayProtocol{base}
+	err = CheckFolds(p)
+	if err == nil || !strings.Contains(err.Error(), "cannot be served") {
+		t.Fatalf("CheckFolds = %v, want the served-protocol refusal", err)
+	}
+	agg := p.NewAggregator()
+	agg.(*noKWayAgg).n = 1
+	arena, err := NewKWayArena(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := AllKWayTablesInto(agg, arena, true); err == nil {
+		t.Fatal("AllKWayTablesInto reconstructed an aggregator without KWayTablesInto")
+	}
+	if err := CheckFolds(base); err != nil {
+		t.Fatalf("InpPS refused: %v", err)
 	}
 }

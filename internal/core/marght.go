@@ -159,3 +159,7 @@ func (a *margHTAgg) rrUnbias(mean float64) float64 { return a.p.rr.UnbiasSign(me
 func (a *margHTAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	return a.p.idx.estimate("MargHT", a.p.cfg, a.n, beta, a.kWayInto)
 }
+
+// KWayTablesInto reconstructs every table of the collection; see
+// margIndex.kWayTables.
+func (a *margHTAgg) KWayTablesInto(k *KWayArena) error { return a.p.idx.kWayTables(k, a.kWayInto) }

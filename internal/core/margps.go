@@ -126,3 +126,7 @@ func (a *margPSAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 func (a *margPSAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	return a.p.idx.estimate("MargPS", a.p.cfg, a.n, beta, a.kWayInto)
 }
+
+// KWayTablesInto reconstructs every table of the collection; see
+// margIndex.kWayTables.
+func (a *margPSAgg) KWayTablesInto(k *KWayArena) error { return a.p.idx.kWayTables(k, a.kWayInto) }

@@ -125,3 +125,7 @@ func (a *margRRAgg) kWayInto(pos int, dst *marginal.Table) (int, error) {
 func (a *margRRAgg) Estimate(beta uint64) (*marginal.Table, error) {
 	return a.p.idx.estimate("MargRR", a.p.cfg, a.n, beta, a.kWayInto)
 }
+
+// KWayTablesInto reconstructs every table of the collection; see
+// margIndex.kWayTables.
+func (a *margRRAgg) KWayTablesInto(k *KWayArena) error { return a.p.idx.kWayTables(k, a.kWayInto) }

@@ -120,7 +120,9 @@ func (c *hcmsClient) Perturb(record uint64, r *rng.RNG) (core.Report, error) {
 // hcmsAgg keeps its state in a sign-class core.CounterBlock with one
 // group per sketch row and one cell per Hadamard coefficient of the row.
 // It embeds the block, which does its merging, unmerging, copying and
-// state codec, so it is a core.Folder and served like the core protocols.
+// state codec; with KWayTablesInto, which reconstructs the collection
+// from one EstimateAll, it is a core.Folder and served like the core
+// protocols.
 type hcmsAgg struct {
 	h *HCMS
 	core.CounterBlock
@@ -213,4 +215,18 @@ func (a *hcmsAgg) Estimate(beta uint64) (*marginal.Table, error) {
 		return nil, err
 	}
 	return tableFromFrequencies(est, beta)
+}
+
+// KWayTablesInto reconstructs every table of the collection from one
+// EstimateAll: the item frequencies form a vector over the 2^d domain,
+// and core.KWayArena.ReconstructDomain sums it into every table through
+// one transform. Every report informs every table: each gets Users = N.
+// The per-mask Estimate sums the same frequencies cell by cell, so the
+// two agree up to summation order.
+func (a *hcmsAgg) KWayTablesInto(k *core.KWayArena) error {
+	est, err := a.EstimateAll()
+	if err != nil {
+		return err
+	}
+	return k.ReconstructDomain(est, a.N(), nil)
 }

@@ -125,8 +125,10 @@ func InverseWHT(v []float64) error {
 // coefficient index alpha. Implementations may return estimates (from an
 // LDP aggregator) or exact values (from a reference transform).
 type CoefficientSource interface {
-	// ScaledCoefficient returns the estimate of m_alpha. alpha = 0 must
-	// return exactly 1 (the 0th coefficient of any distribution).
+	// ScaledCoefficient returns the estimate of m_alpha. For a
+	// distribution alpha = 0 must return exactly 1 (its 0th
+	// coefficient); a source over an unnormalized vector returns its
+	// total mass, and reconstruction then yields cell sums.
 	ScaledCoefficient(alpha uint64) float64
 }
 
@@ -143,22 +145,13 @@ func (m MapSource) ScaledCoefficient(alpha uint64) float64 {
 	return m[alpha]
 }
 
-// ReconstructMarginal evaluates the k-way marginal identified by beta from
-// scaled Hadamard coefficients, returning a dense vector of 2^k cell
-// values indexed compactly (cell c corresponds to full-domain index
-// bitops.Expand(c, beta)). Only the 2^k coefficients alpha ⪯ beta are
-// consulted, per Lemma 3.7.
-func ReconstructMarginal(src CoefficientSource, beta uint64) []float64 {
-	cells := make([]float64, 1<<uint(bitops.OnesCount(beta)))
-	ReconstructMarginalInto(cells, src, beta)
-	return cells
-}
-
-// ReconstructMarginalInto is ReconstructMarginal writing into the
-// caller's cell buffer (len 2^|beta|) — the allocation-free kernel the
-// epoch-refresh arenas reuse. The arithmetic is identical to
-// ReconstructMarginal: gather the subcube's coefficients, then one
-// inverse transform produces all 2^k cells in O(k 2^k).
+// ReconstructMarginalInto evaluates the k-way marginal identified by
+// beta from scaled Hadamard coefficients into cells, a dense vector of
+// 2^k cell values indexed compactly (cell c corresponds to full-domain
+// index bitops.Expand(c, beta)). Only the 2^k coefficients alpha ⪯ beta
+// are consulted, per Lemma 3.7: gather them, then one inverse transform
+// produces all 2^k cells in O(k 2^k). It allocates nothing, and it is
+// the one subcube kernel behind every Fourier protocol's tables.
 func ReconstructMarginalInto(cells []float64, src CoefficientSource, beta uint64) {
 	size := 1 << uint(bitops.OnesCount(beta))
 	if len(cells) != size {

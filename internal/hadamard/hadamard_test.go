@@ -176,7 +176,8 @@ func TestReconstructMarginalMatchesDirect(t *testing.T) {
 		src[uint64(alpha)] = m
 	}
 	for _, beta := range bitops.MasksWithAtMostK(d, 1, 3) {
-		got := ReconstructMarginal(src, beta)
+		got := make([]float64, 1<<uint(bitops.OnesCount(beta)))
+		ReconstructMarginalInto(got, src, beta)
 		want := bruteMarginal(dist, beta, d)
 		for c := range want {
 			if math.Abs(got[c]-want[c]) > 1e-10 {
@@ -205,7 +206,8 @@ func TestReconstructMarginalPaperExample(t *testing.T) {
 		src[uint64(alpha)] = m
 	}
 	beta := uint64(0b0101)
-	got := ReconstructMarginal(src, beta)
+	got := make([]float64, 4)
+	ReconstructMarginalInto(got, src, beta)
 	// Compact cell ordering: bits of (attr0, attr2).
 	wants := map[uint64]float64{
 		0b0000: dist[0b0000] + dist[0b0010] + dist[0b1000] + dist[0b1010],
@@ -239,8 +241,9 @@ func TestReconstructMarginalSumsToOne(t *testing.T) {
 	for alpha, m := range coeffs {
 		src[uint64(alpha)] = m
 	}
+	got := make([]float64, 4)
 	for _, beta := range bitops.MasksWithExactlyK(d, 2) {
-		got := ReconstructMarginal(src, beta)
+		ReconstructMarginalInto(got, src, beta)
 		var s float64
 		for _, x := range got {
 			s += x
@@ -288,9 +291,10 @@ func BenchmarkReconstructMarginalK3(b *testing.B) {
 		src[alpha] = 0.01
 	}
 	beta := uint64(0b111)
+	cells := make([]float64, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReconstructMarginal(src, beta)
+		ReconstructMarginalInto(cells, src, beta)
 	}
 }
 
