@@ -15,10 +15,12 @@ import (
 )
 
 // TestBootsFromFlags builds the binary and runs it as an operator
-// would. The five retired tuning flags (the admission gate follows
-// -shards; the fsync period and the disk-probe cadence are fixed; the
-// view refreshes on -refresh-interval alone) are refused as undefined
-// with exit status 2. A single node, a durable
+// would. The six retired tuning flags (the admission gate follows
+// -shards; the fsync period, the disk-probe cadence and the WAL
+// compaction period are fixed; the view refreshes on -refresh-interval
+// alone) are refused as undefined with exit status 2, and a -fault-spec
+// naming a removed fault option fails at startup with the parser's
+// error. A single node, a durable
 // windowed edge with a round budget, and a coordinator over that edge
 // each reach /readyz 200, and each /status reports its -shards.
 func TestBootsFromFlags(t *testing.T) {
@@ -30,17 +32,24 @@ func TestBootsFromFlags(t *testing.T) {
 		t.Fatalf("building ldpserver: %v\n%s", err, out)
 	}
 
-	for _, name := range []string{"max-inflight-ingest", "max-ingest-queue", "fsync-interval", "degraded-probe-interval", "refresh-every-n"} {
-		cmd := exec.Command(bin, "-"+name, "1", "-addr", "127.0.0.1:0")
+	// refused runs the binary with args and wants it to exit with code,
+	// naming want on stderr.
+	refused := func(code int, want string, args ...string) {
+		t.Helper()
+		cmd := exec.Command(bin, append(args, "-addr", "127.0.0.1:0")...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
-		want := "flag provided but not defined: -" + name
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), want) {
-			t.Fatalf("-%s: %v, stderr %q; want exit status 2 and %q", name, err, stderr.String(), want)
+		if !errors.As(err, &exit) || exit.ExitCode() != code || !strings.Contains(stderr.String(), want) {
+			t.Fatalf("%v: %v, stderr %q; want exit status %d and %q", args, err, stderr.String(), code, want)
 		}
 	}
+	for _, name := range []string{"max-inflight-ingest", "max-ingest-queue", "fsync-interval", "degraded-probe-interval", "refresh-every-n", "snapshot-every-n"} {
+		refused(2, "flag provided but not defined: -"+name, "-"+name, "1")
+	}
+	refused(1, "unknown mode", "-fault-spec", "store.wal.append=latency:delay=5ms")
+	refused(1, "unknown option", "-fault-spec", "store.wal.append=error:prob=0.5")
 
 	edge := freeAddr(t)
 	for _, node := range []struct {

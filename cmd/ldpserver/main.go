@@ -6,10 +6,11 @@
 //
 //	ldpserver -addr :8080 -protocol InpHT -d 8 -k 2 -eps 1.1 \
 //	    -shards 0 -refresh-interval 5s \
-//	    -data-dir /var/lib/ldpserver -fsync interval -snapshot-every-n 1000000
+//	    -data-dir /var/lib/ldpserver -fsync interval
 //
 // -shards also sizes the ingest admission gate. The fsync period
-// (100 ms), the degraded-mode disk-probe cadence (2 s) and the
+// (100 ms), the WAL compaction period (a snapshot every 1,000,000
+// reports), the degraded-mode disk-probe cadence (2 s) and the
 // slow-trace threshold (1 s, trace.SlowThreshold) are fixed; no flag
 // tunes them.
 //
@@ -90,8 +91,8 @@
 // With -data-dir set the deployment is durable: accepted reports are
 // appended to a write-ahead log before the ack (fsynced per -fsync:
 // always, every 100 ms under interval — the store's defaultFsyncPeriod —
-// or off), the counters are compacted into snapshots every
-// -snapshot-every-n reports and on shutdown, and a restart
+// or off), the counters are compacted into snapshots every 1,000,000
+// reports (snapshotEveryN) and on shutdown, and a restart
 // recovers the full aggregation state from the directory — the startup
 // log reports how many reports were recovered, from which snapshot,
 // how many WAL segments were replayed, and whether a torn tail was
@@ -151,6 +152,10 @@ import (
 	"ldpmarginals/internal/store"
 )
 
+// snapshotEveryN is how many reports a durable node appends to its WAL
+// before compacting them into a counter snapshot.
+const snapshotEveryN = 1_000_000
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -163,9 +168,8 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof and /metrics on this separate address (e.g. 127.0.0.1:6060; empty = disabled)")
 
-		dataDir    = flag.String("data-dir", "", "durable directory: WAL+snapshots for single/edge, peer-state snapshot for coordinator (empty = memory-only)")
-		fsyncMode  = flag.String("fsync", "interval", "WAL fsync policy: always, interval (every 100ms), or off")
-		snapEveryN = flag.Int("snapshot-every-n", 1_000_000, "compact the WAL into a counter snapshot after this many reports (0 = only on shutdown)")
+		dataDir   = flag.String("data-dir", "", "durable directory: WAL+snapshots for single/edge, peer-state snapshot for coordinator (empty = memory-only)")
+		fsyncMode = flag.String("fsync", "interval", "WAL fsync policy: always, interval (every 100ms), or off")
 
 		windowSpan = flag.Duration("window", 0, "serve a sliding window of this span instead of the cumulative release (requires -bucket; single and edge roles)")
 		bucketSpan = flag.Duration("bucket", 0, "window rotation granularity; must divide -window evenly")
@@ -226,7 +230,7 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	// Validate the WAL flags for every role, so a typo fails identically
+	// Validate -fsync for every role, so a typo fails identically
 	// whether or not this node opens a store.
 	policy, err := store.ParseFsync(*fsyncMode)
 	if err != nil {
@@ -235,19 +239,19 @@ func main() {
 	clusterDir := ""
 	if nodeRole == server.RoleCoordinator && *dataDir != "" {
 		// A coordinator's durable artifact is the per-peer state
-		// snapshot, not a WAL: it ingests nothing itself. The WAL-tuning
-		// flags are dead on this role.
+		// snapshot, not a WAL: it ingests nothing itself. -fsync is
+		// dead on this role.
 		clusterDir = *dataDir
 		*dataDir = ""
-		if *fsyncMode != "interval" || *snapEveryN != 1_000_000 {
-			logger.Info("-fsync and -snapshot-every-n tune the WAL and have no effect on a coordinator")
+		if *fsyncMode != "interval" {
+			logger.Info("-fsync tunes the WAL and has no effect on a coordinator")
 		}
 	}
 	var st *store.Store
 	if *dataDir != "" {
 		st, err = store.Open(*dataDir, p, store.Options{
 			Fsync:          policy,
-			SnapshotEveryN: *snapEveryN,
+			SnapshotEveryN: snapshotEveryN,
 		})
 		if err != nil {
 			die(err)

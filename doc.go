@@ -187,8 +187,8 @@
 // replays the WAL tail, truncates a torn final record, and merges the
 // result into the live bucket's shards, so the view engine's first
 // epoch already answers over everything that survived.
-// cmd/ldpserver exposes this as -data-dir, -fsync, and
-// -snapshot-every-n.
+// cmd/ldpserver exposes this as -data-dir and -fsync, and compacts
+// the WAL into a snapshot every 1,000,000 reports.
 //
 // # Continual release
 //

@@ -7,13 +7,17 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ldpmarginals/internal/core"
+	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/window"
+	"ldpmarginals/internal/wire"
 )
 
 // testCfg keeps the exchange tests fast: a small domain, every protocol
@@ -322,5 +326,112 @@ func TestDiffFallbackLadder(t *testing.T) {
 	sameHeldComponents(t, "at the end", a.f, b.f)
 	if a.f.N() != len(reps) {
 		t.Fatalf("coordinator holds %d reports, %d were ingested", a.f.N(), len(reps))
+	}
+}
+
+// TestStaleDeltaBaseResolvedByOneFullFetch: a delta frame that decodes
+// but was cut against a base this coordinator does not hold (here a fake
+// /state answers the acknowledging request with the edge's whole state
+// relabelled as a delta against another base) is refused by accept as a
+// stale base, and the same pull resolves it with one full fetch: the
+// pull succeeds and the coordinator ends holding the edge's state.
+func TestStaleDeltaBaseResolvedByOneFullFetch(t *testing.T) {
+	p, err := core.New(core.InpPS, testCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := makeReports(t, p, 200, 73)
+	ring, edge := newTestEdge(t, p, "edge-1", window.Options{Shards: 2})
+	var stale atomic.Bool
+	var stateGets atomic.Int64
+	inner := stateHandler(edge)
+	edgeTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stateGets.Add(1)
+		since := r.URL.Query().Get("since")
+		if !stale.Load() || since == "" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		full := httptest.NewRecorder()
+		inner.ServeHTTP(full, httptest.NewRequest(http.MethodGet, "/state", nil))
+		f, err := wire.DecodeComponentFrame(full.Body.Bytes(), 1<<30)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		base, _ := strconv.ParseUint(since, 10, 64)
+		f.Delta, f.BaseVersion = true, base-1
+		body, err := wire.EncodeComponentFrame(f)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		w.Write(body)
+	}))
+	t.Cleanup(edgeTS.Close)
+	coord := newTestCoordinator(t, p, "coord", edgeTS.URL)
+	ins := coord.ins[edgeTS.URL]
+
+	if err := ring.ConsumeBatch(reps[:100]); err != nil {
+		t.Fatal(err)
+	}
+	forcePull(t, coord)
+	if err := ring.ConsumeBatch(reps[100:]); err != nil {
+		t.Fatal(err)
+	}
+	stale.Store(true)
+	gets, full, delta := stateGets.Load(), ins.fullPulls.Value(), ins.deltaPulls.Value()
+	forcePull(t, coord)
+	if got := [3]uint64{uint64(stateGets.Load() - gets), ins.fullPulls.Value() - full, ins.deltaPulls.Value() - delta}; got != [3]uint64{2, 1, 0} {
+		t.Fatalf("pull onto a stale delta base: %d GETs, %d full, %d delta; want the delta reply plus one full fetch", got[0], got[1], got[2])
+	}
+	if coord.f.N() != len(reps) {
+		t.Fatalf("coordinator holds %d reports, %d were ingested", coord.f.N(), len(reps))
+	}
+}
+
+// TestDecodeFaultIsPoisonAndQuarantines arms the cluster.pull.decode
+// site: a frame that arrived but failed to decode is poison, and the
+// third such pull in a row quarantines the peer while its last good
+// contribution keeps serving. The next clean pull closes the breaker.
+func TestDecodeFaultIsPoisonAndQuarantines(t *testing.T) {
+	defer fault.Disarm()
+	p, err := core.New(core.InpPS, testCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := makeReports(t, p, 200, 74)
+	ring, edge := newTestEdge(t, p, "edge-1", window.Options{Shards: 2})
+	edgeTS := httptest.NewServer(stateHandler(edge))
+	t.Cleanup(edgeTS.Close)
+	coord := newTestCoordinator(t, p, "coord", edgeTS.URL)
+	if err := ring.ConsumeBatch(reps[:100]); err != nil {
+		t.Fatal(err)
+	}
+	forcePull(t, coord)
+	if err := ring.ConsumeBatch(reps[100:]); err != nil {
+		t.Fatal(err)
+	}
+
+	fault.Arm(fault.Rule{Site: FaultDecode, Mode: fault.ModeError, Times: quarantineAfter})
+	for i := 1; i <= quarantineAfter; i++ {
+		coord.Round(context.Background(), true)
+		peers, _ := coord.f.status()
+		pe := peers[0]
+		want := "backing_off"
+		if i == quarantineAfter {
+			want = "quarantined"
+		}
+		if pe.PoisonFailures != i || pe.Health != want || !strings.Contains(pe.LastError, FaultDecode) {
+			t.Fatalf("after decode failure %d: %+v, want %d poison failures and %s", i, pe, i, want)
+		}
+		if coord.f.N() != 100 {
+			t.Fatalf("after decode failure %d the coordinator holds %d reports, want the last good 100", i, coord.f.N())
+		}
+	}
+	forcePull(t, coord)
+	peers, _ := coord.f.status()
+	if pe := peers[0]; pe.Health != "healthy" || pe.Quarantines != 1 || coord.f.N() != len(reps) {
+		t.Fatalf("after a clean pull: %+v holding %d reports, want healthy, one trip and %d", pe, coord.f.N(), len(reps))
 	}
 }

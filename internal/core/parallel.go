@@ -60,14 +60,15 @@ const minParallelCells = 1 << 12
 const scatterChunks = 64
 
 // scatterCells accumulates cell(j) into out.Cells[Compress(j, beta)]
-// for every full-domain index j in [0, size) — the shared reconstruction
-// scan of the input-view estimators. Small domains run the plain
-// sequential loop; large domains split j into scatterChunks fixed
-// ranges, scan them in parallel into per-chunk partial tables, and
-// reduce the partials in chunk order. The chunked path is taken for
-// every large domain — even on a single core, where parallelFor
-// degrades to an in-order loop — so the summation grouping (and with
-// it every last bit of the result) is the same on every machine.
+// for every full-domain index j in [0, size), a power of two — the
+// shared reconstruction scan of the input-view estimators. Small
+// domains run the plain sequential loop; large domains split j into
+// scatterChunks fixed ranges, scan them in parallel into per-chunk
+// partial tables, and reduce the partials in chunk order. The chunked
+// path is taken for every large domain — even on a single core, where
+// parallelFor degrades to an in-order loop — so the summation grouping
+// (and with it every last bit of the result) is the same on every
+// machine.
 func scatterCells(out *marginal.Table, beta uint64, size int, cell func(j int) float64) {
 	if size < minParallelCells {
 		for j := 0; j < size; j++ {
@@ -75,23 +76,18 @@ func scatterCells(out *marginal.Table, beta uint64, size int, cell func(j int) f
 		}
 		return
 	}
-	chunkSize := (size + scatterChunks - 1) / scatterChunks
+	// size is a power of two, at least minParallelCells, so every chunk
+	// holds size/scatterChunks indices.
+	chunkSize := size / scatterChunks
 	partials := make([][]float64, scatterChunks)
 	parallelFor(scatterChunks, func(ci int) {
-		lo, hi := ci*chunkSize, min((ci+1)*chunkSize, size)
-		if lo >= hi {
-			return
-		}
 		part := make([]float64, len(out.Cells))
-		for j := lo; j < hi; j++ {
+		for j := ci * chunkSize; j < (ci+1)*chunkSize; j++ {
 			part[bitops.Compress(uint64(j), beta)] += cell(j)
 		}
 		partials[ci] = part
 	})
 	for _, part := range partials {
-		if part == nil {
-			continue
-		}
 		for c, v := range part {
 			out.Cells[c] += v
 		}

@@ -32,30 +32,6 @@ const DefaultOmega = 1e-5
 // within thousands to tens of thousands of iterations.
 const DefaultMaxIterations = 100000
 
-// Config parameterizes the InpEM protocol.
-type Config struct {
-	// D, K, Epsilon as in core.Config: attributes, largest marginal
-	// queried, and the total privacy budget (split as eps/d per bit).
-	D       int
-	K       int
-	Epsilon float64
-	// Omega is the convergence threshold (L-infinity change between EM
-	// iterations); DefaultOmega if zero.
-	Omega float64
-	// MaxIterations bounds the EM loop; DefaultMaxIterations if zero.
-	MaxIterations int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Omega == 0 {
-		c.Omega = DefaultOmega
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = DefaultMaxIterations
-	}
-	return c
-}
-
 // Result is a decoded marginal along with EM diagnostics.
 type Result struct {
 	// Table is the decoded marginal distribution.
@@ -69,21 +45,18 @@ type Result struct {
 // shared runner and experiment harness can drive it alongside the paper's
 // six protocols.
 type Protocol struct {
-	cfg Config
+	cfg core.Config
 	rr  *mech.RR // per-bit (eps/d)-randomized response
 }
 
 var _ core.Protocol = (*Protocol)(nil)
 
-// New constructs the InpEM protocol.
-func New(cfg Config) (*Protocol, error) {
-	cfg = cfg.withDefaults()
-	cc := core.Config{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon}
-	if err := cc.Validate(); err != nil {
+// New constructs the InpEM protocol over D, K and Epsilon (split as
+// eps/d per bit); OptimizedPRR does not apply. Decoding stops at the
+// paper's DefaultOmega or after DefaultMaxIterations.
+func New(cfg core.Config) (*Protocol, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Omega <= 0 || cfg.MaxIterations <= 0 {
-		return nil, fmt.Errorf("em: omega and max iterations must be positive")
 	}
 	perBit, err := mech.SplitEpsilon(cfg.Epsilon, cfg.D)
 	if err != nil {
@@ -99,7 +72,7 @@ func New(cfg Config) (*Protocol, error) {
 // Name returns "InpEM".
 func (p *Protocol) Name() string { return "InpEM" }
 
-// Config adapts the EM configuration to the shared core form.
+// Config returns D, K and Epsilon; OptimizedPRR is always false.
 func (p *Protocol) Config() core.Config {
 	return core.Config{D: p.cfg.D, K: p.cfg.K, Epsilon: p.cfg.Epsilon}
 }
@@ -230,7 +203,7 @@ func (a *Aggregator) EstimateDetailed(beta uint64) (*Result, error) {
 	}
 	vec.Scale(observed, 1/float64(len(a.reports)))
 
-	theta, iters, err := Decode(observed, Channel(k, p2flip(a.p.rr.P)), a.p.cfg.Omega, a.p.cfg.MaxIterations)
+	theta, iters, err := Decode(observed, Channel(k, p2flip(a.p.rr.P)), DefaultOmega, DefaultMaxIterations)
 	if err != nil {
 		return nil, err
 	}

@@ -13,13 +13,13 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{D: 0, K: 1, Epsilon: 1}); err == nil {
+	if _, err := New(core.Config{D: 0, K: 1, Epsilon: 1}); err == nil {
 		t.Error("d=0 should error")
 	}
-	if _, err := New(Config{D: 4, K: 2, Epsilon: -1}); err == nil {
+	if _, err := New(core.Config{D: 4, K: 2, Epsilon: -1}); err == nil {
 		t.Error("negative epsilon should error")
 	}
-	p, err := New(Config{D: 4, K: 2, Epsilon: 1})
+	p, err := New(core.Config{D: 4, K: 2, Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestFlipProbability(t *testing.T) {
 	// eps=4 over d=4 bits: per-bit eps=1, keep = e/(1+e).
-	p, _ := New(Config{D: 4, K: 2, Epsilon: 4})
+	p, _ := New(core.Config{D: 4, K: 2, Epsilon: 4})
 	want := 1 - math.E/(1+math.E)
 	if flip := 1 - p.rr.P; math.Abs(flip-want) > 1e-12 {
 		t.Errorf("flip = %v, want %v", flip, want)
@@ -109,7 +109,7 @@ func TestEndToEndAccuracyGoodBudget(t *testing.T) {
 	// With a healthy per-bit budget InpEM should produce a reasonable
 	// (if not great) 2-way marginal.
 	ds := dataset.NewTaxi(60000, 1)
-	p, err := New(Config{D: 8, K: 2, Epsilon: 8})
+	p, err := New(core.Config{D: 8, K: 2, Epsilon: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFailureModeAtTinyEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{D: 16, K: 2, Epsilon: 0.1})
+	p, err := New(core.Config{D: 16, K: 2, Epsilon: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFailureModeAtTinyEpsilon(t *testing.T) {
 }
 
 func TestAggregatorValidation(t *testing.T) {
-	p, _ := New(Config{D: 4, K: 2, Epsilon: 1})
+	p, _ := New(core.Config{D: 4, K: 2, Epsilon: 1})
 	agg := p.NewAggregator().(*Aggregator)
 	if err := agg.Consume(core.Report{Index: 1 << 6}); err == nil {
 		t.Error("out-of-domain report should error")
@@ -197,7 +197,7 @@ func TestAggregatorValidation(t *testing.T) {
 }
 
 func TestMergeCombinesReports(t *testing.T) {
-	p, _ := New(Config{D: 4, K: 2, Epsilon: 1})
+	p, _ := New(core.Config{D: 4, K: 2, Epsilon: 1})
 	a := p.NewAggregator().(*Aggregator)
 	b := p.NewAggregator().(*Aggregator)
 	r := rng.New(1)
@@ -219,7 +219,7 @@ func TestMergeCombinesReports(t *testing.T) {
 }
 
 func TestClientRejectsOutOfDomain(t *testing.T) {
-	p, _ := New(Config{D: 4, K: 2, Epsilon: 1})
+	p, _ := New(core.Config{D: 4, K: 2, Epsilon: 1})
 	if _, err := p.NewClient().Perturb(1<<5, rng.New(1)); err == nil {
 		t.Error("out-of-domain record should error")
 	}
@@ -237,7 +237,7 @@ func BenchmarkEMDecode2Way(b *testing.B) {
 }
 
 func TestStateRoundTrip(t *testing.T) {
-	p, err := New(Config{D: 4, K: 2, Epsilon: 4})
+	p, err := New(core.Config{D: 4, K: 2, Epsilon: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

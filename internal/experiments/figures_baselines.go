@@ -44,7 +44,7 @@ func Fig6(opts Options) (*Result, error) {
 				return core.New(core.MargPS, core.Config{D: d, K: 2, Epsilon: eps, OptimizedPRR: true})
 			}},
 			{"InpEM", func(eps float64) (core.Protocol, error) {
-				return em.New(em.Config{D: d, K: 2, Epsilon: eps})
+				return em.New(core.Config{D: d, K: 2, Epsilon: eps})
 			}},
 		}
 		for _, bld := range build {
@@ -112,7 +112,7 @@ func Fig10(opts Options) (*Result, error) {
 		ht.Y = append(ht.Y, tv)
 
 		if d <= fig10OLHMaxD {
-			o, err := freqoracle.NewOLH(freqoracle.OLHConfig{D: d, K: 2, Epsilon: ln3})
+			o, err := freqoracle.NewOLH(core.Config{D: d, K: 2, Epsilon: ln3})
 			if err != nil {
 				return nil, err
 			}

@@ -88,7 +88,7 @@ func Table3(opts Options) (*Result, error) {
 		if n < len(records) {
 			records = records[:n]
 		}
-		p, err := em.New(em.Config{D: row.d, K: row.k, Epsilon: row.eps})
+		p, err := em.New(core.Config{D: row.d, K: row.k, Epsilon: row.eps})
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,6 @@ import (
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Mode selects what an armed rule does when its schedule fires.
@@ -33,8 +32,6 @@ type Mode int
 const (
 	// ModeError makes Hit return an injected error.
 	ModeError Mode = iota
-	// ModeLatency makes Hit sleep for Rule.Delay before returning nil.
-	ModeLatency
 	// ModeCorrupt makes Mangle flip deterministic pseudo-random bits
 	// in the payload.
 	ModeCorrupt
@@ -47,12 +44,10 @@ const (
 type Rule struct {
 	Site  string
 	Mode  Mode
-	After int           // skip this many calls before firing
-	Times int           // fire for this many calls; 0 = persistent
-	Prob  float64       // fire probability per eligible call; 0 or 1 = always
-	Seed  uint64        // seeds the rule's private PRNG (Prob and corruption)
-	Delay time.Duration // ModeLatency sleep duration
-	Msg   string        // ModeError message override
+	After int    // skip this many calls before firing
+	Times int    // fire for this many calls; 0 = persistent
+	Seed  uint64 // seeds the rule's private PRNG, which picks the bits ModeCorrupt flips
+	Msg   string // ModeError message override
 }
 
 // InjectedError is the error type returned by fired ModeError rules,
@@ -79,7 +74,7 @@ type armedRule struct {
 }
 
 // eligible advances the rule's call counter and reports whether this
-// call should fire, honouring After, Times, and Prob deterministically.
+// call should fire, honouring After and Times.
 func (ar *armedRule) eligible() bool {
 	n := ar.calls.Add(1)
 	if n <= uint64(ar.After) {
@@ -87,14 +82,6 @@ func (ar *armedRule) eligible() bool {
 	}
 	if ar.Times > 0 && n > uint64(ar.After)+uint64(ar.Times) {
 		return false
-	}
-	if ar.Prob > 0 && ar.Prob < 1 {
-		ar.mu.Lock()
-		roll := ar.rng.Float64()
-		ar.mu.Unlock()
-		if roll >= ar.Prob {
-			return false
-		}
 	}
 	ar.fired.Add(1)
 	return true
@@ -143,8 +130,7 @@ func (r *Registry) Disarm() {
 	r.mu.Unlock()
 }
 
-// Hit consults error and latency rules at site. Latency rules that
-// fire sleep inline; the first error rule that fires returns its
+// Hit consults error rules at site: the first that fires returns its
 // injected error. Disarmed, it costs one atomic load.
 func (r *Registry) Hit(site string) error {
 	if !r.armed.Load() {
@@ -153,20 +139,12 @@ func (r *Registry) Hit(site string) error {
 	r.mu.RLock()
 	rules := r.rules[site]
 	r.mu.RUnlock()
-	var err error
 	for _, ar := range rules {
-		switch ar.Mode {
-		case ModeLatency:
-			if ar.eligible() {
-				time.Sleep(ar.Delay)
-			}
-		case ModeError:
-			if err == nil && ar.eligible() {
-				err = &InjectedError{Site: site, Msg: ar.Msg}
-			}
+		if ar.Mode == ModeError && ar.eligible() {
+			return &InjectedError{Site: site, Msg: ar.Msg}
 		}
 	}
-	return err
+	return nil
 }
 
 // Mangle consults corruption rules at site. If one fires it returns a

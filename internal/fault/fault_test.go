@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestDisarmedIsNoOp(t *testing.T) {
@@ -60,24 +59,6 @@ func TestPersistentErrorUntilDisarm(t *testing.T) {
 	}
 }
 
-func TestLatencyInjection(t *testing.T) {
-	r := New()
-	r.Arm(Rule{Site: "s", Mode: ModeLatency, Delay: 30 * time.Millisecond, Times: 1})
-	start := time.Now()
-	if err := r.Hit("s"); err != nil {
-		t.Fatalf("latency Hit returned error: %v", err)
-	}
-	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Fatalf("latency rule slept %v, want >= 30ms", d)
-	}
-	// Schedule exhausted: second call must be fast.
-	start = time.Now()
-	r.Hit("s")
-	if d := time.Since(start); d > 20*time.Millisecond {
-		t.Fatalf("exhausted latency rule still slept %v", d)
-	}
-}
-
 func TestCorruptionDeterministicAndCopies(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 256)
 	orig := bytes.Clone(payload)
@@ -125,20 +106,11 @@ func TestSitesAreIndependent(t *testing.T) {
 	}
 }
 
-func TestProbZeroAndOne(t *testing.T) {
-	r := New()
-	r.Arm(Rule{Site: "always", Mode: ModeError, Prob: 1})
-	r.Arm(Rule{Site: "default", Mode: ModeError}) // prob 0 means "always" too
-	if r.Hit("always") == nil || r.Hit("default") == nil {
-		t.Fatal("prob 0/1 rules must always fire")
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	rules, err := ParseSpec(
 		"store.wal.append=error:after=50:times=30:msg=no space left on device; " +
 			"cluster.pull.body=corrupt:times=8:seed=7;" +
-			"server.ingest.admit=latency:delay=5ms:prob=0.5",
+			"server.ingest.admit=error:after=2:times=1:seed=3",
 	)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
@@ -154,7 +126,7 @@ func TestParseSpec(t *testing.T) {
 	if rules[1] != want1 {
 		t.Fatalf("rule 1 = %+v, want %+v", rules[1], want1)
 	}
-	want2 := Rule{Site: "server.ingest.admit", Mode: ModeLatency, Delay: 5 * time.Millisecond, Prob: 0.5}
+	want2 := Rule{Site: "server.ingest.admit", Mode: ModeError, After: 2, Times: 1, Seed: 3}
 	if rules[2] != want2 {
 		t.Fatalf("rule 2 = %+v, want %+v", rules[2], want2)
 	}
@@ -176,10 +148,12 @@ func TestParseSpecErrors(t *testing.T) {
 		"s=explode",
 		"s=error:bogus=1",
 		"s=error:times=x",
-		"s=latency",          // missing delay
-		"s=error:prob=1.5",   // out of range
-		"s=error:after=-1",   // negative
-		"s=error:timesbogus", // option without '='
+		"s=latency",           // removed mode
+		"s=latency:delay=5ms", // removed mode
+		"s=error:prob=0.5",    // removed option
+		"s=error:prob=1.5",    // removed option
+		"s=error:after=-1",    // negative
+		"s=error:timesbogus",  // option without '='
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // ParseSpec parses the -fault-spec dev-flag grammar into rules:
 //
 //	spec := rule (';' rule)*
 //	rule := site '=' mode (':' opt)*
-//	mode := 'error' | 'latency' | 'corrupt'
-//	opt  := 'after=' N | 'times=' N | 'prob=' F | 'seed=' N
-//	      | 'delay=' duration | 'msg=' text
+//	mode := 'error' | 'corrupt'
+//	opt  := 'after=' N | 'times=' N | 'seed=' N | 'msg=' text
 //
 // Example:
 //
@@ -38,8 +36,6 @@ func ParseSpec(spec string) ([]Rule, error) {
 		switch strings.TrimSpace(parts[0]) {
 		case "error":
 			rule.Mode = ModeError
-		case "latency":
-			rule.Mode = ModeLatency
 		case "corrupt":
 			rule.Mode = ModeCorrupt
 		default:
@@ -57,15 +53,8 @@ func ParseSpec(spec string) ([]Rule, error) {
 				rule.After, err = strconv.Atoi(val)
 			case "times":
 				rule.Times, err = strconv.Atoi(val)
-			case "prob":
-				rule.Prob, err = strconv.ParseFloat(val, 64)
-				if err == nil && (rule.Prob < 0 || rule.Prob > 1) {
-					err = fmt.Errorf("prob %v out of [0,1]", rule.Prob)
-				}
 			case "seed":
 				rule.Seed, err = strconv.ParseUint(val, 10, 64)
-			case "delay":
-				rule.Delay, err = time.ParseDuration(val)
 			case "msg":
 				// msg swallows the rest of the rule, colons included.
 				rule.Msg = strings.Join(append([]string{val}, parts[i+1:]...), ":")
@@ -76,9 +65,6 @@ func ParseSpec(spec string) ([]Rule, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fault spec %q: option %q: %v", raw, key, err)
 			}
-		}
-		if rule.Mode == ModeLatency && rule.Delay <= 0 {
-			return nil, fmt.Errorf("fault spec %q: latency rule needs delay=", raw)
 		}
 		if rule.After < 0 || rule.Times < 0 {
 			return nil, fmt.Errorf("fault spec %q: after/times must be >= 0", raw)

@@ -17,13 +17,13 @@ import (
 const ln3 = 1.0986122886681098
 
 func TestNewOLHValidation(t *testing.T) {
-	if _, err := NewOLH(OLHConfig{D: 0, K: 1, Epsilon: 1}); err == nil {
+	if _, err := NewOLH(core.Config{D: 0, K: 1, Epsilon: 1}); err == nil {
 		t.Error("d=0 should error")
 	}
-	if _, err := NewOLH(OLHConfig{D: 20, K: 2, Epsilon: 1}); err == nil {
+	if _, err := NewOLH(core.Config{D: 20, K: 2, Epsilon: 1}); err == nil {
 		t.Error("d over oracle limit should error")
 	}
-	o, err := NewOLH(OLHConfig{D: 8, K: 2, Epsilon: ln3})
+	o, err := NewOLH(core.Config{D: 8, K: 2, Epsilon: ln3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestOLHEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewOLH(OLHConfig{D: 6, K: 2, Epsilon: ln3})
+	o, err := NewOLH(core.Config{D: 6, K: 2, Epsilon: ln3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestOLHFrequencySums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewOLH(OLHConfig{D: 5, K: 1, Epsilon: 1.0})
+	o, err := NewOLH(core.Config{D: 5, K: 1, Epsilon: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestOLHFrequencySums(t *testing.T) {
 }
 
 func TestOLHAggregatorValidation(t *testing.T) {
-	o, _ := NewOLH(OLHConfig{D: 4, K: 2, Epsilon: 1, G: 4})
+	o, _ := NewOLH(core.Config{D: 4, K: 2, Epsilon: 1})
 	agg := o.NewAggregator()
 	if err := agg.Consume(core.Report{Beta: 1, Index: 99}); err == nil {
 		t.Error("out-of-range value should error")
@@ -111,7 +111,7 @@ func TestOLHAggregatorValidation(t *testing.T) {
 }
 
 func TestOLHCacheInvalidation(t *testing.T) {
-	o, _ := NewOLH(OLHConfig{D: 3, K: 1, Epsilon: 2})
+	o, _ := NewOLH(core.Config{D: 3, K: 1, Epsilon: 2})
 	agg := o.NewAggregator().(*olhAgg)
 	client := o.NewClient()
 	r := rng.New(9)
@@ -366,7 +366,7 @@ func stateRoundTrip(t *testing.T, p core.Protocol) {
 }
 
 func TestOLHStateRoundTrip(t *testing.T) {
-	p, err := NewOLH(OLHConfig{D: 5, K: 2, Epsilon: ln3})
+	p, err := NewOLH(core.Config{D: 5, K: 2, Epsilon: ln3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,41 +167,51 @@ func (a *hcmsAgg) rowDistribution(row int) ([]float64, error) {
 	return cells, nil
 }
 
-// EstimateAll estimates the frequency of every item with the count-mean
-// debiasing: for each row, E[row[h(x)]] = f_x + (1 - f_x)/w, so each row
-// yields an unbiased estimate (row[h(x)] - 1/w) * w/(w-1); rows are
-// averaged.
+// EstimateAll estimates the frequency of every item into a fresh
+// slice; see estimateInto.
 func (a *hcmsAgg) EstimateAll() ([]float64, error) {
+	est := make([]float64, 1<<uint(a.h.cfg.D))
+	if err := a.estimateInto(est); err != nil {
+		return nil, err
+	}
+	return est, nil
+}
+
+// estimateInto writes the frequency of every item of the 2^d domain into
+// est with the count-mean debiasing: for each row, E[row[h(x)]] = f_x +
+// (1 - f_x)/w, so each row yields an unbiased estimate (row[h(x)] - 1/w)
+// * w/(w-1); rows are averaged. Every entry is written, an item no row
+// covers as 0, so est may come from a pool.
+func (a *hcmsAgg) estimateInto(est []float64) error {
 	if a.N() == 0 {
-		return nil, fmt.Errorf("freqoracle: HCMS aggregator has no reports")
+		return fmt.Errorf("freqoracle: HCMS aggregator has no reports")
 	}
 	w := float64(a.h.cfg.W)
 	rows := make([][]float64, a.h.cfg.G)
 	for g := 0; g < a.h.cfg.G; g++ {
 		dist, err := a.rowDistribution(g)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rows[g] = dist
 	}
-	size := uint64(1) << uint(a.h.cfg.D)
-	est := make([]float64, size)
-	for x := uint64(0); x < size; x++ {
+	for x := range est {
 		var sum float64
 		var used int
 		for g := 0; g < a.h.cfg.G; g++ {
 			if a.GroupUsers(g) == 0 {
 				continue
 			}
-			cell := a.h.family.Hash(g, x)
+			cell := a.h.family.Hash(g, uint64(x))
 			sum += (rows[g][cell] - 1/w) * w / (w - 1)
 			used++
 		}
+		est[x] = 0
 		if used > 0 {
 			est[x] = sum / float64(used)
 		}
 	}
-	return est, nil
+	return nil
 }
 
 // Estimate materializes the marginal over beta from the estimated item
@@ -218,14 +228,15 @@ func (a *hcmsAgg) Estimate(beta uint64) (*marginal.Table, error) {
 }
 
 // KWayTablesInto reconstructs every table of the collection from one
-// EstimateAll: the item frequencies form a vector over the 2^d domain,
-// and core.KWayArena.ReconstructDomain sums it into every table through
-// one transform. Every report informs every table: each gets Users = N.
-// The per-mask Estimate sums the same frequencies cell by cell, so the
-// two agree up to summation order.
+// estimate of every item's frequency, made into a pooled vector over the
+// 2^d domain: core.KWayArena.ReconstructDomain sums it into every table
+// through one transform. Every report informs every table: each gets
+// Users = N. The per-mask Estimate sums the same frequencies cell by
+// cell, so the two agree up to summation order.
 func (a *hcmsAgg) KWayTablesInto(k *core.KWayArena) error {
-	est, err := a.EstimateAll()
-	if err != nil {
+	est := hadamard.GetVec(1 << uint(a.h.cfg.D))
+	defer hadamard.PutVec(est)
+	if err := a.estimateInto(est); err != nil {
 		return err
 	}
 	return k.ReconstructDomain(est, a.N(), nil)

@@ -30,7 +30,7 @@ func TestTopKFindsPlantedHeavyHitters(t *testing.T) {
 	records := planted(150000, 1)
 	for name, mk := range map[string]func() (core.Protocol, error){
 		"OLH": func() (core.Protocol, error) {
-			return NewOLH(OLHConfig{D: 8, K: 1, Epsilon: 2})
+			return NewOLH(core.Config{D: 8, K: 1, Epsilon: 2})
 		},
 		"HCMS": func() (core.Protocol, error) {
 			return NewHCMS(HCMSConfig{D: 8, K: 1, Epsilon: 2, Seed: 3})

@@ -28,17 +28,6 @@ import (
 // even at d=12.
 const MaxOracleAttributes = 16
 
-// OLHConfig parameterizes the InpOLH oracle.
-type OLHConfig struct {
-	// D, K, Epsilon as in core.Config.
-	D       int
-	K       int
-	Epsilon float64
-	// G overrides the hash range; 0 selects the optimal g = e^eps + 1
-	// (rounded) from Wang et al.
-	G uint64
-}
-
 // OLH is the optimized-local-hashing frequency oracle: each user draws a
 // universal hash h: [2^d] -> [g], hashes their record, perturbs the
 // hashed value with GRR over g categories, and reports (hash seed,
@@ -46,29 +35,24 @@ type OLHConfig struct {
 // users "support" it (their reported value equals their hash of the
 // candidate).
 type OLH struct {
-	cfg OLHConfig
+	cfg core.Config
 	g   uint64
 	grr *mech.GRR
 }
 
 var _ core.Protocol = (*OLH)(nil)
 
-// NewOLH constructs the InpOLH oracle.
-func NewOLH(cfg OLHConfig) (*OLH, error) {
-	cc := core.Config{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon}
-	if err := cc.Validate(); err != nil {
+// NewOLH constructs the InpOLH oracle over D, K and Epsilon, with the
+// optimal hash range g = round(e^eps) + 1 of Wang et al., which is at
+// least 2 for any eps > 0; OptimizedPRR does not apply.
+func NewOLH(cfg core.Config) (*OLH, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.D > MaxOracleAttributes {
 		return nil, fmt.Errorf("freqoracle: OLH decode is O(N*2^d); d=%d exceeds limit %d", cfg.D, MaxOracleAttributes)
 	}
-	g := cfg.G
-	if g == 0 {
-		g = uint64(math.Round(math.Exp(cfg.Epsilon))) + 1
-	}
-	if g < 2 {
-		return nil, fmt.Errorf("freqoracle: hash range g=%d must be at least 2", g)
-	}
+	g := uint64(math.Round(math.Exp(cfg.Epsilon))) + 1
 	grr, err := mech.NewGRR(cfg.Epsilon, g)
 	if err != nil {
 		return nil, err
@@ -79,7 +63,7 @@ func NewOLH(cfg OLHConfig) (*OLH, error) {
 // Name returns "InpOLH".
 func (o *OLH) Name() string { return "InpOLH" }
 
-// Config adapts to the shared core form.
+// Config returns D, K and Epsilon; OptimizedPRR is always false.
 func (o *OLH) Config() core.Config {
 	return core.Config{D: o.cfg.D, K: o.cfg.K, Epsilon: o.cfg.Epsilon}
 }

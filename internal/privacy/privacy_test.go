@@ -142,7 +142,7 @@ func TestProtocolClientBudgets(t *testing.T) {
 
 func TestEMClientBudget(t *testing.T) {
 	const eps = 1.2
-	p, err := em.New(em.Config{D: 3, K: 2, Epsilon: eps})
+	p, err := em.New(core.Config{D: 3, K: 2, Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,9 @@ func TestBaselinesRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	baselines := map[string]func() (core.Protocol, error){
-		"InpRR": func() (core.Protocol, error) { return core.New(core.InpRR, cfg) },
-		"InpEM": func() (core.Protocol, error) {
-			return em.New(em.Config{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-		},
-		"InpOLH": func() (core.Protocol, error) {
-			return freqoracle.NewOLH(freqoracle.OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
-		},
+		"InpRR":  func() (core.Protocol, error) { return core.New(core.InpRR, cfg) },
+		"InpEM":  func() (core.Protocol, error) { return em.New(cfg) },
+		"InpOLH": func() (core.Protocol, error) { return freqoracle.NewOLH(cfg) },
 	}
 	roles := map[string]Options{
 		"single":        {},

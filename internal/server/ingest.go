@@ -112,8 +112,8 @@ func (s *Server) shed(w http.ResponseWriter, r *http.Request, counter *metrics.C
 	httpError(w, r, "ingest at capacity; retry with backoff", http.StatusTooManyRequests)
 }
 
-// FaultIngestAdmit is the ingest admission fault-injection site: error
-// rules force a 429 shed, latency rules simulate queue pressure.
+// FaultIngestAdmit is the ingest admission fault-injection site: an
+// error rule forces a 429 shed, as a full admission queue would.
 const FaultIngestAdmit = "server.ingest.admit"
 
 // admit claims an ingest admission slot inside an "ingest.admission"

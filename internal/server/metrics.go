@@ -272,9 +272,6 @@ func (s *Server) readiness() ReadyResponse {
 			fail("degraded: " + s.deg.lastErrString())
 		}
 	}
-	if s.engine != nil && s.engine.Current() == nil {
-		fail("no_epoch")
-	}
 	if s.fleet != nil {
 		if s.fleet.PeersWithState() == 0 {
 			fail("no_peer_state")

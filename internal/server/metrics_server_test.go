@@ -12,6 +12,7 @@ import (
 
 	"ldpmarginals/internal/core"
 	"ldpmarginals/internal/encoding"
+	"ldpmarginals/internal/fault"
 	"ldpmarginals/internal/rng"
 	"ldpmarginals/internal/store"
 )
@@ -213,6 +214,56 @@ func TestAdmissionShed(t *testing.T) {
 	}
 	if got := s.ins.ingestReports.Value(); got != 1 {
 		t.Errorf("ingest counter: %d, want 1", got)
+	}
+}
+
+// TestAdmitFaultSheds arms the server.ingest.admit site: an error rule
+// sheds both ingest endpoints exactly as a full admission queue would —
+// 429 with Retry-After, counted per path in ldp_ingest_shed_total — and
+// ingests nothing. Once the rule is spent, the same posts are accepted.
+func TestAdmitFaultSheds(t *testing.T) {
+	defer fault.Disarm()
+	s, ts, p := newTestServer(t)
+	rep, err := p.NewClient().Perturb(2, rng.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := encoding.Marshal(p.Name(), rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := mustBatch(t, p, rep, rep)
+	post := func(path string, body []byte) *http.Response {
+		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+
+	fault.Arm(fault.Rule{Site: FaultIngestAdmit, Mode: fault.ModeError, Times: 2})
+	for path, body := range map[string][]byte{"/report": frame, "/report/batch": batch} {
+		resp := post(path, body)
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("%s under the admit fault: status %d, Retry-After %q; want 429 and \"1\"", path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	metrics := scrape(t, ts.URL)
+	for _, path := range []string{"/report", "/report/batch"} {
+		if want := `ldp_ingest_shed_total{path="` + path + `"} 1`; !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if s.N() != 0 {
+		t.Fatalf("shed posts ingested %d reports", s.N())
+	}
+	if resp := post("/report", frame); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("/report after the rule is spent: status %d, want 204", resp.StatusCode)
+	}
+	if resp := post("/report/batch", batch); resp.StatusCode != http.StatusOK || s.N() != 3 {
+		t.Fatalf("/report/batch after the rule is spent: status %d with %d reports held, want 200 and 3", resp.StatusCode, s.N())
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sort"
@@ -218,4 +219,71 @@ func newestSegment(t *testing.T, dir string) string {
 	}
 	sort.Strings(names)
 	return filepath.Join(dir, names[len(names)-1])
+}
+
+// TestFailedCompactionKeepsSnapshotAndWAL: a background compaction (the
+// one SnapshotEveryN triggers) whose snapshot write fails leaves the
+// previous snapshot and the WAL it would have pruned in place, and
+// reports the failure in Status().LastSnapshotError; ingestion goes on.
+// A crash right then recovers every acked report. The next compaction
+// succeeds and clears the error, and a reopen recovers every report.
+func TestFailedCompactionKeepsSnapshotAndWAL(t *testing.T) {
+	defer fault.Disarm()
+	p := testProtocol(t)
+	dir := t.TempDir()
+	st, err := Open(dir, p, Options{Fsync: FsyncAlways, SnapshotEveryN: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := p.NewAggregator()
+	st.SetSource(sourceOf(agg))
+	reps, frames := makeFrames(t, p, 300, 52)
+	ingestAll(t, st, agg, reps[:100], frames[:100])
+	st.snapWG.Wait()
+	first := st.snapsCopy()
+	if len(first) != 1 || first[0].n != 100 {
+		t.Fatalf("snapshots after the first 100 reports: %+v, want one of 100", first)
+	}
+
+	fault.Arm(fault.Rule{Site: FaultSnapshotWrite, Mode: fault.ModeError, Times: 1, Msg: "no space left on device"})
+	ingestAll(t, st, agg, reps[100:200], frames[100:200])
+	st.snapWG.Wait()
+	status := st.Status()
+	if !strings.Contains(status.LastSnapshotError, "no space left on device") || status.SinceSnapshot != 100 || st.WALErr() != nil {
+		t.Fatalf("after the failed compaction: %+v (WAL error %v)", status, st.WALErr())
+	}
+	if snaps := st.snapsCopy(); len(snaps) != 1 || snaps[0].path != first[0].path {
+		t.Fatalf("the failed compaction changed the snapshots: %+v", snaps)
+	}
+	if _, err := os.Stat(first[0].path); err != nil {
+		t.Fatal(err)
+	}
+	image := t.TempDir()
+	copyFiles(t, dir, image)
+	crashed, err := Open(image, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recoveredState(t, crashed), referenceState(t, p, reps[:200])) {
+		t.Fatal("a crash after the failed compaction lost reports")
+	}
+	crashed.crash()
+
+	// One chunk, so the compaction it triggers covers all of it.
+	if err := ingestChunkErr(st, agg, reps[200:], batchOf(frames[200:])); err != nil {
+		t.Fatal(err)
+	}
+	st.snapWG.Wait()
+	if status := st.Status(); status.LastSnapshotError != "" || status.SnapshotReports != 300 {
+		t.Fatalf("after the next compaction: %+v", status)
+	}
+	st.crash()
+	re, err := Open(dir, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !bytes.Equal(recoveredState(t, re), referenceState(t, p, reps)) {
+		t.Fatal("reopened store differs from the reports")
+	}
 }

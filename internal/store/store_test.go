@@ -712,3 +712,71 @@ func TestConcurrentIngestAndSnapshot(t *testing.T) {
 		t.Fatal("concurrent-ingest recovery differs from sequential reference")
 	}
 }
+
+// TestOversizedGroupSplitsIntoRecords: one ingested group larger than
+// maxGroupBytes (MargRR at k=16 sends 8 KiB frames) is logged as
+// several records, each within maxGroupBytes and cut at a frame
+// boundary, and replays after a crash to the state the reports built.
+func TestOversizedGroupSplitsIntoRecords(t *testing.T) {
+	p, err := core.New(core.MargRR, core.Config{D: 16, K: 16, Epsilon: 1.1, OptimizedPRR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reports drawn directly, not perturbed: a k=16 perturbation draws
+	// 2^16 coins, and only the frames' size matters here.
+	r := rng.New(51)
+	reps := make([]core.Report, 600)
+	frames := make([][]byte, len(reps))
+	for i := range reps {
+		bits := make([]uint64, 1<<16/64)
+		for w := range bits {
+			bits[w] = r.Uint64()
+		}
+		reps[i] = core.Report{Beta: 1<<16 - 1, Bits: bits}
+		if frames[i], err = encoding.Marshal(p.Name(), reps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := batchOf(frames)
+	if len(batch) <= maxGroupBytes {
+		t.Fatalf("group of %d bytes does not exceed maxGroupBytes", len(batch))
+	}
+	dir := t.TempDir()
+	st, err := Open(dir, p, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := p.NewAggregator()
+	err = st.Ingest(batch, func() (int, int, error) { return len(reps), len(batch), agg.ConsumeBatch(reps) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.crash()
+	seg := lastSegment(t, dir)
+
+	re, err := Open(dir, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	var sizes []int
+	logged := 0
+	if _, err := re.walkSegment(seg, false, func(rec []byte) error {
+		_, reps, err := encoding.UnmarshalBatch(rec, 0)
+		sizes, logged = append(sizes, len(rec)), logged+len(reps)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != (len(batch)+maxGroupBytes-1)/maxGroupBytes || logged != len(reps) {
+		t.Fatalf("a %d-byte group was logged as records of %v bytes holding %d reports", len(batch), sizes, logged)
+	}
+	for _, n := range sizes {
+		if n > maxGroupBytes {
+			t.Fatalf("record of %d bytes exceeds maxGroupBytes", n)
+		}
+	}
+	if !bytes.Equal(recoveredState(t, re), referenceState(t, p, reps)) {
+		t.Fatal("replayed state differs from the reports'")
+	}
+}

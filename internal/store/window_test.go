@@ -296,3 +296,69 @@ func copyFiles(t *testing.T, src, dst string) {
 		}
 	}
 }
+
+// TestCorruptNewestBucketRebuiltFromSegments: a windowed dir whose
+// newest bucket file fails validation recovers that bucket from the
+// segments the file covers, counts one discarded file, and trusts no
+// snapshot for the live bucket. The lost file took the ring's position
+// with it, so the grid moves on past the bucket's slot, to where a
+// never-faulted twin of the dir stands. From there the two stay equal
+// crossing by crossing, and the rebuilt bucket expires, file and
+// segments, when the twin's does.
+func TestCorruptNewestBucketRebuiltFromSegments(t *testing.T) {
+	p := testProtocol(t)
+	dir := t.TempDir()
+	st, ring := openWindowed(t, dir, p, 3, Options{Fsync: FsyncAlways})
+	reps, frames := makeFrames(t, p, 300, 50)
+	ingestAll(t, st, ring, reps[:100], frames[:100])
+	cross(t, st, ring, 1)
+	ingestAll(t, st, ring, reps[100:200], frames[100:200])
+	cross(t, st, ring, 2)
+	ingestAll(t, st, ring, reps[200:250], frames[200:250])
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, st, ring, reps[250:], frames[250:])
+	newest := st.bkts[len(st.bkts)-1]
+	st.crash()
+	if l := ring.Layout(); len(l.Sealed) != 2 || newest.slot != l.Sealed[1].Slot {
+		t.Fatalf("newest bucket file is slot %d, want the bucket sealed at minute 2", newest.slot)
+	}
+	twinDir := t.TempDir()
+	copyFiles(t, dir, twinDir)
+	buf, err := os.ReadFile(newest.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)/2] ^= 0xff
+	if err := os.WriteFile(newest.path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, got := openWindowed(t, dir, p, 3, Options{Fsync: FsyncAlways})
+	defer re.Close()
+	twin, want := openWindowed(t, twinDir, p, 3, Options{Fsync: FsyncAlways})
+	defer twin.Close()
+	if _, rec := re.Recovered(); rec.SnapshotsDiscarded != 1 || rec.Reports != len(reps) {
+		t.Fatalf("recovery discarded %d files and recovered %d reports, want 1 and %d", rec.SnapshotsDiscarded, rec.Reports, len(reps))
+	}
+	sameRing(t, got, ring)
+	sameRing(t, got, want)
+	for m := 3; m <= 5; m++ {
+		cross(t, re, got, m)
+		cross(t, twin, want, m)
+		sameRing(t, got, want)
+		gotSegs, gotBkts := dirFiles(t, dir)
+		wantSegs, wantBkts := dirFiles(t, twinDir)
+		if len(gotSegs) != len(wantSegs) || gotSegs[0] != wantSegs[0] || len(gotBkts) != len(wantBkts) {
+			t.Fatalf("minute %d: segments %v and bucket files %v, the twin holds %v and %v", m, gotSegs, gotBkts, wantSegs, wantBkts)
+		}
+		held := false
+		for _, b := range got.Layout().Sealed {
+			held = held || b.Slot == newest.slot
+		}
+		if held != (m < 4) || gotBkts[filepath.Base(newest.path)] != held {
+			t.Fatalf("minute %d: the rebuilt bucket held %v, its file present %v", m, held, gotBkts[filepath.Base(newest.path)])
+		}
+	}
+}

@@ -103,25 +103,14 @@ func consistencyL1(before []float64, tables []*marginal.Table, kway int) float64
 // marginalDrift measures how far cur's k-way marginals moved from
 // prev's: per-table total-variation distance (half the L1 difference
 // of the cell vectors), reduced to the max and mean over the C(d,k)
-// collection tables. Both views must share a deployment shape; tables
-// are matched by attribute mask. A table missing from prev (never the
-// case between two epochs of one engine) contributes zero.
+// collection tables. prev and cur are two epochs of one engine, so
+// every table of cur has its match in prev, found by attribute mask,
+// with as many cells.
 func marginalDrift(prev, cur *View) (maxTV, meanTV float64) {
-	if prev == nil || cur == nil || cur.kWay == 0 {
-		return 0, 0
-	}
 	var sum float64
-	n := 0
 	for i := 0; i < cur.kWay; i++ {
 		t := cur.tables[i]
-		j, ok := prev.pos[t.Beta]
-		if !ok || j >= len(prev.tables) {
-			continue
-		}
-		pt := prev.tables[j]
-		if len(pt.Cells) != len(t.Cells) {
-			continue
-		}
+		pt := prev.tables[prev.pos[t.Beta]]
 		var l1 float64
 		for c, v := range t.Cells {
 			d := v - pt.Cells[c]
@@ -135,10 +124,6 @@ func marginalDrift(prev, cur *View) (maxTV, meanTV float64) {
 			maxTV = tv
 		}
 		sum += tv
-		n++
 	}
-	if n > 0 {
-		meanTV = sum / float64(n)
-	}
-	return maxTV, meanTV
+	return maxTV, sum / float64(cur.kWay)
 }

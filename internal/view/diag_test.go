@@ -126,9 +126,6 @@ func TestMarginalDriftHandComputed(t *testing.T) {
 	if math.Abs(meanTV-0.1) > 1e-15 {
 		t.Errorf("meanTV = %v, want 0.1", meanTV)
 	}
-	if mx, mn := marginalDrift(nil, cur); mx != 0 || mn != 0 {
-		t.Errorf("nil prev drift = (%v, %v), want zero", mx, mn)
-	}
 }
 
 // TestEngineDriftBetweenEpochs checks the engine's published drift

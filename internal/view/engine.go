@@ -162,12 +162,7 @@ func (e *Engine) Current() *View { return e.cur.Load() }
 // counter, which runs ahead of publication for the instant between
 // assigning a new view's number and storing it — so Epoch never reports
 // an epoch a concurrent Current call could not obtain.
-func (e *Engine) Epoch() int64 {
-	if v := e.Current(); v != nil {
-		return v.Epoch
-	}
-	return 0
-}
+func (e *Engine) Epoch() int64 { return e.Current().Epoch }
 
 // Refresh snapshots the source, builds the next epoch, and publishes it,
 // returning the new view. Concurrent calls are serialized and coalesced

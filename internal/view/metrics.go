@@ -23,7 +23,8 @@ func newViewInstruments() *viewInstruments {
 
 // RegisterMetrics attaches the engine's instrumentation to r under the
 // ldp_view_* families. The epoch/age/staleness gauges read the published
-// view through the engine's atomic pointer — no locks at scrape time.
+// view through the engine's atomic pointer — no locks at scrape time;
+// NewEngine publishes epoch 1 before it returns, so there always is one.
 func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	r.MustRegister("ldp_view_build_seconds", "Epoch build latency (snapshot + reconstruction, the root build span's duration).", metrics.Labels{"kind": "full"}, e.ins.buildFull)
 	r.MustRegister("ldp_view_build_seconds", "Epoch build latency (snapshot + reconstruction, the root build span's duration).", metrics.Labels{"kind": "incremental"}, e.ins.buildInc)
@@ -35,63 +36,23 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 	r.MustGaugeFunc("ldp_view_epoch", "Serving epoch number.", nil,
 		func() float64 { return float64(e.Epoch()) })
 	r.MustGaugeFunc("ldp_view_age_seconds", "Age of the serving epoch.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return v.Age().Seconds()
-			}
-			return -1
-		})
+		func() float64 { return e.Current().Age().Seconds() })
 	r.MustGaugeFunc("ldp_view_staleness_reports", "Reports ingested since the serving epoch was built.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return float64(v.Staleness(e.src.N()))
-			}
-			return -1
-		})
+		func() float64 { return float64(e.Current().Staleness(e.src.N())) })
 	r.MustGaugeFunc("ldp_view_tables", "Materialized k-way tables in the serving epoch.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return float64(v.Tables())
-			}
-			return 0
-		})
+		func() float64 { return float64(e.Current().Tables()) })
 	r.MustGaugeFunc("ldp_view_reports", "Reports contained in the serving epoch.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return float64(v.N)
-			}
-			return 0
-		})
+		func() float64 { return float64(e.Current().N) })
 	// Accuracy diagnostics (diag.go): the theoretical noise floor next
 	// to the observed correction magnitude and inter-epoch drift, so a
 	// dashboard can alert on drift > bound without scraping
 	// /view/diagnostics.
 	r.MustGaugeFunc("ldp_view_tv_bound", "Paper's theoretical per-marginal TV error bound at the serving epoch's parameters (0 when unavailable).", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return v.Diag.TheoreticalTV
-			}
-			return 0
-		})
+		func() float64 { return e.Current().Diag.TheoreticalTV })
 	r.MustGaugeFunc("ldp_view_consistency_l1", "L1 cell mass moved by consistency enforcement + projection in the serving epoch.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return v.Diag.ConsistencyL1
-			}
-			return 0
-		})
+		func() float64 { return e.Current().Diag.ConsistencyL1 })
 	r.MustGaugeFunc("ldp_view_drift_max_tv", "Maximum per-marginal TV drift of the serving epoch vs the previous epoch.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return v.Diag.DriftMaxTV
-			}
-			return 0
-		})
+		func() float64 { return e.Current().Diag.DriftMaxTV })
 	r.MustGaugeFunc("ldp_view_drift_mean_tv", "Mean per-marginal TV drift of the serving epoch vs the previous epoch.", nil,
-		func() float64 {
-			if v := e.Current(); v != nil {
-				return v.Diag.DriftMeanTV
-			}
-			return 0
-		})
+		func() float64 { return e.Current().Diag.DriftMeanTV })
 }

@@ -78,19 +78,15 @@ func NewSkewedDataset(n, d int, decay float64, seed uint64) (*Dataset, error) {
 	return dataset.NewSkewed(n, d, decay, seed)
 }
 
-// EMConfig parameterizes the InpEM baseline (Section 4.4).
-type EMConfig = em.Config
+// NewEM constructs the InpEM baseline protocol of Section 4.4
+// (budget-split randomized response with expectation-maximization
+// decoding) from cfg's D, K and Epsilon. The returned protocol runs
+// under Simulate like any other.
+func NewEM(cfg Config) (Protocol, error) { return em.New(cfg) }
 
-// NewEM constructs the InpEM baseline protocol (budget-split randomized
-// response with expectation-maximization decoding). The returned protocol
-// runs under Simulate like any other.
-func NewEM(cfg EMConfig) (Protocol, error) { return em.New(cfg) }
-
-// OLHConfig parameterizes the InpOLH frequency-oracle baseline.
-type OLHConfig = freqoracle.OLHConfig
-
-// NewOLH constructs the InpOLH baseline (optimized local hashing).
-func NewOLH(cfg OLHConfig) (Protocol, error) { return freqoracle.NewOLH(cfg) }
+// NewOLH constructs the InpOLH baseline (optimized local hashing) from
+// cfg's D, K and Epsilon.
+func NewOLH(cfg Config) (Protocol, error) { return freqoracle.NewOLH(cfg) }
 
 // HCMSConfig parameterizes the InpHTCMS frequency-oracle baseline.
 type HCMSConfig = freqoracle.HCMSConfig
@@ -111,9 +107,9 @@ func ProtocolByName(name string, cfg Config) (Protocol, error) {
 	}
 	switch strings.ToLower(name) {
 	case "inpem":
-		return NewEM(EMConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+		return NewEM(cfg)
 	case "inpolh":
-		return NewOLH(OLHConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
+		return NewOLH(cfg)
 	case "inphtcms":
 		return NewHCMS(HCMSConfig{D: cfg.D, K: cfg.K, Epsilon: cfg.Epsilon})
 	}

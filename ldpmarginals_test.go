@@ -104,7 +104,7 @@ func TestPublicDependencyTree(t *testing.T) {
 
 func TestPublicEMBaseline(t *testing.T) {
 	ds := ldpmarginals.NewTaxiDataset(30000, 6)
-	p, err := ldpmarginals.NewEM(ldpmarginals.EMConfig{D: ds.D, K: 2, Epsilon: 6})
+	p, err := ldpmarginals.NewEM(ldpmarginals.Config{D: ds.D, K: 2, Epsilon: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestPublicFrequencyOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	olh, err := ldpmarginals.NewOLH(ldpmarginals.OLHConfig{D: ds.D, K: 2, Epsilon: 1.1})
+	olh, err := ldpmarginals.NewOLH(ldpmarginals.Config{D: ds.D, K: 2, Epsilon: 1.1})
 	if err != nil {
 		t.Fatal(err)
 	}
