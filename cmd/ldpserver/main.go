@@ -92,12 +92,14 @@
 // appended to a write-ahead log before the ack (fsynced per -fsync:
 // always, every 100 ms under interval — the store's defaultFsyncPeriod —
 // or off), the counters are compacted into snapshots every 1,000,000
-// reports (snapshotEveryN) and on shutdown, and a restart
-// recovers the full aggregation state from the directory — the startup
-// log reports how many reports were recovered, from which snapshot,
-// how many WAL segments were replayed, and whether a torn tail was
-// truncated. Without -data-dir the deployment lives in memory only, as
-// before.
+// reports (snapshotEveryN; a failed compaction is retried after as many
+// more) and on shutdown, and a restart recovers the full aggregation
+// state from the directory — the startup log reports how many reports
+// were recovered, from which snapshot, how many WAL segments were
+// replayed, whether a torn tail was truncated, how many corrupt
+// snapshots were skipped, and how many buckets were rebuilt from their
+// WAL segments because their bucket files were corrupt. Without
+// -data-dir the deployment lives in memory only, as before.
 //
 // -window turns the deployment into a continual release: reports land
 // in a ring of time-bucketed sub-aggregators and every estimate covers
@@ -266,6 +268,9 @@ func main() {
 		}
 		if rec.SnapshotsDiscarded > 0 {
 			logger.Warn("discarded corrupt snapshots during recovery", "snapshots", rec.SnapshotsDiscarded)
+		}
+		if rec.BucketsRebuilt > 0 {
+			logger.Warn("rebuilt buckets from their WAL segments: their bucket files failed validation", "buckets", rec.BucketsRebuilt)
 		}
 	}
 	srv, err := server.NewWithOptions(p, server.Options{

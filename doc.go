@@ -48,10 +48,11 @@
 // with the hardware; batch ingestion amortizes HTTP and locking
 // overhead per report. Sharding never changes results: aggregation
 // state is integer counters, so a sharded deployment answers
-// byte-identically to a sequential one fed the same reports. The
-// reconstruction hot paths (the Walsh-Hadamard transform and the
-// per-marginal estimator scans) likewise parallelize across goroutines
-// for large d, deterministically.
+// byte-identically to a sequential one fed the same reports. A view
+// build (one full-domain Walsh-Hadamard transform, then the subcube
+// kernel per table) runs on the calling goroutine: measured on two
+// cores, a goroutine fan-out of its stages or tables cost more than it
+// saved.
 //
 // A /report/batch body goes from wire bytes to shard counters in two
 // passes with no call per report. The batch decoder
@@ -83,7 +84,7 @@
 // marginal — means a deployment should reconstruct once and serve many
 // times. The read side (view.Build / view.NewEngine, internal/view) does
 // exactly that: per epoch it snapshots the aggregator, reconstructs all
-// C(d,k) k-way tables in parallel, alternates the closed-form
+// C(d,k) k-way tables, alternates the closed-form
 // cross-marginal consistency projection (consistency.Plan, weighted by
 // per-marginal evidence) with projecting each table to the probability
 // simplex until the tables agree, and publishes the result as an

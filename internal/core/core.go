@@ -301,18 +301,17 @@ func (mi *margIndex) supersetsOf(beta uint64) []int {
 }
 
 // kWayTables is KWayTablesInto of the marginal-view protocols: every
-// table of the collection from its own accumulator through kWayInto,
-// across goroutines, with its per-marginal user count (each user lands
-// in exactly one table). The arena's mask order is the index's.
+// table of the collection, in mask order, from its own accumulator
+// through kWayInto, with its per-marginal user count (each user lands
+// in exactly one table). The arena's mask order is the index's; the
+// first error in that order stops the build.
 func (mi *margIndex) kWayTables(a *KWayArena, kWayInto func(pos int, dst *marginal.Table) (int, error)) error {
-	errs := make([]error, len(mi.masks))
-	parallelFor(len(mi.masks), func(i int) {
-		a.Users[i], errs[i] = kWayInto(i, a.Tables[i])
-	})
-	for i, err := range errs {
+	for i, beta := range mi.masks {
+		users, err := kWayInto(i, a.Tables[i])
 		if err != nil {
-			return fmt.Errorf("core: reconstructing %b: %w", mi.masks[i], err)
+			return fmt.Errorf("core: reconstructing %b: %w", beta, err)
 		}
+		a.Users[i] = users
 	}
 	return nil
 }
@@ -322,15 +321,7 @@ func (mi *margIndex) kWayTables(a *KWayArena, kWayInto func(pos int, dst *margin
 // which reconstructs the k-way table at a position in C into a table and
 // returns its user count. Estimates from every k-way superset of beta
 // are marginalized down to beta and averaged weighted by their user
-// counts.
-//
-// Reconstructing and marginalizing each superset table is the expensive
-// step (an inverse transform or an unbiasing pass over 2^k cells), so
-// the supersets fan out across goroutines; the weighted average is then
-// reduced sequentially in superset order, making the result
-// bit-identical to the sequential loop for any GOMAXPROCS. kWayInto must
-// be safe for concurrent calls with distinct positions (the aggregators'
-// reconstructions only read accumulator state).
+// counts, each added as it is reconstructed, in superset order.
 func (mi *margIndex) estimate(name string, cfg Config, n int, beta uint64, kWayInto func(pos int, dst *marginal.Table) (int, error)) (*marginal.Table, error) {
 	if err := checkBetaWithin(beta, cfg); err != nil {
 		return nil, err
@@ -358,41 +349,24 @@ func (mi *margIndex) estimate(name string, cfg Config, n int, beta uint64, kWayI
 	if err != nil {
 		return nil, err
 	}
-	type weighted struct {
-		sub *marginal.Table // scaled by its user count; nil when n == 0
-		n   int
-		err error
-	}
-	subs := make([]weighted, len(supers))
-	parallelFor(len(supers), func(i int) {
-		t, n, err := kWay(supers[i])
+	var weight float64
+	for _, pos := range supers {
+		t, users, err := kWay(pos)
 		if err != nil {
-			subs[i].err = err
-			return
+			return nil, err
 		}
-		if n == 0 {
-			return
+		if users == 0 {
+			continue
 		}
 		sub, err := t.MarginalizeTo(beta)
 		if err != nil {
-			subs[i].err = err
-			return
-		}
-		sub.Scale(float64(n))
-		subs[i] = weighted{sub: sub, n: n}
-	})
-	var weight float64
-	for i := range subs {
-		if subs[i].err != nil {
-			return nil, subs[i].err
-		}
-		if subs[i].sub == nil {
-			continue
-		}
-		if err := out.Add(subs[i].sub); err != nil {
 			return nil, err
 		}
-		weight += float64(subs[i].n)
+		sub.Scale(float64(users))
+		if err := out.Add(sub); err != nil {
+			return nil, err
+		}
+		weight += float64(users)
 	}
 	if weight == 0 {
 		return marginal.Uniform(beta)

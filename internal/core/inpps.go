@@ -92,26 +92,32 @@ func (a *inpPSAgg) ConsumeBatch(reps []Report) error {
 }
 
 // KWayTablesInto sums every table's report counts through one
-// full-domain transform (see inpRRAgg.KWayTablesInto) and applies the
-// GRR unbiasing, affine with D = m-1:
-//
-//	est_c = (D*S_c/n + 2^{d-k}*(Ps-1)) / (D*Ps + Ps - 1).
+// full-domain transform (domainKWayTables) and unbiases them with
+// unbiasTable.
 func (a *inpPSAgg) KWayTablesInto(k *KWayArena) error {
+	return a.domainKWayTables(k, a.unbiasTable)
+}
+
+// Estimate sums the report counts of the domain cells under each cell
+// of beta and unbiases the sums with unbiasTable: the same arithmetic
+// as a table KWayTablesInto serves (Theorem 4.4's estimator, Section
+// 4.1).
+func (a *inpPSAgg) Estimate(beta uint64) (*marginal.Table, error) {
+	return a.inputEstimate(a.p.cfg, beta, a.unbiasTable)
+}
+
+// unbiasTable rewrites the report-count sums of one marginal table in
+// place as unbiased frequencies: the GRR unbiasing, affine with D = m-1,
+// over n reports and 2^{d-|beta|} domain cells per table cell,
+//
+//	est_c = (D*S_c/n + 2^{d-|beta|}*(Ps-1)) / (D*Ps + Ps - 1).
+func (a *inpPSAgg) unbiasTable(cells []float64) {
 	invN := 1 / float64(a.n)
 	dd := float64(a.p.grr.M - 1)
 	ps := a.p.grr.Ps
 	denom := dd*ps + ps - 1
-	return a.domainKWayTables(k, func(cells []float64) {
-		group := float64(int(a.p.size) / len(cells))
-		for c := range cells {
-			cells[c] = (dd*cells[c]*invN + group*(ps-1)) / denom
-		}
-	})
-}
-
-// Estimate unbiases the reported-index frequencies into the reconstructed
-// distribution and aggregates the target marginal (Theorem 4.4's
-// estimator, Section 4.1).
-func (a *inpPSAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	return a.inputEstimate(a.p.cfg, beta, a.p.grr.UnbiasFrequency)
+	group := float64(int(a.p.size) / len(cells))
+	for c := range cells {
+		cells[c] = (dd*cells[c]*invN + group*(ps-1)) / denom
+	}
 }

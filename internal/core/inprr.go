@@ -117,33 +117,40 @@ func (a *inpRRAgg) SimulateBatch(records []uint64, r *rng.RNG) error {
 	return nil
 }
 
-// Estimate unbiases every cell of the reconstructed full distribution and
-// aggregates it through the marginal operator (Theorem 4.3's estimator).
+// Estimate sums the 1-counts of the domain cells under each cell of
+// beta and unbiases the sums with unbiasTable: the same arithmetic as a
+// table KWayTablesInto serves (Theorem 4.3's estimator).
 func (a *inpRRAgg) Estimate(beta uint64) (*marginal.Table, error) {
-	return a.inputEstimate(a.p.cfg, beta, a.p.prr.UnbiasFrequency)
+	return a.inputEstimate(a.p.cfg, beta, a.unbiasTable)
 }
 
 // KWayTablesInto sums every table's 1-counts through one full-domain
-// transform (domainKWayTables) and unbiases them: with S_c the sum of
-// ones in cell c, n reports and 2^{d-k} domain cells per table cell,
-//
-//	est_c = (S_c/n - 2^{d-k} * P0) / (P1 - P0).
+// transform (domainKWayTables) and unbiases them with unbiasTable.
 func (a *inpRRAgg) KWayTablesInto(k *KWayArena) error {
+	return a.domainKWayTables(k, a.unbiasTable)
+}
+
+// unbiasTable rewrites the 1-count sums of one marginal table in place
+// as unbiased frequencies: with S_c the sum of ones in cell c, n reports
+// and 2^{d-|beta|} domain cells per table cell,
+//
+//	est_c = (S_c/n - 2^{d-|beta|} * P0) / (P1 - P0).
+func (a *inpRRAgg) unbiasTable(cells []float64) {
 	invN := 1 / float64(a.n)
 	p0, p1 := a.p.prr.P0, a.p.prr.P1
 	scale := 1 / (p1 - p0)
-	return a.domainKWayTables(k, func(cells []float64) {
-		group := float64(a.p.size / len(cells))
-		for c := range cells {
-			cells[c] = (cells[c]*invN - group*p0) * scale
-		}
-	})
+	group := float64(a.p.size / len(cells))
+	for c := range cells {
+		cells[c] = (cells[c]*invN - group*p0) * scale
+	}
 }
 
 // inputEstimate is Estimate of the input-view protocols InpRR and InpPS:
-// each of the 2^d cells' report frequencies, unbiased, scanned into the
-// marginal over beta (scatterCells, parallel for large d).
-func (b *CounterBlock) inputEstimate(cfg Config, beta uint64, unbias func(freq float64) float64) (*marginal.Table, error) {
+// the integer counters of the 2^d cells summed into the cells of beta,
+// which are exact in float64 as the transform's are, then the
+// protocol's table unbias, so at |beta| = k it equals the served table
+// bit for bit.
+func (b *CounterBlock) inputEstimate(cfg Config, beta uint64, unbias func(cells []float64)) (*marginal.Table, error) {
 	if err := checkBetaWithin(beta, cfg); err != nil {
 		return nil, err
 	}
@@ -154,10 +161,19 @@ func (b *CounterBlock) inputEstimate(cfg Config, beta uint64, unbias func(freq f
 	if err != nil {
 		return nil, err
 	}
-	inv := 1 / float64(b.n)
-	scatterCells(out, beta, len(b.cells), func(j int) float64 {
-		return unbias(float64(b.cells[j]) * inv)
-	})
+	// Compress distributes over disjoint bits: a cell's position is its
+	// high part's, found once per 256 cells, OR its low byte's, a table.
+	var low [256]uint64
+	for l := range low {
+		low[l] = bitops.Compress(uint64(l), beta)
+	}
+	for hi := 0; hi < len(b.cells); hi += len(low) {
+		base := bitops.Compress(uint64(hi), beta)
+		for l, c := range b.cells[hi:min(hi+len(low), len(b.cells))] {
+			out.Cells[base|low[l]] += float64(c)
+		}
+	}
+	unbias(out.Cells)
 	return out, nil
 }
 
@@ -165,9 +181,7 @@ func (b *CounterBlock) inputEstimate(cfg Config, beta uint64, unbias func(freq f
 // per-cell counters as one vector through KWayArena.ReconstructDomain,
 // then the protocol's affine unbiasing per table. Every transform
 // intermediate is a sum of integers, exact in float64 far beyond the
-// supported d, so the cell sums are exact; only the unbiasing rounds
-// differently from Estimate's per-cell scan, keeping the two within
-// ~1e-12 TV (TestLinearReconstructionMatchesEstimate).
+// supported d, so the cell sums are exact and equal inputEstimate's.
 func (b *CounterBlock) domainKWayTables(a *KWayArena, unbias func(cells []float64)) error {
 	if b.n == 0 {
 		return fmt.Errorf("core: %s aggregator has no reports", b.name)

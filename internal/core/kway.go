@@ -66,9 +66,9 @@ func NewKWayArena(cfg Config) (*KWayArena, error) {
 
 // AllKWayTablesInto reconstructs every k-way marginal of the collection
 // from one aggregator snapshot into the arena, in the numeric mask order
-// of KWayMasks, through the aggregator's own Folder.KWayTablesInto. Each
-// table is a deterministic function of the aggregator state, so equal
-// snapshots give bit-identical arenas regardless of GOMAXPROCS. The
+// of KWayMasks, through the aggregator's own Folder.KWayTablesInto, on
+// the calling goroutine. Each table is a deterministic function of the
+// aggregator state, so equal snapshots give bit-identical arenas. The
 // aggregator must not be written concurrently (use a private snapshot);
 // an empty one yields uniform tables with Users = 0, so a deployment can
 // publish an epoch before any report arrives.
@@ -90,21 +90,20 @@ func AllKWayTablesInto(agg Aggregator, a *KWayArena, _ bool) error {
 	return f.KWayTablesInto(a)
 }
 
-// reconstructFrom fills every table of the arena through the one subcube
-// kernel of Lemma 3.7, hadamard.ReconstructMarginalInto: gather the 2^k
-// coefficients alpha ⪯ beta from src, one inverse transform. unbias, if
-// not nil, then rewrites each table's cells in place, and every table
-// gets users as its evidence. Tables reconstruct across goroutines; each
-// is written by one, so the arena is the same for any GOMAXPROCS.
+// reconstructFrom fills every table of the arena, in mask order, through
+// the one subcube kernel of Lemma 3.7, hadamard.ReconstructMarginalInto:
+// gather the 2^k coefficients alpha ⪯ beta from src, one inverse
+// transform. unbias, if not nil, then rewrites each table's cells in
+// place, and every table gets users as its evidence.
 func (a *KWayArena) reconstructFrom(src hadamard.CoefficientSource, users int, unbias func(cells []float64)) {
-	parallelFor(len(a.Masks), func(i int) {
+	for i, beta := range a.Masks {
 		cells := a.Tables[i].Cells
-		hadamard.ReconstructMarginalInto(cells, src, a.Masks[i])
+		hadamard.ReconstructMarginalInto(cells, src, beta)
 		if unbias != nil {
 			unbias(cells)
 		}
 		a.Users[i] = users
-	})
+	}
 }
 
 // ReconstructDomain fills every table of the arena from v, a vector over

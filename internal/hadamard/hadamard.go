@@ -19,8 +19,6 @@ package hadamard
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"ldpmarginals/internal/bitops"
 )
@@ -32,39 +30,17 @@ func Sign(j, alpha uint64) float64 {
 	return float64(bitops.InnerProductSign(j, alpha))
 }
 
-// parallelThreshold is the vector length from which WHT fans each
-// butterfly stage out across goroutines. Below it (marginal-sized
-// subcubes, 2^k cells) the goroutine overhead dwarfs the arithmetic;
-// above it (full-domain transforms at d >= 13) the stages are long
-// enough to saturate the cores.
-const parallelThreshold = 1 << 13
-
 // WHT performs the in-place unnormalized Walsh-Hadamard transform of v,
 // whose length must be a power of two. Applying it twice multiplies by
 // len(v). The scaled-coefficient vector of a distribution t over 2^d
 // cells is exactly WHT(t): m_alpha = sum_eta t[eta] * (-1)^{<alpha,eta>}.
-//
-// Large transforms run each butterfly stage in parallel across
-// goroutines. Every element is written by exactly one goroutine per
-// stage and stages are barriers, so the result is bit-identical to the
-// sequential transform regardless of GOMAXPROCS.
+// It runs the butterfly network in place on the calling goroutine, one
+// stage after another.
 func WHT(v []float64) error {
 	n := len(v)
 	if n == 0 || n&(n-1) != 0 {
 		return fmt.Errorf("hadamard: length %d is not a power of two", n)
 	}
-	if n >= parallelThreshold {
-		if workers := runtime.GOMAXPROCS(0); workers > 1 {
-			whtParallel(v, workers)
-			return nil
-		}
-	}
-	whtSequential(v)
-	return nil
-}
-
-func whtSequential(v []float64) {
-	n := len(v)
 	for h := 1; h < n; h <<= 1 {
 		for i := 0; i < n; i += h << 1 {
 			for j := i; j < i+h; j++ {
@@ -73,39 +49,7 @@ func whtSequential(v []float64) {
 			}
 		}
 	}
-}
-
-// whtParallel runs the same butterfly network with each stage's n/2
-// independent pairs partitioned across workers. Pair t of stage h is
-// (j, j+h) with j = (t/h)*2h + t%h; the partition touches disjoint
-// elements, and the WaitGroup barrier between stages orders the
-// dependent reads.
-func whtParallel(v []float64, workers int) {
-	n := len(v)
-	pairs := n / 2
-	if workers > pairs {
-		workers = pairs
-	}
-	per := (pairs + workers - 1) / workers
-	var wg sync.WaitGroup
-	for h := 1; h < n; h <<= 1 {
-		for w := 0; w < workers; w++ {
-			lo, hi := w*per, min((w+1)*per, pairs)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi, h int) {
-				defer wg.Done()
-				for t := lo; t < hi; t++ {
-					j := (t/h)*(h<<1) + t%h
-					x, y := v[j], v[j+h]
-					v[j], v[j+h] = x+y, x-y
-				}
-			}(lo, hi, h)
-		}
-		wg.Wait()
-	}
+	return nil
 }
 
 // InverseWHT performs the in-place inverse of WHT (WHT followed by

@@ -298,40 +298,6 @@ func BenchmarkReconstructMarginalK3(b *testing.B) {
 	}
 }
 
-// TestWHTParallelBitIdentical pins down the parallel transform's
-// determinism contract: above parallelThreshold, WHT fans stages across
-// goroutines, and the result must be bit-identical to the sequential
-// butterfly network for any worker count.
-func TestWHTParallelBitIdentical(t *testing.T) {
-	const n = 1 << 14 // above parallelThreshold
-	r := rng.New(3)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 2*r.Float64() - 1
-	}
-	seq := append([]float64(nil), v...)
-	whtSequential(seq)
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		par := append([]float64(nil), v...)
-		whtParallel(par, workers)
-		for i := range par {
-			if math.Float64bits(par[i]) != math.Float64bits(seq[i]) {
-				t.Fatalf("workers=%d: element %d differs: %v vs %v", workers, i, par[i], seq[i])
-			}
-		}
-	}
-	// The public entry point must agree too.
-	pub := append([]float64(nil), v...)
-	if err := WHT(pub); err != nil {
-		t.Fatal(err)
-	}
-	for i := range pub {
-		if math.Float64bits(pub[i]) != math.Float64bits(seq[i]) {
-			t.Fatalf("WHT element %d differs from sequential", i)
-		}
-	}
-}
-
 // ScaledCoefficients returns the full vector of scaled coefficients
 // m_alpha (indexed by alpha) for a distribution t over 2^d cells. For
 // testing and small-d reference computations; protocols never call this

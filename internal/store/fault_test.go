@@ -287,3 +287,59 @@ func TestFailedCompactionKeepsSnapshotAndWAL(t *testing.T) {
 		t.Fatal("reopened store differs from the reports")
 	}
 }
+
+// TestFailedCompactionBacksOff: under a persistent snapshot write error
+// a background compaction is retried once per SnapshotEveryN reports,
+// not on every ingest, since each attempt rotates a WAL segment and
+// marshals the whole state under the exclusive barrier. Fifty 10-report
+// ingests past SnapshotEveryN = 100 make at most five attempts and five
+// segments; once the disk recovers the next attempt succeeds and a
+// reopen recovers every report.
+func TestFailedCompactionBacksOff(t *testing.T) {
+	defer fault.Disarm()
+	p := testProtocol(t)
+	dir := t.TempDir()
+	st, err := Open(dir, p, Options{SnapshotEveryN: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := p.NewAggregator()
+	st.SetSource(sourceOf(agg))
+	reps, frames := makeFrames(t, p, 600, 53)
+	segments := st.Status().Segments
+	fault.Arm(fault.Rule{Site: FaultSnapshotWrite, Mode: fault.ModeError, Msg: "no space left on device"})
+	for lo := 0; lo < 500; lo += 10 {
+		if err := ingestChunkErr(st, agg, reps[lo:lo+10], batchOf(frames[lo:lo+10])); err != nil {
+			t.Fatal(err)
+		}
+		st.snapWG.Wait()
+	}
+	status := st.Status()
+	if attempts := fault.Default.Fired(); attempts > 5 {
+		t.Errorf("%d compaction attempts over 500 reports, want at most 5", attempts)
+	}
+	if grown := status.Segments - segments; grown > 5 {
+		t.Errorf("%d new WAL segments over 500 reports, want at most 5", grown)
+	}
+	if !strings.Contains(status.LastSnapshotError, "no space left on device") || status.SinceSnapshot != 500 {
+		t.Fatalf("under the failing disk: %+v", status)
+	}
+
+	fault.Disarm()
+	if err := ingestChunkErr(st, agg, reps[500:], batchOf(frames[500:])); err != nil {
+		t.Fatal(err)
+	}
+	st.snapWG.Wait()
+	if status := st.Status(); status.LastSnapshotError != "" || status.SnapshotReports != 600 {
+		t.Fatalf("after the disk recovered: %+v", status)
+	}
+	st.crash()
+	re, err := Open(dir, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !bytes.Equal(recoveredState(t, re), referenceState(t, p, reps)) {
+		t.Fatal("reopened store differs from the reports")
+	}
+}

@@ -106,8 +106,9 @@ type Options struct {
 	// FsyncInterval.
 	Fsync FsyncPolicy
 	// SnapshotEveryN compacts the WAL into a counter snapshot once this
-	// many reports have been appended since the last snapshot; <= 0
-	// snapshots only on Close (and explicit Snapshot calls).
+	// many reports have been appended since the last snapshot, and after
+	// a failed compaction once this many more; <= 0 snapshots only on
+	// Close (and explicit Snapshot calls).
 	SnapshotEveryN int
 
 	// segmentBytes rotates the active WAL segment once it exceeds this
@@ -153,6 +154,9 @@ type RecoveryStats struct {
 	// SnapshotsDiscarded counts newer snapshot files that failed
 	// validation and were skipped.
 	SnapshotsDiscarded int
+	// BucketsRebuilt counts a windowed node's bucket files that failed
+	// validation; each such bucket was rebuilt from its WAL segments.
+	BucketsRebuilt int
 	// SegmentsReplayed and ReportsReplayed describe the WAL tail walked
 	// after the snapshot (reports, not group records: one WAL record
 	// holds a whole ingested group).
@@ -615,7 +619,12 @@ func (s *Store) IngestContext(ctx context.Context, batch []byte, apply func() (r
 		}
 		span.End()
 		s.ins.appendWait.Observe(time.Since(t0).Seconds())
-		if n := s.sinceSnap.Add(int64(consumed)); s.opts.SnapshotEveryN > 0 && n >= int64(s.opts.SnapshotEveryN) {
+		// A compaction starts each time the count since the last
+		// snapshot crosses a multiple of SnapshotEveryN, so a failed one
+		// is retried after another SnapshotEveryN reports, not on every
+		// ingest: each attempt rotates a segment and marshals the state.
+		n := s.sinceSnap.Add(int64(consumed))
+		if every := int64(s.opts.SnapshotEveryN); every > 0 && n/every > (n-int64(consumed))/every {
 			s.triggerSnapshot()
 		}
 	}

@@ -169,7 +169,7 @@ func (s *Store) recoverBuckets(segs []uint64) error {
 				pos = m.meta
 			}
 		} else {
-			s.recStats.SnapshotsDiscarded++
+			s.recStats.BucketsRebuilt++
 			agg = s.p.NewAggregator()
 			f.live, s.liveSuper = f.slot+1, ^uint64(0)
 			for _, idx := range segs {

@@ -339,8 +339,9 @@ func TestCorruptNewestBucketRebuiltFromSegments(t *testing.T) {
 	defer re.Close()
 	twin, want := openWindowed(t, twinDir, p, 3, Options{Fsync: FsyncAlways})
 	defer twin.Close()
-	if _, rec := re.Recovered(); rec.SnapshotsDiscarded != 1 || rec.Reports != len(reps) {
-		t.Fatalf("recovery discarded %d files and recovered %d reports, want 1 and %d", rec.SnapshotsDiscarded, rec.Reports, len(reps))
+	if _, rec := re.Recovered(); rec.BucketsRebuilt != 1 || rec.SnapshotsDiscarded != 0 || rec.Reports != len(reps) {
+		t.Fatalf("recovery rebuilt %d buckets, discarded %d snapshots and recovered %d reports, want 1, 0 and %d",
+			rec.BucketsRebuilt, rec.SnapshotsDiscarded, rec.Reports, len(reps))
 	}
 	sameRing(t, got, ring)
 	sameRing(t, got, want)

@@ -121,8 +121,8 @@ func TestCachedAnswersMatchFreshRebuild(t *testing.T) {
 }
 
 // TestBuildIsDeterministic rebuilds from the same snapshot repeatedly —
-// the consistency sweep and the parallel reconstruction must not leak
-// map-iteration or scheduling order into the cells.
+// the consistency sweep and the reconstruction must not leak
+// map-iteration order into the cells.
 func TestBuildIsDeterministic(t *testing.T) {
 	cfg := core.Config{D: 6, K: 2, Epsilon: 1.1}
 	p, err := core.New(core.MargPS, cfg)
